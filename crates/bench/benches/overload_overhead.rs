@@ -148,7 +148,7 @@ fn run_engine(packets: &[Packet], config: Config) -> RunSample {
     let cpu0 = thread_cpu_ns();
     let start = Instant::now();
     for p in packets {
-        e.process(p);
+        e.try_process(p).expect("shard workers alive");
     }
     let rows = e.finish().len();
     let elapsed_ns = start.elapsed().as_nanos() as f64;

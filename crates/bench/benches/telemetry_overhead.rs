@@ -60,7 +60,7 @@ fn run_once(packets: &[Packet], live: bool) -> f64 {
         .live_telemetry(live);
     let start = Instant::now();
     for p in packets {
-        e.process(p);
+        e.try_process(p).expect("shard workers alive");
     }
     let rows = e.finish().len();
     let elapsed = start.elapsed().as_secs_f64();

@@ -103,14 +103,14 @@ pub fn measure_sharded_query(
     let warm = &packets[..packets.len().min(50_000)];
     let mut w = ShardedEngine::try_new(query.clone(), n_shards).expect("spawn shards");
     for p in warm {
-        w.process(p);
+        w.try_process(p).expect("shard workers alive");
     }
     w.finish();
 
     let mut engine = ShardedEngine::try_new(query.clone(), n_shards).expect("spawn shards");
     let start = Instant::now();
     for p in packets {
-        engine.process(p);
+        engine.try_process(p).expect("shard workers alive");
     }
     let rows = engine.finish().len();
     let elapsed = start.elapsed().as_secs_f64();
@@ -122,7 +122,7 @@ pub fn measure_sharded_query(
     }
 }
 
-/// Batch size the dispatch simulations flush at — the engine's
+/// Batch size the dispatch simulations seal at — the engine's
 /// [`fd_engine::shard::DEFAULT_BATCH_SIZE`].
 const DISPATCH_BATCH: usize = fd_engine::shard::DEFAULT_BATCH_SIZE;
 
@@ -172,173 +172,33 @@ pub fn measure_dispatch_scalar_ns(query: &Query, n_shards: usize, packets: &[Pac
     start.elapsed().as_nanos() as f64 / packets.len() as f64
 }
 
-/// Measures the per-tuple cost of the *batched columnar* dispatch path —
-/// the sharded engine's current ingress: one fused pass per batch doing
+/// One ingress producer's pass over `packets`, exactly as the engine's
+/// `IngressHandle` runs it, worker-free: one fused pass per tuple doing
 /// admission with the closed boundary held in timestamp space (no
-/// per-tuple divisions) plus route-and-scatter into per-shard buffers,
-/// with pool-recycled hand-offs (zero steady-state allocation). Workers
-/// are not attached: this isolates the serial ingress fraction,
-/// comparable head-to-head with [`measure_dispatch_scalar_ns`].
-pub fn measure_dispatch_ns(query: &Query, n_shards: usize, packets: &[Packet]) -> f64 {
-    assert!(n_shards > 0 && !packets.is_empty());
-    let pool: BatchPool<Packet> = BatchPool::new(n_shards + 2);
-    let mut staged: Vec<Vec<Packet>> = (0..n_shards).map(|_| pool.take(DISPATCH_BATCH)).collect();
-    let mut watermark: u64 = 0;
-    let bm = query.bucket_micros;
-    let slack = query.slack_micros;
-    let mut closed_low: u64 = 0;
-    let start = Instant::now();
-    for chunk in packets.chunks(DISPATCH_BATCH) {
-        for pkt in chunk {
-            if let Some(f) = &query.filter {
-                if !f(pkt) {
-                    continue;
-                }
-            }
-            if pkt.ts < closed_low {
-                continue;
-            }
-            watermark = watermark.max(pkt.ts);
-            let horizon = watermark.saturating_sub(slack);
-            if horizon >= closed_low.saturating_add(bm) {
-                closed_low = (horizon / bm) * bm;
-            }
-            let key = (query.group_by)(pkt);
-            let shard = route_shard(key, n_shards);
-            staged[shard].push(*pkt);
-            if staged[shard].len() >= DISPATCH_BATCH {
-                // The recycled hand-off: the "worker" returns the buffer.
-                let batch = std::mem::replace(&mut staged[shard], pool.take(DISPATCH_BATCH));
-                pool.put(std::hint::black_box(batch));
-            }
-        }
-    }
-    std::hint::black_box(&staged);
-    start.elapsed().as_nanos() as f64 / packets.len() as f64
-}
-
-/// One producer's route-and-scatter pass over `packets`, exactly as the
-/// fabric's `IngressHandle::stage`/`seal_epoch` runs it: per chunk, one
-/// fused pass computing admission plus the multiply-shift hash fold into
-/// a shard-index scratch array, then a software write-combining scatter
-/// into per-shard staging buffers, then an epoch seal that ships every
-/// shard's staging through an `Arc` hand-off with pool recycling.
-/// Returns elapsed seconds.
-fn ingress_scatter_secs(query: &Query, n_shards: usize, packets: &[Packet]) -> f64 {
-    const REJECT: u32 = u32::MAX;
-    let pool: BatchPool<Packet> = BatchPool::new(n_shards + 2);
-    let mut staging: Vec<Vec<Packet>> = (0..n_shards).map(|_| pool.take(DISPATCH_BATCH)).collect();
-    let mut shard_of: Vec<u32> = Vec::with_capacity(DISPATCH_BATCH);
-    let bm = query.bucket_micros;
-    let slack = query.slack_micros;
-    let mut wm: u64 = 0;
-    let mut closed_low: u64 = 0;
-    let start = Instant::now();
-    for chunk in packets.chunks(DISPATCH_BATCH) {
-        // Pass 1: fused admission + routing into the scratch array.
-        shard_of.clear();
-        for pkt in chunk {
-            let idx = if query.filter.as_ref().is_some_and(|f| !f(pkt)) || pkt.ts < closed_low {
-                REJECT
-            } else {
-                wm = wm.max(pkt.ts);
-                let horizon = wm.saturating_sub(slack);
-                if horizon >= closed_low.saturating_add(bm) {
-                    closed_low = (horizon / bm) * bm;
-                }
-                route_shard((query.group_by)(pkt), n_shards) as u32
-            };
-            shard_of.push(idx);
-        }
-        // Pass 2: write-combining scatter into the staging buffers.
-        for (pkt, &s) in chunk.iter().zip(&shard_of) {
-            if s != REJECT {
-                staging[s as usize].push(*pkt);
-            }
-        }
-        // Epoch seal: every shard ships (the fabric's determinism
-        // contract), and the "worker" returns the buffer to the pool.
-        for staged in staging.iter_mut() {
-            let sent = if staged.is_empty() {
-                std::sync::Arc::new(Vec::new())
-            } else {
-                std::sync::Arc::new(std::mem::replace(staged, pool.take(DISPATCH_BATCH)))
-            };
-            if let Ok(buf) = std::sync::Arc::try_unwrap(std::hint::black_box(sent)) {
-                if buf.capacity() > 0 {
-                    pool.put(buf);
-                }
-            }
-        }
-    }
-    std::hint::black_box(&staging);
-    start.elapsed().as_secs_f64()
-}
-
-/// Measures the per-tuple cost of one fabric ingress producer's
-/// vectorized route-and-scatter stage (see [`ingress_scatter_secs`]),
-/// worker-free — the fabric-era counterpart of [`measure_dispatch_ns`],
-/// directly comparable with it.
-pub fn measure_ingress_ns(query: &Query, n_shards: usize, packets: &[Packet]) -> f64 {
-    assert!(n_shards > 0 && !packets.is_empty());
-    ingress_scatter_secs(query, n_shards, packets) * 1e9 / packets.len() as f64
-}
-
-/// Wall-clock aggregate ingress throughput (tuples/s) with `producers`
-/// threads each running the fabric scatter stage over a contiguous slice
-/// of `packets`. On hosts with fewer cores than producers this measures
-/// oversubscription, not the fabric — gate on a core count check and fall
-/// back to the modeled aggregate
-/// ([`fd_engine::metrics::fabric_capacity_pps`]).
-pub fn measure_parallel_ingress_tps(
-    query: &Query,
-    n_shards: usize,
-    producers: usize,
-    packets: &[Packet],
-) -> f64 {
-    assert!(producers > 0 && !packets.is_empty());
-    let per = packets.len().div_ceil(producers);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for slice in packets.chunks(per) {
-            let q = query.clone();
-            scope.spawn(move || ingress_scatter_secs(&q, n_shards, slice));
-        }
-    });
-    packets.len() as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Measures the batched dispatch path with the supervision layer's
-/// whole per-batch bookkeeping run inline, worker-free — the same
-/// serial-ingress methodology as [`measure_dispatch_ns`], so the two are
-/// comparable head-to-head. Per flushed batch this performs an `Arc`
-/// wrap, a clone retained in the per-shard replay backlog, a trim pass
+/// per-tuple divisions), routing, and the push into the owning shard's
+/// staging buffer; each time a buffer fills, an epoch seal that ships
+/// every shard's staging (a bare marker when empty) through an `Arc`
+/// hand-off with pool recycling. With `checkpoint_every > 0` the
+/// supervision layer's whole per-message bookkeeping runs inline as well:
+/// a clone retained in the per-shard replay backlog, a trim pass
 /// releasing batches the latest checkpoint covers, and — the part no
 /// instruction count shows — the buffer *rotation*: a retained batch
 /// cannot recycle until a checkpoint covers it, so the staging buffers
 /// cycle through a `checkpoint_every`-deep window instead of ping-ponging
 /// hot. In the real engine the trim and reclaim run on worker threads
-/// (the dispatcher only appends), so this single-threaded number is a
-/// conservative ceiling on the dispatcher's share of the cost.
-/// `checkpoint_every == 0` runs the identical loop with supervision off
-/// (the baseline), and checkpoint sequence advance mimics the worker:
-/// after `checkpoint_every` applied tuples, staggered per shard exactly
-/// as the engine staggers.
-pub fn measure_dispatch_supervised_ns(
-    query: &Query,
-    n_shards: usize,
-    packets: &[Packet],
-    checkpoint_every: u64,
-) -> f64 {
+/// (the handle only appends), so the supervised number is a conservative
+/// ceiling on the ingress thread's share of the cost. The simulated
+/// worker checkpoints after `checkpoint_every` applied tuple-equivalents,
+/// staggered per shard exactly as the engine staggers. Returns elapsed
+/// seconds.
+fn dispatch_secs(query: &Query, n_shards: usize, packets: &[Packet], checkpoint_every: u64) -> f64 {
     use std::collections::VecDeque;
     use std::sync::Arc;
 
-    assert!(n_shards > 0 && !packets.is_empty());
     struct Seat {
         backlog: VecDeque<(u64, Arc<Vec<Packet>>)>,
-        next_seq: u64,
-        /// Tuples the simulated worker has applied since its last
-        /// checkpoint (pre-offset for the engine's first-interval stagger).
+        /// Tuple-equivalents the simulated worker has applied since its
+        /// last checkpoint (pre-offset for the engine's stagger).
         applied: u64,
         /// Sequence number of the latest simulated checkpoint.
         ckpt: u64,
@@ -362,81 +222,121 @@ pub fn measure_dispatch_supervised_ns(
         proto: fd_engine::tuple::Proto::Tcp,
     };
     pool.prewarm(bound.min(512), DISPATCH_BATCH, blank);
+    let recycle = |pkts: Arc<Vec<Packet>>| {
+        if pkts.capacity() > 0 {
+            if let Ok(buf) = Arc::try_unwrap(pkts) {
+                pool.put(buf);
+            }
+        }
+    };
     let mut seats: Vec<Seat> = (0..n_shards)
         .map(|s| Seat {
             backlog: VecDeque::new(),
-            next_seq: 0,
             applied: s as u64 * checkpoint_every / n_shards as u64,
             ckpt: 0,
         })
         .collect();
-    let mut staged: Vec<Vec<Packet>> = (0..n_shards).map(|_| pool.take(DISPATCH_BATCH)).collect();
-    let mut watermark: u64 = 0;
+    let mut staging: Vec<Vec<Packet>> = (0..n_shards).map(|_| pool.take(DISPATCH_BATCH)).collect();
     let bm = query.bucket_micros;
     let slack = query.slack_micros;
+    let mut wm: u64 = 0;
     let mut closed_low: u64 = 0;
+    let mut seq: u64 = 0;
     let start = Instant::now();
-    for chunk in packets.chunks(DISPATCH_BATCH) {
-        for pkt in chunk {
-            if let Some(f) = &query.filter {
-                if !f(pkt) {
-                    continue;
-                }
-            }
-            if pkt.ts < closed_low {
+    for pkt in packets {
+        if query.filter.as_ref().is_some_and(|f| !f(pkt)) || pkt.ts < closed_low {
+            continue;
+        }
+        wm = wm.max(pkt.ts);
+        let horizon = wm.saturating_sub(slack);
+        if horizon >= closed_low.saturating_add(bm) {
+            closed_low = (horizon / bm) * bm;
+        }
+        let buf = &mut staging[route_shard((query.group_by)(pkt), n_shards)];
+        buf.push(*pkt);
+        if buf.len() < DISPATCH_BATCH {
+            continue;
+        }
+        // Epoch seal: every shard ships (the determinism contract).
+        seq += 1;
+        for (staged, seat) in staging.iter_mut().zip(&mut seats) {
+            let sent: Arc<Vec<Packet>> = if staged.is_empty() {
+                Arc::default()
+            } else {
+                Arc::new(std::mem::replace(staged, pool.take(DISPATCH_BATCH)))
+            };
+            let sent = std::hint::black_box(sent);
+            if checkpoint_every == 0 {
+                // Unsupervised hand-off: the "worker" is the sole owner
+                // and returns the drained buffer.
+                recycle(sent);
                 continue;
             }
-            watermark = watermark.max(pkt.ts);
-            let horizon = watermark.saturating_sub(slack);
-            if horizon >= closed_low.saturating_add(bm) {
-                closed_low = (horizon / bm) * bm;
+            // Retain before sending (the failed send itself must be
+            // replayable), then trim what the checkpoint covers.
+            seat.backlog.push_back((seq, Arc::clone(&sent)));
+            while seat.backlog.front().is_some_and(|(q, _)| *q <= seat.ckpt) {
+                let (_, pkts) = seat.backlog.pop_front().expect("non-empty front");
+                recycle(pkts);
             }
-            let key = (query.group_by)(pkt);
-            let shard = route_shard(key, n_shards);
-            staged[shard].push(*pkt);
-            if staged[shard].len() >= DISPATCH_BATCH {
-                let batch = std::mem::replace(&mut staged[shard], pool.take(DISPATCH_BATCH));
-                // Both configurations Arc-wrap the batch — `Msg::Batch`
-                // always ships an `Arc`, supervised or not — so the wrap
-                // stays out of the measured delta.
-                let sent = Arc::new(std::hint::black_box(batch));
-                if checkpoint_every == 0 {
-                    // Unsupervised hand-off: the "worker" is the sole
-                    // owner and returns the drained buffer.
-                    if let Ok(buf) = Arc::try_unwrap(sent) {
-                        pool.put(buf);
-                    }
-                    continue;
-                }
-                let seat = &mut seats[shard];
-                seat.next_seq += 1;
-                let seq = seat.next_seq;
-                // Retain before sending (the failed send itself must be
-                // replayable), then trim what the checkpoint covers —
-                // the engine splits these between dispatcher (append)
-                // and worker (trim); here both run inline.
-                seat.backlog.push_back((seq, Arc::clone(&sent)));
-                while seat.backlog.front().is_some_and(|(q, _)| *q <= seat.ckpt) {
-                    let (_, pkts) = seat.backlog.pop_front().expect("non-empty front");
-                    if let Ok(buf) = Arc::try_unwrap(pkts) {
-                        pool.put(buf);
-                    }
-                }
-                // The "worker": applies the batch (dropping its reference)
-                // and checkpoints at message boundaries.
-                let applied_len = sent.len() as u64;
-                drop(std::hint::black_box(sent));
-                seat.applied += applied_len;
-                if seat.applied >= checkpoint_every {
-                    seat.ckpt = seq;
-                    seat.applied = 0;
-                }
+            // The "worker": applies the batch (dropping its reference)
+            // and checkpoints at message boundaries.
+            seat.applied += sent.len() as u64 + 1;
+            drop(sent);
+            if seat.applied >= checkpoint_every {
+                seat.ckpt = seq;
+                seat.applied = 0;
             }
         }
     }
-    std::hint::black_box(&staged);
+    std::hint::black_box(&staging);
     std::hint::black_box(&seats);
-    start.elapsed().as_nanos() as f64 / packets.len() as f64
+    start.elapsed().as_secs_f64()
+}
+
+/// Measures the per-tuple cost of the engine's ingress loop (see
+/// [`dispatch_secs`]) with supervision off — the serial ingress fraction
+/// of one producer, comparable head-to-head with
+/// [`measure_dispatch_scalar_ns`].
+pub fn measure_dispatch_ns(query: &Query, n_shards: usize, packets: &[Packet]) -> f64 {
+    measure_dispatch_supervised_ns(query, n_shards, packets, 0)
+}
+
+/// Measures the ingress loop with the supervision layer's per-message
+/// bookkeeping run inline (see [`dispatch_secs`]); `checkpoint_every == 0`
+/// runs the identical loop with supervision off (the baseline).
+pub fn measure_dispatch_supervised_ns(
+    query: &Query,
+    n_shards: usize,
+    packets: &[Packet],
+    checkpoint_every: u64,
+) -> f64 {
+    assert!(n_shards > 0 && !packets.is_empty());
+    dispatch_secs(query, n_shards, packets, checkpoint_every) * 1e9 / packets.len() as f64
+}
+
+/// Wall-clock aggregate ingress throughput (tuples/s) with `producers`
+/// threads each running the ingress loop over a contiguous slice of
+/// `packets`. On hosts with fewer cores than producers this measures
+/// oversubscription, not the plane — gate on a core count check and fall
+/// back to the modeled aggregate
+/// ([`fd_engine::metrics::fabric_capacity_pps`]).
+pub fn measure_parallel_ingress_tps(
+    query: &Query,
+    n_shards: usize,
+    producers: usize,
+    packets: &[Packet],
+) -> f64 {
+    assert!(producers > 0 && !packets.is_empty());
+    let per = packets.len().div_ceil(producers);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for slice in packets.chunks(per) {
+            let q = query.clone();
+            scope.spawn(move || dispatch_secs(&q, n_shards, slice, 0));
+        }
+    });
+    packets.len() as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Formats a byte count like the paper's log-scale space plots (B, KB, MB).

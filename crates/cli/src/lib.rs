@@ -140,9 +140,8 @@ pub struct CliConfig {
     pub burst: Option<Burst>,
     /// Worker shards for parallel execution (0 = single-threaded engine).
     pub shards: usize,
-    /// Ingress producers for the multi-producer fabric (0 = classic
-    /// single-dispatcher ingress). Any non-zero value engages the sharded
-    /// executor.
+    /// Ingress producers feeding the shard rings (0 = the engine default,
+    /// one). Any non-zero value engages the sharded executor.
     pub producers: usize,
     /// Dispatcher batch size for sharded runs (0 = engine default).
     pub batch: usize,
@@ -234,8 +233,8 @@ OPTIONS (all optional):
     --slack <secs>      engine watermark slack for late tuples          [default: 0]
     --burst <s,e,f>     flood fraction f toward one host in [s, e) secs
     --shards <n>        parallel worker shards, 0 = single-threaded     [default: 0]
-    --producers <n>     multi-producer ingress fabric, 0 = classic
-                        single-dispatcher ingress        [default: 0]
+    --producers <n>     ingress producers feeding the shard rings (sharded
+                        runs), 0 = default               [default: 1]
     --batch <n>         dispatcher batch size (sharded runs), 0 = default [default: 0]
     --checkpoint-every <n>  worker checkpoint interval in tuples (sharded
                         runs); 0 disables supervision   [default: 32768]
@@ -547,8 +546,9 @@ pub fn try_run_report(cfg: &CliConfig) -> Result<RunReport, String> {
         || cfg.lag_budget.is_some();
     let (mut rows, stats, snapshot, drain) = if sharded {
         // A durable store needs the sharded executor (its checkpoints are
-        // what gets persisted); so do the ingress fabric and the overload
-        // controller: those flags without `--shards` run one worker shard.
+        // what gets persisted); so do extra ingress producers and the
+        // overload controller: those flags without `--shards` run one
+        // worker shard.
         let shards = cfg.shards.max(1);
         let mut engine = ShardedEngine::try_new(cfg.query()?, shards).map_err(|e| e.to_string())?;
         if cfg.batch > 0 {
@@ -1026,16 +1026,19 @@ mod tests {
     }
 
     #[test]
-    fn producers_flag_parses_and_matches_single_dispatcher() {
+    fn producers_flag_parses_and_does_not_change_rows() {
         let cfg = CliConfig::parse(["--producers", "4", "--shards", "2"]).unwrap();
         assert_eq!(cfg.producers, 4);
         let cfg = CliConfig::parse(Vec::<String>::new()).unwrap();
         assert_eq!(cfg.producers, 0);
         assert!(CliConfig::parse(["--producers", "x"]).is_err());
-        assert!(CliConfig::parse(["--producers", "0"]).is_ok(), "0 = off");
+        assert!(
+            CliConfig::parse(["--producers", "0"]).is_ok(),
+            "0 = default"
+        );
 
-        // Same trace through the classic dispatcher and the fabric:
-        // identical rows, and the fabric exposes per-producer series.
+        // Same trace through one producer and three: identical rows, and
+        // every producer exposes its own series.
         fn args(producers: &'static str) -> [&'static str; 15] {
             [
                 "--rate",
@@ -1055,8 +1058,8 @@ mod tests {
                 "7",
             ]
         }
-        let classic = run(&CliConfig::parse(args("0")).unwrap());
-        let fabric = run(&CliConfig::parse(args("3")).unwrap());
+        let one = run(&CliConfig::parse(args("0")).unwrap());
+        let three = run(&CliConfig::parse(args("3")).unwrap());
         let rows = |out: &str| -> String {
             out.lines()
                 .take_while(|l| !l.starts_with('#'))
@@ -1064,13 +1067,14 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(
-            rows(&classic),
-            rows(&fabric),
-            "the ingress fabric must not change results"
+            rows(&one),
+            rows(&three),
+            "the producer count must not change results"
         );
-        assert!(!classic.contains("fd_producer_tuples_in"));
-        assert!(fabric.contains("fd_producer_tuples_in{producer=\"2\"}"));
-        assert!(fabric.contains("fd_producer_ring_depth{producer=\"0\",shard=\"1\"}"));
+        assert!(one.contains("fd_producer_tuples_in{producer=\"0\"}"));
+        assert!(!one.contains("fd_producer_tuples_in{producer=\"1\"}"));
+        assert!(three.contains("fd_producer_tuples_in{producer=\"2\"}"));
+        assert!(three.contains("fd_producer_ring_depth{producer=\"0\",shard=\"1\"}"));
     }
 
     #[test]

@@ -163,10 +163,11 @@ const KIND_COMMIT: u8 = 3;
 /// written before the ingress fabric existed have watermark-less batch
 /// records, and growing the old layout in place would make every one of
 /// them misparse on open — classified as torn, silently truncating the
-/// tail of a perfectly good store. The single-dispatcher path (watermark
-/// always 0, punctuation via [`KIND_PUNCT`]) still writes [`KIND_BATCH`],
-/// so its stores stay byte-identical to pre-fabric versions in both
-/// directions.
+/// tail of a perfectly good store. An epoch sealed before any watermark
+/// (`wm == 0`) still writes [`KIND_BATCH`]. [`KIND_PUNCT`] is read-only:
+/// the pre-fabric dispatcher wrote its watermark broadcasts as such
+/// records, and recovery still decodes them (as empty epochs); today a
+/// watermark rides inside a batch record.
 const KIND_BATCH_WM: u8 = 4;
 
 /// Smallest possible encoded packet — used to bound the claimed packet
@@ -279,10 +280,10 @@ pub(crate) struct CommitState {
     pub late_drops: u64,
     /// Highest WAL sequence assigned per shard at commit time.
     pub hi: Vec<u64>,
-    /// Per-producer ingress state for multi-producer fabric runs. Empty
-    /// for single-dispatcher stores (and for stores written before the
-    /// fabric existed — the field is appended after `hi` on the wire and
-    /// only decoded when bytes remain, so legacy commits parse fine).
+    /// Per-producer ingress state, one block per ingress handle. Empty
+    /// only in stores written before the fabric existed — the field is
+    /// appended after `hi` on the wire and only decoded when bytes remain,
+    /// so legacy commits parse fine (and resume as one producer).
     pub producers: Vec<ProducerCommit>,
 }
 
@@ -357,8 +358,8 @@ impl CommitState {
         for &h in &self.hi {
             put_u64(out, h);
         }
-        // Producer blocks ride after `hi` so a legacy (single-dispatcher)
-        // commit is byte-identical to the pre-fabric format.
+        // Producer blocks ride after `hi`, where a pre-fabric commit
+        // simply ends.
         if !self.producers.is_empty() {
             put_u32(out, self.producers.len() as u32);
             for p in &self.producers {
@@ -416,14 +417,14 @@ impl CommitState {
 #[derive(Debug, Clone)]
 pub(crate) enum ReplayMsg {
     /// A batch of admitted packets, carrying the sender's watermark as of
-    /// the batch (0 from the single-dispatcher path, which punctuates via
-    /// dedicated `Punct` records instead).
+    /// the batch (0 in pre-fabric stores, which punctuated via dedicated
+    /// `Punct` records instead).
     Batch {
         seq: u64,
         wm: Micros,
         pkts: Vec<Packet>,
     },
-    /// A watermark broadcast.
+    /// A watermark broadcast (pre-fabric stores only).
     Punct { seq: u64, wm: Micros },
 }
 
@@ -440,8 +441,8 @@ fn decode_wal_record(payload: &[u8]) -> Option<ReplayMsg> {
     match r.u8().ok()? {
         kind @ (KIND_BATCH | KIND_BATCH_WM) => {
             let seq = r.u64().ok()?;
-            // Legacy batches (pre-fabric stores, and the single-dispatcher
-            // path today) carry no watermark field: it is implicitly 0.
+            // Legacy batches (pre-fabric stores, and epochs sealed before
+            // any watermark) carry no watermark field: it is implicitly 0.
             let wm = if kind == KIND_BATCH_WM {
                 r.u64().ok()?
             } else {
@@ -542,11 +543,6 @@ enum WalCmd {
         seq: u64,
         wm: Micros,
         pkts: Arc<Vec<Packet>>,
-    },
-    Punct {
-        shard: usize,
-        seq: u64,
-        wm: Micros,
     },
     Commit(CommitState),
     Finish,
@@ -717,10 +713,6 @@ impl DurableSink {
         });
     }
 
-    pub(crate) fn punct(&mut self, shard: usize, seq: u64, wm: Micros) {
-        self.push(WalCmd::Punct { shard, seq, wm });
-    }
-
     pub(crate) fn commit(&mut self, c: CommitState) {
         self.push(WalCmd::Commit(c));
         self.flush_stash();
@@ -843,9 +835,8 @@ struct Writer {
     abandoned: Arc<AtomicBool>,
     payload_buf: Vec<u8>,
     frame_buf: Vec<u8>,
-    /// The batch-recycling pools, one per producer (a single entry for
-    /// the single-dispatcher engine). The WAL holds a third `Arc` on
-    /// every batch (dispatcher backlog, worker, WAL), and the recycling
+    /// The batch-recycling pools, one per producer. The WAL holds a third
+    /// `Arc` on every batch (replay backlog, worker, WAL), and the recycling
     /// protocol is "last holder returns the buffer" — so the writer must
     /// play too, or every batch it outlives leaks from the pool and the
     /// dispatcher pays a fresh allocation (plus the page faults of filling
@@ -882,7 +873,6 @@ impl Writer {
                     self.recycle(seq, pkts);
                     r
                 }
-                WalCmd::Punct { shard, seq, wm } => self.append_punct(shard, seq, wm),
                 WalCmd::Commit(c) => self.handle_commit(c),
                 WalCmd::Finish => {
                     if let Err(e) = self.final_flush() {
@@ -973,9 +963,8 @@ impl Writer {
     ) -> io::Result<()> {
         self.payload_buf.clear();
         if wm == 0 {
-            // Legacy layout — keeps single-dispatcher stores (and fabric
-            // epochs sealed before any watermark) byte-identical to
-            // pre-fabric versions of this engine.
+            // Legacy layout — keeps epochs sealed before any watermark
+            // byte-identical to pre-fabric versions of this engine.
             self.payload_buf.push(KIND_BATCH);
             put_u64(&mut self.payload_buf, seq);
         } else {
@@ -988,14 +977,6 @@ impl Writer {
         for p in pkts {
             put_packet(&mut self.payload_buf, p, &mut prev_ts);
         }
-        self.append_framed(Some(shard), seq)
-    }
-
-    fn append_punct(&mut self, shard: usize, seq: u64, wm: Micros) -> io::Result<()> {
-        self.payload_buf.clear();
-        self.payload_buf.push(KIND_PUNCT);
-        put_u64(&mut self.payload_buf, seq);
-        put_u64(&mut self.payload_buf, wm);
         self.append_framed(Some(shard), seq)
     }
 
@@ -1844,14 +1825,42 @@ mod tests {
     }
 
     #[test]
-    fn pre_fabric_store_recovers_without_truncation() {
-        // A store laid out byte-for-byte as the engine wrote it before the
-        // ingress fabric existed: watermark-less KIND_BATCH records, a
-        // KIND_PUNCT, a commit with no producer blocks, and no MANIFEST
-        // (crashed before the first manifest commit — zero coverage).
-        // Opening it must parse every record — not misread the new wm
-        // field into the old layout and silently truncate the tail as
-        // torn.
+    fn pre_fabric_store_recovers_without_truncation_and_keeps_working() {
+        use crate::aggregators::fwd_sum_factory;
+        use crate::engine::Engine;
+        use crate::shard::{route_key, ShardedEngine};
+        use crate::udaf::Query;
+        use fd_core::decay::Monomial;
+
+        // A store laid out byte-for-byte as the classic single dispatcher
+        // wrote it before the ingress fabric existed: two shards with
+        // independent seq counters (so unequal `hi`), watermark-less
+        // KIND_BATCH records, a KIND_PUNCT broadcast, a commit with no
+        // producer blocks, and no MANIFEST (crashed before the first
+        // manifest commit — zero coverage). It must parse without a single
+        // truncation, open under one producer, and from there behave like
+        // any other store: commit, crash, reopen, and finish with the
+        // single-threaded engine's rows, bit for bit.
+        const BATCH: usize = 64;
+        let q = || {
+            Query::builder("legacy")
+                .group_by(|p| p.dst_host())
+                .bucket_secs(2)
+                .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
+                .build()
+        };
+        let packets: Vec<Packet> = (0..6_000u32)
+            .map(|i| Packet {
+                ts: u64::from(i) * 1_000,
+                src_ip: i,
+                dst_ip: i * i % 5,
+                src_port: 3,
+                dst_port: 4,
+                len: 40 + i % 1400,
+                proto: Proto::Tcp,
+            })
+            .collect();
+        let expected = Engine::new(q()).run(packets.clone());
         let dir = std::env::temp_dir().join(format!(
             "fd-legacy-store-{}-{:?}",
             std::process::id(),
@@ -1859,45 +1868,58 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let pkts = vec![
-            Packet {
-                ts: 1_000,
-                src_ip: 1,
-                dst_ip: 2,
-                src_port: 3,
-                dst_port: 4,
-                len: 100,
-                proto: Proto::Tcp,
-            };
-            5
-        ];
-        let mut wal = Vec::new();
-        for seq in 1..=2u64 {
-            let mut payload = Vec::new();
-            payload.push(KIND_BATCH);
-            put_u64(&mut payload, seq);
-            put_u32(&mut payload, pkts.len() as u32);
+
+        // The classic dispatcher over the first 1 000 packets: stage per
+        // shard, flush a shard at BATCH tuples, then flush the remainders
+        // and broadcast the watermark.
+        const LEGACY: usize = 1_000;
+        let mut wal: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
+        let mut hi = [0u64; 2];
+        let mut batches = 0u64;
+        let mut flush = |shard: usize, staged: &mut Vec<Packet>| {
+            hi[shard] += 1;
+            batches += 1;
+            let mut payload = vec![KIND_BATCH];
+            put_u64(&mut payload, hi[shard]);
+            put_u32(&mut payload, staged.len() as u32);
             let mut prev = 0u64;
-            for p in &pkts {
-                put_packet(&mut payload, p, &mut prev);
+            for p in staged.drain(..) {
+                put_packet(&mut payload, &p, &mut prev);
             }
-            put_frame(&mut wal, &payload);
+            put_frame(&mut wal[shard], &payload);
+        };
+        let mut staged: [Vec<Packet>; 2] = [Vec::new(), Vec::new()];
+        for p in &packets[..LEGACY] {
+            let shard = route_key(p.dst_host(), 2);
+            staged[shard].push(*p);
+            if staged[shard].len() == BATCH {
+                flush(shard, &mut staged[shard]);
+            }
         }
-        let mut payload = Vec::new();
-        payload.push(KIND_PUNCT);
-        put_u64(&mut payload, 3);
-        put_u64(&mut payload, 2_000_000);
-        put_frame(&mut wal, &payload);
-        std::fs::write(dir.join(wal_name(0, 1)), &wal).expect("write wal");
+        let watermark = packets[LEGACY - 1].ts;
+        for (shard, rest) in staged.iter_mut().enumerate() {
+            if !rest.is_empty() {
+                flush(shard, rest);
+            }
+        }
+        for shard in 0..2 {
+            hi[shard] += 1;
+            let mut payload = vec![KIND_PUNCT];
+            put_u64(&mut payload, hi[shard]);
+            put_u64(&mut payload, watermark);
+            put_frame(&mut wal[shard], &payload);
+            std::fs::write(dir.join(wal_name(shard, 1)), &wal[shard]).expect("write wal");
+        }
+        assert_ne!(hi[0], hi[1], "the classic shards counted independently");
         let commit = CommitState {
-            position: 10,
-            watermark: 2_000_000,
+            position: LEGACY as u64,
+            watermark,
             closed_below: 0,
-            rr: 1,
-            tuples_in: 10,
+            rr: 0,
+            tuples_in: LEGACY as u64,
             filtered: 0,
             late_drops: 0,
-            hi: vec![3],
+            hi: hi.to_vec(),
             producers: Vec::new(),
         };
         let mut ctl = Vec::new();
@@ -1905,23 +1927,81 @@ mod tests {
         commit.encode(&mut payload);
         put_frame(&mut ctl, &payload);
         std::fs::write(dir.join(ctl_name(1)), &ctl).expect("write ctl");
+
+        // Every record parses — none is misread into the newer layout and
+        // cut off as torn.
         let io: Arc<dyn IoBackend> = Arc::new(crate::io::StdFs);
-        let rec = recover(&io, &dir, 1).expect("recover legacy store");
+        let rec = recover(&io, &dir, 2).expect("recover legacy store");
         assert_eq!(rec.truncated, 0, "legacy records must parse, not be cut");
         assert_eq!(rec.commit, commit);
         assert!(rec.resumed);
-        assert_eq!(rec.replay[0].len(), 3);
-        match &rec.replay[0][0] {
-            ReplayMsg::Batch { seq, wm, pkts: got } => {
-                assert_eq!((*seq, *wm), (1, 0), "implied watermark is 0");
-                assert_eq!(got, &pkts);
+        for (replay, &hi) in rec.replay.iter().zip(&hi) {
+            assert_eq!(replay.len() as u64, hi);
+            match &replay[0] {
+                ReplayMsg::Batch { seq, wm, pkts } => {
+                    assert_eq!((*seq, *wm), (1, 0), "implied watermark is 0");
+                    assert_eq!(pkts.len(), BATCH);
+                }
+                other => panic!("bad replay head: {other:?}"),
             }
-            other => panic!("bad replay head: {other:?}"),
+            match replay.last() {
+                Some(ReplayMsg::Punct { seq, wm }) => assert_eq!((*seq, *wm), (hi, watermark)),
+                other => panic!("bad replay tail: {other:?}"),
+            }
         }
-        match &rec.replay[0][2] {
-            ReplayMsg::Punct { seq, wm } => assert_eq!((*seq, *wm), (3, 2_000_000)),
-            other => panic!("bad replay tail: {other:?}"),
+
+        let open = |producers: usize| {
+            ShardedEngine::try_new(q(), 2)
+                .and_then(|e| e.try_batch_size(BATCH))
+                .and_then(|e| e.checkpoint_every(512).try_producers(producers))
+                .and_then(|e| e.try_durable(&dir, DurabilityOptions::default()))
+        };
+        // The classic seq streams are not an epoch interleaving: more than
+        // one producer cannot resume them.
+        match open(2) {
+            Err(fd_core::Error::Durability { detail }) => {
+                assert!(detail.contains("written with 0 producers"), "{detail}")
+            }
+            Err(other) => panic!("expected a Durability refusal, got {other:?}"),
+            Ok(_) => panic!("two producers opened a classic store"),
         }
+        // One producer can. Feed on and commit; a clean finish makes the
+        // commit durable for certain.
+        const COMMITTED: usize = 3_500;
+        {
+            let (mut e, report) = open(1).expect("open the legacy store");
+            assert!(report.resumed);
+            assert_eq!(report.truncated_records, 0);
+            assert_eq!(report.position, LEGACY as u64);
+            assert_eq!(report.replayed_batches, batches);
+            assert_eq!(report.replayed_tuples, LEGACY as u64);
+            for chunk in packets[LEGACY..COMMITTED].chunks(500) {
+                e.try_process_packets(chunk).expect("feed");
+            }
+            e.durable_commit(COMMITTED as u64).expect("commit");
+            e.finish();
+        }
+        // The reopened store carries the per-shard seq bases forward. Feed
+        // some more and crash uncommitted …
+        {
+            let (mut e, report) = open(1).expect("reopen");
+            assert_eq!(report.position, COMMITTED as u64);
+            assert_eq!(report.truncated_records, 0);
+            e.try_process_packets(&packets[COMMITTED..COMMITTED + 700])
+                .expect("feed");
+        }
+        // … which costs nothing but the re-feed.
+        let (mut e, report) = open(1).expect("reopen after the crash");
+        assert_eq!(report.position, COMMITTED as u64);
+        e.try_process_packets(&packets[COMMITTED..]).expect("feed");
+        let rows = e.finish();
+        assert_eq!(expected.len(), rows.len());
+        for (want, got) in expected.iter().zip(&rows) {
+            assert_eq!((want.bucket_start, want.key), (got.bucket_start, got.key));
+            let (w, g) = (want.value.as_float(), got.value.as_float());
+            assert_eq!(w.map(f64::to_bits), g.map(f64::to_bits), "key {}", want.key);
+        }
+        drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

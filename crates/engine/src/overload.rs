@@ -10,10 +10,13 @@
 //! * [`ShedPolicy::Block`] — lossless: keep waiting in deadline-sized
 //!   slices (each slice re-checks the watchdog, so a wedged worker is
 //!   detected and respawned instead of being waited on forever).
-//! * [`ShedPolicy::DropOldest`] — displace the *oldest* queued batch.
-//!   Under forward decay the oldest batch is exactly the one whose
-//!   weights `g(t_i − L)` are smallest, so dropping it loses the least
-//!   decayed mass per tuple shed.
+//! * [`ShedPolicy::DropOldest`] — hollow the *oldest* queued epoch: its
+//!   payload is dropped in place, its sequence number and watermark stay
+//!   queued (every shard must see every seq), and the worker passes the
+//!   hollow epoch in no time, which is what relieves the ring. Under
+//!   forward decay the oldest epoch is exactly the one whose weights
+//!   `g(t_i − L)` are smallest, so dropping it loses the least decayed
+//!   mass per tuple shed.
 //! * [`ShedPolicy::Subsample`] — the paper's own escape hatch: thin
 //!   admitted tuples with inclusion probability proportional to their
 //!   forward-decay weight and attach a `1/p` Horvitz–Thompson scale to
@@ -74,8 +77,9 @@ pub enum ShedPolicy {
     /// (re-checking the stuck-shard watchdog between slices). Lossless;
     /// the default, and the only policy a durable store accepts.
     Block,
-    /// Displace the oldest queued batch to admit the new one — the batch
-    /// with the least decayed mass per tuple. Bounded stall, bounded loss.
+    /// Each time the ring stays full for a whole send deadline, drop the
+    /// payload of the oldest queued epoch — the one with the least decayed
+    /// mass per tuple — then keep sending. Bounded stall, bounded loss.
     DropOldest,
     /// Thin tuples to roughly `target_rate` of the offered stream,
     /// weighted by forward-decay weight, with Horvitz–Thompson
@@ -89,7 +93,7 @@ pub enum ShedPolicy {
 impl ShedPolicy {
     /// Whether this policy can lose data. A durable store refuses lossy
     /// policies: its contract is that acknowledged data survives, and a
-    /// WAL record whose batch was later displaced would resurrect tuples
+    /// WAL record whose batch was later hollowed would resurrect tuples
     /// the telemetry reported shed.
     pub fn is_lossy(&self) -> bool {
         !matches!(self, ShedPolicy::Block)
@@ -170,9 +174,9 @@ impl Default for OverloadConfig {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DrainReport {
     /// Tuples shed by the overload controller over the engine's lifetime
-    /// (thinned by `Subsample` or lost in displaced batches).
+    /// (thinned by `Subsample` or lost in hollowed epochs).
     pub shed_tuples: u64,
-    /// Whole batches displaced by `DropOldest`.
+    /// Whole epochs hollowed by `DropOldest`.
     pub shed_batches: u64,
     /// Wedged workers the watchdog respawned.
     pub wedged_respawns: u64,

@@ -11,16 +11,20 @@
 //! and combines the per-shard closed buckets with
 //! [`Aggregator::merge_boxed`] at the end.
 //!
-//! ## Semantics
+//! ## The ingress plane
 //!
-//! The dispatcher (the caller's thread) replicates the single-threaded
-//! engine's admission logic *globally*: selection, the late-tuple check
-//! against closed buckets, and the watermark advance all happen before a
-//! tuple is routed, so a tuple is accepted or dropped by the sharded
-//! engine exactly when the single-threaded engine would accept or drop
-//! it. Worker watermarks are kept in sync by broadcasting the global
-//! watermark as a punctuation after every batch, which also makes bucket
-//! closing deterministic across runs.
+//! There is one: `P` [`IngressHandle`]s (default 1), each owning a full
+//! admit-route-stage loop, feed every shard worker through a dedicated
+//! per-(producer, shard) SPSC ring. A handle replicates the
+//! single-threaded engine's admission logic — selection, the late-tuple
+//! check against closed buckets, the watermark advance — before a tuple is
+//! routed, so a tuple is accepted or dropped exactly when the
+//! single-threaded engine would accept or drop it. Staged tuples ship as
+//! *epochs*: one sequence-numbered message to **every** shard (possibly
+//! empty), carrying the handle's watermark — a watermark broadcast is an
+//! empty epoch. The engine itself drives the handles in *coordinator
+//! mode* (the feed methods below); [`ShardedEngine::take_ingress_handles`]
+//! detaches them for genuinely parallel feeding.
 //!
 //! Workers run in *state mode* ([`Engine::keep_closed_state`]): a closed
 //! bucket yields raw [`ClosedGroup`] aggregation state rather than
@@ -46,7 +50,7 @@
 //! Each worker periodically serializes its whole engine into a shared
 //! [`CheckpointSlot`] ([`Engine::checkpoint`] — forward decay's frozen
 //! numerators make the snapshot plain data, exact to the bit). The
-//! dispatcher retains the short tail of messages since the last
+//! sending handle retains the short tail of messages since the last
 //! checkpoint. When a send fails (the worker panicked), the supervisor
 //! respawns the worker from the checkpoint with exponential backoff and
 //! replays the tail, after which the run continues **byte-identically**:
@@ -64,14 +68,21 @@
 //! ([`DEFAULT_CHECKPOINT_EVERY`](crate::supervisor::DEFAULT_CHECKPOINT_EVERY)
 //! tuples between checkpoints); [`ShardedEngine::checkpoint_every`] tunes
 //! the interval, and `0` disables the whole layer — no checkpoints, no
-//! backlog, and a dead worker is a hard error again
-//! ([`fd_core::Error::WorkerLost`]), the pre-supervision behavior.
-//! Queries whose aggregators cannot serialize (the samplers) flag their
-//! slot unsupported on the first attempt and likewise fall back to
-//! fail-hard-on-death, degrading instead of erroring.
+//! backlog, and a dead worker is a hard error
+//! ([`fd_core::Error::WorkerLost`]). Queries whose aggregators cannot
+//! serialize (the samplers) flag their slot unsupported on the first
+//! attempt and degrade on death instead of replaying.
+//!
+//! ## Configuration
+//!
+//! Every builder-style setter writes one private [`EngineConfig`] and
+//! rebuilds the plane from it (the workers have seen nothing yet, so
+//! retiring them is free). Setters therefore work in any order, and an
+//! invalid *combination* is an error from whichever call completes it.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
+use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -82,18 +93,18 @@ use crate::durability::{
     recover, CommitState, DurabilityOptions, DurableSink, ProducerCommit, RecoveryReport, ReplayMsg,
 };
 use crate::engine::{ClosedGroup, Engine, EngineStats, Row, StreamEvent};
-use crate::fault::{FaultKind, FaultState};
+use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::io::{FaultyFs, IoBackend};
 use crate::overload::{DrainReport, OverloadConfig, ScaleColumn, ShedPolicy, Subsampler};
-use crate::spsc::{ring, ring_fabric, BatchPool, Capacity, RingReceiver, RingSender, SendError};
+use crate::spsc::{ring, BatchPool, RingReceiver, RingSender, SendError};
 use crate::supervisor::{
-    backoff, CheckpointSlot, SupervisorConfig, WorkerLease, DEFAULT_MAX_RESTARTS,
+    backoff, CheckpointSlot, WorkerLease, DEFAULT_CHECKPOINT_EVERY, DEFAULT_MAX_RESTARTS,
 };
 use crate::telemetry::EngineTelemetry;
 use crate::tuple::{secs, Micros, Packet, Proto};
 use crate::udaf::{Aggregator, Query};
 
-/// How the dispatcher assigns accepted tuples to shards.
+/// How an ingress handle assigns accepted tuples to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBy {
     /// Hash of the group key: each group lives wholly on one shard, so
@@ -108,97 +119,37 @@ pub enum ShardBy {
     RoundRobin,
 }
 
-/// Messages from the dispatcher to a worker, sequence-numbered per shard
-/// (1-based; a [`CheckpointSlot`] stores the seq it covers, `0` meaning
-/// "none yet"). Batches travel behind an `Arc` so the supervision backlog
-/// retains them without copying packets; in unsupervised mode the worker
-/// holds the only reference and recycles the buffer exactly as before.
-/// Batches also carry their send instant so the worker can report
-/// dispatch-to-apply latency.
-///
-/// The multi-producer ingress fabric reuses `Batch` as its *epoch*
-/// message: one per (producer, shard) per sealed epoch, possibly with an
-/// empty packet slice, carrying the producer's admission watermark in
-/// `wm`. The single-dispatcher path always sends `wm: 0` (its watermark
-/// travels as explicit `Punctuate` messages, unchanged).
+/// One epoch's message from an ingress handle to a shard worker,
+/// sequence-numbered per shard (1-based; a [`CheckpointSlot`] stores the
+/// seq it covers, `0` meaning "none yet"). The packets travel behind an
+/// `Arc` so the supervision backlog retains them without copying; in
+/// unsupervised mode the worker holds the only reference and recycles the
+/// buffer. `pkts` may be empty — every shard sees every seq, and a bare
+/// watermark broadcast is exactly that.
 #[derive(Clone)]
-enum Msg {
-    Batch {
-        seq: u64,
-        pkts: Arc<Vec<Packet>>,
-        /// Horvitz–Thompson scale column from subsample shedding, pairing
-        /// each packet with its 1/p reweighting factor (`None` = all ones,
-        /// the only value outside `ShedPolicy::Subsample`).
-        scales: ScaleColumn,
-        wm: Micros,
-        sent: Instant,
-    },
-    Punctuate {
-        seq: u64,
-        wm: Micros,
-    },
+struct Msg {
+    seq: u64,
+    pkts: Arc<Vec<Packet>>,
+    /// Horvitz–Thompson scale column from subsample shedding, pairing
+    /// each packet with its 1/p reweighting factor (`None` = all ones,
+    /// the only value outside `ShedPolicy::Subsample`).
+    scales: ScaleColumn,
+    /// The sending handle's admission watermark as of this epoch.
+    wm: Micros,
+    /// Send instant, for the worker's dispatch-to-apply latency.
+    sent: Instant,
 }
 
-impl Msg {
-    fn seq(&self) -> u64 {
-        match self {
-            Msg::Batch { seq, .. } | Msg::Punctuate { seq, .. } => *seq,
-        }
-    }
-}
-
-/// Supervision state for one shard.
-struct Seat {
-    /// Messages since the last checkpoint, retained for replay. Stays
-    /// empty in unsupervised mode and once a slot reports unsupported.
-    ///
-    /// Shared with the live worker: the dispatcher pushes a clone of each
-    /// message before sending it (one short lock on the hot path), and the
-    /// worker — not the dispatcher — trims covered entries right after
-    /// each checkpoint it publishes, recycling their batch buffers. That
-    /// keeps the reclaim scan, the `Arc` teardown and the pool pushes off
-    /// the dispatch path, on a thread that overlaps it whenever a spare
-    /// core exists. The deque itself outlives the worker (it hangs off
-    /// the seat), so replay after a crash reads it exactly as before.
-    backlog: Arc<Mutex<VecDeque<Msg>>>,
-    /// Next sequence number to assign.
-    next_seq: u64,
-    /// The worker's checkpoint slot (shared across its incarnations).
-    slot: Arc<CheckpointSlot>,
-    /// Restarts consumed so far, cumulative for the run.
-    restarts: u32,
-    degraded: bool,
-    /// The live worker incarnation's progress lease — the stuck-shard
-    /// watchdog's ground truth, replaced wholesale on every respawn.
-    lease: Arc<WorkerLease>,
-    /// Defensive stash for a worker that exited *cleanly* while being
-    /// reaped — not expected (a worker only exits when its channel
-    /// closes), but its state must not be silently dropped if it happens.
-    early_exit: Option<(Vec<ClosedGroup>, EngineStats)>,
-}
-
-impl Seat {
-    fn new() -> Self {
-        Self {
-            backlog: Arc::new(Mutex::new(VecDeque::new())),
-            next_seq: 1,
-            slot: Arc::new(CheckpointSlot::default()),
-            restarts: 0,
-            degraded: false,
-            lease: Arc::new(WorkerLease::default()),
-            early_exit: None,
-        }
-    }
-}
-
-/// Per-shard ring depth (in batches) before the dispatcher blocks. Deep
-/// enough that a worker pausing to serialize a checkpoint (~1 ms on the
-/// fig2 workload) drains queued batches afterwards instead of stalling
-/// the dispatcher.
-const CHANNEL_DEPTH: usize = 32;
-/// Default tuples buffered per shard before an automatic ring send;
-/// override with [`ShardedEngine::batch_size`] (CLI: `--batch`).
+/// Default tuples staged for one shard before its handle seals an epoch;
+/// override with [`ShardedEngine::try_batch_size`] (CLI: `--batch`).
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
+
+/// Per-(producer, shard) ring depth. Each shard worker drains its `P`
+/// rings in strict rotation, so a producer can only ever run this many
+/// epochs ahead of the slowest producer — deep enough to absorb
+/// scheduling jitter and a worker's checkpoint pause, shallow enough to
+/// bound the memory pinned by `P × N` rings.
+pub const FABRIC_RING_DEPTH: usize = 8;
 
 /// Applies one batch to the shard engine, firing any armed panic fault at
 /// its exact tuple position. The position is the engine's cumulative
@@ -255,210 +206,131 @@ fn apply_batch(
 }
 
 /// A shard worker's join handle: the worker returns its closed groups and
-/// end-of-run stats when the channel drains.
+/// end-of-run stats when its rings drain.
 type WorkerHandle = JoinHandle<(Vec<ClosedGroup>, EngineStats)>;
-
-/// Spawns one shard worker around a ready engine (fresh at start-up,
-/// checkpoint-restored on respawn).
-#[allow(clippy::too_many_arguments)]
-fn spawn_worker(
-    shard: usize,
-    mut engine: Engine,
-    rx: RingReceiver<Msg>,
-    registry: Arc<EngineTelemetry>,
-    recycle: BatchPool<Packet>,
-    config: Arc<SupervisorConfig>,
-    slot: Arc<CheckpointSlot>,
-    backlog: Arc<Mutex<VecDeque<Msg>>>,
-    fault: Arc<Mutex<Option<Arc<FaultState>>>>,
-    lease: Arc<WorkerLease>,
-) -> WorkerHandle {
-    std::thread::Builder::new()
-        .name(format!("fd-shard-{shard}"))
-        .spawn(move || {
-            let tel = &registry.shards()[shard];
-            let n_shards = registry.shards().len().max(1);
-            // Tuple-equivalents applied since the last checkpoint
-            // (punctuations count 1, so an idle shard's backlog stays
-            // bounded too).
-            let mut since_ckpt = 0u64;
-            // Shard-by-key balances load well enough that without an
-            // offset every worker hits its checkpoint threshold in the
-            // same instant and all shards stall together — which stalls
-            // the dispatcher. Staggering the *first* interval spreads the
-            // serialization pauses across the whole window.
-            let mut staggered = false;
-            // The snapshot buffer displaced from the slot by each store,
-            // recycled into the next serialization so steady-state
-            // checkpointing stops allocating.
-            let mut spare: Vec<u8> = Vec::new();
-            while let Some(msg) = rx.recv() {
-                // A retired incarnation (the watchdog abandoned it) must
-                // make no further observable moves: its messages have been
-                // replayed to the fresh incarnation, whose applies, gauge
-                // updates and checkpoint stores are the live ones now.
-                if lease.retired() {
-                    return (Vec::new(), engine.stats());
-                }
-                let live = registry.enabled();
-                let active_fault = fault
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-                    .filter(|f| f.plan.shard == shard && f.armed());
-                let seq = msg.seq();
-                match msg {
-                    Msg::Batch {
-                        pkts, scales, sent, ..
-                    } => {
-                        match active_fault.as_ref().map(|f| f.plan.kind) {
-                            Some(FaultKind::SlowShard(d)) => std::thread::sleep(d),
-                            Some(FaultKind::WedgeAtTuple(n))
-                                if engine.stats().tuples_in + pkts.len() as u64 >= n =>
-                            {
-                                // Wedge: stop consuming without crashing, so
-                                // supervision's panic path never fires — only
-                                // the watchdog can notice. Disarm first
-                                // (transient), then spin until the watchdog
-                                // retires this incarnation. The triggering
-                                // batch is NOT applied; it replays to the
-                                // fresh incarnation.
-                                if let Some(f) = active_fault.as_deref() {
-                                    f.disarm();
-                                }
-                                while !lease.retired() {
-                                    std::thread::sleep(Duration::from_millis(1));
-                                }
-                                return (Vec::new(), engine.stats());
-                            }
-                            _ => {}
-                        }
-                        let sc = scales.as_deref().map(|v| v.as_slice());
-                        if live {
-                            let t0 = Instant::now();
-                            apply_batch(&mut engine, &pkts, sc, active_fault.as_deref(), shard);
-                            tel.batch_ns.record(t0.elapsed().as_nanos() as u64);
-                            tel.dispatch_lag_ns.record(sent.elapsed().as_nanos() as u64);
-                            tel.tuples_processed.fetch_add(pkts.len() as u64, Relaxed);
-                        } else {
-                            apply_batch(&mut engine, &pkts, sc, active_fault.as_deref(), shard);
-                        }
-                        since_ckpt += pkts.len() as u64;
-                        // Sole owner ⇒ unsupervised mode: hand the drained
-                        // buffer back for reuse, exactly as before. Under
-                        // supervision the backlog clone wins and the
-                        // buffer is reclaimed by the post-checkpoint trim
-                        // below.
-                        if let Ok(buf) = Arc::try_unwrap(pkts) {
-                            recycle.put(buf);
-                        }
-                    }
-                    Msg::Punctuate { wm, .. } => {
-                        engine.punctuate(wm);
-                        if live {
-                            tel.applied_watermark.store(wm, Relaxed);
-                            tel.lfta_evictions
-                                .store(engine.stats().lfta_evictions, Relaxed);
-                            if let Some(occ) = engine.lfta_occupancy() {
-                                tel.lfta_occupancy.store(occ as u64, Relaxed);
-                            }
-                        }
-                        since_ckpt += 1;
-                    }
-                }
-                lease.record_progress(seq);
-                // Retired mid-apply (the watchdog just abandoned us): the
-                // fresh incarnation owns the checkpoint slot and the queue
-                // gauge from here on, so exit before touching either.
-                if lease.retired() {
-                    return (Vec::new(), engine.stats());
-                }
-                // Checkpoint at message boundaries: the snapshot then means
-                // exactly "everything up to seq applied", which is what
-                // backlog trimming and replay key on. The buffer handed
-                // back above happens-before the seq store, so a trimmed
-                // batch is never still referenced by the worker.
-                let every = config.checkpoint_every.load(Relaxed);
-                if !staggered && every > 0 {
-                    since_ckpt += shard as u64 * every / n_shards as u64;
-                    staggered = true;
-                }
-                if every > 0 && since_ckpt >= every && !slot.unsupported() {
-                    let ckpt_start = crate::telemetry::thread_cpu_ns();
-                    let mut blob = std::mem::take(&mut spare);
-                    match engine.checkpoint_into(&mut blob) {
-                        Ok(()) => {
-                            spare = slot.store(seq, blob).unwrap_or_default();
-                            registry.checkpoints.fetch_add(1, Relaxed);
-                            let spent =
-                                crate::telemetry::thread_cpu_ns().saturating_sub(ckpt_start);
-                            registry.checkpoint_ns.fetch_add(spent, Relaxed);
-                            since_ckpt = 0;
-                            // Trim the replay backlog: everything up to
-                            // `seq` is inside the snapshot just published.
-                            // Running this here — not on the dispatcher —
-                            // keeps the reclaim scan, the `Arc` teardown
-                            // and the pool pushes off the dispatch path.
-                            // Buffers are handed back outside the lock so
-                            // the dispatcher's concurrent push never waits
-                            // on the pool mutex.
-                            let mut covered = Vec::new();
-                            {
-                                let mut log =
-                                    backlog.lock().unwrap_or_else(PoisonError::into_inner);
-                                while log.front().is_some_and(|m| m.seq() <= seq) {
-                                    if let Some(Msg::Batch { pkts, .. }) = log.pop_front() {
-                                        covered.push(pkts);
-                                    }
-                                }
-                            }
-                            for pkts in covered {
-                                if let Ok(buf) = Arc::try_unwrap(pkts) {
-                                    recycle.put(buf);
-                                }
-                            }
-                        }
-                        // Failure is permanent (the aggregate can't
-                        // serialize): flag it so the dispatcher stops
-                        // retaining backlog and degrades on death.
-                        Err(_) => slot.mark_unsupported(),
-                    }
-                }
-                tel.queue_depth.fetch_sub(1, Relaxed);
-            }
-            // Channel closed: end of stream.
-            let state = engine.finish_state();
-            (state, engine.stats())
-        })
-        .expect("spawn shard worker")
-}
-
-/// Per-(producer, shard) ring depth of the multi-producer ingress fabric.
-/// Shallower than the single-dispatcher ring ([`CHANNEL_DEPTH`]): each
-/// shard worker drains its `P` rings in strict rotation, so a producer
-/// can only ever run this many epochs ahead of the slowest producer —
-/// deep enough to absorb scheduling jitter, shallow enough to bound the
-/// memory pinned by `P × N` rings.
-pub const FABRIC_RING_DEPTH: usize = 8;
 
 /// Maps a group key to a shard: Fibonacci hash (multiply by 2⁶⁴/φ), then
 /// multiply-shift fold of the HIGH bits. `h % n` would read the low bits,
 /// which stay skewed for power-of-two-strided keys; the high bits are
 /// well mixed for dense and strided keys alike (pinned by
-/// `key_routing_spreads_within_bound`). Shared by the single dispatcher
-/// and every fabric ingress handle, so keyed routing is identical in both
-/// modes.
+/// `key_routing_spreads_within_bound`).
 #[inline]
-fn route_key(key: u64, n_shards: usize) -> usize {
+pub(crate) fn route_key(key: u64, n_shards: usize) -> usize {
     let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((u128::from(h) * n_shards as u128) >> 64) as usize
 }
 
-/// Recovery state of one fabric shard, behind its own mutex so a
-/// recovering handle never blocks senders of *other* shards. The sender
-/// slots live OUTSIDE this lock (see [`FabShard::senders`]) because a
-/// send can block on a full ring; recovery must be able to run while
-/// other handles are parked in `send`.
+/// Everything configurable about a [`ShardedEngine`], in one value. Every
+/// public setter writes a field here and calls
+/// [`ShardedEngine::rebuild`], which validates the combination and
+/// respawns the plane from it.
+#[derive(Clone)]
+struct EngineConfig {
+    n_shards: usize,
+    producers: usize,
+    routing: ShardBy,
+    batch_size: usize,
+    /// Tuples between worker checkpoints; `0` disables supervision.
+    checkpoint_every: u64,
+    /// Per-shard restart budget before degradation.
+    max_restarts: u32,
+    overload: OverloadConfig,
+    fault: Option<FaultPlan>,
+    /// Hot-path telemetry mirroring.
+    live: bool,
+    /// The durable store to open (or resume), if any.
+    store: Option<(PathBuf, DurabilityOptions)>,
+}
+
+fn invalid(name: &'static str, value: f64, requirement: &'static str) -> fd_core::Error {
+    fd_core::Error::InvalidParameter {
+        name,
+        value,
+        requirement,
+    }
+}
+
+impl EngineConfig {
+    fn new(n_shards: usize) -> Self {
+        Self {
+            n_shards,
+            producers: 1,
+            routing: ShardBy::Key,
+            batch_size: DEFAULT_BATCH_SIZE,
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+            max_restarts: DEFAULT_MAX_RESTARTS,
+            overload: OverloadConfig::default(),
+            fault: None,
+            live: true,
+            store: None,
+        }
+    }
+
+    /// Whether supervision is active: messages are retained for replay
+    /// and workers checkpoint.
+    fn supervising(&self) -> bool {
+        self.checkpoint_every > 0
+    }
+
+    /// Checks the combination, whichever setter completed it.
+    fn validate(&self, query: &Query) -> Result<(), fd_core::Error> {
+        if self.n_shards == 0 {
+            return Err(invalid("n_shards", 0.0, "at least one shard"));
+        }
+        if self.producers == 0 {
+            return Err(invalid("producers", 0.0, "at least one ingress producer"));
+        }
+        if self.batch_size == 0 {
+            return Err(invalid("batch_size", 0.0, "at least one tuple per batch"));
+        }
+        if let ShedPolicy::Subsample { target_rate } = self.overload.policy {
+            // Thinned tuples would *bias* a non-linear summary instead of
+            // reweighting it.
+            if !query.aggregate.make(0).supports_scaled_updates() {
+                return Err(invalid(
+                    "shed_policy",
+                    target_rate,
+                    "paired with an aggregate supporting Horvitz-Thompson \
+                     scaled updates (decayed count/sum/avg)",
+                ));
+            }
+        }
+        if let Some(plan) = &self.fault {
+            if plan.shard >= self.n_shards {
+                return Err(invalid(
+                    "fault shard",
+                    plan.shard as f64,
+                    "a shard this engine has",
+                ));
+            }
+        }
+        if self.store.is_some() {
+            if !self.supervising() {
+                return Err(invalid(
+                    "checkpoint_every",
+                    0.0,
+                    "durability persists checkpoints; supervision must be on",
+                ));
+            }
+            // A WAL must log what was admitted, not what survived a shed.
+            if self.overload.policy.is_lossy() {
+                return Err(invalid(
+                    "shed_policy",
+                    0.0,
+                    "durable stores are lossless; \
+                     overload shedding must be ShedPolicy::Block",
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Recovery state of one shard, behind its own mutex so a recovering
+/// handle never blocks senders of *other* shards. The sender slots live
+/// OUTSIDE this lock (see [`FabShard::senders`]) because a send can block
+/// on a full ring; recovery must be able to run while other handles are
+/// parked in `send`.
 struct FabInner {
     worker: Option<WorkerHandle>,
     /// Restarts consumed so far, cumulative for the run.
@@ -487,51 +359,56 @@ struct FabInner {
     /// Abandoned (wedged) incarnations, joined at finish/drop once they
     /// observe their retired lease (see [`reap_zombies`]).
     zombies: Vec<WorkerHandle>,
-    /// Defensive stash for a worker that exited cleanly while being
-    /// reaped (see [`Seat::early_exit`]).
+    /// Defensive stash for a worker that exited *cleanly* while being
+    /// reaped — not expected (a worker only exits when its rings close),
+    /// but its state must not be silently dropped if it happens.
     early_exit: Option<(Vec<ClosedGroup>, EngineStats)>,
 }
 
-/// One producer's sender slot on one fabric shard: the ring sender,
-/// stamped with the [`FabInner::generation`] it was installed under.
+/// One producer's sender slot on one shard: the ring sender, stamped with
+/// the [`FabInner::generation`] it was installed under.
 type SenderSlot = Mutex<Option<(u64, RingSender<Msg>)>>;
 
-/// One shard of the ingress fabric: the per-producer replay backlogs, the
+/// One shard of the plane: the per-producer replay backlogs, the
 /// checkpoint slot shared across worker incarnations, and one sender slot
 /// per producer.
 struct FabShard {
     /// Per-producer backlog rows of messages since the last checkpoint.
     /// Each row is FIFO in that producer's (strictly increasing) seq;
     /// rows are merged by seq for replay. One mutex for all rows — pushes
-    /// and trims are brief, and a single lock keeps trim atomic.
+    /// and trims are brief, and a single lock keeps trim atomic. The
+    /// worker — not the sender — trims covered entries right after each
+    /// checkpoint it publishes, recycling their buffers off the send path.
     backlogs: Mutex<Vec<VecDeque<Msg>>>,
     /// The worker's checkpoint slot (shared across its incarnations).
     slot: Arc<CheckpointSlot>,
-    /// Per-producer sender slots, each stamped with the
-    /// [`FabInner::generation`] it was installed under: a send refuses a
-    /// sender from a different generation than the one it observed at
-    /// backlog-push time, because that recovery's replay already
-    /// delivered the pushed message. Outside [`FabShard::inner`]: a
-    /// sender blocked on a full ring holds only its own slot's lock, so
-    /// recovery (under `inner`) can proceed — the blocked send fails as
-    /// soon as the dead worker's receiver drops, releasing the slot for
-    /// the recoverer to install a fresh sender into.
+    /// Per-producer sender slots. Outside [`FabShard::inner`]: a sender
+    /// blocked on a full ring holds only its own slot's lock, so recovery
+    /// (under `inner`) can proceed — the blocked send fails as soon as
+    /// the dead worker's receiver drops, releasing the slot for the
+    /// recoverer to install a fresh sender into.
     senders: Vec<SenderSlot>,
     inner: Mutex<FabInner>,
     /// Checked (cheaply) by every handle before sending; set under
     /// `inner` when the restart budget is exhausted.
     degraded: AtomicBool,
+    /// Added to every seq this shard sees. Zero except on a store the
+    /// classic single dispatcher wrote, whose shards had independent seq
+    /// counters: there it is the shard's committed `hi`, so the WAL stays
+    /// contiguous across the upgrade. Such stores only open at `P = 1`.
+    seq_base: u64,
 }
 
-/// Everything the `P` ingress handles and `N` fabric workers share.
+/// Everything the `P` ingress handles and `N` shard workers share.
 ///
 /// ## The producer-seq determinism rule
 ///
-/// Every sealed epoch ships exactly one [`Msg::Batch`] to **every**
-/// shard (possibly empty, always carrying the producer's watermark), and
-/// epochs must be dealt to producers in strict round-robin order starting
-/// at producer 0. Producer `p`'s `k`-th epoch then has the per-shard
-/// sequence number `k·P + p + 1`: the per-shard message stream is
+/// Every sealed epoch ships exactly one [`Msg`] to **every** shard
+/// (possibly empty, always carrying the producer's watermark), and epochs
+/// must be dealt to producers in strict round-robin order starting at
+/// producer 0. Producer `p`'s `k`-th epoch then has the per-shard
+/// sequence number `k·P + p + 1` (plus the shard's
+/// [`seq_base`](FabShard::seq_base)): the per-shard message stream is
 /// *globally* ordered — `seq ≡ producer (mod P)`, consecutive seqs are
 /// consecutive epochs — and each worker drains its rings in fixed
 /// rotation, applying messages in exactly this seq order. Dealing a
@@ -539,45 +416,47 @@ struct FabShard {
 /// the original per-shard apply order bit for bit, and one number
 /// subsumes the `(producer, seq)` pair everywhere downstream: backlog
 /// trim, checkpoint coverage, WAL contiguity and crash recovery all key
-/// on the same per-shard seq the single-dispatcher path already uses.
+/// on it.
 struct FabShared {
-    producers: usize,
+    cfg: EngineConfig,
     shards: Vec<FabShard>,
     telemetry: Arc<EngineTelemetry>,
-    config: Arc<SupervisorConfig>,
-    fault: Arc<Mutex<Option<Arc<FaultState>>>>,
-    /// The per-worker query (selection stripped), for checkpoint restore.
+    /// The armed fault of `cfg.fault`, shared with every worker
+    /// incarnation.
+    fault: Option<Arc<FaultState>>,
+    /// The per-worker query (selection stripped — the handle has already
+    /// applied it), also used to rebuild worker engines from checkpoints.
     worker_query: Query,
     /// Per-producer batch pools (pool sharding): handles never contend on
     /// a shared free list, and total pooled capacity scales with
     /// `producers × shards`.
     pools: Vec<BatchPool<Packet>>,
-    max_restarts: u32,
-    /// The overload control plane (send deadlines, shed policy, watchdog
-    /// lease), shared by every handle's seal path and [`FabShared::send`].
-    overload: OverloadConfig,
     /// Handle end-of-run stats, one slot per producer, written by
-    /// [`IngressHandle::finish`] and folded by [`ShardedEngine::finish`].
+    /// [`IngressHandle::close`] and folded by [`ShardedEngine::finish`].
     stats_out: Mutex<Vec<Option<EngineStats>>>,
 }
 
 impl FabShared {
-    fn supervising(&self) -> bool {
-        self.config.checkpoint_every.load(Relaxed) > 0
+    /// Whether messages to `shard` are retained for replay.
+    fn retaining(&self, shard: usize) -> bool {
+        self.cfg.supervising() && !self.shards[shard].slot.unsupported()
+    }
+
+    /// The producer that sealed `seq` on `shard` (the determinism rule).
+    fn producer_of(&self, shard: usize, seq: u64) -> usize {
+        let k = seq.saturating_sub(self.shards[shard].seq_base + 1);
+        (k % self.cfg.producers as u64) as usize
     }
 
     /// Ships one epoch message from producer `p` to `shard`, retaining it
     /// in the backlog and running the recovery protocol if the send finds
-    /// the worker dead. Mirrors the single dispatcher's
-    /// [`ShardedEngine::dispatch`], made safe for concurrent callers.
+    /// the worker dead. Safe for concurrent callers.
     fn send(self: &Arc<Self>, shard: usize, p: usize, msg: Msg) -> Result<(), fd_core::Error> {
         let sh = &self.shards[shard];
         if sh.degraded.load(Relaxed) {
-            if let Msg::Batch { pkts, .. } = &msg {
-                self.telemetry
-                    .dropped_degraded
-                    .fetch_add(pkts.len() as u64, Relaxed);
-            }
+            self.telemetry
+                .dropped_degraded
+                .fetch_add(msg.pkts.len() as u64, Relaxed);
             return Ok(());
         }
         // Observe the generation and push into the backlog as one atomic
@@ -593,12 +472,16 @@ impl FabShared {
         // delivery.
         let gen = {
             let inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            if self.supervising() && !sh.slot.unsupported() {
+            if self.retaining(shard) {
                 sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner)[p]
                     .push_back(msg.clone());
             }
             inner.generation
         };
+        // Queue depth is a genuinely two-writer gauge (incremented here,
+        // decremented by the worker), so it is a per-message RMW —
+        // unconditional, to keep both sides consistent however the
+        // enabled flag is toggled.
         let tel = &self.telemetry.shards()[shard];
         tel.batches_sent.fetch_add(1, Relaxed);
         tel.queue_depth.fetch_add(1, Relaxed);
@@ -608,7 +491,7 @@ impl FabShared {
             Dead,
             Full,
         }
-        let deadline = self.overload.send_deadline;
+        let overload = &self.cfg.overload;
         let mut pending = Some(msg);
         let sent = loop {
             let attempt = {
@@ -618,7 +501,8 @@ impl FabShared {
                     // recovery whose replay already delivered the message
                     // pushed above — refuse it rather than send a duplicate.
                     Some((stamp, tx)) if *stamp == gen => {
-                        match tx.send_deadline(pending.take().expect("message pending"), deadline) {
+                        let msg = pending.take().expect("message pending");
+                        match tx.send_deadline(msg, overload.send_deadline) {
                             Ok(()) => Attempt::Sent,
                             Err(SendError::Closed(_)) => Attempt::Dead,
                             Err(SendError::Full(m)) => {
@@ -646,10 +530,7 @@ impl FabShared {
                         // delivered the message.
                         break true;
                     }
-                    if self.supervising()
-                        && !sh.slot.unsupported()
-                        && inner.lease.is_stale(self.overload.lease)
-                    {
+                    if self.retaining(shard) && inner.lease.is_stale(overload.lease) {
                         eprintln!(
                             "fd-shard-{shard}: worker wedged (no heartbeat for {:?}); respawning",
                             inner.lease.stale_for()
@@ -659,10 +540,12 @@ impl FabShared {
                         // counted) the message pushed to the backlog above.
                         break true;
                     }
-                    // A slow — not wedged — worker: keep waiting. Lossy
-                    // fabric policies shed whole epochs at seal time,
-                    // before the backlog push; past this point the message
-                    // must be delivered or replayed.
+                    // A slow — not wedged — worker. `Block` and `Subsample`
+                    // keep waiting, one deadline at a time; `DropOldest`
+                    // first relieves it of its stalest queued payload.
+                    if overload.policy == ShedPolicy::DropOldest {
+                        self.hollow_oldest_locked(shard, p);
+                    }
                 }
             }
         };
@@ -671,7 +554,7 @@ impl FabShared {
         }
         // A send fails (or is refused) only if the worker died at some
         // point — i.e. it panicked.
-        if !self.supervising() {
+        if !self.cfg.supervising() {
             return Err(fd_core::Error::WorkerLost { shard });
         }
         let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -686,6 +569,51 @@ impl FabShared {
         Ok(())
     }
 
+    /// `ShedPolicy::DropOldest`: drops the payload of the oldest epoch
+    /// still queued on producer `p`'s ring to `shard`, in place, under the
+    /// ring lock — and of its backlog copy, so a later replay reproduces
+    /// the hollow epoch. Seq and watermark stay, which keeps every shard's
+    /// seq stream dense; the worker passes the hollow epoch in no time,
+    /// which is what relieves the ring. Under forward decay the oldest
+    /// queued tuples are the ones whose weights `g(t_i − L)` are smallest,
+    /// so this loses the least decayed mass per tuple shed. Caller holds
+    /// the shard's `inner`, so no recovery can replay the backlog between
+    /// the two edits.
+    fn hollow_oldest_locked(&self, shard: usize, p: usize) {
+        let sh = &self.shards[shard];
+        let hollowed = sh.senders[p]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .and_then(|(_, tx)| {
+                tx.edit_queued(|m| {
+                    if m.pkts.is_empty() {
+                        return None;
+                    }
+                    m.scales = None;
+                    Some((m.seq, std::mem::take(&mut m.pkts)))
+                })
+            });
+        let Some((seq, pkts)) = hollowed else { return };
+        if let Some(m) = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner)[p]
+            .iter_mut()
+            .find(|m| m.seq == seq)
+        {
+            m.pkts = Arc::default();
+            m.scales = None;
+        }
+        let shed = pkts.len() as u64;
+        self.telemetry.shed_tuples.fetch_add(shed, Relaxed);
+        self.telemetry.shed_batches.fetch_add(1, Relaxed);
+        self.telemetry.shards()[shard]
+            .shed_tuples
+            .fetch_add(shed, Relaxed);
+        self.telemetry.producers()[p]
+            .shed_tuples
+            .fetch_add(shed, Relaxed);
+        self.recycle(p, pkts);
+    }
+
     /// Reaps the dead worker and restarts it from its checkpoint with
     /// exponential backoff, degrading the shard when the budget is
     /// exhausted. Caller holds `inner`. Always bumps the generation —
@@ -697,24 +625,30 @@ impl FabShared {
         self.restart_or_degrade_locked(shard, inner);
     }
 
-    /// Wedge recovery: abandons an unresponsive — but alive — worker and
-    /// restarts the shard through the same bounded-budget path as a
-    /// crashed one. Safe Rust cannot kill a thread, so the old incarnation
-    /// is retired (its lease goes sticky-dead) and parked in
-    /// [`FabInner::zombies`]; if it ever unwedges it observes the retired
-    /// lease and exits without side effects. Caller holds `inner`; the
-    /// generation bump makes every in-flight send against the old rings
-    /// refuse or re-route exactly as for a crash recovery.
-    fn recover_wedged_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
+    /// Retires an unresponsive — but alive — worker incarnation. Safe Rust
+    /// cannot kill a thread, so its lease goes sticky-dead and the thread
+    /// is parked in [`FabInner::zombies`]; if it ever unwedges it observes
+    /// the retired lease and exits without side effects. Caller holds
+    /// `inner`; the generation bump makes every in-flight send against the
+    /// old rings refuse or re-route exactly as for a crash recovery.
+    fn retire_worker_locked(inner: &mut FabInner) {
         inner.generation += 1;
         inner.lease.retire();
         if let Some(handle) = inner.worker.take() {
             if handle.is_finished() {
+                // Its result is deliberately discarded: the successor (or
+                // the checkpoint salvage) accounts for the same tuples.
                 let _ = handle.join();
             } else {
                 inner.zombies.push(handle);
             }
         }
+    }
+
+    /// Wedge recovery: abandons the wedged worker and restarts the shard
+    /// through the same bounded-budget path as a crashed one.
+    fn recover_wedged_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
+        Self::retire_worker_locked(inner);
         self.telemetry.wedged_respawns.fetch_add(1, Relaxed);
         self.restart_or_degrade_locked(shard, inner);
     }
@@ -727,7 +661,7 @@ impl FabShared {
         let sh = &self.shards[shard];
         let mut restored = false;
         if !sh.slot.unsupported() {
-            while inner.restarts < self.max_restarts {
+            while inner.restarts < self.cfg.max_restarts {
                 let attempt = inner.restarts;
                 inner.restarts += 1;
                 self.telemetry.restarts.fetch_add(1, Relaxed);
@@ -757,19 +691,6 @@ impl FabShared {
             .map_or(0, |(_, tx)| tx.len())
     }
 
-    /// Waits up to `deadline` for capacity on producer `p`'s ring to
-    /// `shard`. Sole-producer soundness holds — only handle `p` sends on
-    /// this ring, so `Ready` means the next send will not block.
-    fn ring_capacity(&self, shard: usize, p: usize, deadline: Duration) -> Capacity {
-        let slot = self.shards[shard].senders[p]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match slot.as_ref() {
-            Some((_, tx)) => tx.wait_capacity(deadline),
-            None => Capacity::Closed,
-        }
-    }
-
     /// Joins a dead worker's thread, recording its panic.
     fn reap_locked(&self, shard: usize, inner: &mut FabInner) {
         if let Some(handle) = inner.worker.take() {
@@ -786,17 +707,24 @@ impl FabShared {
         }
     }
 
-    /// Restores an engine from the shard's checkpoint, spawns a new
-    /// worker on fresh rings, replays the backlog tail in seq order, and
-    /// installs the fresh senders (closing finished producers' rings).
-    /// Caller holds `inner`; other handles' sends fail against the old
-    /// rings and park on `inner` until the new generation is published.
+    /// Brings up a worker incarnation for `shard`: restores an engine from
+    /// the shard's checkpoint slot (a fresh one when the slot is empty),
+    /// spawns the worker on fresh rings, replays the backlog tail in seq
+    /// order, and installs the fresh senders (closing finished producers'
+    /// rings). The initial spawn, a crash respawn and a durable resume are
+    /// all this one call — they differ only in what the slot and backlog
+    /// hold. Caller holds `inner`; other handles' sends fail against the
+    /// old rings and park on `inner` until the new generation is
+    /// published. Returns `false` if the restore fails or the worker dies
+    /// mid-replay.
     fn respawn_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) -> bool {
         let sh = &self.shards[shard];
         let (ckpt_seq, engine) = match sh.slot.load() {
             Some((seq, bytes)) => match Engine::restore(self.worker_query.clone(), &bytes) {
                 Ok(e) => (seq, e),
                 Err(err) => {
+                    // "Can't happen" (we wrote these bytes); surface it
+                    // rather than looping on a poisoned slot.
                     eprintln!("fd-shard-{shard}: checkpoint restore failed: {err:?}");
                     return false;
                 }
@@ -807,19 +735,14 @@ impl FabShared {
                 (0, e)
             }
         };
-        let p_count = self.producers;
-        let mut txs = Vec::with_capacity(p_count);
-        let mut rxs = Vec::with_capacity(p_count);
-        for _ in 0..p_count {
-            let (tx, rx) = ring::<Msg>(FABRIC_RING_DEPTH);
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let p_count = self.cfg.producers;
+        let (txs, rxs): (Vec<_>, Vec<_>) =
+            (0..p_count).map(|_| ring::<Msg>(FABRIC_RING_DEPTH)).unzip();
         // A fresh incarnation gets a fresh lease: the old one stays
         // retired forever (any zombie still holding it keeps seeing
         // `retired() == true`), and the watchdog clock restarts from now.
         inner.lease = Arc::new(WorkerLease::default());
-        inner.worker = Some(spawn_fabric_worker(
+        inner.worker = Some(spawn_worker(
             shard,
             engine,
             rxs,
@@ -827,6 +750,8 @@ impl FabShared {
             ckpt_seq,
             Arc::clone(&inner.lease),
         ));
+        // The old rings died with un-decremented messages in them; the
+        // gauges restart from the replay.
         let tel = &self.telemetry.shards()[shard];
         tel.queue_depth.store(0, Relaxed);
         for p in 0..p_count {
@@ -839,17 +764,17 @@ impl FabShared {
         let mut replay: Vec<Msg> = {
             let rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
             rows.iter()
-                .flat_map(|row| row.iter().filter(|m| m.seq() > ckpt_seq).cloned())
+                .flat_map(|row| row.iter().filter(|m| m.seq > ckpt_seq).cloned())
                 .collect()
         };
-        replay.sort_by_key(Msg::seq);
+        replay.sort_by_key(|m| m.seq);
         for msg in replay {
-            let p = ((msg.seq() - 1) % p_count as u64) as usize;
-            if let Msg::Batch { pkts, .. } = &msg {
+            let p = self.producer_of(shard, msg.seq);
+            if !msg.pkts.is_empty() {
                 self.telemetry.replayed_batches.fetch_add(1, Relaxed);
                 self.telemetry
                     .replayed_tuples
-                    .fetch_add(pkts.len() as u64, Relaxed);
+                    .fetch_add(msg.pkts.len() as u64, Relaxed);
             }
             tel.queue_depth.fetch_add(1, Relaxed);
             self.telemetry.producers()[p].ring_depth[shard].fetch_add(1, Relaxed);
@@ -858,10 +783,8 @@ impl FabShared {
             }
         }
         // Only now are the fresh rings reachable by other handles,
-        // stamped with the current generation (bumped by recover_locked
-        // before calling in; unchanged on the durable-resume path). A
-        // finished producer can never close its ring again, so close it
-        // here on its behalf.
+        // stamped with the current generation. A finished producer can
+        // never close its ring again, so close it here on its behalf.
         for (p, tx) in txs.into_iter().enumerate() {
             let mut slot = sh.senders[p].lock().unwrap_or_else(PoisonError::into_inner);
             *slot = if inner.finished[p] {
@@ -892,12 +815,8 @@ impl FabShared {
         let mut dropped = 0u64;
         for (p, row) in rows.into_iter().enumerate() {
             for msg in row {
-                if let Msg::Batch { pkts, .. } = msg {
-                    dropped += pkts.len() as u64;
-                    if let Ok(buf) = Arc::try_unwrap(pkts) {
-                        self.pools[p].put(buf);
-                    }
-                }
+                dropped += msg.pkts.len() as u64;
+                self.recycle(p, msg.pkts);
             }
             self.telemetry.producers()[p].ring_depth[shard].store(0, Relaxed);
         }
@@ -906,14 +825,14 @@ impl FabShared {
     }
 }
 
-/// Spawns one fabric shard worker: drains its `P` dedicated rings in
-/// strict producer rotation (seq order — see the determinism rule on
+/// Spawns one shard worker: drains its `P` dedicated rings in strict
+/// producer rotation (seq order — see the determinism rule on
 /// [`FabShared`]), folds each epoch's batch, advances the
-/// min-across-producers watermark frontier, and checkpoints exactly like
-/// the single-dispatcher worker. `start_seq` is the last applied seq (0
-/// fresh; the checkpoint's seq on respawn), which determines where the
-/// rotation resumes: the producer owning `start_seq + 1`.
-fn spawn_fabric_worker(
+/// min-across-producers watermark frontier, and checkpoints at message
+/// boundaries. `start_seq` is the last applied seq (the shard's seq base
+/// when fresh; the checkpoint's seq on respawn), which determines where
+/// the rotation resumes: the producer owning `start_seq + 1`.
+fn spawn_worker(
     shard: usize,
     mut engine: Engine,
     rxs: Vec<RingReceiver<Msg>>,
@@ -926,9 +845,11 @@ fn spawn_fabric_worker(
         .spawn(move || {
             let registry = Arc::clone(&fab.telemetry);
             let tel = &registry.shards()[shard];
-            let n_shards = registry.shards().len().max(1);
-            let p_count = fab.producers;
-            let mut cursor = (start_seq % p_count as u64) as usize;
+            let sh = &fab.shards[shard];
+            let n_shards = fab.cfg.n_shards;
+            let p_count = fab.cfg.producers;
+            let every = fab.cfg.checkpoint_every;
+            let mut cursor = fab.producer_of(shard, start_seq + 1);
             let mut last_seq = start_seq;
             let mut open = vec![true; p_count];
             // Per-producer watermarks feeding the frontier. A closed
@@ -937,8 +858,16 @@ fn spawn_fabric_worker(
             // producer is live, and an all-closed shard just exits.
             let mut prod_wm: Vec<Micros> = vec![0; p_count];
             let mut frontier_applied: Micros = 0;
-            let mut since_ckpt = 0u64;
-            let mut staggered = false;
+            // Tuple-equivalents applied since the last checkpoint. Shard-
+            // by-key balances load well enough that without an offset
+            // every worker hits its checkpoint threshold in the same
+            // instant and all shards stall together — which stalls the
+            // senders. Staggering the *first* interval spreads the
+            // serialization pauses across the whole window.
+            let mut since_ckpt = shard as u64 * every / n_shards as u64;
+            // The snapshot buffer displaced from the slot by each store,
+            // recycled into the next serialization so steady-state
+            // checkpointing stops allocating.
             let mut spare: Vec<u8> = Vec::new();
             while open.iter().any(|&o| o) {
                 if !open[cursor] {
@@ -953,45 +882,45 @@ fn spawn_fabric_worker(
                     cursor = (cursor + 1) % p_count;
                     continue;
                 };
-                // Retired (the watchdog abandoned this incarnation): the
-                // fresh incarnation replays our messages — exit before
-                // making any observable move.
+                // A retired incarnation (the watchdog abandoned it) must
+                // make no further observable moves: its messages have been
+                // replayed to the fresh incarnation, whose applies, gauge
+                // updates and checkpoint stores are the live ones now.
                 if lease.retired() {
                     return (Vec::new(), engine.stats());
                 }
                 let live = registry.enabled();
                 let active_fault = fab
                     .fault
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
+                    .as_deref()
                     .filter(|f| f.plan.shard == shard && f.armed());
-                let (seq, pkts, scales, wm, sent) = match msg {
-                    Msg::Batch {
-                        seq,
-                        pkts,
-                        scales,
-                        wm,
-                        sent,
-                    } => (seq, pkts, scales, wm, sent),
-                    // The fabric only ships epoch batches; watermarks ride
-                    // inside them.
-                    Msg::Punctuate { .. } => unreachable!("fabric rings carry epochs only"),
-                };
+                let Msg {
+                    seq,
+                    pkts,
+                    scales,
+                    wm,
+                    sent,
+                } = msg;
                 debug_assert!(
                     seq > last_seq,
-                    "fabric seq went backwards on shard {shard}: {seq} after {last_seq}"
+                    "seq went backwards on shard {shard}: {seq} after {last_seq}"
                 );
                 last_seq = seq;
-                match active_fault.as_ref().map(|f| f.plan.kind) {
-                    Some(FaultKind::SlowShard(d)) => std::thread::sleep(d),
+                match active_fault.map(|f| f.plan.kind) {
+                    // Slow *processing*: an epoch without payload (a bare
+                    // watermark, or one `DropOldest` hollowed) has nothing
+                    // to be slow on.
+                    Some(FaultKind::SlowShard(d)) if !pkts.is_empty() => std::thread::sleep(d),
                     Some(FaultKind::WedgeAtTuple(n))
                         if engine.stats().tuples_in + pkts.len() as u64 >= n =>
                     {
-                        // See the single-dispatcher worker: disarm, spin
-                        // until retired, exit without applying this batch
-                        // (it replays to the fresh incarnation).
-                        if let Some(f) = active_fault.as_deref() {
+                        // Wedge: stop consuming without crashing, so
+                        // supervision's panic path never fires — only the
+                        // watchdog can notice. Disarm first (transient),
+                        // then spin until the watchdog retires this
+                        // incarnation. The triggering batch is NOT
+                        // applied; it replays to the fresh incarnation.
+                        if let Some(f) = active_fault {
                             f.disarm();
                         }
                         while !lease.retired() {
@@ -1004,21 +933,20 @@ fn spawn_fabric_worker(
                 let sc = scales.as_deref().map(|v| v.as_slice());
                 if live {
                     let t0 = Instant::now();
-                    apply_batch(&mut engine, &pkts, sc, active_fault.as_deref(), shard);
+                    apply_batch(&mut engine, &pkts, sc, active_fault, shard);
                     tel.batch_ns.record(t0.elapsed().as_nanos() as u64);
                     tel.dispatch_lag_ns.record(sent.elapsed().as_nanos() as u64);
                     tel.tuples_processed.fetch_add(pkts.len() as u64, Relaxed);
                 } else {
-                    apply_batch(&mut engine, &pkts, sc, active_fault.as_deref(), shard);
+                    apply_batch(&mut engine, &pkts, sc, active_fault, shard);
                 }
                 // Epochs count their batch plus the embedded watermark as
                 // tuple-equivalents, so idle shards still checkpoint.
                 since_ckpt += pkts.len() as u64 + 1;
-                if !pkts.is_empty() {
-                    if let Ok(buf) = Arc::try_unwrap(pkts) {
-                        fab.pools[cursor].put(buf);
-                    }
-                }
+                // Sole owner ⇒ unsupervised: hand the drained buffer back
+                // for reuse. Under supervision the backlog clone wins and
+                // the buffer is reclaimed by the post-checkpoint trim.
+                fab.recycle(cursor, pkts);
                 // The frontier is the min watermark across ALL producers:
                 // a bucket may only close once no producer can still send
                 // tuples for it (PAPER.md §VI-B's per-site merge rule).
@@ -1039,51 +967,55 @@ fn spawn_fabric_worker(
                     }
                 }
                 lease.record_progress(seq);
-                // Retired mid-apply: the fresh incarnation owns the
-                // checkpoint slot and the gauges from here on.
+                // Retired mid-apply (the watchdog just abandoned us): the
+                // fresh incarnation owns the checkpoint slot and the
+                // gauges from here on, so exit before touching either.
                 if lease.retired() {
                     return (Vec::new(), engine.stats());
                 }
-                let every = fab.config.checkpoint_every.load(Relaxed);
-                if !staggered && every > 0 {
-                    since_ckpt += shard as u64 * every / n_shards as u64;
-                    staggered = true;
-                }
-                if every > 0 && since_ckpt >= every && !fab.shards[shard].slot.unsupported() {
+                // Checkpoint at message boundaries: the snapshot then means
+                // exactly "everything up to seq applied", which is what
+                // backlog trimming and replay key on. The buffer handed
+                // back above happens-before the seq store, so a trimmed
+                // batch is never still referenced by the worker.
+                if every > 0 && since_ckpt >= every && !sh.slot.unsupported() {
                     let ckpt_start = crate::telemetry::thread_cpu_ns();
                     let mut blob = std::mem::take(&mut spare);
                     match engine.checkpoint_into(&mut blob) {
                         Ok(()) => {
-                            spare = fab.shards[shard].slot.store(seq, blob).unwrap_or_default();
+                            spare = sh.slot.store(seq, blob).unwrap_or_default();
                             registry.checkpoints.fetch_add(1, Relaxed);
                             let spent =
                                 crate::telemetry::thread_cpu_ns().saturating_sub(ckpt_start);
                             registry.checkpoint_ns.fetch_add(spent, Relaxed);
                             since_ckpt = 0;
                             // Trim every producer's backlog row up to the
-                            // covered seq, recycling buffers outside the
-                            // lock into each producer's own pool.
+                            // covered seq. Running this here — not on the
+                            // sender — keeps the reclaim scan, the `Arc`
+                            // teardown and the pool pushes off the send
+                            // path; buffers are handed back outside the
+                            // lock so a concurrent push never waits on a
+                            // pool mutex.
                             let mut covered: Vec<(usize, Arc<Vec<Packet>>)> = Vec::new();
                             {
-                                let mut rows = fab.shards[shard]
-                                    .backlogs
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner);
+                                let mut rows =
+                                    sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
                                 for (p, row) in rows.iter_mut().enumerate() {
-                                    while row.front().is_some_and(|m| m.seq() <= seq) {
-                                        if let Some(Msg::Batch { pkts, .. }) = row.pop_front() {
-                                            covered.push((p, pkts));
+                                    while row.front().is_some_and(|m| m.seq <= seq) {
+                                        if let Some(m) = row.pop_front() {
+                                            covered.push((p, m.pkts));
                                         }
                                     }
                                 }
                             }
                             for (p, pkts) in covered {
-                                if let Ok(buf) = Arc::try_unwrap(pkts) {
-                                    fab.pools[p].put(buf);
-                                }
+                                fab.recycle(p, pkts);
                             }
                         }
-                        Err(_) => fab.shards[shard].slot.mark_unsupported(),
+                        // Failure is permanent (the aggregate can't
+                        // serialize): flag it so senders stop retaining
+                        // backlog and the shard degrades on death.
+                        Err(_) => sh.slot.mark_unsupported(),
                     }
                 }
                 registry.producers()[cursor].ring_depth[shard].fetch_sub(1, Relaxed);
@@ -1095,9 +1027,9 @@ fn spawn_fabric_worker(
         .expect("spawn shard worker")
 }
 
-/// One producer's share of the multi-producer ingress plane: a full
-/// route-and-scatter stage (admission, staging buffers, its own batch
-/// pool) that feeds every shard worker through a dedicated SPSC ring.
+/// One producer's share of the ingress plane: a full admit-route-stage
+/// loop (staging buffers, its own batch pool) that feeds every shard
+/// worker through a dedicated SPSC ring.
 ///
 /// Handles come from [`ShardedEngine::take_ingress_handles`] and are
 /// `Send` (not `Sync`): move each onto its own ingress thread. Admission
@@ -1107,177 +1039,200 @@ fn spawn_fabric_worker(
 /// §VI-B). Workers close buckets at the *min* watermark across producers,
 /// so a tuple admitted by its handle is never late at its worker. For
 /// streams whose disorder stays within the query's slack, every admission
-/// decision is identical to the single-dispatcher engine's.
+/// decision is identical to the single-threaded engine's.
 ///
 /// ## The epoch contract
 ///
-/// Each [`ingest`](Self::ingest) call seals one *epoch*: exactly one
-/// message per shard (possibly empty, always carrying the handle's
-/// watermark). For deterministic — bit-identical — results, deal input
-/// chunks to the handles in round-robin order starting at producer 0:
-/// producer `p`'s `k`-th epoch carries the per-shard seq `k·P + p + 1`
-/// (see the determinism rule on the fabric), so round-robin dealing makes
-/// per-shard seqs dense and the apply order unambiguous. The coordinator
-/// mode of [`ShardedEngine`] (handles *not* taken) deals this way
-/// automatically.
+/// A handle seals an *epoch* — exactly one message per shard (possibly
+/// empty, always carrying the handle's watermark) — whenever one shard's
+/// staging buffer reaches the batch size, and once more at the end of each
+/// [`ingest`](Self::ingest) call. For deterministic — bit-identical —
+/// results, deal input chunks to the handles in round-robin order starting
+/// at producer 0: producer `p`'s `k`-th epoch carries the per-shard seq
+/// `k·P + p + 1` (see the determinism rule on the plane), and workers
+/// apply epochs in seq order. The coordinator mode of [`ShardedEngine`]
+/// (handles *not* taken) deals this way automatically.
 pub struct IngressHandle {
     producer: usize,
     query: Query,
-    routing: ShardBy,
     fab: Arc<FabShared>,
     /// Per-shard staging buffers, swapped against [`Self::pool`] buffers
-    /// at each seal.
+    /// at each seal, so steady-state ingress never allocates.
     staging: Vec<Vec<Packet>>,
-    /// Scratch for the vectorized scatter: pass 1 writes one shard index
-    /// per tuple (`u32::MAX` = rejected), pass 2 scatters by it.
-    shard_of: Vec<u32>,
     /// This producer's pool (a clone of `fab.pools[producer]`).
     pool: BatchPool<Packet>,
-    batch_size: usize,
     /// Epochs sealed so far; the next seal ships seq
-    /// `epochs · P + producer + 1`.
+    /// `epochs · P + producer + 1` (plus each shard's base).
     epochs: u64,
     /// This producer's decay-aware thinning stage, present only under
     /// [`ShedPolicy::Subsample`].
     subsampler: Option<Subsampler>,
     rr: usize,
     watermark: Micros,
+    /// The watermark the last sealed epoch carried: a later advance is
+    /// news the workers have not heard.
+    sealed_wm: Micros,
     /// Closed boundary in timestamp space (`closed_below · bucket_micros`).
     closed_low: Micros,
     stats: EngineStats,
-    live: bool,
     finished: bool,
 }
 
 impl IngressHandle {
-    fn new(
-        producer: usize,
-        query: Query,
-        routing: ShardBy,
-        batch_size: usize,
-        live: bool,
-        fab: &Arc<FabShared>,
-    ) -> Self {
-        let n_shards = fab.shards.len();
-        let subsampler = match fab.overload.policy {
+    fn new(producer: usize, query: Query, fab: &Arc<FabShared>) -> Self {
+        let overload = &fab.cfg.overload;
+        let subsampler = match overload.policy {
             ShedPolicy::Subsample { target_rate } => Some(Subsampler::new(
-                fab.overload.decay.clone(),
+                overload.decay.clone(),
                 query.bucket_micros,
                 target_rate,
-                fab.overload.seed ^ (producer as u64).wrapping_mul(0xA076_1D64_78BD_642F),
+                overload.seed ^ (producer as u64).wrapping_mul(0xA076_1D64_78BD_642F),
             )),
             _ => None,
         };
         Self {
             producer,
             query,
-            routing,
             fab: Arc::clone(fab),
-            staging: vec![Vec::new(); n_shards],
-            shard_of: Vec::new(),
+            staging: vec![Vec::new(); fab.cfg.n_shards],
             pool: fab.pools[producer].clone(),
-            batch_size,
             epochs: 0,
             subsampler,
             rr: 0,
             watermark: 0,
+            sealed_wm: 0,
             closed_low: 0,
             stats: EngineStats::default(),
-            live,
             finished: false,
         }
     }
 
-    /// Admits and scatters one chunk, then seals it as one epoch. See the
-    /// epoch contract above for how calls must interleave across handles.
+    /// Restores the admission state a durable commit froze, so re-fed
+    /// input meets the exact decisions (and seq assignments) of the first
+    /// run.
+    fn resume(&mut self, block: &ProducerCommit) {
+        self.watermark = block.watermark;
+        self.sealed_wm = block.watermark;
+        self.closed_low = block.closed_below.saturating_mul(self.query.bucket_micros);
+        self.rr = (block.rr as usize) % self.staging.len();
+        self.epochs = block.epochs;
+        self.stats.tuples_in = block.tuples_in;
+        self.stats.filtered = block.filtered;
+        self.stats.late_drops = block.late_drops;
+    }
+
+    /// The admission state a durable commit freezes.
+    fn commit_block(&self) -> ProducerCommit {
+        ProducerCommit {
+            watermark: self.watermark,
+            closed_below: self.closed_low / self.query.bucket_micros,
+            rr: self.rr as u64,
+            epochs: self.epochs,
+            tuples_in: self.stats.tuples_in,
+            filtered: self.stats.filtered,
+            late_drops: self.stats.late_drops,
+        }
+    }
+
+    /// Admits and scatters one chunk, sealing an epoch each time a shard's
+    /// staging buffer fills and once at the end. See the epoch contract
+    /// above for how calls must interleave across handles.
     pub fn ingest(&mut self, pkts: &[Packet]) -> Result<(), fd_core::Error> {
-        self.ingest_logged(pkts, None)
+        let mut rest = pkts;
+        loop {
+            let (used, _) = self.stage(rest);
+            rest = &rest[used..];
+            if rest.is_empty() {
+                break;
+            }
+            self.seal_epoch()?;
+        }
+        self.seal_epoch()
     }
 
-    /// [`ingest`](Self::ingest) with an optional WAL hook: the
-    /// coordinator passes its durability writer so each shard's epoch is
-    /// logged *before* it is sent (write-ahead, same ordering as the
-    /// single dispatcher).
-    pub(crate) fn ingest_logged(
-        &mut self,
-        pkts: &[Packet],
-        durable: Option<&mut DurableSink>,
-    ) -> Result<(), fd_core::Error> {
-        self.stage(pkts);
-        self.seal_logged(durable)
-    }
-
-    /// The batch-vectorized scatter. Pass 1 fuses admission (selection,
-    /// late check in timestamp space, watermark advance) with the
-    /// multiply-shift hash fold over the whole slice, writing one shard
-    /// index per tuple into the scratch array; pass 2 is a software
-    /// write-combining sweep that moves tuples into per-shard staging
-    /// with the branchy admission work already out of the way. Admission
-    /// is decision-for-decision the single dispatcher's columnar path
-    /// ([`ShardedEngine::try_process_packets`]), against this handle's
-    /// local watermark.
-    fn stage(&mut self, pkts: &[Packet]) {
-        const REJECT: u32 = u32::MAX;
+    /// The one ingress loop: a single fused pass per tuple doing admission
+    /// (selection, late check, watermark advance), routing, and the push
+    /// into the owning shard's staging buffer. Stops once a staging buffer
+    /// reaches the batch size; returns how many tuples it consumed and
+    /// whether it stopped for that reason (the caller seals and comes
+    /// back with the rest).
+    ///
+    /// Admission mirrors [`Engine::process`] decision for decision. The
+    /// late check compares timestamps against the closed boundary held in
+    /// timestamp space (`closed_below · bucket_micros`), which removes
+    /// both per-tuple divisions: `ts / bm < closed_below  ⇔
+    /// ts < closed_below · bm` exactly, for non-negative integers, and the
+    /// boundary division reruns only when the watermark gains a whole
+    /// bucket. Stats and telemetry mirrors are stored once per call.
+    fn stage(&mut self, pkts: &[Packet]) -> (usize, bool) {
         let bm = self.query.bucket_micros;
         let slack = self.query.slack_micros;
         let n_shards = self.staging.len();
+        let routing = self.fab.cfg.routing;
+        let batch_size = self.fab.cfg.batch_size;
         let mut wm = self.watermark;
         let mut closed_low = self.closed_low;
         let mut filtered = 0u64;
         let mut late = 0u64;
-        self.shard_of.clear();
-        self.shard_of.reserve(pkts.len());
-        for pkt in pkts {
-            let idx = if self.query.filter.as_ref().is_some_and(|f| !f(pkt)) {
+        let mut used = pkts.len();
+        let mut full = false;
+        for (i, pkt) in pkts.iter().enumerate() {
+            if self.query.filter.as_ref().is_some_and(|f| !f(pkt)) {
                 filtered += 1;
-                REJECT
-            } else if pkt.ts < closed_low {
+                continue;
+            }
+            if pkt.ts < closed_low {
                 late += 1;
-                REJECT
-            } else {
-                wm = wm.max(pkt.ts);
-                let horizon = wm.saturating_sub(slack);
-                if horizon >= closed_low.saturating_add(bm) {
-                    closed_low = (horizon / bm) * bm;
+                continue;
+            }
+            wm = wm.max(pkt.ts);
+            let horizon = wm.saturating_sub(slack);
+            if horizon >= closed_low.saturating_add(bm) {
+                closed_low = (horizon / bm) * bm;
+            }
+            let shard = match routing {
+                ShardBy::Key => route_key((self.query.group_by)(pkt), n_shards),
+                ShardBy::RoundRobin => {
+                    let s = self.rr;
+                    self.rr = (self.rr + 1) % n_shards;
+                    s
                 }
-                let key = (self.query.group_by)(pkt);
-                (match self.routing {
-                    ShardBy::Key => route_key(key, n_shards),
-                    ShardBy::RoundRobin => {
-                        let s = self.rr;
-                        self.rr = (self.rr + 1) % n_shards;
-                        s
-                    }
-                }) as u32
             };
-            self.shard_of.push(idx);
-        }
-        for (pkt, &s) in pkts.iter().zip(&self.shard_of) {
-            if s != REJECT {
-                self.staging[s as usize].push(*pkt);
+            let buf = &mut self.staging[shard];
+            buf.push(*pkt);
+            if buf.len() >= batch_size {
+                used = i + 1;
+                full = true;
+                break;
             }
         }
-        self.stats.tuples_in += pkts.len() as u64;
+        self.stats.tuples_in += used as u64;
         self.stats.filtered += filtered;
         self.stats.late_drops += late;
         self.watermark = wm;
         self.closed_low = closed_low;
-        if self.live {
+        if self.fab.cfg.live {
             self.mirror_admission();
         }
+        (used, full)
     }
 
-    /// Advances this handle's watermark as an explicit punctuation would:
-    /// the next sealed epoch carries it to every shard (the fabric ships
-    /// no separate punctuation messages).
+    /// Advances this handle's watermark as an explicit punctuation would;
+    /// the next sealed epoch carries it to every shard.
     pub fn punctuate(&mut self, ts: Micros) {
         self.watermark = self.watermark.max(ts);
         let bm = self.query.bucket_micros;
         let target = (self.watermark.saturating_sub(self.query.slack_micros) / bm) * bm;
         self.closed_low = self.closed_low.max(target);
-        if self.live {
+        if self.fab.cfg.live {
             self.mirror_admission();
         }
+    }
+
+    /// Whether sealing now would tell the workers anything: staged tuples,
+    /// or a watermark advance since the last seal.
+    fn dirty(&self) -> bool {
+        self.watermark > self.sealed_wm || self.staging.iter().any(|s| !s.is_empty())
     }
 
     /// Seals the staged tuples as one epoch: exactly one sequence-stamped
@@ -1287,105 +1242,76 @@ impl IngressHandle {
         self.seal_logged(None)
     }
 
+    /// [`seal_epoch`](Self::seal_epoch) with an optional WAL hook: the
+    /// coordinator passes its durability writer so each shard's message
+    /// is logged *before* it is sent (write-ahead), and on the same ring
+    /// the later commit record travels on — a commit can never be written
+    /// before the epochs it covers.
     fn seal_logged(&mut self, mut durable: Option<&mut DurableSink>) -> Result<(), fd_core::Error> {
-        let p_count = self.fab.producers;
+        let fab = Arc::clone(&self.fab);
+        let p_count = fab.cfg.producers;
         let n_shards = self.staging.len();
-        let policy = self.fab.overload.policy;
-        let deadline = self.fab.overload.send_deadline;
-        let budget = self.fab.overload.lag_budget.min(FABRIC_RING_DEPTH);
-        // Lossy shedding happens HERE, before a seq is assigned or any
-        // message ships: the fabric's per-shard apply order is keyed by
-        // dense per-producer seqs, so dropping a single (producer, shard)
-        // message would wedge every worker's strict rotation. DropOldest
-        // therefore sheds the WHOLE epoch when any live shard's ring stays
-        // full past the deadline (the seq is reused by the next seal —
-        // density preserved); Subsample thins the staged batches in place
-        // and ships the epoch normally, with its scale columns. Lossy
-        // policies are refused for durable runs at config time, so the WAL
-        // never has to distinguish a shed epoch from a missing one.
-        match policy {
-            ShedPolicy::Block => {}
-            ShedPolicy::DropOldest => {
-                let stalled = (0..n_shards).any(|s| {
-                    !self.fab.shards[s].degraded.load(Relaxed)
-                        && !self.staging[s].is_empty()
-                        && matches!(
-                            self.fab.ring_capacity(s, self.producer, deadline),
-                            Capacity::TimedOut
-                        )
-                });
-                if stalled {
-                    let mut shed = 0u64;
-                    for stage in &mut self.staging {
-                        shed += stage.len() as u64;
-                        stage.clear();
-                    }
-                    self.fab.telemetry.shed_tuples.fetch_add(shed, Relaxed);
-                    self.fab.telemetry.shed_batches.fetch_add(1, Relaxed);
-                    self.fab.telemetry.producers()[self.producer]
-                        .shed_tuples
-                        .fetch_add(shed, Relaxed);
-                    return Ok(());
-                }
-            }
-            ShedPolicy::Subsample { .. } => {}
-        }
+        // `Subsample` thins the staged batches in place — as soon as a
+        // shard sits at or past its lag budget, before its ring is even
+        // full — and ships the epoch normally, with its scale columns.
+        // The budget clamps to the ring depth, so the default
+        // (`usize::MAX`) engages thinning only against a full ring.
         let mut scale_cols: Vec<ScaleColumn> = vec![None; n_shards];
-        if let Some(mut sub) = self.subsampler.take() {
-            let mut sc = Vec::new();
+        if let Some(sub) = self.subsampler.as_mut() {
+            let budget = fab.cfg.overload.lag_budget.min(FABRIC_RING_DEPTH);
             for (shard, col) in scale_cols.iter_mut().enumerate() {
-                if self.staging[shard].is_empty()
-                    || self.fab.ring_len(shard, self.producer) < budget
-                {
+                if self.staging[shard].is_empty() || fab.ring_len(shard, self.producer) < budget {
                     continue;
                 }
+                let mut sc = Vec::new();
                 let shed = sub.thin(&mut self.staging[shard], &mut sc);
-                *col = Some(Arc::new(std::mem::take(&mut sc)));
+                *col = Some(Arc::new(sc));
                 if shed > 0 {
-                    self.fab.telemetry.shed_tuples.fetch_add(shed, Relaxed);
-                    self.fab.telemetry.shards()[shard]
+                    fab.telemetry.shed_tuples.fetch_add(shed, Relaxed);
+                    fab.telemetry.shards()[shard]
                         .shed_tuples
                         .fetch_add(shed, Relaxed);
-                    self.fab.telemetry.producers()[self.producer]
+                    fab.telemetry.producers()[self.producer]
                         .shed_tuples
                         .fetch_add(shed, Relaxed);
                 }
             }
-            self.subsampler = Some(sub);
         }
-        let seq = self.epochs * p_count as u64 + self.producer as u64 + 1;
+        let epoch_seq = self.epochs * p_count as u64 + self.producer as u64 + 1;
         self.epochs += 1;
         let wm = self.watermark;
+        self.sealed_wm = wm;
+        // One dead unsupervised worker must not cost the other shards
+        // their message: ship the whole epoch, report the first failure.
+        let mut result = Ok(());
         for (shard, col) in scale_cols.iter_mut().enumerate() {
+            let seq = fab.shards[shard].seq_base + epoch_seq;
             let pkts = if self.staging[shard].is_empty() {
                 // Nothing staged: ship the bare epoch marker without
                 // churning a pooled buffer through the ring.
-                Arc::new(Vec::new())
+                Arc::default()
             } else {
                 Arc::new(std::mem::replace(
                     &mut self.staging[shard],
-                    self.pool.take(self.batch_size),
+                    self.pool.take(fab.cfg.batch_size),
                 ))
             };
             if let Some(d) = durable.as_deref_mut() {
                 d.batch(shard, seq, &pkts, wm);
             }
-            let msg = Msg::Batch {
+            let msg = Msg {
                 seq,
                 pkts,
                 scales: col.take(),
                 wm,
                 sent: Instant::now(),
             };
-            self.fab.send(shard, self.producer, msg)?;
+            result = result.and(fab.send(shard, self.producer, msg));
         }
-        if self.live {
-            let t = &self.fab.telemetry.producers()[self.producer];
-            t.epochs_sent.store(self.epochs, Relaxed);
-            t.pool_reuses.store(self.pool.reuses(), Relaxed);
-            t.pool_allocs.store(self.pool.allocs(), Relaxed);
+        if fab.cfg.live {
+            self.mirror_epochs();
         }
-        Ok(())
+        result
     }
 
     /// Single-writer mirrors of this producer's admission counters.
@@ -1397,20 +1323,28 @@ impl IngressHandle {
         t.watermark_us.store(self.watermark, Relaxed);
     }
 
+    /// Single-writer mirrors of this producer's epoch and pool counters.
+    fn mirror_epochs(&self) {
+        let t = &self.fab.telemetry.producers()[self.producer];
+        t.epochs_sent.store(self.epochs, Relaxed);
+        t.pool_reuses.store(self.pool.reuses(), Relaxed);
+        t.pool_allocs.store(self.pool.allocs(), Relaxed);
+    }
+
     /// This handle's admission counters so far.
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
 
-    /// Ends this producer's stream: seals any staged remainder as a final
+    /// Ends this producer's stream: seals any unsent remainder as a final
     /// epoch, closes its rings (removing the producer from every worker's
     /// rotation and from the frontier min), and records its stats for
     /// [`ShardedEngine::finish`] to fold.
     pub fn finish(mut self) -> EngineStats {
-        if self.staging.iter().any(|s| !s.is_empty()) {
+        if self.dirty() {
             // Only unsupervised worker loss can error here; the panic is
             // surfaced (counted, logged) by the engine's finish/join.
-            let _ = self.seal_logged(None);
+            let _ = self.seal_epoch();
         }
         self.close();
         self.stats
@@ -1431,22 +1365,15 @@ impl IngressHandle {
             *sh.senders[self.producer]
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = None;
-            drop(inner);
         }
-        let mut out = self
-            .fab
+        self.fab
             .stats_out
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        out[self.producer] = Some(self.stats);
-        drop(out);
+            .unwrap_or_else(PoisonError::into_inner)[self.producer] = Some(self.stats);
         // Final mirrors are unconditional, so a post-run snapshot agrees
         // with the folded stats even with live telemetry off.
         self.mirror_admission();
-        let t = &self.fab.telemetry.producers()[self.producer];
-        t.epochs_sent.store(self.epochs, Relaxed);
-        t.pool_reuses.store(self.pool.reuses(), Relaxed);
-        t.pool_allocs.store(self.pool.allocs(), Relaxed);
+        self.mirror_epochs();
     }
 }
 
@@ -1472,185 +1399,242 @@ impl Drop for IngressHandle {
 /// let mut sharded = ShardedEngine::try_new(query, 4).expect("spawn shards");
 /// # let pkt = Packet { ts: 1_000_000, src_ip: 1, dst_ip: 2, src_port: 3,
 /// #                    dst_port: 80, len: 100, proto: Proto::Tcp };
-/// sharded.process_batch(&[StreamEvent::Data(pkt)]);
+/// sharded.try_process_batch(&[StreamEvent::Data(pkt)]).expect("workers alive");
 /// let rows = sharded.finish();
 /// assert_eq!(rows.len(), 1);
 /// ```
 pub struct ShardedEngine {
     query: Query,
-    /// The per-worker copy of the query (selection stripped — the
-    /// dispatcher has already applied it); also used to rebuild worker
-    /// engines from checkpoints.
-    worker_query: Query,
-    routing: ShardBy,
-    /// `None` = worker gone (degraded, or channel closed at finish).
-    senders: Vec<Option<RingSender<Msg>>>,
-    workers: Vec<Option<WorkerHandle>>,
-    seats: Vec<Seat>,
-    /// Per-shard staging buffers; swapped against [`Self::pool`] buffers
-    /// on flush, so steady-state dispatch never allocates.
-    pending: Vec<Vec<Packet>>,
-    /// Recycled batch buffers, returned by workers: directly after apply
-    /// (unsupervised) or by the post-checkpoint backlog trim (supervised).
-    pool: BatchPool<Packet>,
-    /// Tuples staged per shard before an automatic flush.
-    batch_size: usize,
-    /// Scratch for segmenting [`StreamEvent`] runs, reused across calls.
-    run_buf: Vec<Packet>,
-    rr: usize,
-    watermark: Micros,
-    closed_below: u64,
-    /// Dispatcher-side admission counters (tuples_in / filtered /
-    /// late_drops); worker-side counters are folded in at finish.
-    stats: EngineStats,
-    shard_stats: Vec<EngineStats>,
-    /// Shared live-metrics registry (also held by every worker).
-    telemetry: Arc<EngineTelemetry>,
-    /// Supervision tunables shared with the running workers.
-    config: Arc<SupervisorConfig>,
-    /// Per-shard restart budget before degradation.
-    max_restarts: u32,
-    /// The overload control plane: shed policy, bounded-lag send
-    /// deadline, lag budget, watchdog lease. Always present — the default
-    /// is lossless `Block` with a long lease, which preserves the
-    /// pre-overload semantics while still bounding every hot-path send.
-    overload: OverloadConfig,
-    /// Per-shard thinning stages, non-empty only under
-    /// [`ShedPolicy::Subsample`] in single-dispatcher mode (the fabric's
-    /// handles each own their own).
-    subsamplers: Vec<Subsampler>,
-    /// Abandoned (wedged) worker incarnations, joined at finish/drop once
-    /// they observe their retired lease (see [`reap_zombies`]).
-    zombies: Vec<WorkerHandle>,
-    /// Injected fault, if any (shared with every worker incarnation).
-    fault: Arc<Mutex<Option<Arc<FaultState>>>>,
-    /// The durability writer, when [`ShardedEngine::try_durable`] opened a
-    /// store. `None` = in-memory supervision only (the default).
-    durable: Option<DurableSink>,
-    /// The multi-producer ingress fabric, when
-    /// [`try_producers`](Self::try_producers) enabled it. `None` = classic
-    /// single-dispatcher mode (everything below `seats`/`senders` etc.).
-    fabric: Option<Arc<FabShared>>,
+    /// The one configuration value; see [`ShardedEngine::rebuild`].
+    cfg: EngineConfig,
+    /// The ingress plane built from `cfg`.
+    fab: Arc<FabShared>,
     /// Coordinator-mode ingress handles; emptied by
     /// [`take_ingress_handles`](Self::take_ingress_handles).
-    fab_handles: Vec<IngressHandle>,
-    /// Next handle to deal a chunk to (coordinator mode).
-    fab_cursor: usize,
-    /// Epochs dealt so far (coordinator mode). Dealing round-robin from
-    /// producer 0, epoch `i` (0-based) carries seq `i + 1` — so this is
-    /// also the highest per-shard seq assigned, which durable commits
-    /// record as `hi`.
-    fab_epochs: u64,
-    /// Per-tuple staging for coordinator mode, dealt as an epoch every
-    /// `batch_size` tuples.
-    fab_chunk: Vec<Packet>,
-    /// Cached `telemetry.enabled()` so the per-tuple hot path tests a
-    /// plain bool instead of an atomic.
-    live: bool,
+    handles: Vec<IngressHandle>,
+    /// The handle staging the stream right now. Epochs are dealt in
+    /// strict rotation (the determinism rule), so only this handle ever
+    /// holds staged tuples and `cursor ≡ epochs dealt (mod P)`.
+    cursor: usize,
+    /// Scratch for segmenting [`StreamEvent`] runs, reused across calls.
+    run_buf: Vec<Packet>,
+    /// Admission counters folded from the handles at finish, plus the
+    /// combiner's row/bucket counts.
+    stats: EngineStats,
+    shard_stats: Vec<EngineStats>,
+    /// The durability writer, when `cfg.store` names a store.
+    durable: Option<DurableSink>,
+    /// Set by the first feed call: configuration is over.
+    started: bool,
     done: bool,
 }
 
-impl ShardedEngine {
-    /// Spawns `n_shards` workers for the query. Panics on zero shards;
-    /// see [`ShardedEngine::try_new`] for the reporting variant.
-    #[deprecated(since = "0.6.0", note = "use `try_new` and handle the error")]
-    pub fn new(query: Query, n_shards: usize) -> Self {
-        Self::try_new(query, n_shards).unwrap_or_else(|e| panic!("{e}"))
-    }
+/// What [`spawn_plane`] hands the engine.
+struct Plane {
+    fab: Arc<FabShared>,
+    handles: Vec<IngressHandle>,
+    /// Present exactly when the configuration names a store.
+    store: Option<(DurableSink, RecoveryReport)>,
+}
 
-    /// Spawns `n_shards` workers for the query, reporting instead of
-    /// panicking when `n_shards` is zero.
-    pub fn try_new(query: Query, n_shards: usize) -> Result<Self, fd_core::Error> {
-        if n_shards == 0 {
-            return Err(fd_core::Error::InvalidParameter {
-                name: "n_shards",
-                value: 0.0,
-                requirement: "at least one shard",
+/// Builds the ingress plane a configuration describes: telemetry, pools,
+/// one worker per shard, one handle per producer, and — when the
+/// configuration names a store — the durable resume: workers are restored
+/// from the on-disk checkpoints, the WAL tail is replayed through the
+/// normal message path, and every handle gets back the admission state of
+/// the newest honorable commit.
+fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd_core::Error> {
+    cfg.validate(query)?;
+    let (n, producers) = (cfg.n_shards, cfg.producers);
+    let fault = cfg.fault.map(|plan| Arc::new(FaultState::new(plan)));
+    let recovered = match &cfg.store {
+        Some((dir, opts)) => {
+            // An armed disk fault fires inside the durability layer.
+            let io: Arc<dyn IoBackend> = match fault.as_deref().map(|f| f.plan.kind) {
+                Some(FaultKind::Disk(d)) => Arc::new(FaultyFs::new(Arc::clone(&opts.io), d)),
+                _ => Arc::clone(&opts.io),
+            };
+            Some((recover(&io, dir, n)?, io))
+        }
+        None => None,
+    };
+    // What the store's commit says about the producers. A store the
+    // classic single dispatcher wrote has no producer blocks: its scalar
+    // fields are the one producer's state, and its per-shard `hi` — the
+    // classic shards counted independently — become the seq bases.
+    let resumed = recovered
+        .as_ref()
+        .filter(|(r, _)| r.resumed)
+        .map(|(r, _)| &r.commit);
+    let blocks: Vec<ProducerCommit> = match resumed {
+        None => Vec::new(),
+        Some(c) if c.producers.is_empty() && producers == 1 => vec![ProducerCommit {
+            watermark: c.watermark,
+            closed_below: c.closed_below,
+            rr: c.rr,
+            epochs: 0,
+            tuples_in: c.tuples_in,
+            filtered: c.filtered,
+            late_drops: c.late_drops,
+        }],
+        Some(c) if c.producers.len() != producers => {
+            return Err(fd_core::Error::Durability {
+                detail: format!(
+                    "store was written with {} producers, engine configured with \
+                     {producers}; the epoch interleaving is producer-count-specific",
+                    c.producers.len()
+                ),
             });
         }
-        let telemetry = Arc::new(EngineTelemetry::new(n_shards));
-        let pool = BatchPool::new(0); // bound set below, once config exists
-        let config = Arc::new(SupervisorConfig::default());
-        let fault: Arc<Mutex<Option<Arc<FaultState>>>> = Arc::new(Mutex::new(None));
-        // The dispatcher has already applied the selection; don't pay for
-        // it again on the worker.
-        let mut worker_query = query.clone();
-        worker_query.filter = None;
-        let seats: Vec<Seat> = (0..n_shards).map(|_| Seat::new()).collect();
-        let mut senders = Vec::with_capacity(n_shards);
-        let mut workers = Vec::with_capacity(n_shards);
-        for (i, seat) in seats.iter().enumerate() {
-            let mut engine = Engine::new(worker_query.clone());
-            engine.keep_closed_state();
-            let (tx, rx) = ring::<Msg>(CHANNEL_DEPTH);
-            let handle = spawn_worker(
-                i,
-                engine,
-                rx,
-                Arc::clone(&telemetry),
-                pool.clone(),
-                Arc::clone(&config),
-                Arc::clone(&seat.slot),
-                Arc::clone(&seat.backlog),
-                Arc::clone(&fault),
-                Arc::clone(&seat.lease),
-            );
-            senders.push(Some(tx));
-            workers.push(Some(handle));
-        }
-        let engine = Self {
-            query,
-            worker_query,
-            routing: ShardBy::Key,
-            senders,
-            workers,
-            seats,
-            pending: vec![Vec::new(); n_shards],
-            pool,
-            batch_size: DEFAULT_BATCH_SIZE,
-            run_buf: Vec::new(),
-            rr: 0,
-            watermark: 0,
-            closed_below: 0,
-            stats: EngineStats::default(),
-            shard_stats: vec![EngineStats::default(); n_shards],
-            telemetry,
-            config,
-            max_restarts: DEFAULT_MAX_RESTARTS,
-            overload: OverloadConfig::default(),
-            subsamplers: Vec::new(),
-            zombies: Vec::new(),
-            fault,
-            durable: None,
-            fabric: None,
-            fab_handles: Vec::new(),
-            fab_cursor: 0,
-            fab_epochs: 0,
-            fab_chunk: Vec::new(),
-            live: true,
-            done: false,
-        };
-        engine.retune_pool();
-        Ok(engine)
+        Some(c) => c.producers.clone(),
+    };
+    let epochs_dealt: u64 = blocks.iter().map(|b| b.epochs).sum();
+    let seq_base = |shard: usize| -> Result<u64, fd_core::Error> {
+        let hi = resumed.map_or(0, |c| c.hi[shard]);
+        hi.checked_sub(epochs_dealt)
+            .ok_or_else(|| fd_core::Error::Durability {
+                detail: format!(
+                    "shard {shard}: commit covers seq {hi} but its producers sealed \
+                     {epochs_dealt} epochs"
+                ),
+            })
+    };
+    let telemetry = Arc::new(EngineTelemetry::with_producers(n, producers));
+    telemetry.set_enabled(cfg.live);
+    // The handles have already applied the selection; don't pay for it
+    // again on the worker.
+    let mut worker_query = query.clone();
+    worker_query.filter = None;
+    let mut shards = Vec::with_capacity(n);
+    for shard in 0..n {
+        shards.push(FabShard {
+            backlogs: Mutex::new((0..producers).map(|_| VecDeque::new()).collect()),
+            slot: Arc::new(CheckpointSlot::default()),
+            senders: (0..producers).map(|_| Mutex::new(None)).collect(),
+            inner: Mutex::new(FabInner {
+                worker: None,
+                restarts: 0,
+                generation: 0,
+                finished: vec![false; producers],
+                lease: Arc::new(WorkerLease::default()),
+                zombies: Vec::new(),
+                early_exit: None,
+            }),
+            degraded: AtomicBool::new(false),
+            seq_base: seq_base(shard)?,
+        });
     }
+    let fab = Arc::new(FabShared {
+        cfg: cfg.clone(),
+        shards,
+        telemetry,
+        fault,
+        worker_query,
+        pools: (0..producers).map(|_| BatchPool::new(0)).collect(),
+        stats_out: Mutex::new(vec![None; producers]),
+    });
+    fab.size_pools();
+    // Preload what the store holds, exactly as if the handles had sent it
+    // moments ago: the spawn below then restores each worker from its
+    // checkpoint and feeds it everything past it through the normal path.
+    let mut replayed_batches = 0u64;
+    let mut replayed_tuples = 0u64;
+    if let Some((rec, _)) = &recovered {
+        for (shard, sh) in fab.shards.iter().enumerate() {
+            if let Some((seq, bytes)) = &rec.ckpts[shard] {
+                let _ = sh.slot.store(*seq, bytes.clone());
+            }
+            let mut rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
+            for r in &rec.replay[shard] {
+                // A classic store's punctuation record is an empty epoch.
+                let (seq, wm, pkts) = match r {
+                    ReplayMsg::Batch { seq, wm, pkts } => (*seq, *wm, pkts.clone()),
+                    ReplayMsg::Punct { seq, wm } => (*seq, *wm, Vec::new()),
+                };
+                if !pkts.is_empty() {
+                    replayed_batches += 1;
+                    replayed_tuples += pkts.len() as u64;
+                }
+                rows[fab.producer_of(shard, seq)].push_back(Msg {
+                    seq,
+                    pkts: Arc::new(pkts),
+                    scales: None,
+                    wm,
+                    sent: Instant::now(),
+                });
+            }
+        }
+    }
+    for (shard, sh) in fab.shards.iter().enumerate() {
+        let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if !fab.respawn_locked(shard, &mut inner) {
+            return Err(fd_core::Error::Durability {
+                detail: format!("shard {shard} worker died replaying the WAL tail"),
+            });
+        }
+    }
+    let mut handles: Vec<IngressHandle> = (0..producers)
+        .map(|p| IngressHandle::new(p, query.clone(), &fab))
+        .collect();
+    for (h, block) in handles.iter_mut().zip(&blocks) {
+        h.resume(block);
+    }
+    let store = match (&cfg.store, recovered) {
+        (Some((dir, opts)), Some((rec, io))) => {
+            fab.telemetry
+                .wal_records_truncated
+                .store(rec.truncated, Relaxed);
+            fab.telemetry
+                .recovery_replayed_batches
+                .store(replayed_batches, Relaxed);
+            let report = RecoveryReport {
+                position: rec.commit.position,
+                watermark: rec.commit.watermark,
+                replayed_batches,
+                replayed_tuples,
+                truncated_records: rec.truncated,
+                resumed: rec.resumed,
+            };
+            // The writer recycles each batch buffer back to the pool of
+            // the producer that sealed it, so every producer's bounded
+            // pool keeps its hit rate.
+            let sink = DurableSink::spawn(
+                dir,
+                &io,
+                opts.fsync,
+                opts.segment_bytes,
+                &rec,
+                fab.shards.iter().map(|s| Arc::clone(&s.slot)).collect(),
+                Arc::clone(&fab.telemetry),
+                fab.pools.clone(),
+            )?;
+            Some((sink, report))
+        }
+        _ => None,
+    };
+    Ok(Plane {
+        fab,
+        handles,
+        store,
+    })
+}
 
-    /// Bounds the batch-buffer free list to the engine's actual working
-    /// set: ring + staging buffers per shard, plus — when supervising —
-    /// one checkpoint window of backlog per shard. Backlogged batches are
-    /// alive until their trim, so a pool bound below the window would
-    /// drop every trimmed buffer and force a cold allocation per batch;
-    /// sized to the window, steady state recycles the same warm buffers.
-    fn retune_pool(&self) {
-        let window = match self.config.checkpoint_every.load(Relaxed) {
+impl FabShared {
+    /// Bounds each producer's batch-buffer free list to its share of the
+    /// working set — per shard, a full ring plus one staging buffer plus
+    /// (supervised) one checkpoint window of backlog — and faults that
+    /// working set in now, off the ingest path. Backlogged batches are
+    /// alive until their trim, so a bound below the window would drop
+    /// every trimmed buffer and force a cold allocation (and a page fault
+    /// per 4 KB of batch) per epoch. The prewarm is capped so pathological
+    /// checkpoint intervals cannot turn spawn into a 100 MB memset.
+    fn size_pools(&self) {
+        let batch = self.cfg.batch_size;
+        let window = match self.cfg.checkpoint_every {
             0 => 0,
-            every => ((every / self.batch_size as u64) + 2).min(512) as usize,
+            every => ((every / batch as u64) + 2).min(512) as usize,
         };
-        // Fault the working set in now, off the dispatch path. First use of
-        // a cold batch buffer otherwise charges the dispatcher a page fault
-        // per 4 KB of batch, and supervision's backlog roughly doubles how
-        // many buffers circulate — the faults alone would eat the <3%
-        // dispatch budget. Capped so pathological checkpoint intervals
-        // cannot turn spawn into a 100 MB memset.
+        let bound = self.cfg.n_shards * (FABRIC_RING_DEPTH + 1 + window);
         let blank = Packet {
             ts: 0,
             src_ip: 0,
@@ -1660,97 +1644,111 @@ impl ShardedEngine {
             len: 0,
             proto: Proto::Tcp,
         };
-        if let Some(fab) = &self.fabric {
-            // Pool sharding: each producer owns a pool sized for its share
-            // of the fabric working set — per shard, a full ring plus one
-            // staging buffer plus (supervised) one checkpoint window of
-            // backlog. Total pooled capacity therefore scales with
-            // `producers × shards`; a single-producer-sized pool would
-            // drop most trimmed buffers and collapse the recycling
-            // hit-rate under the fabric.
-            let bound = self.n_shards() * (FABRIC_RING_DEPTH + 1 + window);
-            for pool in &fab.pools {
-                pool.set_max_pooled(bound);
-                pool.prewarm(bound.min(256), self.batch_size, blank);
-            }
-        } else {
-            let bound = self.n_shards() * (CHANNEL_DEPTH + 1 + window);
-            self.pool.set_max_pooled(bound);
-            self.pool.prewarm(bound.min(512), self.batch_size, blank);
+        for pool in &self.pools {
+            pool.set_max_pooled(bound);
+            pool.prewarm(bound.min(256), batch, blank);
         }
     }
 
-    /// Sets the routing policy (default [`ShardBy::Key`]). Must be called
-    /// before any tuple is processed.
-    pub fn routing(mut self, routing: ShardBy) -> Self {
-        assert_eq!(self.stats.tuples_in, 0, "set routing before processing");
-        self.routing = routing;
-        for h in &mut self.fab_handles {
-            h.routing = routing;
+    /// Drops one reference to a batch, returning the buffer to producer
+    /// `p`'s pool when it was the last (bare epoch markers own none).
+    fn recycle(&self, p: usize, pkts: Arc<Vec<Packet>>) {
+        if pkts.capacity() > 0 {
+            if let Ok(buf) = Arc::try_unwrap(pkts) {
+                self.pools[p].put(buf);
+            }
+        }
+    }
+}
+
+impl ShardedEngine {
+    /// Spawns `n_shards` workers for the query, fed by one ingress
+    /// producer in coordinator mode. Errors when `n_shards` is zero.
+    pub fn try_new(query: Query, n_shards: usize) -> Result<Self, fd_core::Error> {
+        let cfg = EngineConfig::new(n_shards);
+        let plane = spawn_plane(&query, &cfg)?;
+        Ok(Self {
+            query,
+            cfg,
+            fab: plane.fab,
+            handles: plane.handles,
+            cursor: 0,
+            run_buf: Vec::new(),
+            stats: EngineStats::default(),
+            shard_stats: vec![EngineStats::default(); n_shards],
+            durable: None,
+            started: false,
+            done: false,
+        })
+    }
+
+    /// Retires the current plane — its workers have seen nothing, so
+    /// their drained state is empty — and respawns it from `self.cfg`:
+    /// the one place configuration is read. Returns the store's recovery
+    /// report when the configuration names one.
+    ///
+    /// # Panics
+    /// If a tuple has already been processed: configuration is over.
+    fn rebuild(&mut self) -> Result<Option<RecoveryReport>, fd_core::Error> {
+        assert!(!self.started, "configure the engine before processing");
+        self.retire();
+        let plane = spawn_plane(&self.query, &self.cfg)?;
+        self.fab = plane.fab;
+        self.handles = plane.handles;
+        self.cursor = (self.handles.iter().map(|h| h.epochs).sum::<u64>()
+            % self.cfg.producers as u64) as usize;
+        self.shard_stats = vec![EngineStats::default(); self.cfg.n_shards];
+        let (sink, report) = plane.store.unzip();
+        self.durable = sink;
+        Ok(report)
+    }
+
+    /// [`rebuild`](Self::rebuild) for the setters that cannot return an
+    /// error. Without a store a rebuild cannot fail; with one (a setter
+    /// called after [`try_durable`](Self::try_durable)) it reopens the
+    /// store and can.
+    ///
+    /// # Panics
+    /// If the rebuild fails.
+    fn rebuilt(mut self) -> Self {
+        if let Err(e) = self.rebuild() {
+            panic!("{e}");
         }
         self
     }
 
-    /// Sets the flush threshold: tuples staged per shard before a batch
-    /// ships to the worker (default [`DEFAULT_BATCH_SIZE`]). Larger
-    /// batches amortize ring and wakeup costs; smaller ones cut
-    /// dispatch-to-apply latency. Must be called before any tuple is
-    /// processed; panics on zero — see [`ShardedEngine::try_batch_size`]
-    /// for the reporting variant.
-    pub fn batch_size(self, n: usize) -> Self {
-        self.try_batch_size(n).unwrap_or_else(|e| panic!("{e}"))
+    /// Sets the routing policy (default [`ShardBy::Key`]).
+    pub fn routing(mut self, routing: ShardBy) -> Self {
+        self.cfg.routing = routing;
+        self.rebuilt()
     }
 
-    /// Sets the flush threshold, reporting instead of panicking on zero.
+    /// Sets the batch size: tuples staged for one shard before its epoch
+    /// ships (default [`DEFAULT_BATCH_SIZE`]). Larger batches amortize
+    /// ring and wakeup costs; smaller ones cut ingest-to-apply latency.
+    /// Errors on zero.
     pub fn try_batch_size(mut self, n: usize) -> Result<Self, fd_core::Error> {
-        if n == 0 {
-            return Err(fd_core::Error::InvalidParameter {
-                name: "batch_size",
-                value: 0.0,
-                requirement: "at least one tuple per batch",
-            });
-        }
-        assert_eq!(self.stats.tuples_in, 0, "set batch size before processing");
-        self.batch_size = n;
-        for h in &mut self.fab_handles {
-            h.batch_size = n;
-        }
-        self.retune_pool();
+        self.cfg.batch_size = n;
+        self.rebuild()?;
         Ok(self)
     }
 
     /// Sets how many tuples a worker applies between engine checkpoints
-    /// (default
-    /// [`DEFAULT_CHECKPOINT_EVERY`](crate::supervisor::DEFAULT_CHECKPOINT_EVERY)).
-    /// Smaller intervals shorten the replay tail at the price of more
-    /// serialization; `0` disables supervision entirely — no checkpoints,
-    /// no backlog, and a dead worker is once again a hard error. Must be
-    /// called before any tuple is processed.
-    pub fn checkpoint_every(self, tuples: u64) -> Self {
-        assert_eq!(
-            self.stats.tuples_in, 0,
-            "set checkpoint interval before processing"
-        );
-        self.config.checkpoint_every.store(tuples, Relaxed);
-        self.retune_pool();
-        self
+    /// (default [`DEFAULT_CHECKPOINT_EVERY`]). Smaller intervals shorten
+    /// the replay tail at the price of more serialization; `0` disables
+    /// supervision entirely — no checkpoints, no backlog, and a dead
+    /// worker is a hard error.
+    pub fn checkpoint_every(mut self, tuples: u64) -> Self {
+        self.cfg.checkpoint_every = tuples;
+        self.rebuilt()
     }
 
     /// Sets the per-shard restart budget (default
     /// [`DEFAULT_MAX_RESTARTS`]): after this many respawns a shard is
-    /// degraded instead of restarted. Must be called before any tuple is
-    /// processed.
+    /// degraded instead of restarted.
     pub fn max_restarts(mut self, n: u32) -> Self {
-        assert_eq!(
-            self.stats.tuples_in, 0,
-            "set restart budget before processing"
-        );
-        assert!(
-            self.fabric.is_none(),
-            "set the restart budget before try_producers"
-        );
-        self.max_restarts = n;
-        self
+        self.cfg.max_restarts = n;
+        self.rebuilt()
     }
 
     /// Configures the overload control plane (see [`crate::overload`]):
@@ -1763,237 +1761,87 @@ impl ShardedEngine {
     ///
     /// [`ShedPolicy::Subsample`] is refused for queries whose aggregate
     /// cannot apply Horvitz–Thompson scaled updates (anything beyond the
-    /// decayed counts, sums and averages): thinned tuples would *bias*
-    /// such summaries instead of reweighting them. Must be called before
-    /// any tuple is processed, before
-    /// [`try_producers`](Self::try_producers) (the fabric handles capture
-    /// the config at construction) and before
-    /// [`try_durable`](Self::try_durable) (which refuses lossy policies
-    /// outright — a WAL must log what was admitted, not what survived a
-    /// shed).
+    /// decayed counts, sums and averages), and any lossy policy is refused
+    /// on an engine with a durable store.
     pub fn try_overload(mut self, cfg: OverloadConfig) -> Result<Self, fd_core::Error> {
-        assert_eq!(
-            self.stats.tuples_in, 0,
-            "configure overload before processing"
-        );
-        assert!(
-            self.fabric.is_none(),
-            "call try_overload before try_producers"
-        );
-        assert!(
-            self.durable.is_none(),
-            "call try_overload before try_durable"
-        );
-        self.subsamplers = match cfg.policy {
-            ShedPolicy::Subsample { target_rate } => {
-                if !self.query.aggregate.make(0).supports_scaled_updates() {
-                    return Err(fd_core::Error::InvalidParameter {
-                        name: "shed_policy",
-                        value: target_rate,
-                        requirement: "paired with an aggregate supporting \
-                                      Horvitz-Thompson scaled updates \
-                                      (decayed count/sum/avg)",
-                    });
-                }
-                (0..self.n_shards())
-                    .map(|s| {
-                        Subsampler::new(
-                            cfg.decay.clone(),
-                            self.query.bucket_micros,
-                            target_rate,
-                            cfg.seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        )
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-        self.overload = cfg;
+        self.cfg.overload = cfg;
+        self.rebuild()?;
         Ok(self)
     }
 
     /// Arms a deterministic fault in one shard worker (see
     /// [`crate::fault`]) — the hook the recovery tests and the CI fault
-    /// matrix drive. Must be called before any tuple is processed; panics
-    /// if the plan names a shard this engine doesn't have.
-    pub fn inject_fault(self, plan: crate::fault::FaultPlan) -> Self {
-        assert_eq!(self.stats.tuples_in, 0, "inject faults before processing");
-        assert!(
-            plan.shard < self.n_shards(),
-            "fault shard {} out of range (engine has {} shards)",
-            plan.shard,
-            self.n_shards()
-        );
-        *self.fault.lock().unwrap_or_else(PoisonError::into_inner) =
-            Some(Arc::new(FaultState::new(plan)));
-        self
+    /// matrix drive.
+    ///
+    /// # Panics
+    /// If the plan names a shard this engine doesn't have.
+    pub fn inject_fault(mut self, plan: FaultPlan) -> Self {
+        self.cfg.fault = Some(plan);
+        self.rebuilt()
     }
 
-    /// Replaces the single-dispatcher funnel with the multi-producer
-    /// ingress fabric: `P` ingress handles, each owning a full
-    /// route-and-scatter stage, feeding every shard worker through
-    /// dedicated per-(producer, shard) SPSC rings. Results stay
-    /// deterministic — and bit-identical to the single dispatcher for
-    /// keyed routing of within-slack streams — as long as chunks are
-    /// dealt to the handles round-robin (which the engine's own feed
-    /// methods do automatically; see [`IngressHandle`] for the contract
-    /// when feeding the handles from your own threads via
-    /// [`take_ingress_handles`](Self::take_ingress_handles)).
-    ///
-    /// Call after routing/batching/supervision tuning and *before*
-    /// [`try_durable`](Self::try_durable). `try_producers(1)` is a valid
-    /// (single-producer) fabric, mostly useful for testing; the default
-    /// engine keeps the classic dispatcher instead. Reports an error on
+    /// Sets the number of ingress producers (default 1): `P` ingress
+    /// handles, each owning a full admit-route-stage loop, feeding every
+    /// shard worker through dedicated per-(producer, shard) SPSC rings.
+    /// Results stay deterministic — and bit-identical to one producer for
+    /// keyed routing of within-slack streams — as long as epochs are
+    /// dealt to the handles round-robin, which the engine's own feed
+    /// methods do (see [`IngressHandle`] for the contract when feeding
+    /// the handles from your own threads via
+    /// [`take_ingress_handles`](Self::take_ingress_handles)). Errors on
     /// zero producers.
     pub fn try_producers(mut self, producers: usize) -> Result<Self, fd_core::Error> {
-        assert_eq!(self.stats.tuples_in, 0, "set producers before processing");
-        assert!(
-            self.durable.is_none(),
-            "call try_producers before try_durable"
-        );
-        assert!(self.fabric.is_none(), "producers already set");
-        if producers == 0 {
-            return Err(fd_core::Error::InvalidParameter {
-                name: "producers",
-                value: 0.0,
-                requirement: "at least one ingress producer",
-            });
-        }
-        let n = self.n_shards();
-        // Retire the single-dispatcher workers spawned by try_new: they
-        // have seen nothing, so their drained state is empty.
-        for shard in 0..n {
-            self.senders[shard] = None;
-            if let Some(handle) = self.workers[shard].take() {
-                let _ = handle.join();
-            }
-            self.seats[shard].early_exit = None;
-        }
-        // A fresh registry with per-producer slots (try_new's had none);
-        // the retired workers held the only other references.
-        self.telemetry = Arc::new(EngineTelemetry::with_producers(n, producers));
-        self.telemetry.set_enabled(self.live);
-        let shards = (0..n)
-            .map(|_| FabShard {
-                backlogs: Mutex::new((0..producers).map(|_| VecDeque::new()).collect()),
-                slot: Arc::new(CheckpointSlot::default()),
-                senders: (0..producers).map(|_| Mutex::new(None)).collect(),
-                inner: Mutex::new(FabInner {
-                    worker: None,
-                    restarts: 0,
-                    generation: 0,
-                    finished: vec![false; producers],
-                    lease: Arc::new(WorkerLease::default()),
-                    zombies: Vec::new(),
-                    early_exit: None,
-                }),
-                degraded: AtomicBool::new(false),
-            })
-            .collect();
-        let fab = Arc::new(FabShared {
-            producers,
-            shards,
-            telemetry: Arc::clone(&self.telemetry),
-            config: Arc::clone(&self.config),
-            fault: Arc::clone(&self.fault),
-            worker_query: self.worker_query.clone(),
-            pools: (0..producers).map(|_| BatchPool::new(0)).collect(),
-            max_restarts: self.max_restarts,
-            overload: self.overload.clone(),
-            stats_out: Mutex::new(vec![None; producers]),
-        });
-        self.fabric = Some(Arc::clone(&fab));
-        self.retune_pool();
-        let (senders, receivers) = ring_fabric::<Msg>(producers, n, FABRIC_RING_DEPTH);
-        for (shard, rxs) in receivers.into_iter().enumerate() {
-            let mut engine = Engine::new(self.worker_query.clone());
-            engine.keep_closed_state();
-            let mut inner = fab.shards[shard]
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let lease = Arc::clone(&inner.lease);
-            inner.worker = Some(spawn_fabric_worker(
-                shard,
-                engine,
-                rxs,
-                Arc::clone(&fab),
-                0,
-                lease,
-            ));
-        }
-        for (p, row) in senders.into_iter().enumerate() {
-            for (shard, tx) in row.into_iter().enumerate() {
-                // Stamped with the initial generation 0.
-                *fab.shards[shard].senders[p]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = Some((0, tx));
-            }
-        }
-        self.fab_handles = (0..producers)
-            .map(|p| {
-                IngressHandle::new(
-                    p,
-                    self.query.clone(),
-                    self.routing,
-                    self.batch_size,
-                    self.live,
-                    &fab,
-                )
-            })
-            .collect();
+        self.cfg.producers = producers;
+        self.rebuild()?;
         Ok(self)
     }
 
-    /// Detaches the fabric's ingress handles for genuinely parallel
-    /// feeding: move each onto its own thread and deal input chunks to
-    /// the handles round-robin from producer 0 (the determinism
-    /// contract). Once taken, the engine's own feed methods must no
-    /// longer be used; after every handle has finished (or been dropped),
-    /// call [`finish`](Self::finish) to join the workers and merge.
+    /// Detaches the ingress handles for genuinely parallel feeding: move
+    /// each onto its own thread and deal input chunks to the handles
+    /// round-robin from producer 0 (the determinism contract). Once
+    /// taken, the engine's own feed methods must no longer be used; after
+    /// every handle has finished (or been dropped), call
+    /// [`finish`](Self::finish) to join the workers and merge.
     ///
     /// # Panics
-    /// If the fabric is not enabled, the handles were already taken, or a
-    /// durable store is attached — durable runs require coordinator mode,
-    /// where the engine deals epochs itself and write-ahead-logs them.
+    /// If the handles were already taken, or a durable store is attached
+    /// — durable runs require coordinator mode, where the engine deals
+    /// epochs itself and write-ahead-logs them.
     pub fn take_ingress_handles(&mut self) -> Vec<IngressHandle> {
-        assert!(
-            self.fabric.is_some(),
-            "enable the fabric with try_producers first"
-        );
         assert!(
             self.durable.is_none(),
             "durable runs use coordinator mode; feed the engine directly"
         );
-        assert!(
-            !self.fab_handles.is_empty(),
-            "ingress handles already taken"
-        );
-        std::mem::take(&mut self.fab_handles)
+        assert!(!self.handles.is_empty(), "ingress handles already taken");
+        self.started = true;
+        std::mem::take(&mut self.handles)
     }
 
-    /// Number of ingress producers (1 in single-dispatcher mode).
+    /// Number of ingress producers.
     pub fn n_producers(&self) -> usize {
-        self.fabric.as_ref().map_or(1, |f| f.producers)
+        self.cfg.producers
     }
 
     /// Opens (or recovers) a durable store under `dir` and attaches the
-    /// WAL writer: from here on every dispatched message is logged, and
-    /// [`durable_commit`](Self::durable_commit) makes stream positions
-    /// crash-recoverable. Terminal builder step — call it last, after any
-    /// routing/batching/supervision tuning, before any tuple is processed.
+    /// WAL writer: from here on every epoch is logged before it ships,
+    /// and [`durable_commit`](Self::durable_commit) makes stream
+    /// positions crash-recoverable.
     ///
     /// When the directory holds a prior run's store, the engine resumes
     /// it: workers are restored from the on-disk checkpoints, the WAL tail
-    /// is replayed through the normal batch path, and the returned
+    /// is replayed through the normal message path, and the returned
     /// [`RecoveryReport`] says from which input `position` the caller must
     /// re-feed its stream. Results are then bit-identical to a run that
     /// never crashed (for deterministic queries). Torn WAL tails are
     /// truncated and counted, never an error; a store damaged *below* its
-    /// last commit is an explicit [`fd_core::Error::Durability`].
+    /// last commit is an explicit [`fd_core::Error::Durability`]. A store
+    /// resumes only under the producer count that wrote it (the epoch
+    /// interleaving is producer-count-specific); one written by the
+    /// pre-fabric single dispatcher resumes under one producer.
     ///
-    /// Requires supervision (checkpoints are what gets persisted):
-    /// erroring if `checkpoint_every(0)` disabled it. If an armed
+    /// Requires supervision (checkpoints are what gets persisted) and the
+    /// lossless [`ShedPolicy::Block`]. Call it last: a setter called
+    /// afterwards rebuilds the engine over a re-opened store. If an armed
     /// [`FaultKind::Disk`] fault is present, the store's I/O backend is
     /// wrapped in [`FaultyFs`] so the scheduled disk fault fires inside
     /// the durability layer.
@@ -2002,326 +1850,44 @@ impl ShardedEngine {
         dir: impl AsRef<std::path::Path>,
         opts: DurabilityOptions,
     ) -> Result<(Self, RecoveryReport), fd_core::Error> {
-        assert_eq!(self.stats.tuples_in, 0, "open the store before processing");
-        if !self.supervising() {
-            return Err(fd_core::Error::InvalidParameter {
-                name: "checkpoint_every",
-                value: 0.0,
-                requirement: "durability persists checkpoints; supervision must be on",
-            });
-        }
-        if self.overload.policy.is_lossy() {
-            return Err(fd_core::Error::InvalidParameter {
-                name: "shed_policy",
-                value: 0.0,
-                requirement: "durable stores are lossless; \
-                              overload shedding must be ShedPolicy::Block",
-            });
-        }
-        let dir = dir.as_ref();
-        let io: Arc<dyn IoBackend> = {
-            let armed = self
-                .fault
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()
-                .filter(|f| f.armed());
-            match armed.map(|f| f.plan.kind) {
-                Some(FaultKind::Disk(d)) => Arc::new(FaultyFs::new(Arc::clone(&opts.io), d)),
-                _ => Arc::clone(&opts.io),
-            }
-        };
-        let recovered = recover(&io, dir, self.n_shards())?;
-        let mut replayed_batches = 0u64;
-        let mut replayed_tuples = 0u64;
-        if recovered.resumed && self.fabric.is_some() {
-            self.resume_fabric(&recovered, &mut replayed_batches, &mut replayed_tuples)?;
-        } else if recovered.resumed {
-            if !recovered.commit.producers.is_empty() {
-                return Err(fd_core::Error::Durability {
-                    detail: format!(
-                        "store was written by a {}-producer ingress fabric; \
-                         enable try_producers({}) before try_durable to resume it",
-                        recovered.commit.producers.len(),
-                        recovered.commit.producers.len()
-                    ),
-                });
-            }
-            for shard in 0..self.n_shards() {
-                // Retire the fresh worker spawned by try_new: it has seen
-                // nothing, so its drained state is empty and discardable.
-                self.senders[shard] = None;
-                if let Some(handle) = self.workers[shard].take() {
-                    let _ = handle.join();
-                }
-                self.seats[shard].early_exit = None;
-                if let Some((seq, bytes)) = &recovered.ckpts[shard] {
-                    let _ = self.seats[shard].slot.store(*seq, bytes.clone());
-                }
-                // Preload the replay tail into the seat's backlog, exactly
-                // as if the dispatcher had sent it moments ago:
-                // respawn_and_replay then feeds everything past the
-                // checkpoint through the normal worker path.
-                {
-                    let mut log = self.seats[shard]
-                        .backlog
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    log.clear();
-                    for rec in &recovered.replay[shard] {
-                        match rec {
-                            ReplayMsg::Batch { seq, wm, pkts } => {
-                                replayed_batches += 1;
-                                replayed_tuples += pkts.len() as u64;
-                                log.push_back(Msg::Batch {
-                                    seq: *seq,
-                                    pkts: Arc::new(pkts.clone()),
-                                    scales: None,
-                                    wm: *wm,
-                                    sent: Instant::now(),
-                                });
-                            }
-                            ReplayMsg::Punct { seq, wm } => {
-                                log.push_back(Msg::Punctuate { seq: *seq, wm: *wm })
-                            }
-                        }
-                    }
-                }
-                self.seats[shard].next_seq = recovered.commit.hi[shard] + 1;
-                if !self.respawn_and_replay(shard) {
-                    return Err(fd_core::Error::Durability {
-                        detail: format!("shard {shard} worker died replaying the WAL tail"),
-                    });
-                }
-            }
-            // Restore the dispatcher's admission state from the commit, so
-            // the re-fed input meets the exact decisions of the first run.
-            let c = &recovered.commit;
-            self.watermark = c.watermark;
-            self.closed_below = c.closed_below;
-            self.rr = (c.rr as usize) % self.n_shards();
-            self.stats.tuples_in = c.tuples_in;
-            self.stats.filtered = c.filtered;
-            self.stats.late_drops = c.late_drops;
-        }
-        self.telemetry
-            .wal_records_truncated
-            .store(recovered.truncated, Relaxed);
-        self.telemetry
-            .recovery_replayed_batches
-            .store(replayed_batches, Relaxed);
-        let report = RecoveryReport {
-            position: recovered.commit.position,
-            watermark: recovered.commit.watermark,
-            replayed_batches,
-            replayed_tuples,
-            truncated_records: recovered.truncated,
-            resumed: recovered.resumed,
-        };
-        // The writer recycles each batch buffer back to the pool of the
-        // producer that sealed it (recoverable from the seq — see
-        // `Writer::recycle`), so every producer's bounded pool keeps its
-        // hit rate under the fabric instead of producer 0's overflowing
-        // while the rest starve.
-        let (slots, recycle): (Vec<Arc<CheckpointSlot>>, Vec<BatchPool<Packet>>) =
-            match &self.fabric {
-                Some(fab) => (
-                    fab.shards.iter().map(|s| Arc::clone(&s.slot)).collect(),
-                    fab.pools.clone(),
-                ),
-                None => (
-                    self.seats.iter().map(|s| Arc::clone(&s.slot)).collect(),
-                    vec![self.pool.clone()],
-                ),
-            };
-        let sink = DurableSink::spawn(
-            dir,
-            &io,
-            opts.fsync,
-            opts.segment_bytes,
-            &recovered,
-            slots,
-            Arc::clone(&self.telemetry),
-            recycle,
-        )?;
-        self.durable = Some(sink);
+        self.cfg.store = Some((dir.as_ref().to_path_buf(), opts));
+        let report = self.rebuild()?.expect("the configuration names a store");
         Ok((self, report))
     }
 
-    /// Fabric-mode resume: restore each shard worker from its on-disk
-    /// checkpoint, preload the WAL tail into the per-producer backlog rows
-    /// (routed by `(seq − 1) mod P`), replay it through the fresh rings,
-    /// and restore every ingress handle's admission state from its commit
-    /// block. The coordinator's dealing rotation resumes at epoch
-    /// `hi mod P`, so the re-fed input reproduces the original epoch/seq
-    /// assignment exactly.
-    fn resume_fabric(
-        &mut self,
-        recovered: &crate::durability::Recovered,
-        replayed_batches: &mut u64,
-        replayed_tuples: &mut u64,
-    ) -> Result<(), fd_core::Error> {
-        let fab = Arc::clone(self.fabric.as_ref().expect("fabric mode"));
-        let p_count = fab.producers;
-        let commit = &recovered.commit;
-        if commit.producers.len() != p_count {
-            return Err(fd_core::Error::Durability {
-                detail: format!(
-                    "store was written with {} producers, engine configured with {p_count}; \
-                     the epoch interleaving is producer-count-specific",
-                    commit.producers.len()
-                ),
-            });
-        }
-        for shard in 0..self.n_shards() {
-            let sh = &fab.shards[shard];
-            // Retire the fresh worker spawned by try_producers: it has
-            // seen nothing, so its drained state is empty and discardable.
-            {
-                for slot in &sh.senders {
-                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
-                }
-                let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(handle) = inner.worker.take() {
-                    let _ = handle.join();
-                }
-                inner.early_exit = None;
-            }
-            if let Some((seq, bytes)) = &recovered.ckpts[shard] {
-                let _ = sh.slot.store(*seq, bytes.clone());
-            }
-            {
-                let mut rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
-                for row in rows.iter_mut() {
-                    row.clear();
-                }
-                for rec in &recovered.replay[shard] {
-                    match rec {
-                        ReplayMsg::Batch { seq, wm, pkts } => {
-                            *replayed_batches += 1;
-                            *replayed_tuples += pkts.len() as u64;
-                            rows[((seq - 1) % p_count as u64) as usize].push_back(Msg::Batch {
-                                seq: *seq,
-                                pkts: Arc::new(pkts.clone()),
-                                scales: None,
-                                wm: *wm,
-                                sent: Instant::now(),
-                            });
-                        }
-                        ReplayMsg::Punct { .. } => {
-                            return Err(fd_core::Error::Durability {
-                                detail: format!(
-                                    "shard {shard} WAL holds a punctuation record, which the \
-                                     fabric never writes; the store is not a fabric store"
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-            let ok = {
-                let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                fab.respawn_locked(shard, &mut inner)
-            };
-            if !ok {
-                return Err(fd_core::Error::Durability {
-                    detail: format!("shard {shard} worker died replaying the WAL tail"),
-                });
-            }
-        }
-        // Restore each handle's admission state, so the re-fed input meets
-        // the exact decisions (and seq assignments) of the first run.
-        let bm = self.query.bucket_micros;
-        let n_shards = self.n_shards();
-        for (p, block) in commit.producers.iter().enumerate() {
-            let h = &mut self.fab_handles[p];
-            h.watermark = block.watermark;
-            h.closed_low = block.closed_below.saturating_mul(bm);
-            h.rr = (block.rr as usize) % n_shards;
-            h.epochs = block.epochs;
-            h.stats.tuples_in = block.tuples_in;
-            h.stats.filtered = block.filtered;
-            h.stats.late_drops = block.late_drops;
-        }
-        self.fab_epochs = commit.hi.first().copied().unwrap_or(0);
-        self.fab_cursor = (self.fab_epochs % p_count as u64) as usize;
-        self.watermark = commit.watermark;
-        Ok(())
-    }
-
     /// Declares the stream durable up to `position` (a caller-defined
-    /// input offset, typically "events fed so far"): flushes staged
-    /// batches, broadcasts the watermark, and enqueues a commit record
-    /// carrying the dispatcher state and each shard's high sequence. After
+    /// input offset, typically "events fed so far"): seals the staged
+    /// remainder — a commit covers whole epochs, so every admitted tuple
+    /// below `position` is sealed and WAL-logged before the commit record
+    /// that covers it — and enqueues a commit record carrying every
+    /// handle's admission state and each shard's high sequence. After
     /// recovery, the caller re-feeds input from the newest committed
     /// position. A no-op without an attached store, or once degraded.
     pub fn durable_commit(&mut self, position: u64) -> Result<(), fd_core::Error> {
         if self.durable.is_none() {
             return Ok(());
         }
-        if self.fabric.is_some() {
-            // A commit covers whole epochs: deal the per-tuple remainder
-            // first so every admitted tuple below `position` is sealed and
-            // WAL-logged before the commit record that covers it.
-            self.flush_fab_chunk()?;
-            let bm = self.query.bucket_micros;
-            let producers: Vec<ProducerCommit> = self
-                .fab_handles
-                .iter()
-                .map(|h| ProducerCommit {
-                    watermark: h.watermark,
-                    closed_below: h.closed_low / bm,
-                    rr: h.rr as u64,
-                    epochs: h.epochs,
-                    tuples_in: h.stats.tuples_in,
-                    filtered: h.stats.filtered,
-                    late_drops: h.stats.late_drops,
-                })
-                .collect();
-            assert!(
-                !producers.is_empty(),
-                "durable fabric runs use coordinator mode; handles must not be taken"
-            );
-            // The legacy scalar fields carry aggregates; recovery restores
-            // the handles from the per-producer blocks.
-            let c = CommitState {
-                position,
-                watermark: producers.iter().map(|p| p.watermark).max().unwrap_or(0),
-                closed_below: producers.iter().map(|p| p.closed_below).min().unwrap_or(0),
-                rr: self.fab_cursor as u64,
-                tuples_in: producers.iter().map(|p| p.tuples_in).sum(),
-                filtered: producers.iter().map(|p| p.filtered).sum(),
-                late_drops: producers.iter().map(|p| p.late_drops).sum(),
-                hi: vec![self.fab_epochs; self.n_shards()],
-                producers,
-            };
-            if let Some(d) = self.durable.as_mut() {
-                d.commit(c);
-            }
-            return Ok(());
-        }
-        // Every *staged* tuple below `position` must reach its shard (and
-        // therefore the WAL) before the commit record covers it: staged
-        // buffers hold tuples hash-scattered across the input range, so an
-        // uncovered one could not be recovered by suffix re-feed. Dispatched
-        // coverage is all the commit needs, though — no watermark broadcast
-        // here (the normal feed path emits puncts, and they are WAL-logged).
-        for shard in 0..self.n_shards() {
-            if !self.pending[shard].is_empty() {
-                self.flush_shard(shard)?;
-            }
-        }
-        let hi: Vec<u64> = self.seats.iter().map(|s| s.next_seq - 1).collect();
+        self.flush()?;
+        let producers: Vec<ProducerCommit> =
+            self.handles.iter().map(|h| h.commit_block()).collect();
+        let epochs: u64 = producers.iter().map(|p| p.epochs).sum();
+        // The scalar fields carry aggregates; recovery restores the
+        // handles from the per-producer blocks.
         let c = CommitState {
             position,
-            watermark: self.watermark,
-            closed_below: self.closed_below,
-            rr: self.rr as u64,
-            tuples_in: self.stats.tuples_in,
-            filtered: self.stats.filtered,
-            late_drops: self.stats.late_drops,
-            hi,
-            producers: Vec::new(),
+            watermark: producers.iter().map(|p| p.watermark).max().unwrap_or(0),
+            closed_below: producers.iter().map(|p| p.closed_below).min().unwrap_or(0),
+            rr: self.cursor as u64,
+            tuples_in: producers.iter().map(|p| p.tuples_in).sum(),
+            filtered: producers.iter().map(|p| p.filtered).sum(),
+            late_drops: producers.iter().map(|p| p.late_drops).sum(),
+            hi: self
+                .fab
+                .shards
+                .iter()
+                .map(|s| s.seq_base + epochs)
+                .collect(),
+            producers,
         };
         if let Some(d) = self.durable.as_mut() {
             d.commit(c);
@@ -2336,37 +1902,34 @@ impl ShardedEngine {
         self.durable.as_ref().is_some_and(|d| d.degraded())
     }
 
-    /// The batch-recycling pool shared with the workers — its
+    /// Producer 0's batch-recycling pool, shared with the workers — its
     /// [`reuses`](BatchPool::reuses) / [`allocs`](BatchPool::allocs)
-    /// counters quantify the zero-allocation steady state.
+    /// counters quantify the zero-allocation steady state (every
+    /// producer's are in the telemetry snapshot).
     pub fn batch_pool(&self) -> &BatchPool<Packet> {
-        &self.pool
+        &self.fab.pools[0]
     }
 
     /// Turns hot-path telemetry mirroring on or off (default on; the
-    /// overhead is a few relaxed stores per tuple — see the
+    /// overhead is a few relaxed stores per call — see the
     /// `telemetry_overhead` bench). End-of-run counters are recorded
-    /// either way. Must be called before any tuple is processed.
+    /// either way.
     pub fn live_telemetry(mut self, on: bool) -> Self {
-        assert_eq!(self.stats.tuples_in, 0, "set telemetry before processing");
-        self.live = on;
-        self.telemetry.set_enabled(on);
-        for h in &mut self.fab_handles {
-            h.live = on;
-        }
-        self
+        self.cfg.live = on;
+        self.rebuilt()
     }
 
     /// The shared live-metrics registry. Clone the `Arc` to watch the run
     /// from another thread; it stays readable (with the final counts)
-    /// after `finish()` and after the engine is dropped.
+    /// after `finish()` and after the engine is dropped. Every setter
+    /// replaces the registry, so clone it once configuration is done.
     pub fn telemetry(&self) -> &Arc<EngineTelemetry> {
-        &self.telemetry
+        &self.fab.telemetry
     }
 
     /// Number of worker shards.
     pub fn n_shards(&self) -> usize {
-        self.pending.len()
+        self.cfg.n_shards
     }
 
     /// The query's display name.
@@ -2374,242 +1937,62 @@ impl ShardedEngine {
         &self.query.name
     }
 
-    /// Whether supervision is active (a nonzero checkpoint interval).
-    fn supervising(&self) -> bool {
-        self.config.checkpoint_every.load(Relaxed) > 0
-    }
-
-    fn route(&mut self, key: u64) -> usize {
-        match self.routing {
-            ShardBy::Key => route_key(key, self.n_shards()),
-            ShardBy::RoundRobin => {
-                let s = self.rr;
-                self.rr = (self.rr + 1) % self.n_shards();
-                s
-            }
-        }
-    }
-
-    /// Offers one tuple: global admission (filter, late check, watermark),
-    /// then staging for the owning shard. Mirrors [`Engine::process`]
-    /// decision for decision.
-    ///
-    /// # Panics
-    /// Panics if a shard worker has died while supervision is disabled
-    /// (`checkpoint_every(0)`); see [`ShardedEngine::try_process`] for the
-    /// reporting variant. With supervision on (the default), worker death
-    /// is recovered or degraded internally and never panics here.
-    pub fn process(&mut self, pkt: &Packet) {
-        self.try_process(pkt).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Offers one tuple, reporting [`fd_core::Error::WorkerLost`] instead
-    /// of panicking when an unsupervised worker has died.
+    /// Offers one tuple: admission (filter, late check, watermark), then
+    /// staging for the owning shard. Mirrors [`Engine::process`] decision
+    /// for decision. Reports [`fd_core::Error::WorkerLost`] when an
+    /// unsupervised worker has died; with supervision on (the default),
+    /// worker death is recovered or degraded internally.
     pub fn try_process(&mut self, pkt: &Packet) -> Result<(), fd_core::Error> {
-        debug_assert!(!self.done, "process after finish");
-        if self.fabric.is_some() {
-            // Coordinator mode: buffer into batch_size chunks, dealt to
-            // the handles as whole epochs.
-            self.fab_chunk.push(*pkt);
-            if self.fab_chunk.len() >= self.batch_size {
-                self.flush_fab_chunk()?;
-            }
-            return Ok(());
-        }
-        self.stats.tuples_in += 1;
-        // Admission counters have a single writer (this thread), so the
-        // live mirror is a relaxed store of the local count — no RMW.
-        if self.live {
-            self.telemetry
-                .tuples_in
-                .store(self.stats.tuples_in, Relaxed);
-        }
-        if let Some(f) = &self.query.filter {
-            if !f(pkt) {
-                self.stats.filtered += 1;
-                if self.live {
-                    self.telemetry.filtered.store(self.stats.filtered, Relaxed);
-                }
-                return Ok(());
-            }
-        }
-        let bucket = pkt.ts / self.query.bucket_micros;
-        if bucket < self.closed_below {
-            self.stats.late_drops += 1;
-            if self.live {
-                self.telemetry
-                    .late_drops
-                    .store(self.stats.late_drops, Relaxed);
-            }
-            return Ok(());
-        }
-        self.watermark = self.watermark.max(pkt.ts);
-        if self.live {
-            self.telemetry
-                .dispatcher_watermark
-                .store(self.watermark, Relaxed);
-        }
-        let key = (self.query.group_by)(pkt);
-        let shard = self.route(key);
-        self.pending[shard].push(*pkt);
-        if self.pending[shard].len() >= self.batch_size {
-            self.flush_shard(shard)?;
-        }
-        let target =
-            self.watermark.saturating_sub(self.query.slack_micros) / self.query.bucket_micros;
-        self.closed_below = self.closed_below.max(target);
-        Ok(())
+        self.try_process_packets(std::slice::from_ref(pkt))
     }
 
-    /// Ships a shard's staged tuples, swapping in a recycled buffer from
-    /// the pool so the staging slot is ready without allocating.
-    fn flush_shard(&mut self, shard: usize) -> Result<(), fd_core::Error> {
-        let batch = std::mem::replace(&mut self.pending[shard], self.pool.take(self.batch_size));
-        self.dispatch_batch(shard, batch)
-    }
-
-    /// Offers a batch of tuples through the columnar fast path: one fused
-    /// pass doing admission (filter, late check, watermark advance) and
-    /// route-and-scatter into the per-shard staging buffers.
-    ///
-    /// Admission is decision-for-decision identical to calling
-    /// [`process`](Self::process) per tuple — the late check compares
-    /// timestamps against the closed boundary held in timestamp space
-    /// (`closed_below · bucket_micros`), which removes both per-tuple
-    /// divisions: `ts / bm < closed_below  ⇔  ts < closed_below · bm`
-    /// exactly, for non-negative integers, and the boundary division
-    /// reruns only when the watermark gains a whole bucket. Stats and
-    /// telemetry mirrors are stored once per batch instead of once per
-    /// tuple.
-    ///
-    /// # Panics
-    /// As [`ShardedEngine::process`]; see
-    /// [`ShardedEngine::try_process_packets`].
-    pub fn process_packets(&mut self, pkts: &[Packet]) {
-        self.try_process_packets(pkts)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// The columnar fast path, reporting [`fd_core::Error::WorkerLost`]
-    /// instead of panicking when an unsupervised worker has died.
+    /// Offers a slice of tuples: the current handle admits, routes and
+    /// stages them in one pass, and each time a shard's staging buffer
+    /// fills, its epoch is sealed and the next handle in rotation takes
+    /// over. Errors as [`try_process`](Self::try_process).
     pub fn try_process_packets(&mut self, pkts: &[Packet]) -> Result<(), fd_core::Error> {
         debug_assert!(!self.done, "process after finish");
-        if pkts.is_empty() {
-            return Ok(());
-        }
-        if self.fabric.is_some() {
-            // Flush any per-tuple staging first, preserving stream order,
-            // then deal this chunk as the next epoch.
-            self.flush_fab_chunk()?;
-            return self.deal_epoch(pkts);
-        }
-        let bm = self.query.bucket_micros;
-        let slack = self.query.slack_micros;
-        let mut wm = self.watermark;
-        // The boundary moves only when the watermark gains a whole bucket,
-        // so the division to recompute it runs per bucket, not per tuple.
-        let mut closed_low = self.closed_below.saturating_mul(bm);
-        let mut filtered = 0u64;
-        let mut late = 0u64;
+        assert!(
+            !self.handles.is_empty(),
+            "ingress handles were taken; feed them directly"
+        );
+        self.started = true;
+        let mut rest = pkts;
         let mut result = Ok(());
-        for pkt in pkts {
-            if let Some(f) = self.query.filter.as_ref() {
-                if !f(pkt) {
-                    filtered += 1;
-                    continue;
-                }
-            }
-            if pkt.ts < closed_low {
-                late += 1;
-                continue;
-            }
-            wm = wm.max(pkt.ts);
-            let horizon = wm.saturating_sub(slack);
-            if horizon >= closed_low.saturating_add(bm) {
-                closed_low = (horizon / bm) * bm;
-            }
-            let key = (self.query.group_by)(pkt);
-            let shard = self.route(key);
-            self.pending[shard].push(*pkt);
-            if self.pending[shard].len() >= self.batch_size {
-                if let Err(e) = self.flush_shard(shard) {
-                    result = Err(e);
+        while !rest.is_empty() {
+            let (used, full) = self.handles[self.cursor].stage(rest);
+            rest = &rest[used..];
+            if full {
+                result = self.seal_current();
+                if result.is_err() {
                     break;
                 }
             }
         }
-        self.stats.tuples_in += pkts.len() as u64;
-        self.stats.filtered += filtered;
-        self.stats.late_drops += late;
-        self.watermark = wm;
-        self.closed_below = closed_low / bm;
-        if self.live {
-            self.telemetry
-                .tuples_in
-                .store(self.stats.tuples_in, Relaxed);
-            self.telemetry.filtered.store(self.stats.filtered, Relaxed);
-            self.telemetry
-                .late_drops
-                .store(self.stats.late_drops, Relaxed);
-            self.telemetry.dispatcher_watermark.store(wm, Relaxed);
-        }
+        self.mirror_admission();
         result
     }
 
-    /// Processes a punctuation: advances the global watermark and
-    /// broadcasts it, closing due buckets on every shard.
-    ///
-    /// # Panics
-    /// As [`ShardedEngine::process`]; see
-    /// [`ShardedEngine::try_punctuate`].
-    pub fn punctuate(&mut self, ts: Micros) {
-        self.try_punctuate(ts).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Processes a punctuation, reporting [`fd_core::Error::WorkerLost`]
-    /// instead of panicking when an unsupervised worker has died.
+    /// Processes a punctuation: advances every handle's watermark and
+    /// broadcasts it as one epoch per handle, closing due buckets on
+    /// every shard. Errors as [`try_process`](Self::try_process).
     pub fn try_punctuate(&mut self, ts: Micros) -> Result<(), fd_core::Error> {
-        self.watermark = self.watermark.max(ts);
-        if self.live {
-            self.telemetry
-                .dispatcher_watermark
-                .store(self.watermark, Relaxed);
+        self.started = true;
+        for h in &mut self.handles {
+            h.punctuate(ts);
         }
-        if self.fabric.is_some() {
-            // A punctuation is an admission-state event: it advances every
-            // handle's watermark, and the *next* sealed epoch carries it
-            // to the workers (the fabric ships no punctuation messages).
-            self.flush_fab_chunk()?;
-            for h in &mut self.fab_handles {
-                h.punctuate(ts);
-            }
-            return Ok(());
-        }
-        let target =
-            self.watermark.saturating_sub(self.query.slack_micros) / self.query.bucket_micros;
-        self.closed_below = self.closed_below.max(target);
-        self.sync_watermark()
+        let result = self.broadcast();
+        self.mirror_admission();
+        result
     }
 
-    /// Offers a batch of stream elements, then broadcasts the advanced
-    /// watermark so every shard closes the same buckets — the per-batch
-    /// synchronisation point of the sharded pipeline.
-    ///
-    /// Runs of consecutive [`StreamEvent::Data`] go through the columnar
-    /// [`process_packets`](Self::process_packets) fast path; punctuations
+    /// Offers a batch of stream elements, then seals what is staged so
+    /// every shard sees the advanced watermark — the per-batch
+    /// synchronisation point of the sharded pipeline. Runs of consecutive
+    /// [`StreamEvent::Data`] go through
+    /// [`try_process_packets`](Self::try_process_packets); punctuations
     /// act as barriers between runs, exactly as in per-event processing.
-    ///
-    /// # Panics
-    /// As [`ShardedEngine::process`]; see
-    /// [`ShardedEngine::try_process_batch`].
-    pub fn process_batch(&mut self, events: &[StreamEvent]) {
-        self.try_process_batch(events)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Offers a batch of stream elements, reporting
-    /// [`fd_core::Error::WorkerLost`] instead of panicking when an
-    /// unsupervised worker has died.
+    /// Errors as [`try_process`](Self::try_process).
     pub fn try_process_batch(&mut self, events: &[StreamEvent]) -> Result<(), fd_core::Error> {
         let mut run = std::mem::take(&mut self.run_buf);
         run.clear();
@@ -2630,487 +2013,68 @@ impl ShardedEngine {
         run.clear();
         self.run_buf = run;
         result?;
-        self.sync_watermark()
+        self.flush()
     }
 
-    /// Flushes staged tuples and broadcasts the current global watermark
-    /// to all shards.
-    fn sync_watermark(&mut self) -> Result<(), fd_core::Error> {
-        if self.fabric.is_some() {
-            return self.flush_fab_chunk();
+    /// Seals the current handle's epoch and moves the rotation on — also
+    /// when a send failed: the handle's epoch counter advanced, and the
+    /// cursor must stay in step with it.
+    fn seal_current(&mut self) -> Result<(), fd_core::Error> {
+        let p = self.cursor;
+        self.cursor = (p + 1) % self.handles.len();
+        self.handles[p].seal_logged(self.durable.as_mut())
+    }
+
+    /// Seals the current handle's epoch if it has anything to say (staged
+    /// tuples, or a watermark the workers have not heard).
+    fn flush(&mut self) -> Result<(), fd_core::Error> {
+        match self.handles.get(self.cursor) {
+            Some(h) if h.dirty() => self.seal_current(),
+            _ => Ok(()),
         }
-        for shard in 0..self.n_shards() {
-            if !self.pending[shard].is_empty() {
-                self.flush_shard(shard)?;
-            }
-        }
-        let w = self.watermark;
-        if w > 0 {
-            for shard in 0..self.n_shards() {
-                self.dispatch_punct(shard, w)?;
-            }
+    }
+
+    /// Seals one epoch per handle, in rotation: the workers' frontier is
+    /// the min across producers, so a watermark reaches them only once
+    /// every producer has carried it.
+    fn broadcast(&mut self) -> Result<(), fd_core::Error> {
+        for _ in 0..self.handles.len() {
+            self.seal_current()?;
         }
         Ok(())
     }
 
-    /// Coordinator mode: deals one chunk to the next handle in rotation,
-    /// sealing exactly one epoch — the determinism contract of the
-    /// fabric. Epoch `i` (0-based) goes to handle `i mod P` and carries
-    /// per-shard seq `i + 1`.
-    fn deal_epoch(&mut self, pkts: &[Packet]) -> Result<(), fd_core::Error> {
-        assert!(
-            !self.fab_handles.is_empty(),
-            "ingress handles were taken; feed them directly"
-        );
-        let p = self.fab_cursor;
-        self.fab_cursor = (self.fab_cursor + 1) % self.fab_handles.len();
-        self.fab_epochs += 1;
-        self.fab_handles[p].ingest_logged(pkts, self.durable.as_mut())
-    }
-
-    /// Deals the per-tuple staging buffer as an epoch, if it holds
-    /// anything.
-    fn flush_fab_chunk(&mut self) -> Result<(), fd_core::Error> {
-        if self.fab_chunk.is_empty() {
-            return Ok(());
+    /// The end-of-stream flush shared by `drain` and `finish`: the stream
+    /// is over, so every handle agrees on the final watermark, and one
+    /// last round of epochs carries it (and any staged tuples) out. A
+    /// failure here means a shard is already beyond saving; it is logged,
+    /// and the join loop salvages what the shards hold.
+    fn seal_final(&mut self) {
+        let wm = self.handles.iter().map(|h| h.watermark).max().unwrap_or(0);
+        for h in &mut self.handles {
+            h.punctuate(wm);
         }
-        let chunk = std::mem::take(&mut self.fab_chunk);
-        let result = self.deal_epoch(&chunk);
-        self.fab_chunk = chunk;
-        self.fab_chunk.clear();
-        result
-    }
-
-    fn next_seq(&mut self, shard: usize) -> u64 {
-        let seq = self.seats[shard].next_seq;
-        self.seats[shard].next_seq += 1;
-        seq
-    }
-
-    /// Ships one batch to a shard (or counts it dropped if the shard is
-    /// degraded), recovering the worker if the send finds it dead.
-    fn dispatch_batch(
-        &mut self,
-        shard: usize,
-        mut pkts: Vec<Packet>,
-    ) -> Result<(), fd_core::Error> {
-        let mut scales: Option<Vec<f64>> = None;
-        let displace = if self.seats[shard].degraded {
-            false
-        } else {
-            self.admit_batch(shard, &mut pkts, &mut scales)
-        };
-        // Re-checked after admission: the watchdog may have degraded the
-        // shard while we waited for capacity.
-        if self.seats[shard].degraded {
-            self.telemetry
-                .dropped_degraded
-                .fetch_add(pkts.len() as u64, Relaxed);
-            self.pool.put(pkts);
-            return Ok(());
-        }
-        if pkts.is_empty() {
-            // Subsampling shed the whole batch: nothing to ship, and no
-            // seq is assigned (the sheds are already counted).
-            self.pool.put(pkts);
-            return Ok(());
-        }
-        let seq = self.next_seq(shard);
-        let msg = Msg::Batch {
-            seq,
-            pkts: Arc::new(pkts),
-            scales: scales.map(Arc::new),
-            wm: 0,
-            sent: Instant::now(),
-        };
-        // Queue depth is the one genuinely two-writer gauge (incremented
-        // here, decremented by the worker), so it is a per-message RMW —
-        // unconditional, to keep both sides consistent however the
-        // enabled flag is toggled.
-        let tel = &self.telemetry.shards()[shard];
-        tel.batches_sent.fetch_add(1, Relaxed);
-        tel.queue_depth.fetch_add(1, Relaxed);
-        self.dispatch(shard, msg, displace)
-    }
-
-    /// Ships one punctuation to a shard (skipped when degraded),
-    /// recovering the worker if the send finds it dead.
-    fn dispatch_punct(&mut self, shard: usize, wm: Micros) -> Result<(), fd_core::Error> {
-        if self.seats[shard].degraded {
-            return Ok(());
-        }
-        let displace = self.admit_punct(shard);
-        if self.seats[shard].degraded {
-            return Ok(());
-        }
-        let seq = self.next_seq(shard);
-        let msg = Msg::Punctuate { seq, wm };
-        let tel = &self.telemetry.shards()[shard];
-        tel.punctuations_sent.fetch_add(1, Relaxed);
-        tel.queue_depth.fetch_add(1, Relaxed);
-        self.dispatch(shard, msg, displace)
-    }
-
-    /// Bounded-lag admission for one batch: waits for ring capacity in
-    /// deadline-sized slices, runs the stuck-shard watchdog between
-    /// slices, and applies the shed policy once the shard has stayed full
-    /// past a whole deadline. Returns `true` when the caller must use a
-    /// displacing send (`DropOldest` decided to shed the oldest queued
-    /// message). `Ready` capacity is stable: this thread is the ring's
-    /// only producer, so the send that follows never blocks.
-    fn admit_batch(
-        &mut self,
-        shard: usize,
-        pkts: &mut Vec<Packet>,
-        scales: &mut Option<Vec<f64>>,
-    ) -> bool {
-        // Under `Subsample`, thin as soon as the shard sits at or past its
-        // lag budget — before the ring is even full. The budget clamps to
-        // the ring depth, so the default (usize::MAX) engages thinning
-        // only when the ring is actually full past the deadline.
-        let budget = self.overload.lag_budget.min(CHANNEL_DEPTH);
-        let mut thinned = false;
-        loop {
-            let (cap, depth) = match &self.senders[shard] {
-                Some(tx) => (tx.wait_capacity(self.overload.send_deadline), tx.len()),
-                // Worker gone: let `dispatch` discover it and run the
-                // normal recovery protocol.
-                None => return false,
-            };
-            match cap {
-                Capacity::Ready => {
-                    if !thinned && !self.subsamplers.is_empty() && depth >= budget {
-                        self.thin(shard, pkts, scales);
-                    }
-                    return false;
-                }
-                // A closed ring means the worker died; the send below
-                // discovers it and recovers.
-                Capacity::Closed => return false,
-                Capacity::TimedOut => {
-                    if self.watchdog(shard) {
-                        // The watchdog respawned (or degraded) the shard;
-                        // re-evaluate against the fresh — empty — ring.
-                        continue;
-                    }
-                    match self.overload.policy {
-                        // Lossless: keep waiting, one deadline at a time.
-                        ShedPolicy::Block => {}
-                        ShedPolicy::DropOldest => return true,
-                        ShedPolicy::Subsample { .. } => {
-                            if !thinned {
-                                thinned = true;
-                                self.thin(shard, pkts, scales);
-                            }
-                        }
-                    }
-                }
+        if self.handles.iter().any(IngressHandle::dirty) {
+            if let Err(e) = self.broadcast() {
+                eprintln!("fd-finish: final flush failed: {e}");
             }
         }
     }
 
-    /// [`admit_batch`](Self::admit_batch) for punctuations: no payload to
-    /// thin, so `Subsample` degenerates to `Block` (the ring drains in
-    /// bounded time once thinning relieves the batches) and only
-    /// `DropOldest` requests a displacing send.
-    fn admit_punct(&mut self, shard: usize) -> bool {
-        loop {
-            let cap = match &self.senders[shard] {
-                Some(tx) => tx.wait_capacity(self.overload.send_deadline),
-                None => return false,
-            };
-            match cap {
-                Capacity::Ready | Capacity::Closed => return false,
-                Capacity::TimedOut => {
-                    if self.watchdog(shard) {
-                        continue;
-                    }
-                    if matches!(self.overload.policy, ShedPolicy::DropOldest) {
-                        return true;
-                    }
-                }
-            }
+    /// Live mirrors of the coordinator's totals (single writer: this
+    /// thread), stored once per feed call.
+    fn mirror_admission(&self) {
+        if !self.cfg.live {
+            return;
         }
-    }
-
-    /// Runs the shard's decay-aware thinning stage over a staged batch,
-    /// recording the shed in telemetry. Only called with a non-empty
-    /// subsampler set (`ShedPolicy::Subsample`).
-    fn thin(&mut self, shard: usize, pkts: &mut Vec<Packet>, scales: &mut Option<Vec<f64>>) {
-        let mut sc = Vec::new();
-        let shed = self.subsamplers[shard].thin(pkts, &mut sc);
-        *scales = Some(sc);
-        if shed > 0 {
-            self.telemetry.shed_tuples.fetch_add(shed, Relaxed);
-            self.telemetry.shards()[shard]
-                .shed_tuples
-                .fetch_add(shed, Relaxed);
-        }
-    }
-
-    /// The stuck-shard watchdog: a worker whose ring has been full for a
-    /// whole send deadline AND whose lease heartbeat has gone stale is
-    /// declared wedged and replaced. Returns `true` when it acted
-    /// (respawned or degraded the shard) so the caller re-evaluates
-    /// capacity; `false` means the worker is slow but alive — keep
-    /// applying the shed policy.
-    fn watchdog(&mut self, shard: usize) -> bool {
-        if !self.supervising() || !self.seats[shard].lease.is_stale(self.overload.lease) {
-            return false;
-        }
-        self.wedge_respawn(shard);
-        true
-    }
-
-    /// Abandons a wedged worker incarnation and brings up a fresh one
-    /// through the normal checkpoint + backlog replay path, spending
-    /// restarts from the shard's budget. Safe Rust cannot kill a thread:
-    /// the zombie is parked and joined at finish/drop once it observes its
-    /// retired lease (or detached if it never does).
-    fn wedge_respawn(&mut self, shard: usize) {
-        eprintln!(
-            "fd-shard-{shard}: worker wedged (no heartbeat for {:?}); respawning",
-            self.seats[shard].lease.stale_for()
-        );
-        self.seats[shard].lease.retire();
-        self.senders[shard] = None;
-        if let Some(handle) = self.workers[shard].take() {
-            if handle.is_finished() {
-                let _ = handle.join();
-            } else {
-                self.zombies.push(handle);
-            }
-        }
-        self.telemetry.wedged_respawns.fetch_add(1, Relaxed);
-        if self.seats[shard].slot.unsupported() || !self.try_restart(shard) {
-            self.degrade(shard);
-        }
-    }
-
-    /// Accounts for a message displaced off a full ring by `DropOldest`:
-    /// purges it from the replay backlog (it will never be applied, so it
-    /// must not be replayed either), counts the shed, and recycles its
-    /// buffer.
-    fn shed_displaced(&mut self, shard: usize, old: Msg) {
-        let dseq = old.seq();
-        self.telemetry.shards()[shard]
-            .queue_depth
-            .fetch_sub(1, Relaxed);
-        if self.supervising() && !self.seats[shard].slot.unsupported() {
-            self.seats[shard]
-                .backlog
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .retain(|m| m.seq() != dseq);
-        }
-        if let Msg::Batch { pkts, .. } = old {
-            let shed = pkts.len() as u64;
-            self.telemetry.shed_tuples.fetch_add(shed, Relaxed);
-            self.telemetry.shed_batches.fetch_add(1, Relaxed);
-            self.telemetry.shards()[shard]
-                .shed_tuples
-                .fetch_add(shed, Relaxed);
-            if let Ok(buf) = Arc::try_unwrap(pkts) {
-                self.pool.put(buf);
-            }
-        }
-    }
-
-    /// Retains the message in the backlog (supervised mode), sends it
-    /// (displacing the oldest queued message when `displace` — the
-    /// `DropOldest` verdict from admission), and runs the recovery
-    /// protocol if the worker turns out to be dead.
-    fn dispatch(&mut self, shard: usize, msg: Msg, displace: bool) -> Result<(), fd_core::Error> {
-        if self.supervising() && !self.seats[shard].slot.unsupported() {
-            // Clone into the backlog *before* sending, so the failed
-            // message itself is replayable. This push is the dispatch
-            // path's entire supervision cost: covered entries are trimmed
-            // by the worker after each checkpoint it publishes.
-            self.seats[shard]
-                .backlog
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(msg.clone());
-        }
-        // Write-ahead: the record is enqueued to the WAL writer before the
-        // message reaches the worker, and on the same ring the later commit
-        // record travels on — so a commit can never be written before the
-        // batches it covers.
-        if let Some(d) = self.durable.as_mut() {
-            match &msg {
-                Msg::Batch { seq, pkts, wm, .. } => d.batch(shard, *seq, pkts, *wm),
-                Msg::Punctuate { seq, wm } => d.punct(shard, *seq, *wm),
-            }
-        }
-        let mut displaced = None;
-        let alive = match &self.senders[shard] {
-            // Admission's `DropOldest` verdict: bump the oldest queued
-            // message out of the full ring instead of waiting behind it.
-            Some(tx) if displace => match tx.send_displacing(msg) {
-                Ok(old) => {
-                    displaced = old;
-                    true
-                }
-                Err(_) => false,
-            },
-            Some(tx) => tx.send(msg).is_ok(),
-            None => false,
-        };
-        if let Some(old) = displaced {
-            self.shed_displaced(shard, old);
-        }
-        if alive {
-            return Ok(());
-        }
-        // A send fails only if the worker is gone — i.e. it panicked.
-        if !self.supervising() {
-            return Err(fd_core::Error::WorkerLost { shard });
-        }
-        self.reap(shard);
-        if !self.seats[shard].slot.unsupported() && self.try_restart(shard) {
-            Ok(())
-        } else {
-            self.degrade(shard);
-            Ok(())
-        }
-    }
-
-    /// Joins a dead worker's thread, recording its panic. Closes the
-    /// channel first so a (theoretically) live worker drains and exits.
-    fn reap(&mut self, shard: usize) {
-        self.senders[shard] = None;
-        if let Some(handle) = self.workers[shard].take() {
-            match handle.join() {
-                Ok(state) => self.seats[shard].early_exit = Some(state),
-                Err(payload) => {
-                    self.telemetry.worker_panics.fetch_add(1, Relaxed);
-                    eprintln!(
-                        "fd-shard-{shard}: worker panicked: {}",
-                        panic_message(&payload)
-                    );
-                }
-            }
-        }
-    }
-
-    /// Bounded-restart loop: respawn from the checkpoint with exponential
-    /// backoff, replay the backlog, retry if the replay dies too. Returns
-    /// `true` once a live worker is in place, `false` when the budget is
-    /// exhausted (the caller degrades the shard).
-    fn try_restart(&mut self, shard: usize) -> bool {
-        while self.seats[shard].restarts < self.max_restarts {
-            let attempt = self.seats[shard].restarts;
-            self.seats[shard].restarts += 1;
-            self.telemetry.restarts.fetch_add(1, Relaxed);
-            std::thread::sleep(backoff(attempt));
-            if self.respawn_and_replay(shard) {
-                return true;
-            }
-            // The replay killed the fresh worker (a permanent fault):
-            // reap it and spend another restart.
-            self.reap(shard);
-        }
-        false
-    }
-
-    /// Restores an engine from the shard's checkpoint (or builds a fresh
-    /// one if no checkpoint was taken yet), spawns a new worker on a new
-    /// ring, and replays every backlog message past the checkpoint.
-    /// Returns `false` if the restore fails or the worker dies mid-replay.
-    fn respawn_and_replay(&mut self, shard: usize) -> bool {
-        let (ckpt_seq, engine) = match self.seats[shard].slot.load() {
-            Some((seq, bytes)) => match Engine::restore(self.worker_query.clone(), &bytes) {
-                Ok(e) => (seq, e),
-                Err(err) => {
-                    // "Can't happen" (we wrote these bytes); surface it
-                    // rather than looping on a poisoned slot.
-                    eprintln!("fd-shard-{shard}: checkpoint restore failed: {err:?}");
-                    return false;
-                }
-            },
-            None => {
-                let mut e = Engine::new(self.worker_query.clone());
-                e.keep_closed_state();
-                (0, e)
-            }
-        };
-        let (tx, rx) = ring::<Msg>(CHANNEL_DEPTH);
-        // A fresh incarnation gets a fresh lease; the retired one stays
-        // with any zombie still holding it.
-        self.seats[shard].lease = Arc::new(WorkerLease::default());
-        let handle = spawn_worker(
-            shard,
-            engine,
-            rx,
-            Arc::clone(&self.telemetry),
-            self.pool.clone(),
-            Arc::clone(&self.config),
-            Arc::clone(&self.seats[shard].slot),
-            Arc::clone(&self.seats[shard].backlog),
-            Arc::clone(&self.fault),
-            Arc::clone(&self.seats[shard].lease),
-        );
-        self.workers[shard] = Some(handle);
-        self.senders[shard] = Some(tx);
-        // The old ring died with un-decremented messages in it; the gauge
-        // restarts from the replay backlog.
-        let tel = &self.telemetry.shards()[shard];
-        tel.queue_depth.store(0, Relaxed);
-        // The dead worker can't contend for the lock; a poisoned mutex
-        // just means it died mid-trim, which leaves the deque intact.
-        let replay: Vec<Msg> = self.seats[shard]
-            .backlog
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter(|m| m.seq() > ckpt_seq)
-            .cloned()
-            .collect();
-        for msg in replay {
-            let tel = &self.telemetry.shards()[shard];
-            if let Msg::Batch { pkts, .. } = &msg {
-                self.telemetry.replayed_batches.fetch_add(1, Relaxed);
-                self.telemetry
-                    .replayed_tuples
-                    .fetch_add(pkts.len() as u64, Relaxed);
-            }
-            tel.queue_depth.fetch_add(1, Relaxed);
-            let sent = match &self.senders[shard] {
-                Some(tx) => tx.send(msg).is_ok(),
-                None => false,
-            };
-            if !sent {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Gives up on a shard: drops its backlog (counting the tuples as
-    /// degraded drops), zeroes its queue gauge, and marks it so later
-    /// routed tuples are counted instead of sent. Its last checkpoint is
-    /// still salvaged at [`ShardedEngine::finish`].
-    fn degrade(&mut self, shard: usize) {
-        self.reap(shard);
-        self.seats[shard].degraded = true;
-        self.telemetry.degraded_shards.fetch_add(1, Relaxed);
-        let msgs: Vec<Msg> = self.seats[shard]
-            .backlog
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect();
-        let mut dropped = 0u64;
-        for msg in msgs {
-            if let Msg::Batch { pkts, .. } = msg {
-                dropped += pkts.len() as u64;
-                if let Ok(buf) = Arc::try_unwrap(pkts) {
-                    self.pool.put(buf);
-                }
-            }
-        }
-        self.telemetry.dropped_degraded.fetch_add(dropped, Relaxed);
-        self.telemetry.shards()[shard].queue_depth.store(0, Relaxed);
+        let t = &self.fab.telemetry;
+        let sum =
+            |f: fn(&EngineStats) -> u64| -> u64 { self.handles.iter().map(|h| f(&h.stats)).sum() };
+        t.tuples_in.store(sum(|s| s.tuples_in), Relaxed);
+        t.filtered.store(sum(|s| s.filtered), Relaxed);
+        t.late_drops.store(sum(|s| s.late_drops), Relaxed);
+        let wm = self.handles.iter().map(|h| h.watermark).max().unwrap_or(0);
+        t.dispatcher_watermark.store(wm, Relaxed);
     }
 
     /// Graceful drain: seals ingress, flushes every staged tuple, waits up
@@ -3131,24 +2095,11 @@ impl ShardedEngine {
         if self.done {
             return (Vec::new(), report);
         }
-        // Seal: push every staged tuple into the rings. Errors here mean a
-        // shard is already beyond saving; the finish below salvages it.
-        let flushed = if self.fabric.is_some() {
-            self.flush_fab_chunk()
-        } else {
-            self.sync_watermark()
-        };
-        if let Err(e) = flushed {
-            eprintln!("fd-drain: final flush failed: {e}");
-        }
+        self.seal_final();
+        let tel = Arc::clone(&self.fab.telemetry);
+        let lag_of = |shard: usize| tel.shards()[shard].queue_depth.load(Relaxed);
         let give_up = Instant::now() + deadline;
-        loop {
-            let lag: u64 = (0..self.n_shards())
-                .map(|s| self.telemetry.shards()[s].queue_depth.load(Relaxed))
-                .sum();
-            if lag == 0 {
-                break;
-            }
+        while (0..self.n_shards()).any(|s| lag_of(s) > 0) {
             if Instant::now() >= give_up {
                 report.deadline_expired = true;
                 break;
@@ -3157,7 +2108,7 @@ impl ShardedEngine {
         }
         if report.deadline_expired {
             for shard in 0..self.n_shards() {
-                let lag = self.telemetry.shards()[shard].queue_depth.load(Relaxed);
+                let lag = lag_of(shard);
                 if lag > 0 {
                     report.per_shard_lag[shard] = lag;
                     report.unflushed_epochs += lag;
@@ -3166,140 +2117,48 @@ impl ShardedEngine {
             }
         }
         let rows = self.finish();
-        report.shed_tuples = self.telemetry.shed_tuples.load(Relaxed);
-        report.shed_batches = self.telemetry.shed_batches.load(Relaxed);
-        report.wedged_respawns = self.telemetry.wedged_respawns.load(Relaxed);
+        report.shed_tuples = tel.shed_tuples.load(Relaxed);
+        report.shed_batches = tel.shed_batches.load(Relaxed);
+        report.wedged_respawns = tel.wedged_respawns.load(Relaxed);
         (rows, report)
     }
 
     /// Abandons a shard that failed to drain by its deadline: retires the
     /// worker's lease, parks the thread as a zombie (it may be blocked on
     /// a full downstream or genuinely wedged), and degrades the shard so
-    /// [`ShardedEngine::finish`] salvages its last checkpoint. The join
-    /// result of an already-exited worker is deliberately discarded —
-    /// folding it *and* the checkpoint salvage would double-count.
-    fn abandon_shard(&mut self, shard: usize) {
-        if let Some(fab) = self.fabric.as_ref().map(Arc::clone) {
-            let sh = &fab.shards[shard];
-            if sh.degraded.load(Relaxed) {
-                return;
-            }
-            let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            inner.generation += 1;
-            inner.lease.retire();
-            if let Some(handle) = inner.worker.take() {
-                if handle.is_finished() {
-                    let _ = handle.join();
-                } else {
-                    inner.zombies.push(handle);
-                }
-            }
-            fab.degrade_locked(shard, &mut inner);
+    /// [`ShardedEngine::finish`] salvages its last checkpoint.
+    fn abandon_shard(&self, shard: usize) {
+        let sh = &self.fab.shards[shard];
+        if sh.degraded.load(Relaxed) {
             return;
         }
-        if self.seats[shard].degraded {
-            return;
-        }
-        self.seats[shard].lease.retire();
-        self.senders[shard] = None;
-        if let Some(handle) = self.workers[shard].take() {
-            if handle.is_finished() {
-                let _ = handle.join();
-            } else {
-                self.zombies.push(handle);
-            }
-        }
-        self.degrade(shard);
+        let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        FabShared::retire_worker_locked(&mut inner);
+        self.fab.degrade_locked(shard, &mut inner);
     }
 
-    /// Ends the stream: flushes all shards, merges their closed buckets,
-    /// and returns every row in (bucket, key) order — the same order the
-    /// single-threaded engine emits. Subsequent calls return no rows.
+    /// Ends the stream: flushes all handles, joins every shard worker,
+    /// merges their closed buckets, and returns every row in (bucket,
+    /// key) order — the same order the single-threaded engine emits.
+    /// Subsequent calls return no rows. Never panics on a lost worker.
     ///
     /// A worker found dead here is put through the same supervision
     /// protocol as one found dead mid-stream: restore, replay, bounded
-    /// retries, then degradation with checkpoint salvage.
+    /// retries, then degradation with checkpoint salvage. Without
+    /// supervision its shard's rows are lost (counted in
+    /// `worker_panics`) and the surviving shards' rows are returned.
     pub fn finish(&mut self) -> Vec<Row> {
         if self.done {
             return Vec::new();
         }
         self.done = true;
-        if self.fabric.is_some() {
-            return self.finish_fabric();
-        }
-        // Flush staged batches and broadcast the final watermark, so every
-        // worker's applied-watermark gauge catches up to the dispatcher
-        // (post-run watermark lag reads 0, not the un-broadcast remainder).
-        self.sync_watermark().unwrap_or_else(|e| panic!("{e}"));
-        // Close every channel first so all workers drain in parallel.
-        for tx in self.senders.iter_mut() {
-            *tx = None;
-        }
-        let mut combined: BTreeMap<(u64, u64), Box<dyn Aggregator>> = BTreeMap::new();
-        for shard in 0..self.n_shards() {
-            while let Some(handle) = self.workers[shard].take() {
-                match handle.join() {
-                    Ok((closed, stats)) => {
-                        self.shard_stats[shard] = stats;
-                        fold_closed(&mut combined, closed);
-                        break;
-                    }
-                    Err(payload) => {
-                        self.telemetry.worker_panics.fetch_add(1, Relaxed);
-                        eprintln!(
-                            "fd-shard-{shard}: worker panicked: {}",
-                            panic_message(&payload)
-                        );
-                        let recovered = self.supervising()
-                            && !self.seats[shard].slot.unsupported()
-                            && self.try_restart(shard);
-                        if recovered {
-                            // Close the fresh worker's channel: it drains
-                            // the replay and exits with its state, which
-                            // the next join collects.
-                            self.senders[shard] = None;
-                        } else {
-                            self.degrade(shard);
-                        }
-                    }
-                }
-            }
-            if let Some((closed, stats)) = self.seats[shard].early_exit.take() {
-                self.shard_stats[shard] = stats;
-                fold_closed(&mut combined, closed);
-            }
-            if self.seats[shard].degraded {
-                // Salvage the degraded shard's last checkpoint: everything
-                // up to it survives in the final result.
-                if let Some((_seq, bytes)) = self.seats[shard].slot.load() {
-                    if let Ok(mut e) = Engine::restore(self.worker_query.clone(), &bytes) {
-                        let closed = e.finish_state();
-                        self.shard_stats[shard] = e.stats();
-                        fold_closed(&mut combined, closed);
-                    }
-                }
-            }
-        }
-        reap_zombies(&mut self.zombies);
-        // All workers have drained and published their last checkpoints:
-        // flush the WAL, persist what the last commit covers, and commit a
-        // final manifest, so a cleanly-finished store recovers instantly.
-        if let Some(d) = self.durable.as_mut() {
-            d.finish();
-        }
-        self.emit_rows(combined)
-    }
-
-    /// Fabric-mode finish: deal the per-tuple remainder, finish the
-    /// coordinator's handles (parallel callers have already finished or
-    /// dropped theirs), join every shard worker, and merge — applying the
-    /// same dead-worker protocol as the single dispatcher's finish.
-    fn finish_fabric(&mut self) -> Vec<Row> {
-        self.flush_fab_chunk().unwrap_or_else(|e| panic!("{e}"));
-        let fab = Arc::clone(self.fabric.as_ref().expect("fabric mode"));
-        for h in std::mem::take(&mut self.fab_handles) {
+        // Coordinator handles flush and close here; parallel callers have
+        // already finished or dropped theirs.
+        self.seal_final();
+        for h in std::mem::take(&mut self.handles) {
             h.finish();
         }
+        let fab = Arc::clone(&self.fab);
         let mut combined: BTreeMap<(u64, u64), Box<dyn Aggregator>> = BTreeMap::new();
         for (shard, sh) in fab.shards.iter().enumerate() {
             loop {
@@ -3317,12 +2176,12 @@ impl ShardedEngine {
                         break;
                     }
                     Err(payload) => {
-                        self.telemetry.worker_panics.fetch_add(1, Relaxed);
+                        fab.telemetry.worker_panics.fetch_add(1, Relaxed);
                         eprintln!(
                             "fd-shard-{shard}: worker panicked: {}",
                             panic_message(&payload)
                         );
-                        if !self.supervising() {
+                        if !fab.cfg.supervising() {
                             break;
                         }
                         // Same protocol as mid-stream: bounded respawn
@@ -3334,51 +2193,44 @@ impl ShardedEngine {
                     }
                 }
             }
-            let early = sh
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .early_exit
-                .take();
+            let (early, mut zombies) = {
+                let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+                (inner.early_exit.take(), std::mem::take(&mut inner.zombies))
+            };
             if let Some((closed, stats)) = early {
                 self.shard_stats[shard] = stats;
                 fold_closed(&mut combined, closed);
             }
             if sh.degraded.load(Relaxed) {
+                // Salvage the degraded shard's last checkpoint: everything
+                // up to it survives in the final result.
                 if let Some((_seq, bytes)) = sh.slot.load() {
-                    if let Ok(mut e) = Engine::restore(self.worker_query.clone(), &bytes) {
+                    if let Ok(mut e) = Engine::restore(fab.worker_query.clone(), &bytes) {
                         let closed = e.finish_state();
                         self.shard_stats[shard] = e.stats();
                         fold_closed(&mut combined, closed);
                     }
                 }
             }
-            let mut zombies = std::mem::take(
-                &mut sh
-                    .inner
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .zombies,
-            );
             reap_zombies(&mut zombies);
         }
-        reap_zombies(&mut self.zombies);
+        // All workers have drained and published their last checkpoints:
+        // flush the WAL, persist what the last commit covers, and commit a
+        // final manifest, so a cleanly-finished store recovers instantly.
         if let Some(d) = self.durable.as_mut() {
             d.finish();
         }
-        // Fold the producers' admission counters into the engine stats:
-        // the fabric must report the same aggregate counts the single
-        // dispatcher would have.
+        // Fold the producers' admission counters into the engine stats.
+        for s in fab
+            .stats_out
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .flatten()
         {
-            let out = fab.stats_out.lock().unwrap_or_else(PoisonError::into_inner);
-            for s in out.iter().flatten() {
-                self.stats.tuples_in += s.tuples_in;
-                self.stats.filtered += s.filtered;
-                self.stats.late_drops += s.late_drops;
-            }
-        }
-        for t in self.telemetry.producers() {
-            self.watermark = self.watermark.max(t.watermark_us.load(Relaxed));
+            self.stats.tuples_in += s.tuples_in;
+            self.stats.filtered += s.filtered;
+            self.stats.late_drops += s.late_drops;
         }
         self.emit_rows(combined)
     }
@@ -3404,57 +2256,56 @@ impl ShardedEngine {
             })
             .collect();
         self.stats.rows_out = rows.len() as u64;
-        self.telemetry
-            .tuples_in
-            .store(self.stats.tuples_in, Relaxed);
-        self.telemetry.filtered.store(self.stats.filtered, Relaxed);
-        self.telemetry
-            .late_drops
-            .store(self.stats.late_drops, Relaxed);
-        self.telemetry
-            .dispatcher_watermark
-            .store(self.watermark, Relaxed);
-        self.telemetry.rows_out.store(self.stats.rows_out, Relaxed);
-        self.telemetry
-            .buckets_closed
-            .store(self.stats.buckets_closed, Relaxed);
+        let t = &self.fab.telemetry;
+        t.tuples_in.store(self.stats.tuples_in, Relaxed);
+        t.filtered.store(self.stats.filtered, Relaxed);
+        t.late_drops.store(self.stats.late_drops, Relaxed);
+        // Every closed handle left its final watermark in its mirror.
+        let wm = t.producers().iter().map(|p| p.watermark_us.load(Relaxed));
+        t.dispatcher_watermark.store(wm.max().unwrap_or(0), Relaxed);
+        t.rows_out.store(self.stats.rows_out, Relaxed);
+        t.buckets_closed.store(self.stats.buckets_closed, Relaxed);
         rows
     }
 
-    /// Runs a whole stream through the query and returns all rows.
-    /// Chunks the stream through the columnar fast path.
+    /// Runs a whole stream through the query and returns all rows,
+    /// chunking it through [`try_process_packets`](Self::try_process_packets).
+    /// A lost unsupervised worker ends the feed early; the loss is logged
+    /// and [`finish`](Self::finish) returns what the other shards hold.
     pub fn run(&mut self, stream: impl IntoIterator<Item = Packet>) -> Vec<Row> {
-        let mut buf = Vec::with_capacity(self.batch_size);
-        for pkt in stream {
-            buf.push(pkt);
-            if buf.len() == self.batch_size {
-                self.process_packets(&buf);
-                buf.clear();
+        let chunk = self.cfg.batch_size;
+        let mut buf = Vec::with_capacity(chunk);
+        let mut stream = stream.into_iter();
+        loop {
+            buf.clear();
+            buf.extend(stream.by_ref().take(chunk));
+            if buf.is_empty() {
+                break;
+            }
+            if let Err(e) = self.try_process_packets(&buf) {
+                eprintln!("fd-run: feed stopped: {e}");
+                break;
             }
         }
-        self.process_packets(&buf);
         self.finish()
     }
 
-    /// Combined execution counters: dispatcher admission counts plus the
-    /// shard-side LFTA evictions, and the combiner's row/bucket counts.
-    /// Shard-side numbers are folded in by [`ShardedEngine::finish`].
+    /// Combined execution counters: admission counts plus the shard-side
+    /// LFTA evictions, and the combiner's row/bucket counts. Shard-side
+    /// numbers are folded in by [`ShardedEngine::finish`]. (With taken
+    /// handles, admission lives on the handles until then.)
     pub fn stats(&self) -> EngineStats {
         let shards = crate::metrics::combine_shard_stats(&self.shard_stats);
         let mut stats = EngineStats {
             lfta_evictions: shards.lfta_evictions,
             ..self.stats
         };
-        if !self.done {
-            // Fabric coordinator mode mid-run: admission lives on the
-            // handles; fold their counters in. (After finish they are
-            // folded into self.stats already; in taken-handles mode the
-            // caller reads the handles' own stats until finish.)
-            for h in &self.fab_handles {
-                stats.tuples_in += h.stats.tuples_in;
-                stats.filtered += h.stats.filtered;
-                stats.late_drops += h.stats.late_drops;
-            }
+        // Mid-run, admission lives on the coordinator's handles; `finish`
+        // folds it into `self.stats` and drops them.
+        for h in &self.handles {
+            stats.tuples_in += h.stats.tuples_in;
+            stats.filtered += h.stats.filtered;
+            stats.late_drops += h.stats.late_drops;
         }
         stats
     }
@@ -3464,54 +2315,43 @@ impl ShardedEngine {
     pub fn per_shard_stats(&self) -> &[EngineStats] {
         &self.shard_stats
     }
-}
 
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        // Close channels and reap workers so an abandoned engine doesn't
-        // leak threads. A worker panic must not be swallowed silently: we
-        // can't propagate it from drop (we may already be unwinding), so
-        // count it in the telemetry registry and log the payload.
-        for tx in self.senders.iter_mut() {
-            *tx = None;
-        }
-        for (shard, slot) in self.workers.iter_mut().enumerate() {
-            if let Some(handle) = slot.take() {
+    /// Closes every ring and reaps the workers. A worker panic must not be
+    /// swallowed silently: it cannot propagate from here (we may already
+    /// be unwinding), so it is counted in the telemetry registry and
+    /// logged. The durability writer is abandoned, not finished: it stops
+    /// without any further fsync, rename or manifest commit.
+    fn retire(&mut self) {
+        self.durable = None;
+        // Dropping the coordinator handles closes their rings; close any
+        // recovery-installed senders too, then join.
+        self.handles.clear();
+        for (shard, sh) in self.fab.shards.iter().enumerate() {
+            for slot in &sh.senders {
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+            }
+            let (handle, mut zombies) = {
+                let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+                (inner.worker.take(), std::mem::take(&mut inner.zombies))
+            };
+            if let Some(handle) = handle {
                 if let Err(payload) = handle.join() {
-                    self.telemetry.worker_panics.fetch_add(1, Relaxed);
+                    self.fab.telemetry.worker_panics.fetch_add(1, Relaxed);
                     eprintln!(
                         "fd-shard-{shard}: worker panicked: {}",
                         panic_message(&payload)
                     );
                 }
             }
+            reap_zombies(&mut zombies);
         }
-        if let Some(fab) = self.fabric.take() {
-            // Dropping the coordinator handles closes their rings
-            // (IngressHandle::drop); close any recovery-installed senders
-            // too, then join the fabric workers.
-            self.fab_handles.clear();
-            for (shard, sh) in fab.shards.iter().enumerate() {
-                for slot in &sh.senders {
-                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
-                }
-                let (handle, mut zombies) = {
-                    let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                    (inner.worker.take(), std::mem::take(&mut inner.zombies))
-                };
-                if let Some(handle) = handle {
-                    if let Err(payload) = handle.join() {
-                        self.telemetry.worker_panics.fetch_add(1, Relaxed);
-                        eprintln!(
-                            "fd-shard-{shard}: worker panicked: {}",
-                            panic_message(&payload)
-                        );
-                    }
-                }
-                reap_zombies(&mut zombies);
-            }
-        }
-        reap_zombies(&mut self.zombies);
+    }
+}
+
+impl Drop for ShardedEngine {
+    fn drop(&mut self) {
+        // An abandoned engine must not leak threads.
+        self.retire();
     }
 }
 
@@ -3564,8 +2404,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 mod tests {
     use super::*;
     use crate::aggregators::{count_factory, fwd_sum_factory};
-    use crate::fault::FaultPlan;
-    use crate::tuple::{Proto, MICROS_PER_SEC};
+    use crate::tuple::MICROS_PER_SEC;
     use fd_core::decay::Monomial;
 
     fn pkt(ts_s: f64, dst_ip: u32) -> Packet {
@@ -3590,73 +2429,88 @@ mod tests {
             .build()
     }
 
+    fn fwd_query() -> Query {
+        Query::builder("fwd")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(60)
+            .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
+            .two_level(false)
+            .build()
+    }
+
     fn sharded(query: Query, n: usize) -> ShardedEngine {
         ShardedEngine::try_new(query, n).expect("spawn shards")
     }
 
-    #[test]
-    fn sharded_counts_match_single_threaded() {
-        let stream: Vec<Packet> = (0..10_000)
-            .map(|i| pkt(0.01 * i as f64, (i % 97) as u32))
-            .collect();
-        let single = Engine::new(count_query()).run(stream.clone());
-        let rows = sharded(count_query(), 4).run(stream);
-        assert_eq!(single.len(), rows.len());
-        for (a, b) in single.iter().zip(&rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value);
+    fn plan(spec: &str) -> FaultPlan {
+        FaultPlan::parse(spec).expect("plan")
+    }
+
+    /// Same rows, same order, same values — to the bit.
+    fn assert_rows_eq(want: &[Row], got: &[Row], label: &str) {
+        assert_eq!(want.len(), got.len(), "{label}: row count");
+        for (a, b) in want.iter().zip(got) {
+            assert_eq!(
+                (a.bucket_start, a.key),
+                (b.bucket_start, b.key),
+                "{label}: row identity"
+            );
+            assert_eq!(a.value, b.value, "{label}: key {}", a.key);
         }
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_still_spawns() {
-        // The deprecated panicking constructor stays a thin wrapper over
-        // try_new until it is removed.
-        let mut e = ShardedEngine::new(count_query(), 2);
-        e.process(&pkt(1.0, 1));
-        assert_eq!(e.finish().len(), 1);
+    fn coordinator_matches_single_threaded_for_every_producer_count() {
+        // The producer-seq determinism rule in action: for every P, the
+        // coordinator deals epochs round-robin and each worker drains
+        // producers in seq order, so keyed-routing rows are bit-identical
+        // to the single-threaded engine.
+        let stream: Vec<Packet> = (0..12_000)
+            .map(|i| pkt(0.01 * i as f64, (i % 97) as u32))
+            .collect();
+        let single = Engine::new(count_query()).run(stream.clone());
+        for producers in [1usize, 2, 3] {
+            let mut e = sharded(count_query(), 4)
+                .try_batch_size(256)
+                .expect("batch")
+                .try_producers(producers)
+                .expect("producers");
+            let rows = e.run(stream.clone());
+            assert_rows_eq(&single, &rows, &format!("P={producers}"));
+            assert_eq!(e.stats().tuples_in, stream.len() as u64);
+            assert_eq!(e.n_producers(), producers);
+        }
     }
 
     #[test]
     fn round_robin_merges_split_groups_exactly() {
         // Every group's state splits across all 4 shards; counts are
         // additively mergeable so the merge path must reassemble them
-        // exactly.
+        // exactly, whichever producer sealed each part.
         let stream: Vec<Packet> = (0..8_000)
             .map(|i| pkt(0.005 * i as f64, (i % 13) as u32))
             .collect();
         let single = Engine::new(count_query()).run(stream.clone());
-        let rows = sharded(count_query(), 4)
-            .routing(ShardBy::RoundRobin)
-            .run(stream);
-        assert_eq!(single.len(), rows.len());
-        for (a, b) in single.iter().zip(&rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value);
+        for producers in [1usize, 2] {
+            let rows = sharded(count_query(), 4)
+                .routing(ShardBy::RoundRobin)
+                .try_batch_size(128)
+                .expect("batch")
+                .try_producers(producers)
+                .expect("producers")
+                .run(stream.clone());
+            assert_rows_eq(&single, &rows, &format!("P={producers}"));
         }
     }
 
     #[test]
     fn forward_decayed_sum_shards_by_key() {
-        let q = || {
-            Query::builder("fwd")
-                .group_by(|p| p.dst_host())
-                .bucket_secs(60)
-                .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-                .two_level(false)
-                .build()
-        };
         let stream: Vec<Packet> = (0..5_000)
             .map(|i| pkt(0.03 * i as f64, (i % 31) as u32))
             .collect();
-        let single = Engine::new(q()).run(stream.clone());
-        let rows = sharded(q(), 4).run(stream);
-        assert_eq!(single.len(), rows.len());
-        for (a, b) in single.iter().zip(&rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value, "key {}", a.key);
-        }
+        let single = Engine::new(fwd_query()).run(stream.clone());
+        let rows = sharded(fwd_query(), 4).run(stream);
+        assert_rows_eq(&single, &rows, "fwd sum");
     }
 
     #[test]
@@ -3672,7 +2526,7 @@ mod tests {
         for ev in &events {
             single.process_event(ev);
         }
-        parallel.process_batch(&events);
+        parallel.try_process_batch(&events).expect("feed");
         let s_rows = single.finish();
         let p_rows = parallel.finish();
         assert_eq!(s_rows.len(), p_rows.len());
@@ -3690,7 +2544,8 @@ mod tests {
             .build();
         let mut e = sharded(q, 3);
         for i in 0..300 {
-            e.process(&pkt(i as f64 * 0.1, (i % 7) as u32));
+            e.try_process(&pkt(i as f64 * 0.1, (i % 7) as u32))
+                .expect("feed");
         }
         let rows = e.finish();
         let stats = e.stats();
@@ -3707,24 +2562,27 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_zero_shards() {
-        assert!(matches!(
-            ShardedEngine::try_new(count_query(), 0),
-            Err(fd_core::Error::InvalidParameter {
-                name: "n_shards",
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn finish_is_idempotent_and_drop_reaps_workers() {
-        let mut e = sharded(count_query(), 2);
-        e.process(&pkt(1.0, 1));
-        assert_eq!(e.finish().len(), 1);
-        assert!(e.finish().is_empty());
-        let e2 = sharded(count_query(), 2);
-        drop(e2); // must not hang or leak
+        for producers in [1usize, 2] {
+            let mut e = sharded(count_query(), 2)
+                .try_producers(producers)
+                .expect("producers");
+            e.try_process(&pkt(1.0, 1)).expect("feed");
+            assert_eq!(e.finish().len(), 1);
+            assert!(e.finish().is_empty());
+        }
+        // Dropping a never-finished engine must not hang or leak.
+        drop(
+            sharded(count_query(), 2)
+                .try_producers(3)
+                .expect("producers"),
+        );
+        // Dropping taken handles without finish() must not hang either.
+        let mut e = sharded(count_query(), 2)
+            .try_producers(2)
+            .expect("producers");
+        drop(e.take_ingress_handles());
+        drop(e);
     }
 
     #[test]
@@ -3735,10 +2593,9 @@ mod tests {
         const KEYS: u64 = 100_000;
         for n_shards in [2usize, 3, 4, 8] {
             for (label, stride_shift) in [("dense", 0u32), ("strided", 12u32)] {
-                let mut e = sharded(count_query(), n_shards);
                 let mut counts = vec![0u64; n_shards];
                 for key in 0..KEYS {
-                    counts[e.route(key << stride_shift)] += 1;
+                    counts[route_key(key << stride_shift, n_shards)] += 1;
                 }
                 let uniform = KEYS as f64 / n_shards as f64;
                 for (shard, &c) in counts.iter().enumerate() {
@@ -3784,15 +2641,15 @@ mod tests {
             .two_level(false)
             .build();
         let mut e = sharded(q, 2);
-        // Exactly one batch's worth of tuples so process() itself flushes
-        // the batch to the worker (no explicit punctuation: the worker
-        // dies, and drop — not a send — must discover it).
+        // Exactly one batch's worth of tuples so the feed itself seals the
+        // epoch (no explicit punctuation: the worker dies, and drop — not
+        // a send — must discover it).
         for i in 0..DEFAULT_BATCH_SIZE {
             let mut p = pkt(0.001 * i as f64, 1);
             if i == 7 {
                 p.len = 0xDEAD;
             }
-            e.process(&p);
+            e.try_process(&p).expect("feed");
         }
         let tel = Arc::clone(e.telemetry());
         drop(e); // Drop must reap the dead worker and record the panic
@@ -3801,10 +2658,10 @@ mod tests {
 
     #[test]
     fn batched_admission_matches_scalar_exactly() {
-        // The columnar process_packets path must accept, filter and drop
-        // exactly the tuples the per-tuple path does — including streams
-        // where the closed boundary advances mid-batch and late tuples
-        // interleave with fresh ones.
+        // Per-tuple feeding, sliced feeding and several producers must all
+        // accept, filter and drop exactly the tuples the single-threaded
+        // engine does — including streams where the closed boundary
+        // advances mid-slice and late tuples interleave with fresh ones.
         let q = || {
             Query::builder("diff")
                 .filter(|p| p.dst_port == 80)
@@ -3825,32 +2682,43 @@ mod tests {
             }
             stream.push(p);
         }
+        let mut single = Engine::new(q());
+        let want = single.run(stream.clone());
+        let ws = single.stats();
+        assert!(ws.filtered > 0 && ws.late_drops > 0);
+        let check = |label: &str, e: &ShardedEngine, rows: &[Row]| {
+            let s = e.stats();
+            assert_eq!(
+                (ws.tuples_in, ws.filtered, ws.late_drops),
+                (s.tuples_in, s.filtered, s.late_drops),
+                "{label}"
+            );
+            assert_rows_eq(&want, rows, label);
+        };
         let mut scalar = sharded(q(), 3);
         for p in &stream {
-            scalar.process(p);
+            scalar.try_process(p).expect("feed");
         }
-        let s_rows = scalar.finish();
-        let mut batched = sharded(q(), 3).batch_size(256);
-        let b_rows = batched.run(stream);
-        let (ss, bs) = (scalar.stats(), batched.stats());
-        assert_eq!(ss.tuples_in, bs.tuples_in);
-        assert_eq!(ss.filtered, bs.filtered);
-        assert_eq!(ss.late_drops, bs.late_drops);
-        assert_eq!(s_rows.len(), b_rows.len());
-        for (a, b) in s_rows.iter().zip(&b_rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value, "key {}", a.key);
+        let rows = scalar.finish();
+        check("per tuple", &scalar, &rows);
+        for producers in [1usize, 2] {
+            let mut batched = sharded(q(), 3)
+                .try_batch_size(256)
+                .expect("batch")
+                .try_producers(producers)
+                .expect("producers");
+            let rows = batched.run(stream.clone());
+            check(&format!("sliced, P={producers}"), &batched, &rows);
         }
     }
 
     #[test]
     fn pooled_batches_recycle_and_count_like_fresh_ones() {
-        // Satellite check: batches_sent must count recycled-pool sends
-        // identically to fresh sends. Route everything to one shard,
-        // ship enough batches that the depth-8 ring forces the worker to
-        // drain (returning buffers to the pool) while the dispatcher is
-        // still flushing. Supervision off: this pins the legacy
-        // worker-side recycling path.
+        // batches_sent must count recycled-pool sends identically to fresh
+        // sends. Route everything to one shard, ship enough batches that
+        // the bounded ring forces the worker to drain (returning buffers
+        // to the pool) while the handle is still sealing. Supervision off:
+        // this pins the worker-side recycling path.
         const BATCH: usize = 64;
         const N_BATCHES: u64 = 40;
         let q = Query::builder("pool")
@@ -3859,7 +2727,10 @@ mod tests {
             .aggregate(count_factory())
             .two_level(false)
             .build();
-        let mut e = sharded(q, 1).batch_size(BATCH).checkpoint_every(0);
+        let mut e = sharded(q, 1)
+            .try_batch_size(BATCH)
+            .expect("batch")
+            .checkpoint_every(0);
         let stream: Vec<Packet> = (0..N_BATCHES * BATCH as u64)
             .map(|i| pkt(0.001 * i as f64, 1))
             .collect();
@@ -3900,7 +2771,8 @@ mod tests {
             .two_level(false)
             .build();
         let mut e = sharded(q, 1)
-            .batch_size(BATCH)
+            .try_batch_size(BATCH)
+            .expect("batch")
             .checkpoint_every(BATCH as u64);
         let stream: Vec<Packet> = (0..N_BATCHES * BATCH as u64)
             .map(|i| pkt(0.001 * i as f64, 1))
@@ -3919,285 +2791,20 @@ mod tests {
     }
 
     #[test]
-    fn transient_worker_death_recovers_exactly() {
-        // Kill shard 0 mid-stream; the supervisor restores it from its
-        // checkpoint, replays the tail, and the rows come out identical
-        // to an unfaulted run — with the recovery visible in telemetry.
-        let stream: Vec<Packet> = (0..30_000)
-            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
-            .collect();
-        let clean = sharded(count_query(), 2).run(stream.clone());
-        let mut e = sharded(count_query(), 2)
-            .batch_size(128)
-            .checkpoint_every(1_000)
-            .inject_fault(FaultPlan::parse("panic:0:5000").expect("plan"));
-        let rows = e.run(stream);
-        assert_eq!(clean.len(), rows.len());
-        for (a, b) in clean.iter().zip(&rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value, "key {}", a.key);
-        }
-        let snap = e.telemetry().snapshot();
-        assert_eq!(snap.restarts, 1, "one respawn");
-        assert_eq!(snap.worker_panics, 1, "the injected death was reaped");
-        assert!(snap.replayed_batches > 0, "the backlog tail was replayed");
-        assert!(snap.checkpoints > 0);
-        assert_eq!(snap.degraded_shards, 0);
-        assert_eq!(snap.dropped_degraded, 0);
-    }
-
-    #[test]
-    fn poisoned_shard_degrades_after_bounded_restarts() {
-        // A permanent fault exhausts the restart budget; the shard
-        // degrades, its checkpoint is salvaged, and the engine still
-        // produces rows for the healthy shards.
-        let stream: Vec<Packet> = (0..20_000)
-            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
-            .collect();
-        let mut e = sharded(count_query(), 2)
-            .batch_size(128)
-            .checkpoint_every(1_000)
-            .max_restarts(2)
-            .inject_fault(FaultPlan::parse("poison:1:4000").expect("plan"));
-        let rows = e.run(stream);
-        assert!(!rows.is_empty(), "healthy shard still emits");
-        let snap = e.telemetry().snapshot();
-        assert_eq!(snap.restarts, 2, "budget spent exactly");
-        assert_eq!(snap.degraded_shards, 1);
-        assert!(
-            snap.dropped_degraded > 0,
-            "post-degradation tuples are counted dropped"
-        );
-        assert_eq!(snap.worker_panics, 3, "initial death + 2 failed respawns");
-    }
-
-    #[test]
-    fn unsupervised_dead_worker_is_a_hard_error() {
-        // checkpoint_every(0) restores the legacy contract: try_process
-        // reports WorkerLost, process panics.
-        let stream: Vec<Packet> = (0..4_000)
-            .map(|i| pkt(0.01 * i as f64, (i % 7) as u32))
-            .collect();
-        let mut e = sharded(count_query(), 1)
-            .batch_size(64)
-            .checkpoint_every(0)
-            .inject_fault(FaultPlan::parse("panic:0:100").expect("plan"));
-        let mut lost = None;
-        for p in &stream {
-            if let Err(err) = e.try_process(p) {
-                lost = Some(err);
-                break;
-            }
-        }
-        assert!(
-            matches!(lost, Some(fd_core::Error::WorkerLost { shard: 0 })),
-            "expected WorkerLost, got {lost:?}"
-        );
-    }
-
-    #[test]
-    fn batch_size_builder_rejects_zero_and_late_calls() {
-        let e = sharded(count_query(), 2).batch_size(16);
-        drop(e);
-        assert!(matches!(
-            sharded(count_query(), 2).try_batch_size(0),
-            Err(fd_core::Error::InvalidParameter {
-                name: "batch_size",
-                ..
-            })
-        ));
-        let r = std::panic::catch_unwind(|| {
-            let _ = sharded(count_query(), 2).batch_size(0);
-        });
-        assert!(r.is_err(), "zero batch size must panic");
-    }
-
-    #[test]
-    fn telemetry_final_counters_match_stats() {
-        let q = Query::builder("tel")
-            .filter(|p| p.proto == Proto::Tcp)
-            .group_by(|p| p.dst_host())
-            .bucket_secs(60)
-            .aggregate(count_factory())
-            .build();
-        let mut e = sharded(q, 3);
-        let mut events = Vec::new();
-        for i in 0..500 {
-            let mut p = pkt(i as f64 * 0.5, (i % 11) as u32);
-            if i % 50 == 0 {
-                p.proto = Proto::Udp; // filtered out
-            }
-            events.push(StreamEvent::Data(p));
-        }
-        events.push(StreamEvent::Punctuation(400 * MICROS_PER_SEC));
-        events.push(StreamEvent::Data(pkt(10.0, 1))); // late: dropped
-        e.process_batch(&events);
-        let rows = e.finish();
-        let stats = e.stats();
-        let snap = e.telemetry().snapshot();
-        assert_eq!(snap.tuples_in, stats.tuples_in);
-        assert_eq!(snap.filtered, stats.filtered);
-        assert_eq!(snap.late_drops, stats.late_drops);
-        assert_eq!(snap.rows_out, rows.len() as u64);
-        assert_eq!(snap.buckets_closed, stats.buckets_closed);
-        assert!(stats.late_drops >= 1);
-        assert_eq!(snap.worker_panics, 0);
-        // Every queue drained, every shard caught up to the dispatcher.
-        for shard in &snap.shards {
-            assert_eq!(shard.queue_depth, 0);
-            assert_eq!(shard.watermark_lag_us, 0);
-        }
-        assert_eq!(
-            snap.shards.iter().map(|s| s.tuples_processed).sum::<u64>(),
-            stats.tuples_in - stats.filtered - stats.late_drops
-        );
-    }
-
-    // -- Multi-producer ingress fabric ------------------------------------
-
-    #[test]
-    fn fabric_coordinator_matches_single_threaded() {
-        // The producer-seq determinism rule in action: for every P, the
-        // coordinator deals chunks round-robin and each worker drains
-        // producers in seq order, so keyed-routing rows are bit-identical
-        // to the single-threaded engine.
-        let stream: Vec<Packet> = (0..12_000)
-            .map(|i| pkt(0.01 * i as f64, (i % 97) as u32))
-            .collect();
-        let single = Engine::new(count_query()).run(stream.clone());
-        for producers in [1usize, 2, 3] {
-            let mut e = sharded(count_query(), 4)
-                .batch_size(256)
-                .try_producers(producers)
-                .expect("fabric");
-            let rows = e.run(stream.clone());
-            assert_eq!(single.len(), rows.len(), "P={producers}");
-            for (a, b) in single.iter().zip(&rows) {
-                assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-                assert_eq!(a.value, b.value, "P={producers} key {}", a.key);
-            }
-            assert_eq!(e.stats().tuples_in, stream.len() as u64);
-            assert_eq!(e.n_producers(), producers);
-        }
-    }
-
-    #[test]
-    fn fabric_round_robin_matches_single_dispatcher() {
-        let stream: Vec<Packet> = (0..8_000)
-            .map(|i| pkt(0.005 * i as f64, (i % 13) as u32))
-            .collect();
-        let single = Engine::new(count_query()).run(stream.clone());
-        let mut e = sharded(count_query(), 4)
-            .routing(ShardBy::RoundRobin)
-            .batch_size(128)
-            .try_producers(2)
-            .expect("fabric");
-        let rows = e.run(stream);
-        assert_eq!(single.len(), rows.len());
-        for (a, b) in single.iter().zip(&rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value, "key {}", a.key);
-        }
-    }
-
-    #[test]
-    fn fabric_parallel_handles_match_single_threaded() {
-        // True parallel ingress: P threads each own an IngressHandle and
-        // feed an interleaved slice of the stream. Count aggregation is
-        // order-insensitive within a bucket and the slices stay within
-        // slack of each other, so the rows still match the single-threaded
-        // run exactly.
-        const P: usize = 3;
-        let q = || {
-            Query::builder("par")
-                .group_by(|p| p.dst_host())
-                .bucket_secs(60)
-                .slack_secs(30.0)
-                .aggregate(count_factory())
-                .two_level(true)
-                .lfta_slots(64)
-                .build()
-        };
-        let stream: Vec<Packet> = (0..15_000)
-            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
-            .collect();
-        let single = Engine::new(q()).run(stream.clone());
-        let mut e = sharded(q(), 4)
-            .batch_size(128)
-            .try_producers(P)
-            .expect("fabric");
-        let handles = e.take_ingress_handles();
-        let slices: Vec<Vec<Packet>> = (0..P)
-            .map(|p| stream.iter().skip(p).step_by(P).copied().collect())
-            .collect();
-        let joined: Vec<std::thread::JoinHandle<EngineStats>> = handles
-            .into_iter()
-            .zip(slices)
-            .map(|(mut h, slice)| {
-                std::thread::spawn(move || {
-                    for chunk in slice.chunks(256) {
-                        h.ingest(chunk).expect("ingest");
-                    }
-                    h.finish()
-                })
-            })
-            .collect();
-        let mut fed = 0u64;
-        for j in joined {
-            fed += j.join().expect("producer thread").tuples_in;
-        }
-        assert_eq!(fed, stream.len() as u64);
-        let rows = e.finish();
-        assert_eq!(single.len(), rows.len());
-        for (a, b) in single.iter().zip(&rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value, "key {}", a.key);
-        }
-        assert_eq!(e.stats().tuples_in, stream.len() as u64);
-    }
-
-    #[test]
-    fn fabric_transient_worker_death_recovers_exactly() {
-        // Same contract as the single-dispatcher supervisor: kill a shard
-        // mid-stream under the fabric and the checkpoint + per-producer
-        // backlog replay restores it bit-identically.
-        let stream: Vec<Packet> = (0..30_000)
-            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
-            .collect();
-        let clean = sharded(count_query(), 2).run(stream.clone());
-        let mut e = sharded(count_query(), 2)
-            .batch_size(128)
-            .checkpoint_every(1_000)
-            .inject_fault(FaultPlan::parse("panic:0:5000").expect("plan"))
-            .try_producers(2)
-            .expect("fabric");
-        let rows = e.run(stream);
-        assert_eq!(clean.len(), rows.len());
-        for (a, b) in clean.iter().zip(&rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value, "key {}", a.key);
-        }
-        let snap = e.telemetry().snapshot();
-        assert_eq!(snap.restarts, 1, "one respawn");
-        assert_eq!(snap.worker_panics, 1);
-        assert!(snap.replayed_batches > 0, "backlog tail was replayed");
-        assert_eq!(snap.degraded_shards, 0);
-    }
-
-    #[test]
-    fn fabric_pools_recycle_per_producer() {
-        // Satellite: pool capacity scales with producers × shards and the
-        // recycling hit-rate holds up under the fabric — visible through
-        // the per-producer pool telemetry counters.
+    fn pools_recycle_per_producer() {
+        // Pool capacity scales with producers × shards and the recycling
+        // hit-rate holds up with several producers — visible through the
+        // per-producer pool telemetry counters.
         const BATCH: usize = 64;
         const N: u64 = 10_000;
         let stream: Vec<Packet> = (0..N)
             .map(|i| pkt(0.001 * i as f64, (i % 7) as u32))
             .collect();
         let mut e = sharded(count_query(), 2)
-            .batch_size(BATCH)
+            .try_batch_size(BATCH)
+            .expect("batch")
             .try_producers(2)
-            .expect("fabric");
+            .expect("producers");
         e.run(stream);
         let snap = e.telemetry().snapshot();
         assert_eq!(snap.producers.len(), 2);
@@ -4220,102 +2827,342 @@ mod tests {
     }
 
     #[test]
-    fn fabric_admission_matches_scalar_exactly() {
-        // Handle-local admission (filter, late-drop, watermark advance)
-        // must reproduce the dispatcher's columnar path decisions exactly.
+    fn transient_worker_death_recovers_exactly() {
+        // Kill shard 0 mid-stream; the supervisor restores it from its
+        // checkpoint, replays the per-producer backlog tail, and the rows
+        // come out identical to an unfaulted run — with the recovery
+        // visible in telemetry.
+        let stream: Vec<Packet> = (0..30_000)
+            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
+            .collect();
+        let clean = Engine::new(count_query()).run(stream.clone());
+        for producers in [1usize, 2] {
+            let mut e = sharded(count_query(), 2)
+                .try_batch_size(128)
+                .expect("batch")
+                .checkpoint_every(1_000)
+                .inject_fault(plan("panic:0:5000"))
+                .try_producers(producers)
+                .expect("producers");
+            let rows = e.run(stream.clone());
+            assert_rows_eq(&clean, &rows, &format!("P={producers}"));
+            let snap = e.telemetry().snapshot();
+            assert_eq!(snap.restarts, 1, "one respawn");
+            assert_eq!(snap.worker_panics, 1, "the injected death was reaped");
+            assert!(snap.replayed_batches > 0, "the backlog tail was replayed");
+            assert!(snap.checkpoints > 0);
+            assert_eq!(snap.degraded_shards, 0);
+            assert_eq!(snap.dropped_degraded, 0);
+        }
+    }
+
+    #[test]
+    fn poisoned_shard_degrades_after_bounded_restarts() {
+        // A permanent fault exhausts the restart budget; the shard
+        // degrades, its checkpoint is salvaged, and the engine still
+        // produces rows for the healthy shards.
+        let stream: Vec<Packet> = (0..20_000)
+            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
+            .collect();
+        let mut e = sharded(count_query(), 2)
+            .try_batch_size(128)
+            .expect("batch")
+            .checkpoint_every(1_000)
+            .max_restarts(2)
+            .inject_fault(plan("poison:1:4000"));
+        let rows = e.run(stream);
+        assert!(!rows.is_empty(), "healthy shard still emits");
+        let snap = e.telemetry().snapshot();
+        assert_eq!(snap.restarts, 2, "budget spent exactly");
+        assert_eq!(snap.degraded_shards, 1);
+        assert!(
+            snap.dropped_degraded > 0,
+            "post-degradation tuples are counted dropped"
+        );
+        assert_eq!(snap.worker_panics, 3, "initial death + 2 failed respawns");
+    }
+
+    #[test]
+    fn unsupervised_dead_worker_is_a_hard_error() {
+        // checkpoint_every(0): no replay, so a dead worker is reported.
+        let stream: Vec<Packet> = (0..4_000)
+            .map(|i| pkt(0.01 * i as f64, (i % 7) as u32))
+            .collect();
+        let mut e = sharded(count_query(), 1)
+            .try_batch_size(64)
+            .expect("batch")
+            .checkpoint_every(0)
+            .inject_fault(plan("panic:0:100"));
+        let lost = stream.iter().find_map(|p| e.try_process(p).err());
+        assert!(
+            matches!(lost, Some(fd_core::Error::WorkerLost { shard: 0 })),
+            "expected WorkerLost, got {lost:?}"
+        );
+    }
+
+    #[test]
+    fn finish_after_worker_lost_returns_surviving_rows() {
+        // No supervision, shard 0's worker dies mid-stream, and the caller
+        // goes straight to finish(): the final flush meets the dead worker
+        // again. That must be logged and counted — never a panic — and
+        // the surviving shard's rows must come back.
+        let stream: Vec<Packet> = (0..4_000)
+            .map(|i| pkt(0.01 * i as f64, (i % 7) as u32))
+            .collect();
+        let mut e = sharded(count_query(), 2)
+            .try_batch_size(64)
+            .expect("batch")
+            .checkpoint_every(0)
+            .inject_fault(plan("panic:0:100"));
+        let fed = stream
+            .iter()
+            .take_while(|p| e.try_process(p).is_ok())
+            .count();
+        assert!(fed < stream.len(), "the dead worker must surface as an Err");
+        let rows = e.finish();
+        assert!(!rows.is_empty(), "the surviving shard's rows come back");
+        let survivors: std::collections::HashSet<u64> = (0..7u32)
+            .map(|d| pkt(0.0, d).dst_host())
+            .filter(|&k| route_key(k, 2) == 1)
+            .collect();
+        assert!(rows.iter().all(|r| survivors.contains(&r.key)));
+        let snap = e.telemetry().snapshot();
+        assert_eq!(snap.worker_panics, 1, "the loss is counted");
+        // drain() takes the same path.
+        let mut e = sharded(count_query(), 2)
+            .try_batch_size(64)
+            .expect("batch")
+            .checkpoint_every(0)
+            .inject_fault(plan("panic:0:100"));
+        let _ = stream.iter().try_for_each(|p| e.try_process(p));
+        let (rows, _) = e.drain(Duration::from_secs(5));
+        assert!(!rows.is_empty());
+    }
+
+    /// Applies the whole setter vocabulary in the given order.
+    fn configured(order: &[usize], overload: &OverloadConfig) -> ShardedEngine {
+        let mut e = sharded(count_query(), 3);
+        for step in order {
+            e = match step {
+                0 => e.routing(ShardBy::RoundRobin),
+                1 => e.try_batch_size(128).expect("batch size"),
+                2 => e.checkpoint_every(1_000),
+                3 => e.max_restarts(2),
+                4 => e.try_overload(overload.clone()).expect("overload"),
+                5 => e.inject_fault(plan("panic:1:5000")),
+                6 => e.try_producers(2).expect("producers"),
+                _ => unreachable!("seven setters"),
+            };
+        }
+        e
+    }
+
+    #[test]
+    fn configuration_is_order_free() {
+        // Every setter writes the one EngineConfig and rebuilds from it,
+        // so any permutation configures the same engine: same rows (to the
+        // bit), same counters, same recovery.
+        let stream: Vec<Packet> = (0..30_000)
+            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
+            .collect();
+        let want = Engine::new(count_query()).run(stream.clone());
+        let overload = OverloadConfig {
+            send_deadline: Duration::from_millis(20),
+            ..OverloadConfig::default()
+        };
+        let orders: [[usize; 7]; 5] = [
+            [0, 1, 2, 3, 4, 5, 6],
+            [6, 5, 4, 3, 2, 1, 0],
+            // try_producers before try_overload and max_restarts.
+            [6, 4, 3, 0, 1, 2, 5],
+            [5, 6, 2, 4, 1, 3, 0],
+            [3, 1, 6, 0, 5, 2, 4],
+        ];
+        let mut seen = Vec::new();
+        for order in orders {
+            let mut e = configured(&order, &overload);
+            assert_eq!(e.n_producers(), 2, "{order:?}");
+            let rows = e.run(stream.clone());
+            assert_rows_eq(&want, &rows, &format!("{order:?}"));
+            let snap = e.telemetry().snapshot();
+            assert_eq!((snap.restarts, snap.worker_panics), (1, 1), "{order:?}");
+            assert_eq!(snap.degraded_shards, 0, "{order:?}");
+            seen.push((
+                e.stats(),
+                snap.shards.iter().map(|s| s.batches_sent).sum::<u64>(),
+                snap.producers.iter().map(|p| p.epochs_sent).sum::<u64>(),
+            ));
+        }
+        assert!(seen.windows(2).all(|w| w[0] == w[1]), "{seen:?}");
+    }
+
+    #[test]
+    fn invalid_combinations_err_from_whichever_call_completes_them() {
+        let is_invalid = |r: Result<ShardedEngine, fd_core::Error>, name: &str| match r {
+            Err(fd_core::Error::InvalidParameter { name: n, .. }) => {
+                assert_eq!(n, name);
+            }
+            Err(other) => panic!("expected InvalidParameter({name}), got {other:?}"),
+            Ok(_) => panic!("expected InvalidParameter({name}), got an engine"),
+        };
+        // Zero shards, producers, batch size.
+        is_invalid(ShardedEngine::try_new(count_query(), 0), "n_shards");
+        is_invalid(sharded(count_query(), 2).try_producers(0), "producers");
+        is_invalid(sharded(count_query(), 2).try_batch_size(0), "batch_size");
+        // Subsample + an aggregate that cannot be reweighted: undecayed
+        // count(*) refuses Horvitz–Thompson scaling, before and after the
+        // producer count is set; a decayed linear aggregate accepts it,
+        // and the lossless policy suits any aggregate.
+        let subsample = OverloadConfig {
+            policy: ShedPolicy::Subsample { target_rate: 0.5 },
+            ..OverloadConfig::default()
+        };
+        is_invalid(
+            sharded(count_query(), 2).try_overload(subsample.clone()),
+            "shed_policy",
+        );
+        is_invalid(
+            sharded(count_query(), 2)
+                .try_producers(2)
+                .and_then(|e| e.try_overload(subsample.clone())),
+            "shed_policy",
+        );
+        assert!(sharded(fwd_query(), 2)
+            .try_overload(subsample.clone())
+            .is_ok());
+        assert!(sharded(count_query(), 2)
+            .try_overload(OverloadConfig::default())
+            .is_ok());
+        // Lossy shedding + a durable store, in both call orders; and a
+        // store without supervision.
+        let dir = std::env::temp_dir().join(format!(
+            "fd-shard-invalid-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lossy = OverloadConfig {
+            policy: ShedPolicy::DropOldest,
+            ..OverloadConfig::default()
+        };
+        let durable = |e: ShardedEngine| {
+            e.try_durable(&dir, DurabilityOptions::default())
+                .map(|(e, _)| e)
+        };
+        is_invalid(
+            sharded(fwd_query(), 2)
+                .try_overload(lossy.clone())
+                .and_then(durable),
+            "shed_policy",
+        );
+        is_invalid(
+            durable(sharded(fwd_query(), 2)).and_then(|e| e.try_overload(lossy.clone())),
+            "shed_policy",
+        );
+        is_invalid(
+            durable(sharded(fwd_query(), 2).checkpoint_every(0)),
+            "checkpoint_every",
+        );
+        // A valid setter after try_durable rebuilds over the same store.
+        let e = durable(sharded(fwd_query(), 2))
+            .and_then(|e| e.try_batch_size(64))
+            .expect("batch size after the store");
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn telemetry_final_counters_match_stats() {
+        let q = Query::builder("tel")
+            .filter(|p| p.proto == Proto::Tcp)
+            .group_by(|p| p.dst_host())
+            .bucket_secs(60)
+            .aggregate(count_factory())
+            .build();
+        let mut e = sharded(q, 3);
+        let mut events = Vec::new();
+        for i in 0..500 {
+            let mut p = pkt(i as f64 * 0.5, (i % 11) as u32);
+            if i % 50 == 0 {
+                p.proto = Proto::Udp; // filtered out
+            }
+            events.push(StreamEvent::Data(p));
+        }
+        events.push(StreamEvent::Punctuation(400 * MICROS_PER_SEC));
+        events.push(StreamEvent::Data(pkt(10.0, 1))); // late: dropped
+        e.try_process_batch(&events).expect("feed");
+        let rows = e.finish();
+        let stats = e.stats();
+        let snap = e.telemetry().snapshot();
+        assert_eq!(snap.tuples_in, stats.tuples_in);
+        assert_eq!(snap.filtered, stats.filtered);
+        assert_eq!(snap.late_drops, stats.late_drops);
+        assert_eq!(snap.rows_out, rows.len() as u64);
+        assert_eq!(snap.buckets_closed, stats.buckets_closed);
+        assert!(stats.late_drops >= 1);
+        assert_eq!(snap.worker_panics, 0);
+        // Every queue drained, every shard caught up to the watermark.
+        for shard in &snap.shards {
+            assert_eq!(shard.queue_depth, 0);
+            assert_eq!(shard.watermark_lag_us, 0);
+        }
+        assert_eq!(
+            snap.shards.iter().map(|s| s.tuples_processed).sum::<u64>(),
+            stats.tuples_in - stats.filtered - stats.late_drops
+        );
+    }
+
+    #[test]
+    fn parallel_handles_match_single_threaded() {
+        // True parallel ingress: P threads each own an IngressHandle and
+        // feed an interleaved slice of the stream. Count aggregation is
+        // order-insensitive within a bucket and the slices stay within
+        // slack of each other, so the rows still match the single-threaded
+        // run exactly.
+        const P: usize = 3;
         let q = || {
-            Query::builder("diff")
-                .filter(|p| p.dst_port == 80)
+            Query::builder("par")
                 .group_by(|p| p.dst_host())
                 .bucket_secs(60)
                 .slack_secs(30.0)
                 .aggregate(count_factory())
+                .two_level(true)
+                .lfta_slots(64)
                 .build()
         };
-        let mut stream = Vec::new();
-        for i in 0..20_000u64 {
-            let mut p = pkt(i as f64 * 0.05, (i % 41) as u32);
-            if i % 17 == 0 {
-                p.dst_port = 443; // filtered
-            }
-            if i % 97 == 0 {
-                p.ts = p.ts.saturating_sub(200 * MICROS_PER_SEC); // late
-            }
-            stream.push(p);
-        }
-        let mut scalar = sharded(q(), 3);
-        for p in &stream {
-            scalar.process(p);
-        }
-        let s_rows = scalar.finish();
-        let mut fab = sharded(q(), 3)
-            .batch_size(256)
-            .try_producers(2)
-            .expect("fabric");
-        let f_rows = fab.run(stream);
-        let (ss, fs) = (scalar.stats(), fab.stats());
-        assert_eq!(ss.tuples_in, fs.tuples_in);
-        assert_eq!(ss.filtered, fs.filtered);
-        assert_eq!(ss.late_drops, fs.late_drops);
-        assert_eq!(s_rows.len(), f_rows.len());
-        for (a, b) in s_rows.iter().zip(&f_rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value, "key {}", a.key);
-        }
-    }
-
-    #[test]
-    fn try_producers_rejects_zero_and_finish_is_idempotent() {
-        assert!(matches!(
-            sharded(count_query(), 2).try_producers(0),
-            Err(fd_core::Error::InvalidParameter {
-                name: "producers",
-                ..
+        let stream: Vec<Packet> = (0..15_000)
+            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
+            .collect();
+        let single = Engine::new(q()).run(stream.clone());
+        let mut e = sharded(q(), 4)
+            .try_batch_size(128)
+            .expect("batch")
+            .try_producers(P)
+            .expect("producers");
+        let handles = e.take_ingress_handles();
+        let slices: Vec<Vec<Packet>> = (0..P)
+            .map(|p| stream.iter().skip(p).step_by(P).copied().collect())
+            .collect();
+        let joined: Vec<std::thread::JoinHandle<EngineStats>> = handles
+            .into_iter()
+            .zip(slices)
+            .map(|(mut h, slice)| {
+                std::thread::spawn(move || {
+                    for chunk in slice.chunks(256) {
+                        h.ingest(chunk).expect("ingest");
+                    }
+                    h.finish()
+                })
             })
-        ));
-        let mut e = sharded(count_query(), 2).try_producers(2).expect("fabric");
-        e.process(&pkt(1.0, 1));
-        assert_eq!(e.finish().len(), 1);
-        assert!(e.finish().is_empty());
-        // Dropping a never-finished fabric engine must not hang or leak.
-        let e2 = sharded(count_query(), 2).try_producers(3).expect("fabric");
-        drop(e2);
-        // Dropping taken handles without finish() must not hang either.
-        let mut e3 = sharded(count_query(), 2).try_producers(2).expect("fabric");
-        let handles = e3.take_ingress_handles();
-        drop(handles);
-        drop(e3);
-    }
-
-    fn fwd_query() -> Query {
-        Query::builder("fwd")
-            .group_by(|p| p.dst_host())
-            .bucket_secs(60)
-            .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-            .two_level(false)
-            .build()
-    }
-
-    #[test]
-    fn try_overload_rejects_subsample_for_unscalable_aggregates() {
-        // Undecayed count(*) refuses Horvitz–Thompson reweighting, so the
-        // builder must reject Subsample for it at configuration time …
-        let cfg = OverloadConfig {
-            policy: ShedPolicy::Subsample { target_rate: 0.5 },
-            ..OverloadConfig::default()
-        };
-        assert!(matches!(
-            sharded(count_query(), 2).try_overload(cfg.clone()),
-            Err(fd_core::Error::InvalidParameter {
-                name: "shed_policy",
-                ..
-            })
-        ));
-        // … while a decayed linear aggregate accepts it, and the lossless
-        // policies are accepted for any aggregate.
-        assert!(sharded(fwd_query(), 2).try_overload(cfg).is_ok());
-        let block = OverloadConfig::default();
-        assert!(sharded(count_query(), 2).try_overload(block).is_ok());
+            .collect();
+        let mut fed = 0u64;
+        for j in joined {
+            fed += j.join().expect("producer thread").tuples_in;
+        }
+        assert_eq!(fed, stream.len() as u64);
+        let rows = e.finish();
+        assert_rows_eq(&single, &rows, "parallel handles");
+        assert_eq!(e.stats().tuples_in, stream.len() as u64);
     }
 
     #[test]
@@ -4334,10 +3181,12 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_sheds_bounded_and_completes_under_slow_shard() {
+    fn drop_oldest_hollows_queued_epochs_and_completes_under_slow_shard() {
         // One shard, deliberately slow worker (10 ms per batch), 2 ms send
-        // deadline: the ring fills, and DropOldest must displace old
-        // batches instead of stalling ingress — visibly, in telemetry.
+        // deadline: the ring fills, and DropOldest must hollow the oldest
+        // queued epochs instead of stalling ingress — visibly, in
+        // telemetry, and without ever breaking the shard's seq stream
+        // (the worker's seq debug_assert is armed in this build).
         let stream: Vec<Packet> = (0..1_280)
             .map(|i| pkt(0.001 * i as f64, (i % 5) as u32))
             .collect();
@@ -4348,18 +3197,22 @@ mod tests {
         };
         let started = Instant::now();
         let mut e = sharded(count_query(), 1)
-            .batch_size(16)
+            .try_batch_size(16)
+            .expect("batch")
             .try_overload(cfg)
             .expect("overload config")
-            .inject_fault(FaultPlan::parse("slow:0:10").expect("plan"));
-        let rows = e.run(stream);
+            .inject_fault(plan("slow:0:10"));
+        let rows = e.run(stream.clone());
         assert!(!rows.is_empty(), "shedding must not lose whole buckets");
         let snap = e.telemetry().snapshot();
-        assert!(snap.shed_batches > 0, "ring pressure must displace batches");
+        assert!(snap.shed_batches > 0, "ring pressure must shed epochs");
         assert!(
             snap.shed_tuples >= snap.shed_batches,
-            "batches carry tuples"
+            "hollowed epochs carried tuples"
         );
+        // What was not shed was applied: nothing is lost uncounted.
+        let applied: f64 = rows.iter().filter_map(|r| r.value.as_float()).sum();
+        assert_eq!(applied as u64 + snap.shed_tuples, stream.len() as u64);
         assert_eq!(snap.wedged_respawns, 0, "slow is not wedged");
         assert_eq!(snap.degraded_shards, 0);
         // 80 batches at 10 ms each would take 800 ms fully blocked; the
@@ -4378,7 +3231,7 @@ mod tests {
         let single = Engine::new(count_query()).run(stream.clone());
         let mut e = sharded(count_query(), 2);
         for p in &stream {
-            e.process(p);
+            e.try_process(p).expect("feed");
         }
         let (rows, report) = e.drain(Duration::from_secs(10));
         assert_eq!(single.len(), rows.len());
@@ -4409,16 +3262,13 @@ mod tests {
             ..OverloadConfig::default()
         };
         let mut e = sharded(count_query(), 1)
-            .batch_size(16)
+            .try_batch_size(16)
+            .expect("batch")
             .try_overload(cfg)
             .expect("overload config")
-            .inject_fault(FaultPlan::parse("wedge:0:64").expect("plan"));
+            .inject_fault(plan("wedge:0:64"));
         let rows = e.run(stream);
-        assert_eq!(clean.len(), rows.len());
-        for (a, b) in clean.iter().zip(&rows) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value, "key {}", a.key);
-        }
+        assert_rows_eq(&clean, &rows, "after the wedge");
         let snap = e.telemetry().snapshot();
         assert_eq!(snap.wedged_respawns, 1, "exactly one wedge detected");
         assert_eq!(snap.restarts, 1, "respawn spends a restart");

@@ -45,11 +45,11 @@
 //! records enter in its own stash order) without a second channel
 //! implementation.
 //!
-//! The per-(producer, shard) data fabric, by contrast, stays strictly
-//! SPSC: [`ring_fabric`] builds the `P × N` grid of dedicated rings the
-//! multi-producer engine scatters into, and [`BatchPool`] is instantiated
-//! per producer (pool sharding) so handles never contend on a shared
-//! free list and total pooled capacity scales with `producers × shards`.
+//! The per-(producer, shard) data rings, by contrast, stay strictly
+//! SPSC: one dedicated [`ring`] per pair, and [`BatchPool`] is
+//! instantiated per producer (pool sharding) so handles never contend on
+//! a shared free list and total pooled capacity scales with
+//! `producers × shards`.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -123,34 +123,6 @@ pub fn ring<T>(cap: usize) -> (RingSender<T>, RingReceiver<T>) {
     )
 }
 
-/// Builds the dedicated ring grid of a multi-producer ingress fabric:
-/// one SPSC ring per (producer, shard) pair, each of depth `cap`.
-///
-/// Returned producer-major: `senders[p]` is producer `p`'s sender per
-/// shard (moved into its ingress handle), `receivers[s]` is shard `s`'s
-/// receiver per producer (moved into its worker, drained in fixed
-/// producer order).
-#[allow(clippy::type_complexity)]
-pub fn ring_fabric<T>(
-    producers: usize,
-    shards: usize,
-    cap: usize,
-) -> (Vec<Vec<RingSender<T>>>, Vec<Vec<RingReceiver<T>>>) {
-    assert!(producers > 0 && shards > 0, "fabric needs both dimensions");
-    let mut senders: Vec<Vec<RingSender<T>>> = (0..producers).map(|_| Vec::new()).collect();
-    let mut receivers: Vec<Vec<RingReceiver<T>>> = Vec::with_capacity(shards);
-    for _shard in 0..shards {
-        let mut per_producer = Vec::with_capacity(producers);
-        for tx_row in senders.iter_mut() {
-            let (tx, rx) = ring::<T>(cap);
-            tx_row.push(tx);
-            per_producer.push(rx);
-        }
-        receivers.push(per_producer);
-    }
-    (senders, receivers)
-}
-
 /// Why a bounded send ([`RingSender::send_deadline`]) failed. Either way
 /// the message comes back to the caller, who owns the shed/retry decision.
 #[derive(Debug, PartialEq, Eq)]
@@ -168,18 +140,6 @@ impl<T> SendError<T> {
             SendError::Full(msg) | SendError::Closed(msg) => msg,
         }
     }
-}
-
-/// What [`RingSender::wait_capacity`] observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Capacity {
-    /// At least one slot was free when the call returned.
-    Ready,
-    /// The deadline elapsed with the ring still full — the receiver made
-    /// no progress for the whole wait.
-    TimedOut,
-    /// The receiver is gone.
-    Closed,
 }
 
 impl<T> RingSender<T> {
@@ -251,64 +211,14 @@ impl<T> RingSender<T> {
         }
     }
 
-    /// Blocks until the ring has at least one free slot, the receiver
-    /// disappears, or `deadline` elapses — without enqueuing anything.
-    ///
-    /// Only meaningful for a ring with a **sole** producer (the strict
-    /// SPSC data lanes): with no competing sender, observed capacity can
-    /// only grow until this thread's next push, so `Ready` guarantees the
-    /// next [`send`](RingSender::send) completes without blocking. The
-    /// dispatcher uses this to make its shed decision *before* committing
-    /// a batch to the supervision backlog and WAL, preserving write-ahead
-    /// ordering (nothing enters the log that the ring then refuses).
-    /// Unsound as a non-blocking-send guarantee on an `Arc`-shared sender.
-    pub fn wait_capacity(&self, deadline: std::time::Duration) -> Capacity {
-        let start = std::time::Instant::now();
-        let mut st = self.shared.lock();
-        loop {
-            if !st.rx_alive {
-                return Capacity::Closed;
-            }
-            if st.buf.len() < self.shared.cap {
-                return Capacity::Ready;
-            }
-            let Some(remaining) = deadline.checked_sub(start.elapsed()) else {
-                return Capacity::TimedOut;
-            };
-            st.tx_waiting += 1;
-            let (guard, _) = self
-                .shared
-                .not_full
-                .wait_timeout(st, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            st.tx_waiting -= 1;
-        }
-    }
-
-    /// Enqueues `msg` without ever blocking: if the ring is full, the
-    /// *oldest queued* message is popped to make room and returned as
-    /// `Ok(Some(displaced))` — the mechanism behind
-    /// `ShedPolicy::DropOldest`, which prefers shedding stale batches
-    /// (whose forward-decay weights are smallest) over fresh ones.
-    /// Returns `Err(msg)` if the receiver is gone.
-    pub fn send_displacing(&self, msg: T) -> Result<Option<T>, T> {
-        let mut st = self.shared.lock();
-        if !st.rx_alive {
-            return Err(msg);
-        }
-        let displaced = if st.buf.len() >= self.shared.cap {
-            st.buf.pop_front()
-        } else {
-            None
-        };
-        let was_empty = st.buf.is_empty();
-        st.buf.push_back(msg);
-        drop(st);
-        if was_empty {
-            self.shared.not_empty.notify_one();
-        }
-        Ok(displaced)
+    /// Runs `f` over the queued messages in place, oldest first, under the
+    /// ring lock, stopping at the first `Some` and returning it. The
+    /// mechanism behind `ShedPolicy::DropOldest`, which drops the payload
+    /// of the stalest queued epoch (whose forward-decay weights are
+    /// smallest) while leaving the message — its sequence number and
+    /// watermark — in the queue.
+    pub fn edit_queued<R>(&self, f: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
+        self.shared.lock().buf.iter_mut().find_map(f)
     }
 
     /// Messages queued right now (a snapshot under the lock) — the
@@ -604,21 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_fabric_builds_dedicated_lanes() {
-        let (senders, receivers) = ring_fabric::<u32>(2, 3, 4);
-        assert_eq!((senders.len(), receivers.len()), (2, 3));
-        // Producer 1 → shard 2 must arrive only on shard 2's lane 1.
-        senders[1][2].send(42).unwrap();
-        assert_eq!(receivers[2][1].recv(), Some(42));
-        drop(senders);
-        for row in &receivers {
-            for rx in row {
-                assert_eq!(rx.recv(), None, "all lanes closed");
-            }
-        }
-    }
-
-    #[test]
     fn send_deadline_times_out_on_a_full_ring_and_returns_the_message() {
         use std::time::{Duration, Instant};
         let (tx, _rx) = ring::<u32>(2);
@@ -661,38 +556,19 @@ mod tests {
     }
 
     #[test]
-    fn wait_capacity_observes_ready_full_and_closed() {
-        use std::time::Duration;
-        let (tx, rx) = ring::<u32>(1);
-        assert_eq!(tx.wait_capacity(Duration::ZERO), Capacity::Ready);
-        tx.send(1).unwrap();
-        assert_eq!(
-            tx.wait_capacity(Duration::from_millis(10)),
-            Capacity::TimedOut
-        );
-        // A concurrent pop wakes a parked waiter into Ready.
-        let waiter = std::thread::spawn(move || {
-            let observed = tx.wait_capacity(Duration::from_secs(10));
-            (tx, observed)
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv(), Some(1));
-        let (tx, observed) = waiter.join().unwrap();
-        assert_eq!(observed, Capacity::Ready);
-        drop(rx);
-        assert_eq!(tx.wait_capacity(Duration::ZERO), Capacity::Closed);
-    }
-
-    #[test]
-    fn send_displacing_evicts_the_oldest() {
-        let (tx, rx) = ring::<u32>(2);
-        assert_eq!(tx.send_displacing(1), Ok(None));
-        assert_eq!(tx.send_displacing(2), Ok(None));
-        assert_eq!(tx.send_displacing(3), Ok(Some(1)), "head displaced");
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), Some(3));
-        drop(rx);
-        assert_eq!(tx.send_displacing(4), Err(4));
+    fn edit_queued_visits_oldest_first_and_stops_at_the_first_hit() {
+        let (tx, rx) = ring::<u32>(4);
+        for v in [0, 7, 0, 9] {
+            tx.send(v).unwrap();
+        }
+        // Zero out the oldest non-zero entry: 7, not 9.
+        let zeroed = tx.edit_queued(|v| (*v != 0).then(|| std::mem::take(v)));
+        assert_eq!(zeroed, Some(7));
+        assert_eq!(tx.len(), 4, "the message itself stays queued");
+        assert_eq!(tx.edit_queued(|v| (*v == 5).then_some(())), None);
+        drop(tx);
+        let drained: Vec<u32> = std::iter::from_fn(|| rx.recv()).collect();
+        assert_eq!(drained, vec![0, 0, 0, 9]);
     }
 
     #[test]

@@ -13,11 +13,6 @@
 //! On worker death the supervisor restores the engine from the slot and
 //! replays the tail, which reproduces the worker's state byte-for-byte
 //! (see [`crate::engine::Engine::checkpoint`]).
-//!
-//! Everything here is shared *after* the workers have spawned, which is
-//! why the tunables are atomics: `ShardedEngine::try_new` starts the
-//! worker threads, and the builder-style knobs (`checkpoint_every`) are
-//! applied to the already-running config.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -39,23 +34,6 @@ pub const DEFAULT_MAX_RESTARTS: u32 = 3;
 /// Base delay of the exponential respawn backoff: attempt k waits
 /// `BACKOFF_BASE << k`.
 pub const BACKOFF_BASE: Duration = Duration::from_millis(10);
-
-/// Supervision tunables, shared with already-running workers.
-#[derive(Debug)]
-pub struct SupervisorConfig {
-    /// Tuples between checkpoints; `0` disables supervision entirely
-    /// (workers never checkpoint, no backlog is retained, and a dead
-    /// worker is a hard error — the pre-supervision behavior).
-    pub checkpoint_every: AtomicU64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            checkpoint_every: AtomicU64::new(DEFAULT_CHECKPOINT_EVERY),
-        }
-    }
-}
 
 /// One shard's checkpoint slot: the latest engine snapshot, stamped with
 /// the sequence number of the last message folded into it.

@@ -140,17 +140,16 @@ impl HistogramSnapshot {
 /// Live counters and gauges for one shard worker and its channel.
 ///
 /// Writer discipline: `queue_depth` is the only two-writer field
-/// (dispatcher increments, worker decrements — both per message);
-/// `batches_sent` / `punctuations_sent` are dispatcher-only,
-/// everything else is worker-only.
+/// (the sending handle increments, the worker decrements — both per
+/// message); `batches_sent` is sender-only, everything else is
+/// worker-only.
 #[derive(Debug, Default)]
 pub struct ShardTelemetry {
-    /// Messages (batches + punctuations) currently queued to this shard.
+    /// Epoch messages currently queued to this shard.
     pub queue_depth: AtomicU64,
-    /// Batches the dispatcher has sent to this shard.
+    /// Epoch messages sent to this shard (empty watermark carriers
+    /// included).
     pub batches_sent: AtomicU64,
-    /// Punctuations the dispatcher has sent to this shard.
-    pub punctuations_sent: AtomicU64,
     /// Tuples the worker has applied to its engine.
     pub tuples_processed: AtomicU64,
     /// The highest watermark (µs) the worker has applied. The difference
@@ -396,7 +395,6 @@ impl EngineTelemetry {
                     ShardSnapshot {
                         queue_depth: s.queue_depth.load(Relaxed),
                         batches_sent: s.batches_sent.load(Relaxed),
-                        punctuations_sent: s.punctuations_sent.load(Relaxed),
                         tuples_processed: s.tuples_processed.load(Relaxed),
                         applied_watermark_us: applied,
                         watermark_lag_us: dispatcher_watermark_us.saturating_sub(applied),
@@ -457,8 +455,6 @@ pub struct ShardSnapshot {
     pub queue_depth: u64,
     /// Batches sent to the shard so far.
     pub batches_sent: u64,
-    /// Punctuations sent to the shard so far.
-    pub punctuations_sent: u64,
     /// Tuples the worker has applied.
     pub tuples_processed: u64,
     /// Watermark the worker has applied, µs.
@@ -633,9 +629,6 @@ impl MetricsSnapshot {
         };
         per_shard("fd_shard_queue_depth", "gauge", &|s| s.queue_depth);
         per_shard("fd_shard_batches_sent", "counter", &|s| s.batches_sent);
-        per_shard("fd_shard_punctuations_sent", "counter", &|s| {
-            s.punctuations_sent
-        });
         per_shard("fd_shard_tuples_processed", "counter", &|s| {
             s.tuples_processed
         });
@@ -705,7 +698,7 @@ impl MetricsSnapshot {
                 format!(
                     concat!(
                         "{{\"queue_depth\":{},\"batches_sent\":{},",
-                        "\"punctuations_sent\":{},\"tuples_processed\":{},",
+                        "\"tuples_processed\":{},",
                         "\"applied_watermark_us\":{},\"watermark_lag_us\":{},",
                         "\"lfta_evictions\":{},\"lfta_occupancy\":{},",
                         "\"shed_tuples\":{},",
@@ -713,7 +706,6 @@ impl MetricsSnapshot {
                     ),
                     s.queue_depth,
                     s.batches_sent,
-                    s.punctuations_sent,
                     s.tuples_processed,
                     s.applied_watermark_us,
                     s.watermark_lag_us,

@@ -928,7 +928,8 @@ mod shedding {
         let want = by_key(&Engine::new(build()).run(stream.clone()));
         let mut e = ShardedEngine::try_new(build(), 1)
             .expect("spawn shard")
-            .batch_size(16)
+            .try_batch_size(16)
+            .expect("batch size")
             .try_overload(OverloadConfig {
                 policy: ShedPolicy::DropOldest,
                 send_deadline: Duration::from_millis(2),

@@ -331,7 +331,8 @@ fn wedged_worker_respawns_within_the_lease_budget() {
 
     let mut clean = ShardedEngine::try_new(decayed_query(), 3)
         .expect("spawn shards")
-        .batch_size(64);
+        .try_batch_size(64)
+        .expect("batch size");
     let t0 = Instant::now();
     let expected = clean.run(packets.iter().copied());
     let clean_elapsed = t0.elapsed();
@@ -343,7 +344,8 @@ fn wedged_worker_respawns_within_the_lease_budget() {
 
     let mut e = ShardedEngine::try_new(decayed_query(), 3)
         .expect("spawn shards")
-        .batch_size(64)
+        .try_batch_size(64)
+        .expect("batch size")
         .try_overload(OverloadConfig {
             send_deadline: Duration::from_millis(5),
             lease,

@@ -26,7 +26,7 @@ fn assert_equivalent(make_query: impl Fn() -> Query, events: &[StreamEvent], n_s
     let expected = single.finish();
 
     let mut sharded = ShardedEngine::try_new(make_query(), n_shards).expect("spawn shards");
-    sharded.process_batch(events);
+    sharded.try_process_batch(events).expect("feed");
     let got = sharded.finish();
 
     assert_eq!(
@@ -188,7 +188,7 @@ fn round_robin_routing_matches_for_additive_aggregates() {
     let mut sharded = ShardedEngine::try_new(count_query(), 4)
         .expect("spawn shards")
         .routing(ShardBy::RoundRobin);
-    sharded.process_batch(&events);
+    sharded.try_process_batch(&events).expect("feed");
     let got = sharded.finish();
     assert_eq!(expected.len(), got.len());
     for (e, g) in expected.iter().zip(&got) {
@@ -243,7 +243,8 @@ fn assert_fabric_matches(
     let mut fabric = ShardedEngine::try_new(make_query(), n_shards)
         .expect("spawn shards")
         .routing(routing)
-        .batch_size(256)
+        .try_batch_size(256)
+        .expect("batch size")
         .try_producers(producers)
         .expect("fabric");
     let got = fabric.run(packets.iter().copied());
@@ -340,7 +341,8 @@ fn multi_producer_crash_restart_mid_stream_is_identical() {
     for producers in [1usize, 2, 4] {
         let mut fabric = ShardedEngine::try_new(count_query(), 4)
             .expect("spawn shards")
-            .batch_size(128)
+            .try_batch_size(128)
+            .expect("batch size")
             .checkpoint_every(1_000)
             .inject_fault(FaultPlan::parse("panic:0:5000").expect("plan"))
             .try_producers(producers)
@@ -397,7 +399,8 @@ fn parallel_ingress_interleavings_match_the_single_producer_oracle() {
         };
         let mut fabric = ShardedEngine::try_new(q(), 4)
             .expect("spawn shards")
-            .batch_size(128)
+            .try_batch_size(128)
+            .expect("batch size")
             .try_producers(P)
             .expect("fabric");
         let joined: Vec<std::thread::JoinHandle<EngineStats>> = fabric
@@ -447,7 +450,8 @@ fn parallel_ingress_crash_recovery_is_exact_and_recovers_once() {
     let (expected, _) = oracle_run(&count_query, &packets);
     let mut fabric = ShardedEngine::try_new(count_query(), 4)
         .expect("spawn shards")
-        .batch_size(64)
+        .try_batch_size(64)
+        .expect("batch size")
         .checkpoint_every(500)
         .inject_fault(FaultPlan::parse("panic:0:5000").expect("plan"))
         .try_producers(P)

@@ -34,11 +34,11 @@ fn gauges_are_readable_mid_stream_before_finish() {
     let tel = Arc::clone(e.telemetry());
     let mut mid_snapshots = 0usize;
     for (i, p) in trace.iter().enumerate() {
-        e.process(&p);
+        e.try_process(&p).expect("feed");
         if i == 300_000 {
             // Force a punctuation broadcast so the workers have applied a
             // watermark, then sample while the stream is still open.
-            e.punctuate(p.ts);
+            e.try_punctuate(p.ts).expect("punctuate");
             let s = tel.snapshot();
             mid_snapshots += 1;
             assert_eq!(s.tuples_in, 300_001, "admission mirror lags");
@@ -196,7 +196,7 @@ fn telemetry_soak_conserves_tuples_under_load() {
     let mut e = ShardedEngine::try_new(q, 4).expect("spawn shards");
     let tel = Arc::clone(e.telemetry());
     for (i, p) in trace.iter().enumerate() {
-        e.process(&p);
+        e.try_process(&p).expect("feed");
         if i % 400_000 == 0 {
             let s = tel.snapshot();
             assert!(s.filtered + s.late_drops <= s.tuples_in);
