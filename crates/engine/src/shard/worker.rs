@@ -1,0 +1,405 @@
+//! The shard worker: the one loop that drains a shard's rings, applies
+//! epochs, advances the watermark frontier and checkpoints.
+
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::{Arc, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use super::recover::FabShared;
+use super::Msg;
+use crate::engine::{ClosedGroup, Engine, EngineStats};
+use crate::fault::{FaultKind, FaultState};
+use crate::spsc::RingReceiver;
+use crate::supervisor::WorkerLease;
+use crate::tuple::{Micros, Packet};
+
+/// Applies one batch to the shard engine, firing any armed panic fault at
+/// its exact tuple position. The position is the engine's cumulative
+/// accepted-tuple count (`tuples_in`), which is checkpointed — so "tuple
+/// N" names the same logical tuple across restarts and replays, however
+/// the stream was batched.
+pub(super) fn apply_batch(
+    engine: &mut Engine,
+    pkts: &[Packet],
+    scales: Option<&[f64]>,
+    fault: Option<&FaultState>,
+    shard: usize,
+) {
+    if let Some(sc) = scales {
+        debug_assert_eq!(sc.len(), pkts.len(), "scale column out of step");
+    }
+    let trigger = fault.and_then(|f| match f.plan.kind {
+        FaultKind::PanicAtTuple(n) => Some((f, n, true)),
+        FaultKind::PoisonedBatch(n) => Some((f, n, false)),
+        // Disk faults live in the durability layer's I/O backend; slow and
+        // wedge faults fire in the worker loop, before apply.
+        FaultKind::SlowShard(_) | FaultKind::WedgeAtTuple(_) | FaultKind::Disk(_) => None,
+    });
+    match trigger {
+        None => match scales {
+            None => {
+                for p in pkts {
+                    engine.process(p);
+                }
+            }
+            Some(sc) => {
+                for (p, &s) in pkts.iter().zip(sc) {
+                    engine.process_scaled(p, s);
+                }
+            }
+        },
+        Some((f, n, transient)) => {
+            for (i, p) in pkts.iter().enumerate() {
+                if engine.stats().tuples_in + 1 >= n {
+                    // A transient fault disarms *before* panicking, so the
+                    // respawned worker replays past this point.
+                    if transient {
+                        f.disarm();
+                    }
+                    panic!("injected fault: shard {shard} worker dies at tuple {n}");
+                }
+                match scales {
+                    None => engine.process(p),
+                    Some(sc) => engine.process_scaled(p, sc[i]),
+                }
+            }
+        }
+    }
+}
+
+/// A shard worker's join handle: the worker returns its closed groups and
+/// end-of-run stats when its rings drain.
+pub(super) type WorkerHandle = JoinHandle<(Vec<ClosedGroup>, EngineStats)>;
+
+/// Spawns one shard worker: drains its `P` dedicated rings in strict
+/// producer rotation (seq order — see the determinism rule on
+/// [`FabShared`]), folds each epoch's batch, advances the
+/// min-across-producers watermark frontier, and checkpoints at message
+/// boundaries. `start_seq` is the last applied seq (the shard's seq base
+/// when fresh; the checkpoint's seq on respawn), which determines where
+/// the rotation resumes: the producer owning `start_seq + 1`.
+pub(super) fn spawn_worker(
+    shard: usize,
+    mut engine: Engine,
+    rxs: Vec<RingReceiver<Msg>>,
+    fab: Arc<FabShared>,
+    start_seq: u64,
+    lease: Arc<WorkerLease>,
+) -> WorkerHandle {
+    std::thread::Builder::new()
+        .name(format!("fd-shard-{shard}"))
+        .spawn(move || {
+            let registry = Arc::clone(&fab.telemetry);
+            let tel = &registry.shards()[shard];
+            let sh = &fab.shards[shard];
+            let n_shards = fab.cfg.n_shards;
+            let p_count = fab.cfg.producers;
+            let every = fab.cfg.checkpoint_every;
+            let mut cursor = fab.producer_of(shard, start_seq + 1);
+            let mut last_seq = start_seq;
+            let mut open = vec![true; p_count];
+            // Per-producer watermarks feeding the frontier. A closed
+            // producer's entry is raised to MAX so it stops gating the
+            // frontier; `Micros::MAX` never wins the min while any
+            // producer is live, and an all-closed shard just exits.
+            let mut prod_wm: Vec<Micros> = vec![0; p_count];
+            let mut frontier_applied: Micros = 0;
+            // Tuple-equivalents applied since the last checkpoint. Shard-
+            // by-key balances load well enough that without an offset
+            // every worker hits its checkpoint threshold in the same
+            // instant and all shards stall together — which stalls the
+            // senders. Staggering the *first* interval spreads the
+            // serialization pauses across the whole window.
+            let mut since_ckpt = shard as u64 * every / n_shards as u64;
+            // The snapshot buffer displaced from the slot by each store,
+            // recycled into the next serialization so steady-state
+            // checkpointing stops allocating.
+            let mut spare: Vec<u8> = Vec::new();
+            while open.iter().any(|&o| o) {
+                if !open[cursor] {
+                    cursor = (cursor + 1) % p_count;
+                    continue;
+                }
+                let Some(msg) = rxs[cursor].recv() else {
+                    // The producer finished (or recovery closed its ring
+                    // on its behalf): remove it from the rotation.
+                    open[cursor] = false;
+                    prod_wm[cursor] = Micros::MAX;
+                    cursor = (cursor + 1) % p_count;
+                    continue;
+                };
+                // A retired incarnation (the watchdog abandoned it) must
+                // make no further observable moves: its messages have been
+                // replayed to the fresh incarnation, whose applies, gauge
+                // updates and checkpoint stores are the live ones now.
+                if lease.retired() {
+                    return (Vec::new(), engine.stats());
+                }
+                let live = registry.enabled();
+                let active_fault = fab
+                    .fault
+                    .as_deref()
+                    .filter(|f| f.plan.shard == shard && f.armed());
+                let Msg {
+                    seq,
+                    pkts,
+                    scales,
+                    wm,
+                    sent,
+                } = msg;
+                debug_assert!(
+                    seq > last_seq,
+                    "seq went backwards on shard {shard}: {seq} after {last_seq}"
+                );
+                last_seq = seq;
+                match active_fault.map(|f| f.plan.kind) {
+                    // Slow *processing*: an epoch without payload (a bare
+                    // watermark, or one `DropOldest` hollowed) has nothing
+                    // to be slow on.
+                    Some(FaultKind::SlowShard(d)) if !pkts.is_empty() => std::thread::sleep(d),
+                    Some(FaultKind::WedgeAtTuple(n))
+                        if engine.stats().tuples_in + pkts.len() as u64 >= n =>
+                    {
+                        // Wedge: stop consuming without crashing, so
+                        // supervision's panic path never fires — only the
+                        // watchdog can notice. Disarm first (transient),
+                        // then spin until the watchdog retires this
+                        // incarnation. The triggering batch is NOT
+                        // applied; it replays to the fresh incarnation.
+                        if let Some(f) = active_fault {
+                            f.disarm();
+                        }
+                        while !lease.retired() {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        return (Vec::new(), engine.stats());
+                    }
+                    _ => {}
+                }
+                let sc = scales.as_deref().map(|v| v.as_slice());
+                if live {
+                    let t0 = Instant::now();
+                    apply_batch(&mut engine, &pkts, sc, active_fault, shard);
+                    tel.batch_ns.record(t0.elapsed().as_nanos() as u64);
+                    tel.dispatch_lag_ns.record(sent.elapsed().as_nanos() as u64);
+                    tel.tuples_processed.fetch_add(pkts.len() as u64, Relaxed);
+                } else {
+                    apply_batch(&mut engine, &pkts, sc, active_fault, shard);
+                }
+                // Epochs count their batch plus the embedded watermark as
+                // tuple-equivalents, so idle shards still checkpoint.
+                since_ckpt += pkts.len() as u64 + 1;
+                // Sole owner ⇒ unsupervised: hand the drained buffer back
+                // for reuse. Under supervision the backlog clone wins and
+                // the buffer is reclaimed by the post-checkpoint trim.
+                fab.recycle(cursor, pkts);
+                // The frontier is the min watermark across ALL producers:
+                // a bucket may only close once no producer can still send
+                // tuples for it (PAPER.md §VI-B's per-site merge rule).
+                if wm > prod_wm[cursor] {
+                    prod_wm[cursor] = wm;
+                }
+                let frontier = prod_wm.iter().copied().min().unwrap_or(0);
+                if frontier > frontier_applied && frontier != Micros::MAX {
+                    engine.punctuate(frontier);
+                    frontier_applied = frontier;
+                    if live {
+                        tel.applied_watermark.store(frontier, Relaxed);
+                        tel.lfta_evictions
+                            .store(engine.stats().lfta_evictions, Relaxed);
+                        if let Some(occ) = engine.lfta_occupancy() {
+                            tel.lfta_occupancy.store(occ as u64, Relaxed);
+                        }
+                    }
+                }
+                lease.record_progress(seq);
+                // Retired mid-apply (the watchdog just abandoned us): the
+                // fresh incarnation owns the checkpoint slot and the
+                // gauges from here on, so exit before touching either.
+                if lease.retired() {
+                    return (Vec::new(), engine.stats());
+                }
+                // Checkpoint at message boundaries: the snapshot then means
+                // exactly "everything up to seq applied", which is what
+                // backlog trimming and replay key on. The buffer handed
+                // back above happens-before the seq store, so a trimmed
+                // batch is never still referenced by the worker.
+                if every > 0 && since_ckpt >= every && !sh.slot.unsupported() {
+                    let ckpt_start = crate::telemetry::thread_cpu_ns();
+                    let mut blob = std::mem::take(&mut spare);
+                    match engine.checkpoint_into(&mut blob) {
+                        Ok(()) => {
+                            spare = sh.slot.store(seq, blob).unwrap_or_default();
+                            registry.checkpoints.fetch_add(1, Relaxed);
+                            let spent =
+                                crate::telemetry::thread_cpu_ns().saturating_sub(ckpt_start);
+                            registry.checkpoint_ns.fetch_add(spent, Relaxed);
+                            since_ckpt = 0;
+                            // Trim every producer's backlog row up to the
+                            // covered seq. Running this here — not on the
+                            // sender — keeps the reclaim scan, the `Arc`
+                            // teardown and the pool pushes off the send
+                            // path; buffers are handed back outside the
+                            // lock so a concurrent push never waits on a
+                            // pool mutex.
+                            let mut covered: Vec<(usize, Arc<Vec<Packet>>)> = Vec::new();
+                            {
+                                let mut rows =
+                                    sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
+                                for (p, row) in rows.iter_mut().enumerate() {
+                                    while row.front().is_some_and(|m| m.seq <= seq) {
+                                        if let Some(m) = row.pop_front() {
+                                            covered.push((p, m.pkts));
+                                        }
+                                    }
+                                }
+                            }
+                            for (p, pkts) in covered {
+                                fab.recycle(p, pkts);
+                            }
+                        }
+                        // Failure is permanent (the aggregate can't
+                        // serialize): flag it so senders stop retaining
+                        // backlog and the shard degrades on death.
+                        Err(_) => sh.slot.mark_unsupported(),
+                    }
+                }
+                registry.producers()[cursor].ring_depth[shard].fetch_sub(1, Relaxed);
+                tel.queue_depth.fetch_sub(1, Relaxed);
+                cursor = (cursor + 1) % p_count;
+            }
+            (engine.finish_state(), engine.stats())
+        })
+        .expect("spawn shard worker")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::*;
+    use super::*;
+
+    #[test]
+    fn dropped_engine_records_worker_panic() {
+        use crate::udaf::{AggValue, Aggregator, FnFactory};
+        use std::any::Any;
+
+        // An aggregator that panics when it meets the sentinel tuple.
+        struct Tripwire;
+        impl Aggregator for Tripwire {
+            fn update(&mut self, pkt: &Packet) {
+                assert!(pkt.len != 0xDEAD, "tripwire: poisoned tuple");
+            }
+            fn merge_boxed(&mut self, _other: Box<dyn Aggregator>) {}
+            fn emit(&self, _t: f64) -> AggValue {
+                AggValue::Float(0.0)
+            }
+            fn size_bytes(&self) -> usize {
+                0
+            }
+            fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
+                self
+            }
+        }
+
+        let q = Query::builder("tripwire")
+            .group_by(|_| 0) // one group: everything routes to one shard
+            .bucket_secs(60)
+            .aggregate(FnFactory::new("tripwire", true, |_| Box::new(Tripwire)))
+            .two_level(false)
+            .build();
+        let mut e = sharded(q, 2);
+        // Exactly one batch's worth of tuples so the feed itself seals the
+        // epoch (no explicit punctuation: the worker dies, and drop — not
+        // a send — must discover it).
+        for i in 0..DEFAULT_BATCH_SIZE {
+            let mut p = pkt(0.001 * i as f64, 1);
+            if i == 7 {
+                p.len = 0xDEAD;
+            }
+            e.try_process(&p).expect("feed");
+        }
+        let tel = Arc::clone(e.telemetry());
+        drop(e); // Drop must reap the dead worker and record the panic
+        assert_eq!(tel.worker_panics.load(Relaxed), 1);
+    }
+
+    #[test]
+    fn pooled_batches_recycle_and_count_like_fresh_ones() {
+        // batches_sent must count recycled-pool sends identically to fresh
+        // sends. Route everything to one shard, ship enough batches that
+        // the bounded ring forces the worker to drain (returning buffers
+        // to the pool) while the handle is still sealing. Supervision off:
+        // this pins the worker-side recycling path.
+        const BATCH: usize = 64;
+        const N_BATCHES: u64 = 40;
+        let q = Query::builder("pool")
+            .group_by(|_| 0)
+            .bucket_secs(60)
+            .aggregate(count_factory())
+            .two_level(false)
+            .build();
+        let mut e = sharded(q, 1)
+            .try_batch_size(BATCH)
+            .expect("batch")
+            .checkpoint_every(0);
+        let stream: Vec<Packet> = (0..N_BATCHES * BATCH as u64)
+            .map(|i| pkt(0.001 * i as f64, 1))
+            .collect();
+        e.run(stream);
+        let snap = e.telemetry().snapshot();
+        let sent: u64 = snap.shards.iter().map(|s| s.batches_sent).sum();
+        assert_eq!(
+            sent, N_BATCHES,
+            "every batch counted once, recycled or fresh"
+        );
+        let pool = e.batch_pool();
+        assert!(
+            pool.reuses() > 0,
+            "steady state must recycle buffers (allocs {}, reuses {})",
+            pool.allocs(),
+            pool.reuses()
+        );
+        assert!(
+            pool.allocs() < N_BATCHES,
+            "most sends must reuse pooled buffers, not allocate"
+        );
+    }
+
+    #[test]
+    fn supervised_trim_reclaims_batch_buffers() {
+        // Under supervision the apply path can't recycle (the backlog
+        // holds a clone); the worker reclaims covered batches when it
+        // trims after publishing each checkpoint. Checkpoint after every
+        // batch so every trim succeeds deterministically: the worker
+        // releases its apply-path reference *before* publishing the
+        // checkpoint seq.
+        const BATCH: usize = 64;
+        const N_BATCHES: u64 = 40;
+        let q = Query::builder("pool")
+            .group_by(|_| 0)
+            .bucket_secs(60)
+            .aggregate(count_factory())
+            .two_level(false)
+            .build();
+        let mut e = sharded(q, 1)
+            .try_batch_size(BATCH)
+            .expect("batch")
+            .checkpoint_every(BATCH as u64);
+        let stream: Vec<Packet> = (0..N_BATCHES * BATCH as u64)
+            .map(|i| pkt(0.001 * i as f64, 1))
+            .collect();
+        e.run(stream);
+        let snap = e.telemetry().snapshot();
+        assert!(snap.checkpoints >= N_BATCHES / 2, "workers checkpointed");
+        let pool = e.batch_pool();
+        assert!(
+            pool.reuses() > 0,
+            "trimming must recycle buffers (allocs {}, reuses {})",
+            pool.allocs(),
+            pool.reuses()
+        );
+        assert!(pool.allocs() < N_BATCHES);
+    }
+}
