@@ -21,10 +21,11 @@
 //! - [`engine`] — the full pipeline: two-level or single-level execution,
 //!   bucket close on watermark, per-tuple cost accounting;
 //! - [`shard`] — the sharded parallel engine: N worker threads, each a
-//!   full LFTA+HFTA pipeline over a hash partition of the stream, with
-//!   closed buckets combined by merging (Section VI-B mergeability);
-//! - [`spsc`] — the dispatcher's plumbing: bounded single-producer
-//!   rings and a batch-recycling pool, so steady-state dispatch ships
+//!   full LFTA+HFTA pipeline over a hash partition of the stream, fed by
+//!   P ingress handles through per-(producer, shard) rings, with closed
+//!   buckets combined by merging (Section VI-B mergeability);
+//! - [`spsc`] — the ingress plane's plumbing: bounded single-producer
+//!   rings and a batch-recycling pool, so steady-state ingress ships
 //!   batches to workers without allocating;
 //! - [`metrics`] — the CPU-load model translating measured per-tuple cost
 //!   into the load/drop curves the paper plots;
@@ -42,7 +43,7 @@
 //! - [`supervisor`] — checkpoint slots and restart policy for
 //!   fault-tolerant shard workers: each worker periodically serializes its
 //!   full engine state (exact, thanks to Section VI-B mergeable summaries)
-//!   and the dispatcher replays the short tail after a crash;
+//!   and the sending handle's backlog is replayed after a crash;
 //! - [`fault`] — deterministic fault injection (`FD_FAULT=panic:SHARD:N`,
 //!   `disk:KIND:N`) used by the recovery test-suite and the fault-matrix
 //!   and crash-matrix CI jobs;

@@ -195,13 +195,9 @@ impl ShardedEngine {
             })
             .collect();
         self.stats.rows_out = rows.len() as u64;
+        // Admission counters: every closed handle left its final figures in
+        // its producer mirror, which the snapshot sums.
         let t = &self.fab.telemetry;
-        t.tuples_in.store(self.stats.tuples_in, Relaxed);
-        t.filtered.store(self.stats.filtered, Relaxed);
-        t.late_drops.store(self.stats.late_drops, Relaxed);
-        // Every closed handle left its final watermark in its mirror.
-        let wm = t.producers().iter().map(|p| p.watermark_us.load(Relaxed));
-        t.dispatcher_watermark.store(wm.max().unwrap_or(0), Relaxed);
         t.rows_out.store(self.stats.rows_out, Relaxed);
         t.buckets_closed.store(self.stats.buckets_closed, Relaxed);
         rows

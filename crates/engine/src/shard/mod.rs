@@ -155,12 +155,15 @@ struct Msg {
 /// override with [`ShardedEngine::try_batch_size`] (CLI: `--batch`).
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Per-(producer, shard) ring depth. Each shard worker drains its `P`
-/// rings in strict rotation, so a producer can only ever run this many
-/// epochs ahead of the slowest producer — deep enough to absorb
-/// scheduling jitter and a worker's checkpoint pause, shallow enough to
-/// bound the memory pinned by `P × N` rings.
-pub const FABRIC_RING_DEPTH: usize = 8;
+/// Per-(producer, shard) ring depth, in epochs. Each shard worker drains
+/// its `P` rings in strict rotation, so a producer can only ever run this
+/// many epochs ahead of the slowest producer. Deep enough that a worker
+/// pausing to serialize a checkpoint (~1 ms on the fig2 workload) drains
+/// queued batches afterwards instead of stalling its senders — and that,
+/// with more shards than cores, a sender rarely parks on one shard's full
+/// ring while the others starve; it also bounds the memory the `P × N`
+/// rings can pin.
+pub const FABRIC_RING_DEPTH: usize = 32;
 
 /// Everything configurable about a [`ShardedEngine`], in one value. Every
 /// public setter writes a field here and calls
@@ -609,19 +612,14 @@ impl ShardedEngine {
         );
         self.started = true;
         let mut rest = pkts;
-        let mut result = Ok(());
         while !rest.is_empty() {
             let (used, full) = self.handles[self.cursor].stage(rest);
             rest = &rest[used..];
             if full {
-                result = self.seal_current();
-                if result.is_err() {
-                    break;
-                }
+                self.seal_current()?;
             }
         }
-        self.mirror_admission();
-        result
+        Ok(())
     }
 
     /// Processes a punctuation: advances every handle's watermark and
@@ -632,9 +630,7 @@ impl ShardedEngine {
         for h in &mut self.handles {
             h.punctuate(ts);
         }
-        let result = self.broadcast();
-        self.mirror_admission();
-        result
+        self.broadcast()
     }
 
     /// Offers a batch of stream elements, then seals what is staged so
@@ -710,22 +706,6 @@ impl ShardedEngine {
                 eprintln!("fd-finish: final flush failed: {e}");
             }
         }
-    }
-
-    /// Live mirrors of the coordinator's totals (single writer: this
-    /// thread), stored once per feed call.
-    fn mirror_admission(&self) {
-        if !self.cfg.live {
-            return;
-        }
-        let t = &self.fab.telemetry;
-        let sum =
-            |f: fn(&EngineStats) -> u64| -> u64 { self.handles.iter().map(|h| f(&h.stats)).sum() };
-        t.tuples_in.store(sum(|s| s.tuples_in), Relaxed);
-        t.filtered.store(sum(|s| s.filtered), Relaxed);
-        t.late_drops.store(sum(|s| s.late_drops), Relaxed);
-        let wm = self.handles.iter().map(|h| h.watermark).max().unwrap_or(0);
-        t.dispatcher_watermark.store(wm, Relaxed);
     }
 
     /// Runs a whole stream through the query and returns all rows,

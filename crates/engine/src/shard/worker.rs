@@ -202,14 +202,21 @@ pub(super) fn spawn_worker(
                 }
                 let frontier = prod_wm.iter().copied().min().unwrap_or(0);
                 if frontier > frontier_applied && frontier != Micros::MAX {
+                    let closed_before = engine.stats().buckets_closed;
                     engine.punctuate(frontier);
                     frontier_applied = frontier;
                     if live {
+                        let stats = engine.stats();
                         tel.applied_watermark.store(frontier, Relaxed);
-                        tel.lfta_evictions
-                            .store(engine.stats().lfta_evictions, Relaxed);
-                        if let Some(occ) = engine.lfta_occupancy() {
-                            tel.lfta_occupancy.store(occ as u64, Relaxed);
+                        tel.lfta_evictions.store(stats.lfta_evictions, Relaxed);
+                        // Counting occupied slots scans the whole table, and
+                        // nearly every epoch advances the frontier: sample
+                        // the gauge only when a bucket close has just paid
+                        // for the same scan.
+                        if stats.buckets_closed > closed_before {
+                            if let Some(occ) = engine.lfta_occupancy() {
+                                tel.lfta_occupancy.store(occ as u64, Relaxed);
+                            }
                         }
                     }
                 }

@@ -253,7 +253,15 @@ impl<T> RingReceiver<T> {
                 // nobody to wake. (Checking "was the buffer full" instead
                 // would strand all but one of several Arc-shared senders
                 // when the receiver drains full → empty on one notify.)
-                let wake = st.tx_waiting > 0;
+                // A waiter is woken only once the ring is half drained:
+                // waking it at the first free slot makes a sender and a
+                // saturated receiver trade one message per context switch,
+                // and — where the sender feeds several rings — re-wakes
+                // every other, idle receiver for one small message each
+                // time. Half a ring of queued work keeps this receiver
+                // busy meanwhile, and a waiter's own deadline still lets
+                // it take a free slot sooner.
+                let wake = st.tx_waiting > 0 && st.buf.len() <= self.shared.cap / 2;
                 drop(st);
                 if wake {
                     self.shared.not_full.notify_one();
@@ -453,20 +461,21 @@ mod tests {
 
     #[test]
     fn full_ring_blocks_until_consumer_drains() {
-        let (tx, rx) = ring::<u32>(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let producer = std::thread::spawn(move || {
-            // Blocks until the consumer below pops a slot free.
-            tx.send(3).unwrap();
-            tx.send(4).unwrap();
-        });
-        let mut got = Vec::new();
-        while let Some(v) = rx.recv() {
-            got.push(v);
+        // A producer far ahead of its consumer parks on the full ring over
+        // and over; whatever the capacity (and so the half-drained wake
+        // mark), every message arrives, in order, and nobody sleeps
+        // through a wake-up.
+        for cap in [1usize, 2, 3, 8] {
+            let (tx, rx) = ring::<u32>(cap);
+            let producer = std::thread::spawn(move || {
+                for v in 0..500 {
+                    tx.send(v).unwrap();
+                }
+            });
+            let got: Vec<u32> = std::iter::from_fn(|| rx.recv()).collect();
+            producer.join().unwrap();
+            assert_eq!(got, (0..500).collect::<Vec<_>>(), "cap {cap}");
         }
-        producer.join().unwrap();
-        assert_eq!(got, vec![1, 2, 3, 4]);
     }
 
     #[test]

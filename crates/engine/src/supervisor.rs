@@ -8,7 +8,7 @@
 //! this cheap and *exact*, because summaries carry frozen numerators
 //! `g(t_i − L)` that are plain numbers, not functions of the current time
 //! (paper Section VI-B). Each shard retains the small tail of messages
-//! since its last checkpoint: the dispatcher appends to that backlog, the
+//! since its last checkpoint: the sending handle appends to that backlog, the
 //! worker trims it as each checkpoint it publishes covers older entries.
 //! On worker death the supervisor restores the engine from the slot and
 //! replays the tail, which reproduces the worker's state byte-for-byte

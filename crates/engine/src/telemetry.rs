@@ -225,7 +225,9 @@ impl ProducerTelemetry {
 /// finished or dropped.
 #[derive(Debug)]
 pub struct EngineTelemetry {
-    /// Tuples offered to the dispatcher (mirror of `EngineStats::tuples_in`).
+    /// Tuples offered (mirror of `EngineStats::tuples_in`). This and the
+    /// next three fields are read only by a registry without producer
+    /// slots; with producers, [`snapshot`](Self::snapshot) sums theirs.
     pub tuples_in: AtomicU64,
     /// Tuples rejected by the selection filter.
     pub filtered: AtomicU64,
@@ -299,10 +301,11 @@ impl EngineTelemetry {
         Self::with_producers(n_shards, 0)
     }
 
-    /// A zeroed registry for `n_shards` shards and `n_producers` fabric
-    /// ingress handles. `new(n)` is `with_producers(n, 0)`: a run without
-    /// the multi-producer fabric has no producer section and renders
-    /// exactly as before.
+    /// A zeroed registry for `n_shards` shards and `n_producers` ingress
+    /// handles (a [`ShardedEngine`](crate::shard::ShardedEngine) has at
+    /// least one). `new(n)` is `with_producers(n, 0)`: no producer
+    /// section, the shape the single-threaded engine's synthesized
+    /// snapshot has.
     pub fn with_producers(n_shards: usize, n_producers: usize) -> Self {
         Self {
             tuples_in: AtomicU64::new(0),
@@ -363,11 +366,26 @@ impl EngineTelemetry {
     /// A relaxed point-in-time sample of every counter, gauge and
     /// histogram. Callable from any thread, mid-stream or after the run.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let dispatcher_watermark_us = self.dispatcher_watermark.load(Relaxed);
+        // Admission happens on the ingress producers: with any registered,
+        // the engine-wide figures are their sums (and the furthest
+        // watermark), so no thread has to mirror totals on the hot path.
+        let sum = |own: &AtomicU64, of: fn(&ProducerTelemetry) -> &AtomicU64| {
+            if self.producers.is_empty() {
+                own.load(Relaxed)
+            } else {
+                self.producers.iter().map(|p| of(p).load(Relaxed)).sum()
+            }
+        };
+        let dispatcher_watermark_us = self
+            .producers
+            .iter()
+            .map(|p| p.watermark_us.load(Relaxed))
+            .max()
+            .unwrap_or_else(|| self.dispatcher_watermark.load(Relaxed));
         MetricsSnapshot {
-            tuples_in: self.tuples_in.load(Relaxed),
-            filtered: self.filtered.load(Relaxed),
-            late_drops: self.late_drops.load(Relaxed),
+            tuples_in: sum(&self.tuples_in, |p| &p.tuples_in),
+            filtered: sum(&self.filtered, |p| &p.filtered),
+            late_drops: sum(&self.late_drops, |p| &p.late_drops),
             dispatcher_watermark_us,
             worker_panics: self.worker_panics.load(Relaxed),
             restarts: self.restarts.load(Relaxed),
@@ -1009,8 +1027,9 @@ mod tests {
             "non-fabric scrape must not mention producers"
         );
 
+        // With producers registered the engine-wide count is their sum.
         let t = EngineTelemetry::with_producers(1, 2);
-        t.tuples_in.store(42, Relaxed);
+        t.producers()[0].tuples_in.store(25, Relaxed);
         t.producers()[1].tuples_in.store(17, Relaxed);
         t.producers()[1].epochs_sent.store(3, Relaxed);
         t.producers()[0].ring_depth[0].store(5, Relaxed);
@@ -1022,7 +1041,7 @@ mod tests {
         );
         let tail = &text[golden.len()..];
         assert!(tail.contains("# TYPE fd_producer_tuples_in counter"));
-        assert!(tail.contains("fd_producer_tuples_in{producer=\"0\"} 0"));
+        assert!(tail.contains("fd_producer_tuples_in{producer=\"0\"} 25"));
         assert!(tail.contains("fd_producer_tuples_in{producer=\"1\"} 17"));
         assert!(tail.contains("fd_producer_epochs_sent{producer=\"1\"} 3"));
         assert!(tail.contains("# TYPE fd_producer_ring_depth gauge"));

@@ -113,6 +113,31 @@ fn feed(e: &mut ShardedEngine, packets: &[Packet], from: u64, chunk: usize) {
     }
 }
 
+/// Blocks until the store's writer thread has put a commit record on
+/// disk. `durable_commit` only *enqueues* the record, and dropping the
+/// engine abandons whatever the writer has not reached yet — so a test
+/// that crashes mid-stream and then expects to resume past position 0
+/// has to let the writer get that far first, however the threads happen
+/// to be scheduled.
+fn wait_for_a_commit_on_disk(dir: &Path) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let committed = || {
+        std::fs::read_dir(dir).is_ok_and(|entries| {
+            entries.flatten().any(|e| {
+                e.file_name().to_string_lossy().starts_with("ctl-")
+                    && e.metadata().is_ok_and(|m| m.len() > 0)
+            })
+        })
+    };
+    while !committed() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the WAL writer never wrote a commit record"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 /// A complete durable run over a fresh store: feed, commit, finish.
 fn durable_run(dir: &Path, packets: &[Packet], n_shards: usize) -> (Vec<Row>, ShardedEngine) {
     let (mut e, report) = open(dir, n_shards, DurabilityOptions::default());
@@ -167,6 +192,7 @@ fn dropping_the_engine_mid_stream_recovers_bit_identically() {
     {
         let (mut e, _) = open(store.path(), 3, DurabilityOptions::default());
         feed(&mut e, &packets[..crash_at], 0, 1024);
+        wait_for_a_commit_on_disk(store.path());
         // dropped here, mid-stream
     }
 
@@ -650,6 +676,7 @@ fn fabric_durable_run_is_bit_identical_and_recovers_after_mid_stream_drop() {
     {
         let (mut e, _) = open_fabric(store2.path(), 2, 2, DurabilityOptions::default());
         feed(&mut e, &packets[..crash_at], 0, 1024);
+        wait_for_a_commit_on_disk(store2.path());
         // dropped here, mid-stream
     }
     let (mut e, report) = open_fabric(store2.path(), 2, 2, DurabilityOptions::default());
