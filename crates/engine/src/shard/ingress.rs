@@ -53,29 +53,29 @@ pub(crate) fn route_key(key: u64, n_shards: usize) -> usize {
 /// apply epochs in seq order. The coordinator mode of [`ShardedEngine`]
 /// (handles *not* taken) deals this way automatically.
 pub struct IngressHandle {
-    pub(super) producer: usize,
-    pub(super) query: Query,
-    pub(super) fab: Arc<FabShared>,
+    producer: usize,
+    query: Query,
+    fab: Arc<FabShared>,
     /// Per-shard staging buffers, swapped against [`Self::pool`] buffers
     /// at each seal, so steady-state ingress never allocates.
-    pub(super) staging: Vec<Vec<Packet>>,
+    staging: Vec<Vec<Packet>>,
     /// This producer's pool (a clone of `fab.pools[producer]`).
-    pub(super) pool: BatchPool<Packet>,
+    pool: BatchPool<Packet>,
     /// Epochs sealed so far; the next seal ships seq
     /// `epochs · P + producer + 1` (plus each shard's base).
     pub(super) epochs: u64,
     /// This producer's decay-aware thinning stage, present only under
     /// [`ShedPolicy::Subsample`].
-    pub(super) subsampler: Option<Subsampler>,
-    pub(super) rr: usize,
+    subsampler: Option<Subsampler>,
+    rr: usize,
     pub(super) watermark: Micros,
     /// The watermark the last sealed epoch carried: a later advance is
     /// news the workers have not heard.
-    pub(super) sealed_wm: Micros,
+    sealed_wm: Micros,
     /// Closed boundary in timestamp space (`closed_below · bucket_micros`).
-    pub(super) closed_low: Micros,
+    closed_low: Micros,
     pub(super) stats: EngineStats,
-    pub(super) finished: bool,
+    finished: bool,
 }
 
 impl IngressHandle {
@@ -251,7 +251,7 @@ impl IngressHandle {
         &mut self,
         mut durable: Option<&mut DurableSink>,
     ) -> Result<(), fd_core::Error> {
-        let fab = Arc::clone(&self.fab);
+        let fab = &self.fab;
         let p_count = fab.cfg.producers;
         let n_shards = self.staging.len();
         // `Subsample` thins the staged batches in place — as soon as a
@@ -318,7 +318,7 @@ impl IngressHandle {
     }
 
     /// Single-writer mirrors of this producer's admission counters.
-    pub(super) fn mirror_admission(&self) {
+    fn mirror_admission(&self) {
         let t = &self.fab.telemetry.producers()[self.producer];
         t.tuples_in.store(self.stats.tuples_in, Relaxed);
         t.filtered.store(self.stats.filtered, Relaxed);
@@ -327,7 +327,7 @@ impl IngressHandle {
     }
 
     /// Single-writer mirrors of this producer's epoch and pool counters.
-    pub(super) fn mirror_epochs(&self) {
+    fn mirror_epochs(&self) {
         let t = &self.fab.telemetry.producers()[self.producer];
         t.epochs_sent.store(self.epochs, Relaxed);
         t.pool_reuses.store(self.pool.reuses(), Relaxed);
@@ -357,7 +357,7 @@ impl IngressHandle {
     /// Runs under each shard's recovery lock so a concurrent respawn
     /// can't re-install a fresh sender afterwards (which would leave the
     /// new worker waiting forever on a ring nobody closes).
-    pub(super) fn close(&mut self) {
+    fn close(&mut self) {
         if self.finished {
             return;
         }

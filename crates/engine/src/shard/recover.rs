@@ -31,7 +31,7 @@ use crate::udaf::Query;
 pub(super) struct FabInner {
     pub(super) worker: Option<WorkerHandle>,
     /// Restarts consumed so far, cumulative for the run.
-    pub(super) restarts: u32,
+    restarts: u32,
     /// Bumped at the start of every recovery (successful or degrading),
     /// while `inner` is held across the whole reap + replay +
     /// fresh-sender install. Each installed sender is stamped with the
@@ -45,14 +45,14 @@ pub(super) struct FabInner {
     /// A handle whose send failed (or was refused) re-reads the
     /// generation under `inner`: if it moved, another handle already
     /// recovered and replayed the backlog, so it must NOT recover again.
-    pub(super) generation: u64,
+    generation: u64,
     /// Producers whose handles have finished (their rings are closed).
     /// A respawn closes these producers' fresh rings immediately so the
     /// new worker's rotation skips them exactly like the old one did.
     pub(super) finished: Vec<bool>,
     /// The live worker incarnation's progress lease (watchdog state),
     /// replaced wholesale on every respawn.
-    pub(super) lease: Arc<WorkerLease>,
+    lease: Arc<WorkerLease>,
     /// Abandoned (wedged) incarnations, joined at finish/drop once they
     /// observe their retired lease (see [`reap_zombies`]).
     pub(super) zombies: Vec<WorkerHandle>,
@@ -64,7 +64,7 @@ pub(super) struct FabInner {
 
 /// One producer's sender slot on one shard: the ring sender, stamped with
 /// the [`FabInner::generation`] it was installed under.
-pub(super) type SenderSlot = Mutex<Option<(u64, RingSender<Msg>)>>;
+type SenderSlot = Mutex<Option<(u64, RingSender<Msg>)>>;
 
 /// One shard of the plane: the per-producer replay backlogs, the
 /// checkpoint slot shared across worker incarnations, and one sender slot
@@ -135,7 +135,7 @@ pub(super) struct FabShared {
 
 impl FabShared {
     /// Whether messages to `shard` are retained for replay.
-    pub(super) fn retaining(&self, shard: usize) -> bool {
+    fn retaining(&self, shard: usize) -> bool {
         self.cfg.supervising() && !self.shards[shard].slot.unsupported()
     }
 
@@ -281,7 +281,7 @@ impl FabShared {
     /// so this loses the least decayed mass per tuple shed. Caller holds
     /// the shard's `inner`, so no recovery can replay the backlog between
     /// the two edits.
-    pub(super) fn hollow_oldest_locked(&self, shard: usize, p: usize) {
+    fn hollow_oldest_locked(&self, shard: usize, p: usize) {
         let sh = &self.shards[shard];
         let hollowed = sh.senders[p]
             .lock()
@@ -349,7 +349,7 @@ impl FabShared {
 
     /// Wedge recovery: abandons the wedged worker and restarts the shard
     /// through the same bounded-budget path as a crashed one.
-    pub(super) fn recover_wedged_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
+    fn recover_wedged_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
         Self::retire_worker_locked(inner);
         self.telemetry.wedged_respawns.fetch_add(1, Relaxed);
         self.restart_or_degrade_locked(shard, inner);
@@ -359,7 +359,7 @@ impl FabShared {
     /// respawn from the checkpoint with exponential backoff, degrading the
     /// shard when the budget is exhausted. Caller holds `inner` and has
     /// already bumped the generation and disposed of the old worker.
-    pub(super) fn restart_or_degrade_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
+    fn restart_or_degrade_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
         let sh = &self.shards[shard];
         let mut restored = false;
         if !sh.slot.unsupported() {
@@ -394,7 +394,7 @@ impl FabShared {
     }
 
     /// Joins a dead worker's thread, recording its panic.
-    pub(super) fn reap_locked(&self, shard: usize, inner: &mut FabInner) {
+    fn reap_locked(&self, shard: usize, inner: &mut FabInner) {
         if let Some(handle) = inner.worker.take() {
             match handle.join() {
                 Ok(state) => inner.early_exit = Some(state),
@@ -419,7 +419,7 @@ impl FabShared {
     /// old rings and park on `inner` until the new generation is
     /// published. Returns `false` if the restore fails or the worker dies
     /// mid-replay.
-    pub(super) fn respawn_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) -> bool {
+    fn respawn_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) -> bool {
         let sh = &self.shards[shard];
         let (ckpt_seq, engine) = match sh.slot.load() {
             Some((seq, bytes)) => match Engine::restore(self.worker_query.clone(), &bytes) {
@@ -536,7 +536,7 @@ impl FabShared {
     /// every trimmed buffer and force a cold allocation (and a page fault
     /// per 4 KB of batch) per epoch. The prewarm is capped so pathological
     /// checkpoint intervals cannot turn spawn into a 100 MB memset.
-    pub(super) fn size_pools(&self) {
+    fn size_pools(&self) {
         let batch = self.cfg.batch_size;
         let window = match self.cfg.checkpoint_every {
             0 => 0,

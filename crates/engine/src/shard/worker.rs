@@ -19,7 +19,7 @@ use crate::tuple::{Micros, Packet};
 /// accepted-tuple count (`tuples_in`), which is checkpointed — so "tuple
 /// N" names the same logical tuple across restarts and replays, however
 /// the stream was batched.
-pub(super) fn apply_batch(
+fn apply_batch(
     engine: &mut Engine,
     pkts: &[Packet],
     scales: Option<&[f64]>,
