@@ -295,7 +295,7 @@ fn dispatch_secs(query: &Query, n_shards: usize, packets: &[Packet], checkpoint_
 }
 
 /// Measures the per-tuple cost of the engine's ingress loop (see
-/// [`dispatch_secs`]) with supervision off — the serial ingress fraction
+/// `dispatch_secs`) with supervision off — the serial ingress fraction
 /// of one producer, comparable head-to-head with
 /// [`measure_dispatch_scalar_ns`].
 pub fn measure_dispatch_ns(query: &Query, n_shards: usize, packets: &[Packet]) -> f64 {
@@ -303,7 +303,7 @@ pub fn measure_dispatch_ns(query: &Query, n_shards: usize, packets: &[Packet]) -
 }
 
 /// Measures the ingress loop with the supervision layer's per-message
-/// bookkeeping run inline (see [`dispatch_secs`]); `checkpoint_every == 0`
+/// bookkeeping run inline (see `dispatch_secs`); `checkpoint_every == 0`
 /// runs the identical loop with supervision off (the baseline).
 pub fn measure_dispatch_supervised_ns(
     query: &Query,

@@ -1078,6 +1078,47 @@ mod tests {
     }
 
     #[test]
+    fn metrics_answer_whether_checkpoint_cost_is_flat() {
+        // Eight 1 s buckets through one supervised shard: the mean
+        // snapshot size (bytes / checkpoints) is there to read, and the
+        // slot's parked groups show the closed buckets left the snapshots.
+        let out = run(&CliConfig::parse([
+            "--rate",
+            "20000",
+            "--duration",
+            "8",
+            "--bucket",
+            "1",
+            "--hosts",
+            "100",
+            "--shards",
+            "1",
+            "--checkpoint-every",
+            "4096",
+            "--format",
+            "stats",
+            "--metrics",
+        ])
+        .unwrap());
+        let checkpoints = prom_value(&out, "fd_checkpoints");
+        assert!(checkpoints >= 30, "{checkpoints} checkpoints");
+        let per_checkpoint = prom_value(&out, "fd_checkpoint_bytes_total") / checkpoints;
+        // ~100 open groups and their LFTA slots (≈9 KiB); with the closed
+        // buckets riding along the mean was more than twice that.
+        assert!(
+            (1..12 * 1024).contains(&per_checkpoint),
+            "{per_checkpoint} bytes per checkpoint"
+        );
+        let held = out
+            .lines()
+            .find_map(|l| l.strip_prefix("fd_shard_closed_groups_held{shard=\"0\"} "))
+            .expect("per-shard gauge")
+            .parse::<u64>()
+            .unwrap();
+        assert!(held >= 6 * 100, "{held} closed groups parked in the slot");
+    }
+
+    #[test]
     fn overload_flags_parse() {
         let cfg = CliConfig::parse([
             "--shed",

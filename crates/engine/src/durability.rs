@@ -1,11 +1,12 @@
 //! Crash-durable persistence beneath the supervised sharded engine.
 //!
 //! PR 4's supervision makes the engine survive *worker* crashes: each
-//! worker periodically serializes its whole engine into an in-memory
-//! [`CheckpointSlot`] (exact, because forward decay's frozen numerators
-//! never need rescaling — Section VI-B), and the dispatcher replays the
-//! short backlog tail. A *process* crash still loses everything. This
-//! module pushes the same two artifacts to disk:
+//! worker periodically serializes its open state into an in-memory
+//! [`CheckpointSlot`] and hands its newly closed buckets over with it
+//! (exact, because forward decay's frozen numerators never need
+//! rescaling — Section VI-B), and the dispatcher replays the short
+//! backlog tail. A *process* crash still loses everything. This module
+//! pushes the same artifacts to disk:
 //!
 //! * a **per-shard segmented WAL** of every message the dispatcher sends
 //!   (batches and punctuations, CRC32-framed via
@@ -13,10 +14,16 @@
 //!   records** snapshotting the dispatcher's admission state and each
 //!   shard's high sequence number at a caller-chosen stream `position`;
 //! * **atomic on-disk checkpoints** of the worker slots (tmp + fsync +
-//!   read-back verify + rename), tracked by a versioned `MANIFEST` that
-//!   records, per shard, which checkpoint file is current and the WAL
-//!   sequence it covers. WAL segments wholly below the manifest coverage
-//!   are garbage-collected after each manifest commit.
+//!   read-back verify + rename): the open-state snapshot as
+//!   `ckpt-<shard>-<version>.bin`, replaced at every persist, and the
+//!   closed groups handed off since the shard's previous persist as one
+//!   write-once **closed-delta**, `closed-<shard>-<k>.bin` — each closed
+//!   group reaches disk exactly once, and a persisted checkpoint is as
+//!   small as the shard's open state. A versioned `MANIFEST` records, per
+//!   shard, which checkpoint file is current, the WAL sequence it covers,
+//!   and how many closed-deltas go with it. WAL segments wholly below the
+//!   manifest coverage are garbage-collected after each manifest commit;
+//!   closed-deltas the manifest names never are.
 //!
 //! ## Off the hot path
 //!
@@ -31,7 +38,8 @@
 //!
 //! ## Recovery model (group commit)
 //!
-//! `recover` scans the store and picks the **newest commit record `C`**
+//! `recover` loads the manifest's checkpoints and closed-deltas, scans the
+//! logs, and picks the **newest commit record `C`**
 //! such that, for every shard `s`,
 //! `covered[s] ≤ C.hi[s] ≤ last_good_wal_seq[s]` — i.e. the checkpoint on
 //! disk does not overshoot `C` and the WAL tail reaches it. Torn tails
@@ -63,7 +71,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use fd_core::checkpoint::{put_frame, put_u32, put_u64, read_frame, Frame, Reader};
+use fd_core::checkpoint::{crc32, put_frame, put_u32, put_u64, read_frame, Frame, Reader};
 
 use crate::io::{IoBackend, IoFile};
 use crate::spsc::{ring, BatchPool, RingReceiver, RingSender};
@@ -151,9 +159,15 @@ pub struct RecoveryReport {
 // Wire format
 // ---------------------------------------------------------------------------
 
-/// File-type magics ("FDW1" / "FDK1" / "FDM1" little-endian).
+/// File-type magics ("FDK1" / "FDC1" / "FDM1" / "FDM2" little-endian).
 const MAGIC_CKPT: u32 = 0x314B_4446;
-const MAGIC_MANIFEST: u32 = 0x314D_4446;
+const MAGIC_CLOSED: u32 = 0x3143_4446;
+/// The manifest before closed-deltas existed: per shard `(checkpoint
+/// version, covered seq)`. Read-only — such a store's checkpoints carry
+/// their closed groups inside the snapshot, and its shards have no deltas.
+const MAGIC_MANIFEST_V1: u32 = 0x314D_4446;
+/// Per shard `(checkpoint version, covered seq, closed-delta count)`.
+const MAGIC_MANIFEST: u32 = 0x324D_4446;
 
 const KIND_BATCH: u8 = 1;
 const KIND_PUNCT: u8 = 2;
@@ -495,6 +509,10 @@ fn ckpt_name(shard: usize, version: u64) -> String {
     format!("ckpt-{shard}-{version}.bin")
 }
 
+fn closed_name(shard: usize, index: u64) -> String {
+    format!("closed-{shard}-{index}.bin")
+}
+
 fn parse_two(name: &str, prefix: &str, suffix: &str) -> Option<(usize, u64)> {
     let body = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
     let (a, b) = body.split_once('-')?;
@@ -514,6 +532,38 @@ fn parse_ctl_name(name: &str) -> Option<u64> {
 
 fn parse_ckpt_name(name: &str) -> Option<(usize, u64)> {
     parse_two(name, "ckpt-", ".bin")
+}
+
+fn parse_closed_name(name: &str) -> Option<(usize, u64)> {
+    parse_two(name, "closed-", ".bin")
+}
+
+/// Starts a `[magic][len][crc32][payload]` file image in `out`: the
+/// caller appends the payload in place — no staging copy — and
+/// [`seal_file_image`] fills in the frame header.
+fn begin_file_image(out: &mut Vec<u8>, magic: u32) {
+    out.clear();
+    put_u32(out, magic);
+    put_u64(out, 0);
+}
+
+fn seal_file_image(image: &mut [u8]) {
+    let len = (image.len() - 12) as u32;
+    let crc = crc32(&image[12..]);
+    image[4..8].copy_from_slice(&len.to_le_bytes());
+    image[8..12].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The payload of a whole-file frame written by [`begin_file_image`]:
+/// `None` on a wrong magic, a torn frame, or bytes past the frame.
+fn file_image_payload(data: &[u8], magic: u32) -> Option<&[u8]> {
+    if data.len() < 4 || u32::from_le_bytes(data[0..4].try_into().ok()?) != magic {
+        return None;
+    }
+    match read_frame(&data[4..]) {
+        Frame::Complete { payload, consumed } if 4 + consumed == data.len() => Some(payload),
+        _ => None,
+    }
 }
 
 fn err(detail: impl Into<String>) -> fd_core::Error {
@@ -617,6 +667,8 @@ impl DurableSink {
             slots,
             covered: recovered.covered.clone(),
             ckpt_version: recovered.ckpt_version.clone(),
+            closed_deltas: recovered.closed.iter().map(|d| d.len() as u64).collect(),
+            closed_persisted: (0..n_shards).map(|s| recovered.closed_groups(s)).collect(),
             manifest_version: recovered.manifest_version,
             appends_since_sync: 0,
             last_commit: None,
@@ -625,6 +677,7 @@ impl DurableSink {
             abandoned: Arc::clone(&abandoned),
             payload_buf: Vec::new(),
             frame_buf: Vec::new(),
+            delta_buf: Vec::new(),
             pools,
         };
         // Reopen the live segments recovery decided to keep appending to.
@@ -827,6 +880,12 @@ struct Writer {
     /// Per-shard WAL sequence covered by the manifest-committed checkpoint.
     covered: Vec<u64>,
     ckpt_version: Vec<u64>,
+    /// Per shard: closed-delta files written so far (`closed-<s>-1..=n`).
+    closed_deltas: Vec<u64>,
+    /// Per shard: how many of the slot's closed groups those files hold —
+    /// the slot's list only grows while the writer lives, so this prefix
+    /// is what never needs writing again.
+    closed_persisted: Vec<usize>,
     manifest_version: u64,
     appends_since_sync: u64,
     last_commit: Option<CommitState>,
@@ -835,6 +894,7 @@ struct Writer {
     abandoned: Arc<AtomicBool>,
     payload_buf: Vec<u8>,
     frame_buf: Vec<u8>,
+    delta_buf: Vec<u8>,
     /// The batch-recycling pools, one per producer. The WAL holds a third
     /// `Arc` on every batch (replay backlog, worker, WAL), and the recycling
     /// protocol is "last holder returns the buffer" — so the writer must
@@ -998,31 +1058,71 @@ impl Writer {
     /// coverage **without overshooting commit `c`** — a snapshot newer
     /// than the newest durable commit would make recovery impossible
     /// (the WAL tail between coverage and the commit must replay onto
-    /// the checkpoint). Then commits a new manifest and garbage-collects.
+    /// the checkpoint) — together with the closed groups handed off since
+    /// the shard's previous persist, as one write-once closed-delta: the
+    /// snapshot no longer holds them, so each is written exactly once.
+    /// Then commits a new manifest and garbage-collects.
     fn persist_checkpoints(&mut self, c: &CommitState, force_manifest: bool) -> io::Result<()> {
-        let mut advanced: Vec<(usize, u64, Vec<u8>)> = Vec::new();
-        for (s, slot) in self.slots.iter().enumerate() {
-            // Cheap pre-check on the atomic seq before paying for a clone
-            // of the blob.
-            let seq = slot.seq();
-            if seq > self.covered[s] && seq <= c.hi[s] {
-                if let Some((seq, bytes)) = slot.load() {
-                    // The slot may have moved between the two reads;
-                    // re-validate against the commit bound.
-                    if seq > self.covered[s] && seq <= c.hi[s] {
-                        advanced.push((s, seq, bytes));
-                    }
-                }
-            }
-        }
-        if advanced.is_empty() && !force_manifest {
-            return Ok(());
-        }
         if self.abandoned.load(Relaxed) {
             return Ok(());
         }
-        for (s, seq, bytes) in advanced {
-            self.persist_one_checkpoint(s, seq, &bytes)?;
+        let mut advanced = false;
+        for s in 0..self.slots.len() {
+            let within = |seq: u64| seq > self.covered[s] && seq <= c.hi[s];
+            // Cheap pre-check on the atomic seq before taking the lock.
+            if !within(self.slots[s].seq()) {
+                continue;
+            }
+            // Both file images are framed straight from the borrowed slot
+            // — one copy of the snapshot, one serialization of the fresh
+            // closed groups — under one lock hold, so the pair is one cut
+            // of the shard's state; the file I/O happens after release.
+            let (ckpt, delta) = (&mut self.frame_buf, &mut self.delta_buf);
+            let persisted = self.closed_persisted[s];
+            let next_delta = self.closed_deltas[s] + 1;
+            let cut = self.slots[s].read(|v| {
+                // The slot may have moved since the pre-check.
+                if !within(v.seq) {
+                    return Ok(None);
+                }
+                begin_file_image(ckpt, MAGIC_CKPT);
+                put_u64(ckpt, v.seq);
+                ckpt.extend_from_slice(v.blob);
+                seal_file_image(ckpt);
+                let fresh = &v.closed[persisted..];
+                if !fresh.is_empty() {
+                    begin_file_image(delta, MAGIC_CLOSED);
+                    put_u64(delta, next_delta);
+                    put_u64(delta, v.seq);
+                    crate::engine::write_closed_groups(delta, fresh).ok_or_else(|| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "a closed group declined to serialize",
+                        )
+                    })?;
+                    seal_file_image(delta);
+                }
+                Ok::<_, io::Error>(Some((v.seq, v.closed.len())))
+            });
+            let Some((seq, closed_len)) = cut.transpose()?.flatten() else {
+                continue;
+            };
+            // The delta first: until the manifest below names it, it is an
+            // orphan that recovery ignores and the next persist overwrites.
+            if closed_len > persisted {
+                self.publish(&closed_name(s, next_delta), &self.delta_buf)?;
+                self.closed_deltas[s] = next_delta;
+                self.closed_persisted[s] = closed_len;
+            }
+            let version = self.ckpt_version[s] + 1;
+            self.publish(&ckpt_name(s, version), &self.frame_buf)?;
+            self.ckpt_version[s] = version;
+            self.covered[s] = seq;
+            self.telemetry.checkpoints_persisted.fetch_add(1, Relaxed);
+            advanced = true;
+        }
+        if !advanced && !force_manifest {
+            return Ok(());
         }
         // Everything the new manifest implies must be durable before the
         // rename publishes it: WAL tails (recovery needs them to reach a
@@ -1033,39 +1133,26 @@ impl Writer {
         Ok(())
     }
 
-    fn persist_one_checkpoint(&mut self, shard: usize, seq: u64, blob: &[u8]) -> io::Result<()> {
-        let version = self.ckpt_version[shard] + 1;
-        let final_name = ckpt_name(shard, version);
-        let tmp_name = format!("{final_name}.tmp");
-        self.payload_buf.clear();
-        put_u64(&mut self.payload_buf, seq);
-        self.payload_buf.extend_from_slice(blob);
-        self.frame_buf.clear();
-        put_u32(&mut self.frame_buf, MAGIC_CKPT);
-        put_frame(&mut self.frame_buf, &self.payload_buf);
-        let tmp_path = crate::io::join(&self.dir, &tmp_name);
+    /// Publishes one whole-file image atomically: tmp + fsync + read-back
+    /// verify + rename. The read-back is what keeps a silently corrupted
+    /// file (bad RAM, lying disk, injected corrupt-byte fault) from being
+    /// published — once the manifest points at it and the WAL below it is
+    /// GC'd, recovery would have nowhere to go.
+    fn publish(&self, final_name: &str, image: &[u8]) -> io::Result<()> {
+        let tmp_path = crate::io::join(&self.dir, &format!("{final_name}.tmp"));
         {
             let mut f = self.io.create(&tmp_path)?;
-            f.append(&self.frame_buf)?;
+            f.append(image)?;
             f.sync()?;
         }
-        // Read-back verification: a silently corrupted checkpoint (bad
-        // RAM, lying disk, injected corrupt-byte fault) must not be
-        // published — once the manifest points at it and the WAL below it
-        // is GC'd, recovery would have nowhere to go.
-        let back = self.io.read(&tmp_path)?;
-        if back != self.frame_buf {
+        if self.io.read(&tmp_path)? != image {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("checkpoint {final_name} failed read-back verification"),
+                format!("{final_name} failed read-back verification"),
             ));
         }
         self.io
-            .rename(&tmp_path, &crate::io::join(&self.dir, &final_name))?;
-        self.ckpt_version[shard] = version;
-        self.covered[shard] = seq;
-        self.telemetry.checkpoints_persisted.fetch_add(1, Relaxed);
-        Ok(())
+            .rename(&tmp_path, &crate::io::join(&self.dir, final_name))
     }
 
     fn sync_all(&mut self) -> io::Result<()> {
@@ -1079,31 +1166,16 @@ impl Writer {
 
     fn write_manifest(&mut self) -> io::Result<()> {
         let version = self.manifest_version + 1;
-        self.payload_buf.clear();
-        put_u64(&mut self.payload_buf, version);
-        put_u32(&mut self.payload_buf, self.covered.len() as u32);
-        for (v, c) in self.ckpt_version.iter().zip(&self.covered) {
-            put_u64(&mut self.payload_buf, *v);
-            put_u64(&mut self.payload_buf, *c);
+        begin_file_image(&mut self.frame_buf, MAGIC_MANIFEST);
+        put_u64(&mut self.frame_buf, version);
+        put_u32(&mut self.frame_buf, self.covered.len() as u32);
+        for s in 0..self.covered.len() {
+            put_u64(&mut self.frame_buf, self.ckpt_version[s]);
+            put_u64(&mut self.frame_buf, self.covered[s]);
+            put_u64(&mut self.frame_buf, self.closed_deltas[s]);
         }
-        self.frame_buf.clear();
-        put_u32(&mut self.frame_buf, MAGIC_MANIFEST);
-        put_frame(&mut self.frame_buf, &self.payload_buf);
-        let tmp_path = crate::io::join(&self.dir, "MANIFEST.tmp");
-        {
-            let mut f = self.io.create(&tmp_path)?;
-            f.append(&self.frame_buf)?;
-            f.sync()?;
-        }
-        let back = self.io.read(&tmp_path)?;
-        if back != self.frame_buf {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "manifest failed read-back verification",
-            ));
-        }
-        self.io
-            .rename(&tmp_path, &crate::io::join(&self.dir, MANIFEST_NAME))?;
+        seal_file_image(&mut self.frame_buf);
+        self.publish(MANIFEST_NAME, &self.frame_buf)?;
         self.io.sync_dir(&self.dir)?;
         self.manifest_version = version;
         Ok(())
@@ -1146,11 +1218,18 @@ impl Writer {
                 let _ = self.io.remove_file(&crate::io::join(&self.dir, name));
             }
         }
-        // Checkpoints older than the manifest-current version, and any
-        // leftover tmp file from a crashed writer.
+        // Checkpoints older than the manifest-current version, closed-
+        // deltas past the manifest's count (orphans of a crash between
+        // their rename and the manifest's), and any leftover tmp file
+        // from a crashed writer. Deltas the manifest names are never
+        // collected: they are the run's closed buckets.
         for name in &names {
             if let Some((s, v)) = parse_ckpt_name(name) {
                 if s < n && v < self.ckpt_version[s] {
+                    let _ = self.io.remove_file(&crate::io::join(&self.dir, name));
+                }
+            } else if let Some((s, k)) = parse_closed_name(name) {
+                if s < n && k > self.closed_deltas[s] {
                     let _ = self.io.remove_file(&crate::io::join(&self.dir, name));
                 }
             } else if name.ends_with(".tmp") {
@@ -1184,6 +1263,11 @@ pub(crate) struct Recovered {
     /// Per shard: the manifest-current checkpoint (covered seq, engine
     /// blob), if one was ever persisted.
     pub ckpts: Vec<Option<(u64, Vec<u8>)>>,
+    /// Per shard: the closed-group section of every closed-delta the
+    /// manifest names, in index order — together, every group the shard
+    /// closed at or before its checkpoint's seq (decoding them takes the
+    /// query, which recovery does not have).
+    pub closed: Vec<Vec<Vec<u8>>>,
     /// Per shard: WAL records in `(covered, hi]`, the replay tail.
     pub replay: Vec<Vec<ReplayMsg>>,
     /// Torn records truncated plus unreachable segments dropped.
@@ -1205,6 +1289,7 @@ impl Recovered {
         Self {
             commit: CommitState::zero(n_shards),
             ckpts: vec![None; n_shards],
+            closed: vec![Vec::new(); n_shards],
             replay: (0..n_shards).map(|_| Vec::new()).collect(),
             truncated: 0,
             covered: vec![0; n_shards],
@@ -1215,6 +1300,15 @@ impl Recovered {
             ctl_next_id: 1,
             resumed: false,
         }
+    }
+
+    /// How many closed groups the shard's deltas hold (each section leads
+    /// with its count).
+    fn closed_groups(&self, shard: usize) -> usize {
+        self.closed[shard]
+            .iter()
+            .map(|section| Reader::new(section).u64().unwrap_or(0) as usize)
+            .sum()
     }
 }
 
@@ -1349,7 +1443,12 @@ pub(crate) fn recover(
     }
 
     // --- Manifest ---------------------------------------------------------
-    let (manifest_version, ckpt_version, covered) = if manifest_present {
+    let Manifest {
+        version: manifest_version,
+        ckpt_version,
+        covered,
+        closed_deltas,
+    } = if manifest_present {
         let data = io
             .read(&crate::io::join(dir, MANIFEST_NAME))
             .map_err(|e| err(format!("cannot read MANIFEST: {e}")))?;
@@ -1357,7 +1456,12 @@ pub(crate) fn recover(
     } else {
         // Store created, crashed before the first manifest commit: valid,
         // with zero coverage everywhere.
-        (0, vec![0; n_shards], vec![0; n_shards])
+        Manifest {
+            version: 0,
+            ckpt_version: vec![0; n_shards],
+            covered: vec![0; n_shards],
+            closed_deltas: vec![0; n_shards],
+        }
     };
 
     // --- Checkpoints ------------------------------------------------------
@@ -1381,6 +1485,44 @@ pub(crate) fn recover(
             )));
         }
         ckpts[s] = Some((seq, blob));
+    }
+
+    // --- Closed-deltas ----------------------------------------------------
+    // Every delta the manifest names must be there and intact: together
+    // they are the closed buckets the checkpoint no longer carries.
+    let mut closed: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n_shards];
+    for s in 0..n_shards {
+        if ckpt_version[s] == 0 && closed_deltas[s] > 0 {
+            return Err(err(format!(
+                "manifest names {} closed-deltas for shard {s} but no checkpoint",
+                closed_deltas[s]
+            )));
+        }
+        let mut prev_seq = 0u64;
+        for k in 1..=closed_deltas[s] {
+            let name = closed_name(s, k);
+            let data = io.read(&crate::io::join(dir, &name)).map_err(|e| {
+                err(format!(
+                    "manifest names {name} but it cannot be read: {e} \
+                     (its closed buckets exist nowhere else — refusing to guess)"
+                ))
+            })?;
+            let (seq, section) = parse_closed_delta(&data, k).ok_or_else(|| {
+                err(format!(
+                    "closed-delta {name} is corrupt and its closed buckets exist \
+                     nowhere else — refusing to guess"
+                ))
+            })?;
+            if seq < prev_seq || seq > covered[s] {
+                return Err(err(format!(
+                    "{name} was handed off at seq {seq}, outside ({prev_seq}, {}] \
+                     where the manifest puts it",
+                    covered[s]
+                )));
+            }
+            prev_seq = seq;
+            closed[s].push(section.to_vec());
+        }
     }
 
     let mut truncated = 0u64;
@@ -1557,6 +1699,7 @@ pub(crate) fn recover(
     Ok(Recovered {
         commit,
         ckpts,
+        closed,
         replay: replay_all,
         truncated,
         covered,
@@ -1569,19 +1712,25 @@ pub(crate) fn recover(
     })
 }
 
-fn parse_manifest(
-    data: &[u8],
-    n_shards: usize,
-) -> Result<(u64, Vec<u64>, Vec<u64>), fd_core::Error> {
+/// A decoded `MANIFEST`: per shard, which checkpoint file is current, the
+/// WAL seq it covers, and how many closed-deltas go with it.
+struct Manifest {
+    version: u64,
+    ckpt_version: Vec<u64>,
+    covered: Vec<u64>,
+    closed_deltas: Vec<u64>,
+}
+
+fn parse_manifest(data: &[u8], n_shards: usize) -> Result<Manifest, fd_core::Error> {
     let bad = |why: &str| err(format!("MANIFEST is unreadable ({why})"));
-    if data.len() < 4
-        || u32::from_le_bytes(data[0..4].try_into().expect("4 bytes")) != MAGIC_MANIFEST
-    {
-        return Err(bad("bad magic"));
-    }
-    let payload = match read_frame(&data[4..]) {
-        Frame::Complete { payload, consumed } if 4 + consumed == data.len() => payload,
-        _ => return Err(bad("torn or oversized frame")),
+    // A v1 manifest (a store last written before closed-deltas existed)
+    // has no delta counts: its checkpoints hold their closed groups.
+    let (payload, has_deltas) = match file_image_payload(data, MAGIC_MANIFEST) {
+        Some(p) => (p, true),
+        None => match file_image_payload(data, MAGIC_MANIFEST_V1) {
+            Some(p) => (p, false),
+            None => return Err(bad("bad magic, or a torn or oversized frame")),
+        },
     };
     let mut r = Reader::new(payload);
     let codec = |_e| bad("truncated payload");
@@ -1593,35 +1742,51 @@ fn parse_manifest(
              (shard count cannot change across restarts)"
         )));
     }
-    let mut ckpt_version = Vec::with_capacity(n);
-    let mut covered = Vec::with_capacity(n);
+    let mut m = Manifest {
+        version,
+        ckpt_version: Vec::with_capacity(n),
+        covered: Vec::with_capacity(n),
+        closed_deltas: Vec::with_capacity(n),
+    };
     for _ in 0..n {
-        ckpt_version.push(r.u64().map_err(codec)?);
-        covered.push(r.u64().map_err(codec)?);
+        m.ckpt_version.push(r.u64().map_err(codec)?);
+        m.covered.push(r.u64().map_err(codec)?);
+        m.closed_deltas.push(if has_deltas {
+            r.u64().map_err(codec)?
+        } else {
+            0
+        });
     }
     if !r.is_empty() {
         return Err(bad("trailing bytes"));
     }
-    Ok((version, ckpt_version, covered))
+    Ok(m)
 }
 
 fn parse_ckpt(data: &[u8], name: &str) -> Result<(u64, Vec<u8>), fd_core::Error> {
-    let bad = |why: &str| {
-        err(format!(
-            "checkpoint {name} is corrupt ({why}) and the WAL below its coverage \
-             may be gone — refusing to guess"
-        ))
-    };
-    if data.len() < 4 || u32::from_le_bytes(data[0..4].try_into().expect("4 bytes")) != MAGIC_CKPT {
-        return Err(bad("bad magic"));
-    }
-    let payload = match read_frame(&data[4..]) {
-        Frame::Complete { payload, consumed } if 4 + consumed == data.len() => payload,
-        _ => return Err(bad("checksum or length mismatch")),
-    };
-    let mut r = Reader::new(payload);
-    let seq = r.u64().map_err(|_| bad("truncated payload"))?;
+    let payload = file_image_payload(data, MAGIC_CKPT)
+        .filter(|p| p.len() >= 8)
+        .ok_or_else(|| {
+            err(format!(
+                "checkpoint {name} is corrupt (bad magic, checksum or length) and the \
+                 WAL below its coverage may be gone — refusing to guess"
+            ))
+        })?;
+    let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
     Ok((seq, payload[8..].to_vec()))
+}
+
+/// A closed-delta's `(hand-off seq, closed-group section)`; `None` on any
+/// damage, or when the file is not delta number `index`.
+fn parse_closed_delta(data: &[u8], index: u64) -> Option<(u64, &[u8])> {
+    let payload = file_image_payload(data, MAGIC_CLOSED)?;
+    let mut r = Reader::new(payload);
+    if r.u64().ok()? != index {
+        return None;
+    }
+    let seq = r.u64().ok()?;
+    // The section leads with its group count.
+    Some((seq, payload.get(16..).filter(|s| s.len() >= 8)?))
 }
 
 #[cfg(test)]
@@ -1861,12 +2026,7 @@ mod tests {
             })
             .collect();
         let expected = Engine::new(q()).run(packets.clone());
-        let dir = std::env::temp_dir().join(format!(
-            "fd-legacy-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_store("legacy-store");
         std::fs::create_dir_all(&dir).expect("mkdir");
 
         // The classic dispatcher over the first 1 000 packets: stage per
@@ -1995,12 +2155,231 @@ mod tests {
         assert_eq!(report.position, COMMITTED as u64);
         e.try_process_packets(&packets[COMMITTED..]).expect("feed");
         let rows = e.finish();
-        assert_eq!(expected.len(), rows.len());
-        for (want, got) in expected.iter().zip(&rows) {
-            assert_eq!((want.bucket_start, want.key), (got.bucket_start, got.key));
-            let (w, g) = (want.value.as_float(), got.value.as_float());
-            assert_eq!(w.map(f64::to_bits), g.map(f64::to_bits), "key {}", want.key);
+        assert_same_bits(&expected, &rows, "continued from the classic store");
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fixture of the two tests below: 6 000 tuples over three 2 s
+    /// buckets and a handful of groups, few enough that no LFTA slot is
+    /// shared — sharded rows then equal the single-threaded engine's to
+    /// the bit.
+    fn three_bucket_fixture() -> (impl Fn() -> crate::udaf::Query, Vec<Packet>) {
+        use crate::aggregators::fwd_sum_factory;
+        use fd_core::decay::Monomial;
+        let q = || {
+            crate::udaf::Query::builder("closed-deltas")
+                .group_by(|p| p.dst_host())
+                .bucket_secs(2)
+                .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
+                .build()
+        };
+        let packets = (0..6_000u32)
+            .map(|i| Packet {
+                ts: u64::from(i) * 1_000,
+                src_ip: i,
+                dst_ip: i * i % 5,
+                src_port: 3,
+                dst_port: 4,
+                len: 40 + i % 1400,
+                proto: Proto::Tcp,
+            })
+            .collect();
+        (q, packets)
+    }
+
+    fn temp_store(label: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "fd-{label}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn assert_same_bits(want: &[crate::engine::Row], got: &[crate::engine::Row], label: &str) {
+        assert_eq!(want.len(), got.len(), "{label}: row count");
+        for (w, g) in want.iter().zip(got) {
+            assert_eq!((w.bucket_start, w.key), (g.bucket_start, g.key), "{label}");
+            assert_eq!(
+                w.value.as_float().map(f64::to_bits),
+                g.value.as_float().map(f64::to_bits),
+                "{label}: bucket {} key {}",
+                w.bucket_start,
+                w.key
+            );
         }
+    }
+
+    #[test]
+    fn every_closed_group_is_persisted_exactly_once() {
+        use crate::engine::{read_closed_groups, Engine};
+        use crate::shard::ShardedEngine;
+
+        let (q, packets) = three_bucket_fixture();
+        let expected = Engine::new(q()).run(packets.clone());
+        let dir = temp_store("once");
+        let (mut e, _) = ShardedEngine::try_new(q(), 2)
+            .and_then(|e| e.try_batch_size(64))
+            .and_then(|e| {
+                e.checkpoint_every(256)
+                    .try_durable(&dir, DurabilityOptions::default())
+            })
+            .expect("open");
+        for (i, chunk) in packets.chunks(500).enumerate() {
+            e.try_process_packets(chunk).expect("feed");
+            e.durable_commit(((i + 1) * 500) as u64).expect("commit");
+        }
+        let rows = e.finish();
+        assert_same_bits(&expected, &rows, "durable run");
+        drop(e);
+
+        // What is on disk: per shard, deltas that name each (bucket, key)
+        // once, all of it closed before the checkpoint they sit beside,
+        // and a checkpoint whose own closed section is empty.
+        let io: Arc<dyn IoBackend> = Arc::new(crate::io::StdFs);
+        let rec = recover(&io, &dir, 2).expect("recover");
+        let mut persisted = 0usize;
+        for s in 0..2 {
+            let (_, blob) = rec.ckpts[s].as_ref().expect("a checkpoint per shard");
+            let mut restored = Engine::restore(q(), blob).expect("restore");
+            assert!(
+                restored.drain_closed_state().is_empty(),
+                "shard {s}: the checkpoint still carries closed groups"
+            );
+            let mut seen = std::collections::BTreeSet::new();
+            for section in &rec.closed[s] {
+                let mut r = Reader::new(section);
+                for g in read_closed_groups(&mut r, &q()).expect("decode delta") {
+                    assert!(g.bucket < 2, "only buckets 0 and 1 closed mid-stream");
+                    assert!(
+                        seen.insert((g.bucket, g.key)),
+                        "shard {s}: ({}, {}) persisted twice",
+                        g.bucket,
+                        g.key
+                    );
+                }
+                assert!(r.is_empty());
+            }
+            assert_eq!(rec.closed_groups(s), seen.len());
+            persisted += seen.len();
+        }
+        let closed_mid_stream = expected
+            .iter()
+            .filter(|r| r.bucket_start < 4_000_000)
+            .count();
+        assert_eq!(persisted, closed_mid_stream, "buckets 0 and 1, whole");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_written_before_closed_deltas_opens_drains_and_finishes_exactly() {
+        use crate::engine::Engine;
+        use crate::shard::ShardedEngine;
+
+        // A store as the previous format wrote it — closed groups inside
+        // every checkpoint, a v1 MANIFEST, no closed-deltas — made from a
+        // store this build writes by moving each shard's deltas back into
+        // the closed section of its checkpoint, which is exactly where
+        // (and how) the old worker serialized them.
+        let (q, packets) = three_bucket_fixture();
+        let expected = Engine::new(q()).run(packets.clone());
+        let dir = temp_store("pre-delta");
+        let open = || {
+            ShardedEngine::try_new(q(), 2)
+                .and_then(|e| e.try_batch_size(64))
+                .and_then(|e| {
+                    e.checkpoint_every(256)
+                        .try_durable(&dir, DurabilityOptions::default())
+                })
+        };
+        const WRITTEN: usize = 4_600; // past two bucket closes, into bucket 2
+        {
+            let (mut e, _) = open().expect("open");
+            for (i, chunk) in packets[..WRITTEN].chunks(460).enumerate() {
+                e.try_process_packets(chunk).expect("feed");
+                e.durable_commit(((i + 1) * 460) as u64).expect("commit");
+            }
+            e.finish();
+        }
+        let io: Arc<dyn IoBackend> = Arc::new(crate::io::StdFs);
+        let rec = recover(&io, &dir, 2).expect("recover");
+        let mut image = Vec::new();
+        let mut moved_back = 0usize;
+        for s in 0..2 {
+            let (seq, blob) = rec.ckpts[s].as_ref().expect("a checkpoint per shard");
+            // `… | closed section | header | header_len`: the section is
+            // the bare count 0 just before the header.
+            let header_len =
+                u64::from_le_bytes(blob[blob.len() - 8..].try_into().unwrap()) as usize;
+            let at = blob.len() - 8 - header_len - 8;
+            assert_eq!(blob[at..at + 8], [0u8; 8], "an empty closed section");
+            begin_file_image(&mut image, MAGIC_CKPT);
+            put_u64(&mut image, *seq);
+            image.extend_from_slice(&blob[..at]);
+            put_u64(&mut image, rec.closed_groups(s) as u64);
+            for section in &rec.closed[s] {
+                image.extend_from_slice(&section[8..]);
+            }
+            image.extend_from_slice(&blob[at + 8..]);
+            seal_file_image(&mut image);
+            std::fs::write(dir.join(ckpt_name(s, rec.ckpt_version[s])), &image).expect("ckpt");
+            for k in 1..=rec.closed[s].len() as u64 {
+                std::fs::remove_file(dir.join(closed_name(s, k))).expect("drop delta");
+            }
+            moved_back += rec.closed_groups(s);
+        }
+        let closed_mid_stream = expected
+            .iter()
+            .filter(|r| r.bucket_start < 4_000_000)
+            .count();
+        assert_eq!(
+            moved_back, closed_mid_stream,
+            "both closed buckets ride in the checkpoints"
+        );
+        begin_file_image(&mut image, MAGIC_MANIFEST_V1);
+        put_u64(&mut image, rec.manifest_version);
+        put_u32(&mut image, 2);
+        for s in 0..2 {
+            put_u64(&mut image, rec.ckpt_version[s]);
+            put_u64(&mut image, rec.covered[s]);
+        }
+        seal_file_image(&mut image);
+        std::fs::write(dir.join(MANIFEST_NAME), &image).expect("manifest");
+
+        // It recovers as what it is: checkpoints, no deltas …
+        let old = recover(&io, &dir, 2).expect("recover the old layout");
+        assert_eq!(old.truncated, 0);
+        assert_eq!(old.commit.position, WRITTEN as u64);
+        assert!(old.closed.iter().all(Vec::is_empty));
+        assert_eq!(old.covered, rec.covered);
+        // … opens, continues across the next bucket close, and finishes
+        // with the single-threaded engine's rows.
+        let (mut e, report) = open().expect("open the old store");
+        assert!(report.resumed);
+        assert_eq!(report.position, WRITTEN as u64);
+        e.try_process_packets(&packets[WRITTEN..5_500])
+            .expect("feed");
+        e.durable_commit(5_500).expect("commit");
+        e.try_process_packets(&packets[5_500..]).expect("feed");
+        e.durable_commit(packets.len() as u64).expect("commit");
+        let rows = e.finish();
+        assert_same_bits(&expected, &rows, "continued from the old store");
+        drop(e);
+        // The first new checkpoint drained the old closed sections into
+        // closed-deltas, under a v2 manifest; the store reopens to the
+        // same rows from disk alone.
+        let upgraded = recover(&io, &dir, 2).expect("recover the upgraded store");
+        assert!(
+            (0..2).map(|s| upgraded.closed_groups(s)).sum::<usize>() >= closed_mid_stream,
+            "the old closed sections became deltas"
+        );
+        let manifest = std::fs::read(dir.join(MANIFEST_NAME)).expect("manifest");
+        assert!(file_image_payload(&manifest, MAGIC_MANIFEST).is_some());
+        let (mut e, report) = open().expect("reopen");
+        assert_eq!(report.position, packets.len() as u64);
+        assert_same_bits(&expected, &e.finish(), "upgraded store, reopened");
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -200,9 +200,8 @@ impl Engine {
     /// shedding). A unit scale is exactly [`process`](Engine::process);
     /// non-unit scales take the direct high-level path, bypassing the
     /// LFTA — its direct-mapped slots carry no scale column. High-level
-    /// groups absorb LFTA partials through the same merge
-    /// ([`absorb_partial`](Self::absorb_partial)), so mixing scaled and
-    /// unscaled tuples within a bucket stays correct.
+    /// groups absorb LFTA partials through the same merge (`absorb_partial`),
+    /// so mixing scaled and unscaled tuples within a bucket stays correct.
     pub fn process_scaled(&mut self, pkt: &Packet, scale: f64) {
         if scale == 1.0 {
             return self.process(pkt);
@@ -462,23 +461,23 @@ impl Engine {
         for (&bucket, groups) in &self.buckets {
             put_u64(&mut blob, bucket);
             put_u64(&mut blob, groups.len() as u64);
-            let mut entries: Vec<(&u64, &Box<dyn Aggregator>)> = groups.iter().collect();
-            entries.sort_unstable_by_key(|&(&key, _)| key);
-            for (&key, agg) in entries {
+            // Keys by value: the sort then compares within one dense
+            // array instead of chasing a pointer into the map per probe.
+            let mut entries: Vec<(u64, &dyn Aggregator)> = groups
+                .iter()
+                .map(|(&key, agg)| (key, agg.as_ref()))
+                .collect();
+            entries.sort_unstable_by_key(|&(key, _)| key);
+            for (key, agg) in entries {
                 put_u64(&mut blob, key);
-                crate::udaf::write_agg(&mut blob, agg.as_ref()).ok_or_else(unsupported)?;
+                crate::udaf::write_agg(&mut blob, agg).ok_or_else(unsupported)?;
             }
         }
         if let Some(l) = &self.lfta {
             l.snapshot_into(&mut blob).ok_or_else(unsupported)?;
         }
-        let closed_src: &[ClosedGroup] = self.closed_state.as_deref().unwrap_or(&[]);
-        put_u64(&mut blob, closed_src.len() as u64);
-        for g in closed_src {
-            put_u64(&mut blob, g.bucket);
-            put_u64(&mut blob, g.key);
-            crate::udaf::write_agg(&mut blob, g.agg.as_ref()).ok_or_else(unsupported)?;
-        }
+        write_closed_groups(&mut blob, self.closed_state.as_deref().unwrap_or(&[]))
+            .ok_or_else(unsupported)?;
         self.last_ckpt_bytes.set(blob.len());
         let header_start = blob.len();
         to_bytes_into(
@@ -562,19 +561,10 @@ impl Engine {
                 ));
             }
         }
-        let n_closed = r.u64()?;
+        let closed = read_closed_groups(&mut r, &e.query)?;
         if header.state_mode {
-            let mut state = Vec::with_capacity(n_closed as usize);
-            for _ in 0..n_closed {
-                let bucket = r.u64()?;
-                let key = r.u64()?;
-                let len = r.u64()? as usize;
-                let mut agg = factory.make(bucket * bucket_micros);
-                agg.restore(r.bytes(len)?)?;
-                state.push(ClosedGroup { bucket, key, agg });
-            }
-            e.closed_state = Some(state);
-        } else if n_closed != 0 {
+            e.closed_state = Some(closed);
+        } else if !closed.is_empty() {
             return Err(CodecError::new("closed state in a row-mode snapshot"));
         }
         if !r.is_empty() {
@@ -586,6 +576,41 @@ impl Engine {
         e.out = header.rows;
         Ok(e)
     }
+}
+
+/// Appends a closed-group section — a count, then `(bucket, key,
+/// length-prefixed aggregator state)` per group — the layout shared by the
+/// tail of an [`Engine`] checkpoint and the durable store's closed-delta
+/// files. `None` if an aggregator declines checkpointing.
+pub(crate) fn write_closed_groups(out: &mut Vec<u8>, groups: &[ClosedGroup]) -> Option<()> {
+    fd_core::checkpoint::put_u64(out, groups.len() as u64);
+    for g in groups {
+        fd_core::checkpoint::put_u64(out, g.bucket);
+        fd_core::checkpoint::put_u64(out, g.key);
+        crate::udaf::write_agg(out, g.agg.as_ref())?;
+    }
+    Some(())
+}
+
+/// Reads one [`write_closed_groups`] section, rebuilding each group's
+/// aggregator from `query`'s factory.
+pub(crate) fn read_closed_groups(
+    r: &mut fd_core::checkpoint::Reader<'_>,
+    query: &Query,
+) -> Result<Vec<ClosedGroup>, fd_core::checkpoint::CodecError> {
+    let n = r.u64()? as usize;
+    // A group is at least its three length words: bound the claimed count
+    // by what the bytes can hold before allocating for it.
+    let mut groups = Vec::with_capacity(n.min(r.remaining() / 24));
+    for _ in 0..n {
+        let bucket = r.u64()?;
+        let key = r.u64()?;
+        let len = r.u64()? as usize;
+        let mut agg = query.aggregate.make(bucket * query.bucket_micros);
+        agg.restore(r.bytes(len)?)?;
+        groups.push(ClosedGroup { bucket, key, agg });
+    }
+    Ok(groups)
 }
 
 /// The serde-encoded head of an [`Engine`] checkpoint: everything small

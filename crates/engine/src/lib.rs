@@ -42,8 +42,9 @@
 //!   drivers and tools are generic over single-threaded vs sharded runs;
 //! - [`supervisor`] — checkpoint slots and restart policy for
 //!   fault-tolerant shard workers: each worker periodically serializes its
-//!   full engine state (exact, thanks to Section VI-B mergeable summaries)
-//!   and the sending handle's backlog is replayed after a crash;
+//!   open state (exact, thanks to Section VI-B mergeable summaries) and
+//!   hands its closed buckets over once, and the sending handle's backlog
+//!   is replayed after a crash;
 //! - [`fault`] — deterministic fault injection (`FD_FAULT=panic:SHARD:N`,
 //!   `disk:KIND:N`) used by the recovery test-suite and the fault-matrix
 //!   and crash-matrix CI jobs;
@@ -51,9 +52,10 @@
 //!   [`io::IoBackend`] trait, the real [`io::StdFs`] backend, and the
 //!   fault-injecting [`io::FaultyFs`] wrapper;
 //! - [`durability`] — crash-durable persistence: per-shard segmented
-//!   CRC-framed WALs, atomic on-disk checkpoints behind a versioned
-//!   `MANIFEST`, torn-tail truncation, and recovery that resumes a run
-//!   bit-identically after `kill -9`.
+//!   CRC-framed WALs, atomic on-disk checkpoints and write-once
+//!   closed-bucket deltas behind a versioned `MANIFEST`, torn-tail
+//!   truncation, and recovery that resumes a run bit-identically after
+//!   `kill -9`.
 //!
 //! The paper's example query
 //!

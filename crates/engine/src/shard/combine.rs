@@ -81,7 +81,10 @@ impl ShardedEngine {
     /// key) order — the same order the single-threaded engine emits.
     /// Subsequent calls return no rows. Never panics on a lost worker.
     ///
-    /// A worker found dead here is put through the same supervision
+    /// A shard's closed groups arrive in two parts: those its checkpoint
+    /// slot holds (everything closed up to the last checkpoint, handed off
+    /// once each) and those the worker returns (everything after). A
+    /// worker found dead here is put through the same supervision
     /// protocol as one found dead mid-stream: restore, replay, bounded
     /// retries, then degradation with checkpoint salvage. Without
     /// supervision its shard's rows are lost (counted in
@@ -98,8 +101,10 @@ impl ShardedEngine {
             h.finish();
         }
         let fab = Arc::clone(&self.fab);
-        let mut combined: BTreeMap<(u64, u64), Box<dyn Aggregator>> = BTreeMap::new();
+        // Per shard: the groups closed after its last checkpoint.
+        let mut tails: Vec<Vec<ClosedGroup>> = Vec::new();
         for (shard, sh) in fab.shards.iter().enumerate() {
+            let mut tail = Vec::new();
             loop {
                 let handle = sh
                     .inner
@@ -111,7 +116,7 @@ impl ShardedEngine {
                 match handle.join() {
                     Ok((closed, stats)) => {
                         self.shard_stats[shard] = stats;
-                        fold_closed(&mut combined, closed);
+                        tail = closed;
                         break;
                     }
                     Err(payload) => {
@@ -138,26 +143,35 @@ impl ShardedEngine {
             };
             if let Some((closed, stats)) = early {
                 self.shard_stats[shard] = stats;
-                fold_closed(&mut combined, closed);
+                tail.extend(closed);
             }
             if sh.degraded.load(Relaxed) {
                 // Salvage the degraded shard's last checkpoint: everything
-                // up to it survives in the final result.
-                if let Some((_seq, bytes)) = sh.slot.load() {
-                    if let Ok(mut e) = Engine::restore(fab.worker_query.clone(), &bytes) {
-                        let closed = e.finish_state();
-                        self.shard_stats[shard] = e.stats();
-                        fold_closed(&mut combined, closed);
-                    }
+                // up to it survives in the final result — the buckets
+                // still open in the snapshot here, the closed ones below.
+                let salvaged = sh
+                    .slot
+                    .read(|v| Engine::restore(fab.worker_query.clone(), v.blob));
+                if let Some(Ok(mut e)) = salvaged {
+                    tail.extend(e.finish_state());
+                    self.shard_stats[shard] = e.stats();
                 }
             }
             reap_zombies(&mut zombies);
+            tails.push(tail);
         }
         // All workers have drained and published their last checkpoints:
-        // flush the WAL, persist what the last commit covers, and commit a
-        // final manifest, so a cleanly-finished store recovers instantly.
+        // flush the WAL, persist what the last commit covers — the writer
+        // reads the slots' closed groups, so this comes before they move
+        // out — and commit a final manifest, so a cleanly-finished store
+        // recovers instantly.
         if let Some(d) = self.durable.as_mut() {
             d.finish();
+        }
+        let mut combined: BTreeMap<(u64, u64), Box<dyn Aggregator>> = BTreeMap::new();
+        for (sh, tail) in fab.shards.iter().zip(tails) {
+            fold_closed(&mut combined, sh.slot.take_closed());
+            fold_closed(&mut combined, tail);
         }
         // Fold the producers' admission counters into the engine stats.
         for s in fab

@@ -47,19 +47,24 @@
 //!
 //! ## Supervision and recovery
 //!
-//! Each worker periodically serializes its whole engine into a shared
+//! Each worker periodically serializes its *open* state into a shared
 //! [`CheckpointSlot`] ([`Engine::checkpoint`] — forward decay's frozen
-//! numerators make the snapshot plain data, exact to the bit). The
-//! sending handle retains the short tail of messages since the last
-//! checkpoint. When a send fails (the worker panicked), the supervisor
+//! numerators make the snapshot plain data, exact to the bit) and, in the
+//! same critical section, moves the groups of every bucket closed since
+//! its previous checkpoint into the slot: a closed group leaves the worker
+//! exactly once and is never serialized again, so a checkpoint costs what
+//! the open state costs however long the stream has run. The sending
+//! handle retains the short tail of messages since the last checkpoint. When a send fails (the worker panicked), the supervisor
 //! respawns the worker from the checkpoint with exponential backoff and
 //! replays the tail, after which the run continues **byte-identically**:
 //! the restored LFTA slots sit in their exact old positions, so every
 //! future fold/evict/flush — and every floating-point combination order —
-//! is unchanged. A shard that exhausts its restart budget (a poison-pill
+//! is unchanged, and the slot's closed groups stay where they are (the
+//! snapshot does not hold them, so the replay cannot close them twice). A shard that exhausts its restart budget (a poison-pill
 //! input, say) is *degraded*: later tuples routed to it are counted
-//! dropped, and its last checkpoint is still salvaged into the final
-//! result at [`ShardedEngine::finish`]. Every recovery action is
+//! dropped, and its last checkpoint — the slot's closed groups plus the
+//! buckets open in the snapshot — is still salvaged into the final result
+//! at [`ShardedEngine::finish`]. Every recovery action is
 //! observable in [`EngineTelemetry`]: `restarts`, `checkpoints`,
 //! `replayed_batches` / `replayed_tuples`, `degraded_shards`,
 //! `dropped_degraded`.

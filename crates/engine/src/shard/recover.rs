@@ -410,10 +410,12 @@ impl FabShared {
     }
 
     /// Brings up a worker incarnation for `shard`: restores an engine from
-    /// the shard's checkpoint slot (a fresh one when the slot is empty),
-    /// spawns the worker on fresh rings, replays the backlog tail in seq
-    /// order, and installs the fresh senders (closing finished producers'
-    /// rings). The initial spawn, a crash respawn and a durable resume are
+    /// the snapshot in the shard's checkpoint slot (a fresh one when the
+    /// slot is empty) — the slot's closed groups stay where they are: the
+    /// snapshot no longer holds them, and the replay closes only buckets
+    /// that were still open in it — spawns the worker on fresh rings,
+    /// replays the backlog tail in seq order, and installs the fresh
+    /// senders (closing finished producers' rings). The initial spawn, a crash respawn and a durable resume are
     /// all this one call — they differ only in what the slot and backlog
     /// hold. Caller holds `inner`; other handles' sends fail against the
     /// old rings and park on `inner` until the new generation is
@@ -421,16 +423,19 @@ impl FabShared {
     /// mid-replay.
     fn respawn_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) -> bool {
         let sh = &self.shards[shard];
-        let (ckpt_seq, engine) = match sh.slot.load() {
-            Some((seq, bytes)) => match Engine::restore(self.worker_query.clone(), &bytes) {
-                Ok(e) => (seq, e),
-                Err(err) => {
-                    // "Can't happen" (we wrote these bytes); surface it
-                    // rather than looping on a poisoned slot.
-                    eprintln!("fd-shard-{shard}: checkpoint restore failed: {err:?}");
-                    return false;
-                }
-            },
+        let tel = &self.telemetry.shards()[shard];
+        let restored = sh.slot.read(|v| {
+            tel.closed_groups_held.store(v.closed.len() as u64, Relaxed);
+            (v.seq, Engine::restore(self.worker_query.clone(), v.blob))
+        });
+        let (ckpt_seq, engine) = match restored {
+            Some((seq, Ok(e))) => (seq, e),
+            Some((_, Err(err))) => {
+                // "Can't happen" (we wrote these bytes); surface it
+                // rather than looping on a poisoned slot.
+                eprintln!("fd-shard-{shard}: checkpoint restore failed: {err:?}");
+                return false;
+            }
             None => {
                 let mut e = Engine::new(self.worker_query.clone());
                 e.keep_closed_state();
@@ -438,8 +443,34 @@ impl FabShared {
             }
         };
         let p_count = self.cfg.producers;
-        let (txs, rxs): (Vec<_>, Vec<_>) =
-            (0..p_count).map(|_| ring::<Msg>(FABRIC_RING_DEPTH)).unzip();
+        // The uncheckpointed tail: the per-producer backlog rows merged by
+        // seq (each row is already FIFO).
+        let mut replay: Vec<Msg> = {
+            let rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
+            rows.iter()
+                .flat_map(|row| row.iter().filter(|m| m.seq > ckpt_seq).cloned())
+                .collect()
+        };
+        replay.sort_by_key(|m| m.seq);
+        // With parallel handles the tail can have a gap: a producer stalled
+        // between sealing an epoch and logging it here. The worker's
+        // rotation cannot pass the gap until that producer's send runs —
+        // which waits for `inner`, held across this whole call — so what
+        // lies beyond the gap must fit in the rings without the worker
+        // draining them, or the refill below would wait forever.
+        let dense = replay
+            .iter()
+            .zip(ckpt_seq.max(sh.seq_base) + 1..)
+            .take_while(|(m, next)| m.seq == *next)
+            .count();
+        let mut beyond_gap = vec![0usize; p_count];
+        for m in &replay[dense..] {
+            beyond_gap[self.producer_of(shard, m.seq)] += 1;
+        }
+        let (txs, rxs): (Vec<_>, Vec<_>) = beyond_gap
+            .iter()
+            .map(|&n| ring::<Msg>(FABRIC_RING_DEPTH.max(n)))
+            .unzip();
         // A fresh incarnation gets a fresh lease: the old one stays
         // retired forever (any zombie still holding it keeps seeing
         // `retired() == true`), and the watchdog clock restarts from now.
@@ -454,22 +485,16 @@ impl FabShared {
         ));
         // The old rings died with un-decremented messages in them; the
         // gauges restart from the replay.
-        let tel = &self.telemetry.shards()[shard];
         tel.queue_depth.store(0, Relaxed);
         for p in 0..p_count {
             self.telemetry.producers()[p].ring_depth[shard].store(0, Relaxed);
         }
-        // Replay the uncheckpointed tail: merge the per-producer backlog
-        // rows by seq (each row is already FIFO) and push in that order —
-        // the exact order the worker's rotation drains, so a bounded ring
-        // can never deadlock the refill.
-        let mut replay: Vec<Msg> = {
-            let rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
-            rows.iter()
-                .flat_map(|row| row.iter().filter(|m| m.seq > ckpt_seq).cloned())
-                .collect()
-        };
-        replay.sort_by_key(|m| m.seq);
+        // Refill in seq order — the exact order the worker's rotation
+        // drains, so up to the first gap a bounded ring can never deadlock
+        // the refill, and past it the rings were sized to hold the rest.
+        // A full ring is re-tried one send deadline at a time rather than
+        // slept on: a parked sender is woken only at half-drain, and a
+        // worker stopped at the gap may never drain that far.
         for msg in replay {
             let p = self.producer_of(shard, msg.seq);
             if !msg.pkts.is_empty() {
@@ -480,8 +505,13 @@ impl FabShared {
             }
             tel.queue_depth.fetch_add(1, Relaxed);
             self.telemetry.producers()[p].ring_depth[shard].fetch_add(1, Relaxed);
-            if txs[p].send(msg).is_err() {
-                return false;
+            let mut pending = msg;
+            loop {
+                match txs[p].send_deadline(pending, self.cfg.overload.send_deadline) {
+                    Ok(()) => break,
+                    Err(SendError::Full(m)) => pending = m,
+                    Err(SendError::Closed(_)) => return false,
+                }
             }
         }
         // Only now are the fresh rings reachable by other handles,
@@ -500,8 +530,9 @@ impl FabShared {
 
     /// Gives up on a shard: closes its rings, drains its backlogs
     /// (counting the tuples as degraded drops), and marks it so later
-    /// epochs are counted instead of sent. Its last checkpoint is still
-    /// salvaged at [`ShardedEngine::finish`]. Caller holds `inner`.
+    /// epochs are counted instead of sent. Its last checkpoint — snapshot
+    /// and closed groups — is still salvaged at [`ShardedEngine::finish`].
+    /// Caller holds `inner`.
     pub(super) fn degrade_locked(&self, shard: usize, inner: &mut FabInner) {
         let sh = &self.shards[shard];
         sh.degraded.store(true, Relaxed);
@@ -587,7 +618,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
     cfg.validate(query)?;
     let (n, producers) = (cfg.n_shards, cfg.producers);
     let fault = cfg.fault.map(|plan| Arc::new(FaultState::new(plan)));
-    let recovered = match &cfg.store {
+    let mut recovered = match &cfg.store {
         Some((dir, opts)) => {
             // An armed disk fault fires inside the durability layer.
             let io: Arc<dyn IoBackend> = match fault.as_deref().map(|f| f.plan.kind) {
@@ -629,16 +660,18 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
         Some(c) => c.producers.clone(),
     };
     let epochs_dealt: u64 = blocks.iter().map(|b| b.epochs).sum();
-    let seq_base = |shard: usize| -> Result<u64, fd_core::Error> {
-        let hi = resumed.map_or(0, |c| c.hi[shard]);
-        hi.checked_sub(epochs_dealt)
-            .ok_or_else(|| fd_core::Error::Durability {
-                detail: format!(
-                    "shard {shard}: commit covers seq {hi} but its producers sealed \
-                     {epochs_dealt} epochs"
-                ),
-            })
-    };
+    let seq_bases = (0..n)
+        .map(|shard| {
+            let hi = resumed.map_or(0, |c| c.hi[shard]);
+            hi.checked_sub(epochs_dealt)
+                .ok_or_else(|| fd_core::Error::Durability {
+                    detail: format!(
+                        "shard {shard}: commit covers seq {hi} but its producers sealed \
+                         {epochs_dealt} epochs"
+                    ),
+                })
+        })
+        .collect::<Result<Vec<u64>, _>>()?;
     let telemetry = Arc::new(EngineTelemetry::with_producers(n, producers));
     telemetry.set_enabled(cfg.live);
     // The handles have already applied the selection; don't pay for it
@@ -646,10 +679,37 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
     let mut worker_query = query.clone();
     worker_query.filter = None;
     let mut shards = Vec::with_capacity(n);
-    for shard in 0..n {
+    for (shard, &seq_base) in seq_bases.iter().enumerate() {
+        // What the store holds for the shard goes into its slot exactly as
+        // if the worker had published it moments ago: the persisted
+        // snapshot (moved — nothing else reads it) and the closed groups
+        // persisted beside it.
+        let persisted = recovered
+            .as_mut()
+            .and_then(|(rec, _)| Some((rec.ckpts[shard].take()?, &rec.closed[shard])));
+        let slot = match persisted {
+            Some(((seq, blob), deltas)) => {
+                let mut closed = Vec::new();
+                for (i, section) in deltas.iter().enumerate() {
+                    let mut r = fd_core::checkpoint::Reader::new(section);
+                    let groups = crate::engine::read_closed_groups(&mut r, &worker_query)
+                        .ok()
+                        .filter(|_| r.is_empty())
+                        .ok_or_else(|| fd_core::Error::Durability {
+                            detail: format!(
+                                "shard {shard}: closed-delta {} does not decode under this query",
+                                i + 1
+                            ),
+                        })?;
+                    closed.extend(groups);
+                }
+                CheckpointSlot::resumed(seq, blob, closed)
+            }
+            None => CheckpointSlot::default(),
+        };
         shards.push(FabShard {
             backlogs: Mutex::new((0..producers).map(|_| VecDeque::new()).collect()),
-            slot: Arc::new(CheckpointSlot::default()),
+            slot: Arc::new(slot),
             senders: (0..producers).map(|_| Mutex::new(None)).collect(),
             inner: Mutex::new(FabInner {
                 worker: None,
@@ -661,7 +721,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
                 early_exit: None,
             }),
             degraded: AtomicBool::new(false),
-            seq_base: seq_base(shard)?,
+            seq_base,
         });
     }
     let fab = Arc::new(FabShared {
@@ -674,16 +734,13 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
         stats_out: Mutex::new(vec![None; producers]),
     });
     fab.size_pools();
-    // Preload what the store holds, exactly as if the handles had sent it
-    // moments ago: the spawn below then restores each worker from its
-    // checkpoint and feeds it everything past it through the normal path.
+    // Preload the WAL tail, exactly as if the handles had sent it moments
+    // ago: the spawn below then restores each worker from its slot and
+    // feeds it everything past the snapshot through the normal path.
     let mut replayed_batches = 0u64;
     let mut replayed_tuples = 0u64;
     if let Some((rec, _)) = &recovered {
         for (shard, sh) in fab.shards.iter().enumerate() {
-            if let Some((seq, bytes)) = &rec.ckpts[shard] {
-                let _ = sh.slot.store(*seq, bytes.clone());
-            }
             let mut rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
             for r in &rec.replay[shard] {
                 // A classic store's punctuation record is an empty epoch.

@@ -68,8 +68,10 @@ fn apply_batch(
     }
 }
 
-/// A shard worker's join handle: the worker returns its closed groups and
-/// end-of-run stats when its rings drain.
+/// A shard worker's join handle: when its rings drain, the worker returns
+/// the groups it has not handed to its checkpoint slot (everything closed
+/// after its last checkpoint — the whole run's, unsupervised) and its
+/// end-of-run stats.
 pub(super) type WorkerHandle = JoinHandle<(Vec<ClosedGroup>, EngineStats)>;
 
 /// Spawns one shard worker: drains its `P` dedicated rings in strict
@@ -116,6 +118,10 @@ pub(super) fn spawn_worker(
             // recycled into the next serialization so steady-state
             // checkpointing stops allocating.
             let mut spare: Vec<u8> = Vec::new();
+            // Closed groups drained for a checkpoint the aggregate then
+            // declined to serialize: they go back out with the rest at
+            // exit, as an unsupervised worker's do.
+            let mut unpublished: Vec<ClosedGroup> = Vec::new();
             while open.iter().any(|&o| o) {
                 if !open[cursor] {
                     cursor = (cursor + 1) % p_count;
@@ -234,11 +240,27 @@ pub(super) fn spawn_worker(
                 // batch is never still referenced by the worker.
                 if every > 0 && since_ckpt >= every && !sh.slot.unsupported() {
                     let ckpt_start = crate::telemetry::thread_cpu_ns();
+                    // Buckets closed since the last checkpoint leave the
+                    // engine first, so the snapshot covers open state only
+                    // and costs the same however long the stream has run;
+                    // the slot takes them in the same critical section as
+                    // the snapshot that no longer holds them.
+                    let newly_closed = engine.drain_closed_state();
                     let mut blob = std::mem::take(&mut spare);
                     match engine.checkpoint_into(&mut blob) {
                         Ok(()) => {
-                            spare = sh.slot.store(seq, blob).unwrap_or_default();
+                            let bytes = blob.len() as u64;
+                            let Some((displaced, held)) =
+                                sh.slot.store(&lease, seq, blob, newly_closed)
+                            else {
+                                // Retired between the check above and the
+                                // store: the successor owns the slot.
+                                return (Vec::new(), engine.stats());
+                            };
+                            spare = displaced;
                             registry.checkpoints.fetch_add(1, Relaxed);
+                            registry.checkpoint_bytes.fetch_add(bytes, Relaxed);
+                            tel.closed_groups_held.store(held as u64, Relaxed);
                             let spent =
                                 crate::telemetry::thread_cpu_ns().saturating_sub(ckpt_start);
                             registry.checkpoint_ns.fetch_add(spent, Relaxed);
@@ -269,14 +291,18 @@ pub(super) fn spawn_worker(
                         // Failure is permanent (the aggregate can't
                         // serialize): flag it so senders stop retaining
                         // backlog and the shard degrades on death.
-                        Err(_) => sh.slot.mark_unsupported(),
+                        Err(_) => {
+                            sh.slot.mark_unsupported();
+                            unpublished = newly_closed;
+                        }
                     }
                 }
                 registry.producers()[cursor].ring_depth[shard].fetch_sub(1, Relaxed);
                 tel.queue_depth.fetch_sub(1, Relaxed);
                 cursor = (cursor + 1) % p_count;
             }
-            (engine.finish_state(), engine.stats())
+            unpublished.extend(engine.finish_state());
+            (unpublished, engine.stats())
         })
         .expect("spawn shard worker")
 }

@@ -4,28 +4,35 @@
 //! The design follows the classic supervisor pattern (bounded restarts
 //! with exponential backoff, then graceful degradation) specialized to the
 //! engine's determinism requirements. A shard worker periodically
-//! serializes its whole [`crate::engine::Engine`] — forward decay makes
-//! this cheap and *exact*, because summaries carry frozen numerators
+//! serializes its *open* state — open buckets, LFTA slots, counters — and
+//! hands the groups of every bucket closed since the previous checkpoint
+//! over to its [`CheckpointSlot`], moved, not serialized. Forward decay
+//! makes both halves cheap and *exact*: summaries carry frozen numerators
 //! `g(t_i − L)` that are plain numbers, not functions of the current time
-//! (paper Section VI-B). Each shard retains the small tail of messages
+//! (paper Section VI-B), so a snapshot is plain data and a closed group
+//! never changes again. Each shard retains the small tail of messages
 //! since its last checkpoint: the sending handle appends to that backlog, the
 //! worker trims it as each checkpoint it publishes covers older entries.
-//! On worker death the supervisor restores the engine from the slot and
-//! replays the tail, which reproduces the worker's state byte-for-byte
-//! (see [`crate::engine::Engine::checkpoint`]).
+//! On worker death the supervisor restores the engine from the slot's
+//! snapshot and replays the tail, which reproduces the worker's open state
+//! byte-for-byte (see [`crate::engine::Engine::checkpoint`]) while the
+//! slot's closed groups stay where they are.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
+use crate::engine::ClosedGroup;
+
 /// Take a checkpoint after at least this many tuples since the previous
-/// one (default for [`crate::shard::ShardedEngine`]). Tuned on the
-/// `recovery_overhead` bench: each shard retains a replay backlog
-/// covering at most this many tuples, so the interval bounds both the
-/// replay tail and the retained-batch working set — under 3% overhead on
-/// the dispatch path for the Figure 2 count workload — while the
-/// serialization and backlog trimming run on worker threads, where they
-/// overlap dispatch whenever a spare core exists.
+/// one (default for [`crate::shard::ShardedEngine`]). Each shard retains a
+/// replay backlog covering at most this many tuples, so the interval
+/// bounds both the replay tail and the retained-batch working set. What a
+/// checkpoint costs is set by the shard's *open* state alone — closed
+/// buckets leave the snapshot at the checkpoint after they close — and is
+/// paid on the worker thread, where it overlaps dispatch whenever a spare
+/// core exists; the `recovery_overhead` bench and the pipeline benchmark's
+/// `supervisor.*` ledger rows measure it (EXPERIMENTS.md has the figures).
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32_768;
 
 /// Give up on a shard after this many worker restarts (default).
@@ -35,21 +42,46 @@ pub const DEFAULT_MAX_RESTARTS: u32 = 3;
 /// `BACKOFF_BASE << k`.
 pub const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
-/// One shard's checkpoint slot: the latest engine snapshot, stamped with
-/// the sequence number of the last message folded into it.
+/// What one lock of a [`CheckpointSlot`] guards: the snapshot and the
+/// closed groups, which only ever change together.
+#[derive(Default)]
+struct SlotState {
+    /// The worker engine's open state as of the slot's `seq` (`None`
+    /// until the first store).
+    blob: Option<Vec<u8>>,
+    /// Every group of every bucket the shard closed at or before `seq`,
+    /// in close order, across all worker incarnations.
+    closed: Vec<ClosedGroup>,
+}
+
+/// A [`CheckpointSlot`]'s contents, borrowed under its lock.
+pub struct SlotView<'a> {
+    /// Sequence number of the last message folded into `blob`.
+    pub seq: u64,
+    /// The worker engine's open state as of `seq`
+    /// ([`crate::engine::Engine::restore`] takes it).
+    pub blob: &'a [u8],
+    /// Every group the shard closed at or before `seq`.
+    pub closed: &'a [ClosedGroup],
+}
+
+/// One shard's checkpoint slot: "the open state at `seq`" plus "every
+/// group closed at or before `seq`", which together are the shard's whole
+/// state at `seq`.
 ///
-/// Written by the worker (engine bytes + seq), which also trims the
-/// replay backlog against the `seq` it just published; the dispatcher
-/// reads the slot only on recovery (full restore) and at degrade-time
-/// salvage. Single writer, so a plain mutex on the bytes is uncontended
-/// in the steady state.
-#[derive(Debug, Default)]
+/// Written by the worker, which also trims the replay backlog against the
+/// `seq` it just published; read on recovery (restore the open state; the
+/// closed groups stay put), by the durable store's writer thread, and at
+/// the end of the run, when [`take_closed`](Self::take_closed) hands the
+/// closed groups to the combiner. Single writer, so the mutex is
+/// uncontended in the steady state.
+#[derive(Default)]
 pub struct CheckpointSlot {
-    /// Sequence number of the last message whose effects are inside
-    /// `bytes`. Backlog entries with `seq <= this` are covered and may
-    /// be discarded.
+    /// Sequence number of the last message whose effects are inside the
+    /// slot. Backlog entries with `seq <= this` are covered and may be
+    /// discarded. Written under the state lock; readable without it.
     seq: AtomicU64,
-    bytes: Mutex<Option<Vec<u8>>>,
+    state: Mutex<SlotState>,
     /// Set once the engine reports its aggregator cannot checkpoint
     /// (e.g. samplers). The dispatcher then stops retaining backlog: on
     /// death the shard degrades immediately instead of replaying.
@@ -57,33 +89,74 @@ pub struct CheckpointSlot {
 }
 
 impl CheckpointSlot {
+    /// A slot preloaded from a durable store: the persisted snapshot and
+    /// the closed groups persisted beside it.
+    pub fn resumed(seq: u64, blob: Vec<u8>, closed: Vec<ClosedGroup>) -> Self {
+        Self {
+            seq: AtomicU64::new(seq),
+            state: Mutex::new(SlotState {
+                blob: Some(blob),
+                closed,
+            }),
+            unsupported: AtomicBool::new(false),
+        }
+    }
+
     /// Sequence number of the stored snapshot (`0` = none yet).
     pub fn seq(&self) -> u64 {
         self.seq.load(Ordering::Acquire)
     }
 
-    /// Stores a snapshot, handing back the one it displaces so the worker
-    /// can reuse its allocation for the next serialization (`None` on the
-    /// first store). `seq` must be the sequence number of the last
-    /// message applied before serializing.
-    pub fn store(&self, seq: u64, bytes: Vec<u8>) -> Option<Vec<u8>> {
-        let prev = self
-            .bytes
-            .lock()
-            .expect("checkpoint slot poisoned")
-            .replace(bytes);
+    /// Publishes a checkpoint: the snapshot taken after applying message
+    /// `seq`, and the groups closed since the previous store — one
+    /// critical section, so no reader ever sees one without the other.
+    /// Hands back the displaced snapshot buffer for the next
+    /// serialization (empty on the first store) and how many closed
+    /// groups the slot now holds.
+    ///
+    /// Refused (`None`) when `lease` has been retired: the watchdog reads
+    /// the slot only after retiring the old incarnation, and the check
+    /// runs under the same lock as that read, so a zombie that lost the
+    /// race can publish neither a stale snapshot nor closed groups its
+    /// successor will close again.
+    pub fn store(
+        &self,
+        lease: &WorkerLease,
+        seq: u64,
+        blob: Vec<u8>,
+        newly_closed: Vec<ClosedGroup>,
+    ) -> Option<(Vec<u8>, usize)> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if lease.retired() {
+            return None;
+        }
+        let displaced = state.blob.replace(blob).unwrap_or_default();
+        state.closed.extend(newly_closed);
         self.seq.store(seq, Ordering::Release);
-        prev
+        Some((displaced, state.closed.len()))
     }
 
-    /// The stored snapshot, if any, with its sequence number.
-    pub fn load(&self) -> Option<(u64, Vec<u8>)> {
-        let bytes = self
-            .bytes
-            .lock()
-            .expect("checkpoint slot poisoned")
-            .clone()?;
-        Some((self.seq(), bytes))
+    /// Runs `f` on the slot's contents under its lock; `None` when no
+    /// snapshot has been stored yet.
+    pub fn read<R>(&self, f: impl FnOnce(SlotView<'_>) -> R) -> Option<R> {
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let blob = state.blob.as_deref()?;
+        Some(f(SlotView {
+            seq: self.seq(),
+            blob,
+            closed: &state.closed,
+        }))
+    }
+
+    /// Moves the closed groups out (end of run: they go to the combiner).
+    pub fn take_closed(&self) -> Vec<ClosedGroup> {
+        std::mem::take(
+            &mut self
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .closed,
+        )
     }
 
     /// Marks the slot as permanently unable to checkpoint.
@@ -190,15 +263,53 @@ impl WorkerLease {
 mod tests {
     use super::*;
 
+    fn closed(bucket: u64, key: u64) -> ClosedGroup {
+        ClosedGroup {
+            bucket,
+            key,
+            agg: crate::udaf::AggregatorFactory::make(&*crate::aggregators::count_factory(), 0),
+        }
+    }
+
+    fn ids(groups: &[ClosedGroup]) -> Vec<(u64, u64)> {
+        groups.iter().map(|g| (g.bucket, g.key)).collect()
+    }
+
     #[test]
-    fn slot_roundtrip() {
+    fn slot_pairs_each_snapshot_with_the_groups_closed_so_far() {
         let slot = CheckpointSlot::default();
+        let lease = WorkerLease::default();
         assert_eq!(slot.seq(), 0);
-        assert!(slot.load().is_none());
-        slot.store(7, vec![1, 2, 3]);
-        assert_eq!(slot.load(), Some((7, vec![1, 2, 3])));
-        slot.store(9, vec![4]);
-        assert_eq!(slot.load(), Some((9, vec![4])));
+        assert!(slot.read(|_| ()).is_none());
+        let (spare, held) = slot
+            .store(&lease, 7, vec![1, 2, 3], vec![closed(0, 1)])
+            .expect("live lease");
+        assert!(spare.is_empty());
+        assert_eq!(held, 1);
+        // The displaced snapshot comes back for reuse; closed groups
+        // accumulate across stores.
+        let (spare, held) = slot
+            .store(&lease, 9, vec![4], vec![closed(1, 1), closed(1, 2)])
+            .expect("live lease");
+        assert_eq!(spare, vec![1, 2, 3]);
+        assert_eq!(held, 3);
+        let seen = slot.read(|v| (v.seq, v.blob.to_vec(), ids(v.closed)));
+        assert_eq!(seen, Some((9, vec![4], vec![(0, 1), (1, 1), (1, 2)])));
+        assert_eq!(ids(&slot.take_closed()), vec![(0, 1), (1, 1), (1, 2)]);
+        assert!(slot.take_closed().is_empty(), "moved out exactly once");
+        assert_eq!(slot.read(|v| v.seq), Some(9), "the snapshot stays");
+    }
+
+    #[test]
+    fn retired_incarnation_cannot_publish() {
+        let slot = CheckpointSlot::resumed(5, vec![9], vec![closed(0, 1)]);
+        let zombie = WorkerLease::default();
+        zombie.retire();
+        assert!(slot
+            .store(&zombie, 8, vec![1], vec![closed(1, 1)])
+            .is_none());
+        let seen = slot.read(|v| (v.seq, v.blob.to_vec(), ids(v.closed)));
+        assert_eq!(seen, Some((5, vec![9], vec![(0, 1)])), "slot untouched");
     }
 
     #[test]

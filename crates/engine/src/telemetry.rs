@@ -142,7 +142,8 @@ impl HistogramSnapshot {
 /// Writer discipline: `queue_depth` is the only two-writer field
 /// (the sending handle increments, the worker decrements — both per
 /// message); `batches_sent` is sender-only, everything else is
-/// worker-only.
+/// worker-only (`closed_groups_held` also by the recovery that preloads
+/// or respawns the worker, which never runs beside it).
 #[derive(Debug, Default)]
 pub struct ShardTelemetry {
     /// Epoch messages currently queued to this shard.
@@ -165,6 +166,10 @@ pub struct ShardTelemetry {
     /// `Subsample`). Sheds are never silent — every one is counted here
     /// and in [`EngineTelemetry::shed_tuples`].
     pub shed_tuples: AtomicU64,
+    /// Closed groups parked in this shard's checkpoint slot as of its
+    /// last checkpoint: handed off when their bucket closed, they wait
+    /// there — outside every later snapshot — for the end of the run.
+    pub closed_groups_held: AtomicU64,
     /// Per-batch worker processing time, nanoseconds.
     pub batch_ns: LogHistogram,
     /// Dispatch-to-apply latency per batch (send to fully processed),
@@ -249,6 +254,11 @@ pub struct EngineTelemetry {
     /// with fewer cores than shards this CPU also lands on wall-clock
     /// because serialization cannot overlap the dispatcher.
     pub checkpoint_ns: AtomicU64,
+    /// Total snapshot bytes workers have serialized. Dividing by
+    /// `checkpoints` gives the mean snapshot size, which tracks the
+    /// shards' *open* state: it stays flat as buckets close, however long
+    /// the stream runs.
+    pub checkpoint_bytes: AtomicU64,
     /// Batches replayed to a respawned worker from the shard's backlog.
     pub replayed_batches: AtomicU64,
     /// Tuples inside replayed batches. Replays re-run through the worker,
@@ -316,6 +326,7 @@ impl EngineTelemetry {
             restarts: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             checkpoint_ns: AtomicU64::new(0),
+            checkpoint_bytes: AtomicU64::new(0),
             replayed_batches: AtomicU64::new(0),
             replayed_tuples: AtomicU64::new(0),
             degraded_shards: AtomicU64::new(0),
@@ -391,6 +402,7 @@ impl EngineTelemetry {
             restarts: self.restarts.load(Relaxed),
             checkpoints: self.checkpoints.load(Relaxed),
             checkpoint_ns: self.checkpoint_ns.load(Relaxed),
+            checkpoint_bytes: self.checkpoint_bytes.load(Relaxed),
             replayed_batches: self.replayed_batches.load(Relaxed),
             replayed_tuples: self.replayed_tuples.load(Relaxed),
             degraded_shards: self.degraded_shards.load(Relaxed),
@@ -419,6 +431,7 @@ impl EngineTelemetry {
                         lfta_evictions: s.lfta_evictions.load(Relaxed),
                         lfta_occupancy: s.lfta_occupancy.load(Relaxed),
                         shed_tuples: s.shed_tuples.load(Relaxed),
+                        closed_groups_held: s.closed_groups_held.load(Relaxed),
                         batch_ns: s.batch_ns.snapshot(),
                         dispatch_lag_ns: s.dispatch_lag_ns.snapshot(),
                     }
@@ -485,6 +498,9 @@ pub struct ShardSnapshot {
     pub lfta_occupancy: u64,
     /// Tuples the overload controller shed on this shard's ring.
     pub shed_tuples: u64,
+    /// Closed groups parked in the shard's checkpoint slot as of its last
+    /// checkpoint.
+    pub closed_groups_held: u64,
     /// Per-batch processing-time histogram.
     pub batch_ns: HistogramSnapshot,
     /// Dispatch-to-apply latency histogram.
@@ -513,6 +529,8 @@ pub struct MetricsSnapshot {
     /// Total worker CPU time spent serializing and publishing
     /// checkpoints, ns.
     pub checkpoint_ns: u64,
+    /// Total snapshot bytes serialized by worker checkpoints.
+    pub checkpoint_bytes: u64,
     /// Batches replayed from the backlog after a restart.
     pub replayed_batches: u64,
     /// Tuples inside replayed batches (counted again in the owning shard's
@@ -562,6 +580,7 @@ impl MetricsSnapshot {
             restarts: 0,
             checkpoints: 0,
             checkpoint_ns: 0,
+            checkpoint_bytes: 0,
             replayed_batches: 0,
             replayed_tuples: 0,
             degraded_shards: 0,
@@ -607,6 +626,11 @@ impl MetricsSnapshot {
         scalar("fd_restarts", "counter", self.restarts);
         scalar("fd_checkpoints", "counter", self.checkpoints);
         scalar("fd_checkpoint_ns_total", "counter", self.checkpoint_ns);
+        scalar(
+            "fd_checkpoint_bytes_total",
+            "counter",
+            self.checkpoint_bytes,
+        );
         scalar("fd_replayed_batches", "counter", self.replayed_batches);
         scalar("fd_replayed_tuples", "counter", self.replayed_tuples);
         scalar("fd_degraded_shards", "gauge", self.degraded_shards);
@@ -659,6 +683,9 @@ impl MetricsSnapshot {
         per_shard("fd_shard_lfta_evictions", "counter", &|s| s.lfta_evictions);
         per_shard("fd_shard_lfta_occupancy", "gauge", &|s| s.lfta_occupancy);
         per_shard("fd_shard_shed_tuples", "counter", &|s| s.shed_tuples);
+        per_shard("fd_shard_closed_groups_held", "gauge", &|s| {
+            s.closed_groups_held
+        });
         let mut histogram = |name: &str, get: &dyn Fn(&ShardSnapshot) -> HistogramSnapshot| {
             let _ = writeln!(out, "# TYPE {name} summary");
             for (i, s) in self.shards.iter().enumerate() {
@@ -719,7 +746,7 @@ impl MetricsSnapshot {
                         "\"tuples_processed\":{},",
                         "\"applied_watermark_us\":{},\"watermark_lag_us\":{},",
                         "\"lfta_evictions\":{},\"lfta_occupancy\":{},",
-                        "\"shed_tuples\":{},",
+                        "\"shed_tuples\":{},\"closed_groups_held\":{},",
                         "\"batch_ns\":{},\"dispatch_lag_ns\":{}}}"
                     ),
                     s.queue_depth,
@@ -730,6 +757,7 @@ impl MetricsSnapshot {
                     s.lfta_evictions,
                     s.lfta_occupancy,
                     s.shed_tuples,
+                    s.closed_groups_held,
                     histogram(&s.batch_ns),
                     histogram(&s.dispatch_lag_ns),
                 )
@@ -765,7 +793,7 @@ impl MetricsSnapshot {
                 "{{\"tuples_in\":{},\"filtered\":{},\"late_drops\":{},",
                 "\"dispatcher_watermark_us\":{},\"worker_panics\":{},",
                 "\"restarts\":{},\"checkpoints\":{},\"checkpoint_ns\":{},",
-                "\"replayed_batches\":{},",
+                "\"checkpoint_bytes\":{},\"replayed_batches\":{},",
                 "\"replayed_tuples\":{},\"degraded_shards\":{},",
                 "\"dropped_degraded\":{},",
                 "\"wal_bytes_written\":{},\"wal_records_truncated\":{},",
@@ -783,6 +811,7 @@ impl MetricsSnapshot {
             self.restarts,
             self.checkpoints,
             self.checkpoint_ns,
+            self.checkpoint_bytes,
             self.replayed_batches,
             self.replayed_tuples,
             self.degraded_shards,
@@ -987,6 +1016,25 @@ mod tests {
         assert!(text.contains("fd_shard_queue_depth{shard=\"0\"} 0"));
         assert!(text.contains("fd_worker_batch_ns{shard=\"0\",quantile=\"0.5\"} 1024"));
         assert!(text.contains("fd_worker_batch_ns_count{shard=\"0\"} 1"));
+    }
+
+    #[test]
+    fn checkpoint_size_metrics_appear_in_both_formats() {
+        let t = EngineTelemetry::new(2);
+        t.checkpoints.store(4, Relaxed);
+        t.checkpoint_bytes.store(8192, Relaxed);
+        t.shards()[1].closed_groups_held.store(17, Relaxed);
+        let s = t.snapshot();
+        let prom = s.to_prometheus();
+        assert!(prom.contains("# TYPE fd_checkpoint_bytes_total counter"));
+        assert!(prom.contains("fd_checkpoint_bytes_total 8192"));
+        assert!(prom.contains("# TYPE fd_shard_closed_groups_held gauge"));
+        assert!(prom.contains("fd_shard_closed_groups_held{shard=\"0\"} 0"));
+        assert!(prom.contains("fd_shard_closed_groups_held{shard=\"1\"} 17"));
+        let json = s.to_json();
+        assert!(json.contains("\"checkpoint_bytes\":8192"));
+        assert!(json.contains("\"closed_groups_held\":17"));
+        assert_eq!(json.matches("\"closed_groups_held\"").count(), 2);
     }
 
     #[test]

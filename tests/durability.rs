@@ -16,6 +16,7 @@ use std::sync::Arc;
 use forward_decay::core::decay::Monomial;
 use forward_decay::engine::durability::{DurabilityOptions, FsyncPolicy};
 use forward_decay::engine::fault::{self, DiskFault, DiskFaultKind, FaultKind, FaultPlan};
+use forward_decay::engine::io::IoFile;
 use forward_decay::engine::prelude::*;
 use forward_decay::engine::shard::ShardedEngine;
 use forward_decay::gen::TraceConfig;
@@ -612,6 +613,202 @@ fn durability_composes_with_worker_crash_recovery() {
     assert_eq!(report.position, packets.len() as u64);
     let rows2 = e.finish();
     assert_bit_identical(&expected, &rows2, "reopen after worker crash");
+}
+
+// ---------------------------------------------------------------------------
+// Closed-deltas: closed buckets persist once, beside an open-state checkpoint
+// ---------------------------------------------------------------------------
+
+fn store_files(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// A process death with closed buckets on both sides of it: buckets 0 and
+/// 1 have closed and been handed off — persisted as closed-deltas — bucket
+/// 2 is open in the last persisted checkpoint, bucket 3 has not begun. The
+/// reopened engine preloads the deltas into the checkpoint slots, replays
+/// the WAL tail onto the open-state snapshot, and finishes with exactly
+/// the rows of a run that never died.
+#[test]
+fn reopen_across_a_bucket_boundary_keeps_every_closed_bucket_once() {
+    let packets = trace(8.0, 12_000.0, 89);
+    let expected = {
+        let d = StoreDir::new("boundary-clean");
+        durable_run(d.path(), &packets, 2).0
+    };
+    let store = StoreDir::new("boundary");
+    let crash_at = packets
+        .iter()
+        .position(|p| p.ts >= 5_000_000)
+        .expect("the trace runs past 5 s");
+    {
+        let (mut e, _) = open(store.path(), 2, DurabilityOptions::default());
+        feed(&mut e, &packets[..crash_at], 0, 1024);
+        // A persist only happens when a commit finds the slot at or below
+        // it, so keep committing until a closed-delta is published; the
+        // writer is sequential, so once a *later* commit record has
+        // reached the control log, the manifest naming that delta has too.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let ctl_bytes = |dir: &Path| -> u64 {
+            store_files(dir)
+                .iter()
+                .filter(|n| n.starts_with("ctl-"))
+                .filter_map(|n| std::fs::metadata(dir.join(n)).ok())
+                .map(|m| m.len())
+                .sum()
+        };
+        let mut recommit_until = |done: &dyn Fn() -> bool| {
+            while !done() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the writer stalled: {:?}",
+                    store_files(store.path())
+                );
+                e.durable_commit(crash_at as u64).expect("commit");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        };
+        recommit_until(&|| {
+            store_files(store.path())
+                .iter()
+                .any(|n| n.starts_with("closed-") && n.ends_with(".bin"))
+        });
+        let before = ctl_bytes(store.path());
+        recommit_until(&|| ctl_bytes(store.path()) > before);
+        // dropped here: the writer is abandoned mid-stream
+    }
+    let (mut e, report) = open(store.path(), 2, DurabilityOptions::default());
+    assert!(report.resumed);
+    assert!(report.position > 0 && report.position <= crash_at as u64);
+    let held: u64 = e
+        .telemetry()
+        .snapshot()
+        .shards
+        .iter()
+        .map(|s| s.closed_groups_held)
+        .sum();
+    assert!(held > 0, "the slots were preloaded from the closed-deltas");
+    feed(&mut e, &packets, report.position, 1024);
+    let rows = e.finish();
+    assert_bit_identical(&expected, &rows, "reopened across a bucket boundary");
+    drop(e);
+    // And the finished store reproduces the run from disk alone.
+    let (mut e, report) = open(store.path(), 2, DurabilityOptions::default());
+    assert_eq!(report.position, packets.len() as u64);
+    assert_bit_identical(&expected, &e.finish(), "finished store, reopened");
+}
+
+/// A filesystem that cannot publish closed-deltas: creating one fails, or
+/// — with `at_rename` — it is written whole and the rename that would
+/// publish it fails.
+#[derive(Debug)]
+struct NoClosedDeltas {
+    inner: StdFs,
+    at_rename: bool,
+}
+
+fn is_closed_delta(path: &Path) -> bool {
+    path.file_name()
+        .is_some_and(|n| n.to_string_lossy().starts_with("closed-"))
+}
+
+impl IoBackend for NoClosedDeltas {
+    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn IoFile>> {
+        self.inner.open_append(path)
+    }
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn IoFile>> {
+        if !self.at_rename && is_closed_delta(path) {
+            return Err(std::io::Error::other(
+                "injected: closed-delta create refused",
+            ));
+        }
+        self.inner.create(path)
+    }
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        if self.at_rename && is_closed_delta(to) {
+            return Err(std::io::Error::other(
+                "injected: closed-delta rename refused",
+            ));
+        }
+        self.inner.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn list(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
+        self.inner.truncate(path, len)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        self.inner.sync_dir(dir)
+    }
+}
+
+/// The closed-delta write is the one new way a persist can fail. It must
+/// fail like every other: durability degrades, the stream finishes
+/// exactly on in-memory supervision (the slot still holds the groups the
+/// disk refused), and the store stays at its last manifest — which names
+/// no delta that was not published whole — so it reopens and finishes
+/// exactly too.
+#[test]
+fn a_failed_closed_delta_write_degrades_and_never_corrupts() {
+    let packets = trace(6.0, 10_000.0, 97);
+    let expected = {
+        let d = StoreDir::new("nodelta-clean");
+        durable_run(d.path(), &packets, 2).0
+    };
+    for at_rename in [false, true] {
+        let label = if at_rename { "rename" } else { "create" };
+        let store = StoreDir::new(&format!("nodelta-{label}"));
+        let opts = DurabilityOptions {
+            io: Arc::new(NoClosedDeltas {
+                inner: StdFs,
+                at_rename,
+            }),
+            ..DurabilityOptions::default()
+        };
+        let (mut e, _) = open(store.path(), 2, opts);
+        feed(&mut e, &packets, 0, 1024);
+        let rows = e.finish();
+        assert_bit_identical(&expected, &rows, &format!("{label}: degraded run"));
+        assert!(e.durability_degraded(), "{label}: the failure must degrade");
+        let s = e.telemetry().snapshot();
+        assert_eq!(
+            (s.durability_degraded, s.degraded_shards),
+            (1, 0),
+            "{label}"
+        );
+        drop(e);
+        assert!(
+            !store_files(store.path())
+                .iter()
+                .any(|n| n.starts_with("closed-") && n.ends_with(".bin")),
+            "{label}: no delta was ever published"
+        );
+        // The healthy filesystem finds a store from before the first
+        // bucket closed: consistent, just short.
+        let (mut e, report) = open(store.path(), 2, DurabilityOptions::default());
+        assert!(report.position < packets.len() as u64, "{label}");
+        feed(&mut e, &packets, report.position, 1024);
+        let rows = e.finish();
+        assert_bit_identical(&expected, &rows, &format!("{label}: reopened"));
+        assert!(!e.durability_degraded(), "{label}");
+    }
 }
 
 /// `Arc` is how the tests above reach `DurabilityOptions::io`; pin the

@@ -381,6 +381,270 @@ fn wedged_worker_respawns_within_the_lease_budget() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// Closed buckets leave the checkpoint: bounded cost, exactly-once hand-off
+// ---------------------------------------------------------------------------
+
+/// A stream built for placing crashes exactly: tuple `i` arrives at
+/// `i · BUCKET / PER_BUCKET`, so bucket `b` is tuples
+/// `[b · PER_BUCKET, (b + 1) · PER_BUCKET)` and closes the moment tuple
+/// `(b + 1) · PER_BUCKET` is applied. Keys cycle, so every bucket holds
+/// every group.
+const PER_BUCKET: u64 = 1_000;
+const HANDOFF_GROUPS: u32 = 37;
+
+fn handoff_stream(n_buckets: u64) -> Vec<Packet> {
+    (0..n_buckets * PER_BUCKET)
+        .map(|i| Packet {
+            ts: i * (2 * MICROS_PER_SEC / PER_BUCKET),
+            src_ip: 7,
+            dst_ip: i as u32 % HANDOFF_GROUPS,
+            src_port: 9,
+            dst_port: 80,
+            len: 40 + (i % 1_400) as u32,
+            proto: Proto::Tcp,
+        })
+        .collect()
+}
+
+/// One worker, 64-tuple epochs, a checkpoint every 10 epochs: the worker
+/// counts `64 + 1` per epoch, so checkpoints (and with them hand-offs)
+/// land after shard tuples 640, 1280, 1920, … while buckets close at
+/// tuples 1001, 2001, 3001, …
+fn handoff_engine(fault: &str) -> ShardedEngine {
+    ShardedEngine::try_new(decayed_query(), 1)
+        .expect("spawn shards")
+        .try_batch_size(64)
+        .expect("batch size")
+        .checkpoint_every(650)
+        .inject_fault(FaultPlan::parse(fault).expect("fault spec"))
+}
+
+/// Crash points on every side of a hand-off. Bucket 0 closes at tuple
+/// 1001 and leaves the engine with the checkpoint after tuple 1280:
+///
+/// * 1100, 1280 — between the close and the next checkpoint: the closed
+///   groups die with the worker and the replay closes the bucket again;
+/// * 1281, 1300 — right after the hand-off: the slot holds bucket 0, the
+///   restored snapshot does not, and the replay must not close it twice;
+/// * 2001 — the tuple that closes bucket 1, with bucket 0 already handed
+///   off; 3300 — two hand-offs down.
+///
+/// A group handed off twice would be merged twice (a doubled sum); one
+/// lost would be a missing row. One worker sees the stream exactly as the
+/// single-threaded engine does, so the oracle is that engine, to the bit.
+#[test]
+fn crashes_on_every_side_of_a_handoff_lose_and_duplicate_nothing() {
+    let stream = handoff_stream(5);
+    let expected = Engine::new(decayed_query()).run(stream.iter().copied());
+    assert_eq!(expected.len(), 5 * HANDOFF_GROUPS as usize);
+    for at in [1_100u64, 1_280, 1_281, 1_300, 2_001, 3_300] {
+        let mut e = handoff_engine(&format!("panic:0:{at}"));
+        let rows = e.run(stream.iter().copied());
+        assert_bit_identical(&expected, &rows, &format!("crash at tuple {at}"));
+        let t = e.telemetry().snapshot();
+        assert_eq!((t.restarts, t.worker_panics), (1, 1), "crash at {at}");
+        assert_eq!(t.degraded_shards, 0, "crash at {at}");
+        // Four buckets closed mid-stream, and each went to the slot with
+        // the checkpoint after its close (1280, 2560, 3200, 4480) — once.
+        assert_eq!(
+            t.shards[0].closed_groups_held,
+            4 * u64::from(HANDOFF_GROUPS),
+            "crash at {at}"
+        );
+    }
+}
+
+/// The watchdog's retire-and-respawn across a bucket boundary: the wedged
+/// incarnation stops just before the epoch that closes bucket 0 (tuple
+/// 1000), or with bucket 0 closed but not yet handed off (1100), or right
+/// after handing it off (1300). Its successor restores the slot's
+/// snapshot and replays; the zombie, once retired, may publish nothing.
+#[test]
+fn wedge_retired_across_a_bucket_boundary_hands_off_exactly_once() {
+    use std::time::Duration;
+    let stream = handoff_stream(4);
+    let expected = Engine::new(decayed_query()).run(stream.iter().copied());
+    for at in [1_000u64, 1_100, 1_300] {
+        let mut e = handoff_engine(&format!("wedge:0:{at}"))
+            .try_overload(OverloadConfig {
+                send_deadline: Duration::from_millis(5),
+                lease: Duration::from_millis(50),
+                ..OverloadConfig::default()
+            })
+            .expect("overload config");
+        let rows = e.run(stream.iter().copied());
+        assert_bit_identical(&expected, &rows, &format!("wedge at tuple {at}"));
+        let t = e.telemetry().snapshot();
+        assert_eq!((t.wedged_respawns, t.restarts), (1, 1), "wedge at {at}");
+        assert_eq!(
+            (t.worker_panics, t.degraded_shards),
+            (0, 0),
+            "wedge at {at}"
+        );
+    }
+}
+
+/// Degradation after two closed buckets: the poisoned tuple sits in bucket
+/// 2, past the checkpoint (after tuple 2560) that handed bucket 1 off.
+/// Salvage must return buckets 0 and 1 — from the slot's closed groups —
+/// exactly as the single-threaded engine emits them, once each, plus what
+/// the snapshot held of bucket 2 (tuples 2000..2560).
+#[test]
+fn degraded_shard_salvages_its_handed_off_buckets_exactly_once() {
+    let stream = handoff_stream(4);
+    let expected = Engine::new(decayed_query()).run(stream.iter().copied());
+    let mut e = handoff_engine("poison:0:2700").max_restarts(1);
+    let rows = e.run(stream.iter().copied());
+    let t = e.telemetry().snapshot();
+    assert_eq!((t.degraded_shards, t.restarts), (1, 1));
+    assert!(t.dropped_degraded > 0);
+
+    let closed_rows = 2 * HANDOFF_GROUPS as usize;
+    let bucket_2 = 2 * 2 * MICROS_PER_SEC;
+    assert_bit_identical(
+        &expected[..closed_rows],
+        &rows[..closed_rows],
+        "salvaged closed buckets",
+    );
+    // Bucket 2 as of the last checkpoint: every group, a partial sum.
+    assert_eq!(rows.len(), closed_rows + HANDOFF_GROUPS as usize);
+    for (want, got) in expected[closed_rows..].iter().zip(&rows[closed_rows..]) {
+        assert_eq!((got.bucket_start, got.key), (bucket_2, want.key));
+        assert!(got.value.as_float() < want.value.as_float());
+    }
+    // What the worker engine had applied when the snapshot was taken.
+    assert_eq!(e.per_shard_stats()[0].tuples_in, 2_560);
+}
+
+/// The randomized sweep again, on a trace whose crash windows straddle
+/// bucket boundaries by construction: every round crashes within one
+/// checkpoint interval of a bucket close on the faulted shard, so the
+/// close, the hand-off and the crash fall in every order across rounds.
+#[test]
+fn randomized_crashes_around_bucket_boundaries_recover_exactly() {
+    let seed = fault::env_seed().unwrap_or(0xB0C4);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let packets = trace(9.0, 12_000.0, 19);
+    type CleanRun = (Vec<Row>, Vec<u64>);
+    let mut clean: std::collections::BTreeMap<usize, CleanRun> = Default::default();
+    for round in 0..6 {
+        let n_shards = rng.gen_range(1..=3usize);
+        let every = rng.gen_range(256..=2_048u64);
+        let shard = rng.gen_range(0..n_shards);
+        let (expected, per_shard) = clean.entry(n_shards).or_insert_with(|| {
+            let mut e = ShardedEngine::try_new(decayed_query(), n_shards).expect("spawn shards");
+            let rows = e.run(packets.iter().copied());
+            let per_shard = e.per_shard_stats().iter().map(|s| s.tuples_in).collect();
+            (rows, per_shard)
+        });
+        // The shard's tuples spread evenly over 4.5 two-second buckets:
+        // aim at a close (k of them are whole), then jitter by up to one
+        // checkpoint interval either way.
+        let per_bucket = per_shard[shard] * 2 / 9;
+        let boundary = rng.gen_range(1..=4u64) * per_bucket;
+        let at = (boundary + rng.gen_range(0..=2 * every))
+            .saturating_sub(every)
+            .clamp(1, per_shard[shard]);
+        let mut e = ShardedEngine::try_new(decayed_query(), n_shards)
+            .expect("spawn shards")
+            .checkpoint_every(every)
+            .inject_fault(FaultPlan {
+                shard,
+                kind: FaultKind::PanicAtTuple(at),
+            });
+        let rows = e.run(packets.iter().copied());
+        assert_bit_identical(
+            expected,
+            &rows,
+            &format!(
+                "seed {seed} round {round}: shards={n_shards} checkpoint_every={every} \
+                 crash at tuple {at} of shard {shard} (bucket boundary ≈ {boundary})"
+            ),
+        );
+        assert_eq!(
+            e.telemetry().snapshot().restarts,
+            1,
+            "seed {seed} round {round}"
+        );
+    }
+}
+
+/// What a checkpoint costs must not depend on how long the stream has run:
+/// 24 equal buckets through two default-supervised shards, and the bytes
+/// serialized per checkpoint over buckets 21–23 stay within 1.25× of
+/// those over buckets 3–5. (While closed buckets rode in every snapshot,
+/// the later window was several times the earlier one.)
+#[test]
+fn checkpoint_bytes_stay_flat_as_buckets_close() {
+    const GROUPS: u32 = 1_500;
+    const PER_BUCKET: u64 = 90_000;
+    let q = Query::builder("flat")
+        .group_by(|p| p.dst_host())
+        .bucket_secs(2)
+        .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
+        .build();
+    let mut e = ShardedEngine::try_new(q, 2).expect("spawn shards");
+    let tel = std::sync::Arc::clone(e.telemetry());
+    // (checkpoint bytes, checkpoints) once everything sent has been applied.
+    let sample = |e: &mut ShardedEngine, through_bucket: u64| {
+        e.try_punctuate((through_bucket + 1) * 2 * MICROS_PER_SEC)
+            .expect("punctuate");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            let s = tel.snapshot();
+            if s.shards.iter().all(|sh| sh.queue_depth == 0) {
+                return (s.checkpoint_bytes, s.checkpoints);
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "workers never drained"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+    let mut marks = Vec::new();
+    let mut chunk = Vec::with_capacity(PER_BUCKET as usize);
+    for bucket in 0..24u64 {
+        chunk.clear();
+        chunk.extend((0..PER_BUCKET).map(|j| Packet {
+            ts: bucket * 2 * MICROS_PER_SEC + j * (2 * MICROS_PER_SEC / PER_BUCKET),
+            src_ip: 1,
+            dst_ip: (j % u64::from(GROUPS)) as u32,
+            src_port: 1,
+            dst_port: 80,
+            len: 100,
+            proto: Proto::Tcp,
+        }));
+        e.try_process_packets(&chunk).expect("feed");
+        if [2, 5, 20, 23].contains(&bucket) {
+            marks.push(sample(&mut e, bucket));
+        }
+    }
+    let per_checkpoint = |from: (u64, u64), to: (u64, u64)| {
+        assert!(to.1 > from.1, "no checkpoint in the window");
+        (to.0 - from.0) as f64 / (to.1 - from.1) as f64
+    };
+    let early = per_checkpoint(marks[0], marks[1]);
+    let late = per_checkpoint(marks[2], marks[3]);
+    assert!(
+        late <= 1.25 * early && early <= 1.25 * late,
+        "bytes per checkpoint drifted: {early:.0} over buckets 3-5, {late:.0} over 21-23"
+    );
+    let rows = e.finish();
+    assert_eq!(rows.len(), 24 * GROUPS as usize);
+    let held: u64 = tel
+        .snapshot()
+        .shards
+        .iter()
+        .map(|s| s.closed_groups_held)
+        .sum();
+    assert!(
+        held >= 22 * u64::from(GROUPS),
+        "closed buckets were handed to the slots ({held} groups)"
+    );
+}
+
 /// The checkpoint codec itself: freezing an engine mid-stream and
 /// restoring it must not perturb anything downstream.
 #[test]
