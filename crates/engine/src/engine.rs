@@ -12,10 +12,9 @@
 //! bucket end plus the query's out-of-order slack — the engine's stand-in
 //! for GS's punctuation/heartbeat mechanism.
 
-use std::collections::{BTreeMap, HashMap};
-
+use crate::groups::{OpenBucket, OpenBuckets};
 use crate::lfta::Lfta;
-use crate::tuple::{secs, Micros, Packet};
+use crate::tuple::{bucket_end, bucket_start, secs, Micros, Packet};
 use crate::udaf::{AggValue, Aggregator, Query};
 
 /// One output row of a continuous query: a closed (bucket, group) with its
@@ -88,8 +87,8 @@ pub struct Engine {
     query: Query,
     lfta: Option<Lfta>,
     split: bool,
-    /// bucket id → (group key → high-level aggregate).
-    buckets: BTreeMap<u64, HashMap<u64, Box<dyn Aggregator>>>,
+    /// The open buckets' high-level groups.
+    groups: OpenBuckets,
     /// Closed rows awaiting collection.
     out: Vec<Row>,
     /// Closed raw state awaiting collection (state mode only).
@@ -97,6 +96,15 @@ pub struct Engine {
     watermark: Micros,
     /// Buckets at ids below this are closed.
     closed_below: u64,
+    /// The watermark at which bucket `closed_below` closes: its end plus
+    /// the slack, saturating. Below it no bucket is due, so the per-tuple
+    /// close check is this one compare.
+    next_close: Micros,
+    /// The bucket of the last admitted tuple and its start. Consecutive
+    /// tuples mostly share a bucket, so a range check against these spares
+    /// the division.
+    cur_bucket: u64,
+    cur_start: Micros,
     stats: EngineStats,
     /// Size of the last [`Engine::checkpoint`] blob, used to pre-size the
     /// next one (supervised workers checkpoint on their critical path, so
@@ -109,18 +117,29 @@ impl Engine {
     pub fn new(query: Query) -> Self {
         let split = query.two_level && query.aggregate.splittable();
         let lfta = split.then(|| Lfta::new(query.lfta_slots));
-        Self {
+        let mut engine = Self {
             query,
             lfta,
             split,
-            buckets: BTreeMap::new(),
+            groups: OpenBuckets::default(),
             out: Vec::new(),
             closed_state: None,
             watermark: 0,
             closed_below: 0,
+            next_close: 0,
+            cur_bucket: 0,
+            cur_start: 0,
             stats: EngineStats::default(),
             last_ckpt_bytes: std::cell::Cell::new(64 * 1024),
-        }
+        };
+        engine.set_closed_below(0);
+        engine
+    }
+
+    fn set_closed_below(&mut self, closed_below: u64) {
+        self.closed_below = closed_below;
+        self.next_close = bucket_end(closed_below, self.query.bucket_micros)
+            .saturating_add(self.query.slack_micros);
     }
 
     /// Switches the engine to *state mode*: closed buckets retain their raw
@@ -149,48 +168,64 @@ impl Engine {
         &self.query.name
     }
 
-    /// Offers one tuple to the query.
-    pub fn process(&mut self, pkt: &Packet) {
+    /// Admission, shared by every way a tuple comes in: counts it, applies
+    /// the selection, finds its bucket, drops it if that bucket has closed,
+    /// advances the watermark. Returns the tuple's `(bucket, group key)`
+    /// and leaves the bucket's start in `cur_start`.
+    #[inline]
+    fn admit(&mut self, pkt: &Packet) -> Option<(u64, u64)> {
         self.stats.tuples_in += 1;
         if let Some(f) = &self.query.filter {
             if !f(pkt) {
                 self.stats.filtered += 1;
-                return;
+                return None;
             }
         }
-        let bucket = pkt.ts / self.query.bucket_micros;
-        if bucket < self.closed_below {
+        let width = self.query.bucket_micros;
+        // In `[cur_start, cur_start + width)`? The wrapping difference is
+        // huge for a timestamp before `cur_start`, so one compare decides
+        // and nothing can overflow.
+        if pkt.ts.wrapping_sub(self.cur_start) >= width {
+            self.cur_bucket = pkt.ts / width;
+            self.cur_start = bucket_start(self.cur_bucket, width);
+        }
+        if self.cur_bucket < self.closed_below {
             self.stats.late_drops += 1;
-            return;
+            return None;
         }
         self.watermark = self.watermark.max(pkt.ts);
-        let key = (self.query.group_by)(pkt);
-        let bucket_start = bucket * self.query.bucket_micros;
+        Some((self.cur_bucket, (self.query.group_by)(pkt)))
+    }
+
+    /// The high-level state of an admitted tuple's group, created on first
+    /// sight — the direct path, for queries (or tuples) the LFTA does not
+    /// serve.
+    fn group_mut(&mut self, bucket: u64, key: u64) -> &mut dyn Aggregator {
+        self.groups
+            .table_mut(bucket)
+            .entry(key)
+            .or_insert_with(|| self.query.aggregate.make(self.cur_start))
+            .as_mut()
+    }
+
+    /// Offers one tuple to the query.
+    pub fn process(&mut self, pkt: &Packet) {
+        let Some((bucket, key)) = self.admit(pkt) else {
+            return;
+        };
         if let Some(lfta) = &mut self.lfta {
             if let Some(partial) = lfta.update(
                 key,
                 bucket,
                 pkt,
                 self.query.aggregate.as_ref(),
-                bucket_start,
+                self.cur_start,
             ) {
                 self.stats.lfta_evictions += 1;
-                Self::absorb_partial(
-                    &mut self.buckets,
-                    &self.query,
-                    partial.bucket,
-                    partial.key,
-                    partial.agg,
-                );
+                self.groups.absorb(partial);
             }
         } else {
-            let agg = self
-                .buckets
-                .entry(bucket)
-                .or_default()
-                .entry(key)
-                .or_insert_with(|| self.query.aggregate.make(bucket_start));
-            agg.update(pkt);
+            self.group_mut(bucket, key).update(pkt);
         }
         self.maybe_close_buckets();
     }
@@ -200,107 +235,74 @@ impl Engine {
     /// shedding). A unit scale is exactly [`process`](Engine::process);
     /// non-unit scales take the direct high-level path, bypassing the
     /// LFTA — its direct-mapped slots carry no scale column. High-level
-    /// groups absorb LFTA partials through the same merge (`absorb_partial`),
-    /// so mixing scaled and unscaled tuples within a bucket stays correct.
+    /// groups take LFTA partials by the same merge, so mixing scaled and
+    /// unscaled tuples within a bucket stays correct.
     pub fn process_scaled(&mut self, pkt: &Packet, scale: f64) {
         if scale == 1.0 {
             return self.process(pkt);
         }
-        self.stats.tuples_in += 1;
-        if let Some(f) = &self.query.filter {
-            if !f(pkt) {
-                self.stats.filtered += 1;
-                return;
-            }
-        }
-        let bucket = pkt.ts / self.query.bucket_micros;
-        if bucket < self.closed_below {
-            self.stats.late_drops += 1;
+        let Some((bucket, key)) = self.admit(pkt) else {
             return;
-        }
-        self.watermark = self.watermark.max(pkt.ts);
-        let key = (self.query.group_by)(pkt);
-        let bucket_start = bucket * self.query.bucket_micros;
-        let agg = self
-            .buckets
-            .entry(bucket)
-            .or_default()
-            .entry(key)
-            .or_insert_with(|| self.query.aggregate.make(bucket_start));
-        agg.update_scaled(pkt, scale);
+        };
+        self.group_mut(bucket, key).update_scaled(pkt, scale);
         self.maybe_close_buckets();
     }
 
-    fn absorb_partial(
-        buckets: &mut BTreeMap<u64, HashMap<u64, Box<dyn Aggregator>>>,
-        query: &Query,
-        bucket: u64,
-        key: u64,
-        agg: Box<dyn Aggregator>,
-    ) {
-        let bucket_start = bucket * query.bucket_micros;
-        match buckets.entry(bucket).or_default().entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge_boxed(agg),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                // First partial for the group: it IS the high-level state,
-                // but create-and-merge keeps the code path uniform.
-                let mut fresh = query.aggregate.make(bucket_start);
-                fresh.merge_boxed(agg);
-                e.insert(fresh);
-            }
+    /// Closes every bucket whose end + slack has been passed by the
+    /// watermark.
+    #[inline]
+    fn maybe_close_buckets(&mut self) {
+        if self.watermark >= self.next_close {
+            self.close_due_buckets();
         }
     }
 
-    /// Closes every bucket whose end + slack has been passed by the
-    /// watermark. Empty buckets cost nothing: the LFTA is flushed once for
-    /// the whole closeable range, then only data-bearing buckets emit.
-    fn maybe_close_buckets(&mut self) {
+    /// Empty buckets cost nothing: the LFTA is flushed once for the whole
+    /// closeable range, then only data-bearing buckets emit.
+    fn close_due_buckets(&mut self) {
         let horizon = self.watermark.saturating_sub(self.query.slack_micros);
         let target = horizon / self.query.bucket_micros;
+        // Only a saturated `next_close` lets a watermark through that
+        // closes nothing.
         if target <= self.closed_below {
             return;
         }
         if let Some(lfta) = &mut self.lfta {
             for p in lfta.flush_below(target) {
-                Self::absorb_partial(&mut self.buckets, &self.query, p.bucket, p.key, p.agg);
+                self.groups.absorb(p);
             }
         }
-        while let Some((&b, _)) = self.buckets.iter().next() {
-            if b >= target {
-                break;
-            }
-            self.close_bucket(b);
+        while let Some(bucket) = self.groups.pop_below(target) {
+            self.close_bucket(bucket);
         }
-        self.closed_below = target;
+        self.set_closed_below(target);
     }
 
-    fn close_bucket(&mut self, bucket: u64) {
-        let Some(groups) = self.buckets.remove(&bucket) else {
-            return;
-        };
+    /// Writes a bucket's groups to the output in key order. Keys are
+    /// unique within a bucket, so the unstable sort is deterministic.
+    fn close_bucket(&mut self, OpenBucket { id, groups }: OpenBucket) {
         self.stats.buckets_closed += 1;
         if let Some(state) = &mut self.closed_state {
-            let mut closed: Vec<ClosedGroup> = groups
-                .into_iter()
-                .map(|(key, agg)| ClosedGroup { bucket, key, agg })
-                .collect();
-            closed.sort_by_key(|c| c.key);
-            state.extend(closed);
+            let first = state.len();
+            state.extend(groups.into_iter().map(|(key, agg)| ClosedGroup {
+                bucket: id,
+                key,
+                agg,
+            }));
+            state[first..].sort_unstable_by_key(|c| c.key);
             return;
         }
-        let bucket_start = bucket * self.query.bucket_micros;
-        let t_end = secs((bucket + 1) * self.query.bucket_micros);
-        let mut rows: Vec<Row> = groups
-            .into_iter()
-            .map(|(key, agg)| Row {
-                bucket_start,
-                key,
-                value: agg.emit(t_end),
-            })
-            .collect();
-        rows.sort_by_key(|r| r.key);
-        self.stats.rows_out += rows.len() as u64;
-        self.out.extend(rows);
+        let width = self.query.bucket_micros;
+        let bucket_start = bucket_start(id, width);
+        let t_end = secs(bucket_end(id, width));
+        let first = self.out.len();
+        self.out.extend(groups.into_iter().map(|(key, agg)| Row {
+            bucket_start,
+            key,
+            value: agg.emit(t_end),
+        }));
+        self.out[first..].sort_unstable_by_key(|r| r.key);
+        self.stats.rows_out += (self.out.len() - first) as u64;
     }
 
     /// Processes a punctuation: advances the watermark to `ts` and closes
@@ -335,13 +337,15 @@ impl Engine {
     fn close_all(&mut self) {
         if let Some(lfta) = &mut self.lfta {
             for p in lfta.flush_all() {
-                Self::absorb_partial(&mut self.buckets, &self.query, p.bucket, p.key, p.agg);
+                self.groups.absorb(p);
             }
         }
-        while let Some((&b, _)) = self.buckets.iter().next() {
-            self.close_bucket(b);
-            self.closed_below = self.closed_below.max(b + 1);
+        let mut closed_below = self.closed_below;
+        while let Some(bucket) = self.groups.pop_oldest() {
+            closed_below = closed_below.max(bucket.id.saturating_add(1));
+            self.close_bucket(bucket);
         }
+        self.set_closed_below(closed_below);
     }
 
     /// Ends the stream: closes all open buckets and returns every pending
@@ -388,28 +392,20 @@ impl Engine {
 
     /// Current memory footprint of all live aggregation state.
     pub fn space_bytes(&self) -> usize {
-        let high: usize = self
-            .buckets
-            .values()
-            .flat_map(|g| g.values())
-            .map(|a| a.size_bytes())
-            .sum();
+        let high: usize = self.groups.aggregators().map(|a| a.size_bytes()).sum();
         high + self.lfta.as_ref().map_or(0, Lfta::size_bytes)
     }
 
     /// Average space per live group in bytes — the paper's Figure 2(d) /
     /// 4(c) metric. `None` when no groups are live.
     pub fn space_per_group(&self) -> Option<f64> {
-        let groups: Vec<usize> = self
-            .buckets
-            .values()
-            .flat_map(|g| g.values())
-            .map(|a| a.size_bytes())
-            .collect();
-        if groups.is_empty() {
-            return None;
-        }
-        Some(groups.iter().sum::<usize>() as f64 / groups.len() as f64)
+        let (bytes, groups) = self
+            .groups
+            .aggregators()
+            .fold((0usize, 0usize), |(bytes, groups), a| {
+                (bytes + a.size_bytes(), groups + 1)
+            });
+        (groups > 0).then(|| bytes as f64 / groups as f64)
     }
 
     /// Serializes the engine's complete execution state — watermark, close
@@ -457,9 +453,9 @@ impl Engine {
         // blob so the result is one buffer, never recopied.
         let mut blob = std::mem::take(out);
         blob.clear();
-        put_u64(&mut blob, self.buckets.len() as u64);
-        for (&bucket, groups) in &self.buckets {
-            put_u64(&mut blob, bucket);
+        put_u64(&mut blob, self.groups.iter().len() as u64);
+        for OpenBucket { id, groups } in self.groups.iter() {
+            put_u64(&mut blob, *id);
             put_u64(&mut blob, groups.len() as u64);
             // Keys by value: the sort then compares within one dense
             // array instead of chasing a pointer into the map per probe.
@@ -510,11 +506,10 @@ impl Engine {
     /// shape contradicts the query's.
     pub fn restore(query: Query, bytes: &[u8]) -> Result<Self, fd_core::checkpoint::CodecError> {
         use fd_core::checkpoint::{CodecError, Reader};
-        if bytes.len() < 8 {
+        let Some((body, tail)) = bytes.split_last_chunk::<8>() else {
             return Err(CodecError::new("checkpoint shorter than its length tail"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let header_len = u64::from_le_bytes(tail.try_into().expect("8 bytes")) as usize;
+        };
+        let header_len = u64::from_le_bytes(*tail) as usize;
         if header_len > body.len() {
             return Err(CodecError::new("checkpoint header overruns the buffer"));
         }
@@ -525,11 +520,18 @@ impl Engine {
         let factory = std::sync::Arc::clone(&e.query.aggregate);
         let bucket_micros = e.query.bucket_micros;
         let n_buckets = r.u64()?;
+        let mut newest = None;
         for _ in 0..n_buckets {
             let bucket = r.u64()?;
+            // As written: ascending. Holding a corrupt blob to that keeps
+            // every open of a table an append.
+            if newest.is_some_and(|newest| newest >= bucket) {
+                return Err(CodecError::new("checkpoint buckets out of order"));
+            }
+            newest = Some(bucket);
             let n_groups = r.u64()?;
-            let bucket_start = bucket * bucket_micros;
-            let map = e.buckets.entry(bucket).or_default();
+            let bucket_start = bucket_start(bucket, bucket_micros);
+            let map = e.groups.table_mut(bucket);
             for _ in 0..n_groups {
                 let key = r.u64()?;
                 let len = r.u64()? as usize;
@@ -571,7 +573,7 @@ impl Engine {
             return Err(CodecError::new("trailing bytes after checkpoint blob"));
         }
         e.watermark = header.watermark;
-        e.closed_below = header.closed_below;
+        e.set_closed_below(header.closed_below);
         e.stats = header.stats;
         e.out = header.rows;
         Ok(e)
@@ -606,7 +608,9 @@ pub(crate) fn read_closed_groups(
         let bucket = r.u64()?;
         let key = r.u64()?;
         let len = r.u64()? as usize;
-        let mut agg = query.aggregate.make(bucket * query.bucket_micros);
+        let mut agg = query
+            .aggregate
+            .make(bucket_start(bucket, query.bucket_micros));
         agg.restore(r.bytes(len)?)?;
         groups.push(ClosedGroup { bucket, key, agg });
     }
@@ -895,6 +899,28 @@ mod tests {
             b.process_scaled(&p, 1.0);
         }
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn restore_rejects_buckets_out_of_order() {
+        let q = || {
+            Query::builder("slack")
+                .group_by(|p| p.dst_host())
+                .bucket_secs(60)
+                .slack_secs(10.0)
+                .aggregate(count_factory())
+                .two_level(false)
+                .build()
+        };
+        let mut e = Engine::new(q());
+        e.process(&pkt(59.0, 1));
+        e.process(&pkt(65.0, 1)); // buckets 0 and 1 both open
+        let mut blob = e.checkpoint().expect("checkpoint");
+        assert!(Engine::restore(q(), &blob).is_ok());
+        // The first bucket's id follows the bucket count; make it sort
+        // after the second.
+        blob[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(Engine::restore(q(), &blob).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use fd_core::hash::mix64;
 
-use crate::tuple::{Micros, Packet};
+use crate::tuple::{bucket_start, Micros, Packet};
 use crate::udaf::{Aggregator, AggregatorFactory};
 
 /// A partial aggregate evicted (or flushed) from the low-level table.
@@ -23,15 +23,14 @@ pub struct Partial {
     pub agg: Box<dyn Aggregator>,
 }
 
-struct Slot {
-    key: u64,
-    bucket: u64,
-    agg: Box<dyn Aggregator>,
-}
-
-/// The fixed-size direct-mapped partial-aggregation table.
+/// The fixed-size direct-mapped partial-aggregation table. A slot holds its
+/// resident as the [`Partial`] it will leave as.
 pub struct Lfta {
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Option<Partial>>,
+    /// `slots.len() - 1` when the slot count is a power of two: the slot
+    /// index is then the hash's low bits, the same mapping as the
+    /// remainder without the division.
+    mask: Option<usize>,
     evictions: u64,
     updates: u64,
 }
@@ -47,6 +46,7 @@ impl Lfta {
         slots.resize_with(n_slots, || None);
         Self {
             slots,
+            mask: n_slots.is_power_of_two().then(|| n_slots - 1),
             evictions: 0,
             updates: 0,
         }
@@ -64,7 +64,11 @@ impl Lfta {
         bucket_start: Micros,
     ) -> Option<Partial> {
         self.updates += 1;
-        let idx = (mix64(key ^ bucket.rotate_left(32)) as usize) % self.slots.len();
+        let hash = mix64(key ^ bucket.rotate_left(32)) as usize;
+        let idx = match self.mask {
+            Some(mask) => hash & mask,
+            None => hash % self.slots.len(),
+        };
         let slot = &mut self.slots[idx];
         match slot {
             Some(s) if s.key == key && s.bucket == bucket => {
@@ -74,24 +78,11 @@ impl Lfta {
             _ => {
                 let mut agg = factory.make(bucket_start);
                 agg.update(pkt);
-                let evicted = slot.take().map(|s| {
-                    self.evictions += 1;
-                    Partial {
-                        key: s.key,
-                        bucket: s.bucket,
-                        agg: s.agg,
-                    }
-                });
-                *slot = Some(Slot { key, bucket, agg });
+                let evicted = slot.replace(Partial { key, bucket, agg });
+                self.evictions += u64::from(evicted.is_some());
                 evicted
             }
         }
-    }
-
-    /// Flushes every resident entry of the given bucket (used on bucket
-    /// close).
-    pub fn flush_bucket(&mut self, bucket: u64) -> Vec<Partial> {
-        self.flush_if(|b| b == bucket)
     }
 
     /// Flushes every resident entry of a bucket before `target` (batch
@@ -100,34 +91,16 @@ impl Lfta {
         self.flush_if(|b| b < target)
     }
 
-    fn flush_if(&mut self, pred: impl Fn(u64) -> bool) -> Vec<Partial> {
-        let mut out = Vec::new();
-        for slot in &mut self.slots {
-            if matches!(slot, Some(s) if pred(s.bucket)) {
-                let s = slot.take().expect("checked above");
-                out.push(Partial {
-                    key: s.key,
-                    bucket: s.bucket,
-                    agg: s.agg,
-                });
-            }
-        }
-        out
-    }
-
     /// Flushes everything (end of stream).
     pub fn flush_all(&mut self) -> Vec<Partial> {
-        let mut out = Vec::new();
-        for slot in &mut self.slots {
-            if let Some(s) = slot.take() {
-                out.push(Partial {
-                    key: s.key,
-                    bucket: s.bucket,
-                    agg: s.agg,
-                });
-            }
-        }
-        out
+        self.flush_if(|_| true)
+    }
+
+    fn flush_if(&mut self, pred: impl Fn(u64) -> bool) -> Vec<Partial> {
+        self.slots
+            .iter_mut()
+            .filter_map(|slot| slot.take_if(|s| pred(s.bucket)))
+            .collect()
     }
 
     /// Number of collision evictions so far.
@@ -150,9 +123,9 @@ impl Lfta {
         self.slots
             .iter()
             .flatten()
-            .map(|s| s.agg.size_bytes() + std::mem::size_of::<Slot>())
+            .map(|s| s.agg.size_bytes() + std::mem::size_of::<Partial>())
             .sum::<usize>()
-            + self.slots.capacity() * std::mem::size_of::<Option<Slot>>()
+            + self.slots.capacity() * std::mem::size_of::<Option<Partial>>()
     }
 
     /// Total slot count (resident or not) — recorded in checkpoints so
@@ -220,9 +193,9 @@ impl Lfta {
             if idx >= lfta.slots.len() {
                 return Err(CodecError::new(format!("LFTA slot {idx} out of range")));
             }
-            let mut agg = factory.make(bucket * bucket_micros);
+            let mut agg = factory.make(bucket_start(bucket, bucket_micros));
             agg.restore(bytes)?;
-            lfta.slots[idx] = Some(Slot { key, bucket, agg });
+            lfta.slots[idx] = Some(Partial { key, bucket, agg });
         }
         Ok(lfta)
     }
@@ -310,17 +283,32 @@ mod tests {
     }
 
     #[test]
-    fn flush_bucket_is_selective() {
+    fn flush_below_is_selective() {
         let mut lfta = Lfta::new(1024);
         let f = factory();
         for key in 0..20u64 {
             lfta.update(key, key % 2, &pkt(1), f.as_ref(), 0);
         }
-        let b0 = lfta.flush_bucket(0);
+        let b0 = lfta.flush_below(1);
         assert!(b0.iter().all(|p| p.bucket == 0));
         let remaining = lfta.flush_all();
         assert!(remaining.iter().all(|p| p.bucket == 1));
         assert_eq!(b0.len() + remaining.len(), 20);
+    }
+
+    #[test]
+    fn masked_slot_mapping_equals_the_remainder() {
+        // The same stream through a 64-slot table (mask) and the reference
+        // mapping: every tuple must land where `hash % slots` puts it, or a
+        // restore into recorded slot positions would change eviction order.
+        let mut lfta = Lfta::new(64);
+        let f = factory();
+        for key in 0..1000u64 {
+            lfta.update(key, key % 3, &pkt(1), f.as_ref(), 0);
+            let idx = (mix64(key ^ (key % 3).rotate_left(32)) as usize) % 64;
+            let resident = lfta.slots[idx].as_ref().expect("just written");
+            assert_eq!((resident.key, resident.bucket), (key, key % 3));
+        }
     }
 
     #[test]

@@ -93,6 +93,7 @@ pub mod driver;
 pub mod durability;
 pub mod engine;
 pub mod fault;
+mod groups;
 pub mod io;
 pub mod lfta;
 pub mod metrics;

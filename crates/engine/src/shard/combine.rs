@@ -12,7 +12,7 @@ use super::IngressHandle;
 use super::ShardedEngine;
 use crate::engine::{ClosedGroup, Engine, Row};
 use crate::overload::DrainReport;
-use crate::tuple::secs;
+use crate::tuple::{bucket_end, bucket_start, secs};
 use crate::udaf::Aggregator;
 
 impl ShardedEngine {
@@ -202,9 +202,9 @@ impl ShardedEngine {
                     self.stats.buckets_closed += 1;
                 }
                 Row {
-                    bucket_start: bucket * bucket_micros,
+                    bucket_start: bucket_start(bucket, bucket_micros),
                     key,
-                    value: agg.emit(secs((bucket + 1) * bucket_micros)),
+                    value: agg.emit(secs(bucket_end(bucket, bucket_micros))),
                 }
             })
             .collect();

@@ -24,6 +24,21 @@ pub fn secs(t: Micros) -> f64 {
     timestamp(t).as_secs_f64()
 }
 
+/// Start of time bucket `bucket` (`ts / width`) in microseconds. Exact for
+/// an id derived from a timestamp; an id read from a checkpoint can be
+/// anything, so the product saturates.
+#[inline]
+pub(crate) fn bucket_start(bucket: u64, width: Micros) -> Micros {
+    bucket.saturating_mul(width)
+}
+
+/// End (exclusive) of time bucket `bucket`, saturating: the last bucket
+/// before `u64::MAX` ends past the clock's range.
+#[inline]
+pub(crate) fn bucket_end(bucket: u64, width: Micros) -> Micros {
+    bucket.saturating_add(1).saturating_mul(width)
+}
+
 /// Transport protocol of a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Proto {

@@ -241,3 +241,75 @@ fn historical_queries_on_future_timestamps() {
     assert!((at_5 - expected).abs() < 1e-12);
     assert!(g.weight(0.0, 10.0, 5.0) > 1.0);
 }
+
+#[test]
+fn bucket_hopping_streams_match_the_oracle() {
+    // Consecutive tuples land up to three buckets apart, forwards and
+    // backwards, so almost every arrival misses the engine's "same bucket
+    // as the last tuple" shortcut and several buckets stay open at once.
+    // Slack covers the whole hop range: nothing is late, and every
+    // (bucket, group) must equal the brute-force decayed sum.
+    use forward_decay::core::oracle::{Oracle, OracleEvent};
+    use std::collections::BTreeMap;
+
+    const WIDTH_SECS: u64 = 10;
+    const WIDTH: Micros = WIDTH_SECS * MICROS_PER_SEC;
+    let g = Monomial::quadratic();
+    let hops = [0u64, 2, 1, 3, 0, 3, 1, 2];
+    let stream: Vec<Packet> = (0..4_000u64)
+        .map(|i| Packet {
+            ts: (i / 250 + hops[(i % 8) as usize]) * WIDTH + (i * 7_919) % WIDTH,
+            src_ip: 1,
+            dst_ip: (i % 13) as u32,
+            src_port: 1000,
+            dst_port: 80,
+            len: 100 + (i % 50) as u32,
+            proto: Proto::Tcp,
+        })
+        .collect();
+    assert!(
+        stream
+            .windows(2)
+            .filter(|w| w[0].ts / WIDTH != w[1].ts / WIDTH)
+            .count()
+            > stream.len() * 3 / 4,
+        "the stream must actually hop"
+    );
+
+    let mut oracles: BTreeMap<(Micros, u64), Oracle<Monomial>> = BTreeMap::new();
+    for p in &stream {
+        let start = p.ts / WIDTH * WIDTH;
+        oracles
+            .entry((start, p.dst_host()))
+            .or_insert_with(|| Oracle::new(g, secs(start)))
+            .push(OracleEvent {
+                t: p.timestamp(),
+                v: p.len as f64,
+                key: p.dst_host(),
+            });
+    }
+
+    for (two_level, lfta_slots) in [(true, 8), (true, 4096), (false, 8)] {
+        let q = Query::builder("hops")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(WIDTH_SECS)
+            .slack_secs(45.0)
+            .aggregate(fwd_sum_factory(g, |p| p.len as f64))
+            .two_level(two_level)
+            .lfta_slots(lfta_slots)
+            .build();
+        let mut e = Engine::new(q);
+        let rows = e.run(stream.iter().copied());
+        assert_eq!(e.stats().late_drops, 0, "slack must cover every hop");
+        assert_eq!(rows.len(), oracles.len());
+        for (row, ((start, key), oracle)) in rows.iter().zip(&oracles) {
+            assert_eq!((row.bucket_start, row.key), (*start, *key));
+            let want = oracle.sum(secs(start + WIDTH));
+            let got = row.value.as_float().expect("scalar");
+            assert!(
+                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "two_level={two_level} slots={lfta_slots} bucket {start} key {key}: {got} vs {want}"
+            );
+        }
+    }
+}
