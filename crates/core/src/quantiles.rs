@@ -14,7 +14,9 @@
 //!   `f64` values (an extension beyond the paper, for unbounded domains);
 //! - [`DecayedQuantiles`] — the forward-decay wrapper around [`QDigest`].
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+
+use serde::ser::SerializeStruct;
 
 use crate::decay::ForwardDecay;
 use crate::merge::Mergeable;
@@ -24,6 +26,9 @@ use crate::Timestamp;
 // ---------------------------------------------------------------------------
 // Weighted q-digest
 // ---------------------------------------------------------------------------
+
+/// One digest entry: a node id (1-based heap numbering) and its weight.
+type Entry = (u64, f64);
 
 /// A weighted q-digest over the integer domain `[0, 2^bits)`.
 ///
@@ -37,13 +42,83 @@ use crate::Timestamp;
 /// answered within `W · bits / k` of the true weighted rank, using at most
 /// `O(k)` live nodes. [`QDigest::with_epsilon`] picks `k = ⌈bits/ε⌉` so the
 /// rank error is at most `ε·W` — the `O((1/ε) log U)` space of Theorem 3.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// # Layout
+///
+/// One flat array. `entries[..sorted]` is the node run, strictly ascending
+/// by id — which is level-major: every level is one contiguous run, siblings
+/// are adjacent, the leaves are the tail. `entries[sorted..]` holds the leaf
+/// arrivals since the last flush, in arrival order. An update is a push
+/// (a small digest, which a search costs little, adds to its leaf at once);
+/// a flush sorts the arrivals *stably* and adds them to their nodes one at
+/// a time, so every node sees exactly the additions, in exactly the order,
+/// it would have seen had each arrival been applied at once — when a flush
+/// happens never shows in any weight. A checkpoint is the array as it
+/// stands (nodes, then un-merged arrivals, under one length); restoring is
+/// the same sort-and-fold from an empty node run, which also reads a blob
+/// whose entries come in arbitrary order.
+#[derive(Debug, Clone)]
 pub struct QDigest {
     bits: u32,
     k: u64,
-    nodes: HashMap<u64, f64>,
+    entries: Vec<Entry>,
+    sorted: usize,
     total: f64,
     pending: usize,
+}
+
+/// Most arrivals a digest buffers before folding them into its nodes.
+const MAX_BUF: usize = 64;
+
+/// Nodes below which a digest does not buffer: a binary search and a short
+/// `insert` per update cost less there than a push, a sort and a co-walk per
+/// batch, and a light digest carries no buffer slack.
+const UNBUFFERED: usize = 64;
+
+/// Arrivals a digest of `nodes` nodes buffers before a flush: none while it
+/// is small, then a quarter of the node run, capped where a longer sort
+/// stops paying.
+fn buf_limit(nodes: usize) -> usize {
+    if nodes < UNBUFFERED {
+        0
+    } else {
+        (nodes / 4).min(MAX_BUF)
+    }
+}
+
+/// Index of the first entry of `run[from..]` whose id is `≥ id`, probing
+/// exponentially from `from`: a co-walk of two sorted lists costs the
+/// logarithm of each gap, whichever list is the sparse one.
+fn lower_bound_from(run: &[Entry], from: usize, id: u64) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < run.len() && run[hi].0 < id {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    lo + run[lo..hi.min(run.len())].partition_point(|e| e.0 < id)
+}
+
+/// Sorts `tail` by id, entries of one id staying in order. A buffer's worth
+/// of ids that leave the low bits free goes through packed
+/// `id·MAX_BUF + position` keys: sorting machine words is about twice as
+/// fast as sorting the entries, and the sort is a third of a flush.
+fn sort_stably_by_id(tail: &mut [Entry]) {
+    const POS_BITS: u32 = MAX_BUF.trailing_zeros();
+    if tail.len() > MAX_BUF || tail.iter().any(|e| e.0 >> (64 - POS_BITS) != 0) {
+        return tail.sort_by_key(|e| e.0);
+    }
+    let mut keys = [0u64; MAX_BUF];
+    let mut arrived = [(0, 0.0); MAX_BUF];
+    arrived[..tail.len()].copy_from_slice(tail);
+    let keys = &mut keys[..tail.len()];
+    for (i, (key, e)) in keys.iter_mut().zip(tail.iter()).enumerate() {
+        *key = e.0 << POS_BITS | i as u64;
+    }
+    keys.sort_unstable();
+    for (e, key) in tail.iter_mut().zip(keys.iter()) {
+        *e = arrived[(key & (MAX_BUF as u64 - 1)) as usize];
+    }
 }
 
 impl QDigest {
@@ -58,7 +133,8 @@ impl QDigest {
         Self {
             bits,
             k,
-            nodes: HashMap::new(),
+            entries: Vec::new(),
+            sorted: 0,
             total: 0.0,
             pending: 0,
         }
@@ -91,18 +167,17 @@ impl QDigest {
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.nodes().len()
     }
 
     /// True if nothing has been ingested.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.entries.is_empty()
     }
 
     /// Approximate memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.nodes.capacity() * (std::mem::size_of::<u64>() + std::mem::size_of::<f64>() + 8)
-            + std::mem::size_of::<Self>()
+        self.entries.capacity() * std::mem::size_of::<Entry>() + std::mem::size_of::<Self>()
     }
 
     /// Guaranteed upper bound on rank error, as a fraction of total weight.
@@ -110,8 +185,8 @@ impl QDigest {
         self.bits as f64 / self.k as f64
     }
 
-    /// Adds `value` with positive weight `w`. Amortized O(1) plus a periodic
-    /// compress.
+    /// Adds `value` with positive weight `w`: a push (or, in a small digest,
+    /// a search), plus a periodic flush and compress.
     pub fn update(&mut self, value: u64, w: f64) {
         assert!(value < self.domain(), "value {value} outside domain");
         debug_assert!(w >= 0.0 && w.is_finite());
@@ -119,7 +194,24 @@ impl QDigest {
             return;
         }
         let leaf = self.domain() + value;
-        *self.nodes.entry(leaf).or_insert(0.0) += w;
+        let limit = buf_limit(self.sorted);
+        if limit == 0 {
+            // Unbuffered: the leaf takes the weight at once.
+            debug_assert_eq!(self.entries.len(), self.sorted);
+            let at = self.entries.partition_point(|e| e.0 < leaf);
+            match self.entries.get_mut(at) {
+                Some(node) if node.0 == leaf => node.1 += w,
+                _ => {
+                    self.entries.insert(at, (leaf, w));
+                    self.sorted += 1;
+                }
+            }
+        } else {
+            self.entries.push((leaf, w));
+            if self.entries.len() - self.sorted >= limit {
+                self.flush();
+            }
+        }
         self.total += w;
         self.pending += 1;
         if self.pending as u64 >= self.k {
@@ -127,50 +219,143 @@ impl QDigest {
         }
     }
 
-    /// Restores the digest property, pruning light nodes into their parents.
-    /// Runs automatically; public for tests and benchmarks. One pass over
-    /// the live nodes (bucketed by level, swept leaves-first).
-    pub fn compress(&mut self) {
-        self.pending = 0;
-        let tau = self.total / self.k as f64;
-        if tau <= 0.0 {
-            return;
+    /// The node run with every buffered arrival folded in: borrowed when the
+    /// buffer is empty, a flushed copy otherwise. For `&self` readers; every
+    /// `&mut self` operation flushes in place first.
+    fn nodes(&self) -> Cow<'_, [Entry]> {
+        if self.entries.len() == self.sorted {
+            Cow::Borrowed(&self.entries)
+        } else {
+            let mut flushed = self.clone();
+            flushed.flush();
+            Cow::Owned(flushed.entries)
         }
-        let mut by_level: Vec<Vec<u64>> = vec![Vec::new(); self.bits as usize + 1];
-        for &id in self.nodes.keys() {
-            let level = 63 - id.leading_zeros();
-            by_level[level as usize].push(id);
+    }
+
+    /// Folds the buffered arrivals into the node run.
+    fn flush(&mut self) {
+        if self.entries.len() > self.sorted {
+            self.fold_tail();
         }
-        for level in (1..=self.bits as usize).rev() {
-            let mut i = 0;
-            while i < by_level[level].len() {
-                let id = by_level[level][i];
-                i += 1;
-                let sib = id ^ 1;
-                let parent = id >> 1;
-                // The node may have been merged away as a sibling, or the
-                // parent may appear several times in its level bucket; a
-                // zero/absent own weight makes the revisit a no-op.
-                let own = self.nodes.get(&id).copied().unwrap_or(0.0);
-                if own == 0.0 {
-                    continue;
-                }
-                let sib_w = self.nodes.get(&sib).copied().unwrap_or(0.0);
-                let par_w = self.nodes.get(&parent).copied().unwrap_or(0.0);
-                // q-digest violation: the triple is too light to deserve
-                // separate nodes.
-                if own + sib_w + par_w < tau {
-                    *self.nodes.entry(parent).or_insert(0.0) += own + sib_w;
-                    self.nodes.remove(&id);
-                    if sib_w > 0.0 {
-                        self.nodes.remove(&sib);
-                    }
-                    // The (possibly new) parent becomes a candidate one
-                    // level up.
-                    by_level[level - 1].push(parent);
-                }
+    }
+
+    /// Sorts `entries[sorted..]` stably by id and folds it into the node
+    /// run. A weight whose id has a node is added to it, one addition per
+    /// entry in tail order; the entries of an id without one are summed in
+    /// tail order into a new node, and the new nodes are spliced in from the
+    /// back.
+    fn fold_tail(&mut self) {
+        let n = self.sorted;
+        let (run, tail) = self.entries.split_at_mut(n);
+        sort_stably_by_id(tail);
+        // New nodes, ascending, each with its place in the run.
+        let mut new: Vec<(usize, Entry)> = Vec::new();
+        let mut at = 0;
+        for &(id, w) in tail.iter() {
+            at = lower_bound_from(run, at, id);
+            if at < n && run[at].0 == id {
+                run[at].1 += w;
+            } else if let Some((_, node)) = new.last_mut().filter(|(_, node)| node.0 == id) {
+                node.1 += w;
+            } else {
+                new.push((at, (id, w)));
             }
         }
+        self.entries.truncate(n + new.len());
+        self.sorted = n + new.len();
+        // From the back, so that every node of the run moves once.
+        let mut end = n;
+        for (before, &(at, node)) in new.iter().enumerate().rev() {
+            self.entries.copy_within(at..end, at + before + 1);
+            self.entries[at + before] = node;
+            end = at;
+        }
+    }
+
+    /// Restores the digest property, pruning light nodes into their parents
+    /// and dropping nodes of weight zero. Runs automatically; public for
+    /// tests and benchmarks.
+    ///
+    /// One backward sweep over the node run — leaves first, each level's
+    /// sibling pairs against the level above. A pair too light to deserve
+    /// separate nodes is added to its parent in place, or, if the parent is
+    /// absent, carried up as a new node: the carried nodes of a level come
+    /// out in order, so the next level is the merge of two sorted lists.
+    /// Survivors are written behind the read cursor, never past it (a merge
+    /// removes at least as many nodes as it creates).
+    pub fn compress(&mut self) {
+        self.flush();
+        self.pending = 0;
+        let tau = self.total / self.k as f64;
+        let nodes = &mut self.entries[..];
+        // `nodes[..read]` is unread, `nodes[write..]` is output; `carry` and
+        // `next` hold the new nodes of the current and the next level up,
+        // both descending by id.
+        let (mut read, mut write) = (nodes.len(), nodes.len());
+        let (mut carry, mut next) = (Vec::<Entry>::new(), Vec::<Entry>::new());
+        for level in (0..=self.bits).rev() {
+            let first = 1u64 << level;
+            // The level above ends where this one starts; `above` walks it
+            // backward in step with the pairs.
+            let mut above = nodes[..read].partition_point(|e| e.0 < first);
+            let mut c = 0;
+            let mut pop = |read: &mut usize, nodes: &[Entry]| -> Option<Entry> {
+                let old = (*read > 0 && nodes[*read - 1].0 >= first).then(|| nodes[*read - 1]);
+                match (old, carry.get(c).copied()) {
+                    (Some(o), Some(n)) if n.0 > o.0 => {
+                        c += 1;
+                        Some(n)
+                    }
+                    (Some(o), _) => {
+                        *read -= 1;
+                        Some(o)
+                    }
+                    (None, Some(n)) => {
+                        c += 1;
+                        Some(n)
+                    }
+                    (None, None) => None,
+                }
+            };
+            let mut held = pop(&mut read, nodes);
+            while let Some(right) = held {
+                // `right`'s sibling, if present, is the next id down.
+                held = pop(&mut read, nodes);
+                let left = match held {
+                    Some(l) if right.0 & 1 == 1 && l.0 == right.0 - 1 => {
+                        held = pop(&mut read, nodes);
+                        Some(l)
+                    }
+                    _ => None,
+                };
+                let pair = right.1 + left.map_or(0.0, |l| l.1);
+                let parent = right.0 >> 1;
+                while above > 0 && nodes[above - 1].0 > parent {
+                    above -= 1;
+                }
+                let parent_at = (above > 0 && nodes[above - 1].0 == parent).then(|| above - 1);
+                let parent_w = parent_at.map_or(0.0, |p| nodes[p].1);
+                if level > 0 && pair != 0.0 && pair + parent_w < tau {
+                    match parent_at {
+                        Some(p) => nodes[p].1 = parent_w + pair,
+                        None => next.push((parent, pair)),
+                    }
+                } else {
+                    for e in [Some(right), left].into_iter().flatten() {
+                        if e.1 != 0.0 {
+                            write -= 1;
+                            nodes[write] = e;
+                        }
+                    }
+                }
+            }
+            carry.clear();
+            std::mem::swap(&mut carry, &mut next);
+        }
+        let live = nodes.len() - write;
+        self.entries.copy_within(write.., 0);
+        self.entries.truncate(live);
+        self.sorted = live;
     }
 
     /// The (approximate) weighted rank of `value`: total weight of items
@@ -180,43 +365,62 @@ impl QDigest {
         // A node [lo, hi] contributes fully if hi ≤ value, half-heartedly
         // (not at all, here) if it straddles. Counting straddlers as zero
         // keeps rank() a lower-ish estimate within the error bound.
-        let mut r = 0.0;
-        for (&id, &w) in &self.nodes {
-            let (_, hi) = self.range(id);
-            if hi <= value {
-                r += w;
-            }
-        }
-        r
+        self.nodes()
+            .iter()
+            .filter(|&&(id, _)| self.range(id).1 <= value)
+            .map(|&(_, w)| w)
+            .sum()
     }
 
     /// The φ-quantile: the smallest value whose estimated rank reaches
     /// `φ·W`. `None` on an empty digest.
     pub fn quantile(&self, phi: f64) -> Option<u64> {
-        if self.nodes.is_empty() || self.total <= 0.0 {
-            return None;
+        self.quantiles(&[phi])[0]
+    }
+
+    /// The φ-quantile for every `φ` of `phis`, in their order, from one
+    /// ordering of the nodes and one pass over it. All `None` on an empty
+    /// digest.
+    pub fn quantiles(&self, phis: &[f64]) -> Vec<Option<u64>> {
+        let mut out = vec![None; phis.len()];
+        if self.total <= 0.0 {
+            return out;
         }
-        let target = (phi.clamp(0.0, 1.0)) * self.total;
         // Visit nodes in increasing max-value order, smaller ranges first
-        // (the classic q-digest query order).
+        // (the classic q-digest query order). A node of weight zero answers
+        // for nothing.
         let mut ordered: Vec<(u64, u64, f64)> = self
-            .nodes
+            .nodes()
             .iter()
-            .map(|(&id, &w)| {
+            .filter(|e| e.1 != 0.0)
+            .map(|&(id, w)| {
                 let (lo, hi) = self.range(id);
                 (hi, hi - lo, w)
             })
             .collect();
-        ordered.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        ordered.sort_unstable_by_key(|&(hi, span, _)| (hi, span));
+        // The running weight only grows, so ascending targets are met in
+        // order.
+        let mut by_target: Vec<(f64, usize)> = phis
+            .iter()
+            .enumerate()
+            .map(|(i, phi)| (phi.clamp(0.0, 1.0) * self.total, i))
+            .collect();
+        by_target.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut waiting = by_target.iter().peekable();
         let mut acc = 0.0;
-        for (hi, _, w) in ordered {
+        for &(hi, _, w) in &ordered {
             acc += w;
-            if acc >= target {
-                return Some(hi);
+            while let Some(&(_, i)) = waiting.next_if(|&&(target, _)| acc >= target) {
+                out[i] = Some(hi);
             }
         }
         // Rounding: fall back to the maximum value present.
-        self.nodes.keys().map(|&id| self.range(id).1).max()
+        let max = ordered.last().map(|&(hi, _, _)| hi);
+        for &(_, i) in waiting {
+            out[i] = max;
+        }
+        out
     }
 
     /// The `[lo, hi]` value range (inclusive) covered by node `id`.
@@ -230,11 +434,13 @@ impl QDigest {
     /// Multiplies all node weights and the total by `factor`
     /// (landmark-renormalization support). A factor of exactly `0.0` is
     /// legal — a landmark shift across a gap wider than the subnormal range
-    /// rounds to zero (see [`crate::numerics::landmark_shift_factor`]).
+    /// rounds to zero (see [`crate::numerics::landmark_shift_factor`]); the
+    /// nodes it zeroes answer no query and go at the next compress.
     pub fn scale_all(&mut self, factor: f64) {
         debug_assert!(factor >= 0.0 && !factor.is_nan());
-        for w in self.nodes.values_mut() {
-            *w *= factor;
+        self.flush();
+        for e in &mut self.entries {
+            e.1 *= factor;
         }
         self.total *= factor;
     }
@@ -244,11 +450,61 @@ impl Mergeable for QDigest {
     fn merge_from(&mut self, other: &Self) {
         assert_eq!(self.bits, other.bits, "domains must match");
         assert_eq!(self.k, other.k, "compression parameters must match");
-        for (&id, &w) in &other.nodes {
-            *self.nodes.entry(id).or_insert(0.0) += w;
-        }
+        self.flush();
+        let theirs = other.nodes();
+        self.entries.reserve_exact(theirs.len());
+        self.entries.extend(theirs.iter().filter(|e| e.1 != 0.0));
+        self.fold_tail();
         self.total += other.total;
         self.compress();
+    }
+}
+
+impl serde::Serialize for QDigest {
+    /// The derived layout of `{bits, k, nodes, total, pending}`, `nodes`
+    /// being the node run followed by the un-merged arrivals: serializing
+    /// neither sorts nor copies.
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut s = serializer.serialize_struct("QDigest", 5)?;
+        s.serialize_field("bits", &self.bits)?;
+        s.serialize_field("k", &self.k)?;
+        s.serialize_field("nodes", &self.entries)?;
+        s.serialize_field("total", &self.total)?;
+        s.serialize_field("pending", &self.pending)?;
+        s.end()
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for QDigest {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        /// [`QDigest`] on the wire; `nodes` in any order, ids may repeat.
+        #[derive(serde::Deserialize)]
+        struct Wire {
+            bits: u32,
+            k: u64,
+            nodes: Vec<Entry>,
+            total: f64,
+            pending: usize,
+        }
+        use serde::de::Error;
+        let mut w = Wire::deserialize(deserializer)?;
+        if !(1..=62).contains(&w.bits) || w.k == 0 {
+            return Err(D::Error::custom("q-digest parameters out of range"));
+        }
+        if w.nodes.iter().any(|e| e.0 == 0 || e.0 >> (w.bits + 1) != 0) {
+            return Err(D::Error::custom("q-digest node id outside the domain"));
+        }
+        w.nodes.retain(|e| e.1 != 0.0);
+        let mut q = QDigest {
+            bits: w.bits,
+            k: w.k,
+            entries: w.nodes,
+            sorted: 0,
+            total: w.total,
+            pending: w.pending,
+        };
+        q.fold_tail();
+        Ok(q)
     }
 }
 
@@ -535,6 +791,12 @@ impl<G: ForwardDecay> DecayedQuantiles<G> {
         self.inner.quantile(phi)
     }
 
+    /// The decayed φ-quantile for every `φ` of `phis`, in their order, from
+    /// one pass over the digest ([`QDigest::quantiles`]).
+    pub fn quantiles(&self, phis: &[f64], _t: impl Into<Timestamp>) -> Vec<Option<u64>> {
+        self.inner.quantiles(phis)
+    }
+
     /// The decayed rank of `value` at query time `t` (Definition 8).
     pub fn rank(&self, value: u64, t: impl Into<Timestamp>) -> f64 {
         let t = t.into();
@@ -648,7 +910,7 @@ impl<G: ForwardDecay> Summary for DecayedQuantiles<G> {
             return Err(format!("q-digest total weight invalid: {total}"));
         }
         let mut node_sum = 0.0;
-        for (&id, &w) in &self.inner.nodes {
+        for &(id, w) in self.inner.nodes().iter() {
             if w.is_nan() || w < 0.0 {
                 return Err(format!("q-digest node {id} has invalid weight {w}"));
             }
@@ -945,6 +1207,260 @@ mod tests {
         let d = DecayedQuantiles::new(NoDecay, 0.0, 8, 0.1);
         assert_eq!(d.quantile(0.5, 10.0), None);
         assert_eq!(d.decayed_count(10.0), 0.0);
+    }
+
+    // ----- the flat digest against its reference model --------------------
+
+    /// The q-digest as a map from node id to weight, one probe per access:
+    /// what the flat layout must equal node for node and bit for bit. Its
+    /// additions are the specification — `update` adds to the leaf at once,
+    /// `compress` tests `(own + sibling) + parent < W/k` and adds
+    /// `own + sibling` to the parent, `merge_from` adds node to node.
+    #[derive(Clone)]
+    struct MapDigest {
+        bits: u32,
+        k: u64,
+        nodes: std::collections::HashMap<u64, f64>,
+        total: f64,
+        pending: u64,
+    }
+
+    impl MapDigest {
+        fn new(bits: u32, k: u64) -> Self {
+            let nodes = std::collections::HashMap::new();
+            Self {
+                bits,
+                k,
+                nodes,
+                total: 0.0,
+                pending: 0,
+            }
+        }
+        fn update(&mut self, value: u64, w: f64) {
+            if w == 0.0 {
+                return;
+            }
+            *self.nodes.entry((1 << self.bits) + value).or_insert(0.0) += w;
+            self.total += w;
+            self.pending += 1;
+            if self.pending >= self.k {
+                self.compress();
+            }
+        }
+        fn compress(&mut self) {
+            self.pending = 0;
+            let tau = self.total / self.k as f64;
+            let get =
+                |nodes: &std::collections::HashMap<u64, f64>, id| *nodes.get(&id).unwrap_or(&0.0);
+            for level in (1..=self.bits).rev() {
+                let at_level = |id: &u64| 63 - id.leading_zeros() == level;
+                let ids: Vec<u64> = self.nodes.keys().copied().filter(at_level).collect();
+                for id in ids {
+                    let own = get(&self.nodes, id);
+                    let sib = get(&self.nodes, id ^ 1);
+                    if own != 0.0 && own + sib + get(&self.nodes, id >> 1) < tau {
+                        *self.nodes.entry(id >> 1).or_insert(0.0) += own + sib;
+                        self.nodes.remove(&id);
+                        self.nodes.remove(&(id ^ 1));
+                    }
+                }
+            }
+            self.nodes.retain(|_, w| *w != 0.0);
+        }
+        fn scale_all(&mut self, factor: f64) {
+            self.nodes.values_mut().for_each(|w| *w *= factor);
+            self.total *= factor;
+        }
+        fn merge_from(&mut self, other: &Self) {
+            for (&id, &w) in &other.nodes {
+                *self.nodes.entry(id).or_insert(0.0) += w;
+            }
+            self.total += other.total;
+            self.compress();
+        }
+        /// `(id, weight bits)` ascending, weight-zero nodes left out (the
+        /// two layouts drop them at different moments).
+        fn live(&self) -> Vec<(u64, u64)> {
+            let mut v: Vec<_> = self.nodes.iter().map(|(&id, &w)| (id, w)).collect();
+            v.sort_unstable_by_key(|e| e.0);
+            live(&v)
+        }
+    }
+
+    fn live(nodes: &[Entry]) -> Vec<(u64, u64)> {
+        let nonzero = nodes.iter().filter(|e| e.1 != 0.0);
+        nonzero.map(|&(id, w)| (id, w.to_bits())).collect()
+    }
+
+    #[track_caller]
+    fn assert_same(flat: &QDigest, model: &MapDigest, what: &str) {
+        assert_eq!(live(&flat.nodes()), model.live(), "{what}: nodes");
+        assert_eq!(flat.total.to_bits(), model.total.to_bits(), "{what}: total");
+        assert_eq!(flat.pending as u64, model.pending, "{what}: pending");
+        let run = &flat.entries[..flat.sorted];
+        assert!(
+            run.windows(2).all(|p| p[0].0 < p[1].0),
+            "{what}: node run not ascending"
+        );
+    }
+
+    /// `(value, weight)` from the oracle's hostile generator: weights span
+    /// `0` (a skipped update) to `1e6`, a handful of values are heavy.
+    fn adversarial_items(seed: u64, bits: u32, n: usize) -> Vec<(u64, f64)> {
+        let cfg = crate::oracle::StreamConfig {
+            n,
+            key_domain: 1 << bits,
+            ..Default::default()
+        };
+        let events = crate::oracle::adversarial_stream(seed, &cfg);
+        events.iter().map(|e| (e.key, e.v.abs())).collect()
+    }
+
+    /// `(bits, k)`; ids of the last one are too wide for packed sort keys.
+    const SHAPES: [(u32, u64); 5] = [(3, 2), (6, 8), (11, 40), (16, 200), (60, 64)];
+
+    #[test]
+    fn flat_digest_equals_the_map_model_bit_for_bit() {
+        for seed in crate::oracle::harness_seeds(&[1, 2, 3, 5, 8, 13]) {
+            for (bits, k) in SHAPES {
+                let what = format!("seed {seed}, bits {bits}, k {k}");
+                let items = adversarial_items(seed, bits, 3_000);
+                let (mut flat, mut model) = (QDigest::new(bits, k), MapDigest::new(bits, k));
+                // A second pair takes every third item and is merged in
+                // (with arrivals still buffered) every 700.
+                let (mut side, mut side_model) = (flat.clone(), model.clone());
+                for (i, &(v, w)) in items.iter().enumerate() {
+                    if i % 3 == 2 {
+                        side.update(v, w);
+                        side_model.update(v, w);
+                    } else {
+                        flat.update(v, w);
+                        model.update(v, w);
+                    }
+                    match i % 700 {
+                        // A renormalization; the third one underflows the
+                        // light nodes to zero and the fourth everything.
+                        150 => {
+                            let factor = [0.5, 1e-3, 1e-300, 0.0][(i / 700) % 4];
+                            flat.scale_all(factor);
+                            model.scale_all(factor);
+                        }
+                        // A mid-stream checkpoint and restore.
+                        350 => {
+                            let bytes = crate::checkpoint::to_bytes(&flat).unwrap();
+                            flat = crate::checkpoint::from_bytes(&bytes).unwrap();
+                        }
+                        699 => {
+                            flat.merge_from(&side);
+                            model.merge_from(&side_model);
+                            assert_same(&side, &side_model, &what);
+                        }
+                        _ => {}
+                    }
+                    if i % 97 == 0 {
+                        assert_same(&flat, &model, &format!("{what}, item {i}"));
+                    }
+                }
+                flat.compress();
+                model.compress();
+                assert_same(&flat, &model, &what);
+                assert_eq!(flat.len(), model.nodes.len(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_flush_after_any_subset_of_updates_changes_nothing() {
+        use rand::{Rng, SeedableRng};
+        for case in 0..64u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(0x51ed_270b ^ case);
+            let (bits, k) = SHAPES[rng.gen_range(0..SHAPES.len())];
+            let items = adversarial_items(case, bits, rng.gen_range(1..1_500));
+            let density = rng.gen_range(0.0..1.0);
+            let (mut plain, mut forced) = (QDigest::new(bits, k), QDigest::new(bits, k));
+            for &(v, w) in &items {
+                plain.update(v, w);
+                forced.update(v, w);
+                if rng.gen_bool(density) {
+                    forced.flush();
+                }
+                assert_eq!(plain.quantile(0.5), forced.quantile(0.5));
+            }
+            assert_eq!(live(&plain.nodes()), live(&forced.nodes()), "case {case}");
+            assert_eq!(plain.total.to_bits(), forced.total.to_bits());
+            assert_eq!(plain.pending, forced.pending);
+        }
+    }
+
+    #[test]
+    fn restore_reads_entries_in_any_order() {
+        // A blob from before the flat layout lists each node once, in hash
+        // order; reversing a flushed digest's entries stands in for one.
+        let mut q = QDigest::new(11, 40);
+        for (v, w) in adversarial_items(4, 11, 2_000) {
+            q.update(v, w);
+        }
+        q.flush();
+        let mut shuffled = q.clone();
+        shuffled.entries.reverse();
+        let bytes = crate::checkpoint::to_bytes(&shuffled).unwrap();
+        let restored: QDigest = crate::checkpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(live(&restored.nodes()), live(&q.nodes()));
+        assert_eq!(restored.sorted, restored.entries.len());
+        // Ids outside the tree are refused, not indexed with.
+        for bad in [0u64, 1 << 12] {
+            let mut broken = q.clone();
+            broken.entries[0].0 = bad;
+            let bytes = crate::checkpoint::to_bytes(&broken).unwrap();
+            assert!(crate::checkpoint::from_bytes::<QDigest>(&bytes).is_err());
+        }
+    }
+
+    // ----- weight-zero nodes -----------------------------------------------
+
+    #[test]
+    fn zero_weight_nodes_are_dropped_and_answer_nothing() {
+        let mut q = QDigest::new(8, 16);
+        for v in 0..200 {
+            q.update(v, 1.0);
+        }
+        q.scale_all(0.0);
+        // Zeroed but not yet compressed away: still no answer.
+        assert_eq!(q.quantile(0.0), None);
+        q.compress();
+        assert_eq!(q.len(), 0);
+        for _ in 0..1_000 {
+            q.update(250, 1.0);
+        }
+        // The minimum present is 250; no node below it carries weight.
+        assert_eq!(q.quantile(0.0), Some(250));
+        assert_eq!(q.quantile(1.0), Some(250));
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn decayed_quantiles_forget_what_a_landmark_shift_zeroes() {
+        // α = 1 and a 2 000 s gap: the shift factor e^{-2000} rounds to
+        // exactly 0.0, on the merge path and on the renormalizing update.
+        let g = Exponential::new(1.0);
+        let mut old = DecayedQuantiles::new(g, 0.0, 8, 0.5);
+        for v in 0..200 {
+            old.update(1.0, v);
+        }
+        let mut ahead = DecayedQuantiles::new(g, 0.0, 8, 0.5);
+        for _ in 0..1_000 {
+            ahead.update(2_000.0, 250);
+        }
+        let mut merged = ahead.clone();
+        merged.merge_from(&old);
+        for _ in 0..1_000 {
+            old.update(2_000.0, 250);
+        }
+        for q in [&merged, &old] {
+            assert_eq!(q.quantile(0.0, 2_000.0), Some(250));
+            assert_eq!(q.inner().len(), 1);
+            q.check_invariants().unwrap();
+        }
     }
 
     #[test]

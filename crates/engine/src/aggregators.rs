@@ -1218,13 +1218,17 @@ pub fn multi_factory(parts: Vec<Arc<FnFactory>>) -> Arc<FnFactory> {
 struct FwdQuantileAgg<G: ForwardDecay> {
     inner: DecayedQuantiles<G>,
     val: ItemFn,
-    phis: Vec<f64>,
+    phis: Arc<[f64]>,
 }
 
 impl<G: ForwardDecay> Aggregator for FwdQuantileAgg<G> {
     inner_checkpoint!();
     fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.val)(pkt));
+        // A value past the domain counts as the largest one: the digest
+        // asserts its domain, and a panic here would take the worker down
+        // on every replay of the tuple.
+        let top = self.inner.inner().domain() - 1;
+        self.inner.update(pkt.timestamp(), (self.val)(pkt).min(top));
     }
     fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
         let o = other
@@ -1234,15 +1238,12 @@ impl<G: ForwardDecay> Aggregator for FwdQuantileAgg<G> {
         self.inner.merge_from(&o.inner);
     }
     fn emit(&self, t: f64) -> AggValue {
+        let quantiles = self.inner.quantiles(&self.phis, t);
         AggValue::Items(
             self.phis
                 .iter()
-                .filter_map(|&phi| {
-                    self.inner.quantile(phi, t).map(|v| ItemValue {
-                        item: v,
-                        value: phi,
-                    })
-                })
+                .zip(quantiles)
+                .filter_map(|(&value, item)| Some(ItemValue { item: item?, value }))
                 .collect(),
         )
     }
@@ -1255,8 +1256,9 @@ impl<G: ForwardDecay> Aggregator for FwdQuantileAgg<G> {
 }
 
 /// Forward-decayed φ-quantiles via the weighted q-digest (Theorem 3): emits
-/// one `(value, φ)` item per requested quantile. Values must lie in
-/// `[0, 2^bits)`. High-level only.
+/// one `(value, φ)` item per requested quantile. Values lie in
+/// `[0, 2^bits)`; a larger one saturates to `2^bits − 1`, the top of the
+/// domain, rather than stopping the query. High-level only.
 pub fn fwd_quantile_factory<G: ForwardDecay>(
     g: G,
     bits: u32,
@@ -1265,6 +1267,7 @@ pub fn fwd_quantile_factory<G: ForwardDecay>(
     val: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     let val: ItemFn = Arc::new(val);
+    let phis: Arc<[f64]> = phis.into();
     FnFactory::new("fwd_quantiles", false, move |bucket_start| {
         Box::new(FwdQuantileAgg {
             inner: DecayedQuantiles::new(g.clone(), tuple::timestamp(bucket_start), bits, epsilon),

@@ -279,3 +279,70 @@ fn corrupted_snapshots_fail_loudly() {
     bytes.truncate(bytes.len() / 2);
     assert!(from_bytes::<QDigest>(&bytes).is_err());
 }
+
+#[test]
+fn quantile_checkpoints_are_canonical() {
+    // Byte-for-byte snapshots are what the supervisor's replay and the
+    // durable store compare and deduplicate on. The digest's nodes are
+    // written in ascending id order, then the arrivals not yet folded in:
+    // a function of the stream alone, not of a per-instance hash seed.
+    let packets = trace();
+    let digest = || DecayedQuantiles::new(Exponential::new(0.3), 0.0, 11, 0.02);
+    let (mut a, mut b) = (digest(), digest());
+    for p in &packets {
+        a.update(p.ts_secs(), p.len as u64);
+        b.update(p.ts_secs(), p.len as u64);
+    }
+    let bytes = to_bytes(&a).expect("serialize");
+    assert!(
+        bytes == to_bytes(&b).expect("serialize"),
+        "one stream, two instances, different bytes"
+    );
+    // Restoring folds the pending arrivals in, so the first round trip may
+    // reorder; from then on checkpoint ∘ restore is the identity.
+    let restore =
+        |bytes: &[u8]| from_bytes::<DecayedQuantiles<Exponential>>(bytes).expect("restore");
+    let once = to_bytes(&restore(&bytes)).expect("serialize");
+    let twice = to_bytes(&restore(&once)).expect("serialize");
+    assert!(once == twice, "checkpoint ∘ restore is not a fixed point");
+    assert!(once.len() <= bytes.len());
+    for phi in [0.0, 0.5, 0.99, 1.0] {
+        assert_eq!(restore(&twice).quantile(phi, 21.0), a.quantile(phi, 21.0));
+    }
+
+    // The same through the engine: every group's digest in one blob.
+    let query = || {
+        Query::builder("q")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(10)
+            .aggregate(fwd_quantile_factory(
+                Monomial::quadratic(),
+                11,
+                0.01,
+                vec![0.5, 0.95, 0.99],
+                |p| p.len as u64,
+            ))
+            .build()
+    };
+    let (mut e1, mut e2) = (Engine::new(query()), Engine::new(query()));
+    for p in &packets[..packets.len() * 3 / 4] {
+        e1.process(p);
+        e2.process(p);
+    }
+    let blob = e1.checkpoint().expect("checkpoint");
+    assert!(
+        blob == e2.checkpoint().expect("checkpoint"),
+        "two engines, one stream, different checkpoints"
+    );
+    let once = Engine::restore(query(), &blob)
+        .expect("restore")
+        .checkpoint()
+        .expect("checkpoint");
+    let mut resumed = Engine::restore(query(), &once).expect("restore");
+    assert!(once == resumed.checkpoint().expect("checkpoint"));
+    for p in &packets[packets.len() * 3 / 4..] {
+        e1.process(p);
+        resumed.process(p);
+    }
+    assert_eq!(resumed.finish(), e1.finish());
+}
