@@ -662,22 +662,6 @@ impl<G: ForwardDecay> Summary for DecayedCount<G> {
         self.update_batch(ts);
     }
 
-    fn update_batch_counts(&mut self, ts: &[Timestamp]) {
-        self.update_batch(ts);
-    }
-
-    fn supports_scaled_batches(&self) -> bool {
-        true
-    }
-
-    fn update_batch_scaled_at(&mut self, ts: &[Timestamp], us: &[()], scales: &[f64]) {
-        assert_eq!(ts.len(), us.len(), "columnar batch slices must align");
-        assert_eq!(ts.len(), scales.len(), "scale column must align with batch");
-        for (&t_i, &w) in ts.iter().zip(scales) {
-            self.update_weighted(t_i, w);
-        }
-    }
-
     fn query_at(&self, t: Timestamp) -> f64 {
         self.query(t)
     }
@@ -730,18 +714,6 @@ impl<G: ForwardDecay> Summary for DecayedSum<G> {
         self.update_batch(ts, vs);
     }
 
-    fn supports_scaled_batches(&self) -> bool {
-        true
-    }
-
-    fn update_batch_scaled_at(&mut self, ts: &[Timestamp], vs: &[f64], scales: &[f64]) {
-        assert_eq!(ts.len(), vs.len(), "columnar batch slices must align");
-        assert_eq!(ts.len(), scales.len(), "scale column must align with batch");
-        for ((&t_i, &v), &w) in ts.iter().zip(vs).zip(scales) {
-            self.update_weighted(t_i, v, w);
-        }
-    }
-
     fn query_at(&self, t: Timestamp) -> f64 {
         self.query(t)
     }
@@ -773,18 +745,6 @@ impl<G: ForwardDecay> Summary for DecayedAverage<G> {
 
     fn update_at(&mut self, t_i: Timestamp, v: f64) {
         self.update(t_i, v);
-    }
-
-    fn supports_scaled_batches(&self) -> bool {
-        true
-    }
-
-    fn update_batch_scaled_at(&mut self, ts: &[Timestamp], vs: &[f64], scales: &[f64]) {
-        assert_eq!(ts.len(), vs.len(), "columnar batch slices must align");
-        assert_eq!(ts.len(), scales.len(), "scale column must align with batch");
-        for ((&t_i, &v), &w) in ts.iter().zip(vs).zip(scales) {
-            self.update_weighted(t_i, v, w);
-        }
     }
 
     fn query_at(&self, t: Timestamp) -> Option<f64> {
@@ -1222,44 +1182,6 @@ mod tests {
         }
         assert!((dup.query(110.0) - ht.query(110.0)).abs() < 1e-9);
         assert!((dup_s.query(110.0) - ht_s.query(110.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scaled_batch_matches_per_item_weighted() {
-        use crate::summary::Summary;
-        let g = Exponential::new(0.2);
-        let ts: Vec<Timestamp> = (0..64).map(|i| Timestamp::from(i as f64 * 1.3)).collect();
-        let vs: Vec<f64> = (0..64).map(|i| ((i * 7) % 5) as f64).collect();
-        let ws: Vec<f64> = (0..64).map(|i| 1.0 + (i % 3) as f64 * 0.5).collect();
-
-        let mut batched = DecayedSum::new(g, 0.0);
-        let mut scalar = DecayedSum::new(g, 0.0);
-        Summary::update_batch_scaled_at(&mut batched, &ts, &vs, &ws);
-        for ((&t, &v), &w) in ts.iter().zip(&vs).zip(&ws) {
-            scalar.update_weighted(t, v, w);
-        }
-        assert_eq!(batched.query(100.0), scalar.query(100.0));
-
-        let mut batched_c = DecayedCount::new(g, 0.0);
-        let mut scalar_c = DecayedCount::new(g, 0.0);
-        let units = vec![(); ts.len()];
-        Summary::update_batch_scaled_at(&mut batched_c, &ts, &units, &ws);
-        for (&t, &w) in ts.iter().zip(&ws) {
-            scalar_c.update_weighted(t, w);
-        }
-        assert_eq!(batched_c.query(100.0), scalar_c.query(100.0));
-        assert!(batched_c.supports_scaled_batches());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-unit Horvitz")]
-    fn default_scaled_batch_rejects_non_unit_scales() {
-        use crate::summary::Summary;
-        // Variance has no scaled override: the trait default must refuse
-        // rather than silently bias the estimate.
-        let mut v = DecayedVariance::new(Monomial::quadratic(), 0.0);
-        assert!(!v.supports_scaled_batches());
-        Summary::update_batch_scaled_at(&mut v, &[Timestamp::from(1.0)], &[2.0], &[2.0]);
     }
 
     #[test]

@@ -25,3 +25,17 @@ pub trait Mergeable {
     /// Merges `other` into `self`.
     fn merge_from(&mut self, other: &Self);
 }
+
+/// An undecayed count of a union is the sum of the counts.
+impl Mergeable for u64 {
+    fn merge_from(&mut self, other: &Self) {
+        *self += other;
+    }
+}
+
+/// An undecayed sum of a union is the sum of the sums.
+impl Mergeable for f64 {
+    fn merge_from(&mut self, other: &Self) {
+        *self += other;
+    }
+}

@@ -6,8 +6,11 @@
 //! samplers (Theorems 5–6) — shares the same lifecycle: timestamped
 //! arrivals go in, and at query time the accumulated state is normalized
 //! by `g(t − L)` to produce a decayed answer. [`Summary`] captures that
-//! shape so engine, checkpoint and merge layers can be written once,
-//! generically, instead of once per summary type.
+//! shape, so what handles every summary alike is written once: the
+//! differential oracle harness replays, merges and checkpoints any
+//! `S: Summary` against the brute-force reference, and the engine wraps
+//! every summary in one adapter (`fd_engine::aggregators`) that needs only
+//! [`Mergeable`](crate::merge::Mergeable) and serde from it.
 //!
 //! What varies per summary is captured by two associated types:
 //!
@@ -136,67 +139,6 @@ pub trait Summary {
         assert_eq!(ts.len(), us.len(), "columnar batch slices must align");
         for (&t_i, u) in ts.iter().zip(us) {
             self.update_at(t_i, u.clone());
-        }
-    }
-
-    /// Whether this summary honors non-unit per-item scales in
-    /// [`update_batch_scaled_at`](Summary::update_batch_scaled_at).
-    ///
-    /// Linear aggregates (count / sum / average) return `true`: a
-    /// Horvitz–Thompson scale multiplies their frozen numerators without
-    /// disturbing mergeability. Order-statistic and sampling summaries
-    /// return the default `false` and must only ever see all-ones scale
-    /// columns — the engine's overload controller gates shed policies on
-    /// this flag at configuration time.
-    fn supports_scaled_batches(&self) -> bool {
-        false
-    }
-
-    /// Feeds a columnar batch of arrivals each carrying a per-item scale:
-    /// `ts[i]` pairs with `us[i]` and `scales[i]`.
-    ///
-    /// Scales are Horvitz–Thompson inverse-inclusion-probability weights
-    /// attached by decay-aware load shedding: a survivor admitted with
-    /// probability `p_i` arrives with `scales[i] = 1 / p_i`, so scaled
-    /// linear aggregates remain unbiased estimates of the unshed stream.
-    /// A scale of `1.0` means "not thinned" and reproduces
-    /// [`update_batch_at`](Summary::update_batch_at) exactly.
-    ///
-    /// The default asserts every scale is `1.0` and delegates to
-    /// [`update_batch_at`](Summary::update_batch_at); summaries reporting
-    /// [`supports_scaled_batches`](Summary::supports_scaled_batches) honor
-    /// arbitrary non-negative scales.
-    ///
-    /// # Panics
-    /// Panics if the slices' lengths differ, or (for the default) if any
-    /// scale differs from `1.0`.
-    fn update_batch_scaled_at(&mut self, ts: &[Timestamp], us: &[Self::Update], scales: &[f64])
-    where
-        Self::Update: Clone,
-    {
-        assert_eq!(ts.len(), scales.len(), "scale column must align with batch");
-        assert!(
-            scales.iter().all(|&s| s == 1.0),
-            "summary does not support non-unit Horvitz–Thompson scales"
-        );
-        self.update_batch_at(ts, us);
-    }
-
-    /// Feeds a columnar batch of timestamp-only arrivals — the fast path
-    /// for summaries whose [`Update`](Summary::Update) is the zero-sized
-    /// `()` (counts), sparing callers the parallel slice of units that
-    /// [`update_batch_at`](Summary::update_batch_at) would demand (and the
-    /// `Clone` bound it drags in).
-    ///
-    /// The default loops over [`update_at`](Summary::update_at); counts
-    /// with a batched kernel (e.g. `DecayedCount::update_batch`) override
-    /// it to keep the hoisted-renormalization / weight-memo path.
-    fn update_batch_counts(&mut self, ts: &[Timestamp])
-    where
-        Self: Summary<Update = ()>,
-    {
-        for &t_i in ts {
-            self.update_at(t_i, ());
         }
     }
 

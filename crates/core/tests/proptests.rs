@@ -1175,9 +1175,10 @@ fn batched_hh_quantiles_match_scalar_bitwise() {
 
         // Monomial never renormalizes and the kernel memo returns exact
         // values, so the batched paths replay the identical update sequence:
-        // SpaceSaving state must match bit-for-bit. The q-digest holds its
-        // nodes in a HashMap whose iteration order differs per instance, so
-        // its rank sums reassociate — those get a 1e-12 relative bound.
+        // SpaceSaving state must match bit-for-bit, and so must the
+        // q-digest's ranks: its nodes are one sorted run, summed in the
+        // same order in both, and a flush folds arrivals one addition at a
+        // time in arrival order however they were batched.
         let mut s_hh = DecayedHeavyHitters::new(g, 0.0, 12);
         let mut b_hh = DecayedHeavyHitters::new(g, 0.0, 12);
         let mut s_q = DecayedQuantiles::new(g, 0.0, 6, 0.1);
@@ -1204,10 +1205,7 @@ fn batched_hh_quantiles_match_scalar_bitwise() {
         }
         for probe in [0u64, 7, 20, 39] {
             let (a, b) = (s_q.rank(probe, t_q), b_q.rank(probe, t_q));
-            assert!(
-                (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                "probe {probe}: {a} vs {b}"
-            );
+            assert_eq!(a.to_bits(), b.to_bits(), "probe {probe}: {a} vs {b}");
         }
     });
 }

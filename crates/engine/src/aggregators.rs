@@ -1,7 +1,7 @@
 //! Ready-made aggregator factories: every fd-core summary wired into the
 //! engine's UDAF interface, plus the undecayed built-ins.
 //!
-//! Each `*_factory` function returns an [`AggregatorFactory`](crate::udaf::AggregatorFactory) ready to plug
+//! Each `*_factory` function returns an [`AggregatorFactory`] ready to plug
 //! into [`crate::udaf::QueryBuilder::aggregate`]. Factories correspond
 //! one-to-one to the algorithms of the paper's experiments:
 //!
@@ -9,6 +9,7 @@
 //! |---|---|
 //! | [`count_factory`], [`sum_factory`] | undecayed GSQL `count(*)` / `sum(len)` (Figure 2 baseline) |
 //! | [`fwd_count_factory`], [`fwd_sum_factory`] | forward-decayed count/sum, "poly"/"exp" curves of Figure 2 |
+//! | [`fwd_avg_factory`], [`fwd_var_factory`], [`fwd_max_factory`], [`fwd_min_factory`] | the other constant-space aggregates of Theorem 1 |
 //! | [`eh_count_factory`], [`eh_sum_factory`] | backward decay via exponential histograms (Figure 2) |
 //! | [`unary_hh_factory`] | "Unary HH" unweighted SpaceSaving (Figure 5) |
 //! | [`fwd_hh_factory`] | weighted SpaceSaving under forward decay (Figures 4, 5) |
@@ -17,18 +18,37 @@
 //! | [`sw_hh_factory`] | dyadic-time sliding-window backward heavy hitters |
 //! | [`reservoir_factory`] | undecayed reservoir sample (Figure 3) |
 //! | [`pri_sample_factory`] | `PRISAMP` priority sampling under forward decay (Figure 3) |
-//! | [`wrs_factory`] | Efraimidis–Spirakis weighted reservoir (Theorem 6) |
+//! | [`wrs_factory`], [`with_replacement_factory`] | Efraimidis–Spirakis weighted reservoir (Theorem 6), sampling with replacement (Theorem 5) |
 //! | [`biased_reservoir_factory`] | Aggarwal's backward-decay sampler (Figure 3) |
 //! | [`fwd_quantile_factory`] | decayed quantiles via weighted q-digest (Theorem 3) |
 //! | [`distinct_factory`] | decayed count-distinct (Theorem 4) |
+//! | [`multi_factory`] | several of the above over the same groups |
 //!
 //! Forward-decayed aggregators receive the **bucket start as landmark**,
 //! exactly like the paper's `time % 60` idiom; simple forward-decayed
 //! aggregates are *splittable* across the two-level architecture, UDAF-style
-//! summaries run at the high level only (as in the paper's setup). Every
-//! aggregator supports [`Aggregator::merge_boxed`], so per-shard partial
-//! buckets combine losslessly (Section VI-B: frozen numerators make forward
-//! decay summaries mergeable).
+//! summaries run at the high level only (as in the paper's setup).
+//!
+//! # One adapter
+//!
+//! Every summary has the same life — a timestamped arrival goes in with its
+//! weight `g(tᵢ − L)` frozen, partial states merge by addition, and the
+//! answer is divided by `g(t − L)` when the bucket closes — so the engine's
+//! side of it is written once. One private adapter holds a group's state
+//! `S` (the fd-core summary, or the bare `u64` / `f64` of the undecayed
+//! built-ins) and an `Arc` of what is the same for every group of the
+//! query (`Ops`: which field to read, how to fold it in — with a
+//! Horvitz–Thompson scale if the aggregate is linear — how to answer, how
+//! big it is, whether it serializes). Its [`Aggregator`] impl is the only
+//! one here besides [`multi_factory`]'s composite: one `merge_boxed`
+//! downcast onto [`Mergeable::merge_from`] (Section VI-B: frozen numerators
+//! make forward-decay summaries mergeable, so per-shard partial buckets
+//! combine losslessly), one checkpoint/restore through
+//! [`fd_core::checkpoint`].
+//!
+//! **Adding an aggregate is one factory function**: which field to read,
+//! two or three closures over the summary, and its constructor. The source
+//! of [`fwd_avg_factory`] is the worked example, annotated line by line.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -37,25 +57,20 @@ use fd_core::aggregates::{
     DecayedAverage, DecayedCount, DecayedExtremum, DecayedSum, DecayedVariance,
 };
 use fd_core::backward::{ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH};
+use fd_core::checkpoint::CodecError;
 use fd_core::cm::DecayedCmHeavyHitters;
 use fd_core::decay::{BackwardDecay, ForwardDecay};
 use fd_core::distinct::DominanceSketch;
 use fd_core::hash::mix64;
-use fd_core::heavy_hitters::{DecayedHeavyHitters, UnarySpaceSaving};
+use fd_core::heavy_hitters::{DecayedHeavyHitters, HeavyHitter, UnarySpaceSaving};
 use fd_core::quantiles::DecayedQuantiles;
 use fd_core::sampling::{
     BiasedReservoir, PrioritySampler, ReservoirSampler, WeightedReservoir, WithReplacementSampler,
 };
-use fd_core::Mergeable;
+use fd_core::{Mergeable, Timestamp};
 
 use crate::tuple::{self, Packet};
-use crate::udaf::{AggValue, Aggregator, FnFactory, ItemValue};
-
-/// A value extractor: which numeric field of the tuple an aggregate sums.
-pub type ValFn = Arc<dyn Fn(&Packet) -> f64 + Send + Sync>;
-/// An item extractor: which field a heavy-hitter / sampler / distinct
-/// aggregate operates over.
-pub type ItemFn = Arc<dyn Fn(&Packet) -> u64 + Send + Sync>;
+use crate::udaf::{write_agg, AggValue, Aggregator, AggregatorFactory, FnFactory, ItemValue};
 
 /// A backward decay function erased to a closure, so queries can choose it
 /// at runtime (the Cohen–Strauss "decay specified at query time" setting).
@@ -81,270 +96,231 @@ impl BackwardDecay for DynBackward {
     }
 }
 
-/// Derives a per-bucket RNG seed from a base seed.
-fn bucket_seed(base: u64, bucket_start: u64) -> u64 {
-    mix64(base ^ bucket_start)
+/// Derives a per-bucket RNG seed from a base seed and the bucket's start.
+fn bucket_seed(base: u64, bucket_start: Timestamp) -> u64 {
+    mix64(base ^ bucket_start.as_micros() as u64)
 }
 
-/// Implements [`Aggregator::checkpoint`] / [`Aggregator::restore`] by
-/// serializing the adapter's `inner` fd-core summary through
-/// [`fd_core::checkpoint`]. Closures and query-time parameters (value
-/// extractors, φ, decay) are not captured — the factory recreates them and
-/// `restore` refills only the summary state.
-macro_rules! inner_checkpoint {
-    () => {
-        fn checkpoint(&self) -> Option<Vec<u8>> {
-            fd_core::checkpoint::to_bytes(&self.inner).ok()
+// ---------------------------------------------------------------------------
+// The adapter
+// ---------------------------------------------------------------------------
+
+/// What is the same for every group of a query: what the aggregate does
+/// with its per-group state `S`. The factory owns it once; each group
+/// points at it.
+struct Ops<S, U, X, F, E> {
+    /// Which field of the tuple the aggregate reads (`|_| ()` for a count).
+    extract: X,
+    /// Folds one arrival: `Fn(&mut S, &Packet, U)`.
+    feed: F,
+    /// Folds one arrival carrying a Horvitz–Thompson scale. Giving one is
+    /// what makes the factory [`scalable`](AggregatorFactory::scalable).
+    scaled: Option<fn(&mut S, &Packet, U, f64)>,
+    /// Answers at query time `t` (seconds): `Fn(&S, f64) -> AggValue`.
+    emit: E,
+    /// The paper's space-per-group probe.
+    size: fn(&S) -> usize,
+    /// How the state crosses a checkpoint. Closures and query-time
+    /// parameters (extractors, φ, the backward decay) are not captured — the
+    /// factory recreates them and `read` refills only the summary state.
+    write: fn(&S, &mut Vec<u8>) -> Option<()>,
+    read: fn(&[u8]) -> Result<S, CodecError>,
+}
+
+/// One group's aggregation state.
+struct Adapter<S, U, X, F, E> {
+    state: S,
+    ops: Arc<Ops<S, U, X, F, E>>,
+}
+
+impl<S, U, X, F, E> Ops<S, U, X, F, E>
+where
+    S: Mergeable + Send + 'static,
+    U: 'static,
+    X: Fn(&Packet) -> U + Send + Sync + 'static,
+    F: Fn(&mut S, &Packet, U) + Send + Sync + 'static,
+    E: Fn(&S, f64) -> AggValue + Send + Sync + 'static,
+{
+    /// An aggregate that neither scales nor checkpoints (the samplers:
+    /// their reservoirs and RNGs carry no serde support), until
+    /// [`scaled`](Self::scaled) / [`serde`](Self::serde) say otherwise.
+    fn new(extract: X, feed: F, emit: E, size: fn(&S) -> usize) -> Self {
+        Self {
+            extract,
+            feed,
+            scaled: None,
+            emit,
+            size,
+            write: |_, _| None,
+            read: |_| Err(CodecError::new("aggregator does not support checkpointing")),
         }
-        fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-            fd_core::checkpoint::to_bytes_into(&self.inner, out).ok()
+    }
+
+    fn scaled(mut self, scaled: fn(&mut S, &Packet, U, f64)) -> Self {
+        self.scaled = Some(scaled);
+        self
+    }
+
+    /// Checkpoints the state through its [`fd_core::checkpoint`] encoding.
+    fn serde(mut self) -> Self
+    where
+        S: serde::Serialize + serde::de::DeserializeOwned,
+    {
+        self.write = |state, out| fd_core::checkpoint::to_bytes_into(state, out).ok();
+        self.read = |bytes| fd_core::checkpoint::from_bytes(bytes);
+        self
+    }
+
+    /// The factory: `new` builds a group's fresh state for the bucket
+    /// starting at the given time — a decayed summary's landmark, exactly
+    /// like the paper's `time % 60`.
+    fn factory(
+        self,
+        name: &str,
+        splittable: bool,
+        new: impl Fn(Timestamp) -> S + Send + Sync + 'static,
+    ) -> Arc<FnFactory> {
+        let scalable = self.scaled.is_some();
+        let ops = Arc::new(self);
+        FnFactory::with_scaling(name, splittable, scalable, move |bucket_start| {
+            Box::new(Adapter {
+                state: new(tuple::timestamp(bucket_start)),
+                ops: Arc::clone(&ops),
+            })
+        })
+    }
+}
+
+impl<S, U, X, F, E> Aggregator for Adapter<S, U, X, F, E>
+where
+    S: Mergeable + Send + 'static,
+    U: 'static,
+    X: Fn(&Packet) -> U + Send + Sync + 'static,
+    F: Fn(&mut S, &Packet, U) + Send + Sync + 'static,
+    E: Fn(&S, f64) -> AggValue + Send + Sync + 'static,
+{
+    #[inline]
+    fn update(&mut self, pkt: &Packet) {
+        (self.ops.feed)(&mut self.state, pkt, (self.ops.extract)(pkt));
+    }
+    fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
+        match self.ops.scaled {
+            Some(scaled) => scaled(&mut self.state, pkt, (self.ops.extract)(pkt), scale),
+            // Only ever a unit scale: the engine refuses any other for a
+            // factory that is not `scalable()`.
+            None => self.update(pkt),
         }
-        fn restore(&mut self, bytes: &[u8]) -> Result<(), fd_core::checkpoint::CodecError> {
-            self.inner = fd_core::checkpoint::from_bytes(bytes)?;
-            Ok(())
-        }
-    };
+    }
+    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
+        let other = other
+            .as_any_box()
+            .downcast::<Self>()
+            .expect("aggregator type mismatch");
+        self.state.merge_from(&other.state);
+    }
+    fn emit(&self, t: f64) -> AggValue {
+        (self.ops.emit)(&self.state, t)
+    }
+    fn size_bytes(&self) -> usize {
+        (self.ops.size)(&self.state)
+    }
+    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+    fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
+        (self.ops.write)(&self.state, out)
+    }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        self.state = (self.ops.read)(bytes)?;
+        Ok(())
+    }
+}
+
+/// Heavy hitters as the items of a row.
+fn hitters(found: Vec<HeavyHitter>) -> AggValue {
+    AggValue::Items(
+        found
+            .into_iter()
+            .map(|h| ItemValue {
+                item: h.item,
+                value: h.count,
+            })
+            .collect(),
+    )
+}
+
+/// A drawn sample as the items of a row.
+fn sampled(items: impl Iterator<Item = u64>) -> AggValue {
+    AggValue::Items(items.map(|item| ItemValue { item, value: 1.0 }).collect())
 }
 
 // ---------------------------------------------------------------------------
 // Undecayed built-ins
 // ---------------------------------------------------------------------------
 
-struct CountAgg(u64);
-
-impl Aggregator for CountAgg {
-    fn update(&mut self, _: &Packet) {
-        self.0 += 1;
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        self.0 += other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch")
-            .0;
-    }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Float(self.0 as f64)
-    }
-    fn size_bytes(&self) -> usize {
-        // The paper: "Undecayed methods store 4 byte integers".
-        4
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        fd_core::checkpoint::to_bytes(&self.0).ok()
-    }
-    fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        fd_core::checkpoint::to_bytes_into(&self.0, out).ok()
-    }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), fd_core::checkpoint::CodecError> {
-        self.0 = fd_core::checkpoint::from_bytes(bytes)?;
-        Ok(())
-    }
-}
-
 /// Undecayed `count(*)` — the GSQL built-in of the paper's baseline query.
 pub fn count_factory() -> Arc<FnFactory> {
-    FnFactory::new("count", true, |_| Box::new(CountAgg(0)))
-}
-
-struct SumAgg {
-    sum: f64,
-    val: ValFn,
-}
-
-impl Aggregator for SumAgg {
-    fn update(&mut self, pkt: &Packet) {
-        self.sum += (self.val)(pkt);
-    }
-    fn supports_scaled_updates(&self) -> bool {
-        true
-    }
-    fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-        self.sum += (self.val)(pkt) * scale;
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        self.sum += other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch")
-            .sum;
-    }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Float(self.sum)
-    }
-    fn size_bytes(&self) -> usize {
-        4
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        fd_core::checkpoint::to_bytes(&self.sum).ok()
-    }
-    fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        fd_core::checkpoint::to_bytes_into(&self.sum, out).ok()
-    }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), fd_core::checkpoint::CodecError> {
-        self.sum = fd_core::checkpoint::from_bytes(bytes)?;
-        Ok(())
-    }
+    Ops::new(
+        |_| (),
+        |n: &mut u64, _, ()| *n += 1,
+        |n, _| AggValue::Float(*n as f64),
+        // The paper: "Undecayed methods store 4 byte integers".
+        |_| 4,
+    )
+    .serde()
+    .factory("count", true, |_| 0u64)
 }
 
 /// Undecayed `sum(expr)` over a tuple field.
 pub fn sum_factory(val: impl Fn(&Packet) -> f64 + Send + Sync + 'static) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("sum", true, move |_| {
-        Box::new(SumAgg {
-            sum: 0.0,
-            val: val.clone(),
-        })
-    })
+    Ops::new(
+        val,
+        |sum: &mut f64, _, v| *sum += v,
+        |sum, _| AggValue::Float(*sum),
+        |_| 4,
+    )
+    .scaled(|sum, _, v, w| *sum += v * w)
+    .serde()
+    .factory("sum", true, |_| 0.0f64)
 }
 
 // ---------------------------------------------------------------------------
 // Forward-decayed scalar aggregates (splittable)
 // ---------------------------------------------------------------------------
 
-/// Generates an adapter + factory for a forward-decayed scalar aggregate.
-macro_rules! fwd_scalar_agg {
-    ($agg:ident, $inner:ident, $factory:ident, $name:literal, update_t) => {
-        struct $agg<G: ForwardDecay> {
-            inner: $inner<G>,
-        }
-        impl<G: ForwardDecay> Aggregator for $agg<G> {
-            inner_checkpoint!();
-            fn update(&mut self, pkt: &Packet) {
-                self.inner.update(pkt.timestamp());
-            }
-            fn supports_scaled_updates(&self) -> bool {
-                true
-            }
-            fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-                self.inner.update_weighted(pkt.timestamp(), scale);
-            }
-            fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-                let o = other
-                    .as_any_box()
-                    .downcast::<Self>()
-                    .expect("aggregator type mismatch");
-                self.inner.merge_from(&o.inner);
-            }
-            fn emit(&self, t: f64) -> AggValue {
-                AggValue::Float(self.inner.query(t))
-            }
-            fn size_bytes(&self) -> usize {
-                // The paper: "forward decay stores 8 byte floating point
-                // values".
-                8
-            }
-            fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
-        }
-        #[doc = concat!("Forward-decayed ", $name, " (Theorem 1); splittable across LFTA/HFTA.")]
-        pub fn $factory<G: ForwardDecay>(g: G) -> Arc<FnFactory> {
-            FnFactory::new($name, true, move |bucket_start| {
-                Box::new($agg {
-                    inner: $inner::new(g.clone(), tuple::timestamp(bucket_start)),
-                })
-            })
-        }
-    };
-    ($agg:ident, $inner:ident, $factory:ident, $name:literal, update_tv) => {
-        struct $agg<G: ForwardDecay> {
-            inner: $inner<G>,
-            val: ValFn,
-        }
-        impl<G: ForwardDecay> Aggregator for $agg<G> {
-            inner_checkpoint!();
-            fn update(&mut self, pkt: &Packet) {
-                self.inner.update(pkt.timestamp(), (self.val)(pkt));
-            }
-            fn supports_scaled_updates(&self) -> bool {
-                true
-            }
-            fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-                self.inner
-                    .update_weighted(pkt.timestamp(), (self.val)(pkt), scale);
-            }
-            fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-                let o = other
-                    .as_any_box()
-                    .downcast::<Self>()
-                    .expect("aggregator type mismatch");
-                self.inner.merge_from(&o.inner);
-            }
-            fn emit(&self, t: f64) -> AggValue {
-                AggValue::Float(self.inner.query(t))
-            }
-            fn size_bytes(&self) -> usize {
-                8
-            }
-            fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
-        }
-        #[doc = concat!("Forward-decayed ", $name, " over a tuple field (Theorem 1); splittable.")]
-        pub fn $factory<G: ForwardDecay>(
-            g: G,
-            val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
-        ) -> Arc<FnFactory> {
-            let val: ValFn = Arc::new(val);
-            FnFactory::new($name, true, move |bucket_start| {
-                Box::new($agg {
-                    inner: $inner::new(g.clone(), tuple::timestamp(bucket_start)),
-                    val: val.clone(),
-                })
-            })
-        }
-    };
+/// Forward-decayed count (Theorem 1); splittable across LFTA/HFTA.
+pub fn fwd_count_factory<G: ForwardDecay>(g: G) -> Arc<FnFactory> {
+    Ops::new(
+        |_| (),
+        |s: &mut DecayedCount<G>, p, ()| s.update(p.timestamp()),
+        |s, t| AggValue::Float(s.query(t)),
+        // The paper: "forward decay stores 8 byte floating point
+        // values".
+        |_| 8,
+    )
+    .scaled(|s, p, (), w| s.update_weighted(p.timestamp(), w))
+    .serde()
+    .factory("fwd_count", true, move |start| {
+        DecayedCount::new(g.clone(), start)
+    })
 }
 
-fwd_scalar_agg!(
-    FwdCountAgg,
-    DecayedCount,
-    fwd_count_factory,
-    "fwd_count",
-    update_t
-);
-fwd_scalar_agg!(FwdSumAgg, DecayedSum, fwd_sum_factory, "fwd_sum", update_tv);
-
-struct FwdAvgAgg<G: ForwardDecay> {
-    inner: DecayedAverage<G>,
-    val: ValFn,
-}
-
-impl<G: ForwardDecay> Aggregator for FwdAvgAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.val)(pkt));
-    }
-    fn supports_scaled_updates(&self) -> bool {
-        true
-    }
-    fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-        self.inner
-            .update_weighted(pkt.timestamp(), (self.val)(pkt), scale);
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Float(self.inner.query(t).unwrap_or(f64::NAN))
-    }
-    fn size_bytes(&self) -> usize {
-        16
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+/// Forward-decayed sum over a tuple field (Theorem 1); splittable.
+pub fn fwd_sum_factory<G: ForwardDecay>(
+    g: G,
+    val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
+) -> Arc<FnFactory> {
+    Ops::new(
+        val,
+        |s: &mut DecayedSum<G>, p, v| s.update(p.timestamp(), v),
+        |s, t| AggValue::Float(s.query(t)),
+        |_| 8,
+    )
+    .scaled(|s, p, v, w| s.update_weighted(p.timestamp(), v, w))
+    .serde()
+    .factory("fwd_sum", true, move |start| {
+        DecayedSum::new(g.clone(), start)
+    })
 }
 
 /// Forward-decayed average of a tuple field (Definition 5); splittable.
@@ -352,41 +328,24 @@ pub fn fwd_avg_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("fwd_avg", true, move |bucket_start| {
-        Box::new(FwdAvgAgg {
-            inner: DecayedAverage::new(g.clone(), tuple::timestamp(bucket_start)),
-            val: val.clone(),
-        })
+    Ops::new(
+        // The field to read, how one arrival folds in, the answer when the
+        // bucket closes at `t`, and the space probe: two 8-byte accumulators.
+        val,
+        |s: &mut DecayedAverage<G>, p, v| s.update(p.timestamp(), v),
+        |s, t| AggValue::Float(s.query(t).unwrap_or(f64::NAN)),
+        |_| 16,
+    )
+    // Linear in each tuple, so a 1/p scale keeps it unbiased; saying how is
+    // what makes the factory `scalable()`.
+    .scaled(|s, p, v, w| s.update_weighted(p.timestamp(), v, w))
+    // The summary is serde, so it checkpoints (the samplers leave this out).
+    .serde()
+    // Splittable — partial averages merge exactly — with the bucket start
+    // as the landmark of each group's fresh state.
+    .factory("fwd_avg", true, move |start| {
+        DecayedAverage::new(g.clone(), start)
     })
-}
-
-struct FwdVarAgg<G: ForwardDecay> {
-    inner: DecayedVariance<G>,
-    val: ValFn,
-}
-
-impl<G: ForwardDecay> Aggregator for FwdVarAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.val)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Float(self.inner.query(t).unwrap_or(f64::NAN))
-    }
-    fn size_bytes(&self) -> usize {
-        24
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Forward-decayed variance of a tuple field (Section IV-A); splittable.
@@ -394,41 +353,32 @@ pub fn fwd_var_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("fwd_var", true, move |bucket_start| {
-        Box::new(FwdVarAgg {
-            inner: DecayedVariance::new(g.clone(), tuple::timestamp(bucket_start)),
-            val: val.clone(),
-        })
+    Ops::new(
+        val,
+        |s: &mut DecayedVariance<G>, p, v| s.update(p.timestamp(), v),
+        |s, t| AggValue::Float(s.query(t).unwrap_or(f64::NAN)),
+        |_| 24,
+    )
+    .serde()
+    .factory("fwd_var", true, move |start| {
+        DecayedVariance::new(g.clone(), start)
     })
 }
 
-struct FwdExtAgg<G: ForwardDecay> {
-    inner: DecayedExtremum<G>,
-    val: ValFn,
-}
-
-impl<G: ForwardDecay> Aggregator for FwdExtAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.val)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Float(self.inner.query(t).map(|(v, _, _)| v).unwrap_or(f64::NAN))
-    }
-    fn size_bytes(&self) -> usize {
-        24
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+/// A forward-decayed extremum, `new` choosing which.
+fn fwd_ext_factory<G: ForwardDecay>(
+    name: &str,
+    new: impl Fn(Timestamp) -> DecayedExtremum<G> + Send + Sync + 'static,
+    val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
+) -> Arc<FnFactory> {
+    Ops::new(
+        val,
+        |s: &mut DecayedExtremum<G>, p, v| s.update(p.timestamp(), v),
+        |s, t| AggValue::Float(s.query(t).map_or(f64::NAN, |(v, _, _)| v)),
+        |_| 24,
+    )
+    .serde()
+    .factory(name, true, new)
 }
 
 /// Forward-decayed maximum of a tuple field (Definition 6); splittable.
@@ -436,13 +386,8 @@ pub fn fwd_max_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("fwd_max", true, move |bucket_start| {
-        Box::new(FwdExtAgg {
-            inner: DecayedExtremum::max(g.clone(), tuple::timestamp(bucket_start)),
-            val: val.clone(),
-        })
-    })
+    let new = move |start| DecayedExtremum::max(g.clone(), start);
+    fwd_ext_factory("fwd_max", new, val)
 }
 
 /// Forward-decayed minimum of a tuple field (Definition 6); splittable.
@@ -450,124 +395,51 @@ pub fn fwd_min_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("fwd_min", true, move |bucket_start| {
-        Box::new(FwdExtAgg {
-            inner: DecayedExtremum::min(g.clone(), tuple::timestamp(bucket_start)),
-            val: val.clone(),
-        })
-    })
+    let new = move |start| DecayedExtremum::min(g.clone(), start);
+    fwd_ext_factory("fwd_min", new, val)
 }
 
 // ---------------------------------------------------------------------------
 // Backward-decay baselines via exponential histograms (high-level only)
 // ---------------------------------------------------------------------------
 
-/// An integer-valued field extractor (EH sums need integer bucket sizes).
-pub type IntValFn = Arc<dyn Fn(&Packet) -> u64 + Send + Sync>;
-
-struct EhAgg {
-    inner: ExponentialHistogram,
-    back: DynBackward,
-    /// `None` → count; `Some(val)` → sum of `val(pkt)` (integer-valued).
-    val: Option<IntValFn>,
-}
-
-impl Aggregator for EhAgg {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        match &self.val {
-            None => self.inner.insert(pkt.timestamp()),
-            Some(v) => self.inner.insert_value(pkt.timestamp(), v(pkt).max(1)),
-        }
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Float(self.inner.decayed_query(&self.back, t))
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes()
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 /// Backward-decayed count via an exponential histogram with error `ε`; the
 /// decay function is applied at query time (Cohen–Strauss). High-level only.
 pub fn eh_count_factory(epsilon: f64, back: DynBackward) -> Arc<FnFactory> {
-    FnFactory::new("eh_count", false, move |_| {
-        Box::new(EhAgg {
-            inner: ExponentialHistogram::with_epsilon(epsilon),
-            back: back.clone(),
-            val: None,
-        })
+    Ops::new(
+        |_| (),
+        |s: &mut ExponentialHistogram, p, ()| s.insert(p.timestamp()),
+        move |s, t| AggValue::Float(s.decayed_query(&back, t)),
+        ExponentialHistogram::size_bytes,
+    )
+    .serde()
+    .factory("eh_count", false, move |_| {
+        ExponentialHistogram::with_epsilon(epsilon)
     })
 }
 
-/// Backward-decayed sum via an exponential histogram. High-level only.
+/// Backward-decayed sum via an exponential histogram (bucket sizes are
+/// integers, hence the integer-valued field). High-level only.
 pub fn eh_sum_factory(
     epsilon: f64,
     back: DynBackward,
     val: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: IntValFn = Arc::new(val);
-    FnFactory::new("eh_sum", false, move |_| {
-        Box::new(EhAgg {
-            inner: ExponentialHistogram::with_epsilon(epsilon),
-            back: back.clone(),
-            val: Some(val.clone()),
-        })
+    Ops::new(
+        val,
+        |s: &mut ExponentialHistogram, p, v| s.insert_value(p.timestamp(), v.max(1)),
+        move |s, t| AggValue::Float(s.decayed_query(&back, t)),
+        ExponentialHistogram::size_bytes,
+    )
+    .serde()
+    .factory("eh_sum", false, move |_| {
+        ExponentialHistogram::with_epsilon(epsilon)
     })
 }
 
 // ---------------------------------------------------------------------------
 // Heavy hitters
 // ---------------------------------------------------------------------------
-
-struct UnaryHhAgg {
-    inner: UnarySpaceSaving,
-    item: ItemFn,
-    phi: f64,
-}
-
-impl Aggregator for UnaryHhAgg {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update((self.item)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .heavy_hitters(self.phi)
-                .into_iter()
-                .map(|h| ItemValue {
-                    item: h.item,
-                    value: h.count,
-                })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes()
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
 
 /// Undecayed φ-heavy-hitters with the unary-optimized SpaceSaving ("Unary
 /// HH" of Figure 5). High-level only, as the paper's UDAFs were.
@@ -576,52 +448,16 @@ pub fn unary_hh_factory(
     phi: f64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("unary_hh", false, move |_| {
-        Box::new(UnaryHhAgg {
-            inner: UnarySpaceSaving::with_epsilon(epsilon),
-            item: item.clone(),
-            phi,
-        })
+    Ops::new(
+        item,
+        |s: &mut UnarySpaceSaving, _, item| s.update(item),
+        move |s, _| hitters(s.heavy_hitters(phi)),
+        UnarySpaceSaving::size_bytes,
+    )
+    .serde()
+    .factory("unary_hh", false, move |_| {
+        UnarySpaceSaving::with_epsilon(epsilon)
     })
-}
-
-struct FwdHhAgg<G: ForwardDecay> {
-    inner: DecayedHeavyHitters<G>,
-    item: ItemFn,
-    phi: f64,
-}
-
-impl<G: ForwardDecay> Aggregator for FwdHhAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.item)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .heavy_hitters(self.phi, t)
-                .into_iter()
-                .map(|h| ItemValue {
-                    item: h.item,
-                    value: h.count,
-                })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes()
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Forward-decayed φ-heavy-hitters via weighted SpaceSaving (Theorem 2).
@@ -632,57 +468,16 @@ pub fn fwd_hh_factory<G: ForwardDecay>(
     phi: f64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("fwd_hh", false, move |bucket_start| {
-        Box::new(FwdHhAgg {
-            inner: DecayedHeavyHitters::with_epsilon(
-                g.clone(),
-                tuple::timestamp(bucket_start),
-                epsilon,
-            ),
-            item: item.clone(),
-            phi,
-        })
+    Ops::new(
+        item,
+        |s: &mut DecayedHeavyHitters<G>, p, item| s.update(p.timestamp(), item),
+        move |s, t| hitters(s.heavy_hitters(phi, t)),
+        DecayedHeavyHitters::size_bytes,
+    )
+    .serde()
+    .factory("fwd_hh", false, move |start| {
+        DecayedHeavyHitters::with_epsilon(g.clone(), start, epsilon)
     })
-}
-
-struct SwHhAgg {
-    inner: SlidingWindowHH,
-    back: DynBackward,
-    item: ItemFn,
-    phi: f64,
-}
-
-impl Aggregator for SwHhAgg {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.item)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .heavy_hitters(&self.back, t, self.phi)
-                .into_iter()
-                .map(|h| ItemValue {
-                    item: h.item,
-                    value: h.count,
-                })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes()
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Backward-decayed φ-heavy-hitters via the dyadic sliding-window summary
@@ -695,52 +490,16 @@ pub fn sw_hh_factory(
     phi: f64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("sw_hh", false, move |_| {
-        Box::new(SwHhAgg {
-            inner: SlidingWindowHH::new(pane_secs, levels),
-            back: back.clone(),
-            item: item.clone(),
-            phi,
-        })
+    Ops::new(
+        item,
+        |s: &mut SlidingWindowHH, p, item| s.update(p.timestamp(), item),
+        move |s, t| hitters(s.heavy_hitters(&back, t, phi)),
+        SlidingWindowHH::size_bytes,
+    )
+    .serde()
+    .factory("sw_hh", false, move |_| {
+        SlidingWindowHH::new(pane_secs, levels)
     })
-}
-
-struct CmHhAgg<G: ForwardDecay> {
-    inner: DecayedCmHeavyHitters<G>,
-    item: ItemFn,
-}
-
-impl<G: ForwardDecay> Aggregator for CmHhAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.item)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .heavy_hitters(t)
-                .into_iter()
-                .map(|h| ItemValue {
-                    item: h.item,
-                    value: h.count,
-                })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes()
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Forward-decayed φ-heavy-hitters backed by a Count-Min sketch — the
@@ -753,59 +512,23 @@ pub fn cm_hh_factory<G: ForwardDecay>(
     seed: u64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("cm_hh", false, move |bucket_start| {
-        Box::new(CmHhAgg {
-            inner: DecayedCmHeavyHitters::new(
-                g.clone(),
-                tuple::timestamp(bucket_start),
-                phi,
-                epsilon,
-                0.01,
-                bucket_seed(seed, bucket_start),
-            ),
-            item: item.clone(),
-        })
-    })
-}
-
-struct PrefixHhAgg {
-    inner: PrefixBackwardHH,
-    back: DynBackward,
-    item: ItemFn,
-    phi: f64,
-}
-
-impl Aggregator for PrefixHhAgg {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.item)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .heavy_hitters(&self.back, t, self.phi)
-                .into_iter()
-                .map(|h| ItemValue {
-                    item: h.item,
-                    value: h.count,
-                })
-                .collect(),
+    Ops::new(
+        item,
+        |s: &mut DecayedCmHeavyHitters<G>, p, item| s.update(p.timestamp(), item),
+        |s, t| hitters(s.heavy_hitters(t)),
+        DecayedCmHeavyHitters::size_bytes,
+    )
+    .serde()
+    .factory("cm_hh", false, move |start| {
+        DecayedCmHeavyHitters::new(
+            g.clone(),
+            start,
+            phi,
+            epsilon,
+            0.01,
+            bucket_seed(seed, start),
         )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes()
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+    })
 }
 
 /// Backward-decayed φ-heavy-hitters via the prefix-hierarchy structure of
@@ -819,14 +542,15 @@ pub fn prefix_hh_factory(
     phi: f64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("prefix_hh", false, move |_| {
-        Box::new(PrefixHhAgg {
-            inner: PrefixBackwardHH::new(domain_bits, epsilon),
-            back: back.clone(),
-            item: item.clone(),
-            phi,
-        })
+    Ops::new(
+        item,
+        |s: &mut PrefixBackwardHH, p, item| s.update(p.timestamp(), item),
+        move |s, t| hitters(s.heavy_hitters(&back, t, phi)),
+        PrefixBackwardHH::size_bytes,
+    )
+    .serde()
+    .factory("prefix_hh", false, move |_| {
+        PrefixBackwardHH::new(domain_bits, epsilon)
     })
 }
 
@@ -834,89 +558,21 @@ pub fn prefix_hh_factory(
 // Samplers
 // ---------------------------------------------------------------------------
 
-struct ReservoirAgg {
-    inner: ReservoirSampler<u64>,
-    item: ItemFn,
-}
-
-impl Aggregator for ReservoirAgg {
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update((self.item)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .sample()
-                .iter()
-                .map(|&item| ItemValue { item, value: 1.0 })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.capacity() * 8 + 32
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 /// Undecayed reservoir sample of size `k` (the Figure 3 baseline).
 pub fn reservoir_factory(
     k: usize,
     seed: u64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("reservoir", false, move |bucket_start| {
-        Box::new(ReservoirAgg {
-            inner: ReservoirSampler::new(k, bucket_seed(seed, bucket_start)),
-            item: item.clone(),
-        })
+    Ops::new(
+        item,
+        |s: &mut ReservoirSampler<u64>, _, item| s.update(item),
+        |s, _| sampled(s.sample().iter().copied()),
+        |s| s.capacity() * 8 + 32,
+    )
+    .factory("reservoir", false, move |start| {
+        ReservoirSampler::new(k, bucket_seed(seed, start))
     })
-}
-
-struct PriSampleAgg<G: ForwardDecay> {
-    inner: PrioritySampler<u64, G>,
-    item: ItemFn,
-}
-
-impl<G: ForwardDecay> Aggregator for PriSampleAgg<G> {
-    fn update(&mut self, pkt: &Packet) {
-        let key = (self.item)(pkt);
-        self.inner.update(pkt.timestamp(), &key);
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .sample()
-                .iter()
-                .map(|e| ItemValue {
-                    item: e.item,
-                    value: 1.0,
-                })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.capacity() * 32 + 64
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Priority sampling under forward decay — the paper's `PRISAMP(srcIP,
@@ -927,55 +583,15 @@ pub fn pri_sample_factory<G: ForwardDecay>(
     seed: u64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("prisamp", false, move |bucket_start| {
-        Box::new(PriSampleAgg {
-            inner: PrioritySampler::new(
-                g.clone(),
-                tuple::timestamp(bucket_start),
-                k,
-                bucket_seed(seed, bucket_start),
-            ),
-            item: item.clone(),
-        })
+    Ops::new(
+        item,
+        |s: &mut PrioritySampler<u64, G>, p, item| s.update(p.timestamp(), &item),
+        |s, _| sampled(s.sample().iter().map(|e| e.item)),
+        |s| s.capacity() * 32 + 64,
+    )
+    .factory("prisamp", false, move |start| {
+        PrioritySampler::new(g.clone(), start, k, bucket_seed(seed, start))
     })
-}
-
-struct WrsAgg<G: ForwardDecay> {
-    inner: WeightedReservoir<u64, G>,
-    item: ItemFn,
-}
-
-impl<G: ForwardDecay> Aggregator for WrsAgg<G> {
-    fn update(&mut self, pkt: &Packet) {
-        let key = (self.item)(pkt);
-        self.inner.update(pkt.timestamp(), &key);
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .sample()
-                .iter()
-                .map(|e| ItemValue {
-                    item: e.item,
-                    value: 1.0,
-                })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.capacity() * 32 + 64
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Weighted reservoir sampling (Efraimidis–Spirakis) under forward decay
@@ -986,52 +602,15 @@ pub fn wrs_factory<G: ForwardDecay>(
     seed: u64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("wrs", false, move |bucket_start| {
-        Box::new(WrsAgg {
-            inner: WeightedReservoir::new(
-                g.clone(),
-                tuple::timestamp(bucket_start),
-                k,
-                bucket_seed(seed, bucket_start),
-            ),
-            item: item.clone(),
-        })
+    Ops::new(
+        item,
+        |s: &mut WeightedReservoir<u64, G>, p, item| s.update(p.timestamp(), &item),
+        |s, _| sampled(s.sample().iter().map(|e| e.item)),
+        |s| s.capacity() * 32 + 64,
+    )
+    .factory("wrs", false, move |start| {
+        WeightedReservoir::new(g.clone(), start, k, bucket_seed(seed, start))
     })
-}
-
-struct WithReplacementAgg<G: ForwardDecay> {
-    inner: WithReplacementSampler<u64, G>,
-    item: ItemFn,
-}
-
-impl<G: ForwardDecay> Aggregator for WithReplacementAgg<G> {
-    fn update(&mut self, pkt: &Packet) {
-        let key = (self.item)(pkt);
-        self.inner.update(pkt.timestamp(), &key);
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .sample()
-                .iter()
-                .map(|&&item| ItemValue { item, value: 1.0 })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.capacity() * 16 + 48
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Sampling with replacement under forward decay (Theorem 5): `s`
@@ -1042,51 +621,15 @@ pub fn with_replacement_factory<G: ForwardDecay>(
     seed: u64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("swr", false, move |bucket_start| {
-        Box::new(WithReplacementAgg {
-            inner: WithReplacementSampler::new(
-                g.clone(),
-                tuple::timestamp(bucket_start),
-                s,
-                bucket_seed(seed, bucket_start),
-            ),
-            item: item.clone(),
-        })
+    Ops::new(
+        item,
+        |s: &mut WithReplacementSampler<u64, G>, p, item| s.update(p.timestamp(), &item),
+        |s, _| sampled(s.sample().into_iter().copied()),
+        |s| s.capacity() * 16 + 48,
+    )
+    .factory("swr", false, move |start| {
+        WithReplacementSampler::new(g.clone(), start, s, bucket_seed(seed, start))
     })
-}
-
-struct BiasedReservoirAgg {
-    inner: BiasedReservoir<u64>,
-    item: ItemFn,
-}
-
-impl Aggregator for BiasedReservoirAgg {
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update((self.item)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Items(
-            self.inner
-                .sample()
-                .iter()
-                .map(|&item| ItemValue { item, value: 1.0 })
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.capacity() * 8 + 32
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Aggarwal's biased reservoir (backward exponential decay baseline of
@@ -1096,12 +639,76 @@ pub fn biased_reservoir_factory(
     seed: u64,
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("aggarwal", false, move |bucket_start| {
-        Box::new(BiasedReservoirAgg {
-            inner: BiasedReservoir::new(lambda, bucket_seed(seed, bucket_start)),
-            item: item.clone(),
-        })
+    Ops::new(
+        item,
+        |s: &mut BiasedReservoir<u64>, _, item| s.update(item),
+        |s, _| sampled(s.sample().iter().copied()),
+        |s| s.capacity() * 8 + 32,
+    )
+    .factory("aggarwal", false, move |start| {
+        BiasedReservoir::new(lambda, bucket_seed(seed, start))
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Quantiles and count distinct
+// ---------------------------------------------------------------------------
+
+/// Forward-decayed φ-quantiles via the weighted q-digest (Theorem 3): emits
+/// one `(value, φ)` item per requested quantile. Values lie in
+/// `[0, 2^bits)`; a larger one saturates to `2^bits − 1`, the top of the
+/// domain, rather than stopping the query. High-level only.
+pub fn fwd_quantile_factory<G: ForwardDecay>(
+    g: G,
+    bits: u32,
+    epsilon: f64,
+    phis: Vec<f64>,
+    val: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
+) -> Arc<FnFactory> {
+    Ops::new(
+        val,
+        |s: &mut DecayedQuantiles<G>, p, v| {
+            // A value past the domain counts as the largest one: the
+            // digest asserts its domain, and a panic here would take
+            // the worker down on every replay of the tuple.
+            let top = s.inner().domain() - 1;
+            s.update(p.timestamp(), v.min(top));
+        },
+        move |s, t| {
+            let found = s.quantiles(&phis, t);
+            AggValue::Items(
+                phis.iter()
+                    .zip(found)
+                    .filter_map(|(&value, item)| Some(ItemValue { item: item?, value }))
+                    .collect(),
+            )
+        },
+        DecayedQuantiles::size_bytes,
+    )
+    .serde()
+    .factory("fwd_quantiles", false, move |start| {
+        DecayedQuantiles::new(g.clone(), start, bits, epsilon)
+    })
+}
+
+/// Forward-decayed count-distinct via the dominance-norm sketch
+/// (Theorem 4). High-level only. All bucket instances share the hash seed
+/// so partial results remain mergeable.
+pub fn distinct_factory<G: ForwardDecay>(
+    g: G,
+    epsilon: f64,
+    seed: u64,
+    item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
+) -> Arc<FnFactory> {
+    Ops::new(
+        item,
+        |s: &mut DominanceSketch<G>, p, item| s.update(p.timestamp(), item),
+        |s, t| AggValue::Float(s.query(t)),
+        DominanceSketch::size_bytes,
+    )
+    .serde()
+    .factory("fwd_distinct", false, move |start| {
+        DominanceSketch::new(g.clone(), start, epsilon, seed)
     })
 }
 
@@ -1118,9 +725,6 @@ impl Aggregator for MultiAgg {
         for p in &mut self.parts {
             p.update(pkt);
         }
-    }
-    fn supports_scaled_updates(&self) -> bool {
-        self.parts.iter().all(|p| p.supports_scaled_updates())
     }
     fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
         for p in &mut self.parts {
@@ -1146,30 +750,17 @@ impl Aggregator for MultiAgg {
     fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
         self
     }
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        let parts: Option<Vec<Vec<u8>>> = self.parts.iter().map(|p| p.checkpoint()).collect();
-        fd_core::checkpoint::to_bytes(&parts?).ok()
-    }
+    /// A length-prefixed seq of length-prefixed part states.
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        // Same wire shape as `checkpoint` (a length-prefixed seq of
-        // length-prefixed part states), written without the intermediate
-        // `Vec<Vec<u8>>`.
         fd_core::checkpoint::put_u64(out, self.parts.len() as u64);
-        for part in &self.parts {
-            let len_pos = out.len();
-            fd_core::checkpoint::put_u64(out, 0);
-            part.checkpoint_into(out)?;
-            let len = (out.len() - len_pos - 8) as u64;
-            out[len_pos..len_pos + 8].copy_from_slice(&len.to_le_bytes());
-        }
-        Some(())
+        self.parts
+            .iter()
+            .try_for_each(|part| write_agg(out, part.as_ref()))
     }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), fd_core::checkpoint::CodecError> {
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         let parts: Vec<Vec<u8>> = fd_core::checkpoint::from_bytes(bytes)?;
         if parts.len() != self.parts.len() {
-            return Err(fd_core::checkpoint::CodecError::new(
-                "aggregate arity mismatch",
-            ));
+            return Err(CodecError::new("aggregate arity mismatch"));
         }
         for (mine, snap) in self.parts.iter_mut().zip(&parts) {
             mine.restore(snap)?;
@@ -1181,7 +772,7 @@ impl Aggregator for MultiAgg {
 /// Composes several aggregates over the same groups — GSQL's
 /// `select count(*), sum(len), …` shape. Each row's value is an
 /// [`AggValue::Multi`] with one entry per component, in order. The combined
-/// aggregate is splittable only if every component is.
+/// aggregate is splittable, and scalable, only if every component is.
 ///
 /// ```
 /// use fd_engine::prelude::*;
@@ -1195,130 +786,12 @@ impl Aggregator for MultiAgg {
 /// ```
 pub fn multi_factory(parts: Vec<Arc<FnFactory>>) -> Arc<FnFactory> {
     assert!(!parts.is_empty(), "need at least one component aggregate");
-    let splittable = parts.iter().all(|p| {
-        use crate::udaf::AggregatorFactory as _;
-        p.splittable()
-    });
-    let name = {
-        use crate::udaf::AggregatorFactory as _;
-        parts.iter().map(|p| p.name()).collect::<Vec<_>>().join("+")
-    };
-    FnFactory::new(name, splittable, move |bucket_start| {
-        use crate::udaf::AggregatorFactory as _;
+    let name = parts.iter().map(|p| p.name()).collect::<Vec<_>>().join("+");
+    let splittable = parts.iter().all(|p| p.splittable());
+    let scalable = parts.iter().all(|p| p.scalable());
+    FnFactory::with_scaling(name, splittable, scalable, move |bucket_start| {
         Box::new(MultiAgg {
             parts: parts.iter().map(|p| p.make(bucket_start)).collect(),
-        })
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Quantiles and count distinct
-// ---------------------------------------------------------------------------
-
-struct FwdQuantileAgg<G: ForwardDecay> {
-    inner: DecayedQuantiles<G>,
-    val: ItemFn,
-    phis: Arc<[f64]>,
-}
-
-impl<G: ForwardDecay> Aggregator for FwdQuantileAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        // A value past the domain counts as the largest one: the digest
-        // asserts its domain, and a panic here would take the worker down
-        // on every replay of the tuple.
-        let top = self.inner.inner().domain() - 1;
-        self.inner.update(pkt.timestamp(), (self.val)(pkt).min(top));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        let quantiles = self.inner.quantiles(&self.phis, t);
-        AggValue::Items(
-            self.phis
-                .iter()
-                .zip(quantiles)
-                .filter_map(|(&value, item)| Some(ItemValue { item: item?, value }))
-                .collect(),
-        )
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes()
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// Forward-decayed φ-quantiles via the weighted q-digest (Theorem 3): emits
-/// one `(value, φ)` item per requested quantile. Values lie in
-/// `[0, 2^bits)`; a larger one saturates to `2^bits − 1`, the top of the
-/// domain, rather than stopping the query. High-level only.
-pub fn fwd_quantile_factory<G: ForwardDecay>(
-    g: G,
-    bits: u32,
-    epsilon: f64,
-    phis: Vec<f64>,
-    val: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
-) -> Arc<FnFactory> {
-    let val: ItemFn = Arc::new(val);
-    let phis: Arc<[f64]> = phis.into();
-    FnFactory::new("fwd_quantiles", false, move |bucket_start| {
-        Box::new(FwdQuantileAgg {
-            inner: DecayedQuantiles::new(g.clone(), tuple::timestamp(bucket_start), bits, epsilon),
-            val: val.clone(),
-            phis: phis.clone(),
-        })
-    })
-}
-
-struct DistinctAgg<G: ForwardDecay> {
-    inner: DominanceSketch<G>,
-    item: ItemFn,
-}
-
-impl<G: ForwardDecay> Aggregator for DistinctAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.item)(pkt));
-    }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
-    }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Float(self.inner.query(t))
-    }
-    fn size_bytes(&self) -> usize {
-        self.inner.size_bytes()
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// Forward-decayed count-distinct via the dominance-norm sketch
-/// (Theorem 4). High-level only. All bucket instances share the hash seed
-/// so partial results remain mergeable.
-pub fn distinct_factory<G: ForwardDecay>(
-    g: G,
-    epsilon: f64,
-    seed: u64,
-    item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
-) -> Arc<FnFactory> {
-    let item: ItemFn = Arc::new(item);
-    FnFactory::new("fwd_distinct", false, move |bucket_start| {
-        Box::new(DistinctAgg {
-            inner: DominanceSketch::new(g.clone(), tuple::timestamp(bucket_start), epsilon, seed),
-            item: item.clone(),
         })
     })
 }

@@ -237,15 +237,31 @@ impl Engine {
     /// LFTA — its direct-mapped slots carry no scale column. High-level
     /// groups take LFTA partials by the same merge, so mixing scaled and
     /// unscaled tuples within a bucket stays correct.
-    pub fn process_scaled(&mut self, pkt: &Packet, scale: f64) {
+    ///
+    /// # Errors
+    /// A non-unit scale is refused — the tuple is not admitted, counted or
+    /// folded in, in debug and release builds alike — unless the query's
+    /// aggregate is [`scalable`](crate::udaf::AggregatorFactory::scalable):
+    /// reweighting biases an order statistic, a sketch or a sample, and
+    /// counting the tuple at weight one would bias it silently.
+    pub fn process_scaled(&mut self, pkt: &Packet, scale: f64) -> Result<(), fd_core::Error> {
         if scale == 1.0 {
-            return self.process(pkt);
+            self.process(pkt);
+            return Ok(());
         }
-        let Some((bucket, key)) = self.admit(pkt) else {
-            return;
-        };
-        self.group_mut(bucket, key).update_scaled(pkt, scale);
-        self.maybe_close_buckets();
+        if !self.query.aggregate.scalable() {
+            return Err(fd_core::Error::InvalidParameter {
+                name: "scale",
+                value: scale,
+                requirement: "1.0 unless the aggregate supports Horvitz-Thompson \
+                              scaled updates (decayed count/sum/avg)",
+            });
+        }
+        if let Some((bucket, key)) = self.admit(pkt) {
+            self.group_mut(bucket, key).update_scaled(pkt, scale);
+            self.maybe_close_buckets();
+        }
+        Ok(())
     }
 
     /// Closes every bucket whose end + slack has been passed by the
@@ -863,12 +879,12 @@ mod tests {
         let mut dup = Engine::new(q(combo()));
         {
             use crate::udaf::AggregatorFactory as _;
-            assert!(combo().make(0).supports_scaled_updates());
+            assert!(combo().scalable());
         }
         for i in 0..200 {
             let p = pkt(i as f64 * 0.25, (i % 5) as u32);
             if i % 3 == 0 {
-                scaled.process_scaled(&p, 3.0);
+                scaled.process_scaled(&p, 3.0).expect("scalable");
                 for _ in 0..3 {
                     dup.process(&p);
                 }
@@ -896,9 +912,48 @@ mod tests {
         for i in 0..500 {
             let p = pkt(i as f64 * 0.3, (i % 9) as u32);
             a.process(&p);
-            b.process_scaled(&p, 1.0);
+            b.process_scaled(&p, 1.0).expect("a unit scale");
         }
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn a_non_unit_scale_is_refused_unless_the_aggregate_scales() {
+        use crate::aggregators::{fwd_quantile_factory, fwd_var_factory, multi_factory};
+        // Whatever the build profile: the tuple neither panics the caller
+        // nor lands at weight one.
+        let val = |p: &Packet| p.dst_ip as f64;
+        for unscalable in [
+            count_factory(),
+            fwd_var_factory(Monomial::quadratic(), val),
+            fwd_quantile_factory(Monomial::quadratic(), 8, 0.1, vec![0.5], |p| p.dst_host()),
+            multi_factory(vec![
+                fwd_count_factory(Monomial::quadratic()),
+                fwd_var_factory(Monomial::quadratic(), val),
+            ]),
+        ] {
+            let q = || {
+                Query::builder("unscalable")
+                    .group_by(|p| p.dst_host())
+                    .aggregate(unscalable.clone())
+                    .build()
+            };
+            let (mut offered, mut spared) = (Engine::new(q()), Engine::new(q()));
+            for i in 0..50 {
+                let p = pkt(i as f64, (i % 4) as u32);
+                offered.process(&p);
+                spared.process(&p);
+                let refused = offered.process_scaled(&pkt(i as f64 + 0.5, 9), 2.0);
+                assert!(matches!(
+                    refused,
+                    Err(fd_core::Error::InvalidParameter { name: "scale", .. })
+                ));
+                offered.process_scaled(&p, 1.0).expect("a unit scale");
+                spared.process(&p);
+            }
+            assert_eq!(offered.stats(), spared.stats());
+            assert_eq!(offered.finish(), spared.finish());
+        }
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //! is a ratio of two such estimators and stays consistent. Non-linear
 //! summaries (quantiles, heavy hitters, samplers) admit no such scale
 //! column, so `Subsample` is refused at configuration time for queries
-//! whose aggregate lacks [`crate::udaf::Aggregator::supports_scaled_updates`].
+//! whose aggregate factory is not
+//! [`scalable`](crate::udaf::AggregatorFactory::scalable).
 
 use std::str::FromStr;
 use std::sync::Arc;

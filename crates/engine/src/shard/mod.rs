@@ -236,7 +236,7 @@ impl EngineConfig {
         if let ShedPolicy::Subsample { target_rate } = self.overload.policy {
             // Thinned tuples would *bias* a non-linear summary instead of
             // reweighting it.
-            if !query.aggregate.make(0).supports_scaled_updates() {
+            if !query.aggregate.scalable() {
                 return Err(invalid(
                     "shed_policy",
                     target_rate,
@@ -1073,6 +1073,70 @@ mod tests {
             .expect("batch size after the store");
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn validating_a_config_reads_the_factory_and_builds_no_aggregator() {
+        use crate::udaf::{Aggregator, AggregatorFactory};
+        use std::sync::atomic::AtomicUsize;
+
+        /// Counts `make` calls; says for itself whether it scales.
+        struct Counting {
+            inner: Arc<dyn AggregatorFactory>,
+            scalable: Option<bool>,
+            makes: Arc<AtomicUsize>,
+        }
+        impl AggregatorFactory for Counting {
+            fn make(&self, bucket_start: Micros) -> Box<dyn Aggregator> {
+                self.makes.fetch_add(1, Relaxed);
+                self.inner.make(bucket_start)
+            }
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn splittable(&self) -> bool {
+                self.inner.splittable()
+            }
+            fn scalable(&self) -> bool {
+                self.scalable.unwrap_or_else(|| self.inner.scalable())
+            }
+        }
+        let makes = Arc::new(AtomicUsize::new(0));
+        let query = |inner: Arc<dyn AggregatorFactory>, scalable| {
+            let makes = Arc::clone(&makes);
+            Query::builder("counting")
+                .group_by(|p| p.dst_host())
+                .aggregate(Arc::new(Counting {
+                    inner,
+                    scalable,
+                    makes,
+                }))
+                .build()
+        };
+        let subsample = OverloadConfig {
+            policy: ShedPolicy::Subsample { target_rate: 0.5 },
+            ..OverloadConfig::default()
+        };
+        let fwd_sum = || fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64);
+        // Several rebuilds of a Subsample configuration, each validated.
+        let e = sharded(query(fwd_sum(), None), 2)
+            .try_overload(subsample.clone())
+            .and_then(|e| e.try_producers(2))
+            .and_then(|e| e.try_batch_size(64))
+            .expect("a linear decayed aggregate may be subsampled");
+        drop(e);
+        // The fact is the factory's: one that answers `false` is refused
+        // whatever its aggregators could do, and a hand-written UDAF
+        // factory that says nothing is refused as before.
+        assert!(sharded(query(fwd_sum(), Some(false)), 2)
+            .try_overload(subsample.clone())
+            .is_err());
+        let silent = crate::udaf::FnFactory::new("udaf", false, move |start| fwd_sum().make(start));
+        assert!(!silent.scalable());
+        assert!(sharded(query(silent, None), 2)
+            .try_overload(subsample)
+            .is_err());
+        assert_eq!(makes.load(Relaxed), 0, "validation built an aggregator");
     }
 
     #[test]

@@ -19,13 +19,18 @@ use crate::tuple::{Micros, Packet};
 /// accepted-tuple count (`tuples_in`), which is checkpointed — so "tuple
 /// N" names the same logical tuple across restarts and replays, however
 /// the stream was batched.
+///
+/// Returns how many tuples the engine refused: a non-unit scale on an
+/// aggregate that cannot be reweighted. Configuration refuses the policy
+/// that makes scale columns for such a query, so this is zero; were it
+/// not, the tuples are lost to shedding and counted as shed.
 fn apply_batch(
     engine: &mut Engine,
     pkts: &[Packet],
     scales: Option<&[f64]>,
     fault: Option<&FaultState>,
     shard: usize,
-) {
+) -> u64 {
     if let Some(sc) = scales {
         debug_assert_eq!(sc.len(), pkts.len(), "scale column out of step");
     }
@@ -36,6 +41,10 @@ fn apply_batch(
         // wedge faults fire in the worker loop, before apply.
         FaultKind::SlowShard(_) | FaultKind::WedgeAtTuple(_) | FaultKind::Disk(_) => None,
     });
+    let mut refused = 0;
+    let mut offer_scaled = |engine: &mut Engine, p: &Packet, scale: f64| {
+        refused += u64::from(engine.process_scaled(p, scale).is_err());
+    };
     match trigger {
         None => match scales {
             None => {
@@ -45,7 +54,7 @@ fn apply_batch(
             }
             Some(sc) => {
                 for (p, &s) in pkts.iter().zip(sc) {
-                    engine.process_scaled(p, s);
+                    offer_scaled(engine, p, s);
                 }
             }
         },
@@ -61,11 +70,12 @@ fn apply_batch(
                 }
                 match scales {
                     None => engine.process(p),
-                    Some(sc) => engine.process_scaled(p, sc[i]),
+                    Some(sc) => offer_scaled(engine, p, sc[i]),
                 }
             }
         }
     }
+    refused
 }
 
 /// A shard worker's join handle: when its rings drain, the worker returns
@@ -184,14 +194,19 @@ pub(super) fn spawn_worker(
                     _ => {}
                 }
                 let sc = scales.as_deref().map(|v| v.as_slice());
-                if live {
+                let refused = if live {
                     let t0 = Instant::now();
-                    apply_batch(&mut engine, &pkts, sc, active_fault, shard);
+                    let refused = apply_batch(&mut engine, &pkts, sc, active_fault, shard);
                     tel.batch_ns.record(t0.elapsed().as_nanos() as u64);
                     tel.dispatch_lag_ns.record(sent.elapsed().as_nanos() as u64);
                     tel.tuples_processed.fetch_add(pkts.len() as u64, Relaxed);
+                    refused
                 } else {
-                    apply_batch(&mut engine, &pkts, sc, active_fault, shard);
+                    apply_batch(&mut engine, &pkts, sc, active_fault, shard)
+                };
+                if refused > 0 {
+                    registry.shed_tuples.fetch_add(refused, Relaxed);
+                    tel.shed_tuples.fetch_add(refused, Relaxed);
                 }
                 // Epochs count their batch plus the embedded watermark as
                 // tuple-equivalents, so idle shards still checkpoint.

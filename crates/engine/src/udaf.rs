@@ -104,30 +104,22 @@ pub trait Aggregator: Any + Send {
     /// Folds one tuple into the state.
     fn update(&mut self, pkt: &Packet);
 
-    /// Whether [`update_scaled`](Aggregator::update_scaled) honors non-unit
-    /// Horvitz–Thompson scales. Linear decayed aggregates (forward-decayed
-    /// count / sum / average, undecayed sum) do; order statistics,
-    /// sketches and samplers keep the default `false`. The overload
-    /// controller refuses `ShedPolicy::Subsample` at configuration time
-    /// for queries whose aggregate reports `false` here.
-    fn supports_scaled_updates(&self) -> bool {
-        false
-    }
-
     /// Folds one tuple carrying a Horvitz–Thompson scale: a survivor of
     /// load shedding admitted with inclusion probability `p` arrives with
     /// `scale = 1 / p`, keeping linear aggregates unbiased. A scale of
     /// `1.0` must be exactly [`update`](Aggregator::update).
     ///
-    /// The default delegates to `update` and debug-asserts the scale is
-    /// unit (the config-time gate on
-    /// [`supports_scaled_updates`](Aggregator::supports_scaled_updates)
-    /// makes a non-unit scale reaching an unsupporting aggregate an
-    /// engine bug, not a user error).
+    /// Whether an aggregate honors non-unit scales is a fact its factory
+    /// states, [`AggregatorFactory::scalable`], and the only gate:
+    /// [`Engine::process_scaled`](crate::engine::Engine::process_scaled)
+    /// refuses a non-unit scale for a query whose factory does not. An
+    /// aggregate that keeps this default therefore only ever sees `1.0` —
+    /// unless its factory claims `scalable()` without overriding this,
+    /// which the debug assertion is there to catch.
     fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
         debug_assert!(
             scale == 1.0,
-            "non-unit HT scale {scale} reached an aggregator without scaled-update support"
+            "non-unit HT scale {scale} reached an aggregator that does not scale"
         );
         self.update(pkt);
     }
@@ -149,32 +141,25 @@ pub trait Aggregator: Any + Send {
     /// implementations.
     fn as_any_box(self: Box<Self>) -> Box<dyn Any>;
 
-    /// Serializes this aggregator's state for checkpoint/recovery, or
-    /// `None` when the aggregator has no serializable representation.
+    /// Appends this aggregator's serialized state to `out` for
+    /// checkpoint/recovery, or returns `None` when it has no serializable
+    /// representation (`out` may then hold a partial write; the caller
+    /// abandons the whole checkpoint).
     ///
     /// Closures (value/item extractors, decay parameters) are *not*
     /// captured: [`AggregatorFactory::make`] recreates them, and
     /// [`restore`](Aggregator::restore) refills only the summary state.
-    /// All in-repo adapters support checkpointing; the default declines,
-    /// so a hand-rolled UDAF without it degrades gracefully (the sharded
-    /// engine then cannot restore that shard and marks it degraded on
-    /// failure instead).
-    fn checkpoint(&self) -> Option<Vec<u8>> {
+    /// Engine checkpoints invoke this once per live group — tens of
+    /// thousands of times per snapshot — hence the shared buffer. The
+    /// default declines, so a hand-rolled UDAF without it degrades
+    /// gracefully (the sharded engine then cannot restore that shard and
+    /// marks it degraded on failure instead).
+    fn checkpoint_into(&self, _out: &mut Vec<u8>) -> Option<()> {
         None
     }
 
-    /// Appends the [`checkpoint`](Aggregator::checkpoint) bytes to `out`
-    /// instead of allocating a fresh `Vec` per call. Engine checkpoints
-    /// invoke this once per live group — tens of thousands of times per
-    /// snapshot — so the in-repo adapters override the round-tripping
-    /// default to write their state directly.
-    fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        let bytes = self.checkpoint()?;
-        out.extend_from_slice(&bytes);
-        Some(())
-    }
-
-    /// Restores state captured by [`checkpoint`](Aggregator::checkpoint)
+    /// Restores state captured by
+    /// [`checkpoint_into`](Aggregator::checkpoint_into)
     /// into a freshly [`make`](AggregatorFactory::make)d instance of the
     /// same factory and bucket.
     fn restore(&mut self, _bytes: &[u8]) -> Result<(), fd_core::checkpoint::CodecError> {
@@ -213,6 +198,20 @@ pub trait AggregatorFactory: Send + Sync {
     /// "were written to run at the high-level only"; built-in count/sum and
     /// the forward-decayed count/sum are splittable.
     fn splittable(&self) -> bool;
+
+    /// Whether this factory's aggregators honor non-unit Horvitz–Thompson
+    /// scales in [`Aggregator::update_scaled`]. Aggregates linear in each
+    /// tuple's contribution (forward-decayed count / sum / average,
+    /// undecayed sum) do; order statistics, sketches and samplers do not,
+    /// and a factory that says nothing does not. `ShedPolicy::Subsample`
+    /// is refused at configuration time, and a non-unit
+    /// [`Engine::process_scaled`](crate::engine::Engine::process_scaled)
+    /// at run time, for a query whose factory answers `false`. A factory
+    /// that answers `true` must make aggregators that override
+    /// `update_scaled`.
+    fn scalable(&self) -> bool {
+        false
+    }
 }
 
 /// A factory built from a closure — removes per-aggregator factory
@@ -220,6 +219,7 @@ pub trait AggregatorFactory: Send + Sync {
 pub struct FnFactory {
     name: String,
     splittable: bool,
+    scalable: bool,
     make: Arc<dyn Fn(Micros) -> Box<dyn Aggregator> + Send + Sync>,
 }
 
@@ -230,9 +230,22 @@ impl FnFactory {
         splittable: bool,
         make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
     ) -> Arc<Self> {
+        Self::with_scaling(name, splittable, false, make)
+    }
+
+    /// [`new`](Self::new) for the in-repo factories, which also state
+    /// [`scalable`](AggregatorFactory::scalable). (A UDAF that scales
+    /// implements [`AggregatorFactory`] itself.)
+    pub(crate) fn with_scaling(
+        name: impl Into<String>,
+        splittable: bool,
+        scalable: bool,
+        make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
+    ) -> Arc<Self> {
         Arc::new(Self {
             name: name.into(),
             splittable,
+            scalable,
             make: Arc::new(make),
         })
     }
@@ -247,6 +260,9 @@ impl AggregatorFactory for FnFactory {
     }
     fn splittable(&self) -> bool {
         self.splittable
+    }
+    fn scalable(&self) -> bool {
+        self.scalable
     }
 }
 

@@ -1,0 +1,364 @@
+//! Every ready-made aggregate factory, pinned: the bytes `checkpoint_into`
+//! writes and the bits `emit` answers — after one fixed out-of-order
+//! stream, and after `merge_boxed` of its two halves — must equal what the
+//! commit before the one-adapter refactor produced.
+//!
+//! `data/aggregator_states.hex` is what [`table`] of this file returned at
+//! that commit (857f0e0). One line per (factory, decay, stage):
+//! `name stage state emit`, where `state` is the checkpoint in hex, `-` for
+//! an aggregate that declines to checkpoint (the five samplers), or `~len`
+//! for a summary whose bytes follow a `HashMap`'s iteration order and so
+//! differ from one instance to the next — for those the length, the
+//! answer, and the answer of a restored copy are what is held.
+
+use std::sync::Arc;
+
+use forward_decay::core::decay::{AnyDecay, BackExponential};
+use forward_decay::engine::prelude::*;
+use forward_decay::engine::udaf::FnFactory;
+
+const BUCKET_START: Micros = 60 * MICROS_PER_SEC;
+const T_END: f64 = 120.0;
+
+/// 256 tuples inside the bucket `[60 s, 120 s)`, out of order (a stride
+/// permutation of the arrival index plus a sub-second jitter), hosts
+/// skewed so the heavy-hitter summaries have something to find.
+fn stream() -> Vec<Packet> {
+    (0..256u64)
+        .map(|i| {
+            let slot = i * 37 % 256;
+            let host = if i % 3 == 0 { 7 } else { (i * 11 % 29) as u32 };
+            Packet {
+                ts: BUCKET_START + slot * 230_000 + (i * 7 % 5) * 1_000,
+                src_ip: (i * 13 % 101) as u32,
+                dst_ip: host,
+                src_port: 1024 + (i % 7) as u16,
+                dst_port: 80,
+                len: 40 + (i * 97 % 1400) as u32,
+                proto: Proto::Tcp,
+            }
+        })
+        .collect()
+}
+
+struct Case {
+    name: String,
+    factory: Arc<FnFactory>,
+    /// Whether two instances fed the same stream serialize to the same
+    /// bytes (false: a `HashMap` inside decides the order).
+    canonical: bool,
+    /// Whether the aggregate checkpoints at all (the samplers decline).
+    checkpoints: bool,
+}
+
+fn cases() -> Vec<Case> {
+    let len = |p: &Packet| p.len as f64;
+    let len_u = |p: &Packet| p.len as u64;
+    let host = |p: &Packet| p.dst_host();
+    let back = || DynBackward::from_decay(BackExponential::new(0.05));
+    let mut out = Vec::new();
+    let mut case = |name: &str, factory: Arc<FnFactory>, canonical: bool, checkpoints: bool| {
+        out.push(Case {
+            name: name.to_string(),
+            factory,
+            canonical,
+            checkpoints,
+        })
+    };
+    case("count", count_factory(), true, true);
+    case("sum", sum_factory(len), true, true);
+    case("eh_count", eh_count_factory(0.1, back()), true, true);
+    case("eh_sum", eh_sum_factory(0.1, back(), len_u), true, true);
+    case("unary_hh", unary_hh_factory(0.05, 0.1, host), false, true);
+    case(
+        "sw_hh",
+        sw_hh_factory(5.0, 3, back(), 0.1, host),
+        false,
+        true,
+    );
+    case(
+        "prefix_hh",
+        prefix_hh_factory(5, 0.2, back(), 0.1, |p| p.dst_host() & 31),
+        false,
+        true,
+    );
+    case("reservoir", reservoir_factory(8, 7, host), true, false);
+    case(
+        "aggarwal",
+        biased_reservoir_factory(0.05, 7, host),
+        true,
+        false,
+    );
+    for spec in ["poly:2", "exp:0.05"] {
+        let g = || spec.parse::<AnyDecay>().expect("decay spec");
+        let mut decayed =
+            |name: &str, factory: Arc<FnFactory>, canonical: bool, checkpoints: bool| {
+                case(&format!("{name}/{spec}"), factory, canonical, checkpoints)
+            };
+        decayed("fwd_count", fwd_count_factory(g()), true, true);
+        decayed("fwd_sum", fwd_sum_factory(g(), len), true, true);
+        decayed("fwd_avg", fwd_avg_factory(g(), len), true, true);
+        decayed("fwd_var", fwd_var_factory(g(), len), true, true);
+        decayed("fwd_max", fwd_max_factory(g(), len), true, true);
+        decayed("fwd_min", fwd_min_factory(g(), len), true, true);
+        decayed("fwd_hh", fwd_hh_factory(g(), 0.05, 0.1, host), false, true);
+        decayed("cm_hh", cm_hh_factory(g(), 0.1, 0.05, 7, host), false, true);
+        decayed("prisamp", pri_sample_factory(g(), 8, 7, host), true, false);
+        decayed("wrs", wrs_factory(g(), 8, 7, host), true, false);
+        decayed(
+            "swr",
+            with_replacement_factory(g(), 8, 7, host),
+            true,
+            false,
+        );
+        decayed(
+            "fwd_quantiles",
+            fwd_quantile_factory(g(), 11, 0.05, vec![0.5, 0.95, 0.99], len_u),
+            true,
+            true,
+        );
+        decayed(
+            "fwd_distinct",
+            distinct_factory(g(), 0.2, 7, host),
+            false,
+            true,
+        );
+        decayed(
+            "multi",
+            multi_factory(vec![
+                count_factory(),
+                sum_factory(len),
+                fwd_avg_factory(g(), len),
+                fwd_quantile_factory(g(), 11, 0.05, vec![0.5], len_u),
+            ]),
+            true,
+            true,
+        );
+    }
+    out
+}
+
+/// An [`AggValue`] with every float spelled by its bits.
+fn show(v: &AggValue) -> String {
+    match v {
+        AggValue::Float(x) => format!("f:{:016x}", x.to_bits()),
+        AggValue::Items(items) => {
+            let items: Vec<String> = items
+                .iter()
+                .map(|iv| format!("{}:{:016x}", iv.item, iv.value.to_bits()))
+                .collect();
+            format!("i:[{}]", items.join(","))
+        }
+        AggValue::Multi(parts) => {
+            let parts: Vec<String> = parts.iter().map(show).collect();
+            format!("m:({})", parts.join(";"))
+        }
+    }
+}
+
+fn state_bytes(agg: &dyn Aggregator) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    agg.checkpoint_into(&mut out).map(|()| out)
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The aggregate after the whole stream, and after its even half absorbed
+/// its odd half.
+fn stages(factory: &FnFactory) -> [(&'static str, Box<dyn Aggregator>); 2] {
+    let mut whole = factory.make(BUCKET_START);
+    let mut even = factory.make(BUCKET_START);
+    let mut odd = factory.make(BUCKET_START);
+    for (i, p) in stream().iter().enumerate() {
+        whole.update(p);
+        if i % 2 == 0 { &mut even } else { &mut odd }.update(p);
+    }
+    even.merge_boxed(odd);
+    [("stream", whole), ("merged", even)]
+}
+
+fn table() -> String {
+    let mut out = String::new();
+    for case in cases() {
+        for (stage, agg) in stages(&case.factory) {
+            let state = match state_bytes(agg.as_ref()) {
+                None => "-".to_string(),
+                Some(bytes) if case.canonical => hex(&bytes),
+                Some(bytes) => format!("~{}", bytes.len()),
+            };
+            out.push_str(&format!(
+                "{} {stage} {state} {}\n",
+                case.name,
+                show(&agg.emit(T_END))
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn states_and_answers_are_the_parent_commits() {
+    let now = table();
+    let pinned = include_str!("data/aggregator_states.hex");
+    assert_eq!(pinned.lines().count(), now.lines().count());
+    for (want, got) in pinned.lines().zip(now.lines()) {
+        // Compare by line so a failure names the factory, not 40 kB of hex.
+        assert!(
+            want == got,
+            "differs from the parent commit:\n  {want}\n  {got}"
+        );
+    }
+}
+
+#[test]
+fn restore_of_a_checkpoint_is_a_fixed_point() {
+    for case in cases().iter().filter(|c| c.checkpoints) {
+        for (stage, agg) in stages(&case.factory) {
+            let what = format!("{} {stage}", case.name);
+            let restore = |bytes: &[u8]| {
+                let mut fresh = case.factory.make(BUCKET_START);
+                fresh.restore(bytes).expect(&what);
+                fresh
+            };
+            let written = state_bytes(agg.as_ref()).expect(&what);
+            let mut restored = restore(&written);
+            assert_eq!(
+                show(&restored.emit(T_END)),
+                show(&agg.emit(T_END)),
+                "{what}"
+            );
+            // The first restore may fold what the writer had only buffered
+            // (a q-digest's pending arrivals); from there on the bytes hold.
+            let once = state_bytes(restored.as_ref()).expect(&what);
+            let twice = state_bytes(restore(&once).as_ref()).expect(&what);
+            if case.canonical {
+                assert!(twice == once, "{what}: re-serializes differently");
+            } else {
+                assert_eq!(
+                    (once.len(), twice.len()),
+                    (written.len(), written.len()),
+                    "{what}"
+                );
+            }
+            // A restored copy keeps folding like the original.
+            let mut original = agg;
+            for p in stream().iter().take(16) {
+                original.update(p);
+                restored.update(p);
+            }
+            assert_eq!(
+                show(&restored.emit(T_END)),
+                show(&original.emit(T_END)),
+                "{what}"
+            );
+        }
+    }
+}
+
+#[test]
+fn size_probes_are_the_papers_constants() {
+    // "Undecayed methods store 4 byte integers, forward decay stores 8 byte
+    // floating point values"; an average is two of those, variance and
+    // extrema three. The samplers report their capacity.
+    let all = cases();
+    let size = |name: &str| {
+        let case = all.iter().find(|c| c.name == name).expect(name);
+        let (_, agg) = &stages(&case.factory)[0];
+        agg.size_bytes()
+    };
+    for (name, bytes) in [
+        ("count", 4),
+        ("sum", 4),
+        ("fwd_count/poly:2", 8),
+        ("fwd_sum/exp:0.05", 8),
+        ("fwd_avg/poly:2", 16),
+        ("fwd_var/poly:2", 24),
+        ("fwd_max/exp:0.05", 24),
+        ("fwd_min/poly:2", 24),
+        ("reservoir", 8 * 8 + 32),
+        ("prisamp/poly:2", 8 * 32 + 64),
+        ("wrs/exp:0.05", 8 * 32 + 64),
+        ("swr/poly:2", 8 * 16 + 48),
+    ] {
+        assert_eq!(size(name), bytes, "{name}");
+    }
+    // A composite is the sum of its parts (its digest is the stand-alone
+    // one: same stream, same ε).
+    assert_eq!(
+        size("multi/poly:2"),
+        4 + 4 + 16 + size("fwd_quantiles/poly:2")
+    );
+}
+
+#[test]
+fn samplers_decline_to_checkpoint() {
+    let declining: Vec<String> = cases()
+        .iter()
+        .filter(|c| !c.checkpoints)
+        .map(|c| {
+            let mut agg = c.factory.make(BUCKET_START);
+            agg.update(&stream()[0]);
+            assert!(state_bytes(agg.as_ref()).is_none(), "{}", c.name);
+            assert!(agg.restore(&[]).is_err(), "{}", c.name);
+            c.name.clone()
+        })
+        .collect();
+    assert_eq!(
+        declining,
+        [
+            "reservoir",
+            "aggarwal",
+            "prisamp/poly:2",
+            "wrs/poly:2",
+            "swr/poly:2",
+            "prisamp/exp:0.05",
+            "wrs/exp:0.05",
+            "swr/exp:0.05"
+        ]
+    );
+    // A composite with a sampler in it declines as a whole.
+    let combo = multi_factory(vec![
+        count_factory(),
+        reservoir_factory(8, 7, |p| p.dst_host()),
+    ]);
+    assert!(state_bytes(combo.make(BUCKET_START).as_ref()).is_none());
+}
+
+#[test]
+fn merging_across_factories_panics_with_the_type_mismatch() {
+    let all = cases();
+    let message = |a: &Case, b: &Case| {
+        let (mut mine, theirs) = (a.factory.make(BUCKET_START), b.factory.make(BUCKET_START));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            mine.merge_boxed(theirs)
+        }));
+        let payload = caught.expect_err("a cross-type merge must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    };
+    let by_name = |name: &str| {
+        all.iter()
+            .find(|c| c.name == name)
+            .unwrap_or_else(|| panic!("no case {name}"))
+    };
+    for (a, b) in [
+        ("count", "sum"),
+        ("sum", "fwd_sum/poly:2"),
+        ("fwd_sum/poly:2", "fwd_avg/poly:2"),
+        ("fwd_hh/poly:2", "unary_hh"),
+        ("reservoir", "aggarwal"),
+        ("multi/poly:2", "count"),
+        ("fwd_quantiles/exp:0.05", "fwd_distinct/exp:0.05"),
+    ] {
+        let msg = message(by_name(a), by_name(b));
+        assert!(
+            msg.contains("aggregator type mismatch"),
+            "{a} <- {b}: {msg:?}"
+        );
+    }
+}

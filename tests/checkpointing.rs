@@ -42,8 +42,11 @@ where
     }
     let snapshot = to_bytes(&summary).expect("serialize");
     let mut restored: S = from_bytes(&snapshot).expect("deserialize");
-    // HashMap-backed summaries may iterate in a different order after
-    // restore, reordering floating-point accumulation — allow ULP noise.
+    // The summaries that still sum over a HashMap (sliding-window and
+    // prefix heavy hitters, the exact dominance norm) iterate it in a
+    // different order after restore, which reorders their floating-point
+    // accumulation — allow ULP noise. (The q-digest is not one of them: it
+    // is a sorted Vec and answers bit for bit.)
     let (a0, b0) = (query(&summary), query(&restored));
     assert!(
         (a0 - b0).abs() <= 1e-12 * a0.abs().max(1.0),
