@@ -288,9 +288,11 @@ impl CliConfig {
                 .next()
                 .ok_or_else(|| format!("flag '{flag}' needs a value\n\n{USAGE}"))?;
             let v = value.as_ref();
-            let num = |v: &str| {
-                v.parse::<f64>()
-                    .map_err(|e| format!("bad number '{v}': {e}"))
+            // `f64::from_str` accepts "nan" and "inf"; no flag means either.
+            let num = |v: &str| match v.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                Ok(_) => Err(format!("bad number '{v}': must be finite")),
+                Err(e) => Err(format!("bad number '{v}': {e}")),
             };
             let int = |v: &str| {
                 v.parse::<u64>()
@@ -304,6 +306,11 @@ impl CliConfig {
                     cfg.bucket_secs = int(v)?;
                     if cfg.bucket_secs == 0 {
                         return Err("bucket width must be positive".into());
+                    }
+                    if cfg.bucket_secs.checked_mul(MICROS_PER_SEC).is_none() {
+                        return Err(format!(
+                            "bucket width '{v}' does not fit the 64-bit microsecond clock"
+                        ));
                     }
                 }
                 "--proto" => {
@@ -880,6 +887,35 @@ mod tests {
         }
         assert!(CliConfig::parse(["--ooo", "-1"]).is_err());
         assert!(CliConfig::parse(["--slack", "-1"]).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_usage_errors() {
+        // `--slack nan` used to reach `QueryBuilder::slack_secs`'s assert.
+        for flag in [
+            "--slack",
+            "--rate",
+            "--duration",
+            "--ooo",
+            "--drain-timeout",
+        ] {
+            for bad in ["nan", "NaN", "inf", "-inf", "infinity"] {
+                let err = CliConfig::parse([flag, bad]).expect_err(flag);
+                assert!(err.contains("must be finite"), "{flag} {bad}: {err}");
+            }
+        }
+        for bad in ["nan,2,0.5", "0,inf,0.5", "0,1,nan"] {
+            assert!(CliConfig::parse(["--burst", bad]).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_bucket_wider_than_the_clock_is_a_usage_error() {
+        // 18446744073710 s × 10⁶ wrapped to a 448 384 µs bucket in release
+        // builds and panicked debug ones.
+        let err = CliConfig::parse(["--bucket", "18446744073710"]).unwrap_err();
+        assert!(err.contains("does not fit"), "{err}");
+        assert!(CliConfig::parse(["--bucket", "18446744073709"]).is_ok());
     }
 
     #[test]

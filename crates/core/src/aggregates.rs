@@ -4,7 +4,10 @@
 //! tuples that can be computed in constant space without decay can also be
 //! computed in constant space under any forward decay function.* The trick is
 //! uniform across this module: maintain sums of `g(t_i − L)`-weighted terms,
-//! and divide by `g(t − L)` only when a query is posed at time `t`.
+//! and divide by `g(t − L)` only when a query is posed at time `t`. The
+//! clock is [`Decayed`]; what this module adds are the two constant-space
+//! cells it runs — an [`Accumulator`] for count and sum, an [`Extremal`]
+//! for min and max — and the average and variance composed of them.
 //!
 //! All aggregates here are exact (no approximation), use O(1) space, take
 //! O(1) time per update, are mergeable across distributed sites
@@ -12,11 +15,195 @@
 //! exponential decay on unboundedly long streams via landmark
 //! renormalization ([`crate::numerics::Renormalizer`]).
 
+use std::marker::PhantomData;
+
 use crate::decay::{clamp_to_landmark, ForwardDecay};
-use crate::kernel::WeightKernel;
+use crate::decayed::{Decayed, Weighted};
+use crate::kernel::{batch_ticks_repeat, striped_dot, striped_sum, WeightKernel};
 use crate::merge::Mergeable;
-use crate::numerics::{landmark_shift_factor, Renormalizer};
+use crate::summary::{Summary, SummaryStats};
 use crate::Timestamp;
+
+/// The value lane of an [`Accumulator`]: what an arrival's weight is
+/// multiplied by before it is added. A count has none (`()`, every value
+/// is 1); a sum carries an `f64` per arrival.
+pub trait Lane: Copy + std::fmt::Debug {
+    /// Whether the accumulator only ever adds weights themselves, and so
+    /// can never go negative or NaN.
+    const COUNTS: bool;
+
+    /// This arrival's value.
+    fn value(self) -> f64;
+
+    /// A batch's values as a column, or `None` when they are all 1.
+    fn column(items: &[Self]) -> Option<&[f64]>;
+}
+
+impl Lane for () {
+    const COUNTS: bool = true;
+
+    #[inline]
+    fn value(self) -> f64 {
+        1.0
+    }
+
+    fn column(_: &[()]) -> Option<&[f64]> {
+        None
+    }
+}
+
+impl Lane for f64 {
+    const COUNTS: bool = false;
+
+    #[inline]
+    fn value(self) -> f64 {
+        self
+    }
+
+    fn column(items: &[f64]) -> Option<&[f64]> {
+        Some(items)
+    }
+}
+
+/// The cell behind [`DecayedCount`] and [`DecayedSum`]: the running
+/// `Σ w_i · v_i` of the weights [`Decayed`] hands it, the values coming
+/// from the lane `V`.
+#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+pub struct Accumulator<V: Lane> {
+    /// Σ g(t_i − L_eff) · v_i
+    acc: f64,
+    /// Raw (undecayed) number of arrivals; with `max_t`, diagnostics that
+    /// are part of the checkpoint format.
+    n: u64,
+    max_t: Timestamp,
+    lane: PhantomData<V>,
+}
+
+impl<V: Lane> Accumulator<V> {
+    fn new(landmark: Timestamp) -> Self {
+        Self {
+            acc: 0.0,
+            n: 0,
+            max_t: landmark,
+            lane: PhantomData,
+        }
+    }
+}
+
+/// `Σ g(age(tᵢ)) · vᵢ` through the one-entry tick memo, in slice order,
+/// with the batch maximum.
+fn memo_dot<G: ForwardDecay>(
+    g: &G,
+    ts: &[Timestamp],
+    vals: impl Iterator<Item = f64>,
+    age: impl Fn(Timestamp) -> f64,
+) -> (f64, Timestamp) {
+    let mut k = WeightKernel::new(g.clone());
+    let (mut acc, mut max_us) = (0.0, i64::MIN);
+    for (&t, v) in ts.iter().zip(vals) {
+        acc += k.g(age(t)) * v;
+        max_us = max_us.max(t.as_micros());
+    }
+    (acc, Timestamp::from_micros(max_us))
+}
+
+impl<V: Lane> Weighted for Accumulator<V> {
+    type Item = V;
+    type Output = f64;
+
+    #[inline]
+    fn add(&mut self, t_i: Timestamp, v: V, w: f64) {
+        self.acc += w * v.value();
+        self.n += 1;
+        self.max_t = self.max_t.max(t_i);
+    }
+
+    #[inline]
+    fn scale(&mut self, factor: f64) {
+        self.acc *= factor;
+    }
+
+    #[inline]
+    fn over(&self, denom: f64) -> f64 {
+        self.acc / denom
+    }
+
+    /// One pass over the batch, the maximum riding along. The per-tick memo
+    /// is used only when the family prefers it *and* the batch's ticks
+    /// actually repeat ([`batch_ticks_repeat`] samples the batch);
+    /// otherwise striped partial sums win, through the family's own
+    /// unswitched [`ForwardDecay::g_sum_batch`] / [`g_dot_batch`] where the
+    /// landmark cannot have moved. The identical weights are summed,
+    /// possibly reassociated.
+    ///
+    /// [`g_dot_batch`]: ForwardDecay::g_dot_batch
+    fn add_batch<G: ForwardDecay>(
+        &mut self,
+        g: &G,
+        l0: Timestamp,
+        l: Timestamp,
+        ts: &[Timestamp],
+        items: &[V],
+    ) {
+        let vals = V::column(items);
+        let age = |t| clamp_to_landmark(t, l0) - l;
+        let (sum, max_t) = if g.prefers_tick_cache() && batch_ticks_repeat(ts) {
+            match vals {
+                None => memo_dot(g, ts, std::iter::repeat(1.0), age),
+                Some(vals) => memo_dot(g, ts, vals.iter().copied(), age),
+            }
+        } else if g.is_multiplicative() {
+            match vals {
+                None => striped_sum(ts, |t| g.g(age(t))),
+                Some(vals) => striped_dot(ts, vals, |t| g.g(age(t))),
+            }
+        } else {
+            // Non-multiplicative families clamp intrinsically (`g(n ≤ 0)`
+            // equals `g(0)` for Monomial / LandmarkWindow / PolySum), so
+            // their unswitched overrides need no clamp in the loop.
+            match vals {
+                None => g.g_sum_batch(ts, l),
+                Some(vals) => g.g_dot_batch(ts, vals, l),
+            }
+        };
+        self.acc += sum;
+        self.n += ts.len() as u64;
+        self.max_t = self.max_t.max(max_t);
+    }
+
+    fn stats(&self) -> SummaryStats {
+        SummaryStats {
+            items: self.n,
+            accepted: self.n,
+            ..SummaryStats::default()
+        }
+    }
+
+    fn check_invariants(&self, _landmark: Timestamp) -> Result<(), String> {
+        // A count sums non-negative weights: the accumulator can never go
+        // negative or NaN, whatever the stream threw at it.
+        if V::COUNTS {
+            if self.acc.is_nan() {
+                return Err("DecayedCount accumulator is NaN".into());
+            }
+            if self.acc < 0.0 {
+                return Err(format!("DecayedCount accumulator negative: {}", self.acc));
+            }
+            if self.acc > 0.0 && self.n == 0 {
+                return Err("DecayedCount has mass but zero raw count".into());
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<V: Lane> Mergeable for Accumulator<V> {
+    fn merge_from(&mut self, other: &Self) {
+        self.acc += other.acc;
+        self.n += other.n;
+        self.max_t = self.max_t.max(other.max_t);
+    }
+}
 
 /// Decayed count (Definition 5): `C = Σ_i g(t_i − L) / g(t − L)`.
 ///
@@ -30,42 +217,21 @@ use crate::Timestamp;
 /// }
 /// assert!((c.query(110.0) - 1.63).abs() < 1e-9); // Example 2 of the paper
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct DecayedCount<G: ForwardDecay> {
-    g: G,
-    renorm: Renormalizer,
-    /// Σ g(t_i − L_eff)
-    acc: f64,
-    /// Raw (undecayed) number of updates, for diagnostics.
-    n: u64,
-    max_t: Timestamp,
-}
+pub type DecayedCount<G> = Decayed<G, Accumulator<()>>;
 
 impl<G: ForwardDecay> DecayedCount<G> {
     /// Creates an empty decayed count with the given decay function and
     /// landmark.
     pub fn new(g: G, landmark: impl Into<Timestamp>) -> Self {
         let landmark = landmark.into();
-        Self {
-            g,
-            renorm: Renormalizer::new(landmark),
-            acc: 0.0,
-            n: 0,
-            max_t: landmark,
-        }
+        Self::wrap(g, landmark, Accumulator::new(landmark))
     }
 
     /// Ingests an item with timestamp `t_i`. Pre-landmark timestamps are
     /// clamped to the landmark ([`clamp_to_landmark`]).
     #[inline]
     pub fn update(&mut self, t_i: impl Into<Timestamp>) {
-        let t_i = clamp_to_landmark(t_i.into(), self.renorm.original_landmark());
-        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
-            self.acc *= factor;
-        }
-        self.acc += self.g.g(t_i - self.renorm.landmark());
-        self.n += 1;
-        self.max_t = self.max_t.max(t_i);
+        self.update_at(t_i.into(), ());
     }
 
     /// Ingests an item with timestamp `t_i` carrying an importance weight
@@ -78,184 +244,37 @@ impl<G: ForwardDecay> DecayedCount<G> {
     /// so mergeability and renormalization are untouched).
     #[inline]
     pub fn update_weighted(&mut self, t_i: impl Into<Timestamp>, w: f64) {
-        let t_i = clamp_to_landmark(t_i.into(), self.renorm.original_landmark());
-        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
-            self.acc *= factor;
-        }
-        self.acc += self.g.g(t_i - self.renorm.landmark()) * w;
-        self.n += 1;
-        self.max_t = self.max_t.max(t_i);
+        let (t_i, g) = self.arrive(t_i.into());
+        self.inner.add(t_i, (), g * w);
     }
 
-    /// Ingests a batch of timestamps in one call.
-    ///
-    /// Computes the same count as per-item [`update`](Self::update) calls,
-    /// but hoists the renormalization check out of the inner loop (one
-    /// [`Renormalizer::pre_update`] against the batch maximum instead of
-    /// one per item) and evaluates weights through a [`WeightKernel`]
-    /// (per-tick memoization) or striped partial sums. The memo is used
-    /// only when the family prefers it *and* the batch's ticks actually
-    /// repeat ([`crate::kernel::batch_ticks_repeat`] samples the batch);
-    /// otherwise the striped loop wins. Results agree with the scalar path
-    /// up to `f64`
-    /// rounding: the identical weights are summed, possibly reassociated,
-    /// and exponential decay may renormalize once (to the batch maximum)
-    /// where the scalar path renormalizes stepwise.
-    ///
-    /// Multiplicative families find the batch maximum up front (the
-    /// renormalization check must see it before any weight is computed,
-    /// since a rescale moves the landmark); for everything else the
-    /// landmark cannot move mid-batch, so the maximum rides along in the
-    /// weight pass and the slice is swept exactly once.
+    /// Ingests a batch of timestamps in one call: the same count as
+    /// per-item [`update`](Self::update) calls up to `f64` rounding, with
+    /// the renormalization check hoisted out of the loop
+    /// ([`Summary::update_batch_at`] on [`Decayed`]) and the weights
+    /// summed in one striped or memoized pass ([`Accumulator`]'s
+    /// `add_batch`).
     pub fn update_batch(&mut self, ts: &[Timestamp]) {
-        if ts.is_empty() {
-            return;
-        }
-        let max_t = if self.g.is_multiplicative() {
-            let &max_t = ts.iter().max().expect("batch is non-empty");
-            if let Some(factor) = self.renorm.pre_update(&self.g, max_t) {
-                self.acc *= factor;
-            }
-            // Clamp pre-landmark stragglers against the *original* landmark
-            // (the effective landmark `l` only ever advances past it), so
-            // the batched weights match the scalar path exactly.
-            let l0 = self.renorm.original_landmark();
-            let l = self.renorm.landmark();
-            if self.g.prefers_tick_cache() && crate::kernel::batch_ticks_repeat(ts) {
-                let mut k = WeightKernel::new(self.g.clone());
-                let mut acc = 0.0;
-                for &t in ts {
-                    acc += k.g(clamp_to_landmark(t, l0) - l);
-                }
-                self.acc += acc;
-            } else {
-                self.acc +=
-                    crate::kernel::striped_sum(ts, |t| self.g.g(clamp_to_landmark(t, l0) - l)).0;
-            }
-            max_t
-        } else {
-            // Non-multiplicative families clamp intrinsically (`g(n ≤ 0)`
-            // equals `g(0)` for Monomial / LandmarkWindow / PolySum), so the
-            // unswitched `g_sum_batch` overrides stay on this path.
-            let l = self.renorm.landmark();
-            if self.g.prefers_tick_cache() && crate::kernel::batch_ticks_repeat(ts) {
-                let mut k = WeightKernel::new(self.g.clone());
-                let mut acc = 0.0;
-                let mut max_us = i64::MIN;
-                for &t in ts {
-                    acc += k.g(t - l);
-                    max_us = max_us.max(t.as_micros());
-                }
-                self.acc += acc;
-                Timestamp::from_micros(max_us)
-            } else {
-                let (sum, max_t) = self.g.g_sum_batch(ts, l);
-                self.acc += sum;
-                max_t
-            }
-        };
-        self.n += ts.len() as u64;
-        self.max_t = self.max_t.max(max_t);
-    }
-
-    /// The decayed count at query time `t`. `t` should be at least the
-    /// largest timestamp observed, else some weights exceed 1 (Section VI-B
-    /// permits this for "historical" queries).
-    #[inline]
-    pub fn query(&self, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        if self.acc == 0.0 {
-            return 0.0;
-        }
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            return 0.0;
-        }
-        self.acc / denom
-    }
-
-    /// Number of raw updates ingested.
-    pub fn raw_count(&self) -> u64 {
-        self.n
-    }
-
-    /// The largest timestamp observed so far.
-    pub fn max_timestamp(&self) -> Timestamp {
-        self.max_t
-    }
-
-    /// The decay function.
-    pub fn decay(&self) -> &G {
-        &self.g
-    }
-
-    /// Internal un-normalized accumulator `Σ g(t_i − L_eff)` together with
-    /// the effective landmark. Exposed for the sketch wrappers.
-    pub fn raw_parts(&self) -> (f64, Timestamp) {
-        (self.acc, self.renorm.landmark())
-    }
-}
-
-impl<G: ForwardDecay> Mergeable for DecayedCount<G> {
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.renorm.original_landmark(),
-            other.renorm.original_landmark(),
-            "summaries must share a landmark"
-        );
-        // Align effective landmarks: rescale whichever is older.
-        let (mut other_acc, other_lm) = (other.acc, other.renorm.landmark());
-        if other_lm < self.renorm.landmark() {
-            // Express other's accumulator relative to our landmark, in the
-            // log domain: the linear `1/g(ΔL)` collapses to 0.0 once the
-            // landmark gap overflows g (≈ 709/α s for exponential decay).
-            other_acc *= landmark_shift_factor(&self.g, other_lm, self.renorm.landmark());
-        } else if other_lm > self.renorm.landmark() {
-            if let Some(f) = self.renorm.rescale_to(&self.g, other_lm) {
-                self.acc *= f;
-            }
-        }
-        self.acc += other_acc;
-        self.n += other.n;
-        self.max_t = self.max_t.max(other.max_t);
+        // A `Vec` of units is a length: nothing is allocated.
+        self.update_batch_at(ts, &vec![(); ts.len()]);
     }
 }
 
 /// Decayed sum (Definition 5): `S = Σ_i g(t_i − L) · v_i / g(t − L)`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct DecayedSum<G: ForwardDecay> {
-    g: G,
-    renorm: Renormalizer,
-    /// Σ g(t_i − L_eff) · v_i
-    acc: f64,
-    n: u64,
-    max_t: Timestamp,
-}
+pub type DecayedSum<G> = Decayed<G, Accumulator<f64>>;
 
 impl<G: ForwardDecay> DecayedSum<G> {
     /// Creates an empty decayed sum.
     pub fn new(g: G, landmark: impl Into<Timestamp>) -> Self {
         let landmark = landmark.into();
-        Self {
-            g,
-            renorm: Renormalizer::new(landmark),
-            acc: 0.0,
-            n: 0,
-            max_t: landmark,
-        }
+        Self::wrap(g, landmark, Accumulator::new(landmark))
     }
 
     /// Ingests an item `(t_i, v_i)`. Pre-landmark timestamps are clamped to
     /// the landmark ([`clamp_to_landmark`]).
     #[inline]
     pub fn update(&mut self, t_i: impl Into<Timestamp>, v: f64) {
-        let t_i = clamp_to_landmark(t_i.into(), self.renorm.original_landmark());
-        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
-            self.acc *= factor;
-        }
-        self.acc += self.g.g(t_i - self.renorm.landmark()) * v;
-        self.n += 1;
-        self.max_t = self.max_t.max(t_i);
+        self.update_at(t_i.into(), v);
     }
 
     /// Ingests an item `(t_i, v_i)` carrying a Horvitz–Thompson scale `w`:
@@ -267,109 +286,15 @@ impl<G: ForwardDecay> DecayedSum<G> {
         self.update(t_i, v * w);
     }
 
-    /// Ingests a columnar batch: `ts[i]` pairs with `vals[i]`.
-    ///
-    /// The batched counterpart of per-item [`update`](Self::update) calls,
-    /// with the renormalization check hoisted to one
-    /// [`Renormalizer::pre_update`] per batch and the weight loop run
-    /// through a [`WeightKernel`] or striped partial sums (see
-    /// [`DecayedCount::update_batch`] for the rounding caveats).
+    /// Ingests a columnar batch: `ts[i]` pairs with `vals[i]` — the batched
+    /// counterpart of per-item [`update`](Self::update) calls (see
+    /// [`DecayedCount::update_batch`] for what is hoisted and the rounding
+    /// caveats).
     ///
     /// # Panics
     /// Panics if the slices' lengths differ.
     pub fn update_batch(&mut self, ts: &[Timestamp], vals: &[f64]) {
-        assert_eq!(ts.len(), vals.len(), "columnar batch slices must align");
-        if ts.is_empty() {
-            return;
-        }
-        let max_t = if self.g.is_multiplicative() {
-            let &max_t = ts.iter().max().expect("batch is non-empty");
-            if let Some(factor) = self.renorm.pre_update(&self.g, max_t) {
-                self.acc *= factor;
-            }
-            // Clamp against the original landmark, as in the scalar path.
-            let l0 = self.renorm.original_landmark();
-            let l = self.renorm.landmark();
-            if self.g.prefers_tick_cache() && crate::kernel::batch_ticks_repeat(ts) {
-                let mut k = WeightKernel::new(self.g.clone());
-                let mut acc = 0.0;
-                for (&t, &v) in ts.iter().zip(vals) {
-                    acc += k.g(clamp_to_landmark(t, l0) - l) * v;
-                }
-                self.acc += acc;
-            } else {
-                self.acc += crate::kernel::striped_dot(ts, vals, |t| {
-                    self.g.g(clamp_to_landmark(t, l0) - l)
-                })
-                .0;
-            }
-            max_t
-        } else {
-            let l = self.renorm.landmark();
-            if self.g.prefers_tick_cache() && crate::kernel::batch_ticks_repeat(ts) {
-                let mut k = WeightKernel::new(self.g.clone());
-                let mut acc = 0.0;
-                let mut max_us = i64::MIN;
-                for (&t, &v) in ts.iter().zip(vals) {
-                    acc += k.g(t - l) * v;
-                    max_us = max_us.max(t.as_micros());
-                }
-                self.acc += acc;
-                Timestamp::from_micros(max_us)
-            } else {
-                let (sum, max_t) = self.g.g_dot_batch(ts, vals, l);
-                self.acc += sum;
-                max_t
-            }
-        };
-        self.n += ts.len() as u64;
-        self.max_t = self.max_t.max(max_t);
-    }
-
-    /// The decayed sum at query time `t`.
-    #[inline]
-    pub fn query(&self, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        if self.n == 0 {
-            return 0.0;
-        }
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            return 0.0;
-        }
-        self.acc / denom
-    }
-
-    /// Number of raw updates ingested.
-    pub fn raw_count(&self) -> u64 {
-        self.n
-    }
-
-    /// The largest timestamp observed so far.
-    pub fn max_timestamp(&self) -> Timestamp {
-        self.max_t
-    }
-}
-
-impl<G: ForwardDecay> Mergeable for DecayedSum<G> {
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.renorm.original_landmark(),
-            other.renorm.original_landmark(),
-            "summaries must share a landmark"
-        );
-        let (mut other_acc, other_lm) = (other.acc, other.renorm.landmark());
-        if other_lm < self.renorm.landmark() {
-            // Log-domain alignment; see DecayedCount::merge_from.
-            other_acc *= landmark_shift_factor(&self.g, other_lm, self.renorm.landmark());
-        } else if other_lm > self.renorm.landmark() {
-            if let Some(f) = self.renorm.rescale_to(&self.g, other_lm) {
-                self.acc *= f;
-            }
-        }
-        self.acc += other_acc;
-        self.n += other.n;
-        self.max_t = self.max_t.max(other.max_t);
+        self.update_batch_at(ts, vals);
     }
 }
 
@@ -435,12 +360,12 @@ impl<G: ForwardDecay> Mergeable for DecayedAverage<G> {
 
 /// Decayed variance (Section IV-A): interpreting the normalized weights as
 /// probabilities, `V = Σ g(t_i − L) v_i² / C − A²` where `C` is the decayed
-/// count and `A` the decayed average.
+/// count and `A` the decayed average — a sum of squares beside a
+/// [`DecayedAverage`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct DecayedVariance<G: ForwardDecay> {
     sum_sq: DecayedSum<G>,
-    sum: DecayedSum<G>,
-    count: DecayedCount<G>,
+    mean: DecayedAverage<G>,
 }
 
 impl<G: ForwardDecay> DecayedVariance<G> {
@@ -449,8 +374,7 @@ impl<G: ForwardDecay> DecayedVariance<G> {
         let landmark = landmark.into();
         Self {
             sum_sq: DecayedSum::new(g.clone(), landmark),
-            sum: DecayedSum::new(g.clone(), landmark),
-            count: DecayedCount::new(g, landmark),
+            mean: DecayedAverage::new(g, landmark),
         }
     }
 
@@ -459,85 +383,47 @@ impl<G: ForwardDecay> DecayedVariance<G> {
     pub fn update(&mut self, t_i: impl Into<Timestamp>, v: f64) {
         let t_i = t_i.into();
         self.sum_sq.update(t_i, v * v);
-        self.sum.update(t_i, v);
-        self.count.update(t_i);
+        self.mean.update(t_i, v);
     }
 
     /// The decayed variance; `None` if no items. Clamped at zero against
     /// floating-point cancellation.
     pub fn query(&self, t: impl Into<Timestamp>) -> Option<f64> {
         let t = t.into();
-        let c = self.count.query(t);
-        if c == 0.0 {
-            return None;
-        }
-        let a = self.sum.query(t) / c;
-        Some((self.sum_sq.query(t) / c - a * a).max(0.0))
+        let a = self.mean.query(t)?;
+        Some((self.sum_sq.query(t) / self.mean.count.query(t) - a * a).max(0.0))
     }
 
     /// The decayed mean, as a convenience.
     pub fn mean(&self, t: impl Into<Timestamp>) -> Option<f64> {
-        let t = t.into();
-        let c = self.count.query(t);
-        if c == 0.0 {
-            None
-        } else {
-            Some(self.sum.query(t) / c)
-        }
+        self.mean.query(t)
     }
 }
 
 impl<G: ForwardDecay> Mergeable for DecayedVariance<G> {
     fn merge_from(&mut self, other: &Self) {
         self.sum_sq.merge_from(&other.sum_sq);
-        self.sum.merge_from(&other.sum);
-        self.count.merge_from(&other.count);
+        self.mean.merge_from(&other.mean);
     }
 }
 
-/// Which extremum a [`DecayedExtremum`] tracks.
+/// Which extremum an [`Extremal`] tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 enum Extremum {
     Min,
     Max,
 }
 
-/// Decayed Min / Max (Definition 6): the smallest (largest) decayed value
-/// `g(t_i − L) v_i / g(t − L)`, found by tracking the extremal un-normalized
-/// `g(t_i − L) v_i` (constant space — provably impossible under backward
-/// decay).
+/// The cell behind [`DecayedExtremum`]: the extremal weighted value
+/// `w_i · v_i` seen so far and the item that achieved it.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct DecayedExtremum<G: ForwardDecay> {
-    g: G,
-    renorm: Renormalizer,
+pub struct Extremal {
     which: Extremum,
     /// Extremal g(t_i − L_eff) · v_i and the item that achieved it.
     best: Option<(f64, Timestamp, f64)>,
 }
 
-impl<G: ForwardDecay> DecayedExtremum<G> {
-    /// Creates a decayed-minimum tracker.
-    pub fn min(g: G, landmark: impl Into<Timestamp>) -> Self {
-        let landmark = landmark.into();
-        Self {
-            g,
-            renorm: Renormalizer::new(landmark),
-            which: Extremum::Min,
-            best: None,
-        }
-    }
-
-    /// Creates a decayed-maximum tracker.
-    pub fn max(g: G, landmark: impl Into<Timestamp>) -> Self {
-        let landmark = landmark.into();
-        Self {
-            g,
-            renorm: Renormalizer::new(landmark),
-            which: Extremum::Max,
-            best: None,
-        }
-    }
-
+impl Extremal {
     /// Whether candidate `(key, t_i, v)` replaces the current best.
     ///
     /// Strictly better keys (by `total_cmp`, so `-0.0 < 0.0` and the
@@ -546,187 +432,112 @@ impl<G: ForwardDecay> DecayedExtremum<G> {
     /// weights coincide — fall back to the lexicographically smallest
     /// `(t_i, v)`, so the reported witness is identical across the scalar,
     /// batched, and merge paths regardless of arrival or merge order.
-    /// NaN keys are rejected at ingestion and never reach this comparison.
-    fn candidate_wins(&self, key: f64, t_i: Timestamp, v: f64) -> bool {
-        use std::cmp::Ordering;
-        let Some((b, bt, bv)) = &self.best else {
-            return true;
-        };
-        let ord = match self.which {
-            Extremum::Min => key.total_cmp(b),
-            Extremum::Max => b.total_cmp(&key),
-        };
-        match ord {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => t_i < *bt || (t_i == *bt && v.total_cmp(bv) == Ordering::Less),
-        }
-    }
-
-    /// Ingests an item `(t_i, v_i)`. Pre-landmark timestamps are clamped to
-    /// the landmark; a NaN value is ignored (it has no defined ordering, and
-    /// before this guard the first-arriving NaN stuck as the extremum
-    /// forever, making the result arrival-order-dependent).
-    #[inline]
-    pub fn update(&mut self, t_i: impl Into<Timestamp>, v: f64) {
-        let t_i = clamp_to_landmark(t_i.into(), self.renorm.original_landmark());
-        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
-            if let Some((key, _, _)) = &mut self.best {
-                *key *= factor;
-            }
-        }
-        let key = self.g.g(t_i - self.renorm.landmark()) * v;
+    /// A NaN key (a NaN value: no defined ordering, and before this guard
+    /// the first-arriving NaN stuck as the extremum forever) is ignored.
+    fn offer(&mut self, key: f64, t_i: Timestamp, v: f64) {
         if key.is_nan() {
             return;
         }
-        if self.candidate_wins(key, t_i, v) {
+        let wins = self.best.as_ref().is_none_or(|(b, bt, bv)| {
+            let by_key = match self.which {
+                Extremum::Min => key.total_cmp(b),
+                Extremum::Max => b.total_cmp(&key),
+            };
+            by_key.then(t_i.cmp(bt)).then(v.total_cmp(bv)).is_lt()
+        });
+        if wins {
             self.best = Some((key, t_i, v));
         }
     }
-
-    /// The decayed extremal value at query time `t`, with the item
-    /// `(t_i, v_i)` that achieves it. `None` if empty.
-    pub fn query(&self, t: impl Into<Timestamp>) -> Option<(f64, Timestamp, f64)> {
-        let t = t.into();
-        let (key, t_i, v) = self.best?;
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            return None;
-        }
-        Some((key / denom, t_i, v))
-    }
 }
 
-impl<G: ForwardDecay> Mergeable for DecayedExtremum<G> {
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(self.which, other.which, "cannot merge min with max");
-        assert_eq!(
-            self.renorm.original_landmark(),
-            other.renorm.original_landmark(),
-            "summaries must share a landmark"
-        );
-        if let Some((okey, ot, ov)) = other.best {
-            // Align the candidate's key to our effective landmark (log
-            // domain, as in DecayedCount::merge_from).
-            let okey = if other.renorm.landmark() < self.renorm.landmark() {
-                okey * landmark_shift_factor(
-                    &self.g,
-                    other.renorm.landmark(),
-                    self.renorm.landmark(),
-                )
-            } else if other.renorm.landmark() > self.renorm.landmark() {
-                if let Some(f) = self.renorm.rescale_to(&self.g, other.renorm.landmark()) {
-                    if let Some((key, _, _)) = &mut self.best {
-                        *key *= f;
-                    }
-                }
-                okey
-            } else {
-                okey
-            };
-            // Same winner rule as `update` — equal keys resolve to the
-            // smallest (t_i, v), so A.merge_from(B) and B.merge_from(A)
-            // report the same witness.
-            if !okey.is_nan() && self.candidate_wins(okey, ot, ov) {
-                self.best = Some((okey, ot, ov));
-            }
+impl Weighted for Extremal {
+    type Item = f64;
+    type Output = Option<(f64, Timestamp, f64)>;
+
+    #[inline]
+    fn add(&mut self, t_i: Timestamp, v: f64, w: f64) {
+        self.offer(w * v, t_i, v);
+    }
+
+    fn scale(&mut self, factor: f64) {
+        if let Some((key, _, _)) = &mut self.best {
+            *key *= factor;
         }
     }
-}
 
-// ----- unified Summary API ------------------------------------------------
-
-use crate::summary::{Summary, SummaryStats};
-
-impl<G: ForwardDecay> DecayedCount<G> {
-    /// The landmark `L` passed at construction.
-    pub fn landmark(&self) -> Timestamp {
-        self.renorm.original_landmark()
-    }
-}
-
-impl<G: ForwardDecay> Summary for DecayedCount<G> {
-    type Update = ();
-    type Output = f64;
-
-    fn landmark(&self) -> Timestamp {
-        self.landmark()
-    }
-
-    fn update_at(&mut self, t_i: Timestamp, _u: ()) {
-        self.update(t_i);
-    }
-
-    fn update_batch_at(&mut self, ts: &[Timestamp], us: &[()]) {
-        assert_eq!(ts.len(), us.len(), "columnar batch slices must align");
-        self.update_batch(ts);
-    }
-
-    fn query_at(&self, t: Timestamp) -> f64 {
-        self.query(t)
+    fn over(&self, denom: f64) -> Self::Output {
+        self.best.map(|(key, t_i, v)| (key / denom, t_i, v))
     }
 
     fn stats(&self) -> SummaryStats {
         SummaryStats {
-            renormalizations: self.renorm.rescales(),
-            items: self.n,
-            accepted: self.n,
+            occupancy: u64::from(self.best.is_some()),
+            capacity: 1,
             ..SummaryStats::default()
         }
     }
 
-    fn check_invariants(&self) -> Result<(), String> {
-        // Counts sum non-negative weights: the accumulator can never go
-        // negative or NaN, whatever the stream threw at it.
-        if self.acc.is_nan() {
-            return Err("DecayedCount accumulator is NaN".into());
-        }
-        if self.acc < 0.0 {
-            return Err(format!("DecayedCount accumulator negative: {}", self.acc));
-        }
-        if self.acc > 0.0 && self.n == 0 {
-            return Err("DecayedCount has mass but zero raw count".into());
+    fn check_invariants(&self, landmark: Timestamp) -> Result<(), String> {
+        // NaN keys are rejected at ingestion; the witness timestamp can
+        // never precede the landmark after the clamp.
+        if let Some((key, t_i, _)) = self.best {
+            if key.is_nan() {
+                return Err("DecayedExtremum stored a NaN key".into());
+            }
+            if t_i < landmark {
+                return Err(format!(
+                    "DecayedExtremum witness {t_i:?} precedes landmark {landmark:?}"
+                ));
+            }
         }
         Ok(())
     }
 }
 
-impl<G: ForwardDecay> DecayedSum<G> {
-    /// The landmark `L` passed at construction.
-    pub fn landmark(&self) -> Timestamp {
-        self.renorm.original_landmark()
-    }
-}
-
-impl<G: ForwardDecay> Summary for DecayedSum<G> {
-    type Update = f64;
-    type Output = f64;
-
-    fn landmark(&self) -> Timestamp {
-        self.landmark()
-    }
-
-    fn update_at(&mut self, t_i: Timestamp, v: f64) {
-        self.update(t_i, v);
-    }
-
-    fn update_batch_at(&mut self, ts: &[Timestamp], vs: &[f64]) {
-        self.update_batch(ts, vs);
-    }
-
-    fn query_at(&self, t: Timestamp) -> f64 {
-        self.query(t)
-    }
-
-    fn stats(&self) -> SummaryStats {
-        SummaryStats {
-            renormalizations: self.renorm.rescales(),
-            items: self.n,
-            accepted: self.n,
-            ..SummaryStats::default()
+impl Mergeable for Extremal {
+    /// The same winner rule as an arrival — equal keys resolve to the
+    /// smallest `(t_i, v)`, so `A.merge_from(B)` and `B.merge_from(A)`
+    /// report the same witness.
+    fn merge_from(&mut self, other: &Self) {
+        assert_eq!(self.which, other.which, "cannot merge min with max");
+        if let Some((key, t_i, v)) = other.best {
+            self.offer(key, t_i, v);
         }
     }
 }
+
+/// Decayed Min / Max (Definition 6): the smallest (largest) decayed value
+/// `g(t_i − L) v_i / g(t − L)`, found by tracking the extremal un-normalized
+/// `g(t_i − L) v_i` (constant space — provably impossible under backward
+/// decay). `query(t)` is that value with the item `(t_i, v_i)` achieving it,
+/// `None` if empty.
+pub type DecayedExtremum<G> = Decayed<G, Extremal>;
+
+impl<G: ForwardDecay> DecayedExtremum<G> {
+    fn tracking(g: G, landmark: impl Into<Timestamp>, which: Extremum) -> Self {
+        Self::wrap(g, landmark, Extremal { which, best: None })
+    }
+
+    /// Creates a decayed-minimum tracker.
+    pub fn min(g: G, landmark: impl Into<Timestamp>) -> Self {
+        Self::tracking(g, landmark, Extremum::Min)
+    }
+
+    /// Creates a decayed-maximum tracker.
+    pub fn max(g: G, landmark: impl Into<Timestamp>) -> Self {
+        Self::tracking(g, landmark, Extremum::Max)
+    }
+
+    /// Ingests an item `(t_i, v_i)`. Pre-landmark timestamps are clamped to
+    /// the landmark; a NaN value is ignored.
+    #[inline]
+    pub fn update(&mut self, t_i: impl Into<Timestamp>, v: f64) {
+        self.update_at(t_i.into(), v);
+    }
+}
+
+// ----- unified Summary API ------------------------------------------------
 
 impl<G: ForwardDecay> DecayedAverage<G> {
     /// The landmark `L` passed at construction.
@@ -753,11 +564,10 @@ impl<G: ForwardDecay> Summary for DecayedAverage<G> {
 
     fn stats(&self) -> SummaryStats {
         // Sum and count renormalize in lockstep; each is its own pass.
+        let count = self.count.stats();
         SummaryStats {
-            renormalizations: self.sum.renorm.rescales() + self.count.renorm.rescales(),
-            items: self.count.n,
-            accepted: self.count.n,
-            ..SummaryStats::default()
+            renormalizations: self.sum.stats().renormalizations + count.renormalizations,
+            ..count
         }
     }
 }
@@ -765,7 +575,7 @@ impl<G: ForwardDecay> Summary for DecayedAverage<G> {
 impl<G: ForwardDecay> DecayedVariance<G> {
     /// The landmark `L` passed at construction.
     pub fn landmark(&self) -> Timestamp {
-        self.sum.landmark()
+        self.mean.landmark()
     }
 }
 
@@ -786,64 +596,11 @@ impl<G: ForwardDecay> Summary for DecayedVariance<G> {
     }
 
     fn stats(&self) -> SummaryStats {
+        let mean = self.mean.stats();
         SummaryStats {
-            renormalizations: self.sum_sq.renorm.rescales()
-                + self.sum.renorm.rescales()
-                + self.count.renorm.rescales(),
-            items: self.count.n,
-            accepted: self.count.n,
-            ..SummaryStats::default()
+            renormalizations: self.sum_sq.stats().renormalizations + mean.renormalizations,
+            ..mean
         }
-    }
-}
-
-impl<G: ForwardDecay> DecayedExtremum<G> {
-    /// The landmark `L` passed at construction.
-    pub fn landmark(&self) -> Timestamp {
-        self.renorm.original_landmark()
-    }
-}
-
-impl<G: ForwardDecay> Summary for DecayedExtremum<G> {
-    type Update = f64;
-    type Output = Option<(f64, Timestamp, f64)>;
-
-    fn landmark(&self) -> Timestamp {
-        self.landmark()
-    }
-
-    fn update_at(&mut self, t_i: Timestamp, v: f64) {
-        self.update(t_i, v);
-    }
-
-    fn query_at(&self, t: Timestamp) -> Option<(f64, Timestamp, f64)> {
-        self.query(t)
-    }
-
-    fn stats(&self) -> SummaryStats {
-        SummaryStats {
-            renormalizations: self.renorm.rescales(),
-            occupancy: u64::from(self.best.is_some()),
-            capacity: 1,
-            ..SummaryStats::default()
-        }
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        // NaN keys are rejected at ingestion; the witness timestamp can
-        // never precede the landmark after the clamp.
-        if let Some((key, t_i, _)) = self.best {
-            if key.is_nan() {
-                return Err("DecayedExtremum stored a NaN key".into());
-            }
-            if t_i < self.renorm.original_landmark() {
-                return Err(format!(
-                    "DecayedExtremum witness {t_i:?} precedes landmark {:?}",
-                    self.renorm.original_landmark()
-                ));
-            }
-        }
-        Ok(())
     }
 }
 

@@ -10,10 +10,10 @@
 use std::collections::HashMap;
 
 use crate::decay::ForwardDecay;
+use crate::decayed::{Decayed, Weighted};
 use crate::hash::SeededHash;
 use crate::heavy_hitters::HeavyHitter;
 use crate::merge::Mergeable;
-use crate::numerics::Renormalizer;
 use crate::Timestamp;
 
 /// A Count-Min sketch over weighted updates: `depth` rows of `width`
@@ -108,9 +108,8 @@ impl CmSketch {
         }
     }
 
-    /// Multiplies every counter and the total by `factor`
-    /// (landmark-renormalization support). A factor of exactly `0.0` is
-    /// legal — see [`crate::numerics::landmark_shift_factor`].
+    /// Multiplies every counter and the total by `factor` (zero is legal, as
+    /// for [`Weighted::scale`]).
     pub fn scale_all(&mut self, factor: f64) {
         debug_assert!(factor >= 0.0 && !factor.is_nan());
         for c in &mut self.counters {
@@ -135,17 +134,14 @@ impl Mergeable for CmSketch {
     }
 }
 
-/// Decayed φ-heavy-hitters backed by a [`CmSketch`] plus a bounded candidate
-/// set — the Count-Min counterpart of
-/// [`crate::heavy_hitters::DecayedHeavyHitters`].
+/// A [`CmSketch`] plus a bounded candidate set: weighted φ-heavy-hitters
+/// without a clock — the summary [`DecayedCmHeavyHitters`] puts under one.
 ///
-/// Candidates are the items whose sketched decayed weight reached the
+/// Candidates are the items whose sketched weight reached the
 /// `φ/2`-fraction watermark when last seen; the set is pruned against the
 /// sketch whenever it outgrows `capacity`.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct DecayedCmHeavyHitters<G: ForwardDecay> {
-    g: G,
-    renorm: Renormalizer,
+pub struct CmCandidates {
     sketch: CmSketch,
     phi: f64,
     capacity: usize,
@@ -153,53 +149,8 @@ pub struct DecayedCmHeavyHitters<G: ForwardDecay> {
     candidates: HashMap<u64, f64>,
 }
 
-impl<G: ForwardDecay> DecayedCmHeavyHitters<G> {
-    /// Creates a tracker for φ-heavy-hitters with sketch error `ε` (choose
-    /// `ε ≤ φ/2` for useful answers) and failure probability `δ`.
-    pub fn new(
-        g: G,
-        landmark: impl Into<Timestamp>,
-        phi: f64,
-        epsilon: f64,
-        delta: f64,
-        seed: u64,
-    ) -> Self {
-        let landmark = landmark.into();
-        assert!(phi > 0.0 && phi < 1.0);
-        let capacity = (8.0 / phi).ceil() as usize;
-        Self {
-            g,
-            renorm: Renormalizer::new(landmark),
-            sketch: CmSketch::with_epsilon_delta(epsilon, delta, seed),
-            phi,
-            capacity,
-            candidates: HashMap::with_capacity(capacity * 2),
-        }
-    }
-
-    /// Ingests an occurrence of `item` at time `t_i`. Pre-landmark
-    /// timestamps are clamped to the landmark
-    /// ([`crate::decay::clamp_to_landmark`]).
-    pub fn update(&mut self, t_i: impl Into<Timestamp>, item: u64) {
-        let t_i = crate::decay::clamp_to_landmark(t_i.into(), self.renorm.original_landmark());
-        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
-            self.sketch.scale_all(factor);
-            for est in self.candidates.values_mut() {
-                *est *= factor;
-            }
-        }
-        let w = self.g.g(t_i - self.renorm.landmark());
-        self.sketch.update(item, w);
-        let est = self.sketch.query(item);
-        if est >= self.phi / 2.0 * self.sketch.total_weight() {
-            self.candidates.insert(item, est);
-            if self.candidates.len() > self.capacity {
-                self.prune();
-            }
-        }
-    }
-
-    /// Drops candidates that have decayed below the watermark; if that is
+impl CmCandidates {
+    /// Drops candidates that have fallen below the watermark; if that is
     /// not enough, keeps only the heaviest `capacity`.
     fn prune(&mut self) {
         let threshold = self.phi / 2.0 * self.sketch.total_weight();
@@ -216,31 +167,101 @@ impl<G: ForwardDecay> DecayedCmHeavyHitters<G> {
             self.candidates = by_weight.into_iter().collect();
         }
     }
+}
 
-    /// The total decayed count `C` at query time `t`.
-    pub fn decayed_count(&self, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.sketch.total_weight() / denom
+/// The whole of what a decayed sketch has to say for itself: how a
+/// weighted arrival goes in, how the (linear) state rescales, and what it
+/// answers over `g(t − L)`. The clock, the batched path, the merge-time
+/// landmark alignment, checkpointing and the `Summary` view are
+/// [`Decayed`]'s.
+impl Weighted for CmCandidates {
+    type Item = u64;
+    type Output = f64;
+
+    fn add(&mut self, _t_i: Timestamp, item: u64, w: f64) {
+        self.sketch.update(item, w);
+        let est = self.sketch.query(item);
+        if est >= self.phi / 2.0 * self.sketch.total_weight() {
+            self.candidates.insert(item, est);
+            if self.candidates.len() > self.capacity {
+                self.prune();
+            }
         }
+    }
+
+    fn scale(&mut self, factor: f64) {
+        self.sketch.scale_all(factor);
+        for est in self.candidates.values_mut() {
+            *est *= factor;
+        }
+    }
+
+    fn over(&self, denom: f64) -> f64 {
+        self.sketch.total_weight() / denom
+    }
+}
+
+impl Mergeable for CmCandidates {
+    /// Sketches are added; candidate sets are unioned, re-estimated against
+    /// the merged sketch and pruned back to capacity.
+    fn merge_from(&mut self, other: &Self) {
+        assert_eq!(self.phi, other.phi, "phi must match");
+        self.sketch.merge_from(&other.sketch);
+        let sketch = &self.sketch;
+        for &item in other.candidates.keys() {
+            let est = sketch.query(item);
+            self.candidates.insert(item, est);
+        }
+        // prune() re-estimates every candidate against the merged sketch
+        // and enforces the capacity bound.
+        self.prune();
+    }
+}
+
+/// Decayed φ-heavy-hitters backed by a [`CmSketch`] plus a bounded candidate
+/// set ([`CmCandidates`]) — the Count-Min counterpart of
+/// [`crate::heavy_hitters::DecayedHeavyHitters`]. `update`, `update_batch`
+/// and `decayed_count` are the clock's.
+pub type DecayedCmHeavyHitters<G> = Decayed<G, CmCandidates>;
+
+impl<G: ForwardDecay> DecayedCmHeavyHitters<G> {
+    /// Creates a tracker for φ-heavy-hitters with sketch error `ε` (choose
+    /// `ε ≤ φ/2` for useful answers) and failure probability `δ`.
+    pub fn new(
+        g: G,
+        landmark: impl Into<Timestamp>,
+        phi: f64,
+        epsilon: f64,
+        delta: f64,
+        seed: u64,
+    ) -> Self {
+        assert!(phi > 0.0 && phi < 1.0);
+        let capacity = (8.0 / phi).ceil() as usize;
+        let inner = CmCandidates {
+            sketch: CmSketch::with_epsilon_delta(epsilon, delta, seed),
+            phi,
+            capacity,
+            candidates: HashMap::with_capacity(capacity * 2),
+        };
+        Self::wrap(g, landmark, inner)
     }
 
     /// The φ-heavy-hitters at query time `t` (the φ fixed at construction),
     /// heaviest first.
     pub fn heavy_hitters(&self, t: impl Into<Timestamp>) -> Vec<HeavyHitter> {
-        let t = t.into();
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
+        let Some(denom) = self.denominator(t) else {
             return Vec::new();
-        }
-        let threshold = self.phi * self.sketch.total_weight();
-        let mut out: Vec<HeavyHitter> = self
-            .candidates
+        };
+        let CmCandidates {
+            sketch,
+            phi,
+            candidates,
+            ..
+        } = self.inner();
+        let threshold = phi * sketch.total_weight();
+        let mut out: Vec<HeavyHitter> = candidates
             .keys()
-            .map(|&item| (item, self.sketch.query(item)))
+            .map(|&item| (item, sketch.query(item)))
             .filter(|&(_, est)| est >= threshold)
             .map(|(item, est)| HeavyHitter {
                 item,
@@ -254,58 +275,14 @@ impl<G: ForwardDecay> DecayedCmHeavyHitters<G> {
 
     /// Estimated decayed count of `item` at time `t` (sketch upper bound).
     pub fn estimate(&self, item: u64, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.sketch.query(item) / denom
-        }
+        self.denominator(t)
+            .map_or(0.0, |denom| self.inner().sketch.query(item) / denom)
     }
 
     /// Approximate memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.sketch.size_bytes() + self.candidates.capacity() * 24 + std::mem::size_of::<Self>()
-    }
-}
-
-impl<G: ForwardDecay> Mergeable for DecayedCmHeavyHitters<G> {
-    /// Distributed merge: sketches are aligned to a common effective
-    /// landmark (rescaling the side that renormalized less) and added;
-    /// candidate sets are unioned, re-estimated against the merged sketch
-    /// and pruned back to capacity.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.renorm.original_landmark(),
-            other.renorm.original_landmark(),
-            "summaries must share a landmark"
-        );
-        assert_eq!(self.phi, other.phi, "phi must match");
-        if other.renorm.landmark() > self.renorm.landmark() {
-            if let Some(f) = self.renorm.rescale_to(&self.g, other.renorm.landmark()) {
-                self.sketch.scale_all(f);
-            }
-            self.sketch.merge_from(&other.sketch);
-        } else if other.renorm.landmark() < self.renorm.landmark() {
-            let mut o = other.sketch.clone();
-            // Log-domain landmark alignment; see DecayedHeavyHitters.
-            o.scale_all(crate::numerics::landmark_shift_factor(
-                &self.g,
-                other.renorm.landmark(),
-                self.renorm.landmark(),
-            ));
-            self.sketch.merge_from(&o);
-        } else {
-            self.sketch.merge_from(&other.sketch);
-        }
-        let sketch = &self.sketch;
-        for &item in other.candidates.keys() {
-            let est = sketch.query(item);
-            self.candidates.insert(item, est);
-        }
-        // prune() re-estimates every candidate against the merged sketch
-        // and enforces the capacity bound.
-        self.prune();
+        let inner = self.inner();
+        inner.sketch.size_bytes() + inner.candidates.capacity() * 24 + std::mem::size_of::<Self>()
     }
 }
 
@@ -466,10 +443,15 @@ mod tests {
         for i in 0..100_000u64 {
             hh.update(i as f64 * 1e-4, i % 50_000);
         }
+        let CmCandidates {
+            candidates,
+            capacity,
+            ..
+        } = hh.inner();
         assert!(
-            hh.candidates.len() <= hh.capacity,
+            candidates.len() <= *capacity,
             "{} candidates",
-            hh.candidates.len()
+            candidates.len()
         );
     }
 }

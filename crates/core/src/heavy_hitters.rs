@@ -14,15 +14,17 @@
 //!   updates (counter array + indexed min-heap);
 //! - [`UnarySpaceSaving`] — the classic Stream-Summary structure with O(1)
 //!   unary updates, the "Unary HH" baseline in the paper's Figure 5;
-//! - [`DecayedHeavyHitters`] — the forward-decay wrapper that feeds
-//!   `g(t_i − L)` weights into [`WeightedSpaceSaving`], renormalizing the
-//!   landmark when exponential weights grow large (Section VI-A).
+//! - [`DecayedHeavyHitters`] — [`WeightedSpaceSaving`] under the
+//!   forward-decay clock ([`Decayed`]), which feeds it `g(t_i − L)` weights
+//!   and renormalizes the landmark when exponential weights grow large
+//!   (Section VI-A).
 
 use std::collections::HashMap;
 
 use crate::decay::ForwardDecay;
+use crate::decayed::{Decayed, Weighted};
 use crate::merge::Mergeable;
-use crate::numerics::Renormalizer;
+use crate::summary::SummaryStats;
 use crate::Timestamp;
 
 /// One monitored counter: an item, its estimated (over-)count, and the
@@ -220,13 +222,8 @@ impl WeightedSpaceSaving {
     }
 
     /// Multiplies every stored count, error and the running total by
-    /// `factor` — the linear renormalization pass of Section VI-A.
-    ///
-    /// A factor of exactly `0.0` is legal: a landmark shift across a gap
-    /// wider than the `f64` subnormal range can express rounds to zero
-    /// (see [`crate::numerics::landmark_shift_factor`]) — at that point the
-    /// old mass genuinely is below resolution. NaN and negative factors
-    /// remain bugs.
+    /// `factor` ([`Weighted::scale`]: zero is legal, NaN and negative
+    /// factors remain bugs).
     pub fn scale_all(&mut self, factor: f64) {
         debug_assert!(factor >= 0.0 && !factor.is_nan());
         for c in &mut self.counters {
@@ -704,232 +701,46 @@ impl Mergeable for UnarySpaceSaving {
 // Forward-decayed wrapper
 // ---------------------------------------------------------------------------
 
-/// Decayed φ-heavy-hitters under forward decay (Definition 7 / Theorem 2).
-///
-/// Feeds weights `g(t_i − L)` into a [`WeightedSpaceSaving`] summary and
-/// scales by `g(t − L)` at query time; renormalizes the landmark when
-/// exponential weights threaten `f64` overflow.
-///
-/// ```
-/// use fd_core::heavy_hitters::DecayedHeavyHitters;
-/// use fd_core::decay::Monomial;
-///
-/// // Example 3 of the paper: φ = 0.2 heavy hitters are items 4, 6 and 8.
-/// let mut hh = DecayedHeavyHitters::new(Monomial::quadratic(), 100.0, 100);
-/// for (t, v) in [(105.0, 4), (107.0, 8), (103.0, 3), (108.0, 6), (104.0, 4)] {
-///     hh.update(t, v);
-/// }
-/// let mut items: Vec<u64> = hh.heavy_hitters(0.2, 110.0).iter().map(|h| h.item).collect();
-/// items.sort();
-/// assert_eq!(items, vec![4, 6, 8]);
-/// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct DecayedHeavyHitters<G: ForwardDecay> {
-    g: G,
-    renorm: Renormalizer,
-    inner: WeightedSpaceSaving,
-}
-
-impl<G: ForwardDecay> DecayedHeavyHitters<G> {
-    /// Creates a decayed heavy-hitter summary with `capacity` counters
-    /// (error `ε = 1/capacity` relative to the decayed count `C`).
-    pub fn new(g: G, landmark: impl Into<Timestamp>, capacity: usize) -> Self {
-        let landmark = landmark.into();
-        Self {
-            g,
-            renorm: Renormalizer::new(landmark),
-            inner: WeightedSpaceSaving::new(capacity),
-        }
-    }
-
-    /// Creates a summary with error bound `ε`.
-    pub fn with_epsilon(g: G, landmark: impl Into<Timestamp>, epsilon: f64) -> Self {
-        let landmark = landmark.into();
-        Self {
-            g,
-            renorm: Renormalizer::new(landmark),
-            inner: WeightedSpaceSaving::with_epsilon(epsilon),
-        }
-    }
-
-    /// Ingests an occurrence of `item` at time `t_i`. Pre-landmark
-    /// timestamps are clamped to the landmark
-    /// ([`crate::decay::clamp_to_landmark`]).
-    #[inline]
-    pub fn update(&mut self, t_i: impl Into<Timestamp>, item: u64) {
-        let t_i = crate::decay::clamp_to_landmark(t_i.into(), self.renorm.original_landmark());
-        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
-            self.inner.scale_all(factor);
-        }
-        self.inner
-            .update(item, self.g.g(t_i - self.renorm.landmark()));
-    }
-
-    /// Ingests a columnar batch: `ts[i]` pairs with `items[i]`.
-    ///
-    /// Hoists the renormalization check to a single
-    /// [`pre_update`](crate::numerics::Renormalizer::pre_update) against
-    /// the batch maximum and evaluates weights through a
-    /// [`WeightKernel`](crate::kernel::WeightKernel), so duplicated clock
-    /// ticks cost a compare instead of a `powf`/`exp`. SpaceSaving
-    /// updates are applied in slice order; see
-    /// [`DecayedCount::update_batch`](crate::aggregates::DecayedCount::update_batch)
-    /// for the renormalization rounding caveats.
-    ///
-    /// # Panics
-    /// Panics if the slices' lengths differ.
-    pub fn update_batch(&mut self, ts: &[Timestamp], items: &[u64]) {
-        assert_eq!(ts.len(), items.len(), "columnar batch slices must align");
-        let Some(&max_t) = ts.iter().max() else {
-            return;
-        };
-        if let Some(factor) = self.renorm.pre_update(&self.g, max_t) {
-            self.inner.scale_all(factor);
-        }
-        let l0 = self.renorm.original_landmark();
-        let l = self.renorm.landmark();
-        let mut k = crate::kernel::WeightKernel::new(self.g.clone());
-        for (&t_i, &item) in ts.iter().zip(items) {
-            self.inner
-                .update(item, k.g(crate::decay::clamp_to_landmark(t_i, l0) - l));
-        }
-    }
-
-    /// The total decayed count `C` at query time `t`.
-    pub fn decayed_count(&self, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.inner.total_weight() / denom
-        }
-    }
-
-    /// The φ-heavy-hitters at query time `t`: all items whose decayed count
-    /// is at least `φ·C`, with estimates reported as decayed counts.
-    pub fn heavy_hitters(&self, phi: f64, t: impl Into<Timestamp>) -> Vec<HeavyHitter> {
-        let t = t.into();
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            return Vec::new();
-        }
-        let mut out = self.inner.heavy_hitters(phi);
-        for h in &mut out {
-            h.count /= denom;
-        }
-        out
-    }
-
-    /// The estimated decayed count of `item` at time `t`, with error bound.
-    pub fn estimate(&self, item: u64, t: impl Into<Timestamp>) -> Option<HhCounter> {
-        let t = t.into();
-        let denom = self.g.g(t - self.renorm.landmark());
-        self.inner.estimate(item).map(|mut c| {
-            c.count /= denom;
-            c.error /= denom;
-            c
-        })
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.inner.size_bytes() + std::mem::size_of::<Self>()
-    }
-
-    /// Access to the underlying weighted summary.
-    pub fn inner(&self) -> &WeightedSpaceSaving {
-        &self.inner
-    }
-}
-
-impl<G: ForwardDecay> Mergeable for DecayedHeavyHitters<G> {
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.renorm.original_landmark(),
-            other.renorm.original_landmark(),
-            "summaries must share a landmark"
-        );
-        if other.renorm.landmark() > self.renorm.landmark() {
-            if let Some(f) = self.renorm.rescale_to(&self.g, other.renorm.landmark()) {
-                self.inner.scale_all(f);
-            }
-            self.inner.merge_from(&other.inner);
-        } else if other.renorm.landmark() < self.renorm.landmark() {
-            let mut o = other.inner.clone();
-            // Log-domain landmark alignment: the linear 1/g(ΔL) collapses to
-            // 0.0 across a g-overflowing gap (≈ 709/α s for exponential),
-            // zeroing the other side's mass.
-            o.scale_all(crate::numerics::landmark_shift_factor(
-                &self.g,
-                other.renorm.landmark(),
-                self.renorm.landmark(),
-            ));
-            self.inner.merge_from(&o);
-        } else {
-            self.inner.merge_from(&other.inner);
-        }
-    }
-}
-
-// ----- unified Summary API ------------------------------------------------
-
-use crate::summary::Summary;
-
-impl<G: ForwardDecay> DecayedHeavyHitters<G> {
-    /// The landmark `L` passed at construction.
-    pub fn landmark(&self) -> Timestamp {
-        self.renorm.original_landmark()
-    }
-}
-
-/// Items in, total decayed mass out; the identities of the heavy hitters
-/// themselves come from the inherent [`heavy_hitters`] method.
-///
-/// [`heavy_hitters`]: DecayedHeavyHitters::heavy_hitters
-impl<G: ForwardDecay> Summary for DecayedHeavyHitters<G> {
-    type Update = u64;
+/// What [`DecayedHeavyHitters`] needs of SpaceSaving: weighted updates
+/// under another name, and the total mass as the answer.
+impl Weighted for WeightedSpaceSaving {
+    type Item = u64;
     type Output = f64;
 
-    fn landmark(&self) -> Timestamp {
-        self.landmark()
+    #[inline]
+    fn add(&mut self, _t_i: Timestamp, item: u64, w: f64) {
+        self.update(item, w);
     }
 
-    fn update_at(&mut self, t_i: Timestamp, item: u64) {
-        self.update(t_i, item);
+    fn scale(&mut self, factor: f64) {
+        self.scale_all(factor);
     }
 
-    fn update_batch_at(&mut self, ts: &[Timestamp], items: &[u64]) {
-        self.update_batch(ts, items);
+    fn over(&self, denom: f64) -> f64 {
+        self.total / denom
     }
 
-    fn query_at(&self, t: Timestamp) -> f64 {
-        self.decayed_count(t)
-    }
-
-    fn stats(&self) -> crate::summary::SummaryStats {
-        crate::summary::SummaryStats {
-            renormalizations: self.renorm.rescales(),
-            occupancy: self.inner.len() as u64,
-            capacity: self.inner.capacity() as u64,
-            items: 0, // not tracked by SpaceSaving
-            accepted: 0,
+    fn stats(&self) -> SummaryStats {
+        SummaryStats {
+            occupancy: self.len() as u64,
+            capacity: self.capacity as u64,
+            ..SummaryStats::default() // arrivals are not tracked by SpaceSaving
         }
     }
 
-    fn check_invariants(&self) -> Result<(), String> {
-        let total = self.inner.total_weight();
+    fn check_invariants(&self, _landmark: Timestamp) -> Result<(), String> {
+        let total = self.total;
         if total.is_nan() || total < 0.0 {
             return Err(format!("SpaceSaving total weight invalid: {total}"));
         }
-        if self.inner.len() > self.inner.capacity() {
+        if self.len() > self.capacity {
             return Err(format!(
                 "SpaceSaving occupancy {} exceeds capacity {}",
-                self.inner.len(),
-                self.inner.capacity()
+                self.len(),
+                self.capacity
             ));
         }
-        for c in self.inner.counters() {
+        for c in &self.counters {
             if c.count.is_nan() || c.count < 0.0 || c.error.is_nan() || c.error < 0.0 {
                 return Err(format!(
                     "SpaceSaving counter invalid: item {} count {} error {}",
@@ -944,6 +755,68 @@ impl<G: ForwardDecay> Summary for DecayedHeavyHitters<G> {
             }
         }
         Ok(())
+    }
+}
+
+/// Decayed φ-heavy-hitters under forward decay (Definition 7 / Theorem 2):
+/// a [`WeightedSpaceSaving`] summary under the [`Decayed`] clock, which
+/// feeds it the weights `g(t_i − L)`, scales by `g(t − L)` at query time
+/// and renormalizes the landmark when exponential weights threaten `f64`
+/// overflow. `update`, `update_batch` and `decayed_count` are the clock's.
+///
+/// ```
+/// use fd_core::heavy_hitters::DecayedHeavyHitters;
+/// use fd_core::decay::Monomial;
+///
+/// // Example 3 of the paper: φ = 0.2 heavy hitters are items 4, 6 and 8.
+/// let mut hh = DecayedHeavyHitters::new(Monomial::quadratic(), 100.0, 100);
+/// for (t, v) in [(105.0, 4), (107.0, 8), (103.0, 3), (108.0, 6), (104.0, 4)] {
+///     hh.update(t, v);
+/// }
+/// let mut items: Vec<u64> = hh.heavy_hitters(0.2, 110.0).iter().map(|h| h.item).collect();
+/// items.sort();
+/// assert_eq!(items, vec![4, 6, 8]);
+/// ```
+pub type DecayedHeavyHitters<G> = Decayed<G, WeightedSpaceSaving>;
+
+impl<G: ForwardDecay> DecayedHeavyHitters<G> {
+    /// Creates a decayed heavy-hitter summary with `capacity` counters
+    /// (error `ε = 1/capacity` relative to the decayed count `C`).
+    pub fn new(g: G, landmark: impl Into<Timestamp>, capacity: usize) -> Self {
+        Self::wrap(g, landmark, WeightedSpaceSaving::new(capacity))
+    }
+
+    /// Creates a summary with error bound `ε`.
+    pub fn with_epsilon(g: G, landmark: impl Into<Timestamp>, epsilon: f64) -> Self {
+        Self::wrap(g, landmark, WeightedSpaceSaving::with_epsilon(epsilon))
+    }
+
+    /// The φ-heavy-hitters at query time `t`: all items whose decayed count
+    /// is at least `φ·C`, with estimates reported as decayed counts.
+    pub fn heavy_hitters(&self, phi: f64, t: impl Into<Timestamp>) -> Vec<HeavyHitter> {
+        let Some(denom) = self.denominator(t) else {
+            return Vec::new();
+        };
+        let mut out = self.inner().heavy_hitters(phi);
+        for h in &mut out {
+            h.count /= denom;
+        }
+        out
+    }
+
+    /// The estimated decayed count of `item` at time `t`, with error bound.
+    pub fn estimate(&self, item: u64, t: impl Into<Timestamp>) -> Option<HhCounter> {
+        let denom = self.denominator(t)?;
+        self.inner().estimate(item).map(|mut c| {
+            c.count /= denom;
+            c.error /= denom;
+            c
+        })
+    }
+
+    /// Approximate memory footprint in bytes.
+    pub fn size_bytes(&self) -> usize {
+        self.inner().size_bytes() + std::mem::size_of::<Self>()
     }
 }
 

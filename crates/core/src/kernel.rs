@@ -19,8 +19,8 @@
 //!    ([`Renormalizer::pre_update`](crate::numerics::Renormalizer::pre_update))
 //!    depends
 //!    only on the decay family and the largest age in flight — so a batch
-//!    can hoist that check out of the inner loop entirely (see the
-//!    `update_batch` methods on the summaries) and leave a bare
+//!    can hoist that check out of the inner loop entirely (the batched
+//!    arrival of [`Decayed`](crate::decayed::Decayed)) and leave a bare
 //!    multiply-accumulate loop the compiler can vectorize.
 //!
 //! [`WeightKernel`] packages observation 1: it wraps a [`ForwardDecay`] and
@@ -37,9 +37,8 @@
 //!
 //! let mut k = WeightKernel::new(Exponential::new(0.5));
 //! let ages = [1.0, 1.0, 1.0, 2.0, 2.0]; // duplicated ticks
-//! let mut out = Vec::new();
-//! k.g_into(&ages, &mut out);
-//! assert_eq!(out.len(), 5);
+//! let total: f64 = ages.iter().map(|&n| k.g(n)).sum();
+//! assert!(total > 0.0);
 //! assert_eq!(k.misses(), 2); // only two distinct ages were evaluated
 //! ```
 
@@ -85,11 +84,6 @@ impl<G: ForwardDecay> WeightKernel<G> {
         }
     }
 
-    /// The wrapped decay function.
-    pub fn decay(&self) -> &G {
-        &self.g
-    }
-
     /// `g(n)`, memoized on the last distinct age.
     #[inline]
     pub fn g(&mut self, n: f64) -> f64 {
@@ -122,34 +116,6 @@ impl<G: ForwardDecay> WeightKernel<G> {
         self.ln_key = n;
         self.ln_val = v;
         v
-    }
-
-    /// Evaluates `g` over a slice of ages into `out` (cleared first).
-    pub fn g_into(&mut self, ages: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(ages.len());
-        for &n in ages {
-            out.push(self.g(n));
-        }
-    }
-
-    /// Evaluates `ln_g` over a slice of ages into `out` (cleared first).
-    pub fn ln_g_into(&mut self, ages: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(ages.len());
-        for &n in ages {
-            out.push(self.ln_g(n));
-        }
-    }
-
-    /// `Σ g(n)` over a slice of ages, accumulated in slice order (so the
-    /// result is bit-identical to the equivalent scalar loop).
-    pub fn sum_g(&mut self, ages: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for &n in ages {
-            acc += self.g(n);
-        }
-        acc
     }
 
     /// Cache hits so far (always 0 when the family opts out of the cache).
@@ -302,25 +268,6 @@ mod tests {
         k.ln_g(1.0); // …then hits
         assert_eq!(k.misses(), 2);
         assert_eq!(k.hits(), 1);
-    }
-
-    #[test]
-    fn slice_eval_matches_scalar_loop() {
-        let g = Exponential::new(0.25);
-        let mut k = WeightKernel::new(g);
-        let ages: Vec<f64> = (0..100).map(|i| (i / 7) as f64 * 0.5).collect();
-        let mut out = Vec::new();
-        k.g_into(&ages, &mut out);
-        for (&n, &v) in ages.iter().zip(&out) {
-            assert_eq!(v.to_bits(), g.g(n).to_bits());
-        }
-        assert_eq!(k.sum_g(&ages).to_bits(), {
-            let mut acc = 0.0;
-            for &n in &ages {
-                acc += g.g(n);
-            }
-            acc.to_bits()
-        });
     }
 
     #[test]

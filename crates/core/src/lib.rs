@@ -15,49 +15,46 @@
 //!
 //! for a monotone non-decreasing `g`. The numerator is *fixed at arrival*, so
 //! every aggregate reduces to its weighted, undecayed counterpart plus a
-//! single scaling by `g(t − L)` at query time. This crate provides:
+//! single scaling by `g(t − L)` at query time — and that reduction is one
+//! type here, [`Decayed<G, S>`](decayed): a clock around any [`Weighted`]
+//! summary `S`. The crate is that type, the summaries it runs, and what
+//! they are measured against:
 //!
 //! - [`decay`] — forward decay functions (no decay, monomial, exponential,
 //!   landmark window, general polynomials) and the classical backward decay
 //!   functions they are compared against;
-//! - [`aggregates`] — constant-space decayed Count / Sum / Average /
-//!   Variance / Min / Max (Theorem 1 of the paper);
-//! - [`heavy_hitters`] — weighted SpaceSaving for decayed φ-heavy-hitters
-//!   (Theorem 2), plus the unary-optimized variant used as the undecayed
-//!   baseline in the paper's experiments;
-//! - [`quantiles`] — a weighted q-digest for decayed φ-quantiles (Theorem 3)
-//!   and a weighted Greenwald–Khanna summary for unbounded value domains;
-//! - [`distinct`] — decayed count-distinct, i.e. the dominance norm
-//!   `Σ_v max_{v_i = v} g(t_i − L)` (Theorem 4);
-//! - [`sampling`] — decayed sampling with replacement (Theorem 5), weighted
-//!   reservoir sampling and priority sampling without replacement
-//!   (Theorem 6), and the exponential-decay sampler of Corollary 1, plus
-//!   Aggarwal's biased reservoir as the backward-decay baseline;
+//! - [`decayed`] — [`Decayed`] and [`Weighted`]: the arrival prologue
+//!   (scalar and batched), merge-time landmark alignment and the query-time
+//!   denominator, written once; a new decayed sketch is one `impl Weighted`;
+//! - the weighted summaries and their decayed aliases: [`aggregates`]
+//!   (constant-space Count / Sum / Min / Max, and the Average / Variance
+//!   composed of them — Theorem 1), [`heavy_hitters`] (weighted SpaceSaving
+//!   — Theorem 2 — plus the unary variant the paper uses as undecayed
+//!   baseline), [`quantiles`] (a weighted q-digest — Theorem 3 — and a
+//!   weighted Greenwald–Khanna summary for unbounded domains), [`cm`] (a
+//!   Count-Min sketch with a candidate set, the alternative heavy-hitter
+//!   backend of the ablation benches);
+//! - what does not reduce to a weighted sum keeps its own log-domain
+//!   arithmetic: [`distinct`] — the dominance norm
+//!   `Σ_v max_{v_i = v} g(t_i − L)` (Theorem 4) — and [`sampling`] —
+//!   sampling with replacement (Theorem 5), weighted reservoir and priority
+//!   sampling without (Theorem 6), the exponential-decay sampler of
+//!   Corollary 1 and Aggarwal's biased reservoir as backward baseline;
 //! - [`backward`] — the backward-decay machinery the paper benchmarks
 //!   against: exponential histograms for sliding-window / arbitrary-decay
 //!   sums and counts (with the Cohen–Strauss query-time combination) and a
 //!   pane-structured sliding-window heavy-hitter summary;
-//! - [`numerics`] — landmark renormalization and log-domain accumulation,
-//!   handling the overflow issues of exponential `g` (Section VI-A);
-//! - [`kernel`] — batched `g`/`ln_g` evaluation with per-tick memoization
-//!   ([`kernel::WeightKernel`]), the scalar building block behind the
-//!   `update_batch` fast paths on the summaries;
-//! - [`merge`] — the [`merge::Mergeable`] trait: every summary in this crate
-//!   can be merged across distributed sites or shards (Section VI-B);
-//! - [`cm`] — a weighted Count-Min sketch as an alternative heavy-hitter
-//!   backend (compared against SpaceSaving in the ablation benches);
-//! - [`checkpoint`] — binary snapshot/restore for every summary (all derive
-//!   serde), via an in-repo bincode-style codec;
-//! - [`oracle`] — a brute-force differential oracle (keeps the whole
-//!   stream, recomputes every decayed answer from scratch), an adversarial
-//!   stream generator and a ddmin shrinker, backing the metamorphic
-//!   cross-check harness in `tests/differential.rs`;
-//! - [`summary`] — the unified [`Summary`] trait (`update_at` / `query_at`
-//!   / `landmark`) implemented by every decayed aggregate, sketch and
-//!   sampler, so engine, checkpoint and merge layers can be generic;
-//! - [`error`] — the [`Error`] enum returned by the `try_` constructors
-//!   (`Monomial::try_new`, `Exponential::try_with_half_life`, …) for
-//!   callers that prefer reporting over panicking.
+//! - [`numerics`] — landmark renormalization and log-domain accumulation
+//!   for exponential `g` (Section VI-A); [`kernel`] — batched weight
+//!   evaluation with per-tick memoization behind the batched paths;
+//! - [`merge`] — [`Mergeable`]: every summary merges across sites or shards
+//!   (Section VI-B); [`summary`] — the [`Summary`] view (`update_at` /
+//!   `query_at`) every decayed summary and sampler offers generic code;
+//!   [`checkpoint`] — binary snapshot/restore for all of them (in-repo
+//!   bincode-style codec);
+//! - [`oracle`] — a brute-force differential oracle, an adversarial stream
+//!   generator and a ddmin shrinker, backing `tests/differential.rs`;
+//!   [`error`] — the [`Error`] of the `try_` constructors.
 //!
 //! ## Quick example
 //!
@@ -99,6 +96,7 @@ pub mod backward;
 pub mod checkpoint;
 pub mod cm;
 pub mod decay;
+pub mod decayed;
 pub mod distinct;
 pub mod error;
 pub mod hash;
@@ -112,6 +110,7 @@ pub mod sampling;
 pub mod summary;
 
 pub use decay::{BackwardDecay, ForwardDecay};
+pub use decayed::{Decayed, Weighted};
 pub use error::Error;
 pub use merge::Mergeable;
 pub use summary::{Summary, SummaryStats};
@@ -133,6 +132,7 @@ pub mod prelude {
         AnyDecay, BackwardDecay, Exponential, ForwardDecay, LandmarkWindow, Monomial, NoDecay,
         PolySum,
     };
+    pub use crate::decayed::{Decayed, Weighted};
     pub use crate::distinct::DominanceSketch;
     pub use crate::error::Error;
     pub use crate::heavy_hitters::DecayedHeavyHitters;

@@ -12,15 +12,17 @@
 //!   space `O((1/ε)·log U)` counters for rank error `ε·W` (Theorem 3);
 //! - [`WeightedGK`] — a weighted Greenwald–Khanna summary over arbitrary
 //!   `f64` values (an extension beyond the paper, for unbounded domains);
-//! - [`DecayedQuantiles`] — the forward-decay wrapper around [`QDigest`].
+//! - [`DecayedQuantiles`] — [`QDigest`] under the forward-decay clock
+//!   ([`Decayed`]).
 
 use std::borrow::Cow;
 
 use serde::ser::SerializeStruct;
 
 use crate::decay::ForwardDecay;
+use crate::decayed::{Decayed, Weighted};
 use crate::merge::Mergeable;
-use crate::numerics::Renormalizer;
+use crate::summary::SummaryStats;
 use crate::Timestamp;
 
 // ---------------------------------------------------------------------------
@@ -432,10 +434,8 @@ impl QDigest {
     }
 
     /// Multiplies all node weights and the total by `factor`
-    /// (landmark-renormalization support). A factor of exactly `0.0` is
-    /// legal — a landmark shift across a gap wider than the subnormal range
-    /// rounds to zero (see [`crate::numerics::landmark_shift_factor`]); the
-    /// nodes it zeroes answer no query and go at the next compress.
+    /// ([`Weighted::scale`]); the nodes a factor of zero leaves answer no
+    /// query and go at the next compress.
     pub fn scale_all(&mut self, factor: f64) {
         debug_assert!(factor >= 0.0 && !factor.is_nan());
         self.flush();
@@ -663,8 +663,8 @@ impl WeightedGK {
         Some(self.tuples.last().unwrap().v)
     }
 
-    /// Multiplies all tuple weights and the total by `factor`. A factor of
-    /// exactly `0.0` is legal — see [`crate::numerics::landmark_shift_factor`].
+    /// Multiplies all tuple weights and the total by `factor` (zero is
+    /// legal, as for [`Weighted::scale`]).
     pub fn scale_all(&mut self, factor: f64) {
         debug_assert!(factor >= 0.0 && !factor.is_nan());
         for t in &mut self.tuples {
@@ -707,210 +707,41 @@ impl Mergeable for WeightedGK {
 // Forward-decayed wrapper
 // ---------------------------------------------------------------------------
 
-/// Decayed φ-quantiles under forward decay (Definition 8 / Theorem 3),
-/// backed by a weighted [`QDigest`].
-///
-/// ```
-/// use fd_core::quantiles::DecayedQuantiles;
-/// use fd_core::decay::Monomial;
-///
-/// let mut q = DecayedQuantiles::new(Monomial::quadratic(), 0.0, 16, 0.01);
-/// for i in 1..=1000u64 {
-///     q.update(i as f64 * 0.01, i % 1000);
-/// }
-/// let median = q.quantile(0.5, 10.0).unwrap();
-/// // Under quadratic decay recent (larger) values weigh more, so the
-/// // decayed median sits above the plain median of ~500.
-/// assert!(median > 550);
-/// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct DecayedQuantiles<G: ForwardDecay> {
-    g: G,
-    renorm: Renormalizer,
-    inner: QDigest,
-}
-
-impl<G: ForwardDecay> DecayedQuantiles<G> {
-    /// Creates a decayed quantile summary for values in `[0, 2^bits)` with
-    /// rank error `ε` relative to the decayed count.
-    pub fn new(g: G, landmark: impl Into<Timestamp>, bits: u32, epsilon: f64) -> Self {
-        let landmark = landmark.into();
-        Self {
-            g,
-            renorm: Renormalizer::new(landmark),
-            inner: QDigest::with_epsilon(bits, epsilon),
-        }
-    }
-
-    /// Ingests `(t_i, value)`. Pre-landmark timestamps are clamped to the
-    /// landmark ([`crate::decay::clamp_to_landmark`]).
-    #[inline]
-    pub fn update(&mut self, t_i: impl Into<Timestamp>, value: u64) {
-        let t_i = crate::decay::clamp_to_landmark(t_i.into(), self.renorm.original_landmark());
-        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
-            self.inner.scale_all(factor);
-        }
-        self.inner
-            .update(value, self.g.g(t_i - self.renorm.landmark()));
-    }
-
-    /// Ingests a columnar batch: `ts[i]` pairs with `values[i]`.
-    ///
-    /// Hoists the renormalization check to a single
-    /// [`pre_update`](crate::numerics::Renormalizer::pre_update) against
-    /// the batch maximum and evaluates weights through a
-    /// [`WeightKernel`](crate::kernel::WeightKernel); q-digest updates are
-    /// applied in slice order. See
-    /// [`DecayedCount::update_batch`](crate::aggregates::DecayedCount::update_batch)
-    /// for the renormalization rounding caveats.
-    ///
-    /// # Panics
-    /// Panics if the slices' lengths differ.
-    pub fn update_batch(&mut self, ts: &[Timestamp], values: &[u64]) {
-        assert_eq!(ts.len(), values.len(), "columnar batch slices must align");
-        let Some(&max_t) = ts.iter().max() else {
-            return;
-        };
-        if let Some(factor) = self.renorm.pre_update(&self.g, max_t) {
-            self.inner.scale_all(factor);
-        }
-        let l0 = self.renorm.original_landmark();
-        let l = self.renorm.landmark();
-        let mut k = crate::kernel::WeightKernel::new(self.g.clone());
-        for (&t_i, &value) in ts.iter().zip(values) {
-            self.inner
-                .update(value, k.g(crate::decay::clamp_to_landmark(t_i, l0) - l));
-        }
-    }
-
-    /// The decayed φ-quantile at query time `t` (which only normalizes; the
-    /// quantile itself is independent of `t` because the `g(t−L)` factor
-    /// cancels between rank and count).
-    pub fn quantile(&self, phi: f64, _t: impl Into<Timestamp>) -> Option<u64> {
-        let _t = _t.into();
-        self.inner.quantile(phi)
-    }
-
-    /// The decayed φ-quantile for every `φ` of `phis`, in their order, from
-    /// one pass over the digest ([`QDigest::quantiles`]).
-    pub fn quantiles(&self, phis: &[f64], _t: impl Into<Timestamp>) -> Vec<Option<u64>> {
-        self.inner.quantiles(phis)
-    }
-
-    /// The decayed rank of `value` at query time `t` (Definition 8).
-    pub fn rank(&self, value: u64, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.inner.rank(value) / denom
-        }
-    }
-
-    /// The total decayed count `C` at query time `t`.
-    pub fn decayed_count(&self, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        let denom = self.g.g(t - self.renorm.landmark());
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.inner.total_weight() / denom
-        }
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.inner.size_bytes() + std::mem::size_of::<Self>()
-    }
-
-    /// Access to the underlying q-digest.
-    pub fn inner(&self) -> &QDigest {
-        &self.inner
-    }
-}
-
-impl<G: ForwardDecay> Mergeable for DecayedQuantiles<G> {
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.renorm.original_landmark(),
-            other.renorm.original_landmark(),
-            "summaries must share a landmark"
-        );
-        if other.renorm.landmark() > self.renorm.landmark() {
-            if let Some(f) = self.renorm.rescale_to(&self.g, other.renorm.landmark()) {
-                self.inner.scale_all(f);
-            }
-            self.inner.merge_from(&other.inner);
-        } else if other.renorm.landmark() < self.renorm.landmark() {
-            let mut o = other.inner.clone();
-            // Log-domain landmark alignment; see DecayedHeavyHitters.
-            o.scale_all(crate::numerics::landmark_shift_factor(
-                &self.g,
-                other.renorm.landmark(),
-                self.renorm.landmark(),
-            ));
-            self.inner.merge_from(&o);
-        } else {
-            self.inner.merge_from(&other.inner);
-        }
-    }
-}
-
-// ----- unified Summary API ------------------------------------------------
-
-use crate::summary::Summary;
-
-impl<G: ForwardDecay> DecayedQuantiles<G> {
-    /// The landmark `L` passed at construction.
-    pub fn landmark(&self) -> Timestamp {
-        self.renorm.original_landmark()
-    }
-}
-
-/// Values in, total decayed mass out; ranks and quantiles come from the
-/// inherent [`quantile`] / [`rank`] methods.
-///
-/// [`quantile`]: DecayedQuantiles::quantile
-/// [`rank`]: DecayedQuantiles::rank
-impl<G: ForwardDecay> Summary for DecayedQuantiles<G> {
-    type Update = u64;
+/// What [`DecayedQuantiles`] needs of the q-digest: weighted updates under
+/// another name, and the total mass as the answer.
+impl Weighted for QDigest {
+    type Item = u64;
     type Output = f64;
 
-    fn landmark(&self) -> Timestamp {
-        self.landmark()
+    #[inline]
+    fn add(&mut self, _t_i: Timestamp, value: u64, w: f64) {
+        self.update(value, w);
     }
 
-    fn update_at(&mut self, t_i: Timestamp, value: u64) {
-        self.update(t_i, value);
+    fn scale(&mut self, factor: f64) {
+        self.scale_all(factor);
     }
 
-    fn update_batch_at(&mut self, ts: &[Timestamp], values: &[u64]) {
-        self.update_batch(ts, values);
+    fn over(&self, denom: f64) -> f64 {
+        self.total / denom
     }
 
-    fn query_at(&self, t: Timestamp) -> f64 {
-        self.decayed_count(t)
-    }
-
-    fn stats(&self) -> crate::summary::SummaryStats {
-        crate::summary::SummaryStats {
-            renormalizations: self.renorm.rescales(),
-            occupancy: self.inner.len() as u64,
+    fn stats(&self) -> SummaryStats {
+        SummaryStats {
+            occupancy: self.len() as u64,
             // The digest property caps live nodes at ≈ 3k.
-            capacity: 3 * self.inner.compression(),
-            items: 0, // not tracked by the q-digest
-            accepted: 0,
+            capacity: 3 * self.k,
+            ..SummaryStats::default() // arrivals are not tracked by the q-digest
         }
     }
 
-    fn check_invariants(&self) -> Result<(), String> {
-        let total = self.inner.total_weight();
+    fn check_invariants(&self, _landmark: Timestamp) -> Result<(), String> {
+        let total = self.total;
         if total.is_nan() || total < 0.0 {
             return Err(format!("q-digest total weight invalid: {total}"));
         }
         let mut node_sum = 0.0;
-        for &(id, w) in self.inner.nodes().iter() {
+        for &(id, w) in self.nodes().iter() {
             if w.is_nan() || w < 0.0 {
                 return Err(format!("q-digest node {id} has invalid weight {w}"));
             }
@@ -927,10 +758,62 @@ impl<G: ForwardDecay> Summary for DecayedQuantiles<G> {
     }
 }
 
+/// Decayed φ-quantiles under forward decay (Definition 8 / Theorem 3): a
+/// weighted [`QDigest`] under the [`Decayed`] clock. `update`,
+/// `update_batch` and `decayed_count` are the clock's.
+///
+/// ```
+/// use fd_core::quantiles::DecayedQuantiles;
+/// use fd_core::decay::Monomial;
+///
+/// let mut q = DecayedQuantiles::new(Monomial::quadratic(), 0.0, 16, 0.01);
+/// for i in 1..=1000u64 {
+///     q.update(i as f64 * 0.01, i % 1000);
+/// }
+/// let median = q.quantile(0.5, 10.0).unwrap();
+/// // Under quadratic decay recent (larger) values weigh more, so the
+/// // decayed median sits above the plain median of ~500.
+/// assert!(median > 550);
+/// ```
+pub type DecayedQuantiles<G> = Decayed<G, QDigest>;
+
+impl<G: ForwardDecay> DecayedQuantiles<G> {
+    /// Creates a decayed quantile summary for values in `[0, 2^bits)` with
+    /// rank error `ε` relative to the decayed count.
+    pub fn new(g: G, landmark: impl Into<Timestamp>, bits: u32, epsilon: f64) -> Self {
+        Self::wrap(g, landmark, QDigest::with_epsilon(bits, epsilon))
+    }
+
+    /// The decayed φ-quantile at query time `t` (which only normalizes; the
+    /// quantile itself is independent of `t` because the `g(t−L)` factor
+    /// cancels between rank and count).
+    pub fn quantile(&self, phi: f64, _t: impl Into<Timestamp>) -> Option<u64> {
+        self.inner().quantile(phi)
+    }
+
+    /// The decayed φ-quantile for every `φ` of `phis`, in their order, from
+    /// one pass over the digest ([`QDigest::quantiles`]).
+    pub fn quantiles(&self, phis: &[f64], _t: impl Into<Timestamp>) -> Vec<Option<u64>> {
+        self.inner().quantiles(phis)
+    }
+
+    /// The decayed rank of `value` at query time `t` (Definition 8).
+    pub fn rank(&self, value: u64, t: impl Into<Timestamp>) -> f64 {
+        self.denominator(t)
+            .map_or(0.0, |denom| self.inner().rank(value) / denom)
+    }
+
+    /// Approximate memory footprint in bytes.
+    pub fn size_bytes(&self) -> usize {
+        self.inner().size_bytes() + std::mem::size_of::<Self>()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decay::{Exponential, Monomial, NoDecay};
+    use crate::summary::Summary;
 
     /// Brute-force weighted rank for checking.
     fn exact_rank(items: &[(u64, f64)], v: u64) -> f64 {

@@ -1,30 +1,27 @@
-//! The unified [`Summary`] trait: one ingestion/query shape for every
-//! forward-decay summary in this crate.
+//! The [`Summary`] trait: one ingestion/query shape for every forward-decay
+//! summary in this crate.
 //!
-//! Everything the paper builds — aggregates (Theorem 1), heavy hitters
-//! (Theorem 2), quantiles (Theorem 3), dominance norms (Theorem 4) and
-//! samplers (Theorems 5–6) — shares the same lifecycle: timestamped
-//! arrivals go in, and at query time the accumulated state is normalized
-//! by `g(t − L)` to produce a decayed answer. [`Summary`] captures that
-//! shape, so what handles every summary alike is written once: the
-//! differential oracle harness replays, merges and checkpoints any
-//! `S: Summary` against the brute-force reference, and the engine wraps
-//! every summary in one adapter (`fd_engine::aggregators`) that needs only
-//! [`Mergeable`](crate::merge::Mergeable) and serde from it.
+//! Everything the paper builds shares one lifecycle — timestamped arrivals
+//! go in, and at query time the state is normalized by `g(t − L)`. For the
+//! summaries that reduce to a weighted one (aggregates, heavy hitters,
+//! quantiles — Theorems 1–3) that lifecycle *is* a type,
+//! [`Decayed`](crate::decayed::Decayed), and its one `impl Summary` serves
+//! them all; the dominance sketches (Theorem 4), the samplers
+//! (Theorems 5–6) and the composite average / variance implement the trait
+//! themselves. Generic code — the differential oracle harness, which
+//! replays, merges and checkpoints any `S: Summary` against the brute-force
+//! reference — is written against this view; the engine's one adapter
+//! (`fd_engine::aggregators`) needs only
+//! [`Mergeable`](crate::merge::Mergeable) and serde.
 //!
-//! What varies per summary is captured by two associated types:
-//!
-//! - [`Update`](Summary::Update) — the payload accompanying each
-//!   timestamp: `()` for a count, `f64` for a sum/average/variance,
-//!   `u64` for an item identifier, `T` for a sampled record;
-//! - [`Output`](Summary::Output) — the query-time answer: `f64` for the
-//!   scalar aggregates and sketch mass, `Option<f64>` where an empty
-//!   summary has no answer, `Vec<T>` for a drawn sample.
-//!
-//! The trait methods are named `update_at` / `query_at` (rather than
-//! shadowing the inherent `update` / `query` methods) so that summaries
-//! keep their richer inherent APIs — e.g. `heavy_hitters(phi, t)`,
-//! `quantile(phi, t)` — while generic code has one spelling:
+//! What varies is two associated types: [`Update`](Summary::Update), the
+//! payload accompanying each timestamp (`()` for a count, `f64` for a
+//! sum, `u64` for an item identifier, `T` for a sampled record), and
+//! [`Output`](Summary::Output), the answer (`f64` for scalar aggregates and
+//! sketch mass, `Option<_>` where an empty summary has none, `Vec<T>` for a
+//! drawn sample). The methods are named `update_at` / `query_at` so the
+//! inherent `update` / `query` and the richer `heavy_hitters(phi, t)`,
+//! `quantile(phi, t)` keep their names:
 //!
 //! ```
 //! use fd_core::prelude::*;
@@ -126,9 +123,9 @@ pub trait Summary {
     /// The default loops over [`update_at`](Summary::update_at).
     /// Summaries with a batched fast path — hoisted renormalization
     /// checks, per-tick weight memoization via
-    /// [`WeightKernel`](crate::kernel::WeightKernel) — override it; see
-    /// the inherent `update_batch` methods on the aggregates, heavy
-    /// hitters, quantiles and samplers.
+    /// [`WeightKernel`](crate::kernel::WeightKernel) — override it:
+    /// [`Decayed`](crate::decayed::Decayed) for everything it wraps, and
+    /// the samplers.
     ///
     /// # Panics
     /// Panics if the slices' lengths differ.

@@ -1,7 +1,5 @@
 //! End of stream: drain, join, merge the shards' closed buckets, emit.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
@@ -13,7 +11,6 @@ use super::ShardedEngine;
 use crate::engine::{ClosedGroup, Engine, Row};
 use crate::overload::DrainReport;
 use crate::tuple::{bucket_end, bucket_start, secs};
-use crate::udaf::Aggregator;
 
 impl ShardedEngine {
     /// Graceful drain: seals ingress, flushes every staged tuple, waits up
@@ -168,10 +165,12 @@ impl ShardedEngine {
         if let Some(d) = self.durable.as_mut() {
             d.finish();
         }
-        let mut combined: BTreeMap<(u64, u64), Box<dyn Aggregator>> = BTreeMap::new();
+        // The shards' closed runs in shard order: what the slot holds, then
+        // what the worker returned.
+        let mut closed = Vec::new();
         for (sh, tail) in fab.shards.iter().zip(tails) {
-            fold_closed(&mut combined, sh.slot.take_closed());
-            fold_closed(&mut combined, tail);
+            closed.extend(sh.slot.take_closed());
+            closed.extend(tail);
         }
         // Fold the producers' admission counters into the engine stats.
         for s in fab
@@ -185,29 +184,40 @@ impl ShardedEngine {
             self.stats.filtered += s.filtered;
             self.stats.late_drops += s.late_drops;
         }
-        self.emit_rows(combined)
+        self.emit_rows(closed)
     }
 
-    /// Evaluates the merged `(bucket, key)` states into rows and records
-    /// the final counters unconditionally (even with live telemetry off),
-    /// so a post-run snapshot always agrees exactly with `stats()`.
-    fn emit_rows(&mut self, combined: BTreeMap<(u64, u64), Box<dyn Aggregator>>) -> Vec<Row> {
+    /// Merges the closed groups by `(bucket, key)`, evaluates them into
+    /// rows, and records the final counters unconditionally (even with live
+    /// telemetry off), so a post-run snapshot always agrees exactly with
+    /// `stats()`.
+    fn emit_rows(&mut self, mut closed: Vec<ClosedGroup>) -> Vec<Row> {
         let bucket_micros = self.query.bucket_micros;
+        // Stable: states that met the same group on different shards (or in
+        // different worker incarnations) stay in arrival order, and merge
+        // in it.
+        closed.sort_by_key(|cg| (cg.bucket, cg.key));
+        // Exact unless a group met on two shards (a splittable aggregate).
+        let mut rows = Vec::with_capacity(closed.len());
         let mut last_bucket = None;
-        let rows: Vec<Row> = combined
-            .into_iter()
-            .map(|((bucket, key), agg)| {
-                if last_bucket != Some(bucket) {
-                    last_bucket = Some(bucket);
-                    self.stats.buckets_closed += 1;
-                }
-                Row {
-                    bucket_start: bucket_start(bucket, bucket_micros),
-                    key,
-                    value: agg.emit(secs(bucket_end(bucket, bucket_micros))),
-                }
-            })
-            .collect();
+        let mut groups = closed.into_iter().peekable();
+        while let Some(mut group) = groups.next() {
+            let id = (group.bucket, group.key);
+            while let Some(same) = groups.next_if(|cg| (cg.bucket, cg.key) == id) {
+                group.agg.merge_boxed(same.agg);
+            }
+            if last_bucket != Some(group.bucket) {
+                last_bucket = Some(group.bucket);
+                self.stats.buckets_closed += 1;
+            }
+            rows.push(Row {
+                bucket_start: bucket_start(group.bucket, bucket_micros),
+                key: group.key,
+                value: group
+                    .agg
+                    .emit(secs(bucket_end(group.bucket, bucket_micros))),
+            });
+        }
         self.stats.rows_out = rows.len() as u64;
         // Admission counters: every closed handle left its final figures in
         // its producer mirror, which the snapshot sums.
@@ -215,20 +225,6 @@ impl ShardedEngine {
         t.rows_out.store(self.stats.rows_out, Relaxed);
         t.buckets_closed.store(self.stats.buckets_closed, Relaxed);
         rows
-    }
-}
-
-/// Merges closed groups into the combined `(bucket, key)` map, combining
-/// states that met the same group on different shards (or in different
-/// worker incarnations).
-fn fold_closed(combined: &mut BTreeMap<(u64, u64), Box<dyn Aggregator>>, closed: Vec<ClosedGroup>) {
-    for cg in closed {
-        match combined.entry((cg.bucket, cg.key)) {
-            Entry::Occupied(mut e) => e.get_mut().merge_boxed(cg.agg),
-            Entry::Vacant(e) => {
-                e.insert(cg.agg);
-            }
-        }
     }
 }
 

@@ -302,8 +302,8 @@ impl Query {
             name: name.into(),
             filter: None,
             group_by: None,
-            bucket_micros: 60 * MICROS_PER_SEC,
-            slack_micros: 0,
+            bucket_secs: 60,
+            slack_secs: 0.0,
             aggregate: None,
             two_level: true,
             lfta_slots: 4096,
@@ -316,8 +316,8 @@ pub struct QueryBuilder {
     name: String,
     filter: Option<Filter>,
     group_by: Option<KeyFn>,
-    bucket_micros: Micros,
-    slack_micros: Micros,
+    bucket_secs: u64,
+    slack_secs: f64,
     aggregate: Option<Arc<dyn AggregatorFactory>>,
     two_level: bool,
     lfta_slots: usize,
@@ -337,16 +337,17 @@ impl QueryBuilder {
     }
 
     /// Sets the time-bucket width in seconds (default 60, as in the
-    /// paper's queries). A zero width is rejected at build time.
+    /// paper's queries). A zero width, or one that does not fit the 64-bit
+    /// microsecond clock, is rejected at build time.
     pub fn bucket_secs(mut self, secs: u64) -> Self {
-        self.bucket_micros = secs * MICROS_PER_SEC;
+        self.bucket_secs = secs;
         self
     }
 
-    /// Sets the out-of-order slack in seconds (default 0).
+    /// Sets the out-of-order slack in seconds (default 0). A negative or
+    /// non-finite slack is rejected at build time.
     pub fn slack_secs(mut self, secs: f64) -> Self {
-        assert!(secs >= 0.0);
-        self.slack_micros = (secs * MICROS_PER_SEC as f64) as Micros;
+        self.slack_secs = secs;
         self
     }
 
@@ -379,17 +380,27 @@ impl QueryBuilder {
 
     /// Finalizes the query, reporting what is missing or out of range
     /// instead of panicking: a query needs an aggregate, a positive bucket
-    /// width, and (in two-level mode) at least one LFTA slot.
+    /// width that fits the microsecond clock, a finite non-negative slack,
+    /// and (in two-level mode) at least one LFTA slot.
     pub fn try_build(self) -> Result<Query, fd_core::Error> {
         let aggregate = self.aggregate.ok_or(fd_core::Error::MissingComponent {
             builder: "Query",
             component: "aggregate",
         })?;
-        if self.bucket_micros == 0 {
+        let bucket_micros = self
+            .bucket_secs
+            .checked_mul(MICROS_PER_SEC)
+            .filter(|&width| width > 0)
+            .ok_or(fd_core::Error::InvalidParameter {
+                name: "bucket_secs",
+                value: self.bucket_secs as f64,
+                requirement: "at least one second and at most u64::MAX microseconds",
+            })?;
+        if !(self.slack_secs >= 0.0 && self.slack_secs.is_finite()) {
             return Err(fd_core::Error::InvalidParameter {
-                name: "bucket_micros",
-                value: 0.0,
-                requirement: "at least one microsecond",
+                name: "slack_secs",
+                value: self.slack_secs,
+                requirement: "a finite, non-negative number of seconds",
             });
         }
         if self.two_level && self.lfta_slots == 0 {
@@ -403,8 +414,9 @@ impl QueryBuilder {
             name: self.name,
             filter: self.filter,
             group_by: self.group_by.unwrap_or_else(|| Arc::new(|_| 0)),
-            bucket_micros: self.bucket_micros,
-            slack_micros: self.slack_micros,
+            bucket_micros,
+            // Finite and non-negative: the cast at most saturates.
+            slack_micros: (self.slack_secs * MICROS_PER_SEC as f64) as Micros,
             aggregate,
             two_level: self.two_level,
             lfta_slots: self.lfta_slots,
@@ -505,6 +517,52 @@ mod tests {
             .lfta_slots(0)
             .try_build()
             .is_err());
+    }
+
+    #[test]
+    fn try_build_refuses_a_slack_that_is_not_a_duration() {
+        let f = crate::aggregators::count_factory();
+        for slack in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    Query::builder("q")
+                        .aggregate(f.clone())
+                        .slack_secs(slack)
+                        .try_build(),
+                    Err(fd_core::Error::InvalidParameter {
+                        name: "slack_secs",
+                        ..
+                    })
+                ),
+                "slack {slack}"
+            );
+        }
+        let q = Query::builder("q").aggregate(f).slack_secs(1.5).build();
+        assert_eq!(q.slack_micros, 1_500_000);
+    }
+
+    #[test]
+    fn try_build_refuses_a_bucket_wider_than_the_clock() {
+        // 18446744073710 s × 10⁶ wraps u64 to a 448 384 µs bucket.
+        let f = crate::aggregators::count_factory();
+        for secs in [18_446_744_073_710, u64::MAX] {
+            assert!(
+                matches!(
+                    Query::builder("q")
+                        .aggregate(f.clone())
+                        .bucket_secs(secs)
+                        .try_build(),
+                    Err(fd_core::Error::InvalidParameter {
+                        name: "bucket_secs",
+                        ..
+                    })
+                ),
+                "bucket {secs}"
+            );
+        }
+        let widest = u64::MAX / MICROS_PER_SEC;
+        let q = Query::builder("q").aggregate(f).bucket_secs(widest).build();
+        assert_eq!(q.bucket_micros, widest * MICROS_PER_SEC);
     }
 
     #[test]
