@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use crate::engine::{Engine, EngineStats, Row, StreamEvent};
 use crate::processor::StreamProcessor;
+#[cfg(doc)]
 use crate::shard::ShardedEngine;
 use crate::tuple::{Micros, Packet};
 use crate::udaf::Query;
@@ -177,14 +178,6 @@ impl RateDriver {
     pub fn replay<P: StreamProcessor>(&self, engine: &mut P, packets: &[Packet]) -> ReplayStats {
         self.try_replay(engine, packets)
             .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Replays `packets` through a sharded engine at the offered rate.
-    ///
-    /// Kept for source compatibility; identical to calling
-    /// [`RateDriver::replay`] with the sharded engine.
-    pub fn replay_sharded(&self, engine: &mut ShardedEngine, packets: &[Packet]) -> ReplayStats {
-        self.replay(engine, packets)
     }
 
     fn replay_with(

@@ -4,8 +4,8 @@
 //! worker periodically serializes its open state into an in-memory
 //! [`CheckpointSlot`] and hands its newly closed buckets over with it
 //! (exact, because forward decay's frozen numerators never need
-//! rescaling — Section VI-B), and the dispatcher replays the short
-//! backlog tail. A *process* crash still loses everything. This module
+//! rescaling — Section VI-B), and a respawned worker re-reads the short
+//! tail its queues retain. A *process* crash still loses everything. This module
 //! pushes the same artifacts to disk:
 //!
 //! * a **per-shard segmented WAL** of every message the dispatcher sends
@@ -427,7 +427,7 @@ impl CommitState {
 }
 
 /// A WAL record reconstructed during recovery, ready to preload a shard's
-/// replay backlog.
+/// queues.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplayMsg {
     /// A batch of admitted packets, carrying the sender's watermark as of
@@ -896,7 +896,7 @@ struct Writer {
     frame_buf: Vec<u8>,
     delta_buf: Vec<u8>,
     /// The batch-recycling pools, one per producer. The WAL holds a third
-    /// `Arc` on every batch (replay backlog, worker, WAL), and the recycling
+    /// `Arc` on every batch (retaining queue, worker, WAL), and the recycling
     /// protocol is "last holder returns the buffer" — so the writer must
     /// play too, or every batch it outlives leaks from the pool and the
     /// dispatcher pays a fresh allocation (plus the page faults of filling

@@ -519,7 +519,7 @@ impl Engine {
     ///
     /// # Errors
     /// Fails if the bytes don't decode, or if the snapshot's two-level
-    /// shape contradicts the query's.
+    /// shape (split or not, LFTA slot count) contradicts the query's.
     pub fn restore(query: Query, bytes: &[u8]) -> Result<Self, fd_core::checkpoint::CodecError> {
         use fd_core::checkpoint::{CodecError, Reader};
         let Some((body, tail)) = bytes.split_last_chunk::<8>() else {
@@ -558,9 +558,19 @@ impl Engine {
         }
         match (header.lfta, e.lfta.is_some()) {
             (Some((n_slots, evictions, updates)), true) => {
+                // The table's geometry is the query's, not the blob's: a
+                // count read from bytes must neither size an allocation
+                // nor restore partials into slots the query's table would
+                // not have probed.
+                if n_slots != e.query.lfta_slots as u64 {
+                    return Err(CodecError::new(format!(
+                        "snapshot has {n_slots} LFTA slots, the query {}",
+                        e.query.lfta_slots
+                    )));
+                }
                 e.lfta = Some(Lfta::restore_from(
                     &mut r,
-                    n_slots,
+                    e.query.lfta_slots,
                     evictions,
                     updates,
                     factory.as_ref(),
@@ -976,6 +986,39 @@ mod tests {
         // after the second.
         blob[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(Engine::restore(q(), &blob).is_err());
+    }
+
+    #[test]
+    fn restore_refuses_an_lfta_of_another_geometry() {
+        const SLOTS: usize = 0x1234;
+        let q = |slots| {
+            Query::builder("geometry")
+                .group_by(|p| p.dst_host())
+                .bucket_secs(60)
+                .aggregate(count_factory())
+                .two_level(true)
+                .lfta_slots(slots)
+                .build()
+        };
+        let mut e = Engine::new(q(SLOTS));
+        for i in 0..100 {
+            e.process(&pkt(i as f64 * 0.1, i % 7));
+        }
+        let blob = e.checkpoint().expect("checkpoint");
+        assert!(Engine::restore(q(SLOTS), &blob).is_ok());
+        // A merely different count: the partials sit where another table
+        // would have probed them.
+        assert!(Engine::restore(q(SLOTS * 2), &blob).is_err());
+        // An absurd count must be an `Err`, not a capacity-overflow panic
+        // (or an allocator abort) in whichever thread is respawning a
+        // worker. The slot count is the header's last occurrence of SLOTS.
+        let at = (blob.windows(8))
+            .rposition(|w| w == (SLOTS as u64).to_le_bytes())
+            .expect("slot count in the header");
+        let mut huge = blob.clone();
+        huge[at..at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(Engine::restore(q(SLOTS), &huge).is_err());
+        assert!(Engine::restore(q(1 << 20), &huge).is_err());
     }
 
     #[test]

@@ -166,21 +166,19 @@ impl Lfta {
 
     /// Rebuilds a table from a [`snapshot_into`](Self::snapshot_into)
     /// section: fresh aggregators from `factory`, refilled via
-    /// [`Aggregator::restore`] into the recorded slot positions. The
-    /// counters come from the checkpoint header.
+    /// [`Aggregator::restore`] into the recorded slot positions of a
+    /// table of the query's `n_slots`. The counters come from the
+    /// checkpoint header.
     pub(crate) fn restore_from(
         r: &mut fd_core::checkpoint::Reader<'_>,
-        n_slots: u64,
+        n_slots: usize,
         evictions: u64,
         updates: u64,
         factory: &dyn AggregatorFactory,
         bucket_micros: Micros,
     ) -> Result<Self, fd_core::checkpoint::CodecError> {
         use fd_core::checkpoint::CodecError;
-        if n_slots == 0 {
-            return Err(CodecError::new("LFTA snapshot with zero slots"));
-        }
-        let mut lfta = Lfta::new(n_slots as usize);
+        let mut lfta = Lfta::new(n_slots);
         lfta.evictions = evictions;
         lfta.updates = updates;
         let resident = r.u64()?;

@@ -43,8 +43,8 @@
 //! - [`supervisor`] — checkpoint slots and restart policy for
 //!   fault-tolerant shard workers: each worker periodically serializes its
 //!   open state (exact, thanks to Section VI-B mergeable summaries) and
-//!   hands its closed buckets over once, and the sending handle's backlog
-//!   is replayed after a crash;
+//!   hands its closed buckets over once, and its queues retain what it has
+//!   read since, for a respawned worker to re-read after a crash;
 //! - [`fault`] — deterministic fault injection (`FD_FAULT=panic:SHARD:N`,
 //!   `disk:KIND:N`) used by the recovery test-suite and the fault-matrix
 //!   and crash-matrix CI jobs;

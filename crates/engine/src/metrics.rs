@@ -98,14 +98,6 @@ pub fn combine_shard_stats(shards: &[crate::engine::EngineStats]) -> crate::engi
     total
 }
 
-/// Times a closure and reports nanoseconds per item for `items` processed.
-pub fn measure_ns_per_item(items: u64, f: impl FnOnce()) -> f64 {
-    assert!(items > 0);
-    let start = std::time::Instant::now();
-    f();
-    start.elapsed().as_nanos() as f64 / items as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,17 +159,5 @@ mod tests {
         assert_eq!(total.lfta_evictions, 3);
         assert_eq!(total.rows_out, 4);
         assert_eq!(total.buckets_closed, 5);
-    }
-
-    #[test]
-    fn measure_reports_positive_cost() {
-        let ns = measure_ns_per_item(1000, || {
-            let mut x = 0u64;
-            for i in 0..1000u64 {
-                x = x.wrapping_add(i * i);
-            }
-            std::hint::black_box(x);
-        });
-        assert!(ns > 0.0);
     }
 }

@@ -285,8 +285,8 @@ impl Subsampler {
 
 /// The per-tuple scale column attached to a thinned batch: `None` means
 /// "all ones" (the unshed fast path pays nothing), `Some` pairs
-/// element-wise with the batch. Shared `Arc` so the supervision backlog
-/// and the in-flight message reference one allocation.
+/// element-wise with the batch. Shared `Arc` so the entry a queue retains
+/// and the message its worker is applying reference one allocation.
 pub type ScaleColumn = Option<Arc<Vec<f64>>>;
 
 #[cfg(test)]

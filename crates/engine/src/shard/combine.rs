@@ -4,7 +4,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
-use super::recover::{panic_message, reap_zombies, FabShared};
+use super::recover::reap_zombies;
 #[cfg(doc)]
 use super::IngressHandle;
 use super::ShardedEngine;
@@ -69,8 +69,8 @@ impl ShardedEngine {
             return;
         }
         let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        FabShared::retire_worker_locked(&mut inner);
-        self.fab.degrade_locked(shard, &mut inner);
+        self.fab.retire_worker_locked(shard, &mut inner);
+        self.fab.degrade_locked(shard);
     }
 
     /// Ends the stream: flushes all handles, joins every shard worker,
@@ -82,7 +82,7 @@ impl ShardedEngine {
     /// slot holds (everything closed up to the last checkpoint, handed off
     /// once each) and those the worker returns (everything after). A
     /// worker found dead here is put through the same supervision
-    /// protocol as one found dead mid-stream: restore, replay, bounded
+    /// protocol as one found dead mid-stream: restore, re-read, bounded
     /// retries, then degradation with checkpoint salvage. Without
     /// supervision its shard's rows are lost (counted in
     /// `worker_panics`) and the surviving shards' rows are returned.
@@ -102,46 +102,23 @@ impl ShardedEngine {
         let mut tails: Vec<Vec<ClosedGroup>> = Vec::new();
         for (shard, sh) in fab.shards.iter().enumerate() {
             let mut tail = Vec::new();
-            loop {
-                let handle = sh
-                    .inner
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .worker
-                    .take();
-                let Some(handle) = handle else { break };
-                match handle.join() {
-                    Ok((closed, stats)) => {
-                        self.shard_stats[shard] = stats;
-                        tail = closed;
-                        break;
-                    }
-                    Err(payload) => {
-                        fab.telemetry.worker_panics.fetch_add(1, Relaxed);
-                        eprintln!(
-                            "fd-shard-{shard}: worker panicked: {}",
-                            panic_message(&payload)
-                        );
-                        if !fab.cfg.supervising() {
-                            break;
-                        }
-                        // Same protocol as mid-stream: bounded respawn
-                        // (the fresh worker replays the backlog tail and
-                        // exits — every producer's ring is already
-                        // closed), else degrade with salvage below.
-                        let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                        fab.recover_locked(shard, &mut inner);
-                    }
+            let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            while inner.worker.is_some() {
+                fab.reap_locked(shard, &mut inner);
+                if inner.exited.is_none() && fab.cfg.supervising() {
+                    // It panicked. Same protocol as mid-stream: bounded
+                    // respawn (the fresh worker re-reads the tail its
+                    // queues retain and exits — every producer has closed
+                    // its queue), else degrade with salvage below.
+                    fab.recover_locked(shard, &mut inner, false);
                 }
             }
-            let (early, mut zombies) = {
-                let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                (inner.early_exit.take(), std::mem::take(&mut inner.zombies))
-            };
-            if let Some((closed, stats)) = early {
+            if let Some((closed, stats)) = inner.exited.take() {
                 self.shard_stats[shard] = stats;
-                tail.extend(closed);
+                tail = closed;
             }
+            let mut zombies = std::mem::take(&mut inner.zombies);
+            drop(inner);
             if sh.degraded.load(Relaxed) {
                 // Salvage the degraded shard's last checkpoint: everything
                 // up to it survives in the final result — the buckets

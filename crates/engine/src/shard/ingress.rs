@@ -75,7 +75,6 @@ pub struct IngressHandle {
     /// Closed boundary in timestamp space (`closed_below · bucket_micros`).
     closed_low: Micros,
     pub(super) stats: EngineStats,
-    finished: bool,
 }
 
 impl IngressHandle {
@@ -103,7 +102,6 @@ impl IngressHandle {
             sealed_wm: 0,
             closed_low: 0,
             stats: EngineStats::default(),
-            finished: false,
         }
     }
 
@@ -263,7 +261,11 @@ impl IngressHandle {
         if let Some(sub) = self.subsampler.as_mut() {
             let budget = fab.cfg.overload.lag_budget.min(FABRIC_RING_DEPTH);
             for (shard, col) in scale_cols.iter_mut().enumerate() {
-                if self.staging[shard].is_empty() || fab.ring_len(shard, self.producer) < budget {
+                // The queue's unread depth: a lag probe, racy by nature —
+                // the worker drains concurrently — but monotone enough
+                // for a shed decision.
+                let lag = fab.shards[shard].queues[self.producer].len();
+                if self.staging[shard].is_empty() || lag < budget {
                     continue;
                 }
                 let mut sc = Vec::new();
@@ -353,21 +355,13 @@ impl IngressHandle {
         self.stats
     }
 
-    /// Marks the producer finished on every shard and drops its senders.
-    /// Runs under each shard's recovery lock so a concurrent respawn
-    /// can't re-install a fresh sender afterwards (which would leave the
-    /// new worker waiting forever on a ring nobody closes).
+    /// Closes this producer's queue on every shard — for good: a queue
+    /// outlives its readers, so a worker respawned later finds it closed
+    /// too — and leaves the producer's final stats and mirrors behind.
+    /// Idempotent: `finish` runs it, and then the drop does again.
     fn close(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
         for sh in &self.fab.shards {
-            let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            inner.finished[self.producer] = true;
-            *sh.senders[self.producer]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = None;
+            sh.queues[self.producer].close();
         }
         self.fab
             .stats_out

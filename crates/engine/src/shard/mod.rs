@@ -28,11 +28,11 @@
 //!
 //! Workers run in *state mode* ([`Engine::keep_closed_state`]): a closed
 //! bucket yields raw [`ClosedGroup`] aggregation state rather than
-//! emitted rows. [`ShardedEngine::finish`] folds all shards' groups into
-//! one `BTreeMap` keyed by `(bucket, key)` — merging states that met the
-//! same group on different shards — and only then evaluates each group at
-//! its bucket end, producing rows in the same (bucket, key) order as the
-//! single-threaded engine.
+//! emitted rows. [`ShardedEngine::finish`] concatenates the shards' closed
+//! runs, sorts them stably by `(bucket, key)` and merges neighbours —
+//! states that met the same group on different shards — in one linear
+//! pass, and only then evaluates each group at its bucket end, producing
+//! rows in the same (bucket, key) order as the single-threaded engine.
 //!
 //! ## Routing
 //!
@@ -53,30 +53,46 @@
 //! same critical section, moves the groups of every bucket closed since
 //! its previous checkpoint into the slot: a closed group leaves the worker
 //! exactly once and is never serialized again, so a checkpoint costs what
-//! the open state costs however long the stream has run. The sending
-//! handle retains the short tail of messages since the last checkpoint. When a send fails (the worker panicked), the supervisor
-//! respawns the worker from the checkpoint with exponential backoff and
-//! replays the tail, after which the run continues **byte-identically**:
-//! the restored LFTA slots sit in their exact old positions, so every
-//! future fold/evict/flush — and every floating-point combination order —
-//! is unchanged, and the slot's closed groups stay where they are (the
-//! snapshot does not hold them, so the replay cannot close them twice). A shard that exhausts its restart budget (a poison-pill
-//! input, say) is *degraded*: later tuples routed to it are counted
-//! dropped, and its last checkpoint — the slot's closed groups plus the
-//! buckets open in the snapshot — is still salvaged into the final result
-//! at [`ShardedEngine::finish`]. Every recovery action is
+//! the open state costs however long the stream has run.
+//!
+//! What a recovery needs besides the snapshot is the messages after it,
+//! and those are still where they were sent: the per-(producer, shard)
+//! queue ([`crate::spsc`]) *retains* an entry after the worker has read
+//! it — behind a read cursor, out of the sender's sight (capacity,
+//! back-pressure and `DropOldest` see unread entries only) — until the
+//! worker *releases* it, which it does for everything a checkpoint it has
+//! just published covers. The queues live as long as the plane; a worker
+//! is one reader *incarnation* of them. When a send finds the reader gone
+//! (the worker panicked), or the queue full past its deadline and the
+//! worker's lease stale (it is wedged), the supervisor reaps or retires
+//! that incarnation, restores an engine from the slot after an
+//! exponential backoff, and attaches a fresh incarnation to every queue at
+//! the first entry past the slot's seq. The new worker re-reads the tail;
+//! nothing is re-sent, so no message can arrive twice, and a retired
+//! incarnation's receivers are inert: it can neither take an entry nor
+//! close a queue. The run then continues **byte-identically**: the
+//! restored LFTA slots sit in their exact old positions, so every future
+//! fold/evict/flush — and every floating-point combination order — is
+//! unchanged, and the slot's closed groups stay where they are (the
+//! snapshot does not hold them, so re-reading cannot close them twice). A
+//! shard that exhausts its restart budget (a poison-pill input, say) is
+//! *degraded*: what its queues held and later tuples routed to it are
+//! counted dropped, and its last checkpoint — the slot's closed groups
+//! plus the buckets open in the snapshot — is still salvaged into the
+//! final result at [`ShardedEngine::finish`]. Every recovery action is
 //! observable in [`EngineTelemetry`]: `restarts`, `checkpoints`,
-//! `replayed_batches` / `replayed_tuples`, `degraded_shards`,
-//! `dropped_degraded`.
+//! `replayed_batches` / `replayed_tuples` (what a fresh incarnation found
+//! to read), `degraded_shards`, `dropped_degraded`.
 //!
 //! Supervision is on by default
 //! ([`DEFAULT_CHECKPOINT_EVERY`]
 //! tuples between checkpoints); [`ShardedEngine::checkpoint_every`] tunes
-//! the interval, and `0` disables the whole layer — no checkpoints, no
-//! backlog, and a dead worker is a hard error
-//! ([`fd_core::Error::WorkerLost`]). Queries whose aggregators cannot
-//! serialize (the samplers) flag their slot unsupported on the first
-//! attempt and degrade on death instead of replaying.
+//! the interval, and `0` disables the whole layer — no checkpoints,
+//! nothing retained (the worker moves each message out of its queue), and
+//! a dead worker is a hard error ([`fd_core::Error::WorkerLost`]). Queries
+//! whose aggregators cannot serialize (the samplers) flag their slot
+//! unsupported on the first attempt, stop retaining, and degrade on death
+//! instead of re-reading.
 //!
 //! ## Configuration
 //!
@@ -91,6 +107,7 @@ mod recover;
 mod worker;
 
 use std::path::PathBuf;
+#[cfg(test)]
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
@@ -118,7 +135,7 @@ use crate::{
 #[cfg(test)]
 pub(crate) use ingress::route_key;
 pub use ingress::IngressHandle;
-use recover::{panic_message, reap_zombies, spawn_plane, FabShared};
+use recover::{reap_zombies, spawn_plane, FabShared};
 
 /// How an ingress handle assigns accepted tuples to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,10 +155,11 @@ pub enum ShardBy {
 /// One epoch's message from an ingress handle to a shard worker,
 /// sequence-numbered per shard (1-based; a [`CheckpointSlot`] stores the
 /// seq it covers, `0` meaning "none yet"). The packets travel behind an
-/// `Arc` so the supervision backlog retains them without copying; in
-/// unsupervised mode the worker holds the only reference and recycles the
-/// buffer. `pkts` may be empty — every shard sees every seq, and a bare
-/// watermark broadcast is exactly that.
+/// `Arc` so a supervised worker reads a message without copying it out of
+/// the queue that retains it; in unsupervised mode the message moves out,
+/// the worker holds the only reference and recycles the buffer. `pkts` may
+/// be empty — every shard sees every seq, and a bare watermark broadcast
+/// is exactly that.
 #[derive(Clone)]
 struct Msg {
     seq: u64,
@@ -216,8 +234,8 @@ impl EngineConfig {
         }
     }
 
-    /// Whether supervision is active: messages are retained for replay
-    /// and workers checkpoint.
+    /// Whether supervision is active: workers checkpoint, and retain what
+    /// they read in between for a successor to re-read.
     fn supervising(&self) -> bool {
         self.checkpoint_every > 0
     }
@@ -394,8 +412,8 @@ impl ShardedEngine {
 
     /// Sets how many tuples a worker applies between engine checkpoints
     /// (default [`DEFAULT_CHECKPOINT_EVERY`]). Smaller intervals shorten
-    /// the replay tail at the price of more serialization; `0` disables
-    /// supervision entirely — no checkpoints, no backlog, and a dead
+    /// the re-read tail at the price of more serialization; `0` disables
+    /// supervision entirely — no checkpoints, nothing retained, and a dead
     /// worker is a hard error.
     pub fn checkpoint_every(mut self, tuples: u64) -> Self {
         self.cfg.checkpoint_every = tuples;
@@ -488,7 +506,7 @@ impl ShardedEngine {
     ///
     /// When the directory holds a prior run's store, the engine resumes
     /// it: workers are restored from the on-disk checkpoints, the WAL tail
-    /// is replayed through the normal message path, and the returned
+    /// is preloaded into the queues the workers read, and the returned
     /// [`RecoveryReport`] says from which input `position` the caller must
     /// re-feed its stream. Results are then bit-identical to a run that
     /// never crashed (for deterministic queries). Torn WAL tails are
@@ -761,34 +779,23 @@ impl ShardedEngine {
         &self.shard_stats
     }
 
-    /// Closes every ring and reaps the workers. A worker panic must not be
-    /// swallowed silently: it cannot propagate from here (we may already
-    /// be unwinding), so it is counted in the telemetry registry and
-    /// logged. The durability writer is abandoned, not finished: it stops
-    /// without any further fsync, rename or manifest commit.
+    /// Closes every queue and reaps the workers. A worker panic must not
+    /// be swallowed silently: it cannot propagate from here (we may
+    /// already be unwinding), so it is counted in the telemetry registry
+    /// and logged. The durability writer is abandoned, not finished: it
+    /// stops without any further fsync, rename or manifest commit.
     fn retire(&mut self) {
         self.durable = None;
-        // Dropping the coordinator handles closes their rings; close any
-        // recovery-installed senders too, then join.
+        // Dropping the coordinator handles closes their queues; close
+        // those of handles taken and still out there too, then join.
         self.handles.clear();
         for (shard, sh) in self.fab.shards.iter().enumerate() {
-            for slot in &sh.senders {
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+            for queue in &sh.queues {
+                queue.close();
             }
-            let (handle, mut zombies) = {
-                let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                (inner.worker.take(), std::mem::take(&mut inner.zombies))
-            };
-            if let Some(handle) = handle {
-                if let Err(payload) = handle.join() {
-                    self.fab.telemetry.worker_panics.fetch_add(1, Relaxed);
-                    eprintln!(
-                        "fd-shard-{shard}: worker panicked: {}",
-                        panic_message(&payload)
-                    );
-                }
-            }
-            reap_zombies(&mut zombies);
+            let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            self.fab.reap_locked(shard, &mut inner);
+            reap_zombies(&mut inner.zombies);
         }
     }
 }

@@ -1,11 +1,10 @@
 //! What the handles and workers of one plane share, and the one
 //! send / recover / respawn / degrade protocol over it — including the
-//! durable resume, which is a respawn whose checkpoint slot and backlog
+//! durable resume, which is a respawn whose checkpoint slot and queues
 //! were preloaded from a store.
 
-use std::collections::VecDeque;
-use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -24,67 +23,34 @@ use crate::tuple::{Packet, Proto};
 use crate::udaf::Query;
 
 /// Recovery state of one shard, behind its own mutex so a recovering
-/// handle never blocks senders of *other* shards. The sender slots live
-/// OUTSIDE this lock (see [`FabShard::senders`]) because a send can block
-/// on a full ring; recovery must be able to run while other handles are
-/// parked in `send`.
+/// handle never blocks senders of *other* shards — nor, since a send
+/// takes only its queue's lock, the other senders of this one.
 pub(super) struct FabInner {
     pub(super) worker: Option<WorkerHandle>,
     /// Restarts consumed so far, cumulative for the run.
     restarts: u32,
-    /// Bumped at the start of every recovery (successful or degrading),
-    /// while `inner` is held across the whole reap + replay +
-    /// fresh-sender install. Each installed sender is stamped with the
-    /// generation it belongs to, and a handle observes the generation
-    /// *atomically with its backlog push* (both under `inner`), so for
-    /// any send exactly one of two things is true: the push preceded the
-    /// recovery — the replay delivered the message and the stamp check
-    /// in [`FabShared::send`] refuses the now-duplicate direct send — or
-    /// it followed it, in which case the replay never saw the message
-    /// and the fresh sender's stamp matches the observed generation.
-    /// A handle whose send failed (or was refused) re-reads the
-    /// generation under `inner`: if it moved, another handle already
-    /// recovered and replayed the backlog, so it must NOT recover again.
-    generation: u64,
-    /// Producers whose handles have finished (their rings are closed).
-    /// A respawn closes these producers' fresh rings immediately so the
-    /// new worker's rotation skips them exactly like the old one did.
-    pub(super) finished: Vec<bool>,
     /// The live worker incarnation's progress lease (watchdog state),
     /// replaced wholesale on every respawn.
     lease: Arc<WorkerLease>,
     /// Abandoned (wedged) incarnations, joined at finish/drop once they
     /// observe their retired lease (see [`reap_zombies`]).
     pub(super) zombies: Vec<WorkerHandle>,
-    /// Defensive stash for a worker that exited *cleanly* while being
-    /// reaped — not expected (a worker only exits when its rings close),
-    /// but its state must not be silently dropped if it happens.
-    pub(super) early_exit: Option<(Vec<ClosedGroup>, EngineStats)>,
+    /// What the worker returned when it was reaped:
+    /// [`ShardedEngine::finish`] takes it. (A worker only returns when its
+    /// queues close, so a mid-stream reap is not expected to leave
+    /// anything here — but must not silently drop it if it happens.)
+    pub(super) exited: Option<(Vec<ClosedGroup>, EngineStats)>,
 }
 
-/// One producer's sender slot on one shard: the ring sender, stamped with
-/// the [`FabInner::generation`] it was installed under.
-type SenderSlot = Mutex<Option<(u64, RingSender<Msg>)>>;
-
-/// One shard of the plane: the per-producer replay backlogs, the
-/// checkpoint slot shared across worker incarnations, and one sender slot
-/// per producer.
+/// One shard of the plane: one queue per producer and the checkpoint
+/// slot, both shared across the shard's worker incarnations.
 pub(super) struct FabShard {
-    /// Per-producer backlog rows of messages since the last checkpoint.
-    /// Each row is FIFO in that producer's (strictly increasing) seq;
-    /// rows are merged by seq for replay. One mutex for all rows — pushes
-    /// and trims are brief, and a single lock keeps trim atomic. The
-    /// worker — not the sender — trims covered entries right after each
-    /// checkpoint it publishes, recycling their buffers off the send path.
-    pub(super) backlogs: Mutex<Vec<VecDeque<Msg>>>,
+    /// Producer `p`'s queue to this shard's worker, for the plane's
+    /// lifetime: supervised, it retains what the worker has read since its
+    /// last checkpoint, which is all a respawn needs besides the slot.
+    pub(super) queues: Vec<RingSender<Msg>>,
     /// The worker's checkpoint slot (shared across its incarnations).
     pub(super) slot: Arc<CheckpointSlot>,
-    /// Per-producer sender slots. Outside [`FabShard::inner`]: a sender
-    /// blocked on a full ring holds only its own slot's lock, so recovery
-    /// (under `inner`) can proceed — the blocked send fails as soon as
-    /// the dead worker's receiver drops, releasing the slot for the
-    /// recoverer to install a fresh sender into.
-    pub(super) senders: Vec<SenderSlot>,
     pub(super) inner: Mutex<FabInner>,
     /// Checked (cheaply) by every handle before sending; set under
     /// `inner` when the restart budget is exhausted.
@@ -107,12 +73,12 @@ pub(super) struct FabShard {
 /// sequence number `k·P + p + 1` (plus the shard's
 /// [`seq_base`](FabShard::seq_base)): the per-shard message stream is
 /// *globally* ordered — `seq ≡ producer (mod P)`, consecutive seqs are
-/// consecutive epochs — and each worker drains its rings in fixed
+/// consecutive epochs — and each worker drains its queues in fixed
 /// rotation, applying messages in exactly this seq order. Dealing a
 /// stream round-robin in chunks across the handles therefore reproduces
 /// the original per-shard apply order bit for bit, and one number
-/// subsumes the `(producer, seq)` pair everywhere downstream: backlog
-/// trim, checkpoint coverage, WAL contiguity and crash recovery all key
+/// subsumes the `(producer, seq)` pair everywhere downstream: queue
+/// release, checkpoint coverage, WAL contiguity and crash recovery all key
 /// on it.
 pub(super) struct FabShared {
     pub(super) cfg: EngineConfig,
@@ -134,8 +100,9 @@ pub(super) struct FabShared {
 }
 
 impl FabShared {
-    /// Whether messages to `shard` are retained for replay.
-    fn retaining(&self, shard: usize) -> bool {
+    /// Whether `shard`'s worker retains the messages it reads, for a
+    /// successor to re-read.
+    pub(super) fn retaining(&self, shard: usize) -> bool {
         self.cfg.supervising() && !self.shards[shard].slot.unsupported()
     }
 
@@ -145,9 +112,34 @@ impl FabShared {
         (k % self.cfg.producers as u64) as usize
     }
 
-    /// Ships one epoch message from producer `p` to `shard`, retaining it
-    /// in the backlog and running the recovery protocol if the send finds
-    /// the worker dead. Safe for concurrent callers.
+    /// The two gauges that count producer `p`'s messages to `shard` from
+    /// their send until the worker is done with them. Every change is an
+    /// add or a subtract paired with one queue transition, so the writers
+    /// — handles, workers, recoveries — need no order among themselves.
+    fn depth(&self, shard: usize, p: usize) -> [&AtomicU64; 2] {
+        [
+            &self.telemetry.shards()[shard].queue_depth,
+            &self.telemetry.producers()[p].ring_depth[shard],
+        ]
+    }
+
+    /// Takes the message a worker incarnation is leaving — or is being
+    /// abandoned on — out of the depth gauges, unless the other party
+    /// already has (see [`WorkerLease::settle`]).
+    pub(super) fn settle(&self, shard: usize, lease: &WorkerLease) {
+        if let Some(p) = lease.settle() {
+            for gauge in self.depth(shard, p) {
+                gauge.fetch_sub(1, Relaxed);
+            }
+        }
+    }
+
+    /// Ships one epoch message from producer `p` to `shard`: one queue
+    /// lock on the way through. Only a send that finds the worker dead, or
+    /// the queue full for a whole deadline, takes `inner` — to recover the
+    /// shard, or learn that another handle has — and then tries the same
+    /// queue again: a message is enqueued once, by its sender, whatever
+    /// happens to the worker. Safe for concurrent callers.
     pub(super) fn send(
         self: &Arc<Self>,
         shard: usize,
@@ -155,155 +147,89 @@ impl FabShared {
         msg: Msg,
     ) -> Result<(), fd_core::Error> {
         let sh = &self.shards[shard];
-        if sh.degraded.load(Relaxed) {
+        let drop_degraded = |msg: Msg| {
             self.telemetry
                 .dropped_degraded
                 .fetch_add(msg.pkts.len() as u64, Relaxed);
-            return Ok(());
-        }
-        // Observe the generation and push into the backlog as one atomic
-        // step with respect to recovery, which holds `inner` across its
-        // whole reap + backlog replay + fresh-sender install + generation
-        // bump. Either the push lands before the recovery — its replay
-        // delivers the message, and the stamp check below refuses the
-        // now-duplicate direct send — or after it, in which case the
-        // replay never saw the message and the fresh sender's stamp
-        // matches. Splitting the two (push, then read) would let a
-        // recovery slip in between and both replay the message AND leave
-        // a fresh sender the direct send succeeds against: duplicate
-        // delivery.
-        let gen = {
-            let inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            if self.retaining(shard) {
-                sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner)[p]
-                    .push_back(msg.clone());
-            }
-            inner.generation
+            Ok(())
         };
+        if sh.degraded.load(Relaxed) {
+            return drop_degraded(msg);
+        }
         // Queue depth is a genuinely two-writer gauge (incremented here,
         // decremented by the worker), so it is a per-message RMW —
         // unconditional, to keep both sides consistent however the
-        // enabled flag is toggled.
-        let tel = &self.telemetry.shards()[shard];
-        tel.batches_sent.fetch_add(1, Relaxed);
-        tel.queue_depth.fetch_add(1, Relaxed);
-        self.telemetry.producers()[p].ring_depth[shard].fetch_add(1, Relaxed);
-        enum Attempt {
-            Sent,
-            Dead,
-            Full,
+        // enabled flag is toggled — and it precedes the push, so the
+        // worker's decrement can never run first.
+        self.telemetry.shards()[shard]
+            .batches_sent
+            .fetch_add(1, Relaxed);
+        for gauge in self.depth(shard, p) {
+            gauge.fetch_add(1, Relaxed);
         }
         let overload = &self.cfg.overload;
-        let mut pending = Some(msg);
-        let sent = loop {
-            let attempt = {
-                let slot = sh.senders[p].lock().unwrap_or_else(PoisonError::into_inner);
-                match slot.as_ref() {
-                    // A sender from another generation was installed by a
-                    // recovery whose replay already delivered the message
-                    // pushed above — refuse it rather than send a duplicate.
-                    Some((stamp, tx)) if *stamp == gen => {
-                        let msg = pending.take().expect("message pending");
-                        match tx.send_deadline(msg, overload.send_deadline) {
-                            Ok(()) => Attempt::Sent,
-                            Err(SendError::Closed(_)) => Attempt::Dead,
-                            Err(SendError::Full(m)) => {
-                                pending = Some(m);
-                                Attempt::Full
-                            }
-                        }
-                    }
-                    _ => Attempt::Dead,
-                }
+        let mut pending = msg;
+        loop {
+            let dead;
+            (pending, dead) = match sh.queues[p].send_deadline(pending, overload.send_deadline) {
+                Ok(()) => return Ok(()),
+                Err(SendError::Closed(msg)) => (msg, true),
+                Err(SendError::Full(msg)) => (msg, false),
             };
-            match attempt {
-                Attempt::Sent => break true,
-                Attempt::Dead => break false,
-                Attempt::Full => {
-                    // Ring still full after a whole deadline. Releasing the
-                    // slot lock between attempts is what lets a wedge
-                    // recovery install a fresh sender: a wedged (not dead)
-                    // worker never drops its receiver, so a send that held
-                    // the lock while blocking would deadlock the recovery.
-                    let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                    if inner.generation != gen {
-                        // Another handle recovered the shard meanwhile; its
-                        // replay (which ran after our backlog push above)
-                        // delivered the message.
-                        break true;
-                    }
-                    if self.retaining(shard) && inner.lease.is_stale(overload.lease) {
-                        eprintln!(
-                            "fd-shard-{shard}: worker wedged (no heartbeat for {:?}); respawning",
-                            inner.lease.stale_for()
-                        );
-                        self.recover_wedged_locked(shard, &mut inner);
-                        // The recovery's replay delivered (or its degrade
-                        // counted) the message pushed to the backlog above.
-                        break true;
-                    }
-                    // A slow — not wedged — worker. `Block` and `Subsample`
-                    // keep waiting, one deadline at a time; `DropOldest`
-                    // first relieves it of its stalest queued payload.
-                    if overload.policy == ShedPolicy::DropOldest {
-                        self.hollow_oldest_locked(shard, p);
-                    }
-                }
+            // A queue loses its reader only when the worker died — i.e.
+            // it panicked.
+            if dead && !self.cfg.supervising() {
+                return Err(fd_core::Error::WorkerLost { shard });
             }
-        };
-        if sent {
-            return Ok(());
+            let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            if sh.degraded.load(Relaxed) {
+                // Given up meanwhile — by the recovery below, a pass ago,
+                // or by another handle's. This message never entered the
+                // queue whose contents the degradation counted.
+                for gauge in self.depth(shard, p) {
+                    gauge.fetch_sub(1, Relaxed);
+                }
+                return drop_degraded(pending);
+            }
+            if dead {
+                // Recoveries run under `inner` and end with a reader
+                // attached: a queue still without one means this handle is
+                // the first to notice.
+                if !sh.queues[p].reader_alive() {
+                    self.recover_locked(shard, &mut inner, false);
+                }
+            } else if self.retaining(shard) && inner.lease.is_stale(overload.lease) {
+                eprintln!(
+                    "fd-shard-{shard}: worker wedged (no heartbeat for {:?}); respawning",
+                    inner.lease.stale_for()
+                );
+                self.recover_locked(shard, &mut inner, true);
+            } else if overload.policy == ShedPolicy::DropOldest {
+                // A slow — not wedged — worker. `Block` and `Subsample`
+                // keep waiting, one deadline at a time; `DropOldest`
+                // first relieves it of its stalest queued payload.
+                self.hollow_oldest(shard, p);
+            }
         }
-        // A send fails (or is refused) only if the worker died at some
-        // point — i.e. it panicked.
-        if !self.cfg.supervising() {
-            return Err(fd_core::Error::WorkerLost { shard });
-        }
-        let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.generation == gen {
-            // First handle to notice: run the recovery. The message is in
-            // the backlog, so the respawn's replay delivers it.
-            self.recover_locked(shard, &mut inner);
-        }
-        // Otherwise another handle recovered (or degraded) the shard
-        // while we were trying; its replay ran after our backlog push, so
-        // the message is already delivered or counted — never resend.
-        Ok(())
     }
 
     /// `ShedPolicy::DropOldest`: drops the payload of the oldest epoch
-    /// still queued on producer `p`'s ring to `shard`, in place, under the
-    /// ring lock — and of its backlog copy, so a later replay reproduces
-    /// the hollow epoch. Seq and watermark stay, which keeps every shard's
-    /// seq stream dense; the worker passes the hollow epoch in no time,
-    /// which is what relieves the ring. Under forward decay the oldest
+    /// still unread on producer `p`'s queue to `shard`, in place, under
+    /// the queue lock. Seq and watermark stay, which keeps every shard's
+    /// seq stream dense — and a successor that re-reads the entry after a
+    /// crash meets the same hollow epoch; the worker passes it in no time,
+    /// which is what relieves the queue. Under forward decay the oldest
     /// queued tuples are the ones whose weights `g(t_i − L)` are smallest,
-    /// so this loses the least decayed mass per tuple shed. Caller holds
-    /// the shard's `inner`, so no recovery can replay the backlog between
-    /// the two edits.
-    fn hollow_oldest_locked(&self, shard: usize, p: usize) {
-        let sh = &self.shards[shard];
-        let hollowed = sh.senders[p]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .and_then(|(_, tx)| {
-                tx.edit_queued(|m| {
-                    if m.pkts.is_empty() {
-                        return None;
-                    }
-                    m.scales = None;
-                    Some((m.seq, std::mem::take(&mut m.pkts)))
-                })
-            });
-        let Some((seq, pkts)) = hollowed else { return };
-        if let Some(m) = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner)[p]
-            .iter_mut()
-            .find(|m| m.seq == seq)
-        {
-            m.pkts = Arc::default();
+    /// so this loses the least decayed mass per tuple shed.
+    fn hollow_oldest(&self, shard: usize, p: usize) {
+        let hollowed = self.shards[shard].queues[p].edit_queued(|m| {
+            if m.pkts.is_empty() {
+                return None;
+            }
             m.scales = None;
-        }
+            Some(std::mem::take(&mut m.pkts))
+        });
+        let Some(pkts) = hollowed else { return };
         let shed = pkts.len() as u64;
         self.telemetry.shed_tuples.fetch_add(shed, Relaxed);
         self.telemetry.shed_batches.fetch_add(1, Relaxed);
@@ -316,26 +242,47 @@ impl FabShared {
         self.recycle(p, pkts);
     }
 
-    /// Reaps the dead worker and restarts it from its checkpoint with
-    /// exponential backoff, degrading the shard when the budget is
-    /// exhausted. Caller holds `inner`. Always bumps the generation —
-    /// up front, so the senders [`respawn_locked`](Self::respawn_locked)
-    /// installs carry the generation this recovery publishes.
-    pub(super) fn recover_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
-        inner.generation += 1;
-        self.reap_locked(shard, inner);
-        self.restart_or_degrade_locked(shard, inner);
+    /// The one recovery, whoever found the worker gone: disposes of the
+    /// incarnation — joins a dead one, recording its panic, or retires a
+    /// `wedged` one — then respawns from the checkpoint after an
+    /// exponential backoff, or degrades the shard when the restart budget
+    /// is exhausted (a worker that dies again on what it re-reads — a
+    /// permanent fault — comes back here through the next send). Caller
+    /// holds `inner`.
+    pub(super) fn recover_locked(
+        self: &Arc<Self>,
+        shard: usize,
+        inner: &mut FabInner,
+        wedged: bool,
+    ) {
+        if wedged {
+            self.retire_worker_locked(shard, inner);
+            self.telemetry.wedged_respawns.fetch_add(1, Relaxed);
+        } else {
+            self.reap_locked(shard, inner);
+        }
+        let attempt = inner.restarts;
+        let budget = !self.shards[shard].slot.unsupported() && attempt < self.cfg.max_restarts;
+        let restored = budget && {
+            inner.restarts += 1;
+            self.telemetry.restarts.fetch_add(1, Relaxed);
+            std::thread::sleep(backoff(attempt));
+            self.respawn_locked(shard, inner)
+        };
+        if !restored {
+            self.degrade_locked(shard);
+        }
     }
 
     /// Retires an unresponsive — but alive — worker incarnation. Safe Rust
     /// cannot kill a thread, so its lease goes sticky-dead and the thread
-    /// is parked in [`FabInner::zombies`]; if it ever unwedges it observes
-    /// the retired lease and exits without side effects. Caller holds
-    /// `inner`; the generation bump makes every in-flight send against the
-    /// old rings refuse or re-route exactly as for a crash recovery.
-    pub(super) fn retire_worker_locked(inner: &mut FabInner) {
-        inner.generation += 1;
+    /// is parked in [`FabInner::zombies`]; its queue receivers go inert
+    /// when the caller attaches a successor's (or abandons the queues), so
+    /// if it ever unwedges it reads nothing more, observes the retired
+    /// lease and exits without side effects. Caller holds `inner`.
+    pub(super) fn retire_worker_locked(&self, shard: usize, inner: &mut FabInner) {
         inner.lease.retire();
+        self.settle(shard, &inner.lease);
         if let Some(handle) = inner.worker.take() {
             if handle.is_finished() {
                 // Its result is deliberately discarded: the successor (or
@@ -347,63 +294,21 @@ impl FabShared {
         }
     }
 
-    /// Wedge recovery: abandons the wedged worker and restarts the shard
-    /// through the same bounded-budget path as a crashed one.
-    fn recover_wedged_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
-        Self::retire_worker_locked(inner);
-        self.telemetry.wedged_respawns.fetch_add(1, Relaxed);
-        self.restart_or_degrade_locked(shard, inner);
-    }
-
-    /// The bounded-restart tail shared by crash and wedge recovery:
-    /// respawn from the checkpoint with exponential backoff, degrading the
-    /// shard when the budget is exhausted. Caller holds `inner` and has
-    /// already bumped the generation and disposed of the old worker.
-    fn restart_or_degrade_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) {
-        let sh = &self.shards[shard];
-        let mut restored = false;
-        if !sh.slot.unsupported() {
-            while inner.restarts < self.cfg.max_restarts {
-                let attempt = inner.restarts;
-                inner.restarts += 1;
-                self.telemetry.restarts.fetch_add(1, Relaxed);
-                std::thread::sleep(backoff(attempt));
-                if self.respawn_locked(shard, inner) {
-                    restored = true;
-                    break;
-                }
-                // The replay killed the fresh worker (a permanent fault):
-                // reap it and spend another restart.
-                self.reap_locked(shard, inner);
-            }
-        }
-        if !restored {
-            self.degrade_locked(shard, inner);
-        }
-    }
-
-    /// Depth of producer `p`'s ring to `shard` (0 when the sender is
-    /// gone). A seal-time lag probe, racy by nature — the worker drains
-    /// concurrently — but monotone enough for a shed decision.
-    pub(super) fn ring_len(&self, shard: usize, p: usize) -> usize {
-        self.shards[shard].senders[p]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map_or(0, |(_, tx)| tx.len())
-    }
-
-    /// Joins a dead worker's thread, recording its panic.
-    fn reap_locked(&self, shard: usize, inner: &mut FabInner) {
+    /// Joins the worker's thread — the one place that does: a panic is
+    /// counted and logged, the state of a worker that returned is left in
+    /// [`FabInner::exited`]. Caller holds `inner`.
+    pub(super) fn reap_locked(&self, shard: usize, inner: &mut FabInner) {
         if let Some(handle) = inner.worker.take() {
             match handle.join() {
-                Ok(state) => inner.early_exit = Some(state),
+                Ok(state) => inner.exited = Some(state),
                 Err(payload) => {
                     self.telemetry.worker_panics.fetch_add(1, Relaxed);
-                    eprintln!(
-                        "fd-shard-{shard}: worker panicked: {}",
-                        panic_message(&payload)
-                    );
+                    let what = payload
+                        .downcast_ref::<&'static str>()
+                        .copied()
+                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("<non-string panic payload>");
+                    eprintln!("fd-shard-{shard}: worker panicked: {what}");
                 }
             }
         }
@@ -412,27 +317,28 @@ impl FabShared {
     /// Brings up a worker incarnation for `shard`: restores an engine from
     /// the snapshot in the shard's checkpoint slot (a fresh one when the
     /// slot is empty) — the slot's closed groups stay where they are: the
-    /// snapshot no longer holds them, and the replay closes only buckets
-    /// that were still open in it — spawns the worker on fresh rings,
-    /// replays the backlog tail in seq order, and installs the fresh
-    /// senders (closing finished producers' rings). The initial spawn, a crash respawn and a durable resume are
-    /// all this one call — they differ only in what the slot and backlog
-    /// hold. Caller holds `inner`; other handles' sends fail against the
-    /// old rings and park on `inner` until the new generation is
-    /// published. Returns `false` if the restore fails or the worker dies
-    /// mid-replay.
+    /// snapshot no longer holds them, and re-reading closes only buckets
+    /// that were still open in it — and spawns the worker on fresh readers
+    /// attached to every queue at the first entry past the slot's seq.
+    /// The initial spawn, a crash respawn, a watchdog respawn and a durable
+    /// resume are all this one call — they differ only in what the slot
+    /// and the queues hold. Nothing is sent and nobody waits: a producer
+    /// stalled mid-seal leaves the new worker waiting on its queue, as the
+    /// old one was. Caller holds `inner`. Returns `false` if the snapshot
+    /// does not restore.
     fn respawn_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) -> bool {
         let sh = &self.shards[shard];
-        let tel = &self.telemetry.shards()[shard];
         let restored = sh.slot.read(|v| {
-            tel.closed_groups_held.store(v.closed.len() as u64, Relaxed);
+            self.telemetry.shards()[shard]
+                .closed_groups_held
+                .store(v.closed.len() as u64, Relaxed);
             (v.seq, Engine::restore(self.worker_query.clone(), v.blob))
         });
         let (ckpt_seq, engine) = match restored {
             Some((seq, Ok(e))) => (seq, e),
             Some((_, Err(err))) => {
-                // "Can't happen" (we wrote these bytes); surface it
-                // rather than looping on a poisoned slot.
+                // "Can't happen" for bytes a worker wrote; a store can
+                // hold a snapshot of another query's geometry.
                 eprintln!("fd-shard-{shard}: checkpoint restore failed: {err:?}");
                 return false;
             }
@@ -442,39 +348,38 @@ impl FabShared {
                 (0, e)
             }
         };
-        let p_count = self.cfg.producers;
-        // The uncheckpointed tail: the per-producer backlog rows merged by
-        // seq (each row is already FIFO).
-        let mut replay: Vec<Msg> = {
-            let rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
-            rows.iter()
-                .flat_map(|row| row.iter().filter(|m| m.seq > ckpt_seq).cloned())
-                .collect()
-        };
-        replay.sort_by_key(|m| m.seq);
-        // With parallel handles the tail can have a gap: a producer stalled
-        // between sealing an epoch and logging it here. The worker's
-        // rotation cannot pass the gap until that producer's send runs —
-        // which waits for `inner`, held across this whole call — so what
-        // lies beyond the gap must fit in the rings without the worker
-        // draining them, or the refill below would wait forever.
-        let dense = replay
-            .iter()
-            .zip(ckpt_seq.max(sh.seq_base) + 1..)
-            .take_while(|(m, next)| m.seq == *next)
-            .count();
-        let mut beyond_gap = vec![0usize; p_count];
-        for m in &replay[dense..] {
-            beyond_gap[self.producer_of(shard, m.seq)] += 1;
-        }
-        let (txs, rxs): (Vec<_>, Vec<_>) = beyond_gap
-            .iter()
-            .map(|&n| ring::<Msg>(FABRIC_RING_DEPTH.max(n)))
-            .unzip();
         // A fresh incarnation gets a fresh lease: the old one stays
         // retired forever (any zombie still holding it keeps seeing
         // `retired() == true`), and the watchdog clock restarts from now.
         inner.lease = Arc::new(WorkerLease::default());
+        let mut replayed = (0u64, 0u64);
+        let rxs = (sh.queues.iter().enumerate())
+            .map(|(p, queue)| {
+                let mut reread = 0;
+                let rx = queue.attach(
+                    |m| m.seq <= ckpt_seq,
+                    |m, was_read| {
+                        reread += u64::from(was_read);
+                        if !m.pkts.is_empty() {
+                            replayed.0 += 1;
+                            replayed.1 += m.pkts.len() as u64;
+                        }
+                    },
+                );
+                // What the predecessor had read — and counted out of the
+                // depth gauges — is queued again.
+                for gauge in self.depth(shard, p) {
+                    gauge.fetch_add(reread, Relaxed);
+                }
+                rx
+            })
+            .collect();
+        self.telemetry
+            .replayed_batches
+            .fetch_add(replayed.0, Relaxed);
+        self.telemetry
+            .replayed_tuples
+            .fetch_add(replayed.1, Relaxed);
         inner.worker = Some(spawn_worker(
             shard,
             engine,
@@ -483,88 +388,46 @@ impl FabShared {
             ckpt_seq,
             Arc::clone(&inner.lease),
         ));
-        // The old rings died with un-decremented messages in them; the
-        // gauges restart from the replay.
-        tel.queue_depth.store(0, Relaxed);
-        for p in 0..p_count {
-            self.telemetry.producers()[p].ring_depth[shard].store(0, Relaxed);
-        }
-        // Refill in seq order — the exact order the worker's rotation
-        // drains, so up to the first gap a bounded ring can never deadlock
-        // the refill, and past it the rings were sized to hold the rest.
-        // A full ring is re-tried one send deadline at a time rather than
-        // slept on: a parked sender is woken only at half-drain, and a
-        // worker stopped at the gap may never drain that far.
-        for msg in replay {
-            let p = self.producer_of(shard, msg.seq);
-            if !msg.pkts.is_empty() {
-                self.telemetry.replayed_batches.fetch_add(1, Relaxed);
-                self.telemetry
-                    .replayed_tuples
-                    .fetch_add(msg.pkts.len() as u64, Relaxed);
-            }
-            tel.queue_depth.fetch_add(1, Relaxed);
-            self.telemetry.producers()[p].ring_depth[shard].fetch_add(1, Relaxed);
-            let mut pending = msg;
-            loop {
-                match txs[p].send_deadline(pending, self.cfg.overload.send_deadline) {
-                    Ok(()) => break,
-                    Err(SendError::Full(m)) => pending = m,
-                    Err(SendError::Closed(_)) => return false,
-                }
-            }
-        }
-        // Only now are the fresh rings reachable by other handles,
-        // stamped with the current generation. A finished producer can
-        // never close its ring again, so close it here on its behalf.
-        for (p, tx) in txs.into_iter().enumerate() {
-            let mut slot = sh.senders[p].lock().unwrap_or_else(PoisonError::into_inner);
-            *slot = if inner.finished[p] {
-                None
-            } else {
-                Some((inner.generation, tx))
-            };
-        }
         true
     }
 
-    /// Gives up on a shard: closes its rings, drains its backlogs
-    /// (counting the tuples as degraded drops), and marks it so later
-    /// epochs are counted instead of sent. Its last checkpoint — snapshot
-    /// and closed groups — is still salvaged at [`ShardedEngine::finish`].
-    /// Caller holds `inner`.
-    pub(super) fn degrade_locked(&self, shard: usize, inner: &mut FabInner) {
+    /// Gives up on a shard: marks it so later epochs are counted instead
+    /// of sent, and retires its queues' readers for good — a last
+    /// incarnation, attached at the front and dropped at once, leaves
+    /// in-flight sends failing and a zombie's receivers inert — counting
+    /// what the queues held, read or not, as degraded drops. Its last
+    /// checkpoint — snapshot and closed groups — is still salvaged at
+    /// [`ShardedEngine::finish`]. Caller holds `inner` and has disposed of
+    /// the worker.
+    pub(super) fn degrade_locked(&self, shard: usize) {
         let sh = &self.shards[shard];
         sh.degraded.store(true, Relaxed);
         self.telemetry.degraded_shards.fetch_add(1, Relaxed);
-        for slot in &sh.senders {
-            *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        }
-        self.reap_locked(shard, inner);
-        let rows: Vec<VecDeque<Msg>> = {
-            let mut rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
-            rows.iter_mut().map(std::mem::take).collect()
-        };
         let mut dropped = 0u64;
-        for (p, row) in rows.into_iter().enumerate() {
-            for msg in row {
-                dropped += msg.pkts.len() as u64;
-                self.recycle(p, msg.pkts);
+        for (p, queue) in sh.queues.iter().enumerate() {
+            let mut unread = 0;
+            drop(queue.attach(
+                |_| false,
+                |m, was_read| {
+                    unread += u64::from(!was_read);
+                    dropped += m.pkts.len() as u64;
+                },
+            ));
+            for gauge in self.depth(shard, p) {
+                gauge.fetch_sub(unread, Relaxed);
             }
-            self.telemetry.producers()[p].ring_depth[shard].store(0, Relaxed);
         }
         self.telemetry.dropped_degraded.fetch_add(dropped, Relaxed);
-        self.telemetry.shards()[shard].queue_depth.store(0, Relaxed);
     }
 }
 
 impl FabShared {
     /// Bounds each producer's batch-buffer free list to its share of the
-    /// working set — per shard, a full ring plus one staging buffer plus
-    /// (supervised) one checkpoint window of backlog — and faults that
-    /// working set in now, off the ingest path. Backlogged batches are
-    /// alive until their trim, so a bound below the window would drop
-    /// every trimmed buffer and force a cold allocation (and a page fault
+    /// working set — per shard, a full queue plus one staging buffer plus
+    /// (supervised) one checkpoint window of retained entries — and faults
+    /// that working set in now, off the ingest path. Retained batches are
+    /// alive until their release, so a bound below the window would drop
+    /// every released buffer and force a cold allocation (and a page fault
     /// per 4 KB of batch) per epoch. The prewarm is capped so pathological
     /// checkpoint intervals cannot turn spawn into a 100 MB memset.
     fn size_pools(&self) {
@@ -708,17 +571,17 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
             None => CheckpointSlot::default(),
         };
         shards.push(FabShard {
-            backlogs: Mutex::new((0..producers).map(|_| VecDeque::new()).collect()),
+            // No reader yet: the spawn below attaches the first.
+            queues: (0..producers)
+                .map(|_| ring::<Msg>(FABRIC_RING_DEPTH).0)
+                .collect(),
             slot: Arc::new(slot),
-            senders: (0..producers).map(|_| Mutex::new(None)).collect(),
             inner: Mutex::new(FabInner {
                 worker: None,
                 restarts: 0,
-                generation: 0,
-                finished: vec![false; producers],
                 lease: Arc::new(WorkerLease::default()),
                 zombies: Vec::new(),
-                early_exit: None,
+                exited: None,
             }),
             degraded: AtomicBool::new(false),
             seq_base,
@@ -735,24 +598,21 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
     });
     fab.size_pools();
     // Preload the WAL tail, exactly as if the handles had sent it moments
-    // ago: the spawn below then restores each worker from its slot and
-    // feeds it everything past the snapshot through the normal path.
-    let mut replayed_batches = 0u64;
-    let mut replayed_tuples = 0u64;
+    // ago — however long it is: the spawn below then restores each worker
+    // from its slot and attaches it past the snapshot.
     if let Some((rec, _)) = &recovered {
         for (shard, sh) in fab.shards.iter().enumerate() {
-            let mut rows = sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
             for r in &rec.replay[shard] {
                 // A classic store's punctuation record is an empty epoch.
                 let (seq, wm, pkts) = match r {
                     ReplayMsg::Batch { seq, wm, pkts } => (*seq, *wm, pkts.clone()),
                     ReplayMsg::Punct { seq, wm } => (*seq, *wm, Vec::new()),
                 };
-                if !pkts.is_empty() {
-                    replayed_batches += 1;
-                    replayed_tuples += pkts.len() as u64;
+                let p = fab.producer_of(shard, seq);
+                for gauge in fab.depth(shard, p) {
+                    gauge.fetch_add(1, Relaxed);
                 }
-                rows[fab.producer_of(shard, seq)].push_back(Msg {
+                sh.queues[p].preload(Msg {
                     seq,
                     pkts: Arc::new(pkts),
                     scales: None,
@@ -766,7 +626,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
         let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if !fab.respawn_locked(shard, &mut inner) {
             return Err(fd_core::Error::Durability {
-                detail: format!("shard {shard} worker died replaying the WAL tail"),
+                detail: format!("shard {shard}: checkpoint does not restore under this query"),
             });
         }
     }
@@ -781,6 +641,9 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
             fab.telemetry
                 .wal_records_truncated
                 .store(rec.truncated, Relaxed);
+            // What the first incarnations found in their queues is the WAL
+            // tail, all of it past the persisted checkpoints.
+            let replayed_batches = fab.telemetry.replayed_batches.load(Relaxed);
             fab.telemetry
                 .recovery_replayed_batches
                 .store(replayed_batches, Relaxed);
@@ -788,7 +651,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
                 position: rec.commit.position,
                 watermark: rec.commit.watermark,
                 replayed_batches,
-                replayed_tuples,
+                replayed_tuples: fab.telemetry.replayed_tuples.load(Relaxed),
                 truncated_records: rec.truncated,
                 resumed: rec.resumed,
             };
@@ -821,8 +684,8 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
 /// after the grace period is detached by dropping its handle — safe Rust
 /// cannot kill it, and blocking shutdown on a genuinely wedged thread
 /// would turn a shed into a hang. Join results are discarded: a retired
-/// incarnation's state is stale by construction (its unapplied messages
-/// were replayed to its successor).
+/// incarnation's state is stale by construction (its successor re-read
+/// its unapplied messages).
 pub(super) fn reap_zombies(zombies: &mut Vec<WorkerHandle>) {
     for handle in zombies.drain(..) {
         let give_up = Instant::now() + Duration::from_millis(250);
@@ -832,18 +695,6 @@ pub(super) fn reap_zombies(zombies: &mut Vec<WorkerHandle>) {
         if handle.is_finished() {
             let _ = handle.join();
         }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message (panics carry
-/// `&'static str` or `String` in practice).
-pub(super) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "<non-string panic payload>"
     }
 }
 
@@ -1000,5 +851,51 @@ mod tests {
         assert_eq!(snap.worker_panics, 0, "a wedge is not a panic");
         assert_eq!(snap.degraded_shards, 0);
         assert_eq!(snap.shed_tuples, 0, "Block never sheds");
+    }
+
+    #[test]
+    fn depth_gauges_return_to_zero_across_every_kind_of_recovery() {
+        // A crash respawn re-queues what the dead worker had read, a wedge
+        // respawn leaves a zombie holding a message, a degradation drops
+        // what the queues hold: whatever happened, once the run is over
+        // nothing is queued and the gauges must say so.
+        let stream: Vec<Packet> = (0..20_000)
+            .map(|i| pkt(0.002 * i as f64, (i % 53) as u32))
+            .collect();
+        let watchdog = OverloadConfig {
+            send_deadline: Duration::from_millis(5),
+            lease: Duration::from_millis(50),
+            ..OverloadConfig::default()
+        };
+        for (fault, producers) in [
+            ("panic:0:5000", 1),
+            ("panic:1:3000", 2),
+            ("wedge:0:640", 1),
+            ("poison:1:4000", 2),
+        ] {
+            let mut e = sharded(count_query(), 2)
+                .try_batch_size(16)
+                .expect("batch")
+                .checkpoint_every(1_000)
+                .max_restarts(2)
+                .try_overload(watchdog.clone())
+                .expect("overload config")
+                .inject_fault(plan(fault))
+                .try_producers(producers)
+                .expect("producers");
+            e.run(stream.clone());
+            let snap = e.telemetry().snapshot();
+            assert!(snap.restarts > 0, "{fault}: the fault fired");
+            for (s, shard) in snap.shards.iter().enumerate() {
+                assert_eq!(shard.queue_depth, 0, "{fault}: shard {s}");
+            }
+            for (p, prod) in snap.producers.iter().enumerate() {
+                assert!(
+                    prod.ring_depth.iter().all(|&d| d == 0),
+                    "{fault}: producer {p} ring depths {:?}",
+                    prod.ring_depth
+                );
+            }
+        }
     }
 }

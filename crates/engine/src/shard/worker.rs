@@ -1,8 +1,8 @@
-//! The shard worker: the one loop that drains a shard's rings, applies
+//! The shard worker: the one loop that drains a shard's queues, applies
 //! epochs, advances the watermark frontier and checkpoints.
 
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,7 +62,7 @@ fn apply_batch(
             for (i, p) in pkts.iter().enumerate() {
                 if engine.stats().tuples_in + 1 >= n {
                     // A transient fault disarms *before* panicking, so the
-                    // respawned worker replays past this point.
+                    // respawned worker re-reads past this point.
                     if transient {
                         f.disarm();
                     }
@@ -78,19 +78,37 @@ fn apply_batch(
     refused
 }
 
-/// A shard worker's join handle: when its rings drain, the worker returns
+/// A shard worker's join handle: when its queues drain, the worker returns
 /// the groups it has not handed to its checkpoint slot (everything closed
 /// after its last checkpoint — the whole run's, unsupervised) and its
 /// end-of-run stats.
 pub(super) type WorkerHandle = JoinHandle<(Vec<ClosedGroup>, EngineStats)>;
 
-/// Spawns one shard worker: drains its `P` dedicated rings in strict
+/// The depth gauges' hold on the message the worker has read. Dropped —
+/// the message done with, the incarnation retired, or the thread unwinding
+/// from a panic — it takes the message out of them, unless the watchdog
+/// abandoned this incarnation mid-message and already has.
+struct InFlight<'a> {
+    fab: &'a FabShared,
+    shard: usize,
+    lease: &'a WorkerLease,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.fab.settle(self.shard, self.lease);
+    }
+}
+
+/// Spawns one shard worker: drains its `P` dedicated queues in strict
 /// producer rotation (seq order — see the determinism rule on
 /// [`FabShared`]), folds each epoch's batch, advances the
 /// min-across-producers watermark frontier, and checkpoints at message
-/// boundaries. `start_seq` is the last applied seq (the shard's seq base
-/// when fresh; the checkpoint's seq on respawn), which determines where
-/// the rotation resumes: the producer owning `start_seq + 1`.
+/// boundaries, releasing what its queues retained up to each one.
+/// `start_seq` is the last applied seq (the shard's seq base when fresh;
+/// the checkpoint's seq on respawn, where `rxs` were attached), which
+/// determines where the rotation resumes: the producer owning
+/// `start_seq + 1`.
 pub(super) fn spawn_worker(
     shard: usize,
     mut engine: Engine,
@@ -132,23 +150,54 @@ pub(super) fn spawn_worker(
             // declined to serialize: they go back out with the rest at
             // exit, as an unsupervised worker's do.
             let mut unpublished: Vec<ClosedGroup> = Vec::new();
+            // Releases what the queues retain through `seq`, handing the
+            // buffers back outside the queue locks so a concurrent push
+            // never waits on a pool mutex. Running this here — not on the
+            // sender — keeps the `Arc` teardown and the pool pushes off
+            // the send path.
+            let mut covered: Vec<Msg> = Vec::new();
+            let mut release = |seq: u64| {
+                for (p, rx) in rxs.iter().enumerate() {
+                    rx.release(|m| m.seq <= seq, &mut covered);
+                    for m in covered.drain(..) {
+                        fab.recycle(p, m.pkts);
+                    }
+                }
+            };
             while open.iter().any(|&o| o) {
                 if !open[cursor] {
                     cursor = (cursor + 1) % p_count;
                     continue;
                 }
-                let Some(msg) = rxs[cursor].recv() else {
-                    // The producer finished (or recovery closed its ring
-                    // on its behalf): remove it from the rotation.
+                // Supervised, the message stays in its queue until a
+                // checkpoint covers it; otherwise it moves out.
+                let msg = if fab.retaining(shard) {
+                    rxs[cursor].recv_retaining()
+                } else {
+                    rxs[cursor].recv()
+                };
+                let Some(msg) = msg else {
+                    // The producer finished (or this incarnation is
+                    // retired, and its receivers inert): remove it from
+                    // the rotation.
                     open[cursor] = false;
                     prod_wm[cursor] = Micros::MAX;
                     cursor = (cursor + 1) % p_count;
                     continue;
                 };
+                // Marked before the retirement check: a watchdog that
+                // retired this incarnation without finding the mark leaves
+                // the message's gauge count to the guard.
+                lease.begin(cursor);
+                let _in_flight = InFlight {
+                    fab: &fab,
+                    shard,
+                    lease: &lease,
+                };
                 // A retired incarnation (the watchdog abandoned it) must
-                // make no further observable moves: its messages have been
-                // replayed to the fresh incarnation, whose applies, gauge
-                // updates and checkpoint stores are the live ones now.
+                // make no further observable moves: the fresh incarnation
+                // re-reads its messages, and the successor's applies,
+                // gauge updates and checkpoint stores are the live ones.
                 if lease.retired() {
                     return (Vec::new(), engine.stats());
                 }
@@ -182,7 +231,7 @@ pub(super) fn spawn_worker(
                         // watchdog can notice. Disarm first (transient),
                         // then spin until the watchdog retires this
                         // incarnation. The triggering batch is NOT
-                        // applied; it replays to the fresh incarnation.
+                        // applied; the fresh incarnation re-reads it.
                         if let Some(f) = active_fault {
                             f.disarm();
                         }
@@ -211,9 +260,10 @@ pub(super) fn spawn_worker(
                 // Epochs count their batch plus the embedded watermark as
                 // tuple-equivalents, so idle shards still checkpoint.
                 since_ckpt += pkts.len() as u64 + 1;
-                // Sole owner ⇒ unsupervised: hand the drained buffer back
-                // for reuse. Under supervision the backlog clone wins and
-                // the buffer is reclaimed by the post-checkpoint trim.
+                // Sole owner ⇒ moved out of its queue: hand the drained
+                // buffer back for reuse. A retained entry holds the other
+                // reference, and the buffer is reclaimed by the release
+                // after the checkpoint that covers it.
                 fab.recycle(cursor, pkts);
                 // The frontier is the min watermark across ALL producers:
                 // a bucket may only close once no producer can still send
@@ -250,8 +300,8 @@ pub(super) fn spawn_worker(
                 }
                 // Checkpoint at message boundaries: the snapshot then means
                 // exactly "everything up to seq applied", which is what
-                // backlog trimming and replay key on. The buffer handed
-                // back above happens-before the seq store, so a trimmed
+                // queue release and re-attachment key on. The buffer handed
+                // back above happens-before the release, so a released
                 // batch is never still referenced by the worker.
                 if every > 0 && since_ckpt >= every && !sh.slot.unsupported() {
                     let ckpt_start = crate::telemetry::thread_cpu_ns();
@@ -280,40 +330,18 @@ pub(super) fn spawn_worker(
                                 crate::telemetry::thread_cpu_ns().saturating_sub(ckpt_start);
                             registry.checkpoint_ns.fetch_add(spent, Relaxed);
                             since_ckpt = 0;
-                            // Trim every producer's backlog row up to the
-                            // covered seq. Running this here — not on the
-                            // sender — keeps the reclaim scan, the `Arc`
-                            // teardown and the pool pushes off the send
-                            // path; buffers are handed back outside the
-                            // lock so a concurrent push never waits on a
-                            // pool mutex.
-                            let mut covered: Vec<(usize, Arc<Vec<Packet>>)> = Vec::new();
-                            {
-                                let mut rows =
-                                    sh.backlogs.lock().unwrap_or_else(PoisonError::into_inner);
-                                for (p, row) in rows.iter_mut().enumerate() {
-                                    while row.front().is_some_and(|m| m.seq <= seq) {
-                                        if let Some(m) = row.pop_front() {
-                                            covered.push((p, m.pkts));
-                                        }
-                                    }
-                                }
-                            }
-                            for (p, pkts) in covered {
-                                fab.recycle(p, pkts);
-                            }
+                            release(seq);
                         }
                         // Failure is permanent (the aggregate can't
-                        // serialize): flag it so senders stop retaining
-                        // backlog and the shard degrades on death.
+                        // serialize): flag it so nothing more is retained
+                        // — nor what was — and the shard degrades on death.
                         Err(_) => {
                             sh.slot.mark_unsupported();
                             unpublished = newly_closed;
+                            release(u64::MAX);
                         }
                     }
                 }
-                registry.producers()[cursor].ring_depth[shard].fetch_sub(1, Relaxed);
-                tel.queue_depth.fetch_sub(1, Relaxed);
                 cursor = (cursor + 1) % p_count;
             }
             unpublished.extend(engine.finish_state());

@@ -1,4 +1,4 @@
-//! Bounded SPSC rings and a batch-recycling pool for the sharded
+//! Bounded SPSC queues and a batch-recycling pool for the sharded
 //! dispatcher's hot path.
 //!
 //! The original dispatcher used [`std::sync::mpsc::sync_channel`] plus
@@ -24,13 +24,32 @@
 //! [`BatchPool::allocs`] — so tests can pin the zero-allocation claim
 //! instead of trusting it.
 //!
+//! ## Retention and reader incarnations
+//!
+//! A reader that must be able to die and be replaced reads with
+//! [`RingReceiver::recv_retaining`]: the entry stays in the buffer, in
+//! front of a read cursor, until [`RingReceiver::release`] pops it (the
+//! shard worker releases what each checkpoint it publishes covers).
+//! Retained entries are invisible to capacity, back-pressure,
+//! [`RingSender::len`] and [`RingSender::edit_queued`], which all see the
+//! unread entries only. The ring outlives its reader:
+//! [`RingSender::attach`] starts a new reader *incarnation* with the
+//! cursor rewound to the first entry a predicate does not cover, so the
+//! successor re-reads what its predecessor read after its last checkpoint
+//! — a message is in the buffer once, and nothing is ever re-sent. The
+//! receiver of an earlier incarnation (a dead worker's, or a wedged one
+//! the watchdog abandoned) is inert from then on: it reads nothing,
+//! releases nothing, and dropping it does not close the ring. [`ring`]
+//! plus plain [`RingReceiver::recv`] — the WAL writer's use — moves every
+//! entry out and never retains.
+//!
 //! ## The multi-producer ingress fabric
 //!
 //! The ring is nominally SPSC, but because it is a `Mutex<VecDeque>` (not
 //! an atomic index ring) every transition happens under one lock, and the
 //! wakeup elisions stay sound with *several* senders sharing one
 //! [`RingSender`] behind an `Arc`: the receiver parks only after
-//! observing an empty buffer under the lock, so whichever sender's push
+//! observing no unread entry under the lock, so whichever sender's push
 //! makes the buffer non-empty performs the wake; senders park only after
 //! observing a full buffer and register in a waiter count under the same
 //! lock, and every pop that finds a registered waiter wakes one, which
@@ -53,18 +72,32 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Ring state under the lock: the buffer plus liveness flags for each
 /// endpoint, which turn "channel closed" into a checkable condition.
 struct State<T> {
     buf: VecDeque<T>,
+    /// `buf[..read]` has been read and is retained until released; the
+    /// unread entries are `buf[read..]`. Stays `0` on a ring only ever
+    /// read with [`RingReceiver::recv`].
+    read: usize,
     tx_alive: bool,
     rx_alive: bool,
+    /// The incarnation of the one receiver that may read, release and, by
+    /// dropping, mark the reader dead.
+    reader: u64,
     /// Senders currently parked (or committed to parking) on `not_full`.
     /// Maintained under the lock so the receiver knows whether a pop must
     /// wake anyone — required once several senders share one
     /// [`RingSender`] behind an `Arc` (see the module docs).
     tx_waiting: usize,
+}
+
+impl<T> State<T> {
+    fn unread(&self) -> usize {
+        self.buf.len() - self.read
+    }
 }
 
 struct Shared<T> {
@@ -92,12 +125,14 @@ pub struct RingSender<T> {
 }
 
 /// Receiving half of a [`ring`]. Dropping it unblocks and fails any
-/// in-progress or future send.
+/// in-progress or future send — until [`RingSender::attach`] starts the
+/// next incarnation, after which this one is inert.
 pub struct RingReceiver<T> {
     shared: Arc<Shared<T>>,
+    incarnation: u64,
 }
 
-/// Creates a bounded SPSC ring holding at most `cap` in-flight messages.
+/// Creates a bounded SPSC ring holding at most `cap` unread messages.
 ///
 /// `send` blocks while the ring is full; `recv` blocks while it is empty.
 /// Panics if `cap` is zero (a rendezvous ring would deadlock a
@@ -107,8 +142,10 @@ pub fn ring<T>(cap: usize) -> (RingSender<T>, RingReceiver<T>) {
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             buf: VecDeque::with_capacity(cap),
+            read: 0,
             tx_alive: true,
             rx_alive: true,
+            reader: 0,
             tx_waiting: 0,
         }),
         not_empty: Condvar::new(),
@@ -119,7 +156,10 @@ pub fn ring<T>(cap: usize) -> (RingSender<T>, RingReceiver<T>) {
         RingSender {
             shared: Arc::clone(&shared),
         },
-        RingReceiver { shared },
+        RingReceiver {
+            shared,
+            incarnation: 0,
+        },
     )
 }
 
@@ -133,44 +173,17 @@ pub enum SendError<T> {
     Closed(T),
 }
 
-impl<T> SendError<T> {
-    /// The message that did not make it in.
-    pub fn into_inner(self) -> T {
-        match self {
-            SendError::Full(msg) | SendError::Closed(msg) => msg,
-        }
-    }
-}
-
 impl<T> RingSender<T> {
     /// Enqueues `msg`, blocking while the ring is full. Returns the
     /// message back as `Err` if the receiver is gone.
-    pub fn send(&self, msg: T) -> Result<(), T> {
-        let mut st = self.shared.lock();
+    pub fn send(&self, mut msg: T) -> Result<(), T> {
         loop {
-            if !st.rx_alive {
-                return Err(msg);
+            // One park/wake loop serves both forms: this one re-arms it.
+            match self.send_deadline(msg, Duration::from_secs(3600)) {
+                Ok(()) => return Ok(()),
+                Err(SendError::Closed(msg)) => return Err(msg),
+                Err(SendError::Full(back)) => msg = back,
             }
-            if st.buf.len() < self.shared.cap {
-                // SPSC: the one receiver only ever waits after observing an
-                // empty buffer under this lock, so a push onto a non-empty
-                // ring cannot have a waiter to wake. Skipping the notify
-                // there elides a futex syscall per steady-state send.
-                let was_empty = st.buf.is_empty();
-                st.buf.push_back(msg);
-                drop(st);
-                if was_empty {
-                    self.shared.not_empty.notify_one();
-                }
-                return Ok(());
-            }
-            st.tx_waiting += 1;
-            st = self
-                .shared
-                .not_full
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-            st.tx_waiting -= 1;
         }
     }
 
@@ -181,15 +194,22 @@ impl<T> RingSender<T> {
     /// the message comes back as [`SendError::Full`] and the caller
     /// consults its shed policy. Identical to `send` on the non-full fast
     /// path (one lock, elided wakeup).
-    pub fn send_deadline(&self, msg: T, deadline: std::time::Duration) -> Result<(), SendError<T>> {
-        let start = std::time::Instant::now();
+    pub fn send_deadline(&self, msg: T, deadline: Duration) -> Result<(), SendError<T>> {
+        // The deadline runs from the first park: the fast path reads no
+        // clock.
+        let mut parked_at = None;
         let mut st = self.shared.lock();
         loop {
             if !st.rx_alive {
                 return Err(SendError::Closed(msg));
             }
-            if st.buf.len() < self.shared.cap {
-                let was_empty = st.buf.is_empty();
+            if st.unread() < self.shared.cap {
+                // SPSC: the one receiver only ever waits after observing
+                // no unread entry under this lock, so a push onto a
+                // non-empty ring cannot have a waiter to wake. Skipping
+                // the notify there elides a futex syscall per
+                // steady-state send.
+                let was_empty = st.unread() == 0;
                 st.buf.push_back(msg);
                 drop(st);
                 if was_empty {
@@ -197,7 +217,8 @@ impl<T> RingSender<T> {
                 }
                 return Ok(());
             }
-            let Some(remaining) = deadline.checked_sub(start.elapsed()) else {
+            let waited = parked_at.get_or_insert_with(Instant::now).elapsed();
+            let Some(remaining) = deadline.checked_sub(waited) else {
                 return Err(SendError::Full(msg));
             };
             st.tx_waiting += 1;
@@ -211,23 +232,80 @@ impl<T> RingSender<T> {
         }
     }
 
-    /// Runs `f` over the queued messages in place, oldest first, under the
+    /// Enqueues `msg` whatever the ring holds — past its capacity if need
+    /// be. For filling a ring before anything reads it (the WAL tail of a
+    /// resumed store); later sends see a full ring until the reader has
+    /// caught up.
+    pub fn preload(&self, msg: T) {
+        self.shared.lock().buf.push_back(msg);
+        self.shared.not_empty.notify_one();
+    }
+
+    /// Starts the next reader incarnation and returns its receiver. The
+    /// read cursor moves to the first entry `covered` does not hold for
+    /// (entries are covered as a prefix: a checkpoint's seq), so the new
+    /// reader re-reads whatever its predecessor had read past that point;
+    /// covered entries stay retained until it releases them. `unread` is
+    /// then shown every entry the new reader will meet, oldest first, with
+    /// whether an earlier incarnation had read it. The previous
+    /// incarnation's receiver, dead or alive, is inert from here on.
+    pub fn attach(
+        &self,
+        covered: impl Fn(&T) -> bool,
+        mut unread: impl FnMut(&T, bool),
+    ) -> RingReceiver<T> {
+        let mut guard = self.shared.lock();
+        let st = &mut *guard;
+        st.reader += 1;
+        st.rx_alive = true;
+        let was_read = st.read;
+        st.read = st.buf.iter().take_while(|m| covered(m)).count();
+        for (i, m) in st.buf.iter().enumerate().skip(st.read) {
+            unread(m, i < was_read);
+        }
+        let incarnation = st.reader;
+        drop(guard);
+        // A predecessor parked on the empty ring must leave now: a later
+        // single wake-up must find the new reader, not it.
+        self.shared.not_empty.notify_all();
+        RingReceiver {
+            shared: Arc::clone(&self.shared),
+            incarnation,
+        }
+    }
+
+    /// Whether a reader is attached and has not died: `false` between a
+    /// receiver's drop and the next [`attach`](Self::attach).
+    pub fn reader_alive(&self) -> bool {
+        self.shared.lock().rx_alive
+    }
+
+    /// Ends the stream, as dropping the sender does: every reader
+    /// incarnation drains what was sent, then sees end-of-stream.
+    pub fn close(&self) {
+        self.shared.lock().tx_alive = false;
+        self.shared.not_empty.notify_all();
+    }
+
+    /// Runs `f` over the unread messages in place, oldest first, under the
     /// ring lock, stopping at the first `Some` and returning it. The
     /// mechanism behind `ShedPolicy::DropOldest`, which drops the payload
     /// of the stalest queued epoch (whose forward-decay weights are
     /// smallest) while leaving the message — its sequence number and
     /// watermark — in the queue.
     pub fn edit_queued<R>(&self, f: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
-        self.shared.lock().buf.iter_mut().find_map(f)
+        let mut st = self.shared.lock();
+        let read = st.read;
+        st.buf.iter_mut().skip(read).find_map(f)
     }
 
-    /// Messages queued right now (a snapshot under the lock) — the
+    /// Unread messages queued right now (a snapshot under the lock) — the
     /// ring-depth half of a shard's lag budget.
     pub fn len(&self) -> usize {
-        self.shared.lock().buf.len()
+        self.shared.lock().unread()
     }
 
-    /// Whether the ring is empty right now (a snapshot under the lock).
+    /// Whether nothing is unread right now (a snapshot under the lock).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -235,8 +313,7 @@ impl<T> RingSender<T> {
 
 impl<T> Drop for RingSender<T> {
     fn drop(&mut self) {
-        self.shared.lock().tx_alive = false;
-        self.shared.not_empty.notify_all();
+        self.close();
     }
 }
 
@@ -244,9 +321,32 @@ impl<T> RingReceiver<T> {
     /// Dequeues the next message, blocking while the ring is empty.
     /// Returns `None` once the sender is dropped and the ring drained.
     pub fn recv(&self) -> Option<T> {
+        self.next(|st| st.buf.remove(st.read))
+    }
+
+    /// [`recv`](Self::recv), but the message also stays in the ring —
+    /// read, out of the sender's sight — until [`release`](Self::release)
+    /// pops it or a later incarnation re-reads it.
+    pub fn recv_retaining(&self) -> Option<T>
+    where
+        T: Clone,
+    {
+        self.next(|st| {
+            let msg = st.buf.get(st.read).cloned()?;
+            st.read += 1;
+            Some(msg)
+        })
+    }
+
+    /// The one blocking read: `take` removes or passes the next unread
+    /// entry. `None` also when this receiver's incarnation is over.
+    fn next(&self, take: impl Fn(&mut State<T>) -> Option<T>) -> Option<T> {
         let mut st = self.shared.lock();
         loop {
-            if let Some(msg) = st.buf.pop_front() {
+            if st.reader != self.incarnation {
+                return None;
+            }
+            if let Some(msg) = take(&mut st) {
                 // Mirror of the send-side elision: senders only wait after
                 // observing a full buffer, registering in `tx_waiting`
                 // under this lock, so a pop with no registered waiter has
@@ -261,7 +361,7 @@ impl<T> RingReceiver<T> {
                 // time. Half a ring of queued work keeps this receiver
                 // busy meanwhile, and a waiter's own deadline still lets
                 // it take a free slot sooner.
-                let wake = st.tx_waiting > 0 && st.buf.len() <= self.shared.cap / 2;
+                let wake = st.tx_waiting > 0 && st.unread() <= self.shared.cap / 2;
                 drop(st);
                 if wake {
                     self.shared.not_full.notify_one();
@@ -278,12 +378,30 @@ impl<T> RingReceiver<T> {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
+
+    /// Pops the retained entries `covered` holds for — a prefix: what a
+    /// checkpoint's seq covers — into `out`, for the caller to recycle
+    /// outside the ring lock.
+    pub fn release(&self, covered: impl Fn(&T) -> bool, out: &mut Vec<T>) {
+        let mut st = self.shared.lock();
+        if st.reader != self.incarnation {
+            return;
+        }
+        while st.read > 0 && st.buf.front().is_some_and(&covered) {
+            out.extend(st.buf.pop_front());
+            st.read -= 1;
+        }
+    }
 }
 
 impl<T> Drop for RingReceiver<T> {
     fn drop(&mut self) {
-        self.shared.lock().rx_alive = false;
-        self.shared.not_full.notify_all();
+        let mut st = self.shared.lock();
+        if st.reader == self.incarnation {
+            st.rx_alive = false;
+            drop(st);
+            self.shared.not_full.notify_all();
+        }
     }
 }
 
@@ -329,8 +447,8 @@ impl<T> BatchPool<T> {
     /// pool see the new bound immediately; an oversized free list shrinks
     /// lazily as buffers are taken. The supervised sharded engine uses
     /// this to widen the pool to its checkpoint window, so buffers
-    /// retained in the replay backlog still recycle instead of forcing a
-    /// cold allocation per batch.
+    /// retained in its queues still recycle instead of forcing a cold
+    /// allocation per batch.
     pub fn set_max_pooled(&self, max_pooled: usize) {
         self.inner
             .max_pooled
@@ -342,8 +460,8 @@ impl<T> BatchPool<T> {
     /// pages are faulted in here — at spawn, off the hot path — rather
     /// than lazily by the dispatcher. Without this, every first use of a
     /// fresh 48 KB batch buffer costs the dispatch loop a dozen page
-    /// faults, and a supervised engine (whose replay backlog roughly
-    /// doubles the number of buffers in circulation) pays twice as many
+    /// faults, and a supervised engine (whose retained entries roughly
+    /// double the number of buffers in circulation) pays twice as many
     /// of them as an unsupervised one.
     pub fn prewarm(&self, count: usize, cap: usize, fill: T)
     where
@@ -561,7 +679,6 @@ mod tests {
             tx.send_deadline(2, Duration::from_secs(10)),
             Err(SendError::Closed(2))
         );
-        assert_eq!(SendError::Closed(2).into_inner(), 2);
     }
 
     #[test]
@@ -578,6 +695,227 @@ mod tests {
         drop(tx);
         let drained: Vec<u32> = std::iter::from_fn(|| rx.recv()).collect();
         assert_eq!(drained, vec![0, 0, 0, 9]);
+    }
+
+    /// What the ring must behave like, for
+    /// `retained_ring_matches_a_vec_model`: every entry it holds, oldest
+    /// first, as `(seq, payload)`, and the read cursor into them.
+    struct Model {
+        held: Vec<(u64, u32)>,
+        read: usize,
+        reader_alive: bool,
+    }
+
+    #[test]
+    fn retained_ring_matches_a_vec_model() {
+        use std::time::Duration;
+        const CAP: usize = 4;
+        for seed in 1..=300u64 {
+            // xorshift64: the test owns its randomness.
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rand = move |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            };
+            let (tx, rx) = ring::<(u64, u32)>(CAP);
+            let mut m = Model {
+                held: Vec::new(),
+                read: 0,
+                reader_alive: true,
+            };
+            // The current incarnation's receiver, the seq it attached
+            // after and the last seq it read; and the receivers of
+            // earlier incarnations that were retired alive.
+            let mut rx = Some(rx);
+            let (mut attached_after, mut last_read) = (0u64, 0u64);
+            let mut stale: Vec<RingReceiver<(u64, u32)>> = Vec::new();
+            let mut next_seq = 1u64;
+            let mut closed = false;
+            let mut out = Vec::new();
+            for step in 0..400 {
+                let ctx = format!("seed {seed} step {step}");
+                match rand(12) {
+                    // Send: capacity counts the unread entries only.
+                    0..=2 if !closed => {
+                        let msg = (next_seq, 1 + rand(9) as u32);
+                        let want = if !m.reader_alive {
+                            Err(SendError::Closed(msg))
+                        } else if m.held.len() - m.read >= CAP {
+                            Err(SendError::Full(msg))
+                        } else {
+                            Ok(())
+                        };
+                        assert_eq!(tx.send_deadline(msg, Duration::ZERO), want, "{ctx}");
+                        if want.is_ok() {
+                            m.held.push(msg);
+                            next_seq += 1;
+                        }
+                    }
+                    // Preload: past the capacity if need be.
+                    3 if !closed && rand(4) == 0 => {
+                        tx.preload((next_seq, 7));
+                        m.held.push((next_seq, 7));
+                        next_seq += 1;
+                    }
+                    // Read, retaining or moving out — only where the ring
+                    // would not block.
+                    4..=6 if m.read < m.held.len() || closed => {
+                        let Some(rx) = rx.as_ref() else { continue };
+                        let retain = rand(4) != 0;
+                        let got = if retain {
+                            rx.recv_retaining()
+                        } else {
+                            rx.recv()
+                        };
+                        let want = m.held.get(m.read).copied();
+                        assert_eq!(got, want, "{ctx}");
+                        if let Some((seq, _)) = want {
+                            assert!(seq > attached_after.max(last_read), "{ctx}: seq {seq}");
+                            last_read = seq;
+                            if retain {
+                                m.read += 1;
+                            } else {
+                                m.held.remove(m.read);
+                            }
+                        }
+                    }
+                    // The reader dies.
+                    7 if rand(3) == 0 => {
+                        if rx.take().is_some() {
+                            m.reader_alive = false;
+                        }
+                    }
+                    // A fresh incarnation attaches past `through`; its
+                    // predecessor, if still alive, lives on as a zombie.
+                    8 => {
+                        stale.extend(rx.take());
+                        let through = rand(next_seq);
+                        let was_read = m.read;
+                        m.read = m.held.iter().take_while(|e| e.0 <= through).count();
+                        m.reader_alive = true;
+                        let mut shown = Vec::new();
+                        rx = Some(
+                            tx.attach(|e| e.0 <= through, |e, reread| shown.push((*e, reread))),
+                        );
+                        let want: Vec<_> = (m.read..m.held.len())
+                            .map(|i| (m.held[i], i < was_read))
+                            .collect();
+                        assert_eq!(shown, want, "{ctx}");
+                        (attached_after, last_read) = (through, 0);
+                    }
+                    // Release through a seq: the retained prefix only.
+                    9 => {
+                        let Some(rx) = rx.as_ref() else { continue };
+                        let through = rand(next_seq);
+                        let n = m.held[..m.read]
+                            .iter()
+                            .take_while(|e| e.0 <= through)
+                            .count();
+                        rx.release(|e| e.0 <= through, &mut out);
+                        assert_eq!(out, m.held[..n], "{ctx}");
+                        out.clear();
+                        m.held.drain(..n);
+                        m.read -= n;
+                    }
+                    // Hollow the oldest unread entry that has a payload.
+                    10 => {
+                        let want = m.held[m.read..].iter_mut().find(|e| e.1 != 0);
+                        let got =
+                            tx.edit_queued(|e| (e.1 != 0).then(|| (e.0, std::mem::take(&mut e.1))));
+                        assert_eq!(got, want.as_deref().copied(), "{ctx}");
+                        if let Some(e) = want {
+                            e.1 = 0;
+                        }
+                    }
+                    11 if rand(40) == 0 => {
+                        tx.close();
+                        closed = true;
+                    }
+                    // A zombie reads nothing, releases nothing, and its
+                    // drop leaves the ring open.
+                    _ => {
+                        if let Some(z) = stale.pop() {
+                            assert_eq!(z.recv_retaining(), None, "{ctx}");
+                            assert_eq!(z.recv(), None, "{ctx}");
+                            z.release(|_| true, &mut out);
+                            assert!(out.is_empty(), "{ctx}");
+                        }
+                    }
+                }
+                assert_eq!(tx.len(), m.held.len() - m.read, "{ctx}");
+                assert_eq!(tx.reader_alive(), m.reader_alive, "{ctx}");
+            }
+            // A reader attached at the front and dropped at once is shown
+            // everything the ring holds, and leaves it without a reader.
+            let mut shown = Vec::new();
+            drop(tx.attach(|_| false, |e, reread| shown.push((*e, reread))));
+            let want: Vec<_> = (m.held.iter().enumerate())
+                .map(|(i, e)| (*e, i < m.read))
+                .collect();
+            assert_eq!(shown, want, "seed {seed}");
+            assert!(!tx.reader_alive());
+        }
+    }
+
+    #[test]
+    fn a_fresh_incarnation_inherits_parked_peers() {
+        // The lost-wakeup shapes around an attach. Run off-thread so a
+        // hang fails the test instead of stalling the suite.
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (done_tx, done_rx) = mpsc::channel();
+        let scenario = std::thread::spawn(move || {
+            // A sender parked on the full ring when its reader dies — or
+            // is retired alive — must be fed by the successor's reads.
+            for retired_alive in [false, true] {
+                let (tx, rx0) = ring::<u32>(2);
+                let tx = Arc::new(tx);
+                tx.send(1).unwrap();
+                tx.send(2).unwrap();
+                let sender = {
+                    let tx = Arc::clone(&tx);
+                    // A dead reader fails the send; it is retried once a
+                    // successor is attached.
+                    std::thread::spawn(move || {
+                        while tx.send(3).is_err() {
+                            std::thread::yield_now();
+                        }
+                    })
+                };
+                while tx.shared.lock().tx_waiting == 0 {
+                    std::thread::yield_now();
+                }
+                let zombie = retired_alive.then_some(rx0);
+                let rx1 = tx.attach(|_| false, |_, _| {});
+                let got: Vec<u32> = (0..3).filter_map(|_| rx1.recv_retaining()).collect();
+                assert_eq!(got, [1, 2, 3]);
+                sender.join().unwrap();
+                if let Some(zombie) = zombie {
+                    assert_eq!(zombie.recv_retaining(), None);
+                    drop(zombie);
+                    assert!(tx.reader_alive(), "a zombie's drop closes nothing");
+                }
+            }
+            // A retired reader parked on the empty ring must not swallow
+            // the wake-up meant for its successor. (The sleeps only make
+            // "both parked" the likely order; every order must pass.)
+            let (tx, rx0) = ring::<u32>(2);
+            let zombie = std::thread::spawn(move || rx0.recv());
+            std::thread::sleep(Duration::from_millis(20));
+            let rx1 = tx.attach(|_| false, |_, _| {});
+            let successor = std::thread::spawn(move || rx1.recv());
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(9).unwrap();
+            assert_eq!(successor.join().unwrap(), Some(9));
+            assert_eq!(zombie.join().unwrap(), None);
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a parked thread slept through its wake-up");
+        scenario.join().unwrap();
     }
 
     #[test]

@@ -10,24 +10,28 @@
 //! makes both halves cheap and *exact*: summaries carry frozen numerators
 //! `g(t_i − L)` that are plain numbers, not functions of the current time
 //! (paper Section VI-B), so a snapshot is plain data and a closed group
-//! never changes again. Each shard retains the small tail of messages
-//! since its last checkpoint: the sending handle appends to that backlog, the
-//! worker trims it as each checkpoint it publishes covers older entries.
-//! On worker death the supervisor restores the engine from the slot's
-//! snapshot and replays the tail, which reproduces the worker's open state
-//! byte-for-byte (see [`crate::engine::Engine::checkpoint`]) while the
-//! slot's closed groups stay where they are.
+//! never changes again. The queues between the ingress handles and the
+//! worker ([`crate::spsc`]) *retain* what the worker has read: an entry
+//! stays in its queue, behind the read cursor, until the worker releases
+//! it — which it does for everything a checkpoint it just published
+//! covers. So the messages since the last checkpoint exist exactly once,
+//! in the queue they were sent on. On worker death the supervisor restores
+//! the engine from the slot's snapshot and attaches a fresh reader
+//! *incarnation* to every queue at the first entry past the slot's seq;
+//! the new worker re-reads the tail, which reproduces its predecessor's
+//! open state byte-for-byte (see [`crate::engine::Engine::checkpoint`])
+//! while the slot's closed groups stay where they are. Nothing is re-sent.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::engine::ClosedGroup;
 
 /// Take a checkpoint after at least this many tuples since the previous
-/// one (default for [`crate::shard::ShardedEngine`]). Each shard retains a
-/// replay backlog covering at most this many tuples, so the interval
-/// bounds both the replay tail and the retained-batch working set. What a
+/// one (default for [`crate::shard::ShardedEngine`]). A shard's queues
+/// retain read entries covering at most this many tuples, so the interval
+/// bounds both the re-read tail and the retained-batch working set. What a
 /// checkpoint costs is set by the shard's *open* state alone — closed
 /// buckets leave the snapshot at the checkpoint after they close — and is
 /// paid on the worker thread, where it overlaps dispatch whenever a spare
@@ -69,8 +73,8 @@ pub struct SlotView<'a> {
 /// group closed at or before `seq`", which together are the shard's whole
 /// state at `seq`.
 ///
-/// Written by the worker, which also trims the replay backlog against the
-/// `seq` it just published; read on recovery (restore the open state; the
+/// Written by the worker, which then releases what its queues retain up
+/// to the `seq` it just published; read on recovery (restore the open state; the
 /// closed groups stay put), by the durable store's writer thread, and at
 /// the end of the run, when [`take_closed`](Self::take_closed) hands the
 /// closed groups to the combiner. Single writer, so the mutex is
@@ -78,13 +82,13 @@ pub struct SlotView<'a> {
 #[derive(Default)]
 pub struct CheckpointSlot {
     /// Sequence number of the last message whose effects are inside the
-    /// slot. Backlog entries with `seq <= this` are covered and may be
-    /// discarded. Written under the state lock; readable without it.
+    /// slot. Retained queue entries with `seq <= this` are covered and may
+    /// be released. Written under the state lock; readable without it.
     seq: AtomicU64,
     state: Mutex<SlotState>,
     /// Set once the engine reports its aggregator cannot checkpoint
-    /// (e.g. samplers). The dispatcher then stops retaining backlog: on
-    /// death the shard degrades immediately instead of replaying.
+    /// (e.g. samplers). The worker then stops retaining what it reads: on
+    /// death the shard degrades immediately instead of re-reading.
     unsupported: AtomicBool,
 }
 
@@ -186,11 +190,11 @@ pub fn backoff(attempt: u32) -> Duration {
 /// *wedged* when the heartbeat is older than the configured lease. Safe
 /// Rust cannot kill a thread, so a wedged worker is **retired**
 /// ([`retire`](WorkerLease::retire)) and abandoned: a fresh incarnation
-/// with a fresh lease takes over through the normal checkpoint + backlog
-/// replay path, while the old thread — if it ever unwedges — observes
-/// [`retired`](WorkerLease::retired) on its next loop iteration and exits
-/// without side effects (no checkpoint stores, no result sends, no
-/// telemetry decrements: its replayed messages are the live copies now).
+/// with a fresh lease takes over through the normal restore-and-re-read
+/// path, while the old thread — if it ever unwedges — finds its queue
+/// receivers inert, observes [`retired`](WorkerLease::retired) on its next
+/// loop iteration and exits without side effects (no checkpoint stores, no
+/// result sends: the successor re-reads its messages).
 #[derive(Debug)]
 pub struct WorkerLease {
     /// When this incarnation was installed; heartbeats are milliseconds
@@ -202,6 +206,9 @@ pub struct WorkerLease {
     consumed_seq: AtomicU64,
     /// Set by the watchdog when it abandons this incarnation.
     retired: AtomicBool,
+    /// The message this incarnation has read and not finished with, as
+    /// `producer + 1` (`0`: none). See [`settle`](WorkerLease::settle).
+    in_flight: AtomicUsize,
 }
 
 impl Default for WorkerLease {
@@ -211,6 +218,7 @@ impl Default for WorkerLease {
             beat_ms: AtomicU64::new(0),
             consumed_seq: AtomicU64::new(0),
             retired: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
         }
     }
 }
@@ -247,15 +255,36 @@ impl WorkerLease {
         self.stale_for() > lease
     }
 
-    /// Watchdog-side: abandons this incarnation. Sticky.
-    pub fn retire(&self) {
-        self.retired.store(true, Ordering::Release);
+    /// Worker-side: a message from `producer`'s queue has been read.
+    /// Call before checking [`retired`](WorkerLease::retired).
+    pub fn begin(&self, producer: usize) {
+        self.in_flight.store(producer + 1, Ordering::SeqCst);
     }
 
-    /// Whether this incarnation has been abandoned. Checked once per
-    /// message by the worker loop (one relaxed-ish load — cheap).
+    /// Takes the in-flight message's mark, returning its producer. The
+    /// queue-depth gauges count a message from its send until its reader
+    /// is done with it; whoever takes the mark — the worker leaving the
+    /// message, or the watchdog abandoning a worker that may never leave
+    /// it — owes the gauges that decrement, so it happens exactly once.
+    ///
+    /// `begin` then `retired` on the worker and `retire` then `settle` on
+    /// the watchdog are each a store followed by a load of the other's
+    /// flag; all four are `SeqCst`, so at least one side sees the other:
+    /// the watchdog finds the mark, or the worker finds itself retired
+    /// before it starts on the message and settles on its way out.
+    pub fn settle(&self) -> Option<usize> {
+        self.in_flight.swap(0, Ordering::SeqCst).checked_sub(1)
+    }
+
+    /// Watchdog-side: abandons this incarnation. Sticky.
+    pub fn retire(&self) {
+        self.retired.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether this incarnation has been abandoned. Checked a few times
+    /// per message by the worker loop (a plain load on x86 — cheap).
     pub fn retired(&self) -> bool {
-        self.retired.load(Ordering::Acquire)
+        self.retired.load(Ordering::SeqCst)
     }
 }
 
@@ -340,6 +369,18 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         assert!(lease.is_stale(Duration::from_millis(5)));
         assert!(lease.stale_for() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn in_flight_mark_is_taken_exactly_once() {
+        let lease = WorkerLease::default();
+        assert_eq!(lease.settle(), None, "nothing read yet");
+        lease.begin(0);
+        assert_eq!(lease.settle(), Some(0));
+        assert_eq!(lease.settle(), None, "the other party finds it gone");
+        lease.begin(3);
+        lease.retire(); // retirement leaves the mark for whoever settles
+        assert_eq!(lease.settle(), Some(3));
     }
 
     #[test]

@@ -259,7 +259,8 @@ pub struct EngineTelemetry {
     /// shards' *open* state: it stays flat as buckets close, however long
     /// the stream runs.
     pub checkpoint_bytes: AtomicU64,
-    /// Batches replayed to a respawned worker from the shard's backlog.
+    /// Non-empty batches a respawned worker found waiting in the shard's
+    /// queues past its checkpoint, to (re-)read.
     pub replayed_batches: AtomicU64,
     /// Tuples inside replayed batches. Replays re-run through the worker,
     /// so per-shard `tuples_processed` counts them again; reconcile with
@@ -269,8 +270,8 @@ pub struct EngineTelemetry {
     /// Shards given up on after exhausting their restart budget (their
     /// last checkpoint is still salvaged at `finish()`).
     pub degraded_shards: AtomicU64,
-    /// Tuples dropped because their shard was degraded: the un-replayable
-    /// backlog at degradation time plus everything routed there after.
+    /// Tuples dropped because their shard was degraded: what its queues
+    /// held at degradation time plus everything routed there after.
     pub dropped_degraded: AtomicU64,
     /// Result rows emitted by the combiner (set at `finish()`).
     pub rows_out: AtomicU64,
@@ -287,7 +288,7 @@ pub struct EngineTelemetry {
     pub checkpoints_persisted: AtomicU64,
     /// WAL batch records replayed through the normal batch path during
     /// startup recovery (distinct from `replayed_batches`, which also
-    /// counts in-process backlog replays after a worker crash).
+    /// counts in-process re-reads after a worker crash).
     pub recovery_replayed_batches: AtomicU64,
     /// 1 when the durable store hit a persistent disk failure and the
     /// engine fell back to in-memory supervision only, else 0.
@@ -531,7 +532,7 @@ pub struct MetricsSnapshot {
     pub checkpoint_ns: u64,
     /// Total snapshot bytes serialized by worker checkpoints.
     pub checkpoint_bytes: u64,
-    /// Batches replayed from the backlog after a restart.
+    /// Batches (re-)read from the queues after a restart.
     pub replayed_batches: u64,
     /// Tuples inside replayed batches (counted again in the owning shard's
     /// `tuples_processed`).

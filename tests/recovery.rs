@@ -698,3 +698,88 @@ fn non_checkpointable_aggregates_still_run_supervised() {
     );
     assert_eq!(t.worker_panics, 0);
 }
+
+/// A respawn across a gap in the seq stream. Producer 0's first epoch kills
+/// shard 0's worker; producer 0 then keeps sealing (few enough epochs that
+/// it never parks on a full queue) until the supervisor has respawned the
+/// worker — all while producer 1 has sent nothing. The fresh worker
+/// re-reads seq 1 from producer 0's queue and must then simply wait for
+/// seq 2 on producer 1's, however much of producer 0's later epochs sit
+/// queued beyond the gap; once producer 1 ingests its share, the run ends
+/// with the rows of the single-threaded engine over the same stream.
+#[test]
+fn respawn_across_a_gap_waits_for_the_stalled_producer() {
+    use forward_decay::engine::shard::FABRIC_RING_DEPTH;
+    use std::time::Duration;
+    const CHUNK: usize = 48;
+    let q = || {
+        Query::builder("gap")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(2)
+            .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
+            .two_level(false)
+            .build()
+    };
+    // Run off-thread: a worker stuck at the gap must fail the test, not
+    // hang the suite.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        let packets = trace(1.0, 6_000.0, 21);
+        // Epochs are dealt round-robin: even chunks are producer 0's.
+        let chunks: Vec<&[Packet]> = packets.chunks(CHUNK).collect();
+        let expected = Engine::new(q()).run(packets.iter().copied());
+        let mut e = ShardedEngine::try_new(q(), 2)
+            .expect("spawn shards")
+            .inject_fault(FaultPlan {
+                shard: 0,
+                kind: FaultKind::PanicAtTuple(3),
+            })
+            .try_producers(2)
+            .expect("fabric");
+        let tel = std::sync::Arc::clone(e.telemetry());
+        let mut handles = e.take_ingress_handles();
+        let (mut sent0, mut sent1) = (0, 0);
+        let mut respawned = false;
+        while !respawned && sent0 < FABRIC_RING_DEPTH - 1 {
+            handles[0].ingest(chunks[2 * sent0]).expect("producer 0");
+            sent0 += 1;
+            for _ in 0..200 {
+                respawned = tel.snapshot().restarts == 1;
+                if respawned {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert!(respawned, "no respawn within {sent0} epochs of producer 0");
+        assert_eq!(handles[1].stats().tuples_in, 0, "producer 1 is the gap");
+        assert!(tel.snapshot().replayed_batches >= 1, "seq 1 was re-read");
+        // Producer 1 catches up, then both deal out the rest in turn.
+        while 2 * sent0 < chunks.len() || 2 * sent1 + 1 < chunks.len() {
+            if sent1 < sent0 && 2 * sent1 + 1 < chunks.len() {
+                handles[1]
+                    .ingest(chunks[2 * sent1 + 1])
+                    .expect("producer 1");
+                sent1 += 1;
+            } else {
+                handles[0].ingest(chunks[2 * sent0]).expect("producer 0");
+                sent0 += 1;
+            }
+        }
+        for h in handles {
+            h.finish();
+        }
+        let rows = e.finish();
+        assert_bit_identical(&expected, &rows, "respawn across a gap");
+        let t = tel.snapshot();
+        assert_eq!(t.restarts, 1);
+        assert_eq!(t.worker_panics, 1);
+        assert_eq!(t.degraded_shards, 0);
+        assert!(t.replayed_batches >= 1);
+        done_tx.send(()).expect("report");
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the run did not finish: the respawned worker is stuck at the gap");
+    body.join().expect("test body");
+}
