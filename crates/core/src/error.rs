@@ -30,8 +30,9 @@ pub enum Error {
         /// The component that was never supplied (e.g. `"aggregate"`).
         component: &'static str,
     },
-    /// A parallel worker died and supervision was disabled, so its state
-    /// (and any tuples routed to it) cannot be recovered.
+    /// A shard has no worker and will not get one: it died with
+    /// supervision disabled, so its state (and any tuples routed to it)
+    /// cannot be recovered, or the OS refused its thread at startup.
     WorkerLost {
         /// Index of the shard whose worker is gone.
         shard: usize,
@@ -59,7 +60,10 @@ impl fmt::Display for Error {
                 write!(f, "{builder} is missing its {component}")
             }
             Error::WorkerLost { shard } => {
-                write!(f, "shard {shard} worker has died (supervision disabled)")
+                write!(
+                    f,
+                    "shard {shard} has no worker (it died unsupervised, or its thread did not start)"
+                )
             }
             Error::Durability { detail } => write!(f, "durable store: {detail}"),
         }

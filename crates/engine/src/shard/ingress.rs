@@ -272,13 +272,7 @@ impl IngressHandle {
                 let shed = sub.thin(&mut self.staging[shard], &mut sc);
                 *col = Some(Arc::new(sc));
                 if shed > 0 {
-                    fab.telemetry.shed_tuples.fetch_add(shed, Relaxed);
-                    fab.telemetry.shards()[shard]
-                        .shed_tuples
-                        .fetch_add(shed, Relaxed);
-                    fab.telemetry.producers()[self.producer]
-                        .shed_tuples
-                        .fetch_add(shed, Relaxed);
+                    fab.count_shed(shard, Some(self.producer), shed);
                 }
             }
         }

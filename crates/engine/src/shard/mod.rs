@@ -109,7 +109,7 @@ mod worker;
 use std::path::PathBuf;
 #[cfg(test)]
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::durability::{
@@ -135,7 +135,7 @@ use crate::{
 #[cfg(test)]
 pub(crate) use ingress::route_key;
 pub use ingress::IngressHandle;
-use recover::{reap_zombies, spawn_plane, FabShared};
+use recover::{spawn_plane, FabShared};
 
 /// How an ingress handle assigns accepted tuples to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -381,9 +381,9 @@ impl ShardedEngine {
     }
 
     /// [`rebuild`](Self::rebuild) for the setters that cannot return an
-    /// error. Without a store a rebuild cannot fail; with one (a setter
-    /// called after [`try_durable`](Self::try_durable)) it reopens the
-    /// store and can.
+    /// error. Without a store a rebuild fails only if the OS refuses a
+    /// worker thread; with one (a setter called after
+    /// [`try_durable`](Self::try_durable)) it reopens the store and can.
     ///
     /// # Panics
     /// If the rebuild fails.
@@ -789,14 +789,7 @@ impl ShardedEngine {
         // Dropping the coordinator handles closes their queues; close
         // those of handles taken and still out there too, then join.
         self.handles.clear();
-        for (shard, sh) in self.fab.shards.iter().enumerate() {
-            for queue in &sh.queues {
-                queue.close();
-            }
-            let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            self.fab.reap_locked(shard, &mut inner);
-            reap_zombies(&mut inner.zombies);
-        }
+        self.fab.shut_down();
     }
 }
 

@@ -230,16 +230,22 @@ impl FabShared {
             Some(std::mem::take(&mut m.pkts))
         });
         let Some(pkts) = hollowed else { return };
-        let shed = pkts.len() as u64;
-        self.telemetry.shed_tuples.fetch_add(shed, Relaxed);
+        self.count_shed(shard, Some(p), pkts.len() as u64);
         self.telemetry.shed_batches.fetch_add(1, Relaxed);
-        self.telemetry.shards()[shard]
-            .shed_tuples
-            .fetch_add(shed, Relaxed);
-        self.telemetry.producers()[p]
-            .shed_tuples
-            .fetch_add(shed, Relaxed);
         self.recycle(p, pkts);
+    }
+
+    /// Counts `n` tuples shed on their way to `shard` in every scope that
+    /// lost them — the engine, the shard and, when the shed happened before
+    /// the send (a worker's refusal has no producer), the `producer` — so
+    /// the engine-wide figure is the sum over the shards.
+    pub(super) fn count_shed(&self, shard: usize, producer: Option<usize>, n: u64) {
+        let t = &self.telemetry;
+        t.shed_tuples.fetch_add(n, Relaxed);
+        t.shards()[shard].shed_tuples.fetch_add(n, Relaxed);
+        if let Some(p) = producer {
+            t.producers()[p].shed_tuples.fetch_add(n, Relaxed);
+        }
     }
 
     /// The one recovery, whoever found the worker gone: disposes of the
@@ -268,6 +274,8 @@ impl FabShared {
             self.telemetry.restarts.fetch_add(1, Relaxed);
             std::thread::sleep(backoff(attempt));
             self.respawn_locked(shard, inner)
+                .inspect_err(|err| eprintln!("fd-shard-{shard}: not respawned: {err}"))
+                .is_ok()
         };
         if !restored {
             self.degrade_locked(shard);
@@ -324,9 +332,14 @@ impl FabShared {
     /// resume are all this one call — they differ only in what the slot
     /// and the queues hold. Nothing is sent and nobody waits: a producer
     /// stalled mid-seal leaves the new worker waiting on its queue, as the
-    /// old one was. Caller holds `inner`. Returns `false` if the snapshot
-    /// does not restore.
-    fn respawn_locked(self: &Arc<Self>, shard: usize, inner: &mut FabInner) -> bool {
+    /// old one was. Caller holds `inner`. Fails — leaving the shard without
+    /// a worker, for the caller to degrade or report — if the snapshot
+    /// does not restore or the OS refuses the thread.
+    fn respawn_locked(
+        self: &Arc<Self>,
+        shard: usize,
+        inner: &mut FabInner,
+    ) -> Result<(), fd_core::Error> {
         let sh = &self.shards[shard];
         let restored = sh.slot.read(|v| {
             self.telemetry.shards()[shard]
@@ -339,8 +352,11 @@ impl FabShared {
             Some((_, Err(err))) => {
                 // "Can't happen" for bytes a worker wrote; a store can
                 // hold a snapshot of another query's geometry.
-                eprintln!("fd-shard-{shard}: checkpoint restore failed: {err:?}");
-                return false;
+                return Err(fd_core::Error::Durability {
+                    detail: format!(
+                        "shard {shard}: checkpoint does not restore under this query: {err:?}"
+                    ),
+                });
             }
             None => {
                 let mut e = Engine::new(self.worker_query.clone());
@@ -380,15 +396,13 @@ impl FabShared {
         self.telemetry
             .replayed_tuples
             .fetch_add(replayed.1, Relaxed);
-        inner.worker = Some(spawn_worker(
-            shard,
-            engine,
-            rxs,
-            Arc::clone(self),
-            ckpt_seq,
-            Arc::clone(&inner.lease),
-        ));
-        true
+        let lease = Arc::clone(&inner.lease);
+        let worker = spawn_worker(shard, engine, rxs, Arc::clone(self), ckpt_seq, lease);
+        inner.worker = Some(worker.map_err(|err| {
+            eprintln!("fd-shard-{shard}: worker thread did not start: {err}");
+            fd_core::Error::WorkerLost { shard }
+        })?);
+        Ok(())
     }
 
     /// Gives up on a shard: marks it so later epochs are counted instead
@@ -422,6 +436,19 @@ impl FabShared {
 }
 
 impl FabShared {
+    /// Ends the plane: closes every queue — those of handles still out
+    /// there too — and joins every worker, so no thread outlives it.
+    pub(super) fn shut_down(&self) {
+        for (shard, sh) in self.shards.iter().enumerate() {
+            for queue in &sh.queues {
+                queue.close();
+            }
+            let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            self.reap_locked(shard, &mut inner);
+            reap_zombies(&mut inner.zombies);
+        }
+    }
+
     /// Bounds each producer's batch-buffer free list to its share of the
     /// working set — per shard, a full queue plus one staging buffer plus
     /// (supervised) one checkpoint window of retained entries — and faults
@@ -623,12 +650,13 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
         }
     }
     for (shard, sh) in fab.shards.iter().enumerate() {
-        let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if !fab.respawn_locked(shard, &mut inner) {
-            return Err(fd_core::Error::Durability {
-                detail: format!("shard {shard}: checkpoint does not restore under this query"),
-            });
-        }
+        let spawned = {
+            let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            fab.respawn_locked(shard, &mut inner)
+        };
+        // The workers already up must not outlive a plane nobody gets
+        // (shutting down takes every shard's `inner`, this one's too).
+        spawned.inspect_err(|_| fab.shut_down())?;
     }
     let mut handles: Vec<IngressHandle> = (0..producers)
         .map(|p| IngressHandle::new(p, query.clone(), &fab))
@@ -779,6 +807,44 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_that_cannot_be_spawned_is_an_error_not_a_panic() {
+        use super::super::worker::REFUSE_SPAWNS;
+        // Respawns run on the sending thread — this one — under the shard's
+        // `inner` lock. The OS refusing the thread there must cost the
+        // shard, not the process: it degrades, counted, the stream
+        // finishes and the healthy shard still answers.
+        let stream: Vec<Packet> = (0..20_000)
+            .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))
+            .collect();
+        let mut e = sharded(count_query(), 2)
+            .try_batch_size(128)
+            .expect("batch")
+            .checkpoint_every(1_000)
+            .inject_fault(plan("panic:1:4000"));
+        REFUSE_SPAWNS.set(true);
+        let rows = e.run(stream);
+        // At start-up there is no shard to degrade: the caller is told.
+        let refused = ShardedEngine::try_new(count_query(), 2).err();
+        REFUSE_SPAWNS.set(false);
+        assert!(!rows.is_empty(), "healthy shard still emits");
+        let snap = e.telemetry().snapshot();
+        assert_eq!(snap.worker_panics, 1, "the injected death was reaped");
+        assert_eq!(snap.restarts, 1, "the failed respawn spent a restart");
+        assert_eq!(snap.degraded_shards, 1);
+        assert!(
+            snap.dropped_degraded > 0,
+            "post-degradation tuples are counted dropped"
+        );
+        for shard in &snap.shards {
+            assert_eq!(shard.queue_depth, 0, "nothing is left queued");
+        }
+        assert!(
+            matches!(refused, Some(fd_core::Error::WorkerLost { shard: 0 })),
+            "expected WorkerLost, got {refused:?}"
+        );
+    }
+
+    #[test]
     fn drop_oldest_hollows_queued_epochs_and_completes_under_slow_shard() {
         // One shard, deliberately slow worker (10 ms per batch), 2 ms send
         // deadline: the ring fills, and DropOldest must hollow the oldest
@@ -811,6 +877,11 @@ mod tests {
         // What was not shed was applied: nothing is lost uncounted.
         let applied: f64 = rows.iter().filter_map(|r| r.value.as_float()).sum();
         assert_eq!(applied as u64 + snap.shed_tuples, stream.len() as u64);
+        // ...and every scope that lost a tuple counted it.
+        let by_shard: u64 = snap.shards.iter().map(|s| s.shed_tuples).sum();
+        let by_producer: u64 = snap.producers.iter().map(|p| p.shed_tuples).sum();
+        assert_eq!(by_shard, snap.shed_tuples);
+        assert_eq!(by_producer, snap.shed_tuples);
         assert_eq!(snap.wedged_respawns, 0, "slow is not wedged");
         assert_eq!(snap.degraded_shards, 0);
         // 80 batches at 10 ms each would take 800 ms fully blocked; the

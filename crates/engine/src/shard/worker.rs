@@ -84,6 +84,14 @@ fn apply_batch(
 /// end-of-run stats.
 pub(super) type WorkerHandle = JoinHandle<(Vec<ClosedGroup>, EngineStats)>;
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: while set, every [`spawn_worker`] on this thread fails as
+    /// if the OS had refused the thread.
+    pub(super) static REFUSE_SPAWNS: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
 /// The depth gauges' hold on the message the worker has read. Dropped —
 /// the message done with, the incarnation retired, or the thread unwinding
 /// from a panic — it takes the message out of them, unless the watchdog
@@ -108,7 +116,8 @@ impl Drop for InFlight<'_> {
 /// `start_seq` is the last applied seq (the shard's seq base when fresh;
 /// the checkpoint's seq on respawn, where `rxs` were attached), which
 /// determines where the rotation resumes: the producer owning
-/// `start_seq + 1`.
+/// `start_seq + 1`. Fails when the OS refuses the thread; `rxs` are then
+/// dropped, leaving the queues without a reader.
 pub(super) fn spawn_worker(
     shard: usize,
     mut engine: Engine,
@@ -116,7 +125,11 @@ pub(super) fn spawn_worker(
     fab: Arc<FabShared>,
     start_seq: u64,
     lease: Arc<WorkerLease>,
-) -> WorkerHandle {
+) -> std::io::Result<WorkerHandle> {
+    #[cfg(test)]
+    if REFUSE_SPAWNS.get() {
+        return Err(std::io::Error::other("injected: no thread for you"));
+    }
     std::thread::Builder::new()
         .name(format!("fd-shard-{shard}"))
         .spawn(move || {
@@ -254,8 +267,7 @@ pub(super) fn spawn_worker(
                     apply_batch(&mut engine, &pkts, sc, active_fault, shard)
                 };
                 if refused > 0 {
-                    registry.shed_tuples.fetch_add(refused, Relaxed);
-                    tel.shed_tuples.fetch_add(refused, Relaxed);
+                    fab.count_shed(shard, None, refused);
                 }
                 // Epochs count their batch plus the embedded watermark as
                 // tuple-equivalents, so idle shards still checkpoint.
@@ -278,7 +290,7 @@ pub(super) fn spawn_worker(
                     frontier_applied = frontier;
                     if live {
                         let stats = engine.stats();
-                        tel.applied_watermark.store(frontier, Relaxed);
+                        tel.applied_watermark_us.store(frontier, Relaxed);
                         tel.lfta_evictions.store(stats.lfta_evictions, Relaxed);
                         // Counting occupied slots scans the whole table, and
                         // nearly every epoch advances the frontier: sample
@@ -347,7 +359,6 @@ pub(super) fn spawn_worker(
             unpublished.extend(engine.finish_state());
             (unpublished, engine.stats())
         })
-        .expect("spawn shard worker")
 }
 
 #[cfg(test)]

@@ -57,15 +57,16 @@
 //! "pop-from-full wakes one" rule would be enough for a single sender but
 //! strands extra senders when the receiver drains full → empty on one
 //! notify; the waiter count keeps the no-contention fast path free of
-//! syscalls while waking exactly as many senders as pops can feed.) The
-//! WAL writer's command ring uses
-//! exactly this: `P` ingress handles and the coordinator share one
-//! `Arc<RingSender<WalCmd>>`, preserving per-producer FIFO (each handle's
-//! records enter in its own stash order) without a second channel
-//! implementation.
+//! syscalls while waking exactly as many senders as pops can feed.)
+//! Nothing in the engine feeds a ring that way today — durable runs are
+//! coordinator-only, and the `DurableSink` owns the one sender of the WAL
+//! writer's command ring — but every sender sits in the shared plane,
+//! where a recovery on another handle's thread may edit, attach to or
+//! close it mid-send, so the property is kept, and tested
+//! (`shared_sender_supports_multiple_producers`).
 //!
-//! The per-(producer, shard) data rings, by contrast, stay strictly
-//! SPSC: one dedicated [`ring`] per pair, and [`BatchPool`] is
+//! The per-(producer, shard) data rings are strictly SPSC in their
+//! traffic: one dedicated [`ring`] per pair, and [`BatchPool`] is
 //! instantiated per producer (pool sharding) so handles never contend on
 //! a shared free list and total pooled capacity scales with
 //! `producers × shards`.

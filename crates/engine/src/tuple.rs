@@ -11,10 +11,12 @@ pub type Micros = u64;
 /// Microseconds per second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
-/// Converts an engine timestamp to the workspace [`Timestamp`] clock.
+/// Converts an engine timestamp to the workspace [`Timestamp`] clock,
+/// which is signed: an instant past its end saturates there (an `as` cast
+/// would wrap it to before every landmark).
 #[inline]
 pub fn timestamp(t: Micros) -> Timestamp {
-    Timestamp::from_micros(t as i64)
+    Timestamp::from_micros(i64::try_from(t).unwrap_or(i64::MAX))
 }
 
 /// Converts an engine timestamp to seconds (the unit fd-core decay
@@ -124,6 +126,23 @@ mod tests {
         assert_eq!(secs(0), 0.0);
         assert_eq!(secs(1_500_000), 1.5);
         assert_eq!(pkt().ts_secs(), 2.5);
+    }
+
+    #[test]
+    fn timestamp_is_monotone_across_the_end_of_the_signed_clock() {
+        let edge = i64::MAX as u64;
+        let ts = [0, 1, edge - 1, edge, edge + 1, u64::MAX - 1, u64::MAX];
+        for pair in ts.windows(2) {
+            assert!(
+                timestamp(pair[0]) <= timestamp(pair[1]),
+                "{} then {} went backwards",
+                pair[0],
+                pair[1]
+            );
+        }
+        assert_eq!(timestamp(edge).as_micros(), i64::MAX);
+        assert_eq!(timestamp(u64::MAX).as_micros(), i64::MAX);
+        assert!(secs(u64::MAX) > 0.0);
     }
 
     #[test]

@@ -747,6 +747,60 @@ fn regression_pre_landmark_arrivals_clamp() {
     assert!((batched.query(t) - sum.query(t)).abs() <= 1e-12);
 }
 
+/// The engine's `u64` µs clock used to reach the core's `i64` one through an
+/// `as` cast: an instant past `i64::MAX` wrapped to long before the
+/// landmark, so the *newest* tuple of a bucket got the smallest weight.
+/// Policy now: saturate at the end of the signed clock.
+#[test]
+fn regression_timestamps_past_the_signed_clock_saturate() {
+    use forward_decay::engine::prelude::*;
+    const WIDTH: Micros = 60 * MICROS_PER_SEC;
+    let edge = i64::MAX as u64;
+    let landmark = edge / WIDTH * WIDTH; // the bucket the edge falls in
+    let factory = fwd_sum_factory(Monomial::new(1.0), |p| p.len as f64);
+    let at = |ts: Micros| Packet {
+        ts,
+        src_ip: 1,
+        dst_ip: 2,
+        src_port: 3,
+        dst_port: 4,
+        len: 1,
+        proto: Proto::Udp,
+    };
+    // One tuple's share of the decayed sum at the end of time, by arrival.
+    let share = |ts: Micros| {
+        let mut sum = factory.make(landmark);
+        sum.update(&at(ts));
+        sum.emit(secs(u64::MAX)).as_float().expect("float")
+    };
+    let arrivals = [
+        landmark,
+        edge - 10 * MICROS_PER_SEC,
+        edge - 1,
+        edge,
+        edge + 1,
+        edge + 10 * MICROS_PER_SEC,
+        u64::MAX,
+    ];
+    let shares = arrivals.map(share);
+    assert!(
+        shares.windows(2).all(|w| w[0] <= w[1]),
+        "a later arrival must not weigh less: {shares:?}"
+    );
+    assert_eq!(shares[0], 0.0, "g(0) = 0 at the landmark");
+    assert_eq!(shares[6], 1.0, "the end of time is as recent as it gets");
+    // The engine takes the same stream without a panic, bucket by bucket.
+    let q = Query::builder("edge")
+        .bucket_secs(60)
+        .aggregate(factory)
+        .build();
+    let rows = Engine::new(q).run(arrivals.map(at));
+    assert_eq!(rows.first().map(|r| r.bucket_start), Some(landmark));
+    assert!(rows
+        .iter()
+        .all(|r| r.value.as_float().is_some_and(f64::is_finite)));
+}
+
 /// Two shards seeing equal extremal keys — here undecayed value 7.0 at
 /// t = 1 and t = 2 — used to report whichever witness merged first. The tie
 /// rule (smallest `(t_i, v)`) now makes A⋅merge(B) and B⋅merge(A) agree.
@@ -982,6 +1036,12 @@ mod shedding {
         let rows = replay(&mut sharded, &events(), FINAL_WM).expect("sharded replay");
         let snap = sharded.telemetry().snapshot();
         assert!(snap.shed_tuples > 0, "rate 0.5 over 100 k tuples must thin");
+        // Every scope that lost a tuple counted it (the aggregate scales,
+        // so no worker refused one after its producer let it through).
+        let by_shard: u64 = snap.shards.iter().map(|s| s.shed_tuples).sum();
+        let by_producer: u64 = snap.producers.iter().map(|p| p.shed_tuples).sum();
+        assert_eq!(by_shard, snap.shed_tuples);
+        assert_eq!(by_producer, snap.shed_tuples);
 
         // Survivors are a subset of the stream: no invented (bucket, key).
         let want_map = by_key(&want);

@@ -4,12 +4,17 @@
 //! that once the run is over its counters agree exactly with the
 //! engine's own [`EngineStats`].
 
+use std::collections::HashSet;
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use forward_decay::core::decay::Exponential;
 use forward_decay::engine::prelude::*;
+use forward_decay::engine::telemetry::{
+    Metric, Value, ENGINE_METRICS, PRODUCER_METRICS, SHARD_METRICS,
+};
 use forward_decay::gen::TraceConfig;
 
 fn decayed_query() -> Query {
@@ -392,4 +397,165 @@ fn durability_counters_surface_in_every_export_format() {
     assert!(s.to_json().contains("\"durability_degraded\":1"));
     drop(e);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 2-shard × 2-producer registry with a distinct value in every stored
+/// cell (101, 102, … in declaration order) and both histograms fed.
+fn populated() -> EngineTelemetry {
+    let t = EngineTelemetry::with_producers(2, 2);
+    let mut next = 100u64;
+    let mut put = |cell: &AtomicU64| {
+        next += 1;
+        cell.store(next, Relaxed);
+    };
+    put(&t.rows_out);
+    put(&t.buckets_closed);
+    put(&t.worker_panics);
+    put(&t.restarts);
+    put(&t.checkpoints);
+    put(&t.checkpoint_ns);
+    put(&t.checkpoint_bytes);
+    put(&t.replayed_batches);
+    put(&t.replayed_tuples);
+    put(&t.degraded_shards);
+    put(&t.dropped_degraded);
+    put(&t.wal_bytes_written);
+    put(&t.wal_records_truncated);
+    put(&t.checkpoints_persisted);
+    put(&t.recovery_replayed_batches);
+    put(&t.durability_degraded);
+    put(&t.shed_tuples);
+    put(&t.shed_batches);
+    put(&t.wedged_respawns);
+    for (i, s) in t.shards().iter().enumerate() {
+        put(&s.queue_depth);
+        put(&s.batches_sent);
+        put(&s.tuples_processed);
+        put(&s.applied_watermark_us);
+        put(&s.lfta_evictions);
+        put(&s.lfta_occupancy);
+        put(&s.shed_tuples);
+        put(&s.closed_groups_held);
+        for _ in 0..=i {
+            s.batch_ns.record(1_000 << (4 * i));
+        }
+        for _ in 0..i + 3 {
+            s.dispatch_lag_ns.record(100_000 << (4 * i));
+        }
+    }
+    for p in t.producers() {
+        put(&p.tuples_in);
+        put(&p.filtered);
+        put(&p.late_drops);
+        put(&p.watermark_us);
+        put(&p.epochs_sent);
+        put(&p.pool_reuses);
+        put(&p.pool_allocs);
+        put(&p.shed_tuples);
+        p.ring_depth.iter().for_each(&mut put);
+    }
+    t
+}
+
+/// The Prometheus exposition format is an interface: dashboards and alert
+/// rules key on these names, types, labels and this order. The file was
+/// written by the build before the exporters became table-driven; it holds
+/// the scrape of [`populated`] followed by the producer-less scrape
+/// `fdql --metrics` prints for a single-threaded run.
+#[test]
+fn prometheus_scrape_is_byte_identical_to_the_golden_file() {
+    let full = populated().snapshot().to_prometheus();
+    let stats = EngineStats {
+        tuples_in: 7_000,
+        filtered: 600,
+        late_drops: 50,
+        lfta_evictions: 4,
+        rows_out: 30,
+        buckets_closed: 2,
+    };
+    let single = MetricsSnapshot::from_engine_stats(&stats, 9_000_000).to_prometheus();
+    let got = format!("{full}{single}");
+    let want = include_str!("data/metrics_scrape.prom");
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "line {} of the scrape", n + 1);
+    }
+    assert_eq!(got, want);
+}
+
+/// Every row of every metric table, fed a value no other row of its struct
+/// has, shows that value under its Prometheus name — beneath the row's
+/// `# TYPE` line — and under its JSON key.
+#[test]
+fn every_table_row_is_exported_under_its_name_and_key() {
+    fn check<S>(rows: &[Metric<S>], label: &str, items: &[S], prom: &str, json: &str) {
+        for (i, item) in items.iter().enumerate() {
+            let own = if label.is_empty() {
+                String::new()
+            } else {
+                format!("{label}=\"{i}\"")
+            };
+            // `name{own,extra} v` on a line of its own.
+            let series = |name: &str, extra: &str, v: u64| {
+                let labels: Vec<&str> = [own.as_str(), extra]
+                    .into_iter()
+                    .filter(|l| !l.is_empty())
+                    .collect();
+                let line = if labels.is_empty() {
+                    format!("\n{name} {v}\n")
+                } else {
+                    format!("\n{name}{{{}}} {v}\n", labels.join(","))
+                };
+                assert!(prom.contains(&line), "no line {line:?}");
+            };
+            // `"key":value` in full, not as a prefix of a longer number.
+            let pair = |key: &str, value: String| {
+                let found = [',', '}']
+                    .iter()
+                    .any(|end| json.contains(&format!("\"{key}\":{value}{end}")));
+                assert!(found, "no \"{key}\":{value} in {json}");
+            };
+            let mut seen = HashSet::new();
+            for row in rows {
+                let type_line = format!("# TYPE {} {}\n", row.name, row.kind);
+                assert_eq!(prom.matches(&type_line).count(), 1, "{type_line}");
+                match (row.get)(item) {
+                    Value::Scalar(v) => {
+                        assert!(v > 0 && seen.insert(v), "{}: {v} is not its own", row.key);
+                        series(row.name, "", v);
+                        pair(row.key, v.to_string());
+                    }
+                    Value::Summary(h) => {
+                        assert!(h.count > 0 && seen.insert(h.p50), "{}: unfed", row.key);
+                        series(row.name, "quantile=\"0.5\"", h.p50);
+                        series(row.name, "quantile=\"0.95\"", h.p95);
+                        series(row.name, "quantile=\"0.99\"", h.p99);
+                        series(&format!("{}_count", row.name), "", h.count);
+                        let h = format!(
+                            "{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+                            h.count, h.p50, h.p95, h.p99
+                        );
+                        pair(row.key, h);
+                    }
+                    Value::PerShard(vs) => {
+                        for (shard, &v) in vs.iter().enumerate() {
+                            assert!(v > 0 && seen.insert(v), "{}: {v} is not its own", row.key);
+                            series(row.name, &format!("shard=\"{shard}\""), v);
+                        }
+                        let vs: Vec<String> = vs.iter().map(u64::to_string).collect();
+                        pair(row.key, format!("[{}]", vs.join(",")));
+                    }
+                }
+            }
+        }
+    }
+    let s = populated().snapshot();
+    let (prom, json) = (format!("\n{}", s.to_prometheus()), s.to_json());
+    check(ENGINE_METRICS, "", std::slice::from_ref(&s), &prom, &json);
+    check(SHARD_METRICS, "shard", &s.shards, &prom, &json);
+    check(PRODUCER_METRICS, "producer", &s.producers, &prom, &json);
+    // Nothing is exported that no table declares.
+    let rows = ENGINE_METRICS.len() + SHARD_METRICS.len() + PRODUCER_METRICS.len();
+    assert_eq!(prom.matches("# TYPE ").count(), rows);
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    assert_eq!(json.matches('[').count(), json.matches(']').count());
 }
