@@ -161,7 +161,7 @@ pub struct CliConfig {
     pub data_dir: Option<std::path::PathBuf>,
     /// WAL fsync cadence (with `--data-dir`).
     pub fsync: FsyncPolicy,
-    /// Sleep this many milliseconds after each durable commit chunk —
+    /// Sleep this many milliseconds after each commit chunk —
     /// paces the stream so crash tests can land a `kill -9` mid-run.
     pub pace_ms: u64,
     /// Overload shed policy for sharded runs. A lossy policy (or an
@@ -244,7 +244,7 @@ OPTIONS (all optional):
                         with the same flags resumes after a crash [default: off]
     --fsync <policy>    batch|every:<n>|checkpoint — WAL fsync cadence with
                         --data-dir                       [default: checkpoint]
-    --pace-ms <ms>      sleep per durable commit chunk (crash-test pacing)
+    --pace-ms <ms>      sleep per commit chunk (crash-test pacing)
                                                          [default: 0]
     --shed <policy>     block|drop-oldest|subsample:<rate> — what to do when
                         a shard stays over its lag budget past the send
@@ -597,52 +597,31 @@ pub fn try_run_report(cfg: &CliConfig) -> Result<RunReport, String> {
                 .map_err(|e| e.to_string())?;
         }
         let drain_deadline = std::time::Duration::from_secs_f64(cfg.drain_timeout_secs);
-        let (rows, drain) = match &cfg.data_dir {
-            Some(dir) => {
-                let opts = DurabilityOptions {
-                    fsync: cfg.fsync,
-                    ..DurabilityOptions::default()
-                };
-                let (e, report) = engine.try_durable(dir, opts).map_err(|e| e.to_string())?;
-                engine = e;
-                if report.resumed {
-                    // Resume details go to stderr only: stdout must be
-                    // bit-identical to an uncrashed run's.
-                    eprintln!(
-                        "fdql: resumed durable store in {} at position {} \
-                         (replayed {} batches / {} tuples, truncated {} records)",
-                        dir.display(),
-                        report.position,
-                        report.replayed_batches,
-                        report.replayed_tuples,
-                        report.truncated_records
-                    );
-                }
-                run_durable(
-                    &mut engine,
-                    &trace,
+        let mut start = 0;
+        if let Some(dir) = &cfg.data_dir {
+            let opts = DurabilityOptions {
+                fsync: cfg.fsync,
+                ..DurabilityOptions::default()
+            };
+            let (e, report) = engine.try_durable(dir, opts).map_err(|e| e.to_string())?;
+            engine = e;
+            if report.resumed {
+                // Resume details go to stderr only: stdout must be
+                // bit-identical to an uncrashed run's.
+                eprintln!(
+                    "fdql: resumed durable store in {} at position {} \
+                     (replayed {} batches / {} tuples, truncated {} records)",
+                    dir.display(),
                     report.position,
-                    cfg.pace_ms,
-                    drain_deadline,
-                )?
+                    report.replayed_batches,
+                    report.replayed_tuples,
+                    report.truncated_records
+                );
             }
-            None => {
-                let mut buf: Vec<Packet> = Vec::with_capacity(COMMIT_CHUNK);
-                for pkt in trace.iter() {
-                    buf.push(pkt);
-                    if buf.len() == COMMIT_CHUNK {
-                        engine
-                            .try_process_packets(&buf)
-                            .map_err(|e| e.to_string())?;
-                        buf.clear();
-                    }
-                }
-                engine
-                    .try_process_packets(&buf)
-                    .map_err(|e| e.to_string())?;
-                engine.drain(drain_deadline)
-            }
-        };
+            start = report.position;
+        }
+        let (rows, drain) =
+            feed_in_chunks(&mut engine, &trace, start, cfg.pace_ms, drain_deadline)?;
         if engine.durability_degraded() {
             eprintln!("fdql: durability degraded mid-run; results are complete but not persisted");
         }
@@ -693,8 +672,9 @@ pub fn try_run_report(cfg: &CliConfig) -> Result<RunReport, String> {
 pub const COMMIT_CHUNK: usize = 4096;
 
 /// Feeds the trace from `start` in [`COMMIT_CHUNK`] chunks, committing the
-/// stream position after each, and drains the engine.
-fn run_durable(
+/// stream position after each — a no-op without a durable store — and
+/// drains the engine.
+fn feed_in_chunks(
     engine: &mut ShardedEngine,
     trace: &TraceConfig,
     start: u64,

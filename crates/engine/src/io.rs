@@ -13,7 +13,7 @@
 //!   full disk. Deterministic (a plain operation counter, no clocks or
 //!   RNG), so the fault-matrix CI job replays bit-identical failures.
 //!
-//! The split keeps `durability.rs` honest: it cannot reach around the
+//! The split keeps `durability/` honest: it cannot reach around the
 //! trait to `std::fs`, so every code path the recovery tests exercise is
 //! the same one production runs.
 

@@ -207,6 +207,7 @@ impl ShardedEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::ingress::route_key;
     use super::super::testkit::*;
     use super::super::*;
     use super::*;

@@ -22,7 +22,7 @@ use {super::ShardedEngine, crate::engine::Engine};
 /// well mixed for dense and strided keys alike (pinned by
 /// `key_routing_spreads_within_bound`).
 #[inline]
-pub(crate) fn route_key(key: u64, n_shards: usize) -> usize {
+pub(super) fn route_key(key: u64, n_shards: usize) -> usize {
     let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((u128::from(h) * n_shards as u128) >> 64) as usize
 }
@@ -62,7 +62,7 @@ pub struct IngressHandle {
     /// This producer's pool (a clone of `fab.pools[producer]`).
     pool: BatchPool<Packet>,
     /// Epochs sealed so far; the next seal ships seq
-    /// `epochs · P + producer + 1` (plus each shard's base).
+    /// `epochs · P + producer + 1`.
     pub(super) epochs: u64,
     /// This producer's decay-aware thinning stage, present only under
     /// [`ShedPolicy::Subsample`].
@@ -276,7 +276,7 @@ impl IngressHandle {
                 }
             }
         }
-        let epoch_seq = self.epochs * p_count as u64 + self.producer as u64 + 1;
+        let seq = self.epochs * p_count as u64 + self.producer as u64 + 1;
         self.epochs += 1;
         let wm = self.watermark;
         self.sealed_wm = wm;
@@ -284,7 +284,6 @@ impl IngressHandle {
         // their message: ship the whole epoch, report the first failure.
         let mut result = Ok(());
         for (shard, col) in scale_cols.iter_mut().enumerate() {
-            let seq = fab.shards[shard].seq_base + epoch_seq;
             let pkts = if self.staging[shard].is_empty() {
                 // Nothing staged: ship the bare epoch marker without
                 // churning a pooled buffer through the ring.

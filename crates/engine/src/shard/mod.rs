@@ -112,9 +112,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::durability::{
-    CommitState, DurabilityOptions, DurableSink, ProducerCommit, RecoveryReport,
-};
+use crate::durability::{CommitState, DurabilityOptions, DurableSink, RecoveryReport};
 use crate::engine::{EngineStats, Row, StreamEvent};
 use crate::fault::FaultPlan;
 use crate::overload::{OverloadConfig, ScaleColumn, ShedPolicy};
@@ -132,8 +130,6 @@ use crate::{
     udaf::Aggregator,
 };
 
-#[cfg(test)]
-pub(crate) use ingress::route_key;
 pub use ingress::IngressHandle;
 use recover::{spawn_plane, FabShared};
 
@@ -512,9 +508,10 @@ impl ShardedEngine {
     /// never crashed (for deterministic queries). Torn WAL tails are
     /// truncated and counted, never an error; a store damaged *below* its
     /// last commit is an explicit [`fd_core::Error::Durability`]. A store
-    /// resumes only under the producer count that wrote it (the epoch
-    /// interleaving is producer-count-specific); one written by the
-    /// pre-fabric single dispatcher resumes under one producer.
+    /// resumes only under the shard and producer counts that wrote it (the
+    /// epoch interleaving is producer-count-specific), and one holding
+    /// anything this build does not write is refused by name: there is no
+    /// upgrade path. A refused store is left byte for byte as found.
     ///
     /// Requires supervision (checkpoints are what gets persisted) and the
     /// lossless [`ShedPolicy::Block`]. Call it last: a setter called
@@ -545,29 +542,9 @@ impl ShardedEngine {
             return Ok(());
         }
         self.flush()?;
-        let producers: Vec<ProducerCommit> =
-            self.handles.iter().map(|h| h.commit_block()).collect();
-        let epochs: u64 = producers.iter().map(|p| p.epochs).sum();
-        // The scalar fields carry aggregates; recovery restores the
-        // handles from the per-producer blocks.
-        let c = CommitState {
-            position,
-            watermark: producers.iter().map(|p| p.watermark).max().unwrap_or(0),
-            closed_below: producers.iter().map(|p| p.closed_below).min().unwrap_or(0),
-            rr: self.cursor as u64,
-            tuples_in: producers.iter().map(|p| p.tuples_in).sum(),
-            filtered: producers.iter().map(|p| p.filtered).sum(),
-            late_drops: producers.iter().map(|p| p.late_drops).sum(),
-            hi: self
-                .fab
-                .shards
-                .iter()
-                .map(|s| s.seq_base + epochs)
-                .collect(),
-            producers,
-        };
+        let producers = self.handles.iter().map(|h| h.commit_block()).collect();
         if let Some(d) = self.durable.as_mut() {
-            d.commit(c);
+            d.commit(CommitState::new(position, self.cfg.n_shards, producers));
         }
         Ok(())
     }

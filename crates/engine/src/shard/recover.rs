@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use super::ingress::IngressHandle;
 use super::worker::{spawn_worker, WorkerHandle};
 use super::{EngineConfig, Msg, FABRIC_RING_DEPTH};
-use crate::durability::{recover, DurableSink, ProducerCommit, RecoveryReport, ReplayMsg};
+use crate::durability::{recover, DurableSink, RecoveryReport, ReplayMsg};
 use crate::engine::{ClosedGroup, Engine, EngineStats};
 use crate::fault::{FaultKind, FaultState};
 use crate::io::{FaultyFs, IoBackend};
@@ -55,11 +55,6 @@ pub(super) struct FabShard {
     /// Checked (cheaply) by every handle before sending; set under
     /// `inner` when the restart budget is exhausted.
     pub(super) degraded: AtomicBool,
-    /// Added to every seq this shard sees. Zero except on a store the
-    /// classic single dispatcher wrote, whose shards had independent seq
-    /// counters: there it is the shard's committed `hi`, so the WAL stays
-    /// contiguous across the upgrade. Such stores only open at `P = 1`.
-    pub(super) seq_base: u64,
 }
 
 /// Everything the `P` ingress handles and `N` shard workers share.
@@ -70,8 +65,7 @@ pub(super) struct FabShard {
 /// (possibly empty, always carrying the producer's watermark), and epochs
 /// must be dealt to producers in strict round-robin order starting at
 /// producer 0. Producer `p`'s `k`-th epoch then has the per-shard
-/// sequence number `k·P + p + 1` (plus the shard's
-/// [`seq_base`](FabShard::seq_base)): the per-shard message stream is
+/// sequence number `k·P + p + 1`: the per-shard message stream is
 /// *globally* ordered — `seq ≡ producer (mod P)`, consecutive seqs are
 /// consecutive epochs — and each worker drains its queues in fixed
 /// rotation, applying messages in exactly this seq order. Dealing a
@@ -106,10 +100,9 @@ impl FabShared {
         self.cfg.supervising() && !self.shards[shard].slot.unsupported()
     }
 
-    /// The producer that sealed `seq` on `shard` (the determinism rule).
-    pub(super) fn producer_of(&self, shard: usize, seq: u64) -> usize {
-        let k = seq.saturating_sub(self.shards[shard].seq_base + 1);
-        (k % self.cfg.producers as u64) as usize
+    /// The producer that sealed `seq` (the determinism rule).
+    pub(super) fn producer_of(&self, seq: u64) -> usize {
+        (seq.saturating_sub(1) % self.cfg.producers as u64) as usize
     }
 
     /// The two gauges that count producer `p`'s messages to `shard` from
@@ -515,53 +508,10 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
                 Some(FaultKind::Disk(d)) => Arc::new(FaultyFs::new(Arc::clone(&opts.io), d)),
                 _ => Arc::clone(&opts.io),
             };
-            Some((recover(&io, dir, n)?, io))
+            Some((recover(io.as_ref(), dir, n, producers)?, io))
         }
         None => None,
     };
-    // What the store's commit says about the producers. A store the
-    // classic single dispatcher wrote has no producer blocks: its scalar
-    // fields are the one producer's state, and its per-shard `hi` — the
-    // classic shards counted independently — become the seq bases.
-    let resumed = recovered
-        .as_ref()
-        .filter(|(r, _)| r.resumed)
-        .map(|(r, _)| &r.commit);
-    let blocks: Vec<ProducerCommit> = match resumed {
-        None => Vec::new(),
-        Some(c) if c.producers.is_empty() && producers == 1 => vec![ProducerCommit {
-            watermark: c.watermark,
-            closed_below: c.closed_below,
-            rr: c.rr,
-            epochs: 0,
-            tuples_in: c.tuples_in,
-            filtered: c.filtered,
-            late_drops: c.late_drops,
-        }],
-        Some(c) if c.producers.len() != producers => {
-            return Err(fd_core::Error::Durability {
-                detail: format!(
-                    "store was written with {} producers, engine configured with \
-                     {producers}; the epoch interleaving is producer-count-specific",
-                    c.producers.len()
-                ),
-            });
-        }
-        Some(c) => c.producers.clone(),
-    };
-    let epochs_dealt: u64 = blocks.iter().map(|b| b.epochs).sum();
-    let seq_bases = (0..n)
-        .map(|shard| {
-            let hi = resumed.map_or(0, |c| c.hi[shard]);
-            hi.checked_sub(epochs_dealt)
-                .ok_or_else(|| fd_core::Error::Durability {
-                    detail: format!(
-                        "shard {shard}: commit covers seq {hi} but its producers sealed \
-                         {epochs_dealt} epochs"
-                    ),
-                })
-        })
-        .collect::<Result<Vec<u64>, _>>()?;
     let telemetry = Arc::new(EngineTelemetry::with_producers(n, producers));
     telemetry.set_enabled(cfg.live);
     // The handles have already applied the selection; don't pay for it
@@ -569,7 +519,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
     let mut worker_query = query.clone();
     worker_query.filter = None;
     let mut shards = Vec::with_capacity(n);
-    for (shard, &seq_base) in seq_bases.iter().enumerate() {
+    for shard in 0..n {
         // What the store holds for the shard goes into its slot exactly as
         // if the worker had published it moments ago: the persisted
         // snapshot (moved — nothing else reads it) and the closed groups
@@ -611,7 +561,6 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
                 exited: None,
             }),
             degraded: AtomicBool::new(false),
-            seq_base,
         });
     }
     let fab = Arc::new(FabShared {
@@ -627,15 +576,11 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
     // Preload the WAL tail, exactly as if the handles had sent it moments
     // ago — however long it is: the spawn below then restores each worker
     // from its slot and attaches it past the snapshot.
-    if let Some((rec, _)) = &recovered {
-        for (shard, sh) in fab.shards.iter().enumerate() {
-            for r in &rec.replay[shard] {
-                // A classic store's punctuation record is an empty epoch.
-                let (seq, wm, pkts) = match r {
-                    ReplayMsg::Batch { seq, wm, pkts } => (*seq, *wm, pkts.clone()),
-                    ReplayMsg::Punct { seq, wm } => (*seq, *wm, Vec::new()),
-                };
-                let p = fab.producer_of(shard, seq);
+    if let Some((rec, _)) = &mut recovered {
+        for (shard, tail) in std::mem::take(&mut rec.replay).into_iter().enumerate() {
+            let sh = &fab.shards[shard];
+            for ReplayMsg { seq, wm, pkts } in tail {
+                let p = fab.producer_of(seq);
                 for gauge in fab.depth(shard, p) {
                     gauge.fetch_add(1, Relaxed);
                 }
@@ -661,11 +606,13 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
     let mut handles: Vec<IngressHandle> = (0..producers)
         .map(|p| IngressHandle::new(p, query.clone(), &fab))
         .collect();
-    for (h, block) in handles.iter_mut().zip(&blocks) {
-        h.resume(block);
-    }
     let store = match (&cfg.store, recovered) {
         (Some((dir, opts)), Some((rec, io))) => {
+            // The commit's producer blocks, one per handle (none in the
+            // baseline of a store that never committed).
+            for (h, block) in handles.iter_mut().zip(&rec.commit.producers) {
+                h.resume(block);
+            }
             fab.telemetry
                 .wal_records_truncated
                 .store(rec.truncated, Relaxed);
@@ -677,7 +624,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
                 .store(replayed_batches, Relaxed);
             let report = RecoveryReport {
                 position: rec.commit.position,
-                watermark: rec.commit.watermark,
+                watermark: rec.commit.watermark(),
                 replayed_batches,
                 replayed_tuples: fab.telemetry.replayed_tuples.load(Relaxed),
                 truncated_records: rec.truncated,
@@ -688,10 +635,9 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
             // pool keeps its hit rate.
             let sink = DurableSink::spawn(
                 dir,
-                &io,
-                opts.fsync,
-                opts.segment_bytes,
-                &rec,
+                io,
+                opts,
+                rec.resume,
                 fab.shards.iter().map(|s| Arc::clone(&s.slot)).collect(),
                 Arc::clone(&fab.telemetry),
                 fab.pools.clone(),

@@ -139,7 +139,7 @@ pub(super) fn spawn_worker(
             let n_shards = fab.cfg.n_shards;
             let p_count = fab.cfg.producers;
             let every = fab.cfg.checkpoint_every;
-            let mut cursor = fab.producer_of(shard, start_seq + 1);
+            let mut cursor = fab.producer_of(start_seq + 1);
             let mut last_seq = start_seq;
             let mut open = vec![true; p_count];
             // Per-producer watermarks feeding the frontier. A closed

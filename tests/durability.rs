@@ -886,54 +886,141 @@ fn fabric_durable_run_is_bit_identical_and_recovers_after_mid_stream_drop() {
 }
 
 #[test]
-fn fabric_and_legacy_stores_refuse_to_cross_open() {
+fn a_store_refuses_any_producer_count_but_its_own() {
     let packets = trace(1.0, 10_000.0, 67);
+    let refused = |dir: &Path, producers: usize, label: &str| {
+        let before = store_bytes(dir);
+        let err = ShardedEngine::try_new(decayed_query(), 2)
+            .expect("spawn shards")
+            .checkpoint_every(512)
+            .try_producers(producers)
+            .expect("fabric")
+            .try_durable(dir, DurabilityOptions::default())
+            .err()
+            .unwrap_or_else(|| panic!("{label} must be refused"));
+        assert!(
+            matches!(err, forward_decay::core::Error::Durability { .. }),
+            "{label}: got {err:?}"
+        );
+        assert!(
+            before == store_bytes(dir),
+            "{label}: the store was modified"
+        );
+    };
 
-    // A fabric store reopened without the fabric is an explicit error …
-    let store = StoreDir::new("fabric-store");
+    // A two-producer store under one producer, and under three …
+    let store = StoreDir::new("two-producers");
     {
         let (mut e, _) = open_fabric(store.path(), 2, 2, DurabilityOptions::default());
         feed(&mut e, &packets, 0, 1024);
         e.finish();
     }
-    let err = ShardedEngine::try_new(decayed_query(), 2)
-        .expect("spawn shards")
-        .checkpoint_every(512)
-        .try_durable(store.path(), DurabilityOptions::default())
-        .err()
-        .expect("legacy open of a fabric store must be refused");
+    refused(store.path(), 1, "one producer over a two-producer store");
+    refused(store.path(), 3, "three producers over a two-producer store");
+
+    // … and a one-producer store under two.
+    let single = StoreDir::new("one-producer");
+    durable_run(single.path(), &packets, 2);
+    refused(single.path(), 2, "two producers over a one-producer store");
+}
+
+/// Every file of a store directory, by name.
+fn store_bytes(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    store_files(dir)
+        .into_iter()
+        .map(|n| {
+            let bytes = std::fs::read(dir.join(&n)).expect("read store file");
+            (n, bytes)
+        })
+        .collect()
+}
+
+/// `tests/data/durable_store_parent.hex` is the directory of a small
+/// crashed run — S = 2, P = 1, 4 KiB segments, a checkpoint every 256
+/// tuples, dropped without `finish` after persisting checkpoints and
+/// closed-deltas, with rolled WAL segments and an uncommitted tail —
+/// written by the parent of the commit that made the store format the
+/// business of one module. The bytes the writer produces did not change:
+/// that store opens, resumes from its newest commit and finishes with
+/// the single-threaded engine's rows.
+#[test]
+fn a_store_written_by_the_parent_commit_resumes_bit_identically() {
+    let query = || {
+        Query::builder("fixture")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(2)
+            .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
+            .build()
+    };
+    let packets: Vec<Packet> = (0..6_000u32)
+        .map(|i| Packet {
+            ts: u64::from(i) * 1_000,
+            src_ip: i,
+            dst_ip: i * i % 5,
+            src_port: 3,
+            dst_port: 4,
+            len: 40 + i % 1400,
+            proto: Proto::Tcp,
+        })
+        .collect();
+    let expected = Engine::new(query()).run(packets.clone());
+
+    let store = StoreDir::new("parent-store");
+    std::fs::create_dir_all(store.path()).expect("mkdir");
+    for line in include_str!("data/durable_store_parent.hex").lines() {
+        let (name, hex) = line.split_once(' ').expect("<file name> <hex>");
+        let bytes: Vec<u8> = (0..hex.len() / 2)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
+            .collect();
+        std::fs::write(store.path().join(name), bytes).expect("materialise");
+    }
     assert!(
-        matches!(err, forward_decay::core::Error::Durability { .. }),
-        "got {err:?}"
+        store_files(store.path())
+            .iter()
+            .filter(|n| n.starts_with("wal-0-"))
+            .count()
+            > 1,
+        "the fixture holds a rolled WAL"
     );
 
-    // … and so is reopening it with a different producer count …
-    let err = ShardedEngine::try_new(decayed_query(), 2)
-        .expect("spawn shards")
-        .checkpoint_every(512)
-        .try_producers(3)
-        .expect("fabric")
-        .try_durable(store.path(), DurabilityOptions::default())
-        .err()
-        .expect("producer-count mismatch must be refused");
-    assert!(
-        matches!(err, forward_decay::core::Error::Durability { .. }),
-        "got {err:?}"
+    let (mut e, report) = ShardedEngine::try_new(query(), 2)
+        .and_then(|e| e.try_batch_size(3))
+        .and_then(|e| {
+            e.checkpoint_every(256).try_durable(
+                store.path(),
+                DurabilityOptions {
+                    segment_bytes: 4096,
+                    ..DurabilityOptions::default()
+                },
+            )
+        })
+        .expect("open the parent's store");
+    // Commit 27 of 27, at tuple 4 600 (epoch 940 of the 1 004 logged): the
+    // 64 uncommitted epochs are cut without counting as damage, and the
+    // tail between the checkpoints and the commit replays.
+    assert_eq!(
+        report,
+        RecoveryReport {
+            position: 4_600,
+            watermark: 4_599_000,
+            replayed_batches: 52,
+            replayed_tuples: 127,
+            truncated_records: 0,
+            resumed: true,
+        }
     );
-
-    // … and so is opening a legacy store through the fabric.
-    let legacy = StoreDir::new("legacy-store");
-    durable_run(legacy.path(), &packets, 2);
-    let err = ShardedEngine::try_new(decayed_query(), 2)
-        .expect("spawn shards")
-        .checkpoint_every(512)
-        .try_producers(2)
-        .expect("fabric")
-        .try_durable(legacy.path(), DurabilityOptions::default())
-        .err()
-        .expect("fabric open of a legacy store must be refused");
-    assert!(
-        matches!(err, forward_decay::core::Error::Durability { .. }),
-        "got {err:?}"
-    );
+    e.try_process_packets(&packets[4_600..]).expect("re-feed");
+    e.durable_commit(packets.len() as u64).expect("commit");
+    assert_bit_identical(&expected, &e.finish(), "resumed from the parent's store");
+    drop(e);
+    // And what this build wrote on top of it reopens from disk alone.
+    let (mut e, report) = ShardedEngine::try_new(query(), 2)
+        .and_then(|e| e.try_batch_size(3))
+        .and_then(|e| {
+            e.checkpoint_every(256)
+                .try_durable(store.path(), DurabilityOptions::default())
+        })
+        .expect("reopen");
+    assert_eq!(report.position, packets.len() as u64);
+    assert_bit_identical(&expected, &e.finish(), "finished store, reopened");
 }
