@@ -17,6 +17,8 @@
 
 use std::marker::PhantomData;
 
+use crate::checkpoint::{require, CodecError, Decode, Encode, Reader, MAX_COUNT};
+use crate::codec_struct;
 use crate::decay::{clamp_to_landmark, ForwardDecay};
 use crate::decayed::{Decayed, Weighted};
 use crate::kernel::{batch_ticks_repeat, striped_dot, striped_sum, WeightKernel};
@@ -68,7 +70,7 @@ impl Lane for f64 {
 /// The cell behind [`DecayedCount`] and [`DecayedSum`]: the running
 /// `Σ w_i · v_i` of the weights [`Decayed`] hands it, the values coming
 /// from the lane `V`.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Accumulator<V: Lane> {
     /// Σ g(t_i − L_eff) · v_i
     acc: f64,
@@ -77,6 +79,28 @@ pub struct Accumulator<V: Lane> {
     n: u64,
     max_t: Timestamp,
     lane: PhantomData<V>,
+}
+
+/// `acc`, `n`, `max_t`: the lane is a type, not a field on the wire.
+impl<V: Lane> Encode for Accumulator<V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.acc, self.n, self.max_t).put(out);
+    }
+}
+
+impl<V: Lane> Decode for Accumulator<V> {
+    const MIN_BYTES: usize = 24;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (acc, n, max_t) = Decode::take(r)?;
+        require(n <= MAX_COUNT, "an accumulator counts past 2^62 arrivals")?;
+        Ok(Self {
+            acc,
+            n,
+            max_t,
+            lane: PhantomData,
+        })
+    }
 }
 
 impl<V: Lane> Accumulator<V> {
@@ -303,11 +327,13 @@ impl<G: ForwardDecay> DecayedSum<G> {
 /// As the paper notes, the average is independent of the query time `t` (the
 /// `g(t − L)` normalizations cancel): it is a weighted mean of the values,
 /// weighted toward the recent ones.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecayedAverage<G: ForwardDecay> {
     sum: DecayedSum<G>,
     count: DecayedCount<G>,
 }
+
+codec_struct!(DecayedAverage<G: ForwardDecay> { sum: DecayedSum<G>, count: DecayedCount<G> });
 
 impl<G: ForwardDecay> DecayedAverage<G> {
     /// Creates an empty decayed average.
@@ -362,11 +388,13 @@ impl<G: ForwardDecay> Mergeable for DecayedAverage<G> {
 /// probabilities, `V = Σ g(t_i − L) v_i² / C − A²` where `C` is the decayed
 /// count and `A` the decayed average — a sum of squares beside a
 /// [`DecayedAverage`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecayedVariance<G: ForwardDecay> {
     sum_sq: DecayedSum<G>,
     mean: DecayedAverage<G>,
 }
+
+codec_struct!(DecayedVariance<G: ForwardDecay> { sum_sq: DecayedSum<G>, mean: DecayedAverage<G> });
 
 impl<G: ForwardDecay> DecayedVariance<G> {
     /// Creates an empty decayed variance.
@@ -408,20 +436,41 @@ impl<G: ForwardDecay> Mergeable for DecayedVariance<G> {
 }
 
 /// Which extremum an [`Extremal`] tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Extremum {
     Min,
     Max,
 }
 
+/// The variant index as a `u32`.
+impl Encode for Extremum {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u32).put(out);
+    }
+}
+
+impl Decode for Extremum {
+    const MIN_BYTES: usize = 4;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match u32::take(r)? {
+            0 => Ok(Extremum::Min),
+            1 => Ok(Extremum::Max),
+            v => Err(CodecError::new(format!("no extremum {v}"))),
+        }
+    }
+}
+
 /// The cell behind [`DecayedExtremum`]: the extremal weighted value
 /// `w_i · v_i` seen so far and the item that achieved it.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Extremal {
     which: Extremum,
     /// Extremal g(t_i − L_eff) · v_i and the item that achieved it.
     best: Option<(f64, Timestamp, f64)>,
 }
+
+codec_struct!(Extremal { which: Extremum, best: Option<(f64, Timestamp, f64)> });
 
 impl Extremal {
     /// Whether candidate `(key, t_i, v)` replaces the current best.

@@ -23,6 +23,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::checkpoint::{require, MAX_COUNT, MAX_SPAN_SECS};
+use crate::codec_struct;
 use crate::decay::BackwardDecay;
 use crate::heavy_hitters::HeavyHitter;
 use crate::Timestamp;
@@ -33,7 +35,7 @@ use crate::Timestamp;
 
 /// One EH bucket: an aggregated `size` (count or sum of values) and the
 /// timestamp of its most recent element.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EhBucket {
     /// Aggregated quantity in the bucket.
     pub size: u64,
@@ -42,6 +44,12 @@ pub struct EhBucket {
     /// Timestamp of the oldest element merged into the bucket.
     pub oldest: Timestamp,
 }
+
+codec_struct!(EhBucket {
+    size: u64,
+    newest: Timestamp,
+    oldest: Timestamp
+});
 
 /// An exponential histogram over an unbounded window.
 ///
@@ -54,7 +62,7 @@ pub struct EhBucket {
 ///
 /// Counts use [`ExponentialHistogram::insert`] (size-1 elements); sums
 /// insert their value via [`ExponentialHistogram::insert_value`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExponentialHistogram {
     max_per_class: usize,
     /// `classes[j]`: buckets of size class `[2^j, 2^{j+1})`, newest at the
@@ -64,6 +72,29 @@ pub struct ExponentialHistogram {
     total: u64,
     merges: u64,
 }
+
+// Insertion merges the two oldest buckets of a class holding more than
+// `max_per_class`, and files a bucket by its size: both must hold. The
+// buckets add up to the total, which leaves room to count on.
+codec_struct!(ExponentialHistogram {
+    max_per_class: usize,
+    classes: Vec<VecDeque<EhBucket>>,
+    total: u64,
+    merges: u64,
+} check |eh| {
+    let filed = |(j, class): (usize, &VecDeque<EhBucket>)| {
+        (class.iter()).all(|b| b.size != 0 && 63 - b.size.leading_zeros() as usize == j)
+    };
+    require(
+        eh.max_per_class >= 2 && eh.classes.iter().enumerate().all(filed),
+        "exponential histogram buckets out of their classes",
+    )?;
+    let sum = (eh.classes.iter().flatten()).try_fold(0u64, |sum, b| sum.checked_add(b.size));
+    require(
+        sum == Some(eh.total) && eh.total <= MAX_COUNT && eh.merges <= MAX_COUNT,
+        "exponential histogram buckets do not add up to its total",
+    )
+});
 
 impl ExponentialHistogram {
     /// Creates a histogram with relative error `ε` for window queries
@@ -285,20 +316,28 @@ impl crate::merge::Mergeable for ExponentialHistogram {
 // ---------------------------------------------------------------------------
 
 /// One sealed time interval of a dyadic level: exact per-key counts.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 struct Interval {
     start: Timestamp,
     counts: HashMap<u64, u64>,
     total: u64,
 }
 
+codec_struct!(Interval { start: Timestamp, counts: HashMap<u64, u64>, total: u64 }
+check |iv| require(
+    iv.total <= MAX_COUNT && iv.counts.values().all(|&c| c <= iv.total),
+    "an interval's counts exceed its total",
+));
+
 /// One level of the dyadic time decomposition: intervals of a fixed span.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 struct Level {
     span: f64,
     current: Option<Interval>,
     sealed: Vec<Interval>,
 }
+
+codec_struct!(Level { span: f64, current: Option<Interval>, sealed: Vec<Interval> });
 
 impl Level {
     fn insert(&mut self, t: Timestamp, item: u64) {
@@ -339,12 +378,26 @@ impl Level {
 /// SpaceSaving — Figure 5), every distinct key stored at every level (space
 /// a multiple of the input key set, and **independent of ε** —
 /// Figure 4(c)(d)).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlidingWindowHH {
     pane_duration: f64,
     levels: Vec<Level>,
     items: u64,
 }
+
+// Queries read the finest level, and shift interval starts by its span:
+// there must be a level, and the spans must be the ones `new` builds,
+// short enough that the shifts stay on the clock.
+codec_struct!(SlidingWindowHH { pane_duration: f64, levels: Vec<Level>, items: u64 }
+check |s| require(
+    (1..=40).contains(&s.levels.len())
+        && s.pane_duration > 0.0
+        && (s.levels.iter().enumerate()).all(|(l, level)| {
+            level.span == s.pane_duration * (1u64 << l) as f64 && level.span < MAX_SPAN_SECS
+        })
+        && s.items <= MAX_COUNT,
+    "sliding window levels or item count out of range",
+));
 
 impl SlidingWindowHH {
     /// Creates a summary with the given finest pane duration (seconds) and
@@ -504,7 +557,7 @@ impl SlidingWindowHH {
 /// locates the finest level that still covers the window boundary; the
 /// position of the latest recorded element at or before the boundary
 /// determines the count with relative error at most `ε`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeterministicWave {
     per_level: usize,
     /// `levels[i]`: (sequence number, timestamp) of recorded elements,
@@ -512,6 +565,16 @@ pub struct DeterministicWave {
     levels: Vec<VecDeque<(u64, Timestamp)>>,
     n: u64,
 }
+
+// A window count is `n` minus a recorded sequence number.
+codec_struct!(DeterministicWave {
+    per_level: usize,
+    levels: Vec<VecDeque<(u64, Timestamp)>>,
+    n: u64,
+} check |w| require(
+    w.n <= MAX_COUNT && w.levels.iter().flatten().all(|&(seq, _)| seq < w.n),
+    "a wave records an element it has not seen",
+));
 
 impl DeterministicWave {
     /// Creates a wave with relative error `ε` for window count queries.
@@ -607,7 +670,7 @@ impl DeterministicWave {
 /// at or before the boundary from the total, at the finest level still
 /// covering the boundary; the skipped remainder is at most one level stride
 /// ≤ `ε` times the window sum.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WaveSum {
     per_level: usize,
     /// `levels[i]`: (cumulative sum at checkpoint, timestamp), oldest
@@ -616,6 +679,16 @@ pub struct WaveSum {
     /// Running sum of all inserted values.
     cum: u64,
 }
+
+// A window sum is `cum` minus a recorded checkpoint.
+codec_struct!(WaveSum {
+    per_level: usize,
+    levels: Vec<VecDeque<(u64, Timestamp)>>,
+    cum: u64,
+} check |w| require(
+    w.cum <= MAX_COUNT && w.levels.iter().flatten().all(|&(cum, _)| cum <= w.cum),
+    "a wave checkpoint exceeds its running sum",
+));
 
 impl WaveSum {
     /// Creates a wave with relative error `ε` for window sum queries.
@@ -717,7 +790,7 @@ impl WaveSum {
 /// space proportional to distinct items × levels × EH buckets — megabytes
 /// per group, essentially insensitive to ε (the node count, not the
 /// per-node precision, dominates).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrefixBackwardHH {
     domain_bits: u32,
     epsilon: f64,
@@ -726,6 +799,21 @@ pub struct PrefixBackwardHH {
     nodes: HashMap<(u32, u64), ExponentialHistogram>,
     items: u64,
 }
+
+// The parameters `new` accepts: updates shift and mask by `domain_bits` and
+// make histograms of precision `epsilon`.
+codec_struct!(PrefixBackwardHH {
+    domain_bits: u32,
+    epsilon: f64,
+    nodes: HashMap<(u32, u64), ExponentialHistogram>,
+    items: u64,
+} check |p| require(
+    (1..=40).contains(&p.domain_bits)
+        && p.epsilon > 0.0
+        && p.epsilon <= 1.0
+        && p.items <= MAX_COUNT,
+    "prefix hierarchy parameters out of range",
+));
 
 impl PrefixBackwardHH {
     /// Creates a summary over item ids in `[0, 2^domain_bits)` with

@@ -9,6 +9,8 @@
 
 use std::collections::HashMap;
 
+use crate::checkpoint::require;
+use crate::codec_struct;
 use crate::decay::ForwardDecay;
 use crate::decayed::{Decayed, Weighted};
 use crate::hash::SeededHash;
@@ -20,7 +22,7 @@ use crate::Timestamp;
 /// counters; a point query returns the minimum of the item's `depth`
 /// counters, overestimating the true weight by at most `ε·W` with
 /// probability `1 − δ` (for `width = ⌈e/ε⌉`, `depth = ⌈ln(1/δ)⌉`).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CmSketch {
     width: usize,
     depth: usize,
@@ -29,6 +31,22 @@ pub struct CmSketch {
     hashers: Vec<SeededHash>,
     total: f64,
 }
+
+// An update indexes `depth` rows of `width` counters with one hasher per
+// row: dimensions that do not match the arrays are refused.
+codec_struct!(CmSketch {
+    width: usize,
+    depth: usize,
+    counters: Vec<f64>,
+    hashers: Vec<SeededHash>,
+    total: f64,
+} check |s| {
+    let cells = s.width.checked_mul(s.depth);
+    require(
+        s.width > 0 && cells == Some(s.counters.len()) && s.hashers.len() == s.depth,
+        "Count-Min dimensions do not fit its arrays",
+    )
+});
 
 impl CmSketch {
     /// Creates a sketch with explicit dimensions.
@@ -140,7 +158,7 @@ impl Mergeable for CmSketch {
 /// Candidates are the items whose sketched weight reached the
 /// `φ/2`-fraction watermark when last seen; the set is pruned against the
 /// sketch whenever it outgrows `capacity`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CmCandidates {
     sketch: CmSketch,
     phi: f64,
@@ -148,6 +166,13 @@ pub struct CmCandidates {
     /// candidate item → sketched estimate when last touched.
     candidates: HashMap<u64, f64>,
 }
+
+codec_struct!(CmCandidates {
+    sketch: CmSketch,
+    phi: f64,
+    capacity: usize,
+    candidates: HashMap<u64, f64>,
+});
 
 impl CmCandidates {
     /// Drops candidates that have fallen below the watermark; if that is

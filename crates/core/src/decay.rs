@@ -18,6 +18,8 @@
 //! [`BackExponential`] backward decay (Section III-A) — a property tested
 //! here and exploited by the samplers in [`crate::sampling`].
 
+use crate::checkpoint::{CodecError, Decode, Encode, Reader};
+use crate::codec_struct;
 use crate::error::Error;
 use crate::Timestamp;
 
@@ -32,12 +34,10 @@ use crate::Timestamp;
 /// [`check_forward_axioms`]).
 ///
 /// Decay functions are part of every summary's checkpointable state, so
-/// implementors must be serializable through
-/// [`crate::checkpoint`] — in practice a `#[derive(serde::Serialize,
-/// serde::Deserialize)]` on the (small, parameter-only) struct.
-pub trait ForwardDecay:
-    Clone + Send + Sync + serde::Serialize + serde::de::DeserializeOwned + 'static
-{
+/// implementors encode through [`crate::checkpoint`] — for the small,
+/// parameter-only structs here, one [`codec_struct!`](crate::codec_struct)
+/// line whose check is the family's own `try_new`.
+pub trait ForwardDecay: Clone + Send + Sync + Encode + Decode + 'static {
     /// Evaluates `g(n)` for `n ≥ 0` (seconds since the landmark).
     fn g(&self, n: f64) -> f64;
 
@@ -149,8 +149,10 @@ pub fn clamp_to_landmark(t_i: Timestamp, landmark: Timestamp) -> Timestamp {
 
 /// No decay: `g(n) = 1`. Forward decay's embedding of plain, undecayed
 /// aggregation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoDecay;
+
+codec_struct!(NoDecay {});
 
 impl ForwardDecay for NoDecay {
     #[inline]
@@ -177,10 +179,12 @@ impl ForwardDecay for NoDecay {
 /// (Definition 4 / Lemma 1): the weight of an item depends only on its
 /// relative position `(t_i − L)/(t − L)` inside the window `[L, t]`, namely
 /// `w = γ^β` for relative age `γ`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Monomial {
     beta: f64,
 }
+
+codec_struct!(Monomial { beta: f64 } check |m| Monomial::try_new(m.beta));
 
 impl Monomial {
     /// Creates `g(n) = n^β`.
@@ -285,10 +289,12 @@ impl ForwardDecay for Monomial {
 ///
 /// Identical to backward exponential decay with rate `α` (Section III-A):
 /// `g(t_i − L)/g(t − L) = exp(−α(t − t_i))` independent of `L`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     alpha: f64,
 }
+
+codec_struct!(Exponential { alpha: f64 } check |e| Exponential::try_new(e.alpha));
 
 impl Exponential {
     /// Creates `g(n) = exp(αn)`.
@@ -355,8 +361,10 @@ impl ForwardDecay for Exponential {
 /// Landmark window (Section III-C): `g(n) = 1` for `n > 0`, else `0`. All
 /// items after the landmark count fully until the window "closes" (the query
 /// terminates); items at or before the landmark count for nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LandmarkWindow;
+
+codec_struct!(LandmarkWindow {});
 
 impl ForwardDecay for LandmarkWindow {
     #[inline]
@@ -376,11 +384,13 @@ impl ForwardDecay for LandmarkWindow {
 
 /// General polynomial forward decay: `g(n) = Σ_j γ_j n^j` with non-negative
 /// coefficients (Section III-B's "arbitrary polynomial decay functions").
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolySum {
     /// `coeffs[j]` is γ_j, the coefficient of `n^j`.
     coeffs: Vec<f64>,
 }
+
+codec_struct!(PolySum { coeffs: Vec<f64> } check |p| PolySum::try_new(p.coeffs.clone()));
 
 impl PolySum {
     /// Creates `g(n) = Σ_j coeffs[j] · n^j`.
@@ -456,7 +466,7 @@ impl ForwardDecay for PolySum {
 /// let g: AnyDecay = "poly:2".parse().unwrap();
 /// assert_eq!(g.weight(100.0, 105.0, 110.0), 0.25);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AnyDecay {
     /// `g(n) = 1`.
     None,
@@ -468,6 +478,35 @@ pub enum AnyDecay {
     Landmark(LandmarkWindow),
     /// `g(n) = Σ γ_j n^j`.
     Poly(PolySum),
+}
+
+/// A `u32` variant index (in declaration order), then the family's
+/// parameters.
+impl Encode for AnyDecay {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            AnyDecay::None => 0u32.put(out),
+            AnyDecay::Monomial(m) => (1u32, m).put(out),
+            AnyDecay::Exponential(e) => (2u32, e).put(out),
+            AnyDecay::Landmark(l) => (3u32, l).put(out),
+            AnyDecay::Poly(p) => (4u32, p).put(out),
+        }
+    }
+}
+
+impl Decode for AnyDecay {
+    const MIN_BYTES: usize = 4;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match u32::take(r)? {
+            0 => AnyDecay::None,
+            1 => AnyDecay::Monomial(Monomial::take(r)?),
+            2 => AnyDecay::Exponential(Exponential::take(r)?),
+            3 => AnyDecay::Landmark(LandmarkWindow::take(r)?),
+            4 => AnyDecay::Poly(PolySum::take(r)?),
+            v => return Err(CodecError::new(format!("no decay family {v}"))),
+        })
+    }
 }
 
 impl ForwardDecay for AnyDecay {
@@ -590,7 +629,7 @@ pub trait BackwardDecay: Clone + Send + Sync + 'static {
 }
 
 /// Backward "no decay": `f(a) = 1`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackNoDecay;
 
 impl BackwardDecay for BackNoDecay {
@@ -601,7 +640,7 @@ impl BackwardDecay for BackNoDecay {
 }
 
 /// Sliding window of width `W`: `f(a) = 1` for `a < W`, else `0`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackSlidingWindow {
     width: f64,
 }
@@ -634,7 +673,7 @@ impl BackwardDecay for BackSlidingWindow {
 }
 
 /// Backward exponential decay: `f(a) = exp(−λa)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackExponential {
     lambda: f64,
 }
@@ -670,7 +709,7 @@ impl BackwardDecay for BackExponential {
 
 /// Backward polynomial decay: `f(a) = (a + 1)^{−α}` (the `+1` makes
 /// `f(0) = 1`).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackPolynomial {
     alpha: f64,
 }
@@ -696,7 +735,7 @@ impl BackwardDecay for BackPolynomial {
 /// Sub-polynomial backward decay: `f(a) = (1 + ln(1 + a))⁻¹` — slower than
 /// any polynomial (Section II's example of the breadth of the backward
 /// class).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubPolynomial;
 
 impl BackwardDecay for SubPolynomial {
@@ -708,7 +747,7 @@ impl BackwardDecay for SubPolynomial {
 
 /// Super-exponential backward decay: `f(a) = exp(−λa²)` — faster than any
 /// exponential.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuperExponential {
     lambda: f64,
 }

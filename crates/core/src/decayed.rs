@@ -30,6 +30,7 @@
 //! assert!(hh.decayed_count(1000.0) < 100.0); // ≈ 87 of the 1000 arrivals
 //! ```
 
+use crate::checkpoint::{CodecError, Decode, Encode, Reader};
 use crate::decay::{clamp_to_landmark, ForwardDecay};
 use crate::kernel::WeightKernel;
 use crate::merge::Mergeable;
@@ -99,9 +100,8 @@ pub trait Weighted: Mergeable + Clone {
 /// merge semantics carry over unchanged (Theorems 1–3), out-of-order
 /// arrivals need no care (the weight depends on `t_i` alone), and summaries
 /// built with the same `g` and landmark merge even after exponential
-/// renormalization has moved their effective landmarks apart. Serializes
-/// as `g`, the renormalizer, then the summary's own fields.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// renormalization has moved their effective landmarks apart.
+#[derive(Debug, Clone)]
 pub struct Decayed<G: ForwardDecay, S: Weighted> {
     g: G,
     renorm: Renormalizer,
@@ -164,6 +164,25 @@ impl<G: ForwardDecay, S: Weighted> Decayed<G, S> {
         self.denominator(t)
             .map(|denom| self.inner.over(denom))
             .unwrap_or_default()
+    }
+}
+
+/// `g`, the renormalizer, then the summary's own fields.
+impl<G: ForwardDecay, S: Weighted + Encode> Encode for Decayed<G, S> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (&self.g, &self.renorm, &self.inner).put(out);
+    }
+}
+
+impl<G: ForwardDecay, S: Weighted + Decode> Decode for Decayed<G, S> {
+    const MIN_BYTES: usize = G::MIN_BYTES + Renormalizer::MIN_BYTES + S::MIN_BYTES;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            g: G::take(r)?,
+            renorm: Renormalizer::take(r)?,
+            inner: S::take(r)?,
+        })
     }
 }
 

@@ -33,6 +33,8 @@
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
+use crate::checkpoint::{require, CodecError, Decode, Encode, Reader};
+use crate::codec_struct;
 use crate::decay::ForwardDecay;
 use crate::hash::SeededHash;
 use crate::merge::Mergeable;
@@ -45,13 +47,19 @@ use crate::Timestamp;
 
 /// Exact decayed count-distinct: tracks `max ln g(t_i − L)` per distinct
 /// value. Linear space; the reference implementation.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExactDominance<G: ForwardDecay> {
     g: G,
     landmark: Timestamp,
     /// value → max ln-weight observed.
     max_ln_w: HashMap<u64, f64>,
 }
+
+codec_struct!(ExactDominance<G: ForwardDecay> {
+    g: G,
+    landmark: Timestamp,
+    max_ln_w: HashMap<u64, f64>,
+});
 
 impl<G: ForwardDecay> ExactDominance<G> {
     /// Creates an empty summary.
@@ -114,7 +122,7 @@ impl<G: ForwardDecay> Mergeable for ExactDominance<G> {
 /// A K-Minimum-Values distinct counter over pre-hashed 64-bit keys: keeps
 /// the `k` smallest distinct hash values; the distinct count is estimated
 /// as `(k − 1) · 2⁶⁴ / τ` where `τ` is the k-th smallest hash.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Kmv {
     k: usize,
     /// Max-heap of the k smallest hashes.
@@ -188,6 +196,38 @@ impl Kmv {
     }
 }
 
+/// `k`, the heap's array, then the members — the same values, so written
+/// in the same order: the bytes are canonical without a sort. Members in
+/// any order read back; members that are not the heap's values do not.
+impl Encode for Kmv {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.k.put(out);
+        for _heap_then_members in 0..2 {
+            self.heap.len().put(out);
+            self.heap.iter().for_each(|h| h.put(out));
+        }
+    }
+}
+
+impl Decode for Kmv {
+    const MIN_BYTES: usize = 24;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let k = usize::take(r)?;
+        let heap: Vec<u64> = Vec::take(r)?;
+        let members: HashSet<u64> = Vec::<u64>::take(r)?.into_iter().collect();
+        require(
+            k >= 2 && members.len() == heap.len() && heap.iter().all(|h| members.contains(h)),
+            "KMV members are not its heap",
+        )?;
+        Ok(Self {
+            k,
+            heap: BinaryHeap::from(heap),
+            members,
+        })
+    }
+}
+
 impl Mergeable for Kmv {
     fn merge_from(&mut self, other: &Self) {
         assert_eq!(self.k, other.k, "sketch sizes must match");
@@ -219,7 +259,7 @@ impl Mergeable for Kmv {
 /// let est = d.query(10.0);
 /// assert!((est - 1000.0).abs() / 1000.0 < 0.15);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DominanceSketch<G: ForwardDecay> {
     g: G,
     landmark: Timestamp,
@@ -286,7 +326,7 @@ impl<G: ForwardDecay> DominanceSketch<G> {
     fn target_window(&self) -> i64 {
         let eps = (self.ln_base.exp() - 1.0).max(1e-6);
         let n = (self.n.max(16)) as f64;
-        ((n / eps).ln() / self.ln_base).ceil() as i64 + 1
+        (((n / eps).ln() / self.ln_base).ceil() as i64).saturating_add(1)
     }
 
     /// Ingests an occurrence of `value` at `t_i` (pre-landmark timestamps
@@ -359,6 +399,59 @@ impl<G: ForwardDecay> DominanceSketch<G> {
         self.levels.values().map(Kmv::size_bytes).sum::<usize>()
             + self.levels.len() * 16
             + std::mem::size_of::<Self>()
+    }
+}
+
+/// The fields in declaration order, `levels` as a count and then
+/// `(level, KMV)` pairs in ascending level order.
+impl<G: ForwardDecay> Encode for DominanceSketch<G> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.g.put(out);
+        self.landmark.put(out);
+        self.ln_base.put(out);
+        self.k.put(out);
+        self.window.put(out);
+        self.hasher.put(out);
+        self.levels.len().put(out);
+        self.levels.iter().for_each(|level| level.put(out));
+        self.n.put(out);
+    }
+}
+
+/// Refuses a sketch whose level window is not the one its item count and
+/// level base imply, whose levels overrun that window, or whose KMVs are
+/// not all of its size: each would have the next update walk, or merge, an
+/// unbounded range of levels.
+impl<G: ForwardDecay> Decode for DominanceSketch<G> {
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut s = Self {
+            g: G::take(r)?,
+            landmark: Timestamp::take(r)?,
+            ln_base: f64::take(r)?,
+            k: usize::take(r)?,
+            window: i64::take(r)?,
+            hasher: SeededHash::take(r)?,
+            levels: BTreeMap::new(),
+            n: 0,
+        };
+        for _ in 0..r.count(8 + Kmv::MIN_BYTES)? {
+            if s.levels.insert(i64::take(r)?, Kmv::take(r)?).is_some() {
+                return Err(CodecError::new("a dominance level repeats"));
+            }
+        }
+        s.n = u64::take(r)?;
+        let span = match (s.levels.keys().next(), s.levels.keys().next_back()) {
+            (Some(&lo), Some(&hi)) => i128::from(hi) - i128::from(lo) + 1,
+            _ => 0,
+        };
+        let fits = s.ln_base > 0.0
+            && s.ln_base.is_finite()
+            && s.k >= 2
+            && (s.window == s.target_window() || (s.n, s.window) == (0, 0))
+            && span <= i128::from(s.window)
+            && s.levels.values().all(|kmv| kmv.k == s.k);
+        require(fits, "dominance levels do not fit the sketch")?;
+        Ok(s)
     }
 }
 

@@ -20,10 +20,12 @@ pub fn mix64(mut z: u64) -> u64 {
 ///
 /// Different seeds give (empirically) independent hash functions, which is
 /// what the KMV distinct sketches require.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeededHash {
     seed: u64,
 }
+
+crate::codec_struct!(SeededHash { seed: u64 });
 
 impl SeededHash {
     /// Creates a hash function for the given seed.

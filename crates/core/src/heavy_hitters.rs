@@ -21,6 +21,8 @@
 
 use std::collections::HashMap;
 
+use crate::checkpoint::{require, CodecError, Decode, Encode, Reader, MAX_COUNT};
+use crate::codec_struct;
 use crate::decay::ForwardDecay;
 use crate::decayed::{Decayed, Weighted};
 use crate::merge::Mergeable;
@@ -29,7 +31,7 @@ use crate::Timestamp;
 
 /// One monitored counter: an item, its estimated (over-)count, and the
 /// maximum possible overestimation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HhCounter {
     /// The monitored item.
     pub item: u64,
@@ -39,6 +41,12 @@ pub struct HhCounter {
     /// Upper bound on the overestimation of `count`.
     pub error: f64,
 }
+
+codec_struct!(HhCounter {
+    item: u64,
+    count: f64,
+    error: f64
+});
 
 /// A reported heavy hitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,7 +82,7 @@ pub struct HeavyHitter {
 /// let hh = ss.heavy_hitters(0.05);
 /// assert_eq!(hh.len(), 10);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeightedSpaceSaving {
     capacity: usize,
     counters: Vec<HhCounter>,
@@ -287,6 +295,54 @@ impl WeightedSpaceSaving {
     }
 }
 
+/// `capacity`, the counters, `heap`, `heap_pos`, `index`, `total` — the
+/// index written in counter order: it is the inverse of `counters`, so the
+/// bytes are canonical without a sort.
+impl Encode for WeightedSpaceSaving {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.capacity.put(out);
+        self.counters.put(out);
+        self.heap.put(out);
+        self.heap_pos.put(out);
+        self.counters.len().put(out);
+        (self.counters.iter().enumerate()).for_each(|(ci, c)| (c.item, ci).put(out));
+        self.total.put(out);
+    }
+}
+
+/// Refuses a state the next update would index out of bounds with: a
+/// heap that is not a permutation of the counters with `heap_pos` its
+/// inverse, or an index that is not exactly item → counter.
+impl Decode for WeightedSpaceSaving {
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let s = Self {
+            capacity: usize::take(r)?,
+            counters: Vec::take(r)?,
+            heap: Vec::take(r)?,
+            heap_pos: Vec::take(r)?,
+            index: HashMap::take(r)?,
+            total: f64::take(r)?,
+        };
+        let n = s.counters.len();
+        require(
+            s.capacity > 0 && n <= s.capacity,
+            "SpaceSaving occupancy outside its capacity",
+        )?;
+        // `heap_pos[heap[p]] == p` for every position makes `heap`
+        // injective, so a permutation, and `heap_pos` its inverse.
+        let inverse = s.heap.len() == n
+            && s.heap_pos.len() == n
+            && (s.heap.iter().enumerate()).all(|(p, &ci)| s.heap_pos.get(ci) == Some(&p));
+        let indexed = s.index.len() == n
+            && (s.counters.iter().enumerate()).all(|(ci, c)| s.index.get(&c.item) == Some(&ci));
+        require(
+            inverse && indexed,
+            "SpaceSaving heap or index does not fit its counters",
+        )?;
+        Ok(s)
+    }
+}
+
 impl Mergeable for WeightedSpaceSaving {
     /// Merges in the style of Agarwal et al., *Mergeable Summaries*: sum the
     /// estimates for the union of monitored items (an item absent from one
@@ -345,7 +401,7 @@ impl Mergeable for WeightedSpaceSaving {
 
 const NIL: usize = usize::MAX;
 
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct SsNode {
     item: u64,
     error: u64,
@@ -354,13 +410,28 @@ struct SsNode {
     next: usize,
 }
 
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+codec_struct!(SsNode {
+    item: u64,
+    error: u64,
+    bucket: usize,
+    prev: usize,
+    next: usize
+});
+
+#[derive(Debug, Clone, Copy)]
 struct SsBucket {
     count: u64,
     head: usize, // first node in this bucket
     prev: usize, // bucket with next-smaller count
     next: usize, // bucket with next-larger count
 }
+
+codec_struct!(SsBucket {
+    count: u64,
+    head: usize,
+    prev: usize,
+    next: usize
+});
 
 /// The Stream-Summary data structure of Metwally et al.: SpaceSaving
 /// specialized to unary (`+1`) integer updates with **O(1)** worst-case time
@@ -369,7 +440,7 @@ struct SsBucket {
 /// Nodes with equal counts share a bucket; buckets form a doubly linked list
 /// in increasing count order, so both "find the minimum" and "move a node to
 /// count + 1" are constant time.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UnarySpaceSaving {
     capacity: usize,
     nodes: Vec<SsNode>,
@@ -607,6 +678,86 @@ impl UnarySpaceSaving {
         }
         assert_eq!(seen, self.nodes.len());
         assert_eq!(self.index.len(), self.nodes.len());
+    }
+}
+
+// Written field by field, `index` sorted by item; refused unless its links
+// and index fit together (`check_links`).
+codec_struct!(UnarySpaceSaving {
+    capacity: usize,
+    nodes: Vec<SsNode>,
+    buckets: Vec<SsBucket>,
+    free_buckets: Vec<usize>,
+    min_bucket: usize,
+    index: HashMap<u64, usize>,
+    total: u64,
+} check |s| s.check_links().map_err(CodecError::new));
+
+impl UnarySpaceSaving {
+    /// What `update`, the queries and `merge_from` index by, checked once
+    /// on restore: the bucket list from `min_bucket` is acyclic with
+    /// strictly increasing counts; each live bucket heads a non-empty node
+    /// list whose nodes point back at it and overestimate by at most its
+    /// count, itself at most the total; every node is on exactly one list;
+    /// the free buckets are distinct and none is live; and `index` is
+    /// exactly item → node.
+    fn check_links(&self) -> Result<(), &'static str> {
+        if self.capacity == 0 || self.nodes.len() > self.capacity {
+            return Err("Stream-Summary occupancy outside its capacity");
+        }
+        if self.total > MAX_COUNT {
+            return Err("Stream-Summary counts past 2^62 arrivals");
+        }
+        let mut live = vec![false; self.buckets.len()];
+        let mut listed = vec![false; self.nodes.len()];
+        let (mut b, mut prev_b, mut floor) = (self.min_bucket, NIL, None);
+        while b != NIL {
+            let bucket = self
+                .buckets
+                .get(b)
+                .ok_or("Stream-Summary bucket out of range")?;
+            if live[b]
+                || bucket.prev != prev_b
+                || bucket.head == NIL
+                || floor >= Some(bucket.count)
+                || bucket.count > self.total
+            {
+                return Err("Stream-Summary bucket list broken");
+            }
+            live[b] = true;
+            let (mut ni, mut prev_n) = (bucket.head, NIL);
+            while ni != NIL {
+                let node = self
+                    .nodes
+                    .get(ni)
+                    .ok_or("Stream-Summary node out of range")?;
+                if listed[ni]
+                    || node.bucket != b
+                    || node.prev != prev_n
+                    || node.error > bucket.count
+                {
+                    return Err("Stream-Summary node list broken");
+                }
+                listed[ni] = true;
+                (prev_n, ni) = (ni, node.next);
+            }
+            (prev_b, floor, b) = (b, Some(bucket.count), bucket.next);
+        }
+        if listed.contains(&false) {
+            return Err("Stream-Summary node on no list");
+        }
+        for &f in &self.free_buckets {
+            match live.get_mut(f) {
+                Some(taken @ false) => *taken = true,
+                _ => return Err("Stream-Summary free list broken"),
+            }
+        }
+        let indexed = self.index.len() == self.nodes.len()
+            && (self.nodes.iter().enumerate()).all(|(ni, n)| self.index.get(&n.item) == Some(&ni));
+        if !indexed {
+            return Err("Stream-Summary index does not fit its nodes");
+        }
+        Ok(())
     }
 }
 

@@ -50,8 +50,8 @@
 //! - [`merge`] — [`Mergeable`]: every summary merges across sites or shards
 //!   (Section VI-B); [`summary`] — the [`Summary`] view (`update_at` /
 //!   `query_at`) every decayed summary and sampler offers generic code;
-//!   [`checkpoint`] — binary snapshot/restore for all of them (in-repo
-//!   bincode-style codec);
+//!   [`checkpoint`] — binary snapshot/restore for all of them, through
+//!   two small traits (`Encode` / `Decode`);
 //! - [`oracle`] — a brute-force differential oracle, an adversarial stream
 //!   generator and a ddmin shrinker, backing `tests/differential.rs`;
 //!   [`error`] — the [`Error`] of the `try_` constructors.
@@ -175,12 +175,17 @@ pub mod prelude {
 /// the summary it feeds.
 ///
 /// [`as_secs_f64`]: Timestamp::as_secs_f64
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp {
     micros: i64,
 }
+
+// Within ±2⁶² µs of the epoch, the age of one decoded timestamp relative
+// to another always fits in an `i64`.
+crate::codec_struct!(Timestamp { micros: i64 } check |t| checkpoint::require(
+    t.micros.unsigned_abs() < 1 << 62,
+    "a timestamp more than 146 000 years from the epoch",
+));
 
 impl Timestamp {
     /// The epoch itself: `t = 0`.

@@ -54,7 +54,7 @@ pub const RESCALE_THRESHOLD: f64 = 1e150;
 /// let decayed_count = acc / g.g(1000.0 - r.landmark());
 /// assert!(decayed_count.is_finite() && decayed_count > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Renormalizer {
     /// The landmark all stored values are currently relative to.
     landmark: Timestamp,
@@ -63,6 +63,12 @@ pub struct Renormalizer {
     /// How many rescale events this renormalizer has requested.
     rescales: u64,
 }
+
+crate::codec_struct!(Renormalizer {
+    landmark: Timestamp,
+    original: Timestamp,
+    rescales: u64
+});
 
 impl Renormalizer {
     /// Creates a renormalizer with the given initial landmark.
@@ -184,7 +190,7 @@ pub fn landmark_shift_factor<G: ForwardDecay>(
 /// Used by the samplers, whose acceptance probabilities are ratios
 /// `g(t_i − L) / Σ g(t_j − L)`; with exponential decay and long streams both
 /// numerator and denominator overflow long before the ratio does.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogSum {
     /// `ln` of the running sum; `-∞` for an empty sum.
     ln_total: f64,

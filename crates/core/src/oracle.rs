@@ -35,7 +35,7 @@ use rand::{Rng, SeedableRng};
 /// scalar aggregates and samplers), and a key (used by the heavy-hitter,
 /// quantile and distinct summaries). Harness streams carry both so one
 /// generated stream can drive every summary.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OracleEvent {
     /// Arrival timestamp (may precede the landmark, duplicate a neighbor,
     /// or arrive out of order — that is the point).

@@ -17,8 +17,8 @@
 
 use std::borrow::Cow;
 
-use serde::ser::SerializeStruct;
-
+use crate::checkpoint::{require, CodecError, Decode, Encode, Reader, MAX_COUNT};
+use crate::codec_struct;
 use crate::decay::ForwardDecay;
 use crate::decayed::{Decayed, Weighted};
 use crate::merge::Mergeable;
@@ -460,48 +460,41 @@ impl Mergeable for QDigest {
     }
 }
 
-impl serde::Serialize for QDigest {
-    /// The derived layout of `{bits, k, nodes, total, pending}`, `nodes`
-    /// being the node run followed by the un-merged arrivals: serializing
-    /// neither sorts nor copies.
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("QDigest", 5)?;
-        s.serialize_field("bits", &self.bits)?;
-        s.serialize_field("k", &self.k)?;
-        s.serialize_field("nodes", &self.entries)?;
-        s.serialize_field("total", &self.total)?;
-        s.serialize_field("pending", &self.pending)?;
-        s.end()
+/// `bits`, `k`, the nodes, `total`, `pending` — the nodes being the node
+/// run followed by the un-merged arrivals: writing neither sorts nor
+/// copies.
+impl Encode for QDigest {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.bits.put(out);
+        self.k.put(out);
+        self.entries.put(out);
+        self.total.put(out);
+        self.pending.put(out);
     }
 }
 
-impl<'de> serde::Deserialize<'de> for QDigest {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        /// [`QDigest`] on the wire; `nodes` in any order, ids may repeat.
-        #[derive(serde::Deserialize)]
-        struct Wire {
-            bits: u32,
-            k: u64,
-            nodes: Vec<Entry>,
-            total: f64,
-            pending: usize,
-        }
-        use serde::de::Error;
-        let mut w = Wire::deserialize(deserializer)?;
-        if !(1..=62).contains(&w.bits) || w.k == 0 {
-            return Err(D::Error::custom("q-digest parameters out of range"));
-        }
-        if w.nodes.iter().any(|e| e.0 == 0 || e.0 >> (w.bits + 1) != 0) {
-            return Err(D::Error::custom("q-digest node id outside the domain"));
-        }
-        w.nodes.retain(|e| e.1 != 0.0);
+/// Nodes in any order, ids possibly repeated, each inside the domain.
+impl Decode for QDigest {
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (bits, k) = (u32::take(r)?, u64::take(r)?);
+        let mut entries: Vec<Entry> = Vec::take(r)?;
+        let (total, pending) = (f64::take(r)?, usize::take(r)?);
+        require(
+            (1..=62).contains(&bits) && k > 0 && (pending as u64) < k,
+            "q-digest parameters out of range",
+        )?;
+        require(
+            entries.iter().all(|e| e.0 != 0 && e.0 >> (bits + 1) == 0),
+            "q-digest node id outside the domain",
+        )?;
+        entries.retain(|e| e.1 != 0.0);
         let mut q = QDigest {
-            bits: w.bits,
-            k: w.k,
-            entries: w.nodes,
+            bits,
+            k,
+            entries,
             sorted: 0,
-            total: w.total,
-            pending: w.pending,
+            total,
+            pending,
         };
         q.fold_tail();
         Ok(q)
@@ -514,12 +507,18 @@ impl<'de> serde::Deserialize<'de> for QDigest {
 
 /// One GK tuple: a stored value, the weight `g` it absorbs, and the
 /// uncertainty `Δ` of its rank.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct GkTuple {
     v: f64,
     g: f64,
     delta: f64,
 }
+
+codec_struct!(GkTuple {
+    v: f64,
+    g: f64,
+    delta: f64
+});
 
 /// A weighted Greenwald–Khanna quantile summary over arbitrary `f64`
 /// values — an extension beyond the paper's q-digest (which needs a bounded
@@ -528,13 +527,23 @@ struct GkTuple {
 /// Maintains the invariant `g_i + Δ_i ≤ 2εW`, giving rank queries within
 /// `ε·W`. Space is `O((1/ε)·log(εW))` in theory; in practice a few hundred
 /// tuples for ε = 0.01.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeightedGK {
     epsilon: f64,
     tuples: Vec<GkTuple>,
     total: f64,
     pending: usize,
 }
+
+// An update compresses once `pending` reaches `1/(2ε)`.
+codec_struct!(WeightedGK { epsilon: f64, tuples: Vec<GkTuple>, total: f64, pending: usize }
+check |gk| require(
+    gk.epsilon > 0.0
+        && gk.epsilon < 1.0
+        && (gk.pending as f64) < 1.0 / (2.0 * gk.epsilon)
+        && gk.pending as u64 <= MAX_COUNT,
+    "GK parameters out of range",
+));
 
 impl WeightedGK {
     /// Creates a summary with rank error at most `ε·W`.
@@ -1230,7 +1239,7 @@ mod tests {
                         }
                         // A mid-stream checkpoint and restore.
                         350 => {
-                            let bytes = crate::checkpoint::to_bytes(&flat).unwrap();
+                            let bytes = crate::checkpoint::to_bytes(&flat);
                             flat = crate::checkpoint::from_bytes(&bytes).unwrap();
                         }
                         699 => {
@@ -1286,7 +1295,7 @@ mod tests {
         q.flush();
         let mut shuffled = q.clone();
         shuffled.entries.reverse();
-        let bytes = crate::checkpoint::to_bytes(&shuffled).unwrap();
+        let bytes = crate::checkpoint::to_bytes(&shuffled);
         let restored: QDigest = crate::checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(live(&restored.nodes()), live(&q.nodes()));
         assert_eq!(restored.sorted, restored.entries.len());
@@ -1294,7 +1303,7 @@ mod tests {
         for bad in [0u64, 1 << 12] {
             let mut broken = q.clone();
             broken.entries[0].0 = bad;
-            let bytes = crate::checkpoint::to_bytes(&broken).unwrap();
+            let bytes = crate::checkpoint::to_bytes(&broken);
             assert!(crate::checkpoint::from_bytes::<QDigest>(&bytes).is_err());
         }
     }

@@ -12,7 +12,8 @@
 //! replays, merges and checkpoints any `S: Summary` against the brute-force
 //! reference — is written against this view; the engine's one adapter
 //! (`fd_engine::aggregators`) needs only
-//! [`Mergeable`](crate::merge::Mergeable) and serde.
+//! [`Mergeable`](crate::merge::Mergeable) and the
+//! [`checkpoint`](crate::checkpoint) traits.
 //!
 //! What varies is two associated types: [`Update`](Summary::Update), the
 //! payload accompanying each timestamp (`()` for a count, `f64` for a
@@ -59,7 +60,7 @@ use crate::Timestamp;
 /// reading them never perturbs the summary. Fields that make no sense for a
 /// given summary are left at zero (e.g. `capacity` for the exact O(1)
 /// aggregates).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SummaryStats {
     /// Landmark renormalization events so far (each is a linear pass over
     /// the summary's state; see [`crate::numerics::Renormalizer`]).

@@ -749,7 +749,7 @@ fn checkpoint_roundtrips_decayed_sum() {
         for &(t, v) in &items {
             s.update(t, v);
         }
-        let bytes = to_bytes(&s).unwrap();
+        let bytes = to_bytes(&s);
         let restored: DecayedSum<Exponential> = from_bytes(&bytes).unwrap();
         assert_eq!(s.query(150.0).to_bits(), restored.query(150.0).to_bits());
     });
@@ -768,7 +768,7 @@ fn checkpoint_roundtrips_space_saving() {
         for &(item, w) in &items {
             ss.update(item, w);
         }
-        let bytes = to_bytes(&ss).unwrap();
+        let bytes = to_bytes(&ss);
         let restored: WeightedSpaceSaving = from_bytes(&bytes).unwrap();
         assert_eq!(restored.len(), ss.len());
         assert!((restored.total_weight() - ss.total_weight()).abs() < 1e-12);
@@ -791,7 +791,7 @@ fn checkpoint_roundtrips_qdigest() {
         for &(v, w) in &items {
             q.update(v, w);
         }
-        let bytes = to_bytes(&q).unwrap();
+        let bytes = to_bytes(&q);
         let restored: QDigest = from_bytes(&bytes).unwrap();
         for probe in [0u64, 63, 128, 255] {
             assert!((q.rank(probe) - restored.rank(probe)).abs() < 1e-9);
@@ -810,7 +810,7 @@ fn checkpoint_rejects_random_corruption() {
         let mut ss = WeightedSpaceSaving::new(4);
         ss.update(1, 2.0);
         ss.update(2, 3.0);
-        let mut bytes = to_bytes(&ss).unwrap();
+        let mut bytes = to_bytes(&ss);
         let idx = corrupt_at % bytes.len();
         bytes[idx] ^= 1 << bit;
         let _ = from_bytes::<WeightedSpaceSaving>(&bytes); // Ok or Err, no panic
@@ -828,12 +828,12 @@ fn checkpoint_prefixes_error_never_panic() {
         for (t, v) in random_stream(rng, 0.0, 50.0, 64) {
             s.update(t, v);
         }
-        let sum_bytes = to_bytes(&s).unwrap();
+        let sum_bytes = to_bytes(&s);
         let mut ss = WeightedSpaceSaving::new(rng.gen_range(2usize..16));
         for _ in 0..rng.gen_range(1..100) {
             ss.update(rng.gen_range(0u64..50), rng.gen_range(0.1..4.0));
         }
-        let ss_bytes = to_bytes(&ss).unwrap();
+        let ss_bytes = to_bytes(&ss);
         let cut = rng.gen_range(0..sum_bytes.len());
         assert!(
             from_bytes::<DecayedSum<Exponential>>(&sum_bytes[..cut]).is_err(),
@@ -859,16 +859,16 @@ fn reader_survives_arbitrary_byte_soup() {
     // Any read schedule over any bytes must either succeed or error —
     // and a failed read must consume nothing.
     cases(38, |rng| {
-        use fd_core::checkpoint::Reader;
+        use fd_core::checkpoint::{Decode, Reader};
         let len = rng.gen_range(0usize..128);
         let soup: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         let mut r = Reader::new(&soup);
         for _ in 0..64 {
             let before = r.remaining();
             let consumed = match rng.gen_range(0u8..4) {
-                0 => r.u64().is_ok().then_some(8),
-                1 => r.u32().is_ok().then_some(4),
-                2 => r.u8().is_ok().then_some(1),
+                0 => u64::take(&mut r).is_ok().then_some(8),
+                1 => u32::take(&mut r).is_ok().then_some(4),
+                2 => u8::take(&mut r).is_ok().then_some(1),
                 _ => {
                     let n = rng.gen_range(0usize..64);
                     r.bytes(n).is_ok().then_some(n)

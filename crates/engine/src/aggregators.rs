@@ -57,7 +57,7 @@ use fd_core::aggregates::{
     DecayedAverage, DecayedCount, DecayedExtremum, DecayedSum, DecayedVariance,
 };
 use fd_core::backward::{ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH};
-use fd_core::checkpoint::CodecError;
+use fd_core::checkpoint::{from_bytes, require, CodecError, Decode, Encode, Reader, MAX_COUNT};
 use fd_core::cm::DecayedCmHeavyHitters;
 use fd_core::decay::{BackwardDecay, ForwardDecay};
 use fd_core::distinct::DominanceSketch;
@@ -142,8 +142,9 @@ where
     E: Fn(&S, f64) -> AggValue + Send + Sync + 'static,
 {
     /// An aggregate that neither scales nor checkpoints (the samplers:
-    /// their reservoirs and RNGs carry no serde support), until
-    /// [`scaled`](Self::scaled) / [`serde`](Self::serde) say otherwise.
+    /// their reservoirs and RNGs are not encoded), until
+    /// [`scaled`](Self::scaled) / [`checkpointed`](Self::checkpointed) say
+    /// otherwise.
     fn new(extract: X, feed: F, emit: E, size: fn(&S) -> usize) -> Self {
         Self {
             extract,
@@ -162,12 +163,15 @@ where
     }
 
     /// Checkpoints the state through its [`fd_core::checkpoint`] encoding.
-    fn serde(mut self) -> Self
+    fn checkpointed(mut self) -> Self
     where
-        S: serde::Serialize + serde::de::DeserializeOwned,
+        S: Encode + Decode,
     {
-        self.write = |state, out| fd_core::checkpoint::to_bytes_into(state, out).ok();
-        self.read = |bytes| fd_core::checkpoint::from_bytes(bytes);
+        self.write = |state, out| {
+            state.put(out);
+            Some(())
+        };
+        self.read = from_bytes;
         self
     }
 
@@ -260,14 +264,23 @@ fn sampled(items: impl Iterator<Item = u64>) -> AggValue {
 
 /// Undecayed `count(*)` — the GSQL built-in of the paper's baseline query.
 pub fn count_factory() -> Arc<FnFactory> {
-    Ops::new(
+    let ops = Ops::new(
         |_| (),
         |n: &mut u64, _, ()| *n += 1,
         |n, _| AggValue::Float(*n as f64),
         // The paper: "Undecayed methods store 4 byte integers".
         |_| 4,
     )
-    .serde()
+    .checkpointed();
+    Ops {
+        // A restored count leaves room to count on.
+        read: |bytes| {
+            let n = from_bytes(bytes)?;
+            require(n <= MAX_COUNT, "a count past 2^62 arrivals")?;
+            Ok(n)
+        },
+        ..ops
+    }
     .factory("count", true, |_| 0u64)
 }
 
@@ -280,7 +293,7 @@ pub fn sum_factory(val: impl Fn(&Packet) -> f64 + Send + Sync + 'static) -> Arc<
         |_| 4,
     )
     .scaled(|sum, _, v, w| *sum += v * w)
-    .serde()
+    .checkpointed()
     .factory("sum", true, |_| 0.0f64)
 }
 
@@ -299,7 +312,7 @@ pub fn fwd_count_factory<G: ForwardDecay>(g: G) -> Arc<FnFactory> {
         |_| 8,
     )
     .scaled(|s, p, (), w| s.update_weighted(p.timestamp(), w))
-    .serde()
+    .checkpointed()
     .factory("fwd_count", true, move |start| {
         DecayedCount::new(g.clone(), start)
     })
@@ -317,7 +330,7 @@ pub fn fwd_sum_factory<G: ForwardDecay>(
         |_| 8,
     )
     .scaled(|s, p, v, w| s.update_weighted(p.timestamp(), v, w))
-    .serde()
+    .checkpointed()
     .factory("fwd_sum", true, move |start| {
         DecayedSum::new(g.clone(), start)
     })
@@ -339,8 +352,8 @@ pub fn fwd_avg_factory<G: ForwardDecay>(
     // Linear in each tuple, so a 1/p scale keeps it unbiased; saying how is
     // what makes the factory `scalable()`.
     .scaled(|s, p, v, w| s.update_weighted(p.timestamp(), v, w))
-    // The summary is serde, so it checkpoints (the samplers leave this out).
-    .serde()
+    // The summary encodes, so it checkpoints (the samplers leave this out).
+    .checkpointed()
     // Splittable — partial averages merge exactly — with the bucket start
     // as the landmark of each group's fresh state.
     .factory("fwd_avg", true, move |start| {
@@ -359,7 +372,7 @@ pub fn fwd_var_factory<G: ForwardDecay>(
         |s, t| AggValue::Float(s.query(t).unwrap_or(f64::NAN)),
         |_| 24,
     )
-    .serde()
+    .checkpointed()
     .factory("fwd_var", true, move |start| {
         DecayedVariance::new(g.clone(), start)
     })
@@ -377,7 +390,7 @@ fn fwd_ext_factory<G: ForwardDecay>(
         |s, t| AggValue::Float(s.query(t).map_or(f64::NAN, |(v, _, _)| v)),
         |_| 24,
     )
-    .serde()
+    .checkpointed()
     .factory(name, true, new)
 }
 
@@ -412,7 +425,7 @@ pub fn eh_count_factory(epsilon: f64, back: DynBackward) -> Arc<FnFactory> {
         move |s, t| AggValue::Float(s.decayed_query(&back, t)),
         ExponentialHistogram::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("eh_count", false, move |_| {
         ExponentialHistogram::with_epsilon(epsilon)
     })
@@ -431,7 +444,7 @@ pub fn eh_sum_factory(
         move |s, t| AggValue::Float(s.decayed_query(&back, t)),
         ExponentialHistogram::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("eh_sum", false, move |_| {
         ExponentialHistogram::with_epsilon(epsilon)
     })
@@ -454,7 +467,7 @@ pub fn unary_hh_factory(
         move |s, _| hitters(s.heavy_hitters(phi)),
         UnarySpaceSaving::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("unary_hh", false, move |_| {
         UnarySpaceSaving::with_epsilon(epsilon)
     })
@@ -474,7 +487,7 @@ pub fn fwd_hh_factory<G: ForwardDecay>(
         move |s, t| hitters(s.heavy_hitters(phi, t)),
         DecayedHeavyHitters::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("fwd_hh", false, move |start| {
         DecayedHeavyHitters::with_epsilon(g.clone(), start, epsilon)
     })
@@ -496,7 +509,7 @@ pub fn sw_hh_factory(
         move |s, t| hitters(s.heavy_hitters(&back, t, phi)),
         SlidingWindowHH::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("sw_hh", false, move |_| {
         SlidingWindowHH::new(pane_secs, levels)
     })
@@ -518,7 +531,7 @@ pub fn cm_hh_factory<G: ForwardDecay>(
         |s, t| hitters(s.heavy_hitters(t)),
         DecayedCmHeavyHitters::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("cm_hh", false, move |start| {
         DecayedCmHeavyHitters::new(
             g.clone(),
@@ -548,7 +561,7 @@ pub fn prefix_hh_factory(
         move |s, t| hitters(s.heavy_hitters(&back, t, phi)),
         PrefixBackwardHH::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("prefix_hh", false, move |_| {
         PrefixBackwardHH::new(domain_bits, epsilon)
     })
@@ -685,7 +698,7 @@ pub fn fwd_quantile_factory<G: ForwardDecay>(
         },
         DecayedQuantiles::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("fwd_quantiles", false, move |start| {
         DecayedQuantiles::new(g.clone(), start, bits, epsilon)
     })
@@ -706,7 +719,7 @@ pub fn distinct_factory<G: ForwardDecay>(
         |s, t| AggValue::Float(s.query(t)),
         DominanceSketch::size_bytes,
     )
-    .serde()
+    .checkpointed()
     .factory("fwd_distinct", false, move |start| {
         DominanceSketch::new(g.clone(), start, epsilon, seed)
     })
@@ -752,20 +765,28 @@ impl Aggregator for MultiAgg {
     }
     /// A length-prefixed seq of length-prefixed part states.
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        fd_core::checkpoint::put_u64(out, self.parts.len() as u64);
+        self.parts.len().put(out);
         self.parts
             .iter()
             .try_for_each(|part| write_agg(out, part.as_ref()))
     }
+    /// Each part restores straight from its slice of `bytes`: the arity is
+    /// checked before any is read, and nothing is copied.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let parts: Vec<Vec<u8>> = fd_core::checkpoint::from_bytes(bytes)?;
-        if parts.len() != self.parts.len() {
+        let mut r = Reader::new(bytes);
+        if r.count(8)? != self.parts.len() {
             return Err(CodecError::new("aggregate arity mismatch"));
         }
-        for (mine, snap) in self.parts.iter_mut().zip(&parts) {
-            mine.restore(snap)?;
+        for part in &mut self.parts {
+            let len = r.count(1)?;
+            part.restore(r.bytes(len)?)?;
         }
-        Ok(())
+        match r.remaining() {
+            0 => Ok(()),
+            n => Err(CodecError::new(format!(
+                "{n} trailing bytes after the parts"
+            ))),
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 //! and is reported as [`Decoded::Unsupported`], naming what was found, so
 //! recovery refuses the store instead of truncating it as a torn tail.
 
-use fd_core::checkpoint::{crc32, put_u32, put_u64, read_frame, Frame, Reader};
+use fd_core::checkpoint::{crc32, read_frame, Decode, Encode, Frame, Reader};
 
 use super::err;
 use crate::tuple::{Micros, Packet, Proto};
@@ -70,7 +70,7 @@ fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 fn read_uvarint(r: &mut Reader<'_>) -> Option<u64> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
-        let b = r.u8().ok()?;
+        let b = u8::take(r).ok()?;
         v |= u64::from(b & 0x7F) << shift;
         if b & 0x80 == 0 {
             // The 10th byte carries only the top bit of a u64.
@@ -106,7 +106,7 @@ fn unzigzag(v: u64) -> i64 {
 fn put_packet(out: &mut Vec<u8>, p: &Packet, prev_ts: &mut u64) {
     put_uvarint(out, zigzag(p.ts.wrapping_sub(*prev_ts) as i64));
     *prev_ts = p.ts;
-    put_u32(out, p.src_ip);
+    p.src_ip.put(out);
     put_uvarint(out, u64::from(p.dst_ip));
     out.extend_from_slice(&p.src_port.to_le_bytes());
     out.extend_from_slice(&p.dst_port.to_le_bytes());
@@ -120,7 +120,7 @@ fn put_packet(out: &mut Vec<u8>, p: &Packet, prev_ts: &mut u64) {
 fn read_packet(r: &mut Reader<'_>, prev_ts: &mut u64) -> Option<Packet> {
     let ts = prev_ts.wrapping_add(unzigzag(read_uvarint(r)?) as u64);
     *prev_ts = ts;
-    let src_ip = r.u32().ok()?;
+    let src_ip = u32::take(r).ok()?;
     let dst_ip = u32::try_from(read_uvarint(r)?).ok()?;
     let src_port = u16::from_le_bytes(r.bytes(2).ok()?.try_into().ok()?);
     let dst_port = u16::from_le_bytes(r.bytes(2).ok()?.try_into().ok()?);
@@ -155,9 +155,9 @@ pub(crate) struct ReplayMsg {
 /// Encodes one epoch record: `kind, seq, wm, n, n packets`.
 pub(super) fn encode_epoch(out: &mut Vec<u8>, seq: u64, wm: Micros, pkts: &[Packet]) {
     out.push(KIND_EPOCH);
-    put_u64(out, seq);
-    put_u64(out, wm);
-    put_u32(out, pkts.len() as u32);
+    seq.put(out);
+    wm.put(out);
+    (pkts.len() as u32).put(out);
     let mut prev_ts = 0u64;
     for p in pkts {
         put_packet(out, p, &mut prev_ts);
@@ -167,9 +167,9 @@ pub(super) fn encode_epoch(out: &mut Vec<u8>, seq: u64, wm: Micros, pkts: &[Pack
 pub(super) fn decode_epoch(payload: &[u8]) -> Decoded<ReplayMsg> {
     let mut r = Reader::new(payload);
     let body = |r: &mut Reader<'_>| {
-        let seq = r.u64().ok()?;
-        let wm = r.u64().ok()?;
-        let n = r.u32().ok()? as usize;
+        let seq = u64::take(r).ok()?;
+        let wm = u64::take(r).ok()?;
+        let n = u32::take(r).ok()? as usize;
         // Variable-width packets: bound the claimed count by what the
         // payload could possibly hold before allocating for it, and
         // demand the record is consumed exactly.
@@ -183,7 +183,7 @@ pub(super) fn decode_epoch(payload: &[u8]) -> Decoded<ReplayMsg> {
         }
         r.is_empty().then_some(ReplayMsg { seq, wm, pkts })
     };
-    match r.u8() {
+    match u8::take(&mut r) {
         Ok(KIND_EPOCH) => body(&mut r).map_or(Decoded::Torn, Decoded::Record),
         Ok(1) => foreign(
             "a kind-1 WAL record (a batch without a watermark)",
@@ -230,7 +230,7 @@ impl ProducerCommit {
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         let mut f = [0u64; 7];
         for v in &mut f {
-            *v = r.u64().ok()?;
+            *v = u64::take(r).ok()?;
         }
         let [watermark, closed_below, rr, epochs, tuples_in, filtered, late_drops] = f;
         Some(Self {
@@ -303,23 +303,23 @@ impl CommitState {
     /// `kind, position, six aggregates, S, S × hi, P, P producer blocks`.
     pub(super) fn encode(&self, out: &mut Vec<u8>) {
         out.push(KIND_COMMIT);
-        put_u64(out, self.position);
+        self.position.put(out);
         for v in self.aggregates() {
-            put_u64(out, v);
+            v.put(out);
         }
-        put_u32(out, self.hi.len() as u32);
+        (self.hi.len() as u32).put(out);
         for &h in &self.hi {
-            put_u64(out, h);
+            h.put(out);
         }
-        put_u32(out, self.producers.len() as u32);
+        (self.producers.len() as u32).put(out);
         for v in self.producers.iter().flat_map(ProducerCommit::fields) {
-            put_u64(out, v);
+            v.put(out);
         }
     }
 
     pub(super) fn decode(payload: &[u8], n_shards: usize) -> Decoded<Self> {
         let mut r = Reader::new(payload);
-        match r.u8() {
+        match u8::take(&mut r) {
             Ok(KIND_COMMIT) => {}
             Ok(kind) => {
                 return foreign(
@@ -332,13 +332,15 @@ impl CommitState {
         let head = |r: &mut Reader<'_>| {
             let mut words = [0u64; 7];
             for v in &mut words {
-                *v = r.u64().ok()?;
+                *v = u64::take(r).ok()?;
             }
-            let n = r.u32().ok()? as usize;
+            let n = u32::take(r).ok()? as usize;
             if n > r.remaining() / 8 {
                 return None;
             }
-            let hi = (0..n).map(|_| r.u64().ok()).collect::<Option<Vec<u64>>>()?;
+            let hi = (0..n)
+                .map(|_| u64::take(r).ok())
+                .collect::<Option<Vec<u64>>>()?;
             Some((words, hi))
         };
         let Some((words, hi)) = head(&mut r) else {
@@ -348,7 +350,7 @@ impl CommitState {
             return foreign("a commit record without producer blocks", "an older");
         }
         let blocks = |r: &mut Reader<'_>| {
-            let n = r.u32().ok()? as usize;
+            let n = u32::take(r).ok()? as usize;
             if n == 0 || n > r.remaining() / PRODUCER_BLOCK_BYTES {
                 return None;
             }
@@ -397,8 +399,8 @@ impl CommitState {
 /// the frame header.
 fn begin_image(out: &mut Vec<u8>, magic: u32) {
     out.clear();
-    put_u32(out, magic);
-    put_u64(out, 0);
+    magic.put(out);
+    0u64.put(out);
 }
 
 /// Completes a file image begun by [`begin_ckpt`], [`begin_closed_delta`]
@@ -426,14 +428,14 @@ fn image_payload(data: &[u8], magic: u32) -> Option<&[u8]> {
 /// the caller appends before [`seal`].
 pub(super) fn begin_ckpt(out: &mut Vec<u8>, seq: u64) {
     begin_image(out, MAGIC_CKPT);
-    put_u64(out, seq);
+    seq.put(out);
 }
 
 /// A checkpoint file's `(covered seq, engine blob)`; `None` on any damage.
 pub(super) fn parse_ckpt(data: &[u8]) -> Option<(u64, &[u8])> {
     let payload = image_payload(data, MAGIC_CKPT)?;
     let mut r = Reader::new(payload);
-    Some((r.u64().ok()?, r.bytes(r.remaining()).ok()?))
+    Some((u64::take(&mut r).ok()?, r.bytes(r.remaining()).ok()?))
 }
 
 /// Starts an `FDC1` closed-delta image — `index, seq`, then the engine's
@@ -441,20 +443,20 @@ pub(super) fn parse_ckpt(data: &[u8]) -> Option<(u64, &[u8])> {
 /// leads with its group count), appended by the caller before [`seal`].
 pub(super) fn begin_closed_delta(out: &mut Vec<u8>, index: u64, seq: u64) {
     begin_image(out, MAGIC_CLOSED);
-    put_u64(out, index);
-    put_u64(out, seq);
+    index.put(out);
+    seq.put(out);
 }
 
 /// A closed-delta's `(hand-off seq, group count, closed-group section)`;
 /// `None` on any damage, or when the file is not delta number `index`.
 pub(super) fn parse_closed_delta(data: &[u8], index: u64) -> Option<(u64, u64, &[u8])> {
     let mut r = Reader::new(image_payload(data, MAGIC_CLOSED)?);
-    if r.u64().ok()? != index {
+    if u64::take(&mut r).ok()? != index {
         return None;
     }
-    let seq = r.u64().ok()?;
+    let seq = u64::take(&mut r).ok()?;
     let section = r.bytes(r.remaining()).ok()?;
-    Some((seq, Reader::new(section).u64().ok()?, section))
+    Some((seq, u64::take(&mut Reader::new(section)).ok()?, section))
 }
 
 /// One shard's row of the [`Manifest`].
@@ -489,12 +491,12 @@ impl Manifest {
     /// seq, closed-delta count)`.
     pub(super) fn encode(&self, out: &mut Vec<u8>) {
         begin_image(out, MAGIC_MANIFEST);
-        put_u64(out, self.version);
-        put_u32(out, self.shards.len() as u32);
+        self.version.put(out);
+        (self.shards.len() as u32).put(out);
         for m in &self.shards {
-            put_u64(out, m.ckpt_version);
-            put_u64(out, m.covered);
-            put_u64(out, m.closed_deltas);
+            m.ckpt_version.put(out);
+            m.covered.put(out);
+            m.closed_deltas.put(out);
         }
         seal(out);
     }
@@ -509,17 +511,17 @@ impl Manifest {
             .ok_or_else(|| bad("bad magic, or a torn or oversized frame"))?;
         let mut r = Reader::new(payload);
         let body = |r: &mut Reader<'_>| {
-            let version = r.u64().ok()?;
-            let n = r.u32().ok()? as usize;
+            let version = u64::take(r).ok()?;
+            let n = u32::take(r).ok()? as usize;
             if n > r.remaining() / MANIFEST_ROW_BYTES {
                 return None;
             }
             let mut shards = Vec::with_capacity(n);
             for _ in 0..n {
                 shards.push(ShardManifest {
-                    ckpt_version: r.u64().ok()?,
-                    covered: r.u64().ok()?,
-                    closed_deltas: r.u64().ok()?,
+                    ckpt_version: u64::take(r).ok()?,
+                    covered: u64::take(r).ok()?,
+                    closed_deltas: u64::take(r).ok()?,
                 });
             }
             Some(Self { version, shards })

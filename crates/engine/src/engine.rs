@@ -12,6 +12,8 @@
 //! bucket end plus the query's out-of-order slack — the engine's stand-in
 //! for GS's punctuation/heartbeat mechanism.
 
+use fd_core::checkpoint::{require, Decode, Encode, MAX_COUNT};
+
 use crate::groups::{OpenBucket, OpenBuckets};
 use crate::lfta::Lfta;
 use crate::tuple::{bucket_end, bucket_start, secs, Micros, Packet};
@@ -19,7 +21,7 @@ use crate::udaf::{AggValue, Aggregator, Query};
 
 /// One output row of a continuous query: a closed (bucket, group) with its
 /// aggregate value.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Start of the time bucket (microseconds).
     pub bucket_start: Micros,
@@ -28,6 +30,12 @@ pub struct Row {
     /// The aggregate result, evaluated at the bucket end.
     pub value: AggValue,
 }
+
+fd_core::codec_struct!(Row {
+    bucket_start: Micros,
+    key: u64,
+    value: AggValue
+});
 
 /// A stream element: data or control.
 ///
@@ -47,7 +55,7 @@ pub enum StreamEvent {
 }
 
 /// Execution counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Tuples offered to the engine.
     pub tuples_in: u64,
@@ -63,6 +71,20 @@ pub struct EngineStats {
     /// Buckets closed.
     pub buckets_closed: u64,
 }
+
+fd_core::codec_struct!(EngineStats {
+    tuples_in: u64,
+    filtered: u64,
+    late_drops: u64,
+    lfta_evictions: u64,
+    rows_out: u64,
+    buckets_closed: u64,
+} check |s| require(
+    [s.tuples_in, s.filtered, s.late_drops, s.lfta_evictions, s.rows_out, s.buckets_closed]
+        .iter()
+        .all(|&n| n <= MAX_COUNT),
+    "engine counters past 2^62",
+));
 
 /// A closed (bucket, group) carrying its raw aggregation state instead of
 /// an emitted value — the unit of cross-shard combination.
@@ -436,8 +458,8 @@ impl Engine {
     ///
     /// # Errors
     /// Fails with a `CodecError` if the query's aggregator does not support
-    /// checkpointing (the samplers decline — their reservoirs carry no serde
-    /// support) or if encoding fails.
+    /// checkpointing (the samplers decline: their reservoirs and RNGs are
+    /// not encoded).
     pub fn checkpoint(&self) -> Result<Vec<u8>, fd_core::checkpoint::CodecError> {
         let mut blob = Vec::with_capacity(self.last_ckpt_bytes.get() + 16 * 1024);
         self.checkpoint_into(&mut blob)?;
@@ -453,26 +475,25 @@ impl Engine {
         &self,
         out: &mut Vec<u8>,
     ) -> Result<(), fd_core::checkpoint::CodecError> {
-        use fd_core::checkpoint::{put_u64, to_bytes_into, CodecError};
+        use fd_core::checkpoint::CodecError;
         let unsupported = || {
             CodecError::new(format!(
                 "aggregate '{}' does not support checkpointing",
                 self.query.aggregate.name()
             ))
         };
-        // Layout: `flat blob | serde header | header_len`. The bulky,
-        // regular state — one tiny aggregator checkpoint per live group,
-        // tens of thousands per snapshot — is hand-packed into the blob:
-        // the serde codec's element-at-a-time walk (and one `Vec` per
-        // group) made checkpoints cost milliseconds, which put supervised
-        // workers on the pipeline's critical path. The header trails the
-        // blob so the result is one buffer, never recopied.
+        // Layout: `flat blob | header | header_len`. The bulky, regular
+        // state — one tiny length-prefixed aggregator checkpoint per live
+        // group, tens of thousands per snapshot — is packed into the blob
+        // as the groups are walked, with no value built per group; the
+        // small, irregular rest is one `EngineHeader`. The header trails
+        // the blob so the result is one buffer, never recopied.
         let mut blob = std::mem::take(out);
         blob.clear();
-        put_u64(&mut blob, self.groups.iter().len() as u64);
+        self.groups.iter().len().put(&mut blob);
         for OpenBucket { id, groups } in self.groups.iter() {
-            put_u64(&mut blob, *id);
-            put_u64(&mut blob, groups.len() as u64);
+            id.put(&mut blob);
+            groups.len().put(&mut blob);
             // Keys by value: the sort then compares within one dense
             // array instead of chasing a pointer into the map per probe.
             let mut entries: Vec<(u64, &dyn Aggregator)> = groups
@@ -481,7 +502,7 @@ impl Engine {
                 .collect();
             entries.sort_unstable_by_key(|&(key, _)| key);
             for (key, agg) in entries {
-                put_u64(&mut blob, key);
+                key.put(&mut blob);
                 crate::udaf::write_agg(&mut blob, agg).ok_or_else(unsupported)?;
             }
         }
@@ -492,22 +513,20 @@ impl Engine {
             .ok_or_else(unsupported)?;
         self.last_ckpt_bytes.set(blob.len());
         let header_start = blob.len();
-        to_bytes_into(
-            &EngineHeader {
-                watermark: self.watermark,
-                closed_below: self.closed_below,
-                stats: self.stats,
-                state_mode: self.closed_state.is_some(),
-                lfta: self
-                    .lfta
-                    .as_ref()
-                    .map(|l| (l.n_slots() as u64, l.evictions(), l.updates())),
-                rows: self.out.clone(),
-            },
-            &mut blob,
-        )?;
+        EngineHeader {
+            watermark: self.watermark,
+            closed_below: self.closed_below,
+            stats: self.stats,
+            state_mode: self.closed_state.is_some(),
+            lfta: self
+                .lfta
+                .as_ref()
+                .map(|l| (l.n_slots() as u64, l.evictions(), l.updates())),
+            rows: self.out.clone(),
+        }
+        .put(&mut blob);
         let header_len = (blob.len() - header_start) as u64;
-        put_u64(&mut blob, header_len);
+        header_len.put(&mut blob);
         *out = blob;
         Ok(())
     }
@@ -535,22 +554,24 @@ impl Engine {
         let mut e = Engine::new(query);
         let factory = std::sync::Arc::clone(&e.query.aggregate);
         let bucket_micros = e.query.bucket_micros;
-        let n_buckets = r.u64()?;
+        // A bucket is at least its id and group count, a group its key and
+        // state length.
+        let n_buckets = r.count(16)?;
         let mut newest = None;
         for _ in 0..n_buckets {
-            let bucket = r.u64()?;
+            let bucket = u64::take(&mut r)?;
             // As written: ascending. Holding a corrupt blob to that keeps
             // every open of a table an append.
             if newest.is_some_and(|newest| newest >= bucket) {
                 return Err(CodecError::new("checkpoint buckets out of order"));
             }
             newest = Some(bucket);
-            let n_groups = r.u64()?;
+            let n_groups = r.count(16)?;
             let bucket_start = bucket_start(bucket, bucket_micros);
             let map = e.groups.table_mut(bucket);
             for _ in 0..n_groups {
-                let key = r.u64()?;
-                let len = r.u64()? as usize;
+                let key = u64::take(&mut r)?;
+                let len = u64::take(&mut r)? as usize;
                 let mut agg = factory.make(bucket_start);
                 agg.restore(r.bytes(len)?)?;
                 map.insert(key, agg);
@@ -611,10 +632,10 @@ impl Engine {
 /// tail of an [`Engine`] checkpoint and the durable store's closed-delta
 /// files. `None` if an aggregator declines checkpointing.
 pub(crate) fn write_closed_groups(out: &mut Vec<u8>, groups: &[ClosedGroup]) -> Option<()> {
-    fd_core::checkpoint::put_u64(out, groups.len() as u64);
+    groups.len().put(out);
     for g in groups {
-        fd_core::checkpoint::put_u64(out, g.bucket);
-        fd_core::checkpoint::put_u64(out, g.key);
+        g.bucket.put(out);
+        g.key.put(out);
         crate::udaf::write_agg(out, g.agg.as_ref())?;
     }
     Some(())
@@ -626,14 +647,13 @@ pub(crate) fn read_closed_groups(
     r: &mut fd_core::checkpoint::Reader<'_>,
     query: &Query,
 ) -> Result<Vec<ClosedGroup>, fd_core::checkpoint::CodecError> {
-    let n = r.u64()? as usize;
-    // A group is at least its three length words: bound the claimed count
-    // by what the bytes can hold before allocating for it.
-    let mut groups = Vec::with_capacity(n.min(r.remaining() / 24));
+    // A group is at least its three length words.
+    let n = r.count(24)?;
+    let mut groups = Vec::with_capacity(r.reserve(n, std::mem::size_of::<ClosedGroup>()));
     for _ in 0..n {
-        let bucket = r.u64()?;
-        let key = r.u64()?;
-        let len = r.u64()? as usize;
+        let bucket = u64::take(r)?;
+        let key = u64::take(r)?;
+        let len = u64::take(r)? as usize;
         let mut agg = query
             .aggregate
             .make(bucket_start(bucket, query.bucket_micros));
@@ -643,11 +663,10 @@ pub(crate) fn read_closed_groups(
     Ok(groups)
 }
 
-/// The serde-encoded head of an [`Engine`] checkpoint: everything small
-/// and irregular. The per-group bulk (HFTA buckets, LFTA slots, closed
-/// state) is hand-packed into a flat blob after it — see
-/// [`Engine::checkpoint`] for the layout and the why.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// The head of an [`Engine`] checkpoint: everything small and irregular.
+/// The per-group bulk (HFTA buckets, LFTA slots, closed state) is packed
+/// into a flat blob before it — see [`Engine::checkpoint`] for the layout
+/// and the why.
 struct EngineHeader {
     watermark: Micros,
     closed_below: u64,
@@ -658,6 +677,18 @@ struct EngineHeader {
     /// Pending rows (row mode).
     rows: Vec<Row>,
 }
+
+fd_core::codec_struct!(EngineHeader {
+    watermark: Micros,
+    closed_below: u64,
+    stats: EngineStats,
+    state_mode: bool,
+    lfta: Option<(u64, u64, u64)>,
+    rows: Vec<Row>,
+} check |h| require(
+    (h.lfta).is_none_or(|(_, evictions, updates)| evictions.max(updates) <= MAX_COUNT),
+    "LFTA counters past 2^62",
+));
 
 #[cfg(test)]
 mod tests {

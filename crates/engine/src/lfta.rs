@@ -145,18 +145,18 @@ impl Lfta {
     /// Returns `None` if any resident aggregator declines
     /// [`Aggregator::checkpoint`].
     pub(crate) fn snapshot_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        use fd_core::checkpoint::put_u64;
+        use fd_core::checkpoint::Encode;
         // Count residents while writing them (patching the count in after)
         // rather than paying a second full-table scan up front.
         let count_pos = out.len();
-        put_u64(out, 0);
+        0u64.put(out);
         let mut resident = 0u64;
         for (idx, slot) in self.slots.iter().enumerate() {
             if let Some(s) = slot {
                 resident += 1;
-                put_u64(out, idx as u64);
-                put_u64(out, s.key);
-                put_u64(out, s.bucket);
+                idx.put(out);
+                s.key.put(out);
+                s.bucket.put(out);
                 crate::udaf::write_agg(out, s.agg.as_ref())?;
             }
         }
@@ -177,16 +177,17 @@ impl Lfta {
         factory: &dyn AggregatorFactory,
         bucket_micros: Micros,
     ) -> Result<Self, fd_core::checkpoint::CodecError> {
-        use fd_core::checkpoint::CodecError;
+        use fd_core::checkpoint::{CodecError, Decode};
         let mut lfta = Lfta::new(n_slots);
         lfta.evictions = evictions;
         lfta.updates = updates;
-        let resident = r.u64()?;
+        // A resident is at least its slot, key, bucket and state length.
+        let resident = r.count(32)?;
         for _ in 0..resident {
-            let idx = r.u64()? as usize;
-            let key = r.u64()?;
-            let bucket = r.u64()?;
-            let len = r.u64()? as usize;
+            let idx = u64::take(r)? as usize;
+            let key = u64::take(r)?;
+            let bucket = u64::take(r)?;
+            let len = u64::take(r)? as usize;
             let bytes = r.bytes(len)?;
             if idx >= lfta.slots.len() {
                 return Err(CodecError::new(format!("LFTA slot {idx} out of range")));

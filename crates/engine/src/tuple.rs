@@ -2,7 +2,6 @@
 //! stream schemas of the paper's GSQL queries.
 
 use fd_core::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// Engine timestamps: microseconds since an arbitrary epoch — the same
 /// clock as [`fd_core::Timestamp`], kept unsigned in the tuple format.
@@ -42,7 +41,7 @@ pub(crate) fn bucket_end(bucket: u64, width: Micros) -> Micros {
 }
 
 /// Transport protocol of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Proto {
     /// TCP traffic (the main streams of Figures 2–5).
     Tcp,
@@ -51,7 +50,7 @@ pub enum Proto {
 }
 
 /// One observed packet — the tuple type flowing through every query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Observation timestamp (microseconds).
     pub ts: Micros,
@@ -155,14 +154,5 @@ mod tests {
         assert_ne!(a.dst_key(), b.dst_key());
         assert_ne!(a.dst_key(), c.dst_key());
         assert_eq!(a.dst_host(), b.dst_host());
-    }
-
-    #[test]
-    fn packet_is_serializable() {
-        // Compile-time check that the serde derives are usable behind
-        // generic bounds (no serializer crate in the dependency tree).
-        fn assert_serde<T: serde::Serialize + for<'a> serde::Deserialize<'a>>() {}
-        assert_serde::<Packet>();
-        assert_serde::<Proto>();
     }
 }

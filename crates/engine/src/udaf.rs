@@ -15,11 +15,13 @@ use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
+use fd_core::checkpoint::{CodecError, Decode, Encode, Reader};
+
 use crate::tuple::{Micros, Packet, MICROS_PER_SEC};
 
 /// A single reported item with an associated value (a heavy hitter and its
 /// count, a sampled key, a quantile, …).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ItemValue {
     /// The item (group-internal key: an IP, a port pair, a sampled value…).
     pub item: u64,
@@ -27,8 +29,13 @@ pub struct ItemValue {
     pub value: f64,
 }
 
+fd_core::codec_struct!(ItemValue {
+    item: u64,
+    value: f64
+});
+
 /// The value a group's aggregator emits when its time bucket closes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AggValue {
     /// A scalar (count, sum, average, …).
     Float(f64),
@@ -38,6 +45,46 @@ pub enum AggValue {
     /// `select count(*), sum(len), …` shape) — see
     /// [`crate::aggregators::multi_factory`].
     Multi(Vec<AggValue>),
+}
+
+/// A `u32` variant index, then the float or the list.
+impl Encode for AggValue {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            AggValue::Float(x) => (0u32, x).put(out),
+            AggValue::Items(items) => (1u32, items).put(out),
+            AggValue::Multi(parts) => (2u32, parts).put(out),
+        }
+    }
+}
+
+/// How deep `Multi` values may nest in a decoded row: far past any
+/// composite a query builds, and short of recursing a decoder off its
+/// stack on hostile bytes.
+const MAX_NESTING: usize = 32;
+
+impl Decode for AggValue {
+    const MIN_BYTES: usize = 4 + 8;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        fn nested(r: &mut Reader<'_>, depth: usize) -> Result<AggValue, CodecError> {
+            Ok(match u32::take(r)? {
+                0 => AggValue::Float(f64::take(r)?),
+                1 => AggValue::Items(Vec::take(r)?),
+                2 if depth < MAX_NESTING => {
+                    let n = r.count(AggValue::MIN_BYTES)?;
+                    let mut parts =
+                        Vec::with_capacity(r.reserve(n, std::mem::size_of::<AggValue>()));
+                    for _ in 0..n {
+                        parts.push(nested(r, depth + 1)?);
+                    }
+                    AggValue::Multi(parts)
+                }
+                v => return Err(CodecError::new(format!("no aggregate value {v} here"))),
+            })
+        }
+        nested(r, 0)
+    }
 }
 
 impl AggValue {
@@ -576,5 +623,28 @@ mod tests {
         }]);
         assert_eq!(items.as_items().unwrap().len(), 1);
         assert_eq!(format!("{items}"), "[9:2.000]");
+    }
+
+    #[test]
+    fn agg_values_round_trip_and_nest_only_so_deep() {
+        use fd_core::checkpoint::{from_bytes, to_bytes};
+        let nested =
+            |depth: usize| (0..depth).fold(AggValue::Float(0.5), |v, _| AggValue::Multi(vec![v]));
+        let value = AggValue::Multi(vec![
+            AggValue::Float(-0.0),
+            AggValue::Items(vec![ItemValue {
+                item: 3,
+                value: 4.0,
+            }]),
+            nested(2),
+        ]);
+        let bytes = to_bytes(&value);
+        assert_eq!(from_bytes::<AggValue>(&bytes), Ok(value));
+        let deepest = to_bytes(&nested(MAX_NESTING));
+        assert_eq!(from_bytes::<AggValue>(&deepest), Ok(nested(MAX_NESTING)));
+        // One level deeper than a decoder recurses is refused, not followed
+        // down the stack.
+        let too_deep = to_bytes(&nested(MAX_NESTING + 1));
+        assert!(from_bytes::<AggValue>(&too_deep).is_err());
     }
 }

@@ -6,7 +6,7 @@ use forward_decay::core::aggregates::{DecayedCount, DecayedSum, DecayedVariance}
 use forward_decay::core::backward::{
     DeterministicWave, ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH,
 };
-use forward_decay::core::checkpoint::{from_bytes, to_bytes};
+use forward_decay::core::checkpoint::{from_bytes, to_bytes, Decode, Encode};
 use forward_decay::core::cm::CmSketch;
 use forward_decay::core::decay::{AnyDecay, BackExponential, Exponential, Monomial};
 use forward_decay::core::distinct::{DominanceSketch, ExactDominance};
@@ -32,7 +32,7 @@ fn trace() -> Vec<Packet> {
 /// both the original and the restored copy, and compares via `query`.
 fn check_roundtrip<S, Q>(mut summary: S, mut feed: impl FnMut(&mut S, &Packet), query: Q)
 where
-    S: serde::Serialize + serde::de::DeserializeOwned,
+    S: Encode + Decode,
     Q: Fn(&S) -> f64,
 {
     let packets = trace();
@@ -40,7 +40,7 @@ where
     for p in &packets[..mid] {
         feed(&mut summary, p);
     }
-    let snapshot = to_bytes(&summary).expect("serialize");
+    let snapshot = to_bytes(&summary);
     let mut restored: S = from_bytes(&snapshot).expect("deserialize");
     // The summaries that still sum over a HashMap (sliding-window and
     // prefix heavy hitters, the exact dominance norm) iterate it in a
@@ -220,8 +220,7 @@ fn restored_summary_merges_across_renormalization_gap() {
         Summary::stats(&ahead).renormalizations >= 1,
         "the fast shard must actually have renormalized"
     );
-    let restored: DecayedCount<Exponential> =
-        from_bytes(&to_bytes(&ahead).expect("serialize")).expect("restore");
+    let restored: DecayedCount<Exponential> = from_bytes(&to_bytes(&ahead)).expect("restore");
     assert_eq!(
         Summary::stats(&restored).renormalizations,
         Summary::stats(&ahead).renormalizations,
@@ -260,8 +259,8 @@ fn snapshots_are_compact() {
         sum.update(p.ts_secs(), p.len as f64);
         ss.update(p.dst_host(), 1.0);
     }
-    let sum_bytes = to_bytes(&sum).unwrap();
-    let ss_bytes = to_bytes(&ss).unwrap();
+    let sum_bytes = to_bytes(&sum);
+    let ss_bytes = to_bytes(&ss);
     assert!(
         sum_bytes.len() < 128,
         "scalar snapshot is {} bytes",
@@ -278,7 +277,7 @@ fn snapshots_are_compact() {
 fn corrupted_snapshots_fail_loudly() {
     let mut q = QDigest::with_epsilon(8, 0.1);
     q.update(5, 1.0);
-    let mut bytes = to_bytes(&q).unwrap();
+    let mut bytes = to_bytes(&q);
     bytes.truncate(bytes.len() / 2);
     assert!(from_bytes::<QDigest>(&bytes).is_err());
 }
@@ -296,17 +295,17 @@ fn quantile_checkpoints_are_canonical() {
         a.update(p.ts_secs(), p.len as u64);
         b.update(p.ts_secs(), p.len as u64);
     }
-    let bytes = to_bytes(&a).expect("serialize");
+    let bytes = to_bytes(&a);
     assert!(
-        bytes == to_bytes(&b).expect("serialize"),
+        bytes == to_bytes(&b),
         "one stream, two instances, different bytes"
     );
     // Restoring folds the pending arrivals in, so the first round trip may
     // reorder; from then on checkpoint ∘ restore is the identity.
     let restore =
         |bytes: &[u8]| from_bytes::<DecayedQuantiles<Exponential>>(bytes).expect("restore");
-    let once = to_bytes(&restore(&bytes)).expect("serialize");
-    let twice = to_bytes(&restore(&once)).expect("serialize");
+    let once = to_bytes(&restore(&bytes));
+    let twice = to_bytes(&restore(&once));
     assert!(once == twice, "checkpoint ∘ restore is not a fixed point");
     assert!(once.len() <= bytes.len());
     for phi in [0.0, 0.5, 0.99, 1.0] {

@@ -9,9 +9,9 @@
 //!   independently, then folded with `Mergeable::merge_from` (shards
 //!   renormalize at different times, so this exercises landmark alignment);
 //! - **checkpointed** — snapshot to bytes mid-stream, restore, continue.
-//!   The samplers carry raw RNG state without serde derives, so they have
-//!   no checkpoint path — that exclusion is deliberate and documented
-//!   (see DESIGN.md §6), not a silent skip.
+//!   The samplers carry raw RNG state with no `Encode` / `Decode` impl,
+//!   so they have no checkpoint path — that exclusion is deliberate and
+//!   documented (see DESIGN.md §6), not a silent skip.
 //!
 //! Error budgets: the O(1) aggregates and `ExactDominance` must agree to
 //! floating-point accumulation order (1e-6 relative, against a
@@ -30,7 +30,7 @@
 use forward_decay::core::aggregates::{
     DecayedAverage, DecayedCount, DecayedExtremum, DecayedSum, DecayedVariance,
 };
-use forward_decay::core::checkpoint::{from_bytes, to_bytes};
+use forward_decay::core::checkpoint::{from_bytes, to_bytes, Decode, Encode};
 use forward_decay::core::cm::DecayedCmHeavyHitters;
 use forward_decay::core::decay::{AnyDecay, Exponential, ForwardDecay, Monomial, NoDecay};
 use forward_decay::core::distinct::{DominanceSketch, ExactDominance};
@@ -132,14 +132,14 @@ fn drive_checkpointed<S>(
     events: &[OracleEvent],
 ) -> S
 where
-    S: Summary + serde::Serialize + serde::de::DeserializeOwned,
+    S: Summary + Encode + Decode,
 {
     let mid = events.len() / 2;
     let mut s = mk(0);
     for e in &events[..mid] {
         s.update_at(e.t, upd(e));
     }
-    let bytes = to_bytes(&s).expect("serialize mid-stream");
+    let bytes = to_bytes(&s);
     let mut s: S = from_bytes(&bytes).expect("restore mid-stream");
     for e in &events[mid..] {
         s.update_at(e.t, upd(e));
@@ -517,7 +517,7 @@ fn differential_dominance() {
 
 // ---------------------------------------------------------------------------
 // Samplers. No checkpoint path: WithReplacementSampler / WeightedReservoir /
-// PrioritySampler hold raw `SmallRng` state without serde derives, so they
+// PrioritySampler hold raw `SmallRng` state that is not encoded, so they
 // are not checkpointable by design (DESIGN.md §6) — scalar, batched and
 // merged paths only. Samples are random, so the checks are structural:
 // membership in the stream, size bounds, internal invariants, and the
