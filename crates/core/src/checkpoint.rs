@@ -31,8 +31,10 @@
 //! assert_eq!(sum.query(10.0), restored.query(10.0));
 //! ```
 //!
-//! The randomized samplers do not checkpoint: their engine factories
-//! decline, so a supervised shard running one replays instead of restoring.
+//! The randomized samplers are no exception: their keys and priorities are
+//! fixed at arrival like any decayed weight, and their generator's state
+//! is four more words, so a restored sampler draws on exactly where the
+//! checkpointed one stopped.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -370,10 +372,11 @@ impl<K: Decode + Eq + Hash, V: Decode, S: BuildHasher + Default> Decode for Hash
 }
 
 /// Implements [`Encode`] and [`Decode`] for a plain struct, written as its
-/// fields in wire order: each is put, and taken back, in turn. Generic
-/// parameters carry one bound each (`Name<G: Bound>`); a trailing `check`
-/// is a function of the decoded `&Self` whose `Err` refuses it, for a
-/// struct whose fields must agree with each other.
+/// fields in wire order: each is put, and taken back, in turn. A generic
+/// parameter is bound by the trait being implemented plus at most one
+/// bound of its own (`Name<T, G: Bound>`); a trailing `check` is a
+/// function of the decoded `&Self` whose `Err` refuses it, for a struct
+/// whose fields must agree with each other.
 ///
 /// ```
 /// use fd_core::checkpoint::{from_bytes, require, to_bytes};
@@ -393,15 +396,19 @@ impl<K: Decode + Eq + Hash, V: Decode, S: BuildHasher + Default> Decode for Hash
 /// ```
 #[macro_export]
 macro_rules! codec_struct {
-    ($ty:ident $(<$($g:ident: $bound:path),+>)?
+    ($ty:ident $(<$($g:ident $(: $bound:path)?),+>)?
         { $($field:ident: $fty:ty),* $(,)? } $(check $check:expr)?) => {
-        impl$(<$($g: $bound),+>)? $crate::checkpoint::Encode for $ty$(<$($g),+>)? {
+        impl$(<$($g: $crate::checkpoint::Encode $(+ $bound)?),+>)? $crate::checkpoint::Encode
+            for $ty$(<$($g),+>)?
+        {
             fn put(&self, _out: &mut Vec<u8>) {
                 $($crate::checkpoint::Encode::put(&self.$field, _out);)*
             }
         }
 
-        impl$(<$($g: $bound),+>)? $crate::checkpoint::Decode for $ty$(<$($g),+>)? {
+        impl$(<$($g: $crate::checkpoint::Decode $(+ $bound)?),+>)? $crate::checkpoint::Decode
+            for $ty$(<$($g),+>)?
+        {
             const MIN_BYTES: usize = 0 $(+ <$fty as $crate::checkpoint::Decode>::MIN_BYTES)*;
 
             fn take(

@@ -26,13 +26,6 @@ pub trait Mergeable {
     fn merge_from(&mut self, other: &Self);
 }
 
-/// An undecayed count of a union is the sum of the counts.
-impl Mergeable for u64 {
-    fn merge_from(&mut self, other: &Self) {
-        *self += other;
-    }
-}
-
 /// An undecayed sum of a union is the sum of the sums.
 impl Mergeable for f64 {
     fn merge_from(&mut self, other: &Self) {

@@ -196,6 +196,8 @@ pub struct LogSum {
     ln_total: f64,
 }
 
+crate::codec_struct!(LogSum { ln_total: f64 });
+
 impl Default for LogSum {
     fn default() -> Self {
         Self::new()

@@ -23,6 +23,10 @@
 //!
 //! All samplers work entirely in the log domain, so exponential decay over
 //! arbitrarily long streams needs no renormalization pass at all.
+//!
+//! Keys and priorities are fixed at arrival, so the five samplers above
+//! checkpoint ([`crate::checkpoint`]) as plain data, their generator's
+//! state included: a restored sampler draws on where it stopped.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -30,6 +34,8 @@ use std::collections::BinaryHeap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::checkpoint::{require, CodecError, Decode, Encode, Reader, MAX_COUNT};
+use crate::codec_struct;
 use crate::decay::{Exponential, ForwardDecay};
 use crate::merge::Mergeable;
 use crate::numerics::{LogSum, Renormalizer};
@@ -62,6 +68,248 @@ fn open_unit<R: Rng>(rng: &mut R) -> f64 {
     }
 }
 
+/// The generator's four state words.
+impl Encode for SmallRng {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.state().iter().for_each(|word| word.put(out));
+    }
+}
+
+/// Refuses the all-zero state, from which xoshiro draws nothing but zeros.
+impl Decode for SmallRng {
+    const MIN_BYTES: usize = 32;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let state = [u64::take(r)?, u64::take(r)?, u64::take(r)?, u64::take(r)?];
+        SmallRng::from_state(state).ok_or_else(|| CodecError::new("an all-zero generator state"))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The top-k core of the weighted samplers
+// ---------------------------------------------------------------------------
+
+/// One arrival a [`TopK`] keeps: its key, what a sample shows of it, and
+/// its weight `ln w`.
+#[derive(Debug, Clone)]
+struct Kept<T> {
+    key: f64,
+    entry: SampleEntry<T>,
+    ln_w: f64,
+}
+
+codec_struct!(Kept<T> { key: f64, entry: SampleEntry<T>, ln_w: f64 });
+
+/// What [`WeightedReservoir`] (`PRIORITY = false`) and [`PrioritySampler`]
+/// (`true`) share. An arrival of weight `ln w` draws a uniform `u` and is
+/// keyed `−rank = −(ln ln(1/u) − ln w)` or the priority `ln q = ln w − ln u`;
+/// the `cap` largest keys are kept in `entries`, with a min-heap of
+/// `(key, slot)` whose root is the weakest and a free list of emptied slots,
+/// reused last-freed first. Of two equal keys the lower slot is the weaker
+/// priority but the stronger rank: each sampler's order before they shared
+/// this core.
+#[derive(Debug, Clone)]
+struct TopK<G, T, const PRIORITY: bool> {
+    g: G,
+    landmark: Timestamp,
+    cap: usize,
+    heap: BinaryHeap<Reverse<(OrdF64, u64)>>,
+    entries: Vec<Option<Kept<T>>>,
+    free: Vec<u64>,
+    rng: SmallRng,
+    /// Arrivals offered, and how many of them were kept when offered.
+    n: u64,
+    accepted: u64,
+}
+
+impl<G: ForwardDecay, T: Clone, const PRIORITY: bool> TopK<G, T, PRIORITY> {
+    fn new(g: G, landmark: Timestamp, cap: usize, seed: u64) -> Self {
+        Self {
+            g,
+            landmark,
+            cap,
+            heap: BinaryHeap::with_capacity(cap + 1),
+            entries: Vec::with_capacity(cap + 1),
+            free: Vec::new(),
+            rng: SmallRng::seed_from_u64(seed),
+            n: 0,
+            accepted: 0,
+        }
+    }
+
+    fn update(&mut self, t_i: Timestamp, item: &T) {
+        let t_i = crate::decay::clamp_to_landmark(t_i, self.landmark);
+        let ln_w = self.g.ln_g(t_i - self.landmark);
+        self.arrive(t_i, item, ln_w);
+    }
+
+    fn update_batch(&mut self, ts: &[Timestamp], items: &[T]) {
+        assert_eq!(ts.len(), items.len(), "columnar batch slices must align");
+        let mut k = crate::kernel::WeightKernel::new(self.g.clone());
+        for (&t_i, item) in ts.iter().zip(items) {
+            let t_i = crate::decay::clamp_to_landmark(t_i, self.landmark);
+            let ln_w = k.ln_g(t_i - self.landmark);
+            self.arrive(t_i, item, ln_w);
+        }
+    }
+
+    /// Counts an arrival and, unless its weight is zero, offers it.
+    fn arrive(&mut self, t: Timestamp, item: &T, ln_w: f64) {
+        self.n += 1;
+        if ln_w == f64::NEG_INFINITY {
+            return;
+        }
+        let u = open_unit(&mut self.rng);
+        let key = if PRIORITY {
+            ln_w - u.ln()
+        } else {
+            -((-(u.ln())).ln() - ln_w)
+        };
+        let kept = || Kept {
+            key,
+            entry: SampleEntry {
+                item: item.clone(),
+                t,
+            },
+            ln_w,
+        };
+        if self.offer(key, kept) {
+            self.accepted += 1;
+        }
+    }
+}
+
+impl<G, T, const PRIORITY: bool> TopK<G, T, PRIORITY> {
+    /// The heap's second key for `slot`, and its own inverse.
+    fn tie(slot: u64) -> u64 {
+        if PRIORITY {
+            slot
+        } else {
+            !slot
+        }
+    }
+
+    /// The weakest kept key, if any entry is kept.
+    fn weakest(&self) -> Option<f64> {
+        self.heap.peek().map(|&Reverse((OrdF64(key), _))| key)
+    }
+
+    /// Keeps what `make` builds under `key`, unless the core is full and
+    /// `key` is no stronger than its weakest — then `make` never runs.
+    /// Says whether it kept it.
+    fn offer(&mut self, key: f64, make: impl FnOnce() -> Kept<T>) -> bool {
+        if self.heap.len() == self.cap && self.weakest().is_some_and(|weakest| key <= weakest) {
+            return false;
+        }
+        let kept = Some(make());
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot as usize] = kept;
+                slot
+            }
+            None => {
+                self.entries.push(kept);
+                (self.entries.len() - 1) as u64
+            }
+        };
+        self.heap.push(Reverse((OrdF64(key), Self::tie(slot))));
+        if self.heap.len() > self.cap {
+            if let Some(Reverse((_, tie))) = self.heap.pop() {
+                let evicted = Self::tie(tie);
+                self.entries[evicted as usize] = None;
+                self.free.push(evicted);
+            }
+        }
+        true
+    }
+
+    /// The kept arrivals, in slot order.
+    fn kept(&self) -> impl Iterator<Item = &Kept<T>> {
+        self.entries.iter().flatten()
+    }
+
+    /// The decoder's refusals and both samplers' invariants: each empty
+    /// slot freed once, the heap keying the rest, no more kept than fit.
+    fn check(&self) -> Result<(), CodecError> {
+        let mut freed = vec![false; self.entries.len()];
+        for &slot in &self.free {
+            let empty = usize::try_from(slot)
+                .ok()
+                .filter(|&s| matches!(self.entries.get(s), Some(None)));
+            require(
+                empty.is_some_and(|s| !std::mem::replace(&mut freed[s], true)),
+                "a free list naming a live, missing or repeated slot",
+            )?;
+        }
+        let kept = self.entries.len() - self.free.len();
+        let counted = self.accepted <= self.n && self.n <= MAX_COUNT;
+        require(
+            self.heap.len() == kept && kept <= self.cap && counted,
+            "a miscounted sample",
+        )
+    }
+
+    fn stats(&self) -> SummaryStats {
+        SummaryStats {
+            renormalizations: 0,
+            occupancy: self.heap.len() as u64,
+            capacity: self.cap as u64,
+            items: self.n,
+            accepted: self.accepted,
+        }
+    }
+}
+
+impl<G: ForwardDecay, T: Clone, const PRIORITY: bool> Mergeable for TopK<G, T, PRIORITY> {
+    /// Offers every arrival `other` keeps, in its slot order.
+    fn merge_from(&mut self, other: &Self) {
+        assert_eq!(self.cap, other.cap, "sample sizes must match");
+        assert_eq!(self.landmark, other.landmark, "landmarks must match");
+        for kept in other.kept() {
+            self.offer(kept.key, || kept.clone());
+        }
+        self.n += other.n;
+    }
+}
+
+/// Every field in order but the heap, which the keys rebuild.
+impl<G: Encode, T: Encode, const PRIORITY: bool> Encode for TopK<G, T, PRIORITY> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (&self.g, self.landmark, self.cap).put(out);
+        (&self.entries, &self.free, &self.rng).put(out);
+        (self.n, self.accepted).put(out);
+    }
+}
+
+/// Refuses what [`TopK::check`] refuses.
+impl<G: Decode, T: Decode, const PRIORITY: bool> Decode for TopK<G, T, PRIORITY> {
+    const MIN_BYTES: usize = G::MIN_BYTES + 8 + 8 + 8 + 8 + 32 + 16;
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (g, landmark, cap) = Decode::take(r)?;
+        let (entries, free, rng): (Vec<Option<Kept<T>>>, Vec<u64>, _) = Decode::take(r)?;
+        let (n, accepted) = Decode::take(r)?;
+        let heap = (entries.iter().enumerate())
+            .filter_map(|(slot, e)| {
+                Some(Reverse((OrdF64(e.as_ref()?.key), Self::tie(slot as u64))))
+            })
+            .collect();
+        let core = Self {
+            g,
+            landmark,
+            cap,
+            heap,
+            entries,
+            free,
+            rng,
+            n,
+            accepted,
+        };
+        core.check()?;
+        Ok(core)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Unweighted reservoir sampling (baseline)
 // ---------------------------------------------------------------------------
@@ -80,6 +328,12 @@ pub struct ReservoirSampler<T> {
     skip: u64,
     rng: SmallRng,
 }
+
+codec_struct!(ReservoirSampler<T> { k: usize, reservoir: Vec<T>, n: u64, w: f64, skip: u64, rng: SmallRng }
+check |s| {
+    require(s.k > 0 && s.reservoir.len() <= s.k, "a reservoir longer than k")?;
+    require(s.n <= MAX_COUNT && s.reservoir.len() as u64 <= s.n, "a reservoir of unseen items")
+});
 
 impl<T: Clone> ReservoirSampler<T> {
     /// Creates a reservoir of size `k` with the given RNG seed.
@@ -155,7 +409,7 @@ impl<T: Clone> Mergeable for ReservoirSampler<T> {
         let mut left = self.reservoir.clone();
         let mut right = other.reservoir.clone();
         let (mut n1, mut n2) = (self.n, other.n);
-        let mut merged = Vec::with_capacity(self.k);
+        let mut merged = Vec::with_capacity(self.k.min(left.len() + right.len()));
         while merged.len() < self.k && (n1 > 0 || n2 > 0) {
             let take_left = if n2 == 0 {
                 true
@@ -204,6 +458,8 @@ struct Chain<T> {
     ln_threshold: f64,
 }
 
+codec_struct!(Chain<T> { item: Option<T>, ln_threshold: f64 });
+
 /// Sampling *with replacement* under forward decay (Theorem 5): `s`
 /// independent chains, each holding one item; chain `j` replaces its item
 /// with arrival `i` with probability `g(t_i − L) / W_i` where `W_i` is the
@@ -231,6 +487,12 @@ pub struct WithReplacementSampler<T, G: ForwardDecay> {
     draws: u64,
     n: u64,
 }
+
+codec_struct!(WithReplacementSampler<T, G: ForwardDecay> {
+    g: G, landmark: Timestamp, chains: Vec<Chain<T>>, total: LogSum, rng: SmallRng, draws: u64, n: u64
+} check |s| {
+    require(!s.chains.is_empty() && s.n.max(s.draws) <= MAX_COUNT, "no chains, or 2^62 draws")
+});
 
 impl<T: Clone, G: ForwardDecay> WithReplacementSampler<T, G> {
     /// Creates a sampler of `s` independent chains.
@@ -357,41 +619,34 @@ impl<T: Clone, G: ForwardDecay> Mergeable for WithReplacementSampler<T, G> {
 // Efraimidis–Spirakis weighted reservoir sampling (Theorem 6)
 // ---------------------------------------------------------------------------
 
-/// An entry of a without-replacement sample: the item, its timestamp, and
-/// the (internal, log-domain) rank that selected it.
+/// An entry of a without-replacement sample: the item and its timestamp.
 #[derive(Debug, Clone)]
 pub struct SampleEntry<T> {
     /// The sampled item.
     pub item: T,
     /// Its arrival timestamp.
     pub t: Timestamp,
-    /// Internal selection key (log-domain; smaller = stronger for ES ranks,
-    /// larger = stronger for priorities).
-    key: f64,
 }
+
+codec_struct!(SampleEntry<T> { item: T, t: Timestamp });
 
 /// Weighted reservoir sampling *without replacement* (Efraimidis–Spirakis,
 /// as adopted in Theorem 6): item `i` draws `u_i ~ U(0,1)` and gets key
 /// `p_i = u_i^{1/w_i}`; the sample is the `k` items with the largest keys.
 ///
-/// Keys are kept as `ln(−ln p_i) = ln(ln(1/u_i)) − ln w_i` (monotone in
-/// `−p_i`), which stays finite for any exponential-decay weight — this is
+/// Keys are kept as ranks `ln(−ln p_i) = ln(ln(1/u_i)) − ln w_i` (monotone
+/// in `−p_i`), which stay finite for any exponential-decay weight — this is
 /// precisely what makes the forward view numerically effortless.
 ///
-/// O(k) space, O(log k) per update (a max-heap of the k smallest ranks).
+/// O(k) space, O(log k) per update (a heap of the k smallest ranks).
 #[derive(Debug, Clone)]
 pub struct WeightedReservoir<T, G: ForwardDecay> {
-    g: G,
-    landmark: Timestamp,
-    k: usize,
-    /// Max-heap on rank: the root is the *weakest* member of the sample.
-    heap: BinaryHeap<(OrdF64, u64)>,
-    entries: Vec<Option<SampleEntry<T>>>,
-    free: Vec<u64>,
-    rng: SmallRng,
-    n: u64,
-    accepted: u64,
+    /// The k smallest ranks, kept as the largest keys `−rank`.
+    core: TopK<G, T, false>,
 }
+
+codec_struct!(WeightedReservoir<T, G: ForwardDecay> { core: TopK<G, T, false> }
+    check |s| require(s.core.cap > 0, "a weighted reservoir of no size"));
 
 impl<T: Clone, G: ForwardDecay> WeightedReservoir<T, G> {
     /// Creates a weighted reservoir of size `k`.
@@ -399,27 +654,16 @@ impl<T: Clone, G: ForwardDecay> WeightedReservoir<T, G> {
     /// # Panics
     /// Panics if `k == 0`.
     pub fn new(g: G, landmark: impl Into<Timestamp>, k: usize, seed: u64) -> Self {
-        let landmark = landmark.into();
         assert!(k > 0);
         Self {
-            g,
-            landmark,
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
-            entries: Vec::with_capacity(k + 1),
-            free: Vec::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            n: 0,
-            accepted: 0,
+            core: TopK::new(g, landmark.into(), k, seed),
         }
     }
 
     /// Offers `(t_i, item)`; pre-landmark timestamps clamp to the landmark.
     /// O(log k).
     pub fn update(&mut self, t_i: impl Into<Timestamp>, item: &T) {
-        let t_i = crate::decay::clamp_to_landmark(t_i.into(), self.landmark);
-        let ln_w = self.g.ln_g(t_i - self.landmark);
-        self.offer(t_i, item, ln_w);
+        self.core.update(t_i.into(), item);
     }
 
     /// Offers a columnar batch: `ts[i]` pairs with `items[i]`.
@@ -433,95 +677,34 @@ impl<T: Clone, G: ForwardDecay> WeightedReservoir<T, G> {
     /// # Panics
     /// Panics if the slices' lengths differ.
     pub fn update_batch(&mut self, ts: &[Timestamp], items: &[T]) {
-        assert_eq!(ts.len(), items.len(), "columnar batch slices must align");
-        let mut k = crate::kernel::WeightKernel::new(self.g.clone());
-        for (&t_i, item) in ts.iter().zip(items) {
-            let t_i = crate::decay::clamp_to_landmark(t_i, self.landmark);
-            let ln_w = k.ln_g(t_i - self.landmark);
-            self.offer(t_i, item, ln_w);
-        }
-    }
-
-    /// The shared tail of [`update`](Self::update) /
-    /// [`update_batch`](Self::update_batch), after `ln_w` is known.
-    fn offer(&mut self, t_i: Timestamp, item: &T, ln_w: f64) {
-        self.n += 1;
-        if ln_w == f64::NEG_INFINITY {
-            return;
-        }
-        let u = open_unit(&mut self.rng);
-        // rank = ln(ln(1/u)) − ln w; smaller rank ⇔ larger key u^{1/w}.
-        let rank = (-(u.ln())).ln() - ln_w;
-        if self.heap.len() == self.k {
-            let &(OrdF64(worst), _) = self.heap.peek().expect("non-empty");
-            if rank >= worst {
-                return;
-            }
-        }
-        self.accepted += 1;
-        self.insert_entry(
-            rank,
-            SampleEntry {
-                item: item.clone(),
-                t: t_i,
-                key: rank,
-            },
-        );
-    }
-
-    fn insert_entry(&mut self, rank: f64, entry: SampleEntry<T>) {
-        let slot = if let Some(s) = self.free.pop() {
-            self.entries[s as usize] = Some(entry);
-            s
-        } else {
-            self.entries.push(Some(entry));
-            (self.entries.len() - 1) as u64
-        };
-        self.heap.push((OrdF64(rank), slot));
-        if self.heap.len() > self.k {
-            let (_, evicted) = self.heap.pop().expect("non-empty");
-            self.entries[evicted as usize] = None;
-            self.free.push(evicted);
-        }
+        self.core.update_batch(ts, items);
     }
 
     /// The current sample, in no particular order.
     pub fn sample(&self) -> Vec<&SampleEntry<T>> {
-        self.entries.iter().filter_map(|e| e.as_ref()).collect()
+        self.core.kept().map(|k| &k.entry).collect()
     }
 
     /// Number of items offered so far.
     pub fn items_seen(&self) -> u64 {
-        self.n
+        self.core.n
     }
 
     /// Sample capacity `k`.
     pub fn capacity(&self) -> usize {
-        self.k
+        self.core.cap
     }
 }
 
+/// Keys are independent across items, so the sample of the union is the
+/// `k` best-ranked entries of the union of samples.
+///
+/// "Independent across items" requires the shards themselves to be seeded
+/// differently; same-seed shards re-draw the same uniforms and the merged
+/// sample is no longer distributed like a single-stream run.
 impl<T: Clone, G: ForwardDecay> Mergeable for WeightedReservoir<T, G> {
-    /// Keys are independent across items, so the sample of the union is the
-    /// `k` best-ranked entries of the union of samples.
-    ///
-    /// "Independent across items" requires the shards themselves to be
-    /// seeded differently; same-seed shards re-draw the same uniforms and
-    /// the merged sample is no longer distributed like a single-stream run.
     fn merge_from(&mut self, other: &Self) {
-        assert_eq!(self.k, other.k, "sample sizes must match");
-        assert_eq!(self.landmark, other.landmark, "landmarks must match");
-        for e in other.sample() {
-            let rank = e.key;
-            if self.heap.len() == self.k {
-                let &(OrdF64(worst), _) = self.heap.peek().expect("non-empty");
-                if rank >= worst {
-                    continue;
-                }
-            }
-            self.insert_entry(rank, e.clone());
-        }
-        self.n += other.n;
+        self.core.merge_from(&other.core);
     }
 }
 
@@ -534,7 +717,6 @@ pub fn exp_decay_sample<T: Clone>(
     k: usize,
     seed: u64,
 ) -> WeightedReservoir<T, Exponential> {
-    let landmark = landmark.into();
     WeightedReservoir::new(Exponential::new(alpha), landmark, k, seed)
 }
 
@@ -699,17 +881,12 @@ impl<T: Clone> JumpWeightedReservoir<T> {
 /// at query time), keeping everything in `f64` range.
 #[derive(Debug, Clone)]
 pub struct PrioritySampler<T, G: ForwardDecay> {
-    g: G,
-    landmark: Timestamp,
-    k: usize,
-    /// Min-heap of the k+1 largest priorities: `Reverse` on ln q.
-    heap: BinaryHeap<Reverse<(OrdF64, u64)>>,
-    entries: Vec<Option<(SampleEntry<T>, f64)>>, // (entry, ln_w)
-    free: Vec<u64>,
-    rng: SmallRng,
-    n: u64,
-    accepted: u64,
+    /// The k + 1 largest priorities.
+    core: TopK<G, T, true>,
 }
+
+codec_struct!(PrioritySampler<T, G: ForwardDecay> { core: TopK<G, T, true> }
+    check |s| require(s.core.cap > 1, "a priority sampler of no size"));
 
 impl<T: Clone, G: ForwardDecay> PrioritySampler<T, G> {
     /// Creates a priority sampler of size `k` (internally keeps `k + 1`
@@ -718,108 +895,36 @@ impl<T: Clone, G: ForwardDecay> PrioritySampler<T, G> {
     /// # Panics
     /// Panics if `k == 0`.
     pub fn new(g: G, landmark: impl Into<Timestamp>, k: usize, seed: u64) -> Self {
-        let landmark = landmark.into();
         assert!(k > 0);
         Self {
-            g,
-            landmark,
-            k,
-            heap: BinaryHeap::with_capacity(k + 2),
-            entries: Vec::with_capacity(k + 2),
-            free: Vec::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            n: 0,
-            accepted: 0,
+            core: TopK::new(g, landmark.into(), k + 1, seed),
         }
     }
 
     /// Offers `(t_i, item)`; pre-landmark timestamps clamp to the landmark.
     /// O(log k).
     pub fn update(&mut self, t_i: impl Into<Timestamp>, item: &T) {
-        let t_i = crate::decay::clamp_to_landmark(t_i.into(), self.landmark);
-        let ln_w = self.g.ln_g(t_i - self.landmark);
-        self.offer(t_i, item, ln_w);
+        self.core.update(t_i.into(), item);
     }
 
-    /// Offers a columnar batch: `ts[i]` pairs with `items[i]`.
-    ///
-    /// Identical in realized draws to per-item [`update`](Self::update)
-    /// calls; `ln_g` runs through a
-    /// [`WeightKernel`](crate::kernel::WeightKernel) so duplicated clock
-    /// ticks skip the transcendental.
-    ///
-    /// # Panics
-    /// Panics if the slices' lengths differ.
+    /// Offers a columnar batch, drawing as per-item [`update`](Self::update)
+    /// calls would: see [`WeightedReservoir::update_batch`].
     pub fn update_batch(&mut self, ts: &[Timestamp], items: &[T]) {
-        assert_eq!(ts.len(), items.len(), "columnar batch slices must align");
-        let mut k = crate::kernel::WeightKernel::new(self.g.clone());
-        for (&t_i, item) in ts.iter().zip(items) {
-            let t_i = crate::decay::clamp_to_landmark(t_i, self.landmark);
-            let ln_w = k.ln_g(t_i - self.landmark);
-            self.offer(t_i, item, ln_w);
-        }
-    }
-
-    /// The shared tail of [`update`](Self::update) /
-    /// [`update_batch`](Self::update_batch), after `ln_w` is known.
-    fn offer(&mut self, t_i: Timestamp, item: &T, ln_w: f64) {
-        self.n += 1;
-        if ln_w == f64::NEG_INFINITY {
-            return;
-        }
-        let u = open_unit(&mut self.rng);
-        let ln_q = ln_w - u.ln(); // ln(w/u)
-        if self.heap.len() == self.k + 1 {
-            let &Reverse((OrdF64(worst), _)) = self.heap.peek().expect("non-empty");
-            if ln_q <= worst {
-                return;
-            }
-        }
-        self.accepted += 1;
-        let slot = if let Some(s) = self.free.pop() {
-            self.entries[s as usize] = Some((
-                SampleEntry {
-                    item: item.clone(),
-                    t: t_i,
-                    key: ln_q,
-                },
-                ln_w,
-            ));
-            s
-        } else {
-            self.entries.push(Some((
-                SampleEntry {
-                    item: item.clone(),
-                    t: t_i,
-                    key: ln_q,
-                },
-                ln_w,
-            )));
-            (self.entries.len() - 1) as u64
-        };
-        self.heap.push(Reverse((OrdF64(ln_q), slot)));
-        if self.heap.len() > self.k + 1 {
-            let Reverse((_, evicted)) = self.heap.pop().expect("non-empty");
-            self.entries[evicted as usize] = None;
-            self.free.push(evicted);
-        }
+        self.core.update_batch(ts, items);
     }
 
     /// The current sample: the `k` highest-priority items (the threshold
     /// item is excluded).
     pub fn sample(&self) -> Vec<&SampleEntry<T>> {
-        let mut all: Vec<&(SampleEntry<T>, f64)> =
-            self.entries.iter().filter_map(|e| e.as_ref()).collect();
-        if all.len() > self.k {
+        let mut all: Vec<&Kept<T>> = self.core.kept().collect();
+        if all.len() > self.capacity() {
             // Drop the single lowest-priority entry (the threshold).
-            let (min_idx, _) = all
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.0.key.total_cmp(&b.0.key))
-                .expect("non-empty");
-            all.swap_remove(min_idx);
+            let weakest = (0..all.len()).min_by(|&a, &b| all[a].key.total_cmp(&all[b].key));
+            if let Some(weakest) = weakest {
+                all.swap_remove(weakest);
+            }
         }
-        all.into_iter().map(|(e, _)| e).collect()
+        all.into_iter().map(|k| &k.entry).collect()
     }
 
     /// Unbiased estimate of the **decayed sum of weights** at query time
@@ -827,7 +932,6 @@ impl<T: Clone, G: ForwardDecay> PrioritySampler<T, G> {
     /// Per sampled item the estimator is `max(w_i, τ)` on decay-normalized
     /// weights.
     pub fn estimate_decayed_count(&self, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
         self.estimate_selection(t, |_| true)
     }
 
@@ -837,86 +941,55 @@ impl<T: Clone, G: ForwardDecay> PrioritySampler<T, G> {
     /// Section V-B). `E[estimate] = Σ_{i: pred(iᵢ)} g(t_i − L)/g(t − L)`.
     pub fn estimate_selection(&self, t: impl Into<Timestamp>, pred: impl Fn(&T) -> bool) -> f64 {
         let t = t.into();
-        let ln_denom = self.g.ln_g(t - self.landmark);
-        let mut all: Vec<(f64, f64, bool)> = self
-            .entries
-            .iter()
-            .filter_map(|e| e.as_ref())
-            .map(|(e, ln_w)| (e.key, *ln_w, pred(&e.item)))
+        let ln_denom = self.core.g.ln_g(t - self.core.landmark);
+        let mut all: Vec<(f64, f64, bool)> = (self.core.kept())
+            .map(|k| (k.key, k.ln_w, pred(&k.entry.item)))
             .collect();
         if all.is_empty() {
             return 0.0;
         }
-        if all.len() <= self.k {
+        match self.core.weakest() {
+            // Threshold τ = lowest priority among the k+1 kept.
+            Some(tau_ln_q) if all.len() > self.capacity() => {
+                all.sort_by(|a, b| b.0.total_cmp(&a.0));
+                all.truncate(self.capacity());
+                all.iter()
+                    .filter(|(_, _, hit)| *hit)
+                    .map(|(_, ln_w, _)| (ln_w.max(tau_ln_q) - ln_denom).exp())
+                    .sum()
+            }
             // Fewer than k items seen: the sample is exact.
-            return all
+            _ => all
                 .iter()
                 .filter(|(_, _, hit)| *hit)
                 .map(|(_, ln_w, _)| (ln_w - ln_denom).exp())
-                .sum();
+                .sum(),
         }
-        // Threshold τ = lowest priority among the k+1 kept.
-        let (tau_ln_q, _, _) = all
-            .iter()
-            .copied()
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("non-empty");
-        all.sort_by(|a, b| b.0.total_cmp(&a.0));
-        all.truncate(self.k);
-        all.iter()
-            .filter(|(_, _, hit)| *hit)
-            .map(|(_, ln_w, _)| (ln_w.max(tau_ln_q) - ln_denom).exp())
-            .sum()
     }
 
     /// Number of items offered so far.
     pub fn items_seen(&self) -> u64 {
-        self.n
+        self.core.n
     }
 
     /// Sample capacity `k`.
     pub fn capacity(&self) -> usize {
-        self.k
+        self.core.cap - 1
     }
 }
 
+/// Priorities are independent across items: keep the `k + 1` highest of
+/// the union.
+///
+/// Shards must be constructed with **distinct seeds**. Same-seed shards
+/// draw identical uniforms, duplicating priorities across the union; the
+/// merged threshold `τ` then sits systematically high and the
+/// Horvitz–Thompson estimate ([`PrioritySampler::estimate_decayed_count`])
+/// biases upward — the differential harness measured ≈ 1.9× on three
+/// same-seed shards of a 266-item stream.
 impl<T: Clone, G: ForwardDecay> Mergeable for PrioritySampler<T, G> {
-    /// Priorities are independent across items: keep the `k + 1` highest of
-    /// the union.
-    ///
-    /// Shards must be constructed with **distinct seeds**. Same-seed shards
-    /// draw identical uniforms, duplicating priorities across the union;
-    /// the merged threshold `τ` then sits systematically high and the
-    /// Horvitz–Thompson estimate ([`PrioritySampler::estimate_decayed_count`])
-    /// biases upward — the differential harness measured ≈ 1.9× on
-    /// three same-seed shards of a 266-item stream.
     fn merge_from(&mut self, other: &Self) {
-        assert_eq!(self.k, other.k, "sample sizes must match");
-        assert_eq!(self.landmark, other.landmark, "landmarks must match");
-        for e in other.entries.iter().filter_map(|e| e.as_ref()) {
-            let (entry, ln_w) = e;
-            let ln_q = entry.key;
-            if self.heap.len() == self.k + 1 {
-                let &Reverse((OrdF64(worst), _)) = self.heap.peek().expect("non-empty");
-                if ln_q <= worst {
-                    continue;
-                }
-            }
-            let slot = if let Some(s) = self.free.pop() {
-                self.entries[s as usize] = Some((entry.clone(), *ln_w));
-                s
-            } else {
-                self.entries.push(Some((entry.clone(), *ln_w)));
-                (self.entries.len() - 1) as u64
-            };
-            self.heap.push(Reverse((OrdF64(ln_q), slot)));
-            if self.heap.len() > self.k + 1 {
-                let Reverse((_, evicted)) = self.heap.pop().expect("non-empty");
-                self.entries[evicted as usize] = None;
-                self.free.push(evicted);
-            }
-        }
-        self.n += other.n;
+        self.core.merge_from(&other.core);
     }
 }
 
@@ -945,6 +1018,13 @@ pub struct BiasedReservoir<T> {
     n: u64,
     rng: SmallRng,
 }
+
+codec_struct!(BiasedReservoir<T> { lambda: f64, n_max: usize, reservoir: Vec<T>, n: u64, rng: SmallRng }
+check |s| {
+    require(s.lambda > 0.0 && s.lambda <= 1.0, "a bias rate outside (0, 1]")?;
+    let fits = s.n_max == (1.0 / s.lambda).ceil() as usize && s.reservoir.len() <= s.n_max;
+    require(fits && s.n <= MAX_COUNT, "a biased reservoir longer than 1/λ, or past 2^62 items")
+});
 
 impl<T: Clone> BiasedReservoir<T> {
     /// Creates a biased reservoir for bias rate `λ` (capacity `⌈1/λ⌉`).
@@ -1001,13 +1081,6 @@ impl<T: Clone> BiasedReservoir<T> {
 
 use crate::summary::{Summary, SummaryStats};
 
-impl<T: Clone, G: ForwardDecay> WithReplacementSampler<T, G> {
-    /// The landmark `L` passed at construction.
-    pub fn landmark(&self) -> Timestamp {
-        self.landmark
-    }
-}
-
 /// Records in, the drawn sample (with replacement) out.
 impl<T: Clone, G: ForwardDecay> Summary for WithReplacementSampler<T, G> {
     type Update = T;
@@ -1059,20 +1132,13 @@ impl<T: Clone, G: ForwardDecay> Summary for WithReplacementSampler<T, G> {
     }
 }
 
-impl<T: Clone, G: ForwardDecay> WeightedReservoir<T, G> {
-    /// The landmark `L` passed at construction.
-    pub fn landmark(&self) -> Timestamp {
-        self.landmark
-    }
-}
-
 /// Records in, the reservoir sample (without replacement) out.
 impl<T: Clone, G: ForwardDecay> Summary for WeightedReservoir<T, G> {
     type Update = T;
     type Output = Vec<T>;
 
     fn landmark(&self) -> Timestamp {
-        self.landmark
+        self.core.landmark
     }
 
     fn update_at(&mut self, t_i: Timestamp, item: T) {
@@ -1088,31 +1154,11 @@ impl<T: Clone, G: ForwardDecay> Summary for WeightedReservoir<T, G> {
     }
 
     fn stats(&self) -> SummaryStats {
-        SummaryStats {
-            renormalizations: 0,
-            occupancy: self.heap.len() as u64,
-            capacity: self.k as u64,
-            items: self.n,
-            accepted: self.accepted,
-        }
+        self.core.stats()
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        if self.heap.len() > self.k {
-            return Err(format!(
-                "WeightedReservoir holds {} entries, k = {}",
-                self.heap.len(),
-                self.k
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl<T: Clone, G: ForwardDecay> PrioritySampler<T, G> {
-    /// The landmark `L` passed at construction.
-    pub fn landmark(&self) -> Timestamp {
-        self.landmark
+        self.core.check().map_err(|e| e.to_string())
     }
 }
 
@@ -1125,7 +1171,7 @@ impl<T: Clone, G: ForwardDecay> Summary for PrioritySampler<T, G> {
     type Output = f64;
 
     fn landmark(&self) -> Timestamp {
-        self.landmark
+        self.core.landmark
     }
 
     fn update_at(&mut self, t_i: Timestamp, item: T) {
@@ -1140,26 +1186,13 @@ impl<T: Clone, G: ForwardDecay> Summary for PrioritySampler<T, G> {
         self.estimate_decayed_count(t)
     }
 
+    /// Capacity `k + 1`: the extra entry kept is the threshold `τ`.
     fn stats(&self) -> SummaryStats {
-        SummaryStats {
-            renormalizations: 0,
-            occupancy: self.heap.len() as u64,
-            // k + 1 kept internally: the extra entry is the threshold τ.
-            capacity: (self.k + 1) as u64,
-            items: self.n,
-            accepted: self.accepted,
-        }
+        self.core.stats()
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        if self.heap.len() > self.k + 1 {
-            return Err(format!(
-                "PrioritySampler holds {} entries, k + 1 = {}",
-                self.heap.len(),
-                self.k + 1
-            ));
-        }
-        Ok(())
+        self.core.check().map_err(|e| e.to_string())
     }
 }
 

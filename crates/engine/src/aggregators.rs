@@ -35,16 +35,17 @@
 //! weight `g(tᵢ − L)` frozen, partial states merge by addition, and the
 //! answer is divided by `g(t − L)` when the bucket closes — so the engine's
 //! side of it is written once. One private adapter holds a group's state
-//! `S` (the fd-core summary, or the bare `u64` / `f64` of the undecayed
+//! `S` (the fd-core summary, or the bare count / `f64` of the undecayed
 //! built-ins) and an `Arc` of what is the same for every group of the
 //! query (`Ops`: which field to read, how to fold it in — with a
 //! Horvitz–Thompson scale if the aggregate is linear — how to answer, how
-//! big it is, whether it serializes). Its [`Aggregator`] impl is the only
-//! one here besides [`multi_factory`]'s composite: one `merge_boxed`
-//! downcast onto [`Mergeable::merge_from`] (Section VI-B: frozen numerators
-//! make forward-decay summaries mergeable, so per-shard partial buckets
-//! combine losslessly), one checkpoint/restore through
-//! [`fd_core::checkpoint`].
+//! big it is). Its [`Aggregator`] impl is the only one here besides
+//! [`multi_factory`]'s composite: one `merge_boxed` downcast onto
+//! [`Mergeable::merge_from`] (Section VI-B: frozen numerators make
+//! forward-decay summaries mergeable, so per-shard partial buckets combine
+//! losslessly), one checkpoint/restore through [`fd_core::checkpoint`] —
+//! every state here encodes, the samplers' generators included, so every
+//! factory checkpoints.
 //!
 //! **Adding an aggregate is one factory function**: which field to read,
 //! two or three closures over the summary, and its constructor. The source
@@ -120,11 +121,6 @@ struct Ops<S, U, X, F, E> {
     emit: E,
     /// The paper's space-per-group probe.
     size: fn(&S) -> usize,
-    /// How the state crosses a checkpoint. Closures and query-time
-    /// parameters (extractors, φ, the backward decay) are not captured — the
-    /// factory recreates them and `read` refills only the summary state.
-    write: fn(&S, &mut Vec<u8>) -> Option<()>,
-    read: fn(&[u8]) -> Result<S, CodecError>,
 }
 
 /// One group's aggregation state.
@@ -135,16 +131,14 @@ struct Adapter<S, U, X, F, E> {
 
 impl<S, U, X, F, E> Ops<S, U, X, F, E>
 where
-    S: Mergeable + Send + 'static,
+    S: Mergeable + Encode + Decode + Send + 'static,
     U: 'static,
     X: Fn(&Packet) -> U + Send + Sync + 'static,
     F: Fn(&mut S, &Packet, U) + Send + Sync + 'static,
     E: Fn(&S, f64) -> AggValue + Send + Sync + 'static,
 {
-    /// An aggregate that neither scales nor checkpoints (the samplers:
-    /// their reservoirs and RNGs are not encoded), until
-    /// [`scaled`](Self::scaled) / [`checkpointed`](Self::checkpointed) say
-    /// otherwise.
+    /// An aggregate that does not scale, until [`scaled`](Self::scaled)
+    /// says how.
     fn new(extract: X, feed: F, emit: E, size: fn(&S) -> usize) -> Self {
         Self {
             extract,
@@ -152,26 +146,11 @@ where
             scaled: None,
             emit,
             size,
-            write: |_, _| None,
-            read: |_| Err(CodecError::new("aggregator does not support checkpointing")),
         }
     }
 
     fn scaled(mut self, scaled: fn(&mut S, &Packet, U, f64)) -> Self {
         self.scaled = Some(scaled);
-        self
-    }
-
-    /// Checkpoints the state through its [`fd_core::checkpoint`] encoding.
-    fn checkpointed(mut self) -> Self
-    where
-        S: Encode + Decode,
-    {
-        self.write = |state, out| {
-            state.put(out);
-            Some(())
-        };
-        self.read = from_bytes;
         self
     }
 
@@ -197,7 +176,7 @@ where
 
 impl<S, U, X, F, E> Aggregator for Adapter<S, U, X, F, E>
 where
-    S: Mergeable + Send + 'static,
+    S: Mergeable + Encode + Decode + Send + 'static,
     U: 'static,
     X: Fn(&Packet) -> U + Send + Sync + 'static,
     F: Fn(&mut S, &Packet, U) + Send + Sync + 'static,
@@ -231,11 +210,14 @@ where
     fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
         self
     }
+    /// The summary state alone: closures and query-time parameters
+    /// (extractors, φ, the backward decay) are the factory's to recreate.
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        (self.ops.write)(&self.state, out)
+        self.state.put(out);
+        Some(())
     }
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        self.state = (self.ops.read)(bytes)?;
+        self.state = from_bytes(bytes)?;
         Ok(())
     }
 }
@@ -262,26 +244,30 @@ fn sampled(items: impl Iterator<Item = u64>) -> AggValue {
 // Undecayed built-ins
 // ---------------------------------------------------------------------------
 
+/// An undecayed count: a `u64` whose restore leaves room to count on.
+struct Count {
+    n: u64,
+}
+
+fd_core::codec_struct!(Count { n: u64 }
+    check |c| require(c.n <= MAX_COUNT, "a count past 2^62 arrivals"));
+
+impl Mergeable for Count {
+    fn merge_from(&mut self, other: &Self) {
+        self.n += other.n;
+    }
+}
+
 /// Undecayed `count(*)` — the GSQL built-in of the paper's baseline query.
 pub fn count_factory() -> Arc<FnFactory> {
-    let ops = Ops::new(
+    Ops::new(
         |_| (),
-        |n: &mut u64, _, ()| *n += 1,
-        |n, _| AggValue::Float(*n as f64),
+        |c: &mut Count, _, ()| c.n += 1,
+        |c, _| AggValue::Float(c.n as f64),
         // The paper: "Undecayed methods store 4 byte integers".
         |_| 4,
     )
-    .checkpointed();
-    Ops {
-        // A restored count leaves room to count on.
-        read: |bytes| {
-            let n = from_bytes(bytes)?;
-            require(n <= MAX_COUNT, "a count past 2^62 arrivals")?;
-            Ok(n)
-        },
-        ..ops
-    }
-    .factory("count", true, |_| 0u64)
+    .factory("count", true, |_| Count { n: 0 })
 }
 
 /// Undecayed `sum(expr)` over a tuple field.
@@ -293,7 +279,6 @@ pub fn sum_factory(val: impl Fn(&Packet) -> f64 + Send + Sync + 'static) -> Arc<
         |_| 4,
     )
     .scaled(|sum, _, v, w| *sum += v * w)
-    .checkpointed()
     .factory("sum", true, |_| 0.0f64)
 }
 
@@ -312,7 +297,6 @@ pub fn fwd_count_factory<G: ForwardDecay>(g: G) -> Arc<FnFactory> {
         |_| 8,
     )
     .scaled(|s, p, (), w| s.update_weighted(p.timestamp(), w))
-    .checkpointed()
     .factory("fwd_count", true, move |start| {
         DecayedCount::new(g.clone(), start)
     })
@@ -330,7 +314,6 @@ pub fn fwd_sum_factory<G: ForwardDecay>(
         |_| 8,
     )
     .scaled(|s, p, v, w| s.update_weighted(p.timestamp(), v, w))
-    .checkpointed()
     .factory("fwd_sum", true, move |start| {
         DecayedSum::new(g.clone(), start)
     })
@@ -352,8 +335,6 @@ pub fn fwd_avg_factory<G: ForwardDecay>(
     // Linear in each tuple, so a 1/p scale keeps it unbiased; saying how is
     // what makes the factory `scalable()`.
     .scaled(|s, p, v, w| s.update_weighted(p.timestamp(), v, w))
-    // The summary encodes, so it checkpoints (the samplers leave this out).
-    .checkpointed()
     // Splittable — partial averages merge exactly — with the bucket start
     // as the landmark of each group's fresh state.
     .factory("fwd_avg", true, move |start| {
@@ -372,7 +353,6 @@ pub fn fwd_var_factory<G: ForwardDecay>(
         |s, t| AggValue::Float(s.query(t).unwrap_or(f64::NAN)),
         |_| 24,
     )
-    .checkpointed()
     .factory("fwd_var", true, move |start| {
         DecayedVariance::new(g.clone(), start)
     })
@@ -390,7 +370,6 @@ fn fwd_ext_factory<G: ForwardDecay>(
         |s, t| AggValue::Float(s.query(t).map_or(f64::NAN, |(v, _, _)| v)),
         |_| 24,
     )
-    .checkpointed()
     .factory(name, true, new)
 }
 
@@ -425,7 +404,6 @@ pub fn eh_count_factory(epsilon: f64, back: DynBackward) -> Arc<FnFactory> {
         move |s, t| AggValue::Float(s.decayed_query(&back, t)),
         ExponentialHistogram::size_bytes,
     )
-    .checkpointed()
     .factory("eh_count", false, move |_| {
         ExponentialHistogram::with_epsilon(epsilon)
     })
@@ -444,7 +422,6 @@ pub fn eh_sum_factory(
         move |s, t| AggValue::Float(s.decayed_query(&back, t)),
         ExponentialHistogram::size_bytes,
     )
-    .checkpointed()
     .factory("eh_sum", false, move |_| {
         ExponentialHistogram::with_epsilon(epsilon)
     })
@@ -467,7 +444,6 @@ pub fn unary_hh_factory(
         move |s, _| hitters(s.heavy_hitters(phi)),
         UnarySpaceSaving::size_bytes,
     )
-    .checkpointed()
     .factory("unary_hh", false, move |_| {
         UnarySpaceSaving::with_epsilon(epsilon)
     })
@@ -487,7 +463,6 @@ pub fn fwd_hh_factory<G: ForwardDecay>(
         move |s, t| hitters(s.heavy_hitters(phi, t)),
         DecayedHeavyHitters::size_bytes,
     )
-    .checkpointed()
     .factory("fwd_hh", false, move |start| {
         DecayedHeavyHitters::with_epsilon(g.clone(), start, epsilon)
     })
@@ -509,7 +484,6 @@ pub fn sw_hh_factory(
         move |s, t| hitters(s.heavy_hitters(&back, t, phi)),
         SlidingWindowHH::size_bytes,
     )
-    .checkpointed()
     .factory("sw_hh", false, move |_| {
         SlidingWindowHH::new(pane_secs, levels)
     })
@@ -531,7 +505,6 @@ pub fn cm_hh_factory<G: ForwardDecay>(
         |s, t| hitters(s.heavy_hitters(t)),
         DecayedCmHeavyHitters::size_bytes,
     )
-    .checkpointed()
     .factory("cm_hh", false, move |start| {
         DecayedCmHeavyHitters::new(
             g.clone(),
@@ -561,7 +534,6 @@ pub fn prefix_hh_factory(
         move |s, t| hitters(s.heavy_hitters(&back, t, phi)),
         PrefixBackwardHH::size_bytes,
     )
-    .checkpointed()
     .factory("prefix_hh", false, move |_| {
         PrefixBackwardHH::new(domain_bits, epsilon)
     })
@@ -698,7 +670,6 @@ pub fn fwd_quantile_factory<G: ForwardDecay>(
         },
         DecayedQuantiles::size_bytes,
     )
-    .checkpointed()
     .factory("fwd_quantiles", false, move |start| {
         DecayedQuantiles::new(g.clone(), start, bits, epsilon)
     })
@@ -719,7 +690,6 @@ pub fn distinct_factory<G: ForwardDecay>(
         |s, t| AggValue::Float(s.query(t)),
         DominanceSketch::size_bytes,
     )
-    .checkpointed()
     .factory("fwd_distinct", false, move |start| {
         DominanceSketch::new(g.clone(), start, epsilon, seed)
     })

@@ -457,9 +457,8 @@ impl Engine {
     /// with it every floating-point combination order — is unchanged.
     ///
     /// # Errors
-    /// Fails with a `CodecError` if the query's aggregator does not support
-    /// checkpointing (the samplers decline: their reservoirs and RNGs are
-    /// not encoded).
+    /// Fails with a `CodecError` if the query's aggregator declines to
+    /// checkpoint, which only a hand-written UDAF does.
     pub fn checkpoint(&self) -> Result<Vec<u8>, fd_core::checkpoint::CodecError> {
         let mut blob = Vec::with_capacity(self.last_ckpt_bytes.get() + 16 * 1024);
         self.checkpoint_into(&mut blob)?;

@@ -164,7 +164,7 @@ impl Default for OverloadConfig {
             send_deadline: DEFAULT_SEND_DEADLINE,
             lag_budget: usize::MAX,
             lease: DEFAULT_LEASE,
-            decay: AnyDecay::from_str("none").expect("'none' always parses"),
+            decay: AnyDecay::None,
             seed: 0x6f76_6c64,
         }
     }
@@ -261,10 +261,9 @@ impl Subsampler {
     /// keeps `p = 1` (a batch under no pressure) `scales` stays all-ones.
     pub fn thin(&mut self, batch: &mut Vec<Packet>, scales: &mut Vec<f64>) -> u64 {
         scales.clear();
-        if batch.is_empty() {
+        let Some(tau) = batch.iter().map(|p| p.ts).max() else {
             return 0;
-        }
-        let tau = batch.iter().map(|p| p.ts).max().expect("non-empty");
+        };
         let mean_w = batch.iter().map(|p| self.weight(p.ts, tau)).sum::<f64>() / batch.len() as f64;
         let norm = if mean_w > 0.0 { mean_w } else { 1.0 };
         let before = batch.len();

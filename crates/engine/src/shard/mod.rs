@@ -89,10 +89,11 @@
 //! tuples between checkpoints); [`ShardedEngine::checkpoint_every`] tunes
 //! the interval, and `0` disables the whole layer — no checkpoints,
 //! nothing retained (the worker moves each message out of its queue), and
-//! a dead worker is a hard error ([`fd_core::Error::WorkerLost`]). Queries
-//! whose aggregators cannot serialize (the samplers) flag their slot
-//! unsupported on the first attempt, stop retaining, and degrade on death
-//! instead of re-reading.
+//! a dead worker is a hard error ([`fd_core::Error::WorkerLost`]). Every
+//! built-in aggregate checkpoints, the samplers included; whether a query
+//! is supervised is settled when the engine is configured, which asks one
+//! fresh aggregator to checkpoint. A hand-written UDAF that declines runs
+//! as with `0`, and a durable store refuses it.
 //!
 //! ## Configuration
 //!
@@ -236,8 +237,10 @@ impl EngineConfig {
         self.checkpoint_every > 0
     }
 
-    /// Checks the combination, whichever setter completed it.
-    fn validate(&self, query: &Query) -> Result<(), fd_core::Error> {
+    /// Checks the combination, whichever setter completed it, and returns
+    /// the configuration the plane runs: unsupervised, as with
+    /// `checkpoint_every(0)`, if a fresh aggregate declines to checkpoint.
+    fn validate(&self, query: &Query) -> Result<Self, fd_core::Error> {
         if self.n_shards == 0 {
             return Err(invalid("n_shards", 0.0, "at least one shard"));
         }
@@ -286,7 +289,18 @@ impl EngineConfig {
                 ));
             }
         }
-        Ok(())
+        // Only a hand-written UDAF declines; a store, which persists
+        // checkpoints, refuses it by name.
+        let (mut cfg, probe) = (self.clone(), query.aggregate.make(0));
+        if probe.checkpoint_into(&mut Vec::new()).is_none() {
+            if self.store.is_some() {
+                let name = query.aggregate.name();
+                let detail = format!("aggregate '{name}' does not checkpoint");
+                return Err(fd_core::Error::Durability { detail });
+            }
+            cfg.checkpoint_every = 0;
+        }
+        Ok(cfg)
     }
 }
 
@@ -1053,7 +1067,7 @@ mod tests {
     }
 
     #[test]
-    fn validating_a_config_reads_the_factory_and_builds_no_aggregator() {
+    fn validating_a_config_reads_scalability_from_the_factory() {
         use crate::udaf::{Aggregator, AggregatorFactory};
         use std::sync::atomic::AtomicUsize;
 
@@ -1113,7 +1127,13 @@ mod tests {
         assert!(sharded(query(silent, None), 2)
             .try_overload(subsample)
             .is_err());
-        assert_eq!(makes.load(Relaxed), 0, "validation built an aggregator");
+        // Each of the six configurations accepted above asked one fresh
+        // aggregator whether it checkpoints; the refused ones built none.
+        assert_eq!(
+            makes.load(Relaxed),
+            6,
+            "one checkpoint probe per validation"
+        );
     }
 
     #[test]

@@ -94,12 +94,6 @@ pub(super) struct FabShared {
 }
 
 impl FabShared {
-    /// Whether `shard`'s worker retains the messages it reads, for a
-    /// successor to re-read.
-    pub(super) fn retaining(&self, shard: usize) -> bool {
-        self.cfg.supervising() && !self.shards[shard].slot.unsupported()
-    }
-
     /// The producer that sealed `seq` (the determinism rule).
     pub(super) fn producer_of(&self, seq: u64) -> usize {
         (seq.saturating_sub(1) % self.cfg.producers as u64) as usize
@@ -191,7 +185,7 @@ impl FabShared {
                 if !sh.queues[p].reader_alive() {
                     self.recover_locked(shard, &mut inner, false);
                 }
-            } else if self.retaining(shard) && inner.lease.is_stale(overload.lease) {
+            } else if self.cfg.supervising() && inner.lease.is_stale(overload.lease) {
                 eprintln!(
                     "fd-shard-{shard}: worker wedged (no heartbeat for {:?}); respawning",
                     inner.lease.stale_for()
@@ -261,8 +255,7 @@ impl FabShared {
             self.reap_locked(shard, inner);
         }
         let attempt = inner.restarts;
-        let budget = !self.shards[shard].slot.unsupported() && attempt < self.cfg.max_restarts;
-        let restored = budget && {
+        let restored = attempt < self.cfg.max_restarts && {
             inner.restarts += 1;
             self.telemetry.restarts.fetch_add(1, Relaxed);
             std::thread::sleep(backoff(attempt));
@@ -498,7 +491,7 @@ pub(super) struct Plane {
 /// normal message path, and every handle gets back the admission state of
 /// the newest honorable commit.
 pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd_core::Error> {
-    cfg.validate(query)?;
+    let cfg = cfg.validate(query)?;
     let (n, producers) = (cfg.n_shards, cfg.producers);
     let fault = cfg.fault.map(|plan| Arc::new(FaultState::new(plan)));
     let mut recovered = match &cfg.store {
@@ -564,7 +557,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
         });
     }
     let fab = Arc::new(FabShared {
-        cfg: cfg.clone(),
+        cfg,
         shards,
         telemetry,
         fault,
@@ -606,7 +599,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
     let mut handles: Vec<IngressHandle> = (0..producers)
         .map(|p| IngressHandle::new(p, query.clone(), &fab))
         .collect();
-    let store = match (&cfg.store, recovered) {
+    let store = match (&fab.cfg.store, recovered) {
         (Some((dir, opts)), Some((rec, io))) => {
             // The commit's producer blocks, one per handle (none in the
             // baseline of a store that never committed).

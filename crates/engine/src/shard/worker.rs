@@ -159,10 +159,6 @@ pub(super) fn spawn_worker(
             // recycled into the next serialization so steady-state
             // checkpointing stops allocating.
             let mut spare: Vec<u8> = Vec::new();
-            // Closed groups drained for a checkpoint the aggregate then
-            // declined to serialize: they go back out with the rest at
-            // exit, as an unsupervised worker's do.
-            let mut unpublished: Vec<ClosedGroup> = Vec::new();
             // Releases what the queues retain through `seq`, handing the
             // buffers back outside the queue locks so a concurrent push
             // never waits on a pool mutex. Running this here — not on the
@@ -184,7 +180,7 @@ pub(super) fn spawn_worker(
                 }
                 // Supervised, the message stays in its queue until a
                 // checkpoint covers it; otherwise it moves out.
-                let msg = if fab.retaining(shard) {
+                let msg = if every > 0 {
                     rxs[cursor].recv_retaining()
                 } else {
                     rxs[cursor].recv()
@@ -315,7 +311,7 @@ pub(super) fn spawn_worker(
                 // queue release and re-attachment key on. The buffer handed
                 // back above happens-before the release, so a released
                 // batch is never still referenced by the worker.
-                if every > 0 && since_ckpt >= every && !sh.slot.unsupported() {
+                if every > 0 && since_ckpt >= every {
                     let ckpt_start = crate::telemetry::thread_cpu_ns();
                     // Buckets closed since the last checkpoint leave the
                     // engine first, so the snapshot covers open state only
@@ -324,40 +320,32 @@ pub(super) fn spawn_worker(
                     // the snapshot that no longer holds them.
                     let newly_closed = engine.drain_closed_state();
                     let mut blob = std::mem::take(&mut spare);
-                    match engine.checkpoint_into(&mut blob) {
-                        Ok(()) => {
-                            let bytes = blob.len() as u64;
-                            let Some((displaced, held)) =
-                                sh.slot.store(&lease, seq, blob, newly_closed)
-                            else {
-                                // Retired between the check above and the
-                                // store: the successor owns the slot.
-                                return (Vec::new(), engine.stats());
-                            };
-                            spare = displaced;
-                            registry.checkpoints.fetch_add(1, Relaxed);
-                            registry.checkpoint_bytes.fetch_add(bytes, Relaxed);
-                            tel.closed_groups_held.store(held as u64, Relaxed);
-                            let spent =
-                                crate::telemetry::thread_cpu_ns().saturating_sub(ckpt_start);
-                            registry.checkpoint_ns.fetch_add(spent, Relaxed);
-                            since_ckpt = 0;
-                            release(seq);
-                        }
-                        // Failure is permanent (the aggregate can't
-                        // serialize): flag it so nothing more is retained
-                        // — nor what was — and the shard degrades on death.
-                        Err(_) => {
-                            sh.slot.mark_unsupported();
-                            unpublished = newly_closed;
-                            release(u64::MAX);
-                        }
+                    // Configuration asked the aggregate before supervising
+                    // it, so a checkpoint that fails here is a fault like
+                    // any other: the worker dies, and the recovery ladder
+                    // takes the shard from its last checkpoint.
+                    if let Err(err) = engine.checkpoint_into(&mut blob) {
+                        panic!("shard {shard} worker cannot checkpoint: {err}");
                     }
+                    let bytes = blob.len() as u64;
+                    let Some((displaced, held)) = sh.slot.store(&lease, seq, blob, newly_closed)
+                    else {
+                        // Retired between the check above and the store:
+                        // the successor owns the slot.
+                        return (Vec::new(), engine.stats());
+                    };
+                    spare = displaced;
+                    registry.checkpoints.fetch_add(1, Relaxed);
+                    registry.checkpoint_bytes.fetch_add(bytes, Relaxed);
+                    tel.closed_groups_held.store(held as u64, Relaxed);
+                    let spent = crate::telemetry::thread_cpu_ns().saturating_sub(ckpt_start);
+                    registry.checkpoint_ns.fetch_add(spent, Relaxed);
+                    since_ckpt = 0;
+                    release(seq);
                 }
                 cursor = (cursor + 1) % p_count;
             }
-            unpublished.extend(engine.finish_state());
-            (unpublished, engine.stats())
+            (engine.finish_state(), engine.stats())
         })
 }
 
@@ -410,6 +398,58 @@ mod tests {
         let tel = Arc::clone(e.telemetry());
         drop(e); // Drop must reap the dead worker and record the panic
         assert_eq!(tel.worker_panics.load(Relaxed), 1);
+    }
+
+    #[test]
+    fn a_checkpoint_that_fails_mid_run_takes_the_recovery_ladder() {
+        use crate::udaf::{AggValue, Aggregator, FnFactory};
+        use fd_core::checkpoint::{CodecError, Encode};
+        use std::any::Any;
+
+        // Checkpoints while fresh, so configuration supervises it, and
+        // declines once it has counted anything.
+        struct Flaky(u64);
+        impl Aggregator for Flaky {
+            fn update(&mut self, _pkt: &Packet) {
+                self.0 += 1;
+            }
+            fn merge_boxed(&mut self, _other: Box<dyn Aggregator>) {}
+            fn emit(&self, _t: f64) -> AggValue {
+                AggValue::Float(self.0 as f64)
+            }
+            fn size_bytes(&self) -> usize {
+                8
+            }
+            fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
+                self
+            }
+            fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
+                (self.0 == 0).then(|| self.0.put(out))
+            }
+            fn restore(&mut self, _bytes: &[u8]) -> Result<(), CodecError> {
+                Ok(())
+            }
+        }
+
+        let q = Query::builder("flaky")
+            .group_by(|_| 0)
+            .aggregate(FnFactory::new("flaky", false, |_| Box::new(Flaky(0))))
+            .two_level(false)
+            .build();
+        let mut e = sharded(q, 1)
+            .try_batch_size(32)
+            .expect("batch")
+            .checkpoint_every(64)
+            .max_restarts(2);
+        e.run((0..2_000).map(|i| pkt(0.001 * i as f64, 1)));
+        // Every incarnation dies at its first checkpoint: the budget is
+        // spent, and the shard degrades rather than the process.
+        let snap = e.telemetry().snapshot();
+        assert_eq!(
+            (snap.worker_panics, snap.restarts, snap.degraded_shards),
+            (3, 2, 1)
+        );
+        assert_eq!(snap.checkpoints, 0);
     }
 
     #[test]

@@ -86,10 +86,6 @@ pub struct CheckpointSlot {
     /// be released. Written under the state lock; readable without it.
     seq: AtomicU64,
     state: Mutex<SlotState>,
-    /// Set once the engine reports its aggregator cannot checkpoint
-    /// (e.g. samplers). The worker then stops retaining what it reads: on
-    /// death the shard degrades immediately instead of re-reading.
-    unsupported: AtomicBool,
 }
 
 impl CheckpointSlot {
@@ -102,7 +98,6 @@ impl CheckpointSlot {
                 blob: Some(blob),
                 closed,
             }),
-            unsupported: AtomicBool::new(false),
         }
     }
 
@@ -161,16 +156,6 @@ impl CheckpointSlot {
                 .unwrap_or_else(PoisonError::into_inner)
                 .closed,
         )
-    }
-
-    /// Marks the slot as permanently unable to checkpoint.
-    pub fn mark_unsupported(&self) {
-        self.unsupported.store(true, Ordering::Release);
-    }
-
-    /// Whether checkpointing was found to be unsupported for this query.
-    pub fn unsupported(&self) -> bool {
-        self.unsupported.load(Ordering::Acquire)
     }
 }
 
@@ -339,14 +324,6 @@ mod tests {
             .is_none());
         let seen = slot.read(|v| (v.seq, v.blob.to_vec(), ids(v.closed)));
         assert_eq!(seen, Some((5, vec![9], vec![(0, 1)])), "slot untouched");
-    }
-
-    #[test]
-    fn unsupported_is_sticky() {
-        let slot = CheckpointSlot::default();
-        assert!(!slot.unsupported());
-        slot.mark_unsupported();
-        assert!(slot.unsupported());
     }
 
     #[test]

@@ -660,12 +660,12 @@ pub struct Reporter {
 impl Reporter {
     /// Spawns a reporter that calls `sink` with a fresh snapshot every
     /// `interval` until stopped. The first snapshot is emitted after one
-    /// full interval.
+    /// full interval. Fails when the OS refuses the thread.
     pub fn spawn(
         telemetry: Arc<EngineTelemetry>,
         interval: Duration,
         mut sink: impl FnMut(MetricsSnapshot) + Send + 'static,
-    ) -> Self {
+    ) -> std::io::Result<Self> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
@@ -685,12 +685,11 @@ impl Reporter {
                         sink(telemetry.snapshot());
                     }
                 }
-            })
-            .expect("spawn metrics reporter");
-        Self {
+            })?;
+        Ok(Self {
             stop,
             handle: Some(handle),
-        }
+        })
     }
 
     /// Signals the thread to exit and joins it. Idempotent.
@@ -891,7 +890,8 @@ mod tests {
         let seen2 = Arc::clone(&seen);
         let mut rep = Reporter::spawn(Arc::clone(&t), Duration::from_millis(5), move |s| {
             seen2.lock().unwrap().push(s.rows_out);
-        });
+        })
+        .expect("spawn metrics reporter");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while seen.lock().unwrap().is_empty() && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));

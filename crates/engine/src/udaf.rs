@@ -197,10 +197,9 @@ pub trait Aggregator: Any + Send {
     /// captured: [`AggregatorFactory::make`] recreates them, and
     /// [`restore`](Aggregator::restore) refills only the summary state.
     /// Engine checkpoints invoke this once per live group — tens of
-    /// thousands of times per snapshot — hence the shared buffer. The
-    /// default declines, so a hand-rolled UDAF without it degrades
-    /// gracefully (the sharded engine then cannot restore that shard and
-    /// marks it degraded on failure instead).
+    /// thousands of times per snapshot — hence the shared buffer. Only a
+    /// hand-written UDAF keeps this declining default; a sharded engine
+    /// then runs it unsupervised, and a durable store refuses it.
     fn checkpoint_into(&self, _out: &mut Vec<u8>) -> Option<()> {
         None
     }

@@ -179,6 +179,20 @@ pub mod rngs {
         z ^ (z >> 31)
     }
 
+    impl SmallRng {
+        /// The four xoshiro256++ state words, for
+        /// [`from_state`](Self::from_state) to continue the stream from.
+        pub fn state(&self) -> [u64; 4] {
+            self.s
+        }
+
+        /// A generator continuing from `state`. `None` for the all-zero
+        /// state, which xoshiro never reaches and never leaves.
+        pub fn from_state(state: [u64; 4]) -> Option<Self> {
+            (state != [0; 4]).then_some(Self { s: state })
+        }
+    }
+
     impl SeedableRng for SmallRng {
         fn seed_from_u64(seed: u64) -> Self {
             let mut sm = seed;
@@ -225,6 +239,20 @@ mod tests {
         let vc: Vec<u64> = (0..16).map(|_| c.gen()).collect();
         assert_eq!(va, vb);
         assert_ne!(va, vc);
+    }
+
+    #[test]
+    fn a_restored_state_continues_the_identical_stream() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..5 {
+            let _: u64 = rng.gen();
+        }
+        let mut resumed = SmallRng::from_state(rng.state()).expect("a live state");
+        let a: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
+        let b: Vec<u64> = (0..16).map(|_| resumed.gen()).collect();
+        assert_eq!(a, b);
+        assert!(SmallRng::from_state([0; 4]).is_none());
+        assert!(SmallRng::from_state([0, 0, 0, 1]).is_some());
     }
 
     #[test]

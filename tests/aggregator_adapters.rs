@@ -5,15 +5,21 @@
 //!
 //! `data/aggregator_states.hex` is what [`table`] of this file returned at
 //! that commit (857f0e0). One line per (factory, decay, stage):
-//! `name stage state emit`, where `state` is the checkpoint in hex, `-` for
-//! an aggregate that declines to checkpoint (the five samplers), or `~len`
-//! for a summary whose bytes follow a `HashMap`'s iteration order and so
-//! differ from one instance to the next — for those the length, the
-//! answer, and the answer of a restored copy are what is held.
+//! `name stage state emit`, where `state` is the checkpoint in hex, or
+//! `~len` for a summary whose bytes follow a `HashMap`'s iteration order
+//! and so differ from one instance to the next — for those the length, the
+//! answer, and the answer of a restored copy are what is held. Its state
+//! is `-` where the aggregate declined to checkpoint then (the five
+//! samplers): there the name, the stage and the answer must still match,
+//! and the bytes the samplers have written since they checkpoint are
+//! pinned, line for line, in `data/aggregator_sampler_states.hex`.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use forward_decay::core::decay::{AnyDecay, BackExponential};
+use forward_decay::core::Error;
+use forward_decay::engine::durability::DurabilityOptions;
 use forward_decay::engine::prelude::*;
 use forward_decay::engine::udaf::FnFactory;
 
@@ -47,8 +53,6 @@ struct Case {
     /// Whether two instances fed the same stream serialize to the same
     /// bytes (false: a `HashMap` inside decides the order).
     canonical: bool,
-    /// Whether the aggregate checkpoints at all (the samplers decline).
-    checkpoints: bool,
 }
 
 fn cases() -> Vec<Case> {
@@ -57,72 +61,48 @@ fn cases() -> Vec<Case> {
     let host = |p: &Packet| p.dst_host();
     let back = || DynBackward::from_decay(BackExponential::new(0.05));
     let mut out = Vec::new();
-    let mut case = |name: &str, factory: Arc<FnFactory>, canonical: bool, checkpoints: bool| {
+    let mut case = |name: &str, factory: Arc<FnFactory>, canonical: bool| {
         out.push(Case {
             name: name.to_string(),
             factory,
             canonical,
-            checkpoints,
         })
     };
-    case("count", count_factory(), true, true);
-    case("sum", sum_factory(len), true, true);
-    case("eh_count", eh_count_factory(0.1, back()), true, true);
-    case("eh_sum", eh_sum_factory(0.1, back(), len_u), true, true);
-    case("unary_hh", unary_hh_factory(0.05, 0.1, host), false, true);
-    case(
-        "sw_hh",
-        sw_hh_factory(5.0, 3, back(), 0.1, host),
-        false,
-        true,
-    );
+    case("count", count_factory(), true);
+    case("sum", sum_factory(len), true);
+    case("eh_count", eh_count_factory(0.1, back()), true);
+    case("eh_sum", eh_sum_factory(0.1, back(), len_u), true);
+    case("unary_hh", unary_hh_factory(0.05, 0.1, host), false);
+    case("sw_hh", sw_hh_factory(5.0, 3, back(), 0.1, host), false);
     case(
         "prefix_hh",
         prefix_hh_factory(5, 0.2, back(), 0.1, |p| p.dst_host() & 31),
         false,
-        true,
     );
-    case("reservoir", reservoir_factory(8, 7, host), true, false);
-    case(
-        "aggarwal",
-        biased_reservoir_factory(0.05, 7, host),
-        true,
-        false,
-    );
+    case("reservoir", reservoir_factory(8, 7, host), true);
+    case("aggarwal", biased_reservoir_factory(0.05, 7, host), true);
     for spec in ["poly:2", "exp:0.05"] {
         let g = || spec.parse::<AnyDecay>().expect("decay spec");
-        let mut decayed =
-            |name: &str, factory: Arc<FnFactory>, canonical: bool, checkpoints: bool| {
-                case(&format!("{name}/{spec}"), factory, canonical, checkpoints)
-            };
-        decayed("fwd_count", fwd_count_factory(g()), true, true);
-        decayed("fwd_sum", fwd_sum_factory(g(), len), true, true);
-        decayed("fwd_avg", fwd_avg_factory(g(), len), true, true);
-        decayed("fwd_var", fwd_var_factory(g(), len), true, true);
-        decayed("fwd_max", fwd_max_factory(g(), len), true, true);
-        decayed("fwd_min", fwd_min_factory(g(), len), true, true);
-        decayed("fwd_hh", fwd_hh_factory(g(), 0.05, 0.1, host), false, true);
-        decayed("cm_hh", cm_hh_factory(g(), 0.1, 0.05, 7, host), false, true);
-        decayed("prisamp", pri_sample_factory(g(), 8, 7, host), true, false);
-        decayed("wrs", wrs_factory(g(), 8, 7, host), true, false);
-        decayed(
-            "swr",
-            with_replacement_factory(g(), 8, 7, host),
-            true,
-            false,
-        );
+        let mut decayed = |name: &str, factory: Arc<FnFactory>, canonical: bool| {
+            case(&format!("{name}/{spec}"), factory, canonical)
+        };
+        decayed("fwd_count", fwd_count_factory(g()), true);
+        decayed("fwd_sum", fwd_sum_factory(g(), len), true);
+        decayed("fwd_avg", fwd_avg_factory(g(), len), true);
+        decayed("fwd_var", fwd_var_factory(g(), len), true);
+        decayed("fwd_max", fwd_max_factory(g(), len), true);
+        decayed("fwd_min", fwd_min_factory(g(), len), true);
+        decayed("fwd_hh", fwd_hh_factory(g(), 0.05, 0.1, host), false);
+        decayed("cm_hh", cm_hh_factory(g(), 0.1, 0.05, 7, host), false);
+        decayed("prisamp", pri_sample_factory(g(), 8, 7, host), true);
+        decayed("wrs", wrs_factory(g(), 8, 7, host), true);
+        decayed("swr", with_replacement_factory(g(), 8, 7, host), true);
         decayed(
             "fwd_quantiles",
             fwd_quantile_factory(g(), 11, 0.05, vec![0.5, 0.95, 0.99], len_u),
             true,
-            true,
         );
-        decayed(
-            "fwd_distinct",
-            distinct_factory(g(), 0.2, 7, host),
-            false,
-            true,
-        );
+        decayed("fwd_distinct", distinct_factory(g(), 0.2, 7, host), false);
         decayed(
             "multi",
             multi_factory(vec![
@@ -131,7 +111,6 @@ fn cases() -> Vec<Case> {
                 fwd_avg_factory(g(), len),
                 fwd_quantile_factory(g(), 11, 0.05, vec![0.5], len_u),
             ]),
-            true,
             true,
         );
     }
@@ -203,18 +182,34 @@ fn states_and_answers_are_the_parent_commits() {
     let now = table();
     let pinned = include_str!("data/aggregator_states.hex");
     assert_eq!(pinned.lines().count(), now.lines().count());
+    let mut samplers = Vec::new();
     for (want, got) in pinned.lines().zip(now.lines()) {
         // Compare by line so a failure names the factory, not 40 kB of hex.
-        assert!(
-            want == got,
-            "differs from the parent commit:\n  {want}\n  {got}"
-        );
+        let (w, g): (Vec<&str>, Vec<&str>) = (want.split(' ').collect(), got.split(' ').collect());
+        if w[2] == "-" {
+            // Declined then: the answer is the parent's, the bytes new.
+            assert!(
+                (w[0], w[1], w[3]) == (g[0], g[1], g[3]),
+                "answers differently from the parent commit:\n  {want}\n  {got}"
+            );
+            samplers.push(got);
+        } else {
+            assert!(
+                want == got,
+                "differs from the parent commit:\n  {want}\n  {got}"
+            );
+        }
+    }
+    let pinned = include_str!("data/aggregator_sampler_states.hex");
+    assert_eq!(pinned.lines().count(), samplers.len());
+    for (want, got) in pinned.lines().zip(samplers) {
+        assert!(want == got, "a sampler's bytes moved:\n  {want}\n  {got}");
     }
 }
 
 #[test]
 fn restore_of_a_checkpoint_is_a_fixed_point() {
-    for case in cases().iter().filter(|c| c.checkpoints) {
+    for case in cases() {
         for (stage, agg) in stages(&case.factory) {
             let what = format!("{} {stage}", case.name);
             let restore = |bytes: &[u8]| {
@@ -292,38 +287,68 @@ fn size_probes_are_the_papers_constants() {
     );
 }
 
+/// A hand-written count that keeps [`Aggregator::checkpoint_into`]'s
+/// declining default.
+#[derive(Default)]
+struct Declining(u64);
+
+impl Aggregator for Declining {
+    fn update(&mut self, _: &Packet) {
+        self.0 += 1;
+    }
+    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
+        self.0 += other
+            .as_any_box()
+            .downcast::<Declining>()
+            .expect("a count")
+            .0;
+    }
+    fn emit(&self, _t: f64) -> AggValue {
+        AggValue::Float(self.0 as f64)
+    }
+    fn size_bytes(&self) -> usize {
+        8
+    }
+    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
 #[test]
-fn samplers_decline_to_checkpoint() {
-    let declining: Vec<String> = cases()
-        .iter()
-        .filter(|c| !c.checkpoints)
-        .map(|c| {
-            let mut agg = c.factory.make(BUCKET_START);
-            agg.update(&stream()[0]);
-            assert!(state_bytes(agg.as_ref()).is_none(), "{}", c.name);
-            assert!(agg.restore(&[]).is_err(), "{}", c.name);
-            c.name.clone()
-        })
-        .collect();
-    assert_eq!(
-        declining,
-        [
-            "reservoir",
-            "aggarwal",
-            "prisamp/poly:2",
-            "wrs/poly:2",
-            "swr/poly:2",
-            "prisamp/exp:0.05",
-            "wrs/exp:0.05",
-            "swr/exp:0.05"
-        ]
-    );
-    // A composite with a sampler in it declines as a whole.
-    let combo = multi_factory(vec![
-        count_factory(),
-        reservoir_factory(8, 7, |p| p.dst_host()),
-    ]);
-    assert!(state_bytes(combo.make(BUCKET_START).as_ref()).is_none());
+fn a_hand_written_udaf_may_decline_to_checkpoint() {
+    let udaf = || FnFactory::new("udaf", true, |_| Box::new(Declining::default()));
+    let alone = udaf();
+    let combo = multi_factory(vec![count_factory(), udaf()]);
+    for factory in [alone, combo] {
+        let name = factory.name().to_string();
+        let mut agg = factory.make(BUCKET_START);
+        agg.update(&stream()[0]);
+        assert!(state_bytes(agg.as_ref()).is_none(), "{name}");
+        let query = || {
+            Query::builder("declining")
+                .group_by(|p| p.dst_host())
+                .bucket_secs(60)
+                .aggregate(factory.clone())
+                .build()
+        };
+        // A store persists checkpoints: it refuses the aggregate by name.
+        let dir = std::env::temp_dir().join(format!("fd-declining-{}-{name}", std::process::id()));
+        let refused = ShardedEngine::try_new(query(), 2)
+            .expect("spawn shards")
+            .try_durable(&dir, DurabilityOptions::default())
+            .err();
+        assert!(
+            matches!(&refused, Some(Error::Durability { detail }) if detail.contains(&name)),
+            "{name}: {refused:?}"
+        );
+        assert!(!dir.exists(), "{name}: a refused store is never opened");
+        // Without one, the query runs unsupervised and answers as one engine.
+        let mut e = ShardedEngine::try_new(query(), 2).expect("spawn shards");
+        let rows = e.run(stream());
+        let want = Engine::new(query()).run(stream());
+        assert_eq!(format!("{rows:?}"), format!("{want:?}"), "{name}");
+        assert_eq!(e.telemetry().snapshot().checkpoints, 0, "{name}");
+    }
 }
 
 #[test]

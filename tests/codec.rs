@@ -9,7 +9,9 @@
 //! those bytes, and decoding then re-encoding them must give them back.
 //! (Where a state holds a hashed container, the parent wrote it in hash
 //! order; its generator rebuilt the state until that order happened to be
-//! the canonical one the encoder now writes.)
+//! the canonical one the encoder now writes.) `data/codec_samplers.hex`
+//! holds, the same way, the five samplers the engine runs, as first
+//! encoded when they began to checkpoint, generator state and all.
 //!
 //! **Hostile input.** Every pinned image and one image of every other
 //! checkpointed state is truncated, extended, bit-flipped and given
@@ -45,6 +47,9 @@ use forward_decay::core::heavy_hitters::{
 };
 use forward_decay::core::merge::Mergeable;
 use forward_decay::core::quantiles::{DecayedQuantiles, QDigest, WeightedGK};
+use forward_decay::core::sampling::{
+    BiasedReservoir, PrioritySampler, ReservoirSampler, WeightedReservoir, WithReplacementSampler,
+};
 use forward_decay::engine::prelude::*;
 use forward_decay::engine::udaf::FnFactory;
 use rand::rngs::SmallRng;
@@ -445,8 +450,76 @@ fn cases() -> Vec<Case> {
     ));
     out.push(engine_case("engine/lfta", true));
     out.push(engine_case("engine/single", false));
+    out.extend(sampler_cases());
     out.extend(unpinned_cases());
     out
+}
+
+/// Forty arrivals offered to a sampler of four: evictions have emptied
+/// slots, and the generator has moved on from its seed.
+fn sampled<S>(mut s: S, offer: impl Fn(&mut S, f64, u64)) -> S {
+    for i in 0..40u64 {
+        offer(&mut s, 10.0 + i as f64 * 0.37, i * 7 % 13);
+    }
+    s
+}
+
+fn reservoir() -> ReservoirSampler<u64> {
+    sampled(ReservoirSampler::new(4, 7), |s, _, k| s.update(k))
+}
+
+fn biased_reservoir() -> BiasedReservoir<u64> {
+    sampled(BiasedReservoir::new(0.2, 7), |s, _, k| s.update(k))
+}
+
+fn weighted_reservoir() -> WeightedReservoir<u64, AnyDecay> {
+    sampled(WeightedReservoir::new(poly2(), 10.0, 4, 7), |s, t, k| {
+        s.update(t, &k)
+    })
+}
+
+/// The engine's five samplers, whose images `data/codec_samplers.hex` pins.
+fn sampler_cases() -> Vec<Case> {
+    vec![
+        case("reservoir", reservoir(), |s| {
+            arrivals().for_each(|(_, k)| s.update(k));
+            merge_fresh(s, ReservoirSampler::new(4, 9));
+            std::hint::black_box(s.sample());
+        }),
+        case("biased_reservoir", biased_reservoir(), |s| {
+            arrivals().for_each(|(_, k)| s.update(k));
+            merge_fresh(s, BiasedReservoir::new(0.2, 9));
+            std::hint::black_box(s.sample());
+        }),
+        case("weighted_reservoir", weighted_reservoir(), |s| {
+            arrivals().for_each(|(t, k)| s.update(t, &k));
+            merge_fresh(s, WeightedReservoir::new(poly2(), 10.0, 4, 9));
+            std::hint::black_box(s.sample());
+        }),
+        case(
+            "priority_sampler",
+            sampled(PrioritySampler::new(poly2(), 10.0, 4, 7), |s, t, k| {
+                s.update(t, &k)
+            }),
+            |s| {
+                arrivals().for_each(|(t, k)| s.update(t, &k));
+                merge_fresh(s, PrioritySampler::new(poly2(), 10.0, 4, 9));
+                std::hint::black_box((s.sample(), s.estimate_decayed_count(11.0)));
+            },
+        ),
+        case(
+            "with_replacement",
+            sampled(
+                WithReplacementSampler::new(poly2(), 10.0, 3, 7),
+                |s, t, k| s.update(t, &k),
+            ),
+            |s| {
+                arrivals().for_each(|(t, k)| s.update(t, &k));
+                merge_fresh(s, WithReplacementSampler::new(poly2(), 10.0, 3, 9));
+                std::hint::black_box(s.sample());
+            },
+        ),
+    ]
 }
 
 /// The states the pinned files above and `aggregator_states.hex` /
@@ -644,11 +717,11 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-#[test]
-fn pinned_images_are_the_parent_commits_bytes_and_fixed_points() {
+/// Each `<name> <hex>` line of `pinned` is what the case of that name
+/// encodes, and decoding then re-encoding it gives it back.
+fn assert_pinned(pinned: &str, lines: usize) {
     let cases = cases();
-    let pinned = include_str!("data/codec_parent.hex");
-    assert_eq!(pinned.lines().count(), 15);
+    assert_eq!(pinned.lines().count(), lines);
     for line in pinned.lines() {
         let (name, want) = line.split_once(' ').expect("<name> <hex>");
         let case = (cases.iter().find(|c| c.name == name)).unwrap_or_else(|| panic!("{name}"));
@@ -657,6 +730,16 @@ fn pinned_images_are_the_parent_commits_bytes_and_fixed_points() {
         let again = (case.decode)(&unhex(want)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(hex(&again), want, "{name}: decode ∘ encode moved the bytes");
     }
+}
+
+#[test]
+fn pinned_images_are_the_parent_commits_bytes_and_fixed_points() {
+    assert_pinned(include_str!("data/codec_parent.hex"), 15);
+}
+
+#[test]
+fn sampler_images_are_pinned_and_fixed_points() {
+    assert_pinned(include_str!("data/codec_samplers.hex"), 5);
 }
 
 #[test]
@@ -879,5 +962,65 @@ fn map_bearing_families_checkpoint_canonically() {
             bytes
         };
         assert!(state() == state(), "{name}: one stream, two byte images");
+    }
+}
+
+#[test]
+fn a_top_k_free_list_naming_a_live_slot_is_refused() {
+    let mut bytes = to_bytes(&weighted_reservoir());
+    // `… | free list | generator (32) | n | accepted`: one freed slot of
+    // the five a four-sample reservoir has used, renamed to a live one.
+    let free_at = bytes.len() - 48 - 8;
+    assert_eq!(u64_at(&bytes, free_at - 8), 1);
+    let live = (u64_at(&bytes, free_at) + 1) % 5;
+    bytes[free_at..free_at + 8].copy_from_slice(&live.to_le_bytes());
+    match from_bytes::<WeightedReservoir<u64, AnyDecay>>(&bytes) {
+        Err(e) => assert!(e.to_string().contains("free list"), "{e}"),
+        Ok(mut s) => {
+            (0..8).for_each(|i| s.update(11.0 + i as f64, &i));
+            panic!("a free list naming a live slot decoded, and updated");
+        }
+    }
+}
+
+#[test]
+fn a_reservoir_longer_than_k_is_refused() {
+    let mut bytes = to_bytes(&reservoir());
+    // `k | reservoir | …`: four items held, k cut to three.
+    assert_eq!(u64_at(&bytes, 0), 4);
+    bytes[..8].copy_from_slice(&3u64.to_le_bytes());
+    match from_bytes::<ReservoirSampler<u64>>(&bytes) {
+        Err(e) => assert!(e.to_string().contains("longer than k"), "{e}"),
+        Ok(_) => panic!("a reservoir of four decoded with k = 3"),
+    }
+}
+
+#[test]
+fn a_bias_rate_outside_the_unit_interval_is_refused() {
+    let image = to_bytes(&biased_reservoir());
+    // `λ | n_max | …`
+    assert_eq!(
+        f64::from_le_bytes(image[..8].try_into().expect("8 bytes")),
+        0.2
+    );
+    for lambda in [0.0, -0.2, 1.5, f64::NAN, f64::INFINITY] {
+        let mut bytes = image.clone();
+        bytes[..8].copy_from_slice(&lambda.to_le_bytes());
+        match from_bytes::<BiasedReservoir<u64>>(&bytes) {
+            Err(e) => assert!(e.to_string().contains("bias rate"), "λ = {lambda}: {e}"),
+            Ok(_) => panic!("a biased reservoir decoded with λ = {lambda}"),
+        }
+    }
+}
+
+#[test]
+fn an_all_zero_generator_state_is_refused() {
+    let mut bytes = to_bytes(&reservoir());
+    // The generator's four words close the image.
+    let at = bytes.len() - 32;
+    bytes[at..].fill(0);
+    match from_bytes::<ReservoirSampler<u64>>(&bytes) {
+        Err(e) => assert!(e.to_string().contains("all-zero generator"), "{e}"),
+        Ok(_) => panic!("a generator that draws only zeros decoded"),
     }
 }

@@ -139,6 +139,18 @@ fn wait_for_a_commit_on_disk(dir: &Path) {
     }
 }
 
+/// Polls `ok` until it holds, for up to 30 s.
+fn wait_until(what: &str, ok: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !ok() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "waited 30 s for {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 /// A complete durable run over a fresh store: feed, commit, finish.
 fn durable_run(dir: &Path, packets: &[Packet], n_shards: usize) -> (Vec<Row>, ShardedEngine) {
     let (mut e, report) = open(dir, n_shards, DurabilityOptions::default());
@@ -536,47 +548,76 @@ fn full_disk_degrades_to_in_memory_supervision_not_an_error() {
     );
 }
 
-/// Aggregates that decline checkpointing (samplers) still get a WAL: with
-/// nothing coverable, recovery replays the entire log from scratch — and
-/// because the sampler is seeded, the replay reproduces the run exactly.
+/// The samplers checkpoint like every other aggregate, so a sampler store
+/// resumes from its persisted checkpoints: a crash replays the WAL tail
+/// past them — under one checkpoint interval per shard, not the whole log
+/// — and the resumed run finishes to the uncrashed run's rows.
 #[test]
-fn non_checkpointable_aggregates_replay_the_whole_wal() {
+fn durable_samplers_resume_from_their_persisted_checkpoints() {
+    const EVERY: u64 = 256;
+    let g = Monomial::new(1.0);
+    let host = |p: &Packet| p.src_host();
     let q = || {
-        Query::builder("sample")
+        Query::builder("samplers")
             .group_by(|p| p.dst_host())
             .bucket_secs(2)
-            .aggregate(pri_sample_factory(Monomial::new(1.0), 16, 99, |p| {
-                p.len as u64
-            }))
+            .aggregate(multi_factory(vec![
+                reservoir_factory(8, 99, host),
+                biased_reservoir_factory(0.1, 99, host),
+                pri_sample_factory(g, 8, 99, host),
+                wrs_factory(g, 8, 99, host),
+                with_replacement_factory(g, 8, 99, host),
+            ]))
             .build()
     };
-    let packets = trace(1.5, 8_000.0, 79);
+    let open = |dir: &Path| {
+        ShardedEngine::try_new(q(), 2)
+            .expect("spawn shards")
+            .checkpoint_every(EVERY)
+            .try_durable(dir, DurabilityOptions::default())
+            .expect("open")
+    };
+    let packets = trace(3.0, 8_000.0, 79);
+    let expected = ShardedEngine::try_new(q(), 2)
+        .expect("spawn shards")
+        .checkpoint_every(EVERY)
+        .run(packets.iter().copied());
     let store = StoreDir::new("sampler");
-    let (mut e, _) = ShardedEngine::try_new(q(), 2)
-        .expect("spawn shards")
-        .checkpoint_every(256)
-        .try_durable(store.path(), DurabilityOptions::default())
-        .expect("open");
-    feed(&mut e, &packets, 0, 512);
-    let rows = e.finish();
-    assert!(!rows.is_empty());
-    drop(e);
-    let (mut e, report) = ShardedEngine::try_new(q(), 2)
-        .expect("spawn shards")
-        .checkpoint_every(256)
-        .try_durable(store.path(), DurabilityOptions::default())
-        .expect("reopen");
+    let cut = packets.len() / 2;
+    {
+        let (mut e, _) = open(store.path());
+        let head: Vec<StreamEvent> = packets[..cut]
+            .iter()
+            .map(|&p| StreamEvent::Data(p))
+            .collect();
+        e.try_process_batch(&head).expect("feed");
+        // Let the workers apply — and checkpoint — all they were sent, then
+        // commit once: the writer persists those checkpoints with it.
+        let tel = Arc::clone(e.telemetry());
+        wait_until("the workers to drain", || {
+            tel.snapshot().shards.iter().all(|s| s.queue_depth == 0)
+        });
+        e.durable_commit(cut as u64).expect("commit");
+        // The one commit is the one persist. Once it has begun, dropping
+        // the engine mid-stream lets it finish and stops the writer there.
+        wait_until("a persisted checkpoint", || {
+            tel.snapshot().checkpoints_persisted > 0
+        });
+    }
+    let (mut e, report) = open(store.path());
     assert!(report.resumed);
-    assert_eq!(report.position, packets.len() as u64);
+    assert_eq!(report.position, cut as u64);
     assert!(
-        report.replayed_batches > 0,
-        "nothing was coverable, so the whole WAL must replay"
+        report.replayed_tuples < 2 * EVERY,
+        "replayed {} tuples: more than a checkpoint interval per shard",
+        report.replayed_tuples
     );
-    let rows2 = e.finish();
+    feed(&mut e, &packets, report.position, 512);
+    let rows = e.finish();
     assert_eq!(
         format!("{rows:?}"),
-        format!("{rows2:?}"),
-        "seeded sampler replay must reproduce the run"
+        format!("{expected:?}"),
+        "the resumed sampler store must finish to the uncrashed run's rows"
     );
 }
 

@@ -45,6 +45,41 @@ fn trace(duration_secs: f64, rate_pps: f64, seed: u64) -> Vec<Packet> {
     .generate()
 }
 
+/// The five samplers the engine runs, over the same groups: reservoir,
+/// Aggarwal's biased reservoir, priority sampling, Efraimidis–Spirakis and
+/// sampling with replacement.
+fn samplers_query() -> Query {
+    let g = Monomial::new(1.0);
+    let host = |p: &Packet| p.src_host();
+    Query::builder("samplers")
+        .group_by(|p| p.dst_host())
+        .bucket_secs(2)
+        .aggregate(multi_factory(vec![
+            reservoir_factory(8, 99, host),
+            biased_reservoir_factory(0.1, 99, host),
+            pri_sample_factory(g, 8, 99, host),
+            wrs_factory(g, 8, 99, host),
+            with_replacement_factory(g, 8, 99, host),
+        ]))
+        .build()
+}
+
+/// Whether two values are the same to the bit, item for item.
+fn same_bits(a: &AggValue, b: &AggValue) -> bool {
+    match (a, b) {
+        (AggValue::Float(x), AggValue::Float(y)) => x.to_bits() == y.to_bits(),
+        (AggValue::Items(x), AggValue::Items(y)) => {
+            x.len() == y.len()
+                && (x.iter().zip(y))
+                    .all(|(p, q)| (p.item, p.value.to_bits()) == (q.item, q.value.to_bits()))
+        }
+        (AggValue::Multi(x), AggValue::Multi(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same_bits(p, q))
+        }
+        _ => false,
+    }
+}
+
 /// The strongest equality there is for `f64` output: same rows, same
 /// order, same bits.
 fn assert_bit_identical(expected: &[Row], got: &[Row], label: &str) {
@@ -55,16 +90,13 @@ fn assert_bit_identical(expected: &[Row], got: &[Row], label: &str) {
             (g.bucket_start, g.key),
             "{label}: row identity"
         );
-        let (ev, gv) = (
-            e.value.as_float().expect("scalar aggregate"),
-            g.value.as_float().expect("scalar aggregate"),
-        );
-        assert_eq!(
-            ev.to_bits(),
-            gv.to_bits(),
-            "{label}: bucket {} key {}: {ev} vs {gv}",
+        assert!(
+            same_bits(&e.value, &g.value),
+            "{label}: bucket {} key {}: {} vs {}",
             e.bucket_start,
-            e.key
+            e.key,
+            e.value,
+            g.value
         );
     }
 }
@@ -670,33 +702,76 @@ fn engine_checkpoint_roundtrip_is_transparent_mid_stream() {
     assert_eq!(original.stats(), restored.stats());
 }
 
-/// Sampling-based aggregates decline checkpointing (their state is not
-/// exactly serializable); a supervised engine running one must fall back
-/// to fail-hard semantics rather than silently replaying wrong state —
-/// and a clean run must stay exact.
+/// The samplers checkpoint like every other aggregate — their keys are
+/// fixed at arrival and their generators' state is in the bytes — so a
+/// crashed worker running them is restored, not degraded, and the rows
+/// are the unfaulted run's to the bit.
 #[test]
-fn non_checkpointable_aggregates_still_run_supervised() {
-    let q = || {
-        Query::builder("sample")
-            .group_by(|p| p.dst_host())
-            .bucket_secs(2)
-            .aggregate(pri_sample_factory(Monomial::new(1.0), 16, 99, |p| {
-                p.len as u64
-            }))
-            .build()
-    };
+fn samplers_recover_from_a_crash_bit_identically() {
     let packets = trace(3.0, 5_000.0, 13);
-    let mut e = ShardedEngine::try_new(q(), 2)
-        .expect("spawn shards")
-        .checkpoint_every(256);
-    let rows = e.run(packets.iter().copied());
-    assert!(!rows.is_empty());
-    let t = e.telemetry().snapshot();
-    assert_eq!(
-        t.checkpoints, 0,
-        "samplers cannot checkpoint; the slot must be marked unsupported"
+    let run = |fault: Option<FaultPlan>| {
+        let mut e = ShardedEngine::try_new(samplers_query(), 2)
+            .expect("spawn shards")
+            .checkpoint_every(256);
+        if let Some(plan) = fault {
+            e = e.inject_fault(plan);
+        }
+        let rows = e.run(packets.iter().copied());
+        (rows, e.telemetry().snapshot())
+    };
+    let (expected, _) = run(None);
+    assert!(!expected.is_empty());
+    let (rows, t) = run(Some(FaultPlan {
+        shard: 1,
+        kind: FaultKind::PanicAtTuple(4_000),
+    }));
+    assert_bit_identical(&expected, &rows, "samplers after a crash");
+    assert!(t.checkpoints > 0, "the samplers checkpointed");
+    assert_eq!((t.restarts, t.worker_panics), (1, 1));
+    assert_eq!(t.degraded_shards, 0);
+    assert!(
+        t.replayed_tuples > 0,
+        "the tail since the checkpoint was re-read"
     );
-    assert_eq!(t.worker_panics, 0);
+}
+
+/// The randomized sweep on the sampler query: any shard count, checkpoint
+/// interval and crash point restores the samplers' reservoirs and
+/// generators exactly. Honors `FD_FAULT` like the sweeps above.
+#[test]
+fn randomized_sampler_crashes_recover_exactly() {
+    let seed = fault::env_seed().unwrap_or(0x5A3F);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let packets = trace(3.0, 8_000.0, 23);
+    type CleanRun = (Vec<Row>, Vec<u64>);
+    let mut clean: std::collections::BTreeMap<usize, CleanRun> = Default::default();
+    for round in 0..4 {
+        let n_shards = rng.gen_range(1..=4usize);
+        let every = rng.gen_range(64..=4_096u64);
+        let shard = rng.gen_range(0..n_shards);
+        let (expected, per_shard) = clean.entry(n_shards).or_insert_with(|| {
+            let mut e = ShardedEngine::try_new(samplers_query(), n_shards).expect("spawn shards");
+            let rows = e.run(packets.iter().copied());
+            let per_shard = e.per_shard_stats().iter().map(|s| s.tuples_in).collect();
+            (rows, per_shard)
+        });
+        let at = rng.gen_range(1..=per_shard[shard]);
+        let mut e = ShardedEngine::try_new(samplers_query(), n_shards)
+            .expect("spawn shards")
+            .checkpoint_every(every)
+            .inject_fault(FaultPlan {
+                shard,
+                kind: FaultKind::PanicAtTuple(at),
+            });
+        let rows = e.run(packets.iter().copied());
+        let label = format!(
+            "seed {seed} round {round}: shards={n_shards} checkpoint_every={every} \
+             crash at tuple {at} of shard {shard}"
+        );
+        assert_bit_identical(expected, &rows, &label);
+        let t = e.telemetry().snapshot();
+        assert_eq!((t.restarts, t.degraded_shards), (1, 0), "{label}");
+    }
 }
 
 /// A respawn across a gap in the seq stream. Producer 0's first epoch kills

@@ -101,7 +101,8 @@ fn observer_thread_watches_a_live_run_via_reporter() {
         Arc::clone(e.telemetry()),
         Duration::from_millis(2),
         move |s| sink.lock().unwrap().push(s),
-    );
+    )
+    .expect("spawn metrics reporter");
     let rows = e.run(trace.iter());
     reporter.stop();
     assert!(!rows.is_empty());
