@@ -538,7 +538,9 @@ impl SlidingWindowHH {
                 guaranteed: true,
             })
             .collect();
-        out.sort_by(|a, b| b.count.total_cmp(&a.count));
+        // Ties by item: the counts come out of a `HashMap`, whose order
+        // must not reach a row.
+        out.sort_by(|a, b| b.count.total_cmp(&a.count).then(a.item.cmp(&b.item)));
         out
     }
 }

@@ -29,23 +29,30 @@
 //! aggregates are *splittable* across the two-level architecture, UDAF-style
 //! summaries run at the high level only (as in the paper's setup).
 //!
-//! # One adapter
+//! # One definition, two holders
 //!
 //! Every summary has the same life — a timestamped arrival goes in with its
 //! weight `g(tᵢ − L)` frozen, partial states merge by addition, and the
 //! answer is divided by `g(t − L)` when the bucket closes — so the engine's
-//! side of it is written once. One private adapter holds a group's state
+//! side of it is written once, as a private `Ops`: what is the same for
+//! every group of the query (which field to read, how to fold it in — with
+//! a Horvitz–Thompson scale if the aggregate is linear — how to answer, how
+//! big it is, and how a group's fresh state is built). `Ops` is the by-value
+//! cell kind of the engine's group store: there a group is its bare state
 //! `S` (the fd-core summary, or the bare count / `f64` of the undecayed
-//! built-ins) and an `Arc` of what is the same for every group of the
-//! query (`Ops`: which field to read, how to fold it in — with a
-//! Horvitz–Thompson scale if the aggregate is linear — how to answer, how
-//! big it is). Its [`Aggregator`] impl is the only one here besides
-//! [`multi_factory`]'s composite: one `merge_boxed` downcast onto
-//! [`Mergeable::merge_from`] (Section VI-B: frozen numerators make
-//! forward-decay summaries mergeable, so per-shard partial buckets combine
-//! losslessly), one checkpoint/restore through [`fd_core::checkpoint`] —
-//! every state here encodes, the samplers' generators included, so every
-//! factory checkpoints.
+//! built-ins), held inline, and the store keeps the `Ops` once for all of
+//! them. Merging is [`Mergeable::merge_from`] (Section VI-B: frozen
+//! numerators make forward-decay summaries mergeable, so per-shard partial
+//! buckets combine losslessly), and checkpointing is the state's own
+//! [`fd_core::checkpoint`] encoding — every state here encodes, the
+//! samplers' generators included, so every factory checkpoints.
+//!
+//! [`AggregatorFactory::make`] still returns a group boxed, as a private
+//! adapter over the same `S` and `Ops` whose [`Aggregator`] impl — the
+//! only one here besides [`multi_factory`]'s composite — calls the same
+//! `Ops` bodies. It is what `multi_factory`'s parts and every
+//! [`crate::engine::ClosedGroup`] hold, and one `merge_boxed` downcast
+//! lets the sharded engine's combiner merge two of them.
 //!
 //! **Adding an aggregate is one factory function**: which field to read,
 //! two or three closures over the summary, and its constructor. The source
@@ -70,8 +77,9 @@ use fd_core::sampling::{
 };
 use fd_core::{Mergeable, Timestamp};
 
+use crate::groups::{Cells, Store};
 use crate::tuple::{self, Packet};
-use crate::udaf::{write_agg, AggValue, Aggregator, AggregatorFactory, FnFactory, ItemValue};
+use crate::udaf::{put_framed, AggValue, Aggregator, AggregatorFactory, FnFactory, ItemValue};
 
 /// A backward decay function erased to a closure, so queries can choose it
 /// at runtime (the Cohen–Strauss "decay specified at query time" setting).
@@ -107,9 +115,10 @@ fn bucket_seed(base: u64, bucket_start: Timestamp) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// What is the same for every group of a query: what the aggregate does
-/// with its per-group state `S`. The factory owns it once; each group
-/// points at it.
-struct Ops<S, U, X, F, E> {
+/// with its per-group state `S`, and how a group's fresh state is built.
+/// The factory owns it once; the engine's by-value group store and every
+/// boxed [`Adapter`] point at it.
+struct Ops<S, U, X, F, E, N = ()> {
     /// Which field of the tuple the aggregate reads (`|_| ()` for a count).
     extract: X,
     /// Folds one arrival: `Fn(&mut S, &Packet, U)`.
@@ -118,15 +127,19 @@ struct Ops<S, U, X, F, E> {
     /// what makes the factory [`scalable`](AggregatorFactory::scalable).
     scaled: Option<fn(&mut S, &Packet, U, f64)>,
     /// Answers at query time `t` (seconds): `Fn(&S, f64) -> AggValue`.
-    emit: E,
+    answer: E,
     /// The paper's space-per-group probe.
-    size: fn(&S) -> usize,
+    space: fn(&S) -> usize,
+    /// A group's fresh state for the bucket starting at the given time —
+    /// a decayed summary's landmark, exactly like the paper's `time % 60`.
+    fresh: N,
 }
 
-/// One group's aggregation state.
-struct Adapter<S, U, X, F, E> {
+/// One group's aggregation state, boxed: what `make` returns, and what a
+/// by-value group leaves the engine as in a [`crate::engine::ClosedGroup`].
+struct Adapter<S, U, X, F, E, N> {
     state: S,
-    ops: Arc<Ops<S, U, X, F, E>>,
+    ops: Arc<Ops<S, U, X, F, E, N>>,
 }
 
 impl<S, U, X, F, E> Ops<S, U, X, F, E>
@@ -139,13 +152,14 @@ where
 {
     /// An aggregate that does not scale, until [`scaled`](Self::scaled)
     /// says how.
-    fn new(extract: X, feed: F, emit: E, size: fn(&S) -> usize) -> Self {
+    fn new(extract: X, feed: F, answer: E, space: fn(&S) -> usize) -> Self {
         Self {
             extract,
             feed,
             scaled: None,
-            emit,
-            size,
+            answer,
+            space,
+            fresh: (),
         }
     }
 
@@ -154,45 +168,107 @@ where
         self
     }
 
-    /// The factory: `new` builds a group's fresh state for the bucket
-    /// starting at the given time — a decayed summary's landmark, exactly
-    /// like the paper's `time % 60`.
-    fn factory(
-        self,
-        name: &str,
-        splittable: bool,
-        new: impl Fn(Timestamp) -> S + Send + Sync + 'static,
-    ) -> Arc<FnFactory> {
-        let scalable = self.scaled.is_some();
-        let ops = Arc::new(self);
-        FnFactory::with_scaling(name, splittable, scalable, move |bucket_start| {
-            Box::new(Adapter {
-                state: new(tuple::timestamp(bucket_start)),
-                ops: Arc::clone(&ops),
-            })
-        })
+    /// The factory: `fresh` builds a group's state for the bucket starting
+    /// at the given time. The engine holds its groups by value; `make`
+    /// boxes one state in an [`Adapter`].
+    fn factory<N>(self, name: &str, splittable: bool, fresh: N) -> Arc<FnFactory>
+    where
+        N: Fn(Timestamp) -> S + Send + Sync + 'static,
+    {
+        let ops = Arc::new(Ops {
+            extract: self.extract,
+            feed: self.feed,
+            scaled: self.scaled,
+            answer: self.answer,
+            space: self.space,
+            fresh,
+        });
+        let boxing = Arc::clone(&ops);
+        FnFactory::by_value(
+            name,
+            splittable,
+            ops.scaled.is_some(),
+            move |bucket_start| boxing.boxed(boxing.make(bucket_start)),
+            move |query| Box::new(Store::new(Arc::clone(&ops), query)),
+        )
     }
 }
 
-impl<S, U, X, F, E> Aggregator for Adapter<S, U, X, F, E>
+/// The by-value cells: a group is its bare state `S`. These bodies are the
+/// aggregate's one definition — the boxed [`Adapter`] calls them too.
+impl<S, U, X, F, E, N> Cells for Arc<Ops<S, U, X, F, E, N>>
 where
     S: Mergeable + Encode + Decode + Send + 'static,
     U: 'static,
     X: Fn(&Packet) -> U + Send + Sync + 'static,
     F: Fn(&mut S, &Packet, U) + Send + Sync + 'static,
     E: Fn(&S, f64) -> AggValue + Send + Sync + 'static,
+    N: Fn(Timestamp) -> S + Send + Sync + 'static,
+{
+    type Cell = S;
+    #[inline]
+    fn make(&self, bucket_start: tuple::Micros) -> S {
+        (self.fresh)(tuple::timestamp(bucket_start))
+    }
+    #[inline]
+    fn update(&self, state: &mut S, pkt: &Packet) {
+        (self.feed)(state, pkt, (self.extract)(pkt));
+    }
+    #[inline]
+    fn update_scaled(&self, state: &mut S, pkt: &Packet, scale: f64) {
+        match self.scaled {
+            Some(scaled) => scaled(state, pkt, (self.extract)(pkt), scale),
+            // Only ever a unit scale: the engine refuses any other for a
+            // factory that is not `scalable()`.
+            None => self.update(state, pkt),
+        }
+    }
+    #[inline]
+    fn merge(&self, into: &mut S, from: S) {
+        into.merge_from(&from);
+    }
+    #[inline]
+    fn emit(&self, state: &S, t: f64) -> AggValue {
+        (self.answer)(state, t)
+    }
+    #[inline]
+    fn size(&self, state: &S) -> usize {
+        (self.space)(state)
+    }
+    /// The summary state alone: closures and query-time parameters
+    /// (extractors, φ, the backward decay) are the factory's to recreate.
+    fn put(&self, state: &S, out: &mut Vec<u8>) -> Option<()> {
+        state.put(out);
+        Some(())
+    }
+    /// The state alone, landmark included: the bucket start is not needed.
+    fn take(&self, _: tuple::Micros, bytes: &[u8]) -> Result<S, CodecError> {
+        from_bytes(bytes)
+    }
+    fn boxed(&self, state: S) -> Box<dyn Aggregator> {
+        Box::new(Adapter {
+            state,
+            ops: Arc::clone(self),
+        })
+    }
+}
+
+impl<S, U, X, F, E, N> Aggregator for Adapter<S, U, X, F, E, N>
+where
+    Arc<Ops<S, U, X, F, E, N>>: Cells<Cell = S>,
+    S: Mergeable + Send + 'static,
+    U: 'static,
+    X: Send + Sync + 'static,
+    F: Send + Sync + 'static,
+    E: Send + Sync + 'static,
+    N: Send + Sync + 'static,
 {
     #[inline]
     fn update(&mut self, pkt: &Packet) {
-        (self.ops.feed)(&mut self.state, pkt, (self.ops.extract)(pkt));
+        self.ops.update(&mut self.state, pkt);
     }
     fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-        match self.ops.scaled {
-            Some(scaled) => scaled(&mut self.state, pkt, (self.ops.extract)(pkt), scale),
-            // Only ever a unit scale: the engine refuses any other for a
-            // factory that is not `scalable()`.
-            None => self.update(pkt),
-        }
+        self.ops.update_scaled(&mut self.state, pkt, scale);
     }
     fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
         let other = other
@@ -202,22 +278,20 @@ where
         self.state.merge_from(&other.state);
     }
     fn emit(&self, t: f64) -> AggValue {
-        (self.ops.emit)(&self.state, t)
+        self.ops.emit(&self.state, t)
     }
     fn size_bytes(&self) -> usize {
-        (self.ops.size)(&self.state)
+        self.ops.size(&self.state)
     }
     fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
         self
     }
-    /// The summary state alone: closures and query-time parameters
-    /// (extractors, φ, the backward decay) are the factory's to recreate.
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        self.state.put(out);
-        Some(())
+        self.ops.put(&self.state, out)
     }
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        self.state = from_bytes(bytes)?;
+        // The state carries its landmark; `take` needs no bucket start.
+        self.state = self.ops.take(0, bytes)?;
         Ok(())
     }
 }
@@ -738,7 +812,7 @@ impl Aggregator for MultiAgg {
         self.parts.len().put(out);
         self.parts
             .iter()
-            .try_for_each(|part| write_agg(out, part.as_ref()))
+            .try_for_each(|part| put_framed(out, |out| part.checkpoint_into(out)))
     }
     /// Each part restores straight from its slice of `bytes`: the arity is
     /// checked before any is read, and nothing is copied.

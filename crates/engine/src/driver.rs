@@ -174,12 +174,6 @@ impl RateDriver {
         self.replay_with(packets, |p| engine.process(p))
     }
 
-    /// Panicking convenience over [`RateDriver::try_replay`].
-    pub fn replay<P: StreamProcessor>(&self, engine: &mut P, packets: &[Packet]) -> ReplayStats {
-        self.try_replay(engine, packets)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn replay_with(
         &self,
         packets: &[Packet],
@@ -325,7 +319,8 @@ mod tests {
             buffer: 1024,
             batch: 256,
         }
-        .replay(&mut e, &packets);
+        .try_replay(&mut e, &packets)
+        .expect("an engine never fails");
         assert_eq!(stats.dropped, 0);
         assert_eq!(stats.processed, 20_000);
         assert!(stats.cpu_load_pct < 100.0);
@@ -342,7 +337,8 @@ mod tests {
             buffer: 4_096,
             batch: 1024,
         }
-        .replay(&mut e, &packets);
+        .try_replay(&mut e, &packets)
+        .expect("an engine never fails");
         assert!(stats.dropped > 0, "expected drops at an impossible rate");
         assert_eq!(stats.processed + stats.dropped, stats.offered);
         assert_eq!(stats.cpu_load_pct, 100.0);

@@ -3,10 +3,17 @@
 //! Mirrors Gigascope's two-level architecture (Section VIII of the paper):
 //! splittable aggregates are partially aggregated in the fixed-size
 //! low-level table ([`crate::lfta::Lfta`]) and combined in the high-level
-//! hash map here; non-splittable aggregates (the UDAFs, "written to run at
-//! the high-level only") receive raw tuples directly. Figure 2(b) of the
-//! paper disables the split — [`crate::udaf::QueryBuilder::two_level`]
-//! reproduces that ablation.
+//! groups of the open buckets; non-splittable aggregates (the UDAFs,
+//! "written to run at the high-level only") receive raw tuples directly.
+//! Figure 2(b) of the paper disables the split —
+//! [`crate::udaf::QueryBuilder::two_level`] reproduces that ablation.
+//!
+//! Both levels live in the query's group store, which the engine holds as
+//! one trait object: a built-in aggregate's state sits in it by value, a
+//! UDAF's as the box its factory makes
+//! ([`AggregatorFactory::group_store`](crate::udaf::AggregatorFactory::group_store)).
+//! The engine itself admits tuples, moves the watermark and decides which
+//! buckets close.
 //!
 //! Time buckets close when the watermark (largest timestamp seen) passes the
 //! bucket end plus the query's out-of-order slack — the engine's stand-in
@@ -14,10 +21,9 @@
 
 use fd_core::checkpoint::{require, Decode, Encode, MAX_COUNT};
 
-use crate::groups::{OpenBucket, OpenBuckets};
-use crate::lfta::Lfta;
-use crate::tuple::{bucket_end, bucket_start, secs, Micros, Packet};
-use crate::udaf::{AggValue, Aggregator, Query};
+use crate::groups::{Closing, GroupStore};
+use crate::tuple::{bucket_end, bucket_start, Micros, Packet};
+use crate::udaf::{put_framed, AggValue, Aggregator, Query};
 
 /// One output row of a continuous query: a closed (bucket, group) with its
 /// aggregate value.
@@ -95,6 +101,10 @@ fd_core::codec_struct!(EngineStats {
 /// key)` groups together with [`Aggregator::merge_boxed`] before emitting —
 /// exactly the merge the paper's Section VI-B shows forward-decay
 /// summaries support (frozen numerators make partial summaries mergeable).
+///
+/// This is the one place a built-in aggregate's state is boxed: the group
+/// store holds it by value while the bucket is open, and boxes it into its
+/// [`Aggregator`] only as it leaves here.
 pub struct ClosedGroup {
     /// Time-bucket id (`ts / bucket_micros`).
     pub bucket: u64,
@@ -107,10 +117,8 @@ pub struct ClosedGroup {
 /// A running instance of one continuous query.
 pub struct Engine {
     query: Query,
-    lfta: Option<Lfta>,
-    split: bool,
-    /// The open buckets' high-level groups.
-    groups: OpenBuckets,
+    /// Every group's state: the LFTA (when split) and the open buckets.
+    store: Box<dyn GroupStore>,
     /// Closed rows awaiting collection.
     out: Vec<Row>,
     /// Closed raw state awaiting collection (state mode only).
@@ -137,13 +145,10 @@ pub struct Engine {
 impl Engine {
     /// Instantiates the query.
     pub fn new(query: Query) -> Self {
-        let split = query.two_level && query.aggregate.splittable();
-        let lfta = split.then(|| Lfta::new(query.lfta_slots));
+        let store = query.aggregate.group_store(&query);
         let mut engine = Self {
             query,
-            lfta,
-            split,
-            groups: OpenBuckets::default(),
+            store,
             out: Vec::new(),
             closed_state: None,
             watermark: 0,
@@ -182,7 +187,7 @@ impl Engine {
 
     /// Whether the two-level split is active for this query.
     pub fn is_split(&self) -> bool {
-        self.split
+        self.store.lfta_counters().is_some()
     }
 
     /// The query's display name.
@@ -219,35 +224,13 @@ impl Engine {
         Some((self.cur_bucket, (self.query.group_by)(pkt)))
     }
 
-    /// The high-level state of an admitted tuple's group, created on first
-    /// sight — the direct path, for queries (or tuples) the LFTA does not
-    /// serve.
-    fn group_mut(&mut self, bucket: u64, key: u64) -> &mut dyn Aggregator {
-        self.groups
-            .table_mut(bucket)
-            .entry(key)
-            .or_insert_with(|| self.query.aggregate.make(self.cur_start))
-            .as_mut()
-    }
-
     /// Offers one tuple to the query.
     pub fn process(&mut self, pkt: &Packet) {
         let Some((bucket, key)) = self.admit(pkt) else {
             return;
         };
-        if let Some(lfta) = &mut self.lfta {
-            if let Some(partial) = lfta.update(
-                key,
-                bucket,
-                pkt,
-                self.query.aggregate.as_ref(),
-                self.cur_start,
-            ) {
-                self.stats.lfta_evictions += 1;
-                self.groups.absorb(partial);
-            }
-        } else {
-            self.group_mut(bucket, key).update(pkt);
+        if self.store.fold(key, bucket, self.cur_start, pkt) {
+            self.stats.lfta_evictions += 1;
         }
         self.maybe_close_buckets();
     }
@@ -280,7 +263,8 @@ impl Engine {
             });
         }
         if let Some((bucket, key)) = self.admit(pkt) {
-            self.group_mut(bucket, key).update_scaled(pkt, scale);
+            self.store
+                .fold_scaled(key, bucket, self.cur_start, pkt, scale);
             self.maybe_close_buckets();
         }
         Ok(())
@@ -305,42 +289,19 @@ impl Engine {
         if target <= self.closed_below {
             return;
         }
-        if let Some(lfta) = &mut self.lfta {
-            for p in lfta.flush_below(target) {
-                self.groups.absorb(p);
-            }
-        }
-        while let Some(bucket) = self.groups.pop_below(target) {
-            self.close_bucket(bucket);
-        }
+        self.close_below(target);
         self.set_closed_below(target);
     }
 
-    /// Writes a bucket's groups to the output in key order. Keys are
-    /// unique within a bucket, so the unstable sort is deterministic.
-    fn close_bucket(&mut self, OpenBucket { id, groups }: OpenBucket) {
-        self.stats.buckets_closed += 1;
-        if let Some(state) = &mut self.closed_state {
-            let first = state.len();
-            state.extend(groups.into_iter().map(|(key, agg)| ClosedGroup {
-                bucket: id,
-                key,
-                agg,
-            }));
-            state[first..].sort_unstable_by_key(|c| c.key);
-            return;
-        }
-        let width = self.query.bucket_micros;
-        let bucket_start = bucket_start(id, width);
-        let t_end = secs(bucket_end(id, width));
-        let first = self.out.len();
-        self.out.extend(groups.into_iter().map(|(key, agg)| Row {
-            bucket_start,
-            key,
-            value: agg.emit(t_end),
-        }));
-        self.out[first..].sort_unstable_by_key(|r| r.key);
-        self.stats.rows_out += (self.out.len() - first) as u64;
+    /// Closes every open bucket below `target` into rows, or raw state in
+    /// state mode; returns the newest bucket closed.
+    fn close_below(&mut self, target: u64) -> Option<u64> {
+        let out = Closing {
+            rows: &mut self.out,
+            state: self.closed_state.as_mut(),
+            stats: &mut self.stats,
+        };
+        self.store.close_below(target, out)
     }
 
     /// Processes a punctuation: advances the watermark to `ts` and closes
@@ -373,16 +334,10 @@ impl Engine {
     }
 
     fn close_all(&mut self) {
-        if let Some(lfta) = &mut self.lfta {
-            for p in lfta.flush_all() {
-                self.groups.absorb(p);
-            }
-        }
-        let mut closed_below = self.closed_below;
-        while let Some(bucket) = self.groups.pop_oldest() {
-            closed_below = closed_below.max(bucket.id.saturating_add(1));
-            self.close_bucket(bucket);
-        }
+        let newest = self.close_below(u64::MAX);
+        let closed_below = newest.map_or(self.closed_below, |id| {
+            self.closed_below.max(id.saturating_add(1))
+        });
         self.set_closed_below(closed_below);
     }
 
@@ -411,8 +366,8 @@ impl Engine {
     /// Execution counters so far.
     pub fn stats(&self) -> EngineStats {
         let mut s = self.stats;
-        if let Some(lfta) = &self.lfta {
-            s.lfta_evictions = lfta.evictions();
+        if let Some((_, evictions, _)) = self.store.lfta_counters() {
+            s.lfta_evictions = evictions;
         }
         s
     }
@@ -420,7 +375,7 @@ impl Engine {
     /// Occupied LFTA slots right now; `None` in single-level mode. O(slots)
     /// — the shard workers sample it once per punctuation for telemetry.
     pub fn lfta_occupancy(&self) -> Option<usize> {
-        self.lfta.as_ref().map(Lfta::occupancy)
+        self.store.lfta_occupancy()
     }
 
     /// The current watermark (largest timestamp or punctuation seen), µs.
@@ -430,20 +385,13 @@ impl Engine {
 
     /// Current memory footprint of all live aggregation state.
     pub fn space_bytes(&self) -> usize {
-        let high: usize = self.groups.aggregators().map(|a| a.size_bytes()).sum();
-        high + self.lfta.as_ref().map_or(0, Lfta::size_bytes)
+        self.store.space_bytes()
     }
 
     /// Average space per live group in bytes — the paper's Figure 2(d) /
     /// 4(c) metric. `None` when no groups are live.
     pub fn space_per_group(&self) -> Option<f64> {
-        let (bytes, groups) = self
-            .groups
-            .aggregators()
-            .fold((0usize, 0usize), |(bytes, groups), a| {
-                (bytes + a.size_bytes(), groups + 1)
-            });
-        (groups > 0).then(|| bytes as f64 / groups as f64)
+        self.store.space_per_group()
     }
 
     /// Serializes the engine's complete execution state — watermark, close
@@ -489,25 +437,9 @@ impl Engine {
         // the blob so the result is one buffer, never recopied.
         let mut blob = std::mem::take(out);
         blob.clear();
-        self.groups.iter().len().put(&mut blob);
-        for OpenBucket { id, groups } in self.groups.iter() {
-            id.put(&mut blob);
-            groups.len().put(&mut blob);
-            // Keys by value: the sort then compares within one dense
-            // array instead of chasing a pointer into the map per probe.
-            let mut entries: Vec<(u64, &dyn Aggregator)> = groups
-                .iter()
-                .map(|(&key, agg)| (key, agg.as_ref()))
-                .collect();
-            entries.sort_unstable_by_key(|&(key, _)| key);
-            for (key, agg) in entries {
-                key.put(&mut blob);
-                crate::udaf::write_agg(&mut blob, agg).ok_or_else(unsupported)?;
-            }
-        }
-        if let Some(l) = &self.lfta {
-            l.snapshot_into(&mut blob).ok_or_else(unsupported)?;
-        }
+        self.store
+            .checkpoint_into(&mut blob)
+            .ok_or_else(unsupported)?;
         write_closed_groups(&mut blob, self.closed_state.as_deref().unwrap_or(&[]))
             .ok_or_else(unsupported)?;
         self.last_ckpt_bytes.set(blob.len());
@@ -517,10 +449,7 @@ impl Engine {
             closed_below: self.closed_below,
             stats: self.stats,
             state_mode: self.closed_state.is_some(),
-            lfta: self
-                .lfta
-                .as_ref()
-                .map(|l| (l.n_slots() as u64, l.evictions(), l.updates())),
+            lfta: self.store.lfta_counters(),
             rows: self.out.clone(),
         }
         .put(&mut blob);
@@ -551,64 +480,7 @@ impl Engine {
         let header: EngineHeader = fd_core::checkpoint::from_bytes(header_bytes)?;
         let mut r = Reader::new(blob);
         let mut e = Engine::new(query);
-        let factory = std::sync::Arc::clone(&e.query.aggregate);
-        let bucket_micros = e.query.bucket_micros;
-        // A bucket is at least its id and group count, a group its key and
-        // state length.
-        let n_buckets = r.count(16)?;
-        let mut newest = None;
-        for _ in 0..n_buckets {
-            let bucket = u64::take(&mut r)?;
-            // As written: ascending. Holding a corrupt blob to that keeps
-            // every open of a table an append.
-            if newest.is_some_and(|newest| newest >= bucket) {
-                return Err(CodecError::new("checkpoint buckets out of order"));
-            }
-            newest = Some(bucket);
-            let n_groups = r.count(16)?;
-            let bucket_start = bucket_start(bucket, bucket_micros);
-            let map = e.groups.table_mut(bucket);
-            for _ in 0..n_groups {
-                let key = u64::take(&mut r)?;
-                let len = u64::take(&mut r)? as usize;
-                let mut agg = factory.make(bucket_start);
-                agg.restore(r.bytes(len)?)?;
-                map.insert(key, agg);
-            }
-        }
-        match (header.lfta, e.lfta.is_some()) {
-            (Some((n_slots, evictions, updates)), true) => {
-                // The table's geometry is the query's, not the blob's: a
-                // count read from bytes must neither size an allocation
-                // nor restore partials into slots the query's table would
-                // not have probed.
-                if n_slots != e.query.lfta_slots as u64 {
-                    return Err(CodecError::new(format!(
-                        "snapshot has {n_slots} LFTA slots, the query {}",
-                        e.query.lfta_slots
-                    )));
-                }
-                e.lfta = Some(Lfta::restore_from(
-                    &mut r,
-                    e.query.lfta_slots,
-                    evictions,
-                    updates,
-                    factory.as_ref(),
-                    bucket_micros,
-                )?);
-            }
-            (None, false) => {}
-            (Some(_), false) => {
-                return Err(CodecError::new(
-                    "snapshot has an LFTA but the query is single-level",
-                ));
-            }
-            (None, true) => {
-                return Err(CodecError::new(
-                    "query is two-level but the snapshot has no LFTA",
-                ));
-            }
-        }
+        e.store.restore(&mut r, header.lfta)?;
         let closed = read_closed_groups(&mut r, &e.query)?;
         if header.state_mode {
             e.closed_state = Some(closed);
@@ -635,7 +507,7 @@ pub(crate) fn write_closed_groups(out: &mut Vec<u8>, groups: &[ClosedGroup]) -> 
     for g in groups {
         g.bucket.put(out);
         g.key.put(out);
-        crate::udaf::write_agg(out, g.agg.as_ref())?;
+        put_framed(out, |out| g.agg.checkpoint_into(out))?;
     }
     Some(())
 }
@@ -694,7 +566,19 @@ mod tests {
     use super::*;
     use crate::aggregators::{count_factory, fwd_count_factory};
     use crate::tuple::{Proto, MICROS_PER_SEC};
+    use crate::udaf::{AggregatorFactory as _, FnFactory};
     use fd_core::decay::Monomial;
+    use std::sync::Arc;
+
+    /// `f`, whose groups the engine holds by value, and its twin as a
+    /// UDAF's `make`, whose groups it holds boxed: the tests below run
+    /// both instantiations of the group store.
+    fn both(f: Arc<FnFactory>) -> [Arc<FnFactory>; 2] {
+        let inner = Arc::clone(&f);
+        let make = move |start| inner.make(start);
+        let boxed = FnFactory::with_scaling(f.name(), f.splittable(), f.scalable(), make);
+        [f, boxed]
+    }
 
     fn pkt(ts_s: f64, dst_ip: u32) -> Packet {
         Packet {
@@ -708,20 +592,28 @@ mod tests {
         }
     }
 
-    fn count_query(two_level: bool) -> Query {
+    fn count_query(aggregate: Arc<FnFactory>, two_level: bool) -> Query {
         Query::builder("count")
             .group_by(|p| p.dst_host())
             .bucket_secs(60)
-            .aggregate(count_factory())
+            .aggregate(aggregate)
             .two_level(two_level)
             .lfta_slots(16)
             .build()
     }
 
+    /// The count query over each instantiation.
+    fn count_queries(two_level: bool) -> [Query; 2] {
+        both(count_factory()).map(|f| count_query(f, two_level))
+    }
+
     #[test]
     fn counts_per_group_and_bucket() {
-        for two_level in [false, true] {
-            let mut e = Engine::new(count_query(two_level));
+        for (two_level, q) in [false, true]
+            .into_iter()
+            .flat_map(|t| count_queries(t).map(|q| (t, q)))
+        {
+            let mut e = Engine::new(q);
             let mut stream = Vec::new();
             // Bucket 0: host 1 ×10, host 2 ×5. Bucket 1: host 1 ×3.
             for i in 0..10 {
@@ -753,15 +645,17 @@ mod tests {
         let stream: Vec<Packet> = (0..20_000)
             .map(|i| pkt(0.001 * i as f64, (i % 500) as u32))
             .collect();
-        let mut split = Engine::new(count_query(true));
-        let mut flat = Engine::new(count_query(false));
-        let rows_split = split.run(stream.clone());
-        let rows_flat = flat.run(stream);
-        assert!(split.stats().lfta_evictions > 0);
-        assert_eq!(rows_split.len(), rows_flat.len());
-        for (a, b) in rows_split.iter().zip(&rows_flat) {
-            assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
-            assert_eq!(a.value, b.value);
+        for (split, flat) in count_queries(true).into_iter().zip(count_queries(false)) {
+            let mut split = Engine::new(split);
+            let mut flat = Engine::new(flat);
+            let rows_split = split.run(stream.clone());
+            let rows_flat = flat.run(stream.clone());
+            assert!(split.stats().lfta_evictions > 0);
+            assert_eq!(rows_split.len(), rows_flat.len());
+            for (a, b) in rows_split.iter().zip(&rows_flat) {
+                assert_eq!((a.bucket_start, a.key), (b.bucket_start, b.key));
+                assert_eq!(a.value, b.value);
+            }
         }
     }
 
@@ -769,16 +663,13 @@ mod tests {
     fn forward_decayed_count_uses_bucket_start_as_landmark() {
         // One packet at t = 90 in the bucket [60, 120): landmark 60,
         // queried at 120 → weight = ((90−60)/(120−60))² = 0.25.
-        let q = Query::builder("fwd")
-            .group_by(|p| p.dst_host())
-            .bucket_secs(60)
-            .aggregate(fwd_count_factory(Monomial::quadratic()))
-            .build();
-        let mut e = Engine::new(q);
-        let rows = e.run(vec![pkt(90.0, 1)]);
-        assert_eq!(rows.len(), 1);
-        let v = rows[0].value.as_float().expect("float");
-        assert!((v - 0.25).abs() < 1e-9, "got {v}");
+        for f in both(fwd_count_factory(Monomial::quadratic())) {
+            let mut e = Engine::new(count_query(f, true));
+            let rows = e.run(vec![pkt(90.0, 1)]);
+            assert_eq!(rows.len(), 1);
+            let v = rows[0].value.as_float().expect("float");
+            assert!((v - 0.25).abs() < 1e-9, "got {v}");
+        }
     }
 
     #[test]
@@ -795,47 +686,50 @@ mod tests {
 
     #[test]
     fn buckets_close_on_watermark_and_late_tuples_drop() {
-        let mut e = Engine::new(count_query(false));
-        e.process(&pkt(10.0, 1));
-        e.process(&pkt(130.0, 1)); // watermark 130 closes bucket 0 (and 1)
-        let rows = e.drain_rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].bucket_start, 0);
-        e.process(&pkt(15.0, 1)); // late into closed bucket 0
-        assert_eq!(e.stats().late_drops, 1);
-        let final_rows = e.finish();
-        assert_eq!(final_rows.len(), 1); // the t=130 bucket
+        for q in count_queries(false) {
+            let mut e = Engine::new(q);
+            e.process(&pkt(10.0, 1));
+            e.process(&pkt(130.0, 1)); // watermark 130 closes bucket 0 (and 1)
+            let rows = e.drain_rows();
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].bucket_start, 0);
+            e.process(&pkt(15.0, 1)); // late into closed bucket 0
+            assert_eq!(e.stats().late_drops, 1);
+            let final_rows = e.finish();
+            assert_eq!(final_rows.len(), 1); // the t=130 bucket
+        }
     }
 
     #[test]
     fn slack_tolerates_out_of_order() {
-        let q = Query::builder("slack")
-            .group_by(|p| p.dst_host())
-            .bucket_secs(60)
-            .slack_secs(10.0)
-            .aggregate(count_factory())
-            .two_level(false)
-            .build();
-        let mut e = Engine::new(q);
-        e.process(&pkt(59.0, 1));
-        e.process(&pkt(65.0, 1)); // watermark 65 < 60 + 10: bucket 0 stays open
-        e.process(&pkt(58.0, 1)); // out of order, still accepted
-        assert_eq!(e.stats().late_drops, 0);
-        let rows = e.finish();
-        let b0 = rows.iter().find(|r| r.bucket_start == 0).expect("bucket 0");
-        assert_eq!(b0.value.as_float(), Some(2.0));
+        for q in count_queries(false).into_iter().chain(count_queries(true)) {
+            let mut e = Engine::new(Query {
+                slack_micros: 10 * MICROS_PER_SEC,
+                ..q
+            });
+            e.process(&pkt(59.0, 1));
+            e.process(&pkt(65.0, 1)); // watermark 65 < 60 + 10: bucket 0 stays open
+            e.process(&pkt(58.0, 1)); // out of order, still accepted
+            assert_eq!(e.stats().late_drops, 0);
+            let rows = e.finish();
+            let b0 = rows.iter().find(|r| r.bucket_start == 0).expect("bucket 0");
+            assert_eq!(b0.value.as_float(), Some(2.0));
+        }
     }
 
     #[test]
     fn stats_and_space_reporting() {
-        let mut e = Engine::new(count_query(true));
-        for i in 0..100 {
-            e.process(&pkt(i as f64 * 0.1, (i % 7) as u32));
+        for q in count_queries(true) {
+            let mut e = Engine::new(q);
+            for i in 0..100 {
+                e.process(&pkt(i as f64 * 0.1, (i % 7) as u32));
+            }
+            assert_eq!(e.stats().tuples_in, 100);
+            assert!(e.space_bytes() > 0);
+            assert_eq!(e.space_per_group(), Some(4.0));
+            e.finish();
+            assert_eq!(e.stats().rows_out, 7);
         }
-        assert_eq!(e.stats().tuples_in, 100);
-        assert!(e.space_bytes() > 0);
-        e.finish();
-        assert_eq!(e.stats().rows_out, 7);
     }
 
     #[test]
@@ -866,31 +760,35 @@ mod tests {
 
     #[test]
     fn punctuation_closes_buckets_without_data() {
-        let mut e = Engine::new(count_query(false));
-        e.process(&pkt(10.0, 1));
-        assert!(e.drain_rows().is_empty(), "bucket must stay open");
-        // A heartbeat promises that t < 120 s is complete: bucket 0 closes
-        // even though no data tuple has passed its boundary.
-        e.punctuate(120 * MICROS_PER_SEC);
-        let rows = e.drain_rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].value.as_float(), Some(1.0));
-        // Data arriving before the punctuation's promise is late.
-        e.process(&pkt(30.0, 1));
-        assert_eq!(e.stats().late_drops, 1);
+        for q in count_queries(false) {
+            let mut e = Engine::new(q);
+            e.process(&pkt(10.0, 1));
+            assert!(e.drain_rows().is_empty(), "bucket must stay open");
+            // A heartbeat promises that t < 120 s is complete: bucket 0
+            // closes even though no data tuple has passed its boundary.
+            e.punctuate(120 * MICROS_PER_SEC);
+            let rows = e.drain_rows();
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].value.as_float(), Some(1.0));
+            // Data arriving before the punctuation's promise is late.
+            e.process(&pkt(30.0, 1));
+            assert_eq!(e.stats().late_drops, 1);
+        }
     }
 
     #[test]
     fn process_event_dispatches() {
-        let mut e = Engine::new(count_query(true));
-        e.process_event(&StreamEvent::Data(pkt(5.0, 1)));
-        e.process_event(&StreamEvent::Punctuation(70 * MICROS_PER_SEC));
-        let rows = e.drain_rows();
-        assert_eq!(rows.len(), 1);
-        // Punctuations never regress the watermark.
-        e.process_event(&StreamEvent::Punctuation(0));
-        e.process_event(&StreamEvent::Data(pkt(100.0, 2)));
-        assert_eq!(e.finish().len(), 1);
+        for q in count_queries(true) {
+            let mut e = Engine::new(q);
+            e.process_event(&StreamEvent::Data(pkt(5.0, 1)));
+            e.process_event(&StreamEvent::Punctuation(70 * MICROS_PER_SEC));
+            let rows = e.drain_rows();
+            assert_eq!(rows.len(), 1);
+            // Punctuations never regress the watermark.
+            e.process_event(&StreamEvent::Punctuation(0));
+            e.process_event(&StreamEvent::Data(pkt(100.0, 2)));
+            assert_eq!(e.finish().len(), 1);
+        }
     }
 
     #[test]
@@ -898,63 +796,62 @@ mod tests {
         use crate::aggregators::{fwd_avg_factory, fwd_sum_factory, multi_factory};
         // One survivor fed with scale w must equal the same tuple fed w
         // times — the Horvitz–Thompson identity, end to end through the
-        // engine (including the LFTA-bypass for scaled tuples).
-        let combo = || {
-            multi_factory(vec![
-                crate::aggregators::fwd_count_factory(Monomial::quadratic()),
-                fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64),
-                fwd_avg_factory(Monomial::quadratic(), |p| p.len as f64),
-            ])
+        // engine (including the LFTA-bypass for scaled tuples), for each
+        // linear aggregate held by value or boxed, and for their composite.
+        let g = Monomial::quadratic();
+        let len = |p: &Packet| p.len as f64;
+        let linear = || {
+            vec![
+                fwd_count_factory(g),
+                fwd_sum_factory(g, len),
+                fwd_avg_factory(g, len),
+            ]
         };
-        let q = |f| {
-            Query::builder("scaled")
-                .group_by(|p: &Packet| p.dst_host())
-                .bucket_secs(60)
-                .aggregate(f)
-                .two_level(true)
-                .lfta_slots(16)
-                .build()
+        let floats = |v: &AggValue| match v {
+            AggValue::Multi(parts) => parts.iter().map(|p| p.as_float().unwrap()).collect(),
+            v => vec![v.as_float().unwrap()],
         };
-        let mut scaled = Engine::new(q(combo()));
-        let mut dup = Engine::new(q(combo()));
-        {
-            use crate::udaf::AggregatorFactory as _;
-            assert!(combo().scalable());
-        }
-        for i in 0..200 {
-            let p = pkt(i as f64 * 0.25, (i % 5) as u32);
-            if i % 3 == 0 {
-                scaled.process_scaled(&p, 3.0).expect("scalable");
-                for _ in 0..3 {
+        let mut factories: Vec<_> = linear().into_iter().flat_map(both).collect();
+        factories.push(multi_factory(linear()));
+        for f in factories {
+            assert!(f.scalable());
+            let mut scaled = Engine::new(count_query(Arc::clone(&f), true));
+            let mut dup = Engine::new(count_query(f, true));
+            for i in 0..200 {
+                let p = pkt(i as f64 * 0.25, (i % 5) as u32);
+                if i % 3 == 0 {
+                    scaled.process_scaled(&p, 3.0).expect("scalable");
+                    for _ in 0..3 {
+                        dup.process(&p);
+                    }
+                } else {
+                    scaled.process(&p);
                     dup.process(&p);
                 }
-            } else {
-                scaled.process(&p);
-                dup.process(&p);
             }
-        }
-        let (a, b) = (scaled.finish(), dup.finish());
-        assert_eq!(a.len(), b.len());
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!((ra.bucket_start, ra.key), (rb.bucket_start, rb.key));
-            let (pa, pb) = (ra.value.as_multi().unwrap(), rb.value.as_multi().unwrap());
-            for (va, vb) in pa.iter().zip(pb) {
-                let (x, y) = (va.as_float().unwrap(), vb.as_float().unwrap());
-                assert!((x - y).abs() <= 1e-9 * y.abs().max(1.0), "{x} vs {y}");
+            let (a, b) = (scaled.finish(), dup.finish());
+            assert_eq!(a.len(), b.len());
+            for (ra, rb) in a.iter().zip(&b) {
+                assert_eq!((ra.bucket_start, ra.key), (rb.bucket_start, rb.key));
+                for (x, y) in floats(&ra.value).into_iter().zip(floats(&rb.value)) {
+                    assert!((x - y).abs() <= 1e-9 * y.abs().max(1.0), "{x} vs {y}");
+                }
             }
         }
     }
 
     #[test]
     fn unit_scale_is_exactly_process() {
-        let mut a = Engine::new(count_query(true));
-        let mut b = Engine::new(count_query(true));
-        for i in 0..500 {
-            let p = pkt(i as f64 * 0.3, (i % 9) as u32);
-            a.process(&p);
-            b.process_scaled(&p, 1.0).expect("a unit scale");
+        for q in count_queries(true) {
+            let mut a = Engine::new(q.clone());
+            let mut b = Engine::new(q);
+            for i in 0..500 {
+                let p = pkt(i as f64 * 0.3, (i % 9) as u32);
+                a.process(&p);
+                b.process_scaled(&p, 1.0).expect("a unit scale");
+            }
+            assert_eq!(a.finish(), b.finish());
         }
-        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]
@@ -971,7 +868,10 @@ mod tests {
                 fwd_count_factory(Monomial::quadratic()),
                 fwd_var_factory(Monomial::quadratic(), val),
             ]),
-        ] {
+        ]
+        .into_iter()
+        .flat_map(both)
+        {
             let q = || {
                 Query::builder("unscalable")
                     .group_by(|p| p.dst_host())
@@ -998,64 +898,61 @@ mod tests {
 
     #[test]
     fn restore_rejects_buckets_out_of_order() {
-        let q = || {
-            Query::builder("slack")
-                .group_by(|p| p.dst_host())
-                .bucket_secs(60)
-                .slack_secs(10.0)
-                .aggregate(count_factory())
-                .two_level(false)
-                .build()
-        };
-        let mut e = Engine::new(q());
-        e.process(&pkt(59.0, 1));
-        e.process(&pkt(65.0, 1)); // buckets 0 and 1 both open
-        let mut blob = e.checkpoint().expect("checkpoint");
-        assert!(Engine::restore(q(), &blob).is_ok());
-        // The first bucket's id follows the bucket count; make it sort
-        // after the second.
-        blob[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(Engine::restore(q(), &blob).is_err());
+        for q in count_queries(false) {
+            let q = || Query {
+                slack_micros: 10 * MICROS_PER_SEC,
+                ..q.clone()
+            };
+            let mut e = Engine::new(q());
+            e.process(&pkt(59.0, 1));
+            e.process(&pkt(65.0, 1)); // buckets 0 and 1 both open
+            let mut blob = e.checkpoint().expect("checkpoint");
+            assert!(Engine::restore(q(), &blob).is_ok());
+            // The first bucket's id follows the bucket count; make it sort
+            // after the second.
+            blob[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(Engine::restore(q(), &blob).is_err());
+        }
     }
 
     #[test]
     fn restore_refuses_an_lfta_of_another_geometry() {
         const SLOTS: usize = 0x1234;
-        let q = |slots| {
-            Query::builder("geometry")
-                .group_by(|p| p.dst_host())
-                .bucket_secs(60)
-                .aggregate(count_factory())
-                .two_level(true)
-                .lfta_slots(slots)
-                .build()
-        };
-        let mut e = Engine::new(q(SLOTS));
-        for i in 0..100 {
-            e.process(&pkt(i as f64 * 0.1, i % 7));
+        for f in both(count_factory()) {
+            let q = |lfta_slots| Query {
+                lfta_slots,
+                ..count_query(Arc::clone(&f), true)
+            };
+            let mut e = Engine::new(q(SLOTS));
+            for i in 0..100 {
+                e.process(&pkt(i as f64 * 0.1, i % 7));
+            }
+            let blob = e.checkpoint().expect("checkpoint");
+            assert!(Engine::restore(q(SLOTS), &blob).is_ok());
+            // A merely different count: the partials sit where another
+            // table would have probed them.
+            assert!(Engine::restore(q(SLOTS * 2), &blob).is_err());
+            // An absurd count must be an `Err`, not a capacity-overflow
+            // panic (or an allocator abort) in whichever thread is
+            // respawning a worker. The slot count is the header's last
+            // occurrence of SLOTS.
+            let at = (blob.windows(8))
+                .rposition(|w| w == (SLOTS as u64).to_le_bytes())
+                .expect("slot count in the header");
+            let mut huge = blob.clone();
+            huge[at..at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+            assert!(Engine::restore(q(SLOTS), &huge).is_err());
+            assert!(Engine::restore(q(1 << 20), &huge).is_err());
         }
-        let blob = e.checkpoint().expect("checkpoint");
-        assert!(Engine::restore(q(SLOTS), &blob).is_ok());
-        // A merely different count: the partials sit where another table
-        // would have probed them.
-        assert!(Engine::restore(q(SLOTS * 2), &blob).is_err());
-        // An absurd count must be an `Err`, not a capacity-overflow panic
-        // (or an allocator abort) in whichever thread is respawning a
-        // worker. The slot count is the header's last occurrence of SLOTS.
-        let at = (blob.windows(8))
-            .rposition(|w| w == (SLOTS as u64).to_le_bytes())
-            .expect("slot count in the header");
-        let mut huge = blob.clone();
-        huge[at..at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        assert!(Engine::restore(q(SLOTS), &huge).is_err());
-        assert!(Engine::restore(q(1 << 20), &huge).is_err());
     }
 
     #[test]
     fn empty_stream_produces_no_rows() {
-        let mut e = Engine::new(count_query(true));
-        assert!(e.finish().is_empty());
-        assert_eq!(e.stats().buckets_closed, 0);
-        assert!(e.space_per_group().is_none());
+        for q in count_queries(true) {
+            let mut e = Engine::new(q);
+            assert!(e.finish().is_empty());
+            assert_eq!(e.stats().buckets_closed, 0);
+            assert!(e.space_per_group().is_none());
+        }
     }
 }

@@ -7,26 +7,34 @@
 //! aggregate. This is what makes undecayed and forward-decayed aggregation
 //! so cheap in Figure 2(a): most tuples fold into a slot with one hash and
 //! one arithmetic op, and only evictions touch the (slower) high level.
+//!
+//! The table is generic over its cell `C`, the state a slot holds. The
+//! engine's group store instantiates it twice: with the bare fd-core
+//! summary of a built-in factory, held inline in the slot, and with the
+//! `Box<dyn Aggregator>` a UDAF's factory makes (the default, and what
+//! [`Lfta::new`] / [`Lfta::update`] drive). Slot mapping, eviction and
+//! flush order are the same code for both.
 
+use fd_core::checkpoint::CodecError;
 use fd_core::hash::mix64;
 
-use crate::tuple::{bucket_start, Micros, Packet};
+use crate::tuple::{Micros, Packet};
 use crate::udaf::{Aggregator, AggregatorFactory};
 
 /// A partial aggregate evicted (or flushed) from the low-level table.
-pub struct Partial {
+pub struct Partial<C = Box<dyn Aggregator>> {
     /// Group key.
     pub key: u64,
     /// Time bucket id (bucket start / bucket width).
     pub bucket: u64,
     /// The partial aggregate state.
-    pub agg: Box<dyn Aggregator>,
+    pub agg: C,
 }
 
 /// The fixed-size direct-mapped partial-aggregation table. A slot holds its
 /// resident as the [`Partial`] it will leave as.
-pub struct Lfta {
-    slots: Vec<Option<Partial>>,
+pub struct Lfta<C = Box<dyn Aggregator>> {
+    slots: Vec<Option<Partial<C>>>,
     /// `slots.len() - 1` when the slot count is a power of two: the slot
     /// index is then the hash's low bits, the same mapping as the
     /// remainder without the division.
@@ -36,11 +44,41 @@ pub struct Lfta {
 }
 
 impl Lfta {
-    /// Creates a table with `n_slots` slots.
+    /// Creates a table with `n_slots` slots of boxed aggregators.
     ///
     /// # Panics
     /// Panics if `n_slots == 0`.
     pub fn new(n_slots: usize) -> Self {
+        Self::with_slots(n_slots)
+    }
+
+    /// Folds a tuple into its group's slot, making the group's aggregator
+    /// with `factory` if it has none. If the slot is held by a different
+    /// (group, bucket), that resident is evicted and returned so the engine
+    /// can forward it to the high level.
+    pub fn update(
+        &mut self,
+        key: u64,
+        bucket: u64,
+        pkt: &Packet,
+        factory: &dyn AggregatorFactory,
+        bucket_start: Micros,
+    ) -> Option<Partial> {
+        self.fold(
+            key,
+            bucket,
+            || factory.make(bucket_start),
+            |a| a.update(pkt),
+        )
+    }
+}
+
+impl<C> Lfta<C> {
+    /// A table with `n_slots` slots.
+    ///
+    /// # Panics
+    /// Panics if `n_slots == 0`.
+    pub(crate) fn with_slots(n_slots: usize) -> Self {
         assert!(n_slots > 0);
         let mut slots = Vec::with_capacity(n_slots);
         slots.resize_with(n_slots, || None);
@@ -52,17 +90,17 @@ impl Lfta {
         }
     }
 
-    /// Folds a tuple into its group's slot. If the slot is held by a
-    /// different (group, bucket), that resident is evicted and returned so
-    /// the engine can forward it to the high level.
-    pub fn update(
+    /// Folds a tuple into the `(key, bucket)` slot with `update`, after
+    /// `make` fills it if another group holds it (that resident is evicted
+    /// and returned) or none does.
+    #[inline]
+    pub(crate) fn fold(
         &mut self,
         key: u64,
         bucket: u64,
-        pkt: &Packet,
-        factory: &dyn AggregatorFactory,
-        bucket_start: Micros,
-    ) -> Option<Partial> {
+        make: impl FnOnce() -> C,
+        update: impl FnOnce(&mut C),
+    ) -> Option<Partial<C>> {
         self.updates += 1;
         let hash = mix64(key ^ bucket.rotate_left(32)) as usize;
         let idx = match self.mask {
@@ -72,12 +110,12 @@ impl Lfta {
         let slot = &mut self.slots[idx];
         match slot {
             Some(s) if s.key == key && s.bucket == bucket => {
-                s.agg.update(pkt);
+                update(&mut s.agg);
                 None
             }
             _ => {
-                let mut agg = factory.make(bucket_start);
-                agg.update(pkt);
+                let mut agg = make();
+                update(&mut agg);
                 let evicted = slot.replace(Partial { key, bucket, agg });
                 self.evictions += u64::from(evicted.is_some());
                 evicted
@@ -87,20 +125,26 @@ impl Lfta {
 
     /// Flushes every resident entry of a bucket before `target` (batch
     /// bucket close).
-    pub fn flush_below(&mut self, target: u64) -> Vec<Partial> {
-        self.flush_if(|b| b < target)
+    pub fn flush_below(&mut self, target: u64) -> Vec<Partial<C>> {
+        let mut flushed = Vec::new();
+        self.drain_below(target, |p| flushed.push(p));
+        flushed
     }
 
     /// Flushes everything (end of stream).
-    pub fn flush_all(&mut self) -> Vec<Partial> {
-        self.flush_if(|_| true)
+    pub fn flush_all(&mut self) -> Vec<Partial<C>> {
+        self.flush_below(u64::MAX)
     }
 
-    fn flush_if(&mut self, pred: impl Fn(u64) -> bool) -> Vec<Partial> {
-        self.slots
-            .iter_mut()
-            .filter_map(|slot| slot.take_if(|s| pred(s.bucket)))
-            .collect()
+    /// Hands every resident of a bucket before `target` to `sink`, in slot
+    /// order. No bucket id reaches `u64::MAX` (a bucket is at least a
+    /// second of microseconds wide), so that target drains everything.
+    pub(crate) fn drain_below(&mut self, target: u64, mut sink: impl FnMut(Partial<C>)) {
+        for slot in &mut self.slots {
+            if let Some(p) = slot.take_if(|s| s.bucket < target) {
+                sink(p);
+            }
+        }
     }
 
     /// Number of collision evictions so far.
@@ -118,14 +162,14 @@ impl Lfta {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Approximate memory footprint of the resident partial aggregates.
-    pub fn size_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|s| s.agg.size_bytes() + std::mem::size_of::<Partial>())
+    /// Approximate memory footprint: every slot inline, plus each
+    /// resident's state as `size` reports it. A by-value cell's slot holds
+    /// the whole state, so its slots are as wide as the state is.
+    pub fn size_bytes(&self, size: impl Fn(&C) -> usize) -> usize {
+        self.residents()
+            .map(|(_, s)| size(&s.agg) + std::mem::size_of::<Partial<C>>())
             .sum::<usize>()
-            + self.slots.capacity() * std::mem::size_of::<Option<Partial>>()
+            + self.slots.capacity() * std::mem::size_of::<Option<Partial<C>>>()
     }
 
     /// Total slot count (resident or not) — recorded in checkpoints so
@@ -134,69 +178,23 @@ impl Lfta {
         self.slots.len()
     }
 
-    /// Serializes the table into an engine-checkpoint blob: a resident
-    /// count, then every resident slot *in place* (index, key, bucket,
-    /// length-prefixed aggregator state). Slots are deliberately **not**
-    /// flushed first — restoring them into the same positions preserves
-    /// the exact future fold/evict/flush order, which is what makes
-    /// recovery byte-identical. The activity counters and slot count
-    /// travel in the checkpoint header, not here.
-    ///
-    /// Returns `None` if any resident aggregator declines
-    /// [`Aggregator::checkpoint`].
-    pub(crate) fn snapshot_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        use fd_core::checkpoint::Encode;
-        // Count residents while writing them (patching the count in after)
-        // rather than paying a second full-table scan up front.
-        let count_pos = out.len();
-        0u64.put(out);
-        let mut resident = 0u64;
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if let Some(s) = slot {
-                resident += 1;
-                idx.put(out);
-                s.key.put(out);
-                s.bucket.put(out);
-                crate::udaf::write_agg(out, s.agg.as_ref())?;
-            }
-        }
-        out[count_pos..count_pos + 8].copy_from_slice(&resident.to_le_bytes());
-        Some(())
+    /// The residents with their slot indices, in slot order.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = (usize, &Partial<C>)> {
+        (self.slots.iter().enumerate()).filter_map(|(idx, slot)| Some((idx, slot.as_ref()?)))
     }
 
-    /// Rebuilds a table from a [`snapshot_into`](Self::snapshot_into)
-    /// section: fresh aggregators from `factory`, refilled via
-    /// [`Aggregator::restore`] into the recorded slot positions of a
-    /// table of the query's `n_slots`. The counters come from the
-    /// checkpoint header.
-    pub(crate) fn restore_from(
-        r: &mut fd_core::checkpoint::Reader<'_>,
-        n_slots: usize,
-        evictions: u64,
-        updates: u64,
-        factory: &dyn AggregatorFactory,
-        bucket_micros: Micros,
-    ) -> Result<Self, fd_core::checkpoint::CodecError> {
-        use fd_core::checkpoint::{CodecError, Decode};
-        let mut lfta = Lfta::new(n_slots);
-        lfta.evictions = evictions;
-        lfta.updates = updates;
-        // A resident is at least its slot, key, bucket and state length.
-        let resident = r.count(32)?;
-        for _ in 0..resident {
-            let idx = u64::take(r)? as usize;
-            let key = u64::take(r)?;
-            let bucket = u64::take(r)?;
-            let len = u64::take(r)? as usize;
-            let bytes = r.bytes(len)?;
-            if idx >= lfta.slots.len() {
-                return Err(CodecError::new(format!("LFTA slot {idx} out of range")));
-            }
-            let mut agg = factory.make(bucket_start(bucket, bucket_micros));
-            agg.restore(bytes)?;
-            lfta.slots[idx] = Some(Partial { key, bucket, agg });
-        }
-        Ok(lfta)
+    /// Puts a checkpointed resident back into the slot it was recorded in.
+    pub(crate) fn place(&mut self, idx: usize, resident: Partial<C>) -> Result<(), CodecError> {
+        let slot = (self.slots.get_mut(idx))
+            .ok_or_else(|| CodecError::new(format!("LFTA slot {idx} out of range")))?;
+        *slot = Some(resident);
+        Ok(())
+    }
+
+    /// Restores the activity counters a checkpoint header carries.
+    pub(crate) fn resume_counters(&mut self, evictions: u64, updates: u64) {
+        self.evictions = evictions;
+        self.updates = updates;
     }
 }
 
@@ -238,98 +236,131 @@ mod tests {
         }
     }
 
-    fn factory() -> std::sync::Arc<FnFactory> {
-        FnFactory::new("count", true, |_| Box::new(CountAgg(0)))
+    /// A count two ways: a boxed aggregator from a factory, and a bare
+    /// `u64` held in the slot. Every test runs both.
+    trait Counting: Sized {
+        fn table(n_slots: usize) -> Lfta<Self>;
+        fn feed(lfta: &mut Lfta<Self>, key: u64, bucket: u64) -> Option<Partial<Self>>;
+        fn count(&self) -> u64;
     }
 
-    #[test]
-    fn same_group_folds_in_place() {
-        let mut lfta = Lfta::new(64);
-        let f = factory();
-        for _ in 0..10 {
-            assert!(lfta.update(7, 0, &pkt(1), f.as_ref(), 0).is_none());
+    impl Counting for Box<dyn Aggregator> {
+        fn table(n_slots: usize) -> Lfta<Self> {
+            Lfta::new(n_slots)
         }
-        assert_eq!(lfta.evictions(), 0);
-        assert_eq!(lfta.occupancy(), 1);
-        let flushed = lfta.flush_all();
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].agg.emit(0.0), AggValue::Float(10.0));
-    }
-
-    #[test]
-    fn collisions_evict_partials() {
-        // A 1-slot table forces every key change to evict.
-        let mut lfta = Lfta::new(1);
-        let f = factory();
-        assert!(lfta.update(1, 0, &pkt(1), f.as_ref(), 0).is_none());
-        let evicted = lfta.update(2, 0, &pkt(2), f.as_ref(), 0).expect("eviction");
-        assert_eq!(evicted.key, 1);
-        assert_eq!(lfta.evictions(), 1);
-    }
-
-    #[test]
-    fn bucket_change_evicts_same_key_on_collision() {
-        // The slot hash covers (key, bucket); with one slot the new bucket
-        // must evict the old bucket's partial rather than fold into it.
-        let mut lfta = Lfta::new(1);
-        let f = factory();
-        assert!(lfta.update(7, 0, &pkt(1), f.as_ref(), 0).is_none());
-        let evicted = lfta
-            .update(7, 1, &pkt(2), f.as_ref(), 60)
-            .expect("eviction");
-        assert_eq!((evicted.key, evicted.bucket), (7, 0));
-        assert_eq!(evicted.agg.emit(0.0), AggValue::Float(1.0));
-    }
-
-    #[test]
-    fn flush_below_is_selective() {
-        let mut lfta = Lfta::new(1024);
-        let f = factory();
-        for key in 0..20u64 {
-            lfta.update(key, key % 2, &pkt(1), f.as_ref(), 0);
+        fn feed(lfta: &mut Lfta<Self>, key: u64, bucket: u64) -> Option<Partial<Self>> {
+            let f = FnFactory::new("count", true, |_| Box::new(CountAgg(0)));
+            lfta.update(key, bucket, &pkt(1), f.as_ref(), 0)
         }
-        let b0 = lfta.flush_below(1);
-        assert!(b0.iter().all(|p| p.bucket == 0));
-        let remaining = lfta.flush_all();
-        assert!(remaining.iter().all(|p| p.bucket == 1));
-        assert_eq!(b0.len() + remaining.len(), 20);
-    }
-
-    #[test]
-    fn masked_slot_mapping_equals_the_remainder() {
-        // The same stream through a 64-slot table (mask) and the reference
-        // mapping: every tuple must land where `hash % slots` puts it, or a
-        // restore into recorded slot positions would change eviction order.
-        let mut lfta = Lfta::new(64);
-        let f = factory();
-        for key in 0..1000u64 {
-            lfta.update(key, key % 3, &pkt(1), f.as_ref(), 0);
-            let idx = (mix64(key ^ (key % 3).rotate_left(32)) as usize) % 64;
-            let resident = lfta.slots[idx].as_ref().expect("just written");
-            assert_eq!((resident.key, resident.bucket), (key, key % 3));
+        fn count(&self) -> u64 {
+            self.emit(0.0).as_float().expect("float") as u64
         }
     }
 
-    #[test]
-    fn partials_sum_to_total_under_heavy_collisions() {
-        // Whatever the eviction pattern, no tuple may be lost.
-        let mut lfta = Lfta::new(8);
-        let f = factory();
-        let mut total = 0.0;
-        let mut partials: Vec<Partial> = Vec::new();
-        for i in 0..10_000u64 {
-            if let Some(p) = lfta.update(i % 100, 0, &pkt(1), f.as_ref(), 0) {
-                partials.push(p);
+    impl Counting for u64 {
+        fn table(n_slots: usize) -> Lfta<Self> {
+            Lfta::with_slots(n_slots)
+        }
+        fn feed(lfta: &mut Lfta<Self>, key: u64, bucket: u64) -> Option<Partial<Self>> {
+            lfta.fold(key, bucket, || 0, |n| *n += 1)
+        }
+        fn count(&self) -> u64 {
+            *self
+        }
+    }
+
+    /// The cases, each generic over the cell.
+    mod cases {
+        use super::*;
+
+        pub(super) fn same_group_folds_in_place<C: Counting>() {
+            let mut lfta = C::table(64);
+            for _ in 0..10 {
+                assert!(C::feed(&mut lfta, 7, 0).is_none());
+            }
+            assert_eq!(lfta.evictions(), 0);
+            assert_eq!(lfta.occupancy(), 1);
+            let flushed = lfta.flush_all();
+            assert_eq!(flushed.len(), 1);
+            assert_eq!(flushed[0].agg.count(), 10);
+        }
+
+        pub(super) fn collisions_evict_partials<C: Counting>() {
+            // A 1-slot table forces every key change to evict.
+            let mut lfta = C::table(1);
+            assert!(C::feed(&mut lfta, 1, 0).is_none());
+            let evicted = C::feed(&mut lfta, 2, 0).expect("eviction");
+            assert_eq!(evicted.key, 1);
+            assert_eq!(lfta.evictions(), 1);
+        }
+
+        pub(super) fn bucket_change_evicts_same_key_on_collision<C: Counting>() {
+            // The slot hash covers (key, bucket); with one slot the new bucket
+            // must evict the old bucket's partial rather than fold into it.
+            let mut lfta = C::table(1);
+            assert!(C::feed(&mut lfta, 7, 0).is_none());
+            let evicted = C::feed(&mut lfta, 7, 1).expect("eviction");
+            assert_eq!((evicted.key, evicted.bucket), (7, 0));
+            assert_eq!(evicted.agg.count(), 1);
+        }
+
+        pub(super) fn flush_below_is_selective<C: Counting>() {
+            let mut lfta = C::table(1024);
+            for key in 0..20u64 {
+                C::feed(&mut lfta, key, key % 2);
+            }
+            let b0 = lfta.flush_below(1);
+            assert!(b0.iter().all(|p| p.bucket == 0));
+            let remaining = lfta.flush_all();
+            assert!(remaining.iter().all(|p| p.bucket == 1));
+            assert_eq!(b0.len() + remaining.len(), 20);
+        }
+
+        pub(super) fn masked_slot_mapping_equals_the_remainder<C: Counting>() {
+            // The same stream through a 64-slot table (mask) and the reference
+            // mapping: every tuple must land where `hash % slots` puts it, or a
+            // restore into recorded slot positions would change eviction order.
+            let mut lfta = C::table(64);
+            for key in 0..1000u64 {
+                C::feed(&mut lfta, key, key % 3);
+                let idx = (mix64(key ^ (key % 3).rotate_left(32)) as usize) % 64;
+                let resident = lfta.slots[idx].as_ref().expect("just written");
+                assert_eq!((resident.key, resident.bucket), (key, key % 3));
             }
         }
-        partials.extend(lfta.flush_all());
-        for p in &partials {
-            total += p.agg.emit(0.0).as_float().expect("float");
+
+        pub(super) fn partials_sum_to_total_under_heavy_collisions<C: Counting>() {
+            // Whatever the eviction pattern, no tuple may be lost.
+            let mut lfta = C::table(8);
+            let mut partials = Vec::new();
+            for i in 0..10_000u64 {
+                partials.extend(C::feed(&mut lfta, i % 100, 0));
+            }
+            partials.extend(lfta.flush_all());
+            assert_eq!(partials.iter().map(|p| p.agg.count()).sum::<u64>(), 10_000);
+            assert!(
+                lfta.evictions() > 0,
+                "expected collisions with 8 slots / 100 keys"
+            );
         }
-        assert_eq!(total, 10_000.0);
-        assert!(
-            lfta.evictions() > 0,
-            "expected collisions with 8 slots / 100 keys"
-        );
     }
+
+    macro_rules! both_cells {
+        ($($name:ident),* $(,)?) => {
+            $(#[test]
+            fn $name() {
+                cases::$name::<Box<dyn Aggregator>>();
+                cases::$name::<u64>();
+            })*
+        };
+    }
+
+    both_cells!(
+        same_group_folds_in_place,
+        collisions_evict_partials,
+        bucket_change_evicts_same_key_on_collision,
+        flush_below_is_selective,
+        masked_slot_mapping_equals_the_remainder,
+        partials_sum_to_total_under_heavy_collisions,
+    );
 }

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use fd_core::checkpoint::{CodecError, Decode, Encode, Reader};
 
+use crate::groups::GroupStore;
 use crate::tuple::{Micros, Packet, MICROS_PER_SEC};
 
 /// A single reported item with an associated value (a heavy hitter and its
@@ -215,14 +216,18 @@ pub trait Aggregator: Any + Send {
     }
 }
 
-/// Appends one length-prefixed aggregator checkpoint to `out` — the
-/// framing engine checkpoints use for each live group. Returns `None`
-/// (leaving a zero length behind is fine; the caller aborts the whole
-/// checkpoint) if the aggregator declines checkpointing.
-pub(crate) fn write_agg(out: &mut Vec<u8>, agg: &dyn Aggregator) -> Option<()> {
+/// Appends one length-prefixed state to `out`, `body` writing the state —
+/// the framing engine checkpoints use for each live group, whether its
+/// state is boxed or held by value. Returns `None` (leaving a zero length
+/// behind is fine; the caller aborts the whole checkpoint) if `body`
+/// declines.
+pub(crate) fn put_framed(
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>) -> Option<()>,
+) -> Option<()> {
     let len_pos = out.len();
     out.extend_from_slice(&0u64.to_le_bytes());
-    agg.checkpoint_into(out)?;
+    body(out)?;
     let len = (out.len() - len_pos - 8) as u64;
     out[len_pos..len_pos + 8].copy_from_slice(&len.to_le_bytes());
     Some(())
@@ -258,7 +263,19 @@ pub trait AggregatorFactory: Send + Sync {
     fn scalable(&self) -> bool {
         false
     }
+
+    /// The engine's store for `query`'s groups, `query.aggregate` being
+    /// this factory. The default holds each group as the boxed aggregator
+    /// [`make`](Self::make) builds; the built-in factories of
+    /// [`crate::aggregators`] hold each group's state by value instead. The
+    /// store's type is the engine's own, so only they choose.
+    fn group_store(&self, query: &Query) -> Box<dyn GroupStore> {
+        crate::groups::boxed(query)
+    }
 }
+
+/// Builds a query's by-value group store.
+type StoreFn = dyn Fn(&Query) -> Box<dyn GroupStore> + Send + Sync;
 
 /// A factory built from a closure — removes per-aggregator factory
 /// boilerplate.
@@ -267,6 +284,8 @@ pub struct FnFactory {
     splittable: bool,
     scalable: bool,
     make: Arc<dyn Fn(Micros) -> Box<dyn Aggregator> + Send + Sync>,
+    /// The by-value store of a built-in factory; `None`, boxed.
+    store: Option<Box<StoreFn>>,
 }
 
 impl FnFactory {
@@ -288,12 +307,37 @@ impl FnFactory {
         scalable: bool,
         make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
     ) -> Arc<Self> {
+        Arc::new(Self::unshared(name, splittable, scalable, make))
+    }
+
+    /// [`with_scaling`](Self::with_scaling) for a factory whose groups the
+    /// engine holds by value, in the store `store` builds.
+    pub(crate) fn by_value(
+        name: impl Into<String>,
+        splittable: bool,
+        scalable: bool,
+        make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
+        store: impl Fn(&Query) -> Box<dyn GroupStore> + Send + Sync + 'static,
+    ) -> Arc<Self> {
         Arc::new(Self {
+            store: Some(Box::new(store)),
+            ..Self::unshared(name, splittable, scalable, make)
+        })
+    }
+
+    fn unshared(
+        name: impl Into<String>,
+        splittable: bool,
+        scalable: bool,
+        make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
+    ) -> Self {
+        Self {
             name: name.into(),
             splittable,
             scalable,
             make: Arc::new(make),
-        })
+            store: None,
+        }
     }
 }
 
@@ -309,6 +353,12 @@ impl AggregatorFactory for FnFactory {
     }
     fn scalable(&self) -> bool {
         self.scalable
+    }
+    fn group_store(&self, query: &Query) -> Box<dyn GroupStore> {
+        match &self.store {
+            Some(store) => store(query),
+            None => crate::groups::boxed(query),
+        }
     }
 }
 

@@ -15,7 +15,7 @@ use forward_decay::core::decay::{BackExponential, Exponential};
 use forward_decay::engine::prelude::*;
 use forward_decay::gen::TraceConfig;
 
-fn main() {
+fn main() -> Result<(), forward_decay::core::Error> {
     let packets = TraceConfig {
         seed: 77,
         duration_secs: 10.0,
@@ -60,9 +60,9 @@ fn main() {
     for rate in [100_000.0, 400_000.0, 1_600_000.0, 6_400_000.0f64] {
         let driver = RateDriver::new(rate);
         let mut fwd = Engine::new(forward_query());
-        let f = driver.replay(&mut fwd, &packets);
+        let f = driver.try_replay(&mut fwd, &packets)?;
         let mut bwd = Engine::new(backward_query());
-        let b = driver.replay(&mut bwd, &packets);
+        let b = driver.try_replay(&mut bwd, &packets)?;
         let fmt = |s: ReplayStats| {
             if s.dropped > 0 {
                 format!(
@@ -87,4 +87,5 @@ fn main() {
          structure saturates — the paper's Section VIII conclusion, reproduced\n\
          on this machine's clock."
     );
+    Ok(())
 }

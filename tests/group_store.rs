@@ -1,11 +1,13 @@
 //! What the engine's group store rests on, and what it must not change:
 //! a first partial may stand in for `make` + `merge`, checkpoint bytes are
-//! the parent format's, and bucket arithmetic survives the top of the clock.
+//! the parent format's, bucket arithmetic survives the top of the clock,
+//! and the store's two instantiations — a built-in factory's state held by
+//! value, a UDAF's boxed — are indistinguishable in rows and bytes.
 
 use std::sync::Arc;
 
 use forward_decay::core::aggregates::DecayedCount;
-use forward_decay::core::decay::{AnyDecay, Monomial};
+use forward_decay::core::decay::{AnyDecay, BackExponential, Monomial};
 use forward_decay::core::Summary;
 use forward_decay::engine::prelude::*;
 use forward_decay::engine::udaf::FnFactory;
@@ -163,6 +165,30 @@ fn checkpoint_bytes_are_the_parent_formats() {
 }
 
 #[test]
+fn space_per_group_is_the_parent_commits() {
+    // Fig. 2(d)'s metric is the summary's size probe, not the cell's
+    // footprint: 8 bytes a group, for fwd_sum held by value or boxed. The
+    // footprint counts the LFTA's slots, which a by-value cell widens; the
+    // boxed store's is the parent commit's.
+    let by_value = fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64);
+    let space = |factory| {
+        let mut engine = Engine::new(Query {
+            aggregate: factory,
+            ..golden_query()
+        });
+        for p in golden_stream() {
+            engine.process(&p);
+        }
+        (engine.space_per_group(), engine.space_bytes())
+    };
+    let (boxed_per_group, boxed_bytes) = space(as_udaf(&by_value));
+    let (per_group, bytes) = space(by_value);
+    assert_eq!((boxed_per_group, boxed_bytes), (Some(8.0), 352));
+    assert_eq!(per_group, Some(8.0));
+    assert!(bytes > boxed_bytes);
+}
+
+#[test]
 fn the_last_bucket_before_the_end_of_the_clock_closes() {
     const WIDTH: Micros = 60 * MICROS_PER_SEC;
     let stream: Vec<Packet> = [50, 40, 5]
@@ -211,4 +237,144 @@ fn the_last_bucket_before_the_end_of_the_clock_closes() {
     }
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].value.as_float(), Some(at_top.query(secs(u64::MAX))));
+}
+
+/// Every factory whose groups the engine holds by value — each public
+/// factory but `multi_factory` — under decay `g`.
+fn by_value_factories(g: &AnyDecay) -> Vec<Arc<FnFactory>> {
+    let len = |p: &Packet| p.len as f64;
+    let len_u = |p: &Packet| p.len as u64;
+    let src = |p: &Packet| p.src_host();
+    let back = || DynBackward::from_decay(BackExponential::new(0.05));
+    vec![
+        count_factory(),
+        sum_factory(len),
+        fwd_count_factory(g.clone()),
+        fwd_sum_factory(g.clone(), len),
+        fwd_avg_factory(g.clone(), len),
+        fwd_var_factory(g.clone(), len),
+        fwd_max_factory(g.clone(), len),
+        fwd_min_factory(g.clone(), len),
+        eh_count_factory(0.1, back()),
+        eh_sum_factory(0.1, back(), len_u),
+        unary_hh_factory(0.05, 0.1, src),
+        fwd_hh_factory(g.clone(), 0.05, 0.1, src),
+        sw_hh_factory(2.0, 3, back(), 0.1, src),
+        cm_hh_factory(g.clone(), 0.1, 0.05, 7, src),
+        prefix_hh_factory(5, 0.2, back(), 0.1, |p| p.src_host() & 31),
+        reservoir_factory(4, 7, src),
+        pri_sample_factory(g.clone(), 4, 7, src),
+        wrs_factory(g.clone(), 4, 7, src),
+        with_replacement_factory(g.clone(), 4, 7, src),
+        biased_reservoir_factory(0.05, 7, src),
+        fwd_quantile_factory(g.clone(), 11, 0.05, vec![0.5, 0.99], len_u),
+        distinct_factory(g.clone(), 0.2, 7, src),
+    ]
+}
+
+/// `f` as a hand-written UDAF: a `make` closure, whose groups the engine
+/// holds boxed.
+fn as_udaf(f: &Arc<FnFactory>) -> Arc<FnFactory> {
+    let inner = Arc::clone(f);
+    FnFactory::new(f.name(), f.splittable(), move |start| inner.make(start))
+}
+
+fn agreement_query(aggregate: Arc<FnFactory>, two_level: bool) -> Query {
+    Query::builder("agree")
+        .group_by(|p| p.dst_host())
+        .bucket_secs(5)
+        .slack_secs(1.0)
+        .aggregate(aggregate)
+        .two_level(two_level)
+        .lfta_slots(4)
+        .build()
+}
+
+/// 600 tuples over a minute, nine groups, each tuple up to 2 s early or
+/// late against a 1 s slack: buckets close mid-stream and some tuples
+/// arrive after theirs has.
+fn agreement_stream() -> Vec<Packet> {
+    (0..600u64)
+        .map(|i| Packet {
+            ts: 10 * MICROS_PER_SEC + i * 100_000 + (i * 7919 % 41) * 100_000 - 2 * MICROS_PER_SEC,
+            src_ip: if i % 4 == 0 { 3 } else { (i * 13 % 57) as u32 },
+            ..pkt(0, (i * 5 % 9) as u32, 40 + (i * 97 % 1400) as u32)
+        })
+        .collect()
+}
+
+fn row_bits(rows: &[Row]) -> Vec<(Micros, u64, Vec<u64>)> {
+    rows.iter()
+        .map(|r| (r.bucket_start, r.key, bits(&r.value)))
+        .collect()
+}
+
+#[test]
+fn by_value_and_boxed_groups_agree_in_rows_and_bytes() {
+    let stream = agreement_stream();
+    let (head, tail) = stream.split_at(stream.len() / 2);
+    for spec in ["poly:2", "exp:0.05"] {
+        let g: AnyDecay = spec.parse().expect("decay spec");
+        for factory in by_value_factories(&g) {
+            let udaf = as_udaf(&factory);
+            for two_level in [true, false] {
+                let what = format!("{} under {spec}, two_level {two_level}", factory.name());
+                let by_value = || agreement_query(Arc::clone(&factory), two_level);
+                let boxed = || agreement_query(Arc::clone(&udaf), two_level);
+                let (mut a, mut b) = (Engine::new(by_value()), Engine::new(boxed()));
+                for p in head {
+                    a.process(p);
+                    b.process(p);
+                }
+                assert!(a.stats().buckets_closed > 0 && a.stats().late_drops > 0);
+                let blob = a.checkpoint().expect("checkpoint");
+                assert!(
+                    blob == b.checkpoint().expect("checkpoint"),
+                    "{what}: mid-stream checkpoints differ"
+                );
+                assert_eq!(a.space_per_group(), b.space_per_group(), "{what}");
+                // Each instantiation resumes from the other's bytes.
+                let mut engines = [
+                    a,
+                    b,
+                    Engine::restore(by_value(), &blob).expect("restore"),
+                    Engine::restore(boxed(), &blob).expect("restore"),
+                ];
+                for e in &mut engines {
+                    for p in tail {
+                        e.process(p);
+                    }
+                }
+                let blobs: Vec<Vec<u8>> = engines
+                    .iter()
+                    .map(|e| e.checkpoint().expect("checkpoint"))
+                    .collect();
+                let stats: Vec<EngineStats> = engines.iter().map(Engine::stats).collect();
+                let rows: Vec<_> = engines.iter_mut().map(|e| row_bits(&e.finish())).collect();
+                assert!(!rows[0].is_empty(), "{what}");
+                for i in 1..engines.len() {
+                    assert!(blobs[i] == blobs[0], "{what}: engine {i}'s checkpoint");
+                    assert_eq!(stats[i], stats[0], "{what}: engine {i}'s counters");
+                    assert_eq!(rows[i], rows[0], "{what}: engine {i}'s rows");
+                }
+            }
+            let sharded = |f: &Arc<FnFactory>| {
+                let mut s =
+                    ShardedEngine::try_new(agreement_query(Arc::clone(f), true), 2).expect("spawn");
+                s.try_process_packets(&stream).expect("feed");
+                row_bits(&s.finish())
+            };
+            // Each shard's own LFTA releases partials in its own order, so
+            // the rows are held to the other instantiation's, not to one
+            // engine's.
+            let rows = sharded(&factory);
+            assert!(!rows.is_empty());
+            assert_eq!(
+                rows,
+                sharded(&udaf),
+                "{} under {spec}, sharded",
+                factory.name()
+            );
+        }
+    }
 }
