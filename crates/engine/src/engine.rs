@@ -13,7 +13,11 @@
 //! UDAF's as the box its factory makes
 //! ([`AggregatorFactory::group_store`](crate::udaf::AggregatorFactory::group_store)).
 //! The engine itself admits tuples, moves the watermark and decides which
-//! buckets close.
+//! buckets close. It folds what it admits a batch at a time
+//! ([`Engine::process_packets`]): the admitted run goes to the store in one
+//! call, which walks it with the next groups' cache lines already
+//! requested, and is folded whole before any bucket closes, so the results
+//! are those of folding tuple by tuple.
 //!
 //! Time buckets close when the watermark (largest timestamp seen) passes the
 //! bucket end plus the query's out-of-order slack — the engine's stand-in
@@ -21,7 +25,7 @@
 
 use fd_core::checkpoint::{require, Decode, Encode, MAX_COUNT};
 
-use crate::groups::{Closing, GroupStore};
+use crate::groups::{Admitted, Closing, GroupStore};
 use crate::tuple::{bucket_end, bucket_start, Micros, Packet};
 use crate::udaf::{put_framed, AggValue, Aggregator, Query};
 
@@ -114,6 +118,10 @@ pub struct ClosedGroup {
     pub agg: Box<dyn Aggregator>,
 }
 
+/// The most admitted tuples that wait for one fold: bounds the engine's
+/// and the group store's batch buffers whatever batch a caller offers.
+const FOLD_RUN: usize = 4096;
+
 /// A running instance of one continuous query.
 pub struct Engine {
     query: Query,
@@ -135,6 +143,9 @@ pub struct Engine {
     /// the division.
     cur_bucket: u64,
     cur_start: Micros,
+    /// Admitted tuples awaiting their fold: empty between calls, its
+    /// buffer reused.
+    pending: Vec<Admitted>,
     stats: EngineStats,
     /// Size of the last [`Engine::checkpoint`] blob, used to pre-size the
     /// next one (supervised workers checkpoint on their critical path, so
@@ -156,6 +167,7 @@ impl Engine {
             next_close: 0,
             cur_bucket: 0,
             cur_start: 0,
+            pending: Vec::new(),
             stats: EngineStats::default(),
             last_ckpt_bytes: std::cell::Cell::new(64 * 1024),
         };
@@ -197,10 +209,10 @@ impl Engine {
 
     /// Admission, shared by every way a tuple comes in: counts it, applies
     /// the selection, finds its bucket, drops it if that bucket has closed,
-    /// advances the watermark. Returns the tuple's `(bucket, group key)`
-    /// and leaves the bucket's start in `cur_start`.
+    /// advances the watermark. Returns the tuple's group and bucket, for
+    /// the tuple at `index` of its batch.
     #[inline]
-    fn admit(&mut self, pkt: &Packet) -> Option<(u64, u64)> {
+    fn admit(&mut self, pkt: &Packet, index: usize) -> Option<Admitted> {
         self.stats.tuples_in += 1;
         if let Some(f) = &self.query.filter {
             if !f(pkt) {
@@ -221,18 +233,57 @@ impl Engine {
             return None;
         }
         self.watermark = self.watermark.max(pkt.ts);
-        Some((self.cur_bucket, (self.query.group_by)(pkt)))
+        Some(Admitted {
+            key: (self.query.group_by)(pkt),
+            bucket: self.cur_bucket,
+            bucket_start: self.cur_start,
+            index,
+        })
     }
 
-    /// Offers one tuple to the query.
+    /// Offers one tuple to the query: a batch of one, folded as it is
+    /// admitted.
     pub fn process(&mut self, pkt: &Packet) {
-        let Some((bucket, key)) = self.admit(pkt) else {
-            return;
-        };
-        if self.store.fold(key, bucket, self.cur_start, pkt) {
-            self.stats.lfta_evictions += 1;
+        if let Some(admitted) = self.admit(pkt, 0) {
+            self.fold(std::slice::from_ref(pkt), &[admitted]);
+            self.maybe_close_buckets();
         }
-        self.maybe_close_buckets();
+    }
+
+    /// Offers a batch of tuples, in order. Each is admitted as it comes;
+    /// the admitted run is folded into the group store as one batch
+    /// whenever a bucket is due to close (before it closes), every
+    /// 4 096 tuples, and at the end of the call. The results are
+    /// those of [`process`](Engine::process) on each tuple in turn: nothing
+    /// admission reads is written by a fold, so only when a tuple is folded
+    /// moves, never where or in what order.
+    pub fn process_packets(&mut self, pkts: &[Packet]) {
+        let mut pending = std::mem::take(&mut self.pending);
+        for (index, pkt) in pkts.iter().enumerate() {
+            let Some(admitted) = self.admit(pkt, index) else {
+                continue;
+            };
+            pending.push(admitted);
+            let due = self.watermark >= self.next_close;
+            if due || pending.len() == FOLD_RUN {
+                self.fold(pkts, &pending);
+                pending.clear();
+            }
+            if due {
+                self.close_due_buckets();
+            }
+        }
+        if !pending.is_empty() {
+            self.fold(pkts, &pending);
+            pending.clear();
+        }
+        self.pending = pending;
+    }
+
+    /// Folds the admitted `run` of `pkts` into the group store.
+    #[inline]
+    fn fold(&mut self, pkts: &[Packet], run: &[Admitted]) {
+        self.stats.lfta_evictions += self.store.fold_batch(pkts, run);
     }
 
     /// Offers one tuple carrying a Horvitz–Thompson scale (the `1/p`
@@ -262,9 +313,8 @@ impl Engine {
                               scaled updates (decayed count/sum/avg)",
             });
         }
-        if let Some((bucket, key)) = self.admit(pkt) {
-            self.store
-                .fold_scaled(key, bucket, self.cur_start, pkt, scale);
+        if let Some(admitted) = self.admit(pkt, 0) {
+            self.store.fold_scaled(pkt, &admitted, scale);
             self.maybe_close_buckets();
         }
         Ok(())
@@ -355,12 +405,20 @@ impl Engine {
         self.drain_closed_state()
     }
 
-    /// Runs a whole stream through the query and returns all rows.
+    /// Runs a whole stream through the query, 4 096 tuples to a
+    /// [`process_packets`](Engine::process_packets) call, and returns all
+    /// rows.
     pub fn run(&mut self, stream: impl IntoIterator<Item = Packet>) -> Vec<Row> {
-        for pkt in stream {
-            self.process(&pkt);
+        let mut stream = stream.into_iter();
+        let mut chunk = Vec::with_capacity(FOLD_RUN);
+        loop {
+            chunk.clear();
+            chunk.extend(stream.by_ref().take(FOLD_RUN));
+            if chunk.is_empty() {
+                return self.finish();
+            }
+            self.process_packets(&chunk);
         }
-        self.finish()
     }
 
     /// Execution counters so far.
@@ -912,6 +970,26 @@ mod tests {
             // after the second.
             blob[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
             assert!(Engine::restore(q(), &blob).is_err());
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_group_twice_in_a_bucket() {
+        for q in count_queries(false) {
+            let mut e = Engine::new(q.clone());
+            e.process(&pkt(1.0, 1));
+            e.process(&pkt(2.0, 2));
+            let mut blob = e.checkpoint().expect("checkpoint");
+            assert!(Engine::restore(q.clone(), &blob).is_ok());
+            // The first group's key follows the bucket count, id and group
+            // count; the second's follows the first's framed state.
+            let len = u64::from_le_bytes(blob[32..40].try_into().expect("8 bytes")) as usize;
+            blob.copy_within(24..32, 40 + len);
+            let refused = Engine::restore(q, &blob).err().expect("a duplicate group");
+            assert!(
+                refused.to_string().contains("twice in a bucket"),
+                "{refused}"
+            );
         }
     }
 

@@ -17,18 +17,30 @@
 //!   `multi_factory`'s composite.
 //!
 //! The engine holds the store as one `Box<dyn GroupStore>`: one virtual
-//! call per admitted tuple. A cell leaves the store boxed only as a
-//! [`ClosedGroup`] in state mode, which is what the sharded engine's
-//! combiner, the supervisor and the durable store consume.
+//! call per admitted run of tuples ([`GroupStore::fold_batch`]). A cell
+//! leaves the store boxed only as a [`ClosedGroup`] in state mode, which
+//! is what the sharded engine's combiner, the supervisor and the durable
+//! store consume.
 //!
 //! **Layout.** A query keeps only as many buckets open as its slack spans —
 //! one to three in practice — so the buckets sit in a short vector ordered
 //! by id and a lookup is a scan of it. A bucket keeps its cells dense, in
-//! small pages ([`page_len`]), and an index from `u64` group key to cell
-//! hashed with [`mix64`]. Both start at the population of the bucket that
-//! closed last, which is the best available estimate of its own: an
-//! over-estimate is bounded by what a bucket really held (never a
-//! constant), an under-estimate grows by doubling.
+//! small pages ([`page_len`]), and an open-addressing [`Index`] from `u64`
+//! group key to cell, probed from its [`mix64`] hash. Both start at the
+//! population of the bucket that closed last, which is the best available
+//! estimate of its own: an over-estimate is bounded by what a bucket
+//! really held (never a constant), an under-estimate grows by doubling.
+//!
+//! **Batched fold.** A run folds in two passes. The LFTA pass folds its
+//! tuples in order, requesting the slot of the tuple [`AHEAD`] places on,
+//! and collects what it evicts, in release order. The absorb pass moves
+//! those partials into their buckets as a two-stage software pipeline
+//! (Chen, Ailamaki, Gibbons & Mowry, ICDE 2004): the index entry of the
+//! partial 2·[`AHEAD`] on is requested, the one [`AHEAD`] on is probed and
+//! its cell requested, and only then is the current one absorbed — so a
+//! bucket far past the cache costs the next groups' misses in flight, not
+//! two dependent ones each. An unsplit store runs the same pipeline over
+//! the run. The [`prefetch`] hints change no result.
 //!
 //! **Move-in.** The first partial the LFTA releases for a group *is* that
 //! group's high-level state and moves in as it stands — a plain copy of the
@@ -39,16 +51,16 @@
 //! **Order.** The order cells sit in — the order groups opened — is never
 //! observable: every reader that produces rows or bytes sorts by key first, and the order in
 //! which partials merge into a group is the order the LFTA released them.
+//! A run changes neither: its tuples fold into the LFTA in arrival order,
+//! its partials are absorbed in release order, and it is folded whole
+//! before any close, checkpoint, probe or restore sees the store.
 //! Checkpoint bytes are the same for both instantiations: each cell is
 //! framed as a `u64` length and its state's own encoding.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use fd_core::checkpoint::{CodecError, Decode, Encode, Reader};
-use fd_core::hash::{hash_bytes, mix64};
+use fd_core::hash::mix64;
 
 #[cfg(doc)]
 use crate::engine::Engine;
@@ -57,28 +69,35 @@ use crate::lfta::{Lfta, Partial};
 use crate::tuple::{bucket_end, bucket_start, secs, Micros, Packet};
 use crate::udaf::{put_framed, AggValue, Aggregator, AggregatorFactory, Query};
 
-/// Hashes a `u64` group key through [`mix64`]. Group keys are packed
-/// addresses and ports — shifted, strided, low-entropy in whatever bits a
-/// table indexes by — so the full-avalanche finalizer is what keeps probe
-/// sequences short; it is a fixed bijection, not a keyed hash, the same
-/// trade the LFTA's slot mapping and the shard router already make.
-#[derive(Default)]
-pub(crate) struct KeyHasher(u64);
+/// How many items ahead of the one being folded a batch walk requests a
+/// cache line: the LFTA pass the slot of tuple *i* + `AHEAD`, the absorb
+/// and direct passes the cell of item *i* + `AHEAD` and the index entry of
+/// item *i* + 2·`AHEAD`. Far enough that a line arrives before it is
+/// used, near enough that it is not evicted again first.
+const AHEAD: usize = 8;
 
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = mix64(self.0 ^ hash_bytes(bytes));
+/// Asks the core to start loading the cache line holding `t`. A hint: it
+/// neither reads nor writes `t` and changes no result, only when a later
+/// access to `t` finds it in cache. A no-op off x86_64.
+// One of the two unsafe sites in the workspace (the other is
+// `telemetry::thread_cpu_ns`): std has no stable prefetch hint.
+#[allow(unsafe_code)]
+#[inline(always)]
+pub(crate) fn prefetch<T>(t: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        #[target_feature(enable = "sse")]
+        fn hint(p: *const i8) {
+            _mm_prefetch::<_MM_HINT_T0>(p);
+        }
+        // SAFETY: SSE is part of the x86_64 baseline, so the feature the
+        // callee is compiled for is present; a prefetch of any address is
+        // architecturally a hint and never faults.
+        unsafe { hint(std::ptr::from_ref(t).cast()) }
     }
-
-    #[inline]
-    fn write_u64(&mut self, key: u64) {
-        self.0 = mix64(key);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = t;
 }
 
 /// What the store does to a cell, once per query: the one seam between
@@ -158,20 +177,24 @@ pub struct Closing<'a> {
     pub(crate) stats: &'a mut EngineStats,
 }
 
+/// A tuple the engine has admitted and not yet folded in: its group, its
+/// bucket and the bucket's start, and where it sits in its batch.
+pub struct Admitted {
+    pub(crate) key: u64,
+    pub(crate) bucket: u64,
+    pub(crate) bucket_start: Micros,
+    pub(crate) index: usize,
+}
+
 /// The group store as [`Engine`] holds it, whichever its cell.
 pub trait GroupStore: Send {
-    /// Folds an admitted tuple of `(bucket, key)` in — through the LFTA if
-    /// the query is split — and says whether that evicted a resident.
-    fn fold(&mut self, key: u64, bucket: u64, bucket_start: Micros, pkt: &Packet) -> bool;
-    /// Folds a scaled tuple straight into its high-level group.
-    fn fold_scaled(
-        &mut self,
-        key: u64,
-        bucket: u64,
-        bucket_start: Micros,
-        pkt: &Packet,
-        scale: f64,
-    );
+    /// Folds a run of admitted tuples in, in order — through the LFTA if
+    /// the query is split — each `Admitted` naming its tuple in `pkts`.
+    /// Returns how many residents that evicted.
+    fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]) -> u64;
+    /// Folds an admitted tuple with a scale straight into its high-level
+    /// group.
+    fn fold_scaled(&mut self, pkt: &Packet, at: &Admitted, scale: f64);
     /// Closes every bucket below `target` (`u64::MAX`: all of them) into
     /// `out`, in id order, each bucket's groups in key order. Returns the
     /// id of the newest bucket closed.
@@ -197,13 +220,107 @@ pub trait GroupStore: Send {
     fn lfta_occupancy(&self) -> Option<usize>;
 }
 
+/// A bucket's group index: open addressing over 16-byte `(key, position
+/// + 1)` entries, `0` marking an empty one, probed linearly from the
+/// key's [`mix64`] hash. Group keys are packed addresses and ports —
+/// shifted, strided, low-entropy in whatever bits a table indexes by — so
+/// the full-avalanche finalizer is what keeps probe runs short; it is a
+/// fixed bijection, not a keyed hash, the same trade the LFTA's slot
+/// mapping and the shard router already make. The entry count is a power
+/// of two held at load ≤ ¾, so an empty entry always ends a probe. Being
+/// the store's own, a key's first entry can be requested ahead of its
+/// probe ([`home`](Self::home)).
+struct Index {
+    entries: Vec<(u64, usize)>,
+    len: usize,
+}
+
+impl Index {
+    /// An empty index with room for `groups` keys at load ≤ ¾.
+    fn with_capacity(groups: usize) -> Self {
+        let n = if groups == 0 {
+            0
+        } else {
+            (groups * 4).div_ceil(3).next_power_of_two()
+        };
+        Self {
+            entries: vec![(0, 0); n],
+            len: 0,
+        }
+    }
+
+    /// The entry a probe for `key` starts at; `None` while the index has
+    /// none.
+    fn home(&self, key: u64) -> Option<usize> {
+        let mask = self.entries.len().checked_sub(1)?;
+        Some(mix64(key) as usize & mask)
+    }
+
+    /// `Ok` with the position of `key`, or `Err` with the empty entry a
+    /// probe for it ends at (`0` while there is none).
+    fn probe(&self, key: u64) -> Result<usize, usize> {
+        let Some(mut at) = self.home(key) else {
+            return Err(0);
+        };
+        let mask = self.entries.len() - 1;
+        loop {
+            match self.entries[at] {
+                (_, 0) => return Err(at),
+                (k, pos) if k == key => return Ok(pos - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The position of `key`, if it has one.
+    fn get(&self, key: u64) -> Option<usize> {
+        self.probe(key).ok()
+    }
+
+    /// `Ok` with the position of `key`, or `Err` with the position it has
+    /// just been given: the next after the last.
+    fn find_or_insert(&mut self, key: u64) -> Result<usize, usize> {
+        loop {
+            match self.probe(key) {
+                Ok(pos) => return Ok(pos),
+                Err(at) if (self.len + 1) * 4 <= self.entries.len() * 3 => {
+                    self.entries[at] = (key, self.len + 1);
+                    self.len += 1;
+                    return Err(self.len - 1);
+                }
+                Err(_) => self.grow(),
+            }
+        }
+    }
+
+    /// Doubles the entry count (to 8 from none), re-placing every key.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let n = (self.entries.len() * 2).max(8);
+        let old = std::mem::replace(&mut self.entries, vec![(0, 0); n]);
+        for (key, pos) in old.into_iter().filter(|&(_, pos)| pos != 0) {
+            let mut at = mix64(key) as usize & (n - 1);
+            while self.entries[at].1 != 0 {
+                at = (at + 1) & (n - 1);
+            }
+            self.entries[at] = (key, pos);
+        }
+    }
+
+    /// How many keys it holds.
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// An open time bucket: its groups' cells, dense, in the order the groups
-/// opened, and a hash index from group key to cell.
+/// opened, and an [`Index`] from group key to cell.
 struct OpenBucket<C> {
     /// Time-bucket id (`ts / bucket_micros`).
     id: u64,
     /// Group key → position in `pages`.
-    index: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
+    index: Index,
     /// `(key, cell)` pairs, [`page_len`] to a page; every page but the last
     /// is full.
     pages: Vec<Vec<(u64, C)>>,
@@ -230,9 +347,15 @@ impl<C> OpenBucket<C> {
         }
         Self {
             id,
-            index: HashMap::with_capacity_and_hasher(groups, BuildHasherDefault::default()),
+            index: Index::with_capacity(groups),
             pages,
         }
+    }
+
+    /// The `(key, cell)` pair at position `at`.
+    fn at(&self, at: usize) -> &(u64, C) {
+        let n = page_len::<C>();
+        &self.pages[at / n][at % n]
     }
 
     /// The cell at position `at`.
@@ -257,13 +380,11 @@ impl<C> OpenBucket<C> {
 
     /// The cell of group `key`, `make` building it if the group is new.
     fn cell_mut(&mut self, key: u64, make: impl FnOnce() -> C) -> &mut C {
-        let len = self.index.len();
-        match self.index.entry(key) {
-            Entry::Occupied(e) => Self::at_mut(&mut self.pages, *e.get()),
-            Entry::Vacant(e) => {
-                e.insert(len);
+        match self.index.find_or_insert(key) {
+            Ok(at) => Self::at_mut(&mut self.pages, at),
+            Err(at) => {
                 Self::push(&mut self.pages, key, make());
-                Self::at_mut(&mut self.pages, len)
+                Self::at_mut(&mut self.pages, at)
             }
         }
     }
@@ -271,13 +392,9 @@ impl<C> OpenBucket<C> {
     /// Gives group `key` the cell `cell`: a new group takes it as it
     /// stands, an existing one `merge`s it in.
     fn absorb(&mut self, key: u64, cell: C, merge: impl FnOnce(&mut C, C)) {
-        let len = self.index.len();
-        match self.index.entry(key) {
-            Entry::Occupied(e) => merge(Self::at_mut(&mut self.pages, *e.get()), cell),
-            Entry::Vacant(e) => {
-                e.insert(len);
-                Self::push(&mut self.pages, key, cell);
-            }
+        match self.index.find_or_insert(key) {
+            Ok(at) => merge(Self::at_mut(&mut self.pages, at), cell),
+            Err(_) => Self::push(&mut self.pages, key, cell),
         }
     }
 
@@ -311,9 +428,42 @@ impl<C> OpenBuckets<C> {
     }
 
     /// Takes a partial aggregate from the low level: the first partial of
-    /// a group moves in as it stands, later ones `merge` into it.
+    /// a group moves in as it stands, later ones `merge` into it. Inlined
+    /// into each of `fold_batch`'s call sites: as a call, it costs the
+    /// per-tuple path measurably.
+    #[inline(always)]
     fn absorb(&mut self, partial: Partial<C>, merge: impl FnOnce(&mut C, C)) {
         (self.bucket_mut(partial.bucket)).absorb(partial.key, partial.agg, merge);
+    }
+
+    /// The open bucket `bucket`, if it is open.
+    fn get(&self, bucket: u64) -> Option<&OpenBucket<C>> {
+        self.open.iter().rfind(|b| b.id == bucket)
+    }
+
+    /// The two prefetch stages of a batch walk, run before it folds the
+    /// item just before `rest`: the index entry of `rest`'s item
+    /// 2·[`AHEAD`] − 1 is requested, and the item [`AHEAD`] − 1 — whose
+    /// entry was requested [`AHEAD`] steps ago — is probed, without
+    /// inserting, for its cell to be requested. A group or bucket that is
+    /// not open yet has no line to request; one the walk opens or moves
+    /// before reaching the item just costs a miss.
+    #[inline]
+    fn prefetch_ahead<T>(&self, rest: &[T], group: impl Fn(&T) -> (u64, u64)) {
+        if let Some((bucket, key)) = rest.get(2 * AHEAD - 1).map(&group) {
+            if let Some(b) = self.get(bucket) {
+                if let Some(at) = b.index.home(key) {
+                    prefetch(&b.index.entries[at]);
+                }
+            }
+        }
+        if let Some((bucket, key)) = rest.get(AHEAD - 1).map(&group) {
+            if let Some(b) = self.get(bucket) {
+                if let Some(at) = b.index.get(key) {
+                    prefetch(b.at(at));
+                }
+            }
+        }
     }
 
     /// Removes the oldest open bucket if its id is below `target`.
@@ -341,6 +491,10 @@ pub(crate) struct Store<K: Cells> {
     lfta: Option<Lfta<K::Cell>>,
     /// The open buckets' high-level groups.
     open: OpenBuckets<K::Cell>,
+    /// What a batch's LFTA pass evicted, in release order, until its
+    /// absorb pass moves it into `open`: empty between calls, its buffer
+    /// reused.
+    evicted: Vec<Partial<K::Cell>>,
     bucket_micros: Micros,
 }
 
@@ -356,38 +510,67 @@ impl<K: Cells> Store<K> {
                 open: Vec::new(),
                 last_closed_groups: 0,
             },
+            evicted: Vec::new(),
             bucket_micros: query.bucket_micros,
         }
     }
 }
 
 impl<K: Cells> GroupStore for Store<K> {
-    fn fold(&mut self, key: u64, bucket: u64, bucket_start: Micros, pkt: &Packet) -> bool {
-        let cells = &self.cells;
+    fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]) -> u64 {
+        let (cells, open) = (&self.cells, &mut self.open);
+        let merge = |into: &mut K::Cell, from| cells.merge(into, from);
         let Some(lfta) = &mut self.lfta else {
-            let group = (self.open.bucket_mut(bucket)).cell_mut(key, || cells.make(bucket_start));
-            cells.update(group, pkt);
-            return false;
+            // Unsplit: each tuple straight into its high-level group.
+            for (i, a) in run.iter().enumerate() {
+                open.prefetch_ahead(&run[i + 1..], |a| (a.bucket, a.key));
+                let make = || cells.make(a.bucket_start);
+                let cell = (open.bucket_mut(a.bucket)).cell_mut(a.key, make);
+                cells.update(cell, &pkts[a.index]);
+            }
+            return 0;
         };
-        let make = || cells.make(bucket_start);
-        let Some(partial) = lfta.fold(key, bucket, make, |c| cells.update(c, pkt)) else {
-            return false;
+        let fold = |lfta: &mut Lfta<K::Cell>, a: &Admitted| {
+            let pkt = &pkts[a.index];
+            lfta.fold(
+                a.key,
+                a.bucket,
+                || cells.make(a.bucket_start),
+                |c| cells.update(c, pkt),
+            )
         };
-        self.open
-            .absorb(partial, |into, from| cells.merge(into, from));
-        true
+        // A run of one — `Engine::process` — has nothing to look ahead to.
+        if let [a] = run {
+            let Some(partial) = fold(lfta, a) else {
+                return 0;
+            };
+            open.absorb(partial, merge);
+            return 1;
+        }
+        // The LFTA pass, in tuple order; then the absorb pass, in the order
+        // the LFTA released the partials.
+        let evicted = &mut self.evicted;
+        for (i, a) in run.iter().enumerate() {
+            if let Some(ahead) = run.get(i + AHEAD) {
+                lfta.prefetch(ahead.key, ahead.bucket);
+            }
+            evicted.extend(fold(lfta, a));
+        }
+        let n = evicted.len() as u64;
+        let mut rest = evicted.drain(..);
+        loop {
+            open.prefetch_ahead(rest.as_slice(), |p| (p.bucket, p.key));
+            let Some(partial) = rest.next() else {
+                return n;
+            };
+            open.absorb(partial, merge);
+        }
     }
 
-    fn fold_scaled(
-        &mut self,
-        key: u64,
-        bucket: u64,
-        bucket_start: Micros,
-        pkt: &Packet,
-        scale: f64,
-    ) {
+    fn fold_scaled(&mut self, pkt: &Packet, at: &Admitted, scale: f64) {
         let cells = &self.cells;
-        let group = (self.open.bucket_mut(bucket)).cell_mut(key, || cells.make(bucket_start));
+        let make = || cells.make(at.bucket_start);
+        let group = (self.open.bucket_mut(at.bucket)).cell_mut(at.key, make);
         cells.update_scaled(group, pkt, scale);
     }
 
@@ -573,15 +756,15 @@ impl<K: Cells> GroupStore for Store<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::BuildHasher;
+    use std::collections::HashMap;
 
-    /// The most keys whose hashes agree in the bits `cell` extracts — what
-    /// a table indexing by those bits would probe through.
-    fn worst_pile(keys: impl Iterator<Item = u64>, cells: usize, cell: fn(u64) -> u64) -> usize {
-        let hasher = BuildHasherDefault::<KeyHasher>::default();
-        let mut piles = vec![0usize; cells];
+    /// The most of `keys` whose home entries agree in an index sized for
+    /// all of them.
+    fn worst_pile(keys: impl Iterator<Item = u64> + Clone) -> usize {
+        let index = Index::with_capacity(keys.clone().count());
+        let mut piles = vec![0usize; index.entries.len()];
         for k in keys {
-            piles[cell(hasher.hash_one(k)) as usize] += 1;
+            piles[index.home(k).expect("sized")] += 1;
         }
         piles.into_iter().max().unwrap_or(0)
     }
@@ -590,11 +773,13 @@ mod tests {
     fn hasher_spreads_shifted_and_strided_keys() {
         // 1M keys each of the shapes packed (address, port) keys take: all
         // entropy above bit 20, above bit 32, or in multiples of a page.
-        // The std table picks a cell by the hash's low bits and tells
-        // neighbours apart by its top seven. Over 2^20 cells a uniform hash
-        // piles ~9 keys on its worst cell, where the identity puts all 1M
-        // of the first two shapes (and 4096 of the third) on one, with a
-        // single tag for all of them.
+        // The index starts a probe at the hash's low bits. Over its 2^21
+        // entries a uniform hash piles ~8 keys on its worst home, where
+        // the identity puts half the first shape, all of the second and
+        // 2048 of the third on one — and a linear probe walks every pile
+        // it joins, so
+        // the mean probe, ~1.5 entries at load ½ for a uniform hash, is
+        // what a bad one shows first.
         const N: u64 = 1 << 20;
         type Shape = fn(u64) -> u64;
         let shapes: [(&str, Shape); 3] = [
@@ -603,13 +788,64 @@ mod tests {
             ("i * 4096", |i| i * 4096),
         ];
         for (name, key) in shapes {
-            let worst = worst_pile((0..N).map(key), 1 << 20, |h| h & ((1 << 20) - 1));
-            assert!(worst <= 16, "{name}: {worst} keys share one cell");
-            let tagged = worst_pile((0..N).map(key), 128, |h| h >> 57);
-            assert!(
-                tagged <= 2 * (N as usize / 128),
-                "{name}: {tagged} keys share one tag"
-            );
+            let worst = worst_pile((0..N).map(key));
+            assert!(worst <= 16, "{name}: {worst} keys share one home");
+            let mut index = Index::with_capacity(N as usize);
+            for k in (0..N).map(key) {
+                assert!(index.find_or_insert(k).is_err(), "{name}: a key twice");
+            }
+            let mask = index.entries.len() - 1;
+            let probed: usize = (index.entries.iter().enumerate())
+                .filter(|(_, &(_, pos))| pos != 0)
+                .map(|(at, &(k, _))| (at.wrapping_sub(index.home(k).expect("sized")) & mask) + 1)
+                .sum();
+            let mean = probed as f64 / N as f64;
+            assert!(mean <= 2.0, "{name}: a mean probe of {mean} entries");
+        }
+    }
+
+    #[test]
+    fn index_agrees_with_a_map_model() {
+        // Seeded inserts and lookups against `HashMap<u64, usize>`, from
+        // no room at all, from an under-estimate and from plenty; the keys
+        // include 0 and u64::MAX (an entry is empty by its position word,
+        // never by its key), and repeat often enough that most inserts
+        // find their key.
+        for (seed, room) in [(1u64, 0usize), (2, 3), (3, 5000)] {
+            let mut index = Index::with_capacity(room);
+            let sized = index.entries.len();
+            let mut model: HashMap<u64, usize> = HashMap::new();
+            let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                mix64(state)
+            };
+            for _ in 0..20_000 {
+                let r = next();
+                let key = match r % 8 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => r >> 3,
+                    _ => ((r >> 3) % 3000) << 20,
+                };
+                if r & (1 << 40) == 0 {
+                    let want = model.get(&key).copied().ok_or(model.len());
+                    assert_eq!(index.find_or_insert(key), want, "seed {seed}, key {key}");
+                    let len = model.len();
+                    model.entry(key).or_insert(len);
+                } else {
+                    assert_eq!(index.get(key), model.get(&key).copied(), "seed {seed}");
+                }
+                assert_eq!(index.len(), model.len());
+                assert!(index.len() * 4 <= index.entries.len() * 3, "load past 3/4");
+            }
+            assert!(model.contains_key(&0) && model.contains_key(&u64::MAX));
+            if room < model.len() {
+                assert!(index.entries.len() > sized, "seed {seed}: never grew");
+            }
+            for (&key, &pos) in &model {
+                assert_eq!(index.get(key), Some(pos));
+            }
         }
     }
 

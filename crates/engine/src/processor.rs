@@ -11,6 +11,10 @@
 //! Both types keep their inherent methods unchanged, so existing call
 //! sites compile as before — the trait is purely additive, for generic
 //! code like [`RateDriver::try_replay`](crate::driver::RateDriver::try_replay).
+//! [`StreamProcessor::process_packets`] is each executor's batch path:
+//! the sharded engine's ingress plane, and the engine's
+//! [`Engine::process_packets`], which folds a batch into its group store
+//! as one run rather than tuple by tuple.
 
 use crate::engine::{Engine, EngineStats, Row, StreamEvent};
 use crate::shard::ShardedEngine;
@@ -105,6 +109,11 @@ pub fn replay<P: StreamProcessor>(
 impl StreamProcessor for Engine {
     fn process(&mut self, pkt: &Packet) -> Result<(), fd_core::Error> {
         Engine::process(self, pkt);
+        Ok(())
+    }
+
+    fn process_packets(&mut self, pkts: &[Packet]) -> Result<(), fd_core::Error> {
+        Engine::process_packets(self, pkts);
         Ok(())
     }
 

@@ -539,7 +539,9 @@ impl ShardedEngine {
         opts: DurabilityOptions,
     ) -> Result<(Self, RecoveryReport), fd_core::Error> {
         self.cfg.store = Some((dir.as_ref().to_path_buf(), opts));
-        let report = self.rebuild()?.expect("the configuration names a store");
+        let report = self.rebuild()?.ok_or_else(|| fd_core::Error::Durability {
+            detail: "the rebuilt engine opened no store".into(),
+        })?;
         Ok((self, report))
     }
 

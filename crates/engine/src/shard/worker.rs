@@ -47,11 +47,7 @@ fn apply_batch(
     };
     match trigger {
         None => match scales {
-            None => {
-                for p in pkts {
-                    engine.process(p);
-                }
-            }
+            None => engine.process_packets(pkts),
             Some(sc) => {
                 for (p, &s) in pkts.iter().zip(sc) {
                     offer_scaled(engine, p, s);

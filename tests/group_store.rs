@@ -303,7 +303,10 @@ fn agreement_stream() -> Vec<Packet> {
         .collect()
 }
 
-fn row_bits(rows: &[Row]) -> Vec<(Micros, u64, Vec<u64>)> {
+/// Rows as `(bucket start, key, every bit of the value)`.
+type RowBits = Vec<(Micros, u64, Vec<u64>)>;
+
+fn row_bits(rows: &[Row]) -> RowBits {
     rows.iter()
         .map(|r| (r.bucket_start, r.key, bits(&r.value)))
         .collect()
@@ -375,6 +378,119 @@ fn by_value_and_boxed_groups_agree_in_rows_and_bytes() {
                 "{} under {spec}, sharded",
                 factory.name()
             );
+        }
+    }
+}
+
+/// `n` tuples over a minute, each up to 2 s early or late against a 1 s
+/// slack: a third of them on nine hot groups, the rest spread over ~2 000,
+/// so a bucket holds both groups that merge many partials and more groups
+/// than a small LFTA has slots.
+fn batch_stream(n: u64) -> Vec<Packet> {
+    let step = 60 * MICROS_PER_SEC / n;
+    (0..n)
+        .map(|i| Packet {
+            ts: 10 * MICROS_PER_SEC + i * step + (i * 7919 % 41) * 100_000 - 2 * MICROS_PER_SEC,
+            src_ip: if i % 4 == 0 { 3 } else { (i * 13 % 57) as u32 },
+            ..pkt(
+                0,
+                if i % 3 == 0 {
+                    (i % 9) as u32
+                } else {
+                    (i * 7919 % 2003) as u32
+                },
+                40 + (i * 97 % 1400) as u32,
+            )
+        })
+        .collect()
+}
+
+/// What an engine has produced and holds so far: rows drained (bit for
+/// bit), counters and checkpoint bytes.
+fn observe(e: &mut Engine) -> (RowBits, EngineStats, Vec<u8>) {
+    let rows = row_bits(&e.drain_rows());
+    (rows, e.stats(), e.checkpoint().expect("checkpoint"))
+}
+
+/// Every by-value factory and its boxed twin, fed in chunks through
+/// `process_packets` and tuple by tuple through `process`: after every
+/// chunk the two engines have emitted the same rows, bit for bit, and hold
+/// the same counters and checkpoint bytes. Chunks of 1 and 3 run over a
+/// short stream; chunks of 64, 4 096 (`fdql`'s commit chunk, and the most
+/// tuples one fold takes) and the whole trace over one longer than a fold
+/// run. Most chunks straddle a bucket close, and many a late tuple.
+fn a_batch_folds_as_its_tuples_one_at_a_time(two_level: bool, slots: usize) {
+    let (short, long) = (batch_stream(300), batch_stream(5_000));
+    let runs: [(&[Packet], usize); 5] = [
+        (&short, 1),
+        (&short, 3),
+        (&long, 64),
+        (&long, 4096),
+        (&long, long.len()),
+    ];
+    let g: AnyDecay = "exp:0.05".parse().expect("decay spec");
+    for factory in by_value_factories(&g) {
+        for f in [Arc::clone(&factory), as_udaf(&factory)] {
+            let query = || Query {
+                lfta_slots: slots,
+                ..agreement_query(Arc::clone(&f), two_level)
+            };
+            for &(stream, chunk) in &runs {
+                let what = format!(
+                    "{} (two_level {two_level}, {slots} slots), chunks of {chunk}",
+                    f.name()
+                );
+                let (mut batched, mut single) = (Engine::new(query()), Engine::new(query()));
+                for pkts in stream.chunks(chunk) {
+                    batched.process_packets(pkts);
+                    for p in pkts {
+                        single.process(p);
+                    }
+                    let (a, b) = (observe(&mut batched), observe(&mut single));
+                    assert_eq!(a.0, b.0, "{what}: rows");
+                    assert_eq!(a.1, b.1, "{what}: counters");
+                    assert!(a.2 == b.2, "{what}: checkpoint bytes");
+                }
+                let s = batched.stats();
+                assert!(s.late_drops > 0 && s.buckets_closed > 1, "{what}");
+                if batched.is_split() && slots == 4 {
+                    assert!(s.lfta_evictions > 0, "{what}");
+                }
+                assert_eq!(row_bits(&batched.finish()), row_bits(&single.finish()));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_batch_folds_as_its_tuples_one_at_a_time_through_4_lfta_slots() {
+    a_batch_folds_as_its_tuples_one_at_a_time(true, 4);
+}
+
+#[test]
+fn a_batch_folds_as_its_tuples_one_at_a_time_through_4096_lfta_slots() {
+    a_batch_folds_as_its_tuples_one_at_a_time(true, 4096);
+}
+
+#[test]
+fn a_batch_folds_as_its_tuples_one_at_a_time_unsplit() {
+    a_batch_folds_as_its_tuples_one_at_a_time(false, 4096);
+}
+
+#[test]
+fn a_sharded_worker_folds_its_batches_as_the_engine_folds_the_stream() {
+    // Single-level, so each group's tuples meet its state in arrival order
+    // in whichever shard owns it: the rows are the engine's bit for bit.
+    let stream = batch_stream(5_000);
+    let g: AnyDecay = "poly:2".parse().expect("decay spec");
+    for factory in by_value_factories(&g) {
+        for f in [Arc::clone(&factory), as_udaf(&factory)] {
+            let query = || agreement_query(Arc::clone(&f), false);
+            let want = row_bits(&Engine::new(query()).run(stream.iter().copied()));
+            let mut sharded = ShardedEngine::try_new(query(), 2).expect("spawn");
+            sharded.try_process_packets(&stream).expect("feed");
+            assert!(!want.is_empty());
+            assert_eq!(row_bits(&sharded.finish()), want, "{}", f.name());
         }
     }
 }
