@@ -17,7 +17,7 @@ use fd_core::backward::{ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH}
 use fd_core::decay::{Exponential, Monomial, NoDecay};
 use fd_core::distinct::{DominanceSketch, ExactDominance};
 use fd_core::heavy_hitters::{DecayedHeavyHitters, UnarySpaceSaving, WeightedSpaceSaving};
-use fd_core::quantiles::{QDigest, WeightedGK};
+use fd_core::quantiles::QDigest;
 use fd_core::sampling::{BiasedReservoir, PrioritySampler, ReservoirSampler, WeightedReservoir};
 
 fn n() -> u64 {
@@ -213,19 +213,6 @@ fn main() {
             },
         ),
     );
-    add(
-        "gk_weighted",
-        bench(
-            || WeightedGK::new(0.01),
-            |s, data| {
-                for &(_, item, v) in data {
-                    s.update(item as f64, v as f64);
-                }
-                black_box(s.quantile(0.5));
-            },
-        ),
-    );
-
     // ----- samplers ----------------------------------------------------------
     add(
         "reservoir_k1000",

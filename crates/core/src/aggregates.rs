@@ -421,11 +421,6 @@ impl<G: ForwardDecay> DecayedVariance<G> {
         let a = self.mean.query(t)?;
         Some((self.sum_sq.query(t) / self.mean.count.query(t) - a * a).max(0.0))
     }
-
-    /// The decayed mean, as a convenience.
-    pub fn mean(&self, t: impl Into<Timestamp>) -> Option<f64> {
-        self.mean.query(t)
-    }
 }
 
 impl<G: ForwardDecay> Mergeable for DecayedVariance<G> {

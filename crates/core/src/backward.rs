@@ -16,10 +16,7 @@
 //!   paper reports for the backward-decay approach;
 //! - [`SlidingWindowHH`] — a dyadic decomposition over *time* with exact
 //!   per-interval key counts, covering the window-query side of the same
-//!   comparison;
-//! - [`DeterministicWave`] / [`WaveSum`] — Gibbons & Tirthapura
-//!   (SPAA 2002): the other classic `O((1/ε) log εN)` sliding-window
-//!   count/sum structures, kept as additional baselines.
+//!   comparison.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -188,11 +185,6 @@ impl ExponentialHistogram {
     /// Number of live buckets (`O((1/ε) log n)`).
     pub fn bucket_count(&self) -> usize {
         self.classes.iter().map(VecDeque::len).sum()
-    }
-
-    /// Number of bucket merges performed (a cost diagnostic).
-    pub fn merge_count(&self) -> u64 {
-        self.merges
     }
 
     /// Approximate memory footprint in bytes — the "space per group" the
@@ -438,16 +430,6 @@ impl SlidingWindowHH {
         self.items
     }
 
-    /// The finest pane duration in seconds.
-    pub fn pane_duration(&self) -> f64 {
-        self.pane_duration
-    }
-
-    /// Number of dyadic levels.
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Total live intervals across all levels (a space diagnostic).
     pub fn interval_count(&self) -> usize {
         self.levels.iter().map(|l| l.intervals().count()).sum()
@@ -542,233 +524,6 @@ impl SlidingWindowHH {
         // must not reach a row.
         out.sort_by(|a, b| b.count.total_cmp(&a.count).then(a.item.cmp(&b.item)));
         out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic waves
-// ---------------------------------------------------------------------------
-
-/// Deterministic Waves (Gibbons & Tirthapura, SPAA 2002): the other classic
-/// `O((1/ε) log εN)` structure for sliding-window **counts**, kept here as a
-/// second backward-decay baseline next to [`ExponentialHistogram`].
-///
-/// Level `i` records the timestamps of every `2^i`-th element, keeping the
-/// most recent `⌈2/ε⌉ + 2` of them (the factor 2 makes the finest covering
-/// level's spacing at most `ε` times the window count). A window query
-/// locates the finest level that still covers the window boundary; the
-/// position of the latest recorded element at or before the boundary
-/// determines the count with relative error at most `ε`.
-#[derive(Debug, Clone)]
-pub struct DeterministicWave {
-    per_level: usize,
-    /// `levels[i]`: (sequence number, timestamp) of recorded elements,
-    /// oldest first.
-    levels: Vec<VecDeque<(u64, Timestamp)>>,
-    n: u64,
-}
-
-// A window count is `n` minus a recorded sequence number.
-codec_struct!(DeterministicWave {
-    per_level: usize,
-    levels: Vec<VecDeque<(u64, Timestamp)>>,
-    n: u64,
-} check |w| require(
-    w.n <= MAX_COUNT && w.levels.iter().flatten().all(|&(seq, _)| seq < w.n),
-    "a wave records an element it has not seen",
-));
-
-impl DeterministicWave {
-    /// Creates a wave with relative error `ε` for window count queries.
-    ///
-    /// # Panics
-    /// Panics unless `0 < ε ≤ 1`.
-    pub fn with_epsilon(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon <= 1.0);
-        Self {
-            per_level: (2.0 / epsilon).ceil() as usize + 2,
-            levels: Vec::new(),
-            n: 0,
-        }
-    }
-
-    /// Inserts one element at time `t` (non-decreasing).
-    pub fn insert(&mut self, t: impl Into<Timestamp>) {
-        let t = t.into();
-        let seq = self.n;
-        self.n += 1;
-        // Element seq belongs to levels 0 ..= trailing_zeros(seq).
-        let max_level = if seq == 0 { 63 } else { seq.trailing_zeros() } as usize;
-        for i in 0..=max_level.min(62) {
-            if self.levels.len() <= i {
-                self.levels.push(VecDeque::new());
-            }
-            let level = &mut self.levels[i];
-            level.push_back((seq, t));
-            if level.len() > self.per_level {
-                level.pop_front();
-            }
-            // Don't create levels far beyond what the stream length
-            // justifies.
-            if (1u64 << i) > seq.max(1) {
-                break;
-            }
-        }
-    }
-
-    /// Total elements inserted.
-    pub fn total(&self) -> u64 {
-        self.n
-    }
-
-    /// Approximate count of elements with timestamp in `(t − window, t]`,
-    /// within relative error ε.
-    pub fn window_query(&self, window: f64, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        let cutoff = t - window;
-        // Find the finest level whose oldest record is at or before the
-        // cutoff (so the boundary is covered).
-        for level in &self.levels {
-            let Some(&(_, oldest_ts)) = level.front() else {
-                continue;
-            };
-            if oldest_ts > cutoff && level.len() >= self.per_level {
-                continue; // boundary precedes this level's coverage
-            }
-            // Latest record at or before the cutoff; elements after it are
-            // in the window.
-            let mut boundary_seq = None;
-            for &(seq, ts) in level.iter().rev() {
-                if ts <= cutoff {
-                    boundary_seq = Some(seq);
-                    break;
-                }
-            }
-            return match boundary_seq {
-                Some(seq) => (self.n - seq - 1) as f64,
-                None => self.n as f64, // whole (covered) stream in window
-            };
-        }
-        self.n as f64
-    }
-
-    /// Number of stored records across all levels.
-    pub fn record_count(&self) -> usize {
-        self.levels.iter().map(VecDeque::len).sum()
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.levels.iter().map(|l| l.capacity() * 16).sum::<usize>() + std::mem::size_of::<Self>()
-    }
-}
-
-/// The sum variant of [`DeterministicWave`]: approximate sliding-window
-/// **sums** of non-negative integer values in `O((1/ε) log εV)` space.
-///
-/// Level `i` records a `(cumulative sum, timestamp)` checkpoint every time
-/// the running sum crosses a multiple of `2^i`, keeping the most recent
-/// `⌈2/ε⌉ + 2` checkpoints. A window query subtracts the latest checkpoint
-/// at or before the boundary from the total, at the finest level still
-/// covering the boundary; the skipped remainder is at most one level stride
-/// ≤ `ε` times the window sum.
-#[derive(Debug, Clone)]
-pub struct WaveSum {
-    per_level: usize,
-    /// `levels[i]`: (cumulative sum at checkpoint, timestamp), oldest
-    /// first.
-    levels: Vec<VecDeque<(u64, Timestamp)>>,
-    /// Running sum of all inserted values.
-    cum: u64,
-}
-
-// A window sum is `cum` minus a recorded checkpoint.
-codec_struct!(WaveSum {
-    per_level: usize,
-    levels: Vec<VecDeque<(u64, Timestamp)>>,
-    cum: u64,
-} check |w| require(
-    w.cum <= MAX_COUNT && w.levels.iter().flatten().all(|&(cum, _)| cum <= w.cum),
-    "a wave checkpoint exceeds its running sum",
-));
-
-impl WaveSum {
-    /// Creates a wave with relative error `ε` for window sum queries.
-    ///
-    /// # Panics
-    /// Panics unless `0 < ε ≤ 1`.
-    pub fn with_epsilon(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon <= 1.0);
-        Self {
-            per_level: (2.0 / epsilon).ceil() as usize + 2,
-            levels: Vec::new(),
-            cum: 0,
-        }
-    }
-
-    /// Inserts a value `v ≥ 0` at time `t` (non-decreasing).
-    pub fn insert(&mut self, t: impl Into<Timestamp>, v: u64) {
-        let t = t.into();
-        let before = self.cum;
-        self.cum += v;
-        // Record a checkpoint at every level whose stride was crossed. If
-        // no multiple of 2^i was crossed, none of the coarser strides were
-        // either (`x >> i == y >> i` implies `x >> j == y >> j` for j ≥ i).
-        for i in 0..63 {
-            if before >> i == self.cum >> i {
-                break;
-            }
-            if self.levels.len() <= i {
-                self.levels.push(VecDeque::new());
-            }
-            let level = &mut self.levels[i];
-            level.push_back((self.cum, t));
-            if level.len() > self.per_level {
-                level.pop_front();
-            }
-        }
-    }
-
-    /// Total of all inserted values (exact).
-    pub fn total(&self) -> u64 {
-        self.cum
-    }
-
-    /// Approximate sum of values with timestamp in `(t − window, t]`,
-    /// within relative error ε.
-    pub fn window_query(&self, window: f64, t: impl Into<Timestamp>) -> f64 {
-        let t = t.into();
-        let cutoff = t - window;
-        for level in &self.levels {
-            let Some(&(_, oldest_ts)) = level.front() else {
-                continue;
-            };
-            if oldest_ts > cutoff && level.len() >= self.per_level {
-                continue; // boundary precedes this level's coverage
-            }
-            let mut boundary_cum = None;
-            for &(cum, ts) in level.iter().rev() {
-                if ts <= cutoff {
-                    boundary_cum = Some(cum);
-                    break;
-                }
-            }
-            return match boundary_cum {
-                Some(cum) => (self.cum - cum) as f64,
-                None => self.cum as f64,
-            };
-        }
-        self.cum as f64
-    }
-
-    /// Number of stored checkpoints across all levels.
-    pub fn record_count(&self) -> usize {
-        self.levels.iter().map(VecDeque::len).sum()
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.levels.iter().map(|l| l.capacity() * 16).sum::<usize>() + std::mem::size_of::<Self>()
     }
 }
 
@@ -1287,102 +1042,7 @@ mod tests {
             "levels should multiply the per-key storage: {}",
             many_keys.size_bytes()
         );
-        assert_eq!(many_keys.level_count(), 8);
         assert!(many_keys.interval_count() >= 100 + 50 + 25);
-    }
-
-    #[test]
-    fn wave_window_count_error_bound() {
-        let eps = 0.1;
-        let mut wave = DeterministicWave::with_epsilon(eps);
-        let ts: Vec<f64> = (0..60_000).map(|i| i as f64 * 0.1).collect();
-        for &t in &ts {
-            wave.insert(t);
-        }
-        let t_q = *ts.last().unwrap();
-        for &w in &[1.0, 10.0, 100.0, 1000.0, 5000.0] {
-            let exact = ts.iter().filter(|&&x| x > t_q - w).count() as f64;
-            let est = wave.window_query(w, t_q);
-            let rel = (est - exact).abs() / exact.max(1.0);
-            assert!(rel <= eps + 1e-9, "window {w}: est {est}, exact {exact}");
-        }
-        assert_eq!(wave.total(), 60_000);
-    }
-
-    #[test]
-    fn wave_space_is_logarithmic() {
-        let mut wave = DeterministicWave::with_epsilon(0.1);
-        for i in 0..1_000_000u64 {
-            wave.insert(i as f64);
-        }
-        // ~(2/ε + 2) records × log₂ N levels.
-        assert!(
-            wave.record_count() < 22 * 21,
-            "records: {}",
-            wave.record_count()
-        );
-        assert!(wave.size_bytes() < 16 * 1024);
-    }
-
-    #[test]
-    fn wave_sum_window_error_bound() {
-        let eps = 0.1;
-        let mut wave = WaveSum::with_epsilon(eps);
-        // Deterministic messy values in [1, 1400].
-        let items: Vec<(f64, u64)> = (0..40_000)
-            .map(|i| (i as f64 * 0.1, 1 + (i as u64).wrapping_mul(7919) % 1400))
-            .collect();
-        for &(t, v) in &items {
-            wave.insert(t, v);
-        }
-        assert_eq!(wave.total(), items.iter().map(|&(_, v)| v).sum::<u64>());
-        let t_q = items.last().unwrap().0;
-        for &w in &[50.0, 500.0, 3000.0] {
-            let exact: u64 = items
-                .iter()
-                .filter(|&&(x, _)| x > t_q - w)
-                .map(|&(_, v)| v)
-                .sum();
-            let est = wave.window_query(w, t_q);
-            let rel = (est - exact as f64).abs() / exact as f64;
-            // ε plus the unavoidable single-straddler slack.
-            assert!(
-                rel <= eps + 1400.0 / exact as f64,
-                "window {w}: est {est}, exact {exact}, rel {rel}"
-            );
-        }
-        // Space: ~(2/ε + 2) checkpoints × log₂(total) levels.
-        assert!(
-            wave.record_count() < 22 * 26,
-            "records {}",
-            wave.record_count()
-        );
-    }
-
-    #[test]
-    fn wave_sum_unit_values_match_count_wave() {
-        let mut ws = WaveSum::with_epsilon(0.1);
-        let mut wc = DeterministicWave::with_epsilon(0.1);
-        for i in 0..10_000u64 {
-            ws.insert(i as f64, 1);
-            wc.insert(i as f64);
-        }
-        for &w in &[100.0, 1000.0, 5000.0] {
-            let (a, b) = (ws.window_query(w, 9_999.0), wc.window_query(w, 9_999.0));
-            let rel = (a - b).abs() / b.max(1.0);
-            assert!(rel < 0.2, "window {w}: sum-wave {a} vs count-wave {b}");
-        }
-    }
-
-    #[test]
-    fn wave_short_stream_and_whole_window() {
-        let mut wave = DeterministicWave::with_epsilon(0.2);
-        for i in 0..10 {
-            wave.insert(i as f64);
-        }
-        assert_eq!(wave.window_query(100.0, 9.0), 10.0);
-        let recent = wave.window_query(2.5, 9.0);
-        assert!((recent - 3.0).abs() <= 1.0, "recent = {recent}");
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl CmSketch {
         Self::new(width, depth, seed)
     }
 
-    /// Sketch width (counters per row).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Sketch depth (number of rows).
     pub fn depth(&self) -> usize {
         self.depth

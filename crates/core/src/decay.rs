@@ -209,11 +209,6 @@ impl Monomial {
     pub fn quadratic() -> Self {
         Self::new(2.0)
     }
-
-    /// The exponent β.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
 }
 
 impl ForwardDecay for Monomial {
@@ -334,11 +329,6 @@ impl Exponential {
         let half_life = crate::error::require_positive("half_life", half_life)?;
         Self::try_new(std::f64::consts::LN_2 / half_life)
     }
-
-    /// The rate α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl ForwardDecay for Exponential {
@@ -429,11 +419,6 @@ impl PolySum {
             });
         }
         Ok(Self { coeffs })
-    }
-
-    /// The coefficients γ_j, lowest degree first.
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
     }
 }
 
@@ -628,17 +613,6 @@ pub trait BackwardDecay: Clone + Send + Sync + 'static {
     }
 }
 
-/// Backward "no decay": `f(a) = 1`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackNoDecay;
-
-impl BackwardDecay for BackNoDecay {
-    #[inline]
-    fn f(&self, _age: f64) -> f64 {
-        1.0
-    }
-}
-
 /// Sliding window of width `W`: `f(a) = 1` for `a < W`, else `0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackSlidingWindow {
@@ -653,11 +627,6 @@ impl BackSlidingWindow {
     pub fn new(width: f64) -> Self {
         assert!(width.is_finite() && width > 0.0);
         Self { width }
-    }
-
-    /// The window width in seconds.
-    pub fn width(&self) -> f64 {
-        self.width
     }
 }
 
@@ -686,11 +655,6 @@ impl BackExponential {
     pub fn new(lambda: f64) -> Self {
         assert!(lambda.is_finite() && lambda > 0.0);
         Self { lambda }
-    }
-
-    /// The rate λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// The forward decay function that yields *identical* weights
@@ -729,44 +693,6 @@ impl BackwardDecay for BackPolynomial {
     #[inline]
     fn f(&self, age: f64) -> f64 {
         (age + 1.0).powf(-self.alpha)
-    }
-}
-
-/// Sub-polynomial backward decay: `f(a) = (1 + ln(1 + a))⁻¹` — slower than
-/// any polynomial (Section II's example of the breadth of the backward
-/// class).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubPolynomial;
-
-impl BackwardDecay for SubPolynomial {
-    #[inline]
-    fn f(&self, age: f64) -> f64 {
-        1.0 / (1.0 + age.ln_1p())
-    }
-}
-
-/// Super-exponential backward decay: `f(a) = exp(−λa²)` — faster than any
-/// exponential.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SuperExponential {
-    lambda: f64,
-}
-
-impl SuperExponential {
-    /// Creates `f(a) = exp(−λa²)`.
-    ///
-    /// # Panics
-    /// Panics if `lambda` is not finite and positive.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda.is_finite() && lambda > 0.0);
-        Self { lambda }
-    }
-}
-
-impl BackwardDecay for SuperExponential {
-    #[inline]
-    fn f(&self, age: f64) -> f64 {
-        (-self.lambda * age * age).exp()
     }
 }
 
@@ -946,12 +872,9 @@ mod tests {
 
     #[test]
     fn backward_axioms_hold_for_all_families() {
-        check_backward_axioms(&BackNoDecay, 100.0, 50).unwrap();
         check_backward_axioms(&BackSlidingWindow::new(30.0), 100.0, 50).unwrap();
         check_backward_axioms(&BackExponential::new(0.2), 100.0, 50).unwrap();
         check_backward_axioms(&BackPolynomial::new(1.5), 100.0, 50).unwrap();
-        check_backward_axioms(&SubPolynomial, 100.0, 50).unwrap();
-        check_backward_axioms(&SuperExponential::new(0.01), 100.0, 50).unwrap();
     }
 
     #[test]

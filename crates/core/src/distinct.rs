@@ -96,11 +96,6 @@ impl<G: ForwardDecay> ExactDominance<G> {
         }
         (ls.ln() - self.g.ln_g(t - self.landmark)).exp()
     }
-
-    /// Number of distinct values observed.
-    pub fn distinct_values(&self) -> usize {
-        self.max_ln_w.len()
-    }
 }
 
 impl<G: ForwardDecay> Mergeable for ExactDominance<G> {
@@ -178,16 +173,6 @@ impl Kmv {
         }
         let tau = self.threshold() as f64;
         (self.k as f64 - 1.0) * (u64::MAX as f64) / tau
-    }
-
-    /// Number of stored hashes.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no hashes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Approximate memory footprint in bytes.
@@ -285,29 +270,11 @@ impl<G: ForwardDecay> DominanceSketch<G> {
     pub fn new(g: G, landmark: impl Into<Timestamp>, epsilon: f64, seed: u64) -> Self {
         let landmark = landmark.into();
         assert!(epsilon > 0.0 && epsilon <= 0.5, "ε must be in (0, 0.5]");
-        let k = (4.0 / (epsilon * epsilon)).ceil() as usize;
-        Self::with_params(g, landmark, 1.0 + epsilon, k, seed)
-    }
-
-    /// Creates a sketch with explicit level base and per-level KMV size.
-    ///
-    /// # Panics
-    /// Panics unless `base > 1` and `k ≥ 2`.
-    pub fn with_params(
-        g: G,
-        landmark: impl Into<Timestamp>,
-        base: f64,
-        k: usize,
-        seed: u64,
-    ) -> Self {
-        let landmark = landmark.into();
-        assert!(base > 1.0 && base.is_finite());
-        assert!(k >= 2);
         Self {
             g,
             landmark,
-            ln_base: base.ln(),
-            k,
+            ln_base: (1.0 + epsilon).ln(),
+            k: (4.0 / (epsilon * epsilon)).ceil() as usize,
             window: 0,
             hasher: SeededHash::new(seed),
             levels: BTreeMap::new(),
@@ -387,11 +354,6 @@ impl<G: ForwardDecay> DominanceSketch<G> {
             ls.add_ln((j_min - 1) as f64 * self.ln_base + d_min.ln());
         }
         (ls.ln() + 0.5 * self.ln_base - self.g.ln_g(t - self.landmark)).exp()
-    }
-
-    /// Number of live levels.
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
     }
 
     /// Approximate memory footprint in bytes.
@@ -639,7 +601,6 @@ mod tests {
             + (g.weight(landmark, 2.0, t_q))
             + (g.weight(landmark, 4.0, t_q));
         assert!((d.query(t_q) - expected).abs() < 1e-9);
-        assert_eq!(d.distinct_values(), 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The sketches ([`crate::distinct`], and the group tables in `fd-engine`)
 //! need a hash with good avalanche behaviour that maps keys to
-//! pseudo-uniform 64-bit values and to uniform reals in `[0, 1)`. We
+//! pseudo-uniform 64-bit values. We
 //! implement the well-known `splitmix64` finalizer (Steele, Lea, Flood 2014)
 //! rather than pulling an external hashing crate.
 
@@ -42,26 +42,6 @@ impl SeededHash {
     pub fn hash(&self, key: u64) -> u64 {
         mix64(key ^ self.seed)
     }
-
-    /// Hashes a key to a uniform real in `[0, 1)`.
-    ///
-    /// Uses the top 53 bits so the value is exactly representable as `f64`.
-    #[inline]
-    pub fn unit(&self, key: u64) -> f64 {
-        (self.hash(key) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-/// Hashes an arbitrary byte string to a `u64` (FNV-1a folded through
-/// [`mix64`]). Handy for hashing composite keys.
-#[inline]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    mix64(h)
 }
 
 #[cfg(test)]
@@ -95,42 +75,5 @@ mod tests {
         let h2 = SeededHash::new(2);
         let collisions = (0..1000u64).filter(|&k| h1.hash(k) == h2.hash(k)).count();
         assert_eq!(collisions, 0);
-    }
-
-    #[test]
-    fn unit_is_in_unit_interval_and_uniformish() {
-        let h = SeededHash::new(7);
-        let n = 100_000u64;
-        let mut sum = 0.0;
-        for k in 0..n {
-            let u = h.unit(k);
-            assert!((0.0..1.0).contains(&u));
-            sum += u;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - 0.5).abs() < 0.01, "mean = {mean}");
-    }
-
-    #[test]
-    fn unit_buckets_are_balanced() {
-        // Chi-square-ish check over 16 buckets.
-        let h = SeededHash::new(99);
-        let n = 160_000u64;
-        let mut buckets = [0u32; 16];
-        for k in 0..n {
-            buckets[(h.unit(k) * 16.0) as usize] += 1;
-        }
-        let expected = (n / 16) as f64;
-        for (i, &b) in buckets.iter().enumerate() {
-            let dev = (b as f64 - expected).abs() / expected;
-            assert!(dev < 0.05, "bucket {i} deviates {dev}");
-        }
-    }
-
-    #[test]
-    fn hash_bytes_discriminates() {
-        assert_ne!(hash_bytes(b"abc"), hash_bytes(b"abd"));
-        assert_ne!(hash_bytes(b""), hash_bytes(b"\0"));
-        assert_eq!(hash_bytes(b"stream"), hash_bytes(b"stream"));
     }
 }

@@ -30,8 +30,7 @@
 //!   (constant-space Count / Sum / Min / Max, and the Average / Variance
 //!   composed of them — Theorem 1), [`heavy_hitters`] (weighted SpaceSaving
 //!   — Theorem 2 — plus the unary variant the paper uses as undecayed
-//!   baseline), [`quantiles`] (a weighted q-digest — Theorem 3 — and a
-//!   weighted Greenwald–Khanna summary for unbounded domains), [`cm`] (a
+//!   baseline), [`quantiles`] (a weighted q-digest — Theorem 3), [`cm`] (a
 //!   Count-Min sketch with a candidate set, the alternative heavy-hitter
 //!   backend of the ablation benches);
 //! - what does not reduce to a weighted sum keeps its own log-domain

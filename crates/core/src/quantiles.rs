@@ -10,15 +10,12 @@
 //!
 //! - [`QDigest`] — a weighted q-digest over an integer domain `[0, 2^bits)`:
 //!   space `O((1/ε)·log U)` counters for rank error `ε·W` (Theorem 3);
-//! - [`WeightedGK`] — a weighted Greenwald–Khanna summary over arbitrary
-//!   `f64` values (an extension beyond the paper, for unbounded domains);
 //! - [`DecayedQuantiles`] — [`QDigest`] under the forward-decay clock
 //!   ([`Decayed`]).
 
 use std::borrow::Cow;
 
-use crate::checkpoint::{require, CodecError, Decode, Encode, Reader, MAX_COUNT};
-use crate::codec_struct;
+use crate::checkpoint::{require, CodecError, Decode, Encode, Reader};
 use crate::decay::ForwardDecay;
 use crate::decayed::{Decayed, Weighted};
 use crate::merge::Mergeable;
@@ -180,11 +177,6 @@ impl QDigest {
     /// Approximate memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<Entry>() + std::mem::size_of::<Self>()
-    }
-
-    /// Guaranteed upper bound on rank error, as a fraction of total weight.
-    pub fn epsilon(&self) -> f64 {
-        self.bits as f64 / self.k as f64
     }
 
     /// Adds `value` with positive weight `w`: a push (or, in a small digest,
@@ -502,217 +494,6 @@ impl Decode for QDigest {
 }
 
 // ---------------------------------------------------------------------------
-// Weighted Greenwald–Khanna
-// ---------------------------------------------------------------------------
-
-/// One GK tuple: a stored value, the weight `g` it absorbs, and the
-/// uncertainty `Δ` of its rank.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct GkTuple {
-    v: f64,
-    g: f64,
-    delta: f64,
-}
-
-codec_struct!(GkTuple {
-    v: f64,
-    g: f64,
-    delta: f64
-});
-
-/// A weighted Greenwald–Khanna quantile summary over arbitrary `f64`
-/// values — an extension beyond the paper's q-digest (which needs a bounded
-/// integer domain).
-///
-/// Maintains the invariant `g_i + Δ_i ≤ 2εW`, giving rank queries within
-/// `ε·W`. Space is `O((1/ε)·log(εW))` in theory; in practice a few hundred
-/// tuples for ε = 0.01.
-#[derive(Debug, Clone)]
-pub struct WeightedGK {
-    epsilon: f64,
-    tuples: Vec<GkTuple>,
-    total: f64,
-    pending: usize,
-}
-
-// An update compresses once `pending` reaches `1/(2ε)`.
-codec_struct!(WeightedGK { epsilon: f64, tuples: Vec<GkTuple>, total: f64, pending: usize }
-check |gk| require(
-    gk.epsilon > 0.0
-        && gk.epsilon < 1.0
-        && (gk.pending as f64) < 1.0 / (2.0 * gk.epsilon)
-        && gk.pending as u64 <= MAX_COUNT,
-    "GK parameters out of range",
-));
-
-impl WeightedGK {
-    /// Creates a summary with rank error at most `ε·W`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < ε < 1`.
-    pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0);
-        Self {
-            epsilon,
-            tuples: Vec::new(),
-            total: 0.0,
-            pending: 0,
-        }
-    }
-
-    /// Total ingested weight.
-    pub fn total_weight(&self) -> f64 {
-        self.total
-    }
-
-    /// Number of stored tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True if nothing has been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.tuples.capacity() * std::mem::size_of::<GkTuple>() + std::mem::size_of::<Self>()
-    }
-
-    /// Adds `value` with positive weight `w`.
-    pub fn update(&mut self, value: f64, w: f64) {
-        debug_assert!(value.is_finite() && w >= 0.0 && w.is_finite());
-        if w == 0.0 {
-            return;
-        }
-        self.total += w;
-        let budget = 2.0 * self.epsilon * self.total;
-        // Position of the first tuple with v ≥ value.
-        let pos = self.tuples.partition_point(|t| t.v < value);
-        let delta = if pos == 0 || pos == self.tuples.len() {
-            0.0 // extremes carry no uncertainty
-        } else {
-            (budget - w).max(0.0)
-        };
-        self.tuples.insert(
-            pos,
-            GkTuple {
-                v: value,
-                g: w,
-                delta,
-            },
-        );
-        self.pending += 1;
-        if self.pending as f64 >= 1.0 / (2.0 * self.epsilon) {
-            self.compress();
-        }
-    }
-
-    /// Merges adjacent tuples while the invariant allows.
-    pub fn compress(&mut self) {
-        self.pending = 0;
-        if self.tuples.len() < 3 {
-            return;
-        }
-        let budget = 2.0 * self.epsilon * self.total;
-        let mut out: Vec<GkTuple> = Vec::with_capacity(self.tuples.len());
-        out.push(self.tuples[0]);
-        // Never merge into the last tuple's slot prematurely; walk left to
-        // right merging tuple i into i+1 where allowed.
-        for i in 1..self.tuples.len() {
-            let cur = self.tuples[i];
-            let prev = *out.last().unwrap();
-            let is_first = out.len() == 1;
-            if !is_first && prev.g + cur.g + cur.delta <= budget {
-                // Absorb prev into cur.
-                out.pop();
-                out.push(GkTuple {
-                    v: cur.v,
-                    g: prev.g + cur.g,
-                    delta: cur.delta,
-                });
-            } else {
-                out.push(cur);
-            }
-        }
-        self.tuples = out;
-    }
-
-    /// The (approximate) weighted rank of `value`, within `ε·W`.
-    pub fn rank(&self, value: f64) -> f64 {
-        let mut r_min = 0.0;
-        for t in &self.tuples {
-            if t.v <= value {
-                r_min += t.g;
-            } else {
-                // Midpoint of the uncertainty window.
-                return r_min + t.delta / 2.0;
-            }
-        }
-        r_min
-    }
-
-    /// The φ-quantile: a value whose weighted rank is within `ε·W` of
-    /// `φ·W`. `None` on an empty summary.
-    pub fn quantile(&self, phi: f64) -> Option<f64> {
-        if self.tuples.is_empty() {
-            return None;
-        }
-        let target = phi.clamp(0.0, 1.0) * self.total;
-        let mut r_min = 0.0;
-        for t in &self.tuples {
-            r_min += t.g;
-            // First tuple whose maximum possible rank reaches the target:
-            // its true rank is within 2εW of the target by the invariant.
-            if r_min + t.delta >= target {
-                return Some(t.v);
-            }
-        }
-        Some(self.tuples.last().unwrap().v)
-    }
-
-    /// Multiplies all tuple weights and the total by `factor` (zero is
-    /// legal, as for [`Weighted::scale`]).
-    pub fn scale_all(&mut self, factor: f64) {
-        debug_assert!(factor >= 0.0 && !factor.is_nan());
-        for t in &mut self.tuples {
-            t.g *= factor;
-            t.delta *= factor;
-        }
-        self.total *= factor;
-    }
-}
-
-impl Mergeable for WeightedGK {
-    /// Merge by interleaving the tuple lists (the standard GK merge: ranks
-    /// add, errors add) and recompressing.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.epsilon.to_bits(),
-            other.epsilon.to_bits(),
-            "error parameters must match"
-        );
-        let mut merged = Vec::with_capacity(self.tuples.len() + other.tuples.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.tuples.len() || j < other.tuples.len() {
-            let take_left = j >= other.tuples.len()
-                || (i < self.tuples.len() && self.tuples[i].v <= other.tuples[j].v);
-            if take_left {
-                merged.push(self.tuples[i]);
-                i += 1;
-            } else {
-                merged.push(other.tuples[j]);
-                j += 1;
-            }
-        }
-        self.tuples = merged;
-        self.total += other.total;
-        self.compress();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Forward-decayed wrapper
 // ---------------------------------------------------------------------------
 
@@ -930,73 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn gk_exact_small_stream() {
-        let mut gk = WeightedGK::new(0.1);
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            gk.update(v, 1.0);
-        }
-        assert_eq!(gk.quantile(0.5), Some(3.0));
-        assert!((gk.rank(3.0) - 3.0).abs() <= 0.5 + 1e-9);
-    }
-
-    #[test]
-    fn gk_rank_error_within_epsilon() {
-        let eps = 0.02;
-        let mut gk = WeightedGK::new(eps);
-        let mut items: Vec<(f64, f64)> = Vec::new();
-        for i in 0..30_000u64 {
-            let v = ((i.wrapping_mul(2654435761)) % 100_000) as f64 / 100.0;
-            let w = 1.0 + (i % 4) as f64;
-            gk.update(v, w);
-            items.push((v, w));
-        }
-        let w_total: f64 = items.iter().map(|(_, w)| w).sum();
-        for &v in &[1.0, 100.0, 250.0, 500.0, 900.0, 999.0] {
-            let exact: f64 = items.iter().filter(|(x, _)| *x <= v).map(|(_, w)| w).sum();
-            let err = (gk.rank(v) - exact).abs();
-            assert!(err <= 2.0 * eps * w_total, "rank({v}) err {err}");
-        }
-        // Sublinear space.
-        assert!(gk.len() < 2_000, "GK kept {} tuples", gk.len());
-    }
-
-    #[test]
-    fn gk_quantile_error_with_heavy_weights() {
-        // One very heavy late item must shift quantiles decisively.
-        let eps = 0.05;
-        let mut gk = WeightedGK::new(eps);
-        for i in 0..1000 {
-            gk.update(i as f64, 1.0);
-        }
-        gk.update(5000.0, 10_000.0); // dominates everything
-        let med = gk.quantile(0.5).unwrap();
-        assert_eq!(med, 5000.0);
-    }
-
-    #[test]
-    fn gk_merge_matches_concat() {
-        let eps = 0.05;
-        let mut a = WeightedGK::new(eps);
-        let mut b = WeightedGK::new(eps);
-        let mut items: Vec<(f64, f64)> = Vec::new();
-        for i in 0..5_000u64 {
-            let v = ((i * 97) % 1000) as f64;
-            if i % 2 == 0 {
-                a.update(v, 1.0)
-            } else {
-                b.update(v, 1.0)
-            }
-            items.push((v, 1.0));
-        }
-        a.merge_from(&b);
-        let w_total = items.len() as f64;
-        for &v in &[100.0, 400.0, 700.0] {
-            let exact: f64 = items.iter().filter(|(x, _)| *x <= v).map(|(_, w)| w).sum();
-            assert!((a.rank(v) - exact).abs() <= 2.0 * eps * w_total);
-        }
-    }
-
-    #[test]
     fn decayed_quantiles_follow_recency() {
         // Early values small, late values large; decay should pull the
         // median toward the late (large) values.
@@ -1095,7 +809,6 @@ mod tests {
     #[test]
     fn empty_summaries() {
         assert_eq!(QDigest::new(8, 10).quantile(0.5), None);
-        assert_eq!(WeightedGK::new(0.1).quantile(0.5), None);
         let d = DecayedQuantiles::new(NoDecay, 0.0, 8, 0.1);
         assert_eq!(d.quantile(0.5, 10.0), None);
         assert_eq!(d.decayed_count(10.0), 0.0);

@@ -79,18 +79,6 @@ pub struct SummaryStats {
     pub accepted: u64,
 }
 
-impl SummaryStats {
-    /// `accepted / items`, or `None` before any item arrives.
-    pub fn acceptance_rate(&self) -> Option<f64> {
-        (self.items > 0).then(|| self.accepted as f64 / self.items as f64)
-    }
-
-    /// `occupancy / capacity`, or `None` when the summary is unbounded.
-    pub fn occupancy_fraction(&self) -> Option<f64> {
-        (self.capacity > 0).then(|| self.occupancy as f64 / self.capacity as f64)
-    }
-}
-
 /// A forward-decay stream summary: timestamped updates in, a
 /// `g(t − L)`-normalized answer out.
 ///

@@ -8,17 +8,17 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use fd_core::aggregates::{DecayedCount, DecayedExtremum, DecayedSum, DecayedVariance};
-use fd_core::backward::{DeterministicWave, ExponentialHistogram, PrefixBackwardHH};
+use fd_core::backward::{ExponentialHistogram, PrefixBackwardHH};
 use fd_core::cm::CmSketch;
 use fd_core::decay::{
     check_backward_axioms, check_forward_axioms, BackExponential, BackPolynomial,
     BackSlidingWindow, BackwardDecay, Exponential, ForwardDecay, LandmarkWindow, Monomial, NoDecay,
-    PolySum, SubPolynomial, SuperExponential,
+    PolySum,
 };
 use fd_core::distinct::{DominanceSketch, ExactDominance, Kmv};
 use fd_core::heavy_hitters::{UnarySpaceSaving, WeightedSpaceSaving};
 use fd_core::numerics::LogSum;
-use fd_core::quantiles::{QDigest, WeightedGK};
+use fd_core::quantiles::QDigest;
 use fd_core::sampling::{JumpWeightedReservoir, PrioritySampler, WeightedReservoir};
 use fd_core::{Mergeable, Timestamp};
 
@@ -94,8 +94,6 @@ fn backward_axioms_random() {
         check_backward_axioms(&BackExponential::new(lambda), 300.0, 40).unwrap();
         check_backward_axioms(&BackPolynomial::new(alpha), 300.0, 40).unwrap();
         check_backward_axioms(&BackSlidingWindow::new(w), 600.0, 40).unwrap();
-        check_backward_axioms(&SubPolynomial, 300.0, 40).unwrap();
-        check_backward_axioms(&SuperExponential::new(lambda), 50.0, 40).unwrap();
     });
 }
 
@@ -360,30 +358,6 @@ fn qdigest_rank_error() {
 }
 
 #[test]
-fn gk_rank_error() {
-    cases(16, |rng| {
-        let n = rng.gen_range(100..800);
-        let items: Vec<(f64, f64)> = (0..n)
-            .map(|_| (rng.gen_range(-1e3..1e3), rng.gen_range(0.5..4.0)))
-            .collect();
-        let eps = 0.05;
-        let mut gk = WeightedGK::new(eps);
-        for &(v, w) in &items {
-            gk.update(v, w);
-        }
-        let total: f64 = items.iter().map(|&(_, w)| w).sum();
-        for probe in [-900.0, -100.0, 0.0, 333.3, 950.0] {
-            let exact: f64 = items
-                .iter()
-                .filter(|&&(v, _)| v <= probe)
-                .map(|&(_, w)| w)
-                .sum();
-            assert!((gk.rank(probe) - exact).abs() <= 2.0 * eps * total + 1e-9);
-        }
-    });
-}
-
-#[test]
 fn qdigest_merge_preserves_bounds() {
     cases(17, |rng| {
         let n = rng.gen_range(100..500);
@@ -632,30 +606,6 @@ fn cm_merge_equals_concat_prop() {
         for item in 0..100u64 {
             assert!((a.query(item) - whole.query(item)).abs() < 1e-9);
         }
-    });
-}
-
-// ----- Deterministic waves ---------------------------------------------
-
-#[test]
-fn wave_window_error_prop() {
-    cases(28, |rng| {
-        let n = rng.gen_range(100u64..5000);
-        let eps_inv = rng.gen_range(5u32..15);
-        let wfrac = rng.gen_range(0.05..0.95);
-        let eps = 1.0 / eps_inv as f64;
-        let mut wave = DeterministicWave::with_epsilon(eps);
-        for i in 0..n {
-            wave.insert(i as f64);
-        }
-        let t_q = (n - 1) as f64;
-        let w = wfrac * n as f64;
-        let exact = (0..n).filter(|&i| (i as f64) > t_q - w).count() as f64;
-        let est = wave.window_query(w, t_q);
-        assert!(
-            (est - exact).abs() <= eps * exact.max(1.0) + 1.0,
-            "n={n} eps={eps} w={w}: est {est}, exact {exact}"
-        );
     });
 }
 

@@ -146,6 +146,8 @@ pub struct Engine {
     /// Admitted tuples awaiting their fold: empty between calls, its
     /// buffer reused.
     pending: Vec<Admitted>,
+    /// Every counter but `lfta_evictions`, which is the LFTA's own: read
+    /// them through [`Engine::stats`].
     stats: EngineStats,
     /// Size of the last [`Engine::checkpoint`] blob, used to pre-size the
     /// next one (supervised workers checkpoint on their critical path, so
@@ -245,7 +247,8 @@ impl Engine {
     /// admitted.
     pub fn process(&mut self, pkt: &Packet) {
         if let Some(admitted) = self.admit(pkt, 0) {
-            self.fold(std::slice::from_ref(pkt), &[admitted]);
+            self.store
+                .fold_batch(std::slice::from_ref(pkt), &[admitted]);
             self.maybe_close_buckets();
         }
     }
@@ -266,7 +269,7 @@ impl Engine {
             pending.push(admitted);
             let due = self.watermark >= self.next_close;
             if due || pending.len() == FOLD_RUN {
-                self.fold(pkts, &pending);
+                self.store.fold_batch(pkts, &pending);
                 pending.clear();
             }
             if due {
@@ -274,16 +277,10 @@ impl Engine {
             }
         }
         if !pending.is_empty() {
-            self.fold(pkts, &pending);
+            self.store.fold_batch(pkts, &pending);
             pending.clear();
         }
         self.pending = pending;
-    }
-
-    /// Folds the admitted `run` of `pkts` into the group store.
-    #[inline]
-    fn fold(&mut self, pkts: &[Packet], run: &[Admitted]) {
-        self.stats.lfta_evictions += self.store.fold_batch(pkts, run);
     }
 
     /// Offers one tuple carrying a Horvitz–Thompson scale (the `1/p`
@@ -505,7 +502,7 @@ impl Engine {
         EngineHeader {
             watermark: self.watermark,
             closed_below: self.closed_below,
-            stats: self.stats,
+            stats: self.stats(),
             state_mode: self.closed_state.is_some(),
             lfta: self.store.lfta_counters(),
             rows: self.out.clone(),

@@ -190,8 +190,7 @@ pub struct Admitted {
 pub trait GroupStore: Send {
     /// Folds a run of admitted tuples in, in order — through the LFTA if
     /// the query is split — each `Admitted` naming its tuple in `pkts`.
-    /// Returns how many residents that evicted.
-    fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]) -> u64;
+    fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]);
     /// Folds an admitted tuple with a scale straight into its high-level
     /// group.
     fn fold_scaled(&mut self, pkt: &Packet, at: &Admitted, scale: f64);
@@ -517,7 +516,7 @@ impl<K: Cells> Store<K> {
 }
 
 impl<K: Cells> GroupStore for Store<K> {
-    fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]) -> u64 {
+    fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]) {
         let (cells, open) = (&self.cells, &mut self.open);
         let merge = |into: &mut K::Cell, from| cells.merge(into, from);
         let Some(lfta) = &mut self.lfta else {
@@ -528,7 +527,7 @@ impl<K: Cells> GroupStore for Store<K> {
                 let cell = (open.bucket_mut(a.bucket)).cell_mut(a.key, make);
                 cells.update(cell, &pkts[a.index]);
             }
-            return 0;
+            return;
         };
         let fold = |lfta: &mut Lfta<K::Cell>, a: &Admitted| {
             let pkt = &pkts[a.index];
@@ -541,11 +540,10 @@ impl<K: Cells> GroupStore for Store<K> {
         };
         // A run of one — `Engine::process` — has nothing to look ahead to.
         if let [a] = run {
-            let Some(partial) = fold(lfta, a) else {
-                return 0;
-            };
-            open.absorb(partial, merge);
-            return 1;
+            if let Some(partial) = fold(lfta, a) {
+                open.absorb(partial, merge);
+            }
+            return;
         }
         // The LFTA pass, in tuple order; then the absorb pass, in the order
         // the LFTA released the partials.
@@ -556,12 +554,11 @@ impl<K: Cells> GroupStore for Store<K> {
             }
             evicted.extend(fold(lfta, a));
         }
-        let n = evicted.len() as u64;
         let mut rest = evicted.drain(..);
         loop {
             open.prefetch_ahead(rest.as_slice(), |p| (p.bucket, p.key));
             let Some(partial) = rest.next() else {
-                return n;
+                return;
             };
             open.absorb(partial, merge);
         }

@@ -3,9 +3,7 @@
 //! the state-recovery story a production stream processor needs.
 
 use forward_decay::core::aggregates::{DecayedCount, DecayedSum, DecayedVariance};
-use forward_decay::core::backward::{
-    DeterministicWave, ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH,
-};
+use forward_decay::core::backward::{ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH};
 use forward_decay::core::checkpoint::{from_bytes, to_bytes, Decode, Encode};
 use forward_decay::core::cm::CmSketch;
 use forward_decay::core::decay::{AnyDecay, BackExponential, Exponential, Monomial};
@@ -13,7 +11,7 @@ use forward_decay::core::distinct::{DominanceSketch, ExactDominance};
 use forward_decay::core::heavy_hitters::{
     DecayedHeavyHitters, UnarySpaceSaving, WeightedSpaceSaving,
 };
-use forward_decay::core::quantiles::{DecayedQuantiles, QDigest, WeightedGK};
+use forward_decay::core::quantiles::{DecayedQuantiles, QDigest};
 use forward_decay::engine::prelude::*;
 use forward_decay::gen::TraceConfig;
 
@@ -124,11 +122,6 @@ fn quantile_summaries_checkpoint() {
         |s| s.quantile(0.5).unwrap_or(0) as f64,
     );
     check_roundtrip(
-        WeightedGK::new(0.02),
-        |s, p| s.update(p.len as f64, 1.0),
-        |s| s.quantile(0.5).unwrap_or(0.0),
-    );
-    check_roundtrip(
         DecayedQuantiles::new(Monomial::quadratic(), 0.0, 11, 0.02),
         |s, p| s.update(p.ts_secs(), p.len as u64),
         |s| s.quantile(0.5, 21.0).unwrap_or(0) as f64,
@@ -156,11 +149,6 @@ fn backward_baselines_checkpoint() {
         ExponentialHistogram::with_epsilon(0.05),
         |s, p| s.insert_value(p.ts_secs(), p.len as u64),
         |s| s.decayed_query(&f, 21.0),
-    );
-    check_roundtrip(
-        DeterministicWave::with_epsilon(0.1),
-        |s, p| s.insert(p.ts_secs()),
-        |s| s.window_query(5.0, 21.0),
     );
     check_roundtrip(
         SlidingWindowHH::new(1.0, 6),

@@ -9,9 +9,8 @@
 //!   independently, then folded with `Mergeable::merge_from` (shards
 //!   renormalize at different times, so this exercises landmark alignment);
 //! - **checkpointed** — snapshot to bytes mid-stream, restore, continue.
-//!   The samplers carry raw RNG state with no `Encode` / `Decode` impl,
-//!   so they have no checkpoint path — that exclusion is deliberate and
-//!   documented (see DESIGN.md §6), not a silent skip.
+//!   The samplers' bytes carry their generator state, so a restored
+//!   sampler must answer exactly as the uninterrupted scalar run does.
 //!
 //! Error budgets: the O(1) aggregates and `ExactDominance` must agree to
 //! floating-point accumulation order (1e-6 relative, against a
@@ -516,13 +515,34 @@ fn differential_dominance() {
 }
 
 // ---------------------------------------------------------------------------
-// Samplers. No checkpoint path: WithReplacementSampler / WeightedReservoir /
-// PrioritySampler hold raw `SmallRng` state that is not encoded, so they
-// are not checkpointable by design (DESIGN.md §6) — scalar, batched and
-// merged paths only. Samples are random, so the checks are structural:
-// membership in the stream, size bounds, internal invariants, and the
-// Horvitz–Thompson estimate for priority sampling.
+// Samplers. Samples are random, so the checks are structural: membership
+// in the stream, size bounds, internal invariants, and the Horvitz–Thompson
+// estimate for priority sampling. The checkpoint carries the generator
+// state, so the checkpointed path must reproduce the scalar path exactly.
 // ---------------------------------------------------------------------------
+
+/// The answer of the path named `path` against the scalar path's, compared
+/// as `key` maps them: a path that makes the scalar path's draws must give
+/// its answer exactly.
+fn as_scalar<S: Summary, K: PartialEq + std::fmt::Debug>(
+    sampler: &str,
+    paths: &[(&'static str, S)],
+    path: &str,
+    key: impl Fn(S::Output) -> K,
+) -> Result<(), String> {
+    let answer = |name: &str| {
+        let (_, s) = (paths.iter().find(|(p, _)| *p == name)).expect("a driven path");
+        key(s.query_at(q()))
+    };
+    let (scalar, got) = (answer("scalar"), answer(path));
+    if scalar == got {
+        Ok(())
+    } else {
+        Err(format!(
+            "{sampler} diverges between scalar ({scalar:?}) and {path} ({got:?}) paths"
+        ))
+    }
+}
 
 #[test]
 fn differential_samplers() {
@@ -548,7 +568,9 @@ fn differential_samplers() {
                         seed ^ (inst << 32),
                     )
                 };
-                for (path, s) in drive(&mk, &|e| e.key, es) {
+                let mut paths = drive(&mk, &|e| e.key, es);
+                paths.push(("checkpointed", drive_checkpointed(&mk, &|e| e.key, es)));
+                for (path, s) in &paths {
                     s.check_invariants().map_err(|e| format!("{path}: {e}"))?;
                     for item in s.query_at(q()) {
                         if !keys.contains(&item) {
@@ -559,21 +581,16 @@ fn differential_samplers() {
                 // The default batched path replays updates one by one in
                 // order, so its RNG consumption — and thus its sample — must
                 // be identical to the scalar path's.
-                let paths = drive(&mk, &|e| e.key, es);
-                let scalar_sample = paths[0].1.query_at(q());
-                let batched_sample = paths[1].1.query_at(q());
-                if scalar_sample != batched_sample {
-                    return Err(format!(
-                        "with-replacement sampler diverges between scalar \
-                         ({scalar_sample:?}) and batched ({batched_sample:?}) paths"
-                    ));
-                }
+                as_scalar("with-replacement sampler", &paths, "batched", |s| s)?;
+                as_scalar("with-replacement sampler", &paths, "checkpointed", |s| s)?;
 
                 // Weighted reservoir (without replacement): at most k items.
                 let mk = |inst: u64| {
                     WeightedReservoir::<u64, _>::new(gc.clone(), LANDMARK, 16, seed ^ (inst << 32))
                 };
-                for (path, s) in drive(&mk, &|e| e.key, es) {
+                let mut paths = drive(&mk, &|e| e.key, es);
+                paths.push(("checkpointed", drive_checkpointed(&mk, &|e| e.key, es)));
+                for (path, s) in &paths {
                     s.check_invariants().map_err(|e| format!("{path}: {e}"))?;
                     let sample = s.query_at(q());
                     if sample.len() > 16 {
@@ -585,6 +602,7 @@ fn differential_samplers() {
                         }
                     }
                 }
+                as_scalar("weighted reservoir", &paths, "checkpointed", |s| s)?;
 
                 // Priority sampler: the Horvitz–Thompson estimate of the
                 // decayed count. k = 64 of ≤ 400 events keeps the estimator's
@@ -592,12 +610,15 @@ fn differential_samplers() {
                 let mk = |inst: u64| {
                     PrioritySampler::<u64, _>::new(gc.clone(), LANDMARK, 64, seed ^ (inst << 32))
                 };
-                for (path, s) in drive(&mk, &|e| e.key, es) {
+                let mut paths = drive(&mk, &|e| e.key, es);
+                paths.push(("checkpointed", drive_checkpointed(&mk, &|e| e.key, es)));
+                for (path, s) in &paths {
                     s.check_invariants().map_err(|e| format!("{path}: {e}"))?;
                     if w > 1e-12 {
                         close(path, "HT estimate", s.query_at(q()), w, 0.5 * w)?;
                     }
                 }
+                as_scalar("priority sampler", &paths, "checkpointed", f64::to_bits)?;
                 Ok(())
             });
         }

@@ -1,11 +1,12 @@
 //! Section III-A of the paper: forward and backward exponential decay are
-//! the *same* decay model. These tests check the equivalence not just on the
-//! weight formula (unit-tested in fd-core) but through entire summaries and
-//! the engine pipeline, against the backward-decay baseline machinery.
+//! the *same* decay model. These tests check the equivalence on the weight
+//! formula, where `BackExponential::as_forward` is the map from one to the
+//! other, and through entire summaries and the engine pipeline, against the
+//! backward-decay baseline machinery.
 
 use forward_decay::core::aggregates::DecayedSum;
 use forward_decay::core::backward::ExponentialHistogram;
-use forward_decay::core::decay::{BackExponential, BackwardDecay, Exponential};
+use forward_decay::core::decay::{BackExponential, BackwardDecay, Exponential, ForwardDecay};
 use forward_decay::core::heavy_hitters::DecayedHeavyHitters;
 use forward_decay::engine::prelude::*;
 use forward_decay::gen::TraceConfig;
@@ -22,11 +23,27 @@ fn trace() -> Vec<Packet> {
 }
 
 #[test]
+fn as_forward_weighs_every_item_as_the_backward_decay_from_any_landmark() {
+    let bwd = BackExponential::new(0.08);
+    let fwd = bwd.as_forward();
+    for landmark in [-1000.0, 0.0, 37.5] {
+        for t in [40.0, 60.0, 600.0] {
+            for t_i in [37.5, 38.25, 40.0] {
+                let (f, b) = (fwd.weight(landmark, t_i, t), bwd.weight(t_i, t));
+                assert!(
+                    (f - b).abs() <= 1e-12 * b,
+                    "L = {landmark}, t_i = {t_i}, t = {t}: forward {f}, backward {b}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn forward_exact_sum_equals_backward_brute_force() {
     let packets = trace();
-    let alpha = 0.08;
-    let fwd = Exponential::new(alpha);
-    let bwd = BackExponential::new(alpha);
+    let bwd = BackExponential::new(0.08);
+    let fwd = bwd.as_forward();
     let t_q = 60.0;
 
     let mut sum = DecayedSum::new(fwd, 0.0);
@@ -55,7 +72,7 @@ fn forward_exact_beats_eh_approximation_of_the_same_query() {
     let bwd = BackExponential::new(alpha);
     let truth: f64 = packets.iter().map(|p| bwd.weight(p.ts_secs(), t_q)).sum();
 
-    let mut fwd_sum = DecayedSum::new(Exponential::new(alpha), 0.0);
+    let mut fwd_sum = DecayedSum::new(bwd.as_forward(), 0.0);
     let mut eh = ExponentialHistogram::with_epsilon(eps);
     for p in &packets {
         fwd_sum.update(p.ts_secs(), 1.0);
