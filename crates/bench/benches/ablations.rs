@@ -46,7 +46,8 @@ fn a1_two_level_and_lfta_size() {
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
             .two_level(two_level)
             .lfta_slots(slots)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let single = measure_query(&mk(false, 1), &packets);
     table.row(

@@ -70,7 +70,8 @@ fn query(factory: Arc<FnFactory>, two_level: bool) -> Query {
         .aggregate(factory)
         .two_level(two_level)
         .lfta_slots(65_536)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 fn fmt_load(p: LoadPoint) -> String {

@@ -70,7 +70,8 @@ fn query(factory: Arc<FnFactory>) -> Query {
         .filter(|p| p.proto == Proto::Tcp)
         .bucket_secs(60)
         .aggregate(factory)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 fn main() {

@@ -70,7 +70,8 @@ fn query(proto: Proto, factory: Arc<FnFactory>) -> Query {
         .filter(move |p| p.proto == proto)
         .bucket_secs(60)
         .aggregate(factory)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 /// Runs the CPU and space sweeps for one protocol; returns

@@ -248,7 +248,8 @@ fn main() {
         .group_by(|p| p.dst_host())
         .bucket_secs(60)
         .aggregate(count_factory())
-        .build();
+        .try_build()
+        .expect("valid query");
     let n_shards = 8;
     // Dispatch sweeps an 80 MB packet stream per pass and is the gated
     // number, so it gets extra passes to stabilize the minimum.

@@ -56,7 +56,8 @@ fn query() -> Query {
         .bucket_secs(60)
         .aggregate(fwd_count_factory(Monomial::quadratic()))
         .two_level(false)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 fn fmt_tps(tps: f64) -> String {

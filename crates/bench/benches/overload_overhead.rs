@@ -85,7 +85,8 @@ fn query() -> Query {
         .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
         .two_level(true)
         .lfta_slots(65_536)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 #[derive(Clone, Copy, PartialEq)]

@@ -4,29 +4,24 @@
 //! Section VI-B of the paper: forward-decay summaries are mergeable, so
 //! "each site maintains a summary of its local stream" and combination is
 //! exact. The sharded engine turns that into core-level parallelism; this
-//! bench quantifies it on the paper's count-query workload (20 000 hosts,
-//! Zipf 1.1, 100k pkt/s): per competitor it measures
+//! bench measures it on the paper's count-query workload (20 000 hosts,
+//! Zipf 1.1, 100k pkt/s): per competitor, the single-threaded engine's
+//! per-tuple cost (the baseline) and the wall-clock N-shard throughput on
+//! this host, fed through `try_process_packets` (the batched path `fdql`
+//! uses) in `DEFAULT_BATCH_SIZE` chunks. Every N-shard run must emit as
+//! many rows as the single-threaded one.
 //!
-//! - the single-threaded engine's per-tuple cost (the baseline),
-//! - the dispatch path's per-tuple cost (the serial fraction: admission +
-//!   routing, the piece that cannot be parallelised),
-//! - wall-clock N-shard throughput on this host, and
-//! - the modeled capacity `min(10⁹/dispatch, N·10⁹/worker)` — the
-//!   machine-independent speedup an (N+1)-core host realises, in the same
-//!   spirit as the load model every other figure here uses.
-//!
-//! Results land in `BENCH_shard.json` at the repo root.
+//! Results land in `BENCH_shard.json` at the repo root; every number in it
+//! is measured. With fewer cores than shards plus the ingress thread, the
+//! wall-clock numbers measure oversubscription (`wallclock_core_bound`).
 //!
 //! Run: `cargo bench --bench shard_scaling`
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use fd_bench::{
-    measure_dispatch_ns, measure_query, measure_sharded_query, quick, quick_scaled, Table,
-};
+use fd_bench::{measure_query, measure_sharded_query, quick, quick_scaled, Table};
 use fd_core::decay::{BackPolynomial, Monomial};
-use fd_engine::metrics::sharded_capacity_pps;
 use fd_engine::prelude::*;
 use fd_engine::udaf::FnFactory;
 use fd_gen::TraceConfig;
@@ -69,7 +64,8 @@ fn query(factory: Arc<FnFactory>, two_level: bool) -> Query {
         .aggregate(factory)
         .two_level(two_level)
         .lfta_slots(65_536)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 fn fmt_tps(tps: f64) -> String {
@@ -106,24 +102,12 @@ fn main() {
         "query",
         &wall_cols,
     );
-    let mut model_cols: Vec<&str> = vec!["dispatch ns/t", "worker ns/t"];
-    model_cols.extend(shard_cols.iter().map(String::as_str));
-    model_cols.push("speedup @8");
-    let mut table_model = Table::new(
-        "Sharded engine — modeled capacity (machine-independent)",
-        "query",
-        &model_cols,
-    );
 
     let mut json_series = String::new();
     for (label, factory, two_level) in competitors() {
         let q = query(factory, two_level);
         let single = measure_query(&q, &packets);
         let single_tps = 1e9 / single.ns_per_tuple;
-        let dispatch_ns = measure_dispatch_ns(&q, 8, &packets);
-        // The worker re-runs the whole per-tuple pipeline minus the
-        // selection; the single-threaded cost is its ceiling.
-        let worker_ns = single.ns_per_tuple;
 
         let mut wall_cells = vec![fmt_tps(single_tps)];
         let mut wall_json = format!("\"1\": {single_tps:.0}");
@@ -139,31 +123,15 @@ fn main() {
         }
         table_wall.row(label, wall_cells);
 
-        let mut model_cells = vec![format!("{dispatch_ns:.0}"), format!("{worker_ns:.0}")];
-        let mut model_json = format!("\"1\": {single_tps:.0}");
-        let mut capacity_at_8 = single_tps;
-        for n in SHARDS {
-            let cap = sharded_capacity_pps(dispatch_ns, worker_ns, n);
-            capacity_at_8 = cap;
-            model_cells.push(fmt_tps(cap));
-            let _ = write!(model_json, ", \"{n}\": {cap:.0}");
-        }
-        let speedup8 = capacity_at_8 / single_tps;
-        model_cells.push(format!("{speedup8:.1}x"));
-        table_model.row(label, model_cells);
-
         let _ = writeln!(
             json_series,
             "    {{\"label\": \"{label}\", \"two_level\": {two_level}, \
-             \"single_ns_per_tuple\": {:.1}, \"dispatch_ns_per_tuple\": {dispatch_ns:.1}, \
-             \"wallclock_tuples_per_sec\": {{{wall_json}}}, \
-             \"modeled_tuples_per_sec\": {{{model_json}}}, \
-             \"modeled_speedup_at_8_shards\": {speedup8:.2}}},",
+             \"single_ns_per_tuple\": {:.1}, \
+             \"wallclock_tuples_per_sec\": {{{wall_json}}}}},",
             single.ns_per_tuple
         );
     }
     table_wall.print();
-    table_model.print();
 
     if quick() {
         println!("FD_QUICK set: skipping the JSON write");
@@ -176,7 +144,7 @@ fn main() {
          \"host_cores\": {cores},\n  \
          \"producers\": {producers},\n  \
          \"wallclock_core_bound\": {wallclock_core_bound},\n  \
-         \"note\": \"wall-clock numbers are bounded by host_cores (core-bound when host_cores < shards + producers); modeled numbers apply the paper-style cost model min(1e9/dispatch_ns, n*1e9/worker_ns) to the measured per-tuple costs — the serial ingress term that model caps at 1e9/dispatch_ns is liftable with the multi-producer fabric, see BENCH_ingress.json\",\n  \
+         \"note\": \"wall-clock numbers are bounded by host_cores (core-bound when host_cores < shards + producers); every number is measured on this host; the sharded runs are fed through try_process_packets, the batched path fdql uses, in DEFAULT_BATCH_SIZE chunks\",\n  \
          \"series\": [\n{}  ]\n}}\n",
         json_series.trim_end_matches(",\n").to_string() + "\n"
     );

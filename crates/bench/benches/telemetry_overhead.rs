@@ -50,7 +50,8 @@ fn query() -> Query {
         .aggregate(count_factory())
         .two_level(true)
         .lfta_slots(65_536)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 /// One full ingest + finish, returning mean ns per offered tuple.

@@ -88,30 +88,32 @@ pub struct ShardMeasurement {
     pub rows: usize,
 }
 
-/// Runs `query` over `packets` through an N-shard engine, timing ingest +
-/// final merge wall-clock. Note: on a host with fewer than `n_shards + 1`
-/// cores the workers timeslice with the dispatcher and the wall-clock gain
-/// is bounded by the core count — pair this with
-/// [`fd_engine::metrics::sharded_capacity_pps`] for the
-/// machine-independent view.
+/// Runs `query` over `packets` through an N-shard engine, fed through
+/// `try_process_packets` (the batched path `fdql` uses) in
+/// [`fd_engine::shard::DEFAULT_BATCH_SIZE`] chunks, timing ingest + final
+/// merge wall-clock. On a host with fewer than `n_shards + 1` cores the
+/// workers timeslice with the ingress thread, so the wall-clock gain is
+/// bounded by the core count.
 pub fn measure_sharded_query(
     query: &Query,
     n_shards: usize,
     packets: &[Packet],
 ) -> ShardMeasurement {
+    let feed = |engine: &mut ShardedEngine, packets: &[Packet]| {
+        for chunk in packets.chunks(DISPATCH_BATCH) {
+            engine
+                .try_process_packets(chunk)
+                .expect("shard workers alive");
+        }
+    };
     // Warm-up pass, same shape as `measure_query`.
-    let warm = &packets[..packets.len().min(50_000)];
     let mut w = ShardedEngine::try_new(query.clone(), n_shards).expect("spawn shards");
-    for p in warm {
-        w.try_process(p).expect("shard workers alive");
-    }
+    feed(&mut w, &packets[..packets.len().min(50_000)]);
     w.finish();
 
     let mut engine = ShardedEngine::try_new(query.clone(), n_shards).expect("spawn shards");
     let start = Instant::now();
-    for p in packets {
-        engine.try_process(p).expect("shard workers alive");
-    }
+    feed(&mut engine, packets);
     let rows = engine.finish().len();
     let elapsed = start.elapsed().as_secs_f64();
     ShardMeasurement {
@@ -421,7 +423,8 @@ mod tests {
             .group_by(|p| p.dst_key())
             .bucket_secs(60)
             .aggregate(count_factory())
-            .build();
+            .try_build()
+            .expect("valid query");
         let m = measure_query(&q, &trace);
         assert!(m.ns_per_tuple > 0.0);
         assert_eq!(m.stats.tuples_in, trace.len() as u64);

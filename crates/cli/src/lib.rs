@@ -11,7 +11,7 @@
 //!
 //! The argument grammar is deliberately tiny (no external parser crate);
 //! [`CliConfig::parse`] turns an argument list into a validated
-//! configuration, [`run`] executes it and returns the rendered output.
+//! configuration, [`try_run`] executes it and returns the rendered output.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -705,15 +705,6 @@ fn feed_in_chunks(
     Ok(engine.drain(drain_deadline))
 }
 
-/// Executes a parsed invocation and returns the rendered output.
-///
-/// # Panics
-/// Panics if the configuration does not form a valid query; [`try_run`]
-/// is the fallible variant (the `fdql` binary uses it).
-pub fn run(cfg: &CliConfig) -> String {
-    try_run(cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,7 +778,7 @@ mod tests {
             "0",
         ])
         .unwrap();
-        let out = run(&cfg);
+        let out = try_run(&cfg).expect("valid invocation");
         // header + ~50 groups + stats comment
         assert!(out.lines().count() > 40, "{out}");
         assert!(out.contains("# tuples=") && out.contains("rows="));
@@ -812,7 +803,7 @@ mod tests {
             "table",
         ])
         .unwrap();
-        let out = run(&cfg);
+        let out = try_run(&cfg).expect("valid invocation");
         assert!(
             out.contains(':'),
             "heavy-hitter items should be listed: {out}"
@@ -849,7 +840,7 @@ mod tests {
             (burst.start_secs, burst.end_secs, burst.fraction),
             (2.0, 4.0, 0.5)
         );
-        let out = run(&cfg);
+        let out = try_run(&cfg).expect("valid invocation");
         // The flood victim (10.0.190.239 = 0x0A00BEEF) must lead the report.
         assert!(
             out.contains(&format!("{}", 0x0A00_BEEFu64)),
@@ -939,8 +930,10 @@ mod tests {
                 "csv",
             ]
         }
-        let supervised = run(&CliConfig::parse(args("1024")).unwrap());
-        let unsupervised = run(&CliConfig::parse(args("0")).unwrap());
+        let supervised =
+            try_run(&CliConfig::parse(args("1024")).unwrap()).expect("valid invocation");
+        let unsupervised =
+            try_run(&CliConfig::parse(args("0")).unwrap()).expect("valid invocation");
         assert_eq!(
             supervised, unsupervised,
             "checkpointing must not change results"
@@ -978,8 +971,8 @@ mod tests {
                 shards,
             ]
         }
-        let single = run(&CliConfig::parse(args("0")).unwrap());
-        let sharded = run(&CliConfig::parse(args("3")).unwrap());
+        let single = try_run(&CliConfig::parse(args("0")).unwrap()).expect("valid invocation");
+        let sharded = try_run(&CliConfig::parse(args("3")).unwrap()).expect("valid invocation");
         for out in [&single, &sharded] {
             // "# tuples=N filtered=N rows=N ..." is the ground truth.
             let stats_line = out.lines().find(|l| l.starts_with("# tuples=")).unwrap();
@@ -1035,8 +1028,8 @@ mod tests {
             ]
         }
         // Same trace, different batch sizes: identical rows either way.
-        let small = run(&CliConfig::parse(args("32")).unwrap());
-        let large = run(&CliConfig::parse(args("4096")).unwrap());
+        let small = try_run(&CliConfig::parse(args("32")).unwrap()).expect("valid invocation");
+        let large = try_run(&CliConfig::parse(args("4096")).unwrap()).expect("valid invocation");
         assert_eq!(small, large, "batch size must not change results");
         assert!(CliConfig::parse(["--batch", "x"]).is_err());
     }
@@ -1074,8 +1067,8 @@ mod tests {
                 "7",
             ]
         }
-        let one = run(&CliConfig::parse(args("0")).unwrap());
-        let three = run(&CliConfig::parse(args("3")).unwrap());
+        let one = try_run(&CliConfig::parse(args("0")).unwrap()).expect("valid invocation");
+        let three = try_run(&CliConfig::parse(args("3")).unwrap()).expect("valid invocation");
         let rows = |out: &str| -> String {
             out.lines()
                 .take_while(|l| !l.starts_with('#'))
@@ -1098,24 +1091,27 @@ mod tests {
         // Eight 1 s buckets through one supervised shard: the mean
         // snapshot size (bytes / checkpoints) is there to read, and the
         // slot's parked groups show the closed buckets left the snapshots.
-        let out = run(&CliConfig::parse([
-            "--rate",
-            "20000",
-            "--duration",
-            "8",
-            "--bucket",
-            "1",
-            "--hosts",
-            "100",
-            "--shards",
-            "1",
-            "--checkpoint-every",
-            "4096",
-            "--format",
-            "stats",
-            "--metrics",
-        ])
-        .unwrap());
+        let out = try_run(
+            &CliConfig::parse([
+                "--rate",
+                "20000",
+                "--duration",
+                "8",
+                "--bucket",
+                "1",
+                "--hosts",
+                "100",
+                "--shards",
+                "1",
+                "--checkpoint-every",
+                "4096",
+                "--format",
+                "stats",
+                "--metrics",
+            ])
+            .unwrap(),
+        )
+        .expect("valid invocation");
         let checkpoints = prom_value(&out, "fd_checkpoints");
         assert!(checkpoints >= 30, "{checkpoints} checkpoints");
         let per_checkpoint = prom_value(&out, "fd_checkpoint_bytes_total") / checkpoints;
@@ -1270,7 +1266,7 @@ mod tests {
             "10",
         ])
         .unwrap();
-        let out = run(&cfg);
+        let out = try_run(&cfg).expect("valid invocation");
         assert_eq!(out.lines().count(), 1);
         assert!(out.starts_with("# tuples="));
     }

@@ -424,7 +424,8 @@ mod tests {
             .group_by(|p| p.dst_host())
             .bucket_secs(2)
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-            .build()
+            .try_build()
+            .expect("valid query")
     }
 
     fn packets() -> Vec<Packet> {

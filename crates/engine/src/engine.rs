@@ -654,7 +654,8 @@ mod tests {
             .aggregate(aggregate)
             .two_level(two_level)
             .lfta_slots(16)
-            .build()
+            .try_build()
+            .expect("valid query")
     }
 
     /// The count query over each instantiation.
@@ -732,7 +733,8 @@ mod tests {
         let q = Query::builder("tcp_only")
             .filter(|p| p.proto == Proto::Udp)
             .aggregate(count_factory())
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = Engine::new(q);
         let rows = e.run(vec![pkt(1.0, 1), pkt(2.0, 1)]);
         assert!(rows.is_empty());
@@ -797,7 +799,8 @@ mod tests {
             .aggregate(combo)
             .two_level(true)
             .lfta_slots(4) // force eviction/merge traffic through MultiAgg
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = Engine::new(q);
         assert!(e.is_split());
         let stream: Vec<Packet> = (0..1000)
@@ -931,7 +934,8 @@ mod tests {
                 Query::builder("unscalable")
                     .group_by(|p| p.dst_host())
                     .aggregate(unscalable.clone())
-                    .build()
+                    .try_build()
+                    .expect("valid query")
             };
             let (mut offered, mut spared) = (Engine::new(q()), Engine::new(q()));
             for i in 0..50 {

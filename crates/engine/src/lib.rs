@@ -75,13 +75,14 @@
 //!     .group_by(|p| p.dst_key())
 //!     .bucket_secs(60)
 //!     .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-//!     .build();
+//!     .try_build()?;
 //! let mut engine = Engine::new(query);
 //! # let pkt = Packet { ts: 1_000_000, src_ip: 1, dst_ip: 2, src_port: 3,
 //! #                    dst_port: 80, len: 100, proto: Proto::Tcp };
 //! engine.process(&pkt);
 //! let rows = engine.finish();
 //! assert_eq!(rows.len(), 1);
+//! # Ok::<(), fd_core::Error>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -89,7 +90,6 @@
 #![deny(unsafe_code)]
 
 pub mod aggregators;
-pub mod driver;
 pub mod durability;
 pub mod engine;
 pub mod fault;
@@ -110,7 +110,6 @@ pub mod udaf;
 /// One-stop imports for writing queries.
 pub mod prelude {
     pub use crate::aggregators::*;
-    pub use crate::driver::{QuerySet, RateDriver, ReplayStats};
     pub use crate::durability::{DurabilityOptions, FsyncPolicy, RecoveryReport};
     pub use crate::engine::{ClosedGroup, Engine, EngineStats, Row, StreamEvent};
     pub use crate::fault::{DiskFault, DiskFaultKind, FaultKind, FaultPlan};

@@ -48,24 +48,13 @@ impl LoadPoint {
     }
 }
 
-/// Modeled capacity (tuples/second) of the sharded pipeline: the ingress
-/// thread admits and routes at `10⁹/dispatch_ns`, and `n_shards` workers
-/// aggregate concurrently at `n·10⁹/worker_ns`; the slower of the two
-/// saturates first. Like [`cpu_load_pct`], this translates measured
-/// per-tuple costs into a machine-independent property: on an
-/// (n+1)-core machine the sharded engine's saturation rate moves out by
-/// `min(worker_ns/dispatch_ns, n)` relative to single-threaded.
-pub fn sharded_capacity_pps(dispatch_ns: f64, worker_ns: f64, n_shards: usize) -> f64 {
-    assert!(dispatch_ns > 0.0 && worker_ns > 0.0 && n_shards > 0);
-    (1e9 / dispatch_ns).min(n_shards as f64 * 1e9 / worker_ns)
-}
-
-/// Extends [`sharded_capacity_pps`] to the multi-producer ingress fabric:
-/// `producers` ingress threads each sustain `10⁹ / ingress_ns` tuples/s of
-/// route-and-scatter, and the shard workers cap the aggregate at
-/// `n · 10⁹ / worker_ns` — the serial-dispatcher term of the paper's §VI
-/// cost model becomes a scalable one. With `producers == 1` this is
-/// exactly [`sharded_capacity_pps`].
+/// Modeled capacity (tuples/second) of the sharded pipeline: `producers`
+/// ingress threads each sustain `10⁹ / ingress_ns` tuples/s of admission,
+/// route and scatter, and `n_shards` workers aggregate concurrently at
+/// `n · 10⁹ / worker_ns`; the slower side saturates first. Like
+/// [`cpu_load_pct`], this translates measured per-tuple costs into a
+/// machine-independent property — the serial-dispatcher term of the
+/// paper's §VI cost model, made scalable by the multi-producer fabric.
 pub fn fabric_capacity_pps(
     ingress_ns: f64,
     worker_ns: f64,
@@ -128,13 +117,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_capacity_is_min_of_dispatch_and_workers() {
-        // Aggregation 8× the dispatch cost: workers limit until 8 shards.
-        assert_eq!(sharded_capacity_pps(100.0, 800.0, 1), 1.25e6);
-        assert_eq!(sharded_capacity_pps(100.0, 800.0, 4), 5e6);
+    fn fabric_capacity_is_min_of_ingress_and_workers() {
+        // One producer, aggregation 8× the dispatch cost: workers limit
+        // until 8 shards.
+        assert_eq!(fabric_capacity_pps(100.0, 800.0, 1, 1), 1.25e6);
+        assert_eq!(fabric_capacity_pps(100.0, 800.0, 4, 1), 5e6);
         // From 8 shards on, the ingress thread is the bottleneck.
-        assert_eq!(sharded_capacity_pps(100.0, 800.0, 8), 1e7);
-        assert_eq!(sharded_capacity_pps(100.0, 800.0, 16), 1e7);
+        assert_eq!(fabric_capacity_pps(100.0, 800.0, 8, 1), 1e7);
+        assert_eq!(fabric_capacity_pps(100.0, 800.0, 16, 1), 1e7);
+        // Four producers lift the ingress term to 4·10⁹/400 = 10⁷, which
+        // now caps 16 workers' 2·10⁷.
+        assert_eq!(fabric_capacity_pps(400.0, 800.0, 16, 4), 1e7);
     }
 
     #[test]

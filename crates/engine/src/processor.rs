@@ -1,18 +1,13 @@
 //! One unified surface for running a query, whatever executes it.
 //!
 //! [`Engine`] (single-threaded) and [`ShardedEngine`] (N supervised
-//! workers) grew the same vocabulary — process, punctuate, finish, stats —
-//! with slightly different spellings and failure modes. [`StreamProcessor`]
-//! is the common trait: drivers, benches and tools write against it once
-//! and run on either executor. Methods that can genuinely fail on one
-//! implementation (a dead unsupervised worker) are fallible for both; the
-//! single-threaded engine simply never errs.
-//!
-//! Both types keep their inherent methods unchanged, so existing call
-//! sites compile as before — the trait is purely additive, for generic
-//! code like [`RateDriver::try_replay`](crate::driver::RateDriver::try_replay).
-//! [`StreamProcessor::process_packets`] is each executor's batch path:
-//! the sharded engine's ingress plane, and the engine's
+//! workers) share the same vocabulary — process, punctuate, finish, stats —
+//! and [`StreamProcessor`] is that vocabulary as a trait, so differential
+//! tests ([`replay`]) and tools are written once and run on either
+//! executor. Methods that can genuinely fail on one implementation (a dead
+//! unsupervised worker) are fallible for both; the single-threaded engine
+//! simply never errs. [`StreamProcessor::process_packets`] is each
+//! executor's batch path: the sharded engine's ingress plane, and
 //! [`Engine::process_packets`], which folds a batch into its group store
 //! as one run rather than tuple by tuple.
 
@@ -36,12 +31,7 @@ pub trait StreamProcessor {
     ///
     /// # Errors
     /// As [`StreamProcessor::process`].
-    fn process_packets(&mut self, pkts: &[Packet]) -> Result<(), fd_core::Error> {
-        for p in pkts {
-            self.process(p)?;
-        }
-        Ok(())
-    }
+    fn process_packets(&mut self, pkts: &[Packet]) -> Result<(), fd_core::Error>;
 
     /// Advances the watermark without data, closing due buckets.
     ///
@@ -189,7 +179,8 @@ mod tests {
             .group_by(|p| p.dst_host())
             .bucket_secs(60)
             .aggregate(count_factory())
-            .build()
+            .try_build()
+            .expect("valid query")
     }
 
     /// Generic driver code: compiles once, runs on both executors.

@@ -219,7 +219,8 @@ mod tests {
             .group_by(|p| p.dst_host())
             .bucket_secs(60)
             .aggregate(count_factory())
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = sharded(q, 3);
         for i in 0..300 {
             e.try_process(&pkt(i as f64 * 0.1, (i % 7) as u32))
@@ -309,7 +310,8 @@ mod tests {
             .group_by(|p| p.dst_host())
             .bucket_secs(60)
             .aggregate(count_factory())
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = sharded(q, 3);
         let mut events = Vec::new();
         for i in 0..500 {

@@ -420,7 +420,8 @@ mod tests {
                 .bucket_secs(60)
                 .slack_secs(30.0)
                 .aggregate(count_factory())
-                .build()
+                .try_build()
+                .expect("valid query")
         };
         let mut stream = Vec::new();
         for i in 0..20_000u64 {
@@ -479,7 +480,8 @@ mod tests {
                 .aggregate(count_factory())
                 .two_level(true)
                 .lfta_slots(64)
-                .build()
+                .try_build()
+                .expect("valid query")
         };
         let stream: Vec<Packet> = (0..15_000)
             .map(|i| pkt(0.01 * i as f64, (i % 53) as u32))

@@ -314,13 +314,14 @@ impl EngineConfig {
 ///     .group_by(|p| p.dst_key())
 ///     .bucket_secs(60)
 ///     .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-///     .build();
-/// let mut sharded = ShardedEngine::try_new(query, 4).expect("spawn shards");
+///     .try_build()?;
+/// let mut sharded = ShardedEngine::try_new(query, 4)?;
 /// # let pkt = Packet { ts: 1_000_000, src_ip: 1, dst_ip: 2, src_port: 3,
 /// #                    dst_port: 80, len: 100, proto: Proto::Tcp };
-/// sharded.try_process_batch(&[StreamEvent::Data(pkt)]).expect("workers alive");
+/// sharded.try_process_batch(&[StreamEvent::Data(pkt)])?;
 /// let rows = sharded.finish();
 /// assert_eq!(rows.len(), 1);
+/// # Ok::<(), fd_core::Error>(())
 /// ```
 pub struct ShardedEngine {
     query: Query,
@@ -822,7 +823,8 @@ mod testkit {
             .aggregate(count_factory())
             .two_level(true)
             .lfta_slots(64)
-            .build()
+            .try_build()
+            .expect("valid query")
     }
 
     pub(super) fn fwd_query() -> Query {
@@ -831,7 +833,8 @@ mod testkit {
             .bucket_secs(60)
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
             .two_level(false)
-            .build()
+            .try_build()
+            .expect("valid query")
     }
 
     pub(super) fn sharded(query: Query, n: usize) -> ShardedEngine {
@@ -1104,7 +1107,8 @@ mod tests {
                     scalable,
                     makes,
                 }))
-                .build()
+                .try_build()
+                .expect("valid query")
         };
         let subsample = OverloadConfig {
             policy: ShedPolicy::Subsample { target_rate: 0.5 },

@@ -164,8 +164,11 @@ impl FabShared {
                 Err(SendError::Full(msg)) => (msg, false),
             };
             // A queue loses its reader only when the worker died — i.e.
-            // it panicked.
+            // it panicked. This message never entered the queue.
             if dead && !self.cfg.supervising() {
+                for gauge in self.depth(shard, p) {
+                    gauge.fetch_sub(1, Relaxed);
+                }
                 return Err(fd_core::Error::WorkerLost { shard });
             }
             let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -743,6 +746,12 @@ mod tests {
             matches!(lost, Some(fd_core::Error::WorkerLost { shard: 0 })),
             "expected WorkerLost, got {lost:?}"
         );
+        // The refused message never entered the queue, so the depth
+        // gauges count exactly what is queued and unread.
+        let unread = e.fab.shards[0].queues[0].len() as u64;
+        let tel = e.telemetry();
+        assert_eq!(tel.shards()[0].queue_depth.load(Relaxed), unread);
+        assert_eq!(tel.producers()[0].ring_depth[0].load(Relaxed), unread);
     }
 
     #[test]

@@ -379,7 +379,8 @@ mod tests {
             .bucket_secs(60)
             .aggregate(FnFactory::new("tripwire", true, |_| Box::new(Tripwire)))
             .two_level(false)
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = sharded(q, 2);
         // Exactly one batch's worth of tuples so the feed itself seals the
         // epoch (no explicit punctuation: the worker dies, and drop — not
@@ -431,7 +432,8 @@ mod tests {
             .group_by(|_| 0)
             .aggregate(FnFactory::new("flaky", false, |_| Box::new(Flaky(0))))
             .two_level(false)
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = sharded(q, 1)
             .try_batch_size(32)
             .expect("batch")
@@ -462,7 +464,8 @@ mod tests {
             .bucket_secs(60)
             .aggregate(count_factory())
             .two_level(false)
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = sharded(q, 1)
             .try_batch_size(BATCH)
             .expect("batch")
@@ -505,7 +508,8 @@ mod tests {
             .bucket_secs(60)
             .aggregate(count_factory())
             .two_level(false)
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = sharded(q, 1)
             .try_batch_size(BATCH)
             .expect("batch")

@@ -466,18 +466,15 @@ impl QueryBuilder {
         self
     }
 
-    /// Finishes the query.
+    /// Finalizes the query, reporting what is missing or out of range: a
+    /// query needs an aggregate, a positive bucket width that fits the
+    /// microsecond clock, a finite non-negative slack, and (in two-level
+    /// mode) at least one LFTA slot.
     ///
-    /// # Panics
-    /// Panics if no aggregate was supplied.
-    pub fn build(self) -> Query {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Finalizes the query, reporting what is missing or out of range
-    /// instead of panicking: a query needs an aggregate, a positive bucket
-    /// width that fits the microsecond clock, a finite non-negative slack,
-    /// and (in two-level mode) at least one LFTA slot.
+    /// # Errors
+    /// [`fd_core::Error::MissingComponent`] without an aggregate, and
+    /// [`fd_core::Error::InvalidParameter`] naming the first setting out
+    /// of range.
     pub fn try_build(self) -> Result<Query, fd_core::Error> {
         let aggregate = self.aggregate.ok_or(fd_core::Error::MissingComponent {
             builder: "Query",
@@ -582,17 +579,14 @@ mod tests {
     #[test]
     fn query_builder_defaults() {
         let f = FnFactory::new("count", true, |_| Box::new(CountingAgg(0)));
-        let q = Query::builder("q").aggregate(f).build();
+        let q = Query::builder("q")
+            .aggregate(f)
+            .try_build()
+            .expect("valid query");
         assert_eq!(q.bucket_micros, 60 * MICROS_PER_SEC);
         assert!(q.two_level);
         assert!(q.filter.is_none());
         assert_eq!((q.group_by)(&pkt(0)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "missing its aggregate")]
-    fn query_requires_aggregate() {
-        let _ = Query::builder("q").build();
     }
 
     #[test]
@@ -633,7 +627,11 @@ mod tests {
                 "slack {slack}"
             );
         }
-        let q = Query::builder("q").aggregate(f).slack_secs(1.5).build();
+        let q = Query::builder("q")
+            .aggregate(f)
+            .slack_secs(1.5)
+            .try_build()
+            .expect("valid query");
         assert_eq!(q.slack_micros, 1_500_000);
     }
 
@@ -657,7 +655,11 @@ mod tests {
             );
         }
         let widest = u64::MAX / MICROS_PER_SEC;
-        let q = Query::builder("q").aggregate(f).bucket_secs(widest).build();
+        let q = Query::builder("q")
+            .aggregate(f)
+            .bucket_secs(widest)
+            .try_build()
+            .expect("valid query");
         assert_eq!(q.bucket_micros, widest * MICROS_PER_SEC);
     }
 

@@ -20,7 +20,7 @@ use forward_decay::gen::{Burst, TraceConfig};
 
 const VICTIM: u32 = 0x0A00_BEEF;
 
-fn main() {
+fn main() -> Result<(), forward_decay::core::Error> {
     let trace = TraceConfig {
         seed: 13,
         duration_secs: 60.0,
@@ -45,7 +45,7 @@ fn main() {
     let undecayed = Query::builder("undecayed")
         .bucket_secs(60)
         .aggregate(unary_hh_factory(0.001, 0.01, |p| p.dst_host()))
-        .build();
+        .try_build()?;
     let decayed = Query::builder("decayed")
         .bucket_secs(60)
         .aggregate(fwd_hh_factory(
@@ -54,13 +54,19 @@ fn main() {
             0.01,
             |p| p.dst_host(),
         ))
-        .build();
+        .try_build()?;
 
-    let mut qs = QuerySet::new(vec![undecayed, decayed]);
+    // Both queries share one scan of the stream.
+    let mut engines = [Engine::new(undecayed), Engine::new(decayed)];
     for p in &packets {
-        qs.process(p);
+        for e in &mut engines {
+            e.process(p);
+        }
     }
-    let results = qs.finish();
+    let results: Vec<(String, Vec<Row>)> = engines
+        .iter_mut()
+        .map(|e| (e.query_name().to_string(), e.finish()))
+        .collect();
 
     println!("per-minute φ = 0.01 heavy hitters at the end of the attack minute:\n");
     let mut shares = Vec::new();
@@ -99,4 +105,5 @@ fn main() {
         "\nThe decayed view weights the attack at its true current intensity;\n\
          the undecayed minute average dilutes it against pre-attack traffic."
     );
+    Ok(())
 }

@@ -14,7 +14,7 @@ use forward_decay::core::decay::{Exponential, Monomial};
 use forward_decay::engine::prelude::*;
 use forward_decay::gen::TraceConfig;
 
-fn main() {
+fn main() -> Result<(), forward_decay::core::Error> {
     let trace = TraceConfig {
         seed: 1,
         duration_secs: 180.0, // three one-minute buckets
@@ -41,7 +41,7 @@ fn main() {
         .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
         .two_level(true)
         .lfta_slots(8192)
-        .build();
+        .try_build()?;
     let mut e1 = Engine::new(q1);
     let rows = e1.run(packets.iter().copied());
     let stats = e1.stats();
@@ -82,7 +82,7 @@ fn main() {
             0.02,
             |p| p.dst_host(),
         ))
-        .build();
+        .try_build()?;
     let mut e2 = Engine::new(q2);
     for p in &packets {
         e2.process(p);
@@ -108,4 +108,5 @@ fn main() {
         "\nper-group summary space: {:.0} bytes (SpaceSaving with 1/ε = 1000 counters)",
         space.unwrap_or(0.0)
     );
+    Ok(())
 }

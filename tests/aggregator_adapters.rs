@@ -329,7 +329,8 @@ fn a_hand_written_udaf_may_decline_to_checkpoint() {
                 .group_by(|p| p.dst_host())
                 .bucket_secs(60)
                 .aggregate(factory.clone())
-                .build()
+                .try_build()
+                .expect("valid query")
         };
         // A store persists checkpoints: it refuses the aggregate by name.
         let dir = std::env::temp_dir().join(format!("fd-declining-{}-{name}", std::process::id()));

@@ -312,7 +312,8 @@ fn quantile_checkpoints_are_canonical() {
                 vec![0.5, 0.95, 0.99],
                 |p| p.len as u64,
             ))
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let (mut e1, mut e2) = (Engine::new(query()), Engine::new(query()));
     for p in &packets[..packets.len() * 3 / 4] {

@@ -242,7 +242,8 @@ fn engine_query(two_level: bool) -> Query {
         .aggregate(aggregate)
         .two_level(two_level)
         .lfta_slots(8)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 /// 60 packets over five hosts and 22 s: buckets 0 and 1 have closed into

@@ -814,7 +814,8 @@ fn regression_timestamps_past_the_signed_clock_saturate() {
     let q = Query::builder("edge")
         .bucket_secs(60)
         .aggregate(factory)
-        .build();
+        .try_build()
+        .expect("valid query");
     let rows = Engine::new(q).run(arrivals.map(at));
     assert_eq!(rows.first().map(|r| r.bucket_start), Some(landmark));
     assert!(rows
@@ -934,7 +935,8 @@ mod shedding {
             .bucket_secs(5)
             .slack_secs(6.0)
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-            .build()
+            .try_build()
+            .expect("valid query")
     }
 
     fn reference() -> Vec<Row> {
@@ -1131,7 +1133,8 @@ fn differential_engine_vs_sharded_engine_replay() {
             .bucket_secs(5)
             .slack_secs(6.0)
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let final_wm = 30 * MICROS_PER_SEC;
     let mut single = Engine::new(build());

@@ -29,7 +29,8 @@ fn decayed_query() -> Query {
         .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
         .two_level(true)
         .lfta_slots(2048)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 fn trace(duration_secs: f64, rate_pps: f64, seed: u64) -> Vec<Packet> {
@@ -568,7 +569,8 @@ fn durable_samplers_resume_from_their_persisted_checkpoints() {
                 wrs_factory(g, 8, 99, host),
                 with_replacement_factory(g, 8, 99, host),
             ]))
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let open = |dir: &Path| {
         ShardedEngine::try_new(q(), 2)
@@ -991,7 +993,8 @@ fn a_store_written_by_the_parent_commit_resumes_bit_identically() {
             .group_by(|p| p.dst_host())
             .bucket_secs(2)
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let packets: Vec<Packet> = (0..6_000u32)
         .map(|i| Packet {

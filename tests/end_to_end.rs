@@ -51,7 +51,8 @@ fn undecayed_count_matches_exact_per_group() {
         .group_by(|p| p.dst_key())
         .bucket_secs(60)
         .aggregate(count_factory())
-        .build();
+        .try_build()
+        .expect("valid query");
     let rows = Engine::new(q).run(packets.iter().copied());
 
     let mut exact: HashMap<(u64, u64), f64> = HashMap::new();
@@ -80,7 +81,8 @@ fn forward_quadratic_sum_matches_brute_force_both_architectures() {
             .aggregate(fwd_sum_factory(g, |p| p.len as f64))
             .two_level(two_level)
             .lfta_slots(512) // force eviction traffic
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = Engine::new(q);
         let rows = e.run(packets.iter().copied());
         assert_eq!(rows.len(), exact.len(), "two_level = {two_level}");
@@ -112,7 +114,8 @@ fn forward_exponential_count_matches_brute_force() {
         .group_by(|p| p.dst_host())
         .bucket_secs(60)
         .aggregate(fwd_count_factory(g))
-        .build();
+        .try_build()
+        .expect("valid query");
     let rows = Engine::new(q).run(packets.iter().copied());
     assert_eq!(rows.len(), exact.len());
     for r in &rows {
@@ -144,7 +147,8 @@ fn engine_heavy_hitters_match_exact_decayed_counts() {
         .filter(|p| p.proto == Proto::Tcp)
         .bucket_secs(60)
         .aggregate(fwd_hh_factory(g, eps, phi, |p| p.dst_host()))
-        .build();
+        .try_build()
+        .expect("valid query");
     let rows = Engine::new(q).run(packets.iter().copied());
     let bucket0 = rows.iter().find(|r| r.bucket_start == 0).expect("bucket 0");
     let reported: HashMap<u64, f64> = bucket0
@@ -182,7 +186,8 @@ fn engine_quantiles_track_exact_decayed_ranks() {
             vec![0.25, 0.5, 0.75, 0.95],
             |p| p.len as u64,
         ))
-        .build();
+        .try_build()
+        .expect("valid query");
     let rows = Engine::new(q).run(packets.iter().copied());
     let bucket0 = rows.iter().find(|r| r.bucket_start == 0).expect("bucket 0");
     // Exact weighted ranks in bucket 0.
@@ -236,7 +241,8 @@ fn space_per_group_ordering_matches_figure_2d() {
             .bucket_secs(60)
             .aggregate(factory)
             .two_level(false)
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = Engine::new(q);
         for p in packets.iter().filter(|p| p.ts < 60 * MICROS_PER_SEC) {
             e.process(p);

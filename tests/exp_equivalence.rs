@@ -98,7 +98,8 @@ fn engine_forward_exp_agrees_with_engine_eh_backward_exp() {
         .group_by(|p| p.dst_host() % 50)
         .bucket_secs(60)
         .aggregate(fwd_count_factory(Exponential::new(alpha)))
-        .build();
+        .try_build()
+        .expect("valid query");
     let bwd_q = Query::builder("bwd")
         .group_by(|p| p.dst_host() % 50)
         .bucket_secs(60)
@@ -106,7 +107,8 @@ fn engine_forward_exp_agrees_with_engine_eh_backward_exp() {
             eps,
             DynBackward::from_decay(BackExponential::new(alpha)),
         ))
-        .build();
+        .try_build()
+        .expect("valid query");
     let fwd_rows = Engine::new(fwd_q).run(packets.iter().copied());
     let bwd_rows = Engine::new(bwd_q).run(packets.iter().copied());
     assert_eq!(fwd_rows.len(), bwd_rows.len());

@@ -112,7 +112,8 @@ fn golden_query() -> Query {
         .slack_secs(5.0)
         .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
         .lfta_slots(4)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 /// 44 tuples over 33 s, seven groups, ±2 s out of order: two buckets have
@@ -201,7 +202,8 @@ fn the_last_bucket_before_the_end_of_the_clock_closes() {
             .bucket_secs(60)
             .aggregate(count_factory())
             .two_level(two_level)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let want = vec![Row {
         bucket_start: u64::MAX / WIDTH * WIDTH,
@@ -229,7 +231,8 @@ fn the_last_bucket_before_the_end_of_the_clock_closes() {
     let decayed = Query::builder("edge")
         .bucket_secs(60)
         .aggregate(fwd_count_factory(g.clone()))
-        .build();
+        .try_build()
+        .expect("valid query");
     let rows = Engine::new(decayed).run(stream.clone());
     let mut at_top = DecayedCount::new(g, secs(u64::MAX / WIDTH * WIDTH));
     for p in &stream {
@@ -287,7 +290,8 @@ fn agreement_query(aggregate: Arc<FnFactory>, two_level: bool) -> Query {
         .aggregate(aggregate)
         .two_level(two_level)
         .lfta_slots(4)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 /// 600 tuples over a minute, nine groups, each tuple up to 2 s early or

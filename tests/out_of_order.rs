@@ -97,7 +97,8 @@ fn engine_with_slack_matches_sorted_run() {
             // straggler; 8 s of slack covers it.
             .slack_secs(8.0)
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let mut e_ooo = Engine::new(build());
     let rows_ooo = e_ooo.run(packets.iter().copied());
@@ -117,7 +118,8 @@ fn engine_without_slack_counts_late_drops() {
     let q = Query::builder("no_slack")
         .bucket_secs(10)
         .aggregate(count_factory())
-        .build();
+        .try_build()
+        .expect("valid query");
     let mut e = Engine::new(q);
     for p in &packets {
         e.process(p);
@@ -297,7 +299,8 @@ fn bucket_hopping_streams_match_the_oracle() {
             .aggregate(fwd_sum_factory(g, |p| p.len as f64))
             .two_level(two_level)
             .lfta_slots(lfta_slots)
-            .build();
+            .try_build()
+            .expect("valid query");
         let mut e = Engine::new(q);
         let rows = e.run(stream.iter().copied());
         assert_eq!(e.stats().late_drops, 0, "slack must cover every hop");

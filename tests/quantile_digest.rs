@@ -34,7 +34,8 @@ fn quantile_query(bits: u32, epsilon: f64) -> Query {
             vec![0.5, 0.95, 0.99],
             |p| p.len as u64,
         ))
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 /// 360 tuples over 33 s, three groups, ±2 s out of order, lengths below 256:

@@ -30,7 +30,8 @@ fn decayed_query() -> Query {
         .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
         .two_level(true)
         .lfta_slots(4096)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 fn trace(duration_secs: f64, rate_pps: f64, seed: u64) -> Vec<Packet> {
@@ -61,7 +62,8 @@ fn samplers_query() -> Query {
             wrs_factory(g, 8, 99, host),
             with_replacement_factory(g, 8, 99, host),
         ]))
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 /// Whether two values are the same to the bit, item for item.
@@ -615,7 +617,8 @@ fn checkpoint_bytes_stay_flat_as_buckets_close() {
         .group_by(|p| p.dst_host())
         .bucket_secs(2)
         .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-        .build();
+        .try_build()
+        .expect("valid query");
     let mut e = ShardedEngine::try_new(q, 2).expect("spawn shards");
     let tel = std::sync::Arc::clone(e.telemetry());
     // (checkpoint bytes, checkpoints) once everything sent has been applied.
@@ -793,7 +796,8 @@ fn respawn_across_a_gap_waits_for_the_stalled_producer() {
             .bucket_secs(2)
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
             .two_level(false)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     // Run off-thread: a worker stuck at the gap must fail the test, not
     // hang the suite.

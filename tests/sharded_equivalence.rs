@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use forward_decay::core::decay::{Exponential, Monomial};
-use forward_decay::engine::driver::with_heartbeats;
 use forward_decay::engine::prelude::*;
 use forward_decay::engine::udaf::FnFactory;
 use forward_decay::gen::TraceConfig;
@@ -51,6 +50,30 @@ fn data(packets: Vec<Packet>) -> Vec<StreamEvent> {
     packets.into_iter().map(StreamEvent::Data).collect()
 }
 
+/// Interleaves periodic heartbeats (punctuations) into a time-ordered
+/// packet stream: one [`StreamEvent::Punctuation`] every `interval` of
+/// stream time, plus a final one past the last packet — GS's mechanism for
+/// keeping time buckets flowing through idle stretches.
+fn with_heartbeats(
+    packets: impl IntoIterator<Item = Packet>,
+    interval: Micros,
+) -> Vec<StreamEvent> {
+    assert!(interval > 0);
+    let mut out = Vec::new();
+    let mut next_beat = interval;
+    let mut max_ts = 0;
+    for p in packets {
+        while p.ts >= next_beat {
+            out.push(StreamEvent::Punctuation(next_beat));
+            next_beat += interval;
+        }
+        max_ts = max_ts.max(p.ts);
+        out.push(StreamEvent::Data(p));
+    }
+    out.push(StreamEvent::Punctuation(max_ts.max(next_beat)));
+    out
+}
+
 fn trace(seed: u64, ooo_jitter_secs: f64) -> Vec<Packet> {
     TraceConfig {
         seed,
@@ -72,7 +95,8 @@ fn count_query() -> Query {
         .aggregate(count_factory())
         .two_level(true)
         .lfta_slots(256)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 #[test]
@@ -92,7 +116,8 @@ fn out_of_order_stream_under_slack_is_identical() {
             .aggregate(count_factory())
             .two_level(true)
             .lfta_slots(256)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     assert_equivalent(q, &data(trace(12, 2.0)), 4);
 }
@@ -111,6 +136,51 @@ fn punctuated_stream_is_identical() {
     packets.retain(|p| p.ts < 60_000_000 || p.ts >= 150_000_000); // idle gap
     let events = with_heartbeats(packets, 30 * MICROS_PER_SEC);
     assert_equivalent(count_query, &events, 4);
+}
+
+#[test]
+fn heartbeats_keep_buckets_flowing_through_idle_gaps() {
+    // Data in minute 0, then silence, then data in minute 10. Without
+    // heartbeats, minute 0 only closes when minute-10 data arrives;
+    // with them, it closes on schedule.
+    let pkt = |i: u64| Packet {
+        ts: i * MICROS_PER_SEC / 1000,
+        src_ip: i as u32,
+        dst_ip: (i % 64) as u32,
+        src_port: 1,
+        dst_port: 80,
+        len: 100,
+        proto: Proto::Tcp,
+    };
+    let mut packets: Vec<Packet> = (0..100).map(pkt).collect(); // t < 0.1 s
+    packets.push(Packet {
+        ts: 600 * MICROS_PER_SEC,
+        ..pkt(0)
+    });
+    let events = with_heartbeats(packets, 60 * MICROS_PER_SEC);
+    // Punctuations present and interleaved in order.
+    let beats = events
+        .iter()
+        .filter(|e| matches!(e, StreamEvent::Punctuation(_)))
+        .count();
+    assert!(beats >= 10, "expected ~10 heartbeats, got {beats}");
+
+    let mut e = Engine::new(count_query());
+    let mut first_row_after = None;
+    for (i, ev) in events.iter().enumerate() {
+        e.process_event(ev);
+        if first_row_after.is_none() && e.stats().rows_out > 0 {
+            first_row_after = Some(i);
+        }
+    }
+    // The first bucket closed on a punctuation (index ≤ data count + a
+    // couple of beats), long before the minute-10 packet (last event-2).
+    let idx = first_row_after.expect("bucket must close");
+    assert!(
+        idx < events.len() - 2,
+        "bucket only closed at stream end ({idx})"
+    );
+    e.finish();
 }
 
 #[test]
@@ -133,7 +203,8 @@ fn decayed_and_udaf_aggregates_are_identical() {
             .bucket_secs(60)
             .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
             .two_level(false)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let exp = || {
         Query::builder("fwd_exp")
@@ -141,7 +212,8 @@ fn decayed_and_udaf_aggregates_are_identical() {
             .bucket_secs(60)
             .aggregate(fwd_count_factory(Exponential::new(0.1)))
             .two_level(false)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let hh = || {
         Query::builder("hh")
@@ -150,7 +222,8 @@ fn decayed_and_udaf_aggregates_are_identical() {
             .aggregate(fwd_hh_factory(Monomial::quadratic(), 0.05, 0.01, |p| {
                 p.dst_key()
             }))
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let events = data(trace(15, 0.0));
     assert_equivalent(fwd, &events, 4);
@@ -167,7 +240,8 @@ fn shard_counts_from_one_to_eight_agree() {
             .bucket_secs(60)
             .slack_secs(2.0)
             .aggregate(count_factory())
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     for n in [1, 2, 3, 8] {
         assert_equivalent(q, &events, n);
@@ -299,7 +373,8 @@ fn multi_producer_matrix_under_slack_is_identical() {
             .aggregate(count_factory())
             .two_level(true)
             .lfta_slots(256)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let packets = fabric_trace(22, 2.0);
     let oracle = oracle_run(&q, &packets);
@@ -382,7 +457,8 @@ fn parallel_ingress_interleavings_match_the_single_producer_oracle() {
             .aggregate(count_factory())
             .two_level(true)
             .lfta_slots(256)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     let packets = fabric_trace(25, 0.0);
     let (expected, _) = oracle_run(&q, &packets);
@@ -519,7 +595,8 @@ fn stress_8_shards_1m_tuples() {
             .slack_secs(3.0)
             .aggregate(combo)
             .two_level(false)
-            .build()
+            .try_build()
+            .expect("valid query")
     };
     assert_equivalent(q, &data(packets), 8);
 }

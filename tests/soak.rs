@@ -23,7 +23,8 @@ fn state_stays_bounded_over_a_long_lazy_stream() {
         .bucket_secs(60)
         .aggregate(fwd_sum_factory(Exponential::new(0.05), |p| p.len as f64))
         .lfta_slots(4096)
-        .build();
+        .try_build()
+        .expect("valid query");
     let mut e = Engine::new(q);
     let mut peak_space = 0usize;
     let mut rows_total = 0usize;
@@ -66,7 +67,8 @@ fn renormalization_soak_under_fierce_exponential_decay() {
         .group_by(|p| p.dst_host())
         .bucket_secs(60)
         .aggregate(fwd_count_factory(Exponential::new(5.0)))
-        .build();
+        .try_build()
+        .expect("valid query");
     let rows = Engine::new(q).run(trace.iter());
     assert!(!rows.is_empty());
     for r in &rows {

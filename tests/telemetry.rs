@@ -23,7 +23,8 @@ fn decayed_query() -> Query {
         .bucket_secs(60)
         .aggregate(fwd_sum_factory(Exponential::new(0.05), |p| p.len as f64))
         .lfta_slots(1024)
-        .build()
+        .try_build()
+        .expect("valid query")
 }
 
 #[test]
@@ -198,7 +199,8 @@ fn telemetry_soak_conserves_tuples_under_load() {
         .slack_secs(1.0)
         .aggregate(fwd_sum_factory(Exponential::new(0.5), |p| p.len as f64))
         .lfta_slots(2048)
-        .build();
+        .try_build()
+        .expect("valid query");
     let mut e = ShardedEngine::try_new(q, 4).expect("spawn shards");
     let tel = Arc::clone(e.telemetry());
     for (i, p) in trace.iter().enumerate() {
