@@ -1270,4 +1270,55 @@ mod tests {
         assert_eq!(out.lines().count(), 1);
         assert!(out.starts_with("# tuples="));
     }
+
+    #[test]
+    fn several_producers_count_every_admitted_tuple() {
+        // Two producers, two shards, disorder as wide as the slack: every
+        // tuple the stats line says was admitted is in the CSV counts.
+        let cfg = CliConfig::parse([
+            "--agg",
+            "count",
+            "--group",
+            "dst_host",
+            "--bucket",
+            "5",
+            "--rate",
+            "40000",
+            "--duration",
+            "20",
+            "--hosts",
+            "50000",
+            "--ooo",
+            "2",
+            "--slack",
+            "2",
+            "--shards",
+            "2",
+            "--producers",
+            "2",
+            "--format",
+            "csv",
+            "--limit",
+            "0",
+        ])
+        .unwrap();
+        let out = try_run(&cfg).expect("valid invocation");
+        let (rows, stats) = out.trim_end().rsplit_once('\n').expect("rows, then stats");
+        let field = |name: &str| -> u64 {
+            let at = stats.find(&format!(" {name}=")).expect(name) + name.len() + 2;
+            let digits = stats[at..].split(' ').next().expect(name);
+            digits.parse().expect(name)
+        };
+        let admitted = field("tuples") - field("filtered") - field("late_drops");
+        let counted: u64 = (rows.lines().skip(1))
+            .map(|row| {
+                row.split(',')
+                    .nth(2)
+                    .expect("value")
+                    .parse::<u64>()
+                    .expect("count")
+            })
+            .sum();
+        assert_eq!(counted, admitted, "{stats}");
+    }
 }

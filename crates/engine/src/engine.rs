@@ -12,8 +12,8 @@
 //! one trait object: a built-in aggregate's state sits in it by value, a
 //! UDAF's as the box its factory makes
 //! ([`AggregatorFactory::group_store`](crate::udaf::AggregatorFactory::group_store)).
-//! The engine itself admits tuples, moves the watermark and decides which
-//! buckets close. It folds what it admits a batch at a time
+//! The engine admits tuples through its `Admission`, which also decides
+//! which buckets close. It folds what it admits a batch at a time
 //! ([`Engine::process_packets`]): the admitted run goes to the store in one
 //! call, which walks it with the next groups' cache lines already
 //! requested, and is folded whole before any bucket closes, so the results
@@ -25,8 +25,9 @@
 
 use fd_core::checkpoint::{require, Decode, Encode, MAX_COUNT};
 
+use crate::admission::Admission;
 use crate::groups::{Admitted, Closing, GroupStore};
-use crate::tuple::{bucket_end, bucket_start, Micros, Packet};
+use crate::tuple::{bucket_start, Micros, Packet};
 use crate::udaf::{put_framed, AggValue, Aggregator, Query};
 
 /// One output row of a continuous query: a closed (bucket, group) with its
@@ -131,24 +132,14 @@ pub struct Engine {
     out: Vec<Row>,
     /// Closed raw state awaiting collection (state mode only).
     closed_state: Option<Vec<ClosedGroup>>,
-    watermark: Micros,
-    /// Buckets at ids below this are closed.
-    closed_below: u64,
-    /// The watermark at which bucket `closed_below` closes: its end plus
-    /// the slack, saturating. Below it no bucket is due, so the per-tuple
-    /// close check is this one compare.
-    next_close: Micros,
-    /// The bucket of the last admitted tuple and its start. Consecutive
-    /// tuples mostly share a bucket, so a range check against these spares
-    /// the division.
-    cur_bucket: u64,
-    cur_start: Micros,
+    /// The watermark, the close frontier and every counter but
+    /// `lfta_evictions`, which is the LFTA's own (read them through
+    /// [`Engine::stats`]). Its `closed_below` is the store's: only the
+    /// engine moves it.
+    adm: Admission,
     /// Admitted tuples awaiting their fold: empty between calls, its
     /// buffer reused.
     pending: Vec<Admitted>,
-    /// Every counter but `lfta_evictions`, which is the LFTA's own: read
-    /// them through [`Engine::stats`].
-    stats: EngineStats,
     /// Size of the last [`Engine::checkpoint`] blob, used to pre-size the
     /// next one (supervised workers checkpoint on their critical path, so
     /// growth reallocations are worth avoiding).
@@ -158,29 +149,15 @@ pub struct Engine {
 impl Engine {
     /// Instantiates the query.
     pub fn new(query: Query) -> Self {
-        let store = query.aggregate.group_store(&query);
-        let mut engine = Self {
+        Self {
+            store: query.aggregate.group_store(&query),
+            adm: Admission::new(&query),
             query,
-            store,
             out: Vec::new(),
             closed_state: None,
-            watermark: 0,
-            closed_below: 0,
-            next_close: 0,
-            cur_bucket: 0,
-            cur_start: 0,
             pending: Vec::new(),
-            stats: EngineStats::default(),
             last_ckpt_bytes: std::cell::Cell::new(64 * 1024),
-        };
-        engine.set_closed_below(0);
-        engine
-    }
-
-    fn set_closed_below(&mut self, closed_below: u64) {
-        self.closed_below = closed_below;
-        self.next_close = bucket_end(closed_below, self.query.bucket_micros)
-            .saturating_add(self.query.slack_micros);
+        }
     }
 
     /// Switches the engine to *state mode*: closed buckets retain their raw
@@ -193,7 +170,7 @@ impl Engine {
     /// Panics if any bucket has already closed in row mode.
     pub fn keep_closed_state(&mut self) {
         assert!(
-            self.stats.buckets_closed == 0,
+            self.adm.stats.buckets_closed == 0,
             "keep_closed_state must be called before any bucket closes"
         );
         self.closed_state = Some(Vec::new());
@@ -209,48 +186,9 @@ impl Engine {
         &self.query.name
     }
 
-    /// Admission, shared by every way a tuple comes in: counts it, applies
-    /// the selection, finds its bucket, drops it if that bucket has closed,
-    /// advances the watermark. Returns the tuple's group and bucket, for
-    /// the tuple at `index` of its batch.
-    #[inline]
-    fn admit(&mut self, pkt: &Packet, index: usize) -> Option<Admitted> {
-        self.stats.tuples_in += 1;
-        if let Some(f) = &self.query.filter {
-            if !f(pkt) {
-                self.stats.filtered += 1;
-                return None;
-            }
-        }
-        let width = self.query.bucket_micros;
-        // In `[cur_start, cur_start + width)`? The wrapping difference is
-        // huge for a timestamp before `cur_start`, so one compare decides
-        // and nothing can overflow.
-        if pkt.ts.wrapping_sub(self.cur_start) >= width {
-            self.cur_bucket = pkt.ts / width;
-            self.cur_start = bucket_start(self.cur_bucket, width);
-        }
-        if self.cur_bucket < self.closed_below {
-            self.stats.late_drops += 1;
-            return None;
-        }
-        self.watermark = self.watermark.max(pkt.ts);
-        Some(Admitted {
-            key: (self.query.group_by)(pkt),
-            bucket: self.cur_bucket,
-            bucket_start: self.cur_start,
-            index,
-        })
-    }
-
-    /// Offers one tuple to the query: a batch of one, folded as it is
-    /// admitted.
+    /// Offers one tuple to the query: a batch of one.
     pub fn process(&mut self, pkt: &Packet) {
-        if let Some(admitted) = self.admit(pkt, 0) {
-            self.store
-                .fold_batch(std::slice::from_ref(pkt), &[admitted]);
-            self.maybe_close_buckets();
-        }
+        self.process_packets(std::slice::from_ref(pkt));
     }
 
     /// Offers a batch of tuples, in order. Each is admitted as it comes;
@@ -262,12 +200,13 @@ impl Engine {
     /// moves, never where or in what order.
     pub fn process_packets(&mut self, pkts: &[Packet]) {
         let mut pending = std::mem::take(&mut self.pending);
+        self.adm.stats.tuples_in += pkts.len() as u64;
         for (index, pkt) in pkts.iter().enumerate() {
-            let Some(admitted) = self.admit(pkt, index) else {
+            let Some(admitted) = self.adm.admit(pkt, index) else {
                 continue;
             };
             pending.push(admitted);
-            let due = self.watermark >= self.next_close;
+            let due = self.adm.due();
             if due || pending.len() == FOLD_RUN {
                 self.store.fold_batch(pkts, &pending);
                 pending.clear();
@@ -310,34 +249,23 @@ impl Engine {
                               scaled updates (decayed count/sum/avg)",
             });
         }
-        if let Some(admitted) = self.admit(pkt, 0) {
+        self.adm.stats.tuples_in += 1;
+        if let Some(admitted) = self.adm.admit(pkt, 0) {
             self.store.fold_scaled(pkt, &admitted, scale);
-            self.maybe_close_buckets();
+            if self.adm.due() {
+                self.close_due_buckets();
+            }
         }
         Ok(())
     }
 
-    /// Closes every bucket whose end + slack has been passed by the
-    /// watermark.
-    #[inline]
-    fn maybe_close_buckets(&mut self) {
-        if self.watermark >= self.next_close {
-            self.close_due_buckets();
-        }
-    }
-
+    /// Closes every bucket whose end + slack the frontier has passed.
     /// Empty buckets cost nothing: the LFTA is flushed once for the whole
     /// closeable range, then only data-bearing buckets emit.
     fn close_due_buckets(&mut self) {
-        let horizon = self.watermark.saturating_sub(self.query.slack_micros);
-        let target = horizon / self.query.bucket_micros;
-        // Only a saturated `next_close` lets a watermark through that
-        // closes nothing.
-        if target <= self.closed_below {
-            return;
+        if let Some(target) = self.adm.close() {
+            self.close_below(target);
         }
-        self.close_below(target);
-        self.set_closed_below(target);
     }
 
     /// Closes every open bucket below `target` into rows, or raw state in
@@ -346,7 +274,7 @@ impl Engine {
         let out = Closing {
             rows: &mut self.out,
             state: self.closed_state.as_mut(),
-            stats: &mut self.stats,
+            stats: &mut self.adm.stats,
         };
         self.store.close_below(target, out)
     }
@@ -354,8 +282,9 @@ impl Engine {
     /// Processes a punctuation: advances the watermark to `ts` and closes
     /// every bucket whose end + slack it passes, without any data tuple.
     pub fn punctuate(&mut self, ts: Micros) {
-        self.watermark = self.watermark.max(ts);
-        self.maybe_close_buckets();
+        if let Some(target) = self.adm.punctuate(ts) {
+            self.close_below(target);
+        }
     }
 
     /// Offers one stream element (data or control).
@@ -381,11 +310,10 @@ impl Engine {
     }
 
     fn close_all(&mut self) {
-        let newest = self.close_below(u64::MAX);
-        let closed_below = newest.map_or(self.closed_below, |id| {
-            self.closed_below.max(id.saturating_add(1))
-        });
-        self.set_closed_below(closed_below);
+        if let Some(newest) = self.close_below(u64::MAX) {
+            let closed_below = self.adm.closed_below().max(newest.saturating_add(1));
+            self.adm.set_closed_below(closed_below);
+        }
     }
 
     /// Ends the stream: closes all open buckets and returns every pending
@@ -420,7 +348,7 @@ impl Engine {
 
     /// Execution counters so far.
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.stats;
+        let mut s = self.adm.stats;
         if let Some((_, evictions, _)) = self.store.lfta_counters() {
             s.lfta_evictions = evictions;
         }
@@ -435,7 +363,28 @@ impl Engine {
 
     /// The current watermark (largest timestamp or punctuation seen), µs.
     pub fn watermark(&self) -> Micros {
-        self.watermark
+        self.adm.watermark
+    }
+
+    /// A shard worker's engine: closes at the least of `n` producers'
+    /// watermarks ([`Admission::track_producers`]).
+    pub(crate) fn track_producers(&mut self, n: usize) {
+        self.adm.track_producers(n);
+    }
+
+    /// Producer `p`'s epoch applies next.
+    pub(crate) fn begin_epoch(&mut self, p: usize) {
+        self.adm.begin_epoch(p);
+    }
+
+    /// Producer `p`'s queue closed: it no longer holds closes back.
+    pub(crate) fn close_producer(&mut self, p: usize) {
+        self.adm.close_producer(p);
+    }
+
+    /// The least watermark of any producer, which closes are judged by.
+    pub(crate) fn frontier(&self) -> Micros {
+        self.adm.frontier()
     }
 
     /// Current memory footprint of all live aggregation state.
@@ -500,8 +449,8 @@ impl Engine {
         self.last_ckpt_bytes.set(blob.len());
         let header_start = blob.len();
         EngineHeader {
-            watermark: self.watermark,
-            closed_below: self.closed_below,
+            watermark: self.adm.watermark,
+            closed_below: self.adm.closed_below(),
             stats: self.stats(),
             state_mode: self.closed_state.is_some(),
             lfta: self.store.lfta_counters(),
@@ -545,9 +494,9 @@ impl Engine {
         if !r.is_empty() {
             return Err(CodecError::new("trailing bytes after checkpoint blob"));
         }
-        e.watermark = header.watermark;
-        e.set_closed_below(header.closed_below);
-        e.stats = header.stats;
+        e.adm.watermark = header.watermark;
+        e.adm.set_closed_below(header.closed_below);
+        e.adm.stats = header.stats;
         e.out = header.rows;
         Ok(e)
     }

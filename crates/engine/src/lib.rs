@@ -89,6 +89,7 @@
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
+mod admission;
 pub mod aggregators;
 pub mod durability;
 pub mod engine;

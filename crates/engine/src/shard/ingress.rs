@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use super::recover::FabShared;
 use super::{Msg, ShardBy, FABRIC_RING_DEPTH};
+use crate::admission::Admission;
 use crate::durability::{DurableSink, ProducerCommit};
 use crate::engine::EngineStats;
 use crate::overload::{ScaleColumn, ShedPolicy, Subsampler};
@@ -32,12 +33,12 @@ pub(super) fn route_key(key: u64, n_shards: usize) -> usize {
 /// worker through a dedicated SPSC ring.
 ///
 /// Handles come from [`ShardedEngine::take_ingress_handles`] and are
-/// `Send` (not `Sync`): move each onto its own ingress thread. Admission
-/// (selection, late check, watermark advance) is handle-local — each
-/// producer admits against its *own* watermark, the honest semantics of
-/// distributed ingress (no producer can observe another's clock; PAPER.md
-/// §VI-B). Workers close buckets at the *min* watermark across producers,
-/// so a tuple admitted by its handle is never late at its worker. For
+/// `Send` (not `Sync`): move each onto its own ingress thread. A handle
+/// admits (selection, late check, watermark advance) through the same
+/// type as [`Engine`], against its *own* watermark — the honest semantics
+/// of distributed ingress (no producer can observe another's clock;
+/// PAPER.md §VI-B). A worker closes buckets at the least of its producers'
+/// watermarks, so a tuple its handle admitted is never late there. For
 /// streams whose disorder stays within the query's slack, every admission
 /// decision is identical to the single-threaded engine's.
 ///
@@ -54,7 +55,6 @@ pub(super) fn route_key(key: u64, n_shards: usize) -> usize {
 /// (handles *not* taken) deals this way automatically.
 pub struct IngressHandle {
     producer: usize,
-    query: Query,
     fab: Arc<FabShared>,
     /// Per-shard staging buffers, swapped against [`Self::pool`] buffers
     /// at each seal, so steady-state ingress never allocates.
@@ -68,17 +68,15 @@ pub struct IngressHandle {
     /// [`ShedPolicy::Subsample`].
     subsampler: Option<Subsampler>,
     rr: usize,
-    pub(super) watermark: Micros,
+    /// This producer's admission decisions and counters.
+    pub(super) adm: Admission,
     /// The watermark the last sealed epoch carried: a later advance is
     /// news the workers have not heard.
     sealed_wm: Micros,
-    /// Closed boundary in timestamp space (`closed_below · bucket_micros`).
-    closed_low: Micros,
-    pub(super) stats: EngineStats,
 }
 
 impl IngressHandle {
-    pub(super) fn new(producer: usize, query: Query, fab: &Arc<FabShared>) -> Self {
+    pub(super) fn new(producer: usize, query: &Query, fab: &Arc<FabShared>) -> Self {
         let overload = &fab.cfg.overload;
         let subsampler = match overload.policy {
             ShedPolicy::Subsample { target_rate } => Some(Subsampler::new(
@@ -91,17 +89,14 @@ impl IngressHandle {
         };
         Self {
             producer,
-            query,
+            adm: Admission::new(query),
             fab: Arc::clone(fab),
             staging: vec![Vec::new(); fab.cfg.n_shards],
             pool: fab.pools[producer].clone(),
             epochs: 0,
             subsampler,
             rr: 0,
-            watermark: 0,
             sealed_wm: 0,
-            closed_low: 0,
-            stats: EngineStats::default(),
         }
     }
 
@@ -109,26 +104,26 @@ impl IngressHandle {
     /// input meets the exact decisions (and seq assignments) of the first
     /// run.
     pub(super) fn resume(&mut self, block: &ProducerCommit) {
-        self.watermark = block.watermark;
+        self.adm.watermark = block.watermark;
         self.sealed_wm = block.watermark;
-        self.closed_low = block.closed_below.saturating_mul(self.query.bucket_micros);
+        self.adm.set_closed_below(block.closed_below);
         self.rr = (block.rr as usize) % self.staging.len();
         self.epochs = block.epochs;
-        self.stats.tuples_in = block.tuples_in;
-        self.stats.filtered = block.filtered;
-        self.stats.late_drops = block.late_drops;
+        self.adm.stats.tuples_in = block.tuples_in;
+        self.adm.stats.filtered = block.filtered;
+        self.adm.stats.late_drops = block.late_drops;
     }
 
     /// The admission state a durable commit freezes.
     pub(super) fn commit_block(&self) -> ProducerCommit {
         ProducerCommit {
-            watermark: self.watermark,
-            closed_below: self.closed_low / self.query.bucket_micros,
+            watermark: self.adm.watermark,
+            closed_below: self.adm.closed_below(),
             rr: self.rr as u64,
             epochs: self.epochs,
-            tuples_in: self.stats.tuples_in,
-            filtered: self.stats.filtered,
-            late_drops: self.stats.late_drops,
+            tuples_in: self.adm.stats.tuples_in,
+            filtered: self.adm.stats.filtered,
+            late_drops: self.adm.stats.late_drops,
         }
     }
 
@@ -149,47 +144,27 @@ impl IngressHandle {
     }
 
     /// The one ingress loop: a single fused pass per tuple doing admission
-    /// (selection, late check, watermark advance), routing, and the push
-    /// into the owning shard's staging buffer. Stops once a staging buffer
-    /// reaches the batch size; returns how many tuples it consumed and
-    /// whether it stopped for that reason (the caller seals and comes
-    /// back with the rest).
-    ///
-    /// Admission mirrors [`Engine::process`] decision for decision. The
-    /// late check compares timestamps against the closed boundary held in
-    /// timestamp space (`closed_below · bucket_micros`), which removes
-    /// both per-tuple divisions: `ts / bm < closed_below  ⇔
-    /// ts < closed_below · bm` exactly, for non-negative integers, and the
-    /// boundary division reruns only when the watermark gains a whole
-    /// bucket. Stats and telemetry mirrors are stored once per call.
+    /// (the same [`Admission`] decisions as [`Engine::process`], closes
+    /// included), routing, and the push into the owning shard's staging
+    /// buffer. Stops once a staging buffer reaches the batch size; returns
+    /// how many tuples it consumed and whether it stopped for that reason
+    /// (the caller seals and comes back with the rest). `tuples_in` and
+    /// the telemetry mirrors are stored once per call.
     pub(super) fn stage(&mut self, pkts: &[Packet]) -> (usize, bool) {
-        let bm = self.query.bucket_micros;
-        let slack = self.query.slack_micros;
         let n_shards = self.staging.len();
         let routing = self.fab.cfg.routing;
         let batch_size = self.fab.cfg.batch_size;
-        let mut wm = self.watermark;
-        let mut closed_low = self.closed_low;
-        let mut filtered = 0u64;
-        let mut late = 0u64;
         let mut used = pkts.len();
         let mut full = false;
         for (i, pkt) in pkts.iter().enumerate() {
-            if self.query.filter.as_ref().is_some_and(|f| !f(pkt)) {
-                filtered += 1;
+            let Some(admitted) = self.adm.admit(pkt, i) else {
                 continue;
-            }
-            if pkt.ts < closed_low {
-                late += 1;
-                continue;
-            }
-            wm = wm.max(pkt.ts);
-            let horizon = wm.saturating_sub(slack);
-            if horizon >= closed_low.saturating_add(bm) {
-                closed_low = (horizon / bm) * bm;
+            };
+            if self.adm.due() {
+                self.adm.close();
             }
             let shard = match routing {
-                ShardBy::Key => route_key((self.query.group_by)(pkt), n_shards),
+                ShardBy::Key => route_key(admitted.key, n_shards),
                 ShardBy::RoundRobin => {
                     let s = self.rr;
                     self.rr = (self.rr + 1) % n_shards;
@@ -204,11 +179,7 @@ impl IngressHandle {
                 break;
             }
         }
-        self.stats.tuples_in += used as u64;
-        self.stats.filtered += filtered;
-        self.stats.late_drops += late;
-        self.watermark = wm;
-        self.closed_low = closed_low;
+        self.adm.stats.tuples_in += used as u64;
         if self.fab.cfg.live {
             self.mirror_admission();
         }
@@ -218,10 +189,7 @@ impl IngressHandle {
     /// Advances this handle's watermark as an explicit punctuation would;
     /// the next sealed epoch carries it to every shard.
     pub fn punctuate(&mut self, ts: Micros) {
-        self.watermark = self.watermark.max(ts);
-        let bm = self.query.bucket_micros;
-        let target = (self.watermark.saturating_sub(self.query.slack_micros) / bm) * bm;
-        self.closed_low = self.closed_low.max(target);
+        self.adm.punctuate(ts);
         if self.fab.cfg.live {
             self.mirror_admission();
         }
@@ -230,7 +198,7 @@ impl IngressHandle {
     /// Whether sealing now would tell the workers anything: staged tuples,
     /// or a watermark advance since the last seal.
     pub(super) fn dirty(&self) -> bool {
-        self.watermark > self.sealed_wm || self.staging.iter().any(|s| !s.is_empty())
+        self.adm.watermark > self.sealed_wm || self.staging.iter().any(|s| !s.is_empty())
     }
 
     /// Seals the staged tuples as one epoch: exactly one sequence-stamped
@@ -278,7 +246,7 @@ impl IngressHandle {
         }
         let seq = self.epochs * p_count as u64 + self.producer as u64 + 1;
         self.epochs += 1;
-        let wm = self.watermark;
+        let wm = self.adm.watermark;
         self.sealed_wm = wm;
         // One dead unsupervised worker must not cost the other shards
         // their message: ship the whole epoch, report the first failure.
@@ -315,10 +283,11 @@ impl IngressHandle {
     /// Single-writer mirrors of this producer's admission counters.
     fn mirror_admission(&self) {
         let t = &self.fab.telemetry.producers()[self.producer];
-        t.tuples_in.store(self.stats.tuples_in, Relaxed);
-        t.filtered.store(self.stats.filtered, Relaxed);
-        t.late_drops.store(self.stats.late_drops, Relaxed);
-        t.watermark_us.store(self.watermark, Relaxed);
+        let s = self.adm.stats;
+        t.tuples_in.store(s.tuples_in, Relaxed);
+        t.filtered.store(s.filtered, Relaxed);
+        t.late_drops.store(s.late_drops, Relaxed);
+        t.watermark_us.store(self.adm.watermark, Relaxed);
     }
 
     /// Single-writer mirrors of this producer's epoch and pool counters.
@@ -331,7 +300,7 @@ impl IngressHandle {
 
     /// This handle's admission counters so far.
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        self.adm.stats
     }
 
     /// Ends this producer's stream: seals any unsent remainder as a final
@@ -345,7 +314,7 @@ impl IngressHandle {
             let _ = self.seal_epoch();
         }
         self.close();
-        self.stats
+        self.adm.stats
     }
 
     /// Closes this producer's queue on every shard — for good: a queue
@@ -359,7 +328,7 @@ impl IngressHandle {
         self.fab
             .stats_out
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)[self.producer] = Some(self.stats);
+            .unwrap_or_else(PoisonError::into_inner)[self.producer] = Some(self.adm.stats);
         // Final mirrors are unconditional, so a post-run snapshot agrees
         // with the folded stats even with live telemetry off.
         self.mirror_admission();

@@ -15,16 +15,16 @@
 //!
 //! There is one: `P` [`IngressHandle`]s (default 1), each owning a full
 //! admit-route-stage loop, feed every shard worker through a dedicated
-//! per-(producer, shard) SPSC ring. A handle replicates the
-//! single-threaded engine's admission logic — selection, the late-tuple
-//! check against closed buckets, the watermark advance — before a tuple is
-//! routed, so a tuple is accepted or dropped exactly when the
-//! single-threaded engine would accept or drop it. Staged tuples ship as
-//! *epochs*: one sequence-numbered message to **every** shard (possibly
-//! empty), carrying the handle's watermark — a watermark broadcast is an
-//! empty epoch. The engine itself drives the handles in *coordinator
-//! mode* (the feed methods below); [`ShardedEngine::take_ingress_handles`]
-//! detaches them for genuinely parallel feeding.
+//! per-(producer, shard) SPSC ring. A handle admits a tuple — selection,
+//! the late check, the watermark advance — through the same type as the
+//! single-threaded [`Engine`], before routing it; a worker's engine closes
+//! buckets at the least of its producers' watermarks, so it never drops a
+//! tuple a handle admitted. Staged tuples ship as *epochs*: one
+//! sequence-numbered message to **every** shard (possibly empty), carrying
+//! the handle's watermark — a watermark broadcast is an empty epoch. The
+//! engine itself drives the handles in *coordinator mode* (the feed
+//! methods below); [`ShardedEngine::take_ingress_handles`] detaches them
+//! for genuinely parallel feeding.
 //!
 //! Workers run in *state mode* ([`Engine::keep_closed_state`]): a closed
 //! bucket yields raw [`ClosedGroup`] aggregation state rather than
@@ -608,9 +608,9 @@ impl ShardedEngine {
         &self.query.name
     }
 
-    /// Offers one tuple: admission (filter, late check, watermark), then
-    /// staging for the owning shard. Mirrors [`Engine::process`] decision
-    /// for decision. Reports [`fd_core::Error::WorkerLost`] when an
+    /// Offers one tuple: admission (filter, late check, watermark), decided
+    /// as [`Engine::process`] decides it, then staging for the owning
+    /// shard. Reports [`fd_core::Error::WorkerLost`] when an
     /// unsupervised worker has died; with supervision on (the default),
     /// worker death is recovered or degraded internally.
     pub fn try_process(&mut self, pkt: &Packet) -> Result<(), fd_core::Error> {
@@ -714,9 +714,9 @@ impl ShardedEngine {
     /// failure here means a shard is already beyond saving; it is logged,
     /// and the join loop salvages what the shards hold.
     fn seal_final(&mut self) {
-        let wm = self.handles.iter().map(|h| h.watermark).max().unwrap_or(0);
+        let wm = self.handles.iter().map(|h| h.adm.watermark).max();
         for h in &mut self.handles {
-            h.punctuate(wm);
+            h.punctuate(wm.unwrap_or(0));
         }
         if self.handles.iter().any(IngressHandle::dirty) {
             if let Err(e) = self.broadcast() {
@@ -760,9 +760,9 @@ impl ShardedEngine {
         // Mid-run, admission lives on the coordinator's handles; `finish`
         // folds it into `self.stats` and drops them.
         for h in &self.handles {
-            stats.tuples_in += h.stats.tuples_in;
-            stats.filtered += h.stats.filtered;
-            stats.late_drops += h.stats.late_drops;
+            stats.tuples_in += h.adm.stats.tuples_in;
+            stats.filtered += h.adm.stats.filtered;
+            stats.late_drops += h.adm.stats.late_drops;
         }
         stats
     }

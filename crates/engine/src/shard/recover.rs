@@ -600,7 +600,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
         spawned.inspect_err(|_| fab.shut_down())?;
     }
     let mut handles: Vec<IngressHandle> = (0..producers)
-        .map(|p| IngressHandle::new(p, query.clone(), &fab))
+        .map(|p| IngressHandle::new(p, query, &fab))
         .collect();
     let store = match (&fab.cfg.store, recovered) {
         (Some((dir, opts)), Some((rec, io))) => {

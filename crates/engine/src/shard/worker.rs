@@ -1,5 +1,5 @@
 //! The shard worker: the one loop that drains a shard's queues, applies
-//! epochs, advances the watermark frontier and checkpoints.
+//! epochs, tells its engine whose they are, and checkpoints.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use crate::engine::{ClosedGroup, Engine, EngineStats};
 use crate::fault::{FaultKind, FaultState};
 use crate::spsc::RingReceiver;
 use crate::supervisor::WorkerLease;
-use crate::tuple::{Micros, Packet};
+use crate::tuple::Packet;
 
 /// Applies one batch to the shard engine, firing any armed panic fault at
 /// its exact tuple position. The position is the engine's cumulative
@@ -106,9 +106,9 @@ impl Drop for InFlight<'_> {
 
 /// Spawns one shard worker: drains its `P` dedicated queues in strict
 /// producer rotation (seq order — see the determinism rule on
-/// [`FabShared`]), folds each epoch's batch, advances the
-/// min-across-producers watermark frontier, and checkpoints at message
-/// boundaries, releasing what its queues retained up to each one.
+/// [`FabShared`]), folds each epoch's batch and punctuates its watermark
+/// as that producer's, and checkpoints at message boundaries, releasing
+/// what its queues retained up to each one.
 /// `start_seq` is the last applied seq (the shard's seq base when fresh;
 /// the checkpoint's seq on respawn, where `rxs` were attached), which
 /// determines where the rotation resumes: the producer owning
@@ -138,12 +138,10 @@ pub(super) fn spawn_worker(
             let mut cursor = fab.producer_of(start_seq + 1);
             let mut last_seq = start_seq;
             let mut open = vec![true; p_count];
-            // Per-producer watermarks feeding the frontier. A closed
-            // producer's entry is raised to MAX so it stops gating the
-            // frontier; `Micros::MAX` never wins the min while any
-            // producer is live, and an all-closed shard just exits.
-            let mut prod_wm: Vec<Micros> = vec![0; p_count];
-            let mut frontier_applied: Micros = 0;
+            // A bucket may only close once no producer can still send
+            // tuples for it (PAPER.md §VI-B's per-site merge rule): the
+            // engine's frontier is the minimum over the producers.
+            engine.track_producers(p_count);
             // Tuple-equivalents applied since the last checkpoint. Shard-
             // by-key balances load well enough that without an offset
             // every worker hits its checkpoint threshold in the same
@@ -186,7 +184,7 @@ pub(super) fn spawn_worker(
                     // retired, and its receivers inert): remove it from
                     // the rotation.
                     open[cursor] = false;
-                    prod_wm[cursor] = Micros::MAX;
+                    engine.close_producer(cursor);
                     cursor = (cursor + 1) % p_count;
                     continue;
                 };
@@ -248,6 +246,8 @@ pub(super) fn spawn_worker(
                     _ => {}
                 }
                 let sc = scales.as_deref().map(|v| v.as_slice());
+                engine.begin_epoch(cursor);
+                let (frontier, late) = (engine.frontier(), engine.stats().late_drops);
                 let refused = if live {
                     let t0 = Instant::now();
                     let refused = apply_batch(&mut engine, &pkts, sc, active_fault, shard);
@@ -261,6 +261,14 @@ pub(super) fn spawn_worker(
                 if refused > 0 {
                     fab.count_shed(shard, None, refused);
                 }
+                // Its handle admitted every tuple against a watermark no
+                // lower than this producer's running one here, and the
+                // frontier is no higher than that: nothing can be late.
+                debug_assert_eq!(
+                    engine.stats().late_drops,
+                    late,
+                    "shard {shard} dropped a tuple producer {cursor} admitted"
+                );
                 // Epochs count their batch plus the embedded watermark as
                 // tuple-equivalents, so idle shards still checkpoint.
                 since_ckpt += pkts.len() as u64 + 1;
@@ -269,29 +277,20 @@ pub(super) fn spawn_worker(
                 // reference, and the buffer is reclaimed by the release
                 // after the checkpoint that covers it.
                 fab.recycle(cursor, pkts);
-                // The frontier is the min watermark across ALL producers:
-                // a bucket may only close once no producer can still send
-                // tuples for it (PAPER.md §VI-B's per-site merge rule).
-                if wm > prod_wm[cursor] {
-                    prod_wm[cursor] = wm;
-                }
-                let frontier = prod_wm.iter().copied().min().unwrap_or(0);
-                if frontier > frontier_applied && frontier != Micros::MAX {
-                    let closed_before = engine.stats().buckets_closed;
-                    engine.punctuate(frontier);
-                    frontier_applied = frontier;
-                    if live {
-                        let stats = engine.stats();
-                        tel.applied_watermark_us.store(frontier, Relaxed);
-                        tel.lfta_evictions.store(stats.lfta_evictions, Relaxed);
-                        // Counting occupied slots scans the whole table, and
-                        // nearly every epoch advances the frontier: sample
-                        // the gauge only when a bucket close has just paid
-                        // for the same scan.
-                        if stats.buckets_closed > closed_before {
-                            if let Some(occ) = engine.lfta_occupancy() {
-                                tel.lfta_occupancy.store(occ as u64, Relaxed);
-                            }
+                let closed_before = engine.stats().buckets_closed;
+                engine.punctuate(wm);
+                let applied = engine.frontier();
+                if applied > frontier && live {
+                    let stats = engine.stats();
+                    tel.applied_watermark_us.store(applied, Relaxed);
+                    tel.lfta_evictions.store(stats.lfta_evictions, Relaxed);
+                    // Counting occupied slots scans the whole table, and
+                    // nearly every epoch advances the frontier: sample the
+                    // gauge only when a bucket close has just paid for the
+                    // same scan.
+                    if stats.buckets_closed > closed_before {
+                        if let Some(occ) = engine.lfta_occupancy() {
+                            tel.lfta_occupancy.store(occ as u64, Relaxed);
                         }
                     }
                 }

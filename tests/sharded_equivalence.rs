@@ -303,8 +303,57 @@ fn oracle_run(make_query: &impl Fn() -> Query, packets: &[Packet]) -> (Vec<Row>,
     (rows, stats)
 }
 
+/// Sums a count query's rows: the tuples the fabric counted.
+fn counted(rows: &[Row]) -> u64 {
+    rows.iter()
+        .map(|r| r.value.as_float().expect("a count") as u64)
+        .sum()
+}
+
+/// Every tuple a handle admitted is counted, and no shard worker dropped
+/// one: the handles' admission is the only admission.
+fn assert_conserved(fabric: &ShardedEngine, rows: &[Row], ctx: &str) {
+    let s = fabric.stats();
+    let admitted = s.tuples_in - s.filtered - s.late_drops;
+    assert_eq!(counted(rows), admitted, "{ctx}: counted vs admitted");
+    for (shard, w) in fabric.per_shard_stats().iter().enumerate() {
+        assert_eq!(w.late_drops, 0, "{ctx}: shard {shard} dropped a tuple");
+    }
+}
+
+/// Detaches the fabric's handles and feeds each its slice from its own
+/// thread, in 256-tuple chunks; returns the tuples the handles took in.
+fn feed_detached(fabric: &mut ShardedEngine, slices: Vec<Vec<Packet>>) -> u64 {
+    let joined: Vec<std::thread::JoinHandle<EngineStats>> = fabric
+        .take_ingress_handles()
+        .into_iter()
+        .zip(slices)
+        .map(|(mut h, slice)| {
+            std::thread::spawn(move || {
+                for chunk in slice.chunks(256) {
+                    h.ingest(chunk).expect("ingest");
+                }
+                h.finish()
+            })
+        })
+        .collect();
+    joined
+        .into_iter()
+        .map(|j| j.join().expect("producer thread").tuples_in)
+        .sum()
+}
+
+/// `packets` cut into `p` contiguous runs: maximal inter-producer skew.
+fn contiguous_slices(packets: &[Packet], p: usize) -> Vec<Vec<Packet>> {
+    packets
+        .chunks(packets.len().div_ceil(p))
+        .map(<[Packet]>::to_vec)
+        .collect()
+}
+
 /// Feeds the fabric in coordinator mode and requires byte-identical rows
-/// and admission stats against the precomputed oracle run.
+/// and admission stats against the precomputed oracle run, and every
+/// admitted tuple counted (the queries are counts).
 fn assert_fabric_matches(
     make_query: &impl Fn() -> Query,
     packets: &[Packet],
@@ -336,6 +385,7 @@ fn assert_fabric_matches(
     assert_eq!(want.tuples_in, s.tuples_in, "{ctx}: tuples_in");
     assert_eq!(want.filtered, s.filtered, "{ctx}: filtered");
     assert_eq!(want.late_drops, s.late_drops, "{ctx}: late_drops");
+    assert_conserved(&fabric, &got, &ctx);
 }
 
 #[test]
@@ -464,10 +514,7 @@ fn parallel_ingress_interleavings_match_the_single_producer_oracle() {
     let (expected, _) = oracle_run(&q, &packets);
     for contiguous in [false, true] {
         let slices: Vec<Vec<Packet>> = if contiguous {
-            packets
-                .chunks(packets.len().div_ceil(P))
-                .map(<[Packet]>::to_vec)
-                .collect()
+            contiguous_slices(&packets, P)
         } else {
             (0..P)
                 .map(|p| packets.iter().skip(p).step_by(P).copied().collect())
@@ -479,23 +526,7 @@ fn parallel_ingress_interleavings_match_the_single_producer_oracle() {
             .expect("batch size")
             .try_producers(P)
             .expect("fabric");
-        let joined: Vec<std::thread::JoinHandle<EngineStats>> = fabric
-            .take_ingress_handles()
-            .into_iter()
-            .zip(slices)
-            .map(|(mut h, slice)| {
-                std::thread::spawn(move || {
-                    for chunk in slice.chunks(256) {
-                        h.ingest(chunk).expect("ingest");
-                    }
-                    h.finish()
-                })
-            })
-            .collect();
-        let mut fed = 0u64;
-        for j in joined {
-            fed += j.join().expect("producer thread").tuples_in;
-        }
+        let fed = feed_detached(&mut fabric, slices);
         assert_eq!(fed, packets.len() as u64, "contiguous={contiguous}");
         let got = fabric.finish();
         assert_eq!(expected.len(), got.len(), "contiguous={contiguous}: rows");
@@ -506,6 +537,77 @@ fn parallel_ingress_interleavings_match_the_single_producer_oracle() {
                 "contiguous={contiguous}"
             );
             assert_eq!(e.value, g.value, "contiguous={contiguous}: key {}", e.key);
+        }
+    }
+}
+
+#[test]
+fn detached_handles_skewed_past_the_slack_count_every_admitted_tuple() {
+    // Contiguous slices put each producer a whole slice (15–30 s) ahead of
+    // the one before, far past the 1 s slack. Every handle admits all of
+    // its in-order slice, so a worker must close buckets at the least
+    // producer's watermark, never at its own data watermark, or it drops
+    // the lagging producers' tuples after their handles admitted them.
+    let q = || {
+        Query::builder("skew")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(10)
+            .slack_secs(1.0)
+            .aggregate(count_factory())
+            .two_level(true)
+            .lfta_slots(256)
+            .try_build()
+            .expect("valid query")
+    };
+    let packets = fabric_trace(25, 0.0);
+    for producers in [2usize, 4] {
+        for shards in [1usize, 3] {
+            let mut fabric = ShardedEngine::try_new(q(), shards)
+                .expect("spawn shards")
+                .try_batch_size(128)
+                .expect("batch size")
+                .try_producers(producers)
+                .expect("fabric");
+            feed_detached(&mut fabric, contiguous_slices(&packets, producers));
+            let rows = fabric.finish();
+            let ctx = format!("P={producers} shards={shards}");
+            assert_eq!(fabric.stats().late_drops, 0, "{ctx}: in-order slices");
+            assert_conserved(&fabric, &rows, &ctx);
+        }
+    }
+}
+
+#[test]
+fn coordinator_disorder_past_the_slack_counts_every_admitted_tuple() {
+    // 2 s of jitter against 0.5 s of slack: the handles late-drop, each
+    // against its own watermark, and whatever they admit must be counted.
+    let q = || {
+        Query::builder("ooo")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(5)
+            .slack_secs(0.5)
+            .aggregate(count_factory())
+            .two_level(true)
+            .lfta_slots(256)
+            .try_build()
+            .expect("valid query")
+    };
+    let packets = fabric_trace(27, 2.0);
+    for producers in [2usize, 4] {
+        for shards in [1usize, 4] {
+            let mut fabric = ShardedEngine::try_new(q(), shards)
+                .expect("spawn shards")
+                .try_batch_size(256)
+                .expect("batch size")
+                .try_producers(producers)
+                .expect("fabric");
+            let rows = fabric.run(packets.iter().copied());
+            let ctx = format!("P={producers} shards={shards}");
+            assert!(
+                fabric.stats().late_drops > 0,
+                "{ctx}: disorder past the slack"
+            );
+            assert_conserved(&fabric, &rows, &ctx);
         }
     }
 }
