@@ -104,11 +104,12 @@ impl<V: Lane> Decode for Accumulator<V> {
 }
 
 impl<V: Lane> Accumulator<V> {
-    fn new(landmark: Timestamp) -> Self {
+    /// An empty accumulator for the clock with landmark `L`.
+    pub fn new(landmark: impl Into<Timestamp>) -> Self {
         Self {
             acc: 0.0,
             n: 0,
-            max_t: landmark,
+            max_t: landmark.into(),
             lane: PhantomData,
         }
     }
@@ -468,6 +469,22 @@ pub struct Extremal {
 codec_struct!(Extremal { which: Extremum, best: Option<(f64, Timestamp, f64)> });
 
 impl Extremal {
+    /// An empty tracker of the smallest weighted value.
+    pub fn min() -> Self {
+        Extremal {
+            which: Extremum::Min,
+            best: None,
+        }
+    }
+
+    /// An empty tracker of the largest weighted value.
+    pub fn max() -> Self {
+        Extremal {
+            which: Extremum::Max,
+            best: None,
+        }
+    }
+
     /// Whether candidate `(key, t_i, v)` replaces the current best.
     ///
     /// Strictly better keys (by `total_cmp`, so `-0.0 < 0.0` and the
@@ -559,18 +576,14 @@ impl Mergeable for Extremal {
 pub type DecayedExtremum<G> = Decayed<G, Extremal>;
 
 impl<G: ForwardDecay> DecayedExtremum<G> {
-    fn tracking(g: G, landmark: impl Into<Timestamp>, which: Extremum) -> Self {
-        Self::wrap(g, landmark, Extremal { which, best: None })
-    }
-
     /// Creates a decayed-minimum tracker.
     pub fn min(g: G, landmark: impl Into<Timestamp>) -> Self {
-        Self::tracking(g, landmark, Extremum::Min)
+        Self::wrap(g, landmark, Extremal::min())
     }
 
     /// Creates a decayed-maximum tracker.
     pub fn max(g: G, landmark: impl Into<Timestamp>) -> Self {
-        Self::tracking(g, landmark, Extremum::Max)
+        Self::wrap(g, landmark, Extremal::max())
     }
 
     /// Ingests an item `(t_i, v_i)`. Pre-landmark timestamps are clamped to

@@ -170,6 +170,45 @@ codec_struct!(CmCandidates {
 });
 
 impl CmCandidates {
+    /// Candidates for φ-heavy-hitters over a sketch of error `ε` (choose
+    /// `ε ≤ φ/2` for useful answers) and failure probability `δ`.
+    pub fn new(phi: f64, epsilon: f64, delta: f64, seed: u64) -> Self {
+        assert!(phi > 0.0 && phi < 1.0);
+        let capacity = (8.0 / phi).ceil() as usize;
+        CmCandidates {
+            sketch: CmSketch::with_epsilon_delta(epsilon, delta, seed),
+            phi,
+            capacity,
+            candidates: HashMap::with_capacity(capacity * 2),
+        }
+    }
+
+    /// The candidates whose sketched weight reaches `φ·W`, heaviest first,
+    /// each divided by a clock's denominator `g(t − L)`: none where it is
+    /// undefined.
+    pub fn heavy_hitters_over(&self, denom: Option<f64>) -> Vec<HeavyHitter> {
+        let Some(denom) = denom else {
+            return Vec::new();
+        };
+        let threshold = self.phi * self.sketch.total_weight();
+        let mut out: Vec<HeavyHitter> = (self.candidates.keys())
+            .map(|&item| (item, self.sketch.query(item)))
+            .filter(|&(_, est)| est >= threshold)
+            .map(|(item, est)| HeavyHitter {
+                item,
+                count: est / denom,
+                guaranteed: false,
+            })
+            .collect();
+        out.sort_by(|a, b| b.count.total_cmp(&a.count));
+        out
+    }
+
+    /// Approximate memory footprint in bytes, without a clock.
+    pub fn size_bytes(&self) -> usize {
+        self.sketch.size_bytes() + self.candidates.capacity() * 24
+    }
+
     /// Drops candidates that have fallen below the watermark; if that is
     /// not enough, keeps only the heaviest `capacity`.
     fn prune(&mut self) {
@@ -255,42 +294,13 @@ impl<G: ForwardDecay> DecayedCmHeavyHitters<G> {
         delta: f64,
         seed: u64,
     ) -> Self {
-        assert!(phi > 0.0 && phi < 1.0);
-        let capacity = (8.0 / phi).ceil() as usize;
-        let inner = CmCandidates {
-            sketch: CmSketch::with_epsilon_delta(epsilon, delta, seed),
-            phi,
-            capacity,
-            candidates: HashMap::with_capacity(capacity * 2),
-        };
-        Self::wrap(g, landmark, inner)
+        Self::wrap(g, landmark, CmCandidates::new(phi, epsilon, delta, seed))
     }
 
     /// The φ-heavy-hitters at query time `t` (the φ fixed at construction),
     /// heaviest first.
     pub fn heavy_hitters(&self, t: impl Into<Timestamp>) -> Vec<HeavyHitter> {
-        let Some(denom) = self.denominator(t) else {
-            return Vec::new();
-        };
-        let CmCandidates {
-            sketch,
-            phi,
-            candidates,
-            ..
-        } = self.inner();
-        let threshold = phi * sketch.total_weight();
-        let mut out: Vec<HeavyHitter> = candidates
-            .keys()
-            .map(|&item| (item, sketch.query(item)))
-            .filter(|&(_, est)| est >= threshold)
-            .map(|(item, est)| HeavyHitter {
-                item,
-                count: est / denom,
-                guaranteed: false,
-            })
-            .collect();
-        out.sort_by(|a, b| b.count.total_cmp(&a.count));
-        out
+        self.inner().heavy_hitters_over(self.denominator(t))
     }
 
     /// Estimated decayed count of `item` at time `t` (sketch upper bound).
@@ -301,8 +311,7 @@ impl<G: ForwardDecay> DecayedCmHeavyHitters<G> {
 
     /// Approximate memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        let inner = self.inner();
-        inner.sketch.size_bytes() + inner.candidates.capacity() * 24 + std::mem::size_of::<Self>()
+        self.inner().size_bytes() + std::mem::size_of::<Self>()
     }
 }
 

@@ -32,11 +32,181 @@
 
 use crate::checkpoint::{CodecError, Decode, Encode, Reader};
 use crate::decay::{clamp_to_landmark, ForwardDecay};
+use crate::error::Error;
 use crate::kernel::WeightKernel;
 use crate::merge::Mergeable;
 use crate::numerics::{landmark_shift_factor, Renormalizer};
 use crate::summary::{Summary, SummaryStats};
 use crate::Timestamp;
+
+/// The arrival prologue of a clock — a landmark under `g` and its
+/// renormalizer, however many summaries it drives: clamps a pre-landmark
+/// `t_i` ([`clamp_to_landmark`]), renormalizes if the new weight would be
+/// too large to store, and returns the clamped time with the weight
+/// `g(t_i − L_eff)` — fixed from here on — and, if the landmark moved, the
+/// factor every state under the clock must be multiplied by before the
+/// weight joins them.
+#[inline]
+pub fn arrive<G: ForwardDecay>(
+    g: &G,
+    renorm: &mut Renormalizer,
+    t_i: Timestamp,
+) -> (Timestamp, f64, Option<f64>) {
+    let t_i = clamp_to_landmark(t_i, renorm.original_landmark());
+    let moved = renorm.pre_update(g, t_i);
+    (t_i, g.g(t_i - renorm.landmark()), moved)
+}
+
+/// The query-time denominator `g(t − L_eff)` of a clock, or `None` where it
+/// is zero (a polynomial `g` at the landmark itself) and no decayed answer
+/// is defined.
+#[inline]
+pub fn denominator<G: ForwardDecay>(g: &G, renorm: &Renormalizer, t: Timestamp) -> Option<f64> {
+    let denom = g.g(t - renorm.landmark());
+    (denom != 0.0).then_some(denom)
+}
+
+/// A [`Decayed`]'s bytes from its three parts, wherever they are held:
+/// `g`, the renormalizer, the summary. A holder that keeps one `g` and one
+/// clock for many summaries writes each as the standalone summary is
+/// written.
+pub fn put_parts<G: Encode, S: Encode>(g: &G, renorm: &Renormalizer, inner: &S, out: &mut Vec<u8>) {
+    (g, renorm, inner).put(out);
+}
+
+/// Reads back what [`put_parts`] wrote under the `g` whose encoding is
+/// `g_bytes`: the renormalizer and the summary. A summary written under
+/// another `g` is refused, not decoded.
+pub fn take_parts<S: Decode>(
+    r: &mut Reader<'_>,
+    g_bytes: &[u8],
+) -> Result<(Renormalizer, S), CodecError> {
+    if r.bytes(g_bytes.len())? != g_bytes {
+        return Err(CodecError::new("a state decayed by another g"));
+    }
+    Ok((Renormalizer::take(r)?, S::take(r)?))
+}
+
+/// Weighted state held apart from its clock: the static numerators of one
+/// [`Weighted`] summary, or of several under one clock ([`Both`]), as a
+/// holder that keeps one `g` and one clock for many states (the engine's
+/// bucket) stores them. Written under its clock as the standalone summaries
+/// are: each part [`put_parts`].
+pub trait Numerators: Mergeable + Clone + Send + Sized + 'static {
+    /// Multiplies every stored weight by `factor`: the clock moved.
+    fn scale(&mut self, factor: f64);
+
+    /// Appends each part's bytes under `g` and `renorm`.
+    fn put_under<G: Encode>(&self, g: &G, renorm: &Renormalizer, out: &mut Vec<u8>);
+
+    /// Reads back what [`put_under`](Self::put_under) wrote under the `g`
+    /// encoded as `g_bytes` ([`take_parts`]), with the clock it was written
+    /// under; parts written under different clocks are refused.
+    fn take_under(r: &mut Reader<'_>, g_bytes: &[u8]) -> Result<(Renormalizer, Self), CodecError>;
+}
+
+impl<S: Weighted + Encode + Decode + Send + 'static> Numerators for S {
+    #[inline]
+    fn scale(&mut self, factor: f64) {
+        Weighted::scale(self, factor);
+    }
+
+    fn put_under<G: Encode>(&self, g: &G, renorm: &Renormalizer, out: &mut Vec<u8>) {
+        put_parts(g, renorm, self, out);
+    }
+
+    fn take_under(r: &mut Reader<'_>, g_bytes: &[u8]) -> Result<(Renormalizer, Self), CodecError> {
+        take_parts(r, g_bytes)
+    }
+}
+
+/// Two states under one clock, in the order their standalone summary's
+/// fields are: an average's sum and count
+/// ([`DecayedAverage`](crate::aggregates::DecayedAverage)), a variance's sum
+/// of squares and average.
+#[derive(Debug, Clone)]
+pub struct Both<A, B>(pub A, pub B);
+
+impl<A: Mergeable, B: Mergeable> Mergeable for Both<A, B> {
+    fn merge_from(&mut self, other: &Self) {
+        self.0.merge_from(&other.0);
+        self.1.merge_from(&other.1);
+    }
+}
+
+impl<A: Numerators, B: Numerators> Numerators for Both<A, B> {
+    fn scale(&mut self, factor: f64) {
+        self.0.scale(factor);
+        self.1.scale(factor);
+    }
+
+    fn put_under<G: Encode>(&self, g: &G, renorm: &Renormalizer, out: &mut Vec<u8>) {
+        self.0.put_under(g, renorm, out);
+        self.1.put_under(g, renorm, out);
+    }
+
+    /// The parts of one standalone summary see the same arrivals and
+    /// merges, so they are written under the same clock.
+    fn take_under(r: &mut Reader<'_>, g_bytes: &[u8]) -> Result<(Renormalizer, Self), CodecError> {
+        let (renorm, a) = A::take_under(r, g_bytes)?;
+        let (theirs, b) = B::take_under(r, g_bytes)?;
+        if theirs != renorm {
+            return Err(CodecError::new(
+                "the parts of a state under different clocks",
+            ));
+        }
+        Ok((renorm, Both(a, b)))
+    }
+}
+
+/// `ln` of the room a decayed sum keeps above its largest weight: 2¹²⁸,
+/// as many arrivals as a count may hold (2⁶², `checkpoint::MAX_COUNT`),
+/// each weighing a value — or a variance's squared value — of up to 2⁶⁶.
+const LN_SUM_HEADROOM: f64 = 128.0 * std::f64::consts::LN_2;
+
+/// The numeric contract of `g` over one bucket, for summaries that share
+/// one clock per bucket: every weight stored for an arrival at most
+/// `horizon_secs` past its landmark, times the room a sum needs (2¹²⁸),
+/// must be a finite `f64`. A multiplicative `g` stores at most
+/// [`RESCALE_THRESHOLD`](crate::numerics::RESCALE_THRESHOLD) (the renormalizer moves the landmark first), so it
+/// always passes; a polynomial stores `g(horizon)`. Past the bound a sum overflows to `∞`
+/// and its answer, `∞ / ∞`, is NaN.
+///
+/// Where the answer is a `ratio` of weights (an average, a quantile's
+/// rank), a multiplicative `g` must also keep every weight a normal `f64`
+/// under the clock's newest landmark, which moves with the newest arrival:
+/// an arrival `horizon_secs` older weighs `1 / g(horizon)` against it. Past
+/// that, a group that fell quiet early in the bucket has its weights
+/// underflow to zero, and its ratio is `0 / 0`. A sum loses nothing that
+/// way: its answer was below the smallest `f64` too.
+///
+/// # Errors
+/// [`Error::InvalidParameter`] naming `ln g` over the horizon and the
+/// bound it must stay below.
+pub fn check_horizon<G: ForwardDecay>(g: &G, horizon_secs: f64, ratio: bool) -> Result<(), Error> {
+    let ln_g = g.ln_g(horizon_secs);
+    let refused = |requirement| {
+        Err(Error::InvalidParameter {
+            name: "ln g(bucket + slack)",
+            value: ln_g,
+            requirement,
+        })
+    };
+    match (g.is_multiplicative(), ratio) {
+        (true, false) => Ok(()),
+        (true, true) if ln_g < -f64::MIN_POSITIVE.ln() => Ok(()),
+        (true, true) => refused(
+            "below -ln(f64::MIN_POSITIVE) ≈ 708.40 for an exponential g under a ratio \
+             (average, variance, heavy hitters, quantiles): past it, the weights of a group \
+             that fell quiet underflow (a smaller α, or a narrower bucket)",
+        ),
+        (false, _) if ln_g + LN_SUM_HEADROOM < f64::MAX.ln() => Ok(()),
+        (false, _) => refused(
+            "below ln(f64::MAX / 2^128) ≈ 621.06, the room a decayed sum needs \
+             (a smaller β, or a narrower bucket)",
+        ),
+    }
+}
 
 /// A summary of weighted arrivals that forward decay can drive: weights
 /// add, and the whole state scales linearly.
@@ -138,11 +308,11 @@ impl<G: ForwardDecay, S: Weighted> Decayed<G, S> {
     /// `g(t_i − L_eff)` — fixed from here on.
     #[inline]
     pub(crate) fn arrive(&mut self, t_i: Timestamp) -> (Timestamp, f64) {
-        let t_i = clamp_to_landmark(t_i, self.renorm.original_landmark());
-        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
+        let (t_i, w, moved) = arrive(&self.g, &mut self.renorm, t_i);
+        if let Some(factor) = moved {
             self.inner.scale(factor);
         }
-        (t_i, self.g.g(t_i - self.renorm.landmark()))
+        (t_i, w)
     }
 
     /// The query-time denominator `g(t − L)`, or `None` where it is zero (a
@@ -152,8 +322,7 @@ impl<G: ForwardDecay, S: Weighted> Decayed<G, S> {
     /// queries).
     #[inline]
     pub fn denominator(&self, t: impl Into<Timestamp>) -> Option<f64> {
-        let denom = self.g.g(t.into() - self.renorm.landmark());
-        (denom != 0.0).then_some(denom)
+        denominator(&self.g, &self.renorm, t.into())
     }
 
     /// The decayed answer at query time `t` — the count, the sum, the
@@ -170,7 +339,7 @@ impl<G: ForwardDecay, S: Weighted> Decayed<G, S> {
 /// `g`, the renormalizer, then the summary's own fields.
 impl<G: ForwardDecay, S: Weighted + Encode> Encode for Decayed<G, S> {
     fn put(&self, out: &mut Vec<u8>) {
-        (&self.g, &self.renorm, &self.inner).put(out);
+        put_parts(&self.g, &self.renorm, &self.inner, out);
     }
 }
 

@@ -224,6 +224,20 @@ impl WeightedSpaceSaving {
         out
     }
 
+    /// [`heavy_hitters`](Self::heavy_hitters) with every count divided by
+    /// a clock's denominator `g(t − L)`: the decayed φ-heavy-hitters, none
+    /// where the denominator is undefined.
+    pub fn heavy_hitters_over(&self, phi: f64, denom: Option<f64>) -> Vec<HeavyHitter> {
+        let Some(denom) = denom else {
+            return Vec::new();
+        };
+        let mut out = self.heavy_hitters(phi);
+        for h in &mut out {
+            h.count /= denom;
+        }
+        out
+    }
+
     /// The monitored counters, in arbitrary order.
     pub fn counters(&self) -> &[HhCounter] {
         &self.counters
@@ -940,14 +954,7 @@ impl<G: ForwardDecay> DecayedHeavyHitters<G> {
     /// The φ-heavy-hitters at query time `t`: all items whose decayed count
     /// is at least `φ·C`, with estimates reported as decayed counts.
     pub fn heavy_hitters(&self, phi: f64, t: impl Into<Timestamp>) -> Vec<HeavyHitter> {
-        let Some(denom) = self.denominator(t) else {
-            return Vec::new();
-        };
-        let mut out = self.inner().heavy_hitters(phi);
-        for h in &mut out {
-            h.count /= denom;
-        }
-        out
+        self.inner().heavy_hitters_over(phi, self.denominator(t))
     }
 
     /// The estimated decayed count of `item` at time `t`, with error bound.

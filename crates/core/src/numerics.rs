@@ -149,6 +149,34 @@ impl Renormalizer {
         self.rescales += 1;
         Some(factor)
     }
+
+    /// Brings `self` to the newer of the two effective landmarks, as a
+    /// holder of states under both clocks must before it merges them:
+    /// returns the factors the states under `self` and under `theirs` must
+    /// be multiplied by (`None`: as they are), or `None` if the two began
+    /// at different landmarks and have no common one. `self` then counts
+    /// the larger number of rescales of the two, so joining a clock with
+    /// itself, or a fresh clock of the same landmark with another, moves
+    /// nothing but the landmark.
+    pub fn join<G: ForwardDecay>(
+        &mut self,
+        g: &G,
+        theirs: &Renormalizer,
+    ) -> Option<(Option<f64>, Option<f64>)> {
+        if self.original != theirs.original {
+            return None;
+        }
+        self.rescales = self.rescales.max(theirs.rescales);
+        let (ours, other) = (self.landmark, theirs.landmark);
+        Some(match ours.cmp(&other) {
+            std::cmp::Ordering::Greater => (None, Some(landmark_shift_factor(g, other, ours))),
+            std::cmp::Ordering::Less => {
+                self.landmark = other;
+                (Some(landmark_shift_factor(g, ours, other)), None)
+            }
+            std::cmp::Ordering::Equal => (None, None),
+        })
+    }
 }
 
 /// The factor that re-expresses a quantity stored relative to landmark
@@ -360,6 +388,25 @@ mod tests {
         assert!((before * factor - after).abs() / after < 1e-12);
         assert_eq!(r.landmark(), 20.0);
         assert_eq!(r.original_landmark(), 10.0);
+    }
+
+    #[test]
+    fn join_moves_to_the_newer_landmark_and_keeps_the_larger_count() {
+        let g = Exponential::new(0.5);
+        let (mut behind, mut ahead) = (Renormalizer::new(10.0), Renormalizer::new(10.0));
+        ahead.rescale_to(&g, 14.0);
+        ahead.rescale_to(&g, 16.0);
+        // A fresh clock joined with a moved one becomes it; so does the
+        // moved one joined with itself, scaling nothing.
+        let factor = landmark_shift_factor(&g, 10.0, 16.0);
+        assert_eq!(behind.join(&g, &ahead), Some((Some(factor), None)));
+        assert_eq!(behind, ahead);
+        assert_eq!(behind.join(&g, &ahead), Some((None, None)));
+        // The side behind is the one scaled.
+        let mut fresh = Renormalizer::new(10.0);
+        assert_eq!(ahead.join(&g, &fresh), Some((None, Some(factor))));
+        assert_eq!((ahead.landmark(), ahead.rescales()), (16.0.into(), 2));
+        assert_eq!(fresh.join(&g, &Renormalizer::new(11.0)), None);
     }
 
     #[test]

@@ -35,24 +35,30 @@
 //! weight `g(tᵢ − L)` frozen, partial states merge by addition, and the
 //! answer is divided by `g(t − L)` when the bucket closes — so the engine's
 //! side of it is written once, as a private `Ops`: what is the same for
-//! every group of the query (which field to read, how to fold it in — with
-//! a Horvitz–Thompson scale if the aggregate is linear — how to answer, how
-//! big it is, and how a group's fresh state is built). `Ops` is the by-value
-//! cell kind of the engine's group store: there a group is its bare state
-//! `S` (the fd-core summary, or the bare count / `f64` of the undecayed
-//! built-ins), held inline, and the store keeps the `Ops` once for all of
-//! them. Merging is [`Mergeable::merge_from`] (Section VI-B: frozen
-//! numerators make forward-decay summaries mergeable, so per-shard partial
-//! buckets combine losslessly), and checkpointing is the state's own
-//! [`fd_core::checkpoint`] encoding — every state here encodes, the
-//! samplers' generators included, so every factory checkpoints.
+//! every group of the query (which field to read, how to fold an arrival in
+//! — with a Horvitz–Thompson scale if the aggregate is linear — how to
+//! answer, how big it is, how a group's fresh state is built, and how
+//! arrivals are weighed). `Ops` is the by-value cell kind of the engine's
+//! group store: there a group is its bare state `S`, held inline, and the
+//! store keeps the `Ops` once for all of them. The paper divides once, so a
+//! forward-decayed group holds only its static numerators — the
+//! [`Weighted`] summary a [`fd_core::Decayed`] wraps, or two of them under
+//! one clock for an average or a variance — while `Ops` holds the query's
+//! one `g` and each open bucket one clock (`g` anchored at its start, and a
+//! `Renormalizer`). Merging is [`Mergeable::merge_from`] (Section VI-B: frozen numerators make
+//! forward-decay summaries mergeable, so per-shard partial buckets combine
+//! losslessly), and checkpointing is the state's own [`fd_core::checkpoint`]
+//! encoding, a decayed one written under its clock as the standalone summary
+//! is — every state here encodes, the samplers' generators included, so
+//! every factory checkpoints.
 //!
 //! [`AggregatorFactory::make`] still returns a group boxed, as a private
-//! adapter over the same `S` and `Ops` whose [`Aggregator`] impl — the
-//! only one here besides [`multi_factory`]'s composite — calls the same
-//! `Ops` bodies. It is what `multi_factory`'s parts and every
-//! [`crate::engine::ClosedGroup`] hold, and one `merge_boxed` downcast
-//! lets the sharded engine's combiner merge two of them.
+//! adapter over the same state, its own clock beside it, whose
+//! [`Aggregator`] impl — the only one here besides [`multi_factory`]'s
+//! composite — calls the same bodies. It is what `multi_factory`'s parts and
+//! every [`crate::engine::ClosedGroup`] hold (a closed group moves its cell
+//! and a copy of its bucket's clock in), and one `merge_boxed` downcast lets
+//! the sharded engine's combiner merge two of them.
 //!
 //! **Adding an aggregate is one factory function**: which field to read,
 //! two or three closures over the summary, and its constructor. The source
@@ -61,23 +67,27 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use fd_core::aggregates::{
-    DecayedAverage, DecayedCount, DecayedExtremum, DecayedSum, DecayedVariance,
-};
+use fd_core::aggregates::{Accumulator, Extremal};
+#[cfg(doc)]
+use fd_core::aggregates::{DecayedAverage, DecayedVariance};
 use fd_core::backward::{ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH};
 use fd_core::checkpoint::{from_bytes, require, CodecError, Decode, Encode, Reader, MAX_COUNT};
-use fd_core::cm::DecayedCmHeavyHitters;
+use fd_core::cm::{CmCandidates, DecayedCmHeavyHitters};
 use fd_core::decay::{BackwardDecay, ForwardDecay};
+use fd_core::decayed::{self, Both, Numerators, Weighted};
 use fd_core::distinct::DominanceSketch;
 use fd_core::hash::mix64;
-use fd_core::heavy_hitters::{DecayedHeavyHitters, HeavyHitter, UnarySpaceSaving};
-use fd_core::quantiles::DecayedQuantiles;
+use fd_core::heavy_hitters::{
+    DecayedHeavyHitters, HeavyHitter, UnarySpaceSaving, WeightedSpaceSaving,
+};
+use fd_core::numerics::Renormalizer;
+use fd_core::quantiles::{DecayedQuantiles, QDigest};
 use fd_core::sampling::{
     BiasedReservoir, PrioritySampler, ReservoirSampler, WeightedReservoir, WithReplacementSampler,
 };
-use fd_core::{Mergeable, Timestamp};
+use fd_core::{Error, Mergeable, Timestamp};
 
-use crate::groups::{Cells, Store};
+use crate::groups::{Arrival, Cells, Store};
 use crate::tuple::{self, Packet};
 use crate::udaf::{put_framed, AggValue, Aggregator, AggregatorFactory, FnFactory, ItemValue};
 
@@ -114,56 +124,194 @@ fn bucket_seed(base: u64, bucket_start: Timestamp) -> u64 {
 // The adapter
 // ---------------------------------------------------------------------------
 
+/// How a query's groups weigh their arrivals, and so what the groups of one
+/// bucket share: nothing (`()`: the undecayed built-ins, and the samplers
+/// and count-distinct, which keep their own `g`), or the query's one
+/// forward decay `g` against the bucket's clock ([`Fwd`]).
+/// The defaults are the undecayed ones.
+trait Weighing<S>: Send + Sync + 'static {
+    /// What the groups of one bucket share.
+    type Clock: Clone + Send + 'static;
+    /// What an answer is given: the query time, or `g(t − L)`.
+    type Query;
+    fn clock(&self, bucket_start: Timestamp) -> Self::Clock;
+    fn arrive(&self, clock: &mut Self::Clock, t: Timestamp) -> (Arrival, Option<f64>);
+    fn query(&self, clock: &Self::Clock, t: f64) -> Self::Query;
+    fn put(&self, clock: &Self::Clock, state: &S, missed: &[f64], out: &mut Vec<u8>);
+    fn take(&self, bytes: &[u8]) -> Result<(Self::Clock, S), CodecError>;
+    fn scale(&self, _state: &mut S, _factor: f64) {}
+    fn join(&self, _: &mut Self::Clock, _: &Self::Clock) -> Option<(Option<f64>, Option<f64>)> {
+        Some((None, None))
+    }
+    /// The numeric contract of the weights over one bucket's horizon.
+    fn check(&self, _horizon_secs: f64) -> Result<(), Error> {
+        Ok(())
+    }
+}
+
+impl<S: Encode + Decode> Weighing<S> for () {
+    type Clock = ();
+    type Query = f64;
+    fn clock(&self, _: Timestamp) {}
+    fn arrive(&self, _: &mut (), t: Timestamp) -> (Arrival, Option<f64>) {
+        ((t, 1.0), None)
+    }
+    fn query(&self, _: &(), t: f64) -> f64 {
+        t
+    }
+    fn put(&self, _: &(), state: &S, _: &[f64], out: &mut Vec<u8>) {
+        state.put(out);
+    }
+    fn take(&self, bytes: &[u8]) -> Result<((), S), CodecError> {
+        Ok(((), from_bytes(bytes)?))
+    }
+}
+
+/// The query's one forward decay `g` (Definition 3), with its encoding,
+/// which every group's checkpoint bytes begin with, and whether the answer
+/// is a ratio of weights ([`check_horizon`](decayed::check_horizon)).
+struct Fwd<G> {
+    g: G,
+    g_bytes: Vec<u8>,
+    ratio: bool,
+}
+
+impl<G: ForwardDecay> Fwd<G> {
+    /// An answer that is a decayed sum: the count, the sum, an extremum.
+    fn new(g: G) -> Self {
+        let g_bytes = fd_core::checkpoint::to_bytes(&g);
+        Self {
+            g,
+            g_bytes,
+            ratio: false,
+        }
+    }
+
+    /// An answer that is a ratio of weights: an average, a variance, heavy
+    /// hitters' shares, quantiles' ranks.
+    fn ratio(g: G) -> Self {
+        Self {
+            ratio: true,
+            ..Self::new(g)
+        }
+    }
+}
+
+/// A bucket's clock: `g` anchored at the bucket start — exactly like the
+/// paper's `time % 60` — and the renormalizer that moves the landmark
+/// (Section VI-A). A group boxed out of the store takes a copy, and is
+/// again what a standalone decayed summary holds: `g`, a renormalizer and
+/// its state, in a box the size it always was (32 bytes smaller, the boxes
+/// of `fwd_quantiles` groups fragmented the heap: +6 MiB peak RSS).
+#[derive(Clone)]
+struct Clock<G> {
+    g: G,
+    renorm: Renormalizer,
+}
+
+impl<G: ForwardDecay, S: Numerators> Weighing<S> for Fwd<G> {
+    type Clock = Clock<G>;
+    type Query = Option<f64>;
+    fn clock(&self, bucket_start: Timestamp) -> Clock<G> {
+        let renorm = Renormalizer::new(bucket_start);
+        let g = self.g.clone();
+        Clock { g, renorm }
+    }
+    #[inline]
+    fn arrive(&self, clock: &mut Clock<G>, t: Timestamp) -> (Arrival, Option<f64>) {
+        let (t, w, moved) = decayed::arrive(&clock.g, &mut clock.renorm, t);
+        ((t, w), moved)
+    }
+    fn query(&self, clock: &Clock<G>, t: f64) -> Option<f64> {
+        decayed::denominator(&clock.g, &clock.renorm, t.into())
+    }
+    fn scale(&self, state: &mut S, factor: f64) {
+        state.scale(factor);
+    }
+    fn join(&self, ours: &mut Clock<G>, theirs: &Clock<G>) -> Option<(Option<f64>, Option<f64>)> {
+        ours.renorm.join(&ours.g, &theirs.renorm)
+    }
+    fn put(&self, clock: &Clock<G>, state: &S, missed: &[f64], out: &mut Vec<u8>) {
+        let put = |state: &S, out: &mut Vec<u8>| state.put_under(&clock.g, &clock.renorm, out);
+        if missed.is_empty() {
+            return put(state, out);
+        }
+        let mut state = state.clone();
+        missed.iter().for_each(|&factor| state.scale(factor));
+        put(&state, out);
+    }
+    fn take(&self, bytes: &[u8]) -> Result<(Clock<G>, S), CodecError> {
+        let mut r = Reader::new(bytes);
+        let (renorm, state) = S::take_under(&mut r, &self.g_bytes)?;
+        match r.remaining() {
+            0 => Ok((
+                Clock {
+                    g: self.g.clone(),
+                    renorm,
+                },
+                state,
+            )),
+            n => Err(CodecError::new(format!("{n} trailing bytes after a state"))),
+        }
+    }
+    fn check(&self, horizon_secs: f64) -> Result<(), Error> {
+        decayed::check_horizon(&self.g, horizon_secs, self.ratio)
+    }
+}
+
 /// What is the same for every group of a query: what the aggregate does
-/// with its per-group state `S`, and how a group's fresh state is built.
-/// The factory owns it once; the engine's by-value group store and every
-/// boxed [`Adapter`] point at it.
-struct Ops<S, U, X, F, E, N = ()> {
+/// with its per-group state `S`, how a group's fresh state is built, and
+/// how arrivals are weighed (`W`). The factory owns it once; the engine's
+/// by-value group store and every boxed [`Adapter`] point at it.
+struct Ops<S, U, X, F, E, N, W> {
     /// Which field of the tuple the aggregate reads (`|_| ()` for a count).
     extract: X,
-    /// Folds one arrival: `Fn(&mut S, &Packet, U)`.
+    /// Folds one arrival, its time and weight and the field read:
+    /// `Fn(&mut S, Arrival, U)`.
     feed: F,
     /// Folds one arrival carrying a Horvitz–Thompson scale. Giving one is
     /// what makes the factory [`scalable`](AggregatorFactory::scalable).
-    scaled: Option<fn(&mut S, &Packet, U, f64)>,
-    /// Answers at query time `t` (seconds): `Fn(&S, f64) -> AggValue`.
+    scaled: Option<fn(&mut S, Arrival, U, f64)>,
+    /// Answers at query time: `Fn(&S, W::Query) -> AggValue`.
     answer: E,
     /// The paper's space-per-group probe.
     space: fn(&S) -> usize,
-    /// A group's fresh state for the bucket starting at the given time —
-    /// a decayed summary's landmark, exactly like the paper's `time % 60`.
+    /// A group's fresh state for the bucket starting at the given time.
     fresh: N,
+    weigh: W,
 }
 
-/// One group's aggregation state, boxed: what `make` returns, and what a
-/// by-value group leaves the engine as in a [`crate::engine::ClosedGroup`].
-struct Adapter<S, U, X, F, E, N> {
-    state: S,
-    ops: Arc<Ops<S, U, X, F, E, N>>,
+/// One group's state boxed under its own clock: what `make` returns, and
+/// what a by-value group leaves the engine as in a
+/// [`crate::engine::ClosedGroup`], its bucket's clock moved in beside it.
+struct Adapter<K: Cells> {
+    clock: K::Clock,
+    cell: K::Cell,
+    cells: K,
 }
 
-impl<S, U, X, F, E> Ops<S, U, X, F, E>
-where
-    S: Mergeable + Encode + Decode + Send + 'static,
-    U: 'static,
-    X: Fn(&Packet) -> U + Send + Sync + 'static,
-    F: Fn(&mut S, &Packet, U) + Send + Sync + 'static,
-    E: Fn(&S, f64) -> AggValue + Send + Sync + 'static,
-{
-    /// An aggregate that does not scale, until [`scaled`](Self::scaled)
-    /// says how.
-    fn new(extract: X, feed: F, answer: E, space: fn(&S) -> usize) -> Self {
-        Self {
+impl<S, U, X, F, E, W> Ops<S, U, X, F, E, (), W> {
+    /// An aggregate weighed by `weigh` that does not scale, until
+    /// [`scaled`](Self::scaled) says how.
+    fn new(weigh: W, extract: X, feed: F, answer: E, space: fn(&S) -> usize) -> Self
+    where
+        W: Weighing<S>,
+        X: Fn(&Packet) -> U,
+        F: Fn(&mut S, Arrival, U),
+        E: Fn(&S, W::Query) -> AggValue,
+    {
+        Ops {
             extract,
             feed,
             scaled: None,
             answer,
             space,
             fresh: (),
+            weigh,
         }
     }
 
-    fn scaled(mut self, scaled: fn(&mut S, &Packet, U, f64)) -> Self {
+    fn scaled(mut self, scaled: fn(&mut S, Arrival, U, f64)) -> Self {
         self.scaled = Some(scaled);
         self
     }
@@ -173,7 +321,8 @@ where
     /// boxes one state in an [`Adapter`].
     fn factory<N>(self, name: &str, splittable: bool, fresh: N) -> Arc<FnFactory>
     where
-        N: Fn(Timestamp) -> S + Send + Sync + 'static,
+        Arc<Ops<S, U, X, F, E, N, W>>: Cells<Cell = S> + Sync,
+        W: Weighing<S>,
     {
         let ops = Arc::new(Ops {
             extract: self.extract,
@@ -182,45 +331,62 @@ where
             answer: self.answer,
             space: self.space,
             fresh,
+            weigh: self.weigh,
         });
-        let boxing = Arc::clone(&ops);
-        FnFactory::by_value(
+        let (boxing, checking) = (Arc::clone(&ops), Arc::clone(&ops));
+        FnFactory::built(
             name,
             splittable,
             ops.scaled.is_some(),
-            move |bucket_start| boxing.boxed(boxing.make(bucket_start)),
-            move |query| Box::new(Store::new(Arc::clone(&ops), query)),
+            move |start| boxing.boxed(boxing.clock(start), boxing.make(start)),
+            Some(Box::new(move |query| {
+                Box::new(Store::new(Arc::clone(&ops), query))
+            })),
+            Some(Box::new(move |horizon| checking.weigh.check(horizon))),
         )
     }
 }
 
-/// The by-value cells: a group is its bare state `S`. These bodies are the
-/// aggregate's one definition — the boxed [`Adapter`] calls them too.
-impl<S, U, X, F, E, N> Cells for Arc<Ops<S, U, X, F, E, N>>
+/// The by-value cells: a group is its bare state `S`, its clock its
+/// bucket's. These bodies are the aggregate's one definition — the boxed
+/// [`Adapter`] calls them too.
+impl<S, U, X, F, E, N, W> Cells for Arc<Ops<S, U, X, F, E, N, W>>
 where
-    S: Mergeable + Encode + Decode + Send + 'static,
+    S: Mergeable + Send + 'static,
     U: 'static,
     X: Fn(&Packet) -> U + Send + Sync + 'static,
-    F: Fn(&mut S, &Packet, U) + Send + Sync + 'static,
-    E: Fn(&S, f64) -> AggValue + Send + Sync + 'static,
+    F: Fn(&mut S, Arrival, U) + Send + Sync + 'static,
+    E: Fn(&S, W::Query) -> AggValue + Send + Sync + 'static,
     N: Fn(Timestamp) -> S + Send + Sync + 'static,
+    W: Weighing<S>,
 {
     type Cell = S;
+    type Clock = W::Clock;
+    fn clock(&self, bucket_start: tuple::Micros) -> W::Clock {
+        self.weigh.clock(tuple::timestamp(bucket_start))
+    }
     #[inline]
     fn make(&self, bucket_start: tuple::Micros) -> S {
         (self.fresh)(tuple::timestamp(bucket_start))
     }
     #[inline]
-    fn update(&self, state: &mut S, pkt: &Packet) {
-        (self.feed)(state, pkt, (self.extract)(pkt));
+    fn arrive(&self, clock: &mut W::Clock, pkt: &Packet) -> (Arrival, Option<f64>) {
+        self.weigh.arrive(clock, pkt.timestamp())
+    }
+    fn rescale(&self, state: &mut S, factor: f64) {
+        self.weigh.scale(state, factor);
     }
     #[inline]
-    fn update_scaled(&self, state: &mut S, pkt: &Packet, scale: f64) {
+    fn update(&self, state: &mut S, pkt: &Packet, at: Arrival) {
+        (self.feed)(state, at, (self.extract)(pkt));
+    }
+    #[inline]
+    fn update_scaled(&self, state: &mut S, pkt: &Packet, at: Arrival, scale: f64) {
         match self.scaled {
-            Some(scaled) => scaled(state, pkt, (self.extract)(pkt), scale),
+            Some(scaled) => scaled(state, at, (self.extract)(pkt), scale),
             // Only ever a unit scale: the engine refuses any other for a
             // factory that is not `scalable()`.
-            None => self.update(state, pkt),
+            None => self.update(state, pkt, at),
         }
     }
     #[inline]
@@ -228,70 +394,98 @@ where
         into.merge_from(&from);
     }
     #[inline]
-    fn emit(&self, state: &S, t: f64) -> AggValue {
-        (self.answer)(state, t)
+    fn emit(&self, clock: &W::Clock, state: &S, t: f64) -> AggValue {
+        (self.answer)(state, self.weigh.query(clock, t))
     }
     #[inline]
     fn size(&self, state: &S) -> usize {
         (self.space)(state)
     }
-    /// The summary state alone: closures and query-time parameters
-    /// (extractors, φ, the backward decay) are the factory's to recreate.
-    fn put(&self, state: &S, out: &mut Vec<u8>) -> Option<()> {
-        state.put(out);
+    /// The summary state alone, under its clock: closures and query-time
+    /// parameters (extractors, φ, the backward decay) are the factory's to
+    /// recreate.
+    fn put(&self, clock: &W::Clock, state: &S, missed: &[f64], out: &mut Vec<u8>) -> Option<()> {
+        self.weigh.put(clock, state, missed, out);
         Some(())
     }
-    /// The state alone, landmark included: the bucket start is not needed.
-    fn take(&self, _: tuple::Micros, bytes: &[u8]) -> Result<S, CodecError> {
-        from_bytes(bytes)
+    /// The state and its clock, landmark included: the bucket start is not
+    /// needed.
+    fn take(&self, _: tuple::Micros, bytes: &[u8]) -> Result<(W::Clock, S), CodecError> {
+        self.weigh.take(bytes)
     }
-    fn boxed(&self, state: S) -> Box<dyn Aggregator> {
+    fn join(&self, ours: &mut W::Clock, theirs: &W::Clock) -> Option<(Option<f64>, Option<f64>)> {
+        self.weigh.join(ours, theirs)
+    }
+    fn boxed(&self, clock: W::Clock, cell: S) -> Box<dyn Aggregator> {
         Box::new(Adapter {
-            state,
-            ops: Arc::clone(self),
+            clock,
+            cell,
+            cells: Arc::clone(self),
         })
     }
 }
 
-impl<S, U, X, F, E, N> Aggregator for Adapter<S, U, X, F, E, N>
-where
-    Arc<Ops<S, U, X, F, E, N>>: Cells<Cell = S>,
-    S: Mergeable + Send + 'static,
-    U: 'static,
-    X: Send + Sync + 'static,
-    F: Send + Sync + 'static,
-    E: Send + Sync + 'static,
-    N: Send + Sync + 'static,
-{
+impl<K: Cells> Adapter<K> {
+    /// A tuple's arrival under the group's own clock.
+    #[inline]
+    fn arrive(&mut self, pkt: &Packet) -> Arrival {
+        let (at, moved) = self.cells.arrive(&mut self.clock, pkt);
+        if let Some(factor) = moved {
+            self.cells.rescale(&mut self.cell, factor);
+        }
+        at
+    }
+}
+
+impl<K: Cells> Aggregator for Adapter<K> {
     #[inline]
     fn update(&mut self, pkt: &Packet) {
-        self.ops.update(&mut self.state, pkt);
+        let at = self.arrive(pkt);
+        self.cells.update(&mut self.cell, pkt, at);
     }
     fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-        self.ops.update_scaled(&mut self.state, pkt, scale);
+        let at = self.arrive(pkt);
+        self.cells.update_scaled(&mut self.cell, pkt, at, scale);
     }
+    /// Aligns the two clocks — whichever is older is re-expressed against
+    /// the newer — then merges the states.
     fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
         let other = other
             .as_any_box()
             .downcast::<Self>()
             .expect("aggregator type mismatch");
-        self.state.merge_from(&other.state);
+        let Adapter {
+            clock, mut cell, ..
+        } = *other;
+        let (ours, theirs) =
+            (self.cells.join(&mut self.clock, &clock)).expect("summaries must share a landmark");
+        if let Some(factor) = ours {
+            self.cells.rescale(&mut self.cell, factor);
+        }
+        if let Some(factor) = theirs {
+            self.cells.rescale(&mut cell, factor);
+        }
+        self.cells.merge(&mut self.cell, cell);
     }
     fn emit(&self, t: f64) -> AggValue {
-        self.ops.emit(&self.state, t)
+        self.cells.emit(&self.clock, &self.cell, t)
     }
     fn size_bytes(&self) -> usize {
-        self.ops.size(&self.state)
+        self.cells.size(&self.cell)
     }
     fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
         self
     }
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        self.ops.put(&self.state, out)
+        self.cells.put(&self.clock, &self.cell, &[], out)
     }
+    /// The state and the clock it was written under, which must share this
+    /// fresh one's landmark.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        // The state carries its landmark; `take` needs no bucket start.
-        self.state = self.ops.take(0, bytes)?;
+        let (theirs, cell) = self.cells.take(0, bytes)?;
+        (self.cells.join(&mut self.clock, &theirs))
+            .ok_or_else(|| CodecError::new("a state of another bucket"))?;
+        (self.clock, self.cell) = (theirs, cell);
         Ok(())
     }
 }
@@ -335,6 +529,7 @@ impl Mergeable for Count {
 /// Undecayed `count(*)` — the GSQL built-in of the paper's baseline query.
 pub fn count_factory() -> Arc<FnFactory> {
     Ops::new(
+        (),
         |_| (),
         |c: &mut Count, _, ()| c.n += 1,
         |c, _| AggValue::Float(c.n as f64),
@@ -347,6 +542,7 @@ pub fn count_factory() -> Arc<FnFactory> {
 /// Undecayed `sum(expr)` over a tuple field.
 pub fn sum_factory(val: impl Fn(&Packet) -> f64 + Send + Sync + 'static) -> Arc<FnFactory> {
     Ops::new(
+        (),
         val,
         |sum: &mut f64, _, v| *sum += v,
         |sum, _| AggValue::Float(*sum),
@@ -360,20 +556,35 @@ pub fn sum_factory(val: impl Fn(&Packet) -> f64 + Send + Sync + 'static) -> Arc<
 // Forward-decayed scalar aggregates (splittable)
 // ---------------------------------------------------------------------------
 
+/// A summary's decayed answer over the denominator `g(t − L)`, empty where
+/// that is undefined: what [`Decayed::query`](fd_core::Decayed::query)
+/// answers.
+fn over<S: Weighted>(state: &S, denom: Option<f64>) -> S::Output {
+    denom.map(|d| state.over(d)).unwrap_or_default()
+}
+
+/// An average's sum and count under one clock.
+type Mean = Both<Accumulator<f64>, Accumulator<()>>;
+
+/// What [`DecayedAverage::query`] answers: `None` without weight.
+fn mean(Both(sum, count): &Mean, denom: Option<f64>) -> Option<f64> {
+    let c = over(count, denom);
+    (c != 0.0).then(|| over(sum, denom) / c)
+}
+
 /// Forward-decayed count (Theorem 1); splittable across LFTA/HFTA.
 pub fn fwd_count_factory<G: ForwardDecay>(g: G) -> Arc<FnFactory> {
     Ops::new(
+        Fwd::new(g),
         |_| (),
-        |s: &mut DecayedCount<G>, p, ()| s.update(p.timestamp()),
-        |s, t| AggValue::Float(s.query(t)),
+        |s: &mut Accumulator<()>, (t, w), ()| s.add(t, (), w),
+        |s, d| AggValue::Float(over(s, d)),
         // The paper: "forward decay stores 8 byte floating point
         // values".
         |_| 8,
     )
-    .scaled(|s, p, (), w| s.update_weighted(p.timestamp(), w))
-    .factory("fwd_count", true, move |start| {
-        DecayedCount::new(g.clone(), start)
-    })
+    .scaled(|s, (t, w), (), scale| s.add(t, (), w * scale))
+    .factory("fwd_count", true, Accumulator::new)
 }
 
 /// Forward-decayed sum over a tuple field (Theorem 1); splittable.
@@ -382,15 +593,14 @@ pub fn fwd_sum_factory<G: ForwardDecay>(
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        Fwd::new(g),
         val,
-        |s: &mut DecayedSum<G>, p, v| s.update(p.timestamp(), v),
-        |s, t| AggValue::Float(s.query(t)),
+        |s: &mut Accumulator<f64>, (t, w), v| s.add(t, v, w),
+        |s, d| AggValue::Float(over(s, d)),
         |_| 8,
     )
-    .scaled(|s, p, v, w| s.update_weighted(p.timestamp(), v, w))
-    .factory("fwd_sum", true, move |start| {
-        DecayedSum::new(g.clone(), start)
-    })
+    .scaled(|s, (t, w), v, scale| s.add(t, v * scale, w))
+    .factory("fwd_sum", true, Accumulator::new)
 }
 
 /// Forward-decayed average of a tuple field (Definition 5); splittable.
@@ -399,20 +609,29 @@ pub fn fwd_avg_factory<G: ForwardDecay>(
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
-        // The field to read, how one arrival folds in, the answer when the
-        // bucket closes at `t`, and the space probe: two 8-byte accumulators.
+        // The query's one `g`, the field to read, how one arrival — its
+        // time and static weight `g(tᵢ − L)` — folds into a sum and a
+        // count, the answer over `g(t − L)` when the bucket closes, and the
+        // space probe: two 8-byte accumulators.
+        Fwd::ratio(g),
         val,
-        |s: &mut DecayedAverage<G>, p, v| s.update(p.timestamp(), v),
-        |s, t| AggValue::Float(s.query(t).unwrap_or(f64::NAN)),
+        |s: &mut Mean, (t, w), v| {
+            s.0.add(t, v, w);
+            s.1.add(t, (), w);
+        },
+        |s, d| AggValue::Float(mean(s, d).unwrap_or(f64::NAN)),
         |_| 16,
     )
     // Linear in each tuple, so a 1/p scale keeps it unbiased; saying how is
     // what makes the factory `scalable()`.
-    .scaled(|s, p, v, w| s.update_weighted(p.timestamp(), v, w))
-    // Splittable — partial averages merge exactly — with the bucket start
-    // as the landmark of each group's fresh state.
-    .factory("fwd_avg", true, move |start| {
-        DecayedAverage::new(g.clone(), start)
+    .scaled(|s, (t, w), v, scale| {
+        s.0.add(t, v * scale, w);
+        s.1.add(t, (), w * scale);
+    })
+    // Splittable — partial averages merge exactly — and each group's fresh
+    // state is two empty accumulators under its bucket's clock.
+    .factory("fwd_avg", true, |start| {
+        Both(Accumulator::new(start), Accumulator::new(start))
     })
 }
 
@@ -422,29 +641,40 @@ pub fn fwd_var_factory<G: ForwardDecay>(
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        Fwd::ratio(g),
         val,
-        |s: &mut DecayedVariance<G>, p, v| s.update(p.timestamp(), v),
-        |s, t| AggValue::Float(s.query(t).unwrap_or(f64::NAN)),
+        |s: &mut Both<Accumulator<f64>, Mean>, (t, w), v| {
+            s.0.add(t, v * v, w);
+            s.1 .0.add(t, v, w);
+            s.1 .1.add(t, (), w);
+        },
+        |Both(sum_sq, m), d| {
+            let var = |a: f64| (over(sum_sq, d) / over(&m.1, d) - a * a).max(0.0);
+            AggValue::Float(mean(m, d).map_or(f64::NAN, var))
+        },
         |_| 24,
     )
-    .factory("fwd_var", true, move |start| {
-        DecayedVariance::new(g.clone(), start)
+    .factory("fwd_var", true, |start| {
+        let mean = Both(Accumulator::new(start), Accumulator::new(start));
+        Both(Accumulator::new(start), mean)
     })
 }
 
 /// A forward-decayed extremum, `new` choosing which.
 fn fwd_ext_factory<G: ForwardDecay>(
     name: &str,
-    new: impl Fn(Timestamp) -> DecayedExtremum<G> + Send + Sync + 'static,
+    new: fn() -> Extremal,
+    g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        Fwd::new(g),
         val,
-        |s: &mut DecayedExtremum<G>, p, v| s.update(p.timestamp(), v),
-        |s, t| AggValue::Float(s.query(t).map_or(f64::NAN, |(v, _, _)| v)),
+        |s: &mut Extremal, (t, w), v| s.add(t, v, w),
+        |s, d| AggValue::Float(over(s, d).map_or(f64::NAN, |(v, _, _)| v)),
         |_| 24,
     )
-    .factory(name, true, new)
+    .factory(name, true, move |_| new())
 }
 
 /// Forward-decayed maximum of a tuple field (Definition 6); splittable.
@@ -452,8 +682,7 @@ pub fn fwd_max_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let new = move |start| DecayedExtremum::max(g.clone(), start);
-    fwd_ext_factory("fwd_max", new, val)
+    fwd_ext_factory("fwd_max", Extremal::max, g, val)
 }
 
 /// Forward-decayed minimum of a tuple field (Definition 6); splittable.
@@ -461,8 +690,7 @@ pub fn fwd_min_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let new = move |start| DecayedExtremum::min(g.clone(), start);
-    fwd_ext_factory("fwd_min", new, val)
+    fwd_ext_factory("fwd_min", Extremal::min, g, val)
 }
 
 // ---------------------------------------------------------------------------
@@ -473,8 +701,9 @@ pub fn fwd_min_factory<G: ForwardDecay>(
 /// decay function is applied at query time (Cohen–Strauss). High-level only.
 pub fn eh_count_factory(epsilon: f64, back: DynBackward) -> Arc<FnFactory> {
     Ops::new(
+        (),
         |_| (),
-        |s: &mut ExponentialHistogram, p, ()| s.insert(p.timestamp()),
+        |s: &mut ExponentialHistogram, (t, _), ()| s.insert(t),
         move |s, t| AggValue::Float(s.decayed_query(&back, t)),
         ExponentialHistogram::size_bytes,
     )
@@ -491,8 +720,9 @@ pub fn eh_sum_factory(
     val: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         val,
-        |s: &mut ExponentialHistogram, p, v| s.insert_value(p.timestamp(), v.max(1)),
+        |s: &mut ExponentialHistogram, (t, _), v| s.insert_value(t, v.max(1)),
         move |s, t| AggValue::Float(s.decayed_query(&back, t)),
         ExponentialHistogram::size_bytes,
     )
@@ -513,6 +743,7 @@ pub fn unary_hh_factory(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
         |s: &mut UnarySpaceSaving, _, item| s.update(item),
         move |s, _| hitters(s.heavy_hitters(phi)),
@@ -532,13 +763,15 @@ pub fn fwd_hh_factory<G: ForwardDecay>(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        Fwd::ratio(g),
         item,
-        |s: &mut DecayedHeavyHitters<G>, p, item| s.update(p.timestamp(), item),
-        move |s, t| hitters(s.heavy_hitters(phi, t)),
-        DecayedHeavyHitters::size_bytes,
+        |s: &mut WeightedSpaceSaving, (t, w), item| s.add(t, item, w),
+        move |s, d| hitters(s.heavy_hitters_over(phi, d)),
+        // As the standalone summary counts itself, clock included.
+        |s| s.size_bytes() + std::mem::size_of::<DecayedHeavyHitters<G>>(),
     )
-    .factory("fwd_hh", false, move |start| {
-        DecayedHeavyHitters::with_epsilon(g.clone(), start, epsilon)
+    .factory("fwd_hh", false, move |_| {
+        WeightedSpaceSaving::with_epsilon(epsilon)
     })
 }
 
@@ -553,8 +786,9 @@ pub fn sw_hh_factory(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
-        |s: &mut SlidingWindowHH, p, item| s.update(p.timestamp(), item),
+        |s: &mut SlidingWindowHH, (t, _), item| s.update(t, item),
         move |s, t| hitters(s.heavy_hitters(&back, t, phi)),
         SlidingWindowHH::size_bytes,
     )
@@ -574,20 +808,14 @@ pub fn cm_hh_factory<G: ForwardDecay>(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        Fwd::ratio(g),
         item,
-        |s: &mut DecayedCmHeavyHitters<G>, p, item| s.update(p.timestamp(), item),
-        |s, t| hitters(s.heavy_hitters(t)),
-        DecayedCmHeavyHitters::size_bytes,
+        |s: &mut CmCandidates, (t, w), item| s.add(t, item, w),
+        |s, d| hitters(s.heavy_hitters_over(d)),
+        |s| s.size_bytes() + std::mem::size_of::<DecayedCmHeavyHitters<G>>(),
     )
     .factory("cm_hh", false, move |start| {
-        DecayedCmHeavyHitters::new(
-            g.clone(),
-            start,
-            phi,
-            epsilon,
-            0.01,
-            bucket_seed(seed, start),
-        )
+        CmCandidates::new(phi, epsilon, 0.01, bucket_seed(seed, start))
     })
 }
 
@@ -603,8 +831,9 @@ pub fn prefix_hh_factory(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
-        |s: &mut PrefixBackwardHH, p, item| s.update(p.timestamp(), item),
+        |s: &mut PrefixBackwardHH, (t, _), item| s.update(t, item),
         move |s, t| hitters(s.heavy_hitters(&back, t, phi)),
         PrefixBackwardHH::size_bytes,
     )
@@ -624,6 +853,7 @@ pub fn reservoir_factory(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
         |s: &mut ReservoirSampler<u64>, _, item| s.update(item),
         |s, _| sampled(s.sample().iter().copied()),
@@ -643,8 +873,9 @@ pub fn pri_sample_factory<G: ForwardDecay>(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
-        |s: &mut PrioritySampler<u64, G>, p, item| s.update(p.timestamp(), &item),
+        |s: &mut PrioritySampler<u64, G>, (t, _), item| s.update(t, &item),
         |s, _| sampled(s.sample().iter().map(|e| e.item)),
         |s| s.capacity() * 32 + 64,
     )
@@ -662,8 +893,9 @@ pub fn wrs_factory<G: ForwardDecay>(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
-        |s: &mut WeightedReservoir<u64, G>, p, item| s.update(p.timestamp(), &item),
+        |s: &mut WeightedReservoir<u64, G>, (t, _), item| s.update(t, &item),
         |s, _| sampled(s.sample().iter().map(|e| e.item)),
         |s| s.capacity() * 32 + 64,
     )
@@ -681,8 +913,9 @@ pub fn with_replacement_factory<G: ForwardDecay>(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
-        |s: &mut WithReplacementSampler<u64, G>, p, item| s.update(p.timestamp(), &item),
+        |s: &mut WithReplacementSampler<u64, G>, (t, _), item| s.update(t, &item),
         |s, _| sampled(s.sample().into_iter().copied()),
         |s| s.capacity() * 16 + 48,
     )
@@ -699,6 +932,7 @@ pub fn biased_reservoir_factory(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
         |s: &mut BiasedReservoir<u64>, _, item| s.update(item),
         |s, _| sampled(s.sample().iter().copied()),
@@ -725,16 +959,18 @@ pub fn fwd_quantile_factory<G: ForwardDecay>(
     val: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        Fwd::ratio(g),
         val,
-        |s: &mut DecayedQuantiles<G>, p, v| {
+        |s: &mut QDigest, (t, w), v| {
             // A value past the domain counts as the largest one: the
             // digest asserts its domain, and a panic here would take
             // the worker down on every replay of the tuple.
-            let top = s.inner().domain() - 1;
-            s.update(p.timestamp(), v.min(top));
+            let top = s.domain() - 1;
+            s.add(t, v.min(top), w);
         },
-        move |s, t| {
-            let found = s.quantiles(&phis, t);
+        // The `g(t − L)` factor cancels between rank and count.
+        move |s, _| {
+            let found = s.quantiles(&phis);
             AggValue::Items(
                 phis.iter()
                     .zip(found)
@@ -742,10 +978,10 @@ pub fn fwd_quantile_factory<G: ForwardDecay>(
                     .collect(),
             )
         },
-        DecayedQuantiles::size_bytes,
+        |s| s.size_bytes() + std::mem::size_of::<DecayedQuantiles<G>>(),
     )
-    .factory("fwd_quantiles", false, move |start| {
-        DecayedQuantiles::new(g.clone(), start, bits, epsilon)
+    .factory("fwd_quantiles", false, move |_| {
+        QDigest::with_epsilon(bits, epsilon)
     })
 }
 
@@ -759,8 +995,9 @@ pub fn distinct_factory<G: ForwardDecay>(
     item: impl Fn(&Packet) -> u64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
     Ops::new(
+        (),
         item,
-        |s: &mut DominanceSketch<G>, p, item| s.update(p.timestamp(), item),
+        |s: &mut DominanceSketch<G>, (t, _), item| s.update(t, item),
         |s, t| AggValue::Float(s.query(t)),
         DominanceSketch::size_bytes,
     )
@@ -854,11 +1091,21 @@ pub fn multi_factory(parts: Vec<Arc<FnFactory>>) -> Arc<FnFactory> {
     let name = parts.iter().map(|p| p.name()).collect::<Vec<_>>().join("+");
     let splittable = parts.iter().all(|p| p.splittable());
     let scalable = parts.iter().all(|p| p.scalable());
-    FnFactory::with_scaling(name, splittable, scalable, move |bucket_start| {
+    let checked = parts.clone();
+    let make = move |bucket_start| -> Box<dyn Aggregator> {
         Box::new(MultiAgg {
             parts: parts.iter().map(|p| p.make(bucket_start)).collect(),
         })
-    })
+    };
+    let horizon = move |h| checked.iter().try_for_each(|p| p.check_horizon(h));
+    FnFactory::built(
+        name,
+        splittable,
+        scalable,
+        make,
+        None,
+        Some(Box::new(horizon)),
+    )
 }
 
 #[cfg(test)]
@@ -1112,6 +1359,22 @@ mod tests {
         };
         // EH merge is approximate: same epsilon bound as a single histogram.
         assert!((merged - expected).abs() <= 0.1 * expected + 1e-9);
+    }
+
+    #[test]
+    fn a_decayed_cell_is_its_numerators_alone() {
+        // `g` is the query's and the clock its bucket's: the cells of the
+        // group store (an LFTA slot holds one as an optional partial) carry
+        // neither. With both, `fwd_sum`'s cell was 72 bytes, its page entry
+        // 80 and its LFTA slot 88.
+        use crate::lfta::Partial;
+        use std::mem::size_of;
+        type Sum = Accumulator<f64>;
+        assert!(size_of::<Sum>() <= 24, "fwd_sum cell");
+        assert!(size_of::<(u64, Sum)>() <= 32, "fwd_sum page entry");
+        assert!(size_of::<Option<Partial<Sum>>>() <= 48, "fwd_sum LFTA slot");
+        assert!(size_of::<Mean>() <= 48, "fwd_avg cell");
+        assert!(size_of::<Both<Sum, Mean>>() <= 72, "fwd_var cell");
     }
 
     #[test]

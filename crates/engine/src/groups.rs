@@ -8,10 +8,11 @@
 //! There are exactly two instantiations of that code, picked by the
 //! factory through [`AggregatorFactory::group_store`]:
 //! - **By value.** The built-in factories' cell is the bare fd-core summary
-//!   (or the bare count / `f64` of the undecayed built-ins). The store holds
-//!   the factory's `Ops` once, so a new group is its state built in place —
-//!   no `make`, no box, no `Arc` clone — and a closed one is freed with its
-//!   bucket (see [`crate::aggregators`]).
+//!   (or the bare count / `f64` of the undecayed built-ins); a decayed one
+//!   is only its static numerators. The store holds the factory's `Ops`
+//!   once — with the query's one `g` — so a new group is its state built in
+//!   place — no `make`, no box, no `Arc` clone — and a closed one is freed
+//!   with its bucket (see [`crate::aggregators`]).
 //! - **Boxed** ([`Boxed`], the default). A hand-written UDAF's cell is the
 //!   `Box<dyn Aggregator>` its factory's `make` builds, as is
 //!   `multi_factory`'s composite.
@@ -26,10 +27,11 @@
 //! one to three in practice — so the buckets sit in a short vector ordered
 //! by id and a lookup is a scan of it. A bucket keeps its cells dense, in
 //! small pages ([`page_len`]), and an open-addressing [`Index`] from `u64`
-//! group key to cell, probed from its [`mix64`] hash. Both start at the
-//! population of the bucket that closed last, which is the best available
-//! estimate of its own: an over-estimate is bounded by what a bucket
-//! really held (never a constant), an under-estimate grows by doubling.
+//! group key to cell, probed from its [`mix64`] hash. Both start, when the
+//! bucket's first group arrives, at the population of the bucket that
+//! closed last, which is the best available estimate of its own: an
+//! over-estimate is bounded by what a bucket really held (never a
+//! constant), an under-estimate grows by doubling.
 //!
 //! **Batched fold.** A run folds in two passes. The LFTA pass folds its
 //! tuples in order, requesting the slot of the tuple [`AHEAD`] places on,
@@ -41,6 +43,19 @@
 //! bucket far past the cache costs the next groups' misses in flight, not
 //! two dependent ones each. An unsplit store runs the same pipeline over
 //! the run. The [`prefetch`] hints change no result.
+//!
+//! **One clock per bucket.** What every cell of a bucket shares — a
+//! decayed aggregate's landmark and renormalizer, [`Cells::Clock`] — the
+//! bucket holds once. Each tuple is weighed against its bucket's clock
+//! before it folds, LFTA or not, so a bucket opens with its first tuple. If
+//! an arrival moves an exponential `g`'s clock (Section VI-A), the bucket
+//! records the move and every cell under the clock — its groups, its LFTA
+//! residents, its partials awaiting absorption — takes it lazily
+//! ([`Moves`]), when the store next reaches the cell: a move costs the
+//! cells reached, not the bucket's population. A checkpoint writes each
+//! cell under its bucket's clock, as its standalone summary is written; a
+//! restored cell's clock is joined into its bucket's, aligning whichever
+//! side is behind, as a merge does.
 //!
 //! **Move-in.** The first partial the LFTA releases for a group *is* that
 //! group's high-level state and moves in as it stands — a plain copy of the
@@ -61,6 +76,7 @@ use std::sync::Arc;
 
 use fd_core::checkpoint::{CodecError, Decode, Encode, Reader};
 use fd_core::hash::mix64;
+use fd_core::Timestamp;
 
 #[cfg(doc)]
 use crate::engine::Engine;
@@ -100,66 +116,111 @@ pub(crate) fn prefetch<T>(t: &T) {
     let _ = t;
 }
 
+/// An arrival as a decayed cell takes it: its time, clamped to the
+/// landmark, and its static weight `g(tᵢ − L)` against its bucket's clock.
+pub(crate) type Arrival = (Timestamp, f64);
+
 /// What the store does to a cell, once per query: the one seam between
 /// the generic store and an aggregate.
 pub(crate) trait Cells: Send + 'static {
     /// A group's state as the store holds it.
-    type Cell: Send;
+    type Cell: Send + 'static;
+    /// What every group of a bucket shares, held once by the bucket: a
+    /// decayed aggregate's clock (its `g` anchored at the bucket start, and
+    /// a `Renormalizer`), `()` for every other.
+    type Clock: Clone + Send + 'static;
+    /// The clock of the bucket starting at `bucket_start`.
+    fn clock(&self, bucket_start: Micros) -> Self::Clock;
     /// A fresh group's state for the bucket starting at `bucket_start`.
     fn make(&self, bucket_start: Micros) -> Self::Cell;
+    /// A tuple's arrival under `clock`, and the factor every cell under the
+    /// clock must be multiplied by first if the tuple moved its landmark
+    /// (Section VI-A).
+    fn arrive(&self, clock: &mut Self::Clock, pkt: &Packet) -> (Arrival, Option<f64>);
+    /// Multiplies every weight a cell stores by `factor`.
+    fn rescale(&self, _cell: &mut Self::Cell, _factor: f64) {}
     /// Folds one tuple in.
-    fn update(&self, cell: &mut Self::Cell, pkt: &Packet);
+    fn update(&self, cell: &mut Self::Cell, pkt: &Packet, at: Arrival);
     /// Folds one tuple in with a Horvitz–Thompson scale (only a scalable
     /// aggregate sees one that is not `1.0`).
-    fn update_scaled(&self, cell: &mut Self::Cell, pkt: &Packet, scale: f64);
-    /// Absorbs a partial of the same group.
+    fn update_scaled(&self, cell: &mut Self::Cell, pkt: &Packet, at: Arrival, scale: f64);
+    /// Absorbs a partial of the same group, under the same clock.
     fn merge(&self, into: &mut Self::Cell, from: Self::Cell);
     /// The answer at query time `t` (seconds).
-    fn emit(&self, cell: &Self::Cell, t: f64) -> AggValue;
+    fn emit(&self, clock: &Self::Clock, cell: &Self::Cell, t: f64) -> AggValue;
     /// The paper's space-per-group probe.
     fn size(&self, cell: &Self::Cell) -> usize;
-    /// Appends the state's checkpoint bytes; `None` if it declines.
-    fn put(&self, cell: &Self::Cell, out: &mut Vec<u8>) -> Option<()>;
+    /// Appends the state's checkpoint bytes, written as its standalone
+    /// summary under `clock` once scaled by the moves it has `missed`;
+    /// `None` if it declines.
+    fn put(
+        &self,
+        clock: &Self::Clock,
+        cell: &Self::Cell,
+        missed: &[f64],
+        out: &mut Vec<u8>,
+    ) -> Option<()>;
     /// Reads back what [`put`](Self::put) wrote, for a group of the bucket
-    /// starting at `bucket_start`.
-    fn take(&self, bucket_start: Micros, bytes: &[u8]) -> Result<Self::Cell, CodecError>;
-    /// The cell as the [`Aggregator`] a [`ClosedGroup`] carries.
-    fn boxed(&self, cell: Self::Cell) -> Box<dyn Aggregator>;
+    /// starting at `bucket_start`: the cell and the clock it was written
+    /// under.
+    fn take(
+        &self,
+        bucket_start: Micros,
+        bytes: &[u8],
+    ) -> Result<(Self::Clock, Self::Cell), CodecError>;
+    /// Moves `ours` to the newer landmark of the two: the factors the cells
+    /// under `ours` and under `theirs` must be multiplied by, or `None` if
+    /// the clocks began at different landmarks.
+    fn join(
+        &self,
+        _ours: &mut Self::Clock,
+        _theirs: &Self::Clock,
+    ) -> Option<(Option<f64>, Option<f64>)> {
+        Some((None, None))
+    }
+    /// The cell, under `clock`, as the [`Aggregator`] a [`ClosedGroup`]
+    /// carries.
+    fn boxed(&self, clock: Self::Clock, cell: Self::Cell) -> Box<dyn Aggregator>;
 }
 
 /// The boxed instantiation: a `Box<dyn Aggregator>` per group from the
-/// factory's `make`.
+/// factory's `make`, which keeps its own clock.
 struct Boxed(Arc<dyn AggregatorFactory>);
 
 impl Cells for Boxed {
     type Cell = Box<dyn Aggregator>;
+    type Clock = ();
+    fn clock(&self, _: Micros) {}
     fn make(&self, bucket_start: Micros) -> Self::Cell {
         self.0.make(bucket_start)
     }
-    fn update(&self, cell: &mut Self::Cell, pkt: &Packet) {
+    fn arrive(&self, _: &mut (), _: &Packet) -> (Arrival, Option<f64>) {
+        ((Timestamp::ZERO, 1.0), None)
+    }
+    fn update(&self, cell: &mut Self::Cell, pkt: &Packet, _: Arrival) {
         cell.update(pkt);
     }
-    fn update_scaled(&self, cell: &mut Self::Cell, pkt: &Packet, scale: f64) {
+    fn update_scaled(&self, cell: &mut Self::Cell, pkt: &Packet, _: Arrival, scale: f64) {
         cell.update_scaled(pkt, scale);
     }
     fn merge(&self, into: &mut Self::Cell, from: Self::Cell) {
         into.merge_boxed(from);
     }
-    fn emit(&self, cell: &Self::Cell, t: f64) -> AggValue {
+    fn emit(&self, _: &(), cell: &Self::Cell, t: f64) -> AggValue {
         cell.emit(t)
     }
     fn size(&self, cell: &Self::Cell) -> usize {
         cell.size_bytes()
     }
-    fn put(&self, cell: &Self::Cell, out: &mut Vec<u8>) -> Option<()> {
+    fn put(&self, _: &(), cell: &Self::Cell, _: &[f64], out: &mut Vec<u8>) -> Option<()> {
         cell.checkpoint_into(out)
     }
-    fn take(&self, bucket_start: Micros, bytes: &[u8]) -> Result<Self::Cell, CodecError> {
+    fn take(&self, bucket_start: Micros, bytes: &[u8]) -> Result<((), Self::Cell), CodecError> {
         let mut cell = self.0.make(bucket_start);
         cell.restore(bytes)?;
-        Ok(cell)
+        Ok(((), cell))
     }
-    fn boxed(&self, cell: Self::Cell) -> Box<dyn Aggregator> {
+    fn boxed(&self, _: (), cell: Self::Cell) -> Box<dyn Aggregator> {
         cell
     }
 }
@@ -313,16 +374,71 @@ impl Index {
     }
 }
 
-/// An open time bucket: its groups' cells, dense, in the order the groups
-/// opened, and an [`Index`] from group key to cell.
-struct OpenBucket<C> {
+/// How many moves of a clock leave every finite weight under it zero: a
+/// move multiplies by at most 1 / `RESCALE_THRESHOLD` = 1e-150, and five
+/// such factors take even `f64::MAX` below the smallest subnormal. A cell
+/// that missed more takes only the last `SETTLED`, which leaves exactly
+/// what taking them all, one by one, would.
+const SETTLED: u64 = 5;
+
+/// The moves of a bucket's clock, which the cells under it take lazily: a
+/// move is recorded here, and each cell — a group, an LFTA resident, a
+/// partial awaiting absorption — takes the moves it missed when the store
+/// next reaches it: folds into it, absorbs, closes or checkpoints it.
+/// Empty until the clock first moves.
+#[derive(Default)]
+struct Moves {
+    /// The factors of the last [`SETTLED`] moves, move `k` at `k % SETTLED`.
+    last: [f64; SETTLED as usize],
+    /// How many times the clock has moved.
+    count: u64,
+    /// How many moves each group's cell has taken, by position.
+    taken: Vec<u64>,
+}
+
+impl Moves {
+    /// The factors of the moves after the first `taken`, oldest first.
+    fn since(&self, taken: u64) -> impl Iterator<Item = f64> + '_ {
+        let from = taken.max(self.count.saturating_sub(SETTLED));
+        (from..self.count).map(|k| self.last[(k % SETTLED) as usize])
+    }
+
+    /// Brings a cell that has taken `*taken` moves up to the clock.
+    #[inline]
+    fn take<C>(&self, taken: &mut u64, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
+        if *taken < self.count {
+            self.since(*taken).for_each(|f| rescale(cell, f));
+            *taken = self.count;
+        }
+    }
+
+    /// Brings the group at position `at` up to the clock.
+    #[inline]
+    fn take_at<C>(&mut self, at: usize, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
+        if let Some(mut taken) = self.taken.get(at).copied() {
+            self.take(&mut taken, cell, rescale);
+            self.taken[at] = taken;
+        }
+    }
+}
+
+/// An open time bucket: its clock, its groups' cells, dense, in the order
+/// the groups opened, and an [`Index`] from group key to cell.
+struct OpenBucket<C, T> {
     /// Time-bucket id (`ts / bucket_micros`).
     id: u64,
+    /// The clock every cell of the bucket — its groups here, its LFTA
+    /// residents and partials — is weighed against.
+    clock: T,
+    /// The clock's moves its groups have not all taken.
+    moves: Moves,
     /// Group key → position in `pages`.
     index: Index,
     /// `(key, cell)` pairs, [`page_len`] to a page; every page but the last
     /// is full.
     pages: Vec<Vec<(u64, C)>>,
+    /// The groups the bucket is sized for when its first one arrives.
+    room: usize,
 }
 
 /// How many `(key, cell)` pairs a full page holds: a power of two, at
@@ -336,19 +452,32 @@ fn page_len<C>() -> usize {
     1 << fit.max(1).ilog2()
 }
 
-impl<C> OpenBucket<C> {
-    /// An empty bucket with room for `groups` groups.
-    fn new(id: u64, groups: usize) -> Self {
-        let n = page_len::<C>();
-        let mut pages = Vec::with_capacity(groups.div_ceil(n));
-        if groups > 0 {
-            pages.push(Vec::with_capacity(groups.min(n)));
-        }
+impl<C, T> OpenBucket<C, T> {
+    /// An empty bucket that will make room for `groups` groups. It
+    /// allocates nothing until then: a bucket opened for its clock by the
+    /// LFTA holds no group until a partial moves in, and sizing it early
+    /// held two buckets' tables at once.
+    fn new(id: u64, clock: T, groups: usize) -> Self {
         Self {
             id,
-            index: Index::with_capacity(groups),
-            pages,
+            clock,
+            moves: Moves::default(),
+            index: Index::with_capacity(0),
+            pages: Vec::new(),
+            room: groups,
         }
+    }
+
+    /// Sizes the index and the first page for `room` groups,
+    /// before the bucket's first group.
+    #[cold]
+    fn make_room(&mut self) {
+        let n = page_len::<C>();
+        self.pages.reserve_exact(self.room.div_ceil(n));
+        if self.room > 0 {
+            self.pages.push(Vec::with_capacity(self.room.min(n)));
+        }
+        self.index = Index::with_capacity(self.room);
     }
 
     /// The `(key, cell)` pair at position `at`.
@@ -377,24 +506,89 @@ impl<C> OpenBucket<C> {
         }
     }
 
-    /// The cell of group `key`, `make` building it if the group is new.
-    fn cell_mut(&mut self, key: u64, make: impl FnOnce() -> C) -> &mut C {
-        match self.index.find_or_insert(key) {
-            Ok(at) => Self::at_mut(&mut self.pages, at),
-            Err(at) => {
-                Self::push(&mut self.pages, key, make());
-                Self::at_mut(&mut self.pages, at)
-            }
+    /// Appends a new group's cell, which has taken every move.
+    fn push_new(&mut self, key: u64, cell: C) {
+        Self::push(&mut self.pages, key, cell);
+        if self.moves.count > 0 {
+            self.moves.taken.push(self.moves.count);
         }
     }
 
-    /// Gives group `key` the cell `cell`: a new group takes it as it
-    /// stands, an existing one `merge`s it in.
-    fn absorb(&mut self, key: u64, cell: C, merge: impl FnOnce(&mut C, C)) {
-        match self.index.find_or_insert(key) {
-            Ok(at) => merge(Self::at_mut(&mut self.pages, at), cell),
-            Err(_) => Self::push(&mut self.pages, key, cell),
+    /// The cell of group `key`, up to the clock (`rescale`d by the moves it
+    /// missed), `make` building it if the group is new.
+    fn cell_mut(
+        &mut self,
+        key: u64,
+        make: impl FnOnce() -> C,
+        rescale: impl Fn(&mut C, f64),
+    ) -> &mut C {
+        if self.pages.is_empty() {
+            self.make_room();
         }
+        let at = match self.index.find_or_insert(key) {
+            Ok(at) => at,
+            Err(at) => {
+                self.push_new(key, make());
+                at
+            }
+        };
+        let cell = Self::at_mut(&mut self.pages, at);
+        self.moves.take_at(at, cell, rescale);
+        cell
+    }
+
+    /// Gives group `key` the cell `cell`: a new group takes it as it
+    /// stands, an existing one, up to the clock, `merge`s it in.
+    fn absorb(
+        &mut self,
+        key: u64,
+        cell: C,
+        merge: impl FnOnce(&mut C, C),
+        rescale: impl Fn(&mut C, f64),
+    ) {
+        if self.pages.is_empty() {
+            self.make_room();
+        }
+        match self.index.find_or_insert(key) {
+            Ok(at) => {
+                let into = Self::at_mut(&mut self.pages, at);
+                self.moves.take_at(at, into, rescale);
+                merge(into, cell);
+            }
+            Err(_) => self.push_new(key, cell),
+        }
+    }
+
+    /// Records a move of the clock by `factor`, for its cells to take.
+    /// Only an exponential `g` moves a clock, once α·age passes
+    /// ln 1e150 ≈ 345.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, factor: f64) {
+        let moves = &mut self.moves;
+        if moves.count == 0 {
+            moves.taken = vec![0; self.index.len()];
+        }
+        moves.last[(moves.count % SETTLED) as usize] = factor;
+        moves.count += 1;
+    }
+
+    /// Brings every group up to the clock, and forgets its moves.
+    fn settle(&mut self, rescale: impl Fn(&mut C, f64)) {
+        let moves = std::mem::take(&mut self.moves);
+        let cells = self.pages.iter_mut().flatten().map(|(_, cell)| cell);
+        for (cell, &taken) in cells.zip(&moves.taken) {
+            moves.since(taken).for_each(|f| rescale(cell, f));
+        }
+    }
+
+    /// The moves the cell of group `key` has yet to take, oldest first.
+    fn missed(&self, key: u64) -> Vec<f64> {
+        if self.moves.taken.is_empty() {
+            return Vec::new();
+        }
+        let taken = self.index.get(key).map(|at| self.moves.taken[at]);
+        taken.map_or_else(Vec::new, |taken| self.moves.since(taken).collect())
     }
 
     /// Every `(key, cell)`, in the order the groups opened.
@@ -404,21 +598,22 @@ impl<C> OpenBucket<C> {
 }
 
 /// The open buckets, ascending by id.
-struct OpenBuckets<C> {
-    open: Vec<OpenBucket<C>>,
+struct OpenBuckets<C, T> {
+    open: Vec<OpenBucket<C, T>>,
     /// Population of the bucket that closed last.
     last_closed_groups: usize,
 }
 
-impl<C> OpenBuckets<C> {
-    /// `bucket`, opened (in id order) if this is its first group.
-    fn bucket_mut(&mut self, bucket: u64) -> &mut OpenBucket<C> {
+impl<C, T> OpenBuckets<C, T> {
+    /// `bucket`, opened (in id order, under the clock `clock` makes) if
+    /// this is its first cell.
+    fn bucket_mut(&mut self, bucket: u64, clock: impl FnOnce() -> T) -> &mut OpenBucket<C, T> {
         let older = self.open.iter().rposition(|b| b.id <= bucket);
         let at = match older {
             Some(i) if self.open[i].id == bucket => i,
             _ => {
                 let at = older.map_or(0, |i| i + 1);
-                let opened = OpenBucket::new(bucket, self.last_closed_groups);
+                let opened = OpenBucket::new(bucket, clock(), self.last_closed_groups);
                 self.open.insert(at, opened);
                 at
             }
@@ -427,16 +622,34 @@ impl<C> OpenBuckets<C> {
     }
 
     /// Takes a partial aggregate from the low level: the first partial of
-    /// a group moves in as it stands, later ones `merge` into it. Inlined
-    /// into each of `fold_batch`'s call sites: as a call, it costs the
-    /// per-tuple path measurably.
+    /// a group moves in as it stands, later ones `merge` into it. The
+    /// partial's bucket is open — its fold opened it — so the two share a
+    /// clock. Inlined into each of `fold_batch`'s call sites: as a call, it
+    /// costs the per-tuple path measurably.
     #[inline(always)]
-    fn absorb(&mut self, partial: Partial<C>, merge: impl FnOnce(&mut C, C)) {
-        (self.bucket_mut(partial.bucket)).absorb(partial.key, partial.agg, merge);
+    fn absorb(
+        &mut self,
+        (partial, mut taken): (Partial<C>, u64),
+        clock: impl FnOnce(u64) -> T,
+        merge: impl FnOnce(&mut C, C),
+        rescale: impl Fn(&mut C, f64),
+    ) {
+        let Partial {
+            key,
+            bucket,
+            mut agg,
+        } = partial;
+        let opened = || {
+            debug_assert!(false, "a partial of bucket {bucket} outlived its clock");
+            clock(bucket)
+        };
+        let b = self.bucket_mut(bucket, opened);
+        b.moves.take(&mut taken, &mut agg, &rescale);
+        b.absorb(key, agg, merge, rescale);
     }
 
     /// The open bucket `bucket`, if it is open.
-    fn get(&self, bucket: u64) -> Option<&OpenBucket<C>> {
+    fn get(&self, bucket: u64) -> Option<&OpenBucket<C, T>> {
         self.open.iter().rfind(|b| b.id == bucket)
     }
 
@@ -448,7 +661,7 @@ impl<C> OpenBuckets<C> {
     /// not open yet has no line to request; one the walk opens or moves
     /// before reaching the item just costs a miss.
     #[inline]
-    fn prefetch_ahead<T>(&self, rest: &[T], group: impl Fn(&T) -> (u64, u64)) {
+    fn prefetch_ahead<I>(&self, rest: &[I], group: impl Fn(&I) -> (u64, u64)) {
         if let Some((bucket, key)) = rest.get(2 * AHEAD - 1).map(&group) {
             if let Some(b) = self.get(bucket) {
                 if let Some(at) = b.index.home(key) {
@@ -466,7 +679,7 @@ impl<C> OpenBuckets<C> {
     }
 
     /// Removes the oldest open bucket if its id is below `target`.
-    fn pop_below(&mut self, target: u64) -> Option<OpenBucket<C>> {
+    fn pop_below(&mut self, target: u64) -> Option<OpenBucket<C, T>> {
         if self.open.first()?.id >= target {
             return None;
         }
@@ -488,12 +701,15 @@ pub(crate) struct Store<K: Cells> {
     cells: K,
     /// The low level, when the query is split.
     lfta: Option<Lfta<K::Cell>>,
-    /// The open buckets' high-level groups.
-    open: OpenBuckets<K::Cell>,
-    /// What a batch's LFTA pass evicted, in release order, until its
-    /// absorb pass moves it into `open`: empty between calls, its buffer
-    /// reused.
-    evicted: Vec<Partial<K::Cell>>,
+    /// The open buckets' clocks and high-level groups.
+    open: OpenBuckets<K::Cell, K::Clock>,
+    /// How many moves of its bucket's clock each LFTA resident has taken,
+    /// by slot ([`Moves`]): empty until a clock first moves.
+    resident_taken: Vec<u64>,
+    /// What a batch's LFTA pass evicted, in release order, with the moves
+    /// each had taken, until its absorb pass moves it into `open`: empty
+    /// between calls, its buffer reused.
+    evicted: Vec<(Partial<K::Cell>, u64)>,
     bucket_micros: Micros,
 }
 
@@ -509,39 +725,118 @@ impl<K: Cells> Store<K> {
                 open: Vec::new(),
                 last_closed_groups: 0,
             },
+            resident_taken: Vec::new(),
             evicted: Vec::new(),
             bucket_micros: query.bucket_micros,
         }
     }
 }
 
+/// A tuple's arrival under bucket `b`'s clock, recording the move if it
+/// moves the clock.
+#[inline(always)]
+fn arrive<K: Cells>(cells: &K, b: &mut OpenBucket<K::Cell, K::Clock>, pkt: &Packet) -> Arrival {
+    let (at, moved) = cells.arrive(&mut b.clock, pkt);
+    if let Some(factor) = moved {
+        b.record(factor);
+    }
+    at
+}
+
+/// The LFTA fold of a tuple of group `key` into bucket `b` once a clock has
+/// moved: the slot's resident, if it is the group's, first takes the moves
+/// it missed; one evicted leaves with the count it had taken, for its
+/// bucket to bring it up when it is absorbed.
+#[inline(never)]
+fn fold_taking<K: Cells>(
+    cells: &K,
+    lfta: &mut Lfta<K::Cell>,
+    resident_taken: &mut Vec<u64>,
+    b: &OpenBucket<K::Cell, K::Clock>,
+    key: u64,
+    fold: impl FnOnce(&mut Lfta<K::Cell>) -> Option<Partial<K::Cell>>,
+) -> Option<(Partial<K::Cell>, u64)> {
+    if resident_taken.is_empty() {
+        *resident_taken = vec![0; lfta.n_slots()];
+    }
+    let slot = lfta.slot_of(key, b.id);
+    let taken = &mut resident_taken[slot];
+    let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
+    if let Some(resident) = lfta.resident_mut(slot) {
+        if (resident.key, resident.bucket) == (key, b.id) {
+            b.moves.take(taken, &mut resident.agg, rescale);
+        }
+    }
+    let had = std::mem::replace(taken, b.moves.count);
+    fold(lfta).map(|partial| (partial, had))
+}
+
+/// Brings a restored `cell`, written under `theirs`, and the cells under
+/// bucket `b`'s clock to the newer of the two landmarks, as a merge would.
+/// A restore's moves are taken at once: its bucket has recorded none.
+fn adopt<K: Cells>(
+    cells: &K,
+    b: &mut OpenBucket<K::Cell, K::Clock>,
+    lfta: Option<&mut Lfta<K::Cell>>,
+    theirs: &K::Clock,
+    cell: &mut K::Cell,
+) -> Result<(), CodecError> {
+    let (ours, mine) = (cells.join(&mut b.clock, theirs))
+        .ok_or_else(|| CodecError::new("a group's landmark is not its bucket's start"))?;
+    if let Some(factor) = ours {
+        debug_assert_eq!(b.moves.count, 0, "a restored bucket records no move");
+        let residents = (lfta.into_iter().flat_map(Lfta::residents_mut))
+            .filter(|p| p.bucket == b.id)
+            .map(|p| &mut p.agg);
+        let groups = b.pages.iter_mut().flatten().map(|(_, cell)| cell);
+        groups
+            .chain(residents)
+            .for_each(|cell| cells.rescale(cell, factor));
+    }
+    if let Some(factor) = mine {
+        cells.rescale(cell, factor);
+    }
+    Ok(())
+}
+
 impl<K: Cells> GroupStore for Store<K> {
     fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]) {
-        let (cells, open) = (&self.cells, &mut self.open);
+        let (cells, open, width) = (&self.cells, &mut self.open, self.bucket_micros);
         let merge = |into: &mut K::Cell, from| cells.merge(into, from);
+        let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
+        let clock = |bucket| cells.clock(bucket_start(bucket, width));
         let Some(lfta) = &mut self.lfta else {
             // Unsplit: each tuple straight into its high-level group.
             for (i, a) in run.iter().enumerate() {
                 open.prefetch_ahead(&run[i + 1..], |a| (a.bucket, a.key));
-                let make = || cells.make(a.bucket_start);
-                let cell = (open.bucket_mut(a.bucket)).cell_mut(a.key, make);
-                cells.update(cell, &pkts[a.index]);
+                let pkt = &pkts[a.index];
+                let b = open.bucket_mut(a.bucket, || cells.clock(a.bucket_start));
+                let at = arrive(cells, b, pkt);
+                let cell = b.cell_mut(a.key, || cells.make(a.bucket_start), rescale);
+                cells.update(cell, pkt, at);
             }
             return;
         };
-        let fold = |lfta: &mut Lfta<K::Cell>, a: &Admitted| {
+        // A tuple is weighed against its bucket's clock, which opens with
+        // the bucket's first tuple, LFTA or not.
+        let resident_taken = &mut self.resident_taken;
+        let mut fold = |lfta: &mut Lfta<K::Cell>, a: &Admitted| {
             let pkt = &pkts[a.index];
-            lfta.fold(
-                a.key,
-                a.bucket,
-                || cells.make(a.bucket_start),
-                |c| cells.update(c, pkt),
-            )
+            let b = open.bucket_mut(a.bucket, || cells.clock(a.bucket_start));
+            let at = arrive(cells, b, pkt);
+            let fold = |lfta: &mut Lfta<K::Cell>| {
+                let make = || cells.make(a.bucket_start);
+                lfta.fold(a.key, a.bucket, make, |c| cells.update(c, pkt, at))
+            };
+            if b.moves.count == 0 && resident_taken.is_empty() {
+                return fold(lfta).map(|partial| (partial, 0));
+            }
+            fold_taking(cells, lfta, resident_taken, b, a.key, fold)
         };
         // A run of one — `Engine::process` — has nothing to look ahead to.
         if let [a] = run {
             if let Some(partial) = fold(lfta, a) {
-                open.absorb(partial, merge);
+                open.absorb(partial, clock, merge, rescale);
             }
             return;
         }
@@ -552,58 +847,66 @@ impl<K: Cells> GroupStore for Store<K> {
             if let Some(ahead) = run.get(i + AHEAD) {
                 lfta.prefetch(ahead.key, ahead.bucket);
             }
-            evicted.extend(fold(lfta, a));
+            if let Some(partial) = fold(lfta, a) {
+                evicted.push(partial);
+            }
         }
         let mut rest = evicted.drain(..);
         loop {
-            open.prefetch_ahead(rest.as_slice(), |p| (p.bucket, p.key));
+            open.prefetch_ahead(rest.as_slice(), |(p, _)| (p.bucket, p.key));
             let Some(partial) = rest.next() else {
                 return;
             };
-            open.absorb(partial, merge);
+            open.absorb(partial, clock, merge, rescale);
         }
     }
 
     fn fold_scaled(&mut self, pkt: &Packet, at: &Admitted, scale: f64) {
         let cells = &self.cells;
-        let make = || cells.make(at.bucket_start);
-        let group = (self.open.bucket_mut(at.bucket)).cell_mut(at.key, make);
-        cells.update_scaled(group, pkt, scale);
+        let b = (self.open).bucket_mut(at.bucket, || cells.clock(at.bucket_start));
+        let arrival = arrive(cells, b, pkt);
+        let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
+        let group = b.cell_mut(at.key, || cells.make(at.bucket_start), rescale);
+        cells.update_scaled(group, pkt, arrival, scale);
     }
 
     fn close_below(&mut self, target: u64, out: Closing<'_>) -> Option<u64> {
-        let (cells, open) = (&self.cells, &mut self.open);
+        let (cells, open, width) = (&self.cells, &mut self.open, self.bucket_micros);
+        let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
         if let Some(lfta) = &mut self.lfta {
-            lfta.drain_below(target, |p| {
-                open.absorb(p, |into, from| cells.merge(into, from))
+            let clock = |bucket| cells.clock(bucket_start(bucket, width));
+            let taken = |slot| self.resident_taken.get(slot).copied().unwrap_or(0);
+            lfta.drain_below(target, |slot, p| {
+                let merge = |into: &mut K::Cell, from| cells.merge(into, from);
+                open.absorb((p, taken(slot)), clock, merge, rescale)
             });
         }
-        let width = self.bucket_micros;
         let Closing {
             rows,
             mut state,
             stats,
         } = out;
         let mut newest = None;
-        while let Some(bucket) = open.pop_below(target) {
+        while let Some(mut bucket) = open.pop_below(target) {
+            bucket.settle(rescale);
             let id = bucket.id;
             newest = Some(id);
             stats.buckets_closed += 1;
             // Keys are unique within a bucket, so the unstable sorts are
             // deterministic.
             if let Some(state) = &mut state {
-                let first = state.len();
-                state.extend(
-                    bucket
-                        .pages
-                        .into_iter()
-                        .flatten()
-                        .map(|(key, cell)| ClosedGroup {
-                            bucket: id,
-                            key,
-                            agg: cells.boxed(cell),
-                        }),
-                );
+                let (clock, first) = (&bucket.clock, state.len());
+                let mut pages = bucket.pages;
+                // Every page stays allocated until every cell is boxed: boxes
+                // carved from the holes of pages freed one by one would keep
+                // the next bucket's pages from reusing them.
+                let moved = pages.iter_mut().flat_map(|page| page.drain(..));
+                state.extend(moved.map(|(key, cell)| ClosedGroup {
+                    bucket: id,
+                    key,
+                    agg: cells.boxed(clock.clone(), cell),
+                }));
+                drop(pages);
                 state[first..].sort_unstable_by_key(|c| c.key);
                 continue;
             }
@@ -613,7 +916,7 @@ impl<K: Cells> GroupStore for Store<K> {
             rows.extend(bucket.iter().map(|&(key, ref cell)| Row {
                 bucket_start,
                 key,
-                value: cells.emit(cell, t_end),
+                value: cells.emit(&bucket.clock, cell, t_end),
             }));
             rows[first..].sort_unstable_by_key(|r| r.key);
             stats.rows_out += (rows.len() - first) as u64;
@@ -623,9 +926,14 @@ impl<K: Cells> GroupStore for Store<K> {
 
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
         let cells = &self.cells;
-        let put = |out: &mut Vec<u8>, cell: &K::Cell| put_framed(out, |out| cells.put(cell, out));
-        self.open.open.len().put(out);
-        for bucket in &self.open.open {
+        let put = |out: &mut Vec<u8>, clock: &K::Clock, cell: &K::Cell, missed: &[f64]| {
+            put_framed(out, |out| cells.put(clock, cell, missed, out))
+        };
+        // A bucket whose only cells are LFTA residents has no groups to
+        // write; its clock travels with them.
+        let live = || self.open.open.iter().filter(|b| b.index.len() > 0);
+        live().count().put(out);
+        for bucket in live() {
             bucket.id.put(out);
             bucket.index.len().put(out);
             // Keys by value: the sort then compares within one dense
@@ -634,7 +942,7 @@ impl<K: Cells> GroupStore for Store<K> {
             entries.sort_unstable_by_key(|&(key, _)| key);
             for (key, cell) in entries {
                 key.put(out);
-                put(out, cell)?;
+                put(out, &bucket.clock, cell, &bucket.missed(key))?;
             }
         }
         // The LFTA's residents *in place* — index, key, bucket, state —
@@ -653,7 +961,11 @@ impl<K: Cells> GroupStore for Store<K> {
                 idx.put(out);
                 p.key.put(out);
                 p.bucket.put(out);
-                put(out, &p.agg)?;
+                let bucket = self.open.get(p.bucket);
+                let bucket = bucket.expect("a resident's bucket is open");
+                let taken = self.resident_taken.get(idx).copied().unwrap_or(0);
+                let missed: Vec<f64> = bucket.moves.since(taken).collect();
+                put(out, &bucket.clock, &p.agg, &missed)?;
             }
             out[count_pos..count_pos + 8].copy_from_slice(&resident.to_le_bytes());
         }
@@ -670,6 +982,7 @@ impl<K: Cells> GroupStore for Store<K> {
             let len = u64::take(r)? as usize;
             cells.take(bucket_start(bucket, width), r.bytes(len)?)
         };
+        let clock = |bucket| move || cells.clock(bucket_start(bucket, width));
         // A bucket is at least its id and group count, a group its key and
         // state length.
         let n_buckets = r.count(16)?;
@@ -683,12 +996,13 @@ impl<K: Cells> GroupStore for Store<K> {
             }
             newest = Some(bucket);
             let n_groups = r.count(16)?;
-            let open = self.open.bucket_mut(bucket);
+            let open = self.open.bucket_mut(bucket, clock(bucket));
             for _ in 0..n_groups {
                 let key = u64::take(r)?;
-                let cell = framed(r, bucket)?;
+                let (theirs, mut cell) = framed(r, bucket)?;
+                adopt(cells, open, None, &theirs, &mut cell)?;
                 let mut fresh = true;
-                open.absorb(key, cell, |_, _| fresh = false);
+                open.absorb(key, cell, |_, _| fresh = false, |_, _| {});
                 if !fresh {
                     return Err(CodecError::new(format!("group {key} twice in a bucket")));
                 }
@@ -713,7 +1027,9 @@ impl<K: Cells> GroupStore for Store<K> {
                     let idx = u64::take(r)? as usize;
                     let key = u64::take(r)?;
                     let bucket = u64::take(r)?;
-                    let agg = framed(r, bucket)?;
+                    let (theirs, mut agg) = framed(r, bucket)?;
+                    let open = self.open.bucket_mut(bucket, clock(bucket));
+                    adopt(cells, open, Some(&mut *table), &theirs, &mut agg)?;
                     table.place(idx, Partial { key, bucket, agg })?;
                 }
                 Ok(())
@@ -848,12 +1164,12 @@ mod tests {
 
     #[test]
     fn buckets_stay_in_id_order_whatever_order_they_open_in() {
-        let mut store = OpenBuckets::<u64> {
+        let mut store = OpenBuckets::<u64, ()> {
             open: Vec::new(),
             last_closed_groups: 0,
         };
         for id in [5u64, 3, 9, 4, 3, 9] {
-            store.bucket_mut(id).cell_mut(id, || id);
+            store.bucket_mut(id, || ()).cell_mut(id, || id, |_, _| {});
         }
         let ids: Vec<u64> = store.open.iter().map(|b| b.id).collect();
         assert_eq!(ids, [3, 4, 5, 9]);

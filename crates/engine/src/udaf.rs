@@ -272,10 +272,25 @@ pub trait AggregatorFactory: Send + Sync {
     fn group_store(&self, query: &Query) -> Box<dyn GroupStore> {
         crate::groups::boxed(query)
     }
+
+    /// Whether this aggregate's numbers stay finite over one bucket's
+    /// horizon of `horizon_secs` (its width plus the slack):
+    /// [`QueryBuilder::try_build`] refuses a query whose aggregate says
+    /// not. A forward-decayed aggregate checks its `g`
+    /// ([`fd_core::decayed::check_horizon`]); the default has nothing to
+    /// check.
+    ///
+    /// # Errors
+    /// What the aggregate's numeric contract requires.
+    fn check_horizon(&self, _horizon_secs: f64) -> Result<(), fd_core::Error> {
+        Ok(())
+    }
 }
 
 /// Builds a query's by-value group store.
-type StoreFn = dyn Fn(&Query) -> Box<dyn GroupStore> + Send + Sync;
+pub(crate) type StoreFn = dyn Fn(&Query) -> Box<dyn GroupStore> + Send + Sync;
+/// Checks an aggregate's numbers over a bucket's horizon.
+pub(crate) type HorizonFn = dyn Fn(f64) -> Result<(), fd_core::Error> + Send + Sync;
 
 /// A factory built from a closure — removes per-aggregator factory
 /// boilerplate.
@@ -286,6 +301,8 @@ pub struct FnFactory {
     make: Arc<dyn Fn(Micros) -> Box<dyn Aggregator> + Send + Sync>,
     /// The by-value store of a built-in factory; `None`, boxed.
     store: Option<Box<StoreFn>>,
+    /// A built-in factory's [`check_horizon`](AggregatorFactory::check_horizon).
+    horizon: Option<Box<HorizonFn>>,
 }
 
 impl FnFactory {
@@ -307,37 +324,28 @@ impl FnFactory {
         scalable: bool,
         make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
     ) -> Arc<Self> {
-        Arc::new(Self::unshared(name, splittable, scalable, make))
+        Self::built(name, splittable, scalable, make, None, None)
     }
 
-    /// [`with_scaling`](Self::with_scaling) for a factory whose groups the
-    /// engine holds by value, in the store `store` builds.
-    pub(crate) fn by_value(
+    /// [`with_scaling`](Self::with_scaling) for the in-repo factories that
+    /// hold their groups by value, in the store `store` builds, or check
+    /// their numbers over a bucket's horizon with `horizon`.
+    pub(crate) fn built(
         name: impl Into<String>,
         splittable: bool,
         scalable: bool,
         make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
-        store: impl Fn(&Query) -> Box<dyn GroupStore> + Send + Sync + 'static,
+        store: Option<Box<StoreFn>>,
+        horizon: Option<Box<HorizonFn>>,
     ) -> Arc<Self> {
         Arc::new(Self {
-            store: Some(Box::new(store)),
-            ..Self::unshared(name, splittable, scalable, make)
-        })
-    }
-
-    fn unshared(
-        name: impl Into<String>,
-        splittable: bool,
-        scalable: bool,
-        make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
             name: name.into(),
             splittable,
             scalable,
             make: Arc::new(make),
-            store: None,
-        }
+            store,
+            horizon,
+        })
     }
 }
 
@@ -359,6 +367,11 @@ impl AggregatorFactory for FnFactory {
             Some(store) => store(query),
             None => crate::groups::boxed(query),
         }
+    }
+    fn check_horizon(&self, horizon_secs: f64) -> Result<(), fd_core::Error> {
+        self.horizon
+            .as_ref()
+            .map_or(Ok(()), |check| check(horizon_secs))
     }
 }
 
@@ -496,6 +509,7 @@ impl QueryBuilder {
                 requirement: "a finite, non-negative number of seconds",
             });
         }
+        aggregate.check_horizon(self.bucket_secs as f64 + self.slack_secs)?;
         if self.two_level && self.lfta_slots == 0 {
             return Err(fd_core::Error::InvalidParameter {
                 name: "lfta_slots",

@@ -1154,3 +1154,122 @@ fn differential_engine_vs_sharded_engine_replay() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// The numeric contract of `g` over a bucket: `try_build` refuses a decayed
+// query whose weights could overflow a sum (`ln g(width + slack)` past
+// ln(f64::MAX / 2^128)), or, for a ratio under an exponential `g`, underflow
+// beneath the bucket's newest landmark (past −ln(f64::MIN_POSITIVE)); and
+// nothing it accepts emits a non-finite value from finite input.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn no_decay_try_build_accepts_emits_a_non_finite_value() {
+    use forward_decay::engine::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    let build = |spec: &str, width: u64, slack: f64, kind: usize| {
+        let g: AnyDecay = spec.parse().expect("decay spec");
+        let len = |p: &Packet| p.len as f64;
+        let aggregate = match kind {
+            0 => fwd_sum_factory(g, len),
+            1 => fwd_count_factory(g),
+            2 => fwd_hh_factory(g, 0.1, 0.2, |p| p.src_host()),
+            3 => fwd_avg_factory(g, len),
+            4 => fwd_var_factory(g, len),
+            _ => fwd_quantile_factory(g, 16, 0.05, vec![0.5], |p| u64::from(p.len)),
+        };
+        Query::builder("contract")
+            .group_by(|p| p.dst_host() % 3)
+            .bucket_secs(width)
+            .slack_secs(slack)
+            .aggregate(aggregate)
+            .try_build()
+    };
+    // The NaN cases found by hand, and the fast rates the renormalizer
+    // keeps finite.
+    for (spec, width) in [("poly:400", 60), ("poly:180", 60), ("poly:90", 3_600)] {
+        let refused = build(spec, width, 0.0, 0).err().expect("refused");
+        assert!(
+            refused.to_string().contains("ln g(bucket + slack)"),
+            "{spec} at {width} s: {refused}"
+        );
+    }
+    for (spec, width) in [("poly:2", 86_400), ("exp:1000", 60), ("exp:1000", 86_400)] {
+        assert!(build(spec, width, 2.0, 0).is_ok(), "{spec} at {width} s");
+    }
+    // A ratio under one clock: α·(60 + 2) = 620 keeps a quiet group's
+    // weights normal, 62 000 would not.
+    assert!(build("exp:10", 60, 2.0, 3).is_ok());
+    for kind in 2..6 {
+        let refused = build("exp:1000", 60, 2.0, kind).err().expect("refused");
+        assert!(refused.to_string().contains("MIN_POSITIVE"), "{refused}");
+    }
+    let mut rng = SmallRng::seed_from_u64(0xF1_417E);
+    let (mut accepted, mut refused) = (0, 0);
+    for _ in 0..120 {
+        let spec = if rng.gen_bool(0.5) {
+            format!("poly:{}", rng.gen_range(0.5..450.0))
+        } else {
+            format!("exp:{}", rng.gen_range(0.001..2000.0))
+        };
+        let width = [1u64, 5, 60, 3_600, 86_400][rng.gen_range(0..5usize)];
+        let slack = [0.0, 2.0][rng.gen_range(0..2usize)];
+        let kind = rng.gen_range(0..6usize);
+        let Ok(query) = build(&spec, width, slack, kind) else {
+            refused += 1;
+            continue;
+        };
+        accepted += 1;
+        // Two buckets, lengths up to 65 535: spread from the first
+        // microsecond to the last; or an idle tail, every group arriving
+        // from 30 % to 70 % into each bucket and group 0 only to 40 %, so
+        // a clock moves past a quiet group and the answer is read long
+        // after its last move. (A steep polynomial weighs an arrival in the
+        // first instants of a bucket below the smallest f64 — a group with
+        // only such arrivals has no ratio — so neither stream gives a
+        // group only those.)
+        let width_us = width * MICROS_PER_SEC;
+        let spread = |i: u64| (i * (2 * width_us - 1) / 95, i % 7);
+        let idle_tail = |i: u64| {
+            let (bucket, k) = (i / 48, i % 48);
+            let host = if k < 12 { 0 } else { 1 + k % 2 };
+            let into = if host == 0 {
+                0.3 + 0.1 * k as f64 / 12.0
+            } else {
+                0.3 + 0.4 * k as f64 / 48.0
+            };
+            (bucket * width_us + (into * width_us as f64) as u64, host)
+        };
+        let finite = |v: &AggValue| match v {
+            AggValue::Float(x) => x.is_finite(),
+            AggValue::Items(items) => items.iter().all(|i| i.value.is_finite()),
+            AggValue::Multi(_) => unreachable!("one aggregate"),
+        };
+        for shape in [&spread as &dyn Fn(u64) -> (u64, u64), &idle_tail] {
+            let stream: Vec<Packet> = (0..96u64)
+                .map(|i| Packet {
+                    ts: shape(i).0,
+                    src_ip: (i % 5) as u32,
+                    dst_ip: shape(i).1 as u32,
+                    src_port: 1,
+                    dst_port: 2,
+                    len: rng.gen_range(0..=65_535u32),
+                    proto: Proto::Tcp,
+                })
+                .collect();
+            for row in Engine::new(query.clone()).run(stream) {
+                assert!(
+                    finite(&row.value),
+                    "{spec}, {width} s buckets, {slack} s slack, aggregate {kind}: {:?}",
+                    row.value
+                );
+            }
+        }
+    }
+    assert!(
+        accepted >= 40 && refused >= 10,
+        "{accepted} accepted, {refused} refused"
+    );
+}

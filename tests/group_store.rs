@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use forward_decay::core::aggregates::DecayedCount;
 use forward_decay::core::decay::{AnyDecay, BackExponential, Monomial};
+use forward_decay::core::oracle::{Oracle, OracleEvent};
 use forward_decay::core::Summary;
 use forward_decay::engine::prelude::*;
 use forward_decay::engine::udaf::FnFactory;
@@ -496,5 +497,182 @@ fn a_sharded_worker_folds_its_batches_as_the_engine_folds_the_stream() {
             assert!(!want.is_empty());
             assert_eq!(row_bits(&sharded.finish()), want, "{}", f.name());
         }
+    }
+}
+
+/// A rate whose bucket outlives its renormalization horizon: α = 100/s
+/// over 5 s buckets is α·width = 500, past ln 1e150 ≈ 345, so a bucket's
+/// clock moves once its tuples pass 3.45 s into it — and moves every cell
+/// of the bucket with it: its groups, LFTA residents and partials.
+const RESCALING: &str = "exp:100";
+
+fn rescaling_query(aggregate: Arc<FnFactory>, two_level: bool) -> Query {
+    Query::builder("rescaling")
+        .group_by(|p| p.dst_host())
+        .bucket_secs(5)
+        .slack_secs(1.0)
+        .aggregate(aggregate)
+        .two_level(two_level)
+        .lfta_slots(4)
+        .try_build()
+        .expect("valid query")
+}
+
+/// 1 500 tuples over 30 s on nine groups, each up to 0.4 s early or late
+/// against a 1 s slack: no tuple is dropped, so every row has a reference.
+fn rescaling_stream() -> Vec<Packet> {
+    (0..1_500u64)
+        .map(|i| Packet {
+            ts: MICROS_PER_SEC + i * 20_000 + (i * 7919 % 9) * 100_000 - 400_000,
+            ..pkt(0, (i * 5 % 9) as u32, 40 + (i * 97 % 1400) as u32)
+        })
+        .collect()
+}
+
+/// Each row's decayed sum recomputed from scratch over the tuples of its
+/// bucket and group (`fd_core::oracle`).
+fn oracle_sums(g: &AnyDecay, stream: &[Packet]) -> Vec<Row> {
+    let width = 5 * MICROS_PER_SEC;
+    let mut groups: std::collections::BTreeMap<(Micros, u64), Oracle<AnyDecay>> =
+        Default::default();
+    for p in stream {
+        let start = p.ts / width * width;
+        (groups.entry((start, p.dst_host())))
+            .or_insert_with(|| Oracle::new(g.clone(), secs(start)))
+            .push(OracleEvent::new(secs(p.ts), p.len as f64, 0));
+    }
+    (groups.into_iter())
+        .map(|((bucket_start, key), o)| Row {
+            bucket_start,
+            key,
+            value: AggValue::Float(o.sum(secs(bucket_start + width))),
+        })
+        .collect()
+}
+
+/// `rows` against the reference within the oracle harness's budget for
+/// the O(1) aggregates: 1e-6 relative (every length is positive, so the
+/// sum is its own cancellation-free scale).
+fn assert_within_budget(mut rows: Vec<Row>, want: &[Row], what: &str) {
+    rows.sort_by_key(|r| (r.bucket_start, r.key));
+    assert_eq!(rows.len(), want.len(), "{what}: row count");
+    for (got, want) in rows.iter().zip(want) {
+        assert_eq!((got.bucket_start, got.key), (want.bucket_start, want.key));
+        let (x, y) = (
+            got.value.as_float().unwrap(),
+            want.value.as_float().unwrap(),
+        );
+        assert!(
+            x.is_finite() && (x - y).abs() <= 1e-6 * y,
+            "{what}: bucket {} key {}: {x} vs {y}",
+            got.bucket_start,
+            got.key
+        );
+    }
+}
+
+/// `stream`'s `fwd_sum` rows through a single engine (batched and per
+/// tuple), a sharded one and one restored from a checkpoint taken after
+/// `head` tuples, split and unsplit: each within budget of the oracle's.
+fn assert_every_path_within_budget(g: &AnyDecay, stream: &[Packet], head: usize) {
+    let want = oracle_sums(g, stream);
+    let factory = fwd_sum_factory(g.clone(), |p| p.len as f64);
+    let (head, tail) = stream.split_at(head);
+    for two_level in [true, false] {
+        let query = || rescaling_query(Arc::clone(&factory), two_level);
+        let what = |path| format!("{path}, two_level {two_level}");
+        let mut single = Engine::new(query());
+        single.process_packets(stream);
+        assert_eq!(single.stats().late_drops, 0);
+        assert_within_budget(single.finish(), &want, &what("single"));
+        let mut per_tuple = Engine::new(query());
+        stream.iter().for_each(|p| per_tuple.process(p));
+        assert_within_budget(per_tuple.finish(), &want, &what("per tuple"));
+        let mut sharded = ShardedEngine::try_new(query(), 2).expect("spawn");
+        sharded.try_process_packets(stream).expect("feed");
+        assert_within_budget(sharded.finish(), &want, &what("sharded"));
+        let mut before = Engine::new(query());
+        before.process_packets(head);
+        let blob = before.checkpoint().expect("checkpoint");
+        let mut restored = Engine::restore(query(), &blob).expect("restore");
+        assert!(restored.checkpoint().expect("checkpoint") == blob);
+        restored.process_packets(tail);
+        assert_within_budget(restored.finish(), &want, &what("restored"));
+    }
+}
+
+/// How many times `g`'s clock moves over the first 5 s bucket of `stream`.
+fn moves_in_first_bucket(g: &AnyDecay, stream: &[Packet]) -> u64 {
+    let mut probe = DecayedCount::new(g.clone(), 0.0);
+    (stream.iter().take_while(|p| p.ts < 5 * MICROS_PER_SEC))
+        .for_each(|p| probe.update(secs(p.ts)));
+    Summary::stats(&probe).renormalizations
+}
+
+#[test]
+fn a_clock_that_moves_inside_a_bucket_moves_all_of_its_cells() {
+    let g: AnyDecay = RESCALING.parse().expect("decay spec");
+    let stream = rescaling_stream();
+    assert!(
+        moves_in_first_bucket(&g, &stream) > 0,
+        "{RESCALING} must rescale in a bucket"
+    );
+    assert_every_path_within_budget(&g, &stream, stream.len() / 2 + 17);
+}
+
+#[test]
+fn a_group_that_misses_many_moves_takes_them_when_reached() {
+    // exp:2000 moves a bucket's clock every ln 1e150 / 2000 ≈ 0.17 s.
+    // Groups 0–2 fall quiet from 1 s to 4.5 s into each 5 s bucket and miss
+    // some twenty moves — more than a bucket keeps the factors of — before
+    // their next tuple: what they held underflows to zero, as the oracle's
+    // weights do. The checkpoint is taken 2.5 s into the second bucket,
+    // while they lag, so it writes lagging cells too.
+    let g: AnyDecay = "exp:2000".parse().expect("decay spec");
+    let quiet = |p: &Packet| {
+        let into = p.ts % (5 * MICROS_PER_SEC);
+        p.dst_ip < 3 && (MICROS_PER_SEC..4_500_000).contains(&into)
+    };
+    let stream: Vec<Packet> = (0..3_000u64)
+        .map(|i| pkt(i * 5_000, (i % 9) as u32, 40 + (i * 97 % 1400) as u32))
+        .filter(|p| !quiet(p))
+        .collect();
+    assert!(moves_in_first_bucket(&g, &stream) > 20);
+    let head = (stream.iter().position(|p| p.ts >= 7_500_000)).expect("a second bucket");
+    assert_every_path_within_budget(&g, &stream, head);
+}
+
+#[test]
+fn a_bucket_restored_from_cells_under_different_landmarks_is_aligned() {
+    // Held boxed, each group keeps its own clock, as the parent commit held
+    // every group: in bucket [0, 5 s) group 1 sees tuples at 0.5 s and 1 s
+    // only (its landmark stays 0), group 2 one at 4 s too (α·4 = 400: its
+    // landmark moves to 4 s). The image carries both landmarks in one
+    // bucket; the by-value store takes it onto one clock.
+    let g: AnyDecay = RESCALING.parse().expect("decay spec");
+    let at = |s: f64, host: u32| pkt((s * MICROS_PER_SEC as f64) as Micros, host, 100 + host);
+    let head = [at(0.5, 1), at(1.0, 1), at(1.0, 2), at(4.0, 2), at(4.2, 3)];
+    let tail = [at(4.5, 1), at(4.6, 2), at(4.9, 3), at(6.0, 1), at(9.0, 2)];
+    let stream: Vec<Packet> = head.iter().chain(&tail).copied().collect();
+    let want = oracle_sums(&g, &stream);
+    let by_value = fwd_sum_factory(g, |p| p.len as f64);
+    let boxed = as_udaf(&by_value);
+    for two_level in [true, false] {
+        let what = format!("two_level {two_level}");
+        let mut parent = Engine::new(rescaling_query(Arc::clone(&boxed), two_level));
+        parent.process_packets(&head);
+        let image = parent.checkpoint().expect("checkpoint");
+        let mut aligned =
+            Engine::restore(rescaling_query(Arc::clone(&by_value), two_level), &image)
+                .expect("cells under different landmarks are aligned, not refused");
+        assert!(
+            aligned.checkpoint().expect("checkpoint") != image,
+            "{what}: the group still under landmark 0 is written under the bucket's"
+        );
+        parent.process_packets(&tail);
+        aligned.process_packets(&tail);
+        let rows = aligned.finish();
+        assert_within_budget(parent.finish(), &want, &format!("{what}, boxed"));
+        assert_within_budget(rows, &want, &format!("{what}, aligned"));
     }
 }
