@@ -44,21 +44,26 @@
 //! forward-decayed group holds only its static numerators — the
 //! [`Weighted`] summary a [`fd_core::Decayed`] wraps, or two of them under
 //! one clock for an average or a variance — while `Ops` holds the query's
-//! one `g` and each open bucket one clock (`g` anchored at its start, and a
-//! `Renormalizer`). Merging is [`Mergeable::merge_from`] (Section VI-B: frozen numerators make
-//! forward-decay summaries mergeable, so per-shard partial buckets combine
-//! losslessly), and checkpointing is the state's own [`fd_core::checkpoint`]
+//! one `g` and each open bucket one clock (a `Renormalizer`, its landmark
+//! the bucket start until it moves). Merging is [`Mergeable::merge_from`]
+//! (Section VI-B: frozen numerators make forward-decay summaries mergeable,
+//! so per-shard partial buckets combine losslessly), and checkpointing is the state's own [`fd_core::checkpoint`]
 //! encoding, a decayed one written under its clock as the standalone summary
 //! is — every state here encodes, the samplers' generators included, so
 //! every factory checkpoints.
 //!
+//! A bucket closes, in either mode, into one typed run of bare states under
+//! its clock, which the engine evaluates and the sharded engine's combiner
+//! merges key by key through these same bodies: no group is boxed to
+//! leave the store.
+//!
 //! [`AggregatorFactory::make`] still returns a group boxed, as a private
 //! adapter over the same state, its own clock beside it, whose
 //! [`Aggregator`] impl — the only one here besides [`multi_factory`]'s
-//! composite — calls the same bodies. It is what `multi_factory`'s parts and
-//! every [`crate::engine::ClosedGroup`] hold (a closed group moves its cell
-//! and a copy of its bucket's clock in), and one `merge_boxed` downcast lets
-//! the sharded engine's combiner merge two of them.
+//! composite — calls the same bodies. It is what `multi_factory`'s parts
+//! hold and what a caller of `make` gets; its `merge_boxed` downcast, and
+//! the composite's, are reached only through that public method, never
+//! from close, hand-off, persist or combine.
 //!
 //! **Adding an aggregate is one factory function**: which field to read,
 //! two or three closures over the summary, and its constructor. The source
@@ -131,7 +136,7 @@ fn bucket_seed(base: u64, bucket_start: Timestamp) -> u64 {
 /// The defaults are the undecayed ones.
 trait Weighing<S>: Send + Sync + 'static {
     /// What the groups of one bucket share.
-    type Clock: Clone + Send + 'static;
+    type Clock: Clone + PartialEq + Send + 'static;
     /// What an answer is given: the query time, or `g(t − L)`.
     type Query;
     fn clock(&self, bucket_start: Timestamp) -> Self::Clock;
@@ -197,42 +202,35 @@ impl<G: ForwardDecay> Fwd<G> {
     }
 }
 
-/// A bucket's clock: `g` anchored at the bucket start — exactly like the
-/// paper's `time % 60` — and the renormalizer that moves the landmark
-/// (Section VI-A). A group boxed out of the store takes a copy, and is
-/// again what a standalone decayed summary holds: `g`, a renormalizer and
-/// its state, in a box the size it always was (32 bytes smaller, the boxes
-/// of `fwd_quantiles` groups fragmented the heap: +6 MiB peak RSS).
-#[derive(Clone)]
-struct Clock<G> {
-    g: G,
-    renorm: Renormalizer,
-}
-
+/// A bucket's clock is its renormalizer alone: the landmark, the bucket
+/// start at first — exactly like the paper's `time % 60` — moved as the
+/// landmark moves (Section VI-A). `g` is the query's, in `Fwd`.
 impl<G: ForwardDecay, S: Numerators> Weighing<S> for Fwd<G> {
-    type Clock = Clock<G>;
+    type Clock = Renormalizer;
     type Query = Option<f64>;
-    fn clock(&self, bucket_start: Timestamp) -> Clock<G> {
-        let renorm = Renormalizer::new(bucket_start);
-        let g = self.g.clone();
-        Clock { g, renorm }
+    fn clock(&self, bucket_start: Timestamp) -> Renormalizer {
+        Renormalizer::new(bucket_start)
     }
     #[inline]
-    fn arrive(&self, clock: &mut Clock<G>, t: Timestamp) -> (Arrival, Option<f64>) {
-        let (t, w, moved) = decayed::arrive(&clock.g, &mut clock.renorm, t);
+    fn arrive(&self, clock: &mut Renormalizer, t: Timestamp) -> (Arrival, Option<f64>) {
+        let (t, w, moved) = decayed::arrive(&self.g, clock, t);
         ((t, w), moved)
     }
-    fn query(&self, clock: &Clock<G>, t: f64) -> Option<f64> {
-        decayed::denominator(&clock.g, &clock.renorm, t.into())
+    fn query(&self, clock: &Renormalizer, t: f64) -> Option<f64> {
+        decayed::denominator(&self.g, clock, t.into())
     }
     fn scale(&self, state: &mut S, factor: f64) {
         state.scale(factor);
     }
-    fn join(&self, ours: &mut Clock<G>, theirs: &Clock<G>) -> Option<(Option<f64>, Option<f64>)> {
-        ours.renorm.join(&ours.g, &theirs.renorm)
+    fn join(
+        &self,
+        ours: &mut Renormalizer,
+        theirs: &Renormalizer,
+    ) -> Option<(Option<f64>, Option<f64>)> {
+        ours.join(&self.g, theirs)
     }
-    fn put(&self, clock: &Clock<G>, state: &S, missed: &[f64], out: &mut Vec<u8>) {
-        let put = |state: &S, out: &mut Vec<u8>| state.put_under(&clock.g, &clock.renorm, out);
+    fn put(&self, clock: &Renormalizer, state: &S, missed: &[f64], out: &mut Vec<u8>) {
+        let put = |state: &S, out: &mut Vec<u8>| state.put_under(&self.g, clock, out);
         if missed.is_empty() {
             return put(state, out);
         }
@@ -240,17 +238,11 @@ impl<G: ForwardDecay, S: Numerators> Weighing<S> for Fwd<G> {
         missed.iter().for_each(|&factor| state.scale(factor));
         put(&state, out);
     }
-    fn take(&self, bytes: &[u8]) -> Result<(Clock<G>, S), CodecError> {
+    fn take(&self, bytes: &[u8]) -> Result<(Renormalizer, S), CodecError> {
         let mut r = Reader::new(bytes);
         let (renorm, state) = S::take_under(&mut r, &self.g_bytes)?;
         match r.remaining() {
-            0 => Ok((
-                Clock {
-                    g: self.g.clone(),
-                    renorm,
-                },
-                state,
-            )),
+            0 => Ok((renorm, state)),
             n => Err(CodecError::new(format!("{n} trailing bytes after a state"))),
         }
     }
@@ -281,9 +273,7 @@ struct Ops<S, U, X, F, E, N, W> {
     weigh: W,
 }
 
-/// One group's state boxed under its own clock: what `make` returns, and
-/// what a by-value group leaves the engine as in a
-/// [`crate::engine::ClosedGroup`], its bucket's clock moved in beside it.
+/// One group's state boxed under its own clock: what `make` returns.
 struct Adapter<K: Cells> {
     clock: K::Clock,
     cell: K::Cell,
@@ -338,7 +328,13 @@ impl<S, U, X, F, E, W> Ops<S, U, X, F, E, (), W> {
             name,
             splittable,
             ops.scaled.is_some(),
-            move |start| boxing.boxed(boxing.clock(start), boxing.make(start)),
+            move |start| -> Box<dyn Aggregator> {
+                Box::new(Adapter {
+                    clock: boxing.clock(start),
+                    cell: boxing.make(start),
+                    cells: Arc::clone(&boxing),
+                })
+            },
             Some(Box::new(move |query| {
                 Box::new(Store::new(Arc::clone(&ops), query))
             })),
@@ -415,13 +411,6 @@ where
     }
     fn join(&self, ours: &mut W::Clock, theirs: &W::Clock) -> Option<(Option<f64>, Option<f64>)> {
         self.weigh.join(ours, theirs)
-    }
-    fn boxed(&self, clock: W::Clock, cell: S) -> Box<dyn Aggregator> {
-        Box::new(Adapter {
-            clock,
-            cell,
-            cells: Arc::clone(self),
-        })
     }
 }
 

@@ -439,7 +439,7 @@ pub(super) fn parse_ckpt(data: &[u8]) -> Option<(u64, &[u8])> {
 }
 
 /// Starts an `FDC1` closed-delta image — `index, seq`, then the engine's
-/// closed-group section ([`crate::engine::write_closed_groups`], which
+/// closed-group section ([`crate::groups::put_closed`], which
 /// leads with its group count), appended by the caller before [`seal`].
 pub(super) fn begin_closed_delta(out: &mut Vec<u8>, index: u64, seq: u64) {
     begin_image(out, MAGIC_CLOSED);

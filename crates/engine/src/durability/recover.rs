@@ -411,7 +411,7 @@ mod tests {
     use super::super::DurabilityOptions;
     use super::*;
     use crate::aggregators::fwd_sum_factory;
-    use crate::engine::{read_closed_groups, Engine, Row};
+    use crate::engine::{Engine, Row};
     use crate::shard::ShardedEngine;
     use crate::tuple::{Packet, Proto};
     use crate::udaf::Query;
@@ -581,14 +581,22 @@ mod tests {
                 "shard {s}: the checkpoint still carries closed groups"
             );
             let mut seen = std::collections::BTreeSet::new();
+            let store = query().aggregate.group_store(&query());
             for section in &rec.closed[s] {
                 let mut r = Reader::new(section);
-                for g in read_closed_groups(&mut r, &query()).expect("decode delta") {
-                    assert!(g.bucket < 2, "only buckets 0 and 1 closed mid-stream");
+                let mut rows = Vec::new();
+                for run in store.read_closed(&mut r).expect("decode delta") {
+                    run.rows(Vec::new(), query().bucket_micros, &mut rows);
+                }
+                for g in rows {
                     assert!(
-                        seen.insert((g.bucket, g.key)),
+                        g.bucket_start < 4_000_000,
+                        "only buckets 0 and 1 closed mid-stream"
+                    );
+                    assert!(
+                        seen.insert((g.bucket_start, g.key)),
                         "shard {s}: ({}, {}) persisted twice",
-                        g.bucket,
+                        g.bucket_start,
                         g.key
                     );
                 }

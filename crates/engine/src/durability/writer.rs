@@ -12,6 +12,7 @@ use super::codec::{self, CommitState, Manifest};
 use super::recover::Resume;
 use super::sink::WalCmd;
 use super::{DurabilityOptions, FsyncPolicy, StoreFile};
+use crate::groups;
 use crate::io::{join, IoBackend, IoFile};
 use crate::spsc::{BatchPool, RingReceiver};
 use crate::supervisor::CheckpointSlot;
@@ -311,10 +312,10 @@ impl Writer {
                 codec::begin_ckpt(ckpt, v.seq);
                 ckpt.extend_from_slice(v.blob);
                 codec::seal(ckpt);
-                let fresh = &v.closed[persisted..];
+                let fresh = groups::after(v.closed, persisted);
                 if !fresh.is_empty() {
                     codec::begin_closed_delta(delta, next_delta, v.seq);
-                    crate::engine::write_closed_groups(delta, fresh).ok_or_else(|| {
+                    groups::put_closed(delta, fresh).ok_or_else(|| {
                         io::Error::new(
                             io::ErrorKind::InvalidData,
                             "a closed group declined to serialize",
@@ -322,7 +323,7 @@ impl Writer {
                     })?;
                     codec::seal(delta);
                 }
-                Ok::<_, io::Error>(Some((v.seq, v.closed.len())))
+                Ok::<_, io::Error>(Some((v.seq, groups::groups(v.closed))))
             });
             let Some((seq, closed_len)) = cut.transpose()?.flatten() else {
                 continue;

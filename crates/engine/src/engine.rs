@@ -21,14 +21,17 @@
 //!
 //! Time buckets close when the watermark (largest timestamp seen) passes the
 //! bucket end plus the query's out-of-order slack — the engine's stand-in
-//! for GS's punctuation/heartbeat mechanism.
+//! for GS's punctuation/heartbeat mechanism. A closing bucket leaves the
+//! store as one typed run, its groups sorted by key, which the engine
+//! evaluates into rows at once — or, in the sharded engine's workers, keeps
+//! for the combiner to merge across shards (*state mode*).
 
-use fd_core::checkpoint::{require, Decode, Encode, MAX_COUNT};
+use fd_core::checkpoint::{require, Encode, MAX_COUNT};
 
 use crate::admission::Admission;
-use crate::groups::{Admitted, Closing, GroupStore};
-use crate::tuple::{bucket_start, Micros, Packet};
-use crate::udaf::{put_framed, AggValue, Aggregator, Query};
+use crate::groups::{put_closed, Admitted, GroupStore, Run};
+use crate::tuple::{Micros, Packet};
+use crate::udaf::{AggValue, Query};
 
 /// One output row of a continuous query: a closed (bucket, group) with its
 /// aggregate value.
@@ -97,28 +100,6 @@ fd_core::codec_struct!(EngineStats {
     "engine counters past 2^62",
 ));
 
-/// A closed (bucket, group) carrying its raw aggregation state instead of
-/// an emitted value — the unit of cross-shard combination.
-///
-/// [`crate::shard::ShardedEngine`] runs one [`Engine`] per shard in state
-/// mode (see [`Engine::keep_closed_state`]); when a shard closes a bucket
-/// it hands back `ClosedGroup`s, and the combiner folds same-`(bucket,
-/// key)` groups together with [`Aggregator::merge_boxed`] before emitting —
-/// exactly the merge the paper's Section VI-B shows forward-decay
-/// summaries support (frozen numerators make partial summaries mergeable).
-///
-/// This is the one place a built-in aggregate's state is boxed: the group
-/// store holds it by value while the bucket is open, and boxes it into its
-/// [`Aggregator`] only as it leaves here.
-pub struct ClosedGroup {
-    /// Time-bucket id (`ts / bucket_micros`).
-    pub bucket: u64,
-    /// Group key.
-    pub key: u64,
-    /// The group's aggregation state at close time.
-    pub agg: Box<dyn Aggregator>,
-}
-
 /// The most admitted tuples that wait for one fold: bounds the engine's
 /// and the group store's batch buffers whatever batch a caller offers.
 const FOLD_RUN: usize = 4096;
@@ -130,8 +111,8 @@ pub struct Engine {
     store: Box<dyn GroupStore>,
     /// Closed rows awaiting collection.
     out: Vec<Row>,
-    /// Closed raw state awaiting collection (state mode only).
-    closed_state: Option<Vec<ClosedGroup>>,
+    /// Closed runs awaiting collection (state mode only).
+    closed: Option<Vec<Box<dyn Run>>>,
     /// The watermark, the close frontier and every counter but
     /// `lfta_evictions`, which is the LFTA's own (read them through
     /// [`Engine::stats`]). Its `closed_below` is the store's: only the
@@ -154,26 +135,20 @@ impl Engine {
             adm: Admission::new(&query),
             query,
             out: Vec::new(),
-            closed_state: None,
+            closed: None,
             pending: Vec::new(),
             last_ckpt_bytes: std::cell::Cell::new(64 * 1024),
         }
     }
 
-    /// Switches the engine to *state mode*: closed buckets retain their raw
-    /// [`Aggregator`] state (collect with [`Engine::drain_closed_state`] /
-    /// [`Engine::finish_state`]) instead of emitting [`Row`]s. Used by the
-    /// sharded engine, whose combiner must merge per-shard partial states
-    /// before evaluating them.
-    ///
-    /// # Panics
-    /// Panics if any bucket has already closed in row mode.
-    pub fn keep_closed_state(&mut self) {
-        assert!(
-            self.adm.stats.buckets_closed == 0,
-            "keep_closed_state must be called before any bucket closes"
-        );
-        self.closed_state = Some(Vec::new());
+    /// Switches the engine to *state mode*: closed buckets are kept as
+    /// their runs (collect with [`Engine::drain_closed_state`] /
+    /// [`Engine::finish_state`]) instead of evaluated into [`Row`]s — what a
+    /// shard worker does, since the combiner must merge per-shard partial
+    /// states before evaluating them (Section VI-B: frozen numerators make
+    /// partial summaries mergeable). Called before any bucket closes.
+    pub(crate) fn keep_closed_state(&mut self) {
+        self.closed = Some(Vec::new());
     }
 
     /// Whether the two-level split is active for this query.
@@ -268,15 +243,25 @@ impl Engine {
         }
     }
 
-    /// Closes every open bucket below `target` into rows, or raw state in
-    /// state mode; returns the newest bucket closed.
+    /// Closes every open bucket below `target` into rows, or in state mode
+    /// into the runs it keeps; returns the newest bucket closed.
     fn close_below(&mut self, target: u64) -> Option<u64> {
-        let out = Closing {
-            rows: &mut self.out,
-            state: self.closed_state.as_mut(),
-            stats: &mut self.adm.stats,
-        };
-        self.store.close_below(target, out)
+        let (rows, closed) = (&mut self.out, &mut self.closed);
+        let (stats, width) = (&mut self.adm.stats, self.query.bucket_micros);
+        let mut newest = None;
+        self.store.close_below(target, &mut |run| {
+            newest = Some(run.bucket());
+            stats.buckets_closed += 1;
+            match closed {
+                Some(closed) if run.len() > 0 => closed.push(run),
+                Some(_) => {}
+                None => {
+                    stats.rows_out += run.len() as u64;
+                    run.rows(Vec::new(), width, rows);
+                }
+            }
+        });
+        newest
     }
 
     /// Processes a punctuation: advances the watermark to `ts` and closes
@@ -300,13 +285,10 @@ impl Engine {
         std::mem::take(&mut self.out)
     }
 
-    /// Collects the raw state of all buckets closed so far (state mode
-    /// only; empty in row mode).
-    pub fn drain_closed_state(&mut self) -> Vec<ClosedGroup> {
-        self.closed_state
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+    /// Collects the runs of all buckets closed so far (state mode only;
+    /// empty in row mode).
+    pub(crate) fn drain_closed_state(&mut self) -> Vec<Box<dyn Run>> {
+        self.closed.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     fn close_all(&mut self) {
@@ -324,8 +306,8 @@ impl Engine {
     }
 
     /// Ends the stream in state mode: closes all open buckets and returns
-    /// every pending [`ClosedGroup`].
-    pub fn finish_state(&mut self) -> Vec<ClosedGroup> {
+    /// every pending run.
+    pub(crate) fn finish_state(&mut self) -> Vec<Box<dyn Run>> {
         self.close_all();
         self.drain_closed_state()
     }
@@ -444,15 +426,14 @@ impl Engine {
         self.store
             .checkpoint_into(&mut blob)
             .ok_or_else(unsupported)?;
-        write_closed_groups(&mut blob, self.closed_state.as_deref().unwrap_or(&[]))
-            .ok_or_else(unsupported)?;
+        put_closed(&mut blob, self.closed.as_deref().unwrap_or(&[])).ok_or_else(unsupported)?;
         self.last_ckpt_bytes.set(blob.len());
         let header_start = blob.len();
         EngineHeader {
             watermark: self.adm.watermark,
             closed_below: self.adm.closed_below(),
             stats: self.stats(),
-            state_mode: self.closed_state.is_some(),
+            state_mode: self.closed.is_some(),
             lfta: self.store.lfta_counters(),
             rows: self.out.clone(),
         }
@@ -485,9 +466,9 @@ impl Engine {
         let mut r = Reader::new(blob);
         let mut e = Engine::new(query);
         e.store.restore(&mut r, header.lfta)?;
-        let closed = read_closed_groups(&mut r, &e.query)?;
+        let closed = e.store.read_closed(&mut r)?;
         if header.state_mode {
-            e.closed_state = Some(closed);
+            e.closed = Some(closed);
         } else if !closed.is_empty() {
             return Err(CodecError::new("closed state in a row-mode snapshot"));
         }
@@ -500,42 +481,6 @@ impl Engine {
         e.out = header.rows;
         Ok(e)
     }
-}
-
-/// Appends a closed-group section — a count, then `(bucket, key,
-/// length-prefixed aggregator state)` per group — the layout shared by the
-/// tail of an [`Engine`] checkpoint and the durable store's closed-delta
-/// files. `None` if an aggregator declines checkpointing.
-pub(crate) fn write_closed_groups(out: &mut Vec<u8>, groups: &[ClosedGroup]) -> Option<()> {
-    groups.len().put(out);
-    for g in groups {
-        g.bucket.put(out);
-        g.key.put(out);
-        put_framed(out, |out| g.agg.checkpoint_into(out))?;
-    }
-    Some(())
-}
-
-/// Reads one [`write_closed_groups`] section, rebuilding each group's
-/// aggregator from `query`'s factory.
-pub(crate) fn read_closed_groups(
-    r: &mut fd_core::checkpoint::Reader<'_>,
-    query: &Query,
-) -> Result<Vec<ClosedGroup>, fd_core::checkpoint::CodecError> {
-    // A group is at least its three length words.
-    let n = r.count(24)?;
-    let mut groups = Vec::with_capacity(r.reserve(n, std::mem::size_of::<ClosedGroup>()));
-    for _ in 0..n {
-        let bucket = u64::take(r)?;
-        let key = u64::take(r)?;
-        let len = u64::take(r)? as usize;
-        let mut agg = query
-            .aggregate
-            .make(bucket_start(bucket, query.bucket_micros));
-        agg.restore(r.bytes(len)?)?;
-        groups.push(ClosedGroup { bucket, key, agg });
-    }
-    Ok(groups)
 }
 
 /// The head of an [`Engine`] checkpoint: everything small and irregular.
@@ -972,6 +917,189 @@ mod tests {
             assert!(Engine::restore(q(SLOTS), &huge).is_err());
             assert!(Engine::restore(q(1 << 20), &huge).is_err());
         }
+    }
+
+    /// A packet of group `dst_ip` at `ts` µs carrying `len` bytes.
+    fn at(ts: Micros, dst_ip: u32, len: u32) -> Packet {
+        Packet {
+            ts,
+            len,
+            ..pkt(0.0, dst_ip)
+        }
+    }
+
+    /// `tests/group_store.rs`' golden query: `fwd_sum` under `n²` over 10 s
+    /// buckets, 5 s of slack and four LFTA slots.
+    fn golden_query() -> Query {
+        Query::builder("golden")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(10)
+            .slack_secs(5.0)
+            .aggregate(crate::aggregators::fwd_sum_factory(
+                Monomial::quadratic(),
+                |p| p.len as f64,
+            ))
+            .lfta_slots(4)
+            .try_build()
+            .expect("valid query")
+    }
+
+    /// Its 44 tuples over 33 s, seven groups, ±2 s out of order: two
+    /// buckets close.
+    fn golden_stream() -> Vec<Packet> {
+        (0..44u64)
+            .map(|i| {
+                let ts = i * 750_000 + (i * 7 % 5) * 400_000;
+                at(ts, (i * 5 % 7) as u32, 100 + i as u32)
+            })
+            .collect()
+    }
+
+    /// `fwd_avg` under `exp:10` over 60 s buckets: a bucket's clock moves
+    /// once its tuples pass 34.5 s into it.
+    fn moving_query() -> Query {
+        let g: fd_core::decay::AnyDecay = "exp:10".parse().expect("decay spec");
+        Query::builder("avg_exp10")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(60)
+            .slack_secs(2.0)
+            .aggregate(crate::aggregators::fwd_avg_factory(g, |p| p.len as f64))
+            .lfta_slots(8)
+            .try_build()
+            .expect("valid query")
+    }
+
+    /// `n` tuples every 0.5 s from t = 1 s on seven groups, up to 0.9 s out
+    /// of order.
+    fn moving_stream(n: u64) -> Vec<Packet> {
+        (0..n)
+            .map(|i| {
+                let ts = MICROS_PER_SEC + i * 500_000 + (i * 7919 % 10) * 90_000;
+                at(ts, (i * 3 % 7) as u32, 40 + (i * 97 % 1400) as u32)
+            })
+            .collect()
+    }
+
+    /// The closed section `runs` write, and the rows they evaluate to, each
+    /// value by its bits.
+    fn closed_output(runs: Vec<Box<dyn Run>>, width: Micros) -> (Vec<u8>, Vec<(Micros, u64, u64)>) {
+        let mut bytes = Vec::new();
+        put_closed(&mut bytes, &runs).expect("every cell checkpoints");
+        let mut rows = Vec::new();
+        runs.into_iter()
+            .for_each(|run| run.rows(Vec::new(), width, &mut rows));
+        let bits = |r: Row| {
+            (
+                r.bucket_start,
+                r.key,
+                r.value.as_float().expect("float").to_bits(),
+            )
+        };
+        (bytes, rows.into_iter().map(bits).collect())
+    }
+
+    #[test]
+    fn state_mode_checkpoints_are_the_parent_commits() {
+        // Written by `Engine::checkpoint` at the commit before closed
+        // buckets became runs, from these queries and streams: two
+        // images, a blank line apart, each with closed buckets pending.
+        let images: Vec<Vec<u8>> =
+            include_str!("../../../tests/data/engine_checkpoint_state_mode.hex")
+                .split("\n\n")
+                .map(|image| {
+                    let digits: Vec<u8> = image.bytes().filter(u8::is_ascii_hexdigit).collect();
+                    let pair =
+                        |d: &[u8]| u8::from_str_radix(std::str::from_utf8(d).expect("ascii"), 16);
+                    digits
+                        .chunks(2)
+                        .map(|d| pair(d).expect("hex digit pair"))
+                        .collect()
+                })
+                .collect();
+        assert_eq!(
+            images.iter().map(Vec::len).collect::<Vec<_>>(),
+            [2210, 4354]
+        );
+        let queries: [fn() -> Query; 2] = [golden_query, moving_query];
+        let streams = [golden_stream(), moving_stream(400)];
+        for ((query, stream), golden) in queries.into_iter().zip(streams).zip(images) {
+            let mut e = Engine::new(query());
+            e.keep_closed_state();
+            e.process_packets(&stream);
+            assert!(e.stats().buckets_closed >= 2);
+            assert!(
+                e.checkpoint().expect("checkpoint") == golden,
+                "{}: bytes differ",
+                e.query_name()
+            );
+            // The parent's bytes restore, and write themselves back.
+            let mut restored = Engine::restore(query(), &golden).expect("restore");
+            assert!(restored.checkpoint().expect("checkpoint") == golden);
+            let width = e.query.bucket_micros;
+            let (ours, theirs) = (e.finish_state(), restored.finish_state());
+            assert_eq!(closed_output(ours, width), closed_output(theirs, width));
+        }
+    }
+
+    #[test]
+    fn restore_refuses_closed_groups_out_of_order() {
+        let mut e = Engine::new(golden_query());
+        e.keep_closed_state();
+        e.process_packets(&golden_stream());
+        let blob = e.checkpoint().expect("checkpoint");
+        assert!(Engine::restore(golden_query(), &blob).is_ok());
+        // The closed section: a group count, then `(bucket, key, framed
+        // state)` per group.
+        let mut section = Vec::new();
+        put_closed(&mut section, e.closed.as_deref().expect("state mode")).expect("section");
+        let at = (blob.windows(section.len()))
+            .rposition(|w| w == section)
+            .expect("the section in the checkpoint");
+        let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().expect("8 bytes"));
+        let (bucket, first_key) = (at + 8, at + 16);
+        let second = first_key + 16 + word(first_key + 8) as usize;
+        assert_eq!(word(second), word(bucket), "two groups of one bucket");
+        let refused = |at: usize, value: u64| {
+            let mut bad = blob.clone();
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            Engine::restore(golden_query(), &bad).is_err()
+        };
+        // A key repeated, or above the next one, in a bucket.
+        assert!(refused(second + 8, word(first_key)));
+        assert!(refused(first_key, word(second + 8) + 1));
+        // A bucket after a newer one.
+        assert!(refused(bucket, word(bucket) + 1));
+    }
+
+    /// Freezing a state-mode engine mid-stream and restoring it perturbs
+    /// nothing downstream: the closed runs of both — those closed before
+    /// the checkpoint included — write the same bytes and evaluate to the
+    /// same rows.
+    #[test]
+    fn state_mode_checkpoint_roundtrip_is_transparent_mid_stream() {
+        let stream = moving_stream(1_000);
+        let (head, tail) = stream.split_at(stream.len() / 2);
+        let mut original = Engine::new(moving_query());
+        original.keep_closed_state();
+        original.process_packets(head);
+        assert!(
+            original.closed.as_ref().is_some_and(|runs| runs.len() >= 2),
+            "buckets closed before the checkpoint"
+        );
+        let bytes = original.checkpoint().expect("checkpoint");
+        let mut restored = Engine::restore(moving_query(), &bytes).expect("restore");
+        for p in tail {
+            original.process(p);
+            restored.process(p);
+        }
+        let width = original.query.bucket_micros;
+        let (a, b) = (original.finish_state(), restored.finish_state());
+        let ((a_bytes, a_rows), (b_bytes, b_rows)) =
+            (closed_output(a, width), closed_output(b, width));
+        assert!(a_rows.len() >= 7 * 8, "{} rows", a_rows.len());
+        assert!(a_bytes == b_bytes, "closed sections differ");
+        assert_eq!(a_rows, b_rows);
+        assert_eq!(original.stats(), restored.stats());
     }
 
     #[test]

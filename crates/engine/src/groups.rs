@@ -1,9 +1,8 @@
 //! The engine's group store: every group's state a query holds, and
 //! everything done to it — the LFTA's fold, evict and flush, the open
-//! buckets' move-in rule and merges, bucket close into rows or
-//! [`ClosedGroup`]s, the sorted checkpoint walk, restore and the space
-//! probes — written once, generic over the cell `C` a group's state lives
-//! in.
+//! buckets' move-in rule and merges, bucket close into [`Run`]s, the
+//! sorted checkpoint walk, restore and the space probes — written once,
+//! generic over the cell `C` a group's state lives in.
 //!
 //! There are exactly two instantiations of that code, picked by the
 //! factory through [`AggregatorFactory::group_store`]:
@@ -18,10 +17,14 @@
 //!   `multi_factory`'s composite.
 //!
 //! The engine holds the store as one `Box<dyn GroupStore>`: one virtual
-//! call per admitted run of tuples ([`GroupStore::fold_batch`]). A cell
-//! leaves the store boxed only as a [`ClosedGroup`] in state mode, which
-//! is what the sharded engine's combiner, the supervisor and the durable
-//! store consume.
+//! call per admitted run of tuples ([`GroupStore::fold_batch`]).
+//!
+//! **Closed runs.** A bucket closes, in either mode, into one typed run —
+//! its id, its clock and its `(key, cell)` groups sorted by key once — boxed
+//! once per bucket as a [`Run`], which the engine evaluates into rows at
+//! once or, in state mode, keeps for the combiner to merge key by key. Its
+//! closed section is written per group ([`put_closed`]) and read back by
+//! the store ([`GroupStore::read_closed`]).
 //!
 //! **Layout.** A query keeps only as many buckets open as its slack spans —
 //! one to three in practice — so the buckets sit in a short vector ordered
@@ -72,6 +75,7 @@
 //! Checkpoint bytes are the same for both instantiations: each cell is
 //! framed as a `u64` length and its state's own encoding.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use fd_core::checkpoint::{CodecError, Decode, Encode, Reader};
@@ -80,7 +84,7 @@ use fd_core::Timestamp;
 
 #[cfg(doc)]
 use crate::engine::Engine;
-use crate::engine::{ClosedGroup, EngineStats, Row};
+use crate::engine::Row;
 use crate::lfta::{Lfta, Partial};
 use crate::tuple::{bucket_end, bucket_start, secs, Micros, Packet};
 use crate::udaf::{put_framed, AggValue, Aggregator, AggregatorFactory, Query};
@@ -121,14 +125,15 @@ pub(crate) fn prefetch<T>(t: &T) {
 pub(crate) type Arrival = (Timestamp, f64);
 
 /// What the store does to a cell, once per query: the one seam between
-/// the generic store and an aggregate.
-pub(crate) trait Cells: Send + 'static {
+/// the generic store and an aggregate. Cloned once per closed bucket, into
+/// its run.
+pub(crate) trait Cells: Clone + Send + 'static {
     /// A group's state as the store holds it.
     type Cell: Send + 'static;
     /// What every group of a bucket shares, held once by the bucket: a
-    /// decayed aggregate's clock (its `g` anchored at the bucket start, and
-    /// a `Renormalizer`), `()` for every other.
-    type Clock: Clone + Send + 'static;
+    /// decayed aggregate's clock (a `Renormalizer`, its landmark the bucket
+    /// start until it moves; `g` is the query's), `()` for every other.
+    type Clock: Clone + PartialEq + Send + 'static;
     /// The clock of the bucket starting at `bucket_start`.
     fn clock(&self, bucket_start: Micros) -> Self::Clock;
     /// A fresh group's state for the bucket starting at `bucket_start`.
@@ -178,13 +183,11 @@ pub(crate) trait Cells: Send + 'static {
     ) -> Option<(Option<f64>, Option<f64>)> {
         Some((None, None))
     }
-    /// The cell, under `clock`, as the [`Aggregator`] a [`ClosedGroup`]
-    /// carries.
-    fn boxed(&self, clock: Self::Clock, cell: Self::Cell) -> Box<dyn Aggregator>;
 }
 
 /// The boxed instantiation: a `Box<dyn Aggregator>` per group from the
 /// factory's `make`, which keeps its own clock.
+#[derive(Clone)]
 struct Boxed(Arc<dyn AggregatorFactory>);
 
 impl Cells for Boxed {
@@ -220,22 +223,11 @@ impl Cells for Boxed {
         cell.restore(bytes)?;
         Ok(((), cell))
     }
-    fn boxed(&self, _: (), cell: Self::Cell) -> Box<dyn Aggregator> {
-        cell
-    }
 }
 
 /// The default store: `query`'s groups boxed.
 pub(crate) fn boxed(query: &Query) -> Box<dyn GroupStore> {
     Box::new(Store::new(Boxed(Arc::clone(&query.aggregate)), query))
-}
-
-/// Where closing buckets go — rows, or in state mode raw state — and the
-/// counters they bump.
-pub struct Closing<'a> {
-    pub(crate) rows: &'a mut Vec<Row>,
-    pub(crate) state: Option<&'a mut Vec<ClosedGroup>>,
-    pub(crate) stats: &'a mut EngineStats,
 }
 
 /// A tuple the engine has admitted and not yet folded in: its group, its
@@ -255,10 +247,9 @@ pub trait GroupStore: Send {
     /// Folds an admitted tuple with a scale straight into its high-level
     /// group.
     fn fold_scaled(&mut self, pkt: &Packet, at: &Admitted, scale: f64);
-    /// Closes every bucket below `target` (`u64::MAX`: all of them) into
-    /// `out`, in id order, each bucket's groups in key order. Returns the
-    /// id of the newest bucket closed.
-    fn close_below(&mut self, target: u64, out: Closing<'_>) -> Option<u64>;
+    /// Closes every bucket below `target` (`u64::MAX`: all of them), in id
+    /// order, each into one [`Run`] handed to `out`.
+    fn close_below(&mut self, target: u64, out: &mut dyn FnMut(Box<dyn Run>));
     /// Appends the open buckets' groups and the LFTA's residents in their
     /// slots; `None` if a cell declines to checkpoint.
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()>;
@@ -270,6 +261,10 @@ pub trait GroupStore: Send {
         r: &mut Reader<'_>,
         lfta: Option<(u64, u64, u64)>,
     ) -> Result<(), CodecError>;
+    /// Reads back a closed section [`put_closed`] wrote, one run per
+    /// bucket. Its groups must ascend by `(bucket, key)`, as every run
+    /// writes them.
+    fn read_closed(&self, r: &mut Reader<'_>) -> Result<Vec<Box<dyn Run>>, CodecError>;
     /// The footprint of all live state.
     fn space_bytes(&self) -> usize;
     /// The mean size of a high-level group, `None` without one.
@@ -278,6 +273,129 @@ pub trait GroupStore: Send {
     fn lfta_counters(&self) -> Option<(u64, u64, u64)>;
     /// Occupied LFTA slots, `None` if unsplit.
     fn lfta_occupancy(&self) -> Option<usize>;
+}
+
+/// A closed bucket whatever its cells: what the engine evaluates, and what
+/// the shard worker, its checkpoint slot, the durable store and the
+/// combiner pass on.
+pub trait Run: Any + Send {
+    /// The bucket's id.
+    fn bucket(&self) -> u64;
+    /// How many groups it holds.
+    fn len(&self) -> usize;
+    /// Appends each group as `(bucket, key, framed state)`, in key order;
+    /// `None` if a cell declines to checkpoint.
+    fn put(&self, out: &mut Vec<u8>) -> Option<()>;
+    /// Evaluates the bucket, `width` µs wide, into `out`, one row per key
+    /// in key order: a key also in `more` — runs of the same bucket from
+    /// stores of the same query, in merge order — is the merge of its
+    /// cells, this run's first.
+    fn rows(self: Box<Self>, more: Vec<Box<dyn Run>>, width: Micros, out: &mut Vec<Row>);
+}
+
+/// How many groups `runs` hold.
+pub(crate) fn groups(runs: &[Box<dyn Run>]) -> usize {
+    runs.iter().map(|run| run.len()).sum()
+}
+
+/// Appends the closed section of `runs`: a group count, then every group
+/// as [`Run::put`] writes it — the tail of an [`Engine`] checkpoint and the
+/// body of a durable closed-delta. `None` if a cell declines.
+pub(crate) fn put_closed(out: &mut Vec<u8>, runs: &[Box<dyn Run>]) -> Option<()> {
+    groups(runs).put(out);
+    runs.iter().try_for_each(|run| run.put(out))
+}
+
+/// The runs of `runs` after its first `groups` groups, which end a run.
+pub(crate) fn after(mut runs: &[Box<dyn Run>], mut groups: usize) -> &[Box<dyn Run>] {
+    while let Some((run, rest)) = runs.split_first().filter(|(run, _)| run.len() <= groups) {
+        (groups, runs) = (groups - run.len(), rest);
+    }
+    debug_assert_eq!(groups, 0, "a cursor inside a run");
+    runs
+}
+
+/// A closed bucket of a store over `K`: its clock and its groups, sorted
+/// by key, with the store's cells to evaluate and write them.
+struct TypedRun<K: Cells> {
+    cells: K,
+    bucket: u64,
+    clock: K::Clock,
+    groups: Vec<(u64, K::Cell)>,
+}
+
+impl<K: Cells> Run for TypedRun<K> {
+    fn bucket(&self) -> u64 {
+        self.bucket
+    }
+
+    fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    fn put(&self, out: &mut Vec<u8>) -> Option<()> {
+        self.groups.iter().try_for_each(|(key, cell)| {
+            self.bucket.put(out);
+            key.put(out);
+            put_framed(out, |out| self.cells.put(&self.clock, cell, &[], out))
+        })
+    }
+
+    fn rows(self: Box<Self>, more: Vec<Box<dyn Run>>, width: Micros, out: &mut Vec<Row>) {
+        let (cells, bucket, first) = (self.cells.clone(), self.bucket, out.len());
+        let (bucket_start, t_end) = (bucket_start(bucket, width), secs(bucket_end(bucket, width)));
+        // Every run of a query comes from a store its one factory built.
+        let more = more
+            .into_iter()
+            .filter_map(|run| (run as Box<dyn Any>).downcast().ok());
+        let runs: Vec<Self> = std::iter::once(*self).chain(more.map(|run| *run)).collect();
+        debug_assert!(
+            (runs.iter()).all(|run| run.groups.windows(2).all(|w| w[0].0 < w[1].0)),
+            "a run's keys must ascend"
+        );
+        out.reserve(runs.iter().map(|run| run.groups.len()).sum());
+        let mut heads: Vec<_> = (runs.into_iter())
+            .map(|run| (run.clock, run.groups.into_iter().peekable()))
+            .collect();
+        // The least key any run has left, then its cells in run order,
+        // merged as `Aggregator::merge_boxed` merges two boxes: the clocks
+        // joined — only for a key met twice — each side rescaled to the
+        // newer landmark.
+        while let Some(key) = (heads.iter_mut())
+            .filter_map(|(_, groups)| groups.peek().map(|&(key, _)| key))
+            .min()
+        {
+            let mut met = (heads.iter_mut()).filter_map(|(clock, groups)| {
+                Some((&*clock, groups.next_if(|&(k, _)| k == key)?.1))
+            });
+            let Some((clock, mut cell)) = met.next() else {
+                break;
+            };
+            let mut joined = None;
+            for (theirs, mut other) in met {
+                let ours = joined.get_or_insert_with(|| clock.clone());
+                // Every run's clock began at its bucket's start.
+                let (ours, mine) = cells.join(ours, theirs).unwrap_or_default();
+                if let Some(factor) = ours {
+                    cells.rescale(&mut cell, factor);
+                }
+                if let Some(factor) = mine {
+                    cells.rescale(&mut other, factor);
+                }
+                cells.merge(&mut cell, other);
+            }
+            let value = cells.emit(joined.as_ref().unwrap_or(clock), &cell, t_end);
+            out.push(Row {
+                bucket_start,
+                key,
+                value,
+            });
+        }
+        debug_assert!(
+            out[first..].windows(2).all(|w| w[0].key < w[1].key),
+            "a merged bucket's keys must ascend"
+        );
+    }
 }
 
 /// A bucket's group index: open addressing over 16-byte `(key, position
@@ -870,7 +988,7 @@ impl<K: Cells> GroupStore for Store<K> {
         cells.update_scaled(group, pkt, arrival, scale);
     }
 
-    fn close_below(&mut self, target: u64, out: Closing<'_>) -> Option<u64> {
+    fn close_below(&mut self, target: u64, out: &mut dyn FnMut(Box<dyn Run>)) {
         let (cells, open, width) = (&self.cells, &mut self.open, self.bucket_micros);
         let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
         if let Some(lfta) = &mut self.lfta {
@@ -881,47 +999,20 @@ impl<K: Cells> GroupStore for Store<K> {
                 open.absorb((p, taken(slot)), clock, merge, rescale)
             });
         }
-        let Closing {
-            rows,
-            mut state,
-            stats,
-        } = out;
-        let mut newest = None;
         while let Some(mut bucket) = open.pop_below(target) {
             bucket.settle(rescale);
-            let id = bucket.id;
-            newest = Some(id);
-            stats.buckets_closed += 1;
-            // Keys are unique within a bucket, so the unstable sorts are
+            let mut groups = Vec::with_capacity(bucket.index.len());
+            bucket.pages.drain(..).for_each(|page| groups.extend(page));
+            // Keys are unique within a bucket, so the unstable sort is
             // deterministic.
-            if let Some(state) = &mut state {
-                let (clock, first) = (&bucket.clock, state.len());
-                let mut pages = bucket.pages;
-                // Every page stays allocated until every cell is boxed: boxes
-                // carved from the holes of pages freed one by one would keep
-                // the next bucket's pages from reusing them.
-                let moved = pages.iter_mut().flat_map(|page| page.drain(..));
-                state.extend(moved.map(|(key, cell)| ClosedGroup {
-                    bucket: id,
-                    key,
-                    agg: cells.boxed(clock.clone(), cell),
-                }));
-                drop(pages);
-                state[first..].sort_unstable_by_key(|c| c.key);
-                continue;
-            }
-            let bucket_start = bucket_start(id, width);
-            let t_end = secs(bucket_end(id, width));
-            let first = rows.len();
-            rows.extend(bucket.iter().map(|&(key, ref cell)| Row {
-                bucket_start,
-                key,
-                value: cells.emit(&bucket.clock, cell, t_end),
+            groups.sort_unstable_by_key(|&(key, _)| key);
+            out(Box::new(TypedRun {
+                cells: cells.clone(),
+                bucket: bucket.id,
+                clock: bucket.clock,
+                groups,
             }));
-            rows[first..].sort_unstable_by_key(|r| r.key);
-            stats.rows_out += (rows.len() - first) as u64;
         }
-        newest
     }
 
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
@@ -1042,6 +1133,46 @@ impl<K: Cells> GroupStore for Store<K> {
                 "query is two-level but the snapshot has no LFTA",
             )),
         }
+    }
+
+    fn read_closed(&self, r: &mut Reader<'_>) -> Result<Vec<Box<dyn Run>>, CodecError> {
+        let (cells, width) = (&self.cells, self.bucket_micros);
+        let (mut runs, mut run) = (Vec::<Box<dyn Run>>::new(), None::<TypedRun<K>>);
+        // A group is at least its three words.
+        for _ in 0..r.count(24)? {
+            let (bucket, key, len) = (u64::take(r)?, u64::take(r)?, u64::take(r)? as usize);
+            let start = bucket_start(bucket, width);
+            let (clock, cell) = cells.take(start, r.bytes(len)?)?;
+            let last = run
+                .as_ref()
+                .and_then(|run| Some((run.bucket, run.groups.last()?.0)));
+            if last.is_some_and(|last| last >= (bucket, key)) {
+                return Err(CodecError::new("closed groups out of (bucket, key) order"));
+            }
+            match &mut run {
+                Some(run) if run.bucket == bucket && run.clock == clock => {
+                    run.groups.push((key, cell));
+                }
+                Some(run) if run.bucket == bucket => {
+                    return Err(CodecError::new("a closed bucket under two clocks"));
+                }
+                _ => {
+                    // The clock it was written under must be its bucket's.
+                    (cells.join(&mut cells.clock(start), &clock))
+                        .ok_or_else(|| CodecError::new("a state of another bucket"))?;
+                    let groups = vec![(key, cell)];
+                    let next = TypedRun {
+                        cells: cells.clone(),
+                        bucket,
+                        clock,
+                        groups,
+                    };
+                    runs.extend(run.replace(next).map(|run| Box::new(run) as Box<dyn Run>));
+                }
+            }
+        }
+        runs.extend(run.map(|run| Box::new(run) as Box<dyn Run>));
+        Ok(runs)
     }
 
     fn space_bytes(&self) -> usize {

@@ -112,7 +112,7 @@ pub mod udaf;
 pub mod prelude {
     pub use crate::aggregators::*;
     pub use crate::durability::{DurabilityOptions, FsyncPolicy, RecoveryReport};
-    pub use crate::engine::{ClosedGroup, Engine, EngineStats, Row, StreamEvent};
+    pub use crate::engine::{Engine, EngineStats, Row, StreamEvent};
     pub use crate::fault::{DiskFault, DiskFaultKind, FaultKind, FaultPlan};
     pub use crate::io::{FaultyFs, IoBackend, StdFs};
     pub use crate::metrics::{combine_shard_stats, cpu_load_pct, drop_fraction, LoadPoint};

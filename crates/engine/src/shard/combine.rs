@@ -8,9 +8,9 @@ use super::recover::reap_zombies;
 #[cfg(doc)]
 use super::IngressHandle;
 use super::ShardedEngine;
-use crate::engine::{ClosedGroup, Engine, Row};
+use crate::engine::{Engine, Row};
+use crate::groups::{groups, Run};
 use crate::overload::DrainReport;
-use crate::tuple::{bucket_end, bucket_start, secs};
 
 impl ShardedEngine {
     /// Graceful drain: seals ingress, flushes every staged tuple, waits up
@@ -78,7 +78,7 @@ impl ShardedEngine {
     /// key) order — the same order the single-threaded engine emits.
     /// Subsequent calls return no rows. Never panics on a lost worker.
     ///
-    /// A shard's closed groups arrive in two parts: those its checkpoint
+    /// A shard's closed runs arrive in two parts: those its checkpoint
     /// slot holds (everything closed up to the last checkpoint, handed off
     /// once each) and those the worker returns (everything after). A
     /// worker found dead here is put through the same supervision
@@ -98,8 +98,8 @@ impl ShardedEngine {
             h.finish();
         }
         let fab = Arc::clone(&self.fab);
-        // Per shard: the groups closed after its last checkpoint.
-        let mut tails: Vec<Vec<ClosedGroup>> = Vec::new();
+        // Per shard: the runs closed after its last checkpoint.
+        let mut tails: Vec<Vec<Box<dyn Run>>> = Vec::new();
         for (shard, sh) in fab.shards.iter().enumerate() {
             let mut tail = Vec::new();
             let mut inner = sh.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -136,7 +136,7 @@ impl ShardedEngine {
         }
         // All workers have drained and published their last checkpoints:
         // flush the WAL, persist what the last commit covers — the writer
-        // reads the slots' closed groups, so this comes before they move
+        // reads the slots' closed runs, so this comes before they move
         // out — and commit a final manifest, so a cleanly-finished store
         // recovers instantly.
         if let Some(d) = self.durable.as_mut() {
@@ -164,36 +164,26 @@ impl ShardedEngine {
         self.emit_rows(closed)
     }
 
-    /// Merges the closed groups by `(bucket, key)`, evaluates them into
-    /// rows, and records the final counters unconditionally (even with live
+    /// Merges each bucket's runs key by key, evaluates them into rows, and
+    /// records the final counters unconditionally (even with live
     /// telemetry off), so a post-run snapshot always agrees exactly with
     /// `stats()`.
-    fn emit_rows(&mut self, mut closed: Vec<ClosedGroup>) -> Vec<Row> {
-        let bucket_micros = self.query.bucket_micros;
-        // Stable: states that met the same group on different shards (or in
-        // different worker incarnations) stay in arrival order, and merge
-        // in it.
-        closed.sort_by_key(|cg| (cg.bucket, cg.key));
+    fn emit_rows(&mut self, mut closed: Vec<Box<dyn Run>>) -> Vec<Row> {
+        let width = self.query.bucket_micros;
+        // Stable: the runs of a bucket — one per shard that met it, or per
+        // worker incarnation — stay in arrival order, and merge in it.
+        closed.sort_by_key(|run| run.bucket());
         // Exact unless a group met on two shards (a splittable aggregate).
-        let mut rows = Vec::with_capacity(closed.len());
-        let mut last_bucket = None;
-        let mut groups = closed.into_iter().peekable();
-        while let Some(mut group) = groups.next() {
-            let id = (group.bucket, group.key);
-            while let Some(same) = groups.next_if(|cg| (cg.bucket, cg.key) == id) {
-                group.agg.merge_boxed(same.agg);
+        let mut rows = Vec::with_capacity(groups(&closed));
+        let mut runs = closed.into_iter().peekable();
+        while let Some(run) = runs.next() {
+            let bucket = run.bucket();
+            let mut more = Vec::new();
+            while let Some(same) = runs.next_if(|run| run.bucket() == bucket) {
+                more.push(same);
             }
-            if last_bucket != Some(group.bucket) {
-                last_bucket = Some(group.bucket);
-                self.stats.buckets_closed += 1;
-            }
-            rows.push(Row {
-                bucket_start: bucket_start(group.bucket, bucket_micros),
-                key: group.key,
-                value: group
-                    .agg
-                    .emit(secs(bucket_end(group.bucket, bucket_micros))),
-            });
+            run.rows(more, width, &mut rows);
+            self.stats.buckets_closed += 1;
         }
         self.stats.rows_out = rows.len() as u64;
         // Admission counters: every closed handle left its final figures in

@@ -8,8 +8,7 @@
 //! [`ShardedEngine`] exploits exactly that: it hash-partitions the tuple
 //! stream across `n_shards` worker threads, each running a full
 //! single-threaded [`Engine`] (its own LFTA + HFTA) over its substream,
-//! and combines the per-shard closed buckets with
-//! [`Aggregator::merge_boxed`] at the end.
+//! and merges the per-shard closed buckets at the end.
 //!
 //! ## The ingress plane
 //!
@@ -26,13 +25,15 @@
 //! methods below); [`ShardedEngine::take_ingress_handles`] detaches them
 //! for genuinely parallel feeding.
 //!
-//! Workers run in *state mode* ([`Engine::keep_closed_state`]): a closed
-//! bucket yields raw [`ClosedGroup`] aggregation state rather than
-//! emitted rows. [`ShardedEngine::finish`] concatenates the shards' closed
-//! runs, sorts them stably by `(bucket, key)` and merges neighbours —
-//! states that met the same group on different shards — in one linear
-//! pass, and only then evaluates each group at its bucket end, producing
-//! rows in the same (bucket, key) order as the single-threaded engine.
+//! Workers run in *state mode*: a closed bucket is kept as its typed run —
+//! the bucket's one clock and its groups' raw states, sorted by key once,
+//! in one box per bucket — rather than evaluated into rows.
+//! [`ShardedEngine::finish`] collects the shards' runs in shard order (a
+//! shard's slot before its worker's tail), orders them stably by bucket,
+//! and merges each bucket's runs key by key — the states that met a group
+//! on different shards, their clocks joined, in that order — evaluating
+//! each group at its bucket end as it goes: rows in the same (bucket, key)
+//! order as the single-threaded engine, with no sort of the groups.
 //!
 //! ## Routing
 //!
@@ -50,8 +51,8 @@
 //! Each worker periodically serializes its *open* state into a shared
 //! [`CheckpointSlot`] ([`Engine::checkpoint`] — forward decay's frozen
 //! numerators make the snapshot plain data, exact to the bit) and, in the
-//! same critical section, moves the groups of every bucket closed since
-//! its previous checkpoint into the slot: a closed group leaves the worker
+//! same critical section, moves the run of every bucket closed since its
+//! previous checkpoint into the slot: a closed bucket leaves the worker
 //! exactly once and is never serialized again, so a checkpoint costs what
 //! the open state costs however long the stream has run.
 //!
@@ -73,11 +74,11 @@
 //! close a queue. The run then continues **byte-identically**: the
 //! restored LFTA slots sit in their exact old positions, so every future
 //! fold/evict/flush — and every floating-point combination order — is
-//! unchanged, and the slot's closed groups stay where they are (the
+//! unchanged, and the slot's closed runs stay where they are (the
 //! snapshot does not hold them, so re-reading cannot close them twice). A
 //! shard that exhausts its restart budget (a poison-pill input, say) is
 //! *degraded*: what its queues held and later tuples routed to it are
-//! counted dropped, and its last checkpoint — the slot's closed groups
+//! counted dropped, and its last checkpoint — the slot's closed runs
 //! plus the buckets open in the snapshot — is still salvaged into the
 //! final result at [`ShardedEngine::finish`]. Every recovery action is
 //! observable in [`EngineTelemetry`]: `restarts`, `checkpoints`,
@@ -123,13 +124,7 @@ use crate::telemetry::EngineTelemetry;
 use crate::tuple::{Micros, Packet};
 use crate::udaf::Query;
 #[cfg(doc)]
-use crate::{
-    engine::{ClosedGroup, Engine},
-    fault::FaultKind,
-    io::FaultyFs,
-    supervisor::CheckpointSlot,
-    udaf::Aggregator,
-};
+use crate::{engine::Engine, fault::FaultKind, io::FaultyFs, supervisor::CheckpointSlot};
 
 pub use ingress::IngressHandle;
 use recover::{spawn_plane, FabShared};

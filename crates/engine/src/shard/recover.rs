@@ -12,8 +12,9 @@ use super::ingress::IngressHandle;
 use super::worker::{spawn_worker, WorkerHandle};
 use super::{EngineConfig, Msg, FABRIC_RING_DEPTH};
 use crate::durability::{recover, DurableSink, RecoveryReport, ReplayMsg};
-use crate::engine::{ClosedGroup, Engine, EngineStats};
+use crate::engine::{Engine, EngineStats};
 use crate::fault::{FaultKind, FaultState};
+use crate::groups::{groups, Run};
 use crate::io::{FaultyFs, IoBackend};
 use crate::overload::ShedPolicy;
 use crate::spsc::{ring, BatchPool, RingSender, SendError};
@@ -39,7 +40,7 @@ pub(super) struct FabInner {
     /// [`ShardedEngine::finish`] takes it. (A worker only returns when its
     /// queues close, so a mid-stream reap is not expected to leave
     /// anything here — but must not silently drop it if it happens.)
-    pub(super) exited: Option<(Vec<ClosedGroup>, EngineStats)>,
+    pub(super) exited: Option<(Vec<Box<dyn Run>>, EngineStats)>,
 }
 
 /// One shard of the plane: one queue per producer and the checkpoint
@@ -313,7 +314,7 @@ impl FabShared {
 
     /// Brings up a worker incarnation for `shard`: restores an engine from
     /// the snapshot in the shard's checkpoint slot (a fresh one when the
-    /// slot is empty) — the slot's closed groups stay where they are: the
+    /// slot is empty) — the slot's closed runs stay where they are: the
     /// snapshot no longer holds them, and re-reading closes only buckets
     /// that were still open in it — and spawns the worker on fresh readers
     /// attached to every queue at the first entry past the slot's seq.
@@ -333,7 +334,7 @@ impl FabShared {
         let restored = sh.slot.read(|v| {
             self.telemetry.shards()[shard]
                 .closed_groups_held
-                .store(v.closed.len() as u64, Relaxed);
+                .store(groups(v.closed) as u64, Relaxed);
             (v.seq, Engine::restore(self.worker_query.clone(), v.blob))
         });
         let (ckpt_seq, engine) = match restored {
@@ -399,7 +400,7 @@ impl FabShared {
     /// incarnation, attached at the front and dropped at once, leaves
     /// in-flight sends failing and a zombie's receivers inert — counting
     /// what the queues held, read or not, as degraded drops. Its last
-    /// checkpoint — snapshot and closed groups — is still salvaged at
+    /// checkpoint — snapshot and closed runs — is still salvaged at
     /// [`ShardedEngine::finish`]. Caller holds `inner` and has disposed of
     /// the worker.
     pub(super) fn degrade_locked(&self, shard: usize) {
@@ -518,18 +519,18 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
     for shard in 0..n {
         // What the store holds for the shard goes into its slot exactly as
         // if the worker had published it moments ago: the persisted
-        // snapshot (moved — nothing else reads it) and the closed groups
+        // snapshot (moved — nothing else reads it) and the closed runs
         // persisted beside it.
         let persisted = recovered
             .as_mut()
             .and_then(|(rec, _)| Some((rec.ckpts[shard].take()?, &rec.closed[shard])));
         let slot = match persisted {
             Some(((seq, blob), deltas)) => {
+                let store = worker_query.aggregate.group_store(&worker_query);
                 let mut closed = Vec::new();
                 for (i, section) in deltas.iter().enumerate() {
                     let mut r = fd_core::checkpoint::Reader::new(section);
-                    let groups = crate::engine::read_closed_groups(&mut r, &worker_query)
-                        .ok()
+                    let runs = (store.read_closed(&mut r).ok())
                         .filter(|_| r.is_empty())
                         .ok_or_else(|| fd_core::Error::Durability {
                             detail: format!(
@@ -537,7 +538,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
                                 i + 1
                             ),
                         })?;
-                    closed.extend(groups);
+                    closed.extend(runs);
                 }
                 CheckpointSlot::resumed(seq, blob, closed)
             }

@@ -8,8 +8,9 @@ use std::time::{Duration, Instant};
 
 use super::recover::FabShared;
 use super::Msg;
-use crate::engine::{ClosedGroup, Engine, EngineStats};
+use crate::engine::{Engine, EngineStats};
 use crate::fault::{FaultKind, FaultState};
+use crate::groups::Run;
 use crate::spsc::RingReceiver;
 use crate::supervisor::WorkerLease;
 use crate::tuple::Packet;
@@ -75,10 +76,10 @@ fn apply_batch(
 }
 
 /// A shard worker's join handle: when its queues drain, the worker returns
-/// the groups it has not handed to its checkpoint slot (everything closed
+/// the runs it has not handed to its checkpoint slot (every bucket closed
 /// after its last checkpoint — the whole run's, unsupervised) and its
 /// end-of-run stats.
-pub(super) type WorkerHandle = JoinHandle<(Vec<ClosedGroup>, EngineStats)>;
+pub(super) type WorkerHandle = JoinHandle<(Vec<Box<dyn Run>>, EngineStats)>;
 
 #[cfg(test)]
 thread_local! {

@@ -5,12 +5,13 @@
 //! with exponential backoff, then graceful degradation) specialized to the
 //! engine's determinism requirements. A shard worker periodically
 //! serializes its *open* state — open buckets, LFTA slots, counters — and
-//! hands the groups of every bucket closed since the previous checkpoint
-//! over to its [`CheckpointSlot`], moved, not serialized. Forward decay
-//! makes both halves cheap and *exact*: summaries carry frozen numerators
-//! `g(t_i − L)` that are plain numbers, not functions of the current time
-//! (paper Section VI-B), so a snapshot is plain data and a closed group
-//! never changes again. The queues between the ingress handles and the
+//! hands every bucket closed since the previous checkpoint over to its
+//! [`CheckpointSlot`] as the bucket's typed run (its clock and its groups,
+//! sorted by key), moved, not serialized. Forward decay makes both halves
+//! cheap and *exact*: summaries carry frozen numerators `g(t_i − L)` that
+//! are plain numbers, not functions of the current time (paper Section
+//! VI-B), so a snapshot is plain data and a closed bucket never changes
+//! again. The queues between the ingress handles and the
 //! worker ([`crate::spsc`]) *retain* what the worker has read: an entry
 //! stays in its queue, behind the read cursor, until the worker releases
 //! it — which it does for everything a checkpoint it just published
@@ -20,13 +21,13 @@
 //! *incarnation* to every queue at the first entry past the slot's seq;
 //! the new worker re-reads the tail, which reproduces its predecessor's
 //! open state byte-for-byte (see [`crate::engine::Engine::checkpoint`])
-//! while the slot's closed groups stay where they are. Nothing is re-sent.
+//! while the slot's closed runs stay where they are. Nothing is re-sent.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use crate::engine::ClosedGroup;
+use crate::groups::{groups, Run};
 
 /// Take a checkpoint after at least this many tuples since the previous
 /// one (default for [`crate::shard::ShardedEngine`]). A shard's queues
@@ -47,15 +48,15 @@ pub const DEFAULT_MAX_RESTARTS: u32 = 3;
 pub const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
 /// What one lock of a [`CheckpointSlot`] guards: the snapshot and the
-/// closed groups, which only ever change together.
+/// closed runs, which only ever change together.
 #[derive(Default)]
 struct SlotState {
     /// The worker engine's open state as of the slot's `seq` (`None`
     /// until the first store).
     blob: Option<Vec<u8>>,
-    /// Every group of every bucket the shard closed at or before `seq`,
-    /// in close order, across all worker incarnations.
-    closed: Vec<ClosedGroup>,
+    /// The run of every bucket the shard closed at or before `seq`, in
+    /// close order, across all worker incarnations.
+    closed: Vec<Box<dyn Run>>,
 }
 
 /// A [`CheckpointSlot`]'s contents, borrowed under its lock.
@@ -65,19 +66,19 @@ pub struct SlotView<'a> {
     /// The worker engine's open state as of `seq`
     /// ([`crate::engine::Engine::restore`] takes it).
     pub blob: &'a [u8],
-    /// Every group the shard closed at or before `seq`.
-    pub closed: &'a [ClosedGroup],
+    /// The run of every bucket the shard closed at or before `seq`.
+    pub closed: &'a [Box<dyn Run>],
 }
 
 /// One shard's checkpoint slot: "the open state at `seq`" plus "every
-/// group closed at or before `seq`", which together are the shard's whole
+/// bucket closed at or before `seq`", which together are the shard's whole
 /// state at `seq`.
 ///
 /// Written by the worker, which then releases what its queues retain up
 /// to the `seq` it just published; read on recovery (restore the open state; the
-/// closed groups stay put), by the durable store's writer thread, and at
+/// closed runs stay put), by the durable store's writer thread, and at
 /// the end of the run, when [`take_closed`](Self::take_closed) hands the
-/// closed groups to the combiner. Single writer, so the mutex is
+/// closed runs to the combiner. Single writer, so the mutex is
 /// uncontended in the steady state.
 #[derive(Default)]
 pub struct CheckpointSlot {
@@ -90,8 +91,8 @@ pub struct CheckpointSlot {
 
 impl CheckpointSlot {
     /// A slot preloaded from a durable store: the persisted snapshot and
-    /// the closed groups persisted beside it.
-    pub fn resumed(seq: u64, blob: Vec<u8>, closed: Vec<ClosedGroup>) -> Self {
+    /// the closed runs persisted beside it.
+    pub fn resumed(seq: u64, blob: Vec<u8>, closed: Vec<Box<dyn Run>>) -> Self {
         Self {
             seq: AtomicU64::new(seq),
             state: Mutex::new(SlotState {
@@ -107,8 +108,8 @@ impl CheckpointSlot {
     }
 
     /// Publishes a checkpoint: the snapshot taken after applying message
-    /// `seq`, and the groups closed since the previous store — one
-    /// critical section, so no reader ever sees one without the other.
+    /// `seq`, and the runs of the buckets closed since the previous store —
+    /// one critical section, so no reader ever sees one without the other.
     /// Hands back the displaced snapshot buffer for the next
     /// serialization (empty on the first store) and how many closed
     /// groups the slot now holds.
@@ -116,14 +117,14 @@ impl CheckpointSlot {
     /// Refused (`None`) when `lease` has been retired: the watchdog reads
     /// the slot only after retiring the old incarnation, and the check
     /// runs under the same lock as that read, so a zombie that lost the
-    /// race can publish neither a stale snapshot nor closed groups its
+    /// race can publish neither a stale snapshot nor closed buckets its
     /// successor will close again.
     pub fn store(
         &self,
         lease: &WorkerLease,
         seq: u64,
         blob: Vec<u8>,
-        newly_closed: Vec<ClosedGroup>,
+        newly_closed: Vec<Box<dyn Run>>,
     ) -> Option<(Vec<u8>, usize)> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if lease.retired() {
@@ -132,7 +133,7 @@ impl CheckpointSlot {
         let displaced = state.blob.replace(blob).unwrap_or_default();
         state.closed.extend(newly_closed);
         self.seq.store(seq, Ordering::Release);
-        Some((displaced, state.closed.len()))
+        Some((displaced, groups(&state.closed)))
     }
 
     /// Runs `f` on the slot's contents under its lock; `None` when no
@@ -147,8 +148,8 @@ impl CheckpointSlot {
         }))
     }
 
-    /// Moves the closed groups out (end of run: they go to the combiner).
-    pub fn take_closed(&self) -> Vec<ClosedGroup> {
+    /// Moves the closed runs out (end of run: they go to the combiner).
+    pub fn take_closed(&self) -> Vec<Box<dyn Run>> {
         std::mem::take(
             &mut self
                 .state
@@ -277,50 +278,71 @@ impl WorkerLease {
 mod tests {
     use super::*;
 
-    fn closed(bucket: u64, key: u64) -> ClosedGroup {
-        ClosedGroup {
-            bucket,
-            key,
-            agg: crate::udaf::AggregatorFactory::make(&*crate::aggregators::count_factory(), 0),
+    /// The run of bucket `bucket` (one second wide) holding a count for
+    /// each of `keys`, as a state-mode engine closes it.
+    fn closed(bucket: u64, keys: &[u32]) -> Box<dyn Run> {
+        use crate::tuple::{Packet, Proto, MICROS_PER_SEC};
+        let query = crate::udaf::Query::builder("slot")
+            .group_by(|p| p.dst_ip.into())
+            .bucket_secs(1)
+            .aggregate(crate::aggregators::count_factory())
+            .try_build()
+            .expect("valid query");
+        let mut e = crate::engine::Engine::new(query);
+        e.keep_closed_state();
+        for &dst_ip in keys {
+            e.process(&Packet {
+                ts: bucket * MICROS_PER_SEC,
+                src_ip: 1,
+                dst_ip,
+                src_port: 1,
+                dst_port: 80,
+                len: 100,
+                proto: Proto::Tcp,
+            });
         }
+        let mut runs = e.finish_state();
+        assert_eq!(runs.len(), 1);
+        runs.pop().expect("one run")
     }
 
-    fn ids(groups: &[ClosedGroup]) -> Vec<(u64, u64)> {
-        groups.iter().map(|g| (g.bucket, g.key)).collect()
+    /// Each run's bucket and group count.
+    fn ids(runs: &[Box<dyn Run>]) -> Vec<(u64, usize)> {
+        runs.iter().map(|run| (run.bucket(), run.len())).collect()
     }
 
     #[test]
-    fn slot_pairs_each_snapshot_with_the_groups_closed_so_far() {
+    fn slot_pairs_each_snapshot_with_the_buckets_closed_so_far() {
         let slot = CheckpointSlot::default();
         let lease = WorkerLease::default();
         assert_eq!(slot.seq(), 0);
         assert!(slot.read(|_| ()).is_none());
         let (spare, held) = slot
-            .store(&lease, 7, vec![1, 2, 3], vec![closed(0, 1)])
+            .store(&lease, 7, vec![1, 2, 3], vec![closed(0, &[1])])
             .expect("live lease");
         assert!(spare.is_empty());
         assert_eq!(held, 1);
-        // The displaced snapshot comes back for reuse; closed groups
-        // accumulate across stores.
+        // The displaced snapshot comes back for reuse; closed runs
+        // accumulate across stores, and the count is of their groups.
         let (spare, held) = slot
-            .store(&lease, 9, vec![4], vec![closed(1, 1), closed(1, 2)])
+            .store(&lease, 9, vec![4], vec![closed(1, &[1, 2])])
             .expect("live lease");
         assert_eq!(spare, vec![1, 2, 3]);
         assert_eq!(held, 3);
         let seen = slot.read(|v| (v.seq, v.blob.to_vec(), ids(v.closed)));
-        assert_eq!(seen, Some((9, vec![4], vec![(0, 1), (1, 1), (1, 2)])));
-        assert_eq!(ids(&slot.take_closed()), vec![(0, 1), (1, 1), (1, 2)]);
+        assert_eq!(seen, Some((9, vec![4], vec![(0, 1), (1, 2)])));
+        assert_eq!(ids(&slot.take_closed()), vec![(0, 1), (1, 2)]);
         assert!(slot.take_closed().is_empty(), "moved out exactly once");
         assert_eq!(slot.read(|v| v.seq), Some(9), "the snapshot stays");
     }
 
     #[test]
     fn retired_incarnation_cannot_publish() {
-        let slot = CheckpointSlot::resumed(5, vec![9], vec![closed(0, 1)]);
+        let slot = CheckpointSlot::resumed(5, vec![9], vec![closed(0, &[1])]);
         let zombie = WorkerLease::default();
         zombie.retire();
         assert!(slot
-            .store(&zombie, 8, vec![1], vec![closed(1, 1)])
+            .store(&zombie, 8, vec![1], vec![closed(1, &[1])])
             .is_none());
         let seen = slot.read(|v| (v.seq, v.blob.to_vec(), ids(v.closed)));
         assert_eq!(seen, Some((5, vec![9], vec![(0, 1)])), "slot untouched");

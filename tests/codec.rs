@@ -5,7 +5,9 @@
 //! `Encode` / `Decode` traits, one `<name> <hex>` per line: every decay
 //! `fdql` parses, two row-mode engine checkpoints whose pending rows hold
 //! floats, items and nested composites (one with an LFTA, one single
-//! level), and the states no other pinned file covers. Each must encode to
+//! level), and the states no other pinned file covers. A state-mode engine
+//! checkpoint, closed buckets pending, comes from
+//! `data/engine_checkpoint_state_mode.hex`. Each must encode to
 //! those bytes, and decoding then re-encoding them must give them back.
 //! (Where a state holds a hashed container, the parent wrote it in hash
 //! order; its generator rebuilt the state until that order happened to be
@@ -316,6 +318,49 @@ fn engine_case(name: &str, two_level: bool) -> Case {
     }
 }
 
+/// A shard worker's checkpoint, closed buckets pending: the first image of
+/// `data/engine_checkpoint_state_mode.hex`, `fwd_sum` under `n²` over
+/// 10 s buckets, whose closed section decodes into one run per bucket.
+fn engine_state_case() -> Case {
+    let image: Vec<u8> = (include_str!("data/engine_checkpoint_state_mode.hex").split("\n\n"))
+        .next()
+        .expect("an image")
+        .split_whitespace()
+        .flat_map(|line| {
+            (0..line.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("hex digit pair"))
+        })
+        .collect();
+    let query = || {
+        Query::builder("golden")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(10)
+            .slack_secs(5.0)
+            .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
+            .lfta_slots(4)
+            .try_build()
+            .expect("valid query")
+    };
+    Case {
+        name: "engine/state".to_string(),
+        image,
+        decode: Box::new(move |bytes| {
+            let mut e = metered("engine/state", bytes.len(), || {
+                Engine::restore(query(), bytes)
+            })?;
+            let again = e.checkpoint()?;
+            merging(|| {
+                for (t, key) in arrivals() {
+                    e.process(&packet(t + 20.0, key));
+                }
+                e.finish();
+            });
+            Ok(again)
+        }),
+    }
+}
+
 /// The 16 arrivals a decoded state is fed: inside a second after the
 /// landmark (10 s), where a decayed weight stays finite whatever a flipped
 /// exponent has made of the decay's parameter.
@@ -412,6 +457,7 @@ fn cases() -> Vec<Case> {
     ));
     out.push(engine_case("engine/lfta", true));
     out.push(engine_case("engine/single", false));
+    out.push(engine_state_case());
     out.extend(sampler_cases());
     out.extend(unpinned_cases());
     out

@@ -167,6 +167,45 @@ fn checkpoint_bytes_are_the_parent_formats() {
 }
 
 #[test]
+fn state_mode_checkpoints_restore_to_their_own_bytes() {
+    // Two shard-worker checkpoints written at the commit before closed
+    // buckets became typed runs, each with closed buckets pending: the
+    // golden query's, and `fwd_avg` under `exp:10`, whose bucket clocks
+    // moved. Their closed sections decode into runs and write back as
+    // they were.
+    let images = include_str!("data/engine_checkpoint_state_mode.hex").split("\n\n");
+    let avg = || {
+        Query::builder("avg_exp10")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(60)
+            .slack_secs(2.0)
+            .aggregate(fwd_avg_factory(
+                "exp:10".parse::<AnyDecay>().expect("decay spec"),
+                |p| p.len as f64,
+            ))
+            .lfta_slots(8)
+            .try_build()
+            .expect("valid query")
+    };
+    let queries: [fn() -> Query; 2] = [golden_query, avg];
+    for (image, query) in images.zip(queries) {
+        let golden: Vec<u8> = (image.split_whitespace())
+            .flat_map(|line| {
+                (0..line.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("hex digit pair"))
+            })
+            .collect();
+        let restored = Engine::restore(query(), &golden).expect("restore");
+        assert!(restored.stats().buckets_closed >= 2);
+        assert!(
+            restored.checkpoint().expect("checkpoint") == golden,
+            "a restored state-mode engine re-serializes differently"
+        );
+    }
+}
+
+#[test]
 fn space_per_group_is_the_parent_commits() {
     // Fig. 2(d)'s metric is the summary's size probe, not the cell's
     // footprint: 8 bytes a group, for fwd_sum held by value or boxed. The

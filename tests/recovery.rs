@@ -680,31 +680,6 @@ fn checkpoint_bytes_stay_flat_as_buckets_close() {
     );
 }
 
-/// The checkpoint codec itself: freezing an engine mid-stream and
-/// restoring it must not perturb anything downstream.
-#[test]
-fn engine_checkpoint_roundtrip_is_transparent_mid_stream() {
-    let packets = trace(4.0, 10_000.0, 5);
-    let (head, tail) = packets.split_at(packets.len() / 2);
-
-    let mut original = Engine::new(decayed_query());
-    original.keep_closed_state();
-    for p in head {
-        original.process(p);
-    }
-    let bytes = original.checkpoint().expect("checkpoint");
-    let mut restored = Engine::restore(decayed_query(), &bytes).expect("restore");
-
-    for p in tail {
-        original.process(p);
-        restored.process(p);
-    }
-    let a = original.finish();
-    let b = restored.finish();
-    assert_bit_identical(&a, &b, "restored engine");
-    assert_eq!(original.stats(), restored.stats());
-}
-
 /// The samplers checkpoint like every other aggregate — their keys are
 /// fixed at arrival and their generators' state is in the bytes — so a
 /// crashed worker running them is restored, not degraded, and the rows

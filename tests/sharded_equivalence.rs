@@ -271,6 +271,60 @@ fn round_robin_routing_matches_for_additive_aggregates() {
     }
 }
 
+#[test]
+fn round_robin_rows_under_moving_clocks_are_the_parent_commits() {
+    // Round-robin meets every group on every shard, and under `exp:10`
+    // over 60 s buckets each shard's bucket clock moves at its own first
+    // tuple past 34.5 s: the combiner joins two different clocks for
+    // nearly every key. Checkpoints every 500 tuples put each shard's
+    // closed buckets partly in its slot and partly in its worker's tail.
+    // Each `<aggregate> <bucket_start> <key> <value bits>` line was
+    // printed at the commit before closed buckets became typed runs.
+    let pinned = include_str!("data/round_robin_rows_exp10.txt");
+    let stream: Vec<Packet> = (0..6_000u64)
+        .map(|i| Packet {
+            ts: MICROS_PER_SEC + i * 40_000 + (i * 7919 % 10) * 60_000,
+            src_ip: 1,
+            dst_ip: (i * 5 % 11) as u32,
+            src_port: 1000,
+            dst_port: 80,
+            len: 40 + (i * 97 % 1400) as u32,
+            proto: Proto::Tcp,
+        })
+        .collect();
+    let g: forward_decay::core::decay::AnyDecay = "exp:10".parse().expect("decay spec");
+    let mut printed = String::new();
+    for (name, aggregate) in [
+        ("fwd_sum", fwd_sum_factory(g.clone(), |p| p.len as f64)),
+        ("fwd_avg", fwd_avg_factory(g.clone(), |p| p.len as f64)),
+    ] {
+        let query = Query::builder(name)
+            .group_by(|p| p.dst_host())
+            .bucket_secs(60)
+            .slack_secs(2.0)
+            .aggregate(aggregate)
+            .try_build()
+            .expect("valid query");
+        let mut e = ShardedEngine::try_new(query, 4)
+            .expect("spawn shards")
+            .routing(ShardBy::RoundRobin)
+            .try_batch_size(64)
+            .expect("batch size")
+            .checkpoint_every(500);
+        for chunk in stream.chunks(300) {
+            e.try_process_packets(chunk).expect("feed");
+        }
+        let rows = e.finish();
+        assert!(e.telemetry().snapshot().checkpoints > 0);
+        for r in rows {
+            let bits = r.value.as_float().expect("float").to_bits();
+            printed += &format!("{name} {} {} {bits:016x}\n", r.bucket_start, r.key);
+        }
+    }
+    assert_eq!(printed.lines().count(), 110);
+    assert!(printed == pinned, "rows differ from the parent commit's");
+}
+
 // ---------------------------------------------------------------------------
 // Multi-producer ingress fabric: the same differential contract, with P
 // ingress producers scattering into the shard fabric. The single-threaded
