@@ -79,6 +79,7 @@ pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
 /// Sequential reader over checkpoint bytes: what every [`Decode`] impl and
 /// the engine's hand-packed bulk sections read from. A read that runs
 /// short consumes nothing.
+#[derive(Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
 }

@@ -10,7 +10,8 @@
 //! exponential weights have grown large, freeze the weight), its batched
 //! form, the landmark alignment of a merge, and the guarded query-time
 //! denominator. *What* is summarized is the [`Weighted`] summary inside: an
-//! accumulator ([`crate::aggregates`]), SpaceSaving
+//! accumulator, or two or three of them under the one clock for an average
+//! or a variance ([`Both`], [`crate::aggregates`]), SpaceSaving
 //! ([`crate::heavy_hitters`]), a q-digest ([`crate::quantiles`]), a
 //! count-min sketch with its candidates ([`crate::cm`], the worked example:
 //! a new decayed sketch is one `impl Weighted` and a type alias).
@@ -66,32 +67,11 @@ pub fn denominator<G: ForwardDecay>(g: &G, renorm: &Renormalizer, t: Timestamp) 
     (denom != 0.0).then_some(denom)
 }
 
-/// A [`Decayed`]'s bytes from its three parts, wherever they are held:
-/// `g`, the renormalizer, the summary. A holder that keeps one `g` and one
-/// clock for many summaries writes each as the standalone summary is
-/// written.
-pub fn put_parts<G: Encode, S: Encode>(g: &G, renorm: &Renormalizer, inner: &S, out: &mut Vec<u8>) {
-    (g, renorm, inner).put(out);
-}
-
-/// Reads back what [`put_parts`] wrote under the `g` whose encoding is
-/// `g_bytes`: the renormalizer and the summary. A summary written under
-/// another `g` is refused, not decoded.
-pub fn take_parts<S: Decode>(
-    r: &mut Reader<'_>,
-    g_bytes: &[u8],
-) -> Result<(Renormalizer, S), CodecError> {
-    if r.bytes(g_bytes.len())? != g_bytes {
-        return Err(CodecError::new("a state decayed by another g"));
-    }
-    Ok((Renormalizer::take(r)?, S::take(r)?))
-}
-
 /// Weighted state held apart from its clock: the static numerators of one
-/// [`Weighted`] summary, or of several under one clock ([`Both`]), as a
-/// holder that keeps one `g` and one clock for many states (the engine's
-/// bucket) stores them. Written under its clock as the standalone summaries
-/// are: each part [`put_parts`].
+/// [`Weighted`] summary, or of several under one clock ([`Both`]), as
+/// [`Decayed`] and a holder that keeps one `g` and one clock for many
+/// states (the engine's bucket) store them. Each part is written as its
+/// standalone summary is: `g`, the renormalizer, the part's own fields.
 pub trait Numerators: Mergeable + Clone + Send + Sized + 'static {
     /// Multiplies every stored weight by `factor`: the clock moved.
     fn scale(&mut self, factor: f64);
@@ -99,9 +79,9 @@ pub trait Numerators: Mergeable + Clone + Send + Sized + 'static {
     /// Appends each part's bytes under `g` and `renorm`.
     fn put_under<G: Encode>(&self, g: &G, renorm: &Renormalizer, out: &mut Vec<u8>);
 
-    /// Reads back what [`put_under`](Self::put_under) wrote under the `g`
-    /// encoded as `g_bytes` ([`take_parts`]), with the clock it was written
-    /// under; parts written under different clocks are refused.
+    /// Reads back what [`put_under`](Self::put_under) wrote, with the clock
+    /// it was written under; parts written under another `g` than the one
+    /// encoded as `g_bytes`, or under different clocks, are refused.
     fn take_under(r: &mut Reader<'_>, g_bytes: &[u8]) -> Result<(Renormalizer, Self), CodecError>;
 }
 
@@ -112,18 +92,20 @@ impl<S: Weighted + Encode + Decode + Send + 'static> Numerators for S {
     }
 
     fn put_under<G: Encode>(&self, g: &G, renorm: &Renormalizer, out: &mut Vec<u8>) {
-        put_parts(g, renorm, self, out);
+        (g, renorm, self).put(out);
     }
 
     fn take_under(r: &mut Reader<'_>, g_bytes: &[u8]) -> Result<(Renormalizer, Self), CodecError> {
-        take_parts(r, g_bytes)
+        if r.bytes(g_bytes.len())? != g_bytes {
+            return Err(CodecError::new("a state decayed by another g"));
+        }
+        Ok((Renormalizer::take(r)?, S::take(r)?))
     }
 }
 
-/// Two states under one clock, in the order their standalone summary's
-/// fields are: an average's sum and count
-/// ([`DecayedAverage`](crate::aggregates::DecayedAverage)), a variance's sum
-/// of squares and average.
+/// Two states under one clock, each written as its standalone summary is:
+/// the [`Weighted`] states of an average ([`Mean`](crate::aggregates::Mean))
+/// and of a variance ([`Moments`](crate::aggregates::Moments)).
 #[derive(Debug, Clone)]
 pub struct Both<A, B>(pub A, pub B);
 
@@ -330,28 +312,36 @@ impl<G: ForwardDecay, S: Weighted> Decayed<G, S> {
     /// over [`denominator`](Self::denominator), empty where that is `None`.
     #[inline]
     pub fn query(&self, t: impl Into<Timestamp>) -> S::Output {
-        self.denominator(t)
-            .map(|denom| self.inner.over(denom))
-            .unwrap_or_default()
+        answer(&self.inner, self.denominator(t))
     }
 }
 
-/// `g`, the renormalizer, then the summary's own fields.
-impl<G: ForwardDecay, S: Weighted + Encode> Encode for Decayed<G, S> {
+/// A state's decayed answer over the query-time denominator `g(t − L)`,
+/// empty where that is `None` ([`denominator`]): what [`Decayed::query`]
+/// answers, for a holder that keeps the clock apart from the state.
+#[inline]
+pub fn answer<S: Weighted>(state: &S, denom: Option<f64>) -> S::Output {
+    denom.map(|denom| state.over(denom)).unwrap_or_default()
+}
+
+/// Each part as [`Numerators::put_under`] writes it.
+impl<G: ForwardDecay, S: Weighted + Numerators> Encode for Decayed<G, S> {
     fn put(&self, out: &mut Vec<u8>) {
-        put_parts(&self.g, &self.renorm, &self.inner, out);
+        self.inner.put_under(&self.g, &self.renorm, out);
     }
 }
 
-impl<G: ForwardDecay, S: Weighted + Decode> Decode for Decayed<G, S> {
-    const MIN_BYTES: usize = G::MIN_BYTES + Renormalizer::MIN_BYTES + S::MIN_BYTES;
+/// Refuses a part under another `g` or clock than the first part's.
+impl<G: ForwardDecay, S: Weighted + Numerators> Decode for Decayed<G, S> {
+    /// At least the first part's `g` and clock.
+    const MIN_BYTES: usize = G::MIN_BYTES + Renormalizer::MIN_BYTES;
 
     fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            g: G::take(r)?,
-            renorm: Renormalizer::take(r)?,
-            inner: S::take(r)?,
-        })
+        let mut ahead = r.clone();
+        let g = G::take(&mut ahead)?;
+        let g_bytes = r.clone().bytes(r.remaining() - ahead.remaining())?;
+        let (renorm, inner) = S::take_under(r, g_bytes)?;
+        Ok(Self { g, renorm, inner })
     }
 }
 

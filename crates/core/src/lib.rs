@@ -27,8 +27,8 @@
 //!   (scalar and batched), merge-time landmark alignment and the query-time
 //!   denominator, written once; a new decayed sketch is one `impl Weighted`;
 //! - the weighted summaries and their decayed aliases: [`aggregates`]
-//!   (constant-space Count / Sum / Min / Max, and the Average / Variance
-//!   composed of them — Theorem 1), [`heavy_hitters`] (weighted SpaceSaving
+//!   (constant-space Count / Sum / Min / Max, and the Average / Variance,
+//!   accumulators under one clock — Theorem 1), [`heavy_hitters`] (weighted SpaceSaving
 //!   — Theorem 2 — plus the unary variant the paper uses as undecayed
 //!   baseline), [`quantiles`] (a weighted q-digest — Theorem 3), [`cm`] (a
 //!   Count-Min sketch with a candidate set, the alternative heavy-hitter

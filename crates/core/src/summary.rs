@@ -6,9 +6,8 @@
 //! summaries that reduce to a weighted one (aggregates, heavy hitters,
 //! quantiles — Theorems 1–3) that lifecycle *is* a type,
 //! [`Decayed`](crate::decayed::Decayed), and its one `impl Summary` serves
-//! them all; the dominance sketches (Theorem 4), the samplers
-//! (Theorems 5–6) and the composite average / variance implement the trait
-//! themselves. Generic code — the differential oracle harness, which
+//! them all; the dominance sketches (Theorem 4) and the samplers
+//! (Theorems 5–6) implement the trait themselves. Generic code — the differential oracle harness, which
 //! replays, merges and checkpoints any `S: Summary` against the brute-force
 //! reference — is written against this view; the engine's one adapter
 //! (`fd_engine::aggregators`) needs only

@@ -42,10 +42,11 @@
 //! group store: there a group is its bare state `S`, held inline, and the
 //! store keeps the `Ops` once for all of them. The paper divides once, so a
 //! forward-decayed group holds only its static numerators — the
-//! [`Weighted`] summary a [`fd_core::Decayed`] wraps, or two of them under
-//! one clock for an average or a variance — while `Ops` holds the query's
-//! one `g` and each open bucket one clock (a `Renormalizer`, its landmark
-//! the bucket start until it moves). Merging is [`Mergeable::merge_from`]
+//! [`Weighted`] summary a [`fd_core::Decayed`] wraps (an average's or a
+//! variance's accumulators under one clock, [`Mean`] and [`Moments`],
+//! among them), and answers as that summary does ([`answer`]) — while
+//! `Ops` holds the query's one `g` and each open bucket one clock (a
+//! `Renormalizer`, its landmark the bucket start until it moves). Merging is [`Mergeable::merge_from`]
 //! (Section VI-B: frozen numerators make forward-decay summaries mergeable,
 //! so per-shard partial buckets combine losslessly), and checkpointing is the state's own [`fd_core::checkpoint`]
 //! encoding, a decayed one written under its clock as the standalone summary
@@ -72,14 +73,12 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use fd_core::aggregates::{Accumulator, Extremal};
-#[cfg(doc)]
-use fd_core::aggregates::{DecayedAverage, DecayedVariance};
+use fd_core::aggregates::{Accumulator, Extremal, Mean, Moments};
 use fd_core::backward::{ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH};
 use fd_core::checkpoint::{from_bytes, require, CodecError, Decode, Encode, Reader, MAX_COUNT};
 use fd_core::cm::{CmCandidates, DecayedCmHeavyHitters};
 use fd_core::decay::{BackwardDecay, ForwardDecay};
-use fd_core::decayed::{self, Both, Numerators, Weighted};
+use fd_core::decayed::{self, answer, Numerators, Weighted};
 use fd_core::distinct::DominanceSketch;
 use fd_core::hash::mix64;
 use fd_core::heavy_hitters::{
@@ -443,18 +442,9 @@ impl<K: Cells> Aggregator for Adapter<K> {
             .as_any_box()
             .downcast::<Self>()
             .expect("aggregator type mismatch");
-        let Adapter {
-            clock, mut cell, ..
-        } = *other;
-        let (ours, theirs) =
-            (self.cells.join(&mut self.clock, &clock)).expect("summaries must share a landmark");
-        if let Some(factor) = ours {
-            self.cells.rescale(&mut self.cell, factor);
-        }
-        if let Some(factor) = theirs {
-            self.cells.rescale(&mut cell, factor);
-        }
-        self.cells.merge(&mut self.cell, cell);
+        let Adapter { clock, cell, .. } = *other;
+        let merged = (self.cells).merge_under(&mut self.clock, &mut self.cell, &clock, cell);
+        merged.expect("summaries must share a landmark");
     }
     fn emit(&self, t: f64) -> AggValue {
         self.cells.emit(&self.clock, &self.cell, t)
@@ -545,29 +535,13 @@ pub fn sum_factory(val: impl Fn(&Packet) -> f64 + Send + Sync + 'static) -> Arc<
 // Forward-decayed scalar aggregates (splittable)
 // ---------------------------------------------------------------------------
 
-/// A summary's decayed answer over the denominator `g(t − L)`, empty where
-/// that is undefined: what [`Decayed::query`](fd_core::Decayed::query)
-/// answers.
-fn over<S: Weighted>(state: &S, denom: Option<f64>) -> S::Output {
-    denom.map(|d| state.over(d)).unwrap_or_default()
-}
-
-/// An average's sum and count under one clock.
-type Mean = Both<Accumulator<f64>, Accumulator<()>>;
-
-/// What [`DecayedAverage::query`] answers: `None` without weight.
-fn mean(Both(sum, count): &Mean, denom: Option<f64>) -> Option<f64> {
-    let c = over(count, denom);
-    (c != 0.0).then(|| over(sum, denom) / c)
-}
-
 /// Forward-decayed count (Theorem 1); splittable across LFTA/HFTA.
 pub fn fwd_count_factory<G: ForwardDecay>(g: G) -> Arc<FnFactory> {
     Ops::new(
         Fwd::new(g),
         |_| (),
         |s: &mut Accumulator<()>, (t, w), ()| s.add(t, (), w),
-        |s, d| AggValue::Float(over(s, d)),
+        |s, d| AggValue::Float(answer(s, d)),
         // The paper: "forward decay stores 8 byte floating point
         // values".
         |_| 8,
@@ -585,7 +559,7 @@ pub fn fwd_sum_factory<G: ForwardDecay>(
         Fwd::new(g),
         val,
         |s: &mut Accumulator<f64>, (t, w), v| s.add(t, v, w),
-        |s, d| AggValue::Float(over(s, d)),
+        |s, d| AggValue::Float(answer(s, d)),
         |_| 8,
     )
     .scaled(|s, (t, w), v, scale| s.add(t, v * scale, w))
@@ -600,28 +574,21 @@ pub fn fwd_avg_factory<G: ForwardDecay>(
     Ops::new(
         // The query's one `g`, the field to read, how one arrival — its
         // time and static weight `g(tᵢ − L)` — folds into a sum and a
-        // count, the answer over `g(t − L)` when the bucket closes, and the
-        // space probe: two 8-byte accumulators.
+        // count, the answer over `g(t − L)` when the bucket closes (what
+        // `DecayedAverage::query` answers), and the space probe: two 8-byte
+        // accumulators.
         Fwd::ratio(g),
         val,
-        |s: &mut Mean, (t, w), v| {
-            s.0.add(t, v, w);
-            s.1.add(t, (), w);
-        },
-        |s, d| AggValue::Float(mean(s, d).unwrap_or(f64::NAN)),
+        |s: &mut Mean, (t, w), v| s.add(t, v, w),
+        |s, d| AggValue::Float(answer(s, d).unwrap_or(f64::NAN)),
         |_| 16,
     )
     // Linear in each tuple, so a 1/p scale keeps it unbiased; saying how is
     // what makes the factory `scalable()`.
-    .scaled(|s, (t, w), v, scale| {
-        s.0.add(t, v * scale, w);
-        s.1.add(t, (), w * scale);
-    })
+    .scaled(|s, (t, w), v, scale| s.add_scaled(t, v, w, scale))
     // Splittable — partial averages merge exactly — and each group's fresh
     // state is two empty accumulators under its bucket's clock.
-    .factory("fwd_avg", true, |start| {
-        Both(Accumulator::new(start), Accumulator::new(start))
-    })
+    .factory("fwd_avg", true, Mean::new)
 }
 
 /// Forward-decayed variance of a tuple field (Section IV-A); splittable.
@@ -632,21 +599,11 @@ pub fn fwd_var_factory<G: ForwardDecay>(
     Ops::new(
         Fwd::ratio(g),
         val,
-        |s: &mut Both<Accumulator<f64>, Mean>, (t, w), v| {
-            s.0.add(t, v * v, w);
-            s.1 .0.add(t, v, w);
-            s.1 .1.add(t, (), w);
-        },
-        |Both(sum_sq, m), d| {
-            let var = |a: f64| (over(sum_sq, d) / over(&m.1, d) - a * a).max(0.0);
-            AggValue::Float(mean(m, d).map_or(f64::NAN, var))
-        },
+        |s: &mut Moments, (t, w), v| s.add(t, v, w),
+        |s, d| AggValue::Float(answer(s, d).unwrap_or(f64::NAN)),
         |_| 24,
     )
-    .factory("fwd_var", true, |start| {
-        let mean = Both(Accumulator::new(start), Accumulator::new(start));
-        Both(Accumulator::new(start), mean)
-    })
+    .factory("fwd_var", true, Moments::new)
 }
 
 /// A forward-decayed extremum, `new` choosing which.
@@ -660,7 +617,7 @@ fn fwd_ext_factory<G: ForwardDecay>(
         Fwd::new(g),
         val,
         |s: &mut Extremal, (t, w), v| s.add(t, v, w),
-        |s, d| AggValue::Float(over(s, d).map_or(f64::NAN, |(v, _, _)| v)),
+        |s, d| AggValue::Float(answer(s, d).map_or(f64::NAN, |(v, _, _)| v)),
         |_| 24,
     )
     .factory(name, true, move |_| new())
@@ -1363,7 +1320,7 @@ mod tests {
         assert!(size_of::<(u64, Sum)>() <= 32, "fwd_sum page entry");
         assert!(size_of::<Option<Partial<Sum>>>() <= 48, "fwd_sum LFTA slot");
         assert!(size_of::<Mean>() <= 48, "fwd_avg cell");
-        assert!(size_of::<Both<Sum, Mean>>() <= 72, "fwd_var cell");
+        assert!(size_of::<Moments>() <= 72, "fwd_var cell");
     }
 
     #[test]

@@ -183,6 +183,28 @@ pub(crate) trait Cells: Clone + Send + 'static {
     ) -> Option<(Option<f64>, Option<f64>)> {
         Some((None, None))
     }
+    /// Merges `from`, a partial of the same group under `theirs`, into
+    /// `into` under `ours`: the clocks joined — whichever is older is
+    /// re-expressed against the newer — and each side rescaled first.
+    /// `None`, merging nothing, if the clocks began at different landmarks.
+    #[inline]
+    fn merge_under(
+        &self,
+        ours: &mut Self::Clock,
+        into: &mut Self::Cell,
+        theirs: &Self::Clock,
+        mut from: Self::Cell,
+    ) -> Option<()> {
+        let (mine, other) = self.join(ours, theirs)?;
+        if let Some(factor) = mine {
+            self.rescale(into, factor);
+        }
+        if let Some(factor) = other {
+            self.rescale(&mut from, factor);
+        }
+        self.merge(into, from);
+        Some(())
+    }
 }
 
 /// The boxed instantiation: a `Box<dyn Aggregator>` per group from the
@@ -358,9 +380,8 @@ impl<K: Cells> Run for TypedRun<K> {
             .map(|run| (run.clock, run.groups.into_iter().peekable()))
             .collect();
         // The least key any run has left, then its cells in run order,
-        // merged as `Aggregator::merge_boxed` merges two boxes: the clocks
-        // joined — only for a key met twice — each side rescaled to the
-        // newer landmark.
+        // merged under their clocks, which are joined only for a key met
+        // twice.
         while let Some(key) = (heads.iter_mut())
             .filter_map(|(_, groups)| groups.peek().map(|&(key, _)| key))
             .min()
@@ -372,17 +393,13 @@ impl<K: Cells> Run for TypedRun<K> {
                 break;
             };
             let mut joined = None;
-            for (theirs, mut other) in met {
+            for (theirs, other) in met {
                 let ours = joined.get_or_insert_with(|| clock.clone());
-                // Every run's clock began at its bucket's start.
-                let (ours, mine) = cells.join(ours, theirs).unwrap_or_default();
-                if let Some(factor) = ours {
-                    cells.rescale(&mut cell, factor);
-                }
-                if let Some(factor) = mine {
-                    cells.rescale(&mut other, factor);
-                }
-                cells.merge(&mut cell, other);
+                let merged = cells.merge_under(ours, &mut cell, theirs, other);
+                debug_assert!(
+                    merged.is_some(),
+                    "a run's clock began at its bucket's start"
+                );
             }
             let value = cells.emit(joined.as_ref().unwrap_or(clock), &cell, t_end);
             out.push(Row {

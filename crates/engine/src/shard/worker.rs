@@ -42,35 +42,28 @@ fn apply_batch(
         // wedge faults fire in the worker loop, before apply.
         FaultKind::SlowShard(_) | FaultKind::WedgeAtTuple(_) | FaultKind::Disk(_) => None,
     });
-    let mut refused = 0;
-    let mut offer_scaled = |engine: &mut Engine, p: &Packet, scale: f64| {
-        refused += u64::from(engine.process_scaled(p, scale).is_err());
-    };
-    match trigger {
-        None => match scales {
-            None => engine.process_packets(pkts),
-            Some(sc) => {
-                for (p, &s) in pkts.iter().zip(sc) {
-                    offer_scaled(engine, p, s);
-                }
-            }
-        },
-        Some((f, n, transient)) => {
-            for (i, p) in pkts.iter().enumerate() {
-                if engine.stats().tuples_in + 1 >= n {
-                    // A transient fault disarms *before* panicking, so the
-                    // respawned worker re-reads past this point.
-                    if transient {
-                        f.disarm();
-                    }
-                    panic!("injected fault: shard {shard} worker dies at tuple {n}");
-                }
-                match scales {
-                    None => engine.process(p),
-                    Some(sc) => offer_scaled(engine, p, sc[i]),
-                }
-            }
+    // The tuples before the one an armed fault fires at: `tuples_in`
+    // counts every tuple offered (none is refused, see above).
+    let cut = trigger.map_or(pkts.len(), |(_, n, _)| {
+        let before = n.saturating_sub(1).saturating_sub(engine.stats().tuples_in);
+        before.min(pkts.len() as u64) as usize
+    });
+    let refused = match scales {
+        None => {
+            engine.process_packets(&pkts[..cut]);
+            0
         }
+        Some(sc) => (pkts[..cut].iter().zip(sc))
+            .filter(|&(p, &s)| engine.process_scaled(p, s).is_err())
+            .count() as u64,
+    };
+    if let Some((f, n, transient)) = trigger.filter(|_| cut < pkts.len()) {
+        // A transient fault disarms *before* panicking, so the respawned
+        // worker re-reads past this point.
+        if transient {
+            f.disarm();
+        }
+        panic!("injected fault: shard {shard} worker dies at tuple {n}");
     }
     refused
 }

@@ -388,3 +388,56 @@ fn merging_across_factories_panics_with_the_type_mismatch() {
         );
     }
 }
+
+#[test]
+fn fwd_avg_and_fwd_var_rows_are_the_core_summaries_bits() {
+    // One group of a single-level query: its landmark is the bucket start
+    // and its query time the bucket end, as for the standalone summaries.
+    // Under `exp:10` the clock moves inside the 60 s bucket.
+    use forward_decay::core::aggregates::{DecayedAverage, DecayedVariance};
+    use forward_decay::core::summary::Summary;
+    let len = |p: &Packet| p.len as f64;
+    let landmark = forward_decay::core::Timestamp::from_micros(BUCKET_START as i64);
+    for spec in ["poly:2", "exp:10"] {
+        let g: AnyDecay = spec.parse().expect("decay spec");
+        let (mut avg, mut var) = (
+            DecayedAverage::new(g.clone(), landmark),
+            DecayedVariance::new(g.clone(), landmark),
+        );
+        for p in stream() {
+            avg.update(p.timestamp(), len(&p));
+            var.update(p.timestamp(), len(&p));
+        }
+        let moved = avg.stats().renormalizations;
+        assert_eq!(moved > 0, spec == "exp:10", "{spec}: {moved} moves");
+        for (factory, want) in [
+            (fwd_avg_factory(g.clone(), len), avg.query(T_END)),
+            (fwd_var_factory(g.clone(), len), var.query(T_END)),
+        ] {
+            let name = factory.name().to_string();
+            let query = Query::builder("one group")
+                .group_by(|_| 0)
+                .bucket_secs(60)
+                .aggregate(factory)
+                .two_level(false)
+                .try_build()
+                .expect("valid query");
+            let rows = Engine::new(query).run(stream());
+            let [Row {
+                bucket_start,
+                value: AggValue::Float(got),
+                ..
+            }] = rows[..]
+            else {
+                panic!("{name}/{spec}: one row, a float: {rows:?}");
+            };
+            assert_eq!(bucket_start, BUCKET_START, "{name}/{spec}");
+            let want = want.expect("weight");
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{name}/{spec}: {got} vs {want}"
+            );
+        }
+    }
+}

@@ -1028,3 +1028,36 @@ fn an_all_zero_generator_state_is_refused() {
         Ok(_) => panic!("a generator that draws only zeros decoded"),
     }
 }
+
+#[test]
+fn an_average_whose_parts_disagree_on_g_or_clock_is_refused() {
+    // An average's image is a sum's beside a count's, each with its `g` and
+    // clock: the 888 s gap moves an `exp:0.5` clock (ln 1e150 / 0.5 ≈ 691 s).
+    let ts = [12.0, 900.0];
+    let g = Exponential::new(0.5);
+    let count = |g: Exponential, landmark: f64, ts: &[f64]| {
+        let mut c = DecayedCount::new(g, landmark);
+        ts.iter().for_each(|&t| c.update(t));
+        to_bytes(&c)
+    };
+    let mut sum = DecayedSum::new(g, 10.0);
+    let mut avg = DecayedAverage::new(g, 10.0);
+    for t in ts {
+        sum.update(t, t);
+        avg.update(t, t);
+    }
+    let sum = to_bytes(&sum);
+    assert_eq!([sum.clone(), count(g, 10.0, &ts)].concat(), to_bytes(&avg));
+    from_bytes::<DecayedAverage<Exponential>>(&to_bytes(&avg)).expect("one g, one clock");
+    for (what, count) in [
+        ("a clock that did not move", count(g, 10.0, &ts[..1])),
+        ("another landmark", count(g, 11.0, &ts)),
+        ("another g", count(Exponential::new(0.25), 10.0, &ts)),
+    ] {
+        let image = [sum.clone(), count].concat();
+        assert!(
+            from_bytes::<DecayedAverage<Exponential>>(&image).is_err(),
+            "an average whose count has {what} decoded"
+        );
+    }
+}
