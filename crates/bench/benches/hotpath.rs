@@ -8,12 +8,10 @@
 //!   time vs through `update_batch`, per decay family, on the Figure 2
 //!   arrival process (100k pkt/s Poisson on microsecond ticks). The
 //!   batched path hoists the renormalization check and the landmark read
-//!   out of the inner loop, stripes the accumulation across lanes for
-//!   instruction-level parallelism, and — for transcendental families —
-//!   memoizes `g`/`ln_g` per tick in a `WeightKernel`. Microsecond ticks
-//!   at 100k pkt/s repeat only ~10% of the time (P[gap < 1 µs] =
-//!   1 − e^−0.1), so extra series on millisecond-quantized ticks show the
-//!   memo's payoff when ticks genuinely repeat (~99% hits).
+//!   out of the inner loop and stripes the accumulation across lanes for
+//!   instruction-level parallelism; it still evaluates `g` once per
+//!   tuple, so a transcendental family (`powf`, `exp`) costs about what
+//!   its scalar path does.
 //! - **Dispatch.** The sharded dispatcher's serial ingress fraction,
 //!   simulated without workers: the legacy per-tuple path (two divisions
 //!   per tuple, `mem::take` hand-offs that regrow) vs the batched path
@@ -33,7 +31,6 @@ use std::time::Instant;
 use fd_bench::{measure_dispatch_ns, measure_dispatch_scalar_ns, quick, quick_scaled, Table};
 use fd_core::aggregates::{DecayedCount, DecayedSum};
 use fd_core::decay::{Exponential, ForwardDecay, Monomial, NoDecay};
-use fd_core::kernel::WeightKernel;
 use fd_core::Timestamp;
 use fd_engine::prelude::*;
 use fd_gen::TraceConfig;
@@ -124,20 +121,6 @@ fn measure_sum<G: ForwardDecay>(g: G, ts: &[Timestamp], vals: &[f64]) -> (f64, f
     (scalar_ns, batched_ns)
 }
 
-/// The tick-cache hit rate a `WeightKernel` realizes on this timestamp
-/// series (fraction of `g` evaluations answered from the memo).
-fn cache_hit_rate<G: ForwardDecay>(g: G, ts: &[Timestamp]) -> Option<f64> {
-    if !g.prefers_tick_cache() {
-        return None;
-    }
-    let mut k = WeightKernel::new(g);
-    let l = Timestamp::from(0.0);
-    for &t in ts {
-        k.g(t - l);
-    }
-    Some(k.hit_rate())
-}
-
 fn reduction_pct(scalar: f64, batched: f64) -> f64 {
     100.0 * (1.0 - batched / scalar)
 }
@@ -155,25 +138,15 @@ fn main() {
         .iter()
         .map(|p| Timestamp::from_micros(p.ts as i64))
         .collect();
-    // Millisecond-quantized copy: heavy tick duplication for the memo.
-    let ts_ms: Vec<Timestamp> = packets
-        .iter()
-        .map(|p| Timestamp::from_micros((p.ts / 1000 * 1000) as i64))
-        .collect();
     let vals: Vec<f64> = packets.iter().map(|p| p.len as f64).collect();
 
     let mut table = Table::new(
         "Hot path — scalar vs batched summary updates",
         "series",
-        &[
-            "scalar ns/t",
-            "batched ns/t",
-            "reduction",
-            "tick-cache hits",
-        ],
+        &["scalar ns/t", "batched ns/t", "reduction"],
     );
     let mut json_series = String::new();
-    let mut record = |label: &str, scalar: f64, batched: f64, hits: Option<f64>| {
+    let mut record = |label: &str, scalar: f64, batched: f64| {
         let red = reduction_pct(scalar, batched);
         table.row(
             label,
@@ -181,64 +154,31 @@ fn main() {
                 format!("{scalar:.1}"),
                 format!("{batched:.1}"),
                 format!("{red:.0}%"),
-                hits.map_or("—".into(), |h| format!("{:.0}%", h * 100.0)),
             ],
         );
-        let hits_json = hits.map_or("null".into(), |h| format!("{h:.3}"));
         let _ = writeln!(
             json_series,
             "    {{\"label\": \"{label}\", \"scalar_ns_per_tuple\": {scalar:.1}, \
-             \"batched_ns_per_tuple\": {batched:.1}, \"reduction_pct\": {red:.1}, \
-             \"tick_cache_hit_rate\": {hits_json}}},"
+             \"batched_ns_per_tuple\": {batched:.1}, \"reduction_pct\": {red:.1}}},"
         );
         red
     };
 
     let (s, b) = measure_count(NoDecay, &ts);
-    record("no decay count", s, b, cache_hit_rate(NoDecay, &ts));
+    record("no decay count", s, b);
 
     let g_poly2 = Monomial::quadratic();
     let (s, b) = measure_count(g_poly2, &ts);
-    let poly2_reduction = record("fwd poly (β=2) count", s, b, cache_hit_rate(g_poly2, &ts));
+    let poly2_reduction = record("fwd poly (β=2) count", s, b);
 
-    let g_poly15 = Monomial::new(1.5);
-    let (s, b) = measure_count(g_poly15, &ts);
-    record(
-        "fwd poly (β=1.5) count, µs ticks",
-        s,
-        b,
-        cache_hit_rate(g_poly15, &ts),
-    );
+    let (s, b) = measure_count(Monomial::new(1.5), &ts);
+    record("fwd poly (β=1.5) count, µs ticks", s, b);
 
-    // The per-tick memo's design point: a transcendental g on a feed whose
-    // ticks genuinely repeat (ms quantization at 100k pkt/s ⇒ ~99% hits).
-    let (s, b) = measure_count(g_poly15, &ts_ms);
-    let poly15_ms_reduction = record(
-        "fwd poly (β=1.5) count, ms ticks",
-        s,
-        b,
-        cache_hit_rate(g_poly15, &ts_ms),
-    );
-
-    let g_exp = Exponential::new(0.1);
-    let (s, b) = measure_count(g_exp, &ts);
-    record(
-        "exp (α=0.1) count, µs ticks",
-        s,
-        b,
-        cache_hit_rate(g_exp, &ts),
-    );
-
-    let (s, b) = measure_count(g_exp, &ts_ms);
-    record(
-        "exp (α=0.1) count, ms ticks",
-        s,
-        b,
-        cache_hit_rate(g_exp, &ts_ms),
-    );
+    let (s, b) = measure_count(Exponential::new(0.1), &ts);
+    record("exp (α=0.1) count, µs ticks", s, b);
 
     let (s, b) = measure_sum(g_poly2, &ts, &vals);
-    let poly2_sum_reduction = record("fwd poly (β=2) sum", s, b, cache_hit_rate(g_poly2, &ts));
+    let poly2_sum_reduction = record("fwd poly (β=2) sum", s, b);
 
     table.print();
 
@@ -283,8 +223,8 @@ fn main() {
     // The committed BENCH_hotpath.json + scripts/bench_diff.py carry the
     // tight (10%) regression gate.
     assert!(
-        poly15_ms_reduction >= 15.0 || poly2_reduction >= 15.0 || poly2_sum_reduction >= 15.0,
-        "fwd-poly batched path lost its advantage: β=1.5 ms-tick {poly15_ms_reduction:.1}%, \
+        poly2_reduction >= 15.0 || poly2_sum_reduction >= 15.0,
+        "fwd-poly batched path lost its advantage: \
          β=2 count {poly2_reduction:.1}%, β=2 sum {poly2_sum_reduction:.1}%"
     );
     assert!(

@@ -22,9 +22,8 @@ use std::marker::PhantomData;
 
 use crate::checkpoint::{require, CodecError, Decode, Encode, Reader, MAX_COUNT};
 use crate::codec_struct;
-use crate::decay::{clamp_to_landmark, ForwardDecay};
+use crate::decay::{clamp_to_landmark, striped_dot, striped_sum, ForwardDecay};
 use crate::decayed::{Both, Decayed, Weighted};
-use crate::kernel::{batch_ticks_repeat, striped_dot, striped_sum, WeightKernel};
 use crate::merge::Mergeable;
 use crate::summary::{Summary, SummaryStats};
 use crate::Timestamp;
@@ -118,23 +117,6 @@ impl<V: Lane> Accumulator<V> {
     }
 }
 
-/// `Σ g(age(tᵢ)) · vᵢ` through the one-entry tick memo, in slice order,
-/// with the batch maximum.
-fn memo_dot<G: ForwardDecay>(
-    g: &G,
-    ts: &[Timestamp],
-    vals: impl Iterator<Item = f64>,
-    age: impl Fn(Timestamp) -> f64,
-) -> (f64, Timestamp) {
-    let mut k = WeightKernel::new(g.clone());
-    let (mut acc, mut max_us) = (0.0, i64::MIN);
-    for (&t, v) in ts.iter().zip(vals) {
-        acc += k.g(age(t)) * v;
-        max_us = max_us.max(t.as_micros());
-    }
-    (acc, Timestamp::from_micros(max_us))
-}
-
 impl<V: Lane> Weighted for Accumulator<V> {
     type Item = V;
     type Output = f64;
@@ -156,13 +138,10 @@ impl<V: Lane> Weighted for Accumulator<V> {
         self.acc / denom
     }
 
-    /// One pass over the batch, the maximum riding along. The per-tick memo
-    /// is used only when the family prefers it *and* the batch's ticks
-    /// actually repeat ([`batch_ticks_repeat`] samples the batch);
-    /// otherwise striped partial sums win, through the family's own
-    /// unswitched [`ForwardDecay::g_sum_batch`] / [`g_dot_batch`] where the
-    /// landmark cannot have moved. The identical weights are summed,
-    /// possibly reassociated.
+    /// One pass over the batch in striped partial sums, the maximum riding
+    /// along; a family whose landmark cannot move goes through its own
+    /// unswitched [`ForwardDecay::g_sum_batch`] / [`g_dot_batch`]. The
+    /// identical weights are summed, possibly reassociated.
     ///
     /// [`g_dot_batch`]: ForwardDecay::g_dot_batch
     fn add_batch<G: ForwardDecay>(
@@ -175,12 +154,7 @@ impl<V: Lane> Weighted for Accumulator<V> {
     ) {
         let vals = V::column(items);
         let age = |t| clamp_to_landmark(t, l0) - l;
-        let (sum, max_t) = if g.prefers_tick_cache() && batch_ticks_repeat(ts) {
-            match vals {
-                None => memo_dot(g, ts, std::iter::repeat(1.0), age),
-                Some(vals) => memo_dot(g, ts, vals.iter().copied(), age),
-            }
-        } else if g.is_multiplicative() {
+        let (sum, max_t) = if g.is_multiplicative() {
             match vals {
                 None => striped_sum(ts, |t| g.g(age(t))),
                 Some(vals) => striped_dot(ts, vals, |t| g.g(age(t))),

@@ -527,15 +527,16 @@ pub fn read_frame(buf: &[u8]) -> Frame<'_> {
     if buf.is_empty() {
         return Frame::End;
     }
-    if buf.len() < 8 {
+    // The header is the length then the checksum, each a `u32` LE: the low
+    // and high halves of one `u64` LE.
+    let Some((header, rest)) = buf.split_first_chunk::<8>() else {
         return Frame::Torn;
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-    let want = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    if len > buf.len() - 8 {
+    };
+    let header = u64::from_le_bytes(*header);
+    let (len, want) = (header as u32 as usize, (header >> 32) as u32);
+    let Some(payload) = rest.get(..len) else {
         return Frame::Torn;
-    }
-    let payload = &buf[8..8 + len];
+    };
     if crc32(payload) != want {
         return Frame::Torn;
     }

@@ -60,19 +60,9 @@ pub trait ForwardDecay: Clone + Send + Sync + Encode + Decode + 'static {
         false
     }
 
-    /// True when evaluating `g`/`ln_g` costs a transcendental (`powf`,
-    /// `exp`, `ln`) and a per-tick memo is therefore worth its compare —
-    /// the hint consumed by [`crate::kernel::WeightKernel`]. Families whose
-    /// evaluation is a couple of arithmetic ops return false so the kernel
-    /// degenerates to a direct call.
-    #[inline]
-    fn prefers_tick_cache(&self) -> bool {
-        true
-    }
-
     /// `Σ g(tᵢ − l)` over a non-empty batch of timestamps, plus the batch's
     /// maximum timestamp, in one striped pass
-    /// ([`striped_sum`](crate::kernel::striped_sum)).
+    /// ([`striped_sum`]).
     ///
     /// Families whose `g` branches on a runtime parameter override this to
     /// unswitch that branch *outside* the loop (one closure per parameter
@@ -82,7 +72,7 @@ pub trait ForwardDecay: Clone + Send + Sync + Encode + Decode + 'static {
     /// values; only the summation order differs (normal `f64` rounding).
     #[inline]
     fn g_sum_batch(&self, ts: &[Timestamp], l: Timestamp) -> (f64, Timestamp) {
-        crate::kernel::striped_sum(ts, |t| self.g(t - l))
+        striped_sum(ts, |t| self.g(t - l))
     }
 
     /// `Σ g(tᵢ − l) · vals[i]` over a non-empty batch, plus the batch's
@@ -90,7 +80,7 @@ pub trait ForwardDecay: Clone + Send + Sync + Encode + Decode + 'static {
     /// [`g_sum_batch`](Self::g_sum_batch), with the same override contract.
     #[inline]
     fn g_dot_batch(&self, ts: &[Timestamp], vals: &[f64], l: Timestamp) -> (f64, Timestamp) {
-        crate::kernel::striped_dot(ts, vals, |t| self.g(t - l))
+        striped_dot(ts, vals, |t| self.g(t - l))
     }
 
     /// The decayed weight `w(i, t) = g(t_i − L) / g(t − L)` of an item that
@@ -121,13 +111,69 @@ pub trait ForwardDecay: Clone + Send + Sync + Encode + Decode + 'static {
     }
 }
 
+/// Number of independent accumulators in the striped batch loops: enough
+/// to hide the f64 add latency behind the multiply pipeline.
+const LANES: usize = 4;
+
+/// `Σ f(ts[i])` with `LANES` (4) independent partial sums, so consecutive
+/// adds pipeline instead of serializing on one accumulator's latency. The
+/// reassociation changes results by at most normal `f64` rounding. The
+/// batch maximum rides along in the same pass — measurably cheaper than a
+/// second sweep over the slice. `ts` must be non-empty, else the returned
+/// maximum is meaningless (`i64::MIN` micros).
+///
+/// This is the engine room of [`ForwardDecay::g_sum_batch`]; decay
+/// families call it with a closure already specialized on their runtime
+/// parameters so the inner loop carries no invariant branches.
+pub fn striped_sum(ts: &[Timestamp], f: impl Fn(Timestamp) -> f64) -> (f64, Timestamp) {
+    let mut lanes = [0.0f64; LANES];
+    let mut max_us = i64::MIN;
+    let mut chunks = ts.chunks_exact(LANES);
+    for c in &mut chunks {
+        for j in 0..LANES {
+            lanes[j] += f(c[j]);
+            max_us = max_us.max(c[j].as_micros());
+        }
+    }
+    for &t in chunks.remainder() {
+        lanes[0] += f(t);
+        max_us = max_us.max(t.as_micros());
+    }
+    (lanes.iter().sum(), Timestamp::from_micros(max_us))
+}
+
+/// `Σ f(ts[i]) · vals[i]`, striped like [`striped_sum`] and likewise
+/// returning the batch maximum; `ts` must be non-empty and no longer than
+/// `vals`.
+pub fn striped_dot(
+    ts: &[Timestamp],
+    vals: &[f64],
+    f: impl Fn(Timestamp) -> f64,
+) -> (f64, Timestamp) {
+    let mut lanes = [0.0f64; LANES];
+    let mut max_us = i64::MIN;
+    let mut tc = ts.chunks_exact(LANES);
+    let mut vc = vals.chunks_exact(LANES);
+    for (t4, v4) in (&mut tc).zip(&mut vc) {
+        for j in 0..LANES {
+            lanes[j] += f(t4[j]) * v4[j];
+            max_us = max_us.max(t4[j].as_micros());
+        }
+    }
+    for (&t, &v) in tc.remainder().iter().zip(vc.remainder()) {
+        lanes[0] += f(t) * v;
+        max_us = max_us.max(t.as_micros());
+    }
+    (lanes.iter().sum(), Timestamp::from_micros(max_us))
+}
+
 /// The uniform pre-landmark arrival policy: an item stamped before the
 /// landmark is treated as arriving *at* the landmark (`t_i < L` behaves as
 /// `t_i = L`).
 ///
 /// The paper requires `L ≤ t_i`, but real streams deliver stragglers and
 /// clock-skewed tuples stamped before the landmark. Every ingestion path —
-/// the scalar `update_at`s, the batched kernel closures, and the samplers —
+/// the scalar `update_at`s, the striped batch closures, and the samplers —
 /// routes item timestamps through this clamp against the summary's
 /// **original** landmark, so all decay families and all code paths agree:
 ///
@@ -166,10 +212,6 @@ impl ForwardDecay for NoDecay {
     #[inline]
     fn is_multiplicative(&self) -> bool {
         true // g(a+b) = 1 = g(a)·g(b); renormalization is a harmless no-op.
-    }
-    #[inline]
-    fn prefers_tick_cache(&self) -> bool {
-        false // g is the constant 1.
     }
 }
 
@@ -235,26 +277,19 @@ impl ForwardDecay for Monomial {
         }
     }
 
-    #[inline]
-    fn prefers_tick_cache(&self) -> bool {
-        // The quadratic fast path is two arithmetic ops; every other β
-        // pays a `powf` per evaluation.
-        self.beta != 2.0
-    }
-
     fn g_sum_batch(&self, ts: &[Timestamp], l: Timestamp) -> (f64, Timestamp) {
         // Unswitch the β check outside the loop: the quadratic closure is
         // a branch-free two-op body the compiler pipelines across lanes,
         // which the generic default (β compare per item) defeats.
         if self.beta == 2.0 {
-            crate::kernel::striped_sum(ts, |t| {
+            striped_sum(ts, |t| {
                 let n = t - l;
                 let n = if n <= 0.0 { 0.0 } else { n };
                 n * n
             })
         } else {
             let beta = self.beta;
-            crate::kernel::striped_sum(ts, |t| {
+            striped_sum(ts, |t| {
                 let n = t - l;
                 let n = if n <= 0.0 { 0.0 } else { n };
                 n.powf(beta)
@@ -264,14 +299,14 @@ impl ForwardDecay for Monomial {
 
     fn g_dot_batch(&self, ts: &[Timestamp], vals: &[f64], l: Timestamp) -> (f64, Timestamp) {
         if self.beta == 2.0 {
-            crate::kernel::striped_dot(ts, vals, |t| {
+            striped_dot(ts, vals, |t| {
                 let n = t - l;
                 let n = if n <= 0.0 { 0.0 } else { n };
                 n * n
             })
         } else {
             let beta = self.beta;
-            crate::kernel::striped_dot(ts, vals, |t| {
+            striped_dot(ts, vals, |t| {
                 let n = t - l;
                 let n = if n <= 0.0 { 0.0 } else { n };
                 n.powf(beta)
@@ -365,11 +400,6 @@ impl ForwardDecay for LandmarkWindow {
             0.0
         }
     }
-
-    #[inline]
-    fn prefers_tick_cache(&self) -> bool {
-        false // g is a step function: one compare.
-    }
 }
 
 /// General polynomial forward decay: `g(n) = Σ_j γ_j n^j` with non-negative
@@ -428,13 +458,6 @@ impl ForwardDecay for PolySum {
         let n = n.max(0.0);
         // Horner evaluation.
         self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * n + c)
-    }
-
-    #[inline]
-    fn prefers_tick_cache(&self) -> bool {
-        // Horner is one fused multiply-add per coefficient: cheaper than a
-        // memo compare for short polynomials, costlier past a few terms.
-        self.coeffs.len() > 4
     }
 }
 
@@ -523,17 +546,6 @@ impl ForwardDecay for AnyDecay {
             AnyDecay::None => NoDecay.is_multiplicative(),
             AnyDecay::Exponential(e) => e.is_multiplicative(),
             _ => false,
-        }
-    }
-
-    #[inline]
-    fn prefers_tick_cache(&self) -> bool {
-        match self {
-            AnyDecay::None => NoDecay.prefers_tick_cache(),
-            AnyDecay::Monomial(m) => m.prefers_tick_cache(),
-            AnyDecay::Exponential(e) => e.prefers_tick_cache(),
-            AnyDecay::Landmark(l) => l.prefers_tick_cache(),
-            AnyDecay::Poly(p) => p.prefers_tick_cache(),
         }
     }
 

@@ -34,9 +34,8 @@
 use crate::checkpoint::{CodecError, Decode, Encode, Reader};
 use crate::decay::{clamp_to_landmark, ForwardDecay};
 use crate::error::Error;
-use crate::kernel::WeightKernel;
 use crate::merge::Mergeable;
-use crate::numerics::{landmark_shift_factor, Renormalizer};
+use crate::numerics::Renormalizer;
 use crate::summary::{Summary, SummaryStats};
 use crate::Timestamp;
 
@@ -207,15 +206,14 @@ pub trait Weighted: Mergeable + Clone {
     /// Multiplies every stored weight by `factor ≥ 0` — the linear
     /// renormalization pass of Section VI-A. Zero is legal: a landmark
     /// shift wider than `f64` can express rounds to it
-    /// ([`landmark_shift_factor`]).
+    /// ([`landmark_shift_factor`](crate::numerics::landmark_shift_factor)).
     fn scale(&mut self, factor: f64);
 
     /// The answer at a query time whose `g(t − L)` is `denom ≠ 0`.
     fn over(&self, denom: f64) -> Self::Output;
 
     /// Adds a batch in slice order, `ts[i]` weighing `g(max(ts[i], l0) − l)`.
-    /// The default evaluates weights through a [`WeightKernel`], so
-    /// duplicated clock ticks cost a compare instead of a `powf`/`exp`.
+    /// The default is [`add`](Self::add) per arrival, one `g` each.
     fn add_batch<G: ForwardDecay>(
         &mut self,
         g: &G,
@@ -224,10 +222,9 @@ pub trait Weighted: Mergeable + Clone {
         ts: &[Timestamp],
         items: &[Self::Item],
     ) {
-        let mut k = WeightKernel::new(g.clone());
         for (&t_i, &item) in ts.iter().zip(items) {
             let t_i = clamp_to_landmark(t_i, l0);
-            self.add(t_i, item, k.g(t_i - l));
+            self.add(t_i, item, g.g(t_i - l));
         }
     }
 
@@ -346,30 +343,31 @@ impl<G: ForwardDecay, S: Weighted + Numerators> Decode for Decayed<G, S> {
 }
 
 impl<G: ForwardDecay, S: Weighted> Mergeable for Decayed<G, S> {
-    /// Aligns the two effective landmarks — whichever side is older is
-    /// re-expressed against the newer — then merges the summaries.
+    /// Joins the two clocks as the engine's buckets do
+    /// ([`Renormalizer::join`]: whichever side is older is re-expressed
+    /// against the newer landmark, and the merged clock counts the larger
+    /// number of rescales), then merges the summaries.
     ///
     /// # Panics
     /// Panics unless both were created with the same landmark.
     fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.renorm.original_landmark(),
-            other.renorm.original_landmark(),
-            "summaries must share a landmark"
-        );
-        let (ours, theirs) = (self.renorm.landmark(), other.renorm.landmark());
-        if theirs < ours {
-            // In the log domain: the linear 1/g(ΔL) collapses to 0.0 once
-            // the gap overflows g (≈ 709/α s for exponential decay), zeroing
-            // the other side's mass.
-            let mut aligned = other.inner.clone();
-            aligned.scale(landmark_shift_factor(&self.g, theirs, ours));
-            self.inner.merge_from(&aligned);
-        } else {
-            if let Some(factor) = self.renorm.rescale_to(&self.g, theirs) {
-                self.inner.scale(factor);
+        let Some((ours, theirs)) = self.renorm.join(&self.g, &other.renorm) else {
+            panic!(
+                "summaries must share a landmark: {} vs {}",
+                self.landmark(),
+                other.landmark()
+            );
+        };
+        if let Some(factor) = ours {
+            self.inner.scale(factor);
+        }
+        match theirs {
+            Some(factor) => {
+                let mut aligned = other.inner.clone();
+                aligned.scale(factor);
+                self.inner.merge_from(&aligned);
             }
-            self.inner.merge_from(&other.inner);
+            None => self.inner.merge_from(&other.inner),
         }
     }
 }
@@ -405,8 +403,7 @@ impl<G: ForwardDecay, S: Weighted> Summary for Decayed<G, S> {
         if ts.is_empty() {
             return;
         }
-        if self.g.is_multiplicative() {
-            let &max_t = ts.iter().max().expect("batch is non-empty");
+        if let (true, Some(&max_t)) = (self.g.is_multiplicative(), ts.iter().max()) {
             if let Some(factor) = self.renorm.pre_update(&self.g, max_t) {
                 self.inner.scale(factor);
             }

@@ -44,8 +44,7 @@
 //!   sums and counts (with the Cohen–Strauss query-time combination) and a
 //!   pane-structured sliding-window heavy-hitter summary;
 //! - [`numerics`] — landmark renormalization and log-domain accumulation
-//!   for exponential `g` (Section VI-A); [`kernel`] — batched weight
-//!   evaluation with per-tick memoization behind the batched paths;
+//!   for exponential `g` (Section VI-A);
 //! - [`merge`] — [`Mergeable`]: every summary merges across sites or shards
 //!   (Section VI-B); [`summary`] — the [`Summary`] view (`update_at` /
 //!   `query_at`) every decayed summary and sampler offers generic code;
@@ -100,7 +99,6 @@ pub mod distinct;
 pub mod error;
 pub mod hash;
 pub mod heavy_hitters;
-pub mod kernel;
 pub mod merge;
 pub mod numerics;
 pub mod oracle;
@@ -135,7 +133,6 @@ pub mod prelude {
     pub use crate::distinct::DominanceSketch;
     pub use crate::error::Error;
     pub use crate::heavy_hitters::DecayedHeavyHitters;
-    pub use crate::kernel::WeightKernel;
     pub use crate::merge::Mergeable;
     pub use crate::quantiles::DecayedQuantiles;
     pub use crate::sampling::{exp_decay_sample, PrioritySampler, WeightedReservoir};

@@ -95,10 +95,11 @@ impl Renormalizer {
         self.original
     }
 
-    /// How many rescale events ([`pre_update`](Self::pre_update) or
-    /// [`rescale_to`](Self::rescale_to) returning `Some`) have occurred —
-    /// each one is a linear pass over the owning summary's state, so this is
-    /// the cost signal the telemetry layer surfaces.
+    /// How many rescale events ([`pre_update`](Self::pre_update) returning
+    /// `Some`) have occurred — the larger count of two clocks after a
+    /// [`join`](Self::join). Each one is a linear pass over the owning
+    /// summary's state, so this is the cost signal the telemetry layer
+    /// surfaces.
     #[inline]
     pub fn rescales(&self) -> u64 {
         self.rescales
@@ -127,25 +128,6 @@ impl Renormalizer {
         // exactly 0.0, destroying every stored quantity it multiplies.
         let factor = (-g.ln_g(n)).exp();
         self.landmark = t;
-        self.rescales += 1;
-        Some(factor)
-    }
-
-    /// Forces the effective landmark to `new_landmark` (which must not
-    /// precede the current one) and returns the multiplicative rescale factor
-    /// for stored values, or `None` for non-multiplicative decay functions.
-    pub fn rescale_to<G: ForwardDecay>(
-        &mut self,
-        g: &G,
-        new_landmark: impl Into<Timestamp>,
-    ) -> Option<f64> {
-        let new_landmark = new_landmark.into();
-        if !g.is_multiplicative() || new_landmark <= self.landmark {
-            return None;
-        }
-        // Log domain for the same overflow reason as in `pre_update`.
-        let factor = (-g.ln_g(new_landmark - self.landmark)).exp();
-        self.landmark = new_landmark;
         self.rescales += 1;
         Some(factor)
     }
@@ -374,38 +356,43 @@ mod tests {
         let mut r = Renormalizer::new(0.0);
         assert_eq!(r.pre_update(&g, 1e200), None);
         assert_eq!(r.landmark(), 0.0);
-        assert_eq!(r.rescale_to(&g, 50.0), None);
+        assert_eq!(r.join(&g, &Renormalizer::new(0.0)), Some((None, None)));
     }
 
     #[test]
-    fn renormalizer_rescale_to_is_exact() {
-        let g = Exponential::new(0.5);
+    fn renormalizer_join_is_exact() {
+        // α · 10 s = 400 > ln 1e150: the clock ahead moves to 20.
+        let g = Exponential::new(40.0);
+        let mut ahead = Renormalizer::new(10.0);
+        assert!(ahead.pre_update(&g, 20.0).is_some());
         let mut r = Renormalizer::new(10.0);
-        let t_i = 30.0;
+        let t_i = 20.5;
         let before = g.g(t_i - r.landmark());
-        let factor = r.rescale_to(&g, 20.0).unwrap();
+        let (factor, none) = r.join(&g, &ahead).unwrap();
+        assert_eq!(none, None);
         let after = g.g(t_i - r.landmark());
-        assert!((before * factor - after).abs() / after < 1e-12);
+        assert!((before * factor.unwrap() - after).abs() / after < 1e-12);
         assert_eq!(r.landmark(), 20.0);
         assert_eq!(r.original_landmark(), 10.0);
     }
 
     #[test]
     fn join_moves_to_the_newer_landmark_and_keeps_the_larger_count() {
-        let g = Exponential::new(0.5);
+        // α · 7 s = 350 > ln 1e150: each arrival 7 s on moves the clock.
+        let g = Exponential::new(50.0);
         let (mut behind, mut ahead) = (Renormalizer::new(10.0), Renormalizer::new(10.0));
-        ahead.rescale_to(&g, 14.0);
-        ahead.rescale_to(&g, 16.0);
+        assert!(ahead.pre_update(&g, 17.0).is_some());
+        assert!(ahead.pre_update(&g, 24.0).is_some());
         // A fresh clock joined with a moved one becomes it; so does the
         // moved one joined with itself, scaling nothing.
-        let factor = landmark_shift_factor(&g, 10.0, 16.0);
+        let factor = landmark_shift_factor(&g, 10.0, 24.0);
         assert_eq!(behind.join(&g, &ahead), Some((Some(factor), None)));
         assert_eq!(behind, ahead);
         assert_eq!(behind.join(&g, &ahead), Some((None, None)));
         // The side behind is the one scaled.
         let mut fresh = Renormalizer::new(10.0);
         assert_eq!(ahead.join(&g, &fresh), Some((None, Some(factor))));
-        assert_eq!((ahead.landmark(), ahead.rescales()), (16.0.into(), 2));
+        assert_eq!((ahead.landmark(), ahead.rescales()), (24.0.into(), 2));
         assert_eq!(fresh.join(&g, &Renormalizer::new(11.0)), None);
     }
 
@@ -429,11 +416,10 @@ mod tests {
         assert!(decayed.is_finite() && decayed >= 1.0, "decayed = {decayed}");
         assert_eq!(r.rescales(), 1);
 
-        // `rescale_to` across the same kind of gap must not zero either.
+        // Joining a clock behind by the same kind of gap must not zero either.
         let mut r2 = Renormalizer::new(0.0);
-        let f2 = r2.rescale_to(&g, 800.0).unwrap();
-        assert!(f2 >= 0.0 && !f2.is_nan());
-        assert_eq!(f2, (-800.0f64).exp());
+        let (f2, _) = r2.join(&g, &r).unwrap();
+        assert_eq!(f2, Some((-720.0f64).exp()));
         assert_eq!(r2.rescales(), 1);
     }
 
@@ -509,7 +495,6 @@ mod tests {
         let g = Exponential::new(1.0);
         let mut r = Renormalizer::new(100.0);
         assert_eq!(r.pre_update(&g, 50.0), None);
-        assert_eq!(r.rescale_to(&g, 50.0), None);
         assert_eq!(r.landmark(), 100.0);
     }
 }

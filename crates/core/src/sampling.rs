@@ -27,6 +27,11 @@
 //! Keys and priorities are fixed at arrival, so the five samplers above
 //! checkpoint ([`crate::checkpoint`]) as plain data, their generator's
 //! state included: a restored sampler draws on where it stopped.
+//!
+//! A columnar batch ([`Summary::update_batch_at`]) is the trait's per-item
+//! loop: each arrival evaluates `ln g` once and draws its uniforms in
+//! arrival order, so a batched feed realizes the very sample a scalar feed
+//! does.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -141,16 +146,6 @@ impl<G: ForwardDecay, T: Clone, const PRIORITY: bool> TopK<G, T, PRIORITY> {
         let t_i = crate::decay::clamp_to_landmark(t_i, self.landmark);
         let ln_w = self.g.ln_g(t_i - self.landmark);
         self.arrive(t_i, item, ln_w);
-    }
-
-    fn update_batch(&mut self, ts: &[Timestamp], items: &[T]) {
-        assert_eq!(ts.len(), items.len(), "columnar batch slices must align");
-        let mut k = crate::kernel::WeightKernel::new(self.g.clone());
-        for (&t_i, item) in ts.iter().zip(items) {
-            let t_i = crate::decay::clamp_to_landmark(t_i, self.landmark);
-            let ln_w = k.ln_g(t_i - self.landmark);
-            self.arrive(t_i, item, ln_w);
-        }
     }
 
     /// Counts an arrival and, unless its weight is zero, offers it.
@@ -651,20 +646,6 @@ impl<T: Clone, G: ForwardDecay> WeightedReservoir<T, G> {
         self.core.update(t_i.into(), item);
     }
 
-    /// Offers a columnar batch: `ts[i]` pairs with `items[i]`.
-    ///
-    /// Identical in distribution *and* in realized draws to per-item
-    /// [`update`](Self::update) calls (the RNG consumption is the same);
-    /// the only difference is that `ln_g` runs through a
-    /// [`WeightKernel`](crate::kernel::WeightKernel), so duplicated clock
-    /// ticks skip the transcendental.
-    ///
-    /// # Panics
-    /// Panics if the slices' lengths differ.
-    pub fn update_batch(&mut self, ts: &[Timestamp], items: &[T]) {
-        self.core.update_batch(ts, items);
-    }
-
     /// The current sample, in no particular order.
     pub fn sample(&self) -> Vec<&SampleEntry<T>> {
         self.core.kept().map(|k| &k.entry).collect()
@@ -880,12 +861,6 @@ impl<T: Clone, G: ForwardDecay> PrioritySampler<T, G> {
     /// O(log k).
     pub fn update(&mut self, t_i: impl Into<Timestamp>, item: &T) {
         self.core.update(t_i.into(), item);
-    }
-
-    /// Offers a columnar batch, drawing as per-item [`update`](Self::update)
-    /// calls would: see [`WeightedReservoir::update_batch`].
-    pub fn update_batch(&mut self, ts: &[Timestamp], items: &[T]) {
-        self.core.update_batch(ts, items);
     }
 
     /// The current sample: the `k` highest-priority items (the threshold
@@ -1110,10 +1085,6 @@ impl<T: Clone, G: ForwardDecay> Summary for WeightedReservoir<T, G> {
         self.update(t_i, &item);
     }
 
-    fn update_batch_at(&mut self, ts: &[Timestamp], items: &[T]) {
-        self.update_batch(ts, items);
-    }
-
     fn query_at(&self, _t: Timestamp) -> Vec<T> {
         self.sample().into_iter().map(|e| e.item.clone()).collect()
     }
@@ -1141,10 +1112,6 @@ impl<T: Clone, G: ForwardDecay> Summary for PrioritySampler<T, G> {
 
     fn update_at(&mut self, t_i: Timestamp, item: T) {
         self.update(t_i, &item);
-    }
-
-    fn update_batch_at(&mut self, ts: &[Timestamp], items: &[T]) {
-        self.update_batch(ts, items);
     }
 
     fn query_at(&self, t: Timestamp) -> f64 {

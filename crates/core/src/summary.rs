@@ -109,11 +109,10 @@ pub trait Summary {
     /// Feeds a columnar batch of arrivals: `ts[i]` pairs with `us[i]`.
     ///
     /// The default loops over [`update_at`](Summary::update_at).
-    /// Summaries with a batched fast path — hoisted renormalization
-    /// checks, per-tick weight memoization via
-    /// [`WeightKernel`](crate::kernel::WeightKernel) — override it:
-    /// [`Decayed`](crate::decayed::Decayed) for everything it wraps, and
-    /// the samplers.
+    /// [`Decayed`](crate::decayed::Decayed) overrides it for everything it
+    /// wraps: one renormalization check per batch, and striped sums for
+    /// the count and sum cells. The engine folds tuples through its own
+    /// cells and never calls it; standalone summaries and the benches do.
     ///
     /// # Panics
     /// Panics if the slices' lengths differ.

@@ -983,66 +983,7 @@ fn cm_hh_merge_equals_concat() {
     });
 }
 
-// ----- Batched weight kernel and columnar update paths ------------------
-
-/// Asserts the memoizing kernel agrees with direct scalar evaluation for
-/// every age in `ages` — to 1e-12 relative where finite, bit-for-bit where
-/// not (`±inf` overflow past [`RESCALE_THRESHOLD`], `-inf` from `ln_g(0)`).
-fn assert_kernel_matches<G: ForwardDecay>(g: &G, ages: &[f64]) {
-    use fd_core::kernel::WeightKernel;
-    let mut k = WeightKernel::new(g.clone());
-    for &n in ages {
-        for (got, want, which) in [(k.g(n), g.g(n), "g"), (k.ln_g(n), g.ln_g(n), "ln_g")] {
-            if want.is_finite() {
-                assert!(
-                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                    "{which}({n}): kernel {got} vs scalar {want}"
-                );
-            } else {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{which}({n}): kernel {got} vs scalar {want}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn weight_kernel_matches_scalar_all_families() {
-    use fd_core::decay::AnyDecay;
-    use fd_core::numerics::RESCALE_THRESHOLD;
-    cases(41, |rng| {
-        // Ages with heavy duplication (repeated ticks exercise the memo),
-        // zero/negative ages (ln_g = -inf branches), and ages straddling the
-        // overflow boundary where g saturates to +inf but ln_g stays finite.
-        let ln_thresh = RESCALE_THRESHOLD.ln();
-        let mut ages = Vec::new();
-        for _ in 0..rng.gen_range(5..40) {
-            let n = rng.gen_range(-10.0..1e4);
-            let dups = rng.gen_range(1..6);
-            ages.extend(std::iter::repeat_n(n, dups));
-        }
-        ages.extend([0.0, -1.0, 1e100, 1e300]);
-
-        let beta = rng.gen_range(0.1..6.0);
-        let alpha = rng.gen_range(0.01..2.0);
-        // Ages just below/at/above the rescale boundary for this alpha.
-        for f in [0.5, 0.999, 1.0, 1.001, 4.0] {
-            ages.push(f * ln_thresh / alpha);
-        }
-
-        assert_kernel_matches(&NoDecay, &ages);
-        assert_kernel_matches(&Monomial::new(beta), &ages);
-        assert_kernel_matches(&Monomial::quadratic(), &ages);
-        assert_kernel_matches(&Exponential::new(alpha), &ages);
-        assert_kernel_matches(&LandmarkWindow, &ages);
-        assert_kernel_matches(&PolySum::new(vec![1.0, 0.5, 0.25, 0.1, 0.05]), &ages);
-        let any: AnyDecay = format!("exp:{alpha}").parse().unwrap();
-        assert_kernel_matches(&any, &ages);
-    });
-}
+// ----- Columnar update paths ----------------------------------------------
 
 #[test]
 fn batched_count_sum_match_scalar() {
@@ -1123,8 +1064,9 @@ fn batched_hh_quantiles_match_scalar_bitwise() {
         let beta = rng.gen_range(0.2..4.0);
         let g = Monomial::new(beta);
 
-        // Monomial never renormalizes and the kernel memo returns exact
-        // values, so the batched paths replay the identical update sequence:
+        // Monomial never renormalizes and the default batch evaluates `g`
+        // per arrival, so the batched paths replay the identical update
+        // sequence:
         // SpaceSaving state must match bit-for-bit, and so must the
         // q-digest's ranks: its nodes are one sorted run, summed in the
         // same order in both, and a flush folds arrivals one addition at a
@@ -1162,6 +1104,7 @@ fn batched_hh_quantiles_match_scalar_bitwise() {
 
 #[test]
 fn batched_samplers_match_scalar_draws() {
+    use fd_core::summary::Summary;
     cases(45, |rng| {
         let n = rng.gen_range(1..200);
         let ts: Vec<Timestamp> = (0..n)
@@ -1172,8 +1115,8 @@ fn batched_samplers_match_scalar_draws() {
         let seed = rng.gen::<u64>();
         let g = Monomial::new(rng.gen_range(0.2..3.0));
 
-        // The batched path consumes the RNG in the same order with the same
-        // weights, so the realized sample must be identical.
+        // The trait's batch loop consumes the RNG in the same order with the
+        // same weights, so the realized sample must be identical.
         let mut s_wr = WeightedReservoir::new(g, 0.0, k, seed);
         let mut b_wr = WeightedReservoir::new(g, 0.0, k, seed);
         let mut s_ps = PrioritySampler::new(g, 0.0, k, seed);
@@ -1182,8 +1125,8 @@ fn batched_samplers_match_scalar_draws() {
             s_wr.update(t, &id);
             s_ps.update(t, &id);
         }
-        b_wr.update_batch(&ts, &ids);
-        b_ps.update_batch(&ts, &ids);
+        b_wr.update_batch_at(&ts, &ids);
+        b_ps.update_batch_at(&ts, &ids);
 
         let key = |sample: Vec<&fd_core::sampling::SampleEntry<u64>>| {
             let mut v: Vec<u64> = sample.iter().map(|e| e.item).collect();

@@ -37,8 +37,8 @@ pub(super) struct FabInner {
     /// observe their retired lease (see [`reap_zombies`]).
     pub(super) zombies: Vec<WorkerHandle>,
     /// What the worker returned when it was reaped:
-    /// [`ShardedEngine::finish`] takes it. (A worker only returns when its
-    /// queues close, so a mid-stream reap is not expected to leave
+    /// [`super::ShardedEngine::finish`] takes it. (A worker only returns
+    /// when its queues close, so a mid-stream reap is not expected to leave
     /// anything here — but must not silently drop it if it happens.)
     pub(super) exited: Option<(Vec<Box<dyn Run>>, EngineStats)>,
 }
@@ -90,7 +90,7 @@ pub(super) struct FabShared {
     /// `producers × shards`.
     pub(super) pools: Vec<BatchPool<Packet>>,
     /// Handle end-of-run stats, one slot per producer, written by
-    /// [`IngressHandle::close`] and folded by [`ShardedEngine::finish`].
+    /// [`IngressHandle::close`] and folded by [`super::ShardedEngine::finish`].
     pub(super) stats_out: Mutex<Vec<Option<EngineStats>>>,
 }
 
@@ -401,8 +401,8 @@ impl FabShared {
     /// in-flight sends failing and a zombie's receivers inert — counting
     /// what the queues held, read or not, as degraded drops. Its last
     /// checkpoint — snapshot and closed runs — is still salvaged at
-    /// [`ShardedEngine::finish`]. Caller holds `inner` and has disposed of
-    /// the worker.
+    /// [`super::ShardedEngine::finish`]. Caller holds `inner` and has
+    /// disposed of the worker.
     pub(super) fn degrade_locked(&self, shard: usize) {
         let sh = &self.shards[shard];
         sh.degraded.store(true, Relaxed);

@@ -23,6 +23,12 @@
 //! batch now takes the hoisted renormalization of
 //! `Decayed::update_batch_at`, which agrees with the scalar feed only up to
 //! rounding when the clock moves inside a batch; the laws below hold it).
+//!
+//! The merged stages' renormalizer `rescales` words in both files were
+//! rewritten once since, when `Decayed::merge_from` began joining clocks as
+//! the engine's buckets do (`Renormalizer::join`: a merged clock counts the
+//! larger of its inputs' rescales, where it used to count its own plus one
+//! for a move to the other's landmark). No other byte and no answer moved.
 
 use forward_decay::core::aggregates::{
     DecayedAverage, DecayedCount, DecayedExtremum, DecayedSum, DecayedVariance,
@@ -453,6 +459,27 @@ fn whole_seconds() -> Vec<Event> {
     events
 }
 
+/// [`whole_seconds`] in time order: arrivals that share a second sit side
+/// by side, as on a feed stamped by a coarse clock.
+fn repeated_ticks() -> Vec<Event> {
+    let mut events = whole_seconds();
+    events.sort_by_key(|e| e.t);
+    events
+}
+
+/// The share of adjacent arrivals that carry the same timestamp.
+fn repeat_share(events: &[Event]) -> f64 {
+    let repeats = events.windows(2).filter(|w| w[0].t == w[1].t).count();
+    repeats as f64 / (events.len() - 1) as f64
+}
+
+#[test]
+fn the_repeated_tick_stream_repeats() {
+    let share = repeat_share(&repeated_ticks());
+    println!("adjacent ticks repeat: {:.1}%", 100.0 * share);
+    assert!(share > 0.25, "{share}");
+}
+
 fn agree<S: Weighted>(
     law: &Law<S>,
     what: &str,
@@ -488,16 +515,30 @@ fn laws<S: Weighted>(law: Law<S>) {
         let whole = fed(&|_| true);
         let exact = law.slack == 0.0 && spec == "poly:2";
 
-        // Batched ≡ scalar.
-        let mut batched = (law.make)(decay(spec), LANDMARK);
-        for chunk in events.chunks(BATCH) {
-            let ts: Vec<Timestamp> = chunk.iter().map(|e| e.t).collect();
-            let items: Vec<S::Item> = chunk.iter().map(law.item).collect();
-            batched.update_batch_at(&ts, &items);
+        // Batched ≡ scalar, on the stream and on its repeated-tick variant
+        // (as a coarse clock stamps a feed): bit for bit where the answers
+        // are exact (`poly:2`, exact cells), else within 1e-9 relative plus
+        // the sketch's ε of its scale.
+        for (stage, feed) in [
+            ("batched ≡ scalar", events.clone()),
+            ("batched ≡ scalar on repeated ticks", repeated_ticks()),
+        ] {
+            let (mut scalar, mut batched) = (
+                (law.make)(decay(spec), LANDMARK),
+                (law.make)(decay(spec), LANDMARK),
+            );
+            for e in &feed {
+                scalar.update_at(e.t, (law.item)(e));
+            }
+            for chunk in feed.chunks(BATCH) {
+                let ts: Vec<Timestamp> = chunk.iter().map(|e| e.t).collect();
+                let items: Vec<S::Item> = chunk.iter().map(law.item).collect();
+                batched.update_batch_at(&ts, &items);
+            }
+            let what = what(stage);
+            batched.check_invariants().expect(&what);
+            agree(&law, &what, exact, law.slack, &batched, &scalar);
         }
-        let batched_what = what("batched ≡ scalar");
-        batched.check_invariants().expect(&batched_what);
-        agree(&law, &batched_what, exact, law.slack, &batched, &whole);
 
         // merge(A, B) ≡ the summary of the concatenated stream — for halves
         // whose effective landmarks differ, in both orders.
@@ -506,11 +547,14 @@ fn laws<S: Weighted>(law: Law<S>) {
             ("parity", |i| i.is_multiple_of(2)),
         ] {
             let (a, b) = (fed(&in_a), fed(&|i| !in_a(i)));
+            // A merged clock counts the larger of its inputs' rescales.
+            let rescales = a.stats().renormalizations.max(b.stats().renormalizations);
             for (order, mut into, from) in [("ab", a.clone(), &b), ("ba", b.clone(), &a)] {
                 into.merge_from(from);
                 let what = what(&format!("merge ≡ concat ({split} {order})"));
                 into.check_invariants().expect(&what);
                 agree(&law, &what, exact, 2.0 * law.slack, &into, &whole);
+                assert_eq!(into.stats().renormalizations, rescales, "{what}");
             }
         }
 
