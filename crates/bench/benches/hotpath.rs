@@ -19,7 +19,7 @@
 //!
 //! Results land in `BENCH_hotpath.json` at the repo root;
 //! `scripts/bench_diff.py` gates CI on >10% ns/tuple regressions against
-//! the committed copy. `FD_QUICK=1` shrinks the run and skips both the
+//! the parent commit's run, measured on the same runner in the same job. `FD_QUICK=1` shrinks the run and skips both the
 //! strict assertions and the JSON write.
 //!
 //! Run: `cargo bench --bench hotpath`
@@ -220,8 +220,8 @@ fn main() {
 
     // Soft floors well under the committed numbers: catch a path that
     // stopped being batched at all, without flaking on machine noise.
-    // The committed BENCH_hotpath.json + scripts/bench_diff.py carry the
-    // tight (10%) regression gate.
+    // The parent commit's run on the same runner + scripts/bench_diff.py
+    // carry the tight (10%) regression gate.
     assert!(
         poly2_reduction >= 15.0 || poly2_sum_reduction >= 15.0,
         "fwd-poly batched path lost its advantage: \

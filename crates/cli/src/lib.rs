@@ -236,8 +236,10 @@ OPTIONS (all optional):
     --producers <n>     ingress producers feeding the shard rings (sharded
                         runs), 0 = default               [default: 1]
     --batch <n>         dispatcher batch size (sharded runs), 0 = default [default: 0]
-    --checkpoint-every <n>  worker checkpoint interval in tuples (sharded
-                        runs); 0 disables supervision   [default: 32768]
+    --checkpoint-every <n>  minimum worker checkpoint interval in tuples
+                        (sharded runs; a shard whose snapshot outweighs n
+                        32-byte packets waits longer); 0 disables
+                        supervision                     [default: 32768]
     --max-restarts <n>  restarts per shard before degradation [default: 3]
     --metrics           append a Prometheus metrics snapshot (takes no value)
     --data-dir <path>   durable store directory (WAL + checkpoints); rerunning

@@ -38,12 +38,21 @@ impl Drop for StoreDir {
     }
 }
 
+/// The queries under test: `--agg`, `--hosts` and `--checkpoint-every`.
+/// The first's snapshots stay under its interval's worth of packets, so it
+/// checkpoints every 512 tuples; the second's q-digests outweigh 256
+/// packets, so its workers stretch the interval to their snapshots' size
+/// and a crash re-reads a tail longer than `--checkpoint-every`.
+const FIXED_CADENCE: [&str; 3] = ["fwd_sum", "200", "512"];
+const STRETCHED_CADENCE: [&str; 3] = ["fwd_quantiles", "2000", "256"];
+
 /// The query under test. `--pace-ms` stretches the run to a few hundred
 /// milliseconds so a kill can land mid-stream; it does not change output.
-fn args(data_dir: Option<&Path>, pace_ms: u64) -> Vec<String> {
+fn args(set: [&str; 3], data_dir: Option<&Path>, pace_ms: u64) -> Vec<String> {
+    let [agg, hosts, every] = set;
     let mut a: Vec<String> = [
         "--agg",
-        "fwd_sum",
+        agg,
         "--group",
         "dst_host",
         "--bucket",
@@ -53,13 +62,13 @@ fn args(data_dir: Option<&Path>, pace_ms: u64) -> Vec<String> {
         "--duration",
         "3",
         "--hosts",
-        "200",
+        hosts,
         "--seed",
         "11",
         "--shards",
         "2",
         "--checkpoint-every",
-        "512",
+        every,
         "--format",
         "csv",
         "--limit",
@@ -110,15 +119,16 @@ fn spawn_and_kill(args: &[String], delay: Duration) {
     let _ = child.wait();
 }
 
-#[test]
-fn kill_dash_nine_matrix_restarts_bit_identically() {
+/// Kills `fdql` running `set` at seeded points, twice per store, and
+/// requires every restart to finish byte-identical to an uncrashed run.
+fn kill_dash_nine_matrix(set: [&str; 3]) {
     // Golden output: the same flags without a store, run to completion.
-    let (golden, _) = run_to_completion(&args(None, 0));
+    let (golden, _) = run_to_completion(&args(set, None, 0));
     assert!(golden.contains("# tuples="), "sanity: {golden}");
 
     // A clean durable run must already match the in-memory run exactly.
-    let clean_store = StoreDir::new("clean");
-    let (clean, _) = run_to_completion(&args(Some(clean_store.path()), 0));
+    let clean_store = StoreDir::new(&format!("clean-{}", set[0]));
+    let (clean, _) = run_to_completion(&args(set, Some(clean_store.path()), 0));
     assert_eq!(golden, clean, "durable run diverged from in-memory run");
 
     // The kill schedule: seeded so CI rows explore different cut points,
@@ -133,21 +143,21 @@ fn kill_dash_nine_matrix_restarts_bit_identically() {
 
     let mut resumed_restarts = 0u32;
     for (i, &delay_ms) in delays.iter().enumerate() {
-        let store = StoreDir::new(&format!("kill-{i}"));
+        let store = StoreDir::new(&format!("kill-{}-{i}", set[0]));
         // Crash 1: paced run, killed mid-stream.
         spawn_and_kill(
-            &args(Some(store.path()), 20),
+            &args(set, Some(store.path()), 20),
             Duration::from_millis(delay_ms),
         );
         // Crash 2: the *restart* gets killed too — recovery of a store
         // that was itself written by a recovering process must hold.
         spawn_and_kill(
-            &args(Some(store.path()), 20),
+            &args(set, Some(store.path()), 20),
             Duration::from_millis(delay_ms / 2 + 15),
         );
         // Final restart runs to completion and must reproduce the golden
         // output byte for byte.
-        let (out, err) = run_to_completion(&args(Some(store.path()), 0));
+        let (out, err) = run_to_completion(&args(set, Some(store.path()), 0));
         assert_eq!(
             golden, out,
             "delay {delay_ms}ms: restarted output diverged\nstderr: {err}"
@@ -161,6 +171,28 @@ fn kill_dash_nine_matrix_restarts_bit_identically() {
         "no kill in the whole matrix landed mid-stream (delays {delays:?}) — \
          the crash matrix is not exercising recovery"
     );
+}
+
+#[test]
+fn kill_dash_nine_matrix_restarts_bit_identically() {
+    kill_dash_nine_matrix(FIXED_CADENCE);
+}
+
+#[test]
+fn kill_dash_nine_matrix_restarts_bit_identically_on_a_stretched_cadence() {
+    // The workers' own gauge shows the interval in force is the
+    // snapshot's size in packets, not the 256 tuples asked for.
+    let mut metered = args(STRETCHED_CADENCE, None, 0);
+    metered.push("--metrics".into());
+    let (out, _) = run_to_completion(&metered);
+    let intervals: Vec<u64> = out
+        .lines()
+        .filter_map(|l| l.strip_prefix("fd_shard_checkpoint_interval_tuples{shard="))
+        .map(|l| l.split_once(' ').expect("a value").1.parse().expect("u64"))
+        .collect();
+    assert_eq!(intervals.len(), 2, "{out}");
+    assert!(intervals.iter().all(|&n| n > 256), "{intervals:?}");
+    kill_dash_nine_matrix(STRETCHED_CADENCE);
 }
 
 #[test]

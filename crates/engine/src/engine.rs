@@ -402,8 +402,9 @@ impl Engine {
     /// [`checkpoint`](Engine::checkpoint) into a caller-supplied buffer,
     /// clearing it first. Periodic checkpointing recycles the previous
     /// snapshot's buffer through here (see `CheckpointSlot::store`), so
-    /// the steady state rewrites the same half-megabyte instead of paying
-    /// an allocate/fault/free cycle per checkpoint.
+    /// the steady state rewrites the same buffer — megabytes for a
+    /// sketch per group (≈ 6 MB on the benchmark's `sketch_quantiles`) —
+    /// instead of paying an allocate/fault/free cycle per checkpoint.
     pub fn checkpoint_into(
         &self,
         out: &mut Vec<u8>,

@@ -85,15 +85,16 @@
 //! `replayed_batches` / `replayed_tuples` (what a fresh incarnation found
 //! to read), `degraded_shards`, `dropped_degraded`.
 //!
-//! Supervision is on by default
-//! ([`DEFAULT_CHECKPOINT_EVERY`]
-//! tuples between checkpoints); [`ShardedEngine::checkpoint_every`] tunes
-//! the interval, and `0` disables the whole layer — no checkpoints,
-//! nothing retained (the worker moves each message out of its queue), and
-//! a dead worker is a hard error ([`fd_core::Error::WorkerLost`]). Every
-//! built-in aggregate checkpoints, the samplers included; whether a query
-//! is supervised is settled when the engine is configured, which asks one
-//! fresh aggregator to checkpoint. A hand-written UDAF that declines runs
+//! Supervision is on by default (at least [`DEFAULT_CHECKPOINT_EVERY`]
+//! tuples between checkpoints, more for a snapshot heavier than that many
+//! packets: [`crate::supervisor::checkpoint_interval`]);
+//! [`ShardedEngine::checkpoint_every`] tunes that floor, and `0` disables
+//! the whole layer — no checkpoints, nothing retained (the worker moves
+//! each message out of its queue), and a dead worker is a hard error
+//! ([`fd_core::Error::WorkerLost`]). Every built-in aggregate
+//! checkpoints, the samplers included; whether a query is supervised is
+//! settled when the engine is configured, which asks one fresh aggregator
+//! to checkpoint. A hand-written UDAF that declines runs
 //! as with `0`, and a durable store refuses it.
 //!
 //! ## Configuration
@@ -416,11 +417,12 @@ impl ShardedEngine {
         Ok(self)
     }
 
-    /// Sets how many tuples a worker applies between engine checkpoints
-    /// (default [`DEFAULT_CHECKPOINT_EVERY`]). Smaller intervals shorten
-    /// the re-read tail at the price of more serialization; `0` disables
-    /// supervision entirely — no checkpoints, nothing retained, and a dead
-    /// worker is a hard error.
+    /// Sets how many tuples a worker applies at least between engine
+    /// checkpoints (default [`DEFAULT_CHECKPOINT_EVERY`]; more after a
+    /// heavier snapshot: [`crate::supervisor::checkpoint_interval`]).
+    /// Smaller intervals shorten the re-read tail at the price of more
+    /// serialization; `0` disables supervision entirely — no checkpoints,
+    /// nothing retained, and a dead worker is a hard error.
     pub fn checkpoint_every(mut self, tuples: u64) -> Self {
         self.cfg.checkpoint_every = tuples;
         self.rebuilt()

@@ -18,7 +18,7 @@ use crate::groups::{groups, Run};
 use crate::io::{FaultyFs, IoBackend};
 use crate::overload::ShedPolicy;
 use crate::spsc::{ring, BatchPool, RingSender, SendError};
-use crate::supervisor::{backoff, CheckpointSlot, WorkerLease};
+use crate::supervisor::{backoff, checkpoint_interval, CheckpointSlot, WorkerLease};
 use crate::telemetry::EngineTelemetry;
 use crate::tuple::{Packet, Proto};
 use crate::udaf::Query;
@@ -331,15 +331,19 @@ impl FabShared {
         inner: &mut FabInner,
     ) -> Result<(), fd_core::Error> {
         let sh = &self.shards[shard];
+        let tel = &self.telemetry.shards()[shard];
+        let every = self.cfg.checkpoint_every;
         let restored = sh.slot.read(|v| {
-            self.telemetry.shards()[shard]
-                .closed_groups_held
+            tel.closed_groups_held
                 .store(groups(v.closed) as u64, Relaxed);
-            (v.seq, Engine::restore(self.worker_query.clone(), v.blob))
+            // The first interval follows the snapshot the worker starts from.
+            let interval = checkpoint_interval(every, v.blob.len() as u64);
+            let engine = Engine::restore(self.worker_query.clone(), v.blob);
+            (v.seq, interval, engine)
         });
-        let (ckpt_seq, engine) = match restored {
-            Some((seq, Ok(e))) => (seq, e),
-            Some((_, Err(err))) => {
+        let (ckpt_seq, interval, engine) = match restored {
+            Some((seq, interval, Ok(e))) => (seq, interval, e),
+            Some((_, _, Err(err))) => {
                 // "Can't happen" for bytes a worker wrote; a store can
                 // hold a snapshot of another query's geometry.
                 return Err(fd_core::Error::Durability {
@@ -351,9 +355,10 @@ impl FabShared {
             None => {
                 let mut e = Engine::new(self.worker_query.clone());
                 e.keep_closed_state();
-                (0, e)
+                (0, every, e)
             }
         };
+        tel.checkpoint_interval_tuples.store(interval, Relaxed);
         // A fresh incarnation gets a fresh lease: the old one stays
         // retired forever (any zombie still holding it keeps seeing
         // `retired() == true`), and the watchdog clock restarts from now.
@@ -386,8 +391,8 @@ impl FabShared {
         self.telemetry
             .replayed_tuples
             .fetch_add(replayed.1, Relaxed);
-        let lease = Arc::clone(&inner.lease);
-        let worker = spawn_worker(shard, engine, rxs, Arc::clone(self), ckpt_seq, lease);
+        let (fab, lease) = (Arc::clone(self), Arc::clone(&inner.lease));
+        let worker = spawn_worker(shard, engine, rxs, fab, ckpt_seq, interval, lease);
         inner.worker = Some(worker.map_err(|err| {
             eprintln!("fd-shard-{shard}: worker thread did not start: {err}");
             fd_core::Error::WorkerLost { shard }

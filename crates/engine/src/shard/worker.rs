@@ -12,7 +12,7 @@ use crate::engine::{Engine, EngineStats};
 use crate::fault::{FaultKind, FaultState};
 use crate::groups::Run;
 use crate::spsc::RingReceiver;
-use crate::supervisor::WorkerLease;
+use crate::supervisor::{checkpoint_interval, WorkerLease};
 use crate::tuple::Packet;
 
 /// Applies one batch to the shard engine, firing any armed panic fault at
@@ -106,14 +106,16 @@ impl Drop for InFlight<'_> {
 /// `start_seq` is the last applied seq (the shard's seq base when fresh;
 /// the checkpoint's seq on respawn, where `rxs` were attached), which
 /// determines where the rotation resumes: the producer owning
-/// `start_seq + 1`. Fails when the OS refuses the thread; `rxs` are then
-/// dropped, leaving the queues without a reader.
+/// `start_seq + 1`. `interval` is the first [`checkpoint_interval`], set
+/// by the snapshot `engine` was restored from. Fails when the OS refuses
+/// the thread; `rxs` are then dropped, leaving the queues without a reader.
 pub(super) fn spawn_worker(
     shard: usize,
     mut engine: Engine,
     rxs: Vec<RingReceiver<Msg>>,
     fab: Arc<FabShared>,
     start_seq: u64,
+    mut interval: u64,
     lease: Arc<WorkerLease>,
 ) -> std::io::Result<WorkerHandle> {
     #[cfg(test)]
@@ -300,7 +302,7 @@ pub(super) fn spawn_worker(
                 // queue release and re-attachment key on. The buffer handed
                 // back above happens-before the release, so a released
                 // batch is never still referenced by the worker.
-                if every > 0 && since_ckpt >= every {
+                if interval > 0 && since_ckpt >= interval {
                     let ckpt_start = crate::telemetry::thread_cpu_ns();
                     // Buckets closed since the last checkpoint leave the
                     // engine first, so the snapshot covers open state only
@@ -327,6 +329,8 @@ pub(super) fn spawn_worker(
                     registry.checkpoints.fetch_add(1, Relaxed);
                     registry.checkpoint_bytes.fetch_add(bytes, Relaxed);
                     tel.closed_groups_held.store(held as u64, Relaxed);
+                    interval = checkpoint_interval(every, bytes);
+                    tel.checkpoint_interval_tuples.store(interval, Relaxed);
                     let spent = crate::telemetry::thread_cpu_ns().saturating_sub(ckpt_start);
                     registry.checkpoint_ns.fetch_add(spent, Relaxed);
                     since_ckpt = 0;

@@ -3,42 +3,62 @@
 //!
 //! The design follows the classic supervisor pattern (bounded restarts
 //! with exponential backoff, then graceful degradation) specialized to the
-//! engine's determinism requirements. A shard worker periodically
-//! serializes its *open* state — open buckets, LFTA slots, counters — and
-//! hands every bucket closed since the previous checkpoint over to its
-//! [`CheckpointSlot`] as the bucket's typed run (its clock and its groups,
-//! sorted by key), moved, not serialized. Forward decay makes both halves
-//! cheap and *exact*: summaries carry frozen numerators `g(t_i − L)` that
-//! are plain numbers, not functions of the current time (paper Section
-//! VI-B), so a snapshot is plain data and a closed bucket never changes
-//! again. The queues between the ingress handles and the
-//! worker ([`crate::spsc`]) *retain* what the worker has read: an entry
-//! stays in its queue, behind the read cursor, until the worker releases
-//! it — which it does for everything a checkpoint it just published
-//! covers. So the messages since the last checkpoint exist exactly once,
-//! in the queue they were sent on. On worker death the supervisor restores
-//! the engine from the slot's snapshot and attaches a fresh reader
-//! *incarnation* to every queue at the first entry past the slot's seq;
-//! the new worker re-reads the tail, which reproduces its predecessor's
-//! open state byte-for-byte (see [`crate::engine::Engine::checkpoint`])
-//! while the slot's closed runs stay where they are. Nothing is re-sent.
+//! engine's determinism requirements. A shard worker serializes its *open*
+//! state — open buckets, LFTA slots, counters — on a cadence that follows
+//! that state's size ([`checkpoint_interval`]), and hands every bucket
+//! closed since the previous checkpoint over to its [`CheckpointSlot`] as
+//! the bucket's typed run (its clock and its groups, sorted by key),
+//! moved, not serialized. Forward decay makes both halves cheap and
+//! *exact*: summaries carry frozen numerators `g(t_i − L)` that are plain
+//! numbers, not functions of the current time (paper Section VI-B), so a
+//! snapshot is plain data and a closed bucket never changes again. The
+//! queues between the ingress handles and the worker ([`crate::spsc`])
+//! *retain* what the worker has read: an entry stays in its queue, behind
+//! the read cursor, until the worker releases it — which it does for
+//! everything a checkpoint it just published covers. So the messages since
+//! the last checkpoint exist exactly once, in the queue they were sent on,
+//! and weigh no more than `max(checkpoint_every tuples, the last
+//! snapshot's bytes)`. On worker death the supervisor restores the engine
+//! from the slot's snapshot and attaches a fresh reader *incarnation* to
+//! every queue at the first entry past the slot's seq; the new worker
+//! re-reads the tail, which reproduces its predecessor's open state
+//! byte-for-byte (see [`crate::engine::Engine::checkpoint`]) while the
+//! slot's closed runs stay where they are. Nothing is re-sent.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::groups::{groups, Run};
+use crate::tuple::Packet;
 
 /// Take a checkpoint after at least this many tuples since the previous
-/// one (default for [`crate::shard::ShardedEngine`]). A shard's queues
-/// retain read entries covering at most this many tuples, so the interval
-/// bounds both the re-read tail and the retained-batch working set. What a
-/// checkpoint costs is set by the shard's *open* state alone — closed
-/// buckets leave the snapshot at the checkpoint after they close — and is
-/// paid on the worker thread, where it overlaps dispatch whenever a spare
-/// core exists; the `recovery_overhead` bench and the pipeline benchmark's
-/// `supervisor.*` ledger rows measure it (EXPERIMENTS.md has the figures).
+/// one (default for [`crate::shard::ShardedEngine`]): the floor of
+/// [`checkpoint_interval`]. A shard whose snapshot outweighs this many
+/// [`Packet`]s waits longer, so its queues retain read entries covering at
+/// most `max(checkpoint_every tuples, the last snapshot's bytes)`: the
+/// bound on both the re-read tail and the retained-batch working set.
+/// What a checkpoint costs is set by the shard's *open* state alone —
+/// closed buckets leave the snapshot at the checkpoint after they close —
+/// and is paid on the worker thread, where it overlaps dispatch whenever a
+/// spare core exists; the `recovery_overhead` bench and the pipeline
+/// benchmark's `supervisor.*` ledger rows measure it (EXPERIMENTS.md has
+/// the figures).
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32_768;
+
+/// Tuples (epochs count one more each) a shard worker applies before its
+/// next checkpoint, having just published — or started from — a snapshot
+/// of `snapshot_bytes`: at least `every`, and at least as many tuples as
+/// the snapshot holds [`Packet`]s' worth of bytes. The retained tail a respawn re-reads then
+/// never outweighs the snapshot it is replayed onto, and serializing
+/// costs at most one `Packet`'s worth of bytes per tuple covered, however
+/// large the open state. `0` (supervision off) stays `0`.
+pub fn checkpoint_interval(every: u64, snapshot_bytes: u64) -> u64 {
+    if every == 0 {
+        return 0;
+    }
+    every.max(snapshot_bytes.div_ceil(std::mem::size_of::<Packet>() as u64))
+}
 
 /// Give up on a shard after this many worker restarts (default).
 pub const DEFAULT_MAX_RESTARTS: u32 = 3;
@@ -346,6 +366,26 @@ mod tests {
             .is_none());
         let seen = slot.read(|v| (v.seq, v.blob.to_vec(), ids(v.closed)));
         assert_eq!(seen, Some((5, vec![9], vec![(0, 1)])), "slot untouched");
+    }
+
+    #[test]
+    fn checkpoint_interval_stretches_to_the_snapshot_in_packets() {
+        const EVERY: u64 = 1_000;
+        let packet = std::mem::size_of::<Packet>() as u64;
+        assert_eq!(packet, 32);
+        // A snapshot no heavier than `every` packets keeps the floor.
+        for bytes in [0, 1, 31_999, EVERY * packet] {
+            assert_eq!(checkpoint_interval(EVERY, bytes), EVERY, "{bytes} B");
+        }
+        // A larger one covers its bytes, one packet per tuple, rounded up.
+        assert_eq!(checkpoint_interval(EVERY, EVERY * packet + 1), EVERY + 1);
+        assert_eq!(checkpoint_interval(EVERY, 6_150_000), 192_188);
+        // Supervision off never checkpoints, however large the state.
+        for bytes in [0, 6_150_000, u64::MAX] {
+            assert_eq!(checkpoint_interval(0, bytes), 0);
+        }
+        assert_eq!(checkpoint_interval(1, u64::MAX), u64::MAX.div_ceil(32));
+        assert_eq!(checkpoint_interval(u64::MAX, u64::MAX), u64::MAX);
     }
 
     #[test]

@@ -253,8 +253,9 @@ metrics! {
     /// Writer discipline: `queue_depth` is the only two-writer field
     /// (the sending handle increments, the worker decrements — both per
     /// message); `batches_sent` is sender-only, everything else is
-    /// worker-only (`closed_groups_held` also by the recovery that preloads
-    /// or respawns the worker, which never runs beside it; `shed_tuples`
+    /// worker-only (`closed_groups_held` and `checkpoint_interval_tuples`
+    /// also by the recovery that preloads or respawns the worker, which
+    /// never runs beside it; `shed_tuples`
     /// also by a sender that sheds).
     #[derive(Debug, Default)]
     registry ShardTelemetry {}
@@ -292,6 +293,11 @@ metrics! {
     /// last checkpoint: handed off when their bucket closed, they wait
     /// there — outside every later snapshot — for the end of the run.
     closed_groups_held: gauge "fd_shard_closed_groups_held",
+    /// Tuples the worker applies between checkpoints as of its last one
+    /// (or its start): `checkpoint_every`, stretched to the size of the
+    /// snapshot in packets when that is larger
+    /// ([`crate::supervisor::checkpoint_interval`]).
+    checkpoint_interval_tuples: gauge "fd_shard_checkpoint_interval_tuples",
     /// Per-batch worker processing time, nanoseconds.
     batch_ns: summary "fd_worker_batch_ns",
     /// Dispatch-to-apply latency per batch (send to fully processed),

@@ -342,6 +342,66 @@ fn crash_before_first_checkpoint_replays_from_scratch() {
     assert!(t.replayed_tuples > 0);
 }
 
+/// A shard whose snapshot outweighs `checkpoint_every` packets waits
+/// that many packets' worth of tuples between checkpoints, so a crash deep
+/// inside such an interval leaves a retained tail longer than
+/// `checkpoint_every`. The respawned worker re-reads all of it, and the
+/// rows are still the single-threaded engine's, to the bit.
+#[test]
+fn respawn_rereads_a_tail_longer_than_checkpoint_every() {
+    const EVERY: u64 = 256;
+    let q = || {
+        Query::builder("fwd_quantiles")
+            .group_by(|p| p.dst_host())
+            .bucket_secs(2)
+            .aggregate(fwd_quantile_factory(
+                Monomial::quadratic(),
+                11,
+                0.01,
+                vec![0.5, 0.95, 0.99],
+                |p| p.len as u64,
+            ))
+            .two_level(false)
+            .try_build()
+            .expect("valid query")
+    };
+    let packets = trace(3.0, 10_000.0, 29);
+    let baseline = Engine::new(q()).run(packets.iter().copied());
+    let run = |fault: Option<FaultPlan>| {
+        let mut e = ShardedEngine::try_new(q(), 2)
+            .expect("spawn shards")
+            .try_batch_size(128)
+            .expect("batch")
+            .checkpoint_every(EVERY);
+        if let Some(plan) = fault {
+            e = e.inject_fault(plan);
+        }
+        let rows = e.run(packets.iter().copied());
+        (rows, e.telemetry().snapshot())
+    };
+    let (rows, clean) = run(None);
+    assert_bit_identical(&baseline, &rows, "unfaulted sharded run");
+    let interval = clean.shards[0].checkpoint_interval_tuples;
+    assert!(interval > 4 * EVERY, "stretched to {interval} tuples");
+    let (rows, t) = run(Some(FaultPlan {
+        shard: 0,
+        kind: FaultKind::PanicAtTuple(clean.shards[0].tuples_processed * 2 / 3),
+    }));
+    assert_bit_identical(&baseline, &rows, "respawned after a long tail");
+    assert_eq!(t.restarts, 1);
+    // Whole batches the dead worker applied past its last checkpoint are
+    // applied twice. Each message boundary found fewer tuples than the
+    // interval in force since that checkpoint, so a re-read past `EVERY`
+    // shows the crash landed in a stretched interval.
+    let reread = t.shards[0].tuples_processed - clean.shards[0].tuples_processed;
+    assert!(reread > EVERY, "re-read {reread} tuples");
+    assert!(
+        t.replayed_tuples >= reread,
+        "{} replayed",
+        t.replayed_tuples
+    );
+}
+
 /// A wedge is the crash the panic path cannot see: the worker spins
 /// forever without dying or heartbeating. Only the overload plane's
 /// watchdog — ring jammed past the send deadline *and* a stale lease —

@@ -299,6 +299,59 @@ fn supervision_counters_surface_in_every_export_format() {
     assert!(s.to_prometheus().contains("fd_restarts 1"));
 }
 
+/// Each shard reports the checkpoint interval in force: `checkpoint_every`
+/// while its snapshot weighs no more than that many packets, and the
+/// snapshot's size in packets once it does — a q-digest per host over a
+/// few thousand hosts outweighs 512 packets many times over.
+#[test]
+fn checkpoint_interval_gauge_follows_the_snapshot_size() {
+    const EVERY: u64 = 512;
+    let trace = TraceConfig {
+        seed: 31,
+        duration_secs: 4.0,
+        rate_pps: 10_000.0,
+        n_hosts: 3_000,
+        ..Default::default()
+    };
+    let intervals = |q: Query| {
+        let mut e = ShardedEngine::try_new(q, 2)
+            .expect("spawn shards")
+            .checkpoint_every(EVERY);
+        e.run(trace.iter());
+        let s = e.telemetry().snapshot();
+        assert!(s.checkpoints > 0, "supervised workers must checkpoint");
+        (s.shards.iter())
+            .map(|sh| sh.checkpoint_interval_tuples)
+            .collect::<Vec<u64>>()
+    };
+    let quantiles = Query::builder("quantiles")
+        .group_by(|p| p.dst_host())
+        .bucket_secs(2)
+        .aggregate(fwd_quantile_factory(
+            Exponential::new(0.05),
+            11,
+            0.01,
+            vec![0.5, 0.95, 0.99],
+            |p| p.len as u64,
+        ))
+        .try_build()
+        .expect("valid query");
+    for interval in intervals(quantiles) {
+        assert!(interval > EVERY, "a large state stretches it: {interval}");
+    }
+    let count = Query::builder("count")
+        .group_by(|_| 0)
+        .bucket_secs(2)
+        .aggregate(count_factory())
+        .try_build()
+        .expect("valid query");
+    assert_eq!(
+        intervals(count),
+        vec![EVERY; 2],
+        "one group keeps the floor"
+    );
+}
+
 #[test]
 fn durability_counters_surface_in_every_export_format() {
     use forward_decay::engine::durability::DurabilityOptions;
@@ -403,7 +456,9 @@ fn durability_counters_surface_in_every_export_format() {
 }
 
 /// A 2-shard × 2-producer registry with a distinct value in every stored
-/// cell (101, 102, … in declaration order) and both histograms fed.
+/// cell (101, 102, … in declaration order; shard i's checkpoint interval,
+/// set last so the older cells keep their values, is 32 768 · 2^i) and
+/// both histograms fed.
 fn populated() -> EngineTelemetry {
     let t = EngineTelemetry::with_producers(2, 2);
     let mut next = 100u64;
@@ -456,6 +511,9 @@ fn populated() -> EngineTelemetry {
         put(&p.pool_allocs);
         put(&p.shed_tuples);
         p.ring_depth.iter().for_each(&mut put);
+    }
+    for (i, s) in t.shards().iter().enumerate() {
+        s.checkpoint_interval_tuples.store(32_768 << i, Relaxed);
     }
     t
 }
