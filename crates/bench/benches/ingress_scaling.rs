@@ -1,40 +1,56 @@
-//! Multi-producer ingress scaling on the fwd-poly count workload.
+//! Multi-producer ingress scaling on the fwd-poly count workload, observed
+//! through the engine's own ingress plane.
 //!
-//! BENCH_shard.json shows one ingress producer (its serial
-//! admit-route-stage loop) capping modeled throughput at `1e9/dispatch_ns`
-//! regardless of shard count — the ingress ceiling of the paper's §VI
-//! cost model. The ingress plane lifts that serial term with `P`
-//! producers, each owning the full loop; this bench measures
+//! `ShardedEngine::try_producers(P)` gives the plane P ingress handles,
+//! each owning the full admit-route-stage loop and its own rings to every
+//! shard worker. This bench detaches them
+//! (`ShardedEngine::take_ingress_handles`), feeds each from its own thread
+//! with the workers attached, and records per P:
 //!
-//! - the per-tuple cost of one producer's loop (`ingress_ns_per_tuple`,
-//!   gated by `scripts/bench_diff.py`),
-//! - wall-clock aggregate ingress throughput with P producer threads on
-//!   this host, and
-//! - the modeled aggregate `P·10⁹/ingress_ns`, capped end-to-end by the
-//!   workers at `min(P·10⁹/ingress_ns, n·10⁹/worker_ns)`
-//!   ([`fd_engine::metrics::fabric_capacity_pps`]).
+//! - `ingress_cpu_ns_per_tuple`: the handles' thread CPU
+//!   ([`fd_engine::telemetry::thread_cpu_ns`]) summed over the producers,
+//!   per tuple, best of 25 passes — what the plane costs, gated by
+//!   `scripts/bench_diff.py`;
+//! - `wallclock_tuples_per_sec`: tuples over the wall time from the first
+//!   `ingest` until `finish` has drained the workers and merged.
 //!
-//! Hosts with fewer cores than producers cannot show the scaling in
-//! wall-clock (the threads time-slice one core), so each row carries a
-//! `core_bound` honesty flag and the headline `aggregate_tuples_per_sec`
-//! falls back to the modeled number when the flag is set.
+//! Producer `p` takes every P-th tuple from `p` on, so each handle's
+//! watermark tracks the stream's, in `fdql`-sized chunks; the passes of
+//! the three producer counts are interleaved. Every P must
+//! emit the same rows: the same groups, each value equal up to rounding
+//! (a worker adds a group's weights in epoch order, which depends on P).
 //!
-//! Results land in `BENCH_ingress.json` at the repo root.
+//! A row is `core_bound` when the host has fewer cores than P producers
+//! plus the shard workers: the threads then time-slice, and the wall
+//! clock measures the host rather than the plane. The wall-clock speedup
+//! at 4 producers is recorded, not asserted: with the workers attached,
+//! the 8 shards' worker cost and the zipf-skewed hottest shard cap the
+//! plane, and no run has yet shown what that cap allows.
+//!
+//! Results land in `BENCH_ingress.json` at the repo root. `FD_QUICK=1`
+//! shrinks the run and skips the JSON write.
 //!
 //! Run: `cargo bench --bench ingress_scaling`
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
-use fd_bench::{
-    measure_dispatch_ns, measure_parallel_ingress_tps, measure_query, quick, quick_scaled, Table,
-};
+use fd_bench::{quick, quick_scaled, Table};
 use fd_core::decay::Monomial;
-use fd_engine::metrics::fabric_capacity_pps;
 use fd_engine::prelude::*;
+use fd_engine::telemetry::thread_cpu_ns;
 use fd_gen::TraceConfig;
 
 const PRODUCERS: [usize; 3] = [1, 2, 4];
 const SHARDS: usize = 8;
+/// Timed passes per producer count; the best is reported. A shared host
+/// slows by up to 2× in phases of seconds, so the run (~10 s) is made long
+/// enough to see a quiet one.
+const PASSES: usize = 25;
+/// Tuples per `ingest` call: `fdql`'s commit chunk. Each call ends in a
+/// seal, so 1024-tuple calls would ship eight-times-smaller messages than
+/// the plane's own batch rule and park on full rings far more often.
+const CHUNK: usize = 4096;
 
 fn trace() -> Vec<Packet> {
     TraceConfig {
@@ -60,77 +76,131 @@ fn query() -> Query {
         .expect("valid query")
 }
 
+struct Pass {
+    cpu_ns_per_tuple: f64,
+    tuples_per_sec: f64,
+    rows: Vec<Row>,
+}
+
+/// One run of the plane: P detached handles, each fed its share from its
+/// own thread, then `finish`.
+fn run(slices: &[Vec<Packet>]) -> Pass {
+    let mut engine = ShardedEngine::try_new(query(), SHARDS)
+        .expect("spawn shards")
+        .try_producers(slices.len())
+        .expect("producers");
+    let handles = engine.take_ingress_handles();
+    let start = Instant::now();
+    let cpu_ns: u64 = std::thread::scope(|scope| {
+        let producers: Vec<_> = handles
+            .into_iter()
+            .zip(slices)
+            .map(|(mut h, slice)| {
+                scope.spawn(move || {
+                    let cpu0 = thread_cpu_ns();
+                    for chunk in slice.chunks(CHUNK) {
+                        h.ingest(chunk).expect("shard workers alive");
+                    }
+                    h.finish();
+                    thread_cpu_ns() - cpu0
+                })
+            })
+            .collect();
+        producers
+            .into_iter()
+            .map(|p| p.join().expect("producer thread"))
+            .sum()
+    });
+    let rows = engine.finish();
+    let secs = start.elapsed().as_secs_f64();
+    let n = slices.iter().map(Vec::len).sum::<usize>() as f64;
+    Pass {
+        cpu_ns_per_tuple: cpu_ns as f64 / n,
+        tuples_per_sec: n / secs,
+        rows,
+    }
+}
+
+/// The same groups, each value equal up to rounding.
+fn assert_same_rows(want: &[Row], got: &[Row], producers: usize) {
+    assert_eq!(want.len(), got.len(), "{producers} producers: row count");
+    for (w, g) in want.iter().zip(got) {
+        assert_eq!(
+            (w.bucket_start, w.key),
+            (g.bucket_start, g.key),
+            "{producers} producers: groups"
+        );
+        let (a, b) = (
+            w.value.as_float().expect("a count"),
+            g.value.as_float().expect("a count"),
+        );
+        assert!(
+            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+            "{producers} producers: key {} counted {b}, one producer {a}",
+            w.key
+        );
+    }
+}
+
 fn fmt_tps(tps: f64) -> String {
-    format!("{:.0} Mt/s", tps / 1e6)
+    format!("{:.1} Mt/s", tps / 1e6)
 }
 
 fn main() {
     let packets = trace();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "ingress scaling on the fwd-poly count workload: {} packets, {cores} host core(s){}",
+        "ingress scaling on the fwd-poly count workload: {} packets, {SHARDS} shards, \
+         {cores} host core(s){}",
         packets.len(),
         if quick() { " [FD_QUICK]" } else { "" }
     );
 
-    let q = query();
-    // Serial per-producer cost, and the worker cost that caps the
-    // end-to-end model.
-    let ingress_ns = measure_dispatch_ns(&q, SHARDS, &packets);
-    let worker_ns = measure_query(&q, &packets).ns_per_tuple;
-    println!("ingress (one producer): {ingress_ns:.1} ns/t · worker: {worker_ns:.1} ns/t");
-
     let mut table = Table::new(
-        "Multi-producer ingress — aggregate throughput",
+        "Multi-producer ingress — observed through IngressHandle",
         "producers",
-        &[
-            "wall-clock",
-            "modeled ingress",
-            "end-to-end capacity",
-            "core-bound",
-        ],
+        &["ingress CPU ns/t", "wall-clock", "core-bound"],
     );
+    // Producer p of P takes every P-th tuple from p on.
+    let shares: Vec<Vec<Vec<Packet>>> = PRODUCERS
+        .iter()
+        .map(|&p| {
+            (0..p)
+                .map(|i| packets.iter().skip(i).step_by(p).copied().collect())
+                .collect()
+        })
+        .collect();
+    let reference = run(&shares[0]).rows; // warm-up: threads, rings, allocator
+    let mut cpu = [f64::INFINITY; PRODUCERS.len()];
+    let mut wallclock = [0.0f64; PRODUCERS.len()];
+    for _ in 0..PASSES {
+        // Interleaved, so each P's passes spread over the whole run.
+        for (i, share) in shares.iter().enumerate() {
+            let pass = run(share);
+            assert_same_rows(&reference, &pass.rows, PRODUCERS[i]);
+            cpu[i] = cpu[i].min(pass.cpu_ns_per_tuple);
+            wallclock[i] = wallclock[i].max(pass.tuples_per_sec);
+        }
+    }
     let mut json_series = String::new();
-    let mut headline = Vec::new();
-    for p in PRODUCERS {
-        let wallclock = measure_parallel_ingress_tps(&q, SHARDS, p, &packets);
-        let modeled = p as f64 * 1e9 / ingress_ns;
-        let capacity = fabric_capacity_pps(ingress_ns, worker_ns, SHARDS, p);
-        let core_bound = cores < p;
-        // The headline number a reader should quote: measured where the
-        // host can actually run P producers in parallel, modeled where it
-        // cannot (flagged either way).
-        let aggregate = if core_bound { modeled } else { wallclock };
-        headline.push(aggregate);
+    for ((p, cpu), tps) in PRODUCERS.iter().zip(cpu).zip(wallclock) {
+        let core_bound = cores < p + SHARDS;
         table.row(
             format!("{p}"),
-            vec![
-                fmt_tps(wallclock),
-                fmt_tps(modeled),
-                fmt_tps(capacity),
-                format!("{core_bound}"),
-            ],
+            vec![format!("{cpu:.1}"), fmt_tps(tps), format!("{core_bound}")],
         );
         let _ = writeln!(
             json_series,
             "    {{\"label\": \"{p} producers\", \"producers\": {p}, \
-             \"wallclock_tuples_per_sec\": {wallclock:.0}, \
-             \"modeled_ingress_tuples_per_sec\": {modeled:.0}, \
-             \"end_to_end_capacity_pps\": {capacity:.0}, \
-             \"core_bound\": {core_bound}, \
-             \"aggregate_tuples_per_sec\": {aggregate:.0}}},"
+             \"ingress_cpu_ns_per_tuple\": {cpu:.1}, \
+             \"wallclock_tuples_per_sec\": {tps:.0}, \
+             \"core_bound\": {core_bound}}},"
         );
     }
     table.print();
 
-    let speedup4 = headline[headline.len() - 1] / headline[0];
-    println!("aggregate ingress speedup at 4 producers vs 1: {speedup4:.2}x");
-    if !quick() {
-        assert!(
-            speedup4 >= 2.5,
-            "ingress fabric must scale: {speedup4:.2}x < 2.5x at 4 producers"
-        );
-    }
+    let speedup4 = wallclock[wallclock.len() - 1] / wallclock[0];
+    println!("wall-clock speedup at 4 producers vs 1: {speedup4:.2}x");
 
     if quick() {
         println!("FD_QUICK set: skipping the JSON write");
@@ -142,10 +212,8 @@ fn main() {
          \"workload\": \"fwd-poly count: 20000 hosts, zipf 1.1, 100000 pkt/s x 20 s, TCP\",\n  \
          \"host_cores\": {cores},\n  \
          \"shards\": {SHARDS},\n  \
-         \"ingress_ns_per_tuple\": {ingress_ns:.1},\n  \
-         \"worker_ns_per_tuple\": {worker_ns:.1},\n  \
-         \"aggregate_speedup_at_4_producers\": {speedup4:.2},\n  \
-         \"note\": \"aggregate_tuples_per_sec is wall-clock when host_cores >= producers, else the modeled P*1e9/ingress_ns with core_bound=true; end_to_end_capacity_pps applies min(P*1e9/ingress_ns, shards*1e9/worker_ns)\",\n  \
+         \"wallclock_speedup_at_4_producers\": {speedup4:.2},\n  \
+         \"note\": \"P detached IngressHandles fed from P threads, workers attached, best of {PASSES} passes; ingress_cpu_ns_per_tuple sums the handles' thread CPU; wallclock runs from the first ingest to finish; core_bound when host_cores < producers + shards\",\n  \
          \"series\": [\n{}  ]\n}}\n",
         json_series.trim_end_matches(",\n").to_string() + "\n"
     );

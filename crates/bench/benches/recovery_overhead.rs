@@ -1,5 +1,5 @@
 //! Supervision overhead gate: what checkpointing adds to the dispatch
-//! hot path, measured two ways on the same fig2 count workload.
+//! hot path on the fig2 count workload.
 //!
 //! Checkpointing is designed to stay off the per-tuple dispatch path:
 //! workers serialize state only once per `checkpoint_every` tuples
@@ -19,15 +19,6 @@
 //! metric core-count independent and far tighter than wall ratios on a
 //! 1-core shared runner.
 //!
-//! **The secondary number: worker-free serial ingress**
-//! ([`measure_dispatch_supervised_ns`]), the same methodology as the
-//! repo's dispatch hotpath bench (`hotpath.rs`). With no workers to
-//! timeslice against, it isolates what supervision adds to a dispatcher
-//! that never waits — an upper bound on the relative ingress cost for
-//! deployments with enough cores, where the baseline dispatcher's
-//! buffers ping-pong L2-hot and supervision's rotation is the only
-//! cache pressure.
-//!
 //! Wall-clock ratios are recorded too but only as context: on CI's
 //! single core the workers' serialization CPU lands on wall time by
 //! timeslicing, pricing the core count rather than the design (on any
@@ -46,13 +37,12 @@
 //!
 //! Run: `cargo bench -p fd-bench --bench recovery_overhead`
 //! Knobs: `FD_TOLERANCE_PCT` (gate, default 3), `FD_CHECKPOINT_EVERY`
-//! (interval), `FD_ROUNDS` (engine pairs, default 9), `FD_INGRESS_ROUNDS`
-//! (ingress pairs, default 11), `FD_QUICK` (short rounds, no JSON, no
-//! gate).
+//! (interval), `FD_ROUNDS` (engine pairs, default 9), `FD_QUICK` (short
+//! rounds, no JSON, no gate).
 
 use std::time::Instant;
 
-use fd_bench::{measure_dispatch_supervised_ns, quick, quick_scaled};
+use fd_bench::{quick, quick_scaled};
 use fd_engine::prelude::*;
 use fd_engine::telemetry::thread_cpu_ns;
 use fd_gen::TraceConfig;
@@ -179,8 +169,6 @@ fn main() {
         .filter(|&n| n > 0)
         .unwrap_or(DEFAULT_CHECKPOINT_EVERY);
     let rounds = env_rounds("FD_ROUNDS", 9);
-    let ingress_rounds = env_rounds("FD_INGRESS_ROUNDS", 11);
-    let q = query();
     println!(
         "recovery overhead: {} packets, {SHARDS} shards, checkpoint every \
          {every} tuples, dispatch-CPU tolerance {tolerance_pct}%{}",
@@ -243,35 +231,6 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
 
-    // Secondary phase: worker-free serial ingress, 3 interleaved passes
-    // per configuration per round.
-    let mut best_off_ing = f64::INFINITY;
-    let mut best_on_ing = f64::INFINITY;
-    let mut ing_ratios = Vec::with_capacity(ingress_rounds);
-    measure_dispatch_supervised_ns(&q, SHARDS, &packets, 0); // warm-up
-    for round in 0..ingress_rounds {
-        let mut off = f64::INFINITY;
-        let mut on = f64::INFINITY;
-        for _ in 0..3 {
-            if round % 2 == 0 {
-                off = off.min(measure_dispatch_supervised_ns(&q, SHARDS, &packets, 0));
-                on = on.min(measure_dispatch_supervised_ns(&q, SHARDS, &packets, every));
-            } else {
-                on = on.min(measure_dispatch_supervised_ns(&q, SHARDS, &packets, every));
-                off = off.min(measure_dispatch_supervised_ns(&q, SHARDS, &packets, 0));
-            }
-        }
-        best_off_ing = best_off_ing.min(off);
-        best_on_ing = best_on_ing.min(on);
-        ing_ratios.push(on / off);
-    }
-    let ingress_overhead_pct = (median(&mut ing_ratios) - 1.0) * 100.0;
-    println!(
-        "worker-free ingress: {best_off_ing:.1} -> {best_on_ing:.1} ns/t, \
-         median paired overhead {ingress_overhead_pct:+.2}% \
-         (upper bound for all-cores-spare deployments)"
-    );
-
     if quick() {
         println!("FD_QUICK set: skipping the JSON write and the tolerance gate");
         return;
@@ -287,10 +246,6 @@ fn main() {
          \"unsupervised_wall_ns\": {best_off_wall:.2},\n  \
          \"supervised_wall_ns\": {best_on_wall:.2},\n  \
          \"wall_overhead_pct\": {wall_overhead_pct:.2},\n  \
-         \"ingress_rounds\": {ingress_rounds},\n  \
-         \"unsupervised_ingress_ns_per_tuple\": {best_off_ing:.2},\n  \
-         \"supervised_ingress_ns_per_tuple\": {best_on_ing:.2},\n  \
-         \"ingress_overhead_pct\": {ingress_overhead_pct:.2},\n  \
          \"checkpoints\": {ckpt_count},\n  \
          \"checkpoint_serialization_ms\": {:.2},\n  \
          \"tolerance_pct\": {tolerance_pct}\n}}\n",
@@ -303,7 +258,6 @@ fn main() {
     assert!(
         cpu_overhead_pct <= tolerance_pct,
         "supervision costs {cpu_overhead_pct:.2}% dispatch-thread CPU \
-         (> {tolerance_pct}% budget); wall {wall_overhead_pct:+.2}%, \
-         worker-free ingress {ingress_overhead_pct:+.2}%"
+         (> {tolerance_pct}% budget); wall {wall_overhead_pct:+.2}%"
     );
 }

@@ -5,12 +5,16 @@
 //! `fd-engine`, measures per-tuple cost and summary space, and prints the
 //! same series the paper plots, as a markdown table. Results are recorded in
 //! `EXPERIMENTS.md`.
+//!
+//! Every measurement here runs the engine's own entry points
+//! ([`Engine::process`], [`ShardedEngine::try_process_packets`]); a bench
+//! that times ingress detaches the engine's `IngressHandle`s rather than
+//! running a copy of their loop.
 
 use std::time::Instant;
 
 use fd_engine::engine::{Engine, EngineStats, Row};
 use fd_engine::shard::ShardedEngine;
-use fd_engine::spsc::BatchPool;
 use fd_engine::tuple::Packet;
 use fd_engine::udaf::Query;
 
@@ -100,7 +104,7 @@ pub fn measure_sharded_query(
     packets: &[Packet],
 ) -> ShardMeasurement {
     let feed = |engine: &mut ShardedEngine, packets: &[Packet]| {
-        for chunk in packets.chunks(DISPATCH_BATCH) {
+        for chunk in packets.chunks(fd_engine::shard::DEFAULT_BATCH_SIZE) {
             engine
                 .try_process_packets(chunk)
                 .expect("shard workers alive");
@@ -122,223 +126,6 @@ pub fn measure_sharded_query(
         stats: engine.stats(),
         rows,
     }
-}
-
-/// Batch size the dispatch simulations seal at — the engine's
-/// [`fd_engine::shard::DEFAULT_BATCH_SIZE`].
-const DISPATCH_BATCH: usize = fd_engine::shard::DEFAULT_BATCH_SIZE;
-
-/// The engine's shard routing: Fibonacci hash, high-bits multiply-shift
-/// fold (matches `ShardedEngine`; a low-bits `h % n` fold would misstate
-/// the cost *and* the spread for strided keys).
-#[inline]
-fn route_shard(key: u64, n_shards: usize) -> usize {
-    let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((u128::from(h) * n_shards as u128) >> 64) as usize
-}
-
-/// Measures the per-tuple cost of the *legacy scalar* dispatch path —
-/// per-tuple admission with two divisions (bucket id, closed-bucket
-/// target), then a `mem::take` hand-off that leaves an empty `Vec` to
-/// regrow, exactly as the pre-batching dispatcher did. Workers are not
-/// attached: this isolates the serial ingress fraction.
-pub fn measure_dispatch_scalar_ns(query: &Query, n_shards: usize, packets: &[Packet]) -> f64 {
-    assert!(n_shards > 0 && !packets.is_empty());
-    let mut staged: Vec<Vec<Packet>> = vec![Vec::new(); n_shards];
-    let mut watermark: u64 = 0;
-    let mut closed_below: u64 = 0;
-    let start = Instant::now();
-    for pkt in packets {
-        if let Some(f) = &query.filter {
-            if !f(pkt) {
-                continue;
-            }
-        }
-        let bucket = pkt.ts / query.bucket_micros;
-        if bucket < closed_below {
-            continue;
-        }
-        watermark = watermark.max(pkt.ts);
-        let key = (query.group_by)(pkt);
-        let shard = route_shard(key, n_shards);
-        staged[shard].push(*pkt);
-        if staged[shard].len() >= DISPATCH_BATCH {
-            // The legacy hand-off: ship the Vec, regrow a fresh one.
-            let batch = std::mem::take(&mut staged[shard]);
-            drop(std::hint::black_box(batch));
-        }
-        closed_below =
-            closed_below.max(watermark.saturating_sub(query.slack_micros) / query.bucket_micros);
-    }
-    std::hint::black_box(&staged);
-    start.elapsed().as_nanos() as f64 / packets.len() as f64
-}
-
-/// One ingress producer's pass over `packets`, exactly as the engine's
-/// `IngressHandle` runs it, worker-free: one fused pass per tuple doing
-/// admission with the closed boundary held in timestamp space (no
-/// per-tuple divisions), routing, and the push into the owning shard's
-/// staging buffer; each time a buffer fills, an epoch seal that ships
-/// every shard's staging (a bare marker when empty) through an `Arc`
-/// hand-off with pool recycling. With `checkpoint_every > 0` the
-/// supervision layer's whole per-message bookkeeping runs inline as well:
-/// a clone retained in the per-shard replay backlog, a trim pass
-/// releasing batches the latest checkpoint covers, and — the part no
-/// instruction count shows — the buffer *rotation*: a retained batch
-/// cannot recycle until a checkpoint covers it, so the staging buffers
-/// cycle through a `checkpoint_every`-deep window instead of ping-ponging
-/// hot. In the real engine the trim and reclaim run on worker threads
-/// (the handle only appends), so the supervised number is a conservative
-/// ceiling on the ingress thread's share of the cost. The simulated
-/// worker checkpoints after `checkpoint_every` applied tuple-equivalents,
-/// staggered per shard exactly as the engine staggers. Returns elapsed
-/// seconds.
-fn dispatch_secs(query: &Query, n_shards: usize, packets: &[Packet], checkpoint_every: u64) -> f64 {
-    use std::collections::VecDeque;
-    use std::sync::Arc;
-
-    struct Seat {
-        backlog: VecDeque<(u64, Arc<Vec<Packet>>)>,
-        /// Tuple-equivalents the simulated worker has applied since its
-        /// last checkpoint (pre-offset for the engine's stagger).
-        applied: u64,
-        /// Sequence number of the latest simulated checkpoint.
-        ckpt: u64,
-    }
-    // Pool sized as the engine sizes it: staging plus one checkpoint
-    // window of retained batches per shard; prewarmed off the clock, as
-    // the engine prewarms at spawn.
-    let window = match checkpoint_every {
-        0 => 0,
-        every => ((every / DISPATCH_BATCH as u64) + 2).min(512) as usize,
-    };
-    let bound = n_shards * (1 + window) + 2;
-    let pool: BatchPool<Packet> = BatchPool::new(bound);
-    let blank = Packet {
-        ts: 0,
-        src_ip: 0,
-        dst_ip: 0,
-        src_port: 0,
-        dst_port: 0,
-        len: 0,
-        proto: fd_engine::tuple::Proto::Tcp,
-    };
-    pool.prewarm(bound.min(512), DISPATCH_BATCH, blank);
-    let recycle = |pkts: Arc<Vec<Packet>>| {
-        if pkts.capacity() > 0 {
-            if let Ok(buf) = Arc::try_unwrap(pkts) {
-                pool.put(buf);
-            }
-        }
-    };
-    let mut seats: Vec<Seat> = (0..n_shards)
-        .map(|s| Seat {
-            backlog: VecDeque::new(),
-            applied: s as u64 * checkpoint_every / n_shards as u64,
-            ckpt: 0,
-        })
-        .collect();
-    let mut staging: Vec<Vec<Packet>> = (0..n_shards).map(|_| pool.take(DISPATCH_BATCH)).collect();
-    let bm = query.bucket_micros;
-    let slack = query.slack_micros;
-    let mut wm: u64 = 0;
-    let mut closed_low: u64 = 0;
-    let mut seq: u64 = 0;
-    let start = Instant::now();
-    for pkt in packets {
-        if query.filter.as_ref().is_some_and(|f| !f(pkt)) || pkt.ts < closed_low {
-            continue;
-        }
-        wm = wm.max(pkt.ts);
-        let horizon = wm.saturating_sub(slack);
-        if horizon >= closed_low.saturating_add(bm) {
-            closed_low = (horizon / bm) * bm;
-        }
-        let buf = &mut staging[route_shard((query.group_by)(pkt), n_shards)];
-        buf.push(*pkt);
-        if buf.len() < DISPATCH_BATCH {
-            continue;
-        }
-        // Epoch seal: every shard ships (the determinism contract).
-        seq += 1;
-        for (staged, seat) in staging.iter_mut().zip(&mut seats) {
-            let sent: Arc<Vec<Packet>> = if staged.is_empty() {
-                Arc::default()
-            } else {
-                Arc::new(std::mem::replace(staged, pool.take(DISPATCH_BATCH)))
-            };
-            let sent = std::hint::black_box(sent);
-            if checkpoint_every == 0 {
-                // Unsupervised hand-off: the "worker" is the sole owner
-                // and returns the drained buffer.
-                recycle(sent);
-                continue;
-            }
-            // Retain before sending (the failed send itself must be
-            // replayable), then trim what the checkpoint covers.
-            seat.backlog.push_back((seq, Arc::clone(&sent)));
-            while seat.backlog.front().is_some_and(|(q, _)| *q <= seat.ckpt) {
-                let (_, pkts) = seat.backlog.pop_front().expect("non-empty front");
-                recycle(pkts);
-            }
-            // The "worker": applies the batch (dropping its reference)
-            // and checkpoints at message boundaries.
-            seat.applied += sent.len() as u64 + 1;
-            drop(sent);
-            if seat.applied >= checkpoint_every {
-                seat.ckpt = seq;
-                seat.applied = 0;
-            }
-        }
-    }
-    std::hint::black_box(&staging);
-    std::hint::black_box(&seats);
-    start.elapsed().as_secs_f64()
-}
-
-/// Measures the per-tuple cost of the engine's ingress loop (see
-/// `dispatch_secs`) with supervision off — the serial ingress fraction
-/// of one producer, comparable head-to-head with
-/// [`measure_dispatch_scalar_ns`].
-pub fn measure_dispatch_ns(query: &Query, n_shards: usize, packets: &[Packet]) -> f64 {
-    measure_dispatch_supervised_ns(query, n_shards, packets, 0)
-}
-
-/// Measures the ingress loop with the supervision layer's per-message
-/// bookkeeping run inline (see `dispatch_secs`); `checkpoint_every == 0`
-/// runs the identical loop with supervision off (the baseline).
-pub fn measure_dispatch_supervised_ns(
-    query: &Query,
-    n_shards: usize,
-    packets: &[Packet],
-    checkpoint_every: u64,
-) -> f64 {
-    assert!(n_shards > 0 && !packets.is_empty());
-    dispatch_secs(query, n_shards, packets, checkpoint_every) * 1e9 / packets.len() as f64
-}
-
-/// Wall-clock aggregate ingress throughput (tuples/s) with `producers`
-/// threads each running the ingress loop over a contiguous slice of
-/// `packets`. On hosts with fewer cores than producers this measures
-/// oversubscription, not the plane — gate on a core count check and fall
-/// back to the modeled aggregate
-/// ([`fd_engine::metrics::fabric_capacity_pps`]).
-pub fn measure_parallel_ingress_tps(
-    query: &Query,
-    n_shards: usize,
-    producers: usize,
-    packets: &[Packet],
-) -> f64 {
-    assert!(producers > 0 && !packets.is_empty());
-    let per = packets.len().div_ceil(producers);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for slice in packets.chunks(per) {
-            let q = query.clone();
-            scope.spawn(move || dispatch_secs(&q, n_shards, slice, 0));
-        }
-    });
-    packets.len() as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Formats a byte count like the paper's log-scale space plots (B, KB, MB).

@@ -22,7 +22,7 @@ use std::marker::PhantomData;
 
 use crate::checkpoint::{require, CodecError, Decode, Encode, Reader, MAX_COUNT};
 use crate::codec_struct;
-use crate::decay::{clamp_to_landmark, striped_dot, striped_sum, ForwardDecay};
+use crate::decay::ForwardDecay;
 use crate::decayed::{Both, Decayed, Weighted};
 use crate::merge::Mergeable;
 use crate::summary::{Summary, SummaryStats};
@@ -38,9 +38,6 @@ pub trait Lane: Copy + std::fmt::Debug {
 
     /// This arrival's value.
     fn value(self) -> f64;
-
-    /// A batch's values as a column, or `None` when they are all 1.
-    fn column(items: &[Self]) -> Option<&[f64]>;
 }
 
 impl Lane for () {
@@ -50,10 +47,6 @@ impl Lane for () {
     fn value(self) -> f64 {
         1.0
     }
-
-    fn column(_: &[()]) -> Option<&[f64]> {
-        None
-    }
 }
 
 impl Lane for f64 {
@@ -62,10 +55,6 @@ impl Lane for f64 {
     #[inline]
     fn value(self) -> f64 {
         self
-    }
-
-    fn column(items: &[f64]) -> Option<&[f64]> {
-        Some(items)
     }
 }
 
@@ -138,41 +127,6 @@ impl<V: Lane> Weighted for Accumulator<V> {
         self.acc / denom
     }
 
-    /// One pass over the batch in striped partial sums, the maximum riding
-    /// along; a family whose landmark cannot move goes through its own
-    /// unswitched [`ForwardDecay::g_sum_batch`] / [`g_dot_batch`]. The
-    /// identical weights are summed, possibly reassociated.
-    ///
-    /// [`g_dot_batch`]: ForwardDecay::g_dot_batch
-    fn add_batch<G: ForwardDecay>(
-        &mut self,
-        g: &G,
-        l0: Timestamp,
-        l: Timestamp,
-        ts: &[Timestamp],
-        items: &[V],
-    ) {
-        let vals = V::column(items);
-        let age = |t| clamp_to_landmark(t, l0) - l;
-        let (sum, max_t) = if g.is_multiplicative() {
-            match vals {
-                None => striped_sum(ts, |t| g.g(age(t))),
-                Some(vals) => striped_dot(ts, vals, |t| g.g(age(t))),
-            }
-        } else {
-            // Non-multiplicative families clamp intrinsically (`g(n ≤ 0)`
-            // equals `g(0)` for Monomial / LandmarkWindow / PolySum), so
-            // their unswitched overrides need no clamp in the loop.
-            match vals {
-                None => g.g_sum_batch(ts, l),
-                Some(vals) => g.g_dot_batch(ts, vals, l),
-            }
-        };
-        self.acc += sum;
-        self.n += ts.len() as u64;
-        self.max_t = self.max_t.max(max_t);
-    }
-
     fn stats(&self) -> SummaryStats {
         SummaryStats {
             items: self.n,
@@ -230,7 +184,7 @@ impl<G: ForwardDecay> DecayedCount<G> {
     }
 
     /// Ingests an item with timestamp `t_i`. Pre-landmark timestamps are
-    /// clamped to the landmark ([`clamp_to_landmark`]).
+    /// clamped to the landmark ([`clamp_to_landmark`](crate::decay::clamp_to_landmark)).
     #[inline]
     pub fn update(&mut self, t_i: impl Into<Timestamp>) {
         self.update_at(t_i.into(), ());
@@ -250,12 +204,9 @@ impl<G: ForwardDecay> DecayedCount<G> {
         self.inner.add(t_i, (), g * w);
     }
 
-    /// Ingests a batch of timestamps in one call: the same count as
-    /// per-item [`update`](Self::update) calls up to `f64` rounding, with
-    /// the renormalization check hoisted out of the loop
-    /// ([`Summary::update_batch_at`] on [`Decayed`]) and the weights
-    /// summed in one striped or memoized pass ([`Accumulator`]'s
-    /// `add_batch`).
+    /// Ingests a batch of timestamps in one call: per-item
+    /// [`update`](Self::update) calls in slice order
+    /// ([`Summary::update_batch_at`]), bit for bit.
     pub fn update_batch(&mut self, ts: &[Timestamp]) {
         // A `Vec` of units is a length: nothing is allocated.
         self.update_batch_at(ts, &vec![(); ts.len()]);
@@ -273,7 +224,7 @@ impl<G: ForwardDecay> DecayedSum<G> {
     }
 
     /// Ingests an item `(t_i, v_i)`. Pre-landmark timestamps are clamped to
-    /// the landmark ([`clamp_to_landmark`]).
+    /// the landmark ([`clamp_to_landmark`](crate::decay::clamp_to_landmark)).
     #[inline]
     pub fn update(&mut self, t_i: impl Into<Timestamp>, v: f64) {
         self.update_at(t_i.into(), v);
@@ -288,10 +239,8 @@ impl<G: ForwardDecay> DecayedSum<G> {
         self.update(t_i, v * w);
     }
 
-    /// Ingests a columnar batch: `ts[i]` pairs with `vals[i]` — the batched
-    /// counterpart of per-item [`update`](Self::update) calls (see
-    /// [`DecayedCount::update_batch`] for what is hoisted and the rounding
-    /// caveats).
+    /// Ingests a columnar batch: `ts[i]` pairs with `vals[i]`, fed as
+    /// per-item [`update`](Self::update) calls in slice order.
     ///
     /// # Panics
     /// Panics if the slices' lengths differ.

@@ -230,7 +230,7 @@ impl CmCandidates {
 
 /// The whole of what a decayed sketch has to say for itself: how a
 /// weighted arrival goes in, how the (linear) state rescales, and what it
-/// answers over `g(t − L)`. The clock, the batched path, the merge-time
+/// answers over `g(t − L)`. The clock, the merge-time
 /// landmark alignment, checkpointing and the `Summary` view are
 /// [`Decayed`]'s.
 impl Weighted for CmCandidates {

@@ -60,29 +60,6 @@ pub trait ForwardDecay: Clone + Send + Sync + Encode + Decode + 'static {
         false
     }
 
-    /// `Σ g(tᵢ − l)` over a non-empty batch of timestamps, plus the batch's
-    /// maximum timestamp, in one striped pass
-    /// ([`striped_sum`]).
-    ///
-    /// Families whose `g` branches on a runtime parameter override this to
-    /// unswitch that branch *outside* the loop (one closure per parameter
-    /// regime), leaving an invariant-free inner loop the compiler can
-    /// pipeline and vectorize — the default keeps the branch in the loop
-    /// body. The weights summed are exactly the scalar [`g`](Self::g)
-    /// values; only the summation order differs (normal `f64` rounding).
-    #[inline]
-    fn g_sum_batch(&self, ts: &[Timestamp], l: Timestamp) -> (f64, Timestamp) {
-        striped_sum(ts, |t| self.g(t - l))
-    }
-
-    /// `Σ g(tᵢ − l) · vals[i]` over a non-empty batch, plus the batch's
-    /// maximum timestamp — the dot-product counterpart of
-    /// [`g_sum_batch`](Self::g_sum_batch), with the same override contract.
-    #[inline]
-    fn g_dot_batch(&self, ts: &[Timestamp], vals: &[f64], l: Timestamp) -> (f64, Timestamp) {
-        striped_dot(ts, vals, |t| self.g(t - l))
-    }
-
     /// The decayed weight `w(i, t) = g(t_i − L) / g(t − L)` of an item that
     /// arrived at `t_i`, evaluated at time `t ≥ t_i`.
     ///
@@ -111,71 +88,16 @@ pub trait ForwardDecay: Clone + Send + Sync + Encode + Decode + 'static {
     }
 }
 
-/// Number of independent accumulators in the striped batch loops: enough
-/// to hide the f64 add latency behind the multiply pipeline.
-const LANES: usize = 4;
-
-/// `Σ f(ts[i])` with `LANES` (4) independent partial sums, so consecutive
-/// adds pipeline instead of serializing on one accumulator's latency. The
-/// reassociation changes results by at most normal `f64` rounding. The
-/// batch maximum rides along in the same pass — measurably cheaper than a
-/// second sweep over the slice. `ts` must be non-empty, else the returned
-/// maximum is meaningless (`i64::MIN` micros).
-///
-/// This is the engine room of [`ForwardDecay::g_sum_batch`]; decay
-/// families call it with a closure already specialized on their runtime
-/// parameters so the inner loop carries no invariant branches.
-pub fn striped_sum(ts: &[Timestamp], f: impl Fn(Timestamp) -> f64) -> (f64, Timestamp) {
-    let mut lanes = [0.0f64; LANES];
-    let mut max_us = i64::MIN;
-    let mut chunks = ts.chunks_exact(LANES);
-    for c in &mut chunks {
-        for j in 0..LANES {
-            lanes[j] += f(c[j]);
-            max_us = max_us.max(c[j].as_micros());
-        }
-    }
-    for &t in chunks.remainder() {
-        lanes[0] += f(t);
-        max_us = max_us.max(t.as_micros());
-    }
-    (lanes.iter().sum(), Timestamp::from_micros(max_us))
-}
-
-/// `Σ f(ts[i]) · vals[i]`, striped like [`striped_sum`] and likewise
-/// returning the batch maximum; `ts` must be non-empty and no longer than
-/// `vals`.
-pub fn striped_dot(
-    ts: &[Timestamp],
-    vals: &[f64],
-    f: impl Fn(Timestamp) -> f64,
-) -> (f64, Timestamp) {
-    let mut lanes = [0.0f64; LANES];
-    let mut max_us = i64::MIN;
-    let mut tc = ts.chunks_exact(LANES);
-    let mut vc = vals.chunks_exact(LANES);
-    for (t4, v4) in (&mut tc).zip(&mut vc) {
-        for j in 0..LANES {
-            lanes[j] += f(t4[j]) * v4[j];
-            max_us = max_us.max(t4[j].as_micros());
-        }
-    }
-    for (&t, &v) in tc.remainder().iter().zip(vc.remainder()) {
-        lanes[0] += f(t) * v;
-        max_us = max_us.max(t.as_micros());
-    }
-    (lanes.iter().sum(), Timestamp::from_micros(max_us))
-}
-
 /// The uniform pre-landmark arrival policy: an item stamped before the
 /// landmark is treated as arriving *at* the landmark (`t_i < L` behaves as
 /// `t_i = L`).
 ///
 /// The paper requires `L ≤ t_i`, but real streams deliver stragglers and
 /// clock-skewed tuples stamped before the landmark. Every ingestion path —
-/// the scalar `update_at`s, the striped batch closures, and the samplers —
-/// routes item timestamps through this clamp against the summary's
-/// **original** landmark, so all decay families and all code paths agree:
+/// the `update_at`s (a batch is its items fed in order), the engine's
+/// cells, and the samplers — routes item timestamps through this clamp
+/// against the summary's **original** landmark, so all decay families and
+/// all code paths agree:
 ///
 /// - for the polynomial families the clamp coincides with their intrinsic
 ///   `g(n ≤ 0) = g(0)` handling (Monomial and LandmarkWindow map negative
@@ -257,9 +179,8 @@ impl ForwardDecay for Monomial {
     #[inline]
     fn g(&self, n: f64) -> f64 {
         // Zero clamp as a select (not `max`, which would swallow NaN), so
-        // the quadratic fast path is a two-op straight line the batched
-        // loops can pipeline; `powf` of a clamped 0 is 0 for every valid β,
-        // matching the old guard.
+        // the quadratic fast path is a two-op straight line; `powf` of a
+        // clamped 0 is 0 for every valid β, matching the old guard.
         let n = if n <= 0.0 { 0.0 } else { n };
         if self.beta == 2.0 {
             n * n // fast path for the common quadratic case
@@ -274,43 +195,6 @@ impl ForwardDecay for Monomial {
             f64::NEG_INFINITY
         } else {
             self.beta * n.ln()
-        }
-    }
-
-    fn g_sum_batch(&self, ts: &[Timestamp], l: Timestamp) -> (f64, Timestamp) {
-        // Unswitch the β check outside the loop: the quadratic closure is
-        // a branch-free two-op body the compiler pipelines across lanes,
-        // which the generic default (β compare per item) defeats.
-        if self.beta == 2.0 {
-            striped_sum(ts, |t| {
-                let n = t - l;
-                let n = if n <= 0.0 { 0.0 } else { n };
-                n * n
-            })
-        } else {
-            let beta = self.beta;
-            striped_sum(ts, |t| {
-                let n = t - l;
-                let n = if n <= 0.0 { 0.0 } else { n };
-                n.powf(beta)
-            })
-        }
-    }
-
-    fn g_dot_batch(&self, ts: &[Timestamp], vals: &[f64], l: Timestamp) -> (f64, Timestamp) {
-        if self.beta == 2.0 {
-            striped_dot(ts, vals, |t| {
-                let n = t - l;
-                let n = if n <= 0.0 { 0.0 } else { n };
-                n * n
-            })
-        } else {
-            let beta = self.beta;
-            striped_dot(ts, vals, |t| {
-                let n = t - l;
-                let n = if n <= 0.0 { 0.0 } else { n };
-                n.powf(beta)
-            })
         }
     }
 }
@@ -546,28 +430,6 @@ impl ForwardDecay for AnyDecay {
             AnyDecay::None => NoDecay.is_multiplicative(),
             AnyDecay::Exponential(e) => e.is_multiplicative(),
             _ => false,
-        }
-    }
-
-    fn g_sum_batch(&self, ts: &[Timestamp], l: Timestamp) -> (f64, Timestamp) {
-        // Delegate so each family's own override (notably Monomial's
-        // unswitched loops) still kicks in behind the enum.
-        match self {
-            AnyDecay::None => NoDecay.g_sum_batch(ts, l),
-            AnyDecay::Monomial(m) => m.g_sum_batch(ts, l),
-            AnyDecay::Exponential(e) => e.g_sum_batch(ts, l),
-            AnyDecay::Landmark(lw) => lw.g_sum_batch(ts, l),
-            AnyDecay::Poly(p) => p.g_sum_batch(ts, l),
-        }
-    }
-
-    fn g_dot_batch(&self, ts: &[Timestamp], vals: &[f64], l: Timestamp) -> (f64, Timestamp) {
-        match self {
-            AnyDecay::None => NoDecay.g_dot_batch(ts, vals, l),
-            AnyDecay::Monomial(m) => m.g_dot_batch(ts, vals, l),
-            AnyDecay::Exponential(e) => e.g_dot_batch(ts, vals, l),
-            AnyDecay::Landmark(lw) => lw.g_dot_batch(ts, vals, l),
-            AnyDecay::Poly(p) => p.g_dot_batch(ts, vals, l),
         }
     }
 }

@@ -7,9 +7,10 @@
 //! one move — hand an existing *weighted* summary the static weight
 //! `g(t_i − L)`, divide by `g(t − L)` only when asked — and [`Decayed`] is
 //! that move: the arrival prologue (clamp to the landmark, renormalize if
-//! exponential weights have grown large, freeze the weight), its batched
-//! form, the landmark alignment of a merge, and the guarded query-time
-//! denominator. *What* is summarized is the [`Weighted`] summary inside: an
+//! exponential weights have grown large, freeze the weight), the landmark
+//! alignment of a merge, and the guarded query-time denominator. A batch
+//! is its arrivals fed in order ([`Summary::update_batch_at`]). *What* is
+//! summarized is the [`Weighted`] summary inside: an
 //! accumulator, or two or three of them under the one clock for an average
 //! or a variance ([`Both`], [`crate::aggregates`]), SpaceSaving
 //! ([`crate::heavy_hitters`]), a q-digest ([`crate::quantiles`]), a
@@ -212,22 +213,6 @@ pub trait Weighted: Mergeable + Clone {
     /// The answer at a query time whose `g(t − L)` is `denom ≠ 0`.
     fn over(&self, denom: f64) -> Self::Output;
 
-    /// Adds a batch in slice order, `ts[i]` weighing `g(max(ts[i], l0) − l)`.
-    /// The default is [`add`](Self::add) per arrival, one `g` each.
-    fn add_batch<G: ForwardDecay>(
-        &mut self,
-        g: &G,
-        l0: Timestamp,
-        l: Timestamp,
-        ts: &[Timestamp],
-        items: &[Self::Item],
-    ) {
-        for (&t_i, &item) in ts.iter().zip(items) {
-            let t_i = clamp_to_landmark(t_i, l0);
-            self.add(t_i, item, g.g(t_i - l));
-        }
-    }
-
     /// Occupancy and activity counters; [`Decayed`] fills in
     /// `renormalizations`.
     fn stats(&self) -> SummaryStats {
@@ -389,31 +374,6 @@ impl<G: ForwardDecay, S: Weighted> Summary for Decayed<G, S> {
         self.inner.add(t_i, item, w);
     }
 
-    /// Per-item [`update_at`](Self::update_at) calls in slice order, with
-    /// the renormalization check hoisted out of the loop: only a
-    /// multiplicative `g` can move the landmark, and whether it must
-    /// depends on the largest age in flight alone, so one
-    /// [`Renormalizer::pre_update`] against the batch maximum stands in for
-    /// one per item. Results agree with the scalar path up to `f64`
-    /// rounding: the identical weights are added, and exponential decay may
-    /// renormalize once (to the batch maximum) where the scalar path
-    /// renormalizes stepwise.
-    fn update_batch_at(&mut self, ts: &[Timestamp], items: &[S::Item]) {
-        assert_eq!(ts.len(), items.len(), "columnar batch slices must align");
-        if ts.is_empty() {
-            return;
-        }
-        if let (true, Some(&max_t)) = (self.g.is_multiplicative(), ts.iter().max()) {
-            if let Some(factor) = self.renorm.pre_update(&self.g, max_t) {
-                self.inner.scale(factor);
-            }
-        }
-        // Stragglers clamp against the *original* landmark (the effective
-        // one only ever advances past it), as on the scalar path.
-        let (l0, l) = (self.renorm.original_landmark(), self.renorm.landmark());
-        self.inner.add_batch(&self.g, l0, l, ts, items);
-    }
-
     #[inline]
     fn query_at(&self, t: Timestamp) -> S::Output {
         self.query(t)
@@ -444,9 +404,8 @@ impl<G: ForwardDecay, S: Weighted<Item = u64, Output = f64>> Decayed<G, S> {
         self.update_at(t_i.into(), item);
     }
 
-    /// Ingests a columnar batch, `ts[i]` pairing with `items[i]`, applied in
-    /// slice order; see [`Summary::update_batch_at`] on [`Decayed`] for
-    /// what is hoisted and the rounding caveats.
+    /// Ingests a columnar batch, `ts[i]` pairing with `items[i]`: per-item
+    /// [`update`](Self::update) calls in slice order.
     ///
     /// # Panics
     /// Panics if the slices' lengths differ.

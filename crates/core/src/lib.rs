@@ -23,8 +23,8 @@
 //! - [`decay`] — forward decay functions (no decay, monomial, exponential,
 //!   landmark window, general polynomials) and the classical backward decay
 //!   functions they are compared against;
-//! - [`decayed`] — [`Decayed`] and [`Weighted`]: the arrival prologue
-//!   (scalar and batched), merge-time landmark alignment and the query-time
+//! - [`decayed`] — [`Decayed`] and [`Weighted`]: the arrival prologue,
+//!   merge-time landmark alignment and the query-time
 //!   denominator, written once; a new decayed sketch is one `impl Weighted`;
 //! - the weighted summaries and their decayed aliases: [`aggregates`]
 //!   (constant-space Count / Sum / Min / Max, and the Average / Variance,

@@ -108,11 +108,9 @@ pub trait Summary {
 
     /// Feeds a columnar batch of arrivals: `ts[i]` pairs with `us[i]`.
     ///
-    /// The default loops over [`update_at`](Summary::update_at).
-    /// [`Decayed`](crate::decayed::Decayed) overrides it for everything it
-    /// wraps: one renormalization check per batch, and striped sums for
-    /// the count and sum cells. The engine folds tuples through its own
-    /// cells and never calls it; standalone summaries and the benches do.
+    /// Loops over [`update_at`](Summary::update_at) in slice order, so a
+    /// batch is, bit for bit, its arrivals fed one at a time. The engine
+    /// folds tuples through its own cells and never calls it.
     ///
     /// # Panics
     /// Panics if the slices' lengths differ.

@@ -1007,9 +1007,9 @@ fn batched_count_sum_match_scalar() {
 
         let t_q = 120.0;
         let (a, b) = (sc.query(t_q), bc.query(t_q));
-        assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "count {a} vs {b}");
+        assert_eq!(a.to_bits(), b.to_bits(), "count {a} vs {b}");
         let (a, b) = (ss.query(t_q), bs.query(t_q));
-        assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "sum {a} vs {b}");
+        assert_eq!(a.to_bits(), b.to_bits(), "sum {a} vs {b}");
     });
 }
 
@@ -1018,9 +1018,9 @@ fn batched_count_matches_scalar_across_rescale_boundary() {
     use fd_core::summary::Summary;
     cases(43, |rng| {
         // Exponential decay with timestamps far enough out that ln g(n)
-        // crosses ln(RESCALE_THRESHOLD): the scalar path renormalizes
-        // stepwise, the batch path renormalizes once to the batch max.
-        // Both must agree on the (scale-free) decayed answer.
+        // crosses ln(RESCALE_THRESHOLD): a batch is its arrivals fed in
+        // order, so it renormalizes at the same arrivals, to the same
+        // landmarks, as the scalar feed, and answers bit for bit.
         let alpha = rng.gen_range(0.5..2.0);
         let span = 2.5 * fd_core::numerics::RESCALE_THRESHOLD.ln() / alpha;
         let mut ts: Vec<Timestamp> = (0..rng.gen_range(10..120))
@@ -1040,8 +1040,9 @@ fn batched_count_matches_scalar_across_rescale_boundary() {
         );
         let t_q = Timestamp::from(span * 1.01);
         let (a, b) = (scalar.query(t_q), batched.query(t_q));
-        assert!(
-            (a - b).abs() <= 1e-9 * a.abs().max(1.0),
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
             "alpha={alpha}: scalar {a} vs batched {b}"
         );
     });

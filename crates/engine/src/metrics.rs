@@ -48,23 +48,6 @@ impl LoadPoint {
     }
 }
 
-/// Modeled capacity (tuples/second) of the sharded pipeline: `producers`
-/// ingress threads each sustain `10⁹ / ingress_ns` tuples/s of admission,
-/// route and scatter, and `n_shards` workers aggregate concurrently at
-/// `n · 10⁹ / worker_ns`; the slower side saturates first. Like
-/// [`cpu_load_pct`], this translates measured per-tuple costs into a
-/// machine-independent property — the serial-dispatcher term of the
-/// paper's §VI cost model, made scalable by the multi-producer fabric.
-pub fn fabric_capacity_pps(
-    ingress_ns: f64,
-    worker_ns: f64,
-    n_shards: usize,
-    producers: usize,
-) -> f64 {
-    assert!(ingress_ns > 0.0 && worker_ns > 0.0 && n_shards > 0 && producers > 0);
-    (producers as f64 * 1e9 / ingress_ns).min(n_shards as f64 * 1e9 / worker_ns)
-}
-
 /// Sums per-shard execution counters into one
 /// [`EngineStats`](crate::engine::EngineStats) — the view
 /// of a sharded run as if it were one engine. Admission counters
@@ -114,20 +97,6 @@ mod tests {
         let q = LoadPoint::from_cost(100_000.0, 2_500.0);
         assert_eq!(q.cpu_pct, 25.0);
         assert_eq!(q.drop_frac, 0.0);
-    }
-
-    #[test]
-    fn fabric_capacity_is_min_of_ingress_and_workers() {
-        // One producer, aggregation 8× the dispatch cost: workers limit
-        // until 8 shards.
-        assert_eq!(fabric_capacity_pps(100.0, 800.0, 1, 1), 1.25e6);
-        assert_eq!(fabric_capacity_pps(100.0, 800.0, 4, 1), 5e6);
-        // From 8 shards on, the ingress thread is the bottleneck.
-        assert_eq!(fabric_capacity_pps(100.0, 800.0, 8, 1), 1e7);
-        assert_eq!(fabric_capacity_pps(100.0, 800.0, 16, 1), 1e7);
-        // Four producers lift the ingress term to 4·10⁹/400 = 10⁷, which
-        // now caps 16 workers' 2·10⁷.
-        assert_eq!(fabric_capacity_pps(400.0, 800.0, 16, 4), 1e7);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! adversarial streams, through four ingestion paths:
 //!
 //! - **scalar** — one `update_at` per event;
-//! - **batched** — `update_batch_at` over columnar chunks (one hoisted
-//!   renormalization check, striped sums);
+//! - **batched** — `update_batch_at` over columnar chunks (the trait's
+//!   per-item loop: bit for bit the scalar feed);
 //! - **merged** — events round-robined across three shards fed
 //!   independently, then folded with `Mergeable::merge_from` (shards
 //!   renormalize at different times, so this exercises landmark alignment);
