@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use fd_bench::{fmt_bytes, measure_query, quick, quick_scaled, Table};
+use fd_bench::{fig2_query, fmt_bytes, measure_query, quick, quick_scaled, Table};
 use fd_core::decay::{BackPolynomial, Exponential, Monomial};
 use fd_engine::prelude::*;
 use fd_engine::udaf::FnFactory;
@@ -62,18 +62,6 @@ fn competitors(eh_eps: f64) -> Vec<(&'static str, Arc<FnFactory>)> {
     ]
 }
 
-fn query(factory: Arc<FnFactory>, two_level: bool) -> Query {
-    Query::builder("fig2")
-        .filter(|p| p.proto == Proto::Tcp)
-        .group_by(|p| p.dst_host())
-        .bucket_secs(60)
-        .aggregate(factory)
-        .two_level(two_level)
-        .lfta_slots(65_536)
-        .try_build()
-        .expect("valid query")
-}
-
 fn fmt_load(p: LoadPoint) -> String {
     if p.drop_frac > 0.0 {
         format!("100% (drops {:.0}%)", p.drop_frac * 100.0)
@@ -107,7 +95,7 @@ fn panels_a_b() -> [Vec<(String, f64)>; 2] {
             let mut cells = Vec::new();
             let mut row_costs = Vec::new();
             for (label, factory) in competitors(0.1) {
-                let m = measure_query(&query(factory, two_level), &packets);
+                let m = measure_query(&fig2_query(factory, two_level), &packets);
                 row_costs.push((label.to_string(), m.ns_per_tuple));
                 cells.push(fmt_load(LoadPoint::from_cost(rate, m.ns_per_tuple)));
             }
@@ -176,7 +164,7 @@ fn panel_c() {
     for eps in [0.1, 0.05, 0.02, 0.01] {
         let mut cells = Vec::new();
         for (label, factory) in sum_competitors(eps) {
-            let m = measure_query(&query(factory, true), &packets);
+            let m = measure_query(&fig2_query(factory, true), &packets);
             cells.push(format!("{:.0}", m.ns_per_tuple));
             if label == "bwd EH" {
                 eh_costs.push(m.ns_per_tuple);
@@ -203,7 +191,7 @@ fn panel_d() -> (f64, f64, f64, f64) {
         &["bytes/group"],
     );
     let probe = |factory: Arc<FnFactory>| -> f64 {
-        let mut e = Engine::new(query(factory, false));
+        let mut e = Engine::new(fig2_query(factory, false));
         for p in packets.iter().filter(|p| p.ts < 60 * MICROS_PER_SEC) {
             e.process(p);
         }

@@ -8,284 +8,107 @@
 //! the ring has room, so the lossless default ([`ShedPolicy::Block`])
 //! adds one capacity check and one depth read per batch. Arming
 //! [`ShedPolicy::Subsample`] additionally builds a per-shard
-//! [forward-decay subsampler], threads an optional Horvitz–Thompson
-//! scale column through every batch message, and compares the ring depth
+//! forward-decay subsampler, threads an optional Horvitz–Thompson scale
+//! column through every batch message, and compares the ring depth
 //! against the lag budget on every dispatch — but thins nothing until a
 //! shard actually lags.
 //!
-//! **The gated number: dispatcher-thread CPU in the real engine**
-//! (the `thread_cpu_ns` clock), subsample-armed vs the Block default,
-//! full engine runs with workers attached — the same methodology and
-//! noise handling as `recovery_overhead.rs`: interleaved passes with
-//! per-config minima, medians of per-round ratios, alternating order.
-//! Wall ratios are recorded as context only (on a 1-core runner they
-//! price timeslicing, not the design).
+//! "On" is subsample-armed, "off" the Block default. The gated statistic
+//! is the median paired ratio of dispatcher-thread CPU
+//! (`fd_bench::overhead`), budget 3%; wall ratios are context only.
 //!
 //! A third configuration measures the *engaged* worst case — lag budget
 //! 0, so every batch is thinned through the sampler — to put a committed
 //! ceiling on what shedding itself costs when overload is real. That
-//! number is cross-commit-gated (it is deterministic for a fixed seed)
-//! but exempt from the 3% happy-path budget: it is the price of load
+//! number is exempt from the happy-path budget: it is the price of load
 //! shedding, not of having the option.
 //!
-//! Results land in `BENCH_overload.json` at the repo root; the
-//! `*_ns_per_tuple` fields there are regression-gated across commits by
-//! `scripts/bench_diff.py`.
+//! Results land in `BENCH_overload.json` at the repo root.
 //!
 //! Run: `cargo bench -p fd-bench --bench overload_overhead`
-//! Knobs: `FD_TOLERANCE_PCT` (happy-path gate, default 3), `FD_ROUNDS`
-//! (engine pairs, default 9), `FD_QUICK` (short rounds, no JSON, no gate).
 
-use std::time::Instant;
-
-use fd_bench::{quick, quick_scaled};
+use fd_bench::fig2_query;
+use fd_bench::overhead::{self, Gate, Pass, SHARDS};
+use fd_bench::quick;
 use fd_core::decay::{AnyDecay, Monomial};
 use fd_engine::prelude::*;
-use fd_engine::telemetry::thread_cpu_ns;
-use fd_gen::TraceConfig;
 
-const SHARDS: usize = 4;
 const DEFAULT_TOLERANCE_PCT: f64 = 3.0;
 
-fn env_rounds(var: &str, full: usize) -> usize {
-    if let Some(n) = std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    if quick() {
-        2
-    } else {
-        full
-    }
-}
-
-fn trace() -> Vec<Packet> {
-    TraceConfig {
-        seed: 2,
-        duration_secs: quick_scaled(10.0, 1.0),
-        rate_pps: 100_000.0,
-        n_hosts: 20_000,
-        zipf_skew: 1.1,
-        tcp_fraction: 1.0,
-        ..Default::default()
-    }
-    .generate()
-}
-
-/// A linear, scalable aggregate: the one kind `Subsample` admits, so all
-/// three configurations run the identical query.
-fn query() -> Query {
-    Query::builder("overload_overhead")
-        .filter(|p| p.proto == Proto::Tcp)
-        .group_by(|p| p.dst_host())
-        .bucket_secs(60)
-        .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-        .two_level(true)
-        .lfta_slots(65_536)
-        .try_build()
-        .expect("valid query")
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Config {
-    /// The lossless default: capacity probe + depth read per batch.
-    Block,
-    /// Subsampler built and consulted, but no shard lags: the happy path
-    /// with the full shed machinery armed.
-    Armed,
-    /// Lag budget 0: every batch runs through the thinner — the engaged
-    /// worst case.
-    Thinning,
-}
-
-impl Config {
-    fn overload(self) -> OverloadConfig {
-        let decay = AnyDecay::Monomial(Monomial::quadratic());
-        match self {
-            Config::Block => OverloadConfig::default(),
-            Config::Armed => OverloadConfig {
-                policy: ShedPolicy::Subsample { target_rate: 1.0 },
-                decay,
-                ..OverloadConfig::default()
-            },
-            Config::Thinning => OverloadConfig {
-                policy: ShedPolicy::Subsample { target_rate: 0.7 },
-                lag_budget: 0,
-                decay,
-                ..OverloadConfig::default()
-            },
-        }
-    }
-}
-
-struct RunSample {
-    /// Dispatcher-thread CPU ns per offered tuple (the gated metric).
-    cpu_ns_per_tuple: f64,
-    /// Raw end-to-end wall ns per offered tuple.
-    wall_ns_per_tuple: f64,
-    /// Tuples shed (non-zero only when thinning actually engages).
-    shed_tuples: u64,
-}
-
-impl RunSample {
-    fn min(self, other: RunSample) -> RunSample {
-        RunSample {
-            cpu_ns_per_tuple: self.cpu_ns_per_tuple.min(other.cpu_ns_per_tuple),
-            wall_ns_per_tuple: self.wall_ns_per_tuple.min(other.wall_ns_per_tuple),
-            shed_tuples: self.shed_tuples.max(other.shed_tuples),
-        }
-    }
-}
-
-/// One full ingest + finish through the real engine, workers attached.
-fn run_engine(packets: &[Packet], config: Config) -> RunSample {
-    let mut e = ShardedEngine::try_new(query(), SHARDS)
-        .expect("spawn shards")
-        .try_overload(config.overload())
-        .expect("fwd sum accepts every policy");
-    let cpu0 = thread_cpu_ns();
-    let start = Instant::now();
-    for p in packets {
-        e.try_process(p).expect("shard workers alive");
-    }
-    let rows = e.finish().len();
-    let elapsed_ns = start.elapsed().as_nanos() as f64;
-    let cpu_ns = thread_cpu_ns().saturating_sub(cpu0) as f64;
-    assert!(rows > 0, "workload produced no rows");
-    let snap = e.telemetry().snapshot();
-    if config == Config::Block {
-        assert_eq!(snap.shed_tuples, 0, "Block must never shed");
-    }
-    if config == Config::Thinning && !quick() {
-        assert!(
-            snap.shed_tuples > 0,
-            "lag budget 0 at rate 0.7 must actually thin"
-        );
-    }
-    let n = packets.len() as f64;
-    RunSample {
-        cpu_ns_per_tuple: cpu_ns / n,
-        wall_ns_per_tuple: elapsed_ns / n,
-        shed_tuples: snap.shed_tuples,
-    }
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+/// The `Subsample` policy at `target_rate`, under the query's decay.
+fn subsample(target_rate: f64) -> OverloadConfig {
+    OverloadConfig {
+        policy: ShedPolicy::Subsample { target_rate },
+        decay: AnyDecay::Monomial(Monomial::quadratic()),
+        ..OverloadConfig::default()
     }
 }
 
 fn main() {
-    let packets = trace();
-    let tolerance_pct = std::env::var("FD_TOLERANCE_PCT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_TOLERANCE_PCT);
-    let rounds = env_rounds("FD_ROUNDS", 9);
-    println!(
-        "overload overhead: {} packets, {SHARDS} shards, happy-path \
-         dispatch-CPU tolerance {tolerance_pct}%{}",
-        packets.len(),
-        if quick() { " [FD_QUICK]" } else { "" }
+    let gate = Gate::new(
+        "overload_overhead",
+        "BENCH_overload.json",
+        DEFAULT_TOLERANCE_PCT,
     );
-
-    // Gated phase: Block vs subsample-armed, dispatcher-thread CPU.
-    let mut best_block_cpu = f64::INFINITY;
-    let mut best_armed_cpu = f64::INFINITY;
-    let mut best_block_wall = f64::INFINITY;
-    let mut best_armed_wall = f64::INFINITY;
-    let mut cpu_ratios = Vec::with_capacity(rounds);
-    let mut wall_ratios = Vec::with_capacity(rounds);
-    let mut armed_shed = 0u64;
-    run_engine(&packets, Config::Block); // warm-up
-    for round in 0..rounds {
-        let pass = |c| run_engine(&packets, c);
-        let (block, armed) = if round % 2 == 0 {
-            let block = pass(Config::Block).min(pass(Config::Block));
-            let armed = pass(Config::Armed).min(pass(Config::Armed));
-            (block, armed)
+    let packets = overhead::fig2_trace(2);
+    // A linear, scalable aggregate: the one kind `Subsample` admits, so all
+    // three configurations run the identical query.
+    let q = fig2_query(
+        fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64),
+        true,
+    );
+    let pass = |config| -> Pass {
+        overhead::run(&q, &packets, SHARDS, None, |e| {
+            e.try_overload(config)
+                .expect("fwd sum accepts every policy")
+        })
+    };
+    let p = overhead::paired(overhead::rounds(), |armed| {
+        let s = pass(if armed {
+            subsample(1.0)
         } else {
-            let armed = pass(Config::Armed).min(pass(Config::Armed));
-            let block = pass(Config::Block).min(pass(Config::Block));
-            (block, armed)
-        };
-        best_block_cpu = best_block_cpu.min(block.cpu_ns_per_tuple);
-        best_armed_cpu = best_armed_cpu.min(armed.cpu_ns_per_tuple);
-        best_block_wall = best_block_wall.min(block.wall_ns_per_tuple);
-        best_armed_wall = best_armed_wall.min(armed.wall_ns_per_tuple);
-        cpu_ratios.push(armed.cpu_ns_per_tuple / block.cpu_ns_per_tuple);
-        wall_ratios.push(armed.wall_ns_per_tuple / block.wall_ns_per_tuple);
-        armed_shed = armed_shed.max(armed.shed_tuples);
-        println!(
-            "  round {round}: dispatch CPU block {:.1} / armed {:.1} ns/t, \
-             wall block {:.1} / armed {:.1} ns/t ({} tuples thinned while armed)",
-            block.cpu_ns_per_tuple,
-            armed.cpu_ns_per_tuple,
-            block.wall_ns_per_tuple,
-            armed.wall_ns_per_tuple,
-            armed.shed_tuples,
+            OverloadConfig::default()
+        });
+        assert!(
+            armed || s.snapshot.shed_tuples == 0,
+            "Block must never shed"
         );
-    }
-    let cpu_overhead_pct = (median(&mut cpu_ratios) - 1.0) * 100.0;
-    let wall_overhead_pct = (median(&mut wall_ratios) - 1.0) * 100.0;
-    println!(
-        "happy-path floors: dispatch CPU {best_block_cpu:.1} -> {best_armed_cpu:.1} ns/t, \
-         wall {best_block_wall:.1} -> {best_armed_wall:.1} ns/t"
-    );
-    println!(
-        "median paired overhead: dispatch CPU {cpu_overhead_pct:+.2}%, \
-         wall {wall_overhead_pct:+.2}% on {} core(s)",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
+        s
+    });
 
-    // Context phase: the engaged worst case — every batch thinned.
-    let mut best_thin_cpu = f64::INFINITY;
+    // Context: the engaged worst case, every batch thinned.
+    let mut thin_cpu = f64::INFINITY;
     let mut thin_shed = 0u64;
-    for _ in 0..rounds.div_ceil(3) {
-        let s = run_engine(&packets, Config::Thinning);
-        best_thin_cpu = best_thin_cpu.min(s.cpu_ns_per_tuple);
-        thin_shed = thin_shed.max(s.shed_tuples);
+    for _ in 0..p.rounds.div_ceil(3) {
+        let s = pass(OverloadConfig {
+            lag_budget: 0,
+            ..subsample(0.7)
+        });
+        thin_cpu = thin_cpu.min(s.cpu_ns_per_tuple);
+        thin_shed = thin_shed.max(s.snapshot.shed_tuples);
     }
+    assert!(
+        quick() || thin_shed > 0,
+        "lag budget 0 at rate 0.7 must actually thin"
+    );
     println!(
-        "engaged thinning: {best_thin_cpu:.1} ns/t dispatch CPU at rate 0.7, \
+        "engaged thinning: {thin_cpu:.1} ns/t dispatch CPU at rate 0.7, \
          lag budget 0 ({thin_shed} of {} tuples shed)",
         packets.len()
     );
-
-    if quick() {
-        println!("FD_QUICK set: skipping the JSON write and the tolerance gate");
-        return;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"overload_overhead\",\n  \
-         \"workload\": \"fwd-sum: 20000 hosts, zipf 1.1, 100000 pkt/s x 10 s, TCP, {SHARDS} shards\",\n  \
-         \"rounds\": {rounds},\n  \
-         \"block_dispatch_cpu_ns_per_tuple\": {best_block_cpu:.2},\n  \
-         \"armed_dispatch_cpu_ns_per_tuple\": {best_armed_cpu:.2},\n  \
-         \"happy_path_overhead_pct\": {cpu_overhead_pct:.2},\n  \
-         \"block_wall_ns\": {best_block_wall:.2},\n  \
-         \"armed_wall_ns\": {best_armed_wall:.2},\n  \
-         \"wall_overhead_pct\": {wall_overhead_pct:.2},\n  \
-         \"thinning_dispatch_cpu_ns_per_tuple\": {best_thin_cpu:.2},\n  \
-         \"thinning_shed_tuples\": {thin_shed},\n  \
-         \"tolerance_pct\": {tolerance_pct}\n}}\n"
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overload.json");
-    std::fs::write(out, &json).expect("write BENCH_overload.json");
-    println!("wrote {out}");
-
-    assert!(
-        cpu_overhead_pct <= tolerance_pct,
-        "arming the shed machinery costs {cpu_overhead_pct:.2}% dispatch-thread \
-         CPU (> {tolerance_pct}% budget); wall {wall_overhead_pct:+.2}%"
+    gate.check(
+        "fig2 fwd-sum",
+        p.rounds,
+        &[
+            ("block_dispatch_cpu_ns_per_tuple", p.off.cpu_ns_per_tuple),
+            ("armed_dispatch_cpu_ns_per_tuple", p.on.cpu_ns_per_tuple),
+            ("happy_path_overhead_pct", p.cpu_overhead_pct),
+            ("block_wall_ns", p.off.wall_ns_per_tuple),
+            ("armed_wall_ns", p.on.wall_ns_per_tuple),
+            ("wall_overhead_pct", p.wall_overhead_pct),
+            ("thinning_dispatch_cpu_ns_per_tuple", thin_cpu),
+            ("thinning_shed_tuples", thin_shed as f64),
+        ],
+        p.cpu_overhead_pct,
     );
 }

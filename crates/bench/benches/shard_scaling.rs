@@ -7,9 +7,10 @@
 //! bench measures it on the paper's count-query workload (20 000 hosts,
 //! Zipf 1.1, 100k pkt/s): per competitor, the single-threaded engine's
 //! per-tuple cost (the baseline) and the wall-clock N-shard throughput on
-//! this host, fed through `try_process_packets` (the batched path `fdql`
-//! uses) in `DEFAULT_BATCH_SIZE` chunks. Every N-shard run must emit as
-//! many rows as the single-threaded one.
+//! this host, fed as `fdql` feeds (`fd_bench::overhead::run`: 4096-tuple
+//! chunks through `try_process_packets`) after a warm-up pass over a
+//! prefix. Every N-shard run must emit as many rows as the single-threaded
+//! one.
 //!
 //! Results land in `BENCH_shard.json` at the repo root; every number in it
 //! is measured. With fewer cores than shards plus the ingress thread, the
@@ -20,7 +21,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use fd_bench::{measure_query, measure_sharded_query, quick, quick_scaled, Table};
+use fd_bench::overhead::run;
+use fd_bench::{fig2_query, measure_query, quick, quick_scaled, Table};
 use fd_core::decay::{BackPolynomial, Monomial};
 use fd_engine::prelude::*;
 use fd_engine::udaf::FnFactory;
@@ -54,18 +56,6 @@ fn competitors() -> Vec<(&'static str, Arc<FnFactory>, bool)> {
             false,
         ),
     ]
-}
-
-fn query(factory: Arc<FnFactory>, two_level: bool) -> Query {
-    Query::builder("fig2")
-        .filter(|p| p.proto == Proto::Tcp)
-        .group_by(|p| p.dst_host())
-        .bucket_secs(60)
-        .aggregate(factory)
-        .two_level(two_level)
-        .lfta_slots(65_536)
-        .try_build()
-        .expect("valid query")
 }
 
 fn fmt_tps(tps: f64) -> String {
@@ -105,21 +95,23 @@ fn main() {
 
     let mut json_series = String::new();
     for (label, factory, two_level) in competitors() {
-        let q = query(factory, two_level);
+        let q = fig2_query(factory, two_level);
         let single = measure_query(&q, &packets);
         let single_tps = 1e9 / single.ns_per_tuple;
 
         let mut wall_cells = vec![fmt_tps(single_tps)];
         let mut wall_json = format!("\"1\": {single_tps:.0}");
         for n in SHARDS {
-            let m = measure_sharded_query(&q, n, &packets);
+            run(&q, &packets[..packets.len().min(50_000)], n, None, |e| e);
+            let m = run(&q, &packets, n, None, |e| e);
             assert_eq!(
                 m.rows,
                 single.rows.len(),
                 "{label}: sharded row count diverged"
             );
-            wall_cells.push(fmt_tps(m.tuples_per_sec));
-            let _ = write!(wall_json, ", \"{n}\": {:.0}", m.tuples_per_sec);
+            let tps = 1e9 / m.wall_ns_per_tuple;
+            wall_cells.push(fmt_tps(tps));
+            let _ = write!(wall_json, ", \"{n}\": {tps:.0}");
         }
         table_wall.row(label, wall_cells);
 
@@ -144,7 +136,7 @@ fn main() {
          \"host_cores\": {cores},\n  \
          \"producers\": {producers},\n  \
          \"wallclock_core_bound\": {wallclock_core_bound},\n  \
-         \"note\": \"wall-clock numbers are bounded by host_cores (core-bound when host_cores < shards + producers); every number is measured on this host; the sharded runs are fed through try_process_packets, the batched path fdql uses, in DEFAULT_BATCH_SIZE chunks\",\n  \
+         \"note\": \"wall-clock numbers are bounded by host_cores (core-bound when host_cores < shards + producers); every number is measured on this host; the sharded runs are fed as fdql feeds, in 4096-tuple chunks through try_process_packets\",\n  \
          \"series\": [\n{}  ]\n}}\n",
         json_series.trim_end_matches(",\n").to_string() + "\n"
     );

@@ -9,14 +9,19 @@
 //! Every measurement here runs the engine's own entry points
 //! ([`Engine::process`], [`ShardedEngine::try_process_packets`]); a bench
 //! that times ingress detaches the engine's `IngressHandle`s rather than
-//! running a copy of their loop.
+//! running a copy of their loop. [`overhead`] is the one sharded run and
+//! the one paired-overhead gate.
+//!
+//! [`ShardedEngine::try_process_packets`]: fd_engine::shard::ShardedEngine::try_process_packets
 
+pub mod overhead;
+
+use std::sync::Arc;
 use std::time::Instant;
 
 use fd_engine::engine::{Engine, EngineStats, Row};
-use fd_engine::shard::ShardedEngine;
-use fd_engine::tuple::Packet;
-use fd_engine::udaf::Query;
+use fd_engine::tuple::{Packet, Proto};
+use fd_engine::udaf::{AggregatorFactory, Query};
 
 /// True when `FD_QUICK` is set in the environment: benches shrink their
 /// workloads to a smoke-test budget, skip their strict assertions (the
@@ -36,6 +41,20 @@ pub fn quick_scaled(full: f64, floor: f64) -> f64 {
     }
 }
 
+/// The Fig. 2 query over `aggregate`: TCP only, grouped by destination
+/// host, 60 s buckets, split across a 65 536-slot LFTA when `two_level`.
+pub fn fig2_query(aggregate: Arc<dyn AggregatorFactory>, two_level: bool) -> Query {
+    Query::builder("fig2")
+        .filter(|p| p.proto == Proto::Tcp)
+        .group_by(|p| p.dst_host())
+        .bucket_secs(60)
+        .aggregate(aggregate)
+        .two_level(two_level)
+        .lfta_slots(65_536)
+        .try_build()
+        .expect("valid query")
+}
+
 /// Outcome of running one query over one trace.
 #[derive(Debug)]
 pub struct RunMeasurement {
@@ -43,9 +62,6 @@ pub struct RunMeasurement {
     pub ns_per_tuple: f64,
     /// Engine counters.
     pub stats: EngineStats,
-    /// Mean summary size per group (bytes), measured at peak (just before
-    /// the final bucket close).
-    pub space_per_group: Option<f64>,
     /// The emitted rows (for correctness spot checks).
     pub rows: Vec<Row>,
 }
@@ -68,61 +84,9 @@ pub fn measure_query(query: &Query, packets: &[Packet]) -> RunMeasurement {
         engine.process(p);
     }
     let elapsed = start.elapsed();
-    let space_per_group = engine.space_per_group();
     let rows = engine.finish();
     RunMeasurement {
         ns_per_tuple: elapsed.as_nanos() as f64 / packets.len().max(1) as f64,
-        stats: engine.stats(),
-        space_per_group,
-        rows,
-    }
-}
-
-/// Outcome of one sharded run.
-#[derive(Debug)]
-pub struct ShardMeasurement {
-    /// End-to-end throughput, tuples/second: ingest of the whole trace
-    /// plus the final flush/merge (`finish`), wall clock.
-    pub tuples_per_sec: f64,
-    /// The same as mean nanoseconds per offered tuple.
-    pub ns_per_tuple: f64,
-    /// Combined engine counters.
-    pub stats: EngineStats,
-    /// Emitted row count (for correctness spot checks).
-    pub rows: usize,
-}
-
-/// Runs `query` over `packets` through an N-shard engine, fed through
-/// `try_process_packets` (the batched path `fdql` uses) in
-/// [`fd_engine::shard::DEFAULT_BATCH_SIZE`] chunks, timing ingest + final
-/// merge wall-clock. On a host with fewer than `n_shards + 1` cores the
-/// workers timeslice with the ingress thread, so the wall-clock gain is
-/// bounded by the core count.
-pub fn measure_sharded_query(
-    query: &Query,
-    n_shards: usize,
-    packets: &[Packet],
-) -> ShardMeasurement {
-    let feed = |engine: &mut ShardedEngine, packets: &[Packet]| {
-        for chunk in packets.chunks(fd_engine::shard::DEFAULT_BATCH_SIZE) {
-            engine
-                .try_process_packets(chunk)
-                .expect("shard workers alive");
-        }
-    };
-    // Warm-up pass, same shape as `measure_query`.
-    let mut w = ShardedEngine::try_new(query.clone(), n_shards).expect("spawn shards");
-    feed(&mut w, &packets[..packets.len().min(50_000)]);
-    w.finish();
-
-    let mut engine = ShardedEngine::try_new(query.clone(), n_shards).expect("spawn shards");
-    let start = Instant::now();
-    feed(&mut engine, packets);
-    let rows = engine.finish().len();
-    let elapsed = start.elapsed().as_secs_f64();
-    ShardMeasurement {
-        tuples_per_sec: packets.len() as f64 / elapsed,
-        ns_per_tuple: elapsed * 1e9 / packets.len().max(1) as f64,
         stats: engine.stats(),
         rows,
     }

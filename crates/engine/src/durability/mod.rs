@@ -31,10 +31,10 @@
 //! enqueues a `WalCmd` — an `Arc` clone of the batch it was already
 //! sending — onto a bounded SPSC ring consumed by one **writer thread**,
 //! which does everything else. Durability's dispatch-path cost is one
-//! branch and one ring push per *batch* (~1024 tuples), which is how the
-//! `durability_overhead` bench keeps the fsync=checkpoint configuration
-//! within a few percent of the non-durable dispatch path. A full ring
-//! applies backpressure instead of dropping records.
+//! branch and one ring push per *batch* (~1024 tuples); the
+//! `durability_overhead` bench prices the fsync=checkpoint configuration
+//! against the non-durable dispatch path (`BENCH_durability.json`). A full
+//! ring applies backpressure instead of dropping records.
 //!
 //! ## Recovery model (group commit)
 //!

@@ -5,12 +5,12 @@
 //! returned at the commit before the six hand-written wrappers became
 //! `Decayed<G, S>` (8db3299): for count / sum / min / max / heavy hitters /
 //! quantiles / count-min heavy hitters × `{poly:2, exp:0.5}`, the
-//! `checkpoint::to_bytes` image and the query bits after a scalar feed, a
-//! batched feed, and `merge_from` of two halves in both orders — halves
-//! split by time (one never renormalized, the other did: the effective
-//! landmarks differ) and by parity (both renormalized, to different
-//! landmarks). The exponential stream crosses two gaps of 850 s, each wider
-//! than `ln 1e150 / α ≈ 691 s`, so every arrival prologue rescales and every
+//! `checkpoint::to_bytes` image and the query bits after a scalar feed and
+//! after `merge_from` of two halves in both orders — halves split by time
+//! (one never renormalized, the other did: the effective landmarks differ)
+//! and by parity (both renormalized, to different landmarks). The
+//! exponential stream crosses two gaps of 850 s, each wider than
+//! `ln 1e150 / α ≈ 691 s`, so every arrival prologue rescales and every
 //! merge aligns landmarks. A summary whose bytes follow a `HashMap`'s
 //! iteration order (SpaceSaving's index, the count-min candidates) differs
 //! from one instance to the next: its image is held by length (`~len`) and
@@ -19,8 +19,7 @@
 //! `data/core_decayed_pairs.hex` is what [`pairs_table`] returned at the
 //! commit before the average and the variance became `Decayed<G, S>`
 //! (ac44b2b), when each still held two and three whole clocks: the same
-//! rows for the average and the variance, but for the batched stage, which
-//! the laws below hold to the scalar feed bit for bit.
+//! rows for the average and the variance.
 //!
 //! The merged stages' renormalizer `rescales` words in both files were
 //! rewritten once since, when `Decayed::merge_from` began joining clocks as
@@ -28,14 +27,8 @@
 //! larger of its inputs' rescales, where it used to count its own plus one
 //! for a move to the other's landmark).
 //!
-//! The `batch` rows of `data/core_decayed_states.hex` were rewritten once,
-//! when a batch became its arrivals fed in order (the summaries lost their
-//! striped sums and the hoisted renormalization of `update_batch_at`): each
-//! of `count` and `sum` under both decays, and `hh` and `quantiles` under
-//! `exp:0.5`, now holds its case's `scalar` row. The `min`, `max` and
-//! `cm_hh` cases feed their batch stage per item, and `hh` and `quantiles`
-//! under `poly:2` already matched, so those rows did not move. No other row
-//! moved.
+//! A batched feed is not pinned: it is a batch's arrivals fed in order, and
+//! the `batched ≡ scalar` laws below hold it to the scalar feed bit for bit.
 
 use forward_decay::core::aggregates::{
     DecayedAverage, DecayedCount, DecayedExtremum, DecayedSum, DecayedVariance,
@@ -112,7 +105,6 @@ struct Case<S> {
     name: &'static str,
     make: fn(AnyDecay) -> S,
     feed: fn(&mut S, &Event),
-    feed_batch: fn(&mut S, &[Timestamp], &[Event]),
     answer: fn(&S) -> String,
     /// Whether two instances fed the same stream serialize to the same
     /// bytes (false: a `HashMap` inside decides the order).
@@ -128,8 +120,8 @@ fn image<S: Encode>(s: &S, canonical: bool) -> String {
     }
 }
 
-/// The six states of a case under one decay: scalar feed, batched feed, and
-/// the four merges.
+/// The five states of a case under one decay: scalar feed and the four
+/// merges.
 fn stages<S: Mergeable>(case: &Case<S>, spec: &str) -> Vec<(&'static str, S)> {
     let events = stream();
     let fed = |pick: &dyn Fn(usize) -> bool| {
@@ -139,11 +131,6 @@ fn stages<S: Mergeable>(case: &Case<S>, spec: &str) -> Vec<(&'static str, S)> {
         }
         s
     };
-    let mut batched = (case.make)(decay(spec));
-    for chunk in events.chunks(BATCH) {
-        let ts: Vec<Timestamp> = chunk.iter().map(|e| e.t).collect();
-        (case.feed_batch)(&mut batched, &ts, chunk);
-    }
     let merged = |mut a: S, b: S| {
         a.merge_from(&b);
         a
@@ -154,7 +141,6 @@ fn stages<S: Mergeable>(case: &Case<S>, spec: &str) -> Vec<(&'static str, S)> {
     let odd = |i: usize| !i.is_multiple_of(2);
     vec![
         ("scalar", fed(&|_| true)),
-        ("batch", batched),
         ("time_ab", merged(fed(&early), fed(&late))),
         ("time_ba", merged(fed(&late), fed(&early))),
         ("parity_ab", merged(fed(&even), fed(&odd))),
@@ -190,7 +176,6 @@ fn extremum_case(
         name,
         make,
         feed: |s, e| s.update(e.t, e.v()),
-        feed_batch: |s, _, es| es.iter().for_each(|e| s.update(e.t, e.v())),
         answer: extremum_answer,
         canonical: true,
     }
@@ -201,7 +186,6 @@ fn count_case() -> Case<DecayedCount<AnyDecay>> {
         name: "count",
         make: |g| DecayedCount::new(g, LANDMARK),
         feed: |s, e| s.update(e.t),
-        feed_batch: |s, ts, _| s.update_batch(ts),
         answer: |s| bits(s.query(T_END)),
         canonical: true,
     }
@@ -212,10 +196,6 @@ fn sum_case() -> Case<DecayedSum<AnyDecay>> {
         name: "sum",
         make: |g| DecayedSum::new(g, LANDMARK),
         feed: |s, e| s.update(e.t, e.v()),
-        feed_batch: |s, ts, es| {
-            let vs: Vec<f64> = es.iter().map(Event::v).collect();
-            s.update_batch(ts, &vs)
-        },
         answer: |s| bits(s.query(T_END)),
         canonical: true,
     }
@@ -228,10 +208,6 @@ fn hh_case() -> Case<DecayedHeavyHitters<AnyDecay>> {
         // through a merge of tied counts is the `HashMap`'s choice.
         make: |g| DecayedHeavyHitters::new(g, LANDMARK, 32),
         feed: |s, e| s.update(e.t, e.key),
-        feed_batch: |s, ts, es| {
-            let keys: Vec<u64> = es.iter().map(|e| e.key).collect();
-            s.update_batch(ts, &keys)
-        },
         answer: |s| {
             let mut hot = s.heavy_hitters(0.1, T_END);
             hot.sort_by(|a, b| b.count.total_cmp(&a.count).then(a.item.cmp(&b.item)));
@@ -259,10 +235,6 @@ fn quantile_case() -> Case<DecayedQuantiles<AnyDecay>> {
         name: "quantiles",
         make: |g| DecayedQuantiles::new(g, LANDMARK, 11, 0.05),
         feed: |s, e| s.update(e.t, e.val),
-        feed_batch: |s, ts, es| {
-            let vals: Vec<u64> = es.iter().map(|e| e.val).collect();
-            s.update_batch(ts, &vals)
-        },
         answer: |s| {
             format!(
                 "{}{:?}{}:{:?}",
@@ -281,8 +253,6 @@ fn cm_case() -> Case<DecayedCmHeavyHitters<AnyDecay>> {
         name: "cm_hh",
         make: |g| DecayedCmHeavyHitters::new(g, LANDMARK, 0.1, 0.05, 0.05, 7),
         feed: |s, e| s.update(e.t, e.key),
-        // Pinned from a commit where only the scalar feed existed.
-        feed_batch: |s, _, es| es.iter().for_each(|e| s.update(e.t, e.key)),
         answer: |s| {
             let mut hot = s.heavy_hitters(T_END);
             hot.sort_by(|a, b| b.count.total_cmp(&a.count).then(a.item.cmp(&b.item)));
@@ -311,10 +281,6 @@ fn average_case() -> Case<DecayedAverage<AnyDecay>> {
         name: "average",
         make: |g| DecayedAverage::new(g, LANDMARK),
         feed: |s, e| s.update(e.t, e.v()),
-        feed_batch: |s, ts, es| {
-            let vs: Vec<f64> = es.iter().map(Event::v).collect();
-            s.update_batch_at(ts, &vs)
-        },
         answer: |s| ratio_answer(s.query(T_END)),
         canonical: true,
     }
@@ -325,10 +291,6 @@ fn variance_case() -> Case<DecayedVariance<AnyDecay>> {
         name: "variance",
         make: |g| DecayedVariance::new(g, LANDMARK),
         feed: |s, e| s.update(e.t, e.v()),
-        feed_batch: |s, ts, es| {
-            let vs: Vec<f64> = es.iter().map(Event::v).collect();
-            s.update_batch_at(ts, &vs)
-        },
         answer: |s| ratio_answer(s.query(T_END)),
         canonical: true,
     }
@@ -352,16 +314,12 @@ fn table() -> String {
     out
 }
 
-/// The average's and the variance's rows of [`table`], without the batched
-/// stage.
+/// The average's and the variance's rows of [`table`].
 fn pairs_table() -> String {
     let mut out = String::new();
     rows(&average_case(), &mut out);
     rows(&variance_case(), &mut out);
-    out.lines()
-        .filter(|line| line.split(' ').nth(1) != Some("batch"))
-        .map(|line| format!("{line}\n"))
-        .collect()
+    out
 }
 
 fn assert_pinned(pinned: &str, now: &str) {
