@@ -1,7 +1,7 @@
 //! The engine-facing half of the store: a ring of commands to the writer
 //! thread.
 
-use std::path::Path;
+use std::path::PathBuf;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -17,16 +17,26 @@ use crate::supervisor::CheckpointSlot;
 use crate::telemetry::EngineTelemetry;
 use crate::tuple::{Micros, Packet};
 
-/// Ring depth (messages) between the dispatcher and the WAL writer.
-/// Much deeper than the worker rings, and deliberately so: the writer
-/// stalls for whole milliseconds inside checkpoint fsyncs, and a ring
-/// that fills during one turns every subsequent batch into a
-/// sleep/wake round-trip billed to the *dispatcher's* CPU clock. At
-/// one `Arc` + a few words per entry, 8192 slots cost ~1 MiB and let
-/// the dispatcher ride out multi-ms flushes without ever blocking;
-/// if the disk persistently cannot keep up, the full ring is the
-/// backpressure that bounds memory.
-const WAL_RING_DEPTH: usize = 8192;
+/// The batches the ring to the WAL writer may hold, in bytes. The writer
+/// stalls for whole milliseconds inside checkpoint fsyncs, and a ring that
+/// fills during one parks the dispatcher (a sleep/wake round-trip billed
+/// to its CPU clock), so the ring is much deeper than the worker rings. But
+/// each entry keeps its batch alive until the writer encodes it, so the
+/// backlog one stall leaves is the dispatch rate times the stall: bounded
+/// in entries alone, the faster the pipeline, the more memory it holds.
+/// 8 MiB rides out `fig2_durable`'s stalls (EXPERIMENTS.md, "A log folded
+/// into a key-sorted run"); if the disk persistently cannot keep up, the
+/// full ring is the backpressure.
+const WAL_BACKLOG_BYTES: usize = 8 << 20;
+
+/// The ring's depth in entries for batches of up to `batch_size` tuples:
+/// [`WAL_BACKLOG_BYTES`] of full batches (a commit, a few words, takes an
+/// entry too), within bounds that keep tiny batches from allocating a huge
+/// ring and huge ones from parking every send.
+fn wal_ring_depth(batch_size: usize) -> usize {
+    let batch_bytes = batch_size.max(1) * std::mem::size_of::<Packet>();
+    (WAL_BACKLOG_BYTES / batch_bytes).clamp(16, 8192)
+}
 
 pub(super) enum WalCmd {
     Epoch {
@@ -70,20 +80,21 @@ const STASH_MAX: usize = 128;
 const WAL_SEND_DEADLINE: Duration = Duration::from_secs(10);
 
 impl DurableSink {
-    /// Spawns the writer thread over a recovered (or fresh) store, through
-    /// `io` — `opts.io`, or the fault-injecting wrapper around it.
+    /// Spawns the writer thread over a recovered (or fresh) store in `dir`,
+    /// through `io` — `opts.io`, or the fault-injecting wrapper around it —
+    /// for batches of up to `batch_size` tuples.
     pub(crate) fn spawn(
-        dir: &Path,
+        (dir, opts): &(PathBuf, DurabilityOptions),
         io: Arc<dyn IoBackend>,
-        opts: &DurabilityOptions,
         resume: Resume,
         slots: Vec<Arc<CheckpointSlot>>,
         telemetry: Arc<EngineTelemetry>,
         pools: Vec<BatchPool<Packet>>,
+        batch_size: usize,
     ) -> Result<Self, fd_core::Error> {
         let writer = Writer::new(dir, io, opts, resume, slots, telemetry, pools);
         let flags = Arc::clone(&writer.flags);
-        let (tx, rx) = ring::<WalCmd>(WAL_RING_DEPTH);
+        let (tx, rx) = ring::<WalCmd>(wal_ring_depth(batch_size));
         let handle = std::thread::Builder::new()
             .name("fd-wal-writer".to_owned())
             .spawn(move || writer.run(rx))
@@ -178,5 +189,21 @@ impl Drop for DurableSink {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_wal_ring_holds_its_bytes_of_full_batches() {
+        let bytes = |batch: usize| wal_ring_depth(batch) * batch * std::mem::size_of::<Packet>();
+        // The default batch: 256 entries of 1 024 tuples.
+        assert_eq!(bytes(1024), WAL_BACKLOG_BYTES);
+        assert_eq!(wal_ring_depth(1024), 256);
+        // Tiny batches stop at the old depth, huge ones keep a few entries.
+        assert_eq!(wal_ring_depth(1), 8192);
+        assert_eq!(wal_ring_depth(1 << 20), 16);
     }
 }

@@ -15,14 +15,14 @@
 //! The engine admits tuples through its `Admission`, which also decides
 //! which buckets close. It folds what it admits a batch at a time
 //! ([`Engine::process_packets`]): the admitted run goes to the store in one
-//! call, which walks it with the next groups' cache lines already
-//! requested, and is folded whole before any bucket closes, so the results
-//! are those of folding tuple by tuple.
+//! call, which walks it with the cache lines of the next tuples' LFTA slots
+//! (or, unsplit, groups) already requested, and is folded whole before any
+//! bucket closes, so the results are those of folding tuple by tuple.
 //!
 //! Time buckets close when the watermark (largest timestamp seen) passes the
 //! bucket end plus the query's out-of-order slack — the engine's stand-in
 //! for GS's punctuation/heartbeat mechanism. A closing bucket leaves the
-//! store as one typed run, its groups sorted by key, which the engine
+//! store as one typed run, its groups in key order, which the engine
 //! evaluates into rows at once — or, in the sharded engine's workers, keeps
 //! for the combiner to merge across shards (*state mode*).
 

@@ -20,42 +20,55 @@
 //! call per admitted run of tuples ([`GroupStore::fold_batch`]).
 //!
 //! **Closed runs.** A bucket closes, in either mode, into one typed run —
-//! its id, its clock and its `(key, cell)` groups sorted by key once — boxed
-//! once per bucket as a [`Run`], which the engine evaluates into rows at
-//! once or, in state mode, keeps for the combiner to merge key by key. Its
-//! closed section is written per group ([`put_closed`]) and read back by
-//! the store ([`GroupStore::read_closed`]).
+//! its id, its clock and its `(key, cell)` groups in key order, in the
+//! pages the bucket held them in — boxed once per bucket as a [`Run`],
+//! which the engine evaluates into rows at once or, in state mode, keeps
+//! for the combiner to merge key by key. Its closed section is written per
+//! group ([`put_closed`]) and read back by the store
+//! ([`GroupStore::read_closed`]).
 //!
 //! **Layout.** A query keeps only as many buckets open as its slack spans —
 //! one to three in practice — so the buckets sit in a short vector ordered
-//! by id and a lookup is a scan of it. A bucket keeps its cells dense, in
-//! small pages ([`page_len`]), and an open-addressing [`Index`] from `u64`
-//! group key to cell, probed from its [`mix64`] hash. Both start, when the
-//! bucket's first group arrives, at the population of the bucket that
-//! closed last, which is the best available estimate of its own: an
-//! over-estimate is bounded by what a bucket really held (never a
-//! constant), an under-estimate grows by doubling.
+//! by id and a lookup is a scan of it. A bucket's groups are `(key, cell)`
+//! pairs in small pages ([`Pages`]), laid out by how the groups arrive:
+//! - **Split** (an LFTA over a splittable aggregate): a group's high-level
+//!   state is needed only at its bucket's end, so the bucket indexes
+//!   nothing. What the LFTA evicts or flushes is appended to the bucket's
+//!   *log*; the log is folded into the bucket's *run* — its groups,
+//!   ascending by key — only when something reads the groups (close, a
+//!   checkpoint, the space probes, a restore) or when it has grown longer
+//!   than the run ([`OpenBucket::compact`]): a stable radix sort of the
+//!   log's keys ([`Sorter`]), then one merge of the run and the log in key
+//!   order into fresh pages, each partial taken from the log as the merge
+//!   reaches it and each drained page of the run freed as the merge leaves
+//!   it.
+//! - **Unsplit** (`two_level(false)`, or an aggregate that does not split):
+//!   each tuple updates its group in place, so the bucket keeps its cells
+//!   in the order groups opened and an open-addressing [`Index`] from key to
+//!   position, probed from its [`mix64`] hash; close drains the pages into
+//!   one exact-size page and sorts it by key. Both start, when the bucket's
+//!   first group arrives, at the population of the bucket that closed
+//!   last.
 //!
-//! **Batched fold.** A run folds in two passes. The LFTA pass folds its
-//! tuples in order, requesting the slot of the tuple [`AHEAD`] places on,
-//! and collects what it evicts, in release order. The absorb pass moves
-//! those partials into their buckets as a two-stage software pipeline
-//! (Chen, Ailamaki, Gibbons & Mowry, ICDE 2004): the index entry of the
-//! partial 2·[`AHEAD`] on is requested, the one [`AHEAD`] on is probed and
-//! its cell requested, and only then is the current one absorbed — so a
-//! bucket far past the cache costs the next groups' misses in flight, not
-//! two dependent ones each. An unsplit store runs the same pipeline over
-//! the run. The [`prefetch`] hints change no result.
+//! **Batched fold.** A split run folds its tuples through the LFTA in order,
+//! requesting the slot of the tuple [`AHEAD`] places on, and appends what
+//! it evicts to the log of the partial's bucket: a sequential write, where
+//! a lookup in a bucket far past the cache cost two dependent misses. An
+//! unsplit run walks the index as a two-stage software pipeline (Chen,
+//! Ailamaki, Gibbons & Mowry, ICDE 2004): the index entry of the tuple
+//! 2·[`AHEAD`] on is requested, the one [`AHEAD`] on is probed and its cell
+//! requested, and only then is the current one folded. The [`prefetch`]
+//! hints change no result.
 //!
 //! **One clock per bucket.** What every cell of a bucket shares — a
 //! decayed aggregate's landmark and renormalizer, [`Cells::Clock`] — the
 //! bucket holds once. Each tuple is weighed against its bucket's clock
 //! before it folds, LFTA or not, so a bucket opens with its first tuple. If
 //! an arrival moves an exponential `g`'s clock (Section VI-A), the bucket
-//! records the move and every cell under the clock — its groups, its LFTA
-//! residents, its partials awaiting absorption — takes it lazily
-//! ([`Moves`]), when the store next reaches the cell: a move costs the
-//! cells reached, not the bucket's population. A checkpoint writes each
+//! records the move ([`Moves`]) and the cells under the clock take it: an
+//! unsplit group, an LFTA resident or an evicted partial lazily, when the
+//! store next reaches it; the run's groups when the log is next folded; the
+//! partials the current fold has logged at once. A checkpoint writes each
 //! cell under its bucket's clock, as its standalone summary is written; a
 //! restored cell's clock is joined into its bucket's, aligning whichever
 //! side is behind, as a merge does.
@@ -64,18 +77,22 @@
 //! group's high-level state and moves in as it stands — a plain copy of the
 //! cell — and later ones merge into it. A first partial equals what `make`
 //! plus one merge would build (`tests/group_store.rs` holds every
-//! splittable factory to that).
+//! splittable factory to that). A Horvitz–Thompson-scaled tuple of a split
+//! query is a partial of its own, released at once.
 //!
-//! **Order.** The order cells sit in — the order groups opened — is never
-//! observable: every reader that produces rows or bytes sorts by key first, and the order in
-//! which partials merge into a group is the order the LFTA released them.
-//! A run changes neither: its tuples fold into the LFTA in arrival order,
-//! its partials are absorbed in release order, and it is folded whole
-//! before any close, checkpoint, probe or restore sees the store.
-//! Checkpoint bytes are the same for both instantiations: each cell is
-//! framed as a `u64` length and its state's own encoding.
+//! **Order.** The order cells sit in is never observable: rows and closed
+//! sections are written from runs in key order, and a checkpoint writes
+//! each bucket in key order. The partials of a group merge in the order the
+//! LFTA released them, each as of the end of the fold ([`GroupStore::
+//! fold_batch`]) that released it: a clock move during that fold rescales
+//! it before it merges, a later move rescales the merged group. Folding the
+//! log early or late changes neither, so a checkpoint, a probe or a restore
+//! at any point leaves every later row and byte as it was. Checkpoint bytes
+//! are the same for both instantiations: each cell is framed as a `u64`
+//! length and its state's own encoding.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use fd_core::checkpoint::{CodecError, Decode, Encode, Reader};
@@ -90,17 +107,18 @@ use crate::tuple::{bucket_end, bucket_start, secs, Micros, Packet};
 use crate::udaf::{put_framed, AggValue, Aggregator, AggregatorFactory, Query};
 
 /// How many items ahead of the one being folded a batch walk requests a
-/// cache line: the LFTA pass the slot of tuple *i* + `AHEAD`, the absorb
-/// and direct passes the cell of item *i* + `AHEAD` and the index entry of
-/// item *i* + 2·`AHEAD`. Far enough that a line arrives before it is
+/// cache line: the LFTA pass the slot of tuple *i* + `AHEAD`, the unsplit
+/// pass the cell of tuple *i* + `AHEAD` and the index entry of tuple
+/// *i* + 2·`AHEAD`. Far enough that a line arrives before it is
 /// used, near enough that it is not evicted again first.
 const AHEAD: usize = 8;
 
 /// Asks the core to start loading the cache line holding `t`. A hint: it
 /// neither reads nor writes `t` and changes no result, only when a later
 /// access to `t` finds it in cache. A no-op off x86_64.
-// One of the two unsafe sites in the workspace (the other is
-// `telemetry::thread_cpu_ns`): std has no stable prefetch hint.
+// One of the three unsafe sites in the workspace (the others are
+// `telemetry::thread_cpu_ns` and `fd_core::checkpoint`'s carry-less
+// CRC-32): std has no stable prefetch hint.
 #[allow(unsafe_code)]
 #[inline(always)]
 pub(crate) fn prefetch<T>(t: &T) {
@@ -337,13 +355,13 @@ pub(crate) fn after(mut runs: &[Box<dyn Run>], mut groups: usize) -> &[Box<dyn R
     runs
 }
 
-/// A closed bucket of a store over `K`: its clock and its groups, sorted
-/// by key, with the store's cells to evaluate and write them.
+/// A closed bucket of a store over `K`: its clock and its groups, in key
+/// order, with the store's cells to evaluate and write them.
 struct TypedRun<K: Cells> {
     cells: K,
     bucket: u64,
     clock: K::Clock,
-    groups: Vec<(u64, K::Cell)>,
+    groups: Pages<(u64, K::Cell)>,
 }
 
 impl<K: Cells> Run for TypedRun<K> {
@@ -372,7 +390,10 @@ impl<K: Cells> Run for TypedRun<K> {
             .filter_map(|run| (run as Box<dyn Any>).downcast().ok());
         let runs: Vec<Self> = std::iter::once(*self).chain(more.map(|run| *run)).collect();
         debug_assert!(
-            (runs.iter()).all(|run| run.groups.windows(2).all(|w| w[0].0 < w[1].0)),
+            (runs.iter()).all(|run| {
+                let keys = || run.groups.iter().map(|&(key, _)| key);
+                keys().zip(keys().skip(1)).all(|(a, b)| a < b)
+            }),
             "a run's keys must ascend"
         );
         out.reserve(runs.iter().map(|run| run.groups.len()).sum());
@@ -517,17 +538,17 @@ impl Index {
 const SETTLED: u64 = 5;
 
 /// The moves of a bucket's clock, which the cells under it take lazily: a
-/// move is recorded here, and each cell — a group, an LFTA resident, a
-/// partial awaiting absorption — takes the moves it missed when the store
-/// next reaches it: folds into it, absorbs, closes or checkpoints it.
-/// Empty until the clock first moves.
+/// move is recorded here, and each cell — an unsplit group, an LFTA
+/// resident, an evicted partial, the run of a split bucket — takes the
+/// moves it missed when the store next reaches it. Empty until the clock
+/// first moves.
 #[derive(Default)]
 struct Moves {
     /// The factors of the last [`SETTLED`] moves, move `k` at `k % SETTLED`.
     last: [f64; SETTLED as usize],
     /// How many times the clock has moved.
     count: u64,
-    /// How many moves each group's cell has taken, by position.
+    /// How many moves each unsplit group's cell has taken, by position.
     taken: Vec<u64>,
 }
 
@@ -538,16 +559,26 @@ impl Moves {
         (from..self.count).map(|k| self.last[(k % SETTLED) as usize])
     }
 
-    /// Brings a cell that has taken `*taken` moves up to the clock.
+    /// Brings a cell that has taken `*taken` moves up to move `to`. Of
+    /// moves older than the last [`SETTLED`], which the clock no longer
+    /// holds, the cell takes none: at least [`SETTLED`] later ones follow,
+    /// and leave it where taking them all would.
     #[inline]
-    fn take<C>(&self, taken: &mut u64, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
-        if *taken < self.count {
-            self.since(*taken).for_each(|f| rescale(cell, f));
-            *taken = self.count;
+    fn take_to<C>(&self, taken: &mut u64, to: u64, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
+        if *taken < to {
+            let from = (*taken).max(self.count.saturating_sub(SETTLED));
+            (from..to).for_each(|k| rescale(cell, self.last[(k % SETTLED) as usize]));
+            *taken = to;
         }
     }
 
-    /// Brings the group at position `at` up to the clock.
+    /// Brings a cell that has taken `*taken` moves up to the clock.
+    #[inline]
+    fn take<C>(&self, taken: &mut u64, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
+        self.take_to(taken, self.count, cell, rescale);
+    }
+
+    /// Brings the unsplit group at position `at` up to the clock.
     #[inline]
     fn take_at<C>(&mut self, at: usize, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
         if let Some(mut taken) = self.taken.get(at).copied() {
@@ -557,34 +588,250 @@ impl Moves {
     }
 }
 
-/// An open time bucket: its clock, its groups' cells, dense, in the order
-/// the groups opened, and an [`Index`] from group key to cell.
+/// How many items a full page holds: a power of two, at most 64 KiB of
+/// them.
+fn page_len<T>() -> usize {
+    let fit = (64 << 10) / std::mem::size_of::<T>().max(1);
+    1 << fit.max(1).ilog2()
+}
+
+/// A sequence held in pages of [`page_len`] items, every page but the last
+/// full: a bucket's groups, its log, a closed run (whose pages an unsplit
+/// close makes one, which only `iter`, `push` and draining read). A page is a small block,
+/// so a bucket's cells are many blocks the allocator hands from one bucket
+/// to the next, as it does boxes, rather than one block the size of the
+/// bucket's population — which, freed, moves glibc's mmap threshold and
+/// leaves the heap holding what falls below it.
+struct Pages<T> {
+    pages: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for Pages<T> {
+    fn default() -> Self {
+        Self {
+            pages: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T> Pages<T> {
+    /// None yet, the page list and the first page sized for `room`.
+    fn with_room(room: usize) -> Self {
+        let n = page_len::<T>();
+        let mut pages = Vec::with_capacity(room.div_ceil(n));
+        if room > 0 {
+            pages.push(Vec::with_capacity(room.min(n)));
+        }
+        Self { pages, len: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, at: usize) -> &T {
+        let n = page_len::<T>();
+        &self.pages[at / n][at % n]
+    }
+
+    fn get_mut(&mut self, at: usize) -> &mut T {
+        let n = page_len::<T>();
+        &mut self.pages[at / n][at % n]
+    }
+
+    fn last(&self) -> Option<&T> {
+        self.pages.last()?.last()
+    }
+
+    /// Appends `item`. A first page grows with its contents; a later one
+    /// starts full-size.
+    fn push(&mut self, item: T) {
+        let n = page_len::<T>();
+        match self.pages.last_mut() {
+            Some(page) if page.len() < n => page.push(item),
+            _ => {
+                let mut page = Vec::with_capacity(if self.pages.is_empty() { 1 } else { n });
+                page.push(item);
+                self.pages.push(page);
+            }
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> + Clone {
+        self.pages.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.pages.iter_mut().flatten()
+    }
+}
+
+impl<T> IntoIterator for Pages<T> {
+    type Item = T;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<T>>>;
+
+    /// Every item in order, each page freed once drained.
+    fn into_iter(self) -> Self::IntoIter {
+        self.pages.into_iter().flatten()
+    }
+}
+
+/// Bits of a key one radix pass sorts by.
+const RADIX_BITS: u32 = 8;
+/// Fewer keys than this sort by comparison: a radix sort's counts take
+/// 2 KiB a digit whatever the key count, up to 16 KiB, so for a few keys
+/// they would outweigh the keys — and `restore`, which folds the logs it
+/// reads, would break the decoders' allocation bound of twice their input
+/// plus 4 KiB (`tests/codec.rs` fails without this cutoff).
+const RADIX_FROM: usize = 256;
+
+/// A stable sort of keys by value, ties in the order they came, in buffers
+/// reused from one sort to the next (one set per store, so they are as
+/// large as the largest log, held once). A key's offset from the least key
+/// and its position are packed into one `u64` whenever both fit — an
+/// `(address << 16) | port` key spans 48 bits, 36 of them on a bucket of
+/// 10⁶ hosts — and the packed words are sorted by an LSD radix sort over
+/// the offset's bits only, a digit every key shares skipped; keys too wide
+/// to pack sort as `(key, position)` pairs, by comparison.
+#[derive(Default)]
+struct Sorter {
+    packed: Vec<u64>,
+    spare: Vec<u64>,
+    pairs: Vec<(u64, usize)>,
+    counts: Vec<[usize; 1 << RADIX_BITS]>,
+}
+
+/// Keys in order, as a [`Sorter`] left them.
+enum Order<'a> {
+    /// Offsets from `lo` above `shift` bits of position.
+    Packed {
+        words: &'a [u64],
+        lo: u64,
+        shift: u32,
+    },
+    Pairs(&'a [(u64, usize)]),
+}
+
+impl Order<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Order::Packed { words, .. } => words.len(),
+            Order::Pairs(pairs) => pairs.len(),
+        }
+    }
+
+    /// The `i`-th key in order, and the position it came at.
+    #[inline]
+    fn get(&self, i: usize) -> Option<(u64, usize)> {
+        match *self {
+            Order::Packed { words, lo, shift } => {
+                let word = *words.get(i)?;
+                Some((lo + (word >> shift), (word & ((1 << shift) - 1)) as usize))
+            }
+            Order::Pairs(pairs) => pairs.get(i).copied(),
+        }
+    }
+}
+
+impl Sorter {
+    /// The `n` `keys` in order.
+    fn sort(&mut self, n: usize, keys: impl Iterator<Item = u64> + Clone) -> Order<'_> {
+        const MASK: u64 = (1 << RADIX_BITS) - 1;
+        let (lo, hi) =
+            (keys.clone()).fold((u64::MAX, 0), |(lo, hi), key| (lo.min(key), hi.max(key)));
+        let span = u64::BITS - hi.saturating_sub(lo).leading_zeros();
+        let shift = u64::BITS - (n as u64).leading_zeros();
+        if span + shift > u64::BITS {
+            self.pairs.clear();
+            self.pairs.extend(keys.zip(0..));
+            // Positions are unique, so this order is the stable one.
+            self.pairs.sort_unstable();
+            return Order::Pairs(&self.pairs);
+        }
+        let Self {
+            packed,
+            spare,
+            counts,
+            ..
+        } = self;
+        packed.clear();
+        packed.extend(keys.zip(0..).map(|(key, pos)| (key - lo) << shift | pos));
+        if n < RADIX_FROM {
+            packed.sort_unstable();
+            return Order::Packed {
+                words: packed,
+                lo,
+                shift,
+            };
+        }
+        let digits = span.div_ceil(RADIX_BITS) as usize;
+        counts.clear();
+        counts.resize(digits, [0; 1 << RADIX_BITS]);
+        for &word in packed.iter() {
+            for (d, count) in counts.iter_mut().enumerate() {
+                count[(word >> (shift + d as u32 * RADIX_BITS) & MASK) as usize] += 1;
+            }
+        }
+        if spare.len() < n {
+            spare.resize(n, 0);
+        }
+        for (d, count) in counts.iter_mut().enumerate() {
+            if count.contains(&n) {
+                continue;
+            }
+            let mut sum = 0;
+            for c in count.iter_mut() {
+                (sum, *c) = (sum + *c, sum);
+            }
+            let digit = shift + d as u32 * RADIX_BITS;
+            for &word in &packed[..n] {
+                let at = &mut count[(word >> digit & MASK) as usize];
+                spare[*at] = word;
+                *at += 1;
+            }
+            std::mem::swap(packed, spare);
+        }
+        Order::Packed {
+            words: &packed[..n],
+            lo,
+            shift,
+        }
+    }
+}
+
+/// An open time bucket: its clock and its groups ([module docs](self),
+/// "Layout").
 struct OpenBucket<C, T> {
     /// Time-bucket id (`ts / bucket_micros`).
     id: u64,
-    /// The clock every cell of the bucket — its groups here, its LFTA
-    /// residents and partials — is weighed against.
+    /// The clock every cell of the bucket — its groups and log here, its
+    /// LFTA residents — is weighed against.
     clock: T,
-    /// The clock's moves its groups have not all taken.
+    /// The clock's moves its cells have not all taken.
     moves: Moves,
-    /// Group key → position in `pages`.
+    /// Split: the run, ascending by key, every group up to the clock's
+    /// first `settled` moves. Unsplit: the groups in the order they opened.
+    groups: Pages<(u64, C)>,
+    /// Unsplit: group key → position in `groups`.
     index: Index,
-    /// `(key, cell)` pairs, [`page_len`] to a page; every page but the last
-    /// is full.
-    pages: Vec<Vec<(u64, C)>>,
-    /// The groups the bucket is sized for when its first one arrives.
+    /// Split: the partials released since the log was last folded into the
+    /// run, in release order, each up to the clock (a partial is taken out
+    /// of its entry only as the fold merges it).
+    log: Pages<(u64, Option<C>)>,
+    /// How many of `log`'s partials earlier folds released.
+    earlier: usize,
+    /// `(end, count)` for each clock move that found partials of earlier
+    /// folds in the log: those before position `end` (and after the last
+    /// such end) were released by folds that ended at move `count`.
+    ended: Vec<(usize, u64)>,
+    /// Split: how many moves every group of the run has taken.
+    settled: u64,
+    /// The groups an unsplit bucket is sized for when its first one
+    /// arrives.
     room: usize,
-}
-
-/// How many `(key, cell)` pairs a full page holds: a power of two, at
-/// most 64 KiB of them. A page is a small block, so a bucket's cells are
-/// many blocks the allocator hands from one bucket to the next, as it does
-/// boxes, rather than one block the size of the bucket's population —
-/// which, freed, moves glibc's mmap threshold and leaves the heap holding
-/// what falls below it.
-fn page_len<C>() -> usize {
-    let fit = (64 << 10) / std::mem::size_of::<(u64, C)>().max(1);
-    1 << fit.max(1).ilog2()
 }
 
 impl<C, T> OpenBucket<C, T> {
@@ -597,67 +844,41 @@ impl<C, T> OpenBucket<C, T> {
             id,
             clock,
             moves: Moves::default(),
+            groups: Pages::default(),
             index: Index::with_capacity(0),
-            pages: Vec::new(),
+            log: Pages::default(),
+            earlier: 0,
+            ended: Vec::new(),
+            settled: 0,
             room: groups,
         }
     }
 
-    /// Sizes the index and the first page for `room` groups,
+    /// Unsplit: sizes the index and the first page for `room` groups,
     /// before the bucket's first group.
     #[cold]
     fn make_room(&mut self) {
-        let n = page_len::<C>();
-        self.pages.reserve_exact(self.room.div_ceil(n));
-        if self.room > 0 {
-            self.pages.push(Vec::with_capacity(self.room.min(n)));
-        }
+        self.groups = Pages::with_room(self.room);
         self.index = Index::with_capacity(self.room);
     }
 
-    /// The `(key, cell)` pair at position `at`.
-    fn at(&self, at: usize) -> &(u64, C) {
-        let n = page_len::<C>();
-        &self.pages[at / n][at % n]
-    }
-
-    /// The cell at position `at`.
-    fn at_mut(pages: &mut [Vec<(u64, C)>], at: usize) -> &mut C {
-        let n = page_len::<C>();
-        &mut pages[at / n][at % n].1
-    }
-
-    /// Appends a group's cell at the position after the last. A first
-    /// page grows with its bucket; a later one starts full-size.
-    fn push(pages: &mut Vec<Vec<(u64, C)>>, key: u64, cell: C) {
-        let n = page_len::<C>();
-        match pages.last_mut() {
-            Some(page) if page.len() < n => page.push((key, cell)),
-            _ => {
-                let mut page = Vec::with_capacity(if pages.is_empty() { 1 } else { n });
-                page.push((key, cell));
-                pages.push(page);
-            }
-        }
-    }
-
-    /// Appends a new group's cell, which has taken every move.
+    /// Unsplit: appends a new group's cell, which has taken every move.
     fn push_new(&mut self, key: u64, cell: C) {
-        Self::push(&mut self.pages, key, cell);
+        self.groups.push((key, cell));
         if self.moves.count > 0 {
             self.moves.taken.push(self.moves.count);
         }
     }
 
-    /// The cell of group `key`, up to the clock (`rescale`d by the moves it
-    /// missed), `make` building it if the group is new.
+    /// Unsplit: the cell of group `key`, up to the clock (`rescale`d by the
+    /// moves it missed), `make` building it if the group is new.
     fn cell_mut(
         &mut self,
         key: u64,
         make: impl FnOnce() -> C,
         rescale: impl Fn(&mut C, f64),
     ) -> &mut C {
-        if self.pages.is_empty() {
+        if self.groups.len() == 0 {
             self.make_room();
         }
         let at = match self.index.find_or_insert(key) {
@@ -667,68 +888,161 @@ impl<C, T> OpenBucket<C, T> {
                 at
             }
         };
-        let cell = Self::at_mut(&mut self.pages, at);
+        let cell = &mut self.groups.get_mut(at).1;
         self.moves.take_at(at, cell, rescale);
         cell
     }
 
-    /// Gives group `key` the cell `cell`: a new group takes it as it
-    /// stands, an existing one, up to the clock, `merge`s it in.
-    fn absorb(
-        &mut self,
-        key: u64,
-        cell: C,
-        merge: impl FnOnce(&mut C, C),
-        rescale: impl Fn(&mut C, f64),
-    ) {
-        if self.pages.is_empty() {
+    /// Unsplit: gives the new group `key` the cell `cell`; `false`, doing
+    /// nothing, if the bucket holds the group.
+    fn insert(&mut self, key: u64, cell: C) -> bool {
+        if self.groups.len() == 0 {
             self.make_room();
         }
-        match self.index.find_or_insert(key) {
-            Ok(at) => {
-                let into = Self::at_mut(&mut self.pages, at);
-                self.moves.take_at(at, into, rescale);
-                merge(into, cell);
-            }
-            Err(_) => self.push_new(key, cell),
+        let new = self.index.find_or_insert(key).is_err();
+        if new {
+            self.push_new(key, cell);
         }
+        new
     }
 
-    /// Records a move of the clock by `factor`, for its cells to take.
-    /// Only an exponential `g` moves a clock, once α·age passes
-    /// ln 1e150 ≈ 345.
+    /// Records a move of the clock by `factor`, for its cells to take. The
+    /// log's partials of earlier folds merge as of those folds' ends, before
+    /// the move; those of the fold in progress take it now, as they would
+    /// awaiting their fold's end. Only an exponential `g` moves a clock,
+    /// once α·age passes ln 1e150 ≈ 345.
     #[cold]
     #[inline(never)]
-    fn record(&mut self, factor: f64) {
+    fn record(&mut self, factor: f64, rescale: impl Fn(&mut C, f64)) {
         let moves = &mut self.moves;
         if moves.count == 0 {
             moves.taken = vec![0; self.index.len()];
         }
+        if self.earlier > self.ended.last().map_or(0, |&(end, _)| end) {
+            self.ended.push((self.earlier, moves.count));
+        }
         moves.last[(moves.count % SETTLED) as usize] = factor;
         moves.count += 1;
+        let current = self.log.iter_mut().skip(self.earlier);
+        current
+            .flat_map(|(_, cell)| cell)
+            .for_each(|cell| rescale(cell, factor));
     }
 
-    /// Brings every group up to the clock, and forgets its moves.
+    /// Unsplit: brings every group up to the clock, and forgets its moves.
     fn settle(&mut self, rescale: impl Fn(&mut C, f64)) {
         let moves = std::mem::take(&mut self.moves);
-        let cells = self.pages.iter_mut().flatten().map(|(_, cell)| cell);
-        for (cell, &taken) in cells.zip(&moves.taken) {
+        for ((_, cell), &taken) in self.groups.iter_mut().zip(&moves.taken) {
             moves.since(taken).for_each(|f| rescale(cell, f));
         }
     }
 
-    /// The moves the cell of group `key` has yet to take, oldest first.
-    fn missed(&self, key: u64) -> Vec<f64> {
-        if self.moves.taken.is_empty() {
-            return Vec::new();
-        }
-        let taken = self.index.get(key).map(|at| self.moves.taken[at]);
-        taken.map_or_else(Vec::new, |taken| self.moves.since(taken).collect())
+    /// Unsplit: the moves the group at position `at` has yet to take,
+    /// oldest first.
+    fn missed(&self, at: usize) -> Vec<f64> {
+        let taken = self.moves.taken.get(at);
+        taken.map_or_else(Vec::new, |&taken| self.moves.since(taken).collect())
     }
 
-    /// Every `(key, cell)`, in the order the groups opened.
-    fn iter(&self) -> impl Iterator<Item = &(u64, C)> {
-        self.pages.iter().flatten()
+    /// Split: folds the log into the run, and brings every group up to the
+    /// clock. The log's keys are sorted, ties in release order, and the run
+    /// and the log merged in key order into fresh pages, each partial taken
+    /// from the log as the merge reaches it (requested [`AHEAD`] partials
+    /// early: they lie scattered over the log). A group of the run comes
+    /// first, then its partials in release order, each merged as of the end
+    /// of the fold that released it (the group takes the moves up to that
+    /// end first); a group new to the run is its first partial, moved in.
+    fn compact(
+        &mut self,
+        sorter: &mut Sorter,
+        merge: impl Fn(&mut C, C),
+        rescale: impl Fn(&mut C, f64),
+    ) {
+        let Self {
+            moves,
+            groups,
+            log,
+            ended,
+            settled,
+            earlier,
+            ..
+        } = self;
+        let (count, was) = (moves.count, std::mem::replace(settled, moves.count));
+        let take = |taken: &mut u64, to, cell: &mut C| moves.take_to(taken, to, cell, &rescale);
+        if log.len() == 0 {
+            if was < count {
+                groups
+                    .iter_mut()
+                    .for_each(|(_, cell)| take(&mut { was }, count, cell));
+            }
+            return;
+        }
+        let order = sorter.sort(log.len(), log.iter().map(|&(key, _)| key));
+        // The move the fold that released the partial at `pos` ended at:
+        // the clock's count, unless a move found that fold over.
+        let at = |pos| {
+            let end = ended.partition_point(|&(end, _)| end <= pos);
+            ended.get(end).map_or(count, |&(_, at)| at)
+        };
+        let mut out = Pages::with_room(groups.len() + log.len());
+        let mut run = std::mem::take(groups).pages.into_iter();
+        let mut page = run.next().unwrap_or_default().into_iter();
+        // The run's next group, if its key is below `key` (or equals it).
+        let mut next_below = |key: u64, or_equal: bool| loop {
+            match page.as_slice().first() {
+                Some(&(k, _)) if k < key || (or_equal && k == key) => return page.next(),
+                Some(_) => return None,
+                None => page = run.next()?.into_iter(),
+            }
+        };
+        let up = |(key, mut cell): (u64, C)| {
+            take(&mut { was }, count, &mut cell);
+            (key, cell)
+        };
+        let mut i = 0;
+        let mut partial = |i: usize| {
+            if let Some((_, ahead)) = order.get(i + AHEAD) {
+                prefetch(log.get(ahead));
+            }
+            let (key, pos) = order.get(i)?;
+            Some((key, pos, log.get_mut(pos).1.take()?))
+        };
+        while i < order.len() {
+            let Some((key, pos, first)) = partial(i) else {
+                break;
+            };
+            i += 1;
+            while let Some(group) = next_below(key, false) {
+                out.push(up(group));
+            }
+            let (mut taken, mut cell) = match next_below(key, true) {
+                Some((_, mut cell)) => {
+                    let mut taken = was;
+                    take(&mut taken, at(pos), &mut cell);
+                    merge(&mut cell, first);
+                    (taken, cell)
+                }
+                None => (at(pos), first),
+            };
+            while let Some((_, pos, later)) = (order.get(i))
+                .is_some_and(|(k, _)| k == key)
+                .then(|| partial(i))
+                .flatten()
+            {
+                i += 1;
+                take(&mut taken, at(pos), &mut cell);
+                merge(&mut cell, later);
+            }
+            take(&mut taken, count, &mut cell);
+            out.push((key, cell));
+        }
+        while let Some(group) = next_below(u64::MAX, true) {
+            out.push(up(group));
+        }
+        *groups = out;
+        *log = Pages::default();
+        ended.clear();
+        *earlier = 0;
     }
 }
 
@@ -756,17 +1070,15 @@ impl<C, T> OpenBuckets<C, T> {
         &mut self.open[at]
     }
 
-    /// Takes a partial aggregate from the low level: the first partial of
-    /// a group moves in as it stands, later ones `merge` into it. The
-    /// partial's bucket is open — its fold opened it — so the two share a
-    /// clock. Inlined into each of `fold_batch`'s call sites: as a call, it
+    /// Appends a partial aggregate from the low level to its bucket's log,
+    /// up to the clock. The partial's bucket is open — its fold opened it —
+    /// so the two share a clock. Inlined into each call site: as a call, it
     /// costs the per-tuple path measurably.
     #[inline(always)]
-    fn absorb(
+    fn log(
         &mut self,
         (partial, mut taken): (Partial<C>, u64),
         clock: impl FnOnce(u64) -> T,
-        merge: impl FnOnce(&mut C, C),
         rescale: impl Fn(&mut C, f64),
     ) {
         let Partial {
@@ -779,8 +1091,30 @@ impl<C, T> OpenBuckets<C, T> {
             clock(bucket)
         };
         let b = self.bucket_mut(bucket, opened);
-        b.moves.take(&mut taken, &mut agg, &rescale);
-        b.absorb(key, agg, merge, rescale);
+        b.moves.take(&mut taken, &mut agg, rescale);
+        b.log.push((key, Some(agg)));
+    }
+
+    /// Marks where a fold begins: what the logs hold so far, earlier folds
+    /// released.
+    fn begin_fold(&mut self) {
+        self.open.iter_mut().for_each(|b| b.earlier = b.log.len());
+    }
+
+    /// Ends a fold: a log grown longer than its run is folded into it.
+    fn end_fold(
+        &mut self,
+        sorter: &mut Sorter,
+        merge: impl Fn(&mut C, C),
+        rescale: impl Fn(&mut C, f64),
+    ) {
+        for b in self
+            .open
+            .iter_mut()
+            .filter(|b| b.log.len() > b.groups.len())
+        {
+            b.compact(sorter, &merge, &rescale);
+        }
     }
 
     /// The open bucket `bucket`, if it is open.
@@ -788,26 +1122,26 @@ impl<C, T> OpenBuckets<C, T> {
         self.open.iter().rfind(|b| b.id == bucket)
     }
 
-    /// The two prefetch stages of a batch walk, run before it folds the
-    /// item just before `rest`: the index entry of `rest`'s item
-    /// 2·[`AHEAD`] − 1 is requested, and the item [`AHEAD`] − 1 — whose
+    /// The two prefetch stages of an unsplit batch walk, run before it
+    /// folds the tuple just before `rest`: the index entry of `rest`'s tuple
+    /// 2·[`AHEAD`] − 1 is requested, and the tuple [`AHEAD`] − 1 — whose
     /// entry was requested [`AHEAD`] steps ago — is probed, without
     /// inserting, for its cell to be requested. A group or bucket that is
     /// not open yet has no line to request; one the walk opens or moves
-    /// before reaching the item just costs a miss.
+    /// before reaching the tuple just costs a miss.
     #[inline]
-    fn prefetch_ahead<I>(&self, rest: &[I], group: impl Fn(&I) -> (u64, u64)) {
-        if let Some((bucket, key)) = rest.get(2 * AHEAD - 1).map(&group) {
-            if let Some(b) = self.get(bucket) {
-                if let Some(at) = b.index.home(key) {
+    fn prefetch_ahead(&self, rest: &[Admitted]) {
+        if let Some(a) = rest.get(2 * AHEAD - 1) {
+            if let Some(b) = self.get(a.bucket) {
+                if let Some(at) = b.index.home(a.key) {
                     prefetch(&b.index.entries[at]);
                 }
             }
         }
-        if let Some((bucket, key)) = rest.get(AHEAD - 1).map(&group) {
-            if let Some(b) = self.get(bucket) {
-                if let Some(at) = b.index.get(key) {
-                    prefetch(b.at(at));
+        if let Some(a) = rest.get(AHEAD - 1) {
+            if let Some(b) = self.get(a.bucket) {
+                if let Some(at) = b.index.get(a.key) {
+                    prefetch(b.groups.get(at));
                 }
             }
         }
@@ -818,16 +1152,12 @@ impl<C, T> OpenBuckets<C, T> {
         if self.open.first()?.id >= target {
             return None;
         }
-        let bucket = self.open.remove(0);
-        self.last_closed_groups = bucket.index.len();
-        Some(bucket)
+        Some(self.open.remove(0))
     }
 
-    /// Every live group's state, in no particular order.
+    /// Every group's state, in no particular order.
     fn cells(&self) -> impl Iterator<Item = &C> {
-        self.open
-            .iter()
-            .flat_map(|b| b.iter().map(|(_, cell)| cell))
+        (self.open.iter()).flat_map(|b| b.groups.iter().map(|(_, cell)| cell))
     }
 }
 
@@ -836,15 +1166,16 @@ pub(crate) struct Store<K: Cells> {
     cells: K,
     /// The low level, when the query is split.
     lfta: Option<Lfta<K::Cell>>,
-    /// The open buckets' clocks and high-level groups.
-    open: OpenBuckets<K::Cell, K::Clock>,
+    /// The open buckets' clocks and high-level groups. Behind a `RefCell`
+    /// so that a reader through `&self` — a checkpoint, a space probe — can
+    /// fold the logs first.
+    open: RefCell<OpenBuckets<K::Cell, K::Clock>>,
+    /// The sort every fold of a log and every unsplit close and checkpoint
+    /// runs.
+    sorter: RefCell<Sorter>,
     /// How many moves of its bucket's clock each LFTA resident has taken,
     /// by slot ([`Moves`]): empty until a clock first moves.
     resident_taken: Vec<u64>,
-    /// What a batch's LFTA pass evicted, in release order, with the moves
-    /// each had taken, until its absorb pass moves it into `open`: empty
-    /// between calls, its buffer reused.
-    evicted: Vec<(Partial<K::Cell>, u64)>,
     bucket_micros: Micros,
 }
 
@@ -856,14 +1187,29 @@ impl<K: Cells> Store<K> {
         Self {
             cells,
             lfta: split.then(|| Lfta::with_slots(query.lfta_slots)),
-            open: OpenBuckets {
+            open: RefCell::new(OpenBuckets {
                 open: Vec::new(),
                 last_closed_groups: 0,
-            },
+            }),
+            sorter: RefCell::default(),
             resident_taken: Vec::new(),
-            evicted: Vec::new(),
             bucket_micros: query.bucket_micros,
         }
+    }
+
+    /// The open buckets, every log folded into its run first.
+    fn compacted(&self) -> std::cell::Ref<'_, OpenBuckets<K::Cell, K::Clock>> {
+        if self.lfta.is_some() {
+            let cells = &self.cells;
+            let (mut open, mut sorter) = (self.open.borrow_mut(), self.sorter.borrow_mut());
+            for b in &mut open.open {
+                let merge = |into: &mut K::Cell, from| cells.merge(into, from);
+                b.compact(&mut sorter, merge, |cell, factor| {
+                    cells.rescale(cell, factor)
+                });
+            }
+        }
+        self.open.borrow()
     }
 }
 
@@ -873,7 +1219,7 @@ impl<K: Cells> Store<K> {
 fn arrive<K: Cells>(cells: &K, b: &mut OpenBucket<K::Cell, K::Clock>, pkt: &Packet) -> Arrival {
     let (at, moved) = cells.arrive(&mut b.clock, pkt);
     if let Some(factor) = moved {
-        b.record(factor);
+        b.record(factor, |cell, factor| cells.rescale(cell, factor));
     }
     at
 }
@@ -881,7 +1227,7 @@ fn arrive<K: Cells>(cells: &K, b: &mut OpenBucket<K::Cell, K::Clock>, pkt: &Pack
 /// The LFTA fold of a tuple of group `key` into bucket `b` once a clock has
 /// moved: the slot's resident, if it is the group's, first takes the moves
 /// it missed; one evicted leaves with the count it had taken, for its
-/// bucket to bring it up when it is absorbed.
+/// bucket to bring it up when it is logged.
 #[inline(never)]
 fn fold_taking<K: Cells>(
     cells: &K,
@@ -923,7 +1269,8 @@ fn adopt<K: Cells>(
         let residents = (lfta.into_iter().flat_map(Lfta::residents_mut))
             .filter(|p| p.bucket == b.id)
             .map(|p| &mut p.agg);
-        let groups = b.pages.iter_mut().flatten().map(|(_, cell)| cell);
+        let logged = b.log.iter_mut().flat_map(|(_, cell)| cell);
+        let groups = b.groups.iter_mut().map(|(_, cell)| cell).chain(logged);
         groups
             .chain(residents)
             .for_each(|cell| cells.rescale(cell, factor));
@@ -936,14 +1283,13 @@ fn adopt<K: Cells>(
 
 impl<K: Cells> GroupStore for Store<K> {
     fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]) {
-        let (cells, open, width) = (&self.cells, &mut self.open, self.bucket_micros);
-        let merge = |into: &mut K::Cell, from| cells.merge(into, from);
+        let (cells, width) = (&self.cells, self.bucket_micros);
+        let (open, sorter) = (self.open.get_mut(), self.sorter.get_mut());
         let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
-        let clock = |bucket| cells.clock(bucket_start(bucket, width));
         let Some(lfta) = &mut self.lfta else {
             // Unsplit: each tuple straight into its high-level group.
             for (i, a) in run.iter().enumerate() {
-                open.prefetch_ahead(&run[i + 1..], |a| (a.bucket, a.key));
+                open.prefetch_ahead(&run[i + 1..]);
                 let pkt = &pkts[a.index];
                 let b = open.bucket_mut(a.bucket, || cells.clock(a.bucket_start));
                 let at = arrive(cells, b, pkt);
@@ -953,9 +1299,14 @@ impl<K: Cells> GroupStore for Store<K> {
             return;
         };
         // A tuple is weighed against its bucket's clock, which opens with
-        // the bucket's first tuple, LFTA or not.
-        let resident_taken = &mut self.resident_taken;
-        let mut fold = |lfta: &mut Lfta<K::Cell>, a: &Admitted| {
+        // the bucket's first tuple, LFTA or not; what its fold evicts joins
+        // its own bucket's log.
+        let clock = |bucket| cells.clock(bucket_start(bucket, width));
+        open.begin_fold();
+        for (i, a) in run.iter().enumerate() {
+            if let Some(ahead) = run.get(i + AHEAD) {
+                lfta.prefetch(ahead.key, ahead.bucket);
+            }
             let pkt = &pkts[a.index];
             let b = open.bucket_mut(a.bucket, || cells.clock(a.bucket_start));
             let at = arrive(cells, b, pkt);
@@ -963,94 +1314,97 @@ impl<K: Cells> GroupStore for Store<K> {
                 let make = || cells.make(a.bucket_start);
                 lfta.fold(a.key, a.bucket, make, |c| cells.update(c, pkt, at))
             };
-            if b.moves.count == 0 && resident_taken.is_empty() {
-                return fold(lfta).map(|partial| (partial, 0));
-            }
-            fold_taking(cells, lfta, resident_taken, b, a.key, fold)
-        };
-        // A run of one — `Engine::process` — has nothing to look ahead to.
-        if let [a] = run {
-            if let Some(partial) = fold(lfta, a) {
-                open.absorb(partial, clock, merge, rescale);
-            }
-            return;
-        }
-        // The LFTA pass, in tuple order; then the absorb pass, in the order
-        // the LFTA released the partials.
-        let evicted = &mut self.evicted;
-        for (i, a) in run.iter().enumerate() {
-            if let Some(ahead) = run.get(i + AHEAD) {
-                lfta.prefetch(ahead.key, ahead.bucket);
-            }
-            if let Some(partial) = fold(lfta, a) {
-                evicted.push(partial);
-            }
-        }
-        let mut rest = evicted.drain(..);
-        loop {
-            open.prefetch_ahead(rest.as_slice(), |(p, _)| (p.bucket, p.key));
-            let Some(partial) = rest.next() else {
-                return;
+            let resident_taken = &mut self.resident_taken;
+            let evicted = if b.moves.count == 0 && resident_taken.is_empty() {
+                fold(lfta).map(|partial| (partial, 0))
+            } else {
+                fold_taking(cells, lfta, resident_taken, b, a.key, fold)
             };
-            open.absorb(partial, clock, merge, rescale);
+            if let Some(partial) = evicted {
+                open.log(partial, clock, rescale);
+            }
         }
+        open.end_fold(sorter, |into, from| cells.merge(into, from), rescale);
     }
 
     fn fold_scaled(&mut self, pkt: &Packet, at: &Admitted, scale: f64) {
         let cells = &self.cells;
-        let b = (self.open).bucket_mut(at.bucket, || cells.clock(at.bucket_start));
-        let arrival = arrive(cells, b, pkt);
+        let (open, sorter) = (self.open.get_mut(), self.sorter.get_mut());
         let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
-        let group = b.cell_mut(at.key, || cells.make(at.bucket_start), rescale);
-        cells.update_scaled(group, pkt, arrival, scale);
+        open.begin_fold();
+        let b = open.bucket_mut(at.bucket, || cells.clock(at.bucket_start));
+        let arrival = arrive(cells, b, pkt);
+        if self.lfta.is_none() {
+            let group = b.cell_mut(at.key, || cells.make(at.bucket_start), rescale);
+            return cells.update_scaled(group, pkt, arrival, scale);
+        }
+        // Split: the tuple is a partial of its own, released at once.
+        let mut cell = cells.make(at.bucket_start);
+        cells.update_scaled(&mut cell, pkt, arrival, scale);
+        b.log.push((at.key, Some(cell)));
+        open.end_fold(sorter, |into, from| cells.merge(into, from), rescale);
     }
 
     fn close_below(&mut self, target: u64, out: &mut dyn FnMut(Box<dyn Run>)) {
-        let (cells, open, width) = (&self.cells, &mut self.open, self.bucket_micros);
+        let (cells, width) = (&self.cells, self.bucket_micros);
+        let (open, sorter) = (self.open.get_mut(), self.sorter.get_mut());
+        let merge = |into: &mut K::Cell, from| cells.merge(into, from);
         let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
+        let split = self.lfta.is_some();
         if let Some(lfta) = &mut self.lfta {
             let clock = |bucket| cells.clock(bucket_start(bucket, width));
             let taken = |slot| self.resident_taken.get(slot).copied().unwrap_or(0);
-            lfta.drain_below(target, |slot, p| {
-                let merge = |into: &mut K::Cell, from| cells.merge(into, from);
-                open.absorb((p, taken(slot)), clock, merge, rescale)
-            });
+            lfta.drain_below(target, |slot, p| open.log((p, taken(slot)), clock, rescale));
         }
         while let Some(mut bucket) = open.pop_below(target) {
-            bucket.settle(rescale);
-            let mut groups = Vec::with_capacity(bucket.index.len());
-            bucket.pages.drain(..).for_each(|page| groups.extend(page));
-            // Keys are unique within a bucket, so the unstable sort is
-            // deterministic.
-            groups.sort_unstable_by_key(|&(key, _)| key);
+            if split {
+                bucket.compact(sorter, merge, rescale);
+            } else {
+                // One exact-size page in key order, each page freed as it
+                // drains into it. Keys are unique within a bucket, so the
+                // unstable sort is deterministic.
+                bucket.settle(rescale);
+                let mut groups = Vec::with_capacity(bucket.groups.len());
+                groups.extend(std::mem::take(&mut bucket.groups));
+                groups.sort_unstable_by_key(|&(key, _)| key);
+                (bucket.groups.len, bucket.groups.pages) = (groups.len(), vec![groups]);
+            }
+            open.last_closed_groups = bucket.groups.len();
             out(Box::new(TypedRun {
                 cells: cells.clone(),
                 bucket: bucket.id,
                 clock: bucket.clock,
-                groups,
+                groups: bucket.groups,
             }));
         }
     }
 
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
         let cells = &self.cells;
+        let open = self.compacted();
         let put = |out: &mut Vec<u8>, clock: &K::Clock, cell: &K::Cell, missed: &[f64]| {
             put_framed(out, |out| cells.put(clock, cell, missed, out))
         };
         // A bucket whose only cells are LFTA residents has no groups to
         // write; its clock travels with them.
-        let live = || self.open.open.iter().filter(|b| b.index.len() > 0);
+        let live = || open.open.iter().filter(|b| b.groups.len() > 0);
         live().count().put(out);
-        for bucket in live() {
-            bucket.id.put(out);
-            bucket.index.len().put(out);
-            // Keys by value: the sort then compares within one dense
-            // array instead of chasing a pointer per probe.
-            let mut entries: Vec<(u64, &K::Cell)> = bucket.iter().map(|(k, c)| (*k, c)).collect();
-            entries.sort_unstable_by_key(|&(key, _)| key);
-            for (key, cell) in entries {
+        let mut sorter = self.sorter.borrow_mut();
+        for b in live() {
+            b.id.put(out);
+            b.groups.len().put(out);
+            let mut write = |(key, cell): &(u64, K::Cell), missed: &[f64]| {
                 key.put(out);
-                put(out, &bucket.clock, cell, &bucket.missed(key))?;
+                put(out, &b.clock, cell, missed)
+            };
+            if self.lfta.is_some() {
+                // The run: in key order, up to the clock.
+                b.groups.iter().try_for_each(|group| write(group, &[]))?;
+            } else {
+                let order = sorter.sort(b.groups.len(), b.groups.iter().map(|&(key, _)| key));
+                for (_, at) in (0..order.len()).filter_map(|i| order.get(i)) {
+                    write(b.groups.get(at), &b.missed(at))?;
+                }
             }
         }
         // The LFTA's residents *in place* — index, key, bucket, state —
@@ -1069,8 +1423,9 @@ impl<K: Cells> GroupStore for Store<K> {
                 idx.put(out);
                 p.key.put(out);
                 p.bucket.put(out);
-                let bucket = self.open.get(p.bucket);
-                let bucket = bucket.expect("a resident's bucket is open");
+                // A resident's bucket is open — its fold opened it, and a
+                // close drains it first — so this declines nothing written.
+                let bucket = open.get(p.bucket)?;
                 let taken = self.resident_taken.get(idx).copied().unwrap_or(0);
                 let missed: Vec<f64> = bucket.moves.since(taken).collect();
                 put(out, &bucket.clock, &p.agg, &missed)?;
@@ -1086,6 +1441,7 @@ impl<K: Cells> GroupStore for Store<K> {
         lfta: Option<(u64, u64, u64)>,
     ) -> Result<(), CodecError> {
         let (cells, width) = (&self.cells, self.bucket_micros);
+        let (open, sorter) = (self.open.get_mut(), self.sorter.get_mut());
         let framed = |r: &mut Reader<'_>, bucket: u64| {
             let len = u64::take(r)? as usize;
             cells.take(bucket_start(bucket, width), r.bytes(len)?)
@@ -1104,16 +1460,21 @@ impl<K: Cells> GroupStore for Store<K> {
             }
             newest = Some(bucket);
             let n_groups = r.count(16)?;
-            let open = self.open.bucket_mut(bucket, clock(bucket));
+            let b = open.bucket_mut(bucket, clock(bucket));
             for _ in 0..n_groups {
                 let key = u64::take(r)?;
                 let (theirs, mut cell) = framed(r, bucket)?;
-                adopt(cells, open, None, &theirs, &mut cell)?;
-                let mut fresh = true;
-                open.absorb(key, cell, |_, _| fresh = false, |_, _| {});
-                if !fresh {
+                adopt(cells, b, None, &theirs, &mut cell)?;
+                if self.lfta.is_some() {
+                    b.log.push((key, Some(cell)));
+                } else if !b.insert(key, cell) {
                     return Err(CodecError::new(format!("group {key} twice in a bucket")));
                 }
+            }
+            // Split: the groups as a run, a key met twice merged into one.
+            b.compact(sorter, |into, from| cells.merge(into, from), |_, _| {});
+            if b.groups.len() != n_groups {
+                return Err(CodecError::new("a group twice in a bucket"));
             }
         }
         match (lfta, &mut self.lfta) {
@@ -1136,8 +1497,8 @@ impl<K: Cells> GroupStore for Store<K> {
                     let key = u64::take(r)?;
                     let bucket = u64::take(r)?;
                     let (theirs, mut agg) = framed(r, bucket)?;
-                    let open = self.open.bucket_mut(bucket, clock(bucket));
-                    adopt(cells, open, Some(&mut *table), &theirs, &mut agg)?;
+                    let b = open.bucket_mut(bucket, clock(bucket));
+                    adopt(cells, b, Some(&mut *table), &theirs, &mut agg)?;
                     table.place(idx, Partial { key, bucket, agg })?;
                 }
                 Ok(())
@@ -1177,7 +1538,8 @@ impl<K: Cells> GroupStore for Store<K> {
                     // The clock it was written under must be its bucket's.
                     (cells.join(&mut cells.clock(start), &clock))
                         .ok_or_else(|| CodecError::new("a state of another bucket"))?;
-                    let groups = vec![(key, cell)];
+                    let mut groups = Pages::default();
+                    groups.push((key, cell));
                     let next = TypedRun {
                         cells: cells.clone(),
                         bucket,
@@ -1194,12 +1556,13 @@ impl<K: Cells> GroupStore for Store<K> {
 
     fn space_bytes(&self) -> usize {
         let size = |c: &K::Cell| self.cells.size(c);
-        let high: usize = self.open.cells().map(size).sum();
+        let high: usize = self.compacted().cells().map(size).sum();
         high + self.lfta.as_ref().map_or(0, |l| l.size_bytes(size))
     }
 
     fn space_per_group(&self) -> Option<f64> {
-        let (bytes, groups) = (self.open.cells()).fold((0usize, 0usize), |(bytes, groups), c| {
+        let open = self.compacted();
+        let (bytes, groups) = (open.cells()).fold((0usize, 0usize), |(bytes, groups), c| {
             (bytes + self.cells.size(c), groups + 1)
         });
         (groups > 0).then(|| bytes as f64 / groups as f64)
@@ -1217,7 +1580,7 @@ impl<K: Cells> GroupStore for Store<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     /// The most of `keys` whose home entries agree in an index sized for
     /// all of them.
@@ -1308,6 +1671,88 @@ mod tests {
                 assert_eq!(index.get(key), Some(pos));
             }
         }
+    }
+
+    #[test]
+    fn the_radix_sort_orders_as_a_stable_comparison_sort() {
+        // Sizes on both sides of the comparison-sort cutoff, and keys of
+        // the shapes packed keys take: full-width, entropy only above bit
+        // 20, a handful that tie throughout, and (address, port) pairs.
+        let mut sorter = Sorter::default();
+        let mut state = 7u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            mix64(state)
+        };
+        type Shape = fn(u64) -> u64;
+        let shapes: [Shape; 4] = [
+            |r| r,
+            |r| (r % 5000) << 20,
+            |r| r % 7,
+            |r| (r >> 44) << 16 | r & 0xFFFF,
+        ];
+        for n in [0, 1, 5, RADIX_FROM - 1, RADIX_FROM, 5_000, 70_000] {
+            for shape in shapes {
+                let keys: Vec<u64> = (0..n).map(|_| shape(next())).collect();
+                let mut want: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+                want.sort_by_key(|&(key, _)| key);
+                let order = sorter.sort(n, keys.iter().copied());
+                let got: Vec<(u64, usize)> =
+                    (0..order.len()).filter_map(|i| order.get(i)).collect();
+                assert!(got == want, "{n} keys");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fold_merges_each_keys_partials_in_release_order() {
+        // A cell is the ids of the partials merged into it, in merge order.
+        // However the log is folded — when it outgrows the run at the end
+        // of a fold, or at arbitrary points as a checkpoint folds it — each
+        // group must be its partials in release order, the groups in key
+        // order.
+        let mut open = OpenBuckets::<Vec<u64>, ()> {
+            open: Vec::new(),
+            last_closed_groups: 0,
+        };
+        open.bucket_mut(0, || ());
+        let mut sorter = Sorter::default();
+        let merge = |into: &mut Vec<u64>, from: Vec<u64>| into.extend(from);
+        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let (mut state, mut folds) = (11u64, 0);
+        for id in 0..40_000u64 {
+            state = mix64(state ^ id);
+            let key = (state % 3_000) << 20 | state >> 62;
+            if id % 1_000 == 0 {
+                open.begin_fold();
+            }
+            open.log(
+                (
+                    Partial {
+                        key,
+                        bucket: 0,
+                        agg: vec![id],
+                    },
+                    0,
+                ),
+                |_| (),
+                |_, _| {},
+            );
+            model.entry(key).or_default().push(id);
+            if id % 1_000 == 999 {
+                let before = open.open[0].log.len();
+                open.end_fold(&mut sorter, merge, |_, _| {});
+                folds += usize::from(open.open[0].log.len() < before);
+            }
+            if state % 4_999 == 0 {
+                open.open[0].compact(&mut sorter, merge, |_, _| {});
+            }
+        }
+        assert!(folds > 3, "{folds} folds at a fold's end");
+        let b = &mut open.open[0];
+        b.compact(&mut sorter, merge, |_, _| {});
+        let groups: Vec<(u64, Vec<u64>)> = std::mem::take(&mut b.groups).into_iter().collect();
+        assert_eq!(groups, model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! The store folds a batch's tuples through the table one by one, in
 //! arrival order, requesting the slot of a tuple a few places ahead
 //! (`Lfta::prefetch`) so that it is in cache by the time that tuple's fold
-//! reads it; what a fold evicts is collected, in the order released, for
-//! the high level to absorb after the batch.
+//! reads it; what a fold evicts is appended, in the order released, to the
+//! log of its bucket, which the high level folds into the bucket's groups
+//! later, in that order.
 
 use fd_core::checkpoint::CodecError;
 use fd_core::hash::mix64;

@@ -609,7 +609,7 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
         .map(|p| IngressHandle::new(p, query, &fab))
         .collect();
     let store = match (&fab.cfg.store, recovered) {
-        (Some((dir, opts)), Some((rec, io))) => {
+        (Some(store), Some((rec, io))) => {
             // The commit's producer blocks, one per handle (none in the
             // baseline of a store that never committed).
             for (h, block) in handles.iter_mut().zip(&rec.commit.producers) {
@@ -636,13 +636,13 @@ pub(super) fn spawn_plane(query: &Query, cfg: &EngineConfig) -> Result<Plane, fd
             // the producer that sealed it, so every producer's bounded
             // pool keeps its hit rate.
             let sink = DurableSink::spawn(
-                dir,
+                store,
                 io,
-                opts,
                 rec.resume,
                 fab.shards.iter().map(|s| Arc::clone(&s.slot)).collect(),
                 Arc::clone(&fab.telemetry),
                 fab.pools.clone(),
+                fab.cfg.batch_size,
             )?;
             Some((sink, report))
         }

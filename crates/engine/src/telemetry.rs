@@ -719,8 +719,9 @@ impl Drop for Reporter {
 /// waits, condvars) is not charged at all. The `checkpoint_ns` counter is
 /// measured on this clock, and the `recovery_overhead` bench uses it to
 /// price the dispatch path independently of core count and machine load.
-// One of the two unsafe blocks in the workspace (the other is the
-// prefetch hint, `groups::prefetch`): std exposes no thread-CPU clock, and
+// One of the three unsafe sites in the workspace (the others are the
+// prefetch hint, `groups::prefetch`, and `fd_core::checkpoint`'s
+// carry-less CRC-32): std exposes no thread-CPU clock, and
 // pulling in `libc` for a single syscall wrapper is not worth a
 // dependency. The extern declaration matches POSIX `clock_gettime`.
 #[allow(unsafe_code)]

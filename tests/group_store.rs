@@ -546,6 +546,14 @@ fn a_sharded_worker_folds_its_batches_as_the_engine_folds_the_stream() {
 const RESCALING: &str = "exp:100";
 
 fn rescaling_query(aggregate: Arc<FnFactory>, two_level: bool) -> Query {
+    try_rescaling_query(aggregate, two_level).expect("valid query")
+}
+
+/// [`rescaling_query`], or why its rate is refused for this aggregate.
+fn try_rescaling_query(
+    aggregate: Arc<FnFactory>,
+    two_level: bool,
+) -> Result<Query, forward_decay::core::Error> {
     Query::builder("rescaling")
         .group_by(|p| p.dst_host())
         .bucket_secs(5)
@@ -554,7 +562,6 @@ fn rescaling_query(aggregate: Arc<FnFactory>, two_level: bool) -> Query {
         .two_level(two_level)
         .lfta_slots(4)
         .try_build()
-        .expect("valid query")
 }
 
 /// 1 500 tuples over 30 s on nine groups, each up to 0.4 s early or late
@@ -659,6 +666,24 @@ fn a_clock_that_moves_inside_a_bucket_moves_all_of_its_cells() {
     assert_every_path_within_budget(&g, &stream, stream.len() / 2 + 17);
 }
 
+/// A rate that moves a bucket's clock every ln 1e150 / 2000 ≈ 0.17 s.
+const QUIET_RATE: &str = "exp:2000";
+
+/// 3 000 tuples over 15 s on nine groups, in order, where the groups
+/// `quiet` picks fall quiet from 1 s to 4.5 s into each 5 s bucket: under
+/// [`QUIET_RATE`] they miss some twenty moves of their bucket's clock at a
+/// time.
+fn quiet_groups_stream(quiet: fn(u32) -> bool) -> Vec<Packet> {
+    let lull = |p: &Packet| {
+        let into = p.ts % (5 * MICROS_PER_SEC);
+        quiet(p.dst_ip) && (MICROS_PER_SEC..4_500_000).contains(&into)
+    };
+    (0..3_000u64)
+        .map(|i| pkt(i * 5_000, (i % 9) as u32, 40 + (i * 97 % 1400) as u32))
+        .filter(|p| !lull(p))
+        .collect()
+}
+
 #[test]
 fn a_group_that_misses_many_moves_takes_them_when_reached() {
     // exp:2000 moves a bucket's clock every ln 1e150 / 2000 ≈ 0.17 s.
@@ -667,15 +692,8 @@ fn a_group_that_misses_many_moves_takes_them_when_reached() {
     // their next tuple: what they held underflows to zero, as the oracle's
     // weights do. The checkpoint is taken 2.5 s into the second bucket,
     // while they lag, so it writes lagging cells too.
-    let g: AnyDecay = "exp:2000".parse().expect("decay spec");
-    let quiet = |p: &Packet| {
-        let into = p.ts % (5 * MICROS_PER_SEC);
-        p.dst_ip < 3 && (MICROS_PER_SEC..4_500_000).contains(&into)
-    };
-    let stream: Vec<Packet> = (0..3_000u64)
-        .map(|i| pkt(i * 5_000, (i % 9) as u32, 40 + (i * 97 % 1400) as u32))
-        .filter(|p| !quiet(p))
-        .collect();
+    let g: AnyDecay = QUIET_RATE.parse().expect("decay spec");
+    let stream = quiet_groups_stream(|host| host < 3);
     assert!(moves_in_first_bucket(&g, &stream) > 20);
     let head = (stream.iter().position(|p| p.ts >= 7_500_000)).expect("a second bucket");
     assert_every_path_within_budget(&g, &stream, head);
@@ -714,4 +732,162 @@ fn a_bucket_restored_from_cells_under_different_landmarks_is_aligned() {
         assert_within_budget(parent.finish(), &want, &format!("{what}, boxed"));
         assert_within_budget(rows, &want, &format!("{what}, aligned"));
     }
+}
+
+/// A row list as bytes: each row's bucket start and key, then every bit of
+/// its value, little-endian.
+fn row_bytes(rows: &[Row]) -> Vec<u8> {
+    (row_bits(rows).into_iter())
+        .flat_map(|(start, key, value)| [start, key].into_iter().chain(value))
+        .flat_map(u64::to_le_bytes)
+        .collect()
+}
+
+/// What `tests/data/group_store_fold_order.hex` pins, as `(label, bytes)`:
+/// `fwd_count`, `fwd_sum` and `fwd_avg` split over 4 LFTA slots, under
+/// `poly:2` and under [`RESCALING`] (whose clocks move inside a bucket),
+/// fed [`rescaling_stream`] two ways — tuple by tuple with every third tuple
+/// Horvitz–Thompson scaled (the direct path), and in batches of 64 (moves
+/// inside a batch, after partials of the same bucket left the LFTA) — each
+/// with a checkpoint halfway and its rows at the end.
+fn fold_order_images() -> Vec<(String, Vec<u8>)> {
+    let stream = rescaling_stream();
+    let half = stream.len() / 2;
+    let mut images = Vec::new();
+    for spec in ["poly:2", RESCALING] {
+        let g: AnyDecay = spec.parse().expect("decay spec");
+        let len = |p: &Packet| p.len as f64;
+        let factories = [
+            fwd_count_factory(g.clone()),
+            fwd_sum_factory(g.clone(), len),
+            fwd_avg_factory(g, len),
+        ];
+        for factory in factories {
+            let label = |how: &str, part: &str| format!("{}/{spec}/{how}/{part}", factory.name());
+            let query = || rescaling_query(Arc::clone(&factory), true);
+            let mut scaled = Engine::new(query());
+            for (i, p) in stream.iter().enumerate() {
+                if i == half {
+                    let blob = scaled.checkpoint().expect("checkpoint");
+                    images.push((label("scaled", "checkpoint"), blob));
+                }
+                let scale = if i % 3 == 1 {
+                    0.5 + (i % 7) as f64 * 0.75
+                } else {
+                    1.0
+                };
+                scaled
+                    .process_scaled(p, scale)
+                    .expect("a scalable aggregate");
+            }
+            images.push((label("scaled", "rows"), row_bytes(&scaled.finish())));
+            let mut batched = Engine::new(query());
+            for (i, chunk) in stream.chunks(64).enumerate() {
+                if i == half / 64 {
+                    let blob = batched.checkpoint().expect("checkpoint");
+                    images.push((label("batched", "checkpoint"), blob));
+                }
+                batched.process_packets(chunk);
+            }
+            images.push((label("batched", "rows"), row_bytes(&batched.finish())));
+        }
+    }
+    images
+}
+
+#[test]
+fn scaled_tuples_and_moves_inside_a_batch_fold_as_the_parent_commit_folded_them() {
+    // Generated by `fold_order_images` at the commit before a split
+    // bucket's groups became a log folded into a key-sorted run: each
+    // line a label and its bytes in hex.
+    let pinned: Vec<(String, Vec<u8>)> = (include_str!("data/group_store_fold_order.hex").lines())
+        .map(|line| {
+            let (label, hex) = line.split_once(' ').expect("a label and its bytes");
+            let bytes = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+                .collect();
+            (label.to_string(), bytes)
+        })
+        .collect();
+    let images = fold_order_images();
+    assert_eq!(images.len(), pinned.len());
+    for ((label, bytes), (want_label, want)) in images.iter().zip(&pinned) {
+        assert_eq!(label, want_label);
+        assert!(bytes == want, "{label}: differs from the parent commit's");
+    }
+}
+
+/// A run that checkpoints after every chunk and resumes from the bytes in a
+/// fresh engine — so a split bucket's log is folded into its run at
+/// arbitrary points — and one fed the same chunks that never does: the
+/// same rows bit for bit, the same counters and the same last checkpoint.
+/// Under [`QUIET_RATE`], every group but one falls quiet while its
+/// bucket's clock moves some twenty times; the one left keeps its LFTA
+/// slot, so the partials the others left in the log wait there, and are
+/// folded many moves after the fold that released them.
+fn folding_the_log_is_unobservable(slots: usize) {
+    let (moving, quiet) = (rescaling_stream(), quiet_groups_stream(|host| host != 3));
+    // Past the quiet groups' return at 4.5 s, and far enough into the
+    // second bucket to close the first.
+    let after_lull = (quiet.iter().position(|p| p.ts >= 7 * MICROS_PER_SEC)).expect("7 s");
+    for (spec, stream, head, moves) in [
+        ("poly:2", &moving, 400, 0),
+        (RESCALING, &moving, 400, 1),
+        (QUIET_RATE, &quiet, after_lull, 21),
+    ] {
+        let g: AnyDecay = spec.parse().expect("decay spec");
+        let head = &stream[..head];
+        assert!(moves_in_first_bucket(&g, head) >= moves, "{spec}");
+        let runs: [(&[Packet], usize); 3] = [(head, 1), (head, 3), (stream, 64)];
+        for factory in splittable_factories(&g) {
+            // A ratio's quiet groups would underflow at this rate: refused.
+            if try_rescaling_query(Arc::clone(&factory), true).is_err() {
+                assert_eq!(spec, QUIET_RATE, "{}", factory.name());
+                continue;
+            }
+            for f in [Arc::clone(&factory), as_udaf(&factory)] {
+                let query = || Query {
+                    lfta_slots: slots,
+                    ..rescaling_query(Arc::clone(&f), true)
+                };
+                for &(stream, chunk) in &runs {
+                    let what = format!(
+                        "{} under {spec}, {slots} slots, chunks of {chunk}",
+                        f.name()
+                    );
+                    let (mut resumed, mut whole) = (Engine::new(query()), Engine::new(query()));
+                    for pkts in stream.chunks(chunk) {
+                        resumed.process_packets(pkts);
+                        let blob = resumed.checkpoint().expect("checkpoint");
+                        resumed = Engine::restore(query(), &blob).expect("restore");
+                        whole.process_packets(pkts);
+                    }
+                    let s = whole.stats();
+                    assert!(s.buckets_closed > 0, "{what}");
+                    if slots == 4 {
+                        assert!(s.lfta_evictions > 0, "{what}");
+                    }
+                    assert_eq!(resumed.stats(), s, "{what}: counters");
+                    let blob = whole.checkpoint().expect("checkpoint");
+                    assert!(
+                        resumed.checkpoint().expect("checkpoint") == blob,
+                        "{what}: bytes"
+                    );
+                    let rows = row_bits(&whole.finish());
+                    assert_eq!(row_bits(&resumed.finish()), rows, "{what}: rows");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn folding_the_log_is_unobservable_through_4_lfta_slots() {
+    folding_the_log_is_unobservable(4);
+}
+
+#[test]
+fn folding_the_log_is_unobservable_through_4096_lfta_slots() {
+    folding_the_log_is_unobservable(4096);
 }
