@@ -200,8 +200,7 @@ impl<G: ForwardDecay> DecayedCount<G> {
     /// so mergeability and renormalization are untouched).
     #[inline]
     pub fn update_weighted(&mut self, t_i: impl Into<Timestamp>, w: f64) {
-        let (t_i, g) = self.arrive(t_i.into());
-        self.inner.add(t_i, (), g * w);
+        self.update_with(t_i.into(), |s, t_i, g| s.add(t_i, (), g * w));
     }
 
     /// Ingests a batch of timestamps in one call: per-item
@@ -319,8 +318,7 @@ impl<G: ForwardDecay> DecayedAverage<G> {
     /// ([`Mean::add_scaled`]). See [`DecayedCount::update_weighted`].
     #[inline]
     pub fn update_weighted(&mut self, t_i: impl Into<Timestamp>, v: f64, w: f64) {
-        let (t_i, g) = self.arrive(t_i.into());
-        self.inner.add_scaled(t_i, v, g, w);
+        self.update_with(t_i.into(), |s, t_i, g| s.add_scaled(t_i, v, g, w));
     }
 }
 

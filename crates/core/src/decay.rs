@@ -60,6 +60,15 @@ pub trait ForwardDecay: Clone + Send + Sync + Encode + Decode + 'static {
         false
     }
 
+    /// `g(a) / g(W)`, the weight at the end of a window `W` µs wide of an
+    /// arrival `a ≤ W` µs into it: how the engine's buckets weigh. An
+    /// exponential divides in the log domain, a monomial takes the ratio of
+    /// the integers, so a whole-number dilation keeps every bit (Lemma 1).
+    #[inline]
+    fn relative_weight(&self, age_micros: u64, width_micros: u64) -> f64 {
+        self.g(age_micros as f64 * 1e-6) / self.g(width_micros as f64 * 1e-6)
+    }
+
     /// The decayed weight `w(i, t) = g(t_i − L) / g(t − L)` of an item that
     /// arrived at `t_i`, evaluated at time `t ≥ t_i`.
     ///
@@ -197,6 +206,11 @@ impl ForwardDecay for Monomial {
             self.beta * n.ln()
         }
     }
+
+    #[inline]
+    fn relative_weight(&self, age_micros: u64, width_micros: u64) -> f64 {
+        self.g(age_micros as f64 / width_micros as f64)
+    }
 }
 
 /// Exponential forward decay: `g(n) = exp(αn)`, `α > 0`.
@@ -259,6 +273,12 @@ impl ForwardDecay for Exponential {
     #[inline]
     fn ln_g(&self, n: f64) -> f64 {
         self.alpha * n
+    }
+
+    #[inline]
+    fn relative_weight(&self, age_micros: u64, width_micros: u64) -> f64 {
+        let before_end = (age_micros as f64 - width_micros as f64) * 1e-6;
+        self.ln_g(before_end).exp()
     }
 
     #[inline]
@@ -421,6 +441,17 @@ impl ForwardDecay for AnyDecay {
             AnyDecay::Exponential(e) => e.ln_g(n),
             AnyDecay::Landmark(l) => l.ln_g(n),
             AnyDecay::Poly(p) => p.ln_g(n),
+        }
+    }
+
+    #[inline]
+    fn relative_weight(&self, age_micros: u64, width_micros: u64) -> f64 {
+        match self {
+            AnyDecay::None => NoDecay.relative_weight(age_micros, width_micros),
+            AnyDecay::Monomial(m) => m.relative_weight(age_micros, width_micros),
+            AnyDecay::Exponential(e) => e.relative_weight(age_micros, width_micros),
+            AnyDecay::Landmark(l) => l.relative_weight(age_micros, width_micros),
+            AnyDecay::Poly(p) => p.relative_weight(age_micros, width_micros),
         }
     }
 

@@ -40,41 +40,15 @@ use crate::numerics::Renormalizer;
 use crate::summary::{Summary, SummaryStats};
 use crate::Timestamp;
 
-/// The arrival prologue of a clock — a landmark under `g` and its
-/// renormalizer, however many summaries it drives: clamps a pre-landmark
-/// `t_i` ([`clamp_to_landmark`]), renormalizes if the new weight would be
-/// too large to store, and returns the clamped time with the weight
-/// `g(t_i − L_eff)` — fixed from here on — and, if the landmark moved, the
-/// factor every state under the clock must be multiplied by before the
-/// weight joins them.
-#[inline]
-pub fn arrive<G: ForwardDecay>(
-    g: &G,
-    renorm: &mut Renormalizer,
-    t_i: Timestamp,
-) -> (Timestamp, f64, Option<f64>) {
-    let t_i = clamp_to_landmark(t_i, renorm.original_landmark());
-    let moved = renorm.pre_update(g, t_i);
-    (t_i, g.g(t_i - renorm.landmark()), moved)
-}
-
-/// The query-time denominator `g(t − L_eff)` of a clock, or `None` where it
-/// is zero (a polynomial `g` at the landmark itself) and no decayed answer
-/// is defined.
-#[inline]
-pub fn denominator<G: ForwardDecay>(g: &G, renorm: &Renormalizer, t: Timestamp) -> Option<f64> {
-    let denom = g.g(t - renorm.landmark());
-    (denom != 0.0).then_some(denom)
-}
-
-/// Weighted state held apart from its clock: the static numerators of one
-/// [`Weighted`] summary, or of several under one clock ([`Both`]), as
-/// [`Decayed`] and a holder that keeps one `g` and one clock for many
-/// states (the engine's bucket) store them. Each part is written as its
-/// standalone summary is: `g`, the renormalizer, the part's own fields.
+/// The static numerators of one [`Weighted`] summary, or of several under
+/// one clock ([`Both`]), written per part as [`Decayed`] writes them (`g`,
+/// the renormalizer, the fields) or as the engine's cells do (the fields).
 pub trait Numerators: Mergeable + Clone + Send + Sized + 'static {
-    /// Multiplies every stored weight by `factor`: the clock moved.
-    fn scale(&mut self, factor: f64);
+    /// Appends each part's own fields.
+    fn put_fields(&self, out: &mut Vec<u8>);
+
+    /// Reads back what [`put_fields`](Self::put_fields) wrote.
+    fn take_fields(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 
     /// Appends each part's bytes under `g` and `renorm`.
     fn put_under<G: Encode>(&self, g: &G, renorm: &Renormalizer, out: &mut Vec<u8>);
@@ -86,9 +60,12 @@ pub trait Numerators: Mergeable + Clone + Send + Sized + 'static {
 }
 
 impl<S: Weighted + Encode + Decode + Send + 'static> Numerators for S {
-    #[inline]
-    fn scale(&mut self, factor: f64) {
-        Weighted::scale(self, factor);
+    fn put_fields(&self, out: &mut Vec<u8>) {
+        self.put(out);
+    }
+
+    fn take_fields(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        S::take(r)
     }
 
     fn put_under<G: Encode>(&self, g: &G, renorm: &Renormalizer, out: &mut Vec<u8>) {
@@ -117,9 +94,13 @@ impl<A: Mergeable, B: Mergeable> Mergeable for Both<A, B> {
 }
 
 impl<A: Numerators, B: Numerators> Numerators for Both<A, B> {
-    fn scale(&mut self, factor: f64) {
-        self.0.scale(factor);
-        self.1.scale(factor);
+    fn put_fields(&self, out: &mut Vec<u8>) {
+        self.0.put_fields(out);
+        self.1.put_fields(out);
+    }
+
+    fn take_fields(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Both(A::take_fields(r)?, B::take_fields(r)?))
     }
 
     fn put_under<G: Encode>(&self, g: &G, renorm: &Renormalizer, out: &mut Vec<u8>) {
@@ -141,26 +122,13 @@ impl<A: Numerators, B: Numerators> Numerators for Both<A, B> {
     }
 }
 
-/// `ln` of the room a decayed sum keeps above its largest weight: 2¹²⁸,
-/// as many arrivals as a count may hold (2⁶², `checkpoint::MAX_COUNT`),
-/// each weighing a value — or a variance's squared value — of up to 2⁶⁶.
-const LN_SUM_HEADROOM: f64 = 128.0 * std::f64::consts::LN_2;
-
-/// The numeric contract of `g` over one bucket, for summaries that share
-/// one clock per bucket: every weight stored for an arrival at most
-/// `horizon_secs` past its landmark, times the room a sum needs (2¹²⁸),
-/// must be a finite `f64`. A multiplicative `g` stores at most
-/// [`RESCALE_THRESHOLD`](crate::numerics::RESCALE_THRESHOLD) (the renormalizer moves the landmark first), so it
-/// always passes; a polynomial stores `g(horizon)`. Past the bound a sum overflows to `∞`
-/// and its answer, `∞ / ∞`, is NaN.
-///
-/// Where the answer is a `ratio` of weights (an average, a quantile's
-/// rank), a multiplicative `g` must also keep every weight a normal `f64`
-/// under the clock's newest landmark, which moves with the newest arrival:
-/// an arrival `horizon_secs` older weighs `1 / g(horizon)` against it. Past
-/// that, a group that fell quiet early in the bucket has its weights
-/// underflow to zero, and its ratio is `0 / 0`. A sum loses nothing that
-/// way: its answer was below the smallest `f64` too.
+/// The numeric contract of `g` over one bucket, whose cells weigh `g(a) /
+/// g(W) ≤ 1`: a sum is never refused (where its weights underflow, so did
+/// its answer). A `ratio` of weights (an average, a quantile's rank) is
+/// `0 / 0` for a group whose every weight underflows, so an exponential's
+/// earliest weight `1 / g(horizon)` must stay normal, and a monomial —
+/// `(a / W)^β` underflows for `a / W < e^(−744.4 / β)`, the first 15 % of
+/// a bucket under `poly:400` — keeps `ln g(horizon) < ln(f64::MAX / 2^128)`.
 ///
 /// # Errors
 /// [`Error::InvalidParameter`] naming `ln g` over the horizon and the
@@ -175,16 +143,17 @@ pub fn check_horizon<G: ForwardDecay>(g: &G, horizon_secs: f64, ratio: bool) -> 
         })
     };
     match (g.is_multiplicative(), ratio) {
-        (true, false) => Ok(()),
+        (_, false) => Ok(()),
         (true, true) if ln_g < -f64::MIN_POSITIVE.ln() => Ok(()),
         (true, true) => refused(
             "below -ln(f64::MIN_POSITIVE) ≈ 708.40 for an exponential g under a ratio \
              (average, variance, heavy hitters, quantiles): past it, the weights of a group \
              that fell quiet underflow (a smaller α, or a narrower bucket)",
         ),
-        (false, _) if ln_g + LN_SUM_HEADROOM < f64::MAX.ln() => Ok(()),
-        (false, _) => refused(
-            "below ln(f64::MAX / 2^128) ≈ 621.06, the room a decayed sum needs \
+        (false, true) if ln_g + 128.0 * std::f64::consts::LN_2 < f64::MAX.ln() => Ok(()),
+        (false, true) => refused(
+            "below ln(f64::MAX / 2^128) ≈ 621.06 for a polynomial g under a ratio: past it, \
+             the weights of a group that arrived only early in a bucket underflow \
              (a smaller β, or a narrower bucket)",
         ),
     }
@@ -266,17 +235,17 @@ impl<G: ForwardDecay, S: Weighted> Decayed<G, S> {
         &self.inner
     }
 
-    /// The arrival prologue: clamps a pre-landmark `t_i`
-    /// ([`clamp_to_landmark`]), renormalizes first if the new weight would
-    /// be too large to store, and returns the clamped time with the weight
-    /// `g(t_i − L_eff)` — fixed from here on.
+    /// Folds the arrival at `t_i` in with `add`, given its time and weight
+    /// as [`Weighted::add`] is, after the arrival prologue: clamp to the
+    /// landmark ([`clamp_to_landmark`]), renormalize if the new weight
+    /// would be too large to store, freeze the weight `g(t_i − L_eff)`.
     #[inline]
-    pub(crate) fn arrive(&mut self, t_i: Timestamp) -> (Timestamp, f64) {
-        let (t_i, w, moved) = arrive(&self.g, &mut self.renorm, t_i);
-        if let Some(factor) = moved {
+    pub fn update_with(&mut self, t_i: Timestamp, add: impl FnOnce(&mut S, Timestamp, f64)) {
+        let t_i = clamp_to_landmark(t_i, self.renorm.original_landmark());
+        if let Some(factor) = self.renorm.pre_update(&self.g, t_i) {
             self.inner.scale(factor);
         }
-        (t_i, w)
+        add(&mut self.inner, t_i, self.g.g(t_i - self.renorm.landmark()));
     }
 
     /// The query-time denominator `g(t − L)`, or `None` where it is zero (a
@@ -286,7 +255,8 @@ impl<G: ForwardDecay, S: Weighted> Decayed<G, S> {
     /// queries).
     #[inline]
     pub fn denominator(&self, t: impl Into<Timestamp>) -> Option<f64> {
-        denominator(&self.g, &self.renorm, t.into())
+        let denom = self.g.g(t.into() - self.renorm.landmark());
+        (denom != 0.0).then_some(denom)
     }
 
     /// The decayed answer at query time `t` — the count, the sum, the
@@ -298,9 +268,8 @@ impl<G: ForwardDecay, S: Weighted> Decayed<G, S> {
     }
 }
 
-/// A state's decayed answer over the query-time denominator `g(t − L)`,
-/// empty where that is `None` ([`denominator`]): what [`Decayed::query`]
-/// answers, for a holder that keeps the clock apart from the state.
+/// A state's decayed answer over a denominator, empty where that is `None`:
+/// [`Decayed::query`], for a holder that keeps the decay apart.
 #[inline]
 pub fn answer<S: Weighted>(state: &S, denom: Option<f64>) -> S::Output {
     denom.map(|denom| state.over(denom)).unwrap_or_default()
@@ -370,8 +339,7 @@ impl<G: ForwardDecay, S: Weighted> Summary for Decayed<G, S> {
 
     #[inline]
     fn update_at(&mut self, t_i: Timestamp, item: S::Item) {
-        let (t_i, w) = self.arrive(t_i);
-        self.inner.add(t_i, item, w);
+        self.update_with(t_i, |s, t_i, w| s.add(t_i, item, w));
     }
 
     #[inline]

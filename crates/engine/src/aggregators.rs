@@ -31,40 +31,42 @@
 //!
 //! # One definition, two holders
 //!
-//! Every summary has the same life — a timestamped arrival goes in with its
-//! weight `g(tᵢ − L)` frozen, partial states merge by addition, and the
-//! answer is divided by `g(t − L)` when the bucket closes — so the engine's
-//! side of it is written once, as a private `Ops`: what is the same for
-//! every group of the query (which field to read, how to fold an arrival in
-//! — with a Horvitz–Thompson scale if the aggregate is linear — how to
-//! answer, how big it is, how a group's fresh state is built, and how
-//! arrivals are weighed). `Ops` is the by-value cell kind of the engine's
-//! group store: there a group is its bare state `S`, held inline, and the
-//! store keeps the `Ops` once for all of them. The paper divides once, so a
-//! forward-decayed group holds only its static numerators — the
-//! [`Weighted`] summary a [`fd_core::Decayed`] wraps (an average's or a
-//! variance's accumulators under one clock, [`Mean`] and [`Moments`],
-//! among them), and answers as that summary does ([`answer`]) — while
-//! `Ops` holds the query's one `g` and each open bucket one clock (a
-//! `Renormalizer`, its landmark the bucket start until it moves). Merging is [`Mergeable::merge_from`]
-//! (Section VI-B: frozen numerators make forward-decay summaries mergeable,
-//! so per-shard partial buckets combine losslessly), and checkpointing is the state's own [`fd_core::checkpoint`]
-//! encoding, a decayed one written under its clock as the standalone summary
-//! is — every state here encodes, the samplers' generators included, so
-//! every factory checkpoints.
+//! Every summary has the same life — a timestamped arrival goes in with a
+//! static weight, partial states merge by addition, and the answer is read
+//! when the bucket closes — so the engine's side of it is written once, as
+//! a private `Ops`: what is the same for every group of the query (which
+//! field to read, how to fold an arrival in — with a Horvitz–Thompson scale
+//! if the aggregate is linear — how to answer, how big it is, how a group's
+//! fresh state is built, and how arrivals are weighed). `Ops` is the
+//! by-value cell kind of the engine's group store: there a group is its
+//! bare state `S`, held inline, and the store keeps the `Ops` once for all
+//! of them. Every row is read at its bucket's end, so a forward-decayed
+//! group weighs an arrival `a` into its bucket by `g(a) / g(W)` and holds
+//! only those numerators — the [`Weighted`] summary a [`fd_core::Decayed`]
+//! wraps (an average's or a variance's accumulators, [`Mean`] and
+//! [`Moments`], among them), answering as that summary does ([`answer`])
+//! over a denominator of 1 — while `Ops` holds the query's one `g`.
+//! Merging is [`Mergeable::merge_from`] (Section VI-B: frozen numerators
+//! make forward-decay summaries mergeable, so per-shard partial buckets
+//! combine losslessly), and checkpointing is the state's own
+//! [`fd_core::checkpoint`] encoding — every state here encodes, the
+//! samplers' generators included, so every factory checkpoints.
 //!
-//! A bucket closes, in either mode, into one typed run of bare states under
-//! its clock, which the engine evaluates and the sharded engine's combiner
-//! merges key by key through these same bodies: no group is boxed to
-//! leave the store.
+//! A bucket closes, in either mode, into one typed run of bare states,
+//! which the engine evaluates and the sharded engine's combiner merges key
+//! by key through these same bodies: no group is boxed to leave the store.
 //!
 //! [`AggregatorFactory::make`] still returns a group boxed, as a private
-//! adapter over the same state, its own clock beside it, whose
-//! [`Aggregator`] impl — the only one here besides [`multi_factory`]'s
-//! composite — calls the same bodies. It is what `multi_factory`'s parts
-//! hold and what a caller of `make` gets; its `merge_boxed` downcast, and
-//! the composite's, are reached only through that public method, never
-//! from close, hand-off, persist or combine.
+//! adapter over the same state whose [`Aggregator`] impl — the only one
+//! here besides [`multi_factory`]'s composite — calls the same bodies. It
+//! knows no bucket width, so it holds the state in fd-core's standalone
+//! form (a [`fd_core::Decayed`], whose Section VI-A renormalizer answers an
+//! unbounded stream at any `t`); an engine store that makes one gives it
+//! its width ([`Aggregator::set_bucket_width`]), and from then on it weighs,
+//! writes and answers as the by-value cell does. It is what
+//! `multi_factory`'s parts hold and what a caller of `make` gets; its
+//! `merge_boxed` downcast, and the composite's, are reached only through
+//! that public method, never from close, hand-off, persist or combine.
 //!
 //! **Adding an aggregate is one factory function**: which field to read,
 //! two or three closures over the summary, and its constructor. The source
@@ -77,14 +79,13 @@ use fd_core::aggregates::{Accumulator, Extremal, Mean, Moments};
 use fd_core::backward::{ExponentialHistogram, PrefixBackwardHH, SlidingWindowHH};
 use fd_core::checkpoint::{from_bytes, require, CodecError, Decode, Encode, Reader, MAX_COUNT};
 use fd_core::cm::{CmCandidates, DecayedCmHeavyHitters};
-use fd_core::decay::{BackwardDecay, ForwardDecay};
-use fd_core::decayed::{self, answer, Numerators, Weighted};
+use fd_core::decay::{clamp_to_landmark, BackwardDecay, ForwardDecay};
+use fd_core::decayed::{self, answer, Decayed, Numerators, Weighted};
 use fd_core::distinct::DominanceSketch;
 use fd_core::hash::mix64;
 use fd_core::heavy_hitters::{
     DecayedHeavyHitters, HeavyHitter, UnarySpaceSaving, WeightedSpaceSaving,
 };
-use fd_core::numerics::Renormalizer;
 use fd_core::quantiles::{DecayedQuantiles, QDigest};
 use fd_core::sampling::{
     BiasedReservoir, PrioritySampler, ReservoirSampler, WeightedReservoir, WithReplacementSampler,
@@ -92,7 +93,7 @@ use fd_core::sampling::{
 use fd_core::{Error, Mergeable, Timestamp};
 
 use crate::groups::{Arrival, Cells, Store};
-use crate::tuple::{self, Packet};
+use crate::tuple::{self, Micros, Packet};
 use crate::udaf::{put_framed, AggValue, Aggregator, AggregatorFactory, FnFactory, ItemValue};
 
 /// A backward decay function erased to a closure, so queries can choose it
@@ -128,122 +129,140 @@ fn bucket_seed(base: u64, bucket_start: Timestamp) -> u64 {
 // The adapter
 // ---------------------------------------------------------------------------
 
-/// How a query's groups weigh their arrivals, and so what the groups of one
-/// bucket share: nothing (`()`: the undecayed built-ins, and the samplers
-/// and count-distinct, which keep their own `g`), or the query's one
-/// forward decay `g` against the bucket's clock ([`Fwd`]).
-/// The defaults are the undecayed ones.
+/// How a query's groups weigh their arrivals: not at all (`()`: the
+/// undecayed built-ins, and the samplers and count-distinct, which keep
+/// their own `g`), or by the query's one forward decay `g` relative to
+/// their bucket's end ([`Fwd`]). A bucket is given by its start and its
+/// width (µs). The defaults are the undecayed ones.
 trait Weighing<S>: Send + Sync + 'static {
-    /// What the groups of one bucket share.
-    type Clock: Clone + PartialEq + Send + 'static;
-    /// What an answer is given: the query time, or `g(t − L)`.
+    /// What an answer is given: the query time, or `g(t − L) / g(W)`.
     type Query;
-    fn clock(&self, bucket_start: Timestamp) -> Self::Clock;
-    fn arrive(&self, clock: &mut Self::Clock, t: Timestamp) -> (Arrival, Option<f64>);
-    fn query(&self, clock: &Self::Clock, t: f64) -> Self::Query;
-    fn put(&self, clock: &Self::Clock, state: &S, missed: &[f64], out: &mut Vec<u8>);
-    fn take(&self, bytes: &[u8]) -> Result<(Self::Clock, S), CodecError>;
-    fn scale(&self, _state: &mut S, _factor: f64) {}
-    fn join(&self, _: &mut Self::Clock, _: &Self::Clock) -> Option<(Option<f64>, Option<f64>)> {
-        Some((None, None))
-    }
+    /// A group's state as `make` builds it outside a store: the bare state,
+    /// or the state under fd-core's standalone clock (`Decayed`), which
+    /// answers at any `t`.
+    type Alone: Mergeable + Encode + Decode + Send + 'static;
+    fn alone(&self, start: Timestamp, state: S) -> Self::Alone;
+    /// Folds an arrival at `t` into `alone` with `feed`.
+    fn fold_alone(&self, alone: &mut Self::Alone, t: Timestamp, feed: impl FnOnce(&mut S, Arrival));
+    fn alone_state<'a>(&self, alone: &'a Self::Alone) -> &'a S;
+    fn alone_query(&self, alone: &Self::Alone, t: f64) -> Self::Query;
+    /// An arrival at `t` in the bucket.
+    fn arrive(&self, start: Micros, width: Micros, t: Timestamp) -> Arrival;
+    /// What the answer at `t` of a group of the bucket is given.
+    fn query(&self, start: Micros, width: Micros, t: f64) -> Self::Query;
+    fn put(&self, state: &S, out: &mut Vec<u8>);
+    fn take(&self, bytes: &[u8]) -> Result<S, CodecError>;
+    /// Appends the encoding of `g`.
+    fn put_decay(&self, _out: &mut Vec<u8>) {}
     /// The numeric contract of the weights over one bucket's horizon.
     fn check(&self, _horizon_secs: f64) -> Result<(), Error> {
         Ok(())
     }
 }
 
-impl<S: Encode + Decode> Weighing<S> for () {
-    type Clock = ();
+impl<S: Mergeable + Encode + Decode + Send + 'static> Weighing<S> for () {
     type Query = f64;
-    fn clock(&self, _: Timestamp) {}
-    fn arrive(&self, _: &mut (), t: Timestamp) -> (Arrival, Option<f64>) {
-        ((t, 1.0), None)
+    type Alone = S;
+    fn alone(&self, _: Timestamp, state: S) -> S {
+        state
     }
-    fn query(&self, _: &(), t: f64) -> f64 {
+    fn fold_alone(&self, state: &mut S, t: Timestamp, feed: impl FnOnce(&mut S, Arrival)) {
+        feed(state, (t, 1.0));
+    }
+    fn alone_state<'a>(&self, state: &'a S) -> &'a S {
+        state
+    }
+    fn alone_query(&self, _: &S, t: f64) -> f64 {
         t
     }
-    fn put(&self, _: &(), state: &S, _: &[f64], out: &mut Vec<u8>) {
+    fn arrive(&self, _: Micros, _: Micros, t: Timestamp) -> Arrival {
+        (t, 1.0)
+    }
+    fn query(&self, _: Micros, _: Micros, t: f64) -> f64 {
+        t
+    }
+    fn put(&self, state: &S, out: &mut Vec<u8>) {
         state.put(out);
     }
-    fn take(&self, bytes: &[u8]) -> Result<((), S), CodecError> {
-        Ok(((), from_bytes(bytes)?))
+    fn take(&self, bytes: &[u8]) -> Result<S, CodecError> {
+        from_bytes(bytes)
     }
 }
 
-/// The query's one forward decay `g` (Definition 3), with its encoding,
-/// which every group's checkpoint bytes begin with, and whether the answer
+/// The query's one forward decay `g` (Definition 3), and whether the answer
 /// is a ratio of weights ([`check_horizon`](decayed::check_horizon)).
 struct Fwd<G> {
     g: G,
-    g_bytes: Vec<u8>,
     ratio: bool,
 }
 
 impl<G: ForwardDecay> Fwd<G> {
     /// An answer that is a decayed sum: the count, the sum, an extremum.
     fn new(g: G) -> Self {
-        let g_bytes = fd_core::checkpoint::to_bytes(&g);
-        Self {
-            g,
-            g_bytes,
-            ratio: false,
-        }
+        Self { g, ratio: false }
     }
 
     /// An answer that is a ratio of weights: an average, a variance, heavy
     /// hitters' shares, quantiles' ranks.
     fn ratio(g: G) -> Self {
-        Self {
-            ratio: true,
-            ..Self::new(g)
-        }
+        Self { g, ratio: true }
     }
 }
 
-/// A bucket's clock is its renormalizer alone: the landmark, the bucket
-/// start at first — exactly like the paper's `time % 60` — moved as the
-/// landmark moves (Section VI-A). `g` is the query's, in `Fwd`.
-impl<G: ForwardDecay, S: Numerators> Weighing<S> for Fwd<G> {
-    type Clock = Renormalizer;
+/// An arrival `a` into a bucket `W` wide weighs `g(a) / g(W)`, its landmark
+/// the bucket start — exactly like the paper's `time % 60` — and its row,
+/// answered at the bucket's end, is its numerators as they stand.
+impl<G: ForwardDecay, S: Weighted + Numerators> Weighing<S> for Fwd<G> {
     type Query = Option<f64>;
-    fn clock(&self, bucket_start: Timestamp) -> Renormalizer {
-        Renormalizer::new(bucket_start)
+    type Alone = Decayed<G, S>;
+    fn alone(&self, start: Timestamp, state: S) -> Decayed<G, S> {
+        Decayed::wrap(self.g.clone(), start, state)
+    }
+    fn fold_alone(
+        &self,
+        alone: &mut Decayed<G, S>,
+        t: Timestamp,
+        feed: impl FnOnce(&mut S, Arrival),
+    ) {
+        alone.update_with(t, |state, t, w| feed(state, (t, w)));
+    }
+    fn alone_state<'a>(&self, alone: &'a Decayed<G, S>) -> &'a S {
+        alone.inner()
+    }
+    fn alone_query(&self, alone: &Decayed<G, S>, t: f64) -> Option<f64> {
+        alone.denominator(t)
     }
     #[inline]
-    fn arrive(&self, clock: &mut Renormalizer, t: Timestamp) -> (Arrival, Option<f64>) {
-        let (t, w, moved) = decayed::arrive(&self.g, clock, t);
-        ((t, w), moved)
+    fn arrive(&self, start: Micros, width: Micros, t: Timestamp) -> Arrival {
+        let landmark = tuple::timestamp(start);
+        let t = clamp_to_landmark(t, landmark);
+        let age = t.as_micros() - landmark.as_micros();
+        (t, self.g.relative_weight(age as u64, width))
     }
-    fn query(&self, clock: &Renormalizer, t: f64) -> Option<f64> {
-        decayed::denominator(&self.g, clock, t.into())
-    }
-    fn scale(&self, state: &mut S, factor: f64) {
-        state.scale(factor);
-    }
-    fn join(
-        &self,
-        ours: &mut Renormalizer,
-        theirs: &Renormalizer,
-    ) -> Option<(Option<f64>, Option<f64>)> {
-        ours.join(&self.g, theirs)
-    }
-    fn put(&self, clock: &Renormalizer, state: &S, missed: &[f64], out: &mut Vec<u8>) {
-        let put = |state: &S, out: &mut Vec<u8>| state.put_under(&self.g, clock, out);
-        if missed.is_empty() {
-            return put(state, out);
+    /// `g(t − L) / g(W)`: exactly 1 at the bucket's end, where the engine
+    /// reads every row, in the log domain at any other `t`, and `None`
+    /// where it is zero.
+    fn query(&self, start: Micros, width: Micros, t: f64) -> Option<f64> {
+        if t == tuple::secs(start.saturating_add(width)) {
+            return Some(1.0);
         }
-        let mut state = state.clone();
-        missed.iter().for_each(|&factor| state.scale(factor));
-        put(&state, out);
+        let (age, width) = (t - tuple::timestamp(start), width as f64 * 1e-6);
+        let denom = (self.g.ln_g(age) - self.g.ln_g(width)).exp();
+        (denom != 0.0).then_some(denom)
     }
-    fn take(&self, bytes: &[u8]) -> Result<(Renormalizer, S), CodecError> {
+    fn put(&self, state: &S, out: &mut Vec<u8>) {
+        state.put_fields(out);
+    }
+    fn take(&self, bytes: &[u8]) -> Result<S, CodecError> {
         let mut r = Reader::new(bytes);
-        let (renorm, state) = S::take_under(&mut r, &self.g_bytes)?;
+        let state = S::take_fields(&mut r)?;
         match r.remaining() {
-            0 => Ok((renorm, state)),
+            0 => Ok(state),
             n => Err(CodecError::new(format!("{n} trailing bytes after a state"))),
         }
+    }
+    fn put_decay(&self, out: &mut Vec<u8>) {
+        self.g.put(out);
     }
     fn check(&self, horizon_secs: f64) -> Result<(), Error> {
         decayed::check_horizon(&self.g, horizon_secs, self.ratio)
@@ -270,13 +289,6 @@ struct Ops<S, U, X, F, E, N, W> {
     /// A group's fresh state for the bucket starting at the given time.
     fresh: N,
     weigh: W,
-}
-
-/// One group's state boxed under its own clock: what `make` returns.
-struct Adapter<K: Cells> {
-    clock: K::Clock,
-    cell: K::Cell,
-    cells: K,
 }
 
 impl<S, U, X, F, E, W> Ops<S, U, X, F, E, (), W> {
@@ -310,7 +322,9 @@ impl<S, U, X, F, E, W> Ops<S, U, X, F, E, (), W> {
     /// boxes one state in an [`Adapter`].
     fn factory<N>(self, name: &str, splittable: bool, fresh: N) -> Arc<FnFactory>
     where
+        Adapter<S, U, X, F, E, N, W>: Aggregator,
         Arc<Ops<S, U, X, F, E, N, W>>: Cells<Cell = S> + Sync,
+        N: Fn(Timestamp) -> S,
         W: Weighing<S>,
     {
         let ops = Arc::new(Ops {
@@ -328,10 +342,11 @@ impl<S, U, X, F, E, W> Ops<S, U, X, F, E, (), W> {
             splittable,
             ops.scaled.is_some(),
             move |start| -> Box<dyn Aggregator> {
+                let alone = (boxing.fresh)(tuple::timestamp(start));
                 Box::new(Adapter {
-                    clock: boxing.clock(start),
-                    cell: boxing.make(start),
-                    cells: Arc::clone(&boxing),
+                    held: Held::Alone(boxing.weigh.alone(tuple::timestamp(start), alone)),
+                    ops: Arc::clone(&boxing),
+                    start,
                 })
             },
             Some(Box::new(move |query| {
@@ -342,9 +357,8 @@ impl<S, U, X, F, E, W> Ops<S, U, X, F, E, (), W> {
     }
 }
 
-/// The by-value cells: a group is its bare state `S`, its clock its
-/// bucket's. These bodies are the aggregate's one definition — the boxed
-/// [`Adapter`] calls them too.
+/// The by-value cells: a group is its bare state `S`. These bodies are the
+/// aggregate's one definition — the boxed [`Adapter`] calls them too.
 impl<S, U, X, F, E, N, W> Cells for Arc<Ops<S, U, X, F, E, N, W>>
 where
     S: Mergeable + Send + 'static,
@@ -356,20 +370,13 @@ where
     W: Weighing<S>,
 {
     type Cell = S;
-    type Clock = W::Clock;
-    fn clock(&self, bucket_start: tuple::Micros) -> W::Clock {
-        self.weigh.clock(tuple::timestamp(bucket_start))
+    #[inline]
+    fn make(&self, start: Micros, _: Micros) -> S {
+        (self.fresh)(tuple::timestamp(start))
     }
     #[inline]
-    fn make(&self, bucket_start: tuple::Micros) -> S {
-        (self.fresh)(tuple::timestamp(bucket_start))
-    }
-    #[inline]
-    fn arrive(&self, clock: &mut W::Clock, pkt: &Packet) -> (Arrival, Option<f64>) {
-        self.weigh.arrive(clock, pkt.timestamp())
-    }
-    fn rescale(&self, state: &mut S, factor: f64) {
-        self.weigh.scale(state, factor);
+    fn arrive(&self, start: Micros, width: Micros, pkt: &Packet) -> Arrival {
+        self.weigh.arrive(start, width, pkt.timestamp())
     }
     #[inline]
     fn update(&self, state: &mut S, pkt: &Packet, at: Arrival) {
@@ -389,83 +396,129 @@ where
         into.merge_from(&from);
     }
     #[inline]
-    fn emit(&self, clock: &W::Clock, state: &S, t: f64) -> AggValue {
-        (self.answer)(state, self.weigh.query(clock, t))
+    fn emit(&self, state: &S, start: Micros, width: Micros, t: f64) -> AggValue {
+        (self.answer)(state, self.weigh.query(start, width, t))
     }
     #[inline]
     fn size(&self, state: &S) -> usize {
         (self.space)(state)
     }
-    /// The summary state alone, under its clock: closures and query-time
-    /// parameters (extractors, φ, the backward decay) are the factory's to
+    /// The summary state alone: closures and query-time parameters
+    /// (extractors, φ, the backward decay, `g`) are the factory's to
     /// recreate.
-    fn put(&self, clock: &W::Clock, state: &S, missed: &[f64], out: &mut Vec<u8>) -> Option<()> {
-        self.weigh.put(clock, state, missed, out);
+    fn put(&self, state: &S, out: &mut Vec<u8>) -> Option<()> {
+        self.weigh.put(state, out);
         Some(())
     }
-    /// The state and its clock, landmark included: the bucket start is not
-    /// needed.
-    fn take(&self, _: tuple::Micros, bytes: &[u8]) -> Result<(W::Clock, S), CodecError> {
+    fn take(&self, _: Micros, _: Micros, bytes: &[u8]) -> Result<S, CodecError> {
         self.weigh.take(bytes)
     }
-    fn join(&self, ours: &mut W::Clock, theirs: &W::Clock) -> Option<(Option<f64>, Option<f64>)> {
-        self.weigh.join(ours, theirs)
+    fn put_decay(&self, out: &mut Vec<u8>) {
+        self.weigh.put_decay(out);
     }
 }
 
-impl<K: Cells> Adapter<K> {
-    /// A tuple's arrival under the group's own clock.
-    #[inline]
-    fn arrive(&mut self, pkt: &Packet) -> Arrival {
-        let (at, moved) = self.cells.arrive(&mut self.clock, pkt);
-        if let Some(factor) = moved {
-            self.cells.rescale(&mut self.cell, factor);
+/// One group's state boxed: what `make` returns.
+struct Adapter<S, U, X, F, E, N, W: Weighing<S>> {
+    ops: Arc<Ops<S, U, X, F, E, N, W>>,
+    /// The start of its bucket.
+    start: Micros,
+    held: Held<S, W::Alone>,
+}
+
+/// A boxed group's state: outside a store, as `make` built it, in
+/// fd-core's standalone form; inside one, told its bucket's width, the
+/// bare state the by-value cell is, weighed and written as that is.
+enum Held<S, A> {
+    Alone(A),
+    Within(Micros, S),
+}
+
+impl<S, U, X, F, E, N, W> Adapter<S, U, X, F, E, N, W>
+where
+    W: Weighing<S>,
+    Arc<Ops<S, U, X, F, E, N, W>>: Cells<Cell = S>,
+{
+    /// Folds one tuple in, with a Horvitz–Thompson scale if it has one.
+    fn fold(&mut self, pkt: &Packet, scale: Option<f64>) {
+        let ops = &self.ops;
+        let fold = |state: &mut S, at| match scale {
+            None => ops.update(state, pkt, at),
+            Some(scale) => ops.update_scaled(state, pkt, at, scale),
+        };
+        match &mut self.held {
+            Held::Alone(alone) => ops.weigh.fold_alone(alone, pkt.timestamp(), fold),
+            Held::Within(width, state) => fold(state, ops.arrive(self.start, *width, pkt)),
         }
-        at
     }
 }
 
-impl<K: Cells> Aggregator for Adapter<K> {
+impl<S, U, X, F, E, N, W> Aggregator for Adapter<S, U, X, F, E, N, W>
+where
+    S: Send + 'static,
+    U: 'static,
+    X: Send + Sync + 'static,
+    F: Send + Sync + 'static,
+    E: Fn(&S, W::Query) -> AggValue + Send + Sync + 'static,
+    N: Send + Sync + 'static,
+    W: Weighing<S>,
+    Arc<Ops<S, U, X, F, E, N, W>>: Cells<Cell = S>,
+{
     #[inline]
     fn update(&mut self, pkt: &Packet) {
-        let at = self.arrive(pkt);
-        self.cells.update(&mut self.cell, pkt, at);
+        self.fold(pkt, None);
     }
     fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-        let at = self.arrive(pkt);
-        self.cells.update_scaled(&mut self.cell, pkt, at, scale);
+        self.fold(pkt, Some(scale));
     }
-    /// Aligns the two clocks — whichever is older is re-expressed against
-    /// the newer — then merges the states.
     fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
         let other = other
             .as_any_box()
             .downcast::<Self>()
             .expect("aggregator type mismatch");
-        let Adapter { clock, cell, .. } = *other;
-        let merged = (self.cells).merge_under(&mut self.clock, &mut self.cell, &clock, cell);
-        merged.expect("summaries must share a landmark");
+        match (&mut self.held, other.held) {
+            (Held::Alone(ours), Held::Alone(theirs)) => ours.merge_from(&theirs),
+            (Held::Within(_, ours), Held::Within(_, theirs)) => self.ops.merge(ours, theirs),
+            _ => panic!("a group outside a store merged with one inside"),
+        }
     }
     fn emit(&self, t: f64) -> AggValue {
-        self.cells.emit(&self.clock, &self.cell, t)
+        match &self.held {
+            Held::Alone(alone) => {
+                let weigh = &self.ops.weigh;
+                (self.ops.answer)(weigh.alone_state(alone), weigh.alone_query(alone, t))
+            }
+            Held::Within(width, state) => self.ops.emit(state, self.start, *width, t),
+        }
     }
     fn size_bytes(&self) -> usize {
-        self.cells.size(&self.cell)
+        match &self.held {
+            Held::Alone(alone) => self.ops.size(self.ops.weigh.alone_state(alone)),
+            Held::Within(_, state) => self.ops.size(state),
+        }
     }
     fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
         self
     }
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        self.cells.put(&self.clock, &self.cell, &[], out)
+        match &self.held {
+            Held::Alone(alone) => alone.put(out),
+            Held::Within(_, state) => self.ops.weigh.put(state, out),
+        }
+        Some(())
     }
-    /// The state and the clock it was written under, which must share this
-    /// fresh one's landmark.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let (theirs, cell) = self.cells.take(0, bytes)?;
-        (self.cells.join(&mut self.clock, &theirs))
-            .ok_or_else(|| CodecError::new("a state of another bucket"))?;
-        (self.clock, self.cell) = (theirs, cell);
+        match &mut self.held {
+            Held::Alone(alone) => *alone = from_bytes(bytes)?,
+            Held::Within(_, state) => *state = self.ops.weigh.take(bytes)?,
+        }
         Ok(())
+    }
+    fn set_bucket_width(&mut self, width: Micros) {
+        self.held = Held::Within(width, self.ops.make(self.start, width));
+    }
+    fn put_decay(&self, out: &mut Vec<u8>) {
+        self.ops.weigh.put_decay(out);
     }
 }
 
@@ -573,8 +626,8 @@ pub fn fwd_avg_factory<G: ForwardDecay>(
 ) -> Arc<FnFactory> {
     Ops::new(
         // The query's one `g`, the field to read, how one arrival — its
-        // time and static weight `g(tᵢ − L)` — folds into a sum and a
-        // count, the answer over `g(t − L)` when the bucket closes (what
+        // time and static weight `g(a) / g(W)` — folds into a sum and a
+        // count, the answer when the bucket closes (what
         // `DecayedAverage::query` answers), and the space probe: two 8-byte
         // accumulators.
         Fwd::ratio(g),
@@ -587,7 +640,7 @@ pub fn fwd_avg_factory<G: ForwardDecay>(
     // what makes the factory `scalable()`.
     .scaled(|s, (t, w), v, scale| s.add_scaled(t, v, w, scale))
     // Splittable — partial averages merge exactly — and each group's fresh
-    // state is two empty accumulators under its bucket's clock.
+    // state is two empty accumulators.
     .factory("fwd_avg", true, Mean::new)
 }
 
@@ -1015,6 +1068,13 @@ impl Aggregator for MultiAgg {
             ))),
         }
     }
+    fn set_bucket_width(&mut self, width: Micros) {
+        (self.parts.iter_mut()).for_each(|part| part.set_bucket_width(width));
+    }
+    /// Each part's, in order.
+    fn put_decay(&self, out: &mut Vec<u8>) {
+        self.parts.iter().for_each(|part| part.put_decay(out));
+    }
 }
 
 /// Composes several aggregates over the same groups — GSQL's
@@ -1059,7 +1119,7 @@ mod tests {
     use super::*;
     use crate::tuple::{Micros, Proto, MICROS_PER_SEC};
     use crate::udaf::AggregatorFactory;
-    use fd_core::decay::{BackExponential, Exponential, Monomial, NoDecay};
+    use fd_core::decay::{AnyDecay, BackExponential, Exponential, Monomial, NoDecay};
 
     fn pkt(ts_s: f64, dst_ip: u32, len: u32) -> Packet {
         Packet {
@@ -1131,6 +1191,43 @@ mod tests {
             a.emit(60.0).as_float().expect("float"),
         );
         assert!((x - y).abs() < 1e-9 * x.abs().max(1.0));
+    }
+
+    #[test]
+    fn a_group_told_its_bucket_width_answers_as_the_standalone_one() {
+        // Bucket [100 s, 160 s): weighed against its end, a group answers
+        // what fd-core's standalone clock answers, at the end and at any
+        // other query time, and writes no clock.
+        for g in [
+            AnyDecay::Monomial(Monomial::quadratic()),
+            AnyDecay::Exponential(Exponential::new(0.5)),
+        ] {
+            let f = fwd_sum_factory(g, |p| p.len as f64);
+            let (mut alone, mut within) =
+                (f.make(100 * MICROS_PER_SEC), f.make(100 * MICROS_PER_SEC));
+            within.set_bucket_width(60 * MICROS_PER_SEC);
+            for i in 0..50 {
+                let p = pkt(100.0 + i as f64 * 1.1, 1, 40 + i);
+                alone.update(&p);
+                within.update(&p);
+            }
+            for t in [160.0, 130.0, 400.0] {
+                let (a, w) = (
+                    alone.emit(t).as_float().unwrap(),
+                    within.emit(t).as_float().unwrap(),
+                );
+                assert!((a - w).abs() <= 1e-12 * a.abs(), "at {t}: {a} vs {w}");
+            }
+            let (mut a, mut w) = (Vec::new(), Vec::new());
+            alone.checkpoint_into(&mut a).expect("checkpoint");
+            within.checkpoint_into(&mut w).expect("checkpoint");
+            assert!(
+                w.len() < a.len(),
+                "{} bytes within, {} alone",
+                w.len(),
+                a.len()
+            );
+        }
     }
 
     #[test]

@@ -6,23 +6,25 @@
 //! framed logs ([`fd_core::checkpoint::put_frame`]: `[len][crc32][payload]`)
 //! — the per-shard WAL of **epoch** records and the control log of
 //! **commit** records — and three whole-file images
-//! (`[magic][len][crc32][payload]`): the `FDM2` manifest, `FDK1`
+//! (`[magic][len][crc32][payload]`): the `FDM3` manifest, `FDK1`
 //! checkpoints and `FDC1` closed-deltas. A CRC-valid record that is not one
 //! of these was written by another build of this engine — earlier commits
-//! of this repository wrote `FDM1` manifests, kind-1/kind-2 WAL records
-//! with per-shard sequence counters, and commits without producer blocks —
-//! and is reported as [`Decoded::Unsupported`], naming what was found, so
-//! recovery refuses the store instead of truncating it as a torn tail.
+//! of this repository wrote `FDM1` and `FDM2` manifests (the latter beside
+//! images whose cells carry their bucket's clock), kind-1/kind-2 WAL
+//! records with per-shard sequence counters, and commits without producer
+//! blocks — and is reported as [`Decoded::Unsupported`], naming what was
+//! found, so recovery refuses the store instead of truncating it as a torn
+//! tail.
 
 use fd_core::checkpoint::{crc32, read_frame, Decode, Encode, Frame, Reader};
 
 use super::err;
 use crate::tuple::{Micros, Packet, Proto};
 
-/// File-type magics ("FDK1" / "FDC1" / "FDM2", little-endian).
+/// File-type magics ("FDK1" / "FDC1" / "FDM3", little-endian).
 const MAGIC_CKPT: u32 = 0x314B_4446;
 const MAGIC_CLOSED: u32 = 0x3143_4446;
-const MAGIC_MANIFEST: u32 = 0x324D_4446;
+const MAGIC_MANIFEST: u32 = 0x334D_4446;
 
 /// The control log's one record kind.
 const KIND_COMMIT: u8 = 3;
@@ -487,7 +489,7 @@ impl Manifest {
         }
     }
 
-    /// The sealed `FDM2` image: `version, S, S × (ckpt version, covered
+    /// The sealed `FDM3` image: `version, S, S × (ckpt version, covered
     /// seq, closed-delta count)`.
     pub(super) fn encode(&self, out: &mut Vec<u8>) {
         begin_image(out, MAGIC_MANIFEST);
@@ -502,8 +504,17 @@ impl Manifest {
     }
 
     pub(super) fn decode(data: &[u8]) -> Result<Self, fd_core::Error> {
-        if data.starts_with(b"FDM1") {
-            let what = "MANIFEST has the FDM1 layout (no closed-delta counts)";
+        let older = [
+            (
+                b"FDM1",
+                "MANIFEST has the FDM1 layout (no closed-delta counts)",
+            ),
+            (
+                b"FDM2",
+                "MANIFEST is FDM2 (cells written under their bucket's clock)",
+            ),
+        ];
+        if let Some((_, what)) = older.iter().find(|(magic, _)| data.starts_with(*magic)) {
             return Err(err(refusal(what, "an older")));
         }
         let bad = |why: &str| err(format!("MANIFEST is unreadable ({why})"));

@@ -647,15 +647,16 @@ mod tests {
         punct.extend([0u8; 16]);
         let wal = base.newest("wal-0-");
         type Maul<'a> = Box<dyn Fn(&Store) + 'a>;
-        let cases: [(&str, Maul<'_>); 6] = [
-            (
-                "FDM1",
-                Box::new(|s| {
-                    let mut m = std::fs::read(s.0.join("MANIFEST")).expect("manifest");
-                    m[..4].copy_from_slice(b"FDM1");
-                    std::fs::write(s.0.join("MANIFEST"), m).expect("write");
-                }),
-            ),
+        let older = |magic: &'static [u8; 4]| -> Maul<'_> {
+            Box::new(move |s| {
+                let mut m = std::fs::read(s.0.join("MANIFEST")).expect("manifest");
+                m[..4].copy_from_slice(magic);
+                std::fs::write(s.0.join("MANIFEST"), m).expect("write");
+            })
+        };
+        let cases: [(&str, Maul<'_>); 7] = [
+            ("FDM1", older(b"FDM1")),
+            ("FDM2", older(b"FDM2")),
             ("kind-1", Box::new(|s| s.append_frame(&wal, &batch))),
             ("kind-2", Box::new(|s| s.append_frame(&wal, &punct))),
             (

@@ -862,10 +862,13 @@ mod tests {
             e.process(&pkt(65.0, 1)); // buckets 0 and 1 both open
             let mut blob = e.checkpoint().expect("checkpoint");
             assert!(Engine::restore(q(), &blob).is_ok());
-            // The first bucket's id follows the bucket count; make it sort
-            // after the second.
-            blob[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-            assert!(Engine::restore(q(), &blob).is_err());
+            // The first bucket's id follows the decay (an empty frame) and
+            // the bucket count; make it sort after the second.
+            blob[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+            let refused = Engine::restore(q(), &blob)
+                .err()
+                .expect("buckets out of order");
+            assert!(refused.to_string().contains("out of order"), "{refused}");
         }
     }
 
@@ -877,10 +880,11 @@ mod tests {
             e.process(&pkt(2.0, 2));
             let mut blob = e.checkpoint().expect("checkpoint");
             assert!(Engine::restore(q.clone(), &blob).is_ok());
-            // The first group's key follows the bucket count, id and group
-            // count; the second's follows the first's framed state.
-            let len = u64::from_le_bytes(blob[32..40].try_into().expect("8 bytes")) as usize;
-            blob.copy_within(24..32, 40 + len);
+            // The first group's key follows the decay (an empty frame), the
+            // bucket count, id and group count; the second's follows the
+            // first's framed state.
+            let len = u64::from_le_bytes(blob[40..48].try_into().expect("8 bytes")) as usize;
+            blob.copy_within(32..40, 48 + len);
             let refused = Engine::restore(q, &blob).err().expect("a duplicate group");
             assert!(
                 refused.to_string().contains("twice in a bucket"),
@@ -956,8 +960,8 @@ mod tests {
             .collect()
     }
 
-    /// `fwd_avg` under `exp:10` over 60 s buckets: a bucket's clock moves
-    /// once its tuples pass 34.5 s into it.
+    /// `fwd_avg` under `exp:10` over 60 s buckets: past 34.5 s into a
+    /// bucket, where a standalone summary's clock would move.
     fn moving_query() -> Query {
         let g: fd_core::decay::AnyDecay = "exp:10".parse().expect("decay spec");
         Query::builder("avg_exp10")
@@ -1001,9 +1005,9 @@ mod tests {
 
     #[test]
     fn state_mode_checkpoints_are_the_parent_commits() {
-        // Written by `Engine::checkpoint` at the commit before closed
-        // buckets became runs, from these queries and streams: two
-        // images, a blank line apart, each with closed buckets pending.
+        // Written by `Engine::checkpoint` at the commit that made cells
+        // weigh `g(a) / g(W)`, from these queries and streams: two images,
+        // a blank line apart, each with closed buckets pending.
         let images: Vec<Vec<u8>> =
             include_str!("../../../tests/data/engine_checkpoint_state_mode.hex")
                 .split("\n\n")
@@ -1019,7 +1023,7 @@ mod tests {
                 .collect();
         assert_eq!(
             images.iter().map(Vec::len).collect::<Vec<_>>(),
-            [2210, 4354]
+            [1410, 2306]
         );
         let queries: [fn() -> Query; 2] = [golden_query, moving_query];
         let streams = [golden_stream(), moving_stream(400)];
@@ -1049,15 +1053,16 @@ mod tests {
         e.process_packets(&golden_stream());
         let blob = e.checkpoint().expect("checkpoint");
         assert!(Engine::restore(golden_query(), &blob).is_ok());
-        // The closed section: a group count, then `(bucket, key, framed
-        // state)` per group.
+        // The closed section: a group count, the framed decay, then
+        // `(bucket, key, framed state)` per group.
         let mut section = Vec::new();
         put_closed(&mut section, e.closed.as_deref().expect("state mode")).expect("section");
         let at = (blob.windows(section.len()))
             .rposition(|w| w == section)
             .expect("the section in the checkpoint");
         let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().expect("8 bytes"));
-        let (bucket, first_key) = (at + 8, at + 16);
+        let bucket = at + 16 + word(at + 8) as usize;
+        let first_key = bucket + 8;
         let second = first_key + 16 + word(first_key + 8) as usize;
         assert_eq!(word(second), word(bucket), "two groups of one bucket");
         let refused = |at: usize, value: u64| {
@@ -1070,6 +1075,34 @@ mod tests {
         assert!(refused(first_key, word(second + 8) + 1));
         // A bucket after a newer one.
         assert!(refused(bucket, word(bucket) + 1));
+    }
+
+    #[test]
+    fn a_closed_section_reads_only_under_its_own_g() {
+        let under = |spec: &str| Query {
+            aggregate: crate::aggregators::fwd_avg_factory(
+                spec.parse::<fd_core::decay::AnyDecay>()
+                    .expect("decay spec"),
+                |p| p.len as f64,
+            ),
+            ..moving_query()
+        };
+        let mut e = Engine::new(under("exp:10"));
+        e.keep_closed_state();
+        e.process_packets(&moving_stream(400));
+        let mut section = Vec::new();
+        put_closed(&mut section, e.closed.as_deref().expect("state mode")).expect("section");
+        let read = |spec: &str| {
+            let q = under(spec);
+            let mut r = fd_core::checkpoint::Reader::new(&section);
+            q.aggregate
+                .group_store(&q)
+                .read_closed(&mut r)
+                .map(|runs| runs.len())
+        };
+        assert!(read("exp:10").is_ok_and(|runs| runs >= 2));
+        let refused = read("exp:20").err().expect("a section under another g");
+        assert!(refused.to_string().contains("another decay g"), "{refused}");
     }
 
     /// Freezing a state-mode engine mid-stream and restoring it perturbs

@@ -20,7 +20,7 @@
 //! call per admitted run of tuples ([`GroupStore::fold_batch`]).
 //!
 //! **Closed runs.** A bucket closes, in either mode, into one typed run —
-//! its id, its clock and its `(key, cell)` groups in key order, in the
+//! its id and its `(key, cell)` groups in key order, in the
 //! pages the bucket held them in — boxed once per bucket as a [`Run`],
 //! which the engine evaluates into rows at once or, in state mode, keeps
 //! for the combiner to merge key by key. Its closed section is written per
@@ -60,18 +60,19 @@
 //! requested, and only then is the current one folded. The [`prefetch`]
 //! hints change no result.
 //!
-//! **One clock per bucket.** What every cell of a bucket shares — a
-//! decayed aggregate's landmark and renormalizer, [`Cells::Clock`] — the
-//! bucket holds once. Each tuple is weighed against its bucket's clock
-//! before it folds, LFTA or not, so a bucket opens with its first tuple. If
-//! an arrival moves an exponential `g`'s clock (Section VI-A), the bucket
-//! records the move ([`Moves`]) and the cells under the clock take it: an
-//! unsplit group, an LFTA resident or an evicted partial lazily, when the
-//! store next reaches it; the run's groups when the log is next folded; the
-//! partials the current fold has logged at once. A checkpoint writes each
-//! cell under its bucket's clock, as its standalone summary is written; a
-//! restored cell's clock is joined into its bucket's, aligning whichever
-//! side is behind, as a merge does.
+//! **Weights relative to the bucket's end.** Every row of a bucket is
+//! answered at its end `L + W`, its start `L` the landmark, so an
+//! arrival's weight in its row is the paper's `g(tᵢ − L) / g(t − L)` at one
+//! `t` the whole bucket shares: `g(aᵢ) / g(W)` of its age `aᵢ = tᵢ − L`,
+//! static and never above 1. A cell folds each tuple with that weight
+//! ([`Cells::arrive`]), so a row is its cell's numerators as they stand,
+//! partials merge by addition wherever and whenever they meet, and a
+//! checkpoint writes each cell's bare state. A boxed cell is told its
+//! bucket's width when the store makes it, and weighs the same. Section
+//! VI-A's renormalizer, which an unbounded stream queried at any `t` needs,
+//! stays with fd-core's standalone `Decayed`. An image names the `g` its
+//! cells weigh by once ([`Cells::put_decay`]), and a restore under another
+//! is refused.
 //!
 //! **Move-in.** The first partial the LFTA releases for a group *is* that
 //! group's high-level state and moves in as it stands — a plain copy of the
@@ -83,13 +84,10 @@
 //! **Order.** The order cells sit in is never observable: rows and closed
 //! sections are written from runs in key order, and a checkpoint writes
 //! each bucket in key order. The partials of a group merge in the order the
-//! LFTA released them, each as of the end of the fold ([`GroupStore::
-//! fold_batch`]) that released it: a clock move during that fold rescales
-//! it before it merges, a later move rescales the merged group. Folding the
-//! log early or late changes neither, so a checkpoint, a probe or a restore
-//! at any point leaves every later row and byte as it was. Checkpoint bytes
-//! are the same for both instantiations: each cell is framed as a `u64`
-//! length and its state's own encoding.
+//! LFTA released them, however the log is folded, so a checkpoint, a probe
+//! or a restore at any point leaves every later row and byte as it was.
+//! Checkpoint bytes are the same for both instantiations: each cell is
+//! framed as a `u64` length and its state's own encoding.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -138,107 +136,57 @@ pub(crate) fn prefetch<T>(t: &T) {
     let _ = t;
 }
 
-/// An arrival as a decayed cell takes it: its time, clamped to the
-/// landmark, and its static weight `g(tᵢ − L)` against its bucket's clock.
+/// An arrival as a decayed cell takes it: its time, clamped to its
+/// bucket's start, and its static weight `g(aᵢ) / g(W)` against the
+/// bucket's end.
 pub(crate) type Arrival = (Timestamp, f64);
 
 /// What the store does to a cell, once per query: the one seam between
 /// the generic store and an aggregate. Cloned once per closed bucket, into
-/// its run.
+/// its run. A bucket is given by its start and its width `W` (µs).
 pub(crate) trait Cells: Clone + Send + 'static {
     /// A group's state as the store holds it.
     type Cell: Send + 'static;
-    /// What every group of a bucket shares, held once by the bucket: a
-    /// decayed aggregate's clock (a `Renormalizer`, its landmark the bucket
-    /// start until it moves; `g` is the query's), `()` for every other.
-    type Clock: Clone + PartialEq + Send + 'static;
-    /// The clock of the bucket starting at `bucket_start`.
-    fn clock(&self, bucket_start: Micros) -> Self::Clock;
-    /// A fresh group's state for the bucket starting at `bucket_start`.
-    fn make(&self, bucket_start: Micros) -> Self::Cell;
-    /// A tuple's arrival under `clock`, and the factor every cell under the
-    /// clock must be multiplied by first if the tuple moved its landmark
-    /// (Section VI-A).
-    fn arrive(&self, clock: &mut Self::Clock, pkt: &Packet) -> (Arrival, Option<f64>);
-    /// Multiplies every weight a cell stores by `factor`.
-    fn rescale(&self, _cell: &mut Self::Cell, _factor: f64) {}
+    /// A fresh group's state for the bucket starting at `start`.
+    fn make(&self, start: Micros, width: Micros) -> Self::Cell;
+    /// A tuple's arrival in that bucket.
+    fn arrive(&self, start: Micros, width: Micros, pkt: &Packet) -> Arrival;
     /// Folds one tuple in.
     fn update(&self, cell: &mut Self::Cell, pkt: &Packet, at: Arrival);
     /// Folds one tuple in with a Horvitz–Thompson scale (only a scalable
     /// aggregate sees one that is not `1.0`).
     fn update_scaled(&self, cell: &mut Self::Cell, pkt: &Packet, at: Arrival, scale: f64);
-    /// Absorbs a partial of the same group, under the same clock.
+    /// Absorbs a partial of the same group.
     fn merge(&self, into: &mut Self::Cell, from: Self::Cell);
-    /// The answer at query time `t` (seconds).
-    fn emit(&self, clock: &Self::Clock, cell: &Self::Cell, t: f64) -> AggValue;
+    /// The answer at query time `t` (seconds) of a group of that bucket.
+    fn emit(&self, cell: &Self::Cell, start: Micros, width: Micros, t: f64) -> AggValue;
     /// The paper's space-per-group probe.
     fn size(&self, cell: &Self::Cell) -> usize;
-    /// Appends the state's checkpoint bytes, written as its standalone
-    /// summary under `clock` once scaled by the moves it has `missed`;
-    /// `None` if it declines.
-    fn put(
-        &self,
-        clock: &Self::Clock,
-        cell: &Self::Cell,
-        missed: &[f64],
-        out: &mut Vec<u8>,
-    ) -> Option<()>;
-    /// Reads back what [`put`](Self::put) wrote, for a group of the bucket
-    /// starting at `bucket_start`: the cell and the clock it was written
-    /// under.
-    fn take(
-        &self,
-        bucket_start: Micros,
-        bytes: &[u8],
-    ) -> Result<(Self::Clock, Self::Cell), CodecError>;
-    /// Moves `ours` to the newer landmark of the two: the factors the cells
-    /// under `ours` and under `theirs` must be multiplied by, or `None` if
-    /// the clocks began at different landmarks.
-    fn join(
-        &self,
-        _ours: &mut Self::Clock,
-        _theirs: &Self::Clock,
-    ) -> Option<(Option<f64>, Option<f64>)> {
-        Some((None, None))
-    }
-    /// Merges `from`, a partial of the same group under `theirs`, into
-    /// `into` under `ours`: the clocks joined — whichever is older is
-    /// re-expressed against the newer — and each side rescaled first.
-    /// `None`, merging nothing, if the clocks began at different landmarks.
-    #[inline]
-    fn merge_under(
-        &self,
-        ours: &mut Self::Clock,
-        into: &mut Self::Cell,
-        theirs: &Self::Clock,
-        mut from: Self::Cell,
-    ) -> Option<()> {
-        let (mine, other) = self.join(ours, theirs)?;
-        if let Some(factor) = mine {
-            self.rescale(into, factor);
-        }
-        if let Some(factor) = other {
-            self.rescale(&mut from, factor);
-        }
-        self.merge(into, from);
-        Some(())
-    }
+    /// Appends the state's checkpoint bytes; `None` if it declines.
+    fn put(&self, cell: &Self::Cell, out: &mut Vec<u8>) -> Option<()>;
+    /// Reads back what [`put`](Self::put) wrote, for a group of that
+    /// bucket.
+    fn take(&self, start: Micros, width: Micros, bytes: &[u8]) -> Result<Self::Cell, CodecError>;
+    /// Appends the encoding of the decay `g` the cells weigh by; nothing
+    /// if they weigh by none.
+    fn put_decay(&self, out: &mut Vec<u8>);
 }
 
 /// The boxed instantiation: a `Box<dyn Aggregator>` per group from the
-/// factory's `make`, which keeps its own clock.
+/// factory's `make`, told its bucket's width, which weighs its own
+/// arrivals.
 #[derive(Clone)]
 struct Boxed(Arc<dyn AggregatorFactory>);
 
 impl Cells for Boxed {
     type Cell = Box<dyn Aggregator>;
-    type Clock = ();
-    fn clock(&self, _: Micros) {}
-    fn make(&self, bucket_start: Micros) -> Self::Cell {
-        self.0.make(bucket_start)
+    fn make(&self, start: Micros, width: Micros) -> Self::Cell {
+        let mut cell = self.0.make(start);
+        cell.set_bucket_width(width);
+        cell
     }
-    fn arrive(&self, _: &mut (), _: &Packet) -> (Arrival, Option<f64>) {
-        ((Timestamp::ZERO, 1.0), None)
+    fn arrive(&self, _: Micros, _: Micros, _: &Packet) -> Arrival {
+        (Timestamp::ZERO, 1.0)
     }
     fn update(&self, cell: &mut Self::Cell, pkt: &Packet, _: Arrival) {
         cell.update(pkt);
@@ -249,19 +197,22 @@ impl Cells for Boxed {
     fn merge(&self, into: &mut Self::Cell, from: Self::Cell) {
         into.merge_boxed(from);
     }
-    fn emit(&self, _: &(), cell: &Self::Cell, t: f64) -> AggValue {
+    fn emit(&self, cell: &Self::Cell, _: Micros, _: Micros, t: f64) -> AggValue {
         cell.emit(t)
     }
     fn size(&self, cell: &Self::Cell) -> usize {
         cell.size_bytes()
     }
-    fn put(&self, _: &(), cell: &Self::Cell, _: &[f64], out: &mut Vec<u8>) -> Option<()> {
+    fn put(&self, cell: &Self::Cell, out: &mut Vec<u8>) -> Option<()> {
         cell.checkpoint_into(out)
     }
-    fn take(&self, bucket_start: Micros, bytes: &[u8]) -> Result<((), Self::Cell), CodecError> {
-        let mut cell = self.0.make(bucket_start);
+    fn take(&self, start: Micros, width: Micros, bytes: &[u8]) -> Result<Self::Cell, CodecError> {
+        let mut cell = self.make(start, width);
         cell.restore(bytes)?;
-        Ok(((), cell))
+        Ok(cell)
+    }
+    fn put_decay(&self, out: &mut Vec<u8>) {
+        self.0.make(0).put_decay(out);
     }
 }
 
@@ -323,6 +274,8 @@ pub trait Run: Any + Send {
     fn bucket(&self) -> u64;
     /// How many groups it holds.
     fn len(&self) -> usize;
+    /// Appends the decay its cells weigh by, as [`put_decay`] frames it.
+    fn put_decay(&self, out: &mut Vec<u8>);
     /// Appends each group as `(bucket, key, framed state)`, in key order;
     /// `None` if a cell declines to checkpoint.
     fn put(&self, out: &mut Vec<u8>) -> Option<()>;
@@ -338,12 +291,37 @@ pub(crate) fn groups(runs: &[Box<dyn Run>]) -> usize {
     runs.iter().map(|run| run.len()).sum()
 }
 
-/// Appends the closed section of `runs`: a group count, then every group
-/// as [`Run::put`] writes it — the tail of an [`Engine`] checkpoint and the
-/// body of a durable closed-delta. `None` if a cell declines.
+/// Appends the closed section of `runs`: a group count, the decay the
+/// groups weigh by if there is one, then every group as [`Run::put`]
+/// writes it — the tail of an [`Engine`] checkpoint and the body of a
+/// durable closed-delta. `None` if a cell declines.
 pub(crate) fn put_closed(out: &mut Vec<u8>, runs: &[Box<dyn Run>]) -> Option<()> {
     groups(runs).put(out);
+    if let Some(run) = runs.first() {
+        run.put_decay(out);
+    }
     runs.iter().try_for_each(|run| run.put(out))
+}
+
+/// Appends the encoding of the decay `g` `cells` weigh by, framed: an
+/// image names it once, and a restore under another `g` is refused.
+fn put_decay<K: Cells>(cells: &K, out: &mut Vec<u8>) {
+    put_framed(out, |out| {
+        cells.put_decay(out);
+        Some(())
+    });
+}
+
+/// Reads back what [`put_decay`] wrote, refusing another `g` than
+/// `cells`'.
+fn take_decay<K: Cells>(cells: &K, r: &mut Reader<'_>) -> Result<(), CodecError> {
+    let mut ours = Vec::new();
+    cells.put_decay(&mut ours);
+    let len = r.count(1)?;
+    if r.bytes(len)? != ours {
+        return Err(CodecError::new("an image written under another decay g"));
+    }
+    Ok(())
 }
 
 /// The runs of `runs` after its first `groups` groups, which end a run.
@@ -355,12 +333,11 @@ pub(crate) fn after(mut runs: &[Box<dyn Run>], mut groups: usize) -> &[Box<dyn R
     runs
 }
 
-/// A closed bucket of a store over `K`: its clock and its groups, in key
-/// order, with the store's cells to evaluate and write them.
+/// A closed bucket of a store over `K`: its groups, in key order, with the
+/// store's cells to evaluate and write them.
 struct TypedRun<K: Cells> {
     cells: K,
     bucket: u64,
-    clock: K::Clock,
     groups: Pages<(u64, K::Cell)>,
 }
 
@@ -373,11 +350,15 @@ impl<K: Cells> Run for TypedRun<K> {
         self.groups.len()
     }
 
+    fn put_decay(&self, out: &mut Vec<u8>) {
+        put_decay(&self.cells, out);
+    }
+
     fn put(&self, out: &mut Vec<u8>) -> Option<()> {
         self.groups.iter().try_for_each(|(key, cell)| {
             self.bucket.put(out);
             key.put(out);
-            put_framed(out, |out| self.cells.put(&self.clock, cell, &[], out))
+            put_framed(out, |out| self.cells.put(cell, out))
         })
     }
 
@@ -398,35 +379,24 @@ impl<K: Cells> Run for TypedRun<K> {
         );
         out.reserve(runs.iter().map(|run| run.groups.len()).sum());
         let mut heads: Vec<_> = (runs.into_iter())
-            .map(|run| (run.clock, run.groups.into_iter().peekable()))
+            .map(|run| run.groups.into_iter().peekable())
             .collect();
         // The least key any run has left, then its cells in run order,
-        // merged under their clocks, which are joined only for a key met
-        // twice.
+        // merged.
         while let Some(key) = (heads.iter_mut())
-            .filter_map(|(_, groups)| groups.peek().map(|&(key, _)| key))
+            .filter_map(|groups| groups.peek().map(|&(key, _)| key))
             .min()
         {
-            let mut met = (heads.iter_mut()).filter_map(|(clock, groups)| {
-                Some((&*clock, groups.next_if(|&(k, _)| k == key)?.1))
-            });
-            let Some((clock, mut cell)) = met.next() else {
+            let mut met =
+                (heads.iter_mut()).filter_map(|groups| Some(groups.next_if(|&(k, _)| k == key)?.1));
+            let Some(mut cell) = met.next() else {
                 break;
             };
-            let mut joined = None;
-            for (theirs, other) in met {
-                let ours = joined.get_or_insert_with(|| clock.clone());
-                let merged = cells.merge_under(ours, &mut cell, theirs, other);
-                debug_assert!(
-                    merged.is_some(),
-                    "a run's clock began at its bucket's start"
-                );
-            }
-            let value = cells.emit(joined.as_ref().unwrap_or(clock), &cell, t_end);
+            met.for_each(|other| cells.merge(&mut cell, other));
             out.push(Row {
                 bucket_start,
                 key,
-                value,
+                value: cells.emit(&cell, bucket_start, width, t_end),
             });
         }
         debug_assert!(
@@ -525,66 +495,9 @@ impl Index {
     }
 
     /// How many keys it holds.
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.len
-    }
-}
-
-/// How many moves of a clock leave every finite weight under it zero: a
-/// move multiplies by at most 1 / `RESCALE_THRESHOLD` = 1e-150, and five
-/// such factors take even `f64::MAX` below the smallest subnormal. A cell
-/// that missed more takes only the last `SETTLED`, which leaves exactly
-/// what taking them all, one by one, would.
-const SETTLED: u64 = 5;
-
-/// The moves of a bucket's clock, which the cells under it take lazily: a
-/// move is recorded here, and each cell — an unsplit group, an LFTA
-/// resident, an evicted partial, the run of a split bucket — takes the
-/// moves it missed when the store next reaches it. Empty until the clock
-/// first moves.
-#[derive(Default)]
-struct Moves {
-    /// The factors of the last [`SETTLED`] moves, move `k` at `k % SETTLED`.
-    last: [f64; SETTLED as usize],
-    /// How many times the clock has moved.
-    count: u64,
-    /// How many moves each unsplit group's cell has taken, by position.
-    taken: Vec<u64>,
-}
-
-impl Moves {
-    /// The factors of the moves after the first `taken`, oldest first.
-    fn since(&self, taken: u64) -> impl Iterator<Item = f64> + '_ {
-        let from = taken.max(self.count.saturating_sub(SETTLED));
-        (from..self.count).map(|k| self.last[(k % SETTLED) as usize])
-    }
-
-    /// Brings a cell that has taken `*taken` moves up to move `to`. Of
-    /// moves older than the last [`SETTLED`], which the clock no longer
-    /// holds, the cell takes none: at least [`SETTLED`] later ones follow,
-    /// and leave it where taking them all would.
-    #[inline]
-    fn take_to<C>(&self, taken: &mut u64, to: u64, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
-        if *taken < to {
-            let from = (*taken).max(self.count.saturating_sub(SETTLED));
-            (from..to).for_each(|k| rescale(cell, self.last[(k % SETTLED) as usize]));
-            *taken = to;
-        }
-    }
-
-    /// Brings a cell that has taken `*taken` moves up to the clock.
-    #[inline]
-    fn take<C>(&self, taken: &mut u64, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
-        self.take_to(taken, self.count, cell, rescale);
-    }
-
-    /// Brings the unsplit group at position `at` up to the clock.
-    #[inline]
-    fn take_at<C>(&mut self, at: usize, cell: &mut C, rescale: impl Fn(&mut C, f64)) {
-        if let Some(mut taken) = self.taken.get(at).copied() {
-            self.take(&mut taken, cell, rescale);
-            self.taken[at] = taken;
-        }
     }
 }
 
@@ -662,10 +575,6 @@ impl<T> Pages<T> {
 
     fn iter(&self) -> impl Iterator<Item = &T> + Clone {
         self.pages.iter().flatten()
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.pages.iter_mut().flatten()
     }
 }
 
@@ -802,54 +711,34 @@ impl Sorter {
     }
 }
 
-/// An open time bucket: its clock and its groups ([module docs](self),
-/// "Layout").
-struct OpenBucket<C, T> {
+/// An open time bucket: its groups ([module docs](self), "Layout").
+struct OpenBucket<C> {
     /// Time-bucket id (`ts / bucket_micros`).
     id: u64,
-    /// The clock every cell of the bucket — its groups and log here, its
-    /// LFTA residents — is weighed against.
-    clock: T,
-    /// The clock's moves its cells have not all taken.
-    moves: Moves,
-    /// Split: the run, ascending by key, every group up to the clock's
-    /// first `settled` moves. Unsplit: the groups in the order they opened.
+    /// Split: the run, ascending by key. Unsplit: the groups in the order
+    /// they opened.
     groups: Pages<(u64, C)>,
     /// Unsplit: group key → position in `groups`.
     index: Index,
     /// Split: the partials released since the log was last folded into the
-    /// run, in release order, each up to the clock (a partial is taken out
-    /// of its entry only as the fold merges it).
+    /// run, in release order (a partial is taken out of its entry only as
+    /// the fold merges it).
     log: Pages<(u64, Option<C>)>,
-    /// How many of `log`'s partials earlier folds released.
-    earlier: usize,
-    /// `(end, count)` for each clock move that found partials of earlier
-    /// folds in the log: those before position `end` (and after the last
-    /// such end) were released by folds that ended at move `count`.
-    ended: Vec<(usize, u64)>,
-    /// Split: how many moves every group of the run has taken.
-    settled: u64,
     /// The groups an unsplit bucket is sized for when its first one
     /// arrives.
     room: usize,
 }
 
-impl<C, T> OpenBucket<C, T> {
+impl<C> OpenBucket<C> {
     /// An empty bucket that will make room for `groups` groups. It
-    /// allocates nothing until then: a bucket opened for its clock by the
-    /// LFTA holds no group until a partial moves in, and sizing it early
-    /// held two buckets' tables at once.
-    fn new(id: u64, clock: T, groups: usize) -> Self {
+    /// allocates nothing until then: a split bucket holds no group until a
+    /// partial moves in.
+    fn new(id: u64, groups: usize) -> Self {
         Self {
             id,
-            clock,
-            moves: Moves::default(),
             groups: Pages::default(),
             index: Index::with_capacity(0),
             log: Pages::default(),
-            earlier: 0,
-            ended: Vec::new(),
-            settled: 0,
             room: groups,
         }
     }
@@ -862,35 +751,20 @@ impl<C, T> OpenBucket<C, T> {
         self.index = Index::with_capacity(self.room);
     }
 
-    /// Unsplit: appends a new group's cell, which has taken every move.
-    fn push_new(&mut self, key: u64, cell: C) {
-        self.groups.push((key, cell));
-        if self.moves.count > 0 {
-            self.moves.taken.push(self.moves.count);
-        }
-    }
-
-    /// Unsplit: the cell of group `key`, up to the clock (`rescale`d by the
-    /// moves it missed), `make` building it if the group is new.
-    fn cell_mut(
-        &mut self,
-        key: u64,
-        make: impl FnOnce() -> C,
-        rescale: impl Fn(&mut C, f64),
-    ) -> &mut C {
+    /// Unsplit: the cell of group `key`, `make` building it if the group is
+    /// new.
+    fn cell_mut(&mut self, key: u64, make: impl FnOnce() -> C) -> &mut C {
         if self.groups.len() == 0 {
             self.make_room();
         }
         let at = match self.index.find_or_insert(key) {
             Ok(at) => at,
             Err(at) => {
-                self.push_new(key, make());
+                self.groups.push((key, make()));
                 at
             }
         };
-        let cell = &mut self.groups.get_mut(at).1;
-        self.moves.take_at(at, cell, rescale);
-        cell
+        &mut self.groups.get_mut(at).1
     }
 
     /// Unsplit: gives the new group `key` the cell `cell`; `false`, doing
@@ -901,89 +775,23 @@ impl<C, T> OpenBucket<C, T> {
         }
         let new = self.index.find_or_insert(key).is_err();
         if new {
-            self.push_new(key, cell);
+            self.groups.push((key, cell));
         }
         new
     }
 
-    /// Records a move of the clock by `factor`, for its cells to take. The
-    /// log's partials of earlier folds merge as of those folds' ends, before
-    /// the move; those of the fold in progress take it now, as they would
-    /// awaiting their fold's end. Only an exponential `g` moves a clock,
-    /// once α·age passes ln 1e150 ≈ 345.
-    #[cold]
-    #[inline(never)]
-    fn record(&mut self, factor: f64, rescale: impl Fn(&mut C, f64)) {
-        let moves = &mut self.moves;
-        if moves.count == 0 {
-            moves.taken = vec![0; self.index.len()];
-        }
-        if self.earlier > self.ended.last().map_or(0, |&(end, _)| end) {
-            self.ended.push((self.earlier, moves.count));
-        }
-        moves.last[(moves.count % SETTLED) as usize] = factor;
-        moves.count += 1;
-        let current = self.log.iter_mut().skip(self.earlier);
-        current
-            .flat_map(|(_, cell)| cell)
-            .for_each(|cell| rescale(cell, factor));
-    }
-
-    /// Unsplit: brings every group up to the clock, and forgets its moves.
-    fn settle(&mut self, rescale: impl Fn(&mut C, f64)) {
-        let moves = std::mem::take(&mut self.moves);
-        for ((_, cell), &taken) in self.groups.iter_mut().zip(&moves.taken) {
-            moves.since(taken).for_each(|f| rescale(cell, f));
-        }
-    }
-
-    /// Unsplit: the moves the group at position `at` has yet to take,
-    /// oldest first.
-    fn missed(&self, at: usize) -> Vec<f64> {
-        let taken = self.moves.taken.get(at);
-        taken.map_or_else(Vec::new, |&taken| self.moves.since(taken).collect())
-    }
-
-    /// Split: folds the log into the run, and brings every group up to the
-    /// clock. The log's keys are sorted, ties in release order, and the run
-    /// and the log merged in key order into fresh pages, each partial taken
-    /// from the log as the merge reaches it (requested [`AHEAD`] partials
-    /// early: they lie scattered over the log). A group of the run comes
-    /// first, then its partials in release order, each merged as of the end
-    /// of the fold that released it (the group takes the moves up to that
-    /// end first); a group new to the run is its first partial, moved in.
-    fn compact(
-        &mut self,
-        sorter: &mut Sorter,
-        merge: impl Fn(&mut C, C),
-        rescale: impl Fn(&mut C, f64),
-    ) {
-        let Self {
-            moves,
-            groups,
-            log,
-            ended,
-            settled,
-            earlier,
-            ..
-        } = self;
-        let (count, was) = (moves.count, std::mem::replace(settled, moves.count));
-        let take = |taken: &mut u64, to, cell: &mut C| moves.take_to(taken, to, cell, &rescale);
+    /// Split: folds the log into the run. The log's keys are sorted, ties
+    /// in release order, and the run and the log merged in key order into
+    /// fresh pages, each partial taken from the log as the merge reaches it
+    /// (requested [`AHEAD`] partials early: they lie scattered over the
+    /// log). A group of the run comes first, then its partials in release
+    /// order; a group new to the run is its first partial, moved in.
+    fn compact(&mut self, sorter: &mut Sorter, merge: impl Fn(&mut C, C)) {
+        let Self { groups, log, .. } = self;
         if log.len() == 0 {
-            if was < count {
-                groups
-                    .iter_mut()
-                    .for_each(|(_, cell)| take(&mut { was }, count, cell));
-            }
             return;
         }
         let order = sorter.sort(log.len(), log.iter().map(|&(key, _)| key));
-        // The move the fold that released the partial at `pos` ended at:
-        // the clock's count, unless a move found that fold over.
-        let at = |pos| {
-            let end = ended.partition_point(|&(end, _)| end <= pos);
-            ended.get(end).map_or(count, |&(_, at)| at)
-        };
         let mut out = Pages::with_room(groups.len() + log.len());
         let mut run = std::mem::take(groups).pages.into_iter();
         let mut page = run.next().unwrap_or_default().into_iter();
@@ -995,74 +803,63 @@ impl<C, T> OpenBucket<C, T> {
                 None => page = run.next()?.into_iter(),
             }
         };
-        let up = |(key, mut cell): (u64, C)| {
-            take(&mut { was }, count, &mut cell);
-            (key, cell)
-        };
-        let mut i = 0;
         let mut partial = |i: usize| {
             if let Some((_, ahead)) = order.get(i + AHEAD) {
                 prefetch(log.get(ahead));
             }
             let (key, pos) = order.get(i)?;
-            Some((key, pos, log.get_mut(pos).1.take()?))
+            Some((key, log.get_mut(pos).1.take()?))
         };
+        let mut i = 0;
         while i < order.len() {
-            let Some((key, pos, first)) = partial(i) else {
+            let Some((key, first)) = partial(i) else {
                 break;
             };
             i += 1;
             while let Some(group) = next_below(key, false) {
-                out.push(up(group));
+                out.push(group);
             }
-            let (mut taken, mut cell) = match next_below(key, true) {
+            let mut cell = match next_below(key, true) {
                 Some((_, mut cell)) => {
-                    let mut taken = was;
-                    take(&mut taken, at(pos), &mut cell);
                     merge(&mut cell, first);
-                    (taken, cell)
+                    cell
                 }
-                None => (at(pos), first),
+                None => first,
             };
-            while let Some((_, pos, later)) = (order.get(i))
+            while let Some((_, later)) = (order.get(i))
                 .is_some_and(|(k, _)| k == key)
                 .then(|| partial(i))
                 .flatten()
             {
                 i += 1;
-                take(&mut taken, at(pos), &mut cell);
                 merge(&mut cell, later);
             }
-            take(&mut taken, count, &mut cell);
             out.push((key, cell));
         }
         while let Some(group) = next_below(u64::MAX, true) {
-            out.push(up(group));
+            out.push(group);
         }
         *groups = out;
         *log = Pages::default();
-        ended.clear();
-        *earlier = 0;
     }
 }
 
 /// The open buckets, ascending by id.
-struct OpenBuckets<C, T> {
-    open: Vec<OpenBucket<C, T>>,
+struct OpenBuckets<C> {
+    open: Vec<OpenBucket<C>>,
     /// Population of the bucket that closed last.
     last_closed_groups: usize,
 }
 
-impl<C, T> OpenBuckets<C, T> {
-    /// `bucket`, opened (in id order, under the clock `clock` makes) if
-    /// this is its first cell.
-    fn bucket_mut(&mut self, bucket: u64, clock: impl FnOnce() -> T) -> &mut OpenBucket<C, T> {
+impl<C> OpenBuckets<C> {
+    /// `bucket`, opened (in id order) if this is its first cell.
+    fn bucket_mut(&mut self, bucket: u64) -> &mut OpenBucket<C> {
         let older = self.open.iter().rposition(|b| b.id <= bucket);
         let at = match older {
             Some(i) if self.open[i].id == bucket => i,
             _ => {
                 let at = older.map_or(0, |i| i + 1);
-                let opened = OpenBucket::new(bucket, clock(), self.last_closed_groups);
+                let opened = OpenBucket::new(bucket, self.last_closed_groups);
                 self.open.insert(at, opened);
                 at
             }
@@ -1070,55 +867,28 @@ impl<C, T> OpenBuckets<C, T> {
         &mut self.open[at]
     }
 
-    /// Appends a partial aggregate from the low level to its bucket's log,
-    /// up to the clock. The partial's bucket is open — its fold opened it —
-    /// so the two share a clock. Inlined into each call site: as a call, it
-    /// costs the per-tuple path measurably.
+    /// Appends a partial aggregate from the low level to its bucket's log.
+    /// Inlined into each call site: as a call, it costs the per-tuple path
+    /// measurably.
     #[inline(always)]
-    fn log(
-        &mut self,
-        (partial, mut taken): (Partial<C>, u64),
-        clock: impl FnOnce(u64) -> T,
-        rescale: impl Fn(&mut C, f64),
-    ) {
-        let Partial {
-            key,
-            bucket,
-            mut agg,
-        } = partial;
-        let opened = || {
-            debug_assert!(false, "a partial of bucket {bucket} outlived its clock");
-            clock(bucket)
-        };
-        let b = self.bucket_mut(bucket, opened);
-        b.moves.take(&mut taken, &mut agg, rescale);
-        b.log.push((key, Some(agg)));
-    }
-
-    /// Marks where a fold begins: what the logs hold so far, earlier folds
-    /// released.
-    fn begin_fold(&mut self) {
-        self.open.iter_mut().for_each(|b| b.earlier = b.log.len());
+    fn log(&mut self, partial: Partial<C>) {
+        let Partial { key, bucket, agg } = partial;
+        self.bucket_mut(bucket).log.push((key, Some(agg)));
     }
 
     /// Ends a fold: a log grown longer than its run is folded into it.
-    fn end_fold(
-        &mut self,
-        sorter: &mut Sorter,
-        merge: impl Fn(&mut C, C),
-        rescale: impl Fn(&mut C, f64),
-    ) {
+    fn end_fold(&mut self, sorter: &mut Sorter, merge: impl Fn(&mut C, C)) {
         for b in self
             .open
             .iter_mut()
             .filter(|b| b.log.len() > b.groups.len())
         {
-            b.compact(sorter, &merge, &rescale);
+            b.compact(sorter, &merge);
         }
     }
 
     /// The open bucket `bucket`, if it is open.
-    fn get(&self, bucket: u64) -> Option<&OpenBucket<C, T>> {
+    fn get(&self, bucket: u64) -> Option<&OpenBucket<C>> {
         self.open.iter().rfind(|b| b.id == bucket)
     }
 
@@ -1148,7 +918,7 @@ impl<C, T> OpenBuckets<C, T> {
     }
 
     /// Removes the oldest open bucket if its id is below `target`.
-    fn pop_below(&mut self, target: u64) -> Option<OpenBucket<C, T>> {
+    fn pop_below(&mut self, target: u64) -> Option<OpenBucket<C>> {
         if self.open.first()?.id >= target {
             return None;
         }
@@ -1166,16 +936,13 @@ pub(crate) struct Store<K: Cells> {
     cells: K,
     /// The low level, when the query is split.
     lfta: Option<Lfta<K::Cell>>,
-    /// The open buckets' clocks and high-level groups. Behind a `RefCell`
-    /// so that a reader through `&self` — a checkpoint, a space probe — can
-    /// fold the logs first.
-    open: RefCell<OpenBuckets<K::Cell, K::Clock>>,
+    /// The open buckets' high-level groups. Behind a `RefCell` so that a
+    /// reader through `&self` — a checkpoint, a space probe — can fold the
+    /// logs first.
+    open: RefCell<OpenBuckets<K::Cell>>,
     /// The sort every fold of a log and every unsplit close and checkpoint
     /// runs.
     sorter: RefCell<Sorter>,
-    /// How many moves of its bucket's clock each LFTA resident has taken,
-    /// by slot ([`Moves`]): empty until a clock first moves.
-    resident_taken: Vec<u64>,
     bucket_micros: Micros,
 }
 
@@ -1192,178 +959,82 @@ impl<K: Cells> Store<K> {
                 last_closed_groups: 0,
             }),
             sorter: RefCell::default(),
-            resident_taken: Vec::new(),
             bucket_micros: query.bucket_micros,
         }
     }
 
     /// The open buckets, every log folded into its run first.
-    fn compacted(&self) -> std::cell::Ref<'_, OpenBuckets<K::Cell, K::Clock>> {
+    fn compacted(&self) -> std::cell::Ref<'_, OpenBuckets<K::Cell>> {
         if self.lfta.is_some() {
-            let cells = &self.cells;
             let (mut open, mut sorter) = (self.open.borrow_mut(), self.sorter.borrow_mut());
             for b in &mut open.open {
-                let merge = |into: &mut K::Cell, from| cells.merge(into, from);
-                b.compact(&mut sorter, merge, |cell, factor| {
-                    cells.rescale(cell, factor)
-                });
+                b.compact(&mut sorter, |into, from| self.cells.merge(into, from));
             }
         }
         self.open.borrow()
     }
 }
 
-/// A tuple's arrival under bucket `b`'s clock, recording the move if it
-/// moves the clock.
-#[inline(always)]
-fn arrive<K: Cells>(cells: &K, b: &mut OpenBucket<K::Cell, K::Clock>, pkt: &Packet) -> Arrival {
-    let (at, moved) = cells.arrive(&mut b.clock, pkt);
-    if let Some(factor) = moved {
-        b.record(factor, |cell, factor| cells.rescale(cell, factor));
-    }
-    at
-}
-
-/// The LFTA fold of a tuple of group `key` into bucket `b` once a clock has
-/// moved: the slot's resident, if it is the group's, first takes the moves
-/// it missed; one evicted leaves with the count it had taken, for its
-/// bucket to bring it up when it is logged.
-#[inline(never)]
-fn fold_taking<K: Cells>(
-    cells: &K,
-    lfta: &mut Lfta<K::Cell>,
-    resident_taken: &mut Vec<u64>,
-    b: &OpenBucket<K::Cell, K::Clock>,
-    key: u64,
-    fold: impl FnOnce(&mut Lfta<K::Cell>) -> Option<Partial<K::Cell>>,
-) -> Option<(Partial<K::Cell>, u64)> {
-    if resident_taken.is_empty() {
-        *resident_taken = vec![0; lfta.n_slots()];
-    }
-    let slot = lfta.slot_of(key, b.id);
-    let taken = &mut resident_taken[slot];
-    let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
-    if let Some(resident) = lfta.resident_mut(slot) {
-        if (resident.key, resident.bucket) == (key, b.id) {
-            b.moves.take(taken, &mut resident.agg, rescale);
-        }
-    }
-    let had = std::mem::replace(taken, b.moves.count);
-    fold(lfta).map(|partial| (partial, had))
-}
-
-/// Brings a restored `cell`, written under `theirs`, and the cells under
-/// bucket `b`'s clock to the newer of the two landmarks, as a merge would.
-/// A restore's moves are taken at once: its bucket has recorded none.
-fn adopt<K: Cells>(
-    cells: &K,
-    b: &mut OpenBucket<K::Cell, K::Clock>,
-    lfta: Option<&mut Lfta<K::Cell>>,
-    theirs: &K::Clock,
-    cell: &mut K::Cell,
-) -> Result<(), CodecError> {
-    let (ours, mine) = (cells.join(&mut b.clock, theirs))
-        .ok_or_else(|| CodecError::new("a group's landmark is not its bucket's start"))?;
-    if let Some(factor) = ours {
-        debug_assert_eq!(b.moves.count, 0, "a restored bucket records no move");
-        let residents = (lfta.into_iter().flat_map(Lfta::residents_mut))
-            .filter(|p| p.bucket == b.id)
-            .map(|p| &mut p.agg);
-        let logged = b.log.iter_mut().flat_map(|(_, cell)| cell);
-        let groups = b.groups.iter_mut().map(|(_, cell)| cell).chain(logged);
-        groups
-            .chain(residents)
-            .for_each(|cell| cells.rescale(cell, factor));
-    }
-    if let Some(factor) = mine {
-        cells.rescale(cell, factor);
-    }
-    Ok(())
-}
-
 impl<K: Cells> GroupStore for Store<K> {
     fn fold_batch(&mut self, pkts: &[Packet], run: &[Admitted]) {
         let (cells, width) = (&self.cells, self.bucket_micros);
         let (open, sorter) = (self.open.get_mut(), self.sorter.get_mut());
-        let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
         let Some(lfta) = &mut self.lfta else {
             // Unsplit: each tuple straight into its high-level group.
             for (i, a) in run.iter().enumerate() {
                 open.prefetch_ahead(&run[i + 1..]);
                 let pkt = &pkts[a.index];
-                let b = open.bucket_mut(a.bucket, || cells.clock(a.bucket_start));
-                let at = arrive(cells, b, pkt);
-                let cell = b.cell_mut(a.key, || cells.make(a.bucket_start), rescale);
+                let at = cells.arrive(a.bucket_start, width, pkt);
+                let b = open.bucket_mut(a.bucket);
+                let cell = b.cell_mut(a.key, || cells.make(a.bucket_start, width));
                 cells.update(cell, pkt, at);
             }
             return;
         };
-        // A tuple is weighed against its bucket's clock, which opens with
-        // the bucket's first tuple, LFTA or not; what its fold evicts joins
-        // its own bucket's log.
-        let clock = |bucket| cells.clock(bucket_start(bucket, width));
-        open.begin_fold();
+        // Split: what a tuple's fold evicts joins its own bucket's log.
         for (i, a) in run.iter().enumerate() {
             if let Some(ahead) = run.get(i + AHEAD) {
                 lfta.prefetch(ahead.key, ahead.bucket);
             }
             let pkt = &pkts[a.index];
-            let b = open.bucket_mut(a.bucket, || cells.clock(a.bucket_start));
-            let at = arrive(cells, b, pkt);
-            let fold = |lfta: &mut Lfta<K::Cell>| {
-                let make = || cells.make(a.bucket_start);
-                lfta.fold(a.key, a.bucket, make, |c| cells.update(c, pkt, at))
-            };
-            let resident_taken = &mut self.resident_taken;
-            let evicted = if b.moves.count == 0 && resident_taken.is_empty() {
-                fold(lfta).map(|partial| (partial, 0))
-            } else {
-                fold_taking(cells, lfta, resident_taken, b, a.key, fold)
-            };
-            if let Some(partial) = evicted {
-                open.log(partial, clock, rescale);
+            let at = cells.arrive(a.bucket_start, width, pkt);
+            let make = || cells.make(a.bucket_start, width);
+            if let Some(partial) = lfta.fold(a.key, a.bucket, make, |c| cells.update(c, pkt, at)) {
+                open.log(partial);
             }
         }
-        open.end_fold(sorter, |into, from| cells.merge(into, from), rescale);
+        open.end_fold(sorter, |into, from| cells.merge(into, from));
     }
 
     fn fold_scaled(&mut self, pkt: &Packet, at: &Admitted, scale: f64) {
-        let cells = &self.cells;
+        let (cells, width) = (&self.cells, self.bucket_micros);
         let (open, sorter) = (self.open.get_mut(), self.sorter.get_mut());
-        let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
-        open.begin_fold();
-        let b = open.bucket_mut(at.bucket, || cells.clock(at.bucket_start));
-        let arrival = arrive(cells, b, pkt);
+        let arrival = cells.arrive(at.bucket_start, width, pkt);
+        let b = open.bucket_mut(at.bucket);
         if self.lfta.is_none() {
-            let group = b.cell_mut(at.key, || cells.make(at.bucket_start), rescale);
+            let group = b.cell_mut(at.key, || cells.make(at.bucket_start, width));
             return cells.update_scaled(group, pkt, arrival, scale);
         }
         // Split: the tuple is a partial of its own, released at once.
-        let mut cell = cells.make(at.bucket_start);
+        let mut cell = cells.make(at.bucket_start, width);
         cells.update_scaled(&mut cell, pkt, arrival, scale);
         b.log.push((at.key, Some(cell)));
-        open.end_fold(sorter, |into, from| cells.merge(into, from), rescale);
+        open.end_fold(sorter, |into, from| cells.merge(into, from));
     }
 
     fn close_below(&mut self, target: u64, out: &mut dyn FnMut(Box<dyn Run>)) {
-        let (cells, width) = (&self.cells, self.bucket_micros);
+        let cells = &self.cells;
         let (open, sorter) = (self.open.get_mut(), self.sorter.get_mut());
-        let merge = |into: &mut K::Cell, from| cells.merge(into, from);
-        let rescale = |cell: &mut K::Cell, factor| cells.rescale(cell, factor);
-        let split = self.lfta.is_some();
         if let Some(lfta) = &mut self.lfta {
-            let clock = |bucket| cells.clock(bucket_start(bucket, width));
-            let taken = |slot| self.resident_taken.get(slot).copied().unwrap_or(0);
-            lfta.drain_below(target, |slot, p| open.log((p, taken(slot)), clock, rescale));
+            lfta.drain_below(target, |p| open.log(p));
         }
         while let Some(mut bucket) = open.pop_below(target) {
-            if split {
-                bucket.compact(sorter, merge, rescale);
+            if self.lfta.is_some() {
+                bucket.compact(sorter, |into, from| cells.merge(into, from));
             } else {
                 // One exact-size page in key order, each page freed as it
                 // drains into it. Keys are unique within a bucket, so the
                 // unstable sort is deterministic.
-                bucket.settle(rescale);
                 let mut groups = Vec::with_capacity(bucket.groups.len());
                 groups.extend(std::mem::take(&mut bucket.groups));
                 groups.sort_unstable_by_key(|&(key, _)| key);
@@ -1373,7 +1044,6 @@ impl<K: Cells> GroupStore for Store<K> {
             out(Box::new(TypedRun {
                 cells: cells.clone(),
                 bucket: bucket.id,
-                clock: bucket.clock,
                 groups: bucket.groups,
             }));
         }
@@ -1382,28 +1052,26 @@ impl<K: Cells> GroupStore for Store<K> {
     fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
         let cells = &self.cells;
         let open = self.compacted();
-        let put = |out: &mut Vec<u8>, clock: &K::Clock, cell: &K::Cell, missed: &[f64]| {
-            put_framed(out, |out| cells.put(clock, cell, missed, out))
+        let put = |out: &mut Vec<u8>, (key, cell): &(u64, K::Cell)| {
+            key.put(out);
+            put_framed(out, |out| cells.put(cell, out))
         };
+        put_decay(cells, out);
         // A bucket whose only cells are LFTA residents has no groups to
-        // write; its clock travels with them.
+        // write.
         let live = || open.open.iter().filter(|b| b.groups.len() > 0);
         live().count().put(out);
         let mut sorter = self.sorter.borrow_mut();
         for b in live() {
             b.id.put(out);
             b.groups.len().put(out);
-            let mut write = |(key, cell): &(u64, K::Cell), missed: &[f64]| {
-                key.put(out);
-                put(out, &b.clock, cell, missed)
-            };
             if self.lfta.is_some() {
-                // The run: in key order, up to the clock.
-                b.groups.iter().try_for_each(|group| write(group, &[]))?;
+                // The run: in key order.
+                b.groups.iter().try_for_each(|group| put(out, group))?;
             } else {
                 let order = sorter.sort(b.groups.len(), b.groups.iter().map(|&(key, _)| key));
                 for (_, at) in (0..order.len()).filter_map(|i| order.get(i)) {
-                    write(b.groups.get(at), &b.missed(at))?;
+                    put(out, b.groups.get(at))?;
                 }
             }
         }
@@ -1423,12 +1091,7 @@ impl<K: Cells> GroupStore for Store<K> {
                 idx.put(out);
                 p.key.put(out);
                 p.bucket.put(out);
-                // A resident's bucket is open — its fold opened it, and a
-                // close drains it first — so this declines nothing written.
-                let bucket = open.get(p.bucket)?;
-                let taken = self.resident_taken.get(idx).copied().unwrap_or(0);
-                let missed: Vec<f64> = bucket.moves.since(taken).collect();
-                put(out, &bucket.clock, &p.agg, &missed)?;
+                put_framed(out, |out| cells.put(&p.agg, out))?;
             }
             out[count_pos..count_pos + 8].copy_from_slice(&resident.to_le_bytes());
         }
@@ -1444,9 +1107,9 @@ impl<K: Cells> GroupStore for Store<K> {
         let (open, sorter) = (self.open.get_mut(), self.sorter.get_mut());
         let framed = |r: &mut Reader<'_>, bucket: u64| {
             let len = u64::take(r)? as usize;
-            cells.take(bucket_start(bucket, width), r.bytes(len)?)
+            cells.take(bucket_start(bucket, width), width, r.bytes(len)?)
         };
-        let clock = |bucket| move || cells.clock(bucket_start(bucket, width));
+        take_decay(cells, r)?;
         // A bucket is at least its id and group count, a group its key and
         // state length.
         let n_buckets = r.count(16)?;
@@ -1460,11 +1123,10 @@ impl<K: Cells> GroupStore for Store<K> {
             }
             newest = Some(bucket);
             let n_groups = r.count(16)?;
-            let b = open.bucket_mut(bucket, clock(bucket));
+            let b = open.bucket_mut(bucket);
             for _ in 0..n_groups {
                 let key = u64::take(r)?;
-                let (theirs, mut cell) = framed(r, bucket)?;
-                adopt(cells, b, None, &theirs, &mut cell)?;
+                let cell = framed(r, bucket)?;
                 if self.lfta.is_some() {
                     b.log.push((key, Some(cell)));
                 } else if !b.insert(key, cell) {
@@ -1472,7 +1134,7 @@ impl<K: Cells> GroupStore for Store<K> {
                 }
             }
             // Split: the groups as a run, a key met twice merged into one.
-            b.compact(sorter, |into, from| cells.merge(into, from), |_, _| {});
+            b.compact(sorter, |into, from| cells.merge(into, from));
             if b.groups.len() != n_groups {
                 return Err(CodecError::new("a group twice in a bucket"));
             }
@@ -1496,9 +1158,7 @@ impl<K: Cells> GroupStore for Store<K> {
                     let idx = u64::take(r)? as usize;
                     let key = u64::take(r)?;
                     let bucket = u64::take(r)?;
-                    let (theirs, mut agg) = framed(r, bucket)?;
-                    let b = open.bucket_mut(bucket, clock(bucket));
-                    adopt(cells, b, Some(&mut *table), &theirs, &mut agg)?;
+                    let agg = framed(r, bucket)?;
                     table.place(idx, Partial { key, bucket, agg })?;
                 }
                 Ok(())
@@ -1517,10 +1177,13 @@ impl<K: Cells> GroupStore for Store<K> {
         let (cells, width) = (&self.cells, self.bucket_micros);
         let (mut runs, mut run) = (Vec::<Box<dyn Run>>::new(), None::<TypedRun<K>>);
         // A group is at least its three words.
-        for _ in 0..r.count(24)? {
+        let n_groups = r.count(24)?;
+        if n_groups > 0 {
+            take_decay(cells, r)?;
+        }
+        for _ in 0..n_groups {
             let (bucket, key, len) = (u64::take(r)?, u64::take(r)?, u64::take(r)? as usize);
-            let start = bucket_start(bucket, width);
-            let (clock, cell) = cells.take(start, r.bytes(len)?)?;
+            let cell = cells.take(bucket_start(bucket, width), width, r.bytes(len)?)?;
             let last = run
                 .as_ref()
                 .and_then(|run| Some((run.bucket, run.groups.last()?.0)));
@@ -1528,22 +1191,13 @@ impl<K: Cells> GroupStore for Store<K> {
                 return Err(CodecError::new("closed groups out of (bucket, key) order"));
             }
             match &mut run {
-                Some(run) if run.bucket == bucket && run.clock == clock => {
-                    run.groups.push((key, cell));
-                }
-                Some(run) if run.bucket == bucket => {
-                    return Err(CodecError::new("a closed bucket under two clocks"));
-                }
+                Some(run) if run.bucket == bucket => run.groups.push((key, cell)),
                 _ => {
-                    // The clock it was written under must be its bucket's.
-                    (cells.join(&mut cells.clock(start), &clock))
-                        .ok_or_else(|| CodecError::new("a state of another bucket"))?;
                     let mut groups = Pages::default();
                     groups.push((key, cell));
                     let next = TypedRun {
                         cells: cells.clone(),
                         bucket,
-                        clock,
                         groups,
                     };
                     runs.extend(run.replace(next).map(|run| Box::new(run) as Box<dyn Run>));
@@ -1711,11 +1365,11 @@ mod tests {
         // of a fold, or at arbitrary points as a checkpoint folds it — each
         // group must be its partials in release order, the groups in key
         // order.
-        let mut open = OpenBuckets::<Vec<u64>, ()> {
+        let mut open = OpenBuckets::<Vec<u64>> {
             open: Vec::new(),
             last_closed_groups: 0,
         };
-        open.bucket_mut(0, || ());
+        open.bucket_mut(0);
         let mut sorter = Sorter::default();
         let merge = |into: &mut Vec<u64>, from: Vec<u64>| into.extend(from);
         let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
@@ -1723,46 +1377,36 @@ mod tests {
         for id in 0..40_000u64 {
             state = mix64(state ^ id);
             let key = (state % 3_000) << 20 | state >> 62;
-            if id % 1_000 == 0 {
-                open.begin_fold();
-            }
-            open.log(
-                (
-                    Partial {
-                        key,
-                        bucket: 0,
-                        agg: vec![id],
-                    },
-                    0,
-                ),
-                |_| (),
-                |_, _| {},
-            );
+            open.log(Partial {
+                key,
+                bucket: 0,
+                agg: vec![id],
+            });
             model.entry(key).or_default().push(id);
             if id % 1_000 == 999 {
                 let before = open.open[0].log.len();
-                open.end_fold(&mut sorter, merge, |_, _| {});
+                open.end_fold(&mut sorter, merge);
                 folds += usize::from(open.open[0].log.len() < before);
             }
             if state % 4_999 == 0 {
-                open.open[0].compact(&mut sorter, merge, |_, _| {});
+                open.open[0].compact(&mut sorter, merge);
             }
         }
         assert!(folds > 3, "{folds} folds at a fold's end");
         let b = &mut open.open[0];
-        b.compact(&mut sorter, merge, |_, _| {});
+        b.compact(&mut sorter, merge);
         let groups: Vec<(u64, Vec<u64>)> = std::mem::take(&mut b.groups).into_iter().collect();
         assert_eq!(groups, model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
     fn buckets_stay_in_id_order_whatever_order_they_open_in() {
-        let mut store = OpenBuckets::<u64, ()> {
+        let mut store = OpenBuckets::<u64> {
             open: Vec::new(),
             last_closed_groups: 0,
         };
         for id in [5u64, 3, 9, 4, 3, 9] {
-            store.bucket_mut(id, || ()).cell_mut(id, || id, |_, _| {});
+            store.bucket_mut(id).cell_mut(id, || id);
         }
         let ids: Vec<u64> = store.open.iter().map(|b| b.id).collect();
         assert_eq!(ids, [3, 4, 5, 9]);

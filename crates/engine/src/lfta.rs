@@ -100,7 +100,7 @@ impl<C> Lfta<C> {
 
     /// The slot `(key, bucket)` maps to.
     #[inline]
-    pub(crate) fn slot_of(&self, key: u64, bucket: u64) -> usize {
+    fn slot_of(&self, key: u64, bucket: u64) -> usize {
         let hash = mix64(key ^ bucket.rotate_left(32)) as usize;
         match self.mask {
             Some(mask) => hash & mask,
@@ -149,7 +149,7 @@ impl<C> Lfta<C> {
     /// bucket close).
     pub fn flush_below(&mut self, target: u64) -> Vec<Partial<C>> {
         let mut flushed = Vec::new();
-        self.drain_below(target, |_, p| flushed.push(p));
+        self.drain_below(target, |p| flushed.push(p));
         flushed
     }
 
@@ -158,14 +158,14 @@ impl<C> Lfta<C> {
         self.flush_below(u64::MAX)
     }
 
-    /// Hands every resident of a bucket before `target`, with its slot, to
-    /// `sink`, in slot order. No bucket id reaches `u64::MAX` (a bucket is
+    /// Hands every resident of a bucket before `target` to `sink`, in slot
+    /// order. No bucket id reaches `u64::MAX` (a bucket is
     /// at least a second of microseconds wide), so that target drains
     /// everything.
-    pub(crate) fn drain_below(&mut self, target: u64, mut sink: impl FnMut(usize, Partial<C>)) {
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
+    pub(crate) fn drain_below(&mut self, target: u64, mut sink: impl FnMut(Partial<C>)) {
+        for slot in &mut self.slots {
             if let Some(p) = slot.take_if(|s| s.bucket < target) {
-                sink(idx, p);
+                sink(p);
             }
         }
     }
@@ -204,16 +204,6 @@ impl<C> Lfta<C> {
     /// The residents with their slot indices, in slot order.
     pub(crate) fn residents(&self) -> impl Iterator<Item = (usize, &Partial<C>)> {
         (self.slots.iter().enumerate()).filter_map(|(idx, slot)| Some((idx, slot.as_ref()?)))
-    }
-
-    /// The residents, in slot order, to rescale.
-    pub(crate) fn residents_mut(&mut self) -> impl Iterator<Item = &mut Partial<C>> {
-        self.slots.iter_mut().flatten()
-    }
-
-    /// The resident of slot `idx`, if any.
-    pub(crate) fn resident_mut(&mut self, idx: usize) -> Option<&mut Partial<C>> {
-        self.slots[idx].as_mut()
     }
 
     /// Puts a checkpointed resident back into the slot it was recorded in.

@@ -26,12 +26,12 @@
 //! for genuinely parallel feeding.
 //!
 //! Workers run in *state mode*: a closed bucket is kept as its typed run —
-//! the bucket's one clock and its groups' raw states, sorted by key once,
-//! in one box per bucket — rather than evaluated into rows.
+//! its groups' raw states, sorted by key once, in one box per bucket —
+//! rather than evaluated into rows.
 //! [`ShardedEngine::finish`] collects the shards' runs in shard order (a
 //! shard's slot before its worker's tail), orders them stably by bucket,
 //! and merges each bucket's runs key by key — the states that met a group
-//! on different shards, their clocks joined, in that order — evaluating
+//! on different shards, in that order — evaluating
 //! each group at its bucket end as it goes: rows in the same (bucket, key)
 //! order as the single-threaded engine, with no sort of the groups.
 //!

@@ -7,9 +7,9 @@
 //! state — open buckets, LFTA slots, counters — on a cadence that follows
 //! that state's size ([`checkpoint_interval`]), and hands every bucket
 //! closed since the previous checkpoint over to its [`CheckpointSlot`] as
-//! the bucket's typed run (its clock and its groups, sorted by key),
-//! moved, not serialized. Forward decay makes both halves cheap and
-//! *exact*: summaries carry frozen numerators `g(t_i − L)` that are plain
+//! the bucket's typed run (its groups, sorted by key), moved, not
+//! serialized. Forward decay makes both halves cheap and *exact*:
+//! summaries carry frozen numerators `g(aᵢ) / g(W)` that are plain
 //! numbers, not functions of the current time (paper Section VI-B), so a
 //! snapshot is plain data and a closed bucket never changes again. The
 //! queues between the ingress handles and the worker ([`crate::spsc`])

@@ -214,6 +214,19 @@ pub trait Aggregator: Any + Send {
             "aggregator does not support checkpointing",
         ))
     }
+
+    /// Called by the engine's store on every aggregator it makes, before
+    /// any tuple, with the width of its bucket (µs). Every row is answered
+    /// at its bucket's end, so a forward-decayed aggregate then weighs an
+    /// arrival `a` into the bucket by `g(a) / g(W)` — what the store's
+    /// by-value cells fold — and writes its state without a clock. The
+    /// default ignores it.
+    fn set_bucket_width(&mut self, _width: Micros) {}
+
+    /// Appends the encoding of the forward decay `g` this aggregator weighs
+    /// by; the default, none, appends nothing. An engine image names it
+    /// once, and refuses a restore under another.
+    fn put_decay(&self, _out: &mut Vec<u8>) {}
 }
 
 /// Appends one length-prefixed state to `out`, `body` writing the state —

@@ -392,27 +392,26 @@ fn merging_across_factories_panics_with_the_type_mismatch() {
 #[test]
 fn fwd_avg_and_fwd_var_rows_are_the_core_summaries_bits() {
     // One group of a single-level query: its landmark is the bucket start
-    // and its query time the bucket end, as for the standalone summaries.
-    // Under `exp:10` the clock moves inside the 60 s bucket.
-    use forward_decay::core::aggregates::{DecayedAverage, DecayedVariance};
-    use forward_decay::core::summary::Summary;
+    // and its row is read at the bucket end, so each arrival weighs
+    // `g(a) / g(W)`. The row is what the core's own states, `Mean` and
+    // `Moments`, answer when fed those weights and read at a denominator
+    // of 1 — under `exp:10` down to e^−600.
+    use forward_decay::core::aggregates::{Mean, Moments};
+    use forward_decay::core::decay::ForwardDecay;
+    use forward_decay::core::decayed::Weighted;
     let len = |p: &Packet| p.len as f64;
     let landmark = forward_decay::core::Timestamp::from_micros(BUCKET_START as i64);
     for spec in ["poly:2", "exp:10"] {
         let g: AnyDecay = spec.parse().expect("decay spec");
-        let (mut avg, mut var) = (
-            DecayedAverage::new(g.clone(), landmark),
-            DecayedVariance::new(g.clone(), landmark),
-        );
+        let (mut avg, mut var) = (Mean::new(landmark), Moments::new(landmark));
         for p in stream() {
-            avg.update(p.timestamp(), len(&p));
-            var.update(p.timestamp(), len(&p));
+            let w = g.relative_weight(p.ts - BUCKET_START, 60 * MICROS_PER_SEC);
+            avg.add(p.timestamp(), len(&p), w);
+            var.add(p.timestamp(), len(&p), w);
         }
-        let moved = avg.stats().renormalizations;
-        assert_eq!(moved > 0, spec == "exp:10", "{spec}: {moved} moves");
         for (factory, want) in [
-            (fwd_avg_factory(g.clone(), len), avg.query(T_END)),
-            (fwd_var_factory(g.clone(), len), var.query(T_END)),
+            (fwd_avg_factory(g.clone(), len), avg.over(1.0)),
+            (fwd_var_factory(g.clone(), len), var.over(1.0)),
         ] {
             let name = factory.name().to_string();
             let query = Query::builder("one group")

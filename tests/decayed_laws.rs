@@ -647,3 +647,87 @@ fn laws_hold_for_the_average_and_variance_cells() {
         slack: 0.0,
     });
 }
+
+// ---------------------------------------------------------------------------
+// Lemma 1 in the engine: a monomial weight depends only on an arrival's
+// relative age within its window, and the engine weighs `(a / W)^β` from
+// whole microseconds, so dilating time changes no bit of any row.
+// ---------------------------------------------------------------------------
+
+/// Every row as `(bucket id, key, every bit of its value)`.
+fn dilation_rows(
+    rows: Vec<forward_decay::engine::prelude::Row>,
+    width: u64,
+) -> Vec<(u64, u64, Vec<u64>)> {
+    use forward_decay::engine::prelude::AggValue;
+    let bits = |v: &AggValue| match v {
+        AggValue::Float(x) => vec![x.to_bits()],
+        AggValue::Items(items) => (items.iter())
+            .flat_map(|i| [i.item, i.value.to_bits()])
+            .collect(),
+        AggValue::Multi(_) => unreachable!("one aggregate"),
+    };
+    (rows.iter())
+        .map(|r| (r.bucket_start / width, r.key, bits(&r.value)))
+        .collect()
+}
+
+#[test]
+fn lemma_1_dilating_time_leaves_every_row_bit_for_bit() {
+    // Timestamps, bucket width and slack times 3, under `poly:1.5` and
+    // `poly:2`: 2 000 tuples over 30 s on eleven groups, each up to 0.9 s
+    // out of order against a 1 s slack, through four LFTA slots.
+    use forward_decay::engine::prelude::*;
+    use std::sync::Arc;
+    let stream = |k: u64| -> Vec<Packet> {
+        (0..2_000u64)
+            .map(|i| Packet {
+                ts: k * (MICROS_PER_SEC + i * 15_000 + (i * 7919 % 10) * 90_000),
+                src_ip: (i * 13 % 17) as u32,
+                dst_ip: (i * 5 % 11) as u32,
+                src_port: 1000,
+                dst_port: 80,
+                len: 40 + (i * 97 % 1400) as u32,
+                proto: Proto::Tcp,
+            })
+            .collect()
+    };
+    for spec in ["poly:1.5", "poly:2"] {
+        let g: AnyDecay = spec.parse().expect("decay spec");
+        let len = |p: &Packet| p.len as f64;
+        let factories = [
+            fwd_count_factory(g.clone()),
+            fwd_sum_factory(g.clone(), len),
+            fwd_avg_factory(g.clone(), len),
+            fwd_var_factory(g.clone(), len),
+            fwd_hh_factory(g.clone(), 0.05, 0.1, |p| p.src_host()),
+            fwd_quantile_factory(g.clone(), 11, 0.05, vec![0.5, 0.9], |p| p.len as u64),
+        ];
+        for f in factories {
+            let query = |k: u64| {
+                Query::builder("dilated")
+                    .group_by(|p| p.dst_host())
+                    .bucket_secs(5 * k)
+                    .slack_secs(k as f64)
+                    .aggregate(Arc::clone(&f) as Arc<dyn AggregatorFactory>)
+                    .lfta_slots(4)
+                    .try_build()
+                    .expect("valid query")
+            };
+            let engine = |k: u64| {
+                let rows = Engine::new(query(k)).run(stream(k));
+                dilation_rows(rows, 5 * k * MICROS_PER_SEC)
+            };
+            let sharded = |k: u64| {
+                let mut e = ShardedEngine::try_new(query(k), 2).expect("spawn");
+                e.try_process_packets(&stream(k)).expect("feed");
+                dilation_rows(e.finish(), 5 * k * MICROS_PER_SEC)
+            };
+            let what = format!("{} under {spec}", f.name());
+            let rows = engine(1);
+            assert!(rows.len() >= 6 * 11, "{what}: {} rows", rows.len());
+            assert_eq!(engine(3), rows, "{what}: Engine");
+            assert_eq!(sharded(3), sharded(1), "{what}: ShardedEngine, S = 2");
+        }
+    }
+}

@@ -1156,11 +1156,11 @@ fn differential_engine_vs_sharded_engine_replay() {
 }
 
 // ---------------------------------------------------------------------------
-// The numeric contract of `g` over a bucket: `try_build` refuses a decayed
-// query whose weights could overflow a sum (`ln g(width + slack)` past
-// ln(f64::MAX / 2^128)), or, for a ratio under an exponential `g`, underflow
-// beneath the bucket's newest landmark (past −ln(f64::MIN_POSITIVE)); and
-// nothing it accepts emits a non-finite value from finite input.
+// The numeric contract of `g` over a bucket: an arrival weighs g(a) / g(W)
+// ≤ 1, so `try_build` never refuses a sum or a count; it refuses a ratio
+// whose early weights could all underflow — under an exponential `g` past
+// −ln(f64::MIN_POSITIVE), under a polynomial past ln(f64::MAX / 2^128) —
+// and nothing it accepts emits a non-finite value from finite input.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -1187,10 +1187,37 @@ fn no_decay_try_build_accepts_emits_a_non_finite_value() {
             .aggregate(aggregate)
             .try_build()
     };
-    // The NaN cases found by hand, and the fast rates the renormalizer
-    // keeps finite.
+    let finite = |v: &AggValue| match v {
+        AggValue::Float(x) => x.is_finite(),
+        AggValue::Items(items) => items.iter().all(|i| i.value.is_finite()),
+        AggValue::Multi(_) => unreachable!("one aggregate"),
+    };
+    // The steep polynomials that once overflowed a sum to NaN: a sum or a
+    // count is accepted and finite, a ratio refused.
     for (spec, width) in [("poly:400", 60), ("poly:180", 60), ("poly:90", 3_600)] {
-        let refused = build(spec, width, 0.0, 0).err().expect("refused");
+        let width_us = width * MICROS_PER_SEC;
+        let stream: Vec<Packet> = (0..96u64)
+            .map(|i| Packet {
+                ts: i * (2 * width_us - 1) / 95,
+                src_ip: (i % 5) as u32,
+                dst_ip: (i % 7) as u32,
+                src_port: 1,
+                dst_port: 2,
+                len: 40 + (i * 97 % 1400) as u32,
+                proto: Proto::Tcp,
+            })
+            .collect();
+        for kind in [0, 1] {
+            let query = build(spec, width, 0.0, kind).expect("a sum is never refused");
+            let rows = Engine::new(query).run(stream.clone());
+            assert_eq!(
+                rows.len(),
+                6,
+                "{spec} at {width} s: two buckets of three groups"
+            );
+            assert!(rows.iter().all(|row| finite(&row.value)), "{spec}");
+        }
+        let refused = build(spec, width, 0.0, 3).err().expect("refused");
         assert!(
             refused.to_string().contains("ln g(bucket + slack)"),
             "{spec} at {width} s: {refused}"
@@ -1241,11 +1268,6 @@ fn no_decay_try_build_accepts_emits_a_non_finite_value() {
                 0.3 + 0.4 * k as f64 / 48.0
             };
             (bucket * width_us + (into * width_us as f64) as u64, host)
-        };
-        let finite = |v: &AggValue| match v {
-            AggValue::Float(x) => x.is_finite(),
-            AggValue::Items(items) => items.iter().all(|i| i.value.is_finite()),
-            AggValue::Multi(_) => unreachable!("one aggregate"),
         };
         for shape in [&spread as &dyn Fn(u64) -> (u64, u64), &idle_tail] {
             let stream: Vec<Packet> = (0..96u64)

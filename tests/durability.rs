@@ -983,24 +983,42 @@ fn store_bytes(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// `tests/data/durable_store_parent.hex` is the directory of a small
-/// crashed run — S = 2, P = 1, 4 KiB segments, a checkpoint every 256
-/// tuples, dropped without `finish` after persisting checkpoints and
-/// closed-deltas, with rolled WAL segments and an uncommitted tail —
-/// written by the parent of the commit that made the store format the
-/// business of one module. The bytes the writer produces did not change:
-/// that store opens, resumes from its newest commit and finishes with
-/// the single-threaded engine's rows.
+/// The query and stream of the pinned crashed stores.
+fn fixture_query() -> Query {
+    Query::builder("fixture")
+        .group_by(|p| p.dst_host())
+        .bucket_secs(2)
+        .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
+        .try_build()
+        .expect("valid query")
+}
+
+/// Writes the store a `tests/data` file holds (`<file name> <hex>` per
+/// line) into a fresh directory.
+fn materialise(name: &str, pinned: &str) -> StoreDir {
+    let store = StoreDir::new(name);
+    std::fs::create_dir_all(store.path()).expect("mkdir");
+    for line in pinned.lines() {
+        let (name, hex) = line.split_once(' ').expect("<file name> <hex>");
+        let bytes: Vec<u8> = (0..hex.len() / 2)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
+            .collect();
+        std::fs::write(store.path().join(name), bytes).expect("materialise");
+    }
+    store
+}
+
+/// `tests/data/durable_store.hex` is the directory of a small crashed run
+/// — S = 2, P = 1, 4 KiB segments, a checkpoint every 256 tuples, commits
+/// every 170 tuples to 4 600 and every 50 from there, dropped without
+/// `finish` after persisting checkpoints and closed-deltas, with rolled WAL
+/// segments and epochs past the last commit that reached the disk —
+/// written at the commit that made cells weigh `g(a) / g(W)`. That store
+/// opens, resumes from its newest commit and finishes with the
+/// single-threaded engine's rows.
 #[test]
 fn a_store_written_by_the_parent_commit_resumes_bit_identically() {
-    let query = || {
-        Query::builder("fixture")
-            .group_by(|p| p.dst_host())
-            .bucket_secs(2)
-            .aggregate(fwd_sum_factory(Monomial::quadratic(), |p| p.len as f64))
-            .try_build()
-            .expect("valid query")
-    };
+    let query = fixture_query;
     let packets: Vec<Packet> = (0..6_000u32)
         .map(|i| Packet {
             ts: u64::from(i) * 1_000,
@@ -1014,15 +1032,7 @@ fn a_store_written_by_the_parent_commit_resumes_bit_identically() {
         .collect();
     let expected = Engine::new(query()).run(packets.clone());
 
-    let store = StoreDir::new("parent-store");
-    std::fs::create_dir_all(store.path()).expect("mkdir");
-    for line in include_str!("data/durable_store_parent.hex").lines() {
-        let (name, hex) = line.split_once(' ').expect("<file name> <hex>");
-        let bytes: Vec<u8> = (0..hex.len() / 2)
-            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
-            .collect();
-        std::fs::write(store.path().join(name), bytes).expect("materialise");
-    }
+    let store = materialise("parent-store", include_str!("data/durable_store.hex"));
     assert!(
         store_files(store.path())
             .iter()
@@ -1044,21 +1054,21 @@ fn a_store_written_by_the_parent_commit_resumes_bit_identically() {
             )
         })
         .expect("open the parent's store");
-    // Commit 27 of 27, at tuple 4 600 (epoch 940 of the 1 004 logged): the
-    // 64 uncommitted epochs are cut without counting as damage, and the
-    // tail between the checkpoints and the commit replays.
+    // The newest commit on disk is at tuple 4 650: the epochs logged after
+    // it are cut without counting as damage, and the tail between the
+    // checkpoints and the commit replays.
     assert_eq!(
         report,
         RecoveryReport {
-            position: 4_600,
-            watermark: 4_599_000,
-            replayed_batches: 52,
-            replayed_tuples: 127,
+            position: 4_650,
+            watermark: 4_649_000,
+            replayed_batches: 74,
+            replayed_tuples: 177,
             truncated_records: 0,
             resumed: true,
         }
     );
-    e.try_process_packets(&packets[4_600..]).expect("re-feed");
+    e.try_process_packets(&packets[4_650..]).expect("re-feed");
     e.durable_commit(packets.len() as u64).expect("commit");
     assert_bit_identical(&expected, &e.finish(), "resumed from the parent's store");
     drop(e);
@@ -1072,4 +1082,32 @@ fn a_store_written_by_the_parent_commit_resumes_bit_identically() {
         .expect("reopen");
     assert_eq!(report.position, packets.len() as u64);
     assert_bit_identical(&expected, &e.finish(), "finished store, reopened");
+}
+
+/// `tests/data/durable_store_parent.hex` is a crashed store of the same
+/// run, written before cells weighed `g(a) / g(W)`: its checkpoints and
+/// closed-deltas hold cells under their bucket's clock, which this build
+/// cannot read. Its `FDM2` manifest says so, and the store is refused by
+/// name, byte for byte as found, never read as torn nor misread.
+#[test]
+fn a_store_written_before_relative_weights_is_refused_untouched() {
+    let store = materialise("fdm2-store", include_str!("data/durable_store_parent.hex"));
+    let before = store_bytes(store.path());
+    let refused = ShardedEngine::try_new(fixture_query(), 2)
+        .and_then(|e| e.try_batch_size(3))
+        .and_then(|e| {
+            e.checkpoint_every(256)
+                .try_durable(store.path(), DurabilityOptions::default())
+        })
+        .err()
+        .expect("an FDM2 store is refused");
+    let text = refused.to_string();
+    assert!(
+        text.contains("FDM2") && text.contains("an older build"),
+        "{text}"
+    );
+    assert!(
+        store_bytes(store.path()) == before,
+        "a refused store is left as found"
+    );
 }

@@ -134,8 +134,8 @@ fn golden_stream() -> Vec<Packet> {
 
 #[test]
 fn checkpoint_bytes_are_the_parent_formats() {
-    // Written by `Engine::checkpoint` at the commit before the group store
-    // was replaced, from the same query and stream.
+    // Written by `Engine::checkpoint` at the commit that made cells weigh
+    // `g(a) / g(W)`, from the same query and stream.
     let golden: Vec<u8> = include_str!("data/engine_checkpoint_fwd_sum_poly2.hex")
         .split_whitespace()
         .flat_map(|line| {
@@ -144,7 +144,7 @@ fn checkpoint_bytes_are_the_parent_formats() {
                 .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("hex digit pair"))
         })
         .collect();
-    assert_eq!(golden.len(), 1482);
+    assert_eq!(golden.len(), 1114);
 
     let mut engine = Engine::new(golden_query());
     for p in golden_stream() {
@@ -168,11 +168,11 @@ fn checkpoint_bytes_are_the_parent_formats() {
 
 #[test]
 fn state_mode_checkpoints_restore_to_their_own_bytes() {
-    // Two shard-worker checkpoints written at the commit before closed
-    // buckets became typed runs, each with closed buckets pending: the
-    // golden query's, and `fwd_avg` under `exp:10`, whose bucket clocks
-    // moved. Their closed sections decode into runs and write back as
-    // they were.
+    // Two shard-worker checkpoints written at the commit that made cells
+    // weigh `g(a) / g(W)`, each with closed buckets pending: the golden
+    // query's, and `fwd_avg` under `exp:10`, whose 60 s buckets reach
+    // weights of e^−600. Their closed sections decode into runs and write
+    // back as they were.
     let images = include_str!("data/engine_checkpoint_state_mode.hex").split("\n\n");
     let avg = || {
         Query::builder("avg_exp10")
@@ -539,10 +539,10 @@ fn a_sharded_worker_folds_its_batches_as_the_engine_folds_the_stream() {
     }
 }
 
-/// A rate whose bucket outlives its renormalization horizon: α = 100/s
-/// over 5 s buckets is α·width = 500, past ln 1e150 ≈ 345, so a bucket's
-/// clock moves once its tuples pass 3.45 s into it — and moves every cell
-/// of the bucket with it: its groups, LFTA residents and partials.
+/// A rate whose bucket outlives fd-core's renormalization horizon: α =
+/// 100/s over 5 s buckets is α·width = 500, past ln 1e150 ≈ 345, so a
+/// standalone summary's clock would move 3.45 s into a bucket. The
+/// engine's cells weigh `g(a) / g(W)` instead, down to e^−500.
 const RESCALING: &str = "exp:100";
 
 fn rescaling_query(aggregate: Arc<FnFactory>, two_level: bool) -> Query {
@@ -647,32 +647,21 @@ fn assert_every_path_within_budget(g: &AnyDecay, stream: &[Packet], head: usize)
     }
 }
 
-/// How many times `g`'s clock moves over the first 5 s bucket of `stream`.
-fn moves_in_first_bucket(g: &AnyDecay, stream: &[Packet]) -> u64 {
-    let mut probe = DecayedCount::new(g.clone(), 0.0);
-    (stream.iter().take_while(|p| p.ts < 5 * MICROS_PER_SEC))
-        .for_each(|p| probe.update(secs(p.ts)));
-    Summary::stats(&probe).renormalizations
-}
-
 #[test]
 fn a_clock_that_moves_inside_a_bucket_moves_all_of_its_cells() {
     let g: AnyDecay = RESCALING.parse().expect("decay spec");
     let stream = rescaling_stream();
-    assert!(
-        moves_in_first_bucket(&g, &stream) > 0,
-        "{RESCALING} must rescale in a bucket"
-    );
     assert_every_path_within_budget(&g, &stream, stream.len() / 2 + 17);
 }
 
-/// A rate that moves a bucket's clock every ln 1e150 / 2000 ≈ 0.17 s.
+/// A rate at which fd-core's standalone clock would move every
+/// ln 1e150 / 2000 ≈ 0.17 s.
 const QUIET_RATE: &str = "exp:2000";
 
 /// 3 000 tuples over 15 s on nine groups, in order, where the groups
 /// `quiet` picks fall quiet from 1 s to 4.5 s into each 5 s bucket: under
-/// [`QUIET_RATE`] they miss some twenty moves of their bucket's clock at a
-/// time.
+/// [`QUIET_RATE`] what they held before the lull weighs below e^−7000 at
+/// their bucket's end.
 fn quiet_groups_stream(quiet: fn(u32) -> bool) -> Vec<Packet> {
     let lull = |p: &Packet| {
         let into = p.ts % (5 * MICROS_PER_SEC);
@@ -686,26 +675,22 @@ fn quiet_groups_stream(quiet: fn(u32) -> bool) -> Vec<Packet> {
 
 #[test]
 fn a_group_that_misses_many_moves_takes_them_when_reached() {
-    // exp:2000 moves a bucket's clock every ln 1e150 / 2000 ≈ 0.17 s.
-    // Groups 0–2 fall quiet from 1 s to 4.5 s into each 5 s bucket and miss
-    // some twenty moves — more than a bucket keeps the factors of — before
-    // their next tuple: what they held underflows to zero, as the oracle's
-    // weights do. The checkpoint is taken 2.5 s into the second bucket,
-    // while they lag, so it writes lagging cells too.
+    // Groups 0–2 fall quiet from 1 s to 4.5 s into each 5 s bucket: under
+    // exp:2000 what they held before the lull underflows to zero at the
+    // bucket's end, as the oracle's weights do. The checkpoint is taken
+    // 2.5 s into the second bucket, during the lull.
     let g: AnyDecay = QUIET_RATE.parse().expect("decay spec");
     let stream = quiet_groups_stream(|host| host < 3);
-    assert!(moves_in_first_bucket(&g, &stream) > 20);
     let head = (stream.iter().position(|p| p.ts >= 7_500_000)).expect("a second bucket");
     assert_every_path_within_budget(&g, &stream, head);
 }
 
 #[test]
 fn a_bucket_restored_from_cells_under_different_landmarks_is_aligned() {
-    // Held boxed, each group keeps its own clock, as the parent commit held
-    // every group: in bucket [0, 5 s) group 1 sees tuples at 0.5 s and 1 s
-    // only (its landmark stays 0), group 2 one at 4 s too (α·4 = 400: its
-    // landmark moves to 4 s). The image carries both landmarks in one
-    // bucket; the by-value store takes it onto one clock.
+    // In bucket [0, 5 s) group 1 sees tuples at 0.5 s and 1 s only, group 2
+    // one at 4 s too (α·4 = 400, past where a standalone clock would move
+    // its landmark). An image of the boxed store restores into the by-value
+    // one, and both finish within the oracle's budget.
     let g: AnyDecay = RESCALING.parse().expect("decay spec");
     let at = |s: f64, host: u32| pkt((s * MICROS_PER_SEC as f64) as Micros, host, 100 + host);
     let head = [at(0.5, 1), at(1.0, 1), at(1.0, 2), at(4.0, 2), at(4.2, 3)];
@@ -721,16 +706,38 @@ fn a_bucket_restored_from_cells_under_different_landmarks_is_aligned() {
         let image = parent.checkpoint().expect("checkpoint");
         let mut aligned =
             Engine::restore(rescaling_query(Arc::clone(&by_value), two_level), &image)
-                .expect("cells under different landmarks are aligned, not refused");
-        assert!(
-            aligned.checkpoint().expect("checkpoint") != image,
-            "{what}: the group still under landmark 0 is written under the bucket's"
-        );
+                .expect("a boxed image restores by value");
         parent.process_packets(&tail);
         aligned.process_packets(&tail);
         let rows = aligned.finish();
         assert_within_budget(parent.finish(), &want, &format!("{what}, boxed"));
         assert_within_budget(rows, &want, &format!("{what}, aligned"));
+    }
+}
+
+#[test]
+fn an_image_restores_only_under_its_own_g() {
+    // An image names the `g` its cells weigh by once: the same cells read
+    // under another `g` would be other numbers, so they are refused.
+    let stream = rescaling_stream();
+    for (ours, theirs) in [("poly:2", "poly:3"), ("exp:10", "exp:20")] {
+        for two_level in [true, false] {
+            let query = |spec: &str| {
+                let g: AnyDecay = spec.parse().expect("decay spec");
+                rescaling_query(fwd_sum_factory(g, |p| p.len as f64), two_level)
+            };
+            let mut e = Engine::new(query(ours));
+            e.process_packets(&stream[..stream.len() / 2]);
+            let image = e.checkpoint().expect("checkpoint");
+            assert!(Engine::restore(query(ours), &image).is_ok());
+            let refused = Engine::restore(query(theirs), &image)
+                .err()
+                .expect("an image under another g");
+            assert!(
+                refused.to_string().contains("another decay g"),
+                "{ours} into {theirs}: {refused}"
+            );
+        }
     }
 }
 
@@ -745,11 +752,11 @@ fn row_bytes(rows: &[Row]) -> Vec<u8> {
 
 /// What `tests/data/group_store_fold_order.hex` pins, as `(label, bytes)`:
 /// `fwd_count`, `fwd_sum` and `fwd_avg` split over 4 LFTA slots, under
-/// `poly:2` and under [`RESCALING`] (whose clocks move inside a bucket),
-/// fed [`rescaling_stream`] two ways — tuple by tuple with every third tuple
-/// Horvitz–Thompson scaled (the direct path), and in batches of 64 (moves
-/// inside a batch, after partials of the same bucket left the LFTA) — each
-/// with a checkpoint halfway and its rows at the end.
+/// `poly:2` and under [`RESCALING`], fed [`rescaling_stream`] two ways —
+/// tuple by tuple with every third tuple Horvitz–Thompson scaled (the
+/// direct path), and in batches of 64 (partials of one bucket leaving the
+/// LFTA inside a batch) — each with a checkpoint halfway and its rows at
+/// the end.
 fn fold_order_images() -> Vec<(String, Vec<u8>)> {
     let stream = rescaling_stream();
     let half = stream.len() / 2;
@@ -797,9 +804,8 @@ fn fold_order_images() -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn scaled_tuples_and_moves_inside_a_batch_fold_as_the_parent_commit_folded_them() {
-    // Generated by `fold_order_images` at the commit before a split
-    // bucket's groups became a log folded into a key-sorted run: each
-    // line a label and its bytes in hex.
+    // Generated by `fold_order_images` at the commit that made cells weigh
+    // `g(a) / g(W)`: each line a label and its bytes in hex.
     let pinned: Vec<(String, Vec<u8>)> = (include_str!("data/group_store_fold_order.hex").lines())
         .map(|line| {
             let (label, hex) = line.split_once(' ').expect("a label and its bytes");
@@ -822,23 +828,22 @@ fn scaled_tuples_and_moves_inside_a_batch_fold_as_the_parent_commit_folded_them(
 /// fresh engine — so a split bucket's log is folded into its run at
 /// arbitrary points — and one fed the same chunks that never does: the
 /// same rows bit for bit, the same counters and the same last checkpoint.
-/// Under [`QUIET_RATE`], every group but one falls quiet while its
-/// bucket's clock moves some twenty times; the one left keeps its LFTA
-/// slot, so the partials the others left in the log wait there, and are
-/// folded many moves after the fold that released them.
+/// Under [`QUIET_RATE`], every group but one falls quiet for most of a
+/// bucket; the one left keeps its LFTA slot, so the partials the others
+/// left in the log wait there, and are folded long after the fold that
+/// released them.
 fn folding_the_log_is_unobservable(slots: usize) {
     let (moving, quiet) = (rescaling_stream(), quiet_groups_stream(|host| host != 3));
     // Past the quiet groups' return at 4.5 s, and far enough into the
     // second bucket to close the first.
     let after_lull = (quiet.iter().position(|p| p.ts >= 7 * MICROS_PER_SEC)).expect("7 s");
-    for (spec, stream, head, moves) in [
-        ("poly:2", &moving, 400, 0),
-        (RESCALING, &moving, 400, 1),
-        (QUIET_RATE, &quiet, after_lull, 21),
+    for (spec, stream, head) in [
+        ("poly:2", &moving, 400),
+        (RESCALING, &moving, 400),
+        (QUIET_RATE, &quiet, after_lull),
     ] {
         let g: AnyDecay = spec.parse().expect("decay spec");
         let head = &stream[..head];
-        assert!(moves_in_first_bucket(&g, head) >= moves, "{spec}");
         let runs: [(&[Packet], usize); 3] = [(head, 1), (head, 3), (stream, 64)];
         for factory in splittable_factories(&g) {
             // A ratio's quiet groups would underflow at this rate: refused.

@@ -1,5 +1,5 @@
-//! The flat q-digest from outside the crate: a checkpoint written before
-//! the layout changed still restores, an oversize value cannot take a
+//! The flat q-digest from outside the crate: a pinned checkpoint restores
+//! and finishes as the run it was taken from, an oversize value cannot take a
 //! worker down, and the insert-heavy regime stays inside Theorem 3's bounds
 //! at a speed a sorted array with one insert per update does not reach.
 
@@ -68,8 +68,10 @@ fn golden_bytes() -> Vec<u8> {
 
 #[test]
 fn a_checkpoint_from_before_the_flat_layout_restores_and_finishes_identically() {
-    // Written by `Engine::checkpoint` at the commit before the q-digest went
-    // flat (nodes in hash order), from this query and stream prefix.
+    // Written by `Engine::checkpoint` from this query and stream prefix:
+    // first at the commit before the q-digest went flat (nodes in hash
+    // order), then again at the commit that made cells weigh `g(a) / g(W)`,
+    // whose images no earlier build reads.
     let golden = golden_bytes();
     let stream = golden_stream();
     let mut restored = Engine::restore(quantile_query(8, 0.25), &golden).expect("restore");

@@ -273,13 +273,13 @@ fn round_robin_routing_matches_for_additive_aggregates() {
 
 #[test]
 fn round_robin_rows_under_moving_clocks_are_the_parent_commits() {
-    // Round-robin meets every group on every shard, and under `exp:10`
-    // over 60 s buckets each shard's bucket clock moves at its own first
-    // tuple past 34.5 s: the combiner joins two different clocks for
-    // nearly every key. Checkpoints every 500 tuples put each shard's
-    // closed buckets partly in its slot and partly in its worker's tail.
-    // Each `<aggregate> <bucket_start> <key> <value bits>` line was
-    // printed at the commit before closed buckets became typed runs.
+    // Round-robin meets every group on every shard: the combiner merges
+    // partials from every shard for nearly every key, weighed under
+    // `exp:10` over 60 s buckets down to e^−600. Checkpoints every 500
+    // tuples put each shard's closed buckets partly in its slot and partly
+    // in its worker's tail. Each `<aggregate> <bucket_start> <key> <value
+    // bits>` line was printed at the commit that made cells weigh
+    // `g(a) / g(W)`.
     let pinned = include_str!("data/round_robin_rows_exp10.txt");
     let stream: Vec<Packet> = (0..6_000u64)
         .map(|i| Packet {
